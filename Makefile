@@ -12,13 +12,17 @@ race:
 	go test -race ./...
 
 # Everything CI runs, in CI's order. Mirrors .github/workflows/ci.yml so
-# the gate is reproducible locally with one command.
+# the gate is reproducible locally with one command. bench/ is its own
+# module importing the internals, so the root ./... patterns neither
+# compile nor test it: it gets its own line, or an internal rename first
+# fails inside the benchmark driver.
 .PHONY: ci
 ci:
 	gofmt -l . | (! grep .) || (echo "gofmt: files need formatting" && exit 1)
 	go vet ./...
 	go build ./...
 	go test ./...
+	cd bench && go vet . && go test .
 	go test -race ./internal/offload/... ./internal/train ./internal/parallel ./internal/nn ./internal/freqdomain ./internal/netfaults
 
 # Micro-benchmarks of the parallel hot paths; scripts/bench.sh wraps

@@ -125,6 +125,16 @@ func main() {
 	}
 	sc := jpegact.ModelScale{Width: *width, Blocks: *blocks}
 
+	// -method picks the functional round-trip's codec. The offload store
+	// always runs JPEG-ACT/OptL and the data-parallel trainer leaves
+	// activations alone, so an explicit -method there would print one
+	// thing and train another.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "method" && (*useOffload || *replicas > 0) {
+			fmt.Fprintln(os.Stderr, "acttrain: -method applies to plain training only; -offload always stores JPEG-ACT/OptL and -replicas does not compress activations")
+			os.Exit(2)
+		}
+	})
 	if *replicas > 0 {
 		if *useOffload {
 			fmt.Fprintln(os.Stderr, "acttrain: -replicas runs its own transport; drop -offload")

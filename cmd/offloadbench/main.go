@@ -22,13 +22,13 @@ import (
 	"time"
 
 	"jpegact/internal/benchmeta"
-	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
+	"jpegact/internal/train"
 )
 
 // simChannel charges every transfer a DMA setup latency plus a
@@ -82,11 +82,12 @@ type report struct {
 }
 
 // runMode trains `steps` batches through the offload engine and times
-// each step: forward (with streaming save hooks in async mode), the
-// commit barrier, restore preparation, backward and the optimizer
-// update. No evaluation pass pollutes the timing — this measures the
-// training step alone, where the overlap lives. setup configures the
-// store's byte path (simulated DMA channel, or a netstore client).
+// each step: train.OffloadedStep (forward with streaming save hooks in
+// async mode, the commit barrier, restore preparation, backward) and
+// the optimizer update. No evaluation pass pollutes the timing — this
+// measures the training step alone, where the overlap lives. setup
+// configures the store's byte path (simulated DMA channel, or a
+// netstore client).
 func runMode(mode string, cfg offload.EngineConfig, freq bool, steps, batch, width int, setup func(*offload.Store)) modeResult {
 	m := models.ResNet18(models.Scale{Width: width, Blocks: 1}, 2, tensor.NewRNG(42))
 	ds := data.NewClassification(data.ClassificationConfig{
@@ -106,63 +107,13 @@ func runMode(mode string, cfg offload.EngineConfig, freq bool, steps, batch, wid
 	times := make([]float64, 0, steps)
 	for s := 0; s < steps; s++ {
 		x, labels := ds.Batch(batch)
-		// Snapshot forward side effects so a chaos-triggered recompute
-		// (store set to PolicyRecompute by the -chaos setup) can replay
-		// the step bit-exactly; a fatal wire failure then costs a replay
-		// instead of the whole benchmark.
-		pre := nn.CaptureNetState(m.Net)
 		t0 := time.Now()
-
-		eng.BeginStep()
-		if cfg.Async {
-			nn.SetHooks(m.Net, &nn.Hooks{OnSave: func(r *nn.ActRef) { eng.Offload(r) }})
-		}
-		out := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
-		loss, grad := nn.SoftmaxCrossEntropy(out.T, labels)
-		if freq {
-			plan := nn.CoefficientPlan(m.Net)
-			store.CoefPlan = func(ref *nn.ActRef) bool { return plan[ref] }
-		}
-		if store.Recovery.Policy == offload.PolicyRecompute {
-			recomputes := 0
-			store.Recovery.Recompute = func(_ *nn.ActRef) error {
-				if recomputes >= 8 {
-					return fmt.Errorf("recompute budget (8) exhausted")
-				}
-				recomputes++
-				// Rewind and replay the forward with hooks detached, then
-				// re-offload the fresh refs synchronously — the same
-				// whole-step rebuild the trainer uses.
-				nn.SetHooks(m.Net, nil)
-				nn.RestoreNetState(m.Net, pre)
-				m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
-				store.Reset()
-				_, _, oerr := store.OffloadAll(m.Net.SavedRefs())
-				return oerr
-			}
-		}
-		if _, _, err := eng.EndForward(m.Net.SavedRefs()); err != nil {
+		// The trainer's own step. With the store set to PolicyRecompute (the
+		// -chaos setup) a fatal wire failure costs a bit-exact replay, up
+		// to 8 per step, instead of the whole benchmark.
+		loss, err := train.OffloadedStep(m.Net, eng, x, labels, 8, freq)
+		if err != nil {
 			fatal(mode, err)
-		}
-		if err := eng.PrepareBackward(); err != nil {
-			fatal(mode, err)
-		}
-		if cfg.Async {
-			nn.SetHooks(m.Net, &nn.Hooks{OnNeed: func(r *nn.ActRef) {
-				if err := eng.Restore(r); err != nil {
-					fatal(mode, err)
-				}
-			}})
-		}
-		m.Net.Backward(grad)
-		nn.SetHooks(m.Net, nil)
-		store.Recovery.Recompute = nil
-		if err := eng.EndStep(); err != nil {
-			fatal(mode, err)
-		}
-		if freq {
-			store.CoefPlan = nil
-			nn.ReleaseCoefficients(m.Net.SavedRefs())
 		}
 		opt.Step(m.Net.Params())
 

@@ -27,6 +27,7 @@ import (
 	"jpegact/internal/offload/netstore"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/tensor"
+	"jpegact/internal/train"
 )
 
 // latCollector gathers per-request wall-clock latencies from the
@@ -284,10 +285,7 @@ func runNetBench(cfg netBenchConfig) {
 		})
 		dial = transport.Dialer(inj.WrapDialer(dial))
 	}
-	opTimeout := cfg.storeTimeout / 4
-	if cfg.storeTimeout > 0 && opTimeout < 50*time.Millisecond {
-		opTimeout = 50 * time.Millisecond
-	}
+	opTimeout := train.StoreOpTimeout(cfg.storeTimeout)
 
 	ec := offload.EngineConfig{Async: true, Prefetch: cfg.prefetch, PipelineWindow: cfg.pipeline}
 	// Every client runs the same seeds, so the local run is the exact

@@ -34,6 +34,16 @@ const (
 	gradChunkBits = 12
 )
 
+// The exclusive bounds of a gradient key's step, slot and chunk fields.
+// GradKey masks rather than rejects, so a trainer validates its counts
+// against these once at set-up — a count past a field aliases another
+// key.
+const (
+	GradMaxSteps  = 1 << gradStepBits
+	GradMaxSlots  = 1 << gradSlotBits
+	GradMaxChunks = 1 << gradChunkBits
+)
+
 // GradTag derives the 15-bit run tag from a training seed. Seed 0 is
 // legal: the tag is drawn one Gamma step into the stream, past the
 // mixer's zero fixed point.
@@ -43,8 +53,8 @@ func GradTag(seed uint64) uint64 {
 
 // GradKey builds the store key for one gradient chunk. slot 0 names the
 // reduced gradient; slot m+1 names microbatch m's contribution. Inputs
-// beyond their field widths are masked, not rejected — the trainer's
-// step/slot/chunk counts are bounded far below the field sizes.
+// beyond their field widths are masked, not rejected — the trainer
+// checks its step/slot/chunk counts against GradMax* before it starts.
 func GradKey(tag, step, slot, chunk uint64) uint64 {
 	return gradFlagBit |
 		(tag&(1<<gradTagBits-1))<<(gradStepBits+gradSlotBits+gradChunkBits) |

@@ -19,9 +19,10 @@ package train
 // an in-process readiness board that publishes each PUT's server
 // acknowledgment, and drains completions through a FIFO reorder buffer
 // in exactly the issue order. Overlap therefore changes wall time only:
-// every gradient element is still accumulated microbatch 0..M-1, the
-// same float32 op order the serial exchange used, for any K and any
-// bucket size.
+// every gradient element is still accumulated microbatch 0..M-1 for
+// any K and any bucket size — and DPOptions.SerialExchange, which only
+// withholds the hook and starts the reducer late, lands on the same
+// weights.
 //
 // The rest of the determinism contract, piece by piece:
 //
@@ -54,11 +55,9 @@ package train
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
-	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/frame"
 	"jpegact/internal/models"
@@ -70,6 +69,10 @@ import (
 )
 
 // DPOptions configures the data-parallel trainer.
+// ClassifierDataParallel ignores Config.Method and Config.MeasureError:
+// its activation policy is none — saved activations reach backward
+// untouched (not even Baseline's clone), so the compression ratio it
+// reports is 0.
 type DPOptions struct {
 	// Replicas is K, the worker count (default 1). Each worker is a
 	// goroutine holding its own full model replica and optimizer.
@@ -89,12 +92,12 @@ type DPOptions struct {
 	// Window bounds each networked exchange client's asynchronous
 	// in-flight window (default 8; 1 degenerates to stop-and-wait).
 	Window int
-	// SerialExchange disables the backward-overlapped bucketed
-	// exchange and replays the PR-9 serial schedule — flatten, put
-	// every chunk stop-and-wait after backward completes, reduce only
-	// once every worker has finished — as the baseline the bench
-	// driver measures overlap against. The float32 accumulation order
-	// is identical either way, so the trained weights match exactly.
+	// SerialExchange takes the overlap out of the bucketed exchange:
+	// every bucket ships stop-and-wait after backward completes and
+	// the reducer starts only once every worker has finished — the
+	// baseline the bench drivers measure overlap against. It is the
+	// same code minus the OnGrad hook, and the float32 accumulation
+	// order is identical, so the trained weights match exactly.
 	SerialExchange bool
 	// StoreDial, when set, exchanges gradients through a networked
 	// activation store instead of the in-process transport. Every
@@ -129,8 +132,7 @@ func (dp DPOptions) withDefaults() DPOptions {
 		dp.Window = 8
 	}
 	if dp.SerialExchange {
-		// The baseline schedule is PR 9 verbatim: stop-and-wait wire ops.
-		dp.Window = 1
+		dp.Window = 1 // stop-and-wait wire ops
 	}
 	return dp
 }
@@ -366,8 +368,8 @@ func (b *gradBoard) wait(m, c int) error {
 // reverse network order), microbatch ascending within a chunk — each
 // gated on the board, and completions drain through the FIFO reorder
 // buffer in exactly the issue order. Per gradient element the float32
-// adds therefore happen microbatch 0..M-1, the same order the serial
-// reduction used, regardless of K, bucket size or wire timing.
+// adds therefore happen microbatch 0..M-1 regardless of K, bucket size,
+// wire timing or when the reducer was started.
 func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, reduced []float32) error {
 	for i := range reduced {
 		reduced[i] = 0
@@ -418,111 +420,241 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 	return nil
 }
 
-// dpReplica is one worker's private world: model, optimizer, exchange,
-// bucket plan.
+// dpReplica is one worker's private world: model, optimizer, step body,
+// exchange, bucket plan.
 type dpReplica struct {
 	model *models.Model
 	opt   nn.Optimizer
+	pass  *pass
 	gx    *gradExchange
 	plan  *nn.BucketPlan
 	flat  []float32 // scratch: this replica's flattened gradient
 }
 
-// runMicrobatchOverlapped differentiates microbatch m and ships its
-// gradient buckets as backward produces them: the OnGrad hook copies
-// each finalized parameter into the flat vector and launches an async
-// PUT for every bucket that just completed; a waiter goroutine settles
-// the acknowledgments in issue order and publishes them to the board.
-// A post-backward sweep covers any parameters the hook did not see
-// (topologies outside the container walk), so every bucket always
-// ships exactly once.
-func (r *dpReplica) runMicrobatchOverlapped(step uint64, m int, board *gradBoard, putWG *sync.WaitGroup, grad *tensor.Tensor) error {
+// microbatch differentiates microbatch m through the replica's pass and
+// ships its gradient as one async PUT per bucket; a waiter goroutine
+// settles the acknowledgments in issue order and publishes them to the
+// board. With overlap, the pass's OnGrad hook copies each finalized
+// parameter into the flat vector and ships every bucket that just
+// completed, while backward is still running. The post-backward sweep
+// ships whatever the hook did not see (topologies outside the container
+// walk) — which, without overlap, is everything: the serial exchange is
+// this code with the hook left out. Every bucket ships exactly once.
+func (r *dpReplica) microbatch(step uint64, epoch, m int, x *tensor.Tensor, labels []int, overlap bool, board *gradBoard, putWG *sync.WaitGroup) (stepResult, error) {
 	slot := uint64(m + 1)
-	tickets := make(chan putTicket, r.plan.Buckets())
+	tickets := make(chan putTicket, r.plan.Buckets()) // one send per bucket: never blocks
 	gx := r.gx
 	putWG.Add(1)
 	go func() {
+		defer putWG.Done()
 		for t := range tickets {
 			if err := gx.awaitPut(step, slot, t); err != nil {
 				board.fail(err)
 				for rest := range tickets {
 					rest.h.Err()
 				}
-				break
+				return
 			}
 			board.publish(m, t.c)
 		}
-		putWG.Done()
 	}()
-	var hookErr error
-	flush := func(buckets []int) {
-		for _, c := range buckets {
-			if hookErr != nil {
-				return
-			}
-			b, err := r.gx.encodeChunk(r.flat, c)
-			if err != nil {
-				hookErr = err
-				return
-			}
-			h := r.gx.tr.PutAsync(transport.GradKey(r.gx.tag, step, slot, uint64(c)), b, r.gx.retry)
-			tickets <- putTicket{c, len(b), h}
-		}
-	}
-	hooks := &nn.Hooks{OnGrad: func(p *nn.Param) {
+	var shipErr error
+	ship := func(p *nn.Param) {
 		off, ok := r.plan.Offset(p)
 		if !ok {
 			return
 		}
 		copy(r.flat[off:off+p.Grad.Elems()], p.Grad.Data)
-		flush(r.plan.Produce(p))
-	}}
+		for _, c := range r.plan.Produce(p) {
+			if shipErr != nil {
+				return
+			}
+			b, err := gx.encodeChunk(r.flat, c)
+			if err != nil {
+				shipErr = err
+				return
+			}
+			h := gx.tr.PutAsync(transport.GradKey(gx.tag, step, slot, uint64(c)), b, gx.retry)
+			tickets <- putTicket{c, len(b), h}
+		}
+	}
 	r.plan.Reset()
-	nn.SetHooks(r.model.Net, hooks)
-	r.model.Net.Backward(grad)
-	nn.SetHooks(r.model.Net, nil)
-	// Safety sweep: anything backward finalized without an OnGrad event.
-	for _, p := range r.plan.Unproduced() {
-		off, _ := r.plan.Offset(p)
-		copy(r.flat[off:off+p.Grad.Elems()], p.Grad.Data)
-		flush(r.plan.Produce(p))
+	var onGrad func(*nn.Param)
+	if overlap {
+		onGrad = ship
+	}
+	res, err := r.pass.run(x, crossEntropy(labels), epoch, onGrad)
+	if err == nil {
+		for _, p := range r.plan.Unproduced() {
+			ship(p)
+		}
+		err = shipErr
 	}
 	close(tickets)
-	if hookErr != nil {
-		board.fail(hookErr)
-		return hookErr
+	if err != nil {
+		board.fail(err)
 	}
-	return nil
+	return res, err
+}
+
+// allReduce is gradient policy all-reduce: the state one data-parallel
+// step works on.
+type allReduce struct {
+	cfg     Config
+	dp      DPOptions
+	ds      *data.Classification
+	reps    []*dpReplica
+	reducer *gradExchange
+	board   *gradBoard
+
+	microX  []*tensor.Tensor
+	microY  [][]int
+	results []stepResult // per microbatch
+	reduced []float32
+}
+
+// step runs one data-parallel training step: M microbatches over the K
+// replicas, the fixed-order reduction, and every replica's import and
+// optimizer update.
+func (a *allReduce) step(epoch, b int) (stepResult, error) {
+	K, M := a.dp.Replicas, a.dp.Microbatches
+	step := uint64(epoch*a.cfg.BatchesPerEpoch + b)
+	// The driver draws all M microbatches in order — the data stream is
+	// sequential, so this is what pins the trajectory to M rather than K.
+	for m := 0; m < M; m++ {
+		a.microX[m], a.microY[m] = a.ds.Batch(a.cfg.BatchSize)
+	}
+
+	// Phases 1+2: every worker runs its share of microbatches, shipping
+	// gradient buckets as backward produces them, while the reducer
+	// streams them into the fixed-order accumulation beside the workers.
+	// SerialExchange is the same code with the overlap taken out: no
+	// OnGrad hook, and the reducer starts once the workers have finished.
+	overlap := !a.dp.SerialExchange
+	var lead nn.NetState // microbatch 0's post-forward state
+	errs := make([]error, K)
+	redErr := make(chan error, 1)
+	reduce := func() { redErr <- a.reducer.reduceStreaming(a.board, step, M, a.reduced) }
+	a.board.reset()
+	if overlap {
+		go reduce()
+	}
+	var wg, putWG sync.WaitGroup
+	for k := 0; k < K; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			r := a.reps[k]
+			pre := nn.CaptureNetState(r.model.Net)
+			for m := k; m < M; m += K {
+				nn.RestoreNetState(r.model.Net, nn.SaltNetState(pre, uint64(m)))
+				for _, p := range r.model.Net.Params() {
+					p.ZeroGrad()
+				}
+				if a.results[m], errs[k] = r.microbatch(step, epoch, m, a.microX[m], a.microY[m], overlap, a.board, &putWG); errs[k] != nil {
+					return
+				}
+				if m == 0 {
+					lead = nn.CaptureNetState(r.model.Net)
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	putWG.Wait()
+	if !overlap {
+		reduce()
+	}
+	// A failed worker has failed the board, so the reducer observes it
+	// and exits rather than waiting for buckets that will never come.
+	rerr := <-redErr
+	for _, err := range append(errs, rerr) {
+		if err != nil {
+			return stepResult{}, err
+		}
+	}
+	if err := a.reducer.put(step, 0, a.reduced); err != nil {
+		return stepResult{}, err
+	}
+	for m := 0; m < M; m++ {
+		a.reducer.del(step, uint64(m+1), len(a.reduced))
+	}
+
+	// Phase 3: every replica adopts the lead state, imports the reduced
+	// gradient (scaled 1/M exactly once) and steps.
+	scale := 1 / float32(M)
+	for k := 0; k < K; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			r := a.reps[k]
+			nn.RestoreNetState(r.model.Net, lead)
+			if errs[k] = r.gx.get(step, 0, r.flat); errs[k] != nil {
+				return
+			}
+			nn.ImportGrads(r.model.Net, r.flat, scale)
+			r.opt.Step(r.model.Net.Params())
+		}(k)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return stepResult{}, err
+		}
+	}
+	a.reducer.del(step, 0, len(a.reduced))
+
+	var sum stepResult
+	for _, res := range a.results {
+		sum.loss += res.loss
+		sum.orig += res.orig
+		sum.comp += res.comp
+	}
+	sum.loss /= float64(M)
+	return sum, nil
 }
 
 // ClassifierDataParallel trains a classification model across
 // dp.Replicas workers with compressed gradient exchange over the
-// activation-store transport. newModel must build identical replicas
-// on every call (seed the weight RNG inside it); it is called K times.
-// The returned snapshot aggregates the exchange counters of every
-// client. Final weights are bit-identical for any Replicas value, any
-// BucketBytes, and with SerialExchange on or off.
+// activation-store transport: activation policy none, gradient policy
+// all-reduce. newModel must build identical replicas on every call (seed
+// the weight RNG inside it); it is called K times. The returned snapshot
+// aggregates the exchange counters of every client. Final weights are
+// bit-identical for any Replicas value, any BucketBytes, and with
+// SerialExchange on or off.
 func ClassifierDataParallel(newModel func() *models.Model, ds *data.Classification, cfg Config, dp DPOptions) (Report, transport.Snapshot, error) {
+	return dataParallel(newModel, ds, cfg, dp, nil)
+}
+
+// dataParallel is ClassifierDataParallel with the replicas' activation
+// policy open: activations (optional) configures replica k's pass before
+// training — the seam the policy-matrix test composes DP × offload
+// through. No public option exposes it yet.
+func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Config, dp DPOptions, activations func(k int, p *pass)) (Report, transport.Snapshot, error) {
 	cfg = cfg.withDefaults()
 	dp = dp.withDefaults()
 	defer cfg.applyWorkers()()
-	if dp.Replicas > dp.Microbatches {
-		return Report{}, transport.Snapshot{}, fmt.Errorf("train: %d replicas exceed %d microbatches", dp.Replicas, dp.Microbatches)
-	}
 	K, M := dp.Replicas, dp.Microbatches
-	chunkElems := dp.BucketBytes / 4
-	if chunkElems < 1 {
-		chunkElems = 1
-	}
-
 	counters := &transport.Counters{}
-	retry := transport.Retry{Attempts: 8, Backoff: time.Millisecond, Total: dp.StoreTimeout}
-	if dp.StoreTimeout > 0 {
-		opTimeout := dp.StoreTimeout / 4
-		if opTimeout < 50*time.Millisecond {
-			opTimeout = 50 * time.Millisecond
-		}
-		retry.OpTimeout = opTimeout
+	fail := func(format string, args ...any) (Report, transport.Snapshot, error) {
+		return Report{}, counters.Snapshot(), fmt.Errorf("train: "+format, args...)
+	}
+	// The gradient key packs step, slot and chunk into fixed-width fields
+	// and masks what does not fit; a count past a field would alias
+	// another key and silently average the wrong gradients.
+	switch steps := cfg.Epochs * cfg.BatchesPerEpoch; {
+	case K > M:
+		return fail("%d replicas exceed %d microbatches", K, M)
+	case M+1 > transport.GradMaxSlots:
+		return fail("%d microbatches exceed the gradient key's %d slots", M, transport.GradMaxSlots-1)
+	case steps > transport.GradMaxSteps:
+		return fail("%d steps (Epochs × BatchesPerEpoch) exceed the gradient key's %d", steps, transport.GradMaxSteps)
+	}
+	chunkElems := max(dp.BucketBytes/4, 1)
+
+	retry := transport.Retry{
+		Attempts: 8, Backoff: time.Millisecond,
+		Total: dp.StoreTimeout, OpTimeout: StoreOpTimeout(dp.StoreTimeout),
 	}
 	var shared transport.Transport
 	if dp.StoreDial == nil {
@@ -531,217 +663,72 @@ func ClassifierDataParallel(newModel func() *models.Model, ds *data.Classificati
 		shared = transport.NewLocal(nil, counters)
 		defer shared.Close()
 	}
-	newTransport := func() transport.Transport {
-		if shared != nil {
-			return shared
-		}
-		c := transport.NewNetClient(dp.StoreDial, counters)
-		c.OpTimeout = retry.OpTimeout
-		c.Hedge = dp.StoreHedge
-		c.Window = dp.Window
-		if dp.ClientHook != nil {
-			dp.ClientHook(c)
-		}
-		return c
-	}
 	tag := transport.GradTag(cfg.Seed)
 	pipe := codec.New(quant.OptL()) // DQT unused by gradient codecs
 	newExchange := func() *gradExchange {
+		tr := shared
+		if tr == nil {
+			tr = newStoreClient(dp.StoreDial, counters, dp.StoreTimeout, dp.StoreHedge, dp.Window, dp.ClientHook)
+		}
 		return &gradExchange{
-			tr: transport.AsPipelined(newTransport()), pipe: pipe, codec: dp.GradCodec,
+			tr: transport.AsPipelined(tr), pipe: pipe, codec: dp.GradCodec,
 			tag: tag, retry: retry, window: dp.Window, chunk: chunkElems, counters: counters,
 		}
 	}
 
-	reps := make([]*dpReplica, K)
-	for k := range reps {
-		reps[k] = &dpReplica{model: newModel(), opt: cfg.newOptimizer(), gx: newExchange()}
-	}
-	gradSize := nn.GradSize(reps[0].model.Net)
-	for k, r := range reps {
-		if nn.GradSize(r.model.Net) != gradSize {
-			return Report{}, counters.Snapshot(), fmt.Errorf("train: replica %d gradient size differs — newModel is not deterministic", k)
+	a := &allReduce{cfg: cfg, dp: dp, ds: ds, reps: make([]*dpReplica, K), board: newGradBoard()}
+	var opts []nn.Optimizer
+	var gradSize int
+	for k := range a.reps {
+		r := &dpReplica{model: newModel(), opt: cfg.newOptimizer(), gx: newExchange()}
+		if shared == nil {
+			defer r.gx.tr.Close()
+		}
+		a.reps[k] = r
+		opts = append(opts, r.opt)
+		if k == 0 {
+			gradSize = nn.GradSize(r.model.Net)
+		} else if nn.GradSize(r.model.Net) != gradSize {
+			return fail("replica %d gradient size differs — newModel is not deterministic", k)
 		}
 		r.flat = make([]float32, gradSize)
 		r.plan = nn.NewBucketPlan(r.model.Net, chunkElems)
-	}
-	if shared == nil {
-		for _, r := range reps {
-			defer r.gx.tr.Close()
+		r.pass = &pass{net: r.model.Net}
+		if activations != nil {
+			activations(k, r.pass)
 		}
 	}
-	reducer := newExchange()
+	a.reducer = newExchange()
 	if shared == nil {
-		defer reducer.tr.Close()
+		defer a.reducer.tr.Close()
 	}
-	board := newGradBoard()
+	if chunks := a.reducer.chunkCount(gradSize); chunks > transport.GradMaxChunks {
+		return fail("a %d-element gradient in %d-byte buckets is %d chunks; the gradient key holds %d — raise BucketBytes",
+			gradSize, 4*chunkElems, chunks, transport.GradMaxChunks)
+	}
+	a.microX = make([]*tensor.Tensor, M)
+	a.microY = make([][]int, M)
+	a.results = make([]stepResult, M)
+	a.reduced = make([]float32, gradSize)
 
+	lead := a.reps[0].model
 	rep := Report{
-		ModelName:  reps[0].model.Name,
+		ModelName:  lead.Name,
 		MethodName: fmt.Sprintf("dp(K=%d,M=%d,%s)", K, M, dp.GradCodec),
 	}
 	if dp.StoreDial != nil {
 		rep.MethodName += "+netstore"
 	}
-
-	valX, valY := ds.Batch(cfg.BatchSize * 8)
-
-	microX := make([]*tensor.Tensor, M)
-	microY := make([][]int, M)
-	losses := make([]float64, M)
-	reduced := make([]float32, gradSize)
-	mbVec := make([]float32, gradSize)
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, r := range reps {
-			maybeDecay(cfg, r.opt, epoch)
-		}
-		var epochLoss float64
-		for b := 0; b < cfg.BatchesPerEpoch; b++ {
-			step := uint64(epoch*cfg.BatchesPerEpoch + b)
-			// The driver draws all M microbatches in order — the data
-			// stream is sequential, so this is what pins the trajectory
-			// to M rather than K.
-			for m := 0; m < M; m++ {
-				microX[m], microY[m] = ds.Batch(cfg.BatchSize)
-			}
-
-			// Phases 1+2: every worker runs its share of microbatches,
-			// shipping gradient buckets as backward produces them, while
-			// the reducer streams them into the fixed-order accumulation
-			// concurrently. (SerialExchange replays the PR-9 schedule:
-			// publish after backward, reduce after all workers finish.)
-			var lead nn.NetState // microbatch 0's post-forward state
-			errs := make([]error, K)
-			redErr := make(chan error, 1)
-			board.reset()
-			if !dp.SerialExchange {
-				go func() { redErr <- reducer.reduceStreaming(board, step, M, reduced) }()
-			}
-			var wg, putWG sync.WaitGroup
-			for k := 0; k < K; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					r := reps[k]
-					pre := nn.CaptureNetState(r.model.Net)
-					for m := k; m < M; m += K {
-						nn.RestoreNetState(r.model.Net, nn.SaltNetState(pre, uint64(m)))
-						for _, p := range r.model.Net.Params() {
-							p.ZeroGrad()
-						}
-						out := r.model.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: microX[m]}, true)
-						loss, grad := nn.SoftmaxCrossEntropy(out.T, microY[m])
-						losses[m] = loss
-						if dp.SerialExchange {
-							r.model.Net.Backward(grad)
-							nn.FlattenGrads(r.model.Net, r.flat)
-							if err := r.gx.put(step, uint64(m+1), r.flat); err != nil {
-								errs[k] = err
-								return
-							}
-						} else if err := r.runMicrobatchOverlapped(step, m, board, &putWG, grad); err != nil {
-							errs[k] = err
-							return
-						}
-						if m == 0 {
-							lead = nn.CaptureNetState(r.model.Net)
-						}
-					}
-				}(k)
-			}
-			wg.Wait()
-			putWG.Wait()
-			for _, err := range errs {
-				if err != nil {
-					board.fail(err)
-					if !dp.SerialExchange {
-						<-redErr // the reducer observes the failure and exits
-					}
-					return rep, counters.Snapshot(), err
-				}
-			}
-			if dp.SerialExchange {
-				// Fixed-order exact reduction after the fact: microbatch
-				// order 0..M-1, element-wise float32 accumulation — the
-				// same per-element op order the streaming reducer uses.
-				for i := range reduced {
-					reduced[i] = 0
-				}
-				for m := 0; m < M; m++ {
-					if err := reducer.get(step, uint64(m+1), mbVec); err != nil {
-						return rep, counters.Snapshot(), err
-					}
-					for i, v := range mbVec {
-						reduced[i] += v
-					}
-				}
-			} else if err := <-redErr; err != nil {
-				return rep, counters.Snapshot(), err
-			}
-			if err := reducer.put(step, 0, reduced); err != nil {
-				return rep, counters.Snapshot(), err
-			}
-			for m := 0; m < M; m++ {
-				reducer.del(step, uint64(m+1), gradSize)
-			}
-
-			// Phase 3: every replica adopts the lead state, imports the
-			// reduced gradient (scaled 1/M exactly once) and steps.
-			scale := 1 / float32(M)
-			for k := 0; k < K; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					r := reps[k]
-					nn.RestoreNetState(r.model.Net, lead)
-					if err := r.gx.get(step, 0, r.flat); err != nil {
-						errs[k] = err
-						return
-					}
-					nn.ImportGrads(r.model.Net, r.flat, scale)
-					r.opt.Step(r.model.Net.Params())
-				}(k)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return rep, counters.Snapshot(), err
-				}
-			}
-			reducer.del(step, 0, gradSize)
-
-			stepLoss := 0.0
-			for _, l := range losses {
-				stepLoss += l
-			}
-			stepLoss /= float64(M)
-			epochLoss += stepLoss
-			if math.IsNaN(stepLoss) || math.IsInf(stepLoss, 0) {
-				rep.Diverged = true
-				return rep, counters.Snapshot(), nil
-			}
-		}
-
-		stats := EpochStats{Epoch: epoch, Loss: epochLoss / float64(cfg.BatchesPerEpoch)}
-		valOut := reps[0].model.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valX}, false)
-		stats.Score = nn.Accuracy(valOut.T, valY)
-		if nn.NaNGuard(valOut.T) {
-			rep.Diverged = true
-			rep.Epochs = append(rep.Epochs, stats)
-			return rep, counters.Snapshot(), nil
-		}
-		rep.Epochs = append(rep.Epochs, stats)
-		if stats.Score > rep.BestScore {
-			rep.BestScore = stats.Score
-		}
-		if dp.Verbose {
+	l := loop{cfg: cfg, opts: opts, step: a.step, validate: classifierValidation(lead.Net, ds, cfg)}
+	if dp.Verbose {
+		l.verbose = func(e EpochStats) {
 			s := counters.Snapshot()
 			fmt.Printf("epoch %d: loss=%.4f acc=%.3f grad_puts=%d grad_gets=%d grad_bytes=%d retried=%d reconnects=%d\n",
-				epoch, stats.Loss, stats.Score, s.GradPuts, s.GradGets, s.BytesGrad, s.Retried, s.Reconnects)
+				e.Epoch, e.Loss, e.Score, s.GradPuts, s.GradGets, s.BytesGrad, s.Retried, s.Reconnects)
 		}
 	}
-	return rep, counters.Snapshot(), nil
+	err := l.run(&rep)
+	return rep, counters.Snapshot(), err
 }
 
 // DPFinalWeights flattens a trained model's parameters for element-wise

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"jpegact/internal/frame"
 	"jpegact/internal/models"
 	"jpegact/internal/netfaults"
+	"jpegact/internal/nn"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -159,10 +161,46 @@ func TestDataParallelQuantizedCodec(t *testing.T) {
 }
 
 // TestDataParallelRejectsTooManyReplicas: K > M is a configuration
-// error, not a silent truncation.
+// error, not a silent truncation — and so is any count the gradient key
+// cannot hold (transport.GradKey masks an oversized chunk, slot or step
+// onto another key, which would average the wrong gradients silently).
 func TestDataParallelRejectsTooManyReplicas(t *testing.T) {
 	newModel, _, ds := dpFixture(1700)
 	if _, _, err := ClassifierDataParallel(newModel, ds, dpCfg(), DPOptions{Replicas: 8, Microbatches: 4}); err == nil {
 		t.Fatal("8 replicas over 4 microbatches accepted")
+	}
+
+	// A model wide enough that one-element buckets overflow the 12-bit
+	// chunk field (the 2960-parameter fixture cannot).
+	wide := func() *models.Model {
+		return models.ResNet18(models.Scale{Width: 12, Blocks: 1}, 2, tensor.NewRNG(1700))
+	}
+	gradElems := nn.GradSize(wide().Net)
+	longRun := dpCfg()
+	longRun.Epochs, longRun.BatchesPerEpoch = 1<<13, 1<<12
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		dp    DPOptions
+		limit string // the error must name the exhausted field
+	}{
+		{"chunks", dpCfg(), DPOptions{BucketBytes: 4}, "holds 4096"},
+		{"slots", dpCfg(), DPOptions{Microbatches: transport.GradMaxSlots}, "4095 slots"},
+		{"steps", longRun, DPOptions{}, "16777216"},
+	} {
+		_, snap, err := ClassifierDataParallel(wide, ds, tc.cfg, tc.dp)
+		if err == nil || !strings.Contains(err.Error(), tc.limit) {
+			t.Fatalf("%s: want an error naming the limit %q, got %v", tc.name, tc.limit, err)
+		}
+		if snap.GradPuts != 0 {
+			t.Fatalf("%s: rejected after %d gradient puts, want before training", tc.name, snap.GradPuts)
+		}
+	}
+	// The chunk limit itself is legal: the smallest bucket that fits.
+	atLimit := 4 * ((gradElems + transport.GradMaxChunks - 1) / transport.GradMaxChunks)
+	one := dpCfg()
+	one.Epochs, one.BatchesPerEpoch = 1, 1
+	if _, _, err := ClassifierDataParallel(wide, ds, one, DPOptions{BucketBytes: atLimit, Microbatches: 1}); err != nil {
+		t.Fatalf("%d-byte buckets over %d elements rejected: %v", atLimit, gradElems, err)
 	}
 }

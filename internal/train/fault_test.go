@@ -128,6 +128,25 @@ func TestOffloadedTrainingFailPolicy(t *testing.T) {
 	if stats.Corrupted == 0 {
 		t.Fatalf("stats %+v", stats)
 	}
+
+	// The same failure one epoch in: the step error ends the run with the
+	// epoch already completed still in the report, and with the store's
+	// counters — the first epoch's traffic included.
+	m, ds = faultModel(300)
+	inj = faults.New(faults.Config{Seed: 78})
+	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyFail,
+		EpochEnd: func(int) { inj.ForceNextRecv(1) },
+	})
+	if !errors.Is(err, frame.ErrChecksum) {
+		t.Fatalf("want frame.ErrChecksum in epoch 1, got %v", err)
+	}
+	if len(rep.Epochs) != 1 || rep.Diverged || rep.Epochs[0].CompressionRatio <= 1 {
+		t.Fatalf("want exactly the completed epoch 0 in the report, got %+v", rep)
+	}
+	if stats.Corrupted == 0 || stats.Restored == 0 || stats.Offloaded <= stats.Restored {
+		t.Fatalf("stats do not cover the completed epoch plus the failed step: %+v", stats)
+	}
 }
 
 // TestOffloadedTrainingRetryPolicy: a transient forced fault under

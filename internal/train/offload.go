@@ -21,10 +21,8 @@ package train
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
@@ -35,6 +33,8 @@ import (
 )
 
 // OffloadOptions configures the offloaded (host-memory) training path.
+// ClassifierOffloaded ignores Config.Method and Config.MeasureError: the
+// store runs its own JPEG-ACT codec (DQT below), not a compress.Method.
 type OffloadOptions struct {
 	// DQT is the quantization table for the store's JPEG-ACT pipeline.
 	DQT quant.DQT
@@ -131,11 +131,38 @@ func (oc OffloadOptions) engineConfig() offload.EngineConfig {
 	}
 }
 
+// StoreOpTimeout is the per-attempt bound inside a wire operation's
+// total budget: a quarter of it, at least 50ms, so one stalled
+// connection cannot eat it all (0 = unbounded, as the budget). Exported
+// for drivers that build their own store clients (cmd/offloadbench).
+func StoreOpTimeout(total time.Duration) time.Duration {
+	if total <= 0 {
+		return 0
+	}
+	return max(total/4, 50*time.Millisecond)
+}
+
+// newStoreClient builds the wire client both trainers use. It shares the
+// caller's counter block, so network faults and verified bytes land in
+// the stats the caller reads; hook (optional) sees the client before its
+// first operation. window 0 keeps the client's default.
+func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout, hedge time.Duration, window int, hook func(*transport.NetClient)) *transport.NetClient {
+	c := transport.NewNetClient(dial, counters)
+	c.OpTimeout = StoreOpTimeout(timeout)
+	c.Hedge = hedge
+	c.Window = window
+	if hook != nil {
+		hook(c)
+	}
+	return c
+}
+
 // ClassifierOffloaded trains a classification model with real host-memory
-// offload through a fault-prone channel. The returned Stats hold the
-// store's corruption/recovery counters; a non-nil error means a
-// corruption survived the recovery policy (the Report covers the epochs
-// completed up to that point).
+// offload through a fault-prone channel: activation policy offload,
+// gradient policy local. The returned Stats hold the store's
+// corruption/recovery counters; a non-nil error means a corruption
+// survived the recovery policy (the Report covers the epochs completed
+// up to that point).
 func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, oc OffloadOptions) (Report, offload.Stats, error) {
 	cfg = cfg.withDefaults()
 	defer cfg.applyWorkers()()
@@ -154,14 +181,8 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		Policy:     oc.Policy,
 		MaxRetries: oc.MaxRetries,
 		Backoff:    oc.Backoff,
-	}
-	if oc.StoreTimeout > 0 {
-		store.Recovery.Deadline = oc.StoreTimeout
-		opTimeout := oc.StoreTimeout / 4
-		if opTimeout < 50*time.Millisecond {
-			opTimeout = 50 * time.Millisecond
-		}
-		store.Recovery.OpTimeout = opTimeout
+		Deadline:   max(oc.StoreTimeout, 0),
+		OpTimeout:  StoreOpTimeout(oc.StoreTimeout),
 	}
 	if oc.StoreAddr != "" || oc.StoreDial != nil {
 		dial := oc.StoreDial
@@ -172,15 +193,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 			}
 			dial = d
 		}
-		// The client shares the store's counter block, so network faults
-		// and verified bytes land in the same Stats() the caller reads.
-		client := transport.NewNetClient(dial, store.Counters())
-		client.OpTimeout = store.Recovery.OpTimeout
-		client.Hedge = oc.StoreHedge
-		if oc.StoreClient != nil {
-			oc.StoreClient(client)
-		}
-		store.Transport = client
+		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreHedge, 0, oc.StoreClient)
 		store.KeyBase = oc.StoreKeyBase
 		store.Breaker = oc.Breaker
 		rep.MethodName += "+netstore"
@@ -189,168 +202,33 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 	eng := offload.NewEngine(store, oc.engineConfig())
 	defer eng.Close()
 
-	valX, valY := ds.Batch(cfg.BatchSize * 8)
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		maybeDecay(cfg, opt, epoch)
-		var epochLoss float64
-		var origSum, compSum int
-		for b := 0; b < cfg.BatchesPerEpoch; b++ {
-			x, labels := ds.Batch(cfg.BatchSize)
-			loss, o, c, err := offloadedStep(m, eng, x, labels, oc.MaxRecompute, oc.FreqDomain)
-			if err != nil {
-				return rep, store.Stats(), err
-			}
-			epochLoss += loss
-			origSum += o
-			compSum += c
-			if math.IsNaN(loss) || math.IsInf(loss, 0) {
-				rep.Diverged = true
-				return rep, store.Stats(), nil
-			}
-			opt.Step(m.Net.Params())
-		}
-		if oc.EpochEnd != nil {
-			// Between steps the store is drained (every restore deletes
-			// its entry), so this is the safe, reproducible point for a
-			// harness to kill or restart the server.
-			oc.EpochEnd(epoch)
-		}
-		stats := EpochStats{Epoch: epoch, Loss: epochLoss / float64(cfg.BatchesPerEpoch)}
-		if compSum > 0 {
-			stats.CompressionRatio = float64(origSum) / float64(compSum)
-		}
-		valOut := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valX}, false)
-		stats.Score = nn.Accuracy(valOut.T, valY)
-		if nn.NaNGuard(valOut.T) {
-			rep.Diverged = true
-			rep.Epochs = append(rep.Epochs, stats)
-			return rep, store.Stats(), nil
-		}
-		rep.Epochs = append(rep.Epochs, stats)
-		if stats.Score > rep.BestScore {
-			rep.BestScore = stats.Score
-		}
-		rep.FinalRatio = stats.CompressionRatio
-		if oc.Verbose {
+	p := &pass{net: m.Net, eng: eng, maxRecompute: oc.MaxRecompute, freq: oc.FreqDomain}
+	l := loop{
+		cfg: cfg, opts: []nn.Optimizer{opt},
+		step: localStep(p, opt, classifierBatch(ds, cfg)),
+		// Between steps the store is drained (every restore deletes its
+		// entry), so the epoch hook is the safe, reproducible point for a
+		// harness to kill or restart the server.
+		epochEnd: oc.EpochEnd,
+		validate: classifierValidation(m.Net, ds, cfg),
+	}
+	if oc.Verbose {
+		l.verbose = func(e EpochStats) {
 			s := store.Stats()
 			fmt.Printf("epoch %d: offloaded=%d restored=%d corrupted=%d retried=%d recomputed=%d dropped=%d verified=%dB\n",
-				epoch, s.Offloaded, s.Restored, s.Corrupted, s.Retried, s.Recomputed, s.Dropped, s.BytesVerified)
+				e.Epoch, s.Offloaded, s.Restored, s.Corrupted, s.Retried, s.Recomputed, s.Dropped, s.BytesVerified)
 		}
 	}
-	return rep, store.Stats(), nil
+	err := l.run(&rep)
+	return rep, store.Stats(), err
 }
 
-// restoreAbort carries a restore failure out of the backward pass; the
-// hook has no error return, so the step unwinds via panic/recover.
-type restoreAbort struct{ err error }
-
-// offloadedStep runs one training batch through the real offload path:
-// forward (streaming saved refs to the engine in async mode) → barrier
-// on the offload traffic → backward, restoring activations on demand or
-// ahead of it via the prefetcher.
-func offloadedStep(m *models.Model, eng *offload.Engine, x *tensor.Tensor, labels []int, maxRecompute int, freq bool) (loss float64, orig, comp int, err error) {
-	store := eng.Store()
-	// Snapshot forward side effects (BN running stats, dropout RNG)
-	// before the pass, so a corruption-triggered replay is bit-exact.
-	pre := nn.CaptureNetState(m.Net)
-	eng.BeginStep()
-
-	if eng.Async() {
-		nn.SetHooks(m.Net, &nn.Hooks{OnSave: eng.Offload})
-		defer nn.SetHooks(m.Net, nil)
-	}
-
-	out := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
-	var grad *tensor.Tensor
-	loss, grad = nn.SoftmaxCrossEntropy(out.T, labels)
-
-	if freq {
-		// The coefficient plan is computed once per step from the refs
-		// this forward produced; refs a recompute rebuild creates later
-		// are absent from it and safely restore spatially. The plan and
-		// any planes still attached at step end (error exits included)
-		// are torn down before the next step.
-		plan := nn.CoefficientPlan(m.Net)
-		store.CoefPlan = func(ref *nn.ActRef) bool { return plan[ref] }
-		defer func() {
-			store.CoefPlan = nil
-			nn.ReleaseCoefficients(m.Net.SavedRefs())
-		}()
-	}
-
-	recomputes := 0
-	if store.Recovery.Policy == offload.PolicyRecompute {
-		store.Recovery.Recompute = func(corrupt *nn.ActRef) error {
-			if recomputes >= maxRecompute {
-				return fmt.Errorf("recompute budget (%d) exhausted", maxRecompute)
-			}
-			recomputes++
-			// Rewind side effects and replay the forward pass from the
-			// batch input; the replay re-applies them identically, so
-			// the network state after the replay matches post-forward.
-			// Hooks stay detached: the rebuilt step offloads and
-			// restores synchronously (the engine has already stopped
-			// its prefetcher before escalating here).
-			nn.SetHooks(m.Net, nil)
-			nn.RestoreNetState(m.Net, pre)
-			m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
-			// Discard the stale step and re-offload the fresh refs —
-			// through the same channel, so a new fault can strike (and
-			// recover) again.
-			store.Reset()
-			_, _, oerr := store.OffloadAll(m.Net.SavedRefs())
-			return oerr
-		}
-		defer func() { store.Recovery.Recompute = nil }()
-	}
-
-	// Sweep whatever the streaming hooks had to hold back (the batch
-	// input, frontier-adjacent refs), then barrier until every frame has
-	// been committed to the channel.
-	orig, comp, err = eng.EndForward(m.Net.SavedRefs())
-	if err != nil {
-		eng.Abort()
-		return loss, orig, comp, err
-	}
-	// Sync mode restores everything here (the degenerate case); async
-	// mode starts the reverse-offload-order prefetcher.
-	if err := eng.PrepareBackward(); err != nil {
-		eng.Abort()
-		return loss, orig, comp, err
-	}
-
-	if eng.Async() {
-		nn.SetHooks(m.Net, &nn.Hooks{OnNeed: func(ref *nn.ActRef) {
-			if rerr := eng.Restore(ref); rerr != nil {
-				panic(restoreAbort{rerr})
-			}
-		}})
-		if err := runBackward(m, grad); err != nil {
-			eng.Abort()
-			return loss, orig, comp, err
-		}
-	} else {
-		m.Net.Backward(grad)
-	}
-	if err := eng.EndStep(); err != nil {
-		return loss, orig, comp, err
-	}
-	return loss, orig, comp, nil
-}
-
-// runBackward runs the backward pass, converting a restoreAbort panic
-// from the OnNeed hook back into an error.
-func runBackward(m *models.Model, grad *tensor.Tensor) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ra, ok := r.(restoreAbort)
-			if !ok {
-				panic(r)
-			}
-			err = ra.err
-		}
-	}()
-	m.Net.Backward(grad)
-	return nil
+// OffloadedStep runs one training batch of net through eng — the very
+// step body ClassifierOffloaded runs, for drivers that own their loop
+// and time the step alone (cmd/offloadbench). The caller steps its
+// optimizer.
+func OffloadedStep(net nn.Layer, eng *offload.Engine, x *tensor.Tensor, labels []int, maxRecompute int, freq bool) (float64, error) {
+	p := &pass{net: net, eng: eng, maxRecompute: maxRecompute, freq: freq}
+	res, err := p.run(x, crossEntropy(labels), 0, nil)
+	return res.loss, err
 }

@@ -7,8 +7,6 @@
 package train
 
 import (
-	"math"
-
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/models"
@@ -124,13 +122,11 @@ type Report struct {
 }
 
 // compressRefs applies the method to every unique saved activation and
-// returns (origBytes, compBytes, sumL2, countL2, footprint).
-func compressRefs(refs []*nn.ActRef, m compress.Method, epoch int, measure bool) (int, int, float64, int, map[compress.Kind]*FootprintEntry) {
+// reports the byte totals, the recovered-activation error (if measured)
+// and the per-kind footprint.
+func compressRefs(refs []*nn.ActRef, m compress.Method, epoch int, measure bool) stepResult {
 	seen := map[*nn.ActRef]bool{}
-	orig, comp := 0, 0
-	var sumErr float64
-	nErr := 0
-	foot := map[compress.Kind]*FootprintEntry{}
+	res := stepResult{foot: map[compress.Kind]*FootprintEntry{}}
 	for _, ref := range refs {
 		if seen[ref] || ref.T == nil {
 			continue
@@ -140,30 +136,30 @@ func compressRefs(refs []*nn.ActRef, m compress.Method, epoch int, measure bool)
 		if measure {
 			before = ref.T.Clone()
 		}
-		res := m.Compress(ref.T, ref.Kind, epoch)
-		ref.OriginalBytes = res.OriginalBytes
-		ref.CompressedBytes = res.CompressedBytes
-		orig += res.OriginalBytes
-		comp += res.CompressedBytes
-		fe := foot[ref.Kind]
+		r := m.Compress(ref.T, ref.Kind, epoch)
+		ref.OriginalBytes = r.OriginalBytes
+		ref.CompressedBytes = r.CompressedBytes
+		res.orig += r.OriginalBytes
+		res.comp += r.CompressedBytes
+		fe := res.foot[ref.Kind]
 		if fe == nil {
 			fe = &FootprintEntry{Kind: ref.Kind}
-			foot[ref.Kind] = fe
+			res.foot[ref.Kind] = fe
 		}
-		fe.OriginalBytes += res.OriginalBytes
-		fe.CompressedBytes += res.CompressedBytes
-		if res.Mask != nil {
-			ref.Mask = res.Mask
+		fe.OriginalBytes += r.OriginalBytes
+		fe.CompressedBytes += r.CompressedBytes
+		if r.Mask != nil {
+			ref.Mask = r.Mask
 			ref.T = nil
 		} else {
-			if measure && res.Recovered != nil {
-				sumErr += tensor.L2Error(before, res.Recovered)
-				nErr++
+			if measure && r.Recovered != nil {
+				res.errSum += tensor.L2Error(before, r.Recovered)
+				res.errN++
 			}
-			ref.T = res.Recovered
+			ref.T = r.Recovered
 		}
 	}
-	return orig, comp, sumErr, nErr, foot
+	return res
 }
 
 // maybeDecay applies the step LR schedule at the start of an epoch (SGD
@@ -187,118 +183,38 @@ func maybeDecay(cfg Config, opt nn.Optimizer, epoch int) {
 }
 
 // Classifier trains a classification model on the synthetic dataset and
-// returns the per-epoch statistics.
+// returns the per-epoch statistics: activation policy round-trip through
+// cfg.Method, gradient policy local.
 func Classifier(m *models.Model, ds *data.Classification, cfg Config) Report {
 	cfg = cfg.withDefaults()
 	defer cfg.applyWorkers()()
-	rep := Report{ModelName: m.Name, MethodName: cfg.Method.Name()}
-	opt := cfg.newOptimizer()
-
-	valX, valY := ds.Batch(cfg.BatchSize * 8)
-
-	var footprint map[compress.Kind]*FootprintEntry
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		maybeDecay(cfg, opt, epoch)
-		var epochLoss, errSum float64
-		var origSum, compSum, errN int
-		for b := 0; b < cfg.BatchesPerEpoch; b++ {
-			x, labels := ds.Batch(cfg.BatchSize)
-			out := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
-			loss, grad := nn.SoftmaxCrossEntropy(out.T, labels)
-			epochLoss += loss
-			if math.IsNaN(loss) || math.IsInf(loss, 0) {
-				rep.Diverged = true
-				return rep
-			}
-			o, c, es, en, foot := compressRefs(m.Net.SavedRefs(), cfg.Method, epoch, cfg.MeasureError)
-			origSum += o
-			compSum += c
-			errSum += es
-			errN += en
-			footprint = foot
-			m.Net.Backward(grad)
-			opt.Step(m.Net.Params())
-		}
-		stats := EpochStats{
-			Epoch: epoch,
-			Loss:  epochLoss / float64(cfg.BatchesPerEpoch),
-		}
-		if compSum > 0 {
-			stats.CompressionRatio = float64(origSum) / float64(compSum)
-		}
-		if errN > 0 {
-			stats.ActL2Error = errSum / float64(errN)
-		}
-		valOut := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valX}, false)
-		stats.Score = nn.Accuracy(valOut.T, valY)
-		if nn.NaNGuard(valOut.T) {
-			rep.Diverged = true
-			rep.Epochs = append(rep.Epochs, stats)
-			return rep
-		}
-		rep.Epochs = append(rep.Epochs, stats)
-		if stats.Score > rep.BestScore {
-			rep.BestScore = stats.Score
-		}
-		rep.FinalRatio = stats.CompressionRatio
-	}
-	rep.Footprint = sortedFootprint(footprint)
-	return rep
+	return roundTrip(m, cfg, classifierValidation(m.Net, ds, cfg), classifierBatch(ds, cfg))
 }
 
 // SuperResolution trains the VDSR model on synthetic pairs, scoring PSNR.
 func SuperResolution(m *models.Model, ds *data.SuperRes, cfg Config) Report {
 	cfg = cfg.withDefaults()
 	defer cfg.applyWorkers()()
+	valIn, valTgt := ds.Pair(cfg.BatchSize * 2)
+	validate := func() (float64, *tensor.Tensor) {
+		out := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valIn}, false)
+		return data.PSNR(out.T, valTgt), out.T
+	}
+	return roundTrip(m, cfg, validate, func() (*tensor.Tensor, lossFunc) {
+		in, tgt := ds.Pair(cfg.BatchSize)
+		return in, func(out *tensor.Tensor) (float64, *tensor.Tensor) { return nn.MSELoss(out, tgt) }
+	})
+}
+
+// roundTrip runs the paper's functional simulation: every saved
+// activation is replaced by its compressed-recovered form between
+// forward and backward. cfg already carries its defaults.
+func roundTrip(m *models.Model, cfg Config, validate func() (float64, *tensor.Tensor), batch func() (*tensor.Tensor, lossFunc)) Report {
 	rep := Report{ModelName: m.Name, MethodName: cfg.Method.Name()}
 	opt := cfg.newOptimizer()
-
-	valIn, valTgt := ds.Pair(cfg.BatchSize * 2)
-
-	var footprint map[compress.Kind]*FootprintEntry
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		maybeDecay(cfg, opt, epoch)
-		var epochLoss, errSum float64
-		var origSum, compSum, errN int
-		for b := 0; b < cfg.BatchesPerEpoch; b++ {
-			in, tgt := ds.Pair(cfg.BatchSize)
-			out := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: in}, true)
-			loss, grad := nn.MSELoss(out.T, tgt)
-			epochLoss += loss
-			if math.IsNaN(loss) || math.IsInf(loss, 0) {
-				rep.Diverged = true
-				return rep
-			}
-			o, c, es, en, foot := compressRefs(m.Net.SavedRefs(), cfg.Method, epoch, cfg.MeasureError)
-			origSum += o
-			compSum += c
-			errSum += es
-			errN += en
-			footprint = foot
-			m.Net.Backward(grad)
-			opt.Step(m.Net.Params())
-		}
-		stats := EpochStats{Epoch: epoch, Loss: epochLoss / float64(cfg.BatchesPerEpoch)}
-		if compSum > 0 {
-			stats.CompressionRatio = float64(origSum) / float64(compSum)
-		}
-		if errN > 0 {
-			stats.ActL2Error = errSum / float64(errN)
-		}
-		valOut := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valIn}, false)
-		stats.Score = data.PSNR(valOut.T, valTgt)
-		if nn.NaNGuard(valOut.T) {
-			rep.Diverged = true
-			rep.Epochs = append(rep.Epochs, stats)
-			return rep
-		}
-		rep.Epochs = append(rep.Epochs, stats)
-		if stats.Score > rep.BestScore {
-			rep.BestScore = stats.Score
-		}
-		rep.FinalRatio = stats.CompressionRatio
-	}
-	rep.Footprint = sortedFootprint(footprint)
+	p := &pass{net: m.Net, method: cfg.Method, measure: cfg.MeasureError}
+	l := loop{cfg: cfg, opts: []nn.Optimizer{opt}, step: localStep(p, opt, batch), validate: validate}
+	_ = l.run(&rep) // only the offload and all-reduce policies have an error path
 	return rep
 }
 
