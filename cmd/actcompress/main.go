@@ -1,12 +1,16 @@
 // Command actcompress compresses and decompresses activation tensors on
-// disk using the JPEG-ACT container format. Input tensors are raw
-// little-endian float32 in NCHW order; the shape is given on the command
-// line for compression and recorded in the container for decompression.
+// disk as the offload store's own frames (internal/frame: CRC32C over
+// header, scales and payload; a damaged file fails to decode with the
+// typed frame error). Input tensors are raw little-endian float32 in
+// NCHW order; the shape is given on the command line for compression and
+// recorded in the frame for decompression. Frames, like the store, do
+// not carry the quantization table: -d takes the same -dqt or -dqt-file
+// as -c.
 //
 // Usage:
 //
-//	actcompress -c -shape 8x64x32x32 -dqt opth -in acts.f32 -out acts.jact
-//	actcompress -d -in acts.jact -out recovered.f32
+//	actcompress -c -shape 8x64x32x32 -dqt opth -in acts.f32 -out acts.jafr
+//	actcompress -d -dqt opth -in acts.jafr -out recovered.f32
 package main
 
 import (
@@ -18,7 +22,7 @@ import (
 	"strconv"
 	"strings"
 
-	"jpegact/internal/compress"
+	"jpegact"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
@@ -62,9 +66,8 @@ func main() {
 	comp := flag.Bool("c", false, "compress")
 	decomp := flag.Bool("d", false, "decompress")
 	shapeStr := flag.String("shape", "", "input shape NxCxHxW (compress only)")
-	dqtName := flag.String("dqt", "opth", "optl|opth|jpeg80|jpeg60")
-	dqtFile := flag.String("dqt-file", "", "load the DQT from a file written by dqtopt -out")
-	base := flag.Bool("base", false, "use the JPEG-BASE back end (DIV+RLE) instead of SH+ZVC")
+	dqtName := flag.String("dqt", "opth", "optl|opth|jpeg80|jpeg60 (the frame does not record it: give -d what -c had)")
+	dqtFile := flag.String("dqt-file", "", "load the DQT from a file written by dqtopt -out (likewise for both -c and -d)")
 	in := flag.String("in", "", "input file")
 	out := flag.String("out", "", "output file")
 	flag.Parse()
@@ -86,8 +89,27 @@ func main() {
 	}
 	defer outF.Close()
 
+	var d quant.DQT
+	if *dqtFile != "" {
+		fh, err := os.Open(*dqtFile)
+		if err != nil {
+			fail("%v", err)
+		}
+		d, err = quant.LoadDQT(fh)
+		fh.Close()
+		if err != nil {
+			fail("load DQT: %v", err)
+		}
+	} else {
+		var ok bool
+		d, ok = tableByName(*dqtName)
+		if !ok {
+			fail("unknown DQT %q", *dqtName)
+		}
+	}
+
 	if *decomp {
-		x, err := compress.ReadTensor(inF)
+		x, err := jpegact.ReadCompressed(inF, d)
 		if err != nil {
 			fail("decode: %v", err)
 		}
@@ -118,33 +140,10 @@ func main() {
 		x.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 
-	var d quant.DQT
-	if *dqtFile != "" {
-		fh, err := os.Open(*dqtFile)
-		if err != nil {
-			fail("%v", err)
-		}
-		d, err = quant.LoadDQT(fh)
-		fh.Close()
-		if err != nil {
-			fail("load DQT: %v", err)
-		}
-	} else {
-		var ok bool
-		d, ok = tableByName(*dqtName)
-		if !ok {
-			fail("unknown DQT %q", *dqtName)
-		}
-	}
-
-	p := compress.JPEGAct(d)
-	if *base {
-		p = compress.JPEGBase(d)
-	}
-	payload, err := p.WriteTensor(outF, x)
+	n, err := jpegact.WriteCompressed(outF, x, d)
 	if err != nil {
 		fail("encode: %v", err)
 	}
-	fmt.Printf("compressed %s (%d bytes) -> %s (payload %d bytes, %.2fx)\n",
-		shape.String(), len(raw), *out, payload, float64(len(raw))/float64(payload))
+	fmt.Printf("compressed %s (%d bytes) -> %s (%d-byte frame, %.2fx)\n",
+		shape.String(), len(raw), *out, n, float64(len(raw))/float64(n))
 }

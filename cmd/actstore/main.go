@@ -1,8 +1,8 @@
 // Command actstore runs the sharded networked activation store: one
 // process that N training or inference clients share as their offload
 // target over the wire protocol of internal/offload/transport. Point
-// trainers at it with acttrain -store or benchmark it with
-// offloadbench -net -addr.
+// trainers at it with acttrain -store (-offload for activations,
+// -replicas for the gradient exchange).
 //
 //	actstore -addr unix:/tmp/actstore.sock -shards 8
 //	actstore -addr tcp:0.0.0.0:7077 -metrics 127.0.0.1:9090 -replicas 2

@@ -31,6 +31,11 @@
 // -microbatches:
 //
 //	acttrain -model ResNet18 -replicas 4 -microbatches 4 -grad-codec quant
+//
+// Every mode ends its output with the SHA-256 of the trained weights:
+// runs whose trajectories are bit-identical (local or networked store,
+// any replica count, a store killed and restarted mid-run) print the
+// same line.
 package main
 
 import (
@@ -182,6 +187,13 @@ func main() {
 				float64(fe.OriginalBytes)/float64(fe.CompressedBytes))
 		}
 	}
+	finish(rep)
+}
+
+// finish prints the weights digest — the last line of every mode — and
+// exits non-zero on a diverged run.
+func finish(rep jpegact.TrainReport) {
+	fmt.Printf("weights sha256=%s\n", rep.WeightsDigest)
 	if rep.Diverged {
 		os.Exit(1)
 	}
@@ -231,9 +243,7 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 		os.Exit(1)
 	}
 	fmt.Printf("best score %.4f, diverged=%v\n", rep.BestScore, rep.Diverged)
-	if rep.Diverged {
-		os.Exit(1)
-	}
+	finish(rep)
 }
 
 // runOffloaded trains over the real host-memory channel, optionally
@@ -311,7 +321,5 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 	}
 	fmt.Printf("best score %.4f, final ratio %.2fx, diverged=%v\n",
 		rep.BestScore, rep.FinalRatio, rep.Diverged)
-	if rep.Diverged {
-		os.Exit(1)
-	}
+	finish(rep)
 }

@@ -1,6 +1,7 @@
-// Package benchmeta collects the machine/build provenance block every
-// BENCH_*.json report embeds, so numbers from different machines or
-// revisions are never compared as if they were one population.
+// Package benchmeta collects the machine/build provenance block the
+// benchmark report (bench/, results.json) embeds, so numbers from
+// different machines or revisions are never compared as if they were one
+// population.
 package benchmeta
 
 import (

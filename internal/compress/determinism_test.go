@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 
@@ -56,28 +55,6 @@ func TestRoundtripDeterministicAcrossWorkers(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestContainerBytesDeterministicAcrossWorkers(t *testing.T) {
-	r := tensor.NewRNG(9)
-	x := sparseTensor(r, 2, 8, 24, 24)
-	p := JPEGAct(quant.OptL())
-	var ref []byte
-	for _, w := range workerCounts() {
-		old := parallel.SetWorkers(w)
-		var buf bytes.Buffer
-		if _, err := p.WriteTensor(&buf, x); err != nil {
-			t.Fatal(err)
-		}
-		parallel.SetWorkers(old)
-		if ref == nil {
-			ref = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(buf.Bytes(), ref) {
-			t.Fatalf("workers=%d: container bytes differ from workers=1", w)
 		}
 	}
 }

@@ -246,22 +246,28 @@ func (j *JPEG) Compress(x *tensor.Tensor, kind Kind, epoch int) Result {
 		}
 		return Result{Mask: mask, CompressedBytes: (x.Elems() + 7) / 8, OriginalBytes: orig}
 	case KindReLUToConv, KindPoolDropout:
-		c := sfpr.Compress(x, s)
-		bytes := len(c.Values) + 4*len(c.Scales)
-		if j.Act {
-			// JPEG-ACT adds ZVC after SFPR for sparse kinds (Table II).
-			bytes = coding.ZVCSize(c.Values) + 4*len(c.Scales)
-		}
-		return Result{Recovered: sfpr.Decompress(c), CompressedBytes: bytes, OriginalBytes: orig}
+		return j.noTransform(x, s)
 	default:
 		if !jpegApplicable(x.Shape) {
-			rec, bytes := sfpr.Roundtrip(x, s)
-			return Result{Recovered: rec, CompressedBytes: bytes, OriginalBytes: orig}
+			return j.noTransform(x, s)
 		}
 		p := j.pipeline(epoch)
 		rec, bytes := p.Roundtrip(x)
 		return Result{Recovered: rec, CompressedBytes: bytes, OriginalBytes: orig}
 	}
+}
+
+// noTransform is the no-transform row of Table II — the sparse kinds, and a
+// conv/sum activation too small to tile into 8×8 blocks: SFPR, plus ZVC
+// under JPEG-ACT. It accounts exactly the bytes the offload store frames
+// for the same tensor (codec.Select's CodecZVC: payload + scales).
+func (j *JPEG) noTransform(x *tensor.Tensor, s float64) Result {
+	c := sfpr.Compress(x, s)
+	bytes := len(c.Values) + 4*len(c.Scales)
+	if j.Act {
+		bytes = coding.ZVCSize(c.Values) + 4*len(c.Scales)
+	}
+	return Result{Recovered: sfpr.Decompress(c), CompressedBytes: bytes, OriginalBytes: x.Bytes()}
 }
 
 // ---------------------------------------------------------------------------
@@ -285,6 +291,10 @@ func Standard() []Method {
 
 // PolicyFor returns the Table II policy description for a method name and
 // activation kind; it documents which coder the method applies where.
+// The JPEG methods' KindConv entry is for an activation at least one 8×8
+// block in both reshaped dimensions (N·C·H ≥ 8, W ≥ 8); a smaller one
+// cannot be tiled and takes the method's default-row coder instead
+// (SFPR+ZVC under JPEG-ACT, SFPR under JPEG-BASE).
 func PolicyFor(m Method, k Kind) string {
 	switch m.(type) {
 	case Baseline:

@@ -8,7 +8,7 @@ import (
 	"jpegact/internal/tensor"
 )
 
-// Block-pipeline micro-benchmarks backing BENCH_parallel.json: the
+// Block-pipeline micro-benchmarks (`make bench`): the
 // quantize / reconstruct / full-roundtrip costs of the JPEG-ACT pipeline
 // on a realistic dense activation (4×16×32×32 → 1024 8×8 blocks).
 

@@ -7,8 +7,8 @@ package gpusim
 // exchange is modelled as a ring all-reduce: each GPU moves
 // 2·(k-1)/k · gradBytes over its PCIe link, compressed by the gradient
 // codec's ratio. The model is intentionally simple — it predicts the
-// shape of the measured scaling sweep (cmd/offloadbench -dp), not
-// absolute times.
+// shape of the measured scaling (bench/'s train.dp_scaling_efficiency
+// beside gpusim.pred_dp2_speedup), not absolute times.
 
 // DPConfig parameterizes the data-parallel scaling model.
 type DPConfig struct {
@@ -107,15 +107,4 @@ func SimulateDataParallel(w Workload, s Scheme, cfg Config, dp DPConfig) DPResul
 	}
 	res.Efficiency = res.Speedup / float64(k)
 	return res
-}
-
-// DPSweep runs SimulateDataParallel for each replica count in ks.
-func DPSweep(w Workload, s Scheme, cfg Config, dp DPConfig, ks []int) []DPResult {
-	out := make([]DPResult, 0, len(ks))
-	for _, k := range ks {
-		d := dp
-		d.GPUs = k
-		out = append(out, SimulateDataParallel(w, s, cfg, d))
-	}
-	return out
 }

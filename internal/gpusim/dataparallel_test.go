@@ -58,23 +58,3 @@ func TestDataParallelCompressionHelps(t *testing.T) {
 		t.Fatalf("k=4 compute share %v, want quarter of %v", ideal.ComputeSeconds, want)
 	}
 }
-
-// TestDPSweep: the sweep helper preserves order and per-k results.
-func TestDPSweep(t *testing.T) {
-	w := Workloads()[0]
-	cfg := TitanV(4)
-	ks := []int{1, 2, 4}
-	res := DPSweep(w, JPEGAct(JPEGActDefaultRatios()), cfg, DPConfig{GradBytes: 50e6, GradRatio: 1}, ks)
-	if len(res) != len(ks) {
-		t.Fatalf("%d results for %d ks", len(res), len(ks))
-	}
-	for i, k := range ks {
-		if res[i].GPUs != k {
-			t.Fatalf("result %d is for k=%d, want %d", i, res[i].GPUs, k)
-		}
-		single := SimulateDataParallel(w, JPEGAct(JPEGActDefaultRatios()), cfg, DPConfig{GPUs: k, GradBytes: 50e6, GradRatio: 1})
-		if res[i] != single {
-			t.Fatalf("sweep result %d differs from direct simulation", i)
-		}
-	}
-}

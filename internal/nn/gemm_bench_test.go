@@ -6,8 +6,8 @@ import (
 
 // Conv-shaped GEMM benchmarks: the forward lowering of a 64-channel 3×3
 // conv on a 16×16 feature map (m=OutC, k=InC·K², n=H·W). These seed the
-// perf trajectory for the parallel execution layer — record ns/op into
-// BENCH_parallel.json via scripts/bench.sh.
+// perf trajectory for the parallel execution layer (`make bench` runs
+// them; bench/ measures the same kernels as nn.gemm_*_gflops).
 
 const (
 	benchM = 64
@@ -62,7 +62,7 @@ func BenchmarkGemmTB(b *testing.B) {
 }
 
 // Saxpy reference benchmarks: the pre-packing kernels from gemm_ref.go
-// on the same shapes, so BENCH_kernels.json records a same-machine
+// on the same shapes, so one `go test -bench Gemm` run is a same-machine
 // before/after pair for the packed rewrite.
 
 func BenchmarkGemmSaxpyRef(b *testing.B) {

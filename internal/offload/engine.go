@@ -7,6 +7,7 @@ import (
 
 	"jpegact/internal/frame"
 	"jpegact/internal/nn"
+	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
@@ -28,15 +29,6 @@ type EngineConfig struct {
 	// by workers (0 = unlimited). The commit head is always admitted so
 	// the pipeline cannot deadlock on a single oversized frame.
 	InFlightBytes int
-	// PipelineWindow bounds the issued-but-unacknowledged wire operations
-	// the engine keeps in flight at once: commit PUTs during the forward
-	// pass and staging GETs in the backward prefetcher. <= 1 is
-	// stop-and-wait (each op completes before the next is issued — the
-	// pre-pipelining behaviour); larger windows overlap the transport
-	// round trips of consecutive ops. Ordering is unaffected: ops are
-	// issued and completed in the same strict sequence at every window,
-	// so injected fault patterns stay deterministic.
-	PipelineWindow int
 }
 
 // EngineStats counts scheduler-level events (channel/recovery counters
@@ -239,18 +231,10 @@ func (e *Engine) encodeAndCommit(seq int, ref *nn.ActRef, x *tensor.Tensor) {
 	e.mu.Unlock()
 }
 
-// pipelineWindow returns the effective wire window (>= 1).
-func (e *Engine) pipelineWindow() int {
-	if e.cfg.PipelineWindow < 1 {
-		return 1
-	}
-	return e.cfg.PipelineWindow
-}
-
 // drainCommits empties the reorder buffer from nextCommit while
-// consecutive results are present, keeping up to PipelineWindow commit
-// PUTs issued-but-unacknowledged on the transport at once. Issue takes
-// priority over completion — a ready head result goes on the wire
+// consecutive results are present, keeping as many commit PUTs
+// issued-but-unacknowledged as the transport's window allows. Issue
+// takes priority over completion — a ready head result goes on the wire
 // before the oldest outstanding ticket is waited on — so consecutive
 // frames' round trips overlap; both the issues and the completions
 // happen in strict sequence order, so the backend sees exactly the Put
@@ -258,11 +242,23 @@ func (e *Engine) pipelineWindow() int {
 // time (the committing flag); the transport calls happen outside the
 // engine lock so workers keep encoding while the wire sleeps.
 func (e *Engine) drainCommits() {
-	window := e.pipelineWindow()
-	var fifo []*commitTicket
+	fifo := transport.NewFIFO(e.store.pipelined(), func(t *commitTicket) error {
+		_, cerr := e.store.commitWait(t)
+		e.mu.Lock()
+		if cerr != nil && e.firstErr == nil {
+			e.firstErr = cerr
+		}
+		e.inflight -= t.size
+		e.finished++
+		e.cond.Broadcast()
+		e.mu.Unlock()
+		return nil // recorded in firstErr; the drain goes on
+	})
 	e.mu.Lock()
 	for {
-		if res, ok := e.results[e.nextCommit]; ok && len(fifo) < window {
+		res, ready := e.results[e.nextCommit]
+		switch {
+		case ready && !fifo.Full():
 			delete(e.results, e.nextCommit)
 			e.nextCommit++
 			if res.err != nil {
@@ -276,31 +272,20 @@ func (e *Engine) drainCommits() {
 				continue
 			}
 			e.mu.Unlock()
-			t := e.store.commitIssue(res.ref, res.data, res.mask)
+			fifo.Push(e.store.commitIssue(res.ref, res.data, res.mask))
 			e.mu.Lock()
-			fifo = append(fifo, t)
 			e.cond.Broadcast()
-			continue
-		}
-		if len(fifo) > 0 {
-			t := fifo[0]
-			fifo = fifo[1:]
+		case fifo.Len() > 0:
 			e.mu.Unlock()
-			_, cerr := e.store.commitWait(t)
+			fifo.Settle()
 			e.mu.Lock()
-			if cerr != nil && e.firstErr == nil {
-				e.firstErr = cerr
-			}
-			e.inflight -= t.size
-			e.finished++
+		default:
+			e.committing = false
 			e.cond.Broadcast()
-			continue
+			e.mu.Unlock()
+			return
 		}
-		break
 	}
-	e.committing = false
-	e.cond.Broadcast()
-	e.mu.Unlock()
 }
 
 // EndForward offloads any refs the streaming hooks missed (or, in sync
@@ -357,26 +342,23 @@ func (e *Engine) PrepareBackward() error {
 
 // prefetchLoop is the single fetch goroutine: it walks the snapshot in
 // order, staging up to Prefetch verified frames ahead of consumption
-// and keeping up to PipelineWindow staging GETs issued on the wire at
-// once (responses complete in issue order — the transport is FIFO — so
-// batching issues overlaps round trips without reordering anything).
-// Being alone on the transport's read side keeps the request sequence —
-// and therefore any injected fault pattern — deterministic. A consumer
-// blocked on a task past the window sets demand, which lets the loop
-// run ahead of the budget without changing the order. Only the wire
-// read and CRC check run here; decode is left to the consumer so the
-// next read can start immediately.
+// and keeping as many staging GETs issued on the wire as the transport's
+// window allows (responses complete in issue order — the transport is
+// FIFO — so batching issues overlaps round trips without reordering
+// anything). Being alone on the transport's read side keeps the request
+// sequence — and therefore any injected fault pattern — deterministic.
+// A consumer blocked on a task past the lookahead sets demand, which
+// lets the loop run ahead of the budget without changing the order.
+// Only the wire read and CRC check run here; decode is left to the
+// consumer so the next read can start immediately.
 func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
-	window := e.pipelineWindow()
 	type issuedRead struct {
 		ft *fetchTask
 		tk *readTicket
 	}
-	var fifo []issuedRead
-	completeHead := func() {
-		in := fifo[0]
-		fifo = fifo[1:]
-		f, err := e.store.readWait(in.tk)
+	s := e.store
+	fifo := transport.NewFIFO(s.pipelined(), func(in issuedRead) error {
+		f, err := s.readWait(in.tk)
 		e.mu.Lock()
 		in.ft.staged, in.ft.err = f, err
 		in.ft.counted = true
@@ -387,14 +369,13 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 		close(in.ft.done)
 		e.cond.Broadcast()
 		e.mu.Unlock()
-	}
+		return nil // staged on the task for its consumer
+	})
 	defer func() {
 		// Responses for issued reads are already on the wire; consume
 		// them even on cancellation so every started task's done closes
 		// and the transport stream stays position-deterministic.
-		for len(fifo) > 0 {
-			completeHead()
-		}
+		fifo.Drain()
 		e.mu.Lock()
 		pf.active = false
 		e.cond.Broadcast()
@@ -403,10 +384,10 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 	for {
 		e.mu.Lock()
 		issuable := func() bool {
-			return pf.next < len(pf.tasks) && len(fifo) < window &&
-				(pf.flush || pf.demand != nil || pf.ready+len(fifo) < e.cfg.Prefetch)
+			return pf.next < len(pf.tasks) && !fifo.Full() &&
+				(pf.flush || pf.demand != nil || pf.ready+fifo.Len() < e.cfg.Prefetch)
 		}
-		for gen == e.pfGen && !issuable() && len(fifo) == 0 && pf.next < len(pf.tasks) {
+		for gen == e.pfGen && !issuable() && fifo.Len() == 0 && pf.next < len(pf.tasks) {
 			e.cond.Wait()
 		}
 		if gen != e.pfGen {
@@ -415,10 +396,10 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 		}
 		if !issuable() {
 			e.mu.Unlock()
-			if len(fifo) > 0 {
+			if fifo.Len() > 0 {
 				// Window or lookahead budget full (or plan exhausted):
 				// retire the oldest outstanding read.
-				completeHead()
+				fifo.Settle()
 				continue
 			}
 			return // plan exhausted and wire drained
@@ -429,7 +410,6 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 
 		// Skip entries no longer resident (consumed inline, or replaced
 		// by a recompute rebuild); they hold no lookahead slot.
-		s := e.store
 		s.mu.Lock()
 		cur, still := s.entries[ft.ref]
 		s.mu.Unlock()
@@ -443,7 +423,7 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 			e.mu.Unlock()
 			continue
 		}
-		fifo = append(fifo, issuedRead{ft: ft, tk: s.readIssue(ft.ent, ft.ref)})
+		fifo.Push(issuedRead{ft: ft, tk: s.readIssue(ft.ent, ft.ref)})
 	}
 }
 

@@ -231,6 +231,12 @@ func (s *Store) transportOf() Transport {
 	return t
 }
 
+// pipelined is the backend's handle-returning face: what the issue
+// halves submit to, and what sizes the scheduler's FIFOs.
+func (s *Store) pipelined() transport.Pipelined {
+	return transport.AsPipelined(s.transportOf())
+}
+
 // fallbackT returns the degraded-mode backend: a clean in-process store
 // that receives the same encoded frames a healthy wire PUT would carry.
 // Built lazily — a run that never trips the breaker never allocates it.
@@ -406,18 +412,13 @@ type putTicket struct {
 // the next issue, not this one (putWait still degrades this op's bytes
 // if its own wire attempt exhausts unavailable).
 func (s *Store) putIssue(key uint64, data []byte) *putTicket {
-	t := &putTicket{key: key, data: data}
-	if !s.breakerActive() {
-		t.h = transport.AsPipelined(s.transportOf()).PutAsync(key, data, s.retry())
+	t := &putTicket{key: key, data: data, wire: s.breakerActive()}
+	if t.wire && s.breakerOf().skipWire() {
+		s.counters.Degraded.Add(1)
+		t.stored, t.err = s.fallbackT().Put(key, data, transport.Retry{})
 		return t
 	}
-	if !s.breakerOf().skipWire() {
-		t.wire = true
-		t.h = transport.AsPipelined(s.Transport).PutAsync(key, data, s.retry())
-		return t
-	}
-	s.counters.Degraded.Add(1)
-	t.stored, t.err = s.fallbackT().Put(key, data, transport.Retry{})
+	t.h = s.pipelined().PutAsync(key, data, s.retry())
 	return t
 }
 
@@ -494,7 +495,7 @@ func (s *Store) readIssue(e *entry, ref *nn.ActRef) *readTicket {
 		return t
 	}
 	t.wire = s.breakerActive()
-	t.h = transport.AsPipelined(s.transportOf()).GetAsync(s.key(e), s.retry(), coef)
+	t.h = s.pipelined().GetAsync(s.key(e), s.retry(), coef)
 	return t
 }
 

@@ -99,7 +99,7 @@ func dialConn(dial Dialer, timeout time.Duration) (net.Conn, error) {
 type NetClient struct {
 	// Latency, when set, observes every successful exchange (op code
 	// and wall-clock duration from the request hitting the wire to its
-	// response validating) — the hook offloadbench hangs its percentile
+	// response validating) — the hook bench/ hangs its percentile
 	// collector on. Set before first use. It is invoked from the
 	// client's reader goroutine (and the hedge goroutine when hedging
 	// is enabled), so it must be safe for concurrent use.
@@ -118,9 +118,9 @@ type NetClient struct {
 	// Counters.Hedged. Set before first use.
 	Hedge time.Duration
 	// Window bounds how many operations may be queued-or-in-flight on
-	// the wire at once (<= 1 is the stop-and-wait default). Submitting
-	// past the window blocks — backpressure, not buffering. Set before
-	// first use.
+	// the wire at once: 0 is DefaultWindow, 1 is stop-and-wait.
+	// Submitting past the window blocks — backpressure, not buffering.
+	// Set before first use.
 	Window int
 
 	dial     Dialer

@@ -11,8 +11,14 @@ package transport
 // netstore server has served per-connection reader/writer goroutines
 // since PR 5; this file adds the client half.
 //
+// The window is this package's alone: NetClient.Window is the only such
+// number in the tree, a zero-value client is pipelined at DefaultWindow,
+// and the schedulers above (the offload engine's commit drain and
+// prefetcher, the gradient exchange) size their issue/await FIFOs from
+// what the transport reports through Pipelined.Depth — see FIFO.
+//
 // Machinery: submitted ops queue on the client; a pump goroutine
-// streams requests onto the wire while at most window() ops are in
+// streams requests onto the wire while at most Depth() ops are in
 // flight, and a per-connection reader goroutine drains responses in
 // order, completing the in-flight FIFO head each time. Any dial, write,
 // read or wire failure *poisons* the connection: it is closed, every
@@ -46,6 +52,10 @@ type Pipelined interface {
 	PutAsync(key uint64, data []byte, r Retry) *Pending
 	// GetAsync submits one GET (or coefficient GET) likewise.
 	GetAsync(key uint64, r Retry, coef bool) *Pending
+	// Depth reports how many submitted operations the transport keeps
+	// unresolved at once (>= 1): the wire window of a NetClient, 1 for a
+	// backend whose handles come back already resolved.
+	Depth() int
 }
 
 // AsPipelined adapts any Transport to the Pipelined interface. Backends
@@ -75,6 +85,67 @@ func (s syncPipelined) GetAsync(key uint64, r Retry, coef bool) *Pending {
 	f, err := s.Get(key, r, coef)
 	return resolvedPending(op, key, func(p *Pending) { p.f = f; p.err = err })
 }
+
+func (syncPipelined) Depth() int { return 1 }
+
+// FIFO is the issue/await discipline every windowed scheduler shares: a
+// queue of issued-but-unsettled operation tickets, as deep as the
+// transport it was built over reports, settled strictly oldest first —
+// the order the wire answers in. T is the caller's ticket (a handle plus
+// whatever its settle step needs); settle waits for one ticket's result
+// and consumes it.
+//
+// Once a settle fails, Reserve and Drain still settle every ticket
+// queued behind it (discarding those results) before returning the
+// first error, so no handle outlives the FIFO's owner. Not safe for
+// concurrent use.
+type FIFO[T any] struct {
+	depth  int
+	q      []T
+	settle func(T) error
+}
+
+// NewFIFO builds an empty FIFO sized to t's depth.
+func NewFIFO[T any](t Pipelined, settle func(T) error) *FIFO[T] {
+	return &FIFO[T]{depth: t.Depth(), settle: settle}
+}
+
+// Len is the number of unsettled tickets.
+func (f *FIFO[T]) Len() int { return len(f.q) }
+
+// Full reports whether another issue must wait for a settle.
+func (f *FIFO[T]) Full() bool { return len(f.q) >= f.depth }
+
+// Push queues the ticket of an operation just issued.
+func (f *FIFO[T]) Push(t T) { f.q = append(f.q, t) }
+
+// Settle settles the oldest ticket.
+func (f *FIFO[T]) Settle() error {
+	t := f.q[0]
+	f.q = f.q[1:]
+	return f.settle(t)
+}
+
+// settleWhile settles oldest-first while more() holds; after a failure
+// it drains the rest and returns the first error.
+func (f *FIFO[T]) settleWhile(more func() bool) error {
+	for more() {
+		if err := f.Settle(); err != nil {
+			for len(f.q) > 0 {
+				_ = f.Settle() // the first error is the verdict
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// Reserve settles the oldest tickets until one more operation may be
+// issued.
+func (f *FIFO[T]) Reserve() error { return f.settleWhile(f.Full) }
+
+// Drain settles every queued ticket.
+func (f *FIFO[T]) Drain() error { return f.settleWhile(func() bool { return len(f.q) > 0 }) }
 
 // Pending is the completion handle of one asynchronous transport op. It
 // is created by PutAsync/GetAsync (and internally by the sync wrappers)
@@ -164,12 +235,17 @@ func opName(op uint8) string {
 // shared response stream.
 var errPoisoned = errors.New("transport: connection poisoned mid-window")
 
-// window returns the effective in-flight bound (>= 1).
-func (c *NetClient) window() int {
-	if c.Window > 1 {
+// DefaultWindow is the in-flight bound of a client whose Window is left
+// zero: every wire client in the tree is pipelined at this one number
+// unless it asks for stop-and-wait (Window = 1) by name.
+const DefaultWindow = 8
+
+// Depth implements Pipelined: the effective in-flight bound (>= 1).
+func (c *NetClient) Depth() int {
+	if c.Window > 0 {
 		return c.Window
 	}
-	return 1
+	return DefaultWindow
 }
 
 // PutAsync implements Pipelined: the op joins the pipeline and its
@@ -195,12 +271,12 @@ func (c *NetClient) GetAsync(key uint64, r Retry, coef bool) *Pending {
 }
 
 // submit enqueues p behind every earlier op, applying window
-// backpressure: at most window() ops may be queued-or-in-flight, so a
+// backpressure: at most Depth() ops may be queued-or-in-flight, so a
 // producer that outruns the wire blocks here rather than growing an
 // unbounded buffer of retained PUT bodies.
 func (c *NetClient) submit(p *Pending) *Pending {
 	c.pmu.Lock()
-	for len(c.queue)+len(c.inflight) >= c.window() && !c.closed {
+	for len(c.queue)+len(c.inflight) >= c.Depth() && !c.closed {
 		c.pcond.Wait()
 	}
 	if c.closed {
@@ -226,7 +302,7 @@ func (c *NetClient) submit(p *Pending) *Pending {
 func (c *NetClient) pump() {
 	for {
 		c.pmu.Lock()
-		for !c.closed && (len(c.queue) == 0 || len(c.inflight) >= c.window()) {
+		for !c.closed && (len(c.queue) == 0 || len(c.inflight) >= c.Depth()) {
 			c.pcond.Wait()
 		}
 		if c.closed {

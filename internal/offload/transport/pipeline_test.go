@@ -286,3 +286,55 @@ func TestPipelinedClientUnderChaos(t *testing.T) {
 		t.Fatalf("resets occurred but no reconnects were counted: %+v", counters.Snapshot())
 	}
 }
+
+// TestFIFODiscipline pins the issue/await helper the schedulers share:
+// it is as deep as the transport reports (a zero-value client is
+// pipelined at DefaultWindow, Window = 1 and the in-process backend are
+// stop-and-wait), it settles strictly oldest first, Reserve settles only
+// until there is room, and once a settle fails the tickets queued behind
+// it are still settled — none is left holding a handle — while the first
+// error is the one returned.
+func TestFIFODiscipline(t *testing.T) {
+	piped := NewNetClient(nil, nil) // never dialed: only its depth is read
+	serial := NewNetClient(nil, nil)
+	serial.Window = 1
+	for _, c := range []struct {
+		tr   Pipelined
+		want int
+	}{{piped, DefaultWindow}, {serial, 1}, {NewLocal(nil, nil), 1}, {AsPipelined(struct{ Transport }{}), 1}} {
+		if got := c.tr.Depth(); got != c.want {
+			t.Fatalf("%T depth %d, want %d", c.tr, got, c.want)
+		}
+	}
+
+	var settled []int
+	failAt := -1
+	f := NewFIFO(piped, func(n int) error {
+		settled = append(settled, n)
+		if n == failAt {
+			return net.ErrClosed
+		}
+		return nil
+	})
+	for n := 0; n < DefaultWindow+2; n++ {
+		if err := f.Reserve(); err != nil {
+			t.Fatal(err)
+		}
+		f.Push(n)
+	}
+	if !f.Full() || f.Len() != DefaultWindow || len(settled) != 2 || settled[0] != 0 || settled[1] != 1 {
+		t.Fatalf("after %d issues: %d queued, settled %v", DefaultWindow+2, f.Len(), settled)
+	}
+	failAt = 4
+	if err := f.Drain(); err != net.ErrClosed {
+		t.Fatalf("drain returned %v, want the failing settle's error", err)
+	}
+	if f.Len() != 0 || len(settled) != DefaultWindow+2 {
+		t.Fatalf("a failed settle left %d tickets queued (settled %v)", f.Len(), settled)
+	}
+	for i, n := range settled {
+		if n != i {
+			t.Fatalf("settled out of order: %v", settled)
+		}
+	}
+}

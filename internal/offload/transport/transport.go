@@ -330,6 +330,10 @@ func (l *Local) GetAsync(key uint64, r Retry, coef bool) *Pending {
 	return resolvedPending(op, key, func(p *Pending) { p.f = f; p.err = err })
 }
 
+// Depth implements Pipelined: handles resolve at submit, so nothing is
+// ever in flight behind the one being issued.
+func (l *Local) Depth() int { return 1 }
+
 // Delete implements Transport. Deleting an absent key is not an error —
 // the store calls it best-effort after a successful restore.
 func (l *Local) Delete(key uint64) error {

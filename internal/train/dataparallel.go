@@ -89,9 +89,6 @@ type DPOptions struct {
 	// leave backward earlier (finer overlap) but cost more frames.
 	// The value never affects the result, only the schedule.
 	BucketBytes int
-	// Window bounds each networked exchange client's asynchronous
-	// in-flight window (default 8; 1 degenerates to stop-and-wait).
-	Window int
 	// SerialExchange takes the overlap out of the bucketed exchange:
 	// every bucket ships stop-and-wait after backward completes and
 	// the reducer starts only once every worker has finished — the
@@ -128,12 +125,6 @@ func (dp DPOptions) withDefaults() DPOptions {
 	if dp.BucketBytes <= 0 {
 		dp.BucketBytes = 4 * gradChunkElems
 	}
-	if dp.Window <= 0 {
-		dp.Window = 8
-	}
-	if dp.SerialExchange {
-		dp.Window = 1 // stop-and-wait wire ops
-	}
 	return dp
 }
 
@@ -153,7 +144,6 @@ type gradExchange struct {
 	codec    frame.Codec
 	tag      uint64
 	retry    transport.Retry
-	window   int
 	chunk    int // bucket capacity in elements
 	counters *transport.Counters
 
@@ -209,39 +199,23 @@ func (g *gradExchange) awaitPut(step, slot uint64, t putTicket) error {
 	return nil
 }
 
-// put ships flat as chunked frames under (step, slot), keeping up to
-// window chunk PUTs in flight.
+// put ships flat as chunked frames under (step, slot), keeping as many
+// chunk PUTs in flight as the transport's window allows.
 func (g *gradExchange) put(step, slot uint64, flat []float32) error {
-	var fifo []putTicket
-	abandon := func(err error) error {
-		for _, t := range fifo {
-			t.h.Err() // drain so no handle outlives the call
-		}
-		return err
-	}
+	fifo := transport.NewFIFO(g.tr, func(t putTicket) error { return g.awaitPut(step, slot, t) })
 	for c := 0; c*g.chunk < len(flat); c++ {
 		b, err := g.encodeChunk(flat, c)
 		if err != nil {
-			return abandon(err)
+			fifo.Drain() // so no handle outlives the call; err is the verdict
+			return err
 		}
-		for len(fifo) >= g.window {
-			t := fifo[0]
-			fifo = fifo[1:]
-			if err := g.awaitPut(step, slot, t); err != nil {
-				return abandon(err)
-			}
+		if err := fifo.Reserve(); err != nil {
+			return err
 		}
 		h := g.tr.PutAsync(transport.GradKey(g.tag, step, slot, uint64(c)), b, g.retry)
-		fifo = append(fifo, putTicket{c, len(b), h})
+		fifo.Push(putTicket{c, len(b), h})
 	}
-	for len(fifo) > 0 {
-		t := fifo[0]
-		fifo = fifo[1:]
-		if err := g.awaitPut(step, slot, t); err != nil {
-			return abandon(err)
-		}
-	}
-	return nil
+	return fifo.Drain()
 }
 
 // decodeChunkInto settles one GET handle and decodes the chunk into
@@ -269,37 +243,21 @@ type getTicket struct {
 }
 
 // get fetches the vector stored under (step, slot) back into dst,
-// keeping up to window chunk GETs in flight and decoding straight into
-// dst's chunk spans.
+// keeping the transport's window of chunk GETs in flight and decoding
+// straight into dst's chunk spans.
 func (g *gradExchange) get(step, slot uint64, dst []float32) error {
-	var fifo []getTicket
-	abandon := func(err error) error {
-		for _, t := range fifo {
-			t.h.Err()
-		}
-		return err
-	}
-	drain := func() error {
-		t := fifo[0]
-		fifo = fifo[1:]
+	fifo := transport.NewFIFO(g.tr, func(t getTicket) error {
 		lo, hi := g.chunkSpan(t.c, len(dst))
 		return g.decodeChunkInto(step, slot, t.c, t.h, dst[lo:hi])
-	}
+	})
 	for c := 0; c*g.chunk < len(dst); c++ {
-		for len(fifo) >= g.window {
-			if err := drain(); err != nil {
-				return abandon(err)
-			}
+		if err := fifo.Reserve(); err != nil {
+			return err
 		}
 		h := g.tr.GetAsync(transport.GradKey(g.tag, step, slot, uint64(c)), g.retry, false)
-		fifo = append(fifo, getTicket{0, c, h})
+		fifo.Push(getTicket{0, c, h})
 	}
-	for len(fifo) > 0 {
-		if err := drain(); err != nil {
-			return abandon(err)
-		}
-	}
-	return nil
+	return fifo.Drain()
 }
 
 // del releases (step, slot)'s chunks, best-effort.
@@ -377,16 +335,7 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 	if cap(g.decBuf) < g.chunk {
 		g.decBuf = make([]float32, g.chunk)
 	}
-	var fifo []getTicket
-	abandon := func(err error) error {
-		for _, t := range fifo {
-			t.h.Err()
-		}
-		return err
-	}
-	drain := func() error {
-		t := fifo[0]
-		fifo = fifo[1:]
+	fifo := transport.NewFIFO(g.tr, func(t getTicket) error {
 		lo, hi := g.chunkSpan(t.c, len(reduced))
 		buf := g.decBuf[:hi-lo]
 		if err := g.decodeChunkInto(step, uint64(t.m+1), t.c, t.h, buf); err != nil {
@@ -397,27 +346,21 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 			acc[i] += v
 		}
 		return nil
-	}
+	})
 	for c := g.chunkCount(len(reduced)) - 1; c >= 0; c-- {
 		for m := 0; m < M; m++ {
 			if err := board.wait(m, c); err != nil {
-				return abandon(err)
+				fifo.Drain() // so no handle outlives the call; err is the verdict
+				return err
 			}
-			for len(fifo) >= g.window {
-				if err := drain(); err != nil {
-					return abandon(err)
-				}
+			if err := fifo.Reserve(); err != nil {
+				return err
 			}
 			h := g.tr.GetAsync(transport.GradKey(g.tag, step, uint64(m+1), uint64(c)), g.retry, false)
-			fifo = append(fifo, getTicket{m, c, h})
+			fifo.Push(getTicket{m, c, h})
 		}
 	}
-	for len(fifo) > 0 {
-		if err := drain(); err != nil {
-			return abandon(err)
-		}
-	}
-	return nil
+	return fifo.Drain()
 }
 
 // dpReplica is one worker's private world: model, optimizer, step body,
@@ -654,7 +597,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 
 	retry := transport.Retry{
 		Attempts: 8, Backoff: time.Millisecond,
-		Total: dp.StoreTimeout, OpTimeout: StoreOpTimeout(dp.StoreTimeout),
+		Total: dp.StoreTimeout, OpTimeout: storeOpTimeout(dp.StoreTimeout),
 	}
 	var shared transport.Transport
 	if dp.StoreDial == nil {
@@ -668,11 +611,18 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	newExchange := func() *gradExchange {
 		tr := shared
 		if tr == nil {
-			tr = newStoreClient(dp.StoreDial, counters, dp.StoreTimeout, dp.StoreHedge, dp.Window, dp.ClientHook)
+			tr = newStoreClient(dp.StoreDial, counters, dp.StoreTimeout, dp.StoreHedge, func(c *transport.NetClient) {
+				if dp.SerialExchange {
+					c.Window = 1 // stop-and-wait wire ops
+				}
+				if dp.ClientHook != nil {
+					dp.ClientHook(c)
+				}
+			})
 		}
 		return &gradExchange{
 			tr: transport.AsPipelined(tr), pipe: pipe, codec: dp.GradCodec,
-			tag: tag, retry: retry, window: dp.Window, chunk: chunkElems, counters: counters,
+			tag: tag, retry: retry, chunk: chunkElems, counters: counters,
 		}
 	}
 
@@ -728,17 +678,6 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 		}
 	}
 	err := l.run(&rep)
+	rep.WeightsDigest = weightsDigest(lead.Net)
 	return rep, counters.Snapshot(), err
-}
-
-// DPFinalWeights flattens a trained model's parameters for element-wise
-// comparison across runs — the bit-exactness check the drivers and
-// tests share. Callers keep a reference to replica 0's model by
-// recording the first value their newModel factory returns.
-func DPFinalWeights(m *models.Model) []float32 {
-	var out []float32
-	for _, p := range m.Net.Params() {
-		out = append(out, p.W.Data...)
-	}
-	return out
 }

@@ -39,6 +39,9 @@ func sameEpochs(t *testing.T, a, b Report, label string) {
 			t.Fatalf("%s: epoch %d score %v vs %v", label, i, a.Epochs[i].Score, b.Epochs[i].Score)
 		}
 	}
+	if a.WeightsDigest == "" || a.WeightsDigest != b.WeightsDigest {
+		t.Fatalf("%s: weights digest %q vs %q", label, a.WeightsDigest, b.WeightsDigest)
+	}
 }
 
 // TestOffloadedTrainingCleanChannel: the offloaded trainer over a clean

@@ -91,9 +91,13 @@ type OffloadOptions struct {
 	// wins (0 = off). Purely a latency shield — the winning bytes are
 	// CRC-identical either way.
 	StoreHedge time.Duration
-	// Breaker tunes the store's circuit breaker (zero value = enabled
-	// with defaults; set Disabled to surface wire failures instead of
-	// degrading). Only meaningful in networked mode.
+	// Breaker tunes the store's circuit breaker (zero value = enabled;
+	// set Disabled to surface wire failures instead of degrading). Only
+	// meaningful in networked mode. The trainer's FailureThreshold
+	// default is 1, not the store's 3: the forward pass has no recovery
+	// for a commit that failed, so the first whole-op wire failure must
+	// already degrade that frame to the local fallback — or a store
+	// dying mid-step ends the run.
 	Breaker offload.BreakerConfig
 	// StoreClient, when set, receives the built wire client before the
 	// first operation — the seam chaos tests use to install op-count
@@ -131,26 +135,24 @@ func (oc OffloadOptions) engineConfig() offload.EngineConfig {
 	}
 }
 
-// StoreOpTimeout is the per-attempt bound inside a wire operation's
+// storeOpTimeout is the per-attempt bound inside a wire operation's
 // total budget: a quarter of it, at least 50ms, so one stalled
-// connection cannot eat it all (0 = unbounded, as the budget). Exported
-// for drivers that build their own store clients (cmd/offloadbench).
-func StoreOpTimeout(total time.Duration) time.Duration {
+// connection cannot eat it all (0 = unbounded, as the budget).
+func storeOpTimeout(total time.Duration) time.Duration {
 	if total <= 0 {
 		return 0
 	}
 	return max(total/4, 50*time.Millisecond)
 }
 
-// newStoreClient builds the wire client both trainers use. It shares the
-// caller's counter block, so network faults and verified bytes land in
-// the stats the caller reads; hook (optional) sees the client before its
-// first operation. window 0 keeps the client's default.
-func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout, hedge time.Duration, window int, hook func(*transport.NetClient)) *transport.NetClient {
+// newStoreClient builds the wire client both trainers use, pipelined at
+// the transport's default window. It shares the caller's counter block,
+// so network faults and verified bytes land in the stats the caller
+// reads; hook (optional) sees the client before its first operation.
+func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout, hedge time.Duration, hook func(*transport.NetClient)) *transport.NetClient {
 	c := transport.NewNetClient(dial, counters)
-	c.OpTimeout = StoreOpTimeout(timeout)
+	c.OpTimeout = storeOpTimeout(timeout)
 	c.Hedge = hedge
-	c.Window = window
 	if hook != nil {
 		hook(c)
 	}
@@ -182,7 +184,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		MaxRetries: oc.MaxRetries,
 		Backoff:    oc.Backoff,
 		Deadline:   max(oc.StoreTimeout, 0),
-		OpTimeout:  StoreOpTimeout(oc.StoreTimeout),
+		OpTimeout:  storeOpTimeout(oc.StoreTimeout),
 	}
 	if oc.StoreAddr != "" || oc.StoreDial != nil {
 		dial := oc.StoreDial
@@ -193,9 +195,12 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 			}
 			dial = d
 		}
-		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreHedge, 0, oc.StoreClient)
+		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreHedge, oc.StoreClient)
 		store.KeyBase = oc.StoreKeyBase
 		store.Breaker = oc.Breaker
+		if store.Breaker.FailureThreshold <= 0 {
+			store.Breaker.FailureThreshold = 1
+		}
 		rep.MethodName += "+netstore"
 	}
 	defer store.Close()
@@ -220,13 +225,13 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		}
 	}
 	err := l.run(&rep)
+	rep.WeightsDigest = weightsDigest(m.Net)
 	return rep, store.Stats(), err
 }
 
 // OffloadedStep runs one training batch of net through eng — the very
 // step body ClassifierOffloaded runs, for drivers that own their loop
-// and time the step alone (cmd/offloadbench). The caller steps its
-// optimizer.
+// and time the step alone. The caller steps its optimizer.
 func OffloadedStep(net nn.Layer, eng *offload.Engine, x *tensor.Tensor, labels []int, maxRecompute int, freq bool) (float64, error) {
 	p := &pass{net: net, eng: eng, maxRecompute: maxRecompute, freq: freq}
 	res, err := p.run(x, crossEntropy(labels), 0, nil)

@@ -7,6 +7,11 @@
 package train
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/models"
@@ -119,6 +124,26 @@ type Report struct {
 	// Footprint is the per-kind byte breakdown from the final epoch
 	// (the Fig. 19 data).
 	Footprint []FootprintEntry
+	// WeightsDigest is the hex SHA-256 of the trained weights: every
+	// parameter's float32 bits, little-endian, in Params() order (replica
+	// 0's under data parallelism). Runs whose trajectories are
+	// bit-identical — across activation policies' transports, replica
+	// counts, injected faults — print the same digest.
+	WeightsDigest string
+}
+
+// weightsDigest computes Report.WeightsDigest for net.
+func weightsDigest(net nn.Layer) string {
+	h := sha256.New()
+	var buf []byte
+	for _, p := range net.Params() {
+		buf = buf[:0]
+		for _, v := range p.W.Data {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // compressRefs applies the method to every unique saved activation and
@@ -215,6 +240,7 @@ func roundTrip(m *models.Model, cfg Config, validate func() (float64, *tensor.Te
 	p := &pass{net: m.Net, method: cfg.Method, measure: cfg.MeasureError}
 	l := loop{cfg: cfg, opts: []nn.Optimizer{opt}, step: localStep(p, opt, batch), validate: validate}
 	_ = l.run(&rep) // only the offload and all-reduce policies have an error path
+	rep.WeightsDigest = weightsDigest(m.Net)
 	return rep
 }
 

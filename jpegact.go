@@ -25,6 +25,7 @@
 package jpegact
 
 import (
+	"fmt"
 	"io"
 
 	"jpegact/internal/compress"
@@ -37,6 +38,7 @@ import (
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload"
+	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/netstore"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
@@ -459,14 +461,35 @@ func WriteSyntheticCIFAR(w io.Writer, n, classes int, seed uint64) error {
 // NCHW tensor and label slice.
 func LoadCIFAR(r io.Reader) (*Tensor, []int, error) { return data.LoadCIFAR(r) }
 
-// WriteCompressed serializes x through the JPEG-ACT pipeline with the
-// given DQT into the self-describing JACT container format; read it back
-// with ReadCompressed. Unlike CompressActivation, only the compressed
-// bytes cross the writer.
+// WriteCompressed compresses x as a dense conv activation with the
+// given DQT — the offload store's own codec — and writes it as one
+// CRC-protected frame, returning the bytes written; read it back with
+// ReadCompressed. Unlike CompressActivation, only the compressed bytes
+// cross the writer.
 func WriteCompressed(w io.Writer, x *Tensor, d DQT) (int, error) {
-	p := compress.JPEGAct(d)
-	return p.WriteTensor(w, x)
+	enc, err := codec.New(d).Encode(compress.KindConv, x)
+	if err != nil {
+		return 0, err
+	}
+	return w.Write(frame.EncodeFrame(enc.Frame))
 }
 
-// ReadCompressed reconstructs a tensor from a JACT container.
-func ReadCompressed(r io.Reader) (*Tensor, error) { return compress.ReadTensor(r) }
+// ReadCompressed reconstructs the tensor from a frame WriteCompressed
+// wrote. Frames, like the store, do not carry the quantization table:
+// pass the DQT the frame was written with. A damaged frame fails with
+// one of the typed ErrFrame* errors.
+func ReadCompressed(r io.Reader, d DQT) (*Tensor, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	f, err := frame.DecodeFrame(b)
+	if err != nil {
+		return nil, err
+	}
+	x, err := codec.New(d).Decode(f)
+	if err == nil && x == nil {
+		err = fmt.Errorf("jpegact: a %s frame holds no tensor", f.Codec)
+	}
+	return x, err
+}

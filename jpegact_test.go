@@ -2,6 +2,7 @@ package jpegact
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"jpegact/internal/data"
@@ -181,12 +182,25 @@ func TestFacadeContainer(t *testing.T) {
 	r := tensor.NewRNG(21)
 	x := data.ActivationTensor(r, 1, 4, 16, 16, 0.5, 1.0)
 	var buf bytes.Buffer
-	payload, err := WriteCompressed(&buf, x, OptH())
-	if err != nil || payload <= 0 {
-		t.Fatalf("write: %v %d", err, payload)
+	n, err := WriteCompressed(&buf, x, OptH())
+	if err != nil || n <= 0 || n != buf.Len() {
+		t.Fatalf("write: %v %d", err, n)
 	}
-	got, err := ReadCompressed(&buf)
+	file := buf.Bytes()
+	got, err := ReadCompressed(bytes.NewReader(file), OptH())
 	if err != nil || got.Shape != x.Shape {
 		t.Fatalf("read: %v", err)
+	}
+	want := CompressActivation(JPEGACTWith(FixedDQT(OptH())), x, KindConv, 0).Recovered
+	for i, v := range want.Data {
+		if got.Data[i] != v {
+			t.Fatalf("element %d: read back %v, the method recovers %v", i, got.Data[i], v)
+		}
+	}
+	// One flipped payload bit must be caught, not decoded.
+	bad := append([]byte(nil), file...)
+	bad[len(bad)-3] ^= 0x10
+	if _, err := ReadCompressed(bytes.NewReader(bad), OptH()); !errors.Is(err, ErrFrameChecksum) {
+		t.Fatalf("flipped bit: %v, want %v", err, ErrFrameChecksum)
 	}
 }
