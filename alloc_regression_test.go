@@ -1,6 +1,9 @@
 package jpegact
 
 import (
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"jpegact/internal/compress"
@@ -134,5 +137,97 @@ func TestDecodeCoefficientsAllocs(t *testing.T) {
 	if allocs > maxAllocs {
 		t.Fatalf("DecodeCoefficients+Release allocates %.0f objects/op, budget %d",
 			allocs, maxAllocs)
+	}
+}
+
+// TestCodecEncodeDecodeAllocs budgets what the offload engine actually
+// calls — codec.Pipeline.Encode and Decode — in both directions and for
+// all three codecs, on the benchmark's (8,16,32,32) tensor at two
+// workers. What must be fresh per call is the payload on the way out
+// and the tensor on the way back; everything else (the SFPR code plane,
+// quantized blocks, decoded blocks and codes) comes from pools, and the
+// flat ZVC coder sizes its stream exactly instead of growing it. The
+// byte budget is that fresh result plus 16 KiB, the object budget 24, so
+// pooled scratch cannot quietly become a per-call make again. (Before
+// the pools reached these paths: encode 787 KB for a 160 KB ZVC payload,
+// decode 658 KB for a 524 KB tensor.)
+func TestCodecEncodeDecodeAllocs(t *testing.T) {
+	const slackBytes, maxObjects = 16 << 10, 24
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				// Under the race detector sync.Pool drops a quarter of
+				// what is Put, on purpose; there is no steady state.
+				t.Skip("pooled scratch is not steady under -race")
+			}
+		}
+	}
+	prev := SetParallelWorkers(2)
+	defer SetParallelWorkers(prev)
+	// A collection in the middle of a measurement would empty the pools
+	// and charge their refill to one unlucky run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	// The median of single runs: a sync.Pool is per-P, so a run that
+	// starts on a P whose slot is still empty pays one refill, and the
+	// steady state is what the budget is about.
+	measure := func(f func()) (bytes, objects float64) {
+		const runs = 15
+		f() // warm the pools
+		var bs, os []float64
+		for i := 0; i < runs; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			bs = append(bs, float64(after.TotalAlloc-before.TotalAlloc))
+			os = append(os, float64(after.Mallocs-before.Mallocs))
+		}
+		slices.Sort(bs)
+		slices.Sort(os)
+		return bs[runs/2], os[runs/2]
+	}
+
+	r := tensor.NewRNG(5)
+	p := codec.New(quant.OptL())
+	for _, kind := range []compress.Kind{compress.KindConv, compress.KindReLUToConv, compress.KindReLUToOther} {
+		x := tensor.New(8, 16, 32, 32)
+		for i := range x.Data {
+			if v := float32(r.Norm()); kind == compress.KindConv || v > 0 {
+				x.Data[i] = v
+			}
+		}
+		var enc codec.Encoded
+		var err error
+		bytes, objects := measure(func() {
+			if enc, err = p.Encode(kind, x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fresh := len(enc.Frame.Payload) + len(enc.Mask)
+		if bytes > float64(fresh+slackBytes) || objects > maxObjects {
+			t.Errorf("%v encode: %.0f B and %.0f objects per op; budget %d B (payload and mask %d + %d) and %d objects",
+				kind, bytes, objects, fresh+slackBytes, fresh, slackBytes, maxObjects)
+		}
+
+		f, err := frame.DecodeFrame(frame.EncodeFrame(enc.Frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out *tensor.Tensor
+		bytes, objects = measure(func() {
+			if out, err = p.Decode(f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fresh = 0
+		if out != nil { // BRC decodes to nothing: its mask never left
+			fresh = out.Bytes()
+		}
+		if bytes > float64(fresh+slackBytes) || objects > maxObjects {
+			t.Errorf("%v decode: %.0f B and %.0f objects per op; budget %d B (tensor %d + %d) and %d objects",
+				kind, bytes, objects, fresh+slackBytes, fresh, slackBytes, maxObjects)
+		}
+		t.Logf("%v (%s): encode result %d B, decode result %d B", kind, f.Codec, len(enc.Frame.Payload)+len(enc.Mask), fresh)
 	}
 }

@@ -95,20 +95,7 @@ func decodeBlockZVC(data []byte) [64]int8 {
 // sfprQuantize converts one value with the per-channel scale, saturating
 // like the SPE cast (§III-B).
 func sfprQuantize(v, sc float32) int8 {
-	f := float64(v) * float64(sc) * 128
-	var q int32
-	if f >= 0 {
-		q = int32(f + 0.5)
-	} else {
-		q = int32(f - 0.5)
-	}
-	if q > 127 {
-		q = 127
-	}
-	if q < -128 {
-		q = -128
-	}
-	return int8(q)
+	return quant.RoundSat64(float64(v) * float64(sc) * 128)
 }
 
 // compressBlock runs one 8×8 fp32 block through SFPR → fixed-point DCT →

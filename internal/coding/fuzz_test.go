@@ -39,16 +39,40 @@ func FuzzDecodeJPEGBlocksAdaptive(f *testing.F) {
 	})
 }
 
+// FuzzDecodeZVC: both decoders accept exactly what the encoders emit —
+// a stream that decodes re-encodes to the same bytes (which is what lets
+// internal/frame promise the same of a whole frame), through the flat
+// coder for any n and through the block coder when n is whole blocks.
 func FuzzDecodeZVC(f *testing.F) {
 	f.Add(EncodeZVC([]int8{1, 0, 2, 0, 0, 0, 0, 3, 4}), 9)
 	f.Add([]byte{0xff}, 8)
+	f.Add(append(EncodeZVC([]int8{1, 0, 2, 0, 0, 0, 0, 3}), 0, 0, 0), 8) // trailing bytes
+	f.Add([]byte{0x05, 1, 0}, 8)                                         // a flagged zero byte
+	f.Add(EncodeZVCBlocks(makeTestBlocks(2)), 128)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		if n < 0 || n > 1<<16 {
 			return
 		}
 		out, err := DecodeZVC(data, n)
-		if err == nil && len(out) != n {
-			t.Fatalf("decoded %d values, want %d", len(out), n)
+		if err == nil {
+			if len(out) != n {
+				t.Fatalf("decoded %d values, want %d", len(out), n)
+			}
+			if re := EncodeZVC(out); !bytes.Equal(re, data) {
+				t.Fatalf("n=%d: stream % x decodes, but re-encodes to % x", n, data, re)
+			}
+		}
+		if n%64 != 0 {
+			return
+		}
+		blocks, berr := DecodeZVCBlocks(data, n/64)
+		if (berr == nil) != (err == nil) {
+			t.Fatalf("n=%d: flat decoder says %v, block decoder %v", n, err, berr)
+		}
+		if berr == nil {
+			if re := EncodeZVCBlocks(blocks); !bytes.Equal(re, data) {
+				t.Fatalf("n=%d: block stream decodes, but re-encodes differently", n)
+			}
 		}
 	})
 }
@@ -64,7 +88,8 @@ func FuzzDecodeRLE(f *testing.F) {
 }
 
 func FuzzDecodeBRC(f *testing.F) {
-	f.Add(EncodeBRC([]float32{1, -2, 0, 3, 0, 0, -1, 4, 5}), 9)
+	packed, _ := EncodeBRC([]float32{1, -2, 0, 3, 0, 0, -1, 4, 5})
+	f.Add(packed, 9)
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xAA}, 8)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {

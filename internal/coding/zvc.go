@@ -1,7 +1,9 @@
 package coding
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"sync/atomic"
 
 	"jpegact/internal/parallel"
 )
@@ -13,96 +15,99 @@ import (
 // frequency-domain activations whose zeros are randomly spread (§VI-C).
 // The mask bounds the maximum compression at 8× for 8-bit values.
 //
-// The block variants below operate directly on [][64]int8 quantized
-// blocks. A 64-value block spans exactly eight mask groups, so
-// per-block encodings concatenate into the same stream EncodeZVC
-// produces for the flattened values — which is what lets blocks shard
-// over the worker pool (each shard encodes into its own precomputed
-// stream window, mirroring the paper's multi-CDU round-robin) while the
-// output stays byte-identical at any worker count.
+// A stream is canonical: a set mask bit is followed by a non-zero byte,
+// the unused mask bits of a short tail group are clear, and nothing
+// follows the last group. The decoders reject anything else, so a stream
+// that decodes re-encodes to the same bytes.
+//
+// Both layouts the codec produces — a flat []int8 of SFPR codes and
+// [][64]int8 quantized blocks, whose concatenation codes to the same
+// stream — are cut into shards of zvcShard values. Shard sizes are
+// prefix-summed into stream offsets and shards code in parallel, each
+// inside its own window of the stream (the paper's multi-CDU round-robin
+// in software), so the bytes are identical at any worker count.
 
-// EncodeZVC compresses vals (any length; the tail group may be short).
-func EncodeZVC(vals []int8) []byte {
-	out := make([]byte, 0, len(vals)/4+8)
-	for i := 0; i < len(vals); i += 8 {
-		end := i + 8
-		if end > len(vals) {
-			end = len(vals)
-		}
-		var mask byte
-		for j := i; j < end; j++ {
-			if vals[j] != 0 {
-				mask |= 1 << uint(j-i)
-			}
-		}
-		out = append(out, mask)
-		for j := i; j < end; j++ {
-			if vals[j] != 0 {
-				out = append(out, byte(vals[j]))
-			}
-		}
-	}
-	return out
+// zvcShardBlocks is the number of 8×8 blocks per parallel shard (one
+// group is a dozen word operations, so 512 groups keep the goroutine
+// handoff well under 1%), zvcShard the same in values.
+const (
+	zvcShardBlocks = 64
+	zvcShard       = zvcShardBlocks * 64
+)
+
+// The kernels treat a group as one little-endian 64-bit word, value j in
+// byte j, and classify it by the mask they have just computed:
+//
+//   - all zero: the mask byte alone;
+//   - all non-zero: the word is stored (loaded) whole;
+//   - mixed: the bytes are compacted (spread) without a branch per byte —
+//     every lane is stored to its prefix-count position, in lane order, so
+//     a zero lane is overwritten by its successor.
+//
+// On dense data (DCT blocks, ≈ 50/64 non-zero under OptL) the first two
+// classes carry most groups and are predictable; on ReLU codes (≈ 45%
+// non-zero, no pattern) nearly every group is mixed and the branch-free
+// path is what avoids a mispredict every other byte.
+//
+// Window rule: the mixed encode path stores all eight lanes, so it may
+// touch up to eight bytes past the mask even when the group codes to
+// fewer; the mixed decode path likewise reads eight. A shard's window
+// abuts its neighbour's, so a group takes a word path only when the
+// whole nine bytes lie inside the window (the stream) and the exact
+// byte-at-a-time path otherwise — the last mixed group of each shard and
+// the short tail.
+
+const (
+	lanesLo7 = 0x7F7F7F7F7F7F7F7F
+	lanesHi  = 0x8080808080808080
+	lanesOne = 0x0101010101010101
+)
+
+// load8 assembles eight values into a word (one 8-byte load once the
+// compiler has combined it).
+func load8(v []int8) uint64 {
+	_ = v[7]
+	return uint64(uint8(v[0])) | uint64(uint8(v[1]))<<8 | uint64(uint8(v[2]))<<16 | uint64(uint8(v[3]))<<24 |
+		uint64(uint8(v[4]))<<32 | uint64(uint8(v[5]))<<40 | uint64(uint8(v[6]))<<48 | uint64(uint8(v[7]))<<56
 }
 
-// DecodeZVC reverses EncodeZVC; n is the original value count.
-func DecodeZVC(data []byte, n int) ([]int8, error) {
-	out := make([]int8, n)
-	p := 0
-	for i := 0; i < n; i += 8 {
-		if p >= len(data) {
-			return nil, ErrCorrupt
-		}
-		mask := data[p]
-		p++
-		end := i + 8
-		if end > n {
-			end = n
-		}
-		for j := i; j < end; j++ {
-			if mask&(1<<uint(j-i)) != 0 {
-				if p >= len(data) {
-					return nil, ErrCorrupt
-				}
-				out[j] = int8(data[p])
-				p++
-			}
-		}
-	}
-	return out, nil
+// store8 is the inverse of load8.
+func store8(v []int8, w uint64) {
+	_ = v[7]
+	v[0] = int8(w)
+	v[1] = int8(w >> 8)
+	v[2] = int8(w >> 16)
+	v[3] = int8(w >> 24)
+	v[4] = int8(w >> 32)
+	v[5] = int8(w >> 40)
+	v[6] = int8(w >> 48)
+	v[7] = int8(w >> 56)
 }
 
-// ZVCSize returns the encoded size in bytes without materializing the
-// stream, for fast compression-ratio accounting. The non-zero scan
-// shards over the worker pool for large inputs (integer partial sums,
-// so the total is exact regardless of the split).
-func ZVCSize(vals []int8) int {
-	groups := (len(vals) + 7) / 8
-	const grain = 1 << 14
-	if len(vals) <= grain {
-		return groups + countNonzero(vals)
-	}
-	chunks := (len(vals) + grain - 1) / grain
-	partial := make([]int, chunks)
-	parallel.For(chunks, 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			end := (ci + 1) * grain
-			if end > len(vals) {
-				end = len(vals)
-			}
-			partial[ci] = countNonzero(vals[ci*grain : end])
-		}
-	})
-	nz := 0
-	for _, p := range partial {
-		nz += p
-	}
-	return groups + nz
+// nonzeroLanes returns a word whose lane j has its top bit set iff lane
+// j of w is non-zero (and no other bit set).
+func nonzeroLanes(w uint64) uint64 {
+	return ((w&lanesLo7 + lanesLo7) | w) & lanesHi
+}
+
+// packMask gathers the eight lane flags of nonzeroLanes into a mask
+// byte, lane j in bit j.
+func packMask(t uint64) byte {
+	return byte((t >> 7) * 0x0102040810204080 >> 56)
+}
+
+// spreadMask is the inverse of packMask.
+func spreadMask(m byte) uint64 {
+	return nonzeroLanes(uint64(m) * lanesOne & 0x8040201008040201)
 }
 
 func countNonzero(vals []int8) int {
 	nz := 0
-	for _, v := range vals {
+	i := 0
+	for ; i+8 <= len(vals); i += 8 {
+		nz += bits.OnesCount64(nonzeroLanes(load8(vals[i : i+8 : i+8])))
+	}
+	for _, v := range vals[i:] {
 		if v != 0 {
 			nz++
 		}
@@ -110,136 +115,221 @@ func countNonzero(vals []int8) int {
 	return nz
 }
 
-// zvcBlockGrain is the number of 8×8 blocks per parallel shard; one
-// block is ~128 byte operations, so 64 blocks keep goroutine overhead
-// well under 1%.
-const zvcBlockGrain = 64
+// zvcSize is the coded size of one run of whole groups plus at most one
+// short tail group.
+func zvcSize(vals []int8) int {
+	return (len(vals)+7)/8 + countNonzero(vals)
+}
 
-// encodeZVCInto encodes vals into dst, which must have room for exactly
-// the encoded size, and returns the bytes written. Mask and payload for a
-// group are produced in one pass: payload bytes land past the reserved
-// mask slot as they are found, then the mask is patched in.
-func encodeZVCInto(dst []byte, vals []int8) int {
-	p := 0
-	n := len(vals)
+// encodeZVCInto codes vals — whole groups, plus a short tail group if
+// len(vals) is not a multiple of 8 — into dst starting at p and returns
+// the new position. len(dst) is the end of the caller's window: no byte
+// at or past it is written.
+func encodeZVCInto(dst []byte, p int, vals []int8) int {
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		g := vals[i : i+8 : i+8]
-		mp := p
-		p++
-		var mask byte
-		for j, v := range g {
-			if v != 0 {
-				mask |= 1 << uint(j)
-				dst[p] = byte(v)
-				p++
-			}
+	for ; i+8 <= len(vals); i += 8 {
+		w := load8(vals[i : i+8 : i+8])
+		t := nonzeroLanes(w)
+		if t == 0 {
+			dst[p] = 0
+			p++
+			continue
 		}
-		dst[mp] = mask
+		if t == lanesHi {
+			dst[p] = 0xFF
+			binary.LittleEndian.PutUint64(dst[p+1:], w)
+			p += 9
+			continue
+		}
+		if p+9 > len(dst) {
+			p = encodeGroupExact(dst, p, vals[i:i+8])
+			continue
+		}
+		dst[p] = packMask(t)
+		d := dst[p+1 : p+9 : p+9]
+		// pre's lane j counts the non-zero lanes 0..j; shifted up one
+		// lane it is each lane's position in the packed output.
+		pre := (t >> 7) * lanesOne
+		at := pre << 8
+		d[0] = byte(w)
+		d[at>>8&7] = byte(w >> 8)
+		d[at>>16&7] = byte(w >> 16)
+		d[at>>24&7] = byte(w >> 24)
+		d[at>>32&7] = byte(w >> 32)
+		d[at>>40&7] = byte(w >> 40)
+		d[at>>48&7] = byte(w >> 48)
+		d[at>>56&7] = byte(w >> 56)
+		p += 1 + int(pre>>56)
 	}
-	if i < n {
-		mp := p
-		p++
-		var mask byte
-		for j, v := range vals[i:] {
-			if v != 0 {
-				mask |= 1 << uint(j)
-				dst[p] = byte(v)
-				p++
-			}
-		}
-		dst[mp] = mask
+	if i < len(vals) {
+		p = encodeGroupExact(dst, p, vals[i:])
 	}
 	return p
 }
 
-// EncodeZVCBlocks encodes the concatenation of the blocks, producing a
-// stream byte-identical to EncodeZVC over the flattened values but
-// without materializing the flat copy: per-block sizes are prefix-summed
-// into stream offsets and shards of blocks encode in parallel, each into
-// its own window of the output.
-func EncodeZVCBlocks(blocks [][64]int8) []byte {
-	nb := len(blocks)
-	offs := make([]int, nb+1)
-	parallel.For(nb, zvcBlockGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			offs[i+1] = 8 + countNonzero(blocks[i][:])
+// encodeGroupExact codes one group of up to eight values, writing
+// exactly the bytes of its encoding.
+func encodeGroupExact(dst []byte, p int, g []int8) int {
+	mp := p
+	p++
+	var mask byte
+	for j, v := range g {
+		if v != 0 {
+			mask |= 1 << uint(j)
+			dst[p] = byte(v)
+			p++
+		}
+	}
+	dst[mp] = mask
+	return p
+}
+
+// decodeZVCInto decodes len(dst) values — whole groups plus at most one
+// short tail — from data starting at p, overwriting every element of
+// dst. It returns the new position, or ok = false if the stream ends
+// early or is not canonical.
+func decodeZVCInto(dst []int8, data []byte, p int) (int, bool) {
+	var bad uint64
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		if p >= len(data) {
+			return p, false
+		}
+		g := dst[i : i+8 : i+8]
+		m := data[p]
+		if m == 0 {
+			store8(g, 0)
+			p++
+			continue
+		}
+		if p+9 > len(data) {
+			var ok bool
+			if p, ok = decodeGroupExact(g, data, p); !ok {
+				return p, false
+			}
+			continue
+		}
+		src := data[p+1 : p+9 : p+9]
+		if m == 0xFF {
+			w := binary.LittleEndian.Uint64(src)
+			bad |= nonzeroLanes(w) ^ lanesHi
+			store8(g, w)
+			p += 9
+			continue
+		}
+		e := spreadMask(m)
+		pre := (e >> 7) * lanesOne
+		at := pre << 8
+		w := uint64(src[0]) | uint64(src[at>>8&7])<<8 | uint64(src[at>>16&7])<<16 | uint64(src[at>>24&7])<<24 |
+			uint64(src[at>>32&7])<<32 | uint64(src[at>>40&7])<<40 | uint64(src[at>>48&7])<<48 | uint64(src[at>>56&7])<<56
+		w &= (e >> 7) * 0xFF
+		bad |= nonzeroLanes(w) ^ e
+		store8(g, w)
+		p += 1 + int(pre>>56)
+	}
+	if bad != 0 {
+		return p, false
+	}
+	if i < len(dst) {
+		return decodeGroupExact(dst[i:], data, p)
+	}
+	return p, true
+}
+
+// decodeGroupExact decodes one group of up to eight values, reading
+// exactly the bytes of its encoding.
+func decodeGroupExact(g []int8, data []byte, p int) (int, bool) {
+	if p >= len(data) {
+		return p, false
+	}
+	m := data[p]
+	p++
+	if int(m)>>uint(len(g)) != 0 {
+		return p, false
+	}
+	for j := range g {
+		g[j] = 0
+		if m&(1<<uint(j)) != 0 {
+			if p >= len(data) || data[p] == 0 {
+				return p, false
+			}
+			g[j] = int8(data[p])
+			p++
+		}
+	}
+	return p, true
+}
+
+// encodeZVCShards is the encode driver both layouts share: size every
+// shard, prefix-sum the sizes into stream offsets, then let every shard
+// code into its own window of one exactly-sized stream. The windows are
+// three-index slices, so a kernel that broke the window rule would panic
+// instead of clobbering its neighbour.
+func encodeZVCShards(shards int, size func(s int) int, encode func(s int, win []byte)) []byte {
+	offs := make([]int, shards+1)
+	parallel.For(shards, 1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			offs[s+1] = size(s)
 		}
 	})
-	for i := 0; i < nb; i++ {
-		offs[i+1] += offs[i]
+	for s := 1; s <= shards; s++ {
+		offs[s] += offs[s-1]
 	}
-	out := make([]byte, offs[nb])
-	parallel.For(nb, zvcBlockGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			encodeZVCInto(out[offs[i]:offs[i+1]], blocks[i][:])
+	out := make([]byte, offs[shards])
+	parallel.For(shards, 1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			encode(s, out[offs[s]:offs[s+1]:offs[s+1]])
 		}
 	})
 	return out
 }
 
-// decodeZVCBlocksRange decodes blocks [lo,hi) from data starting at
-// byte offset p (which must point at the first mask of block lo).
-func decodeZVCBlocksRange(dst [][64]int8, lo, hi, p int, data []byte) error {
-	for bi := lo; bi < hi; bi++ {
-		blk := &dst[bi]
-		*blk = [64]int8{}
-		for g := 0; g < 64; g += 8 {
-			if p >= len(data) {
-				return ErrCorrupt
-			}
-			mask := data[p]
-			p++
-			// All-zero and all-dense groups dominate real streams (zeroed
-			// high frequencies, dense DC neighborhoods); both skip the
-			// per-bit walk.
-			if mask == 0 {
-				continue
-			}
-			nz := bits.OnesCount8(mask)
-			if p+nz > len(data) {
-				return ErrCorrupt
-			}
-			if mask == 0xFF {
-				src := data[p : p+8 : p+8]
-				for j, b := range src {
-					blk[g+j] = int8(b)
-				}
-				p += 8
-				continue
-			}
-			for j := 0; j < 8; j++ {
-				if mask&(1<<uint(j)) != 0 {
-					blk[g+j] = int8(data[p])
-					p++
-				}
-			}
-		}
-	}
-	return nil
+// EncodeZVC compresses vals (any length; the tail group may be short).
+func EncodeZVC(vals []int8) []byte {
+	n := len(vals)
+	shard := func(s int) []int8 { return vals[s*zvcShard : min((s+1)*zvcShard, n)] }
+	return encodeZVCShards((n+zvcShard-1)/zvcShard,
+		func(s int) int { return zvcSize(shard(s)) },
+		func(s int, win []byte) { encodeZVCInto(win, 0, shard(s)) })
 }
 
-// DecodeZVCBlocksInto decodes a stream produced by EncodeZVCBlocks (or
-// EncodeZVC over flattened blocks) into dst, whose length fixes the
-// expected block count. A cheap serial mask walk locates each shard's
-// stream offset, then shards decode in parallel.
-func DecodeZVCBlocksInto(dst [][64]int8, data []byte) error {
-	nb := len(dst)
-	chunks := (nb + zvcBlockGrain - 1) / zvcBlockGrain
-	if chunks == 0 {
-		return nil
+// EncodeZVCBlocks encodes the concatenation of the blocks, producing a
+// stream byte-identical to EncodeZVC over the flattened values without
+// materializing the flat copy.
+func EncodeZVCBlocks(blocks [][64]int8) []byte {
+	nb := len(blocks)
+	shard := func(s int) [][64]int8 { return blocks[s*zvcShardBlocks : min((s+1)*zvcShardBlocks, nb)] }
+	return encodeZVCShards((nb+zvcShardBlocks-1)/zvcShardBlocks,
+		func(s int) int { return zvcSizeBlocks(shard(s)) },
+		func(s int, win []byte) {
+			p := 0
+			for _, b := range shard(s) {
+				p = encodeZVCInto(win, p, b[:])
+			}
+		})
+}
+
+func zvcSizeBlocks(blocks [][64]int8) int {
+	n := 0
+	for i := range blocks {
+		n += 8 + countNonzero(blocks[i][:])
 	}
-	// offs[c] is the stream offset of chunk c's first block: advance one
-	// mask group at a time, skipping popcount payload bytes.
-	offs := make([]int, chunks)
+	return n
+}
+
+// decodeZVCShards is the decode driver both layouts share. It walks the
+// masks of a stream holding n values to find the offset of every shard's
+// first mask — serial, since each mask's position depends on the
+// popcounts before it, but one byte per group — rejects the stream unless
+// the groups end exactly at its end, and then lets shards decode in
+// parallel; decode reports whether shard s, starting at offset p, was
+// canonical.
+func decodeZVCShards(data []byte, n int, decode func(s, p int) bool) error {
+	offs := make([]int, (n+zvcShard-1)/zvcShard)
 	p := 0
-	for c := 0; c < chunks; c++ {
-		offs[c] = p
-		end := (c + 1) * zvcBlockGrain
-		if end > nb {
-			end = nb
-		}
-		groups := (end - c*zvcBlockGrain) * 8
+	for s := range offs {
+		offs[s] = p
+		groups := (min((s+1)*zvcShard, n) - s*zvcShard + 7) / 8
 		for g := 0; g < groups; g++ {
 			if p >= len(data) {
 				return ErrCorrupt
@@ -247,62 +337,90 @@ func DecodeZVCBlocksInto(dst [][64]int8, data []byte) error {
 			p += 1 + bits.OnesCount8(data[p])
 		}
 	}
-	if p > len(data) {
+	if p != len(data) {
 		return ErrCorrupt
 	}
-	// The scan above validated every group, so per-chunk decode errors
-	// are unreachable in practice; collect them race-free regardless.
-	errs := make([]error, chunks)
-	parallel.For(chunks, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			blo := c * zvcBlockGrain
-			bhi := blo + zvcBlockGrain
-			if bhi > nb {
-				bhi = nb
+	var corrupt atomic.Bool
+	parallel.For(len(offs), 1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			if !decode(s, offs[s]) {
+				corrupt.Store(true)
 			}
-			errs[c] = decodeZVCBlocksRange(dst, blo, bhi, offs[c], data)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if corrupt.Load() {
+		return ErrCorrupt
 	}
 	return nil
 }
 
-// ZVCSizeBlocks returns the ZVC-coded size of the concatenated blocks
-// without materializing the stream, sharding the non-zero scan over the
-// worker pool (integer partial sums — exact at any worker count).
-func ZVCSizeBlocks(blocks [][64]int8) int {
-	nb := len(blocks)
-	chunks := (nb + zvcBlockGrain - 1) / zvcBlockGrain
-	partial := make([]int, chunks)
-	parallel.For(chunks, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			end := (c + 1) * zvcBlockGrain
-			if end > nb {
-				end = nb
-			}
-			n := 0
-			for i := c * zvcBlockGrain; i < end; i++ {
-				n += 8 + countNonzero(blocks[i][:])
-			}
-			partial[c] = n
-		}
+// DecodeZVCInto decodes a stream produced by EncodeZVC into dst, whose
+// length is the original value count. Every element of dst is
+// overwritten.
+func DecodeZVCInto(dst []int8, data []byte) error {
+	n := len(dst)
+	return decodeZVCShards(data, n, func(s, p int) bool {
+		_, ok := decodeZVCInto(dst[s*zvcShard:min((s+1)*zvcShard, n)], data, p)
+		return ok
 	})
-	total := 0
-	for _, p := range partial {
-		total += p
+}
+
+// DecodeZVC reverses EncodeZVC; n is the original value count.
+func DecodeZVC(data []byte, n int) ([]int8, error) {
+	if len(data) < (n+7)/8 {
+		return nil, ErrCorrupt // before allocating n values for it
 	}
-	return total
+	out := make([]int8, n)
+	if err := DecodeZVCInto(out, data); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecodeZVCBlocksInto decodes a stream produced by EncodeZVCBlocks (or
+// EncodeZVC over flattened blocks) into dst, whose length fixes the
+// expected block count. Every block is overwritten.
+func DecodeZVCBlocksInto(dst [][64]int8, data []byte) error {
+	nb := len(dst)
+	return decodeZVCShards(data, nb*64, func(s, p int) bool {
+		ok := true
+		for i := s * zvcShardBlocks; i < min((s+1)*zvcShardBlocks, nb) && ok; i++ {
+			p, ok = decodeZVCInto(dst[i][:], data, p)
+		}
+		return ok
+	})
 }
 
 // DecodeZVCBlocks allocates and decodes nb blocks from data.
 func DecodeZVCBlocks(data []byte, nb int) ([][64]int8, error) {
+	if len(data) < nb*8 {
+		return nil, ErrCorrupt // before allocating nb blocks for it
+	}
 	out := make([][64]int8, nb)
 	if err := DecodeZVCBlocksInto(out, data); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ZVCSize returns the encoded size in bytes without materializing the
+// stream, for fast compression-ratio accounting. The non-zero scan
+// shards over the worker pool (integer partial sums, so the total is
+// exact regardless of the split).
+func ZVCSize(vals []int8) int {
+	n := len(vals)
+	var total atomic.Int64
+	parallel.For((n+zvcShard-1)/zvcShard, 4, func(lo, hi int) {
+		total.Add(int64(zvcSize(vals[lo*zvcShard : min(hi*zvcShard, n)])))
+	})
+	return int(total.Load())
+}
+
+// ZVCSizeBlocks is ZVCSize over the concatenated blocks.
+func ZVCSizeBlocks(blocks [][64]int8) int {
+	var total atomic.Int64
+	parallel.For(len(blocks), 4*zvcShardBlocks, func(lo, hi int) {
+		total.Add(int64(zvcSizeBlocks(blocks[lo:hi])))
+	})
+	return int(total.Load())
 }

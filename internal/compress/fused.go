@@ -99,12 +99,19 @@ func fusedReconstructBlock(q *[64]int8, table *[64]float32, by, bx int, sh tenso
 	if nc > 8 {
 		nc = 8
 	}
+	// One division per block, not per row: step the plane index when the
+	// row walks off the bottom of a plane.
+	plane, left := r0/sh.H, sh.H-r0%sh.H
 	for r := 0; r < nr; r++ {
-		gr := r0 + r
-		inv := invScales[gr/sh.H]
-		dst := out[gr*w+c0:]
-		for c := 0; c < nc; c++ {
-			dst[c] = clampCode(blk[r*8+c]) * inv
+		if left == 0 {
+			plane, left = plane+1, sh.H
+		}
+		left--
+		inv := invScales[plane]
+		src := blk[r*8 : r*8+nc]
+		dst := out[(r0+r)*w+c0:][:nc]
+		for c, v := range src {
+			dst[c] = clampCode(v) * inv
 		}
 	}
 }

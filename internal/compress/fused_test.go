@@ -13,15 +13,9 @@ import (
 // The fused per-block path (gather from the int8 code plane → AAN →
 // folded quantize, and its inverse) must be bit-identical to the unfused
 // padded-plane reference: both run the same float32 op sequence per
-// block, so equality is exact, not approximate. These tests flip the
-// package's fusedKernels switch to pin the two paths against each other
-// across DQT backends, shift settings and pad-fringe geometries.
-
-func withUnfused(f func()) {
-	fusedKernels = false
-	defer func() { fusedKernels = true }()
-	f()
-}
+// block, so equality is exact, not approximate. These tests pin the
+// production path against the reference in unfused_test.go across DQT
+// backends, shift settings and pad-fringe geometries.
 
 func fusedTestTensor(sh tensor.Shape, seed uint64) *tensor.Tensor {
 	r := tensor.NewRNG(seed)
@@ -68,11 +62,7 @@ func fusedTestShapes() []tensor.Shape {
 func quantizeBoth(t *testing.T, p *Pipeline, x *tensor.Tensor) ([][64]int8, []float32, tensor.PadInfo, [][64]int8) {
 	t.Helper()
 	fq, fs, info := p.QuantizeBlocks(x)
-	var uq [][64]int8
-	var us []float32
-	withUnfused(func() {
-		uq, us, _ = p.QuantizeBlocks(x)
-	})
+	uq, us, _ := p.quantizeBlocksUnfused(x)
 	if len(fs) != len(us) {
 		t.Fatalf("scale count mismatch: %d vs %d", len(fs), len(us))
 	}
@@ -100,7 +90,6 @@ func TestFusedQuantizeBitIdenticalToUnfused(t *testing.T) {
 				}
 			}
 			ReleaseBlocks(fq)
-			ReleaseBlocks(uq)
 		}
 	}
 }
@@ -112,10 +101,7 @@ func TestFusedReconstructBitIdenticalToUnfused(t *testing.T) {
 			x := fusedTestTensor(sh, uint64(200+si))
 			fq, fs, info, uq := quantizeBoth(t, &p, x)
 			frec := p.ReconstructBlocks(fq, fs, info)
-			var urec *tensor.Tensor
-			withUnfused(func() {
-				urec = p.ReconstructBlocks(uq, fs, info)
-			})
+			urec := p.reconstructBlocksUnfused(uq, fs, info)
 			if frec.Shape != urec.Shape {
 				t.Fatalf("%s %v: shape %v vs %v", p.DQT.Name, sh, frec.Shape, urec.Shape)
 			}
@@ -126,7 +112,6 @@ func TestFusedReconstructBitIdenticalToUnfused(t *testing.T) {
 				}
 			}
 			ReleaseBlocks(fq)
-			ReleaseBlocks(uq)
 		}
 	}
 }
@@ -154,16 +139,12 @@ func FuzzFusedBlockPath(f *testing.F) {
 			}
 		}
 		frec := p.ReconstructBlocks(fq, fs, info)
-		var urec *tensor.Tensor
-		withUnfused(func() {
-			urec = p.ReconstructBlocks(uq, fs, info)
-		})
+		urec := p.reconstructBlocksUnfused(uq, fs, info)
 		for i := range frec.Data {
 			if math.Float32bits(frec.Data[i]) != math.Float32bits(urec.Data[i]) {
 				t.Fatalf("shape %v shift=%v: sample %d differs", sh, shift, i)
 			}
 		}
 		ReleaseBlocks(fq)
-		ReleaseBlocks(uq)
 	})
 }

@@ -41,12 +41,6 @@ func JPEGAct(d quant.DQT) Pipeline {
 // float ops, so 16 blocks amortize the goroutine handoff.
 const blockGrain = 16
 
-// fusedKernels selects the fused per-block path (gather from the int8
-// code plane → AAN → folded quantize, no padded plane). The padded-plane
-// fallback is kept as the unfused reference; equivalence tests flip this
-// to pin both paths bit-identical.
-var fusedKernels = true
-
 // QuantizeBlocks runs the pipeline through quantization, returning the
 // quantized 8×8 blocks, the SFPR scales, and the pad info needed to
 // reconstruct. Exposed for the DQT optimizer and entropy analyses. The
@@ -78,6 +72,18 @@ func ReleaseBlocks(blocks [][64]int8) {
 	putBlocks(&blocks)
 }
 
+// BorrowCodes hands out an n-value int8 slice from the scratch pool the
+// SFPR code plane of quantizeBlocks comes from, for the offload codec's
+// SFPR+ZVC path. Return it with ReleaseCodes. Contents are dirty.
+func BorrowCodes(n int) []int8 {
+	return *getI8(n)
+}
+
+// ReleaseCodes returns a slice obtained from BorrowCodes to the pool.
+func ReleaseCodes(codes []int8) {
+	putI8(&codes)
+}
+
 // quantizeBlocks is QuantizeBlocks with an optional caller-provided
 // block slice (the pooled Roundtrip path); blocks is reused when its
 // capacity suffices. Blocks shard over the worker pool in contiguous
@@ -94,10 +100,9 @@ func ReleaseBlocks(blocks [][64]int8) {
 func (p *Pipeline) quantizeBlocks(x *tensor.Tensor, blocks [][64]int8) ([][64]int8, []float32, tensor.PadInfo) {
 	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
 	scales := make([]float32, x.Shape.C)
-	sfpr.ComputeScales(x, p.s(), scales)
 	valsP := getI8(x.Elems())
 	vals := *valsP
-	sfpr.QuantizeInto(x, scales, vals)
+	sfpr.CompressInto(x, p.s(), scales, vals)
 
 	bw := info.BlockCols / 8
 	nb := (info.BlockRows / 8) * bw
@@ -105,11 +110,6 @@ func (p *Pipeline) quantizeBlocks(x *tensor.Tensor, blocks [][64]int8) ([][64]in
 		blocks = blocks[:nb]
 	} else {
 		blocks = make([][64]int8, nb)
-	}
-	if !fusedKernels {
-		p.quantizeBlocksPadded(vals, blocks, info)
-		putI8(valsP)
-		return blocks, scales, info
 	}
 	table := p.foldedForward()
 	rows := x.Shape.N * x.Shape.C * x.Shape.H
@@ -121,59 +121,6 @@ func (p *Pipeline) quantizeBlocks(x *tensor.Tensor, blocks [][64]int8) ([][64]in
 	})
 	putI8(valsP)
 	return blocks, scales, info
-}
-
-// quantizeBlocksPadded is the unfused fallback: spread the codes onto a
-// pooled padded (NCH)×W float plane, then run the same AAN+folded block
-// kernel from the plane. The pooled buffer comes back dirty, but only
-// the pad fringe (right pad columns + bottom pad rows) is not
-// overwritten by the spread, so only the fringe is cleared.
-func (p *Pipeline) quantizeBlocksPadded(vals []int8, blocks [][64]int8, info tensor.PadInfo) {
-	cols := info.BlockCols
-	sh := info.Orig
-	rows := sh.N * sh.C * sh.H
-	w := sh.W
-	paddedP := getF32(info.PaddedElems())
-	padded := *paddedP
-	if info.PadCols != 0 {
-		for r := 0; r < rows; r++ {
-			fringe := padded[r*cols+w : (r+1)*cols]
-			for j := range fringe {
-				fringe[j] = 0
-			}
-		}
-	}
-	if info.PadRows != 0 {
-		tail := padded[rows*cols:]
-		for i := range tail {
-			tail[i] = 0
-		}
-	}
-	parallel.For(rows, parallel.Grain(w, 4096), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			src := vals[r*w : (r+1)*w]
-			dst := padded[r*cols : r*cols+w]
-			for j, v := range src {
-				dst[j] = float32(v)
-			}
-		}
-	})
-
-	bw := cols / 8
-	table := p.foldedForward()
-	parallel.For(len(blocks), blockGrain, func(lo, hi int) {
-		var blk dct.Block
-		for bi := lo; bi < hi; bi++ {
-			by, bx := bi/bw, bi%bw
-			for r := 0; r < 8; r++ {
-				src := padded[(by*8+r)*cols+bx*8:]
-				copy(blk[r*8:(r+1)*8], src[:8])
-			}
-			dct.AANForward8x8(&blk)
-			quant.FoldedQuantize((*[64]float32)(&blk), &table, &blocks[bi])
-		}
-	})
-	putF32(paddedP)
 }
 
 // ReconstructBlocks inverts QuantizeBlocks: dequantize, inverse DCT,
@@ -189,89 +136,25 @@ func (p *Pipeline) ReconstructBlocks(blocks [][64]int8, scales []float32, info t
 
 	// Per-plane inverse SFPR scales, hoisted out of the block loop
 	// (blocks cross channel boundaries whenever H is not a multiple of 8).
-	invP := getF32(sh.N * sh.C)
-	invScales := *invP
+	invScales := make([]float32, sh.N*sh.C)
 	for nc := range invScales {
 		if sc := scales[nc%sh.C]; sc != 0 {
 			invScales[nc] = 1 / (sc * 128)
-		} else {
-			invScales[nc] = 0
 		}
 	}
 
-	if !fusedKernels {
-		p.reconstructBlocksPadded(blocks, invScales, info, out)
-		putF32(invP)
-		return out
-	}
 	bw := info.BlockCols / 8
 	parallel.For(len(blocks), blockGrain, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			fusedReconstructBlock(&blocks[bi], &table, bi/bw, bi%bw, sh, invScales, out.Data)
 		}
 	})
-	putF32(invP)
 	return out
 }
 
-// reconstructBlocksPadded is the unfused fallback mirroring
-// quantizeBlocksPadded: blocks land on a pooled padded plane (fully
-// overwritten — no zeroing needed), then a separate pass strips the
-// padding and applies the inverse SFPR scale.
-func (p *Pipeline) reconstructBlocksPadded(blocks [][64]int8, invScales []float32, info tensor.PadInfo, out *tensor.Tensor) {
-	cols := info.BlockCols
-	paddedP := getF32(info.PaddedElems())
-	padded := *paddedP
-	bw := cols / 8
-	table := p.foldedInverse()
-	parallel.For(len(blocks), blockGrain, func(lo, hi int) {
-		var blk dct.Block
-		for bi := lo; bi < hi; bi++ {
-			quant.FoldedDequantize(&blocks[bi], &table, (*[64]float32)(&blk))
-			dct.AANInverse8x8(&blk)
-			by, bx := bi/bw, bi%bw
-			for r := 0; r < 8; r++ {
-				dst := padded[(by*8+r)*cols+bx*8:]
-				for cc := 0; cc < 8; cc++ {
-					dst[cc] = clampCode(blk[r*8+cc])
-				}
-			}
-		}
-	})
-
-	sh := info.Orig
-	hw := sh.H * sh.W
-	parallel.For(sh.N*sh.C, parallel.Grain(hw, 4096), func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			inv := invScales[nc]
-			for row := 0; row < sh.H; row++ {
-				src := padded[(nc*sh.H+row)*cols:]
-				dst := out.Data[nc*hw+row*sh.W:][:sh.W]
-				for j := range dst {
-					dst[j] = src[j] * inv
-				}
-			}
-		}
-	})
-	putF32(paddedP)
-}
-
-func clampCode(v float32) float32 {
-	r := v
-	if r >= 0 {
-		r += 0.5
-	} else {
-		r -= 0.5
-	}
-	q := int32(r)
-	if q > 127 {
-		q = 127
-	}
-	if q < -128 {
-		q = -128
-	}
-	return float32(q)
-}
+// clampCode rounds a reconstructed spatial value to the int8 SFPR code
+// grid.
+func clampCode(v float32) float32 { return float32(quant.RoundSat32(v)) }
 
 // Roundtrip compresses x through the full pipeline and returns the
 // recovered activation plus the compressed byte count (coded stream +

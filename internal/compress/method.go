@@ -143,10 +143,7 @@ func (g GIST) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
 	perVal := f.Bits() / 8
 	switch kind {
 	case KindReLUToOther:
-		mask, err := coding.DecodeBRC(coding.EncodeBRC(x.Data), x.Elems())
-		if err != nil {
-			panic("compress: BRC roundtrip failed")
-		}
+		_, mask := coding.EncodeBRC(x.Data)
 		return Result{Mask: mask, CompressedBytes: (x.Elems() + 7) / 8, OriginalBytes: orig}
 	case KindReLUToConv, KindPoolDropout:
 		rec := sfpr.DPR(x, f)
@@ -240,10 +237,7 @@ func (j *JPEG) Compress(x *tensor.Tensor, kind Kind, epoch int) Result {
 	}
 	switch kind {
 	case KindReLUToOther:
-		mask, err := coding.DecodeBRC(coding.EncodeBRC(x.Data), x.Elems())
-		if err != nil {
-			panic("compress: BRC roundtrip failed")
-		}
+		_, mask := coding.EncodeBRC(x.Data)
 		return Result{Mask: mask, CompressedBytes: (x.Elems() + 7) / 8, OriginalBytes: orig}
 	case KindReLUToConv, KindPoolDropout:
 		return j.noTransform(x, s)

@@ -2,29 +2,18 @@ package compress
 
 import "sync"
 
-// sync.Pool-backed scratch buffers for the block round trip. The
-// pipeline's hot path (one call per saved activation per training step)
-// used to allocate a padded float plane, a flat int8 copy and a decoded
-// block slice on every call; pooling them keeps the parallel path from
-// trading the compute bottleneck for a GC bottleneck. Buffers are
-// returned dirty — callers that need zeroed padding clear it themselves.
+// sync.Pool-backed scratch buffers for the block round trip and for the
+// offload codec. The hot path (one call per saved activation per
+// training step, in each direction) would otherwise allocate an int8
+// SFPR code plane and a quantized or decoded block slice on every call;
+// pooling them keeps the parallel path from trading the compute
+// bottleneck for a GC bottleneck. Buffers are returned dirty — every
+// consumer overwrites all of what it borrowed.
 
 var (
-	f32Pool = sync.Pool{New: func() interface{} { s := make([]float32, 0); return &s }}
 	i8Pool  = sync.Pool{New: func() interface{} { s := make([]int8, 0); return &s }}
 	blkPool = sync.Pool{New: func() interface{} { s := make([][64]int8, 0); return &s }}
 )
-
-func getF32(n int) *[]float32 {
-	p := f32Pool.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putF32(p *[]float32) { f32Pool.Put(p) }
 
 func getI8(n int) *[]int8 {
 	p := i8Pool.Get().(*[]int8)

@@ -177,30 +177,32 @@ func AANInverse1D(in, out *[8]float64) {
 	out[3] = tmp3 - tmp4
 }
 
-// aanForward8 is the float32 production copy of AAN1D. Specialized (not
-// generic over a function value) so the 2D drivers keep their scratch on
-// the stack — same reasoning as Forward8x8.
-func aanForward8(in, out *[8]float32) {
-	tmp0 := in[0] + in[7]
-	tmp7 := in[0] - in[7]
-	tmp1 := in[1] + in[6]
-	tmp6 := in[1] - in[6]
-	tmp2 := in[2] + in[5]
-	tmp5 := in[2] - in[5]
-	tmp3 := in[3] + in[4]
-	tmp4 := in[3] - in[4]
+// aanForward8 is the float32 production copy of AAN1D. It takes its
+// eight samples and returns its eight outputs by value — in registers
+// under Go's register ABI — so one body serves both passes of the 2D
+// drivers: a row at stride 1 and a column at stride 8, read from and
+// stored straight back into the block with no staging vector.
+func aanForward8(in0, in1, in2, in3, in4, in5, in6, in7 float32) (o0, o1, o2, o3, o4, o5, o6, o7 float32) {
+	tmp0 := in0 + in7
+	tmp7 := in0 - in7
+	tmp1 := in1 + in6
+	tmp6 := in1 - in6
+	tmp2 := in2 + in5
+	tmp5 := in2 - in5
+	tmp3 := in3 + in4
+	tmp4 := in3 - in4
 
 	tmp10 := tmp0 + tmp3
 	tmp13 := tmp0 - tmp3
 	tmp11 := tmp1 + tmp2
 	tmp12 := tmp1 - tmp2
 
-	out[0] = tmp10 + tmp11
-	out[4] = tmp10 - tmp11
+	o0 = tmp10 + tmp11
+	o4 = tmp10 - tmp11
 
 	z1 := (tmp12 + tmp13) * float32(aan0_707106781)
-	out[2] = tmp13 + z1
-	out[6] = tmp13 - z1
+	o2 = tmp13 + z1
+	o6 = tmp13 - z1
 
 	tmp10 = tmp4 + tmp5
 	tmp11 = tmp5 + tmp6
@@ -214,17 +216,18 @@ func aanForward8(in, out *[8]float32) {
 	z11 := tmp7 + z3
 	z13 := tmp7 - z3
 
-	out[5] = z13 + z2
-	out[3] = z13 - z2
-	out[1] = z11 + z4
-	out[7] = z11 - z4
+	o5 = z13 + z2
+	o3 = z13 - z2
+	o1 = z11 + z4
+	o7 = z11 - z4
+	return
 }
 
-func aanInverse8(in, out *[8]float32) {
-	tmp0 := in[0]
-	tmp1 := in[2]
-	tmp2 := in[4]
-	tmp3 := in[6]
+func aanInverse8(in0, in1, in2, in3, in4, in5, in6, in7 float32) (o0, o1, o2, o3, o4, o5, o6, o7 float32) {
+	tmp0 := in0
+	tmp1 := in2
+	tmp2 := in4
+	tmp3 := in6
 
 	tmp10 := tmp0 + tmp2
 	tmp11 := tmp0 - tmp2
@@ -236,10 +239,10 @@ func aanInverse8(in, out *[8]float32) {
 	tmp1 = tmp11 + tmp12
 	tmp2 = tmp11 - tmp12
 
-	tmp4 := in[1]
-	tmp5 := in[3]
-	tmp6 := in[5]
-	tmp7 := in[7]
+	tmp4 := in1
+	tmp5 := in3
+	tmp6 := in5
+	tmp7 := in7
 
 	z13 := tmp6 + tmp5
 	z10 := tmp6 - tmp5
@@ -257,37 +260,31 @@ func aanInverse8(in, out *[8]float32) {
 	tmp5 = tmp11 - tmp6
 	tmp4 = tmp10 + tmp5
 
-	out[0] = tmp0 + tmp7
-	out[7] = tmp0 - tmp7
-	out[1] = tmp1 + tmp6
-	out[6] = tmp1 - tmp6
-	out[2] = tmp2 + tmp5
-	out[5] = tmp2 - tmp5
-	out[4] = tmp3 + tmp4
-	out[3] = tmp3 - tmp4
+	o0 = tmp0 + tmp7
+	o7 = tmp0 - tmp7
+	o1 = tmp1 + tmp6
+	o6 = tmp1 - tmp6
+	o2 = tmp2 + tmp5
+	o5 = tmp2 - tmp5
+	o4 = tmp3 + tmp4
+	o3 = tmp3 - tmp4
+	return
 }
 
 // AANForward8x8 applies the scaled 2D forward AAN DCT to b in place in
 // float32. Output coefficient i carries the extra factor
 // 1/AANDescale2D[i]; quantizers must use tables with the descale folded
-// in (quant.FoldedForward). Two-pass structure and concrete kernel calls
-// as in Forward8x8, so nothing escapes to the heap.
+// in (quant.FoldedForward). Rows then columns, each vector transformed
+// where it lies: the kernel has all eight inputs by value before the
+// first store, so writing a vector back over itself is safe.
 func AANForward8x8(b *Block) {
-	var in, out [8]float32
-	var tmp [64]float32
 	for r := 0; r < 8; r++ {
-		copy(in[:], b[r*8:(r+1)*8])
-		aanForward8(&in, &out)
-		copy(tmp[r*8:], out[:])
+		v := b[r*8 : r*8+8 : r*8+8]
+		v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = aanForward8(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
 	}
 	for c := 0; c < 8; c++ {
-		for r := 0; r < 8; r++ {
-			in[r] = tmp[r*8+c]
-		}
-		aanForward8(&in, &out)
-		for r := 0; r < 8; r++ {
-			b[r*8+c] = out[r]
-		}
+		b[c], b[c+8], b[c+16], b[c+24], b[c+32], b[c+40], b[c+48], b[c+56] =
+			aanForward8(b[c], b[c+8], b[c+16], b[c+24], b[c+32], b[c+40], b[c+48], b[c+56])
 	}
 }
 
@@ -296,20 +293,12 @@ func AANForward8x8(b *Block) {
 // AANPrescale2D (folded into the dequantizer table by
 // quant.FoldedInverse). Output is the spatial block.
 func AANInverse8x8(b *Block) {
-	var in, out [8]float32
-	var tmp [64]float32
 	for r := 0; r < 8; r++ {
-		copy(in[:], b[r*8:(r+1)*8])
-		aanInverse8(&in, &out)
-		copy(tmp[r*8:], out[:])
+		v := b[r*8 : r*8+8 : r*8+8]
+		v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = aanInverse8(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
 	}
 	for c := 0; c < 8; c++ {
-		for r := 0; r < 8; r++ {
-			in[r] = tmp[r*8+c]
-		}
-		aanInverse8(&in, &out)
-		for r := 0; r < 8; r++ {
-			b[r*8+c] = out[r]
-		}
+		b[c], b[c+8], b[c+16], b[c+24], b[c+32], b[c+40], b[c+48], b[c+56] =
+			aanInverse8(b[c], b[c+8], b[c+16], b[c+24], b[c+32], b[c+40], b[c+48], b[c+56])
 	}
 }

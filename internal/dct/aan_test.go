@@ -147,6 +147,57 @@ func TestAANScaleTablesConsistent(t *testing.T) {
 	}
 }
 
+// staged8x8 is the 2D driver the in-place one replaced: every row and
+// column is copied into a staging vector, transformed, and copied out
+// through a second 64-float block. It cannot alias, so it is the oracle
+// for "transforming a vector where it lies changes nothing".
+func staged8x8(b *Block, kernel func(a, b, c, d, e, f, g, h float32) (float32, float32, float32, float32, float32, float32, float32, float32)) {
+	var in, out [8]float32
+	var tmp [64]float32
+	for r := 0; r < 8; r++ {
+		copy(in[:], b[r*8:(r+1)*8])
+		out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = kernel(in[0], in[1], in[2], in[3], in[4], in[5], in[6], in[7])
+		copy(tmp[r*8:], out[:])
+	}
+	for c := 0; c < 8; c++ {
+		for r := 0; r < 8; r++ {
+			in[r] = tmp[r*8+c]
+		}
+		out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = kernel(in[0], in[1], in[2], in[3], in[4], in[5], in[6], in[7])
+		for r := 0; r < 8; r++ {
+			b[r*8+c] = out[r]
+		}
+	}
+}
+
+func TestAANInPlaceBitIdenticalToStaged(t *testing.T) {
+	r := tensor.NewRNG(27)
+	for trial := 0; trial < 500; trial++ {
+		var a, b Block
+		for i := range a {
+			a[i] = float32(r.Norm() * 60)
+			if trial%5 == 0 && i%3 == 0 {
+				a[i] = 0
+			}
+			b[i] = a[i]
+		}
+		AANForward8x8(&a)
+		staged8x8(&b, aanForward8)
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				t.Fatalf("forward trial %d coeff %d: in place %v, staged %v", trial, i, a[i], b[i])
+			}
+		}
+		AANInverse8x8(&a)
+		staged8x8(&b, aanInverse8)
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				t.Fatalf("inverse trial %d sample %d: in place %v, staged %v", trial, i, a[i], b[i])
+			}
+		}
+	}
+}
+
 func BenchmarkAANForward8x8(b *testing.B) {
 	r := tensor.NewRNG(25)
 	var blk Block

@@ -3,6 +3,7 @@ package freqdomain
 import (
 	"jpegact/internal/dct"
 	"jpegact/internal/parallel"
+	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
 
@@ -38,22 +39,7 @@ func (p *Plane) planeBlocks(n, c int) (first, count int) {
 // clampCode rounds a reconstructed spatial value to the int8 SFPR code
 // grid, mirroring compress's reconstruction exactly so restored values
 // match the spatial path bit for bit.
-func clampCode(v float32) float32 {
-	r := v
-	if r >= 0 {
-		r += 0.5
-	} else {
-		r -= 0.5
-	}
-	q := int32(r)
-	if q > 127 {
-		q = 127
-	}
-	if q < -128 {
-		q = -128
-	}
-	return float32(q)
-}
+func clampCode(v float32) float32 { return float32(quant.RoundSat32(v)) }
 
 // SumPlane returns Σ x̃ over the (n,c) plane using only the DC terms:
 // each block's spatial sum is DCToSum·DC (dct coefficient-layout

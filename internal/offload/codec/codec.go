@@ -104,11 +104,8 @@ func (p Pipeline) Decode(f *frame.Frame) (*tensor.Tensor, error) {
 
 func encodeBRC(_ Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, error) {
 	f := &frame.Frame{Codec: frame.CodecBRC, Kind: uint8(kind), Shape: x.Shape}
-	f.Payload = coding.EncodeBRC(x.Data)
-	mask, err := coding.DecodeBRC(f.Payload, x.Elems())
-	if err != nil {
-		return Encoded{}, err
-	}
+	var mask []bool
+	f.Payload, mask = coding.EncodeBRC(x.Data)
 	return Encoded{Frame: f, Mask: mask}, nil
 }
 
@@ -129,38 +126,70 @@ func encodeJPEG(p Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, erro
 	return Encoded{Frame: f}, nil
 }
 
-func decodeJPEG(p Pipeline, f *frame.Frame) (*tensor.Tensor, error) {
+// checkZVCFrame is what every ZVC-coded frame is held to before
+// anything is sized from its header: one scale per channel, and a payload
+// with at least the one mask byte per eight values a ZVC stream of that
+// many values needs. The header's shape is bounded only by the
+// container's element cap, so a few hundred well-checksummed bytes could
+// otherwise ask for a quarter-gigabyte scratch buffer.
+func checkZVCFrame(f *frame.Frame, values int) error {
+	if len(f.Scales) != f.Shape.C {
+		return fmt.Errorf("%w: %d scales for %d channels", frame.ErrHeader, len(f.Scales), f.Shape.C)
+	}
+	if len(f.Payload) < (values+7)/8 {
+		return fmt.Errorf("%w: %d payload bytes cannot hold %d values", coding.ErrCorrupt, len(f.Payload), values)
+	}
+	return nil
+}
+
+// decodeBlocks decodes a JPEG-ACT frame as far as its quantized
+// coefficient blocks, in a slice borrowed from the compress scratch pool
+// that the caller owns (compress.ReleaseBlocks) when err is nil.
+func decodeBlocks(f *frame.Frame) ([][64]int8, tensor.PadInfo, error) {
 	info := tensor.BlockPadInfo(f.Shape, dct.BlockSize)
-	nBlocks := info.PaddedElems() / 64
-	blocks, err := coding.DecodeZVCBlocks(f.Payload, nBlocks)
+	if err := checkZVCFrame(f, info.PaddedElems()); err != nil {
+		return nil, info, err
+	}
+	blocks := compress.BorrowBlocks(info.PaddedElems() / 64)
+	if err := coding.DecodeZVCBlocksInto(blocks, f.Payload); err != nil {
+		compress.ReleaseBlocks(blocks)
+		return nil, info, err
+	}
+	return blocks, info, nil
+}
+
+func decodeJPEG(p Pipeline, f *frame.Frame) (*tensor.Tensor, error) {
+	blocks, info, err := decodeBlocks(f)
 	if err != nil {
 		return nil, err
 	}
-	if len(f.Scales) != f.Shape.C {
-		return nil, fmt.Errorf("%w: %d scales for %d channels", frame.ErrHeader, len(f.Scales), f.Shape.C)
-	}
+	defer compress.ReleaseBlocks(blocks)
 	pl := compress.JPEGAct(p.DQT)
 	pl.S = p.S
 	return pl.ReconstructBlocks(blocks, f.Scales, info), nil
 }
 
 func encodeZVC(p Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, error) {
-	c := sfpr.Compress(x, p.S)
 	f := &frame.Frame{Codec: frame.CodecZVC, Kind: uint8(kind), Shape: x.Shape}
-	f.Payload = coding.EncodeZVC(c.Values)
-	f.Scales = c.Scales
+	f.Scales = make([]float32, x.Shape.C)
+	codes := compress.BorrowCodes(x.Elems())
+	sfpr.CompressInto(x, p.S, f.Scales, codes)
+	f.Payload = coding.EncodeZVC(codes)
+	compress.ReleaseCodes(codes)
 	return Encoded{Frame: f}, nil
 }
 
 func decodeZVC(_ Pipeline, f *frame.Frame) (*tensor.Tensor, error) {
-	vals, err := coding.DecodeZVC(f.Payload, f.Shape.Elems())
-	if err != nil {
+	n := f.Shape.Elems()
+	if err := checkZVCFrame(f, n); err != nil {
 		return nil, err
 	}
-	if len(f.Scales) != f.Shape.C {
-		return nil, fmt.Errorf("%w: %d scales for %d channels", frame.ErrHeader, len(f.Scales), f.Shape.C)
+	codes := compress.BorrowCodes(n)
+	defer compress.ReleaseCodes(codes)
+	if err := coding.DecodeZVCInto(codes, f.Payload); err != nil {
+		return nil, err
 	}
 	out := tensor.New(f.Shape.N, f.Shape.C, f.Shape.H, f.Shape.W)
-	sfpr.DequantizeInto(vals, f.Scales, out)
+	sfpr.DequantizeInto(codes, f.Scales, out)
 	return out, nil
 }

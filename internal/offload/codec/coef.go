@@ -2,14 +2,9 @@ package codec
 
 import (
 	"errors"
-	"fmt"
 
-	"jpegact/internal/coding"
-	"jpegact/internal/compress"
-	"jpegact/internal/dct"
 	"jpegact/internal/frame"
 	"jpegact/internal/freqdomain"
-	"jpegact/internal/tensor"
 )
 
 // ErrNoCoefficients reports that a frame has no quantized-coefficient
@@ -27,13 +22,8 @@ func (p Pipeline) DecodeCoefficients(f *frame.Frame) (*freqdomain.Plane, error) 
 	if f.Codec != frame.CodecJPEG {
 		return nil, ErrNoCoefficients
 	}
-	if len(f.Scales) != f.Shape.C {
-		return nil, fmt.Errorf("%w: %d scales for %d channels", frame.ErrHeader, len(f.Scales), f.Shape.C)
-	}
-	info := tensor.BlockPadInfo(f.Shape, dct.BlockSize)
-	blocks := compress.BorrowBlocks(info.PaddedElems() / 64)
-	if err := coding.DecodeZVCBlocksInto(blocks, f.Payload); err != nil {
-		compress.ReleaseBlocks(blocks)
+	blocks, info, err := decodeBlocks(f)
+	if err != nil {
 		return nil, err
 	}
 	return freqdomain.NewPlane(blocks, f.Scales, info, p.DQT, true, p.S), nil

@@ -28,6 +28,8 @@ func FuzzDecodeCoefficients(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
+	// 2²⁸ elements in the header, one byte of payload.
+	f.Add(frame.EncodeFrame(hugeShapeFrame(f, frame.CodecJPEG)))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := frame.DecodeFrame(raw)
 		if err != nil {

@@ -91,10 +91,17 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if w > chunks {
 		w = chunks
 	}
-	var next atomic.Int64
+	// One heap object for the shared state and one closure that every
+	// goroutine, the caller's included, runs as is: two allocations per
+	// call however many workers join.
+	var st struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
 	work := func() {
+		defer st.wg.Done()
 		for {
-			c := int(next.Add(1)) - 1
+			c := int(st.next.Add(1)) - 1
 			if c >= chunks {
 				return
 			}
@@ -106,14 +113,10 @@ func For(n, grain int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
+	st.wg.Add(w)
 	for i := 0; i < w-1; i++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+		go work()
 	}
 	work()
-	wg.Wait()
+	st.wg.Wait()
 }

@@ -52,17 +52,10 @@ func (d *DQT) FoldedInverse(shift bool, prescale *[64]float64) [64]float32 {
 // FoldedQuantize quantizes a scaled-DCT coefficient block with a
 // pre-folded table (FoldedForward): one multiply, round-half-away, clip
 // per coefficient, all in float32 — the whole quantizer is two float
-// ops and a compare per coefficient, nothing converts to float64.
+// ops per coefficient, nothing branches and nothing converts to float64.
 func FoldedQuantize(coef *[64]float32, table *[64]float32, out *[64]int8) {
 	for i, c := range coef {
-		v := c * table[i]
-		var q int32
-		if v >= 0 {
-			q = int32(v + 0.5)
-		} else {
-			q = int32(v - 0.5)
-		}
-		out[i] = clipInt8(q)
+		out[i] = RoundSat32(c * table[i])
 	}
 }
 

@@ -107,28 +107,11 @@ func (d *DQT) Effective(i int, shift bool) float64 {
 	return float64(int(1) << d.ShiftLogs()[i])
 }
 
-func clipInt8(v int32) int8 {
-	if v > 127 {
-		return 127
-	}
-	if v < -128 {
-		return -128
-	}
-	return int8(v)
-}
-
-func roundHalfAway(x float64) int32 {
-	if x >= 0 {
-		return int32(x + 0.5)
-	}
-	return int32(x - 0.5)
-}
-
 // DivQuantize applies division quantization (the JPEG-BASE DIV unit) to a
 // DCT coefficient block, producing signed 8-bit quantized values.
 func DivQuantize(coef *[64]float32, d *DQT, out *[64]int8) {
 	for i, c := range coef {
-		out[i] = clipInt8(roundHalfAway(float64(c) / d.Entries[i]))
+		out[i] = RoundSat64(float64(c) / d.Entries[i])
 	}
 }
 
@@ -179,7 +162,7 @@ func ShiftQuantizeFloat(coef *[64]float32, d *DQT, out *[64]int8) {
 func ShiftQuantizeFloatLogs(coef *[64]float32, logs *[64]uint8, out *[64]int8) {
 	for i, c := range coef {
 		div := float64(int32(1) << logs[i])
-		out[i] = clipInt8(roundHalfAway(float64(c) / div))
+		out[i] = RoundSat64(float64(c) / div)
 	}
 }
 

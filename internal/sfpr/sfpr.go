@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"jpegact/internal/parallel"
+	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
 
@@ -41,23 +42,44 @@ func (c *Compressed) Bytes() int { return len(c.Values) + 4*len(c.Scales) }
 
 // Compress applies SFPR with global scale S to x.
 func Compress(x *tensor.Tensor, s float64) *Compressed {
-	scales := make([]float32, x.Shape.C)
-	ComputeScales(x, s, scales)
-	out := &Compressed{Shape: x.Shape, Values: make([]int8, x.Elems()), Scales: scales}
-	QuantizeInto(x, scales, out.Values)
+	out := &Compressed{Shape: x.Shape, Values: make([]int8, x.Elems()), Scales: make([]float32, x.Shape.C)}
+	CompressInto(x, s, out.Scales, out.Values)
 	return out
 }
 
-// ComputeScales fills scales (len = C) with the per-channel factors of
-// Eqn. 4: s over the channel max magnitude, 0 for all-zero channels.
-func ComputeScales(x *tensor.Tensor, s float64, scales []float32) {
-	maxes := x.ChannelMaxAbs()
-	for c, m := range maxes {
-		if m > 0 {
-			scales[c] = float32(s / float64(m))
-		} else {
-			scales[c] = 0
+// CompressInto is Compress into caller-provided storage: scales (len = C)
+// and vals (len = x.Elems()). Each worker takes whole channels and, per
+// channel, finds the max magnitude and then casts that channel's planes
+// while they are still in cache — the tensor comes in from memory once,
+// not once per pass. Same bits as ComputeScales followed by QuantizeInto.
+func CompressInto(x *tensor.Tensor, s float64, scales []float32, vals []int8) {
+	sh := x.Shape
+	hw := sh.H * sh.W
+	parallel.For(sh.C, parallel.Grain(sh.N*hw, quantGrain), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			scales[c] = scaleFor(x.ChannelMaxAbsOf(c), s)
+			for n := 0; n < sh.N; n++ {
+				base := (n*sh.C + c) * hw
+				quantizePlane(x.Data[base:base+hw], scales[c], vals[base:base+hw])
+			}
 		}
+	})
+}
+
+// scaleFor is Eqn. 4: s over the channel max magnitude, 0 for an
+// all-zero channel.
+func scaleFor(maxAbs float32, s float64) float32 {
+	if maxAbs > 0 {
+		return float32(s / float64(maxAbs))
+	}
+	return 0
+}
+
+// ComputeScales fills scales (len = C) with the per-channel factors of
+// Eqn. 4.
+func ComputeScales(x *tensor.Tensor, s float64, scales []float32) {
+	for c, m := range x.ChannelMaxAbs() {
+		scales[c] = scaleFor(m, s)
 	}
 }
 
@@ -69,37 +91,24 @@ func QuantizeInto(x *tensor.Tensor, scales []float32, vals []int8) {
 	hw := sh.H * sh.W
 	parallel.For(sh.N*sh.C, parallel.Grain(hw, quantGrain), func(lo, hi int) {
 		for nc := lo; nc < hi; nc++ {
-			// Hoisting sc·128 into float64 is bit-exact: the float32
-			// product v·sc is exactly representable in float64 (48-bit
-			// significand), and ·128 only shifts the exponent, so
-			// v·(sc·128) equals (v·sc)·128 computed per element.
-			sc128 := float64(scales[nc%sh.C]) * 128
 			base := nc * hw
-			src := x.Data[base : base+hw]
-			dst := vals[base : base+hw]
-			for i, v := range src {
-				dst[i] = quantizeOne(v, sc128)
-			}
+			quantizePlane(x.Data[base:base+hw], scales[nc%sh.C], vals[base:base+hw])
 		}
 	})
 }
 
-func quantizeOne(v float32, sc128 float64) int8 {
-	f := float64(v) * sc128
-	var q int32
-	if f >= 0 {
-		q = int32(f + 0.5)
-	} else {
-		q = int32(f - 0.5)
+// quantizePlane casts one plane with its channel's scale; the cast
+// saturates rather than truncating (§III-B).
+func quantizePlane(src []float32, sc float32, dst []int8) {
+	// Hoisting sc·128 into float64 is bit-exact: the float32 product v·sc
+	// is exactly representable in float64 (48-bit significand), and ·128
+	// only shifts the exponent, so v·(sc·128) equals (v·sc)·128 computed
+	// per element.
+	sc128 := float64(sc) * 128
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = quant.RoundSat64(float64(v) * sc128)
 	}
-	// Casting saturates rather than truncating (§III-B).
-	if q > 127 {
-		q = 127
-	}
-	if q < -128 {
-		q = -128
-	}
-	return int8(q)
 }
 
 // Decompress reconstructs the activation from c.

@@ -11,6 +11,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"jpegact/internal/parallel"
 )
 
 // Shape describes the four NCHW dimensions of a Tensor.
@@ -164,61 +166,66 @@ func (t *Tensor) MaxAbs() float32 {
 
 // ChannelMaxAbs returns, for each channel c, max over n,h,w of |x[n,c,h,w]|.
 // This is the per-channel maximum used by SFPR's scaling factor (Eqn. 4).
+// Channels shard over the worker pool (each worker owns whole channels,
+// so out[c] has one writer), and max is order-independent, so the result
+// is the same at any worker count.
+func (t *Tensor) ChannelMaxAbs() []float32 {
+	// Minimum elements per parallel chunk.
+	const grain = 1 << 14
+	s := t.Shape
+	out := make([]float32, s.C)
+	parallel.For(s.C, parallel.Grain(s.N*s.H*s.W, grain), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			out[c] = t.ChannelMaxAbsOf(c)
+		}
+	})
+	return out
+}
+
+// ChannelMaxAbsOf is ChannelMaxAbs for the single channel c.
 //
 // The reduction runs four independent accumulators per plane with the
 // sign bit masked off in the integer domain; both |·| and max are exact
 // operations, so the split changes no result bit relative to a serial
-// scan, it only breaks the loop-carried compare dependency.
-func (t *Tensor) ChannelMaxAbs() []float32 {
+// scan, it only breaks the loop-carried compare dependency. NaNs compare
+// false and are skipped.
+func (t *Tensor) ChannelMaxAbsOf(c int) float32 {
 	const signMask = 0x7FFFFFFF
 	s := t.Shape
-	out := make([]float32, s.C)
 	hw := s.H * s.W
+	var m float32
 	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			base := (n*s.C + c) * hw
-			plane := t.Data[base : base+hw]
-			var m0, m1, m2, m3 float32
-			i := 0
-			for ; i+4 <= hw; i += 4 {
-				v0 := math.Float32frombits(math.Float32bits(plane[i]) & signMask)
-				v1 := math.Float32frombits(math.Float32bits(plane[i+1]) & signMask)
-				v2 := math.Float32frombits(math.Float32bits(plane[i+2]) & signMask)
-				v3 := math.Float32frombits(math.Float32bits(plane[i+3]) & signMask)
-				if v0 > m0 {
-					m0 = v0
-				}
-				if v1 > m1 {
-					m1 = v1
-				}
-				if v2 > m2 {
-					m2 = v2
-				}
-				if v3 > m3 {
-					m3 = v3
-				}
+		base := (n*s.C + c) * hw
+		plane := t.Data[base : base+hw]
+		var m0, m1, m2, m3 float32
+		i := 0
+		for ; i+4 <= hw; i += 4 {
+			v0 := math.Float32frombits(math.Float32bits(plane[i]) & signMask)
+			v1 := math.Float32frombits(math.Float32bits(plane[i+1]) & signMask)
+			v2 := math.Float32frombits(math.Float32bits(plane[i+2]) & signMask)
+			v3 := math.Float32frombits(math.Float32bits(plane[i+3]) & signMask)
+			if v0 > m0 {
+				m0 = v0
 			}
-			for ; i < hw; i++ {
-				v := math.Float32frombits(math.Float32bits(plane[i]) & signMask)
-				if v > m0 {
-					m0 = v
-				}
+			if v1 > m1 {
+				m1 = v1
 			}
-			if m1 > m0 {
-				m0 = m1
+			if v2 > m2 {
+				m2 = v2
 			}
-			if m2 > m0 {
-				m0 = m2
-			}
-			if m3 > m0 {
-				m0 = m3
-			}
-			if m0 > out[c] {
-				out[c] = m0
+			if v3 > m3 {
+				m3 = v3
 			}
 		}
+		for ; i < hw; i++ {
+			v := math.Float32frombits(math.Float32bits(plane[i]) & signMask)
+			if v > m0 {
+				m0 = v
+			}
+		}
+		m = max(m, m0, m1, m2, m3)
 	}
-	return out
+	return m
 }
 
 // Sparsity returns the fraction of exactly-zero elements.

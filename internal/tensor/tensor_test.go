@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"jpegact/internal/parallel"
 )
 
 func TestShapeElems(t *testing.T) {
@@ -124,6 +126,34 @@ func TestMaxAbsAndChannelMaxAbs(t *testing.T) {
 	cm := x.ChannelMaxAbs()
 	if cm[0] != 5 || cm[1] != 7 {
 		t.Fatalf("ChannelMaxAbs = %v, want [5 7]", cm)
+	}
+}
+
+// TestChannelMaxAbsAcrossWorkers: channels shard over the pool; the
+// maxima must equal a serial scan (NaNs ignored, as `>` ignores them) at
+// every worker count, including a channel count the shards do not divide.
+func TestChannelMaxAbsAcrossWorkers(t *testing.T) {
+	r := NewRNG(31)
+	x := New(3, 37, 23, 29)
+	x.FillNormal(r, 0, 2)
+	x.Data[5] = float32(math.NaN())
+	x.Data[len(x.Data)-1] = -1e6
+	want := make([]float32, x.Shape.C)
+	for i, v := range x.Data {
+		c := i / (x.Shape.H * x.Shape.W) % x.Shape.C
+		if a := float32(math.Abs(float64(v))); a > want[c] {
+			want[c] = a
+		}
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		old := parallel.SetWorkers(w)
+		got := x.ChannelMaxAbs()
+		parallel.SetWorkers(old)
+		for c := range want {
+			if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+				t.Fatalf("workers=%d channel %d: %v, want %v", w, c, got[c], want[c])
+			}
+		}
 	}
 }
 
@@ -272,5 +302,14 @@ func TestIntnBounds(t *testing.T) {
 		if v := r.Intn(7); v < 0 || v >= 7 {
 			t.Fatalf("Intn out of range: %d", v)
 		}
+	}
+}
+
+func BenchmarkChannelMaxAbs(b *testing.B) {
+	x := New(8, 16, 32, 32)
+	x.FillNormal(NewRNG(1), 0, 1)
+	b.SetBytes(int64(x.Bytes()))
+	for i := 0; i < b.N; i++ {
+		x.ChannelMaxAbs()
 	}
 }
