@@ -15,14 +15,23 @@ race:
 # the gate is reproducible locally with one command. bench/ is its own
 # module importing the internals, so the root ./... patterns neither
 # compile nor test it: it gets its own line, or an internal rename first
-# fails inside the benchmark driver.
+# fails inside the benchmark driver. One file in the tree is tied to an
+# architecture, internal/nn/gemm_amd64.s (native `go vet` checks its
+# frames against the Go declarations); the arm64 cross-build keeps every
+# other platform on the portable GEMM kernel compiling, and the line after
+# it keeps that kernel unfused where the compiler does fuse x*y+z: no
+# FMADDS/FMSUBS may appear in gemm.go's arm64 code. GOAMD64=v3 runs
+# internal/nn's bit-identity tests on the newer instruction selection
+# (go1.24 fuses nothing there; the step is for the release that does).
 .PHONY: ci
 ci:
 	gofmt -l . | (! grep .) || (echo "gofmt: files need formatting" && exit 1)
 	go vet ./...
 	go build ./...
 	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
+	! (GOARCH=arm64 go build -gcflags=-S ./internal/nn/ 2>&1 | grep 'nn/gemm\.go' | grep -E 'FN?M(ADD|SUB)S')
 	go test ./...
+	GOAMD64=v3 go test ./internal/nn/
 	cd bench && go vet . && go test .
 	go test -race ./...
 

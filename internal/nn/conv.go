@@ -117,12 +117,14 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 		c.colBuf = make([]float32, k2*spatial)
 	}
 	cols := c.colBuf[:k2*spatial]
+	w := newGemmLHS(c.OutC, k2, c.Weight.W.Data, false)
 	for n := 0; n < x.Shape.N; n++ {
 		c.im2col(x, n, cols)
 		// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial)
 		dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-		Gemm(c.OutC, k2, spatial, c.Weight.W.Data, cols, dst)
+		w.mul(spatial, cols, dst, gemmAccumulate)
 	}
+	w.release()
 	if c.Bias != nil {
 		for n := 0; n < out.Shape.N; n++ {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -179,18 +181,19 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		c.dcolBuf = make([]float32, k2*spatial)
 	}
 	dcols := c.dcolBuf[:k2*spatial]
+	wT := newGemmLHS(k2, c.OutC, c.Weight.W.Data, true)
 	for n := 0; n < x.Shape.N; n++ {
 		gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
 		// ∇W += ∇y[n] · colsᵀ  (OutC×spatial · spatial×k2)
 		c.im2col(x, n, cols)
 		GemmTB(c.OutC, spatial, k2, gout, cols, c.Weight.Grad.Data)
-		// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial)
-		for i := range dcols {
-			dcols[i] = 0
-		}
-		GemmTA(k2, c.OutC, spatial, c.Weight.W.Data, gout, dcols)
+		// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), written over the
+		// last element's: zero-seeded accumulators are what clearing
+		// dcols and accumulating into it would compute.
+		wT.mul(spatial, gout, dcols, gemmOverwrite)
 		c.col2im(dcols, dx, n)
 	}
+	wT.release()
 	if c.Bias != nil {
 		for n := 0; n < grad.Shape.N; n++ {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -234,15 +237,16 @@ func (c *Conv2D) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
 	for i := range wgT {
 		wgT[i] = 0
 	}
+	wT := newGemmLHS(c.InC, c.OutC, c.Weight.W.Data, true)
 	for n := 0; n < sh.N; n++ {
 		gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
 		// ∇Wᵀ += X̃f (InC×HW, sparse) · Gf (HW×OutC)
 		freqdomain.GradCoefColumns(grad, n, gf)
 		pl.CoefGemm(n, c.OutC, gf, wgT)
 		// ∇x[n] = Wᵀ·∇y[n]
-		GemmTA(c.InC, c.OutC, spatial, c.Weight.W.Data, gout,
-			dx.Data[n*c.InC*spatial:(n+1)*c.InC*spatial])
+		wT.mul(spatial, gout, dx.Data[n*c.InC*spatial:(n+1)*c.InC*spatial], gemmAccumulate)
 	}
+	wT.release()
 	for oc := 0; oc < c.OutC; oc++ {
 		for ic := 0; ic < c.InC; ic++ {
 			c.Weight.Grad.Data[oc*c.InC+ic] += wgT[ic*c.OutC+oc]

@@ -8,50 +8,68 @@ import (
 	"jpegact/internal/parallel"
 )
 
-// Cache-blocked GEMM with packed B panels and register-tiled
-// micro-kernels.
+// Packed GEMM: one driver, one micro-kernel contract, two
+// implementations of it.
 //
-// The saxpy kernels in gemm_ref.go load and store a C element for every
-// multiply-add. The kernels here instead hold a 2×4 tile of C in
-// registers for the whole k loop: per k step they issue 6 loads for 8
-// multiply-adds and no stores, roughly halving the instruction count per
-// flop — the win register blocking buys on a scalar ISA. B is packed
-// once per call into 4-column panels laid out k-major, so the
-// micro-kernel's B loads are a single contiguous stream instead of an
-// n-strided column walk; edge panels are zero-padded to width 4.
+// All three entry points pack their right operand into k-major panels of
+// gemmNR columns (zero-padded at the right edge) and hand gemmMR×gemmNR
+// tiles of C to a micro-kernel that keeps the tile in registers for the
+// whole k loop. gemmTileGo is the portable kernel — a 2×4 scalar register
+// tile walked over the panel — and runs everywhere: it is the production
+// path where no SIMD kernel exists, it takes row/column tails and rows
+// that need the zero guard, and it is the test oracle of the assembly
+// kernel. gemmTileAsm is the platform's SIMD kernel (gemm_amd64.s: 4×16
+// in eight ymm accumulators), used for full tiles only.
 //
-// Determinism contract (the repo-wide invariant): every C element must
-// accumulate in exactly the order the reference kernel uses, at any
-// worker count. The micro-kernels seed each accumulator with the
-// incoming C value, run the FULL k range ascending with no partial sums,
-// and replicate the reference zero-skip on A (Gemm/GemmTA skip av == 0,
-// which matters for ±0 signs; GemmTB sums from zero with no skip and
-// adds into C once). Row blocking, column paneling, and worker sharding
-// only reorder work BETWEEN C elements, never the float32 op sequence
-// WITHIN one, so the output is bit-identical to gemm_ref.go and to
-// itself at any worker count. Tests in gemm_equiv_test.go pin this.
+// Determinism contract (the repo-wide invariant): every C element sees
+// exactly the float32 op sequence of the k-outer saxpy reference
+// (gemm_ref_test.go) — ascending k, one rounded multiply then one rounded
+// add per step, no partial sums, no fused multiply-add — at any worker
+// count and on either kernel. SIMD lanes therefore run across C columns
+// only, never across k, and the Go kernels write the product as
+// float32(av*b) so no toolchain may fuse it. Packing, tiling and worker
+// sharding only reorder work BETWEEN C elements. Gemm and GemmTA skip
+// A values equal to ±0 as their references do (it matters for the sign
+// of zero and for 0·Inf); row tiles scanDense proves free of ±0 need no
+// guard, which is what makes them eligible for the unguarded SIMD kernel.
+// gemm_equiv_test.go pins all of it on Float32bits.
 
-// gemmMinWork is the minimum number of multiply-adds one parallel chunk
-// should carry; below it the goroutine overhead dominates and the
-// kernels fall back to the serial path.
-const gemmMinWork = 1 << 15
+const (
+	// gemmMR×gemmNR is the micro-tile: 4 rows × 16 columns is eight
+	// 8-lane accumulators, which with two B vectors, one broadcast and
+	// two products fits the sixteen ymm registers; per k step it does 64
+	// multiply-adds on 6 loads. The portable kernel covers the same tile
+	// with 2×4 scalar sub-tiles (8 accumulators in 16 scalar registers).
+	gemmMR = 4
+	gemmNR = 16
 
-// gemmNR is the packed panel width and micro-tile width: 4 C columns.
-const gemmNR = 4
+	// gemmMinWork is the minimum number of multiply-adds one parallel
+	// chunk should carry; below it the goroutine overhead dominates.
+	gemmMinWork = 1 << 15
+)
 
-// gemmMR is the micro-tile height: 2 C rows. 2×4 accumulators plus the
-// per-step A and B temporaries fit the 16 scalar float registers of
-// amd64 without spilling; anything larger spills the accumulators and
-// loses the whole point of the tile.
-const gemmMR = 2
+// gemmMode selects how a micro-kernel seeds its accumulators and retires
+// them; between the two it always runs s += float32(a·b) over ascending k.
+type gemmMode int
 
-// packPool recycles packed-B buffers across calls (one buffer per
-// in-flight GEMM; workers share the read-only packed panels). New
-// buffers are allocated at the high-water mark of requested sizes:
-// GEMM calls of different shapes interleave, and a popped buffer that
-// is too small for the current call would otherwise be discarded and
-// re-allocated forever. At the high-water capacity every pooled buffer
-// serves every request, so steady state allocates nothing.
+const (
+	gemmAccumulate gemmMode = iota // s = C … C = s: the Gemm/GemmTA reference
+	gemmDotAdd                     // s = 0 … C += s: the GemmTB reference
+	gemmOverwrite                  // s = 0 … C = s: gemmAccumulate into a C of +0, without clearing it first
+)
+
+// gemmTileAsm, when set, computes one full gemmMR×gemmNR tile like
+// gemmTileGo(…, gemmMR, gemmNR, mode, false) for k ≥ 1. The platform file
+// sets it once at init if the CPU qualifies; nothing else selects it.
+var gemmTileAsm func(k int, a *float32, lda int, panel *float32, c *float32, ldc int, mode int)
+
+// packPool recycles packed-operand buffers across calls (workers share
+// the read-only packed panels). New buffers are allocated at the
+// high-water mark of requested sizes: GEMM calls of different shapes
+// interleave, and a popped buffer that is too small for the current call
+// would otherwise be discarded and re-allocated forever. At the
+// high-water capacity every pooled buffer serves every request, so steady
+// state allocates nothing.
 var (
 	packPool sync.Pool
 	packMax  atomic.Int64
@@ -76,148 +94,209 @@ func getPack(n int) *[]float32 {
 
 func putPack(p *[]float32) { packPool.Put(p) }
 
-// packB lays B (row-major K×N) out as ceil(n/4) panels of K rows × 4
-// columns, k-major within a panel; edge panels are zero-padded. Packing
-// is a serial O(k·n) copy: parallelizing it would cost a closure
-// allocation and a pool barrier per GEMM call to speed up ~1/m of the
-// O(m·k·n) total work.
+func gemmPanels(n int) int { return (n + gemmNR - 1) / gemmNR }
+
+// packB lays B (row-major K×N) out as gemmPanels(n) panels of K rows ×
+// gemmNR columns, k-major within a panel, the last one zero-padded.
+// Packing is a serial O(k·n) copy: 1/m of the O(m·k·n) total work.
 func packB(k, n int, b, packed []float32) {
-	np := (n + gemmNR - 1) / gemmNR
-	for p := 0; p < np; p++ {
+	for p := 0; p < gemmPanels(n); p++ {
 		j0 := p * gemmNR
-		nr := n - j0
-		dst := packed[p*k*gemmNR:]
-		if nr >= gemmNR {
+		dst := packed[p*k*gemmNR : (p+1)*k*gemmNR]
+		if w := n - j0; w < gemmNR {
+			clear(dst)
 			for kk := 0; kk < k; kk++ {
-				src := b[kk*n+j0 : kk*n+j0+gemmNR]
-				d := dst[kk*gemmNR : kk*gemmNR+gemmNR]
-				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
+				copy(dst[kk*gemmNR:kk*gemmNR+w], b[kk*n+j0:])
 			}
 			continue
 		}
 		for kk := 0; kk < k; kk++ {
-			d := dst[kk*gemmNR : kk*gemmNR+gemmNR]
-			d[0], d[1], d[2], d[3] = 0, 0, 0, 0
-			copy(d, b[kk*n+j0:kk*n+j0+nr])
+			*(*[gemmNR]float32)(dst[kk*gemmNR:]) = *(*[gemmNR]float32)(b[kk*n+j0:])
 		}
 	}
 }
 
-// gemmMicro2x4 updates the 2×4 C tile (c0[0:4], c1[0:4]) against a
-// packed panel: accumulators seeded from C, full-k ascending, per-row
-// zero-skip, one store per element at the end. B values are consumed as
-// indexed loads rather than hoisted temporaries — eight accumulators
-// plus four B temps spill on amd64's sixteen scalar float registers,
-// and a spilled accumulator costs more than a reloaded L1-hot operand.
-// nonZero reports whether v is neither +0 nor -0 — exactly the
-// reference kernels' `av == 0 { continue }` guard (NaN counts as
-// non-zero there too, since NaN == 0 is false). The bit test compiles
-// to one integer branch instead of ucomiss plus a parity branch.
+// packBT packs Bᵀ for B stored N×K: panel p holds B rows [16p, 16p+16)
+// transposed. Four rows go down together so every 64-byte panel line is
+// written in four 16-byte pieces rather than sixteen scalar ones.
+func packBT(k, n int, b, packed []float32) {
+	for p := 0; p < gemmPanels(n); p++ {
+		j0 := p * gemmNR
+		dst := packed[p*k*gemmNR : (p+1)*k*gemmNR]
+		w := min(gemmNR, n-j0)
+		if w < gemmNR {
+			clear(dst)
+		}
+		jj := 0
+		for ; jj+4 <= w; jj += 4 {
+			r0 := b[(j0+jj)*k:][:k]
+			r1 := b[(j0+jj+1)*k:][:k]
+			r2 := b[(j0+jj+2)*k:][:k]
+			r3 := b[(j0+jj+3)*k:][:k]
+			for kk := 0; kk < k; kk++ {
+				d := (*[4]float32)(dst[kk*gemmNR+jj:])
+				d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+			}
+		}
+		for ; jj < w; jj++ {
+			for kk, v := range b[(j0+jj)*k:][:k] {
+				dst[kk*gemmNR+jj] = v
+			}
+		}
+	}
+}
+
+// packAT transposes A (stored K×M) into row-major M×K, in 32×32 tiles so
+// both sides stay within a few cache lines per step.
+func packAT(k, m int, a, at []float32) {
+	const tile = 32
+	for i0 := 0; i0 < m; i0 += tile {
+		i1 := min(i0+tile, m)
+		for k0 := 0; k0 < k; k0 += tile {
+			k1 := min(k0+tile, k)
+			for i := i0; i < i1; i++ {
+				row := at[i*k:]
+				for kk := k0; kk < k1; kk++ {
+					row[kk] = a[kk*m+i]
+				}
+			}
+		}
+	}
+}
+
+// nonZero reports whether v is neither +0 nor -0 — exactly the reference
+// kernels' `av == 0 { continue }` guard (NaN counts as non-zero there
+// too, since NaN == 0 is false). The bit test compiles to one integer
+// branch instead of ucomiss plus a parity branch.
 func nonZero(v float32) bool {
 	return math.Float32bits(v)<<1 != 0
 }
 
-func gemmMicro2x4(k int, a0, a1, pb []float32, c0, c1 []float32) {
-	a0 = a0[:k]
-	a1 = a1[:k]
-	s00, s01, s02, s03 := c0[0], c0[1], c0[2], c0[3]
-	s10, s11, s12, s13 := c1[0], c1[1], c1[2], c1[3]
-	for kk := 0; kk < k; kk++ {
-		bp := (*[gemmNR]float32)(pb[kk*gemmNR:])
-		if av := a0[kk]; nonZero(av) {
-			s00 += av * bp[0]
-			s01 += av * bp[1]
-			s02 += av * bp[2]
-			s03 += av * bp[3]
+// gemmGo2x4 runs the 2×4 register tile (c0[0:4], c1[0:4]) against
+// columns [j, j+4) of a packed panel. B values
+// are consumed as indexed loads rather than hoisted temporaries — eight
+// accumulators plus four B temps spill on amd64's sixteen scalar float
+// registers, and a spilled accumulator costs more than a reloaded L1-hot
+// operand. With guard, A values equal to ±0 are skipped; without it the
+// two branches per k step are gone from the loop, which is only correct
+// where they could not fire (dense rows) or the reference has none
+// (gemmDotAdd).
+func gemmGo2x4(k int, a0, a1, panel []float32, j int, c0, c1 []float32, mode gemmMode, guard bool) {
+	a0, a1 = a0[:k], a1[:k]
+	c0, c1 = c0[:4], c1[:4]
+	var s00, s01, s02, s03 float32
+	var s10, s11, s12, s13 float32
+	if mode == gemmAccumulate {
+		s00, s01, s02, s03 = c0[0], c0[1], c0[2], c0[3]
+		s10, s11, s12, s13 = c1[0], c1[1], c1[2], c1[3]
+	}
+	if guard {
+		for kk := 0; kk < k; kk++ {
+			bp := (*[4]float32)(panel[kk*gemmNR+j:])
+			if av := a0[kk]; nonZero(av) {
+				s00 += float32(av * bp[0])
+				s01 += float32(av * bp[1])
+				s02 += float32(av * bp[2])
+				s03 += float32(av * bp[3])
+			}
+			if av := a1[kk]; nonZero(av) {
+				s10 += float32(av * bp[0])
+				s11 += float32(av * bp[1])
+				s12 += float32(av * bp[2])
+				s13 += float32(av * bp[3])
+			}
 		}
-		if av := a1[kk]; nonZero(av) {
-			s10 += av * bp[0]
-			s11 += av * bp[1]
-			s12 += av * bp[2]
-			s13 += av * bp[3]
+	} else {
+		for kk := 0; kk < k; kk++ {
+			bp := (*[4]float32)(panel[kk*gemmNR+j:])
+			av0, av1 := a0[kk], a1[kk]
+			s00 += float32(av0 * bp[0])
+			s01 += float32(av0 * bp[1])
+			s02 += float32(av0 * bp[2])
+			s03 += float32(av0 * bp[3])
+			s10 += float32(av1 * bp[0])
+			s11 += float32(av1 * bp[1])
+			s12 += float32(av1 * bp[2])
+			s13 += float32(av1 * bp[3])
 		}
+	}
+	if mode == gemmDotAdd {
+		s00, s01, s02, s03 = c0[0]+s00, c0[1]+s01, c0[2]+s02, c0[3]+s03
+		s10, s11, s12, s13 = c1[0]+s10, c1[1]+s11, c1[2]+s12, c1[3]+s13
 	}
 	c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
 	c1[0], c1[1], c1[2], c1[3] = s10, s11, s12, s13
 }
 
-func gemmMicro1x4(k int, a0, pb []float32, c0 []float32) {
-	a0 = a0[:k]
-	s00, s01, s02, s03 := c0[0], c0[1], c0[2], c0[3]
-	for kk := 0; kk < k; kk++ {
-		if av := a0[kk]; nonZero(av) {
-			bp := (*[gemmNR]float32)(pb[kk*gemmNR:])
-			s00 += av * bp[0]
-			s01 += av * bp[1]
-			s02 += av * bp[2]
-			s03 += av * bp[3]
+// gemmTileGo is the portable micro-kernel: it updates the mr×nr tile at c
+// (row stride ldc; mr ≤ gemmMR, nr ≤ gemmNR) from mr rows of A at a (row
+// stride lda, k values each) and one packed panel. Partial 2×4 sub-tiles
+// — an odd last row, fewer than four real columns — run the same register
+// tile against stand-in C rows, so C is never touched outside the tile
+// and there is one inner loop to keep bit-exact, not one per edge shape.
+// The panel's zero padding makes the stand-in columns harmless.
+func gemmTileGo(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int, mode gemmMode, guard bool) {
+	var edge [2][4]float32
+	for i := 0; i < mr; i += 2 {
+		a0 := a[i*lda:][:k]
+		a1, pair := a0, i+1 < mr
+		if pair {
+			a1 = a[(i+1)*lda:][:k]
 		}
-	}
-	c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
-}
-
-// gemmEdgePanel handles the zero-padded last panel (nr < 4 real
-// columns) for rows [i0, i1): same ascending-k skip-zero order, scalar
-// stores restricted to the real columns.
-func gemmEdgePanel(k, n, nr, i0, i1, j0 int, a, pb, c []float32) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n+j0 : i*n+j0+nr]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
+		for j := 0; j < nr; j += 4 {
+			w := min(4, nr-j)
+			if pair && w == 4 {
+				gemmGo2x4(k, a0, a1, panel, j, c[i*ldc+j:], c[(i+1)*ldc+j:], mode, guard)
 				continue
 			}
-			b := pb[kk*gemmNR : kk*gemmNR+gemmNR][:nr]
-			for j := range b {
-				crow[j] += av * b[j]
+			e0, e1 := edge[0][:], edge[1][:]
+			copy(e0, c[i*ldc+j:][:w])
+			if pair {
+				copy(e1, c[(i+1)*ldc+j:][:w])
+			}
+			gemmGo2x4(k, a0, a1, panel, j, e0, e1, mode, guard)
+			copy(c[i*ldc+j:][:w], e0)
+			if pair {
+				copy(c[(i+1)*ldc+j:][:w], e1)
 			}
 		}
 	}
 }
 
-// gemmMicroDense2x4 is gemmMicro2x4 without the zero guards, for A rows
-// the caller has verified contain no ±0 value: on such rows the guards
-// can never fire, so dropping them changes nothing — it only removes two
-// branches per k step from the hottest loop in the package. Weight
-// matrices (the A of every forward conv/linear lowering) are dense in
-// practice; the guarded kernel earns its keep on ReLU-sparse gradients.
-func gemmMicroDense2x4(k int, a0, a1, pb []float32, c0, c1 []float32) {
-	a0 = a0[:k]
-	a1 = a1[:k]
-	s00, s01, s02, s03 := c0[0], c0[1], c0[2], c0[3]
-	s10, s11, s12, s13 := c1[0], c1[1], c1[2], c1[3]
-	for kk := 0; kk < k; kk++ {
-		bp := (*[gemmNR]float32)(pb[kk*gemmNR:])
-		av0, av1 := a0[kk], a1[kk]
-		s00 += av0 * bp[0]
-		s01 += av0 * bp[1]
-		s02 += av0 * bp[2]
-		s03 += av0 * bp[3]
-		s10 += av1 * bp[0]
-		s11 += av1 * bp[1]
-		s12 += av1 * bp[2]
-		s13 += av1 * bp[3]
-	}
-	c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
-	c1[0], c1[1], c1[2], c1[3] = s10, s11, s12, s13
+// gemmRowGrain is the row count of one parallel chunk: enough rows to
+// carry gemmMinWork multiply-adds, rounded up to whole micro-tiles so
+// that only the matrix's own last rows ever form a partial tile.
+func gemmRowGrain(k, n int) int {
+	g := parallel.Grain(k*n, gemmMinWork)
+	return (g + gemmMR - 1) / gemmMR * gemmMR
 }
 
-func gemmMicroDense1x4(k int, a0, pb []float32, c0 []float32) {
-	a0 = a0[:k]
-	s00, s01, s02, s03 := c0[0], c0[1], c0[2], c0[3]
-	for kk := 0; kk < k; kk++ {
-		bp := (*[gemmNR]float32)(pb[kk*gemmNR:])
-		av := a0[kk]
-		s00 += av * bp[0]
-		s01 += av * bp[1]
-		s02 += av * bp[2]
-		s03 += av * bp[3]
-	}
-	c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
+// gemmTiles is the driver: C (m×n) against row-major A (m×k) and packed
+// panels pk, rows sharded over the worker pool, each panel kept hot
+// across the chunk's row tiles. dense[t] says row tile t of A has no ±0
+// (nil: the mode has no zero guard); chunks start on tile boundaries, so
+// tile t is rows [4t, 4t+4) everywhere. A tile goes to the SIMD kernel
+// when it is full and needs no guard, otherwise to the portable one.
+func gemmTiles(m, k, n int, a []float32, dense []bool, pk, c []float32, mode gemmMode) {
+	parallel.For(m, gemmRowGrain(k, n), func(lo, hi int) {
+		for p := 0; p < gemmPanels(n); p++ {
+			j0 := p * gemmNR
+			nr := min(gemmNR, n-j0)
+			panel := pk[p*k*gemmNR : (p+1)*k*gemmNR]
+			for i := lo; i < hi; i += gemmMR {
+				mr := min(gemmMR, hi-i)
+				guard := mode != gemmDotAdd && !dense[i/gemmMR]
+				if gemmTileAsm != nil && mr == gemmMR && nr == gemmNR && !guard && k > 0 {
+					gemmTileAsm(k, &a[i*k], k, &panel[0], &c[i*n+j0], n, int(mode))
+				} else {
+					gemmTileGo(k, a[i*k:], k, panel, c[i*n+j0:], n, mr, nr, mode, guard)
+				}
+			}
+		}
+	})
 }
 
-// rowDensePool recycles the per-call row density flags.
+// rowDensePool recycles the per-operand density flags.
 var rowDensePool sync.Pool
 
 func getDense(n int) *[]bool {
@@ -229,204 +308,92 @@ func getDense(n int) *[]bool {
 	return &buf
 }
 
-func putDense(p *[]bool) { rowDensePool.Put(p) }
-
-// scanDense marks which rows of row-major A contain no ±0 element, the
-// precondition for the unguarded micro-kernels. Serial like packB: a
-// single O(m·k) read pass, typically exiting each sparse row early.
+// scanDense marks which gemmMR-row tiles of row-major A contain no ±0
+// element, the precondition for the unguarded kernels. Serial like packB:
+// a single O(m·k) read pass, exiting each sparse tile early.
 func scanDense(m, k int, a []float32, dense []bool) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
+	for t := range dense {
 		d := true
-		for _, v := range arow {
+		for _, v := range a[t*gemmMR*k : min((t+1)*gemmMR, m)*k] {
 			if !nonZero(v) {
 				d = false
 				break
 			}
 		}
-		dense[i] = d
+		dense[t] = d
 	}
 }
 
-// gemmPackedBody runs the packed register-tiled kernels for C += A·B
-// with row-major A and pre-packed B panels, picking the dense or guarded
-// micro-kernel per row pair.
-func gemmPackedBody(m, k, n, np int, a, pk, c []float32, dense []bool) {
-	parallel.For(m, parallel.Grain(k*n, gemmMinWork), func(lo, hi int) {
-		for p := 0; p < np; p++ {
-			j0 := p * gemmNR
-			pb := pk[p*k*gemmNR : (p+1)*k*gemmNR]
-			if n-j0 < gemmNR {
-				gemmEdgePanel(k, n, n-j0, lo, hi, j0, a, pb, c)
-				continue
-			}
-			i := lo
-			for ; i+gemmMR <= hi; i += gemmMR {
-				a0 := a[i*k : (i+1)*k]
-				a1 := a[(i+1)*k : (i+2)*k]
-				c0 := c[i*n+j0 : i*n+j0+gemmNR]
-				c1 := c[(i+1)*n+j0 : (i+1)*n+j0+gemmNR]
-				if dense[i] && dense[i+1] {
-					gemmMicroDense2x4(k, a0, a1, pb, c0, c1)
-				} else {
-					gemmMicro2x4(k, a0, a1, pb, c0, c1)
-				}
-			}
-			if i < hi {
-				a0 := a[i*k : (i+1)*k]
-				c0 := c[i*n+j0 : i*n+j0+gemmNR]
-				if dense[i] {
-					gemmMicroDense1x4(k, a0, pb, c0)
-				} else {
-					gemmMicro1x4(k, a0, pb, c0)
-				}
-			}
-		}
-	})
+// gemmLHS is a left operand prepared once and multiplied many times — a
+// conv layer applies one weight matrix to every batch element: the
+// row-major M×K values (transposed into a pooled buffer if they were
+// stored K×M) and the per-tile density flags.
+type gemmLHS struct {
+	m, k  int
+	a     []float32
+	dense *[]bool
+	at    *[]float32 // pooled transpose backing a; nil when a is the caller's
+}
+
+// newGemmLHS prepares A stored row-major M×K, or K×M if transposed.
+func newGemmLHS(m, k int, a []float32, transposed bool) gemmLHS {
+	l := gemmLHS{m: m, k: k, a: a[:m*k], dense: getDense((m + gemmMR - 1) / gemmMR)}
+	if transposed {
+		l.at = getPack(m * k)
+		packAT(k, m, a, *l.at)
+		l.a = *l.at
+	}
+	scanDense(m, k, l.a, *l.dense)
+	return l
+}
+
+// mul computes C (m×n) from A·B for row-major B (k×n) in the given mode,
+// with the reference zero-skip on A.
+func (l *gemmLHS) mul(n int, b, c []float32, mode gemmMode) {
+	packed := getPack(gemmPanels(n) * l.k * gemmNR)
+	packB(l.k, n, b, *packed)
+	gemmTiles(l.m, l.k, n, l.a, *l.dense, *packed, c, mode)
+	putPack(packed)
+}
+
+func (l *gemmLHS) release() {
+	rowDensePool.Put(l.dense)
+	if l.at != nil {
+		putPack(l.at)
+	}
 }
 
 // Gemm computes C += A·B for row-major matrices: A is M×K, B is K×N,
-// C is M×N. Large shapes run the packed register-tiled kernels; small
-// ones fall back to the (bit-identical) saxpy reference.
+// C is M×N.
 func Gemm(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemm size mismatch")
 	}
-	if m < gemmMR || n < gemmNR || k < 8 {
-		gemmSaxpy(m, k, n, a, b, c)
-		return
-	}
-	np := (n + gemmNR - 1) / gemmNR
-	packed := getPack(np * k * gemmNR)
-	packB(k, n, b, *packed)
-	dense := getDense(m)
-	scanDense(m, k, a, *dense)
-	gemmPackedBody(m, k, n, np, a, *packed, c, *dense)
-	putDense(dense)
-	putPack(packed)
-}
-
-// packAT transposes A (stored K×M) into row-major M×K, in 32×32 tiles so
-// both sides stay within a few cache lines per step. One transpose pass
-// replaces the m/2 strided column walks the micro-kernels would
-// otherwise do, and lets GemmTA share Gemm's entire packed body.
-func packAT(k, m int, a, at []float32) {
-	const tile = 32
-	for i0 := 0; i0 < m; i0 += tile {
-		i1 := i0 + tile
-		if i1 > m {
-			i1 = m
-		}
-		for k0 := 0; k0 < k; k0 += tile {
-			k1 := k0 + tile
-			if k1 > k {
-				k1 = k
-			}
-			for i := i0; i < i1; i++ {
-				row := at[i*k:]
-				for kk := k0; kk < k1; kk++ {
-					row[kk] = a[kk*m+i]
-				}
-			}
-		}
-	}
+	l := newGemmLHS(m, k, a, false)
+	l.mul(n, b, c, gemmAccumulate)
+	l.release()
 }
 
 // GemmTA computes C += Aᵀ·B where A is K×M (so Aᵀ is M×K), B is K×N,
-// C is M×N. A is transposed once into a pooled buffer and the call runs
-// Gemm's packed body; the reference accumulation order per C element
-// (ascending k, skip zero) is unchanged by either packing.
+// C is M×N.
 func GemmTA(m, k, n int, a, b, c []float32) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemmTA size mismatch")
 	}
-	if m < gemmMR || n < gemmNR || k < 8 {
-		gemmTASaxpy(m, k, n, a, b, c)
-		return
-	}
-	np := (n + gemmNR - 1) / gemmNR
-	packed := getPack(np * k * gemmNR)
-	packB(k, n, b, *packed)
-	atp := getPack(m * k)
-	packAT(k, m, a, *atp)
-	dense := getDense(m)
-	scanDense(m, k, *atp, *dense)
-	gemmPackedBody(m, k, n, np, *atp, *packed, c, *dense)
-	putDense(dense)
-	putPack(atp)
-	putPack(packed)
-}
-
-// gemmTBMicro2x4 computes the 2×4 tile of A·Bᵀ dot products: eight
-// independent full-k sums from zero sharing six loads per k step, then
-// one add into C per element — the reference per-element sequence
-// (GemmTB has no zero-skip).
-func gemmTBMicro2x4(k int, a0, a1, b0, b1, b2, b3, c0, c1 []float32) {
-	var s00, s01, s02, s03 float32
-	var s10, s11, s12, s13 float32
-	for kk := 0; kk < k; kk++ {
-		av0, av1 := a0[kk], a1[kk]
-		bv0, bv1, bv2, bv3 := b0[kk], b1[kk], b2[kk], b3[kk]
-		s00 += av0 * bv0
-		s01 += av0 * bv1
-		s02 += av0 * bv2
-		s03 += av0 * bv3
-		s10 += av1 * bv0
-		s11 += av1 * bv1
-		s12 += av1 * bv2
-		s13 += av1 * bv3
-	}
-	c0[0] += s00
-	c0[1] += s01
-	c0[2] += s02
-	c0[3] += s03
-	c1[0] += s10
-	c1[1] += s11
-	c1[2] += s12
-	c1[3] += s13
-}
-
-func gemmTBDot(k int, arow, brow []float32) float32 {
-	var sum float32
-	for kk := 0; kk < k; kk++ {
-		sum += arow[kk] * brow[kk]
-	}
-	return sum
+	l := newGemmLHS(m, k, a, true)
+	l.mul(n, b, c, gemmAccumulate)
+	l.release()
 }
 
 // GemmTB computes C += A·Bᵀ where A is M×K, B is N×K (so Bᵀ is K×N),
-// C is M×N. Both operands are row-contiguous in k, so no packing is
-// needed; the 2×4 dot tile reuses every load where the one-dot-at-a-time
-// reference cannot.
+// C is M×N: per element one dot product summed from zero over all of A's
+// values, then a single add into C.
 func GemmTB(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("nn: gemmTB size mismatch")
 	}
-	parallel.For(m, parallel.Grain(k*n, gemmMinWork), func(lo, hi int) {
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			a0 := a[i*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			c0 := c[i*n : (i+1)*n]
-			c1 := c[(i+1)*n : (i+2)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				gemmTBMicro2x4(k, a0, a1,
-					b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k],
-					c0[j:j+4], c1[j:j+4])
-			}
-			for ; j < n; j++ {
-				brow := b[j*k : (j+1)*k]
-				c0[j] += gemmTBDot(k, a0, brow)
-				c1[j] += gemmTBDot(k, a1, brow)
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			crow := c[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				crow[j] += gemmTBDot(k, arow, b[j*k:(j+1)*k])
-			}
-		}
-	})
+	packed := getPack(gemmPanels(n) * k * gemmNR)
+	packBT(k, n, b, *packed)
+	gemmTiles(m, k, n, a, nil, *packed, c, gemmDotAdd)
+	putPack(packed)
 }

@@ -1,97 +1,88 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
+
+	"jpegact/internal/tensor"
 )
 
-// Conv-shaped GEMM benchmarks: the forward lowering of a 64-channel 3×3
-// conv on a 16×16 feature map (m=OutC, k=InC·K², n=H·W). These seed the
-// perf trajectory for the parallel execution layer (`make bench` runs
-// them; bench/ measures the same kernels as nn.gemm_*_gflops).
+// GEMM micro-benchmarks at the shapes training actually runs: the six
+// convolutions of the bench model (ResNet18, width 16, 32×32 input — stem
+// with k2 = 27, the 3×3 bodies, the 1×1 stride-2 shortcut), each through
+// the three products a conv layer issues per batch element. A is dense
+// unless the case says otherwise: weights and im2col columns have no
+// exact zeros, so the unguarded kernel is what a training step times; one
+// sparse-A case keeps the guarded kernel measured too. `make bench` runs
+// them; bench/ measures the same entry points as nn.gemm_*_gflops.
 
-const (
-	benchM = 64
-	benchK = 576
-	benchN = 256
-)
-
-func gemmBenchOperands(b *testing.B, am, an int) (a, bb, c []float32) {
-	b.Helper()
-	a = make([]float32, am*an)
-	bb = make([]float32, benchK*benchN)
-	c = make([]float32, benchM*benchN)
-	for i := range a {
-		a[i] = float32(i%17) * 0.25
-	}
-	for i := range bb {
-		bb[i] = float32(i%13) * 0.5
-	}
-	return a, bb, c
+var benchConvShapes = []struct {
+	name              string
+	outC, k2, spatial int
+}{
+	{"stem3x3", 16, 27, 1024},
+	{"s0conv1", 16, 144, 1024},
+	{"s0conv2", 16, 144, 1024},
+	{"s1conv1", 32, 144, 256},
+	{"s1conv2", 32, 288, 256},
+	{"s1proj1x1", 32, 16, 256},
 }
 
+// benchFill fills s with non-zero values; zeroEvery > 0 plants a ±0 at
+// that period (every row of a conv-sized A then needs the guard).
+func benchFill(s []float32, seed uint64, zeroEvery int) []float32 {
+	r := tensor.NewRNG(seed)
+	for i := range s {
+		s[i] = float32(r.Norm()) + 3
+		if zeroEvery > 0 && i%zeroEvery == 0 {
+			s[i] = 0
+		}
+	}
+	return s
+}
+
+func benchGemm(b *testing.B, m, k, n, zeroEvery int, run func(m, k, n int, a, bb, c []float32)) {
+	a := benchFill(make([]float32, m*k), 1, zeroEvery)
+	bb := benchFill(make([]float32, k*n), 2, 0)
+	c := make([]float32, m*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(m, k, n, a, bb, c)
+	}
+	b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// benchGemmShapes runs one entry point over the conv shapes; dims maps a
+// conv (OutC, k2, spatial) to that product's (m, k, n).
+func benchGemmShapes(b *testing.B, run func(m, k, n int, a, bb, c []float32), dims func(outC, k2, spatial int) (m, k, n int)) {
+	for _, s := range benchConvShapes {
+		m, k, n := dims(s.outC, s.k2, s.spatial)
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.name, m, k, n), func(b *testing.B) { benchGemm(b, m, k, n, 0, run) })
+	}
+	s := benchConvShapes[1]
+	m, k, n := dims(s.outC, s.k2, s.spatial)
+	b.Run(fmt.Sprintf("%s_sparseA_%dx%dx%d", s.name, m, k, n), func(b *testing.B) { benchGemm(b, m, k, n, 17, run) })
+}
+
+// Forward: out = W·cols.
 func BenchmarkGemm(b *testing.B) {
-	a, bb, c := gemmBenchOperands(b, benchM, benchK)
-	b.SetBytes(int64(4 * (benchM*benchK + benchK*benchN)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Gemm(benchM, benchK, benchN, a, bb, c)
-	}
+	benchGemmShapes(b, Gemm, func(outC, k2, spatial int) (int, int, int) { return outC, k2, spatial })
 }
 
+// Backward: ∇cols = Wᵀ·∇y.
 func BenchmarkGemmTA(b *testing.B) {
-	a, bb, c := gemmBenchOperands(b, benchK, benchM)
-	b.SetBytes(int64(4 * (benchM*benchK + benchK*benchN)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		GemmTA(benchM, benchK, benchN, a, bb, c)
-	}
+	benchGemmShapes(b, GemmTA, func(outC, k2, spatial int) (int, int, int) { return k2, outC, spatial })
 }
 
+// Backward: ∇W = ∇y·colsᵀ.
 func BenchmarkGemmTB(b *testing.B) {
-	a, bb, c := gemmBenchOperands(b, benchM, benchK)
-	bt := make([]float32, benchN*benchK)
-	for i := range bt {
-		bt[i] = float32(i%13) * 0.5
-	}
-	_ = bb
-	b.SetBytes(int64(4 * (benchM*benchK + benchK*benchN)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		GemmTB(benchM, benchK, benchN, a, bt, c)
-	}
+	benchGemmShapes(b, GemmTB, func(outC, k2, spatial int) (int, int, int) { return outC, spatial, k2 })
 }
 
-// Saxpy reference benchmarks: the pre-packing kernels from gemm_ref.go
-// on the same shapes, so one `go test -bench Gemm` run is a same-machine
-// before/after pair for the packed rewrite.
-
-func BenchmarkGemmSaxpyRef(b *testing.B) {
-	a, bb, c := gemmBenchOperands(b, benchM, benchK)
-	b.SetBytes(int64(4 * (benchM*benchK + benchK*benchN)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gemmSaxpy(benchM, benchK, benchN, a, bb, c)
-	}
-}
-
-func BenchmarkGemmTASaxpyRef(b *testing.B) {
-	a, bb, c := gemmBenchOperands(b, benchK, benchM)
-	b.SetBytes(int64(4 * (benchM*benchK + benchK*benchN)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gemmTASaxpy(benchM, benchK, benchN, a, bb, c)
-	}
-}
-
-func BenchmarkGemmTBSaxpyRef(b *testing.B) {
-	a, _, c := gemmBenchOperands(b, benchM, benchK)
-	bt := make([]float32, benchN*benchK)
-	for i := range bt {
-		bt[i] = float32(i%13) * 0.5
-	}
-	b.SetBytes(int64(4 * (benchM*benchK + benchK*benchN)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gemmTBSaxpy(benchM, benchK, benchN, a, bt, c)
-	}
-}
+// The saxpy references on the largest body shape, so one `go test -bench
+// Gemm` run shows how far the packed kernels are from the k-outer loops
+// they must equal bit for bit.
+func BenchmarkGemmSaxpyRef(b *testing.B)   { benchGemm(b, 16, 144, 1024, 0, gemmSaxpy) }
+func BenchmarkGemmTASaxpyRef(b *testing.B) { benchGemm(b, 144, 16, 1024, 0, gemmTASaxpy) }
+func BenchmarkGemmTBSaxpyRef(b *testing.B) { benchGemm(b, 16, 1024, 144, 0, gemmTBSaxpy) }

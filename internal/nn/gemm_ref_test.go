@@ -3,11 +3,11 @@ package nn
 import "jpegact/internal/parallel"
 
 // Reference saxpy GEMM kernels: the original k-outer implementations,
-// kept verbatim for two jobs. They are the bit-identity oracle for the
-// packed kernels in gemm.go (per C element both run the same ascending-k
-// float32 add sequence, so equality is exact, not approximate), and the
-// fallback for matrices too small to amortize packing — safe to swap in
-// at any size threshold precisely because the results are identical.
+// the bit-identity oracle for the packed kernels in gemm.go (per C
+// element both run the same ascending-k float32 op sequence, so equality
+// is exact, not approximate). The product is written float32(av*b) here
+// as there: an explicit conversion rounds, so a toolchain that fuses
+// x*y+z (arm64, GOAMD64=v3) computes the same bits as one that does not.
 
 // gemmSaxpy computes C += A·B with the k-outer row-broadcast kernel.
 // Rows of C are distributed over the worker pool; each row is computed
@@ -25,7 +25,7 @@ func gemmSaxpy(m, k, n int, a, b, c []float32) {
 				}
 				brow := b[kk*n : (kk+1)*n]
 				for j := range brow {
-					crow[j] += av * brow[j]
+					crow[j] += float32(av * brow[j])
 				}
 			}
 		}
@@ -48,7 +48,7 @@ func gemmTASaxpy(m, k, n int, a, b, c []float32) {
 				}
 				crow := c[i*n : (i+1)*n]
 				for j := range brow {
-					crow[j] += av * brow[j]
+					crow[j] += float32(av * brow[j])
 				}
 			}
 		}
@@ -66,7 +66,7 @@ func gemmTBSaxpy(m, k, n int, a, b, c []float32) {
 				brow := b[j*k : (j+1)*k]
 				var sum float32
 				for kk := range arow {
-					sum += arow[kk] * brow[kk]
+					sum += float32(arow[kk] * brow[kk])
 				}
 				crow[j] += sum
 			}
