@@ -63,6 +63,12 @@ fuzz:
 		done; \
 	done
 
+# The size direction 4 of ROADMAP.md tracks: non-test, non-comment,
+# non-blank Go lines of the root module (bench/ is its own module).
+.PHONY: loc
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+
 .PHONY: fmt
 fmt:
 	gofmt -l -w .

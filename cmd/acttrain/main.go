@@ -107,8 +107,6 @@ func main() {
 		"with -store: client id namespacing this trainer's keys on the shared store (keys become id<<32 | seq)")
 	storeTimeout := flag.Duration("store-timeout", 5*time.Second,
 		"with -store: total wall budget per wire op across reconnect+resend; a dead store fails typed and trips the circuit breaker into degraded local mode (0 = unbounded)")
-	storeHedge := flag.Duration("store-hedge", 0,
-		"with -store: hedge restores slower than this on a second connection (0 = off)")
 	noDegrade := flag.Bool("no-degrade", false,
 		"with -store: disable the circuit breaker; wire failures fail the run instead of degrading to local offload")
 	replicas := flag.Int("replicas", 0,
@@ -146,14 +144,14 @@ func main() {
 			os.Exit(2)
 		}
 		runDataParallel(*model, sc, cfg, *seed, *replicas, *microbatches, *gradCodec,
-			*store, *storeTimeout, *storeHedge)
+			*store, *storeTimeout)
 		return
 	}
 
 	if *useOffload {
 		runOffloaded(*model, sc, cfg, *seed, *policy, *flip, *trunc, *drop, *faultSeed,
 			*maxRecompute, *async, *prefetch, *inflight, *freq, *store, *storeKey,
-			*storeTimeout, *storeHedge, *noDegrade)
+			*storeTimeout, *noDegrade)
 		return
 	}
 	if *store != "" {
@@ -202,14 +200,14 @@ func finish(rep jpegact.TrainReport) {
 // runDataParallel trains with K replica workers exchanging gradients
 // through the activation-store transport (in-process by default; a
 // shared networked store with -store) and reports the exchange counters.
-func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, replicas, microbatches int, gradCodec, store string, storeTimeout, storeHedge time.Duration) {
+func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, replicas, microbatches int, gradCodec, store string, storeTimeout time.Duration) {
 	if model == "VDSR" {
 		fmt.Fprintln(os.Stderr, "acttrain: -replicas supports the classification models only")
 		os.Exit(2)
 	}
 	dp := jpegact.DataParallelOptions{
 		Replicas: replicas, Microbatches: microbatches,
-		StoreTimeout: storeTimeout, StoreHedge: storeHedge, Verbose: true,
+		StoreTimeout: storeTimeout, Verbose: true,
 	}
 	switch strings.ToLower(gradCodec) {
 	case "", "raw":
@@ -248,7 +246,7 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 
 // runOffloaded trains over the real host-memory channel, optionally
 // fault-injected, and reports the store's recovery counters.
-func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, faultSeed uint64, maxRecompute int, async bool, prefetch, inflight int, freq bool, store string, storeKey uint64, storeTimeout, storeHedge time.Duration, noDegrade bool) {
+func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, faultSeed uint64, maxRecompute int, async bool, prefetch, inflight int, freq bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
 	if model == "VDSR" {
 		fmt.Fprintln(os.Stderr, "acttrain: -offload supports the classification models only")
 		os.Exit(2)
@@ -268,8 +266,8 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 	oc := jpegact.OffloadTrainOptions{
 		DQT: jpegact.OptL(), Policy: pol, MaxRecompute: maxRecompute, Verbose: true,
 		FreqDomain: freq, StoreAddr: store, StoreKeyBase: storeKey << 32,
-		StoreTimeout: storeTimeout, StoreHedge: storeHedge,
-		Breaker: jpegact.StoreBreakerConfig{Disabled: noDegrade},
+		StoreTimeout: storeTimeout,
+		Breaker:      jpegact.StoreBreakerConfig{Disabled: noDegrade},
 	}
 	if store != "" && (flip > 0 || trunc > 0 || drop > 0) {
 		fmt.Fprintln(os.Stderr, "acttrain: -flip/-trunc/-drop inject on the in-process channel; they have no effect with -store")
@@ -303,8 +301,8 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 	fmt.Printf("channel: offloaded=%d restored=%d corrupted=%d retried=%d recomputed=%d dropped=%d reconnects=%d verified=%dB\n",
 		stats.Offloaded, stats.Restored, stats.Corrupted, stats.Retried,
 		stats.Recomputed, stats.Dropped, stats.Reconnects, stats.BytesVerified)
-	if stats.Degraded > 0 || stats.Hedged > 0 {
-		fmt.Printf("failure-domain: degraded=%d hedged=%d\n", stats.Degraded, stats.Hedged)
+	if stats.Degraded > 0 {
+		fmt.Printf("failure-domain: degraded=%d\n", stats.Degraded)
 	}
 	if freq && stats.Restored > 0 {
 		fmt.Printf("freq: coef_restores=%d/%d (%.1f%%)\n", stats.CoefRestores, stats.Restored,

@@ -1,7 +1,8 @@
 // accel_pipeline drives the cycle-counted hardware model of the JPEG-ACT
 // CDU end to end: SFPR → fixed-point DCT → SH → ZVC → collector packets →
 // splitter → decompression, printing throughput, compression ratio and
-// the reconstruction error, plus the CDU-count scaling of Fig. 21.
+// the reconstruction error, plus the CDU-count scaling of Fig. 21 from
+// both the closed-form cycle count and the tick-level pipeline model.
 package main
 
 import (
@@ -53,6 +54,15 @@ func main() {
 		}
 		fmt.Printf("%-6d %-8d %-8.2f %-10d %-14.1f %.4f\n",
 			n, s.Cycles, s.Ratio(), len(s.Packets), s.ThroughputBytesPerCycle(), worst)
+	}
+	// The same claim from the tick-level model of Fig. 8: every stage and
+	// the shared collector/splitter advance one cycle at a time under
+	// backpressure.
+	fmt.Printf("\n%-6s %-23s %-25s %s\n", "CDUs", "compress blocks/cycle", "decompress blocks/cycle", "collector stalls")
+	for n := 1; n <= 8; n++ {
+		c, d := accel.SimulatePipeline(nBlocks, n), accel.SimulateDecompressPipeline(nBlocks, n)
+		fmt.Printf("%-6d %-23.3f %-25.3f %d\n", n,
+			float64(c.Blocks)/float64(c.Cycles), float64(d.Blocks)/float64(d.Cycles), c.CollectorStalls)
 	}
 	fmt.Println("\none 256 B block per 8 cycles per CDU (32 B/cycle ingest);")
 	fmt.Println("the collector drains one block per cycle, so it never binds")

@@ -51,9 +51,6 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // BitReader reads an MSB-first bit stream produced by BitWriter.
 type BitReader struct {
 	buf  []byte

@@ -13,9 +13,9 @@ const brcGrain = 1024
 // EncodeBRC returns the (x > 0) mask of vals twice over: packed one bit
 // per element, LSB first within each byte — what is stored and
 // accounted — and as the []bool the backward pass applies, built in the
-// same pass (packed is DecodeBRC's input, mask its output). Groups of
-// eight elements are independent, so they shard over the worker pool;
-// the comparison result is used as a value, never branched on.
+// same pass (mask is packed, expanded). Groups of eight elements are
+// independent, so they shard over the worker pool; the comparison result
+// is used as a value, never branched on.
 func EncodeBRC(vals []float32) (packed []byte, mask []bool) {
 	n := len(vals)
 	packed = make([]byte, (n+7)/8)
@@ -47,29 +47,4 @@ func bit(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// DecodeBRC expands the mask back to booleans; n is the element count.
-func DecodeBRC(data []byte, n int) ([]bool, error) {
-	if len(data) < (n+7)/8 {
-		return nil, ErrCorrupt
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = data[i/8]&(1<<uint(i%8)) != 0
-	}
-	return out, nil
-}
-
-// ApplyBRCMask implements the BRC backward pass: grad elements whose mask
-// bit is clear are zeroed in place.
-func ApplyBRCMask(mask []bool, grad []float32) {
-	if len(mask) != len(grad) {
-		panic("coding: BRC mask/grad length mismatch")
-	}
-	for i, m := range mask {
-		if !m {
-			grad[i] = 0
-		}
-	}
 }

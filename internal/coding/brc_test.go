@@ -21,6 +21,18 @@ func refEncodeBRC(vals []float32) []byte {
 	return out
 }
 
+// DecodeBRC expands the mask back to booleans; n is the element count.
+func DecodeBRC(data []byte, n int) ([]bool, error) {
+	if len(data) < (n+7)/8 {
+		return nil, ErrCorrupt
+	}
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = data[i/8]&(1<<uint(i%8)) != 0
+	}
+	return out, nil
+}
+
 // TestEncodeBRCMatchesReference: packed bytes and mask equal the serial
 // reference at every worker count, at lengths that are not multiples of
 // 8 or of the shard size, with the values a comparison can get wrong.

@@ -275,14 +275,6 @@ func TestBRCRoundtrip(t *testing.T) {
 			t.Fatalf("mask[%d] = %v (decoded), %v (from the encoder)", i, mask[i], encMask[i])
 		}
 	}
-	grad := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	ApplyBRCMask(mask, grad)
-	wantGrad := []float32{0, 0, 3, 4, 0, 0, 0, 8, 9}
-	for i := range wantGrad {
-		if grad[i] != wantGrad[i] {
-			t.Fatalf("grad[%d] = %v", i, grad[i])
-		}
-	}
 }
 
 func TestBRCShortBuffer(t *testing.T) {
@@ -427,7 +419,6 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 			buf[i] = byte(r.Intn(256))
 		}
 		_, _ = DecodeJPEGBlocks(buf)
-		_, _ = DecodeJPEGBlocksAdaptive(buf)
 		_, _ = DecodeZVC(buf, n*2)
 		_, _ = DecodeRLE(buf, n)
 		_, _ = DecodeCSR(buf, n*4)
@@ -440,9 +431,6 @@ func TestDecodeBlockCountBomb(t *testing.T) {
 	// before allocation.
 	if _, err := DecodeJPEGBlocks([]byte{0, 0, 0, 64}); err != ErrCorrupt {
 		t.Fatalf("block-count bomb accepted: %v", err)
-	}
-	if _, err := DecodeJPEGBlocksAdaptive([]byte{0, 0, 0, 64}); err != ErrCorrupt {
-		t.Fatalf("adaptive block-count bomb accepted: %v", err)
 	}
 }
 

@@ -5,71 +5,12 @@ package coding
 // values are stored together with an 8-bit column index, plus a per-row
 // element count. When sparsity is below 50% this is *larger* than the
 // dense 8-bit form, which is exactly the pathology Table I shows for
-// ResNets on ImageNet; EncodeCSR reproduces that faithfully.
+// ResNets on ImageNet. Only the size is ever needed (ratio accounting);
+// the coder CSRSize is checked against lives in csr_test.go.
 
-// EncodeCSR compresses vals viewed as rows of the given width. Rows must
-// divide len(vals) evenly and width must be ≤ 256 so column indices fit
-// in a byte (wider activations are split by the caller).
-func EncodeCSR(vals []int8, width int) []byte {
-	if width <= 0 || width > 256 || len(vals)%width != 0 {
-		panic("coding: CSR width must be in (0,256] and divide the value count")
-	}
-	rows := len(vals) / width
-	out := make([]byte, 0, len(vals)/2+2*rows+8)
-	out = append(out, byte(width-1)) // width-1 so 256 fits a byte
-	for r := 0; r < rows; r++ {
-		row := vals[r*width : (r+1)*width]
-		nz := 0
-		for _, v := range row {
-			if v != 0 {
-				nz++
-			}
-		}
-		out = append(out, byte(nz), byte(nz>>8))
-		for c, v := range row {
-			if v != 0 {
-				out = append(out, byte(c), byte(v))
-			}
-		}
-	}
-	return out
-}
-
-// DecodeCSR reverses EncodeCSR; n is the original value count.
-func DecodeCSR(data []byte, n int) ([]int8, error) {
-	if len(data) < 1 {
-		return nil, ErrCorrupt
-	}
-	width := int(data[0]) + 1
-	if n%width != 0 {
-		return nil, ErrCorrupt
-	}
-	rows := n / width
-	out := make([]int8, n)
-	p := 1
-	for r := 0; r < rows; r++ {
-		if p+2 > len(data) {
-			return nil, ErrCorrupt
-		}
-		nz := int(data[p]) | int(data[p+1])<<8
-		p += 2
-		if p+2*nz > len(data) || nz > width {
-			return nil, ErrCorrupt
-		}
-		for k := 0; k < nz; k++ {
-			c := int(data[p])
-			v := int8(data[p+1])
-			p += 2
-			if c >= width {
-				return nil, ErrCorrupt
-			}
-			out[r*width+c] = v
-		}
-	}
-	return out, nil
-}
-
-// CSRSize returns the encoded size in bytes for ratio accounting.
+// CSRSize returns the encoded size in bytes of vals viewed as rows of
+// the given width, which must be ≤ 256 so column indices fit in a byte
+// (wider activations are split by the caller).
 func CSRSize(vals []int8, width int) int {
 	rows := len(vals) / width
 	nz := 0

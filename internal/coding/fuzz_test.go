@@ -28,17 +28,6 @@ func FuzzDecodeJPEGBlocks(f *testing.F) {
 	})
 }
 
-func FuzzDecodeJPEGBlocksAdaptive(f *testing.F) {
-	var blk [64]int8
-	blk[0] = 5
-	blk[13] = 11
-	f.Add(EncodeJPEGBlocksAdaptive([][64]int8{blk}))
-	f.Add([]byte{1, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeJPEGBlocksAdaptive(data)
-	})
-}
-
 // FuzzDecodeZVC: both decoders accept exactly what the encoders emit —
 // a stream that decodes re-encodes to the same bytes (which is what lets
 // internal/frame promise the same of a whole frame), through the flat

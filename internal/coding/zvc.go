@@ -415,12 +415,3 @@ func ZVCSize(vals []int8) int {
 	})
 	return int(total.Load())
 }
-
-// ZVCSizeBlocks is ZVCSize over the concatenated blocks.
-func ZVCSizeBlocks(blocks [][64]int8) int {
-	var total atomic.Int64
-	parallel.For(len(blocks), 4*zvcShardBlocks, func(lo, hi int) {
-		total.Add(int64(zvcSizeBlocks(blocks[lo:hi])))
-	})
-	return int(total.Load())
-}

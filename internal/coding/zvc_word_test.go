@@ -182,9 +182,6 @@ func TestZVCBlocksMatchReference(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("nb=%d workers=%d: stream differs from the reference", nb, w)
 			}
-			if sz := ZVCSizeBlocks(blocks); sz != len(want) {
-				t.Fatalf("nb=%d workers=%d: ZVCSizeBlocks %d, stream %d", nb, w, sz, len(want))
-			}
 			dec, err := DecodeZVCBlocks(got, nb)
 			if err != nil || !slices.Equal(dec, blocks) {
 				t.Fatalf("nb=%d workers=%d: decode: %v", nb, w, err)

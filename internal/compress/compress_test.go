@@ -244,7 +244,7 @@ func TestPipelineRoundtripPreservesShape(t *testing.T) {
 
 func TestPipelineQuantizedBlocksCount(t *testing.T) {
 	x := correlatedAct(15, 1, 2, 8, 16)
-	p := JPEGBase(quant.JPEGQuality(80))
+	p := Pipeline{DQT: quant.JPEGQuality(80)}
 	blocks, scales, info := p.QuantizeBlocks(x)
 	if len(blocks) != (info.BlockRows/8)*(info.BlockCols/8) {
 		t.Fatalf("block count %d", len(blocks))

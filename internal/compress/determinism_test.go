@@ -34,7 +34,7 @@ func TestRoundtripDeterministicAcrossWorkers(t *testing.T) {
 	r := tensor.NewRNG(7)
 	for _, shape := range [][4]int{{2, 8, 16, 16}, {1, 3, 9, 11}, {4, 16, 32, 32}} {
 		x := sparseTensor(r, shape[0], shape[1], shape[2], shape[3])
-		for _, p := range []Pipeline{JPEGAct(quant.OptH()), JPEGBase(quant.JPEGQuality(80))} {
+		for _, p := range []Pipeline{JPEGAct(quant.OptH()), {DQT: quant.JPEGQuality(80)}} {
 			var refRec *tensor.Tensor
 			var refBytes int
 			for _, w := range workerCounts() {

@@ -109,25 +109,6 @@ func TestHardwareJPEGACTUnpaddedShapes(t *testing.T) {
 	}
 }
 
-func TestAdaptivePipelineBeatsStaticTables(t *testing.T) {
-	// Per-tensor canonical Huffman tables must not lose to the static
-	// image tables on activation statistics (modulo the small header).
-	r := tensor.NewRNG(36)
-	x := data.ActivationTensor(r, 2, 8, 32, 32, 0.5, 1.0)
-	d := quant.OptH()
-	static := Pipeline{DQT: d}
-	adaptive := Pipeline{DQT: d, Adaptive: true}
-	recS, bytesS := static.Roundtrip(x)
-	recA, bytesA := adaptive.Roundtrip(x)
-	if bytesA >= bytesS {
-		t.Fatalf("adaptive %dB should beat static %dB", bytesA, bytesS)
-	}
-	// Coding is lossless either way: identical reconstructions.
-	if tensor.MSE(recS, recA) != 0 {
-		t.Fatal("entropy coder changed the reconstruction")
-	}
-}
-
 func TestPolicyForExtraMethods(t *testing.T) {
 	if PolicyFor(BFPMethod{}, KindConv) != "BFP" {
 		t.Fatal("BFP policy")

@@ -18,17 +18,9 @@ import (
 // SFPR → 8×8 DCT → {DIV | SH} quantization → {RLE | ZVC} coding.
 type Pipeline struct {
 	DQT      quant.DQT
-	UseShift bool // SH instead of DIV (JPEG-ACT)
-	UseZVC   bool // ZVC instead of RLE (JPEG-ACT)
-	// Adaptive selects per-tensor canonical Huffman tables for the RLE
-	// coder (a software-only extension; hardware keeps static tables).
-	Adaptive bool
+	UseShift bool    // SH instead of DIV (JPEG-ACT)
+	UseZVC   bool    // ZVC instead of RLE (JPEG-ACT)
 	S        float64 // SFPR global scale
-}
-
-// JPEGBase returns the JPEG-BASE pipeline with the given DQT.
-func JPEGBase(d quant.DQT) Pipeline {
-	return Pipeline{DQT: d, UseShift: false, UseZVC: false, S: sfpr.DefaultS}
 }
 
 // JPEGAct returns the JPEG-ACT pipeline with the given DQT.
@@ -178,14 +170,6 @@ func (p *Pipeline) Roundtrip(x *tensor.Tensor) (*tensor.Tensor, int) {
 		if err := coding.DecodeZVCBlocksInto(decoded, enc); err != nil {
 			panic("compress: ZVC roundtrip failed: " + err.Error())
 		}
-	} else if p.Adaptive {
-		enc := coding.EncodeJPEGBlocksAdaptive(blocks)
-		bytes = len(enc)
-		var err error
-		decoded, err = coding.DecodeJPEGBlocksAdaptive(enc)
-		if err != nil {
-			panic("compress: adaptive entropy roundtrip failed: " + err.Error())
-		}
 	} else {
 		enc := coding.EncodeJPEGBlocks(blocks)
 		bytes = len(enc)
@@ -209,16 +193,4 @@ func (p *Pipeline) s() float64 {
 		return sfpr.DefaultS
 	}
 	return p.S
-}
-
-// CodedSize returns the coded size in bytes of already-quantized blocks
-// under this pipeline's coder, without materializing streams.
-func (p *Pipeline) CodedSize(blocks [][64]int8) int {
-	if p.UseZVC {
-		return coding.ZVCSizeBlocks(blocks)
-	}
-	if p.Adaptive {
-		return len(coding.EncodeJPEGBlocksAdaptive(blocks))
-	}
-	return len(coding.EncodeJPEGBlocks(blocks))
 }

@@ -18,10 +18,8 @@ package dct
 // float64 transform plus a divide per coefficient with a 5-multiply
 // float32 transform plus a single multiply per coefficient.
 //
-// Float64 variants of the 1D kernels are kept as the algorithmic
-// reference (tests pin them to Naive1D within float64 rounding).
-
-import "math"
+// Float64 variants of the 1D kernels are the algorithmic reference in
+// aan_test.go (pinned there to the O(n²) DCT within float64 rounding).
 
 // aanFactors are the AAN per-frequency scale factors:
 // aan[0] = 1, aan[k] = cos(kπ/16)·√2 for k ≥ 1.
@@ -37,12 +35,6 @@ var aanFactors = [8]float64{
 }
 
 var (
-	// AANDescale1D[k] is the factor that converts a raw 1D AAN forward
-	// output back to the JPEG normalization: S[k] = AAN1D out[k] · AANDescale1D[k].
-	AANDescale1D [8]float64
-	// AANPrescale1D[k] is the factor applied to JPEG-normalized
-	// coefficients before AANInverse1D.
-	AANPrescale1D [8]float64
 	// AANDescale2D[i] converts a raw 2D AAN forward coefficient (i = 8r+c)
 	// to the JPEG normalization; fold it (divided by the DQT entry) into
 	// the forward quantizer table.
@@ -54,11 +46,6 @@ var (
 )
 
 func init() {
-	twoSqrt2 := 2 * math.Sqrt2
-	for k := 0; k < 8; k++ {
-		AANDescale1D[k] = 1 / (twoSqrt2 * aanFactors[k])
-		AANPrescale1D[k] = aanFactors[k] / twoSqrt2
-	}
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 8; c++ {
 			AANDescale2D[r*8+c] = 1 / (8 * aanFactors[r] * aanFactors[c])
@@ -79,103 +66,6 @@ const (
 	aan1_847759065 = 1.847759065
 	aan2_613125930 = 2.613125930
 )
-
-// AAN1D computes the scaled forward AAN DCT of in (5 multiplies).
-// Output k equals Naive1D output k times 2√2·aan[k]; multiply by
-// AANDescale1D to normalize.
-func AAN1D(in, out *[8]float64) {
-	tmp0 := in[0] + in[7]
-	tmp7 := in[0] - in[7]
-	tmp1 := in[1] + in[6]
-	tmp6 := in[1] - in[6]
-	tmp2 := in[2] + in[5]
-	tmp5 := in[2] - in[5]
-	tmp3 := in[3] + in[4]
-	tmp4 := in[3] - in[4]
-
-	// Even part.
-	tmp10 := tmp0 + tmp3
-	tmp13 := tmp0 - tmp3
-	tmp11 := tmp1 + tmp2
-	tmp12 := tmp1 - tmp2
-
-	out[0] = tmp10 + tmp11
-	out[4] = tmp10 - tmp11
-
-	z1 := (tmp12 + tmp13) * aan0_707106781
-	out[2] = tmp13 + z1
-	out[6] = tmp13 - z1
-
-	// Odd part.
-	tmp10 = tmp4 + tmp5
-	tmp11 = tmp5 + tmp6
-	tmp12 = tmp6 + tmp7
-
-	z5 := (tmp10 - tmp12) * aan0_382683433
-	z2 := aan0_541196100*tmp10 + z5
-	z4 := aan1_306562965*tmp12 + z5
-	z3 := tmp11 * aan0_707106781
-
-	z11 := tmp7 + z3
-	z13 := tmp7 - z3
-
-	out[5] = z13 + z2
-	out[3] = z13 - z2
-	out[1] = z11 + z4
-	out[7] = z11 - z4
-}
-
-// AANInverse1D computes the inverse AAN DCT of prescaled coefficients:
-// in[k] must be the JPEG-normalized coefficient times AANPrescale1D[k].
-// Output matches NaiveInverse1D of the unscaled coefficients.
-func AANInverse1D(in, out *[8]float64) {
-	// Even part.
-	tmp0 := in[0]
-	tmp1 := in[2]
-	tmp2 := in[4]
-	tmp3 := in[6]
-
-	tmp10 := tmp0 + tmp2
-	tmp11 := tmp0 - tmp2
-	tmp13 := tmp1 + tmp3
-	tmp12 := (tmp1-tmp3)*aan1_414213562 - tmp13
-
-	tmp0 = tmp10 + tmp13
-	tmp3 = tmp10 - tmp13
-	tmp1 = tmp11 + tmp12
-	tmp2 = tmp11 - tmp12
-
-	// Odd part.
-	tmp4 := in[1]
-	tmp5 := in[3]
-	tmp6 := in[5]
-	tmp7 := in[7]
-
-	z13 := tmp6 + tmp5
-	z10 := tmp6 - tmp5
-	z11 := tmp4 + tmp7
-	z12 := tmp4 - tmp7
-
-	tmp7 = z11 + z13
-	tmp11 = (z11 - z13) * aan1_414213562
-
-	z5 := (z10 + z12) * aan1_847759065
-	tmp10 = aan1_082392200*z12 - z5
-	tmp12 = -aan2_613125930*z10 + z5
-
-	tmp6 = tmp12 - tmp7
-	tmp5 = tmp11 - tmp6
-	tmp4 = tmp10 + tmp5
-
-	out[0] = tmp0 + tmp7
-	out[7] = tmp0 - tmp7
-	out[1] = tmp1 + tmp6
-	out[6] = tmp1 - tmp6
-	out[2] = tmp2 + tmp5
-	out[5] = tmp2 - tmp5
-	out[4] = tmp3 + tmp4
-	out[3] = tmp3 - tmp4
-}
 
 // aanForward8 is the float32 production copy of AAN1D. It takes its
 // eight samples and returns its eight outputs by value — in registers

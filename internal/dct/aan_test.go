@@ -223,3 +223,112 @@ func BenchmarkAANInverse8x8(b *testing.B) {
 		AANInverse8x8(&t)
 	}
 }
+
+// AANDescale1D[k] converts a raw 1D AAN forward output back to the JPEG
+// normalization (S[k] = AAN1D out[k] · AANDescale1D[k]); AANPrescale1D[k]
+// is applied to JPEG-normalized coefficients before AANInverse1D.
+var AANDescale1D, AANPrescale1D [8]float64
+
+func init() {
+	for k := 0; k < 8; k++ {
+		AANDescale1D[k] = 1 / (2 * math.Sqrt2 * aanFactors[k])
+		AANPrescale1D[k] = aanFactors[k] / (2 * math.Sqrt2)
+	}
+}
+
+// AAN1D computes the scaled forward AAN DCT of in (5 multiplies).
+// Output k equals Naive1D output k times 2√2·aan[k]; multiply by
+// AANDescale1D to normalize.
+func AAN1D(in, out *[8]float64) {
+	tmp0 := in[0] + in[7]
+	tmp7 := in[0] - in[7]
+	tmp1 := in[1] + in[6]
+	tmp6 := in[1] - in[6]
+	tmp2 := in[2] + in[5]
+	tmp5 := in[2] - in[5]
+	tmp3 := in[3] + in[4]
+	tmp4 := in[3] - in[4]
+
+	// Even part.
+	tmp10 := tmp0 + tmp3
+	tmp13 := tmp0 - tmp3
+	tmp11 := tmp1 + tmp2
+	tmp12 := tmp1 - tmp2
+
+	out[0] = tmp10 + tmp11
+	out[4] = tmp10 - tmp11
+
+	z1 := (tmp12 + tmp13) * aan0_707106781
+	out[2] = tmp13 + z1
+	out[6] = tmp13 - z1
+
+	// Odd part.
+	tmp10 = tmp4 + tmp5
+	tmp11 = tmp5 + tmp6
+	tmp12 = tmp6 + tmp7
+
+	z5 := (tmp10 - tmp12) * aan0_382683433
+	z2 := aan0_541196100*tmp10 + z5
+	z4 := aan1_306562965*tmp12 + z5
+	z3 := tmp11 * aan0_707106781
+
+	z11 := tmp7 + z3
+	z13 := tmp7 - z3
+
+	out[5] = z13 + z2
+	out[3] = z13 - z2
+	out[1] = z11 + z4
+	out[7] = z11 - z4
+}
+
+// AANInverse1D computes the inverse AAN DCT of prescaled coefficients:
+// in[k] must be the JPEG-normalized coefficient times AANPrescale1D[k].
+// Output matches NaiveInverse1D of the unscaled coefficients.
+func AANInverse1D(in, out *[8]float64) {
+	// Even part.
+	tmp0 := in[0]
+	tmp1 := in[2]
+	tmp2 := in[4]
+	tmp3 := in[6]
+
+	tmp10 := tmp0 + tmp2
+	tmp11 := tmp0 - tmp2
+	tmp13 := tmp1 + tmp3
+	tmp12 := (tmp1-tmp3)*aan1_414213562 - tmp13
+
+	tmp0 = tmp10 + tmp13
+	tmp3 = tmp10 - tmp13
+	tmp1 = tmp11 + tmp12
+	tmp2 = tmp11 - tmp12
+
+	// Odd part.
+	tmp4 := in[1]
+	tmp5 := in[3]
+	tmp6 := in[5]
+	tmp7 := in[7]
+
+	z13 := tmp6 + tmp5
+	z10 := tmp6 - tmp5
+	z11 := tmp4 + tmp7
+	z12 := tmp4 - tmp7
+
+	tmp7 = z11 + z13
+	tmp11 = (z11 - z13) * aan1_414213562
+
+	z5 := (z10 + z12) * aan1_847759065
+	tmp10 = aan1_082392200*z12 - z5
+	tmp12 = -aan2_613125930*z10 + z5
+
+	tmp6 = tmp12 - tmp7
+	tmp5 = tmp11 - tmp6
+	tmp4 = tmp10 + tmp5
+
+	out[0] = tmp0 + tmp7
+	out[7] = tmp0 - tmp7
+	out[1] = tmp1 + tmp6
+	out[6] = tmp1 - tmp6
+	out[2] = tmp2 + tmp5
+	out[5] = tmp2 - tmp5
+	out[4] = tmp3 + tmp4
+	out[3] = tmp3 - tmp4
+}

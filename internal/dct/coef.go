@@ -71,8 +71,3 @@ var AANDescale2D32 = func() (d [64]float32) {
 	}
 	return
 }()
-
-// DCToSum is the factor converting a block's JPEG-normalized DC
-// coefficient to the block's spatial sum: sum = DC · DCToSum (the DC
-// basis value 1/8, inverted).
-const DCToSum = 8

@@ -45,6 +45,11 @@ func TestNormBasisMatchesForward(t *testing.T) {
 	}
 }
 
+// DCToSum is the factor converting a block's JPEG-normalized DC
+// coefficient to the block's spatial sum: sum = DC · DCToSum (the DC
+// basis value 1/8, inverted).
+const DCToSum = 8
+
 // TestDCSumIdentity pins the DC sum identity: a block's spatial sum is
 // DCToSum times its normalized DC coefficient.
 func TestDCSumIdentity(t *testing.T) {

@@ -1,15 +1,19 @@
 // Package dct implements the 8-point Discrete Cosine Transform used by
 // the JPEG-ACT compression pipeline (§III-D of the paper).
 //
-// Three implementations are provided:
+// Three implementations are provided, one per consumer:
 //
-//   - Naive1D / NaiveInverse1D: direct O(n²) DCT-II/DCT-III in the JPEG
-//     normalization, used as the correctness reference.
+//   - AANForward8x8 / AANInverse8x8 (aan.go): the scaled float32 AAN
+//     transform, in place — what the compression pipeline runs.
 //   - LLM1D / LLMInverse1D: the Loeffler–Ligtenberg–Moschytz fast DCT with
 //     11 multiplications, the algorithm the JPEG-ACT hardware uses (eight
-//     8-point units per CDU, 88 multipliers total).
+//     8-point units per CDU, 88 multipliers total), in float64 for the
+//     entropy analyses and the synthetic-activation generator.
 //   - fixed-point variants in fixed.go that model the integer datapath of
 //     the accelerator.
+//
+// The direct O(n²) DCT-II/DCT-III they are all checked against lives in
+// the package's tests.
 //
 // The JPEG normalization is
 //
@@ -19,50 +23,11 @@
 // Inverse8x8 is the identity up to rounding.
 package dct
 
-import "math"
-
 // BlockSize is the JPEG block edge length.
 const BlockSize = 8
 
 // Block is one 8×8 tile of values in row-major order.
 type Block [64]float32
-
-// cosTable[k][n] = c(k)/2 * cos((2n+1)kπ/16)
-var cosTable [8][8]float64
-
-func init() {
-	for k := 0; k < 8; k++ {
-		ck := 1.0
-		if k == 0 {
-			ck = 1 / math.Sqrt2
-		}
-		for n := 0; n < 8; n++ {
-			cosTable[k][n] = ck / 2 * math.Cos(float64(2*n+1)*float64(k)*math.Pi/16)
-		}
-	}
-}
-
-// Naive1D computes the reference 8-point forward DCT of in into out.
-func Naive1D(in, out *[8]float64) {
-	for k := 0; k < 8; k++ {
-		var sum float64
-		for n := 0; n < 8; n++ {
-			sum += in[n] * cosTable[k][n]
-		}
-		out[k] = sum
-	}
-}
-
-// NaiveInverse1D computes the reference 8-point inverse DCT of in into out.
-func NaiveInverse1D(in, out *[8]float64) {
-	for n := 0; n < 8; n++ {
-		var sum float64
-		for k := 0; k < 8; k++ {
-			sum += in[k] * cosTable[k][n]
-		}
-		out[n] = sum
-	}
-}
 
 // LLM constants: sqrt(2)·cos(kπ/16) combinations from Loeffler et al.,
 // the same constants used by the libjpeg integer DCT derived from LLM.
@@ -85,7 +50,7 @@ const (
 const invSqrt8 = 0.35355339059327373
 
 // LLM1D computes the 8-point forward DCT with the LLM fast algorithm
-// (11 multiplications before normalization). Output matches Naive1D.
+// (11 multiplications before normalization).
 func LLM1D(in, out *[8]float64) {
 	tmp0 := in[0] + in[7]
 	tmp7 := in[0] - in[7]
@@ -135,7 +100,7 @@ func LLM1D(in, out *[8]float64) {
 }
 
 // LLMInverse1D computes the 8-point inverse DCT with the LLM fast
-// algorithm. Output matches NaiveInverse1D.
+// algorithm.
 func LLMInverse1D(in, out *[8]float64) {
 	// Even part.
 	z2 := in[2]
@@ -241,39 +206,6 @@ func Inverse8x8(b *Block) {
 	}
 }
 
-// NaiveForward8x8 applies the reference 2D forward DCT in place.
-func NaiveForward8x8(b *Block) {
-	transform2D(b, Naive1D)
-}
-
-// NaiveInverse8x8 applies the reference 2D inverse DCT in place.
-func NaiveInverse8x8(b *Block) {
-	transform2D(b, NaiveInverse1D)
-}
-
-func transform2D(b *Block, f func(in, out *[8]float64)) {
-	var in, out [8]float64
-	var tmp [64]float64
-	// Pass 1: rows.
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			in[c] = float64(b[r*8+c])
-		}
-		f(&in, &out)
-		copy(tmp[r*8:], out[:])
-	}
-	// Pass 2: columns (transpose, transform, transpose back).
-	for c := 0; c < 8; c++ {
-		for r := 0; r < 8; r++ {
-			in[r] = tmp[r*8+c]
-		}
-		f(&in, &out)
-		for r := 0; r < 8; r++ {
-			b[r*8+c] = float32(out[r])
-		}
-	}
-}
-
 // Zigzag is the JPEG zigzag scan order: Zigzag[i] is the row-major block
 // index of the i-th coefficient in scan order.
 var Zigzag = [64]int{
@@ -285,13 +217,4 @@ var Zigzag = [64]int{
 	29, 22, 15, 23, 30, 37, 44, 51,
 	58, 59, 52, 45, 38, 31, 39, 46,
 	53, 60, 61, 54, 47, 55, 62, 63,
-}
-
-// Unzigzag is the inverse permutation of Zigzag.
-var Unzigzag [64]int
-
-func init() {
-	for i, z := range Zigzag {
-		Unzigzag[z] = i
-	}
 }

@@ -168,11 +168,6 @@ func TestZigzagIsPermutation(t *testing.T) {
 		}
 		seen[z] = true
 	}
-	for i, z := range Zigzag {
-		if Unzigzag[z] != i {
-			t.Fatalf("Unzigzag[%d] = %d, want %d", z, Unzigzag[z], i)
-		}
-	}
 	// Spot checks from the JPEG spec.
 	if Zigzag[0] != 0 || Zigzag[1] != 1 || Zigzag[2] != 8 || Zigzag[63] != 63 {
 		t.Fatal("zigzag order incorrect at spot checks")

@@ -229,21 +229,20 @@ func runTable3(o Options) *Result {
 		quant.OptL(), quant.OptH(), quant.OptH(), // optL5H late phase = optH
 	}
 	backends := []struct {
-		name                 string
-		shift, zvc, adaptive bool
+		name       string
+		shift, zvc bool
 	}{
-		{"DIV+RLE", false, false, false},
-		{"SH+RLE", true, false, false},
-		{"DIV+ZVC", false, true, false},
-		{"SH+ZVC", true, true, false},
-		{"DIV+aRLE*", false, false, true}, // extension: adaptive tables
+		{"DIV+RLE", false, false},
+		{"SH+RLE", true, false},
+		{"DIV+ZVC", false, true},
+		{"SH+ZVC", true, true},
 	}
 	for _, be := range backends {
 		row := []string{be.name}
 		for _, d := range tables {
 			var orig, comp int
 			for _, x := range acts {
-				p := compress.Pipeline{DQT: d, UseShift: be.shift, UseZVC: be.zvc, Adaptive: be.adaptive}
+				p := compress.Pipeline{DQT: d, UseShift: be.shift, UseZVC: be.zvc}
 				_, bytes := p.Roundtrip(x)
 				orig += x.Bytes()
 				comp += bytes
@@ -252,6 +251,5 @@ func runTable3(o Options) *Result {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.Notes = append(res.Notes, "DIV+aRLE* is a software-only extension: per-tensor canonical Huffman tables")
 	return res
 }

@@ -22,8 +22,8 @@ func testPlane(t *testing.T, n, c, h, w int) (*Plane, *tensor.Tensor) {
 }
 
 // idealValues synthesizes the unclamped dequantized reconstruction in
-// float64 straight from the basis — the reference the Parseval kernels
-// are pinned against.
+// float64 straight from the basis — the reference the coefficient-domain
+// kernels are pinned against.
 func idealValues(p *Plane) []float64 {
 	sh := p.Info.Orig
 	hw := sh.H * sh.W
@@ -76,30 +76,9 @@ func TestReconstructMatchesCompress(t *testing.T) {
 	compress.ReleaseBlocks(blocks)
 }
 
-// TestSumPlaneDCIdentity pins the DC-sum statistics against the ideal
-// reconstruction's plane sums.
-func TestSumPlaneDCIdentity(t *testing.T) {
-	p, _ := testPlane(t, 2, 3, 16, 8)
-	ideal := idealValues(p)
-	sh := p.Info.Orig
-	hw := sh.H * sh.W
-	for n := 0; n < sh.N; n++ {
-		for c := 0; c < sh.C; c++ {
-			var want float64
-			for i := 0; i < hw; i++ {
-				want += ideal[(n*sh.C+c)*hw+i]
-			}
-			got := p.SumPlane(n, c)
-			if math.Abs(got-want) > 1e-3*(1+math.Abs(want)) {
-				t.Fatalf("plane (%d,%d): SumPlane %g, ideal %g", n, c, got, want)
-			}
-		}
-	}
-}
-
-// TestDotPlaneParseval pins the selective Parseval dot against the
-// spatial inner product with the ideal reconstruction, covering both
-// the selective and the full-DCT branches.
+// TestDotPlaneParseval pins DecodeDot's plane dot against the spatial
+// inner product with the ideal reconstruction, over planes that mix
+// all-zero, DC-only and full blocks.
 func TestDotPlaneParseval(t *testing.T) {
 	p, _ := testPlane(t, 2, 4, 16, 16)
 	sh := p.Info.Orig
@@ -108,6 +87,7 @@ func TestDotPlaneParseval(t *testing.T) {
 	dy := tensor.New(sh.N, sh.C, sh.H, sh.W)
 	dy.FillNormal(r, 0, 1)
 	ideal := idealValues(p)
+	codes := make([]float32, hw)
 	for n := 0; n < sh.N; n++ {
 		for c := 0; c < sh.C; c++ {
 			var want float64
@@ -115,30 +95,31 @@ func TestDotPlaneParseval(t *testing.T) {
 			for i := 0; i < hw; i++ {
 				want += float64(dy.Data[base+i]) * ideal[base+i]
 			}
-			got := p.DotPlane(dy.Data, n, c)
+			got := p.DecodeDot(dy.Data, n, c, codes)
 			if math.Abs(got-want) > 1e-2*(1+math.Abs(want)) {
-				t.Fatalf("plane (%d,%d): DotPlane %g, spatial ideal %g", n, c, got, want)
+				t.Fatalf("plane (%d,%d): DecodeDot %g, spatial ideal %g", n, c, got, want)
 			}
 		}
 	}
 }
 
-// TestDotPlaneDenseBranch forces blocks past the selective threshold so
-// the full-AAN branch is exercised and agrees with the same reference.
+// TestDotPlaneDenseBranch forces a block with AC terms so DecodeDot's
+// full inverse-transform branch (not the flat DC-only shortcut) is
+// exercised and agrees with the same reference.
 func TestDotPlaneDenseBranch(t *testing.T) {
 	r := tensor.NewRNG(5)
 	x := tensor.New(1, 1, 8, 8)
 	x.FillNormal(r, 0, 1) // dense noise → many surviving coefficients
 	p := Quantize(x, quant.OptL(), DefaultS)
 	defer p.Release()
-	nnz := 0
-	for i := range p.Blocks[0] {
-		if p.Blocks[0][i] != 0 {
-			nnz++
+	ac := 0
+	for _, q := range p.Blocks[0][1:] {
+		if q != 0 {
+			ac++
 		}
 	}
-	if nnz <= selectiveNNZ {
-		t.Skipf("block only has %d nonzeros; dense branch not reachable", nnz)
+	if ac == 0 {
+		t.Fatal("block has no AC coefficients; the full branch is not reached")
 	}
 	dy := tensor.New(1, 1, 8, 8)
 	dy.FillNormal(r, 0, 1)
@@ -147,9 +128,22 @@ func TestDotPlaneDenseBranch(t *testing.T) {
 	for i := range ideal {
 		want += float64(dy.Data[i]) * ideal[i]
 	}
-	got := p.DotPlane(dy.Data, 0, 0)
+	got := p.DecodeDot(dy.Data, 0, 0, make([]float32, 64))
 	if math.Abs(got-want) > 1e-2*(1+math.Abs(want)) {
-		t.Fatalf("dense branch: DotPlane %g, spatial ideal %g", got, want)
+		t.Fatalf("dense block: DecodeDot %g, spatial ideal %g", got, want)
+	}
+}
+
+// affine runs the two-pass fused kernel the batch-norm backward runs:
+// decode each plane once, then the scale/add sweep over the codes.
+func affine(p *Plane, dy, dx *tensor.Tensor, a, cx, bb float32) {
+	sh := p.Info.Orig
+	codes := make([]float32, sh.H*sh.W)
+	for n := 0; n < sh.N; n++ {
+		for c := 0; c < sh.C; c++ {
+			p.DecodeDot(dy.Data, n, c, codes)
+			p.AffineCodes(dy.Data, dx.Data, n, c, codes, a, cx, bb)
+		}
 	}
 }
 
@@ -163,14 +157,10 @@ func TestAffineRestoreExactX(t *testing.T) {
 	want := p.Reconstruct()
 	dy := tensor.New(sh.N, sh.C, sh.H, sh.W)
 	dx := tensor.New(sh.N, sh.C, sh.H, sh.W)
-	for n := 0; n < sh.N; n++ {
-		for c := 0; c < sh.C; c++ {
-			p.AffineRestorePlane(dy.Data, dx.Data, n, c, 0, 1, 0)
-		}
-	}
+	affine(p, dy, dx, 0, 1, 0)
 	for i := range want.Data {
 		if math.Float32bits(dx.Data[i]) != math.Float32bits(want.Data[i]) {
-			t.Fatalf("elem %d: AffineRestore x %v, Reconstruct %v", i, dx.Data[i], want.Data[i])
+			t.Fatalf("elem %d: AffineCodes x %v, Reconstruct %v", i, dx.Data[i], want.Data[i])
 		}
 	}
 }
@@ -185,11 +175,7 @@ func TestAffineRestoreFull(t *testing.T) {
 	dy.FillNormal(r, 0, 1)
 	dx := tensor.New(sh.N, sh.C, sh.H, sh.W)
 	const a, cx, bb = 1.5, -0.25, 0.125
-	for n := 0; n < sh.N; n++ {
-		for c := 0; c < sh.C; c++ {
-			p.AffineRestorePlane(dy.Data, dx.Data, n, c, a, cx, bb)
-		}
-	}
+	affine(p, dy, dx, a, cx, bb)
 	for i := range dx.Data {
 		want := a*float64(dy.Data[i]) + cx*float64(x.Data[i]) + bb
 		if math.Abs(float64(dx.Data[i])-want) > 1e-4*(1+math.Abs(want)) {
@@ -198,30 +184,36 @@ func TestAffineRestoreFull(t *testing.T) {
 	}
 }
 
-// TestCoefficientGEMMLayout checks that CoefficientRows paired with
-// GradCoefColumns computes the same plane correlations DotPlane does —
-// the contract the 1×1-conv ∇W GEMM rests on.
+// TestCoefficientGEMMLayout checks that CoefGemm over GradCoefColumns
+// computes every plane correlation ⟨x̃_ic, dy_oc⟩ of the spatial ideal —
+// the contract the 1×1-conv ∇W GEMM rests on — and accumulates into wgT
+// rather than overwriting it.
 func TestCoefficientGEMMLayout(t *testing.T) {
 	p, _ := testPlane(t, 2, 3, 8, 16)
 	sh := p.Info.Orig
 	hw := sh.H * sh.W
+	const outC = 5
 	r := tensor.NewRNG(17)
-	dy := tensor.New(sh.N, sh.C, sh.H, sh.W)
+	dy := tensor.New(sh.N, outC, sh.H, sh.W)
 	dy.FillNormal(r, 0, 1)
-	xf := make([]float32, sh.C*hw)
-	gf := make([]float32, hw*sh.C)
+	ideal := idealValues(p)
+	gf := make([]float32, hw*outC)
+	wgT := make([]float32, sh.C*outC)
+	want := make([]float64, sh.C*outC)
 	for n := 0; n < sh.N; n++ {
-		p.CoefficientRows(n, xf)
 		GradCoefColumns(dy, n, gf)
-		for c := 0; c < sh.C; c++ {
-			var dot float64
-			for k := 0; k < hw; k++ {
-				dot += float64(xf[c*hw+k]) * float64(gf[k*sh.C+c])
+		p.CoefGemm(n, outC, gf, wgT)
+		for ic := 0; ic < sh.C; ic++ {
+			for oc := 0; oc < outC; oc++ {
+				for k := 0; k < hw; k++ {
+					want[ic*outC+oc] += ideal[(n*sh.C+ic)*hw+k] * float64(dy.Data[(n*outC+oc)*hw+k])
+				}
 			}
-			want := p.DotPlane(dy.Data, n, c)
-			if math.Abs(dot-want) > 1e-2*(1+math.Abs(want)) {
-				t.Fatalf("plane (%d,%d): GEMM-layout dot %g, DotPlane %g", n, c, dot, want)
-			}
+		}
+	}
+	for i, w := range want {
+		if got := float64(wgT[i]); math.Abs(got-w) > 1e-2*(1+math.Abs(w)) {
+			t.Fatalf("∇Wᵀ[%d][%d]: CoefGemm %g, spatial ideal %g", i/outC, i%outC, got, w)
 		}
 	}
 }
@@ -237,26 +229,26 @@ func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
 	dy.FillNormal(r, 0, 1)
 
 	run := func() ([]float32, []float32) {
-		xf := make([]float32, sh.C*hw)
 		gf := make([]float32, hw*sh.C)
-		p.CoefficientRows(0, xf)
+		wgT := make([]float32, sh.C*sh.C)
 		GradCoefColumns(dy, 0, gf)
-		return xf, gf
+		p.CoefGemm(0, sh.C, gf, wgT)
+		return gf, wgT
 	}
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	refXF, refGF := run()
+	refGF, refWG := run()
 	for _, w := range []int{2, prev} {
 		parallel.SetWorkers(w)
-		xf, gf := run()
-		for i := range refXF {
-			if math.Float32bits(xf[i]) != math.Float32bits(refXF[i]) {
-				t.Fatalf("workers=%d: CoefficientRows[%d] differs", w, i)
-			}
-		}
+		gf, wgT := run()
 		for i := range refGF {
 			if math.Float32bits(gf[i]) != math.Float32bits(refGF[i]) {
 				t.Fatalf("workers=%d: GradCoefColumns[%d] differs", w, i)
+			}
+		}
+		for i := range refWG {
+			if math.Float32bits(wgT[i]) != math.Float32bits(refWG[i]) {
+				t.Fatalf("workers=%d: CoefGemm[%d] differs", w, i)
 			}
 		}
 	}

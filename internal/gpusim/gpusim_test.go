@@ -49,9 +49,6 @@ func TestWorkloadsExist(t *testing.T) {
 		if len(w.Layers) == 0 || w.TotalActBytes() <= 0 {
 			t.Fatalf("%s empty", w.Name)
 		}
-		if w.TotalComputeSeconds(TitanV(4)) <= 0 {
-			t.Fatalf("%s no compute", w.Name)
-		}
 	}
 }
 
@@ -192,12 +189,14 @@ func TestCacheSideSFPRSmallGain(t *testing.T) {
 func TestEffectiveOffloadTableV(t *testing.T) {
 	cfg := TitanV(4)
 	// Table V shape: cDMA+ (1.3×) < SFPR (4×) < JPEG-BASE (5.8×) <
-	// JPEG-ACT (8.5×) in effective offload GB/s.
+	// JPEG-ACT (8.5×) in effective offload GB/s — the simulator's DMA-side
+	// rate at the design's average ratio, in uncompressed GB/s.
+	offloadGBs := func(avgRatio float64) float64 {
+		s := Scheme{DMASide: true, Ratio: func(compress.Kind) float64 { return avgRatio }}
+		return effRate(cfg, s, compress.KindConv) / 1e9
+	}
 	vals := []float64{
-		EffectiveOffloadGBs(cfg, 1.3, true),
-		EffectiveOffloadGBs(cfg, 4.0, true),
-		EffectiveOffloadGBs(cfg, 5.8, true),
-		EffectiveOffloadGBs(cfg, 8.5, true),
+		offloadGBs(1.3), offloadGBs(4.0), offloadGBs(5.8), offloadGBs(8.5),
 	}
 	for i := 1; i < len(vals); i++ {
 		if vals[i] <= vals[i-1] {
@@ -264,4 +263,15 @@ func TestAllWorkloadsAllSchemesPositive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// NoOffload is the ideal lower bound: compute only.
+func NoOffload() Scheme {
+	return Scheme{Name: "ideal", Ratio: one, CompressPasses: zero, DecompressPasses: zero}
+}
+
+// Overhead returns scheme s's slowdown versus the no-offload ideal.
+func Overhead(w Workload, s Scheme, cfg Config) float64 {
+	ideal := Simulate(w, NoOffload(), cfg).Total()
+	return Simulate(w, s, cfg).Total() / ideal
 }

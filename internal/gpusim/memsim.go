@@ -103,19 +103,3 @@ func SimulateWithCapacity(w Workload, s Scheme, cfg Config, capacity float64) Me
 		FitsInMemory: fits,
 	}
 }
-
-// MinCapacity returns the smallest GPU memory (bytes) at which the
-// forward pass of w under s incurs no memory stalls, found by bisection.
-func MinCapacity(w Workload, s Scheme, cfg Config) float64 {
-	lo, hi := 0.0, w.TotalActBytes()+1
-	for i := 0; i < 50; i++ {
-		mid := (lo + hi) / 2
-		r := SimulateWithCapacity(w, s, cfg, mid)
-		if r.StallSeconds > 0 || !r.FitsInMemory {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}

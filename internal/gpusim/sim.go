@@ -22,11 +22,6 @@ type Scheme struct {
 func one(compress.Kind) float64  { return 1 }
 func zero(compress.Kind) float64 { return 0 }
 
-// NoOffload is the ideal lower bound: compute only.
-func NoOffload() Scheme {
-	return Scheme{Name: "ideal", Ratio: one, CompressPasses: zero, DecompressPasses: zero}
-}
-
 // VDNN offloads raw activations over PCIe with no compression.
 func VDNN() Scheme {
 	return Scheme{Name: "vDNN", Offload: true, Ratio: one, CompressPasses: zero, DecompressPasses: zero}
@@ -199,23 +194,4 @@ func Simulate(w Workload, s Scheme, cfg Config) Result {
 func Relative(w Workload, s Scheme, cfg Config) float64 {
 	base := Simulate(w, VDNN(), cfg).Total()
 	return base / Simulate(w, s, cfg).Total()
-}
-
-// Overhead returns scheme s's slowdown versus the no-offload ideal.
-func Overhead(w Workload, s Scheme, cfg Config) float64 {
-	ideal := Simulate(w, NoOffload(), cfg).Total()
-	return Simulate(w, s, cfg).Total() / ideal
-}
-
-// EffectiveOffloadGBs returns the Table V "Offload" column: the
-// compressed-domain PCIe rate times the average ratio, capped by the CDU
-// ingest bound, expressed in uncompressed GB/s.
-func EffectiveOffloadGBs(cfg Config, avgRatio float64, dmaSide bool) float64 {
-	rate := cfg.PCIeGBs * avgRatio
-	if dmaSide {
-		if ingest := cfg.CDUIngestGBs(); ingest < rate {
-			rate = ingest
-		}
-	}
-	return rate
 }

@@ -137,13 +137,3 @@ func (w Workload) TotalActBytes() float64 {
 	}
 	return t
 }
-
-// TotalComputeSeconds sums the kernel times under cfg (the no-offload
-// ideal).
-func (w Workload) TotalComputeSeconds(cfg Config) float64 {
-	var t float64
-	for _, l := range w.Layers {
-		t += cfg.ComputeSeconds(l.FLOPs, l.MemBytes, l.Class)
-	}
-	return t
-}

@@ -251,15 +251,6 @@ func All(sc Scale, classes int, seed uint64) []*Model {
 	}
 }
 
-// ParamCount returns the number of learnable scalars in the model.
-func (m *Model) ParamCount() int {
-	total := 0
-	for _, p := range m.Net.Params() {
-		total += p.W.Elems()
-	}
-	return total
-}
-
 // separableBlock is a MobileNet-style depthwise-separable unit: a
 // depthwise 3×3 CNR followed by a pointwise 1×1 CNR.
 func separableBlock(name string, inC, outC, stride int, rng *tensor.RNG) nn.Layer {

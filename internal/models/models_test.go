@@ -151,3 +151,12 @@ func TestMobileNetForwardBackward(t *testing.T) {
 		t.Fatalf("MobileNet %d params should be below ResNet18 %d", m.ParamCount(), r18.ParamCount())
 	}
 }
+
+// ParamCount returns the number of learnable scalars in the model.
+func (m *Model) ParamCount() int {
+	total := 0
+	for _, p := range m.Net.Params() {
+		total += p.W.Elems()
+	}
+	return total
+}

@@ -116,7 +116,7 @@ func (i *Injector) Wrap(conn net.Conn) net.Conn {
 		inj:  i,
 		// Offset the seed so conn 0 of seed 1 shares nothing with
 		// conn 1 of seed 0.
-		state: splitmix.Mix(i.cfg.Seed ^ (n+1)*splitmix.Gamma),
+		stream: splitmix.NewStream(splitmix.Mix(i.cfg.Seed ^ (n+1)*splitmix.Gamma)),
 	}
 }
 
@@ -139,16 +139,10 @@ func (i *Injector) WrapDialer(dial func() (net.Conn, error)) func() (net.Conn, e
 // per operation.
 type faultConn struct {
 	net.Conn
-	inj   *Injector
-	mu    sync.Mutex
-	state uint64
-	dead  bool
-}
-
-// next advances the conn's splitmix64 stream.
-func (c *faultConn) next() uint64 {
-	c.state += splitmix.Gamma
-	return splitmix.Mix(c.state)
+	inj    *Injector
+	mu     sync.Mutex
+	stream *splitmix.Stream
+	dead   bool
 }
 
 // chance draws one fault decision.
@@ -156,7 +150,7 @@ func (c *faultConn) chance(p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	return float64(c.next()>>11)/(1<<53) < p
+	return float64(c.stream.Next()>>11)/(1<<53) < p
 }
 
 // plan draws this op's fault plan in one locked section.
@@ -173,7 +167,7 @@ func (c *faultConn) plan() (latency, stall, reset bool, cut int, dead bool) {
 	if reset {
 		c.dead = true
 		// The delivered prefix length is itself part of the schedule.
-		cut = int(c.next() & 0xffff)
+		cut = int(c.stream.Next() & 0xffff)
 	}
 	return latency, stall, reset, cut, false
 }

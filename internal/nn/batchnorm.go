@@ -9,6 +9,11 @@ import (
 	"jpegact/internal/tensor"
 )
 
+// elemGrain is the per-chunk element count for the pointwise loops:
+// large enough that goroutine overhead stays invisible, small enough to
+// split typical activation planes across the pool.
+const elemGrain = 4096
+
 // BatchNorm normalizes per channel over (N, H, W) with learnable scale
 // gamma and shift beta (Ioffe & Szegedy). It saves its input — the dense
 // "norm input c" of Fig. 3, the activation whose mandatory storage

@@ -21,7 +21,6 @@ type Conv2D struct {
 	InC, OutC   int
 	Kernel      int
 	Stride, Pad int
-	Winograd    bool   // use the F(2×2,3×3) fast forward when applicable
 	Weight      *Param // (OutC, InC, K, K)
 	Bias        *Param // (1, OutC, 1, 1); nil when disabled
 	in          *ActRef
@@ -38,9 +37,6 @@ type ConvOpts struct {
 	Stride int
 	Pad    int
 	Bias   bool
-	// Winograd selects the F(2×2, 3×3) fast forward path (3×3 stride-1
-	// only; backward always uses the im2col reference).
-	Winograd bool
 }
 
 // NewConv2D builds a conv layer with He initialization.
@@ -55,7 +51,6 @@ func NewConv2D(name string, inC, outC, kernel int, opts ConvOpts, rng *tensor.RN
 		Kernel:    kernel,
 		Stride:    opts.Stride,
 		Pad:       opts.Pad,
-		Winograd:  opts.Winograd,
 		Weight:    NewParam(name+".W", outC, inC, kernel, kernel),
 	}
 	c.Weight.W.FillHe(rng, inC*kernel*kernel)
@@ -106,9 +101,6 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 	}
 	ho, wo := c.outDims(x.Shape)
 	c.outShape = tensor.Shape{N: x.Shape.N, C: c.OutC, H: ho, W: wo}
-	if c.Winograd && c.winogradApplicable() {
-		return &ActRef{Name: c.LayerName + ".out", Kind: compress.KindConv, T: c.forwardWinograd(x)}
-	}
 	out := tensor.New(x.Shape.N, c.OutC, ho, wo)
 
 	k2 := c.InC * c.Kernel * c.Kernel
@@ -172,7 +164,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	k2 := c.InC * c.Kernel * c.Kernel
 
 	dx := tensor.NewLike(x)
-	// The Winograd forward skips the im2col buffer; backward always needs it.
 	if cap(c.colBuf) < k2*spatial {
 		c.colBuf = make([]float32, k2*spatial)
 	}

@@ -10,24 +10,13 @@ package nn
 import "jpegact/internal/splitmix"
 
 // GradSize returns the total element count of all parameter gradients
-// under root — the length FlattenGrads fills and ImportGrads consumes.
+// under root — the length ImportGrads consumes.
 func GradSize(root Layer) int {
 	n := 0
 	for _, p := range root.Params() {
 		n += p.Grad.Elems()
 	}
 	return n
-}
-
-// FlattenGrads copies every parameter gradient under root into dst in
-// Params() order and returns the number of elements written. dst must
-// hold at least GradSize(root) elements.
-func FlattenGrads(root Layer, dst []float32) int {
-	off := 0
-	for _, p := range root.Params() {
-		off += copy(dst[off:], p.Grad.Data)
-	}
-	return off
 }
 
 // ImportGrads overwrites every parameter gradient under root from the
@@ -54,10 +43,9 @@ func ImportGrads(root Layer, src []float32, scale float32) {
 	}
 }
 
-// BucketPlan partitions a network's flat gradient vector (the
-// FlattenGrads layout: Params() order) into fixed-size element buckets
-// and tracks, during one backward pass, which buckets have been fully
-// produced. The data-parallel trainer hangs its overlapped exchange on
+// BucketPlan partitions a network's flat gradient vector (Params()
+// order) into fixed-size element buckets and tracks, during one backward
+// pass, which buckets have been fully produced. The data-parallel trainer hangs its overlapped exchange on
 // it: the OnGrad hook reports each finalized parameter, Produce answers
 // "which buckets just became complete and may ship now", and because
 // backward finalizes parameters in reverse network order the *tail*
@@ -114,9 +102,6 @@ func NewBucketPlan(root Layer, bucketElems int) *BucketPlan {
 func (bp *BucketPlan) Buckets() int {
 	return (bp.total + bp.bucketElems - 1) / bp.bucketElems
 }
-
-// Total returns the flat gradient length the plan covers.
-func (bp *BucketPlan) Total() int { return bp.total }
 
 // BucketRange returns bucket b's half-open element range [lo, hi) in
 // the flat vector.

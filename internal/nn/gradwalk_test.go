@@ -150,3 +150,14 @@ func TestSaltNetState(t *testing.T) {
 		}
 	}
 }
+
+// FlattenGrads copies every parameter gradient under root into dst in
+// Params() order and returns the number of elements written. dst must
+// hold at least GradSize(root) elements.
+func FlattenGrads(root Layer, dst []float32) int {
+	off := 0
+	for _, p := range root.Params() {
+		off += copy(dst[off:], p.Grad.Data)
+	}
+	return off
+}

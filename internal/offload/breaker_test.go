@@ -290,3 +290,9 @@ func TestBreakerGetFailureAdvancesBreaker(t *testing.T) {
 		t.Fatal("no degraded ops after trip")
 	}
 }
+
+// Tripped reports whether the circuit breaker is currently open (new
+// offloads are being served degraded from the local fallback).
+func (s *Store) Tripped() bool {
+	return s.breakerActive() && s.breakerOf().tripped()
+}

@@ -39,12 +39,6 @@ func (p Pipeline) EncodeGradient(c frame.Codec, x *tensor.Tensor) (Encoded, erro
 	return registry[c].encode(p, compress.KindGradient, x)
 }
 
-// GradQuantErrorBound returns the per-element reconstruction error
-// bound of a CodecGradQuant frame with the given scale.
-func GradQuantErrorBound(scale float32) float32 {
-	return scale / 2
-}
-
 func encodeGradRaw(_ Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, error) {
 	f := &frame.Frame{Codec: frame.CodecGradRaw, Kind: uint8(kind), Shape: x.Shape}
 	f.Payload = make([]byte, 4*len(x.Data))

@@ -297,3 +297,13 @@ func TestEngineDroppedTransferTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Seq returns the offload sequence number of ref, and whether it is
+// currently stored.
+func (s *Store) Seq(ref *nn.ActRef) (int, bool) {
+	e, ok := s.lookup(ref)
+	if !ok {
+		return 0, false
+	}
+	return e.seq, true
+}

@@ -230,15 +230,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := s.Listen(addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Shutdown drains the server gracefully: new connections are refused
 // immediately, but every request already read gets its response flushed
 // before the connection closes. Readers blocked waiting for the next
@@ -570,20 +561,6 @@ func (s *Server) HostBytes() int64 {
 	}
 	return n
 }
-
-// ShardEntries returns per-shard entry counts (for balance checks).
-func (s *Server) ShardEntries() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		out[i] = len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Conns returns the number of currently open connections.
-func (s *Server) Conns() int64 { return s.conns.Load() }
 
 // MetricsHandler serves the unified snapshot in Prometheus text
 // exposition format, plus server-level gauges (connections, entries,

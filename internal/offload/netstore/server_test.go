@@ -324,3 +324,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// ShardEntries returns per-shard entry counts (for balance checks).
+func (s *Server) ShardEntries() []int {
+	out := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		out[i] = len(sh.entries)
+		sh.mu.Unlock()
+	}
+	return out
+}

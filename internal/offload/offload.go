@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"jpegact/internal/dct"
 	"jpegact/internal/frame"
 	"jpegact/internal/freqdomain"
 	"jpegact/internal/nn"
@@ -273,12 +272,6 @@ func (s *Store) breakerActive() bool {
 	return s.Transport != nil && !s.Breaker.Disabled
 }
 
-// Tripped reports whether the circuit breaker is currently open (new
-// offloads are being served degraded from the local fallback).
-func (s *Store) Tripped() bool {
-	return s.breakerActive() && s.breakerOf().tripped()
-}
-
 // effRetries maps the recovery policy onto the transport retry budget.
 func (s *Store) effRetries() int {
 	switch s.Recovery.Policy {
@@ -455,11 +448,6 @@ func (s *Store) putWait(t *putTicket) (stored int, degraded bool, err error) {
 	s.counters.Degraded.Add(1)
 	n, ferr := s.fallbackT().Put(t.key, t.data, transport.Retry{})
 	return n, true, ferr
-}
-
-// put is the synchronous compose of putIssue and putWait.
-func (s *Store) put(key uint64, data []byte) (stored int, degraded bool, err error) {
-	return s.putWait(s.putIssue(key, data))
 }
 
 // lookup returns the entry for ref, if resident.
@@ -729,16 +717,3 @@ func (s *Store) HostBytes() int {
 	defer s.mu.Unlock()
 	return s.hostBytes
 }
-
-// Seq returns the offload sequence number of ref, and whether it is
-// currently stored (exposed for restore-order tests and tooling).
-func (s *Store) Seq(ref *nn.ActRef) (int, bool) {
-	e, ok := s.lookup(ref)
-	if !ok {
-		return 0, false
-	}
-	return e.seq, true
-}
-
-// BlockSize echoes the JPEG block constant for callers sizing buffers.
-const BlockSize = dct.BlockSize

@@ -101,22 +101,13 @@ type NetClient struct {
 	// and wall-clock duration from the request hitting the wire to its
 	// response validating) — the hook bench/ hangs its percentile
 	// collector on. Set before first use. It is invoked from the
-	// client's reader goroutine (and the hedge goroutine when hedging
-	// is enabled), so it must be safe for concurrent use.
+	// client's reader goroutine only, one call at a time.
 	Latency func(op uint8, d time.Duration)
 	// OpTimeout is the client-level per-attempt deadline applied when
 	// the operation's Retry schedule carries none — it also bounds
 	// housekeeping ops (Delete, ServerStats) that take no schedule.
 	// 0 = no deadline. Set before first use.
 	OpTimeout time.Duration
-	// Hedge, when > 0, arms tail-latency hedging on GETs: if the
-	// oldest in-flight GET has not answered within the delay, the same
-	// request is raced on a fresh connection and the first answer wins.
-	// A hedge win abandons the primary exchange, which poisons the
-	// connection (the late response would desynchronize the stream) and
-	// resends every other in-flight op. Each hedge launched counts in
-	// Counters.Hedged. Set before first use.
-	Hedge time.Duration
 	// Window bounds how many operations may be queued-or-in-flight on
 	// the wire at once: 0 is DefaultWindow, 1 is stop-and-wait.
 	// Submitting past the window blocks — backpressure, not buffering.
@@ -165,34 +156,6 @@ func budgetSpent(start time.Time, r Retry) bool {
 	return r.Total > 0 && time.Since(start) >= r.Total
 }
 
-// roundTrip performs one request/response exchange on an explicit
-// connection under an optional deadline. It touches no client state
-// beyond the Latency hook; the hedge path runs it on a private
-// connection concurrently with the pipelined stream.
-func (c *NetClient) roundTrip(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, op uint8, key uint64, body []byte, timeout time.Duration) (uint8, []byte, error) {
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	} else {
-		conn.SetDeadline(time.Time{})
-	}
-	start := time.Now()
-	err := WriteRequest(bw, op, key, body)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		var status uint8
-		var resp []byte
-		if status, resp, err = ReadResponse(br); err == nil {
-			if c.Latency != nil {
-				c.Latency(op, time.Since(start))
-			}
-			return status, resp, nil
-		}
-	}
-	return 0, nil, err
-}
-
 // unavailable wraps the terminal error of an exhausted schedule whose
 // failures were all connection-level — the typed verdict the circuit
 // breaker above keys on.
@@ -209,24 +172,6 @@ func unavailable(op string, key uint64, attempts int, err error) error {
 // returns a typed ErrStoreUnavailable.
 func (c *NetClient) Put(key uint64, data []byte, r Retry) (int, error) {
 	return c.PutAsync(key, data, r).PutResult()
-}
-
-// rtResult carries one round trip's outcome between goroutines.
-type rtResult struct {
-	status uint8
-	body   []byte
-	err    error
-}
-
-// hedgeTrip runs the hedged copy of a GET: a fresh connection, one
-// exchange, closed either way — it never touches the pipeline's state.
-func (c *NetClient) hedgeTrip(op uint8, key uint64, timeout time.Duration) (uint8, []byte, error) {
-	conn, err := dialConn(c.dial, timeout)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer conn.Close()
-	return c.roundTrip(conn, bufio.NewReader(conn), bufio.NewWriter(conn), op, key, nil, timeout)
 }
 
 // Get implements Transport: the synchronous window-of-1 form of

@@ -101,85 +101,6 @@ func TestClientLevelOpTimeoutCoversHousekeeping(t *testing.T) {
 	}
 }
 
-// TestHedgedGetBeatsStalledConnection: the first connection serves the
-// PUT then stalls on the GET; the hedge must race a second connection,
-// win, and poison the abandoned primary — with the Hedged counter
-// recording the launch.
-func TestHedgedGetBeatsStalledConnection(t *testing.T) {
-	buf := testFrame(t)
-	stalled := make(chan struct{})
-	defer close(stalled)
-	dial := wireServer(t, func(conn net.Conn, nth int) {
-		defer conn.Close()
-		for {
-			req, err := ReadRequest(conn)
-			if err != nil {
-				return
-			}
-			switch req.Op {
-			case OpPut:
-				WriteResponse(conn, StatusOK, nil)
-			case OpGet:
-				if nth == 0 {
-					<-stalled // first connection stalls its GET forever
-					return
-				}
-				WriteResponse(conn, StatusOK, buf)
-			}
-		}
-	})
-	var counters Counters
-	c := NewNetClient(dial, &counters)
-	c.Hedge = 20 * time.Millisecond
-	if _, err := c.Put(5, buf, Retry{}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := c.Get(5, Retry{OpTimeout: 5 * time.Second}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Codec != frame.CodecZVC {
-		t.Fatalf("hedged get returned wrong frame: %+v", f)
-	}
-	if counters.Hedged.Load() == 0 {
-		t.Fatal("hedge launch was not counted")
-	}
-}
-
-// TestHedgeIdleWhenPrimaryIsFast: a healthy server answering immediately
-// must never trigger hedges.
-func TestHedgeIdleWhenPrimaryIsFast(t *testing.T) {
-	buf := testFrame(t)
-	dial := wireServer(t, func(conn net.Conn, _ int) {
-		defer conn.Close()
-		for {
-			req, err := ReadRequest(conn)
-			if err != nil {
-				return
-			}
-			if req.Op == OpPut {
-				WriteResponse(conn, StatusOK, nil)
-			} else {
-				WriteResponse(conn, StatusOK, buf)
-			}
-		}
-	})
-	var counters Counters
-	c := NewNetClient(dial, &counters)
-	c.Hedge = 500 * time.Millisecond
-	if _, err := c.Put(1, buf, Retry{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := c.Get(1, Retry{}, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := counters.Hedged.Load(); got != 0 {
-		t.Fatalf("%d hedges launched against a fast server", got)
-	}
-}
-
 // TestCorruptResponseStaysTypedAfterBudget: when the schedule exhausts
 // on payload corruption (the server answered, the frame is damaged),
 // the error must stay the frame error — unavailability is only for

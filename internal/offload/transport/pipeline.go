@@ -31,7 +31,6 @@ package transport
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -192,9 +191,6 @@ func (p *Pending) complete(err error) {
 	close(p.done)
 }
 
-// Done is closed when the op has resolved (successfully or not).
-func (p *Pending) Done() <-chan struct{} { return p.done }
-
 // Err waits for completion and returns the op's terminal error.
 func (p *Pending) Err() error {
 	<-p.done
@@ -229,11 +225,6 @@ func opName(op uint8) string {
 	}
 	return fmt.Sprintf("op%d", op)
 }
-
-// errPoisoned is the cause recorded when an op is resent not because
-// its own exchange failed but because a neighbouring failure tore the
-// shared response stream.
-var errPoisoned = errors.New("transport: connection poisoned mid-window")
 
 // DefaultWindow is the in-flight bound of a client whose Window is left
 // zero: every wire client in the tree is pipelined at this one number
@@ -400,20 +391,12 @@ func (c *NetClient) readLoop(epoch uint64, conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		head := c.inflight[0]
-		hedge := c.Hedge
 		c.pmu.Unlock()
 
 		if t := c.effTimeout(head.retry.OpTimeout); t > 0 {
 			conn.SetReadDeadline(time.Now().Add(t))
 		} else {
 			conn.SetReadDeadline(time.Time{})
-		}
-
-		if hedge > 0 && (head.op == OpGet || head.op == OpGetCoef) {
-			if c.readHedged(epoch, conn, br, head, hedge) {
-				return // epoch retired by a hedge win or a poison
-			}
-			continue
 		}
 
 		status, body, err := ReadResponse(br)
@@ -423,9 +406,8 @@ func (c *NetClient) readLoop(epoch uint64, conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// settle processes one primary-connection response (or read error) for
-// the in-flight head. It reports whether the epoch was retired and the
-// read loop must exit.
+// settle processes one response (or read error) for the in-flight head.
+// It reports whether the epoch was retired and the read loop must exit.
 func (c *NetClient) settle(epoch uint64, head *Pending, status uint8, body []byte, err error) bool {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
@@ -443,65 +425,6 @@ func (c *NetClient) settle(epoch uint64, head *Pending, status uint8, body []byt
 	c.finishResponseLocked(head, status, body)
 	c.pcond.Broadcast()
 	return false
-}
-
-// readHedged reads the head GET's response racing a tail-latency hedge:
-// if the primary stays silent past the hedge delay, the same request
-// runs on a fresh connection and the first answer wins. A hedge win
-// abandons the primary exchange mid-flight, which poisons the whole
-// connection — the head completes from the hedge response and every
-// other in-flight op is resent. Reports whether the epoch was retired.
-func (c *NetClient) readHedged(epoch uint64, conn net.Conn, br *bufio.Reader, head *Pending, hedge time.Duration) bool {
-	prim := make(chan rtResult, 1)
-	go func() {
-		s, b, e := ReadResponse(br)
-		prim <- rtResult{s, b, e}
-	}()
-	t := time.NewTimer(hedge)
-	defer t.Stop()
-	select {
-	case res := <-prim:
-		return c.settle(epoch, head, res.status, res.body, res.err)
-	case <-t.C:
-	}
-	c.counters.Hedged.Add(1)
-	hed := make(chan rtResult, 1)
-	go func() {
-		s, b, e := c.hedgeTrip(head.op, head.key, c.effTimeout(head.retry.OpTimeout))
-		hed <- rtResult{s, b, e}
-	}()
-	select {
-	case res := <-prim:
-		// The primary answered after all; the hedge connection closes
-		// itself and its answer is discarded.
-		return c.settle(epoch, head, res.status, res.body, res.err)
-	case res := <-hed:
-		if res.err != nil {
-			// The hedge lost too; fall back to whatever the primary does.
-			r2 := <-prim
-			return c.settle(epoch, head, r2.status, r2.body, r2.err)
-		}
-		// The hedge won. The primary's response would arrive unsolicited
-		// and desynchronize the stream, so the connection is poisoned:
-		// close it, wait for the abandoned read to notice, then resend
-		// every *other* in-flight op in order. The head itself settles
-		// from the hedge's answer.
-		conn.Close()
-		<-prim
-		c.pmu.Lock()
-		defer c.pmu.Unlock()
-		if c.epoch != epoch {
-			return true
-		}
-		c.inflight = c.inflight[1:]
-		c.poisonLocked(epoch, errPoisoned)
-		// The hedge's own round trip already fired the Latency hook; zero
-		// sentAt so the completion below does not observe the op twice.
-		head.sentAt = time.Time{}
-		c.finishResponseLocked(head, res.status, res.body)
-		c.pcond.Broadcast()
-		return true
-	}
 }
 
 // finishResponseLocked applies one well-formed response to its op:
@@ -567,7 +490,7 @@ func (c *NetClient) finishResponseLocked(p *Pending, status uint8, body []byte) 
 // observe fires the Latency hook for a successful exchange, measured
 // from the moment the request hit the wire.
 func (c *NetClient) observe(p *Pending) {
-	if c.Latency != nil && !p.sentAt.IsZero() {
+	if c.Latency != nil {
 		c.Latency(p.op, time.Since(p.sentAt))
 	}
 }

@@ -3,8 +3,7 @@ package transport
 // Failure-domain tests for the pipelined client: the windowed async API
 // must keep every PR-2 recovery invariant the stop-and-wait path has —
 // a connection failure mid-window poisons every in-flight op and the
-// tail is resent in its original issue order, the hedge rescues a
-// stalled head without reordering the survivors, submissions past the
+// tail is resent in its original issue order, submissions past the
 // window block instead of flooding, and the whole machine converges
 // through the deterministic chaos injector.
 
@@ -144,69 +143,6 @@ func TestPipelinedWindowBackpressure(t *testing.T) {
 		}
 		if f.Payload[0] != byte(i+1) {
 			t.Fatalf("get %d returned frame %d", i+1, f.Payload[0])
-		}
-	}
-}
-
-// TestPipelinedHedgeRescuesHead: with a window of GETs in flight and the
-// whole connection stalled, the hedge must rescue the head op from a
-// second connection; the poisoned survivors then replay in their
-// original order on a fresh connection.
-func TestPipelinedHedgeRescuesHead(t *testing.T) {
-	var mu sync.Mutex
-	var served []uint64 // GETs actually answered, across connections
-	stall := make(chan struct{})
-	defer close(stall)
-	dial := wireServer(t, func(conn net.Conn, nth int) {
-		defer conn.Close()
-		for {
-			req, err := ReadRequest(conn)
-			if err != nil {
-				return
-			}
-			if req.Op != OpGet {
-				WriteResponse(conn, StatusOK, nil)
-				continue
-			}
-			if nth == 0 {
-				<-stall // the primary never answers a GET
-				return
-			}
-			mu.Lock()
-			served = append(served, req.Key)
-			mu.Unlock()
-			if WriteResponse(conn, StatusOK, keyFrame(req.Key)) != nil {
-				return
-			}
-		}
-	})
-	var counters Counters
-	c := NewNetClient(dial, &counters)
-	c.Window = 4
-	c.Hedge = 20 * time.Millisecond
-	defer c.Close()
-	r := Retry{Attempts: 2, OpTimeout: 5 * time.Second}
-	var pending []*Pending
-	for k := uint64(1); k <= 4; k++ {
-		pending = append(pending, c.GetAsync(k, r, false))
-	}
-	for i, p := range pending {
-		f, err := p.GetResult()
-		if err != nil {
-			t.Fatalf("get %d: %v", i+1, err)
-		}
-		if f.Payload[0] != byte(i+1) {
-			t.Fatalf("get %d returned frame %d", i+1, f.Payload[0])
-		}
-	}
-	if counters.Hedged.Load() == 0 {
-		t.Fatal("hedge launch was not counted")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, k := range served {
-		if k != uint64(i+1) {
-			t.Fatalf("hedge reordered the window: served %v", served)
 		}
 	}
 }

@@ -148,7 +148,7 @@ type Counters struct {
 	Dropped        atomic.Uint64 // reads that yielded no bytes (nil transfer)
 	Reconnects     atomic.Uint64 // connections re-dialed by a networked backend
 	Degraded       atomic.Uint64 // operations served by the degraded local fallback (breaker open)
-	Hedged         atomic.Uint64 // hedge requests launched against a slow GET
+	Hedged         atomic.Uint64 // reserved, always zero: hedged GETs are gone; bench/ and the stats JSON still read the field
 	ReplicaReads   atomic.Uint64 // GETs served by a non-primary replica shard
 	GradPuts       atomic.Uint64 // gradient frames put (keys in the grad namespace)
 	GradGets       atomic.Uint64 // gradient frames fetched back
@@ -218,7 +218,7 @@ func (s Snapshot) WriteMetrics(w io.Writer, namespace string) error {
 		{"dropped_total", "Transfers that yielded no bytes", int64(s.Dropped)},
 		{"reconnects_total", "Connections re-dialed", int64(s.Reconnects)},
 		{"degraded_total", "Operations served by the degraded local fallback", int64(s.Degraded)},
-		{"hedged_total", "Hedge requests launched against slow GETs", int64(s.Hedged)},
+		{"hedged_total", "Reserved, always zero (hedged GETs were removed)", int64(s.Hedged)},
 		{"replica_reads_total", "GETs served by a non-primary replica shard", int64(s.ReplicaReads)},
 		{"grad_puts_total", "Gradient frames put to the store", int64(s.GradPuts)},
 		{"grad_gets_total", "Gradient frames fetched from the store", int64(s.GradGets)},
@@ -349,11 +349,4 @@ func (l *Local) Close() error {
 	l.bufs = map[uint64][]byte{}
 	l.mu.Unlock()
 	return nil
-}
-
-// Stored returns the number of resident entries (for tests and tools).
-func (l *Local) Stored() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.bufs)
 }

@@ -11,7 +11,6 @@ import "sync"
 type Pool struct {
 	tasks chan func()
 	wg    sync.WaitGroup
-	size  int
 }
 
 // NewPool starts a pool of n workers (n <= 0 uses Workers()).
@@ -19,7 +18,7 @@ func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = Workers()
 	}
-	p := &Pool{tasks: make(chan func(), 2*n), size: n}
+	p := &Pool{tasks: make(chan func(), 2*n)}
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -31,9 +30,6 @@ func NewPool(n int) *Pool {
 	}
 	return p
 }
-
-// Size returns the worker count.
-func (p *Pool) Size() int { return p.size }
 
 // Submit enqueues f, blocking while the queue is full. It must not be
 // called after Close.

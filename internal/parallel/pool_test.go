@@ -23,8 +23,8 @@ func TestPoolDefaultsToWorkers(t *testing.T) {
 	defer SetWorkers(prev)
 	p := NewPool(0)
 	defer p.Close()
-	if p.Size() != 5 {
-		t.Fatalf("size %d, want 5", p.Size())
+	if got := cap(p.tasks); got != 2*5 {
+		t.Fatalf("queue of %d for 5 workers, want 10", got)
 	}
 }
 

@@ -98,30 +98,6 @@ func (d *DQT) ShiftLogs() [64]uint8 {
 	return out
 }
 
-// Effective returns the divisor the given backend actually applies for
-// entry i: the raw entry for DIV, the nearest power of two for SH.
-func (d *DQT) Effective(i int, shift bool) float64 {
-	if !shift {
-		return d.Entries[i]
-	}
-	return float64(int(1) << d.ShiftLogs()[i])
-}
-
-// DivQuantize applies division quantization (the JPEG-BASE DIV unit) to a
-// DCT coefficient block, producing signed 8-bit quantized values.
-func DivQuantize(coef *[64]float32, d *DQT, out *[64]int8) {
-	for i, c := range coef {
-		out[i] = RoundSat64(float64(c) / d.Entries[i])
-	}
-}
-
-// DivDequantize reverses DivQuantize (up to the quantization loss).
-func DivDequantize(q *[64]int8, d *DQT, out *[64]float32) {
-	for i, v := range q {
-		out[i] = float32(float64(v) * d.Entries[i])
-	}
-}
-
 // ShiftQuantize applies the SH unit's power-of-two quantization: each
 // coefficient is right-shifted by the 3-bit log-DQT entry with
 // round-to-nearest, then clipped to 8 bits. Input coefficients are the
@@ -163,19 +139,5 @@ func ShiftQuantizeFloatLogs(coef *[64]float32, logs *[64]uint8, out *[64]int8) {
 	for i, c := range coef {
 		div := float64(int32(1) << logs[i])
 		out[i] = RoundSat64(float64(c) / div)
-	}
-}
-
-// ShiftDequantizeFloat reverses ShiftQuantizeFloat.
-func ShiftDequantizeFloat(q *[64]int8, d *DQT, out *[64]float32) {
-	logs := d.ShiftLogs()
-	ShiftDequantizeFloatLogs(q, &logs, out)
-}
-
-// ShiftDequantizeFloatLogs is ShiftDequantizeFloat with the shift table
-// precomputed (see ShiftQuantizeFloatLogs).
-func ShiftDequantizeFloatLogs(q *[64]int8, logs *[64]uint8, out *[64]float32) {
-	for i, v := range q {
-		out[i] = float32(int32(v) << logs[i])
 	}
 }

@@ -144,39 +144,6 @@ func Roundtrip(x *tensor.Tensor, s float64) (*tensor.Tensor, int) {
 	return Decompress(c), c.Bytes()
 }
 
-// RangeUtilization returns the average (over non-empty channels) fraction
-// of the 256 integer code points actually used, the metric behind the
-// paper's DPR-vs-SFPR accuracy analysis (§VI-B: 15% for DPR vs 66% for
-// SFPR on small-range channels).
-func RangeUtilization(vals []int8, sh tensor.Shape) float64 {
-	hw := sh.H * sh.W
-	var total float64
-	channels := 0
-	for c := 0; c < sh.C; c++ {
-		used := map[int8]bool{}
-		any := false
-		for n := 0; n < sh.N; n++ {
-			base := (n*sh.C + c) * hw
-			for i := 0; i < hw; i++ {
-				v := vals[base+i]
-				used[v] = true
-				if v != 0 {
-					any = true
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		total += float64(len(used)) / 256
-		channels++
-	}
-	if channels == 0 {
-		return 0
-	}
-	return total / float64(channels)
-}
-
 // Minifloat describes a reduced-precision float format (DPR). The format
 // is IEEE-like: 1 sign bit, ExpBits exponent bits with bias
 // 2^(ExpBits-1)-1, ManBits mantissa bits, subnormals, saturating overflow.

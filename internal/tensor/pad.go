@@ -13,12 +13,6 @@ type PadInfo struct {
 // PaddedElems returns the element count after padding.
 func (p PadInfo) PaddedElems() int { return p.BlockRows * p.BlockCols }
 
-// Overhead returns the fractional storage increase caused by padding,
-// e.g. 0.03 for a 3% overhead.
-func (p PadInfo) Overhead() float64 {
-	return float64(p.PaddedElems())/float64(p.Orig.Elems()) - 1
-}
-
 // BlockPadInfo computes the padding geometry for shape s at the given
 // block size without touching any data — the paper's NCH,W padding
 // scheme (Fig. 12) reduced to arithmetic. Callers that only need the

@@ -73,11 +73,6 @@ func (t *Tensor) At(n, c, h, w int) float32 {
 	return t.Data[t.Index(n, c, h, w)]
 }
 
-// Set stores v at (n, c, h, w).
-func (t *Tensor) Set(n, c, h, w int, v float32) {
-	t.Data[t.Index(n, c, h, w)] = v
-}
-
 // Index returns the flat offset of element (n, c, h, w).
 func (t *Tensor) Index(n, c, h, w int) int {
 	s := t.Shape
@@ -89,17 +84,6 @@ func (t *Tensor) Elems() int { return len(t.Data) }
 
 // Bytes returns the uncompressed size of t in bytes (float32 storage).
 func (t *Tensor) Bytes() int { return 4 * len(t.Data) }
-
-// Reshape returns a view of t with a new shape holding the same number of
-// elements. The underlying data is shared, mirroring the zero-copy
-// NCH×W reshape the paper uses for padding (§III-C).
-func (t *Tensor) Reshape(n, c, h, w int) *Tensor {
-	s := Shape{n, c, h, w}
-	if s.Elems() != t.Elems() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes element count", t.Shape, s))
-	}
-	return &Tensor{Shape: s, Data: t.Data}
-}
 
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
@@ -115,14 +99,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// CopyFrom copies src's data into t. Shapes must have equal element count.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(src.Data) != len(t.Data) {
-		panic("tensor: CopyFrom size mismatch")
-	}
-	copy(t.Data, src.Data)
-}
-
 // Add accumulates other into t elementwise.
 func (t *Tensor) Add(other *Tensor) {
 	if len(other.Data) != len(t.Data) {
@@ -130,16 +106,6 @@ func (t *Tensor) Add(other *Tensor) {
 	}
 	for i, v := range other.Data {
 		t.Data[i] += v
-	}
-}
-
-// AddScaled accumulates alpha*other into t elementwise.
-func (t *Tensor) AddScaled(alpha float32, other *Tensor) {
-	if len(other.Data) != len(t.Data) {
-		panic("tensor: AddScaled size mismatch")
-	}
-	for i, v := range other.Data {
-		t.Data[i] += alpha * v
 	}
 }
 
@@ -228,20 +194,6 @@ func (t *Tensor) ChannelMaxAbsOf(c int) float32 {
 	return m
 }
 
-// Sparsity returns the fraction of exactly-zero elements.
-func (t *Tensor) Sparsity() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	zeros := 0
-	for _, v := range t.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	return float64(zeros) / float64(len(t.Data))
-}
-
 // L2Error returns the average per-element L2 error between a and b:
 // |a-b|_2 / numElements, the metric of Eqn. 10.
 func L2Error(a, b *Tensor) float64 {
@@ -267,24 +219,4 @@ func MSE(a, b *Tensor) float64 {
 		sum += d * d
 	}
 	return sum / float64(len(a.Data))
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	var sum float64
-	for _, v := range t.Data {
-		sum += float64(v)
-	}
-	return sum / float64(len(t.Data))
-}
-
-// Std returns the population standard deviation of all elements.
-func (t *Tensor) Std() float64 {
-	m := t.Mean()
-	var sum float64
-	for _, v := range t.Data {
-		d := float64(v) - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(t.Data)))
 }

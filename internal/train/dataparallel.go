@@ -101,10 +101,8 @@ type DPOptions struct {
 	// worker and the reducer gets its own connection.
 	StoreDial transport.Dialer
 	// StoreTimeout bounds one exchange operation's whole retry
-	// schedule (0 = unbounded); StoreHedge arms tail-latency hedging
-	// on gradient fetches.
+	// schedule (0 = unbounded).
 	StoreTimeout time.Duration
-	StoreHedge   time.Duration
 	// ClientHook observes every wire client built (chaos harnesses
 	// install op-count kill triggers here).
 	ClientHook func(*transport.NetClient)
@@ -611,7 +609,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	newExchange := func() *gradExchange {
 		tr := shared
 		if tr == nil {
-			tr = newStoreClient(dp.StoreDial, counters, dp.StoreTimeout, dp.StoreHedge, func(c *transport.NetClient) {
+			tr = newStoreClient(dp.StoreDial, counters, dp.StoreTimeout, func(c *transport.NetClient) {
 				if dp.SerialExchange {
 					c.Window = 1 // stop-and-wait wire ops
 				}

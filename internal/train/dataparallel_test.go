@@ -135,7 +135,6 @@ func TestDataParallelBitExact(t *testing.T) {
 		Microbatches: M,
 		StoreDial:    transport.Dialer(inj.WrapDialer(dial2)),
 		StoreTimeout: 5 * time.Second,
-		StoreHedge:   10 * time.Millisecond,
 	})
 	sameEpochs(t, ref, chaosRep, "chaos")
 	sameWeights(t, refModel, chaosModel, "chaos")

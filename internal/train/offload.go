@@ -29,7 +29,6 @@ import (
 	"jpegact/internal/offload"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
-	"jpegact/internal/tensor"
 )
 
 // OffloadOptions configures the offloaded (host-memory) training path.
@@ -86,11 +85,6 @@ type OffloadOptions struct {
 	// quarter of the budget (at least 50ms) so one stalled connection
 	// cannot eat it all. 0 = unbounded (the pre-deadline behaviour).
 	StoreTimeout time.Duration
-	// StoreHedge arms tail-latency hedging on store GETs: a restore
-	// slower than this races a second connection and the first answer
-	// wins (0 = off). Purely a latency shield — the winning bytes are
-	// CRC-identical either way.
-	StoreHedge time.Duration
 	// Breaker tunes the store's circuit breaker (zero value = enabled;
 	// set Disabled to surface wire failures instead of degrading). Only
 	// meaningful in networked mode. The trainer's FailureThreshold
@@ -149,10 +143,9 @@ func storeOpTimeout(total time.Duration) time.Duration {
 // the transport's default window. It shares the caller's counter block,
 // so network faults and verified bytes land in the stats the caller
 // reads; hook (optional) sees the client before its first operation.
-func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout, hedge time.Duration, hook func(*transport.NetClient)) *transport.NetClient {
+func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout time.Duration, hook func(*transport.NetClient)) *transport.NetClient {
 	c := transport.NewNetClient(dial, counters)
 	c.OpTimeout = storeOpTimeout(timeout)
-	c.Hedge = hedge
 	if hook != nil {
 		hook(c)
 	}
@@ -195,7 +188,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 			}
 			dial = d
 		}
-		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreHedge, oc.StoreClient)
+		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreClient)
 		store.KeyBase = oc.StoreKeyBase
 		store.Breaker = oc.Breaker
 		if store.Breaker.FailureThreshold <= 0 {
@@ -227,13 +220,4 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 	err := l.run(&rep)
 	rep.WeightsDigest = weightsDigest(m.Net)
 	return rep, store.Stats(), err
-}
-
-// OffloadedStep runs one training batch of net through eng — the very
-// step body ClassifierOffloaded runs, for drivers that own their loop
-// and time the step alone. The caller steps its optimizer.
-func OffloadedStep(net nn.Layer, eng *offload.Engine, x *tensor.Tensor, labels []int, maxRecompute int, freq bool) (float64, error) {
-	p := &pass{net: net, eng: eng, maxRecompute: maxRecompute, freq: freq}
-	res, err := p.run(x, crossEntropy(labels), 0, nil)
-	return res.loss, err
 }

@@ -63,33 +63,6 @@ func TestPolicyMatrix(t *testing.T) {
 		}
 	})
 
-	// OffloadedStep is that step body for callers that own their loop: on
-	// the trainer's first batch it reports the trainer's step loss.
-	t.Run("offloaded-step", func(t *testing.T) {
-		one := cfg
-		one.Epochs, one.BatchesPerEpoch = 1, 1
-		m, ds := faultModel(seed)
-		rep, _, err := ClassifierOffloaded(m, ds, one, OffloadOptions{DQT: quant.OptL(), Async: true})
-		if err != nil || len(rep.Epochs) != 1 {
-			t.Fatalf("trainer: %d epochs, err %v", len(rep.Epochs), err)
-		}
-		m, ds = faultModel(seed)
-		ds.Batch(one.BatchSize * 8) // the trainer draws its validation batch first
-		x, labels := ds.Batch(one.BatchSize)
-		s := offload.NewStore(quant.OptL())
-		defer s.Close()
-		eng := offload.NewEngine(s, offload.EngineConfig{Async: true, Prefetch: 4})
-		defer eng.Close()
-		loss, err := OffloadedStep(m.Net, eng, x, labels, 4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loss != rep.Epochs[0].Loss {
-			t.Fatalf("OffloadedStep loss %v, the trainer's step loss %v", loss, rep.Epochs[0].Loss)
-		}
-		drained("OffloadedStep", s.Stats())
-	})
-
 	rows := []struct {
 		name string
 		dp   DPOptions
