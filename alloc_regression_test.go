@@ -68,30 +68,26 @@ func TestGradExchangeAllocs(t *testing.T) {
 	staging := &tensor.Tensor{Shape: tensor.Shape{N: 1, C: 1, H: 1, W: n}, Data: make([]float32, n)}
 	dst := make([]float32, n)
 
-	for _, gc := range []frame.Codec{frame.CodecGradRaw, frame.CodecGradQuant} {
-		gc := gc
-		roundTrip := func() {
-			copy(staging.Data, grad)
-			enc, err := p.EncodeGradient(gc, staging)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wire := frame.EncodeFrame(enc.Frame)
-			f, err := frame.DecodeFrame(wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.DecodeGradientInto(f, dst); err != nil {
-				t.Fatal(err)
-			}
+	roundTrip := func() {
+		copy(staging.Data, grad)
+		enc, err := p.EncodeGradient(frame.CodecGradRaw, staging)
+		if err != nil {
+			t.Fatal(err)
 		}
-		roundTrip() // warm any pools below the codec
-		allocs := testing.AllocsPerRun(10, roundTrip)
-		const maxAllocs = 24
-		if allocs > maxAllocs {
-			t.Fatalf("%s gradient chunk round trip allocates %.0f objects/op, budget %d",
-				gc, allocs, maxAllocs)
+		wire := frame.EncodeFrame(enc.Frame)
+		f, err := frame.DecodeFrame(wire)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := p.DecodeGradientInto(f, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // warm any pools below the codec
+	allocs := testing.AllocsPerRun(10, roundTrip)
+	const maxAllocs = 24
+	if allocs > maxAllocs {
+		t.Fatalf("gradient chunk round trip allocates %.0f objects/op, budget %d", allocs, maxAllocs)
 	}
 }
 

@@ -30,7 +30,7 @@
 // store with -store). Final weights are bit-identical for any K up to
 // -microbatches:
 //
-//	acttrain -model ResNet18 -replicas 4 -microbatches 4 -grad-codec quant
+//	acttrain -model ResNet18 -replicas 4 -microbatches 4
 //
 // Every mode ends its output with the SHA-256 of the trained weights:
 // runs whose trajectories are bit-identical (local or networked store,
@@ -113,8 +113,6 @@ func main() {
 		"data-parallel replica workers exchanging gradients through the activation-store transport (0 = regular single-worker training)")
 	microbatches := flag.Int("microbatches", 4,
 		"with -replicas: fixed microbatches per step; weights are bit-identical for any replica count up to this")
-	gradCodec := flag.String("grad-codec", "raw",
-		"with -replicas: gradient exchange codec, raw (lossless) or quant (int8+ZVC)")
 	flag.Parse()
 
 	m, ok := methodByName(*method)
@@ -143,7 +141,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "acttrain: -replicas runs its own transport; drop -offload")
 			os.Exit(2)
 		}
-		runDataParallel(*model, sc, cfg, *seed, *replicas, *microbatches, *gradCodec,
+		runDataParallel(*model, sc, cfg, *seed, *replicas, *microbatches,
 			*store, *storeTimeout)
 		return
 	}
@@ -200,7 +198,7 @@ func finish(rep jpegact.TrainReport) {
 // runDataParallel trains with K replica workers exchanging gradients
 // through the activation-store transport (in-process by default; a
 // shared networked store with -store) and reports the exchange counters.
-func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, replicas, microbatches int, gradCodec, store string, storeTimeout time.Duration) {
+func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, replicas, microbatches int, store string, storeTimeout time.Duration) {
 	if model == "VDSR" {
 		fmt.Fprintln(os.Stderr, "acttrain: -replicas supports the classification models only")
 		os.Exit(2)
@@ -208,15 +206,6 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 	dp := jpegact.DataParallelOptions{
 		Replicas: replicas, Microbatches: microbatches,
 		StoreTimeout: storeTimeout, Verbose: true,
-	}
-	switch strings.ToLower(gradCodec) {
-	case "", "raw":
-		dp.GradCodec = jpegact.GradCodecRaw
-	case "quant":
-		dp.GradCodec = jpegact.GradCodecQuant
-	default:
-		fmt.Fprintf(os.Stderr, "acttrain: unknown grad codec %q (raw|quant)\n", gradCodec)
-		os.Exit(2)
 	}
 	if store != "" {
 		dial, err := jpegact.DialActivationStore(store)

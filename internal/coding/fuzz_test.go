@@ -109,12 +109,24 @@ func FuzzDecodeFrame(f *testing.F) {
 		Shape:   tensor.Shape{N: 1, C: 1, H: 4, W: 4},
 		Payload: []byte{0xff, 0x0f},
 	}))
+	// Codec id 5 was a quantized gradient codec once; a well-checksummed
+	// frame naming it is as unknown as any other id.
+	f.Add(frame.EncodeFrame(&frame.Frame{
+		Codec:   5,
+		Kind:    4,
+		Shape:   tensor.Shape{N: 1, C: 1, H: 1, W: 4},
+		Scales:  []float32{0.5},
+		Payload: []byte{0x0f, 1, 2, 3, 4},
+	}))
 	f.Add([]byte("JAFR"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := frame.DecodeFrame(data)
 		if err != nil {
 			return
+		}
+		if fr.Codec < frame.CodecBRC || fr.Codec > frame.CodecGradRaw {
+			t.Fatalf("decoded a frame of unknown %s", fr.Codec)
 		}
 		if re := frame.EncodeFrame(fr); !bytes.Equal(re, data) {
 			t.Fatalf("decoded frame does not re-encode byte-identically")

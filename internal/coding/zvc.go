@@ -365,18 +365,6 @@ func DecodeZVCInto(dst []int8, data []byte) error {
 	})
 }
 
-// DecodeZVC reverses EncodeZVC; n is the original value count.
-func DecodeZVC(data []byte, n int) ([]int8, error) {
-	if len(data) < (n+7)/8 {
-		return nil, ErrCorrupt // before allocating n values for it
-	}
-	out := make([]int8, n)
-	if err := DecodeZVCInto(out, data); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DecodeZVCBlocksInto decodes a stream produced by EncodeZVCBlocks (or
 // EncodeZVC over flattened blocks) into dst, whose length fixes the
 // expected block count. Every block is overwritten.

@@ -35,6 +35,20 @@ func refEncodeZVC(vals []int8) []byte {
 	return out
 }
 
+// DecodeZVC is DecodeZVCInto into a fresh slice of the n original values,
+// the form these tests find convenient; the product decodes into pooled
+// buffers.
+func DecodeZVC(data []byte, n int) ([]int8, error) {
+	if len(data) < (n+7)/8 {
+		return nil, ErrCorrupt // before allocating n values for it
+	}
+	out := make([]int8, n)
+	if err := DecodeZVCInto(out, data); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func refDecodeZVC(data []byte, n int) ([]int8, error) {
 	out := make([]int8, n)
 	p := 0

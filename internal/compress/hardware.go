@@ -18,7 +18,6 @@ import (
 type HardwareJPEGACT struct {
 	Schedule quant.Schedule
 	NumCDU   int
-	S        float64
 	// TotalCycles accumulates compression-side CDU cycles across calls.
 	TotalCycles int64
 }
@@ -34,27 +33,18 @@ func (h *HardwareJPEGACT) Name() string { return "JPEG-ACT-HW/" + h.Schedule.Nam
 // Lossless implements Method.
 func (*HardwareJPEGACT) Lossless() bool { return false }
 
-func (h *HardwareJPEGACT) scale() float64 {
-	if h.S == 0 {
-		return sfpr.DefaultS
-	}
-	return h.S
-}
-
 // Compress implements Method with the Table II policy; the conv/sum path
 // runs on the accel datapath.
 func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Result {
-	if kind != KindConv || !jpegApplicable(x.Shape) {
+	if kind != KindConv || !JPEGApplicable(x.Shape) {
 		// Non-JPEG kinds follow the same policy as the functional method.
-		sw := NewJPEGAct(h.Schedule)
-		sw.S = h.S
-		return sw.Compress(x, kind, epoch)
+		return NewJPEGAct(h.Schedule).Compress(x, kind, epoch)
 	}
 	orig := x.Bytes()
 
 	// SFPR with per-channel scales, then the padded block layout the
 	// alignment buffer sees (§III-C).
-	c := sfpr.Compress(x, h.scale())
+	c := sfpr.Compress(x, sfpr.DefaultS)
 	codes := tensor.New(x.Shape.N, x.Shape.C, x.Shape.H, x.Shape.W)
 	for i, v := range c.Values {
 		codes.Data[i] = float32(v)

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"jpegact/internal/coding"
+	"jpegact/internal/dct"
 	"jpegact/internal/quant"
 	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
@@ -176,19 +177,13 @@ func nonzero(codes []int8) int {
 // SFPROnly applies Scaled Fix-point Precision Reduction to every
 // activation kind — the "SFPR" column of Table I (a fixed 4× ratio plus
 // scale storage).
-type SFPROnly struct {
-	S float64 // global scale; zero means DefaultS
-}
+type SFPROnly struct{}
 
 func (SFPROnly) Name() string   { return "SFPR" }
 func (SFPROnly) Lossless() bool { return false }
 
-func (m SFPROnly) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
-	s := m.S
-	if s == 0 {
-		s = sfpr.DefaultS
-	}
-	rec, bytes := sfpr.Roundtrip(x, s)
+func (SFPROnly) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
+	rec, bytes := sfpr.Roundtrip(x, sfpr.DefaultS)
 	return Result{Recovered: rec, CompressedBytes: bytes, OriginalBytes: x.Bytes()}
 }
 
@@ -200,8 +195,7 @@ func (m SFPROnly) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
 type JPEG struct {
 	MethodName string
 	Schedule   quant.Schedule
-	Act        bool    // true = JPEG-ACT back end (SH+ZVC), false = JPEG-BASE (DIV+RLE)
-	S          float64 // SFPR global scale; zero means DefaultS
+	Act        bool // true = JPEG-ACT back end (SH+ZVC), false = JPEG-BASE (DIV+RLE)
 }
 
 // NewJPEGBase builds the JPEG-BASE method with a fixed image DQT.
@@ -217,33 +211,29 @@ func NewJPEGAct(s quant.Schedule) *JPEG {
 func (j *JPEG) Name() string   { return j.MethodName }
 func (j *JPEG) Lossless() bool { return false }
 
-// jpegApplicable reports whether the 8×8 transform applies: the reshaped
+// JPEGApplicable reports whether the 8×8 transform applies: the reshaped
 // activation must be at least one block in both dimensions (NCH,W ≥ 8,8).
-func jpegApplicable(sh tensor.Shape) bool {
-	return sh.N*sh.C*sh.H >= 8 && sh.W >= 8
+// It is the one statement of Table II's size condition: the methods here
+// and the offload store's codec.Select both ask it.
+func JPEGApplicable(sh tensor.Shape) bool {
+	return sh.N*sh.C*sh.H >= dct.BlockSize && sh.W >= dct.BlockSize
 }
 
 func (j *JPEG) pipeline(epoch int) Pipeline {
-	d := *j.Schedule.For(epoch)
-	p := Pipeline{DQT: d, UseShift: j.Act, UseZVC: j.Act, S: j.S}
-	return p
+	return Pipeline{DQT: *j.Schedule.For(epoch), UseShift: j.Act, UseZVC: j.Act, S: sfpr.DefaultS}
 }
 
 func (j *JPEG) Compress(x *tensor.Tensor, kind Kind, epoch int) Result {
 	orig := x.Bytes()
-	s := j.S
-	if s == 0 {
-		s = sfpr.DefaultS
-	}
 	switch kind {
 	case KindReLUToOther:
 		_, mask := coding.EncodeBRC(x.Data)
 		return Result{Mask: mask, CompressedBytes: (x.Elems() + 7) / 8, OriginalBytes: orig}
 	case KindReLUToConv, KindPoolDropout:
-		return j.noTransform(x, s)
+		return j.noTransform(x)
 	default:
-		if !jpegApplicable(x.Shape) {
-			return j.noTransform(x, s)
+		if !JPEGApplicable(x.Shape) {
+			return j.noTransform(x)
 		}
 		p := j.pipeline(epoch)
 		rec, bytes := p.Roundtrip(x)
@@ -255,8 +245,8 @@ func (j *JPEG) Compress(x *tensor.Tensor, kind Kind, epoch int) Result {
 // conv/sum activation too small to tile into 8×8 blocks: SFPR, plus ZVC
 // under JPEG-ACT. It accounts exactly the bytes the offload store frames
 // for the same tensor (codec.Select's CodecZVC: payload + scales).
-func (j *JPEG) noTransform(x *tensor.Tensor, s float64) Result {
-	c := sfpr.Compress(x, s)
+func (j *JPEG) noTransform(x *tensor.Tensor) Result {
+	c := sfpr.Compress(x, sfpr.DefaultS)
 	bytes := len(c.Values) + 4*len(c.Scales)
 	if j.Act {
 		bytes = coding.ZVCSize(c.Values) + 4*len(c.Scales)

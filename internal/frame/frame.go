@@ -9,7 +9,7 @@
 //
 //	off  0  magic   "JAFR"
 //	off  4  version u8  (currently 1)
-//	off  5  codec   u8  (CodecBRC | CodecJPEG | CodecZVC | CodecGradRaw | CodecGradQuant)
+//	off  5  codec   u8  (CodecBRC | CodecJPEG | CodecZVC | CodecGradRaw)
 //	off  6  kind    u8  (compress.Kind of the activation)
 //	off  7  flags   u8  (reserved, must be 0)
 //	off  8  shape   4×u32 (N, C, H, W)
@@ -61,13 +61,9 @@ const (
 	// CodecZVC: payload is ZVC-coded SFPR int8 values (sparse path).
 	CodecZVC Codec = 3
 	// CodecGradRaw: payload is raw little-endian float32 gradient
-	// values — the lossless escape hatch the data-parallel exchange
-	// defaults to, so bit-exact all-reduce holds by construction.
+	// values — lossless, so the data-parallel exchange's all-reduce is
+	// bit-exact by construction.
 	CodecGradRaw Codec = 4
-	// CodecGradQuant: payload is ZVC-coded int8 gradient values with a
-	// single max-abs scale — the error-bounded lossy gradient path
-	// (|err| ≤ scale/2 per element).
-	CodecGradQuant Codec = 5
 )
 
 // String implements fmt.Stringer.
@@ -81,8 +77,6 @@ func (c Codec) String() string {
 		return "zvc"
 	case CodecGradRaw:
 		return "grad-raw"
-	case CodecGradQuant:
-		return "grad-quant"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
@@ -169,7 +163,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: version %d", ErrVersion, b[4])
 	}
 	codec := Codec(b[5])
-	if codec < CodecBRC || codec > CodecGradQuant {
+	if codec < CodecBRC || codec > CodecGradRaw {
 		return nil, fmt.Errorf("%w: %s", ErrHeader, codec)
 	}
 	if b[7] != 0 {

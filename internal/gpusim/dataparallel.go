@@ -18,11 +18,8 @@ type DPConfig struct {
 	// publishes per step.
 	GradBytes float64
 	// GradRatio is the gradient codec's compression ratio over the
-	// exchange (1 = CodecGradRaw; > 1 for the quantized codec).
+	// exchange (1 = CodecGradRaw, the codec the trainer ships).
 	GradRatio float64
-	// ReduceSeconds is the per-step fixed cost of the reduction itself
-	// (the fixed-order accumulate, barriers). 0 = ignore.
-	ReduceSeconds float64
 	// Overlap is the fraction of the gradient exchange hidden behind
 	// backward compute (clamped to [0, 1]). 0 models the serial
 	// exchange — all gradients ship after backward finishes; with the
@@ -95,15 +92,14 @@ func SimulateDataParallel(w Workload, s Scheme, cfg Config, dp DPConfig) DPResul
 	if hidden > critical {
 		critical = hidden
 	}
-	total := critical + exposed + dp.ReduceSeconds
-	base := stepCompute + dp.ReduceSeconds
+	total := critical + exposed
 	res := DPResult{
 		GPUs:           k,
 		ComputeSeconds: perGPU,
 		ExchangeSec:    exchange,
 		ExposedSec:     exposed,
 		TotalSeconds:   total,
-		Speedup:        base / total,
+		Speedup:        stepCompute / total,
 	}
 	res.Efficiency = res.Speedup / float64(k)
 	return res

@@ -207,7 +207,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // walks only the stored nonzero coefficients — every post-quantization
 // zero is skipped at the source rather than re-scanned per GEMM panel.
 // ∇x never needed the saved input at all — it is Wᵀ·∇y through the
-// guarded GEMM micro-kernels exactly as in the spatial path (col2im is
+// GEMM micro-kernels exactly as in the spatial path (col2im is
 // the identity here), so the input gradient is bit-identical to a
 // spatial-restore run; only ∇W carries the frequency path's documented
 // half-code-unit tolerance.

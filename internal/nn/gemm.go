@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -16,10 +15,10 @@ import (
 // tiles of C to a micro-kernel that keeps the tile in registers for the
 // whole k loop. gemmTileGo is the portable kernel — a 2×4 scalar register
 // tile walked over the panel — and runs everywhere: it is the production
-// path where no SIMD kernel exists, it takes row/column tails and rows
-// that need the zero guard, and it is the test oracle of the assembly
-// kernel. gemmTileAsm is the platform's SIMD kernel (gemm_amd64.s: 4×16
-// in eight ymm accumulators), used for full tiles only.
+// path where no SIMD kernel exists, it takes row/column tails, and it is
+// the test oracle of the assembly kernel. gemmTileAsm is the platform's
+// SIMD kernel (gemm_amd64.s: 4×16 in eight ymm accumulators), used for
+// full tiles only.
 //
 // Determinism contract (the repo-wide invariant): every C element sees
 // exactly the float32 op sequence of the k-outer saxpy reference
@@ -28,11 +27,10 @@ import (
 // count and on either kernel. SIMD lanes therefore run across C columns
 // only, never across k, and the Go kernels write the product as
 // float32(av*b) so no toolchain may fuse it. Packing, tiling and worker
-// sharding only reorder work BETWEEN C elements. Gemm and GemmTA skip
-// A values equal to ±0 as their references do (it matters for the sign
-// of zero and for 0·Inf); row tiles scanDense proves free of ±0 need no
-// guard, which is what makes them eligible for the unguarded SIMD kernel.
-// gemm_equiv_test.go pins all of it on Float32bits.
+// sharding only reorder work BETWEEN C elements. The arithmetic is plain
+// IEEE: every product is added, whatever A holds — a zero in A
+// contributes its ±0 (so a C of −0 comes back +0) and 0·Inf = NaN
+// propagates. gemm_equiv_test.go pins all of it on Float32bits.
 
 const (
 	// gemmMR×gemmNR is the micro-tile: 4 rows × 16 columns is eight
@@ -59,7 +57,7 @@ const (
 )
 
 // gemmTileAsm, when set, computes one full gemmMR×gemmNR tile like
-// gemmTileGo(…, gemmMR, gemmNR, mode, false) for k ≥ 1. The platform file
+// gemmTileGo(…, gemmMR, gemmNR, mode) for k ≥ 1. The platform file
 // sets it once at init if the CPU qualifies; nothing else selects it.
 var gemmTileAsm func(k int, a *float32, lda int, panel *float32, c *float32, ldc int, mode int)
 
@@ -164,24 +162,13 @@ func packAT(k, m int, a, at []float32) {
 	}
 }
 
-// nonZero reports whether v is neither +0 nor -0 — exactly the reference
-// kernels' `av == 0 { continue }` guard (NaN counts as non-zero there
-// too, since NaN == 0 is false). The bit test compiles to one integer
-// branch instead of ucomiss plus a parity branch.
-func nonZero(v float32) bool {
-	return math.Float32bits(v)<<1 != 0
-}
-
 // gemmGo2x4 runs the 2×4 register tile (c0[0:4], c1[0:4]) against
 // columns [j, j+4) of a packed panel. B values
 // are consumed as indexed loads rather than hoisted temporaries — eight
 // accumulators plus four B temps spill on amd64's sixteen scalar float
 // registers, and a spilled accumulator costs more than a reloaded L1-hot
-// operand. With guard, A values equal to ±0 are skipped; without it the
-// two branches per k step are gone from the loop, which is only correct
-// where they could not fire (dense rows) or the reference has none
-// (gemmDotAdd).
-func gemmGo2x4(k int, a0, a1, panel []float32, j int, c0, c1 []float32, mode gemmMode, guard bool) {
+// operand.
+func gemmGo2x4(k int, a0, a1, panel []float32, j int, c0, c1 []float32, mode gemmMode) {
 	a0, a1 = a0[:k], a1[:k]
 	c0, c1 = c0[:4], c1[:4]
 	var s00, s01, s02, s03 float32
@@ -190,35 +177,17 @@ func gemmGo2x4(k int, a0, a1, panel []float32, j int, c0, c1 []float32, mode gem
 		s00, s01, s02, s03 = c0[0], c0[1], c0[2], c0[3]
 		s10, s11, s12, s13 = c1[0], c1[1], c1[2], c1[3]
 	}
-	if guard {
-		for kk := 0; kk < k; kk++ {
-			bp := (*[4]float32)(panel[kk*gemmNR+j:])
-			if av := a0[kk]; nonZero(av) {
-				s00 += float32(av * bp[0])
-				s01 += float32(av * bp[1])
-				s02 += float32(av * bp[2])
-				s03 += float32(av * bp[3])
-			}
-			if av := a1[kk]; nonZero(av) {
-				s10 += float32(av * bp[0])
-				s11 += float32(av * bp[1])
-				s12 += float32(av * bp[2])
-				s13 += float32(av * bp[3])
-			}
-		}
-	} else {
-		for kk := 0; kk < k; kk++ {
-			bp := (*[4]float32)(panel[kk*gemmNR+j:])
-			av0, av1 := a0[kk], a1[kk]
-			s00 += float32(av0 * bp[0])
-			s01 += float32(av0 * bp[1])
-			s02 += float32(av0 * bp[2])
-			s03 += float32(av0 * bp[3])
-			s10 += float32(av1 * bp[0])
-			s11 += float32(av1 * bp[1])
-			s12 += float32(av1 * bp[2])
-			s13 += float32(av1 * bp[3])
-		}
+	for kk := 0; kk < k; kk++ {
+		bp := (*[4]float32)(panel[kk*gemmNR+j:])
+		av0, av1 := a0[kk], a1[kk]
+		s00 += float32(av0 * bp[0])
+		s01 += float32(av0 * bp[1])
+		s02 += float32(av0 * bp[2])
+		s03 += float32(av0 * bp[3])
+		s10 += float32(av1 * bp[0])
+		s11 += float32(av1 * bp[1])
+		s12 += float32(av1 * bp[2])
+		s13 += float32(av1 * bp[3])
 	}
 	if mode == gemmDotAdd {
 		s00, s01, s02, s03 = c0[0]+s00, c0[1]+s01, c0[2]+s02, c0[3]+s03
@@ -235,7 +204,7 @@ func gemmGo2x4(k int, a0, a1, panel []float32, j int, c0, c1 []float32, mode gem
 // tile against stand-in C rows, so C is never touched outside the tile
 // and there is one inner loop to keep bit-exact, not one per edge shape.
 // The panel's zero padding makes the stand-in columns harmless.
-func gemmTileGo(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int, mode gemmMode, guard bool) {
+func gemmTileGo(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int, mode gemmMode) {
 	var edge [2][4]float32
 	for i := 0; i < mr; i += 2 {
 		a0 := a[i*lda:][:k]
@@ -246,7 +215,7 @@ func gemmTileGo(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int
 		for j := 0; j < nr; j += 4 {
 			w := min(4, nr-j)
 			if pair && w == 4 {
-				gemmGo2x4(k, a0, a1, panel, j, c[i*ldc+j:], c[(i+1)*ldc+j:], mode, guard)
+				gemmGo2x4(k, a0, a1, panel, j, c[i*ldc+j:], c[(i+1)*ldc+j:], mode)
 				continue
 			}
 			e0, e1 := edge[0][:], edge[1][:]
@@ -254,7 +223,7 @@ func gemmTileGo(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int
 			if pair {
 				copy(e1, c[(i+1)*ldc+j:][:w])
 			}
-			gemmGo2x4(k, a0, a1, panel, j, e0, e1, mode, guard)
+			gemmGo2x4(k, a0, a1, panel, j, e0, e1, mode)
 			copy(c[i*ldc+j:][:w], e0)
 			if pair {
 				copy(c[(i+1)*ldc+j:][:w], e1)
@@ -273,11 +242,9 @@ func gemmRowGrain(k, n int) int {
 
 // gemmTiles is the driver: C (m×n) against row-major A (m×k) and packed
 // panels pk, rows sharded over the worker pool, each panel kept hot
-// across the chunk's row tiles. dense[t] says row tile t of A has no ±0
-// (nil: the mode has no zero guard); chunks start on tile boundaries, so
-// tile t is rows [4t, 4t+4) everywhere. A tile goes to the SIMD kernel
-// when it is full and needs no guard, otherwise to the portable one.
-func gemmTiles(m, k, n int, a []float32, dense []bool, pk, c []float32, mode gemmMode) {
+// across the chunk's row tiles. A full tile goes to the SIMD kernel,
+// any other to the portable one.
+func gemmTiles(m, k, n int, a, pk, c []float32, mode gemmMode) {
 	parallel.For(m, gemmRowGrain(k, n), func(lo, hi int) {
 		for p := 0; p < gemmPanels(n); p++ {
 			j0 := p * gemmNR
@@ -285,79 +252,46 @@ func gemmTiles(m, k, n int, a []float32, dense []bool, pk, c []float32, mode gem
 			panel := pk[p*k*gemmNR : (p+1)*k*gemmNR]
 			for i := lo; i < hi; i += gemmMR {
 				mr := min(gemmMR, hi-i)
-				guard := mode != gemmDotAdd && !dense[i/gemmMR]
-				if gemmTileAsm != nil && mr == gemmMR && nr == gemmNR && !guard && k > 0 {
+				if gemmTileAsm != nil && mr == gemmMR && nr == gemmNR && k > 0 {
 					gemmTileAsm(k, &a[i*k], k, &panel[0], &c[i*n+j0], n, int(mode))
 				} else {
-					gemmTileGo(k, a[i*k:], k, panel, c[i*n+j0:], n, mr, nr, mode, guard)
+					gemmTileGo(k, a[i*k:], k, panel, c[i*n+j0:], n, mr, nr, mode)
 				}
 			}
 		}
 	})
 }
 
-// rowDensePool recycles the per-operand density flags.
-var rowDensePool sync.Pool
-
-func getDense(n int) *[]bool {
-	if p, ok := rowDensePool.Get().(*[]bool); ok && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	buf := make([]bool, n)
-	return &buf
-}
-
-// scanDense marks which gemmMR-row tiles of row-major A contain no ±0
-// element, the precondition for the unguarded kernels. Serial like packB:
-// a single O(m·k) read pass, exiting each sparse tile early.
-func scanDense(m, k int, a []float32, dense []bool) {
-	for t := range dense {
-		d := true
-		for _, v := range a[t*gemmMR*k : min((t+1)*gemmMR, m)*k] {
-			if !nonZero(v) {
-				d = false
-				break
-			}
-		}
-		dense[t] = d
-	}
-}
-
 // gemmLHS is a left operand prepared once and multiplied many times — a
 // conv layer applies one weight matrix to every batch element: the
-// row-major M×K values (transposed into a pooled buffer if they were
-// stored K×M) and the per-tile density flags.
+// row-major M×K values, transposed into a pooled buffer if they were
+// stored K×M.
 type gemmLHS struct {
-	m, k  int
-	a     []float32
-	dense *[]bool
-	at    *[]float32 // pooled transpose backing a; nil when a is the caller's
+	m, k int
+	a    []float32
+	at   *[]float32 // pooled transpose backing a; nil when a is the caller's
 }
 
 // newGemmLHS prepares A stored row-major M×K, or K×M if transposed.
 func newGemmLHS(m, k int, a []float32, transposed bool) gemmLHS {
-	l := gemmLHS{m: m, k: k, a: a[:m*k], dense: getDense((m + gemmMR - 1) / gemmMR)}
+	l := gemmLHS{m: m, k: k, a: a[:m*k]}
 	if transposed {
 		l.at = getPack(m * k)
 		packAT(k, m, a, *l.at)
 		l.a = *l.at
 	}
-	scanDense(m, k, l.a, *l.dense)
 	return l
 }
 
-// mul computes C (m×n) from A·B for row-major B (k×n) in the given mode,
-// with the reference zero-skip on A.
+// mul computes C (m×n) from A·B for row-major B (k×n) in the given mode.
 func (l *gemmLHS) mul(n int, b, c []float32, mode gemmMode) {
 	packed := getPack(gemmPanels(n) * l.k * gemmNR)
 	packB(l.k, n, b, *packed)
-	gemmTiles(l.m, l.k, n, l.a, *l.dense, *packed, c, mode)
+	gemmTiles(l.m, l.k, n, l.a, *packed, c, mode)
 	putPack(packed)
 }
 
 func (l *gemmLHS) release() {
-	rowDensePool.Put(l.dense)
 	if l.at != nil {
 		putPack(l.at)
 	}
@@ -394,6 +328,6 @@ func GemmTB(m, k, n int, a, b, c []float32) {
 	}
 	packed := getPack(gemmPanels(n) * k * gemmNR)
 	packBT(k, n, b, *packed)
-	gemmTiles(m, k, n, a, nil, *packed, c, gemmDotAdd)
+	gemmTiles(m, k, n, a, *packed, c, gemmDotAdd)
 	putPack(packed)
 }

@@ -10,11 +10,8 @@ import (
 // GEMM micro-benchmarks at the shapes training actually runs: the six
 // convolutions of the bench model (ResNet18, width 16, 32×32 input — stem
 // with k2 = 27, the 3×3 bodies, the 1×1 stride-2 shortcut), each through
-// the three products a conv layer issues per batch element. A is dense
-// unless the case says otherwise: weights and im2col columns have no
-// exact zeros, so the unguarded kernel is what a training step times; one
-// sparse-A case keeps the guarded kernel measured too. `make bench` runs
-// them; bench/ measures the same entry points as nn.gemm_*_gflops.
+// the three products a conv layer issues per batch element. `make bench`
+// runs them; bench/ measures the same entry points as nn.gemm_*_gflops.
 
 var benchConvShapes = []struct {
 	name              string
@@ -28,22 +25,17 @@ var benchConvShapes = []struct {
 	{"s1proj1x1", 32, 16, 256},
 }
 
-// benchFill fills s with non-zero values; zeroEvery > 0 plants a ±0 at
-// that period (every row of a conv-sized A then needs the guard).
-func benchFill(s []float32, seed uint64, zeroEvery int) []float32 {
+func benchFill(s []float32, seed uint64) []float32 {
 	r := tensor.NewRNG(seed)
 	for i := range s {
 		s[i] = float32(r.Norm()) + 3
-		if zeroEvery > 0 && i%zeroEvery == 0 {
-			s[i] = 0
-		}
 	}
 	return s
 }
 
-func benchGemm(b *testing.B, m, k, n, zeroEvery int, run func(m, k, n int, a, bb, c []float32)) {
-	a := benchFill(make([]float32, m*k), 1, zeroEvery)
-	bb := benchFill(make([]float32, k*n), 2, 0)
+func benchGemm(b *testing.B, m, k, n int, run func(m, k, n int, a, bb, c []float32)) {
+	a := benchFill(make([]float32, m*k), 1)
+	bb := benchFill(make([]float32, k*n), 2)
 	c := make([]float32, m*n)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -58,11 +50,8 @@ func benchGemm(b *testing.B, m, k, n, zeroEvery int, run func(m, k, n int, a, bb
 func benchGemmShapes(b *testing.B, run func(m, k, n int, a, bb, c []float32), dims func(outC, k2, spatial int) (m, k, n int)) {
 	for _, s := range benchConvShapes {
 		m, k, n := dims(s.outC, s.k2, s.spatial)
-		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.name, m, k, n), func(b *testing.B) { benchGemm(b, m, k, n, 0, run) })
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.name, m, k, n), func(b *testing.B) { benchGemm(b, m, k, n, run) })
 	}
-	s := benchConvShapes[1]
-	m, k, n := dims(s.outC, s.k2, s.spatial)
-	b.Run(fmt.Sprintf("%s_sparseA_%dx%dx%d", s.name, m, k, n), func(b *testing.B) { benchGemm(b, m, k, n, 17, run) })
 }
 
 // Forward: out = W·cols.
@@ -83,6 +72,6 @@ func BenchmarkGemmTB(b *testing.B) {
 // The saxpy references on the largest body shape, so one `go test -bench
 // Gemm` run shows how far the packed kernels are from the k-outer loops
 // they must equal bit for bit.
-func BenchmarkGemmSaxpyRef(b *testing.B)   { benchGemm(b, 16, 144, 1024, 0, gemmSaxpy) }
-func BenchmarkGemmTASaxpyRef(b *testing.B) { benchGemm(b, 144, 16, 1024, 0, gemmTASaxpy) }
-func BenchmarkGemmTBSaxpyRef(b *testing.B) { benchGemm(b, 16, 1024, 144, 0, gemmTBSaxpy) }
+func BenchmarkGemmSaxpyRef(b *testing.B)   { benchGemm(b, 16, 144, 1024, gemmSaxpy) }
+func BenchmarkGemmTASaxpyRef(b *testing.B) { benchGemm(b, 144, 16, 1024, gemmTASaxpy) }
+func BenchmarkGemmTBSaxpyRef(b *testing.B) { benchGemm(b, 16, 1024, 144, gemmTBSaxpy) }

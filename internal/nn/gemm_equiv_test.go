@@ -69,11 +69,11 @@ func runAtWorkers(w int, f func()) {
 	f()
 }
 
-// Operand flavours. dense has no zero anywhere (the unguarded kernels);
-// sparse scatters +0 and −0 through A, keeps row 1 dense and makes row 2
-// all-zero (guarded kernel, mixed tiles, fully skipped row); special adds
-// −0, NaN and ±Inf to both operands, where the zero-skip decides between
-// a skipped step and 0·Inf = NaN.
+// Operand flavours. dense has no zero anywhere; sparse scatters +0 and −0
+// through A, keeps row 1 dense and makes row 2 all-zero (the zeros' ±0
+// products are added like any other, so a −0 in C comes back +0); special
+// adds −0, NaN and ±Inf to both operands, where a zero in A meets an Inf
+// in B and 0·Inf = NaN must reach C.
 type flavour int
 
 const (
@@ -246,7 +246,7 @@ func TestGemmBitIdenticalAcrossChunks(t *testing.T) {
 }
 
 // tileOracle is the micro-kernel contract written as plainly as possible.
-func tileOracle(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int, mode gemmMode, guard bool) {
+func tileOracle(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int, mode gemmMode) {
 	for i := 0; i < mr; i++ {
 		for j := 0; j < nr; j++ {
 			var s float32
@@ -254,11 +254,7 @@ func tileOracle(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int
 				s = c[i*ldc+j]
 			}
 			for kk := 0; kk < k; kk++ {
-				av := a[i*lda+kk]
-				if guard && av == 0 {
-					continue
-				}
-				s += float32(av * panel[kk*gemmNR+j])
+				s += float32(a[i*lda+kk] * panel[kk*gemmNR+j])
 			}
 			if mode == gemmDotAdd {
 				s = c[i*ldc+j] + s
@@ -271,8 +267,8 @@ func tileOracle(k int, a []float32, lda int, panel, c []float32, ldc, mr, nr int
 // TestGemmTileKernels calls both micro-kernels directly on a tile
 // embedded in a wider C (canaries above, below, left and right of it),
 // with A rows separated by NaNs and A and the panel fenced by NaNs: the
-// assembly kernel against the portable one with no guard, and the
-// portable one against the oracle at every partial-tile shape.
+// portable kernel against the oracle at every partial-tile shape, and the
+// assembly kernel against it on the full tile.
 func TestGemmTileKernels(t *testing.T) {
 	nan := platformNaN()
 	canary := math.Float32frombits(canaryBits)
@@ -307,21 +303,19 @@ func TestGemmTileKernels(t *testing.T) {
 							}
 						}
 						tile := func(c []float32) []float32 { return c[rowAbove*ldc+colLeft:] }
-						check := func(name string, guard bool, kern func(c []float32)) {
+						check := func(name string, kern func(c []float32)) {
 							t.Helper()
 							want := append([]float32(nil), seed...)
-							tileOracle(k, a, lda, panel, tile(want), ldc, mr, nr, mode, guard)
+							tileOracle(k, a, lda, panel, tile(want), ldc, mr, nr, mode)
 							got := append([]float32(nil), seed...)
 							kern(tile(got))
-							bitsEqual(t, fmt.Sprintf("%s k=%d %v mr=%d nr=%d mode=%d guard=%v", name, k, f, mr, nr, mode, guard), got, want)
+							bitsEqual(t, fmt.Sprintf("%s k=%d %v mr=%d nr=%d mode=%d", name, k, f, mr, nr, mode), got, want)
 						}
-						for _, guard := range []bool{false, true} {
-							check("gemmTileGo", guard, func(c []float32) {
-								gemmTileGo(k, a, lda, panel, c, ldc, mr, nr, mode, guard)
-							})
-						}
+						check("gemmTileGo", func(c []float32) {
+							gemmTileGo(k, a, lda, panel, c, ldc, mr, nr, mode)
+						})
 						if gemmTileAsm != nil && mr == gemmMR && nr == gemmNR {
-							check("gemmTileAsm", false, func(c []float32) {
+							check("gemmTileAsm", func(c []float32) {
 								gemmTileAsm(k, &a[0], lda, &panel[0], &c[0], ldc, int(mode))
 							})
 						}

@@ -8,6 +8,8 @@ import "jpegact/internal/parallel"
 // is exact, not approximate). The product is written float32(av*b) here
 // as there: an explicit conversion rounds, so a toolchain that fuses
 // x*y+z (arm64, GOAMD64=v3) computes the same bits as one that does not.
+// It is plain IEEE saxpy: every product is added, so a zero in A adds its
+// ±0 and 0·Inf = NaN propagates.
 
 // gemmSaxpy computes C += A·B with the k-outer row-broadcast kernel.
 // Rows of C are distributed over the worker pool; each row is computed
@@ -20,9 +22,6 @@ func gemmSaxpy(m, k, n int, a, b, c []float32) {
 			crow := c[i*n : (i+1)*n]
 			for kk := 0; kk < k; kk++ {
 				av := arow[kk]
-				if av == 0 {
-					continue
-				}
 				brow := b[kk*n : (kk+1)*n]
 				for j := range brow {
 					crow[j] += float32(av * brow[j])
@@ -43,9 +42,6 @@ func gemmTASaxpy(m, k, n int, a, b, c []float32) {
 			brow := b[kk*n : (kk+1)*n]
 			for i := lo; i < hi; i++ {
 				av := arow[i]
-				if av == 0 {
-					continue
-				}
 				crow := c[i*n : (i+1)*n]
 				for j := range brow {
 					crow[j] += float32(av * brow[j])

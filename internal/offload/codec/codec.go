@@ -1,11 +1,10 @@
 // Package codec is the pure compression layer of the offload stack: it
 // turns an activation tensor into a self-describing frame and back,
 // reusing the internal/compress pipelines (JPEG-ACT SH+ZVC, SFPR+ZVC,
-// BRC) behind a small registry keyed by frame codec. It performs no
-// I/O, touches no channel and keeps no state — encode and decode are
-// deterministic pure functions of (DQT, S, input), which is what lets
-// the async scheduler run them on any worker at any time without
-// changing a single output bit.
+// BRC), one per frame codec. It performs no I/O, touches no channel and
+// keeps no state — encode and decode are deterministic pure functions of
+// (DQT, S, input), which is what lets the async scheduler run them on any
+// worker at any time without changing a single output bit.
 package codec
 
 import (
@@ -21,7 +20,7 @@ import (
 )
 
 // Pipeline is one configured codec set: the quantization table and SFPR
-// scale shared by every registered codec. It is a cheap value.
+// scale shared by every codec. It is a cheap value.
 type Pipeline struct {
 	DQT quant.DQT
 	S   float64
@@ -38,32 +37,6 @@ type Encoded struct {
 	Mask  []bool
 }
 
-// EncodeFunc produces a frame (and optional mask) from a tensor.
-type EncodeFunc func(p Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, error)
-
-// DecodeFunc reconstructs a tensor from a validated frame. BRC returns
-// a nil tensor: the mask was attached at encode time and never left.
-type DecodeFunc func(p Pipeline, f *frame.Frame) (*tensor.Tensor, error)
-
-type codecImpl struct {
-	encode EncodeFunc
-	decode DecodeFunc
-}
-
-var registry = map[frame.Codec]codecImpl{}
-
-// Register installs a codec implementation. The built-in BRC, JPEG and
-// ZVC codecs self-register; tests and extensions may override.
-func Register(c frame.Codec, enc EncodeFunc, dec DecodeFunc) {
-	registry[c] = codecImpl{encode: enc, decode: dec}
-}
-
-func init() {
-	Register(frame.CodecBRC, encodeBRC, decodeBRC)
-	Register(frame.CodecJPEG, encodeJPEG, decodeJPEG)
-	Register(frame.CodecZVC, encodeZVC, decodeZVC)
-}
-
 // Select implements the Table II policy at the frame level: ReLU→other
 // activations keep only the sign mask (BRC); dense conv inputs big
 // enough to tile into 8×8 blocks go through the JPEG-ACT DCT path; all
@@ -72,7 +45,7 @@ func Select(kind compress.Kind, sh tensor.Shape) frame.Codec {
 	switch {
 	case kind == compress.KindReLUToOther:
 		return frame.CodecBRC
-	case kind == compress.KindConv && sh.N*sh.C*sh.H >= dct.BlockSize && sh.W >= dct.BlockSize:
+	case kind == compress.KindConv && compress.JPEGApplicable(sh):
 		return frame.CodecJPEG
 	default:
 		return frame.CodecZVC
@@ -82,40 +55,44 @@ func Select(kind compress.Kind, sh tensor.Shape) frame.Codec {
 // Encode compresses x as an activation of the given kind into a frame,
 // selecting the codec per the Table II policy.
 func (p Pipeline) Encode(kind compress.Kind, x *tensor.Tensor) (Encoded, error) {
-	c := Select(kind, x.Shape)
-	impl, ok := registry[c]
-	if !ok || impl.encode == nil {
+	switch c := Select(kind, x.Shape); c {
+	case frame.CodecBRC:
+		return encodeBRC(kind, x), nil
+	case frame.CodecJPEG:
+		return p.encodeJPEG(kind, x), nil
+	case frame.CodecZVC:
+		return p.encodeZVC(kind, x), nil
+	default:
 		return Encoded{}, fmt.Errorf("codec: no encoder for %s", c)
 	}
-	return impl.encode(p, kind, x)
 }
 
-// Decode reconstructs the tensor a validated frame describes (nil for
-// BRC frames, whose mask never crossed the channel).
+// Decode reconstructs the tensor a validated frame describes: nil for a
+// BRC frame, whose mask was attached to the ref at offload time and
+// never left the GPU (the host frame exists only for accounting).
 func (p Pipeline) Decode(f *frame.Frame) (*tensor.Tensor, error) {
-	impl, ok := registry[f.Codec]
-	if !ok || impl.decode == nil {
+	switch f.Codec {
+	case frame.CodecBRC:
+		return nil, nil
+	case frame.CodecJPEG:
+		return p.decodeJPEG(f)
+	case frame.CodecZVC:
+		return decodeZVC(f)
+	case frame.CodecGradRaw:
+		return p.decodeGradRaw(f)
+	default:
 		return nil, fmt.Errorf("%w: codec %s", frame.ErrHeader, f.Codec)
 	}
-	return impl.decode(p, f)
 }
 
-// --- built-in codecs --------------------------------------------------
-
-func encodeBRC(_ Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, error) {
+func encodeBRC(kind compress.Kind, x *tensor.Tensor) Encoded {
 	f := &frame.Frame{Codec: frame.CodecBRC, Kind: uint8(kind), Shape: x.Shape}
 	var mask []bool
 	f.Payload, mask = coding.EncodeBRC(x.Data)
-	return Encoded{Frame: f, Mask: mask}, nil
+	return Encoded{Frame: f, Mask: mask}
 }
 
-func decodeBRC(Pipeline, *frame.Frame) (*tensor.Tensor, error) {
-	// The mask was attached to the ref at offload time and never left
-	// the GPU; the host frame exists only for accounting.
-	return nil, nil
-}
-
-func encodeJPEG(p Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, error) {
+func (p Pipeline) encodeJPEG(kind compress.Kind, x *tensor.Tensor) Encoded {
 	pl := compress.JPEGAct(p.DQT)
 	pl.S = p.S
 	blocks, scales, _ := pl.QuantizeBlocks(x)
@@ -123,7 +100,7 @@ func encodeJPEG(p Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, erro
 	f.Payload = coding.EncodeZVCBlocks(blocks)
 	compress.ReleaseBlocks(blocks)
 	f.Scales = scales
-	return Encoded{Frame: f}, nil
+	return Encoded{Frame: f}
 }
 
 // checkZVCFrame is what every ZVC-coded frame is held to before
@@ -158,7 +135,7 @@ func decodeBlocks(f *frame.Frame) ([][64]int8, tensor.PadInfo, error) {
 	return blocks, info, nil
 }
 
-func decodeJPEG(p Pipeline, f *frame.Frame) (*tensor.Tensor, error) {
+func (p Pipeline) decodeJPEG(f *frame.Frame) (*tensor.Tensor, error) {
 	blocks, info, err := decodeBlocks(f)
 	if err != nil {
 		return nil, err
@@ -169,17 +146,17 @@ func decodeJPEG(p Pipeline, f *frame.Frame) (*tensor.Tensor, error) {
 	return pl.ReconstructBlocks(blocks, f.Scales, info), nil
 }
 
-func encodeZVC(p Pipeline, kind compress.Kind, x *tensor.Tensor) (Encoded, error) {
+func (p Pipeline) encodeZVC(kind compress.Kind, x *tensor.Tensor) Encoded {
 	f := &frame.Frame{Codec: frame.CodecZVC, Kind: uint8(kind), Shape: x.Shape}
 	f.Scales = make([]float32, x.Shape.C)
 	codes := compress.BorrowCodes(x.Elems())
 	sfpr.CompressInto(x, p.S, f.Scales, codes)
 	f.Payload = coding.EncodeZVC(codes)
 	compress.ReleaseCodes(codes)
-	return Encoded{Frame: f}, nil
+	return Encoded{Frame: f}
 }
 
-func decodeZVC(_ Pipeline, f *frame.Frame) (*tensor.Tensor, error) {
+func decodeZVC(f *frame.Frame) (*tensor.Tensor, error) {
 	n := f.Shape.Elems()
 	if err := checkZVCFrame(f, n); err != nil {
 		return nil, err

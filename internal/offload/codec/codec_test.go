@@ -35,6 +35,29 @@ func TestSelectPolicy(t *testing.T) {
 	}
 }
 
+// TestSelectNamesThePolicyCoder holds the frame-level policy to the one
+// compress.PolicyFor documents for the functional JPEG-ACT method, over
+// the golden shapes and every kind: the documented coder is the kind's
+// row of Table II, except that a conv activation compress.JPEGApplicable
+// refuses takes the default row (PolicyFor's own caveat).
+func TestSelectNamesThePolicyCoder(t *testing.T) {
+	coder := map[frame.Codec]string{
+		frame.CodecBRC:  "BRC",
+		frame.CodecJPEG: "SFPR+DCT+SH+ZVC",
+		frame.CodecZVC:  "SFPR+ZVC",
+	}
+	m := compress.NewJPEGAct(quant.Fixed(quant.OptL()))
+	for _, c := range goldenCases() {
+		row := c.kind
+		if row == compress.KindConv && !compress.JPEGApplicable(c.shape) {
+			row = compress.KindPoolDropout
+		}
+		if got, want := coder[Select(c.kind, c.shape)], compress.PolicyFor(m, row); got != want {
+			t.Errorf("%v: Select names %q, PolicyFor documents %q", c, got, want)
+		}
+	}
+}
+
 // TestRoundtripMatchesFunctionalMethod pins the two Table II
 // implementations to each other: for every activation kind, over shapes
 // that tile, shapes that need a pad fringe and shapes too small to tile

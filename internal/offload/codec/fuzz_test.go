@@ -47,10 +47,10 @@ func FuzzDecodeCoefficients(f *testing.F) {
 }
 
 // FuzzDecodeGradient drives arbitrary container bytes through the
-// gradient decode paths (CodecGradRaw and CodecGradQuant). Malformed
-// frames — wrong payload length, bad scale counts, non-finite scales,
-// corrupt ZVC bodies — must fail with an error, never a panic, and a
-// successful decode must honour the frame's declared shape.
+// gradient decode path (CodecGradRaw). Malformed frames — wrong payload
+// length, scales on a frame that carries none — must fail with an
+// error, never a panic, and a successful decode must honour the frame's
+// declared shape.
 func FuzzDecodeGradient(f *testing.F) {
 	r := tensor.NewRNG(11)
 	x := tensor.New(1, 1, 1, 512)
@@ -60,15 +60,19 @@ func FuzzDecodeGradient(f *testing.F) {
 		}
 	}
 	p := New(quant.OptL())
-	for _, c := range []frame.Codec{frame.CodecGradRaw, frame.CodecGradQuant} {
-		enc, err := p.EncodeGradient(c, x)
-		if err != nil {
-			f.Fatal(err)
-		}
-		valid := frame.EncodeFrame(enc.Frame)
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
+	enc, err := p.EncodeGradient(frame.CodecGradRaw, x)
+	if err != nil {
+		f.Fatal(err)
 	}
+	valid := frame.EncodeFrame(enc.Frame)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	// Well-checksummed frames the decoder must refuse: a scale on a raw
+	// gradient, and a payload one value short of the shape.
+	enc.Frame.Scales = []float32{1}
+	f.Add(frame.EncodeFrame(enc.Frame))
+	enc.Frame.Scales, enc.Frame.Payload = nil, enc.Frame.Payload[4:]
+	f.Add(frame.EncodeFrame(enc.Frame))
 	f.Add([]byte{})
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -76,7 +80,7 @@ func FuzzDecodeGradient(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if fr.Codec != frame.CodecGradRaw && fr.Codec != frame.CodecGradQuant {
+		if fr.Codec != frame.CodecGradRaw {
 			return
 		}
 		out, err := p.Decode(fr)

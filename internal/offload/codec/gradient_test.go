@@ -57,83 +57,13 @@ func TestGradRawRoundtripBitExact(t *testing.T) {
 	}
 }
 
-// TestGradQuantErrorBound: every reconstructed element must sit within
-// half a quantization step (scale/2), zeros must survive exactly (ZVC),
-// and the frame must actually be smaller than raw float32.
-func TestGradQuantErrorBound(t *testing.T) {
-	p := New(quant.OptL())
-	x := gradTensor(2, 4096)
-	enc, err := p.EncodeGradient(frame.CodecGradQuant, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw := 4 * x.Elems(); enc.Frame.EncodedSize() >= raw {
-		t.Fatalf("quantized frame %dB >= raw %dB", enc.Frame.EncodedSize(), raw)
-	}
-	fr, err := frame.DecodeFrame(frame.EncodeFrame(enc.Frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Decode(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := fr.Scales[0] / 2
-	for i := range x.Data {
-		if diff := math.Abs(float64(got.Data[i] - x.Data[i])); diff > float64(bound) {
-			t.Fatalf("element %d: error %v exceeds bound %v", i, diff, bound)
-		}
-		if x.Data[i] == 0 && got.Data[i] != 0 {
-			t.Fatalf("element %d: exact zero became %v", i, got.Data[i])
-		}
-	}
-}
-
-// TestGradQuantAllZero: an all-zero gradient must round-trip exactly
-// with a zero scale.
-func TestGradQuantAllZero(t *testing.T) {
-	p := New(quant.OptL())
-	x := tensor.New(1, 1, 1, 256)
-	enc, err := p.EncodeGradient(frame.CodecGradQuant, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Decode(enc.Frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got.Data {
-		if v != 0 {
-			t.Fatalf("element %d: %v", i, v)
-		}
-	}
-}
-
-// TestGradQuantDeterministic: two encodes of the same chunk must be
-// byte-identical — the property the K-independent all-reduce leans on.
-func TestGradQuantDeterministic(t *testing.T) {
-	p := New(quant.OptL())
-	x := gradTensor(3, 2048)
-	a, err := p.EncodeGradient(frame.CodecGradQuant, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.EncodeGradient(frame.CodecGradQuant, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, bb := frame.EncodeFrame(a.Frame), frame.EncodeFrame(b.Frame)
-	if string(ab) != string(bb) {
-		t.Fatal("two encodes of the same gradient differ")
-	}
-}
-
 // TestEncodeGradientRejectsActivationCodecs: the explicit gradient
-// entry point must refuse the Table II activation codecs.
+// entry point must refuse the Table II activation codecs, and id 5, the
+// quantized gradient codec this format once had.
 func TestEncodeGradientRejectsActivationCodecs(t *testing.T) {
 	p := New(quant.OptL())
 	x := gradTensor(4, 64)
-	for _, c := range []frame.Codec{frame.CodecBRC, frame.CodecJPEG, frame.CodecZVC} {
+	for _, c := range []frame.Codec{frame.CodecBRC, frame.CodecJPEG, frame.CodecZVC, 5} {
 		if _, err := p.EncodeGradient(c, x); err == nil {
 			t.Fatalf("EncodeGradient accepted %s", c)
 		}

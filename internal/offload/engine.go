@@ -19,8 +19,6 @@ type EngineConfig struct {
 	// degenerates to the synchronous Store operation — the two paths
 	// produce bit-identical channel traffic by construction.
 	Async bool
-	// Workers sizes the encode pool (<= 0 uses parallel.Workers()).
-	Workers int
 	// Prefetch is the restore lookahead during the backward pass: how
 	// many verified frames may sit staged ahead of demand. <= 0
 	// restores strictly on demand.
@@ -144,7 +142,7 @@ func (e *Engine) Stats() EngineStats {
 // have been finished with EndStep or Abort.
 func (e *Engine) BeginStep() {
 	if e.cfg.Async && e.pool == nil {
-		e.pool = parallel.NewPool(e.cfg.Workers)
+		e.pool = parallel.NewPool(0) // parallel.Workers() encoders
 	}
 	e.mu.Lock()
 	e.seen = map[*nn.ActRef]bool{}
@@ -531,20 +529,15 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 // the refs in flight before the rebuild are stale and resolve to nil.
 func (e *Engine) escalate(ref *nn.ActRef, ent *entry, err error) error {
 	e.flushPrefetch()
-	s := e.store
-	if s.Recovery.Policy == PolicyRecompute && s.Recovery.Recompute != nil {
-		if rerr := s.Recovery.Recompute(ref); rerr != nil {
-			return fmt.Errorf("offload: restore %q (%s): %w: recompute failed: %v (original: %v)",
-				ref.Name, ref.Kind, ErrCorrupted, rerr, err)
-		}
-		s.counters.Recomputed.Add(1)
-		s.dropIfCurrent(ref, ent)
-		e.mu.Lock()
-		e.repaired = true
-		e.mu.Unlock()
-		return s.RestoreAll()
+	// The store's policy decides; it returns nil only when the recompute
+	// hook has rebuilt the step.
+	if err := e.store.recover(ref, ent, err); err != nil {
+		return err
 	}
-	return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, err)
+	e.mu.Lock()
+	e.repaired = true
+	e.mu.Unlock()
+	return e.store.RestoreAll()
 }
 
 // flushPrefetch drives the prefetch plan to completion: the loop reads

@@ -7,6 +7,7 @@ import (
 
 	"jpegact/internal/faults"
 	"jpegact/internal/nn"
+	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
@@ -20,6 +21,13 @@ func (r *sendRecorder) Send(b []byte) []byte {
 	return b
 }
 func (r *sendRecorder) Recv(b []byte) []byte { return b }
+
+// atWorkers sets the worker count for the rest of the test: an async
+// engine sizes its encode pool from it when the first step begins.
+func atWorkers(t *testing.T, n int) {
+	prev := parallel.SetWorkers(n)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
+}
 
 func engineRefs(n int) []*nn.ActRef {
 	refs := make([]*nn.ActRef, n)
@@ -47,7 +55,8 @@ func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 	recAsync := &sendRecorder{}
 	sAsync := NewStore(quant.OptL())
 	sAsync.Channel = recAsync
-	eng := NewEngine(sAsync, EngineConfig{Async: true, Workers: 4})
+	atWorkers(t, 4)
+	eng := NewEngine(sAsync, EngineConfig{Async: true})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(n)
@@ -80,7 +89,8 @@ func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 func TestEngineInFlightBudget(t *testing.T) {
 	s := NewStore(quant.OptL())
 	const budget = 4 << 10
-	eng := NewEngine(s, EngineConfig{Async: true, Workers: 4, InFlightBytes: budget})
+	atWorkers(t, 4)
+	eng := NewEngine(s, EngineConfig{Async: true, InFlightBytes: budget})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(10)
@@ -127,7 +137,8 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 	}
 
 	s := NewStore(quant.OptL())
-	eng := NewEngine(s, EngineConfig{Async: true, Workers: 2, Prefetch: 2})
+	atWorkers(t, 2)
+	eng := NewEngine(s, EngineConfig{Async: true, Prefetch: 2})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(n)
@@ -211,7 +222,8 @@ func TestEngineAsyncRecompute(t *testing.T) {
 			return nil
 		},
 	}
-	eng := NewEngine(s, EngineConfig{Async: true, Workers: 2, Prefetch: 2})
+	atWorkers(t, 2)
+	eng := NewEngine(s, EngineConfig{Async: true, Prefetch: 2})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(5)

@@ -1,7 +1,7 @@
 package netstore
 
 // Deterministic pipelining smoke: the server injects a fixed per-op
-// response latency (Config.RespDelay), so a stop-and-wait client pays
+// response latency (Config.respDelay), so a stop-and-wait client pays
 // it once per GET while a windowed client overlaps the delays of every
 // request in flight. The wall-clock ratio is the pipelining win — no
 // real network, no flaky timing floor, reproducible in CI.
@@ -46,7 +46,7 @@ func timeGets(t *testing.T, dial transport.Dialer, window, n int) time.Duration 
 // client that secretly serializes cannot pass it.
 func TestPipelinedGetsOverlapInjectedLatency(t *testing.T) {
 	const n = 64
-	_, dial := startServer(t, Config{RespDelay: 2 * time.Millisecond})
+	_, dial := startServer(t, Config{respDelay: 2 * time.Millisecond})
 	c := transport.NewNetClient(dial, nil)
 	r := transport.Retry{Attempts: 2, OpTimeout: 10 * time.Second}
 	for k := 1; k <= n; k++ {

@@ -62,15 +62,15 @@ type Config struct {
 	// deadlock a connection — the same progress rule as the offload
 	// engine's encode budget.
 	InFlightBytes int
-	// RespDelay, when positive, injects a fixed service latency into
+	// respDelay, when positive, injects a fixed service latency into
 	// every response: the due time is stamped when the request is
 	// *executed*, and the connection's writer holds each response until
 	// its due time passes. Pipelined requests therefore overlap their
 	// delays (k requests in flight cost ~one delay), while a
-	// stop-and-wait client pays the delay once per op — exactly the
-	// round-trip structure the pipelining benchmarks need to measure
-	// deterministically, without a real network.
-	RespDelay time.Duration
+	// stop-and-wait client pays the delay once per op — the round-trip
+	// structure this package's pipelining test measures without a real
+	// network. No program sets it.
+	respDelay time.Duration
 	// Logf, when set, receives connection-lifecycle and error lines.
 	Logf func(format string, args ...any)
 }
@@ -401,7 +401,7 @@ func (s *Server) handleRequest(req transport.Request) (status uint8, body []byte
 type response struct {
 	status uint8
 	body   []byte
-	due    time.Time // earliest write time (RespDelay injection)
+	due    time.Time // earliest write time (respDelay injection)
 }
 
 // handleConn runs one connection: the calling goroutine reads and
@@ -481,8 +481,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		status, body := s.handleRequest(req)
 		resp := response{status: status, body: body}
-		if s.cfg.RespDelay > 0 {
-			resp.due = time.Now().Add(s.cfg.RespDelay)
+		if s.cfg.respDelay > 0 {
+			resp.due = time.Now().Add(s.cfg.respDelay)
 		}
 		s.enqueue(out, &qmu, qcond, &queued, resp)
 	}

@@ -80,7 +80,7 @@ const (
 	// PolicyFail returns a typed error; the host entry is retained.
 	PolicyFail RecoveryPolicy = iota
 	// PolicyRetry re-reads through the transport up to MaxRetries times
-	// (with optional exponential backoff) before failing.
+	// before failing.
 	PolicyRetry
 	// PolicyRecompute first exhausts the retries, then invokes the
 	// Recovery.Recompute hook to re-materialize the activation from the
@@ -110,9 +110,6 @@ type Recovery struct {
 	// PolicyRecompute (0 under PolicyRetry defaults to 3). On the
 	// networked backend a retry is a reconnect+resend cycle.
 	MaxRetries int
-	// Backoff is the initial delay between retries, doubled each attempt
-	// (0 retries immediately — the right setting for simulated channels).
-	Backoff time.Duration
 	// OpTimeout bounds each wire attempt via connection deadlines
 	// (0 = none; the in-process backend ignores it).
 	OpTimeout time.Duration
@@ -171,9 +168,6 @@ type Store struct {
 	KeyBase uint64
 	// Recovery selects the corruption policy (zero value = PolicyFail).
 	Recovery Recovery
-	// Sleep is injected into the retry/backoff path (nil = time.Sleep);
-	// tests install a recording clock so recovery never real-sleeps.
-	Sleep func(time.Duration)
 	// CoefPlan, when non-nil, marks the refs whose restore may be served
 	// as a quantized-coefficient plane (ref.Coef) instead of a decoded
 	// tensor. The trainer computes it from nn.CoefficientPlan — only refs
@@ -289,8 +283,6 @@ func (s *Store) effRetries() int {
 func (s *Store) retry() transport.Retry {
 	return transport.Retry{
 		Attempts:  s.effRetries(),
-		Backoff:   s.Recovery.Backoff,
-		Sleep:     s.Sleep,
 		OpTimeout: s.Recovery.OpTimeout,
 		Total:     s.Recovery.Deadline,
 	}

@@ -55,8 +55,8 @@ func workerSet() []int {
 func TestAsyncSyncEquivalence(t *testing.T) {
 	run := func(oc OffloadOptions, workers int) (Report, *models.Model, []string) {
 		m, ds := faultModel(600)
-		cfg := faultCfg()
-		cfg.Workers = workers
+		cfg := faultCfg(t)
+		atWorkers(t, workers)
 		ch := &captureChannel{}
 		oc.DQT = quant.OptL()
 		oc.Channel = ch
@@ -123,7 +123,7 @@ func TestAsyncRecomputeBitExact(t *testing.T) {
 			inj.ForceNextRecv(1)
 			oc.Channel = inj
 		}
-		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), oc)
+		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), oc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestAsyncFailPolicy(t *testing.T) {
 	m, ds := faultModel(300)
 	inj := faults.New(faults.Config{Seed: 78})
 	inj.ForceNextRecv(1)
-	_, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+	_, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
 		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyFail, Async: true,
 	})
 	if err == nil {
@@ -170,7 +170,7 @@ func TestAsyncFailPolicy(t *testing.T) {
 func TestAsyncDropRecovery(t *testing.T) {
 	m, ds := faultModel(500)
 	inj := faults.New(faults.Config{Seed: 81, DropRate: 0.03})
-	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
 		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute, MaxRecompute: 16, Async: true,
 	})
 	if err != nil {

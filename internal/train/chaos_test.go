@@ -97,7 +97,8 @@ func (cs *chaosStore) totalReplicaReads() uint64 {
 // bit. The run must also actually exercise the machinery: degraded ops,
 // replica reads, reconnects and injected resets all nonzero.
 func TestChaosSoakBitExact(t *testing.T) {
-	cfg := Config{Epochs: 3, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Workers: 2}
+	atWorkers(t, 2)
+	cfg := Config{Epochs: 3, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05}
 	run := func(oc OffloadOptions) (Report, offload.Stats, *models.Model) {
 		m, ds := faultModel(901)
 		oc.DQT = quant.OptL()

@@ -47,11 +47,8 @@ package train
 //     replica before the import — so BN running stats and RNG
 //     positions also evolve identically for any K.
 //
-// The default gradient codec is lossless (frame.CodecGradRaw), making
-// the bit-exactness hold by construction; the error-bounded quantized
-// codec (frame.CodecGradQuant) is opt-in and keeps the K-invariance
-// (quantization is deterministic) while trading gradient precision for
-// wire bytes.
+// The gradient codec is lossless (frame.CodecGradRaw), so the
+// bit-exactness holds by construction.
 
 import (
 	"fmt"
@@ -81,9 +78,6 @@ type DPOptions struct {
 	// (default 4). Each draws cfg.BatchSize examples. The trajectory
 	// depends on M but never on Replicas; Replicas must not exceed M.
 	Microbatches int
-	// GradCodec selects the gradient wire codec: frame.CodecGradRaw
-	// (default, lossless) or frame.CodecGradQuant (error-bounded int8).
-	GradCodec frame.Codec
 	// BucketBytes sets the gradient bucket size in raw float32 bytes
 	// (default 256 KiB). A bucket is one wire chunk: smaller buckets
 	// leave backward earlier (finer overlap) but cost more frames.
@@ -117,9 +111,6 @@ func (dp DPOptions) withDefaults() DPOptions {
 	if dp.Microbatches <= 0 {
 		dp.Microbatches = 4
 	}
-	if dp.GradCodec == 0 {
-		dp.GradCodec = frame.CodecGradRaw
-	}
 	if dp.BucketBytes <= 0 {
 		dp.BucketBytes = 4 * gradChunkElems
 	}
@@ -139,7 +130,6 @@ const gradChunkElems = 1 << 16
 type gradExchange struct {
 	tr       transport.Pipelined
 	pipe     codec.Pipeline
-	codec    frame.Codec
 	tag      uint64
 	retry    transport.Retry
 	chunk    int // bucket capacity in elements
@@ -173,7 +163,7 @@ func (g *gradExchange) encodeChunk(flat []float32, c int) ([]byte, error) {
 	}
 	x := &tensor.Tensor{Shape: tensor.Shape{N: 1, C: 1, H: 1, W: n}, Data: g.encBuf[:n]}
 	copy(x.Data, flat[lo:hi])
-	enc, err := g.pipe.EncodeGradient(g.codec, x)
+	enc, err := g.pipe.EncodeGradient(frame.CodecGradRaw, x)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +355,7 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 // exchange, bucket plan.
 type dpReplica struct {
 	model *models.Model
-	opt   nn.Optimizer
+	opt   *nn.SGD
 	pass  *pass
 	gx    *gradExchange
 	plan  *nn.BucketPlan
@@ -574,7 +564,6 @@ func ClassifierDataParallel(newModel func() *models.Model, ds *data.Classificati
 func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Config, dp DPOptions, activations func(k int, p *pass)) (Report, transport.Snapshot, error) {
 	cfg = cfg.withDefaults()
 	dp = dp.withDefaults()
-	defer cfg.applyWorkers()()
 	K, M := dp.Replicas, dp.Microbatches
 	counters := &transport.Counters{}
 	fail := func(format string, args ...any) (Report, transport.Snapshot, error) {
@@ -605,7 +594,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 		defer shared.Close()
 	}
 	tag := transport.GradTag(cfg.Seed)
-	pipe := codec.New(quant.OptL()) // DQT unused by gradient codecs
+	pipe := codec.New(quant.OptL()) // DQT unused by the gradient codec
 	newExchange := func() *gradExchange {
 		tr := shared
 		if tr == nil {
@@ -619,13 +608,12 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 			})
 		}
 		return &gradExchange{
-			tr: transport.AsPipelined(tr), pipe: pipe, codec: dp.GradCodec,
+			tr: transport.AsPipelined(tr), pipe: pipe,
 			tag: tag, retry: retry, chunk: chunkElems, counters: counters,
 		}
 	}
 
 	a := &allReduce{cfg: cfg, dp: dp, ds: ds, reps: make([]*dpReplica, K), board: newGradBoard()}
-	var opts []nn.Optimizer
 	var gradSize int
 	for k := range a.reps {
 		r := &dpReplica{model: newModel(), opt: cfg.newOptimizer(), gx: newExchange()}
@@ -633,7 +621,6 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 			defer r.gx.tr.Close()
 		}
 		a.reps[k] = r
-		opts = append(opts, r.opt)
 		if k == 0 {
 			gradSize = nn.GradSize(r.model.Net)
 		} else if nn.GradSize(r.model.Net) != gradSize {
@@ -662,12 +649,12 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	lead := a.reps[0].model
 	rep := Report{
 		ModelName:  lead.Name,
-		MethodName: fmt.Sprintf("dp(K=%d,M=%d,%s)", K, M, dp.GradCodec),
+		MethodName: fmt.Sprintf("dp(K=%d,M=%d,%s)", K, M, frame.CodecGradRaw),
 	}
 	if dp.StoreDial != nil {
 		rep.MethodName += "+netstore"
 	}
-	l := loop{cfg: cfg, opts: opts, step: a.step, validate: classifierValidation(lead.Net, ds, cfg)}
+	l := loop{cfg: cfg, step: a.step, validate: classifierValidation(lead.Net, ds, cfg)}
 	if dp.Verbose {
 		l.verbose = func(e EpochStats) {
 			s := counters.Snapshot()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"jpegact/internal/data"
-	"jpegact/internal/frame"
 	"jpegact/internal/models"
 	"jpegact/internal/netfaults"
 	"jpegact/internal/nn"
@@ -34,8 +33,11 @@ func dpFixture(seed uint64) (func() *models.Model, func() *models.Model, *data.C
 	return newModel, func() *models.Model { return first }, ds
 }
 
-func dpCfg() Config {
-	return Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Workers: 2, Seed: 77}
+// dpCfg is the short run the data-parallel tests share; it also pins the
+// calling test to two parallel workers.
+func dpCfg(t testing.TB) Config {
+	atWorkers(t, 2)
+	return Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Seed: 77}
 }
 
 // dpRun trains one data-parallel run and returns the report, counters
@@ -43,7 +45,7 @@ func dpCfg() Config {
 func dpRun(t *testing.T, seed uint64, dp DPOptions) (Report, transport.Snapshot, *models.Model) {
 	t.Helper()
 	newModel, lead, ds := dpFixture(seed)
-	rep, snap, err := ClassifierDataParallel(newModel, ds, dpCfg(), dp)
+	rep, snap, err := ClassifierDataParallel(newModel, ds, dpCfg(t), dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestDataParallelBitExact(t *testing.T) {
 	}
 	// Per step: M microbatch puts + 1 reduced put; M reducer gets + K
 	// replica gets.
-	steps := uint64(dpCfg().Epochs * dpCfg().BatchesPerEpoch)
+	steps := uint64(dpCfg(t).Epochs * dpCfg(t).BatchesPerEpoch)
 	if want := steps * (M + 1); refSnap.GradPuts != want {
 		t.Fatalf("grad puts %d, want %d", refSnap.GradPuts, want)
 	}
@@ -90,10 +92,11 @@ func TestDataParallelBitExact(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var actErr error
+	actCfg := faultCfg(t)
 	go func() {
 		defer wg.Done()
 		m, ds := faultModel(700)
-		_, _, actErr = ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+		_, _, actErr = ClassifierOffloaded(m, ds, actCfg, OffloadOptions{
 			DQT: quant.OptL(), StoreDial: dial, StoreKeyBase: 1 << 32,
 		})
 	}()
@@ -149,23 +152,13 @@ func TestDataParallelBitExact(t *testing.T) {
 	}
 }
 
-// TestDataParallelQuantizedCodec: the lossy gradient codec changes the
-// trajectory (it may) but must preserve the K-invariance — K=1 and K=2
-// under CodecGradQuant are still bit-identical to each other.
-func TestDataParallelQuantizedCodec(t *testing.T) {
-	a, _, ma := dpRun(t, 1600, DPOptions{Replicas: 1, Microbatches: 2, GradCodec: frame.CodecGradQuant})
-	b, _, mb := dpRun(t, 1600, DPOptions{Replicas: 2, Microbatches: 2, GradCodec: frame.CodecGradQuant})
-	sameEpochs(t, a, b, "quantized codec")
-	sameWeights(t, ma, mb, "quantized codec")
-}
-
 // TestDataParallelRejectsTooManyReplicas: K > M is a configuration
 // error, not a silent truncation — and so is any count the gradient key
 // cannot hold (transport.GradKey masks an oversized chunk, slot or step
 // onto another key, which would average the wrong gradients silently).
 func TestDataParallelRejectsTooManyReplicas(t *testing.T) {
 	newModel, _, ds := dpFixture(1700)
-	if _, _, err := ClassifierDataParallel(newModel, ds, dpCfg(), DPOptions{Replicas: 8, Microbatches: 4}); err == nil {
+	if _, _, err := ClassifierDataParallel(newModel, ds, dpCfg(t), DPOptions{Replicas: 8, Microbatches: 4}); err == nil {
 		t.Fatal("8 replicas over 4 microbatches accepted")
 	}
 
@@ -175,7 +168,7 @@ func TestDataParallelRejectsTooManyReplicas(t *testing.T) {
 		return models.ResNet18(models.Scale{Width: 12, Blocks: 1}, 2, tensor.NewRNG(1700))
 	}
 	gradElems := nn.GradSize(wide().Net)
-	longRun := dpCfg()
+	longRun := dpCfg(t)
 	longRun.Epochs, longRun.BatchesPerEpoch = 1<<13, 1<<12
 	for _, tc := range []struct {
 		name  string
@@ -183,8 +176,8 @@ func TestDataParallelRejectsTooManyReplicas(t *testing.T) {
 		dp    DPOptions
 		limit string // the error must name the exhausted field
 	}{
-		{"chunks", dpCfg(), DPOptions{BucketBytes: 4}, "holds 4096"},
-		{"slots", dpCfg(), DPOptions{Microbatches: transport.GradMaxSlots}, "4095 slots"},
+		{"chunks", dpCfg(t), DPOptions{BucketBytes: 4}, "holds 4096"},
+		{"slots", dpCfg(t), DPOptions{Microbatches: transport.GradMaxSlots}, "4095 slots"},
 		{"steps", longRun, DPOptions{}, "16777216"},
 	} {
 		_, snap, err := ClassifierDataParallel(wide, ds, tc.cfg, tc.dp)
@@ -197,7 +190,7 @@ func TestDataParallelRejectsTooManyReplicas(t *testing.T) {
 	}
 	// The chunk limit itself is legal: the smallest bucket that fits.
 	atLimit := 4 * ((gradElems + transport.GradMaxChunks - 1) / transport.GradMaxChunks)
-	one := dpCfg()
+	one := dpCfg(t)
 	one.Epochs, one.BatchesPerEpoch = 1, 1
 	if _, _, err := ClassifierDataParallel(wide, ds, one, DPOptions{BucketBytes: atLimit, Microbatches: 1}); err != nil {
 		t.Fatalf("%d-byte buckets over %d elements rejected: %v", atLimit, gradElems, err)

@@ -10,6 +10,7 @@ import (
 	"jpegact/internal/frame"
 	"jpegact/internal/models"
 	"jpegact/internal/offload"
+	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
@@ -22,8 +23,19 @@ func faultModel(seed uint64) (*models.Model, *data.Classification) {
 	return m, ds
 }
 
-func faultCfg() Config {
-	return Config{Epochs: 2, BatchesPerEpoch: 3, BatchSize: 4, LR: 0.05, Workers: 2}
+// atWorkers runs the rest of the calling test at n parallel workers;
+// results are bit-identical at any count, the tests pin one so the
+// parallel paths run whatever the host has.
+func atWorkers(t testing.TB, n int) {
+	prev := parallel.SetWorkers(n)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
+}
+
+// faultCfg is the short run the offload tests share; it also pins the
+// calling test to two parallel workers.
+func faultCfg(t testing.TB) Config {
+	atWorkers(t, 2)
+	return Config{Epochs: 2, BatchesPerEpoch: 3, BatchSize: 4, LR: 0.05}
 }
 
 func sameEpochs(t *testing.T, a, b Report, label string) {
@@ -48,7 +60,7 @@ func sameEpochs(t *testing.T, a, b Report, label string) {
 // channel must converge and report a real compression ratio.
 func TestOffloadedTrainingCleanChannel(t *testing.T) {
 	m, ds := faultModel(100)
-	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{DQT: quant.OptL()})
+	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{DQT: quant.OptL()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestOffloadedTrainingRecomputeBitExact(t *testing.T) {
 			inj.ForceNextRecv(1)
 			oc.Channel = inj
 		}
-		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), oc)
+		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), oc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +128,7 @@ func TestOffloadedTrainingFailPolicy(t *testing.T) {
 	m, ds := faultModel(300)
 	inj := faults.New(faults.Config{Seed: 78})
 	inj.ForceNextRecv(1)
-	_, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+	_, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
 		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyFail,
 	})
 	if err == nil {
@@ -137,7 +149,7 @@ func TestOffloadedTrainingFailPolicy(t *testing.T) {
 	// counters — the first epoch's traffic included.
 	m, ds = faultModel(300)
 	inj = faults.New(faults.Config{Seed: 78})
-	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
 		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyFail,
 		EpochEnd: func(int) { inj.ForceNextRecv(1) },
 	})
@@ -159,7 +171,7 @@ func TestOffloadedTrainingRetryPolicy(t *testing.T) {
 	m, ds := faultModel(400)
 	inj := faults.New(faults.Config{Seed: 79})
 	inj.ForceNextRecv(1)
-	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
 		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRetry, MaxRetries: 3,
 	})
 	if err != nil {
@@ -181,7 +193,7 @@ func TestOffloadedTrainingRetryPolicy(t *testing.T) {
 func TestOffloadedTrainingDropRecovery(t *testing.T) {
 	m, ds := faultModel(500)
 	inj := faults.New(faults.Config{Seed: 81, DropRate: 0.03})
-	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), OffloadOptions{
+	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
 		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute, MaxRecompute: 16,
 	})
 	if err != nil {

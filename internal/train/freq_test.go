@@ -14,8 +14,8 @@ import (
 func freqRun(t *testing.T, freq, async bool, workers int) (Report, offload.Stats) {
 	t.Helper()
 	m, ds := faultModel(700)
-	cfg := faultCfg()
-	cfg.Workers = workers
+	cfg := faultCfg(t)
+	atWorkers(t, workers)
 	rep, stats, err := ClassifierOffloaded(m, ds, cfg, OffloadOptions{
 		DQT: quant.OptL(), FreqDomain: freq, Async: async,
 	})

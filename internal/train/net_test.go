@@ -101,7 +101,7 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 		oc.DQT = quant.OptL()
 		oc.Async = true
 		oc.FreqDomain = true
-		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(), oc)
+		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), oc)
 		if err != nil {
 			t.Fatal(err)
 		}

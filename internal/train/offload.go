@@ -25,7 +25,6 @@ import (
 
 	"jpegact/internal/data"
 	"jpegact/internal/models"
-	"jpegact/internal/nn"
 	"jpegact/internal/offload"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
@@ -42,9 +41,9 @@ type OffloadOptions struct {
 	Channel offload.Channel
 	// Policy selects the corruption response (fail / retry / recompute).
 	Policy offload.RecoveryPolicy
-	// MaxRetries and Backoff configure the channel re-read schedule.
+	// MaxRetries bounds the channel re-reads, which follow one another
+	// without a delay.
 	MaxRetries int
-	Backoff    time.Duration
 	// MaxRecompute caps whole-step forward replays per batch under
 	// PolicyRecompute (default 4); beyond it the step fails.
 	MaxRecompute int
@@ -160,7 +159,6 @@ func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout
 // up to that point).
 func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, oc OffloadOptions) (Report, offload.Stats, error) {
 	cfg = cfg.withDefaults()
-	defer cfg.applyWorkers()()
 	if oc.MaxRecompute == 0 {
 		oc.MaxRecompute = 4
 	}
@@ -175,7 +173,6 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 	store.Recovery = offload.Recovery{
 		Policy:     oc.Policy,
 		MaxRetries: oc.MaxRetries,
-		Backoff:    oc.Backoff,
 		Deadline:   max(oc.StoreTimeout, 0),
 		OpTimeout:  storeOpTimeout(oc.StoreTimeout),
 	}
@@ -202,7 +199,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 
 	p := &pass{net: m.Net, eng: eng, maxRecompute: oc.MaxRecompute, freq: oc.FreqDomain}
 	l := loop{
-		cfg: cfg, opts: []nn.Optimizer{opt},
+		cfg:  cfg,
 		step: localStep(p, opt, classifierBatch(ds, cfg)),
 		// Between steps the store is drained (every restore deletes its
 		// entry), so the epoch hook is the safe, reproducible point for a

@@ -25,7 +25,8 @@ import (
 // drained it.
 func TestPolicyMatrix(t *testing.T) {
 	const seed = 1800
-	cfg := Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Workers: 2, Seed: 78}
+	atWorkers(t, 2)
+	cfg := Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Seed: 78}
 	roundTrip := func() compress.Method { return compress.NewJPEGAct(quant.Fixed(quant.OptL())) }
 	activations := []string{"round-trip", "offload-sync", "offload-async"}
 	drained := func(label string, s offload.Stats) {

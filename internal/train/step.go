@@ -192,7 +192,7 @@ func (p *pass) endForward(hooks *nn.Hooks) (orig, comp int, err error) {
 // localStep is gradient policy local: one pass, then this worker's own
 // optimizer. A non-finite loss leaves the weights alone; the loop flags
 // the divergence.
-func localStep(p *pass, opt nn.Optimizer, batch func() (*tensor.Tensor, lossFunc)) func(epoch, b int) (stepResult, error) {
+func localStep(p *pass, opt *nn.SGD, batch func() (*tensor.Tensor, lossFunc)) func(epoch, b int) (stepResult, error) {
 	return func(epoch, _ int) (stepResult, error) {
 		x, lossOf := batch()
 		res, err := p.run(x, lossOf, epoch, nil)
@@ -226,8 +226,7 @@ func classifierValidation(net nn.Layer, ds *data.Classification, cfg Config) fun
 
 // loop is the epoch driver every trainer shares.
 type loop struct {
-	cfg  Config
-	opts []nn.Optimizer // every optimizer the LR schedule steps (one per replica)
+	cfg Config
 	// step runs one training step, optimizer update included.
 	step func(epoch, b int) (stepResult, error)
 	// epochEnd, when set, runs after an epoch's batches, before validation.
@@ -245,9 +244,6 @@ type loop struct {
 func (l *loop) run(rep *Report) error {
 	var foot map[compress.Kind]*FootprintEntry
 	for epoch := 0; epoch < l.cfg.Epochs; epoch++ {
-		for _, opt := range l.opts {
-			maybeDecay(l.cfg, opt, epoch)
-		}
 		var sum stepResult
 		for b := 0; b < l.cfg.BatchesPerEpoch; b++ {
 			res, err := l.step(epoch, b)

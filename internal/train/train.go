@@ -16,7 +16,6 @@ import (
 	"jpegact/internal/data"
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
-	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
 
@@ -33,43 +32,12 @@ type Config struct {
 	// MeasureError also records the mean recovered-activation L2 error
 	// per epoch (costs one clone per saved activation).
 	MeasureError bool
-	// LRDecayEpochs lists epochs at whose start the learning rate is
-	// multiplied by LRDecayFactor (default 0.1) — the standard step
-	// schedule the paper's training recipes use.
-	LRDecayEpochs []int
-	LRDecayFactor float64
-	// Optimizer selects the update rule: "sgd" (default), "nesterov" or
-	// "adam".
-	Optimizer string
-	// Workers overrides the parallel worker count for the duration of
-	// the run (0 keeps the global setting: JPEGACT_WORKERS or
-	// GOMAXPROCS). Results are bit-identical at any worker count.
-	Workers int
 }
 
-// applyWorkers installs cfg.Workers and returns a restore func.
-func (c Config) applyWorkers() func() {
-	if c.Workers <= 0 {
-		return func() {}
-	}
-	prev := parallel.SetWorkers(c.Workers)
-	return func() { parallel.SetWorkers(prev) }
-}
-
-// newOptimizer builds the configured optimizer. The step-decay schedule
-// only applies to the SGD variants (Adam adapts its own step sizes).
-func (c Config) newOptimizer() nn.Optimizer {
-	switch c.Optimizer {
-	case "", "sgd":
-		return nn.NewSGD(c.LR, c.Momentum, c.WeightDecay)
-	case "nesterov":
-		return nn.NewNesterov(c.LR, c.Momentum, c.WeightDecay)
-	case "adam":
-		a := nn.NewAdam(c.LR)
-		a.WeightDecay = c.WeightDecay
-		return a
-	}
-	panic("train: unknown optimizer " + c.Optimizer)
+// newOptimizer builds the one update rule every trainer uses: SGD with
+// momentum and weight decay at a constant learning rate.
+func (c Config) newOptimizer() *nn.SGD {
+	return nn.NewSGD(c.LR, c.Momentum, c.WeightDecay)
 }
 
 func (c Config) withDefaults() Config {
@@ -187,39 +155,17 @@ func compressRefs(refs []*nn.ActRef, m compress.Method, epoch int, measure bool)
 	return res
 }
 
-// maybeDecay applies the step LR schedule at the start of an epoch (SGD
-// and Nesterov only).
-func maybeDecay(cfg Config, opt nn.Optimizer, epoch int) {
-	factor := cfg.LRDecayFactor
-	if factor == 0 {
-		factor = 0.1
-	}
-	for _, e := range cfg.LRDecayEpochs {
-		if e != epoch {
-			continue
-		}
-		switch o := opt.(type) {
-		case *nn.SGD:
-			o.LR *= factor
-		case *nn.Nesterov:
-			o.LR *= factor
-		}
-	}
-}
-
 // Classifier trains a classification model on the synthetic dataset and
 // returns the per-epoch statistics: activation policy round-trip through
 // cfg.Method, gradient policy local.
 func Classifier(m *models.Model, ds *data.Classification, cfg Config) Report {
 	cfg = cfg.withDefaults()
-	defer cfg.applyWorkers()()
 	return roundTrip(m, cfg, classifierValidation(m.Net, ds, cfg), classifierBatch(ds, cfg))
 }
 
 // SuperResolution trains the VDSR model on synthetic pairs, scoring PSNR.
 func SuperResolution(m *models.Model, ds *data.SuperRes, cfg Config) Report {
 	cfg = cfg.withDefaults()
-	defer cfg.applyWorkers()()
 	valIn, valTgt := ds.Pair(cfg.BatchSize * 2)
 	validate := func() (float64, *tensor.Tensor) {
 		out := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valIn}, false)
@@ -238,7 +184,7 @@ func roundTrip(m *models.Model, cfg Config, validate func() (float64, *tensor.Te
 	rep := Report{ModelName: m.Name, MethodName: cfg.Method.Name()}
 	opt := cfg.newOptimizer()
 	p := &pass{net: m.Net, method: cfg.Method, measure: cfg.MeasureError}
-	l := loop{cfg: cfg, opts: []nn.Optimizer{opt}, step: localStep(p, opt, batch), validate: validate}
+	l := loop{cfg: cfg, step: localStep(p, opt, batch), validate: validate}
 	_ = l.run(&rep) // only the offload and all-reduce policies have an error path
 	rep.WeightsDigest = weightsDigest(m.Net)
 	return rep

@@ -356,15 +356,9 @@ func TrainClassifierOffloaded(model string, sc ModelScale, cfg TrainConfig, oc O
 }
 
 // DataParallelOptions configures TrainClassifierDataParallel: replica
-// count, microbatches per step, the gradient codec, and (optionally) the
-// networked store carrying the exchange.
+// count, microbatches per step, and (optionally) the networked store
+// carrying the exchange.
 type DataParallelOptions = train.DPOptions
-
-// Gradient-exchange codecs for DataParallelOptions.GradCodec.
-const (
-	GradCodecRaw   = frame.CodecGradRaw   // lossless float32 (default)
-	GradCodecQuant = frame.CodecGradQuant // int8 max-abs quantization + ZVC
-)
 
 // TransportSnapshot is a point-in-time copy of the transport counters,
 // including the gradient-exchange rows (grad_puts/grad_gets/bytes_grad).

@@ -18,6 +18,17 @@ package jpegact
 // this module that is itself reached, or any exported interface of a
 // package the module imports (so fmt.Stringer and net.Conn count). The
 // constants of one iota group are reached together. There is no allowlist.
+//
+// The field pass applies the same rule to options: nothing is configurable
+// that nothing configures. An exported field of a named struct declared in
+// a non-test file fails when non-test code reads it and no non-test file of
+// the tree writes it. A write is an assignment to or through the field
+// (index, slice, dereference, a further selector, &, ++, a method call on
+// it), a keyed element of a composite literal, or a positional literal of
+// its struct. Two exceptions, both derived from who writes the field: a
+// _test.go file of a different directory does (shared test support), or
+// the field is func- or interface-typed and some test installs it — a
+// seam is behaviour, a knob is a value.
 
 import (
 	"fmt"
@@ -31,6 +42,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,6 +54,7 @@ type reachDir struct {
 	rel           string // "" for the module root
 	prod, in, ext []*ast.File
 	pkg           *types.Package // of prod, once imported
+	tests         *types.Info    // of in and ext, nil without tests
 }
 
 // reachNode is one package-level declaration of a non-test file, keyed in
@@ -59,18 +72,25 @@ type reachNode struct {
 }
 
 type reachGraph struct {
-	fset  *token.FileSet
-	std   types.Importer
-	dirs  map[string]*reachDir // by import path
-	info  *types.Info          // of the non-test pass over every directory
-	errs  []error
-	nodes map[string]*reachNode
-	live  map[string]bool
-	work  []string
+	root   string
+	fset   *token.FileSet
+	std    types.Importer
+	dirs   map[string]*reachDir // by import path
+	bench  *reachDir
+	info   *types.Info // of the non-test pass over every directory
+	errs   []error
+	nodes  map[string]*reachNode
+	live   map[string]bool
+	work   []string
+	fields map[string]*reachField
 }
 
 func newReachInfo() *types.Info {
-	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	return &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
 }
 
 // Import implements types.Importer: module packages from the parsed tree,
@@ -295,9 +315,9 @@ func (g *reachGraph) propagate() {
 	}
 }
 
-// unreached returns "file:line kind name" for every non-test package-level
-// object under root that no root reaches.
-func unreached(root string) ([]string, error) {
+// loadReachGraph parses the tree under root and type-checks it once: every
+// directory's non-test files into g.info, its tests into d.tests.
+func loadReachGraph(root string) (*reachGraph, error) {
 	// The source importer shells out to cgo for packages such as net
 	// unless told the pure-Go files are the ones to read.
 	cgo := build.Default.CgoEnabled
@@ -306,26 +326,76 @@ func unreached(root string) ([]string, error) {
 
 	fset := token.NewFileSet()
 	g := &reachGraph{
-		fset: fset, std: importer.ForCompiler(fset, "source", nil),
+		root: root, fset: fset, std: importer.ForCompiler(fset, "source", nil),
 		dirs: map[string]*reachDir{}, info: newReachInfo(),
 		nodes: map[string]*reachNode{}, live: map[string]bool{},
+		fields: map[string]*reachField{},
 	}
 	if err := g.parseTree(root); err != nil {
 		return nil, err
 	}
-	bench := g.dirs[reachModule+"/bench"]
+	g.bench = g.dirs[reachModule+"/bench"]
 	for path, d := range g.dirs {
 		if _, err := g.Import(path); err != nil {
 			return nil, err
 		}
-		if d != bench {
+		if d != g.bench {
 			g.declare(d)
 		}
 	}
+	for path, d := range g.dirs {
+		if len(d.in)+len(d.ext) == 0 {
+			continue
+		}
+		d.tests = newReachInfo()
+		g.check(path, append(append([]*ast.File{}, d.prod...), d.in...), d.tests)
+		// An external test package is checked against the directory as
+		// its importers see it, so what export_test.go adds is undefined
+		// there; those errors are not the tree's.
+		errs := g.errs
+		g.check(path+"_test", d.ext, d.tests)
+		g.errs = errs
+	}
+	if len(g.errs) > 0 {
+		return nil, fmt.Errorf("type-checking the tree: %v (and %d more)", g.errs[0], len(g.errs)-1)
+	}
+	return g, nil
+}
+
+// testFiles returns d's _test.go files, in-package and external.
+func (d *reachDir) testFiles() []*ast.File {
+	return append(append([]*ast.File{}, d.in...), d.ext...)
+}
+
+// reachFinding is one declaration a pass objects to.
+type reachFinding struct {
+	pos  token.Position
+	what string
+}
+
+// report formats findings as "file:line what", sorted by file and line.
+func (g *reachGraph) report(fs []reachFinding) []string {
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i].pos, fs[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		file, _ := filepath.Rel(g.root, f.pos.Filename)
+		out[i] = fmt.Sprintf("%s:%d %s", filepath.ToSlash(file), f.pos.Line, f.what)
+	}
+	return out
+}
+
+// unreached returns "file:line kind name" for every non-test package-level
+// object that no root reaches.
+func (g *reachGraph) unreached() []string {
 	for _, n := range g.nodes {
 		n.uses = g.usesIn(g.info, n.decl)
 	}
-
 	for k, n := range g.nodes {
 		program := strings.HasPrefix(n.rel, "cmd/") || strings.HasPrefix(n.rel, "examples/")
 		switch {
@@ -335,25 +405,17 @@ func unreached(root string) ([]string, error) {
 			g.mark(k)
 		}
 	}
-	for path, d := range g.dirs {
+	for _, d := range g.dirs {
 		// bench/ reaches anywhere; a directory's tests reach only into
 		// other directories.
 		var named []string
-		if d == bench {
+		if d == g.bench {
 			for _, f := range d.prod {
 				named = append(named, g.usesIn(g.info, f)...)
 			}
-		} else if len(d.in)+len(d.ext) > 0 {
-			info := newReachInfo()
-			g.check(path, append(append([]*ast.File{}, d.prod...), d.in...), info)
-			// An external test package is checked against the directory
-			// as its importers see it, so what export_test.go adds is
-			// undefined there; those errors are not the tree's.
-			errs := g.errs
-			g.check(path+"_test", d.ext, info)
-			g.errs = errs
-			for _, f := range append(append([]*ast.File{}, d.in...), d.ext...) {
-				named = append(named, g.usesIn(info, f)...)
+		} else if d.tests != nil {
+			for _, f := range d.testFiles() {
+				named = append(named, g.usesIn(d.tests, f)...)
 			}
 		}
 		for _, k := range named {
@@ -362,43 +424,224 @@ func unreached(root string) ([]string, error) {
 			}
 		}
 	}
-	if len(g.errs) > 0 {
-		return nil, fmt.Errorf("type-checking the tree: %v (and %d more)", g.errs[0], len(g.errs)-1)
-	}
 	g.propagate()
 
-	var dead []*reachNode
+	var dead []reachFinding
 	for k, n := range g.nodes {
 		if !g.live[k] {
-			dead = append(dead, n)
+			dead = append(dead, reachFinding{n.pos, n.kind + " " + n.name})
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := dead[i].pos, dead[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+	return g.report(dead)
+}
+
+// reachField is one exported field of a named struct of a non-test file,
+// keyed in reachGraph.fields by the position of its name.
+type reachField struct {
+	pos           token.Position
+	name          string // Type.Field
+	rel           string
+	seam          bool // func- or interface-typed
+	read, written bool // by a non-test file of the tree
+	shared        bool // written by a test of another directory
+	installed     bool // a seam some test writes
+}
+
+// declareFields adds the exported fields of d's named structs. Embedded
+// fields are left out: what a struct embeds is its type, not a setting.
+func (g *reachGraph) declareFields(d *reachDir) {
+	for _, f := range d.prod {
+		for _, decl := range f.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						obj := g.info.Defs[id]
+						if obj == nil || !id.IsExported() {
+							continue
+						}
+						rf := &reachField{pos: g.fset.Position(id.Pos()), name: ts.Name.Name + "." + id.Name, rel: d.rel}
+						switch obj.Type().Underlying().(type) {
+						case *types.Signature, *types.Interface:
+							rf.seam = true
+						}
+						g.fields[rf.pos.String()] = rf
+					}
+				}
+			}
 		}
-		return a.Line < b.Line
+	}
+}
+
+// fieldAccesses calls visit for every mention of a declared field in f,
+// saying whether the mention writes it.
+func (g *reachGraph) fieldAccesses(info *types.Info, f *ast.File, visit func(fl *reachField, write bool)) {
+	writes := map[*ast.Ident]bool{}
+	// through marks every field on the way to the storage e denotes.
+	var through func(e ast.Expr)
+	through = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			through(e.X)
+		case *ast.IndexExpr:
+			through(e.X)
+		case *ast.SliceExpr:
+			through(e.X)
+		case *ast.StarExpr:
+			through(e.X)
+		case *ast.SelectorExpr:
+			writes[e.Sel] = true
+			through(e.X)
+		}
+	}
+	// ast.Inspect visits a node before what it contains, so a field's
+	// identifier is seen after the statement that decides what it is.
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				through(lhs)
+			}
+		case *ast.IncDecStmt:
+			through(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				through(n.Key)
+				through(n.Value)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				through(n.X)
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				if _, ok := info.Uses[sel.Sel].(*types.Func); ok {
+					through(sel.X)
+				}
+			}
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if t == nil {
+				break
+			}
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, _ := t.Underlying().(*types.Struct)
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				} else if st != nil && i < st.NumFields() {
+					if fl := g.fields[g.key(st.Field(i))]; fl != nil {
+						visit(fl, true)
+					}
+				}
+			}
+		case *ast.Ident:
+			if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() {
+				if fl := g.fields[g.key(v)]; fl != nil {
+					visit(fl, writes[n])
+				}
+			}
+		}
+		return true
 	})
-	findings := make([]string, len(dead))
-	for i, n := range dead {
-		file, _ := filepath.Rel(root, n.pos.Filename)
-		findings[i] = fmt.Sprintf("%s:%d %s %s", filepath.ToSlash(file), n.pos.Line, n.kind, n.name)
+}
+
+// unconfigured returns "file:line Type.Field" for every exported field
+// that non-test code reads and nothing but its own package's tests sets,
+// and how many more fields only one of the two exceptions keeps.
+func (g *reachGraph) unconfigured() (findings []string, shared, seams int) {
+	for _, d := range g.dirs {
+		if d != g.bench {
+			g.declareFields(d)
+		}
 	}
-	return findings, nil
+	for _, d := range g.dirs {
+		for _, f := range d.prod {
+			g.fieldAccesses(g.info, f, func(fl *reachField, write bool) {
+				if write {
+					fl.written = true
+				} else {
+					fl.read = true
+				}
+			})
+		}
+		if d.tests == nil {
+			continue
+		}
+		for _, f := range d.testFiles() {
+			g.fieldAccesses(d.tests, f, func(fl *reachField, write bool) {
+				if write {
+					fl.shared = fl.shared || fl.rel != d.rel
+					fl.installed = fl.installed || fl.seam
+				}
+			})
+		}
+	}
+	var unset []reachFinding
+	for _, fl := range g.fields {
+		switch {
+		case !fl.read || fl.written:
+		case fl.shared:
+			shared++
+		case fl.installed:
+			seams++
+		default:
+			unset = append(unset, reachFinding{fl.pos, fl.name})
+		}
+	}
+	return g.report(unset), shared, seams
+}
+
+// The tree is loaded once for both passes.
+var reachTree struct {
+	once sync.Once
+	g    *reachGraph
+	err  error
+}
+
+func loadedReachGraph(t *testing.T) *reachGraph {
+	reachTree.once.Do(func() {
+		root, err := filepath.Abs(".")
+		if err == nil {
+			reachTree.g, err = loadReachGraph(root)
+		}
+		reachTree.err = err
+	})
+	if reachTree.err != nil {
+		t.Fatal(reachTree.err)
+	}
+	return reachTree.g
 }
 
 func TestNothingShipsThatNothingRuns(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := unreached(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := loadedReachGraph(t).unreached()
 	if len(findings) > 0 {
 		t.Errorf("%d package-level objects in non-test files are reached by no program, facade name, benchmark file or other package's test:\n%s",
+			len(findings), strings.Join(findings, "\n"))
+	}
+}
+
+func TestNothingIsConfigurableThatNothingConfigures(t *testing.T) {
+	findings, shared, seams := loadedReachGraph(t).unconfigured()
+	t.Logf("exported fields that non-test code reads and never writes: %d set by another directory's tests, %d seams a test installs, %d failing",
+		shared, seams, len(findings))
+	if len(findings) > 0 {
+		t.Errorf("%d exported fields are read by non-test code and set by nothing but their own package's tests:\n%s",
 			len(findings), strings.Join(findings, "\n"))
 	}
 }
