@@ -76,7 +76,7 @@ loc:
 # loc` exceeds LOC_MAX, so "less code" is enforced the way gofmt is. A PR
 # that lands below it lowers it to where it landed; one that must raise it
 # says why in CHANGES.md.
-LOC_MAX = 12457
+LOC_MAX = 11988
 .PHONY: loc-check
 loc-check:
 	@n=$$($(MAKE) -s loc); [ $$n -le $(LOC_MAX) ] || (echo "loc: $$n non-test lines in the root module, the ratchet is $(LOC_MAX)" && exit 1)

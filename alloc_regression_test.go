@@ -10,6 +10,7 @@ import (
 	"jpegact/internal/data"
 	"jpegact/internal/frame"
 	"jpegact/internal/offload/codec"
+	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
@@ -28,8 +29,8 @@ func TestCompressActivationAllocs(t *testing.T) {
 
 	// Pin to one worker: goroutine spawns would otherwise count as
 	// allocations and vary with GOMAXPROCS.
-	prev := SetParallelWorkers(1)
-	defer SetParallelWorkers(prev)
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
 
 	// Warm the sync.Pools so the steady state is measured.
 	CompressActivation(m, x, KindConv, 10)
@@ -61,8 +62,8 @@ func TestGradExchangeAllocs(t *testing.T) {
 		grad[i] = float32(r.Norm()) * 0.01
 	}
 
-	prev := SetParallelWorkers(1)
-	defer SetParallelWorkers(prev)
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
 
 	p := codec.Pipeline{}
 	staging := &tensor.Tensor{Shape: tensor.Shape{N: 1, C: 1, H: 1, W: n}, Data: make([]float32, n)}
@@ -112,8 +113,8 @@ func TestDecodeCoefficientsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prev := SetParallelWorkers(1)
-	defer SetParallelWorkers(prev)
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
 
 	// Warm the plane/block pools so the steady state is measured.
 	if pl, err := p.DecodeCoefficients(f); err != nil {
@@ -158,8 +159,8 @@ func TestCodecEncodeDecodeAllocs(t *testing.T) {
 			}
 		}
 	}
-	prev := SetParallelWorkers(2)
-	defer SetParallelWorkers(prev)
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
 	// A collection in the middle of a measurement would empty the pools
 	// and charge their refill to one unlucky run.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

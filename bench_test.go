@@ -31,6 +31,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
+func BenchmarkFig1a(b *testing.B)      { benchExperiment(b, "fig1a") }
 func BenchmarkFig1b(b *testing.B)      { benchExperiment(b, "fig1b") }
 func BenchmarkFig2(b *testing.B)       { benchExperiment(b, "fig2") }
 func BenchmarkFig6(b *testing.B)       { benchExperiment(b, "fig6") }
@@ -75,7 +76,7 @@ func benchPipeline(b *testing.B, shift, zvc bool) {
 func BenchmarkAblationHardwareVsFunctional(b *testing.B) {
 	r := tensor.NewRNG(5)
 	x := data.ActivationTensor(r, 2, 8, 32, 32, 0.5, 1.0)
-	m := HardwareJPEGACT(OptL5H(), 4)
+	m := HardwareJPEGACT(quant.OptL5H(), 4)
 	b.SetBytes(int64(x.Bytes()))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

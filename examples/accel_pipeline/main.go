@@ -1,70 +1,30 @@
-// accel_pipeline drives the cycle-counted hardware model of the JPEG-ACT
-// CDU end to end: SFPR → fixed-point DCT → SH → ZVC → collector packets →
-// splitter → decompression, printing throughput, compression ratio and
-// the reconstruction error, plus the CDU-count scaling of Fig. 21 from
-// both the closed-form cycle count and the tick-level pipeline model.
+// accel_pipeline runs JPEG-ACT on the hardware model of the CDU datapath
+// instead of the float functional pipeline: SFPR codes → fixed-point DCT →
+// SH → ZVC → collector packets → splitter → decompression. It prints the
+// compression ratio and reconstruction error of both on the same
+// activation, per quantization table — the cross-check that lets training
+// results from the functional simulation stand for the integer datapath.
 package main
 
 import (
 	"fmt"
-	"math"
 
-	"jpegact/internal/accel"
+	"jpegact"
 	"jpegact/internal/data"
-	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
 
 func main() {
-	// 256 blocks of activation-like data in one SFPR channel.
-	r := tensor.NewRNG(9)
-	const nBlocks = 256
-	plane := data.ActivationLike(r, 8, 8*nBlocks, 0.5, 1.0)
-	blocks := make([][64]float32, nBlocks)
-	var maxAbs float32
-	for b := 0; b < nBlocks; b++ {
-		for row := 0; row < 8; row++ {
-			copy(blocks[b][row*8:(row+1)*8], plane[row*8*nBlocks+b*8:row*8*nBlocks+b*8+8])
-		}
-		for _, v := range blocks[b] {
-			if v < 0 {
-				v = -v
-			}
-			if v > maxAbs {
-				maxAbs = v
-			}
+	x := data.ActivationTensor(tensor.NewRNG(9), 4, 16, 32, 32, 0.5, 1.0)
+	fmt.Printf("JPEG-ACT on a %v conv activation, functional pipeline vs CDU datapath (4 CDUs)\n", x.Shape)
+	fmt.Printf("%-18s %-8s %s\n", "method", "ratio", "L2 error")
+	for _, d := range []jpegact.DQT{jpegact.OptL(), jpegact.OptH()} {
+		s := jpegact.FixedDQT(d)
+		for _, m := range []jpegact.Method{jpegact.JPEGACTWith(s), jpegact.HardwareJPEGACT(s, 4)} {
+			res := jpegact.CompressActivation(m, x, jpegact.KindConv, 0)
+			fmt.Printf("%-18s %-8.2f %.2e\n", m.Name(), res.Ratio(), tensor.L2Error(x, res.Recovered))
 		}
 	}
-	sc := float32(1.125) / maxAbs // the SFPR channel scale, S = 1.125
-
-	fmt.Println("JPEG-ACT CDU datapath on", nBlocks, "8×8 blocks")
-	fmt.Printf("%-6s %-8s %-8s %-10s %-14s %s\n",
-		"CDUs", "cycles", "ratio", "packets", "B/cycle in", "worst err")
-	for _, n := range []int{1, 2, 4, 8} {
-		a := accel.New(n, quant.OptH())
-		s := a.Compress(blocks, sc)
-		rec, _ := a.Decompress(s, sc)
-		var worst float64
-		for b := range blocks {
-			for i := range blocks[b] {
-				if d := math.Abs(float64(rec[b][i] - blocks[b][i])); d > worst {
-					worst = d
-				}
-			}
-		}
-		fmt.Printf("%-6d %-8d %-8.2f %-10d %-14.1f %.4f\n",
-			n, s.Cycles, s.Ratio(), len(s.Packets), s.ThroughputBytesPerCycle(), worst)
-	}
-	// The same claim from the tick-level model of Fig. 8: every stage and
-	// the shared collector/splitter advance one cycle at a time under
-	// backpressure.
-	fmt.Printf("\n%-6s %-23s %-25s %s\n", "CDUs", "compress blocks/cycle", "decompress blocks/cycle", "collector stalls")
-	for n := 1; n <= 8; n++ {
-		c, d := accel.SimulatePipeline(nBlocks, n), accel.SimulateDecompressPipeline(nBlocks, n)
-		fmt.Printf("%-6d %-23.3f %-25.3f %d\n", n,
-			float64(c.Blocks)/float64(c.Cycles), float64(d.Blocks)/float64(d.Cycles), c.CollectorStalls)
-	}
-	fmt.Println("\none 256 B block per 8 cycles per CDU (32 B/cycle ingest);")
-	fmt.Println("the collector drains one block per cycle, so it never binds")
-	fmt.Println("for ≤ 8 CDUs — exactly the §III-G throughput argument.")
+	fmt.Println("\nthe datapath rounds its DCT in Q13 fixed point and writes eight mask")
+	fmt.Println("bytes per block; its stream is counted before the 128 B packet padding.")
 }

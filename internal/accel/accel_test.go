@@ -95,26 +95,36 @@ func maxAbsBlocks(blocks [][64]float32) float32 {
 	return m
 }
 
+// sfprCodes is the SFPR stage upstream of the code-block path: every block
+// cast with one channel scale, saturating like the SPE (§III-B).
+func sfprCodes(blocks [][64]float32, sc float32) [][64]int8 {
+	out := make([][64]int8, len(blocks))
+	for b := range blocks {
+		for i, v := range blocks[b] {
+			out[b][i] = quant.RoundSat64(float64(v) * float64(sc) * 128)
+		}
+	}
+	return out
+}
+
 func TestCompressDecompressRoundtrip(t *testing.T) {
 	blocks := randBlocks(2, 37)
 	sc := float32(1.125) / maxAbsBlocks(blocks)
 	for _, ncdu := range []int{1, 4, 8} {
 		a := New(ncdu, quant.OptL())
-		s := a.Compress(blocks, sc)
+		s := a.CompressCodes(sfprCodes(blocks, sc))
 		if s.Blocks != 37 {
 			t.Fatalf("blocks %d", s.Blocks)
 		}
-		rec, cycles := a.Decompress(s, sc)
+		rec, cycles := a.DecompressCodes(s)
 		if len(rec) != 37 || cycles <= 0 {
 			t.Fatalf("rec %d cycles %d", len(rec), cycles)
 		}
 		// Reconstruction error bounded by SFPR step + SH quantization.
-		step := 1.125 / float64(maxAbsBlocks(blocks)) // code unit in value space
-		_ = step
 		var worst float64
 		for b := range blocks {
 			for i := range blocks[b] {
-				d := math.Abs(float64(rec[b][i] - blocks[b][i]))
+				d := math.Abs(float64(float32(rec[b][i])/(sc*128) - blocks[b][i]))
 				if d > worst {
 					worst = d
 				}
@@ -131,7 +141,7 @@ func TestStreamFraming(t *testing.T) {
 	blocks := randBlocks(3, 10)
 	sc := float32(1.0) / maxAbsBlocks(blocks)
 	a := New(4, quant.OptH())
-	s := a.Compress(blocks, sc)
+	s := a.CompressCodes(sfprCodes(blocks, sc))
 	for i, p := range s.Packets {
 		if len(p) != PacketBytes {
 			t.Fatalf("packet %d size %d", i, len(p))
@@ -141,30 +151,29 @@ func TestStreamFraming(t *testing.T) {
 	if s.Bytes > len(s.Packets)*PacketBytes || len(s.Packets)*PacketBytes-s.Bytes >= PacketBytes {
 		t.Fatalf("framing: %d bytes in %d packets", s.Bytes, len(s.Packets))
 	}
-	if s.Ratio() <= 1 {
-		t.Fatalf("ratio %v", s.Ratio())
+	if fp32 := s.Blocks * 64 * 4; s.Bytes >= fp32 {
+		t.Fatalf("%d bytes for %d of fp32", s.Bytes, fp32)
 	}
 }
 
 func TestCyclesModel(t *testing.T) {
 	blocks := randBlocks(4, 64)
-	sc := float32(1.0) / maxAbsBlocks(blocks)
-	t1 := New(1, quant.OptH()).Compress(blocks, sc).Cycles
-	t4 := New(4, quant.OptH()).Compress(blocks, sc).Cycles
-	t8 := New(8, quant.OptH()).Compress(blocks, sc).Cycles
+	codes := sfprCodes(blocks, float32(1.0)/maxAbsBlocks(blocks))
+	t1 := New(1, quant.OptH()).CompressCodes(codes).Cycles
+	t4 := New(4, quant.OptH()).CompressCodes(codes).Cycles
+	t8 := New(8, quant.OptH()).CompressCodes(codes).Cycles
 	// 64 blocks: 1 CDU = 512 + latency; 4 CDUs = 128 + latency.
-	if t1 != 64*cyclesPerBlockLoad+pipelineLatency {
+	if t1 != 64*CyclesPerBlockLoad+pipelineLatency {
 		t.Fatalf("t1 = %d", t1)
 	}
-	if t4 != 16*cyclesPerBlockLoad+pipelineLatency {
+	if t4 != 16*CyclesPerBlockLoad+pipelineLatency {
 		t.Fatalf("t4 = %d", t4)
 	}
 	if !(t8 < t4 && t4 < t1) {
 		t.Fatalf("cycles not scaling: %d %d %d", t1, t4, t8)
 	}
 	// Per-CDU ingest: 256 B per 8 cycles = 32 B/cycle (§III-G).
-	s := New(1, quant.OptH()).Compress(blocks, sc)
-	if tp := s.ThroughputBytesPerCycle(); tp < 28 || tp > 32.5 {
+	if tp := float64(len(codes)*64*4) / float64(t1); tp < 28 || tp > 32.5 {
 		t.Fatalf("single-CDU throughput %v B/cycle", tp)
 	}
 }
@@ -172,8 +181,8 @@ func TestCyclesModel(t *testing.T) {
 func TestHigherQuantizationCompressesMore(t *testing.T) {
 	blocks := randBlocks(5, 32)
 	sc := float32(1.125) / maxAbsBlocks(blocks)
-	l := New(4, quant.OptL()).Compress(blocks, sc)
-	h := New(4, quant.OptH()).Compress(blocks, sc)
+	l := New(4, quant.OptL()).CompressCodes(sfprCodes(blocks, sc))
+	h := New(4, quant.OptH()).CompressCodes(sfprCodes(blocks, sc))
 	if h.Bytes >= l.Bytes {
 		t.Fatalf("optH %dB should beat optL %dB", h.Bytes, l.Bytes)
 	}
@@ -183,16 +192,16 @@ func TestAccelMatchesSoftwarePipeline(t *testing.T) {
 	// The hardware fixed-point path must agree with the float functional
 	// pipeline within the Q13 rounding budget: compare quantized blocks.
 	blocks := randBlocks(6, 16)
-	sc := float32(1.125) / maxAbsBlocks(blocks)
+	codes := sfprCodes(blocks, float32(1.125)/maxAbsBlocks(blocks))
 	a := New(4, quant.OptL())
 	mismatch := 0
 	total := 0
-	for bi := range blocks {
-		_, qHW := a.compressBlock(&blocks[bi], sc)
+	for bi := range codes {
+		_, qHW := a.compressCodeBlock(&codes[bi])
 		// Software: same SFPR codes, float DCT, SH quantize.
 		var fb [64]float32
-		for i, v := range blocks[bi] {
-			fb[i] = float32(sfprQuantize(v, sc))
+		for i, v := range codes[bi] {
+			fb[i] = float32(v)
 		}
 		var dctBlk [64]float32
 		copy(dctBlk[:], fb[:])
@@ -229,12 +238,12 @@ func TestDecompressPanicsOnTruncatedStream(t *testing.T) {
 	blocks := randBlocks(7, 8)
 	sc := float32(1.0) / maxAbsBlocks(blocks)
 	a := New(2, quant.OptH())
-	s := a.Compress(blocks, sc)
+	s := a.CompressCodes(sfprCodes(blocks, sc))
 	s.Packets = s.Packets[:0]
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on truncated stream")
 		}
 	}()
-	a.Decompress(s, sc)
+	a.DecompressCodes(s)
 }

@@ -25,14 +25,15 @@ func New(n int, d quant.DQT) *Accelerator {
 const PacketBytes = 128
 
 // Pipeline timing (interconnect cycles), per §III:
-//   - the crossbar delivers one 256 B fp32 block per 8 cycles per CDU;
+//   - the crossbar delivers one 256 B fp32 block per 8 cycles per CDU
+//     (CyclesPerBlockLoad, which gpusim.TitanV reads as its CDU rate);
 //   - SFPR converts 8 values/cycle (hidden under the load);
 //   - the DCT unit takes 4 cycles per pass, two passes;
 //   - SH and ZVC take one cycle each;
 //   - the collector accepts one block per cycle (8× the per-CDU rate, so
 //     it never binds for ≤ 8 CDUs).
 const (
-	cyclesPerBlockLoad = 8
+	CyclesPerBlockLoad = 8
 	pipelineLatency    = 8 + 4 + 4 + 1 + 1 + 1
 )
 
@@ -92,22 +93,6 @@ func decodeBlockZVC(data []byte) [64]int8 {
 	return q
 }
 
-// sfprQuantize converts one value with the per-channel scale, saturating
-// like the SPE cast (§III-B).
-func sfprQuantize(v, sc float32) int8 {
-	return quant.RoundSat64(float64(v) * float64(sc) * 128)
-}
-
-// compressBlock runs one 8×8 fp32 block through SFPR → fixed-point DCT →
-// SH → ZVC, returning the encoded bytes and the quantized block.
-func (a *Accelerator) compressBlock(blk *[64]float32, sc float32) ([]byte, [64]int8) {
-	var codes [64]int8
-	for i, v := range blk {
-		codes[i] = sfprQuantize(v, sc)
-	}
-	return a.compressCodeBlock(&codes)
-}
-
 // compressCodeBlock runs one block of SFPR codes (the alignment-buffer
 // contents) through the DCT → SH → ZVC stages.
 func (a *Accelerator) compressCodeBlock(codes *[64]int8) ([]byte, [64]int8) {
@@ -119,41 +104,6 @@ func (a *Accelerator) compressCodeBlock(codes *[64]int8) ([]byte, [64]int8) {
 	var q [64]int8
 	quant.ShiftQuantize((*[64]int32)(&ib), &a.Logs, &q)
 	return encodeBlockZVC(&q), q
-}
-
-// decompressBlock inverts compressBlock (up to quantization loss).
-func (a *Accelerator) decompressBlock(q *[64]int8, sc float32) [64]float32 {
-	var coef [64]int32
-	quant.ShiftDequantize(q, &a.Logs, &coef)
-	ib := dct.IntBlock(coef)
-	dct.FixedInverse8x8(&ib)
-	var out [64]float32
-	var inv float32
-	if sc != 0 {
-		inv = 1 / (sc * 128)
-	}
-	for i, v := range ib {
-		if v > 127 {
-			v = 127
-		}
-		if v < -128 {
-			v = -128
-		}
-		out[i] = float32(v) * inv
-	}
-	return out
-}
-
-// Compress runs the blocks (all sharing one SFPR channel scale) through
-// the CDUs and collector, producing the DMA packet stream and the cycle
-// count. Blocks are distributed round-robin across CDUs and collected in
-// the same deterministic order (§III-G).
-func (a *Accelerator) Compress(blocks [][64]float32, sc float32) *Stream {
-	coded := make([][]byte, len(blocks))
-	for bi := range blocks {
-		coded[bi], _ = a.compressBlock(&blocks[bi], sc)
-	}
-	return a.collect(coded)
 }
 
 // CompressCodes runs blocks of already-SFPR-quantized int8 codes through
@@ -217,7 +167,7 @@ func (a *Accelerator) cycles(n int) int {
 		c = 1
 	}
 	perCDU := (n + c - 1) / c
-	return perCDU*cyclesPerBlockLoad + pipelineLatency
+	return perCDU*CyclesPerBlockLoad + pipelineLatency
 }
 
 // DecompressCodes splits the packet stream back into quantized blocks and
@@ -269,32 +219,4 @@ func (a *Accelerator) split(s *Stream) [][64]int8 {
 		out = append(out, decodeBlockZVC(data))
 	}
 	return out
-}
-
-// Decompress splits the packet stream back into blocks (peeking each
-// block's mask to size the pop, as the splitter OFIFO does) and runs the
-// decompression pipeline, returning recovered fp32 blocks and cycles.
-func (a *Accelerator) Decompress(s *Stream, sc float32) ([][64]float32, int) {
-	out := make([][64]float32, 0, s.Blocks)
-	for _, q := range a.split(s) {
-		q := q
-		out = append(out, a.decompressBlock(&q, sc))
-	}
-	return out, a.cycles(s.Blocks)
-}
-
-// Ratio returns the stream's compression ratio against fp32 storage.
-func (s *Stream) Ratio() float64 {
-	if s.Bytes == 0 {
-		return 0
-	}
-	return float64(s.Blocks*64*4) / float64(s.Bytes)
-}
-
-// ThroughputBytesPerCycle returns the uncompressed ingest rate achieved.
-func (s *Stream) ThroughputBytesPerCycle() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Blocks*64*4) / float64(s.Cycles)
 }

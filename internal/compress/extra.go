@@ -6,41 +6,27 @@ import (
 )
 
 // Extra methods beyond the paper's main Table I set: the BFP baseline of
-// Courbariaux et al. (§II-B2), the 16-bit GIST variant Jain et al.
-// propose for accuracy-sensitive networks, and a hardware-backed
-// JPEG-ACT (see hardware.go) for cross-checking the RTL-level datapath
-// against the functional pipeline during training.
+// Courbariaux et al. (§II-B2) and a hardware-backed JPEG-ACT (see
+// hardware.go) for cross-checking the RTL-level datapath against the
+// functional pipeline during training.
 
 // BFPMethod applies Block Floating Point: per-channel shared power-of-two
-// exponents with fixed-point mantissas of the given width.
-type BFPMethod struct {
-	ManBits uint // mantissa bits; zero means 10 (Courbariaux's setting)
-}
+// exponents with 10-bit fixed-point mantissas (Courbariaux's setting).
+type BFPMethod struct{}
+
+const bfpManBits = 10
 
 // Name implements Method.
-func (b BFPMethod) Name() string { return "BFP" }
+func (BFPMethod) Name() string { return "BFP" }
 
 // Lossless implements Method.
 func (BFPMethod) Lossless() bool { return false }
 
-func (b BFPMethod) bits() uint {
-	if b.ManBits == 0 {
-		return 10
-	}
-	return b.ManBits
-}
-
 // Compress implements Method: every kind is reduced to the shared-
-// exponent fixed-point form; storage is manBits per value plus one
-// exponent byte per channel.
-func (b BFPMethod) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
-	bits := b.bits()
-	rec := sfpr.BFP(x, bits)
-	bytes := (x.Elems()*int(bits)+7)/8 + x.Shape.C
+// exponent fixed-point form; storage is the mantissa bits per value plus
+// one exponent byte per channel.
+func (BFPMethod) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
+	rec := sfpr.BFP(x, bfpManBits)
+	bytes := (x.Elems()*bfpManBits+7)/8 + x.Shape.C
 	return Result{Recovered: rec, CompressedBytes: bytes, OriginalBytes: x.Bytes()}
 }
-
-// GIST16 returns the 16-bit DPR GIST variant: half the compression of
-// 8-bit GIST but far lower quantization error (the trade-off §VI-B
-// mentions for deep networks).
-func GIST16() Method { return GIST{Format: sfpr.FP16} }

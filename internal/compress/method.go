@@ -118,30 +118,14 @@ func (CDMAPlus) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
 // GIST implements the functional behaviour of Jain et al.'s GIST: 8-bit
 // DPR for dense activations, BRC for ReLU-to-other, and DPR+CSR sparse
 // storage for the remaining sparse kinds.
-type GIST struct {
-	Format sfpr.Minifloat // DPR format; zero value means 8-bit (FP8)
-}
+type GIST struct{}
 
-func (g GIST) Name() string {
-	if g.format().Bits() == 16 {
-		return "GIST-16"
-	}
-	return "GIST"
-}
-
+func (GIST) Name() string   { return "GIST" }
 func (GIST) Lossless() bool { return false }
 
-func (g GIST) format() sfpr.Minifloat {
-	if g.Format.ExpBits == 0 {
-		return sfpr.FP8
-	}
-	return g.Format
-}
-
-func (g GIST) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
+func (GIST) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
 	orig := x.Bytes()
-	f := g.format()
-	perVal := f.Bits() / 8
+	f := sfpr.FP8
 	switch kind {
 	case KindReLUToOther:
 		_, mask := coding.EncodeBRC(x.Data)
@@ -153,23 +137,11 @@ func (g GIST) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
 		for len(codes)%width != 0 {
 			width /= 2
 		}
-		// CSR stores one index byte per value regardless of DPR width.
-		bytes := coding.CSRSize(codes, width) + (perVal-1)*nonzero(codes)
-		return Result{Recovered: rec, CompressedBytes: bytes, OriginalBytes: orig}
+		return Result{Recovered: rec, CompressedBytes: coding.CSRSize(codes, width), OriginalBytes: orig}
 	default:
 		rec := sfpr.DPR(x, f)
-		return Result{Recovered: rec, CompressedBytes: x.Elems() * perVal, OriginalBytes: orig}
+		return Result{Recovered: rec, CompressedBytes: x.Elems(), OriginalBytes: orig}
 	}
-}
-
-func nonzero(codes []int8) int {
-	n := 0
-	for _, v := range codes {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@
 // reports runtimes relative to vDNN (Figs. 18, 20, 21).
 package gpusim
 
+import "jpegact/internal/accel"
+
 // Config describes the simulated platform. The defaults model the
 // paper's setup (§V): Titan V boost clocks, 40 SMs, 32 B/cycle crossbar
 // links, 850 MHz HBM, PCIe 3.0 at 12.8 GB/s effective.
@@ -19,7 +21,7 @@ type Config struct {
 	ICClockGHz      float64 // interconnect/crossbar clock
 	CrossbarBytes   float64 // bytes per cycle per crossbar link
 	NumCDU          int     // compression units at the DMA
-	CDUBlockCycles  float64 // cycles per 8×8 block load/store per CDU (8)
+	CDUBlockCycles  float64 // cycles per 8×8 block load/store per CDU (accel.CyclesPerBlockLoad)
 	// CacheSideSFPR models the combined cache-/DMA-side design of §VI-E:
 	// SFPR at every L2 partition compresses traffic 4× before it crosses
 	// the interconnect, quadrupling the effective CDU ingest rate.
@@ -37,7 +39,7 @@ func TitanV(n int) Config {
 		ICClockGHz:      1.455,
 		CrossbarBytes:   32,
 		NumCDU:          n,
-		CDUBlockCycles:  8,
+		CDUBlockCycles:  accel.CyclesPerBlockLoad,
 	}
 }
 

@@ -106,7 +106,7 @@ func TestBreakerTripsAndDegrades(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		err := s.Offload(denseRef(uint64(10 + i)))
-		if !errors.Is(err, ErrStoreUnavailable) {
+		if !errors.Is(err, transport.ErrStoreUnavailable) {
 			t.Fatalf("pre-threshold offload %d: want ErrStoreUnavailable, got %v", i, err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestBreakerDisabled(t *testing.T) {
 	s := breakerStore(wire, BreakerConfig{Disabled: true})
 	wire.setDead(true)
 	for i := 0; i < 5; i++ {
-		if err := s.Offload(denseRef(uint64(i))); !errors.Is(err, ErrStoreUnavailable) {
+		if err := s.Offload(denseRef(uint64(i))); !errors.Is(err, transport.ErrStoreUnavailable) {
 			t.Fatalf("op %d: want ErrStoreUnavailable, got %v", i, err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestBreakerGetFailureAdvancesBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire.setDead(true)
-	if err := s.Restore(ref); !errors.Is(err, ErrStoreUnavailable) {
+	if err := s.Restore(ref); !errors.Is(err, transport.ErrStoreUnavailable) {
 		t.Fatalf("want ErrStoreUnavailable from restore, got %v", err)
 	}
 	if !s.Tripped() {

@@ -7,6 +7,7 @@ import (
 
 	"jpegact/internal/faults"
 	"jpegact/internal/nn"
+	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -297,7 +298,7 @@ func TestEngineDroppedTransferTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := eng.Restore(refs[1])
-	if !errors.Is(err, ErrDropped) {
+	if !errors.Is(err, transport.ErrDropped) {
 		t.Fatalf("want ErrDropped, got %v", err)
 	}
 	eng.Abort()

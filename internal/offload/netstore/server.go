@@ -30,9 +30,9 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"jpegact/internal/frame"
@@ -165,7 +165,7 @@ func (s *Server) Listen(addr string) (net.Listener, error) {
 		return nil, err
 	}
 	ln, err := net.Listen(network, address)
-	if err != nil && network == "unix" && strings.Contains(err.Error(), "address already in use") {
+	if err != nil && network == "unix" && errors.Is(err, syscall.EADDRINUSE) {
 		// A previous server killed with SIGKILL leaves its socket file
 		// behind. If nobody answers a probe dial, the socket is stale:
 		// unlink it and bind again — required for restart-in-place under

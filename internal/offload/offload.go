@@ -51,17 +51,6 @@ var ErrNotStored = errors.New("offload: activation not stored")
 // recompute out of band.
 var ErrCorrupted = errors.New("offload: corrupted beyond recovery")
 
-// ErrDropped is the transport layer's typed error for a transfer that
-// yielded no bytes at all (a lost DMA) — distinct from truncation or
-// bit corruption. Match with errors.Is.
-var ErrDropped = transport.ErrDropped
-
-// ErrStoreUnavailable is the transport layer's typed verdict for a wire
-// operation whose whole retry schedule failed at the connection level —
-// the store is dead or unreachable. The circuit breaker counts exactly
-// these. Match with errors.Is.
-var ErrStoreUnavailable = transport.ErrStoreUnavailable
-
 // Channel is the in-process transport backend's GPU↔host byte path; see
 // transport.Channel. internal/faults.Injector implements it; nil means
 // a clean passthrough.

@@ -152,14 +152,8 @@ type Minifloat struct {
 	ManBits uint
 }
 
-// FP16 is the IEEE half-precision format used by 16-bit DPR.
-var FP16 = Minifloat{ExpBits: 5, ManBits: 10}
-
 // FP8 is the e4m3 format used by 8-bit DPR.
 var FP8 = Minifloat{ExpBits: 4, ManBits: 3}
-
-// Bits returns the total width of the format.
-func (m Minifloat) Bits() int { return int(1 + m.ExpBits + m.ManBits) }
 
 // Quantize rounds v to the nearest representable value of the format,
 // i.e. the value recovered after an encode/decode roundtrip.

@@ -16,9 +16,7 @@
 //   - TrainClassifierOffloaded, the real host-memory offload path with a
 //     framed CRC-checked channel, fault injection (NewFaultInjector) and
 //     fail/retry/recompute corruption recovery;
-//   - OptimizeDQT, the §IV quantization-table optimizer;
-//   - SimulateOffload and the gpusim schemes for performance studies;
-//   - RunExperiment to regenerate any table or figure of the paper.
+//   - OptimizeDQT, the §IV quantization-table optimizer.
 //
 // The heavy lifting lives in internal/ packages; see DESIGN.md for the
 // full system inventory.
@@ -31,46 +29,24 @@ import (
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/dqtopt"
-	"jpegact/internal/experiments"
 	"jpegact/internal/faults"
 	"jpegact/internal/frame"
-	"jpegact/internal/gpusim"
 	"jpegact/internal/models"
-	"jpegact/internal/nn"
 	"jpegact/internal/offload"
 	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/netstore"
 	"jpegact/internal/offload/transport"
-	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
 	"jpegact/internal/train"
 )
 
-// SetParallelWorkers sets the worker count used by every parallel hot
-// path (GEMM, im2col, the block compression pipeline, ZVC coding) and
-// returns the previous value. n <= 0 restores the default: the
-// JPEGACT_WORKERS environment variable, else GOMAXPROCS. Compressed
-// output and training results are bit-identical at any worker count.
-func SetParallelWorkers(n int) int { return parallel.SetWorkers(n) }
-
-// ParallelWorkers returns the current parallel worker count.
-func ParallelWorkers() int { return parallel.Workers() }
-
 // Tensor is a dense float32 NCHW activation tensor.
 type Tensor = tensor.Tensor
 
-// Shape is a tensor's NCHW dimensions.
-type Shape = tensor.Shape
-
 // NewTensor allocates a zero tensor.
 func NewTensor(n, c, h, w int) *Tensor { return tensor.New(n, c, h, w) }
-
-// FromSlice wraps a float32 slice as an NCHW tensor (no copy).
-func FromSlice(vals []float32, n, c, h, w int) *Tensor {
-	return tensor.FromSlice(vals, n, c, h, w)
-}
 
 // Kind classifies an activation for the Table II compression policy.
 type Kind = compress.Kind
@@ -79,8 +55,6 @@ type Kind = compress.Kind
 const (
 	KindConv        = compress.KindConv
 	KindReLUToOther = compress.KindReLUToOther
-	KindReLUToConv  = compress.KindReLUToConv
-	KindPoolDropout = compress.KindPoolDropout
 )
 
 // Method is an activation-compression scheme.
@@ -123,14 +97,6 @@ func JPEGACT() Method { return compress.NewJPEGAct(quant.OptL5H()) }
 // JPEGACTWith returns JPEG-ACT with a custom DQT schedule.
 func JPEGACTWith(s Schedule) Method { return compress.NewJPEGAct(s) }
 
-// GIST16 returns the 16-bit DPR GIST variant (half the compression,
-// much lower quantization error).
-func GIST16() Method { return compress.GIST16() }
-
-// BFP returns the block-floating-point baseline with the given mantissa
-// width (0 = 10 bits).
-func BFP(manBits uint) Method { return compress.BFPMethod{ManBits: manBits} }
-
 // HardwareJPEGACT returns JPEG-ACT backed by the cycle-counted CDU
 // datapath model (fixed-point DCT, collector/splitter packets) instead of
 // the float functional pipeline — for verifying hardware-equivalent
@@ -140,11 +106,10 @@ func HardwareJPEGACT(s Schedule, nCDU int) Method {
 }
 
 // OptL and OptH return the optimized low/high-compression DQTs; FixedDQT
-// and OptL5H build schedules from them.
+// builds a one-table schedule from either.
 func OptL() DQT                { return quant.OptL() }
 func OptH() DQT                { return quant.OptH() }
 func FixedDQT(d DQT) Schedule  { return quant.Fixed(d) }
-func OptL5H() Schedule         { return quant.OptL5H() }
 func JPEGQualityDQT(q int) DQT { return quant.JPEGQuality(q) }
 
 // Methods returns the Table I method set in paper order.
@@ -212,19 +177,8 @@ func TrainSuperRes(sc ModelScale, cfg TrainConfig, seed uint64) TrainReport {
 // framed, CRC32C-checked container and recovers from corruption per a
 // configurable policy; see "Fault model & recovery" in DESIGN.md.
 
-// OffloadStore is the host-memory activation store (internal/offload).
-type OffloadStore = offload.Store
-
-// NewOffloadStore builds a store using the given DQT for its JPEG-ACT
-// compression pipeline.
-func NewOffloadStore(dqt DQT) *OffloadStore { return offload.NewStore(dqt) }
-
 // OffloadStats are the store's offload/restore/corruption counters.
 type OffloadStats = offload.Stats
-
-// OffloadChannel is the byte path activations cross between GPU and
-// host. Any {Send, Recv} pair satisfies it; a FaultInjector is one.
-type OffloadChannel = offload.Channel
 
 // RecoveryPolicy selects the store's response to a corrupted frame.
 type RecoveryPolicy = offload.RecoveryPolicy
@@ -238,26 +192,10 @@ const (
 	RecoverRecompute = offload.PolicyRecompute
 )
 
-// Typed frame-validation errors surfaced (wrapped) by OffloadStore
-// restores; match with errors.Is.
-var (
-	ErrFrameChecksum  = frame.ErrChecksum
-	ErrFrameTruncated = frame.ErrTruncated
-	ErrFrameBadMagic  = frame.ErrBadMagic
-	ErrFrameVersion   = frame.ErrVersion
-)
-
-// ErrOffloadDropped is the typed error for a transfer that yielded no
-// bytes at all (a lost DMA), distinct from truncation or corruption;
+// ErrFrameChecksum is the typed error (wrapped) of a frame whose CRC32C
+// does not match its bytes, from an offload restore or ReadCompressed;
 // match with errors.Is.
-var ErrOffloadDropped = offload.ErrDropped
-
-// ErrStoreUnavailable is the typed verdict for a wire operation whose
-// whole reconnect+resend schedule failed at the connection level — the
-// activation store is dead or unreachable. The store's circuit breaker
-// counts exactly these before degrading to local offload; match with
-// errors.Is.
-var ErrStoreUnavailable = offload.ErrStoreUnavailable
+var ErrFrameChecksum = frame.ErrChecksum
 
 // StoreBreakerConfig tunes the circuit breaker guarding a networked
 // activation store (see OffloadTrainOptions.Breaker): consecutive
@@ -266,11 +204,6 @@ var ErrStoreUnavailable = offload.ErrStoreUnavailable
 // bit-identically through a dead store. The zero value is an enabled
 // breaker with default thresholds.
 type StoreBreakerConfig = offload.BreakerConfig
-
-// OffloadTransport is the pluggable byte-path backend interface the
-// store is written against: the in-process channel backend, or a wire
-// client talking to a shared activation-store server.
-type OffloadTransport = transport.Transport
 
 // StoreDialer opens one connection to a networked activation store; it
 // is the fault-injection seam of the network transport.
@@ -283,8 +216,8 @@ func DialActivationStore(addr string) (StoreDialer, error) {
 }
 
 // NewStoreClient builds a wire-protocol transport backend over dial.
-// Assign it to an OffloadStore's Transport field, passing the store's
-// Counters() so network faults land in the same OffloadStats.
+// Connection faults and verified bytes are counted in c; nil gets a
+// private block.
 func NewStoreClient(dial StoreDialer, c *transport.Counters) *transport.NetClient {
 	return transport.NewNetClient(dial, c)
 }
@@ -303,39 +236,11 @@ func NewActivationStore(cfg ActivationStoreConfig) *ActivationStoreServer {
 	return netstore.New(cfg)
 }
 
-// OffloadEngine is the async scheduler layer over an OffloadStore: it
-// pipelines compression and channel transfers against compute, commits
-// frames in submission order (deterministic fault patterns) and
-// prefetches restores in reverse-offload order.
-type OffloadEngine = offload.Engine
-
-// OffloadEngineConfig configures the scheduler (async on/off, encode
-// workers, restore lookahead, in-flight byte budget).
-type OffloadEngineConfig = offload.EngineConfig
-
-// OffloadEngineStats counts scheduler-level events (prefetch hits/waits,
-// in-flight high-water mark).
-type OffloadEngineStats = offload.EngineStats
-
-// NewOffloadEngine wraps a store in a scheduler.
-func NewOffloadEngine(s *OffloadStore, cfg OffloadEngineConfig) *OffloadEngine {
-	return offload.NewEngine(s, cfg)
-}
-
-// ActivationHooks connect a network to an offload scheduler: OnSave
-// fires when a saved activation becomes emission-safe during forward,
-// OnNeed just before backward reads it.
-type ActivationHooks = nn.Hooks
-
-// SetActivationHooks installs hooks on every container of a bundled
-// model's network (nil detaches).
-func SetActivationHooks(l nn.Layer, h *ActivationHooks) { nn.SetHooks(l, h) }
-
 // FaultConfig configures a deterministic channel fault injector.
 type FaultConfig = faults.Config
 
 // FaultInjector corrupts offload transfers with seeded bit flips,
-// truncations and drops; it satisfies OffloadChannel.
+// truncations and drops; it is an OffloadTrainOptions.Channel.
 type FaultInjector = faults.Injector
 
 // NewFaultInjector builds a deterministic injector from cfg.
@@ -390,71 +295,6 @@ func OptimizeDQT(seed DQT, samples []*Tensor, cfg DQTOptimizerConfig) (DQT, []dq
 	return r.DQT, r.Trace
 }
 
-// PlatformConfig is the simulated GPU platform.
-type PlatformConfig = gpusim.Config
-
-// TitanV returns the paper's platform with n CDUs.
-func TitanV(nCDU int) PlatformConfig { return gpusim.TitanV(nCDU) }
-
-// OffloadScheme is a performance-model offload method.
-type OffloadScheme = gpusim.Scheme
-
-// Offload schemes for SimulateOffload.
-func SchemeVDNN() OffloadScheme { return gpusim.VDNN() }
-func SchemeCDMA() OffloadScheme { return gpusim.CDMAPlus() }
-func SchemeGIST() OffloadScheme { return gpusim.GIST() }
-func SchemeSFPR() OffloadScheme { return gpusim.SFPROnly() }
-func SchemeJPEGACT() OffloadScheme {
-	return gpusim.JPEGAct(gpusim.JPEGActDefaultRatios())
-}
-
-// SimulateOffload returns the speedup of the scheme over vDNN on the
-// named CNR microbenchmark (see gpusim.Workloads for names).
-func SimulateOffload(workload string, s OffloadScheme, cfg PlatformConfig) (float64, bool) {
-	for _, w := range gpusim.Workloads() {
-		if w.Name == workload {
-			return gpusim.Relative(w, s, cfg), true
-		}
-	}
-	return 0, false
-}
-
-// WorkloadNames lists the available microbenchmarks.
-func WorkloadNames() []string {
-	var out []string
-	for _, w := range gpusim.Workloads() {
-		out = append(out, w.Name)
-	}
-	return out
-}
-
-// ExperimentOptions controls experiment scale.
-type ExperimentOptions = experiments.Options
-
-// ExperimentResult is one regenerated table/figure.
-type ExperimentResult = experiments.Result
-
-// RunExperiment regenerates one of the paper's tables or figures by id
-// (fig1b, fig2, fig6, fig10, fig16, fig17, fig18, fig19, fig20, fig21,
-// table1..table5).
-func RunExperiment(id string, o ExperimentOptions) (*ExperimentResult, error) {
-	return experiments.Run(id, o)
-}
-
-// ExperimentIDs lists every reproducible table and figure.
-func ExperimentIDs() []string { return experiments.IDs() }
-
-// WriteSyntheticCIFAR writes n synthetic samples in the CIFAR-10 binary
-// record format (label byte + 3072 channel-major pixels), a drop-in
-// data_batch file for offline pipelines.
-func WriteSyntheticCIFAR(w io.Writer, n, classes int, seed uint64) error {
-	return data.WriteSyntheticCIFAR(w, n, classes, seed)
-}
-
-// LoadCIFAR reads CIFAR-10 binary records (real or synthetic) into an
-// NCHW tensor and label slice.
-func LoadCIFAR(r io.Reader) (*Tensor, []int, error) { return data.LoadCIFAR(r) }
-
 // WriteCompressed compresses x as a dense conv activation with the
 // given DQT — the offload store's own codec — and writes it as one
 // CRC-protected frame, returning the bytes written; read it back with
@@ -470,8 +310,8 @@ func WriteCompressed(w io.Writer, x *Tensor, d DQT) (int, error) {
 
 // ReadCompressed reconstructs the tensor from a frame WriteCompressed
 // wrote. Frames, like the store, do not carry the quantization table:
-// pass the DQT the frame was written with. A damaged frame fails with
-// one of the typed ErrFrame* errors.
+// pass the DQT the frame was written with. A frame damaged under its
+// checksum fails with ErrFrameChecksum.
 func ReadCompressed(r io.Reader, d DQT) (*Tensor, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

@@ -5,13 +5,22 @@ package jpegact
 // on every package-level func, method, type, var and const of a non-test
 // file that none of these reaches:
 //
-//   - main of every cmd/* and examples/* program, and every init;
-//   - every exported name of this facade package;
+//   - main of every cmd/* program, and every init;
 //   - every non-test file of bench/ (its own module, built from this tree);
 //   - shared test support: whatever a _test.go file of a *different*
 //     directory names. An object's own package's tests do not count — the
 //     oracle they hold live code against belongs in a _test.go file, where
-//     this guard does not look.
+//     this guard does not look;
+//   - an example, for the facade names its files mention and nothing else:
+//     it demonstrates the public API, so what it imports from internal/
+//     directly it keeps no more alive than a test of that package would.
+//     What an example declares for itself is exempt.
+//
+// An exported name of this facade package is not a root: it is live when
+// one of the above names it. The object pass reports what nothing at all
+// reaches; the roots pass reports what only an example's direct import or
+// an unnamed facade name reaches, and says which. Every main is itself run
+// by a test: cmd/*/main_test.go and examples/examples_test.go.
 //
 // A method is reached when it is named, or when its receiver type is
 // reached and implements an interface that declares it: an interface of
@@ -82,6 +91,7 @@ type reachGraph struct {
 	nodes  map[string]*reachNode
 	live   map[string]bool
 	work   []string
+	stage  map[string]int // by node key: which roots it takes to reach it
 	fields map[string]*reachField
 }
 
@@ -316,7 +326,8 @@ func (g *reachGraph) propagate() {
 }
 
 // loadReachGraph parses the tree under root and type-checks it once: every
-// directory's non-test files into g.info, its tests into d.tests.
+// directory's non-test files into g.info, its tests into d.tests. Then it
+// computes what reaches what, for the object and roots passes.
 func loadReachGraph(root string) (*reachGraph, error) {
 	// The source importer shells out to cgo for packages such as net
 	// unless told the pure-Go files are the ones to read.
@@ -359,6 +370,7 @@ func loadReachGraph(root string) (*reachGraph, error) {
 	if len(g.errs) > 0 {
 		return nil, fmt.Errorf("type-checking the tree: %v (and %d more)", g.errs[0], len(g.errs)-1)
 	}
+	g.stage = g.stages()
 	return g, nil
 }
 
@@ -390,49 +402,120 @@ func (g *reachGraph) report(fs []reachFinding) []string {
 	return out
 }
 
-// unreached returns "file:line kind name" for every non-test package-level
-// object that no root reaches.
-func (g *reachGraph) unreached() []string {
+// A node's stage is the first set of roots that reaches it, in the order
+// stages adds them.
+const (
+	reachNothing = iota // nothing reaches it: the object pass's finding
+	reachRuns           // a cmd main, an init, bench/ or another directory's test reaches it
+	reachExample        // only an example reaches it, around the facade
+	reachFacade         // only a facade name no program names reaches it
+)
+
+// reachRule is what the roots pass prints after a finding of each stage.
+var reachRule = [...]string{
+	reachExample: "reached only by an example's direct import",
+	reachFacade:  "reached only through a facade name no program names",
+}
+
+// facadeName reports whether n is an exported name of the root package.
+func (n *reachNode) facadeName() bool {
+	return n.kind != "method" && n.rel == "" && ast.IsExported(n.name)
+}
+
+func (n *reachNode) inExample() bool { return strings.HasPrefix(n.rel, "examples/") }
+
+// stages computes every node's stage. The roots that reach anything are
+// main of every cmd/*, every init, every non-test file of bench/ and a
+// directory's tests outside that directory; an example is a root only for
+// the facade names its files mention. Then the roots the guard used to
+// trust are added back one at a time, so that a finding can say which of
+// them alone holds it: an example's main (whatever it imports), and every
+// exported name of the facade.
+func (g *reachGraph) stages() map[string]int {
 	for _, n := range g.nodes {
 		n.uses = g.usesIn(g.info, n.decl)
 	}
 	for k, n := range g.nodes {
-		program := strings.HasPrefix(n.rel, "cmd/") || strings.HasPrefix(n.rel, "examples/")
-		switch {
-		case n.kind == "func" && n.name == "init",
-			n.kind == "func" && n.name == "main" && program,
-			n.kind != "method" && n.rel == "" && ast.IsExported(n.name):
+		if n.kind == "func" && (n.name == "init" || n.name == "main" && strings.HasPrefix(n.rel, "cmd/")) {
 			g.mark(k)
 		}
 	}
 	for _, d := range g.dirs {
-		// bench/ reaches anywhere; a directory's tests reach only into
-		// other directories.
+		example := strings.HasPrefix(d.rel, "examples/")
 		var named []string
-		if d == g.bench {
+		switch {
+		case d == g.bench || example:
 			for _, f := range d.prod {
 				named = append(named, g.usesIn(g.info, f)...)
 			}
-		} else if d.tests != nil {
+		case d.tests != nil:
 			for _, f := range d.testFiles() {
 				named = append(named, g.usesIn(d.tests, f)...)
 			}
 		}
+		// Tests reach only into other directories, an example only into
+		// the facade.
 		for _, k := range named {
-			if g.nodes[k].rel != d.rel {
+			if n := g.nodes[k]; n.rel != d.rel && (!example || n.rel == "") {
 				g.mark(k)
 			}
 		}
 	}
-	g.propagate()
+	stage := map[string]int{}
+	settle := func(s int) {
+		g.propagate()
+		for k := range g.live {
+			if stage[k] == reachNothing {
+				stage[k] = s
+			}
+		}
+	}
+	settle(reachRuns)
+	for k, n := range g.nodes {
+		if n.inExample() {
+			g.mark(k)
+		}
+	}
+	settle(reachExample)
+	for k, n := range g.nodes {
+		if n.facadeName() {
+			g.mark(k)
+		}
+	}
+	settle(reachFacade)
+	return stage
+}
 
+// unreached returns "file:line kind name" for every non-test package-level
+// object that no root reaches, trusted or not.
+func (g *reachGraph) unreached() []string {
 	var dead []reachFinding
 	for k, n := range g.nodes {
-		if !g.live[k] {
+		if g.stage[k] == reachNothing {
 			dead = append(dead, reachFinding{n.pos, n.kind + " " + n.name})
 		}
 	}
 	return g.report(dead)
+}
+
+// unrun returns "file:line kind name: rule" for every object that only a
+// root which is not itself run keeps, and how many names the facade
+// exports. What an example declares for itself is exempt.
+func (g *reachGraph) unrun() (findings []string, facade int) {
+	var held []reachFinding
+	for k, n := range g.nodes {
+		rule := reachRule[g.stage[k]]
+		if n.facadeName() {
+			facade++
+			if rule != "" {
+				rule = "facade name no program names"
+			}
+		}
+		if rule != "" && !n.inExample() {
+			held = append(held, reachFinding{n.pos, n.kind + " " + n.name + ": " + rule})
+		}
+	}
+	return g.report(held), facade
 }
 
 // reachField is one exported field of a named struct of a non-test file,
@@ -607,7 +690,7 @@ func (g *reachGraph) unconfigured() (findings []string, shared, seams int) {
 	return g.report(unset), shared, seams
 }
 
-// The tree is loaded once for both passes.
+// The tree is loaded, and its reachability computed, once for all passes.
 var reachTree struct {
 	once sync.Once
 	g    *reachGraph
@@ -631,7 +714,16 @@ func loadedReachGraph(t *testing.T) *reachGraph {
 func TestNothingShipsThatNothingRuns(t *testing.T) {
 	findings := loadedReachGraph(t).unreached()
 	if len(findings) > 0 {
-		t.Errorf("%d package-level objects in non-test files are reached by no program, facade name, benchmark file or other package's test:\n%s",
+		t.Errorf("%d package-level objects in non-test files are reached by nothing, not even an example or a facade name:\n%s",
+			len(findings), strings.Join(findings, "\n"))
+	}
+}
+
+func TestARootIsSomethingThatRuns(t *testing.T) {
+	findings, facade := loadedReachGraph(t).unrun()
+	t.Logf("the facade exports %d names", facade)
+	if len(findings) > 0 {
+		t.Errorf("%d package-level objects are kept only by a root that no program runs:\n%s",
 			len(findings), strings.Join(findings, "\n"))
 	}
 }
