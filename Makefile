@@ -11,8 +11,8 @@ test:
 race:
 	go test -race ./...
 
-# Everything CI runs, in CI's order. Mirrors .github/workflows/ci.yml so
-# the gate is reproducible locally with one command. bench/ is its own
+# Everything CI runs: the workflow's test job is `make ci` and nothing
+# else, so the gate is this recipe, locally and there. bench/ is its own
 # module importing the internals, so the root ./... patterns neither
 # compile nor test it: it gets its own line, or an internal rename first
 # fails inside the benchmark driver. One file in the tree is tied to an
@@ -24,7 +24,11 @@ race:
 # internal/nn's bit-identity tests on the newer instruction selection
 # (go1.24 fuses nothing there; the step is for the release that does).
 # loc-check holds the root module's non-test line count at or below the
-# number next to the `loc` target.
+# number next to the `loc` target. The last line is the whole tree under
+# the race detector: the offload scheduler and transport, the netstore
+# server, the training loop driving them, the worker pool, and the
+# process tests in cmd/ and examples/, which build their binaries with the
+# race detector too.
 .PHONY: ci
 ci:
 	gofmt -l . | (! grep .) || (echo "gofmt: files need formatting" && exit 1)
@@ -72,11 +76,11 @@ fuzz:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
-# The ratchet: `make ci` and the workflow's test job fail when `make -s
+# The ratchet: `make ci` (and so the workflow) fails when `make -s
 # loc` exceeds LOC_MAX, so "less code" is enforced the way gofmt is. A PR
 # that lands below it lowers it to where it landed; one that must raise it
 # says why in CHANGES.md.
-LOC_MAX = 11988
+LOC_MAX = 11815
 .PHONY: loc-check
 loc-check:
 	@n=$$($(MAKE) -s loc); [ $$n -le $(LOC_MAX) ] || (echo "loc: $$n non-test lines in the root module, the ratchet is $(LOC_MAX)" && exit 1)

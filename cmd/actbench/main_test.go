@@ -21,6 +21,11 @@ func TestActbench(t *testing.T) {
 	if err != nil || len(table2.Rows) == 0 {
 		t.Fatalf("table2: %v, %d rows", err, len(table2.Rows))
 	}
+	// fig2 draws its tensors from the seed, so -seed must reach the runner.
+	fig2, err := experiments.Run("fig2", experiments.Options{Quick: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args string
 		exit int
@@ -28,6 +33,7 @@ func TestActbench(t *testing.T) {
 	}{
 		{"-list", 0, experiments.IDs()},
 		{"-exp table2 -quick", 0, []string{table2.String()}},
+		{"-exp fig2 -quick -seed 7", 0, []string{fig2.String()}},
 		{"-exp bogus", 1, nil},
 		{"", 2, nil},
 	} {

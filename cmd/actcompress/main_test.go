@@ -16,6 +16,7 @@ import (
 
 	"jpegact"
 	"jpegact/internal/data"
+	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
 
@@ -66,6 +67,24 @@ func TestActcompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// -dqt-file takes the place of -dqt: a saved optL gives the frame
+	// -dqt optl gives, which is not optH's.
+	optl, table := quant.OptL(), new(bytes.Buffer)
+	if err := optl.Save(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "optl.dqt"), table.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run(0, "", "-c -shape 2x4x16x16 -dqt optl -in in.f32 -out named.jafr")
+	run(0, "", "-c -shape 2x4x16x16 -dqt-file optl.dqt -in in.f32 -out loaded.jafr")
+	named, _ := os.ReadFile(filepath.Join(dir, "named.jafr"))
+	loaded, err := os.ReadFile(filepath.Join(dir, "loaded.jafr"))
+	if err != nil || !bytes.Equal(named, loaded) || bytes.Equal(loaded, frame) {
+		t.Fatalf("-dqt-file optl.dqt: %v, %d B; -dqt optl %d B, -dqt opth %d B", err, len(loaded), len(named), len(frame))
+	}
+
 	frame[len(frame)/2] ^= 0x10
 	if err := os.WriteFile(filepath.Join(dir, "bad.jafr"), frame, 0o644); err != nil {
 		t.Fatal(err)

@@ -31,13 +31,12 @@ func main() {
 	addr := flag.String("addr", "unix:/tmp/actstore.sock", "listen address (unix:/path or tcp:host:port)")
 	shards := flag.Int("shards", netstore.DefaultShards, "in-memory store shards (lock-contention granularity)")
 	replicas := flag.Int("replicas", 1, "copies stored per PUT across distinct shards (reads fail over)")
-	inflight := flag.Int("inflight", netstore.DefaultInFlightBytes, "per-connection response byte budget (backpressure)")
 	metrics := flag.String("metrics", "", "HTTP listen address for /metrics (empty = disabled)")
 	grace := flag.Duration("grace", 5*time.Second, "shutdown drain budget for in-flight responses")
-	verbose := flag.Bool("v", false, "log connection lifecycle and protocol errors")
+	verbose := flag.Bool("v", false, "log protocol errors and failed reads per connection")
 	flag.Parse()
 
-	cfg := netstore.Config{Shards: *shards, Replicas: *replicas, InFlightBytes: *inflight}
+	cfg := netstore.Config{Shards: *shards, Replicas: *replicas}
 	if *verbose {
 		cfg.Logf = log.Printf
 	}
@@ -48,7 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "actstore:", err)
 		os.Exit(1)
 	}
-	log.Printf("actstore: serving on %s (shards=%d replicas=%d inflight=%d)", *addr, *shards, *replicas, *inflight)
+	log.Printf("actstore: serving on %s (shards=%d replicas=%d)", *addr, *shards, *replicas)
 
 	if *metrics != "" {
 		mux := http.NewServeMux()

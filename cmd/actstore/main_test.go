@@ -46,7 +46,7 @@ func TestSignalDrain(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "store.sock")
 	addr := "unix:" + sock
 
-	cmd := exec.Command(bin, "-addr", addr, "-shards", "4", "-replicas", "2", "-grace", "5s")
+	cmd := exec.Command(bin, "-addr", addr, "-shards", "4", "-replicas", "2", "-grace", "5s", "-v")
 	var logs bytes.Buffer
 	cmd.Stdout = &logs
 	cmd.Stderr = &logs
@@ -59,6 +59,8 @@ func TestSignalDrain(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if c, err := net.Dial("unix", sock); err == nil {
+			// Not a request: under -v the server logs why it hangs up.
+			c.Write(bytes.Repeat([]byte{0xff}, 64))
 			c.Close()
 			break
 		}
@@ -145,6 +147,9 @@ func TestSignalDrain(t *testing.T) {
 	wg.Wait()
 	if got := ok.Load(); got < before {
 		t.Fatalf("completed op count went backwards: %d < %d", got, before)
+	}
+	if !strings.Contains(logs.String(), "(closing)") {
+		t.Fatalf("-v logged no protocol error for the poisoned connection:\n%s", logs.String())
 	}
 	if !strings.Contains(logs.String(), "draining") {
 		t.Fatalf("no drain log line:\n%s", logs.String())

@@ -6,7 +6,7 @@
 //
 //	acttrain -model ResNet50 -method jpeg-act -epochs 6
 //	acttrain -model VDSR -method gist
-//	acttrain -model WRN -method jpeg-base80 -epochs 8 -lr 0.03
+//	acttrain -model WRN -method jpeg-base80 -epochs 8
 //
 // With -offload the activations really cross a host-memory channel as
 // framed CRC-checked buffers; -flip/-trunc/-drop inject channel faults
@@ -79,9 +79,7 @@ func main() {
 	epochs := flag.Int("epochs", 6, "training epochs")
 	batches := flag.Int("batches", 8, "batches per epoch")
 	batch := flag.Int("batch", 8, "batch size")
-	lr := flag.Float64("lr", 0.05, "learning rate")
 	width := flag.Int("width", 8, "base channel width")
-	blocks := flag.Int("blocks", 1, "residual blocks per stage")
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	useOffload := flag.Bool("offload", false,
 		"route activations through the real host-memory offload channel")
@@ -90,9 +88,6 @@ func main() {
 	flip := flag.Float64("flip", 0, "channel bit-flip rate per byte")
 	trunc := flag.Float64("trunc", 0, "channel truncation rate per transfer")
 	drop := flag.Float64("drop", 0, "channel drop rate per transfer")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault injector seed")
-	maxRecompute := flag.Int("max-recompute", 16,
-		"with -policy recompute: forward replays allowed per batch")
 	async := flag.Bool("async", false,
 		"with -offload: pipeline compression and channel transfers against compute")
 	prefetch := flag.Int("prefetch", 4,
@@ -122,9 +117,9 @@ func main() {
 	}
 	cfg := jpegact.TrainConfig{
 		Method: m, Epochs: *epochs, BatchesPerEpoch: *batches,
-		BatchSize: *batch, LR: *lr, MeasureError: true,
+		BatchSize: *batch, MeasureError: true,
 	}
-	sc := jpegact.ModelScale{Width: *width, Blocks: *blocks}
+	sc := jpegact.ModelScale{Width: *width, Blocks: 1}
 
 	// -method picks the functional round-trip's codec. The offload store
 	// always runs JPEG-ACT/OptL and the data-parallel trainer leaves
@@ -147,8 +142,8 @@ func main() {
 	}
 
 	if *useOffload {
-		runOffloaded(*model, sc, cfg, *seed, *policy, *flip, *trunc, *drop, *faultSeed,
-			*maxRecompute, *async, *prefetch, *inflight, *freq, *store, *storeKey,
+		runOffloaded(*model, sc, cfg, *seed, *policy, *flip, *trunc, *drop,
+			*async, *prefetch, *inflight, *freq, *store, *storeKey,
 			*storeTimeout, *noDegrade)
 		return
 	}
@@ -159,9 +154,6 @@ func main() {
 
 	var rep jpegact.TrainReport
 	if *model == "VDSR" {
-		if cfg.LR == 0.05 {
-			cfg.LR = 0.01
-		}
 		rep = jpegact.TrainSuperRes(sc, cfg, *seed)
 	} else {
 		rep = jpegact.TrainClassifier(*model, sc, cfg, *seed)
@@ -235,7 +227,7 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 
 // runOffloaded trains over the real host-memory channel, optionally
 // fault-injected, and reports the store's recovery counters.
-func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, faultSeed uint64, maxRecompute int, async bool, prefetch, inflight int, freq bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
+func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, async bool, prefetch, inflight int, freq bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
 	if model == "VDSR" {
 		fmt.Fprintln(os.Stderr, "acttrain: -offload supports the classification models only")
 		os.Exit(2)
@@ -253,7 +245,7 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 		os.Exit(2)
 	}
 	oc := jpegact.OffloadTrainOptions{
-		DQT: jpegact.OptL(), Policy: pol, MaxRecompute: maxRecompute, Verbose: true,
+		DQT: jpegact.OptL(), Policy: pol, MaxRecompute: 16, Verbose: true,
 		FreqDomain: freq, StoreAddr: store, StoreKeyBase: storeKey << 32,
 		StoreTimeout: storeTimeout,
 		Breaker:      jpegact.StoreBreakerConfig{Disabled: noDegrade},
@@ -276,7 +268,7 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 	var inj *jpegact.FaultInjector
 	if flip > 0 || trunc > 0 || drop > 0 {
 		inj = jpegact.NewFaultInjector(jpegact.FaultConfig{
-			Seed: faultSeed, BitFlipPerByte: flip, TruncationRate: trunc, DropRate: drop,
+			Seed: 1, BitFlipPerByte: flip, TruncationRate: trunc, DropRate: drop,
 		})
 		oc.Channel = inj
 	}

@@ -297,3 +297,39 @@ func TestStoreKilledAndRestarted(t *testing.T) {
 		t.Errorf("the outage was not felt (want degraded > 0 and reconnects > 0):\n%s", out.String())
 	}
 }
+
+// TestOffloadFlagsSelectTheirVariant: each flag that picks a variant of
+// the offloaded step picks the one the library tests hold it to — a
+// faulted channel under recompute and a dead store under the breaker end
+// on the clean run's weights, -freq and -seed on other ones, and
+// -no-degrade turns the dead store into a failed run.
+func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
+	acttrain, _ := binaries(t)
+	want := digest(t, mustTrain(t, acttrain, small("-offload", "-async")...))
+
+	faulted := mustTrain(t, acttrain, small("-offload", "-async", "-policy", "recompute",
+		"-flip", "1e-5", "-trunc", "0.02", "-drop", "0.02")...)
+	if got := digest(t, faulted); got != want {
+		t.Errorf("faulted channel: %s, clean run %s", got, want)
+	}
+	if counter(t, faulted, "truncations") == 0 || counter(t, faulted, "recomputed") == 0 {
+		t.Errorf("no truncation was injected and recovered:\n%s", faulted)
+	}
+
+	freq := mustTrain(t, acttrain, small("-offload", "-async", "-freq")...)
+	if digest(t, freq) == want || counter(t, freq, "coef_restores") == 0 {
+		t.Errorf("-freq restored no coefficient planes or trained the spatial trajectory:\n%s", freq)
+	}
+	if digest(t, mustTrain(t, acttrain, small("-offload", "-async", "-seed", "7")...)) == want {
+		t.Error("-seed 7 trained the weights of -seed 42")
+	}
+
+	dead := []string{"-offload", "-async", "-store", "unix:" + filepath.Join(t.TempDir(), "none.sock"), "-store-timeout", "200ms"}
+	degraded := mustTrain(t, acttrain, small(dead...)...)
+	if got := digest(t, degraded); got != want || counter(t, degraded, "degraded") == 0 {
+		t.Errorf("dead store: %s (clean run %s), want degraded > 0:\n%s", got, want, degraded)
+	}
+	if out, err := train(acttrain, small(append(dead, "-no-degrade")...)...); err == nil {
+		t.Errorf("-no-degrade trained through a dead store:\n%s", out)
+	}
+}

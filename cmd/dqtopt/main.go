@@ -25,8 +25,6 @@ import (
 func main() {
 	alpha := flag.Float64("alpha", 0.005, "rate/distortion trade-off (optL=0.025, optH=0.005)")
 	iters := flag.Int("iters", 8, "SGD iterations")
-	lr := flag.Float64("lr", 2.0, "SGD learning rate")
-	diff := flag.Float64("diff", 5, "finite-difference step")
 	grouped := flag.Bool("grouped", true, "optimize anti-diagonal groups instead of all 63 entries")
 	seedTable := flag.String("seed-table", "uniform16", "uniform16|jpeg80|jpeg60|optl|opth")
 	samples := flag.Int("samples", 4, "sample activation tensors")
@@ -60,9 +58,7 @@ func main() {
 		acts[i] = data.ActivationTensor(r, 1, 8, 32, 32, 0.5, 1.0)
 	}
 
-	cfg := jpegact.DQTOptimizerConfig{
-		Alpha: *alpha, LR: *lr, Diff: *diff, Iters: *iters, Grouped: *grouped,
-	}
+	cfg := jpegact.DQTOptimizerConfig{Alpha: *alpha, Iters: *iters, Grouped: *grouped}
 	d, trace := jpegact.OptimizeDQT(seedDQT, acts, cfg)
 
 	fmt.Printf("seed=%s alpha=%g iters=%d grouped=%v\n", seedDQT.Name, *alpha, *iters, *grouped)

@@ -1,7 +1,8 @@
 package main
 
 // The binary, run: the table -out writes is one quant.LoadDQT reads back
-// under the name -name gave it, and is the table standard output showed.
+// under the name -name gave it, and is the table standard output showed;
+// -seed draws other sample activations, so the trace it prints moves.
 
 import (
 	"fmt"
@@ -21,12 +22,14 @@ func TestDqtopt(t *testing.T) {
 		t.Skipf("go build unavailable: %v\n%s", err, out)
 	}
 	table := filepath.Join(dir, "table.dqt")
+	var outputs []string
 	for _, tc := range []struct {
 		args string
 		exit int
 		name string // of the table written, "" for none
 	}{
 		{"-iters 1 -samples 1 -out " + table, 0, "opt"},
+		{"-iters 1 -samples 1 -seed 7 -out " + table, 0, "opt"},
 		{"-iters 1 -samples 1 -seed-table jpeg80 -grouped=false -name mine -out " + table, 0, "mine"},
 		{"-seed-table nope", 2, ""},
 	} {
@@ -38,6 +41,7 @@ func TestDqtopt(t *testing.T) {
 		if tc.name == "" {
 			continue
 		}
+		outputs = append(outputs, string(out))
 		fh, err := os.Open(table)
 		if err != nil {
 			t.Fatal(err)
@@ -54,5 +58,8 @@ func TestDqtopt(t *testing.T) {
 		if !strings.Contains(string(out), firstRow.String()+"\n") {
 			t.Fatalf("dqtopt %s: saved row %q is not in the output:\n%s", tc.args, firstRow.String(), out)
 		}
+	}
+	if outputs[0] == outputs[1] {
+		t.Fatalf("-seed 7 printed the run of -seed 42:\n%s", outputs[0])
 	}
 }

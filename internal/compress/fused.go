@@ -27,12 +27,14 @@ func (p *Pipeline) foldedInverse() [64]float32 {
 	return p.DQT.FoldedInverse(p.UseShift, &dct.AANPrescale2D)
 }
 
-// gatherBlock loads the 8×8 tile (by, bx) of the logical padded plane
+// GatherBlock loads the 8×8 tile (by, bx) of the logical padded plane
 // into blk, reading directly from the int8 code plane (rows × w
 // row-major). Tiles fully inside the plane take the unconditional fast
 // path; tiles touching the pad fringe zero-fill the out-of-range lanes,
-// which is exactly what the padded plane held.
-func gatherBlock(vals []int8, rows, w, by, bx int, blk *dct.Block) {
+// which is exactly what the padded plane held. With ScatterBlock it is
+// the tree's one walk of the §III-C (NCH)×W block layout: the hardware
+// datapath and the entropy analysis block their codes through it too.
+func GatherBlock(vals []int8, rows, w, by, bx int, blk *dct.Block) {
 	r0 := by * 8
 	c0 := bx * 8
 	if r0+8 <= rows && c0+8 <= w {
@@ -71,22 +73,27 @@ func gatherBlock(vals []int8, rows, w, by, bx int, blk *dct.Block) {
 // DCT → folded quantization.
 func fusedQuantizeBlock(vals []int8, rows, w, by, bx int, table *[64]float32, out *[64]int8) {
 	var blk dct.Block
-	gatherBlock(vals, rows, w, by, bx, &blk)
+	GatherBlock(vals, rows, w, by, bx, &blk)
 	dct.AANForward8x8(&blk)
 	quant.FoldedQuantize((*[64]float32)(&blk), table, out)
 }
 
 // fusedReconstructBlock inverts fusedQuantizeBlock for block (by, bx):
-// folded dequantization → scaled AAN inverse DCT → clamp back to the
-// int8 SFPR code range → scatter into the output tensor with the
-// per-channel inverse SFPR scale applied. invScales[nc] is the inverse
-// scale of plane nc (0 for all-zero channels); pad-fringe lanes are
-// dropped. out is the row-major data of the original-shape tensor.
+// folded dequantization → scaled AAN inverse DCT → ScatterBlock.
 func fusedReconstructBlock(q *[64]int8, table *[64]float32, by, bx int, sh tensor.Shape, invScales, out []float32) {
 	var blk dct.Block
 	quant.FoldedDequantize(q, table, (*[64]float32)(&blk))
 	dct.AANInverse8x8(&blk)
+	ScatterBlock(&blk, by, bx, sh, invScales, out)
+}
 
+// ScatterBlock inverts GatherBlock and SFPR for block (by, bx): each
+// spatial value is clamped back to the int8 SFPR code range and written
+// into the output tensor with the per-channel inverse SFPR scale
+// applied. invScales[nc] is the inverse scale of plane nc (0 for
+// all-zero channels, see planeInvScales); pad-fringe lanes are dropped.
+// out is the row-major data of the original-shape tensor.
+func ScatterBlock(blk *dct.Block, by, bx int, sh tensor.Shape, invScales, out []float32) {
 	rows := sh.N * sh.C * sh.H
 	w := sh.W
 	r0 := by * 8

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"jpegact/internal/dct"
 	"jpegact/internal/quant"
 	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
@@ -147,4 +148,45 @@ func FuzzFusedBlockPath(f *testing.F) {
 		}
 		ReleaseBlocks(fq)
 	})
+}
+
+// TestGatherScatterRoundtrip holds the block layout itself: gathering
+// every 8×8 tile of a code plane zero-fills exactly the pad fringe, and
+// scattering the tiles back at unit scale drops it and returns the
+// codes, on aligned and unaligned shapes alike.
+func TestGatherScatterRoundtrip(t *testing.T) {
+	r := tensor.NewRNG(11)
+	for _, sh := range fusedTestShapes() {
+		info := tensor.BlockPadInfo(sh, 8)
+		rows := sh.N * sh.C * sh.H
+		codes := make([]int8, rows*sh.W)
+		for i := range codes {
+			codes[i] = int8(r.Intn(255) - 127)
+			if codes[i] == 0 {
+				codes[i] = 1 // a zero inside the plane is not fringe
+			}
+		}
+		unit := make([]float32, sh.N*sh.C)
+		for i := range unit {
+			unit[i] = 1
+		}
+		out := make([]float32, len(codes))
+		var blk dct.Block
+		for by := 0; by < info.BlockRows/8; by++ {
+			for bx := 0; bx < info.BlockCols/8; bx++ {
+				GatherBlock(codes, rows, sh.W, by, bx, &blk)
+				for i, v := range blk {
+					if inside := by*8+i/8 < rows && bx*8+i%8 < sh.W; inside == (v == 0) {
+						t.Fatalf("%v block (%d,%d) lane %d: %v, inside plane %v", sh, by, bx, i, v, inside)
+					}
+				}
+				ScatterBlock(&blk, by, bx, sh, unit, out)
+			}
+		}
+		for i, v := range codes {
+			if out[i] != float32(v) {
+				t.Fatalf("%v: element %d came back %v, want %d", sh, i, out[i], v)
+			}
+		}
+	}
 }

@@ -45,23 +45,14 @@ func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Resul
 	// SFPR with per-channel scales, then the padded block layout the
 	// alignment buffer sees (§III-C).
 	c := sfpr.Compress(x, sfpr.DefaultS)
-	codes := tensor.New(x.Shape.N, x.Shape.C, x.Shape.H, x.Shape.W)
-	for i, v := range c.Values {
-		codes.Data[i] = float32(v)
-	}
-	padded, info := tensor.PadForBlocks(codes, dct.BlockSize)
-	cols := info.BlockCols
-	nb := (info.BlockRows / 8) * (cols / 8)
-	blocks := make([][64]int8, nb)
-	bi := 0
-	for by := 0; by < info.BlockRows/8; by++ {
-		for bx := 0; bx < cols/8; bx++ {
-			for r := 0; r < 8; r++ {
-				for cc := 0; cc < 8; cc++ {
-					blocks[bi][r*8+cc] = int8(padded[(by*8+r)*cols+bx*8+cc])
-				}
-			}
-			bi++
+	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
+	rows, bw := x.Shape.N*x.Shape.C*x.Shape.H, info.BlockCols/8
+	blocks := make([][64]int8, info.PaddedElems()/64)
+	var blk dct.Block
+	for bi := range blocks {
+		GatherBlock(c.Values, rows, x.Shape.W, bi/bw, bi%bw, &blk)
+		for i, v := range blk {
+			blocks[bi][i] = int8(v)
 		}
 	}
 
@@ -70,26 +61,15 @@ func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Resul
 	h.TotalCycles += int64(stream.Cycles)
 	recBlocks, _ := a.DecompressCodes(stream)
 
-	// Rebuild the code plane, unpad, and undo SFPR.
-	recPadded := make([]float32, info.PaddedElems())
-	bi = 0
-	for by := 0; by < info.BlockRows/8; by++ {
-		for bx := 0; bx < cols/8; bx++ {
-			for r := 0; r < 8; r++ {
-				for cc := 0; cc < 8; cc++ {
-					recPadded[(by*8+r)*cols+bx*8+cc] = float32(recBlocks[bi][r*8+cc])
-				}
-			}
-			bi++
-		}
-	}
-	recCodes := tensor.UnpadFromBlocks(recPadded, info)
-	vals := make([]int8, recCodes.Elems())
-	for i, v := range recCodes.Data {
-		vals[i] = int8(v)
-	}
+	// Drop the pad fringe and undo SFPR.
 	out := tensor.New(x.Shape.N, x.Shape.C, x.Shape.H, x.Shape.W)
-	sfpr.DequantizeInto(vals, c.Scales, out)
+	invScales := planeInvScales(c.Scales, x.Shape)
+	for bi := range recBlocks {
+		for i, v := range recBlocks[bi] {
+			blk[i] = float32(v)
+		}
+		ScatterBlock(&blk, bi/bw, bi%bw, x.Shape, invScales, out.Data)
+	}
 
 	return Result{
 		Recovered:       out,

@@ -8,21 +8,6 @@ import (
 	"jpegact/internal/tensor"
 )
 
-func TestBFPMethod(t *testing.T) {
-	x := correlatedAct(30, 2, 4, 16, 16)
-	res := BFPMethod{}.Compress(x, KindConv, 0)
-	// 10 bits/value + 1 exponent byte/channel ≈ 3.2x.
-	if res.Ratio() < 3 || res.Ratio() > 3.3 {
-		t.Fatalf("BFP ratio %v", res.Ratio())
-	}
-	if e := tensor.L2Error(x, res.Recovered); e > 0.01 {
-		t.Fatalf("BFP error %v", e)
-	}
-	if (BFPMethod{}).Lossless() {
-		t.Fatal("BFP is lossy")
-	}
-}
-
 func TestHardwareJPEGACTMatchesFunctional(t *testing.T) {
 	// The hardware datapath must recover activations close to the float
 	// functional pipeline (same DQT), and account comparable bytes.
@@ -90,9 +75,6 @@ func TestHardwareJPEGACTUnpaddedShapes(t *testing.T) {
 }
 
 func TestPolicyForExtraMethods(t *testing.T) {
-	if PolicyFor(BFPMethod{}, KindConv) != "BFP" {
-		t.Fatal("BFP policy")
-	}
 	hw := NewHardwareJPEGACT(quant.OptL5H(), 4)
 	if PolicyFor(hw, KindConv) != "CDU(SFPR+DCT+SH+ZVC)" ||
 		PolicyFor(hw, KindReLUToOther) != "BRC" ||

@@ -125,15 +125,7 @@ func (p *Pipeline) ReconstructBlocks(blocks [][64]int8, scales []float32, info t
 	sh := info.Orig
 	out := tensor.New(sh.N, sh.C, sh.H, sh.W)
 	table := p.foldedInverse()
-
-	// Per-plane inverse SFPR scales, hoisted out of the block loop
-	// (blocks cross channel boundaries whenever H is not a multiple of 8).
-	invScales := make([]float32, sh.N*sh.C)
-	for nc := range invScales {
-		if sc := scales[nc%sh.C]; sc != 0 {
-			invScales[nc] = 1 / (sc * 128)
-		}
-	}
+	invScales := planeInvScales(scales, sh)
 
 	bw := info.BlockCols / 8
 	parallel.For(len(blocks), blockGrain, func(lo, hi int) {
@@ -142,6 +134,19 @@ func (p *Pipeline) ReconstructBlocks(blocks [][64]int8, scales []float32, info t
 		}
 	})
 	return out
+}
+
+// planeInvScales returns the inverse SFPR scale of each (n, c) plane, 0
+// for an all-zero channel — hoisted out of the block loop because blocks
+// cross channel boundaries whenever H is not a multiple of 8.
+func planeInvScales(scales []float32, sh tensor.Shape) []float32 {
+	inv := make([]float32, sh.N*sh.C)
+	for nc := range inv {
+		if sc := scales[nc%sh.C]; sc != 0 {
+			inv[nc] = 1 / (sc * 128)
+		}
+	}
+	return inv
 }
 
 // clampCode rounds a reconstructed spatial value to the int8 SFPR code

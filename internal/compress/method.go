@@ -296,8 +296,6 @@ func PolicyFor(m Method, k Kind) string {
 		default:
 			return "SFPR+ZVC"
 		}
-	case BFPMethod:
-		return "BFP"
 	}
 	return "unknown"
 }

@@ -26,11 +26,16 @@ const (
 	Lambda2 = 10000
 )
 
+// The paper's SGD settings (§IV): learning rate and forward
+// finite-difference step.
+const (
+	learnRate = 2.0
+	diffStep  = 5
+)
+
 // Config parameterizes the optimizer.
 type Config struct {
 	Alpha float64 // rate/distortion trade-off (Eqn. 12)
-	LR    float64 // SGD learning rate (paper: 2.0)
-	Diff  float64 // forward finite-difference step (paper: 5)
 	Iters int     // optimization steps
 	// Grouped optimizes the 15 anti-diagonal frequency groups instead of
 	// all 63 AC entries, cutting objective evaluations ~4× per step.
@@ -39,12 +44,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.LR == 0 {
-		c.LR = 2.0
-	}
-	if c.Diff == 0 {
-		c.Diff = 5
-	}
 	if c.Iters == 0 {
 		c.Iters = 10
 	}
@@ -105,13 +104,13 @@ func Optimize(seed quant.DQT, samples []*tensor.Tensor, cfg Config) Result {
 		for gi, g := range groups {
 			probe := d
 			for _, i := range g {
-				probe.Entries[i] = clampEntry(probe.Entries[i] + cfg.Diff)
+				probe.Entries[i] = clampEntry(probe.Entries[i] + diffStep)
 			}
 			p := Evaluate(probe, samples, cfg.Alpha, cfg.S)
-			grad[gi] = (p.O - base.O) / cfg.Diff
+			grad[gi] = (p.O - base.O) / diffStep
 		}
 		for gi, g := range groups {
-			step := cfg.LR * grad[gi]
+			step := learnRate * grad[gi]
 			for _, i := range g {
 				d.Entries[i] = clampEntry(d.Entries[i] - step)
 			}

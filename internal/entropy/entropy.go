@@ -8,6 +8,7 @@ package entropy
 import (
 	"math"
 
+	"jpegact/internal/compress"
 	"jpegact/internal/dct"
 	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
@@ -81,26 +82,16 @@ func Analyze(x *tensor.Tensor, s float64) Analysis {
 	var a Analysis
 	a.Spatial = Shannon(c.Values)
 
-	// View the int8 codes as the padded 2D plane the CDU sees.
-	codes := tensor.New(c.Shape.N, c.Shape.C, c.Shape.H, c.Shape.W)
-	for i, v := range c.Values {
-		codes.Data[i] = float32(v)
-	}
-	padded, info := tensor.PadForBlocks(codes, dct.BlockSize)
-	cols := info.BlockCols
-	nBlocksY := info.BlockRows / 8
-	nBlocksX := cols / 8
+	// Block the int8 codes as the padded 2D plane the CDU sees.
+	info := tensor.BlockPadInfo(c.Shape, dct.BlockSize)
+	rows := c.Shape.N * c.Shape.C * c.Shape.H
 
 	freqVals := make([]int, 0, info.PaddedElems())
 	perFreq := make([][]int, 64)
 	var blk dct.Block
-	for by := 0; by < nBlocksY; by++ {
-		for bx := 0; bx < nBlocksX; bx++ {
-			for r := 0; r < 8; r++ {
-				for cc := 0; cc < 8; cc++ {
-					blk[r*8+cc] = padded[(by*8+r)*cols+bx*8+cc]
-				}
-			}
+	for by := 0; by < info.BlockRows/8; by++ {
+		for bx := 0; bx < info.BlockCols/8; bx++ {
+			compress.GatherBlock(c.Values, rows, c.Shape.W, by, bx, &blk)
 			dct.Forward8x8(&blk)
 			for i := 0; i < 64; i++ {
 				q := int(math.Round(float64(blk[i])))

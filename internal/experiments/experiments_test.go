@@ -243,9 +243,13 @@ func TestCapacityShape(t *testing.T) {
 		}
 		prev = v
 	}
-	// GIST stops fitting at the tightest capacity.
-	if r.Rows[len(r.Rows)-1][3] != "false" {
-		t.Fatalf("GIST should not fit at 10%% capacity: %v", r.Rows[len(r.Rows)-1])
+	// GIST keeps 0.386 of the fp32 footprint resident on this workload
+	// (8-bit DPR, CSR, BRC): it fits at half capacity and not at a quarter.
+	if r.Rows[1][0] != "0.50" || r.Rows[1][3] != "true" {
+		t.Fatalf("GIST should fit at 50%% capacity: %v", r.Rows[1])
+	}
+	if r.Rows[2][0] != "0.25" || r.Rows[2][3] != "false" {
+		t.Fatalf("GIST should not fit at 25%% capacity: %v", r.Rows[2])
 	}
 }
 

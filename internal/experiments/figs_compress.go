@@ -20,7 +20,7 @@ func init() {
 func trainCfg(o Options, m compress.Method) train.Config {
 	cfg := train.Config{
 		Method: m, Epochs: 8, BatchesPerEpoch: 8, BatchSize: 8,
-		LR: 0.05, MeasureError: true,
+		MeasureError: true,
 	}
 	if o.Quick {
 		cfg.Epochs = 2
@@ -87,9 +87,6 @@ func runOne(o Options, name string, meth compress.Method) train.Report {
 	cls := classDS(o)
 	sr := data.NewSuperRes(16, 16, o.seed())
 	cfg := trainCfg(o, meth)
-	if m.Task == models.SuperRes {
-		cfg.LR = 0.01
-	}
 	if name == "ResNet101" {
 		cfg.LR = 0.03 // the deepest mini net needs a gentler step at this scale
 	}

@@ -1,6 +1,9 @@
 package experiments
 
-import "jpegact/internal/memory"
+import (
+	"jpegact/internal/gpusim"
+	"jpegact/internal/memory"
+)
 
 func init() {
 	register("memory", "Full-scale activation storage and compressed footprint (intro motivation)", runMemory)
@@ -10,7 +13,7 @@ func runMemory(o Options) *Result {
 	res := &Result{
 		ID:     "memory",
 		Title:  Title("memory"),
-		Header: []string{"network", "batch", "fp32 GB", "cDMA+ GB", "GIST GB", "SFPR GB", "JPEG-ACT GB"},
+		Header: []string{"network", "batch", "fp32 GB"},
 		Notes: []string{
 			"full-scale shape inventories (real network dimensions), forward saved tensors only",
 			"the paper's motivation: ResNet50/ImageNet exceeds a 12 GB Titan V long before production batch sizes",
@@ -21,11 +24,18 @@ func runMemory(o Options) *Result {
 	if o.Quick {
 		batches = []int{64}
 	}
+	schemes := []gpusim.Scheme{
+		gpusim.CDMAPlus(), gpusim.GIST(), gpusim.SFPROnly(),
+		gpusim.JPEGAct(gpusim.JPEGActDefaultRatios()),
+	}
+	for _, s := range schemes {
+		res.Header = append(res.Header, s.Name+" GB")
+	}
 	for _, n := range memory.All() {
 		for _, b := range batches {
 			row := []string{n.Name, f("%d", b), f("%.1f", float64(n.TotalBytes(b))/gb)}
-			for _, m := range []string{"cDMA+", "GIST", "SFPR", "JPEG-ACT"} {
-				row = append(row, f("%.1f", float64(n.CompressedBytes(b, memory.MethodRatios(m)))/gb))
+			for _, s := range schemes {
+				row = append(row, f("%.1f", float64(n.CompressedBytes(b, s.Ratio))/gb))
 			}
 			res.Rows = append(res.Rows, row)
 		}

@@ -71,6 +71,16 @@ func runFig18(o Options) *Result {
 	return res
 }
 
+// workload returns the gpusim microbenchmark with the given name.
+func workload(name string) gpusim.Workload {
+	for _, w := range gpusim.Workloads() {
+		if w.Name == name {
+			return w
+		}
+	}
+	panic("experiments: no gpusim workload " + name)
+}
+
 func pow(x, e float64) float64 {
 	if x <= 0 {
 		return 0
@@ -109,12 +119,7 @@ func runFig21(o Options) *Result {
 			"extra CDUs only pay at high ratios; the cache-side SFPR variant adds ≈1% (§VI-E)",
 		},
 	}
-	var w gpusim.Workload
-	for _, c := range gpusim.Workloads() {
-		if c.Name == "ResNet50" {
-			w = c
-		}
-	}
+	w := workload("ResNet50")
 	for _, ratio := range []float64{2, 4, 8, 12} {
 		s := gpusim.Scheme{Name: "fixed", Offload: true, DMASide: true,
 			Ratio: func(compress.Kind) float64 { return ratio }}
@@ -180,12 +185,7 @@ func runCapacity(o Options) *Result {
 		},
 	}
 	cfg := gpusim.TitanV(4)
-	var w gpusim.Workload
-	for _, c := range gpusim.Workloads() {
-		if c.Name == "ResNet50/IN" {
-			w = c
-		}
-	}
+	w := workload("ResNet50/IN")
 	act := gpusim.JPEGAct(gpusim.JPEGActDefaultRatios())
 	for _, frac := range []float64{1.0, 0.5, 0.25, 0.1} {
 		capacity := w.TotalActBytes() * frac
@@ -218,12 +218,7 @@ func runFig1a(o Options) *Result {
 		},
 	}
 	cfg := gpusim.TitanV(4)
-	var w gpusim.Workload
-	for _, c := range gpusim.Workloads() {
-		if c.Name == "ResNet50" {
-			w = c
-		}
-	}
+	w := workload("ResNet50")
 	for _, s := range []gpusim.Scheme{
 		gpusim.VDNN(), gpusim.CDMAPlus(), gpusim.GIST(),
 		gpusim.JPEGAct(gpusim.JPEGActDefaultRatios()),
@@ -262,12 +257,7 @@ func runTTA(o Options) *Result {
 		},
 	}
 	cfg := gpusim.TitanV(4)
-	var w gpusim.Workload
-	for _, c := range gpusim.Workloads() {
-		if c.Name == "ResNet50" {
-			w = c
-		}
-	}
+	w := workload("ResNet50")
 	base := runOne(o, "ResNet50", compress.Baseline{})
 	target := base.BestScore - 0.05
 	vdnnIter := gpusim.Simulate(w, gpusim.VDNN(), cfg).Total()

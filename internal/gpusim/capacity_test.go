@@ -1,21 +1,48 @@
 package gpusim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
+
+// allSchemes is every scheme the experiments run.
+func allSchemes() []Scheme {
+	return []Scheme{
+		VDNN(), CDMAPlus(), GIST(), SFPROnly(),
+		JPEGBase(JPEGBaseDefaultRatios()), JPEGAct(JPEGActDefaultRatios()),
+	}
+}
 
 func TestCapacityUnconstrainedMatchesBase(t *testing.T) {
 	cfg := TitanV(4)
-	w := findWorkload(t, "ResNet50/IN")
-	s := JPEGAct(JPEGActDefaultRatios())
-	r := SimulateWithCapacity(w, s, cfg, 1e18)
-	base := Simulate(w, s, cfg)
-	if r.StallSeconds != 0 {
-		t.Fatalf("stalls %v with unlimited memory", r.StallSeconds)
+	for _, w := range Workloads() {
+		for _, s := range allSchemes() {
+			r := SimulateWithCapacity(w, s, cfg, math.Inf(1))
+			if r.StallSeconds != 0 || !r.FitsInMemory {
+				t.Fatalf("%s/%s: stall %v, fits %v with unlimited memory", w.Name, s.Name, r.StallSeconds, r.FitsInMemory)
+			}
+			if base := Simulate(w, s, cfg); r.Result != base {
+				t.Fatalf("%s/%s: %+v vs base %+v", w.Name, s.Name, r.Result, base)
+			}
+		}
 	}
-	if !r.FitsInMemory {
-		t.Fatal("must fit")
-	}
-	if diff := r.Forward - base.Forward; diff < -1e-12 || diff > 1e-12 {
-		t.Fatalf("forward %v vs base %v", r.Forward, base.Forward)
+}
+
+func TestGISTResidentIsCompressedFootprint(t *testing.T) {
+	// GIST never offloads, so with room to spare its peak is every saved
+	// activation at its own ratio, and the ratio is the scheme's.
+	s := GIST()
+	for _, w := range Workloads() {
+		var want float64
+		for _, l := range w.Layers {
+			if l.ActBytes > 0 {
+				want += l.ActBytes / s.Ratio(l.Kind)
+			}
+		}
+		got := SimulateWithCapacity(w, s, TitanV(4), math.Inf(1)).PeakResident
+		if got != want || got >= w.TotalActBytes()/2 {
+			t.Fatalf("%s: peak resident %v, want %v (fp32 %v)", w.Name, got, want, w.TotalActBytes())
+		}
 	}
 }
 

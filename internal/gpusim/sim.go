@@ -1,6 +1,10 @@
 package gpusim
 
-import "jpegact/internal/compress"
+import (
+	"math"
+
+	"jpegact/internal/compress"
+)
 
 // Scheme describes how one offload method uses the platform.
 type Scheme struct {
@@ -27,21 +31,31 @@ func VDNN() Scheme {
 	return Scheme{Name: "vDNN", Offload: true, Ratio: one, CompressPasses: zero, DecompressPasses: zero}
 }
 
+// Ratios maps activation kinds to compression ratios; a kind it does not
+// name is stored uncompressed. Every scheme states its own, and the JPEG
+// schemes take theirs as an argument so measured ratios from the
+// functional simulation can be injected.
+type Ratios map[compress.Kind]float64
+
+func (r Ratios) fn() func(compress.Kind) float64 {
+	return func(k compress.Kind) float64 {
+		if v, ok := r[k]; ok {
+			return v
+		}
+		return 1
+	}
+}
+
 // CDMAPlus offloads with DMA-side ZVC: sparse kinds compress, dense conv
 // does not (ratios from §VI-B / Rhu et al.).
 func CDMAPlus() Scheme {
 	return Scheme{
 		Name: "cDMA+", Offload: true, DMASide: true,
-		Ratio: func(k compress.Kind) float64 {
-			switch k {
-			case compress.KindReLUToConv, compress.KindReLUToOther:
-				return 2.1
-			case compress.KindPoolDropout:
-				return 3.9
-			default:
-				return 1.0
-			}
-		},
+		Ratio: Ratios{
+			compress.KindReLUToConv:  2.1,
+			compress.KindReLUToOther: 2.1,
+			compress.KindPoolDropout: 3.9,
+		}.fn(),
 		CompressPasses: zero, DecompressPasses: zero,
 	}
 }
@@ -49,7 +63,8 @@ func CDMAPlus() Scheme {
 // GIST compresses into GPU memory with SM kernels: no PCIe traffic, but
 // the compression kernels occupy the compute stream. The dense2CSR
 // non-zero scan costs several HBM passes — longer than a 1×1 conv kernel
-// on bottleneck layers (§VI-D).
+// on bottleneck layers (§VI-D). Its ratios (8-bit DPR dense, DPR+CSR
+// sparse, BRC masks) decide only what stays resident.
 func GIST() Scheme {
 	passes := func(k compress.Kind) float64 {
 		switch k {
@@ -61,7 +76,16 @@ func GIST() Scheme {
 			return 3 // DPR cast + store round trip
 		}
 	}
-	return Scheme{Name: "GIST", Ratio: one, CompressPasses: passes, DecompressPasses: passes}
+	return Scheme{
+		Name: "GIST",
+		Ratio: Ratios{
+			compress.KindConv:        4,
+			compress.KindReLUToConv:  2.2,
+			compress.KindReLUToOther: 32,
+			compress.KindPoolDropout: 2.2,
+		}.fn(),
+		CompressPasses: passes, DecompressPasses: passes,
+	}
 }
 
 // SFPROnly is the accelerator with only the SFPR stage: a fixed 4× ratio
@@ -71,19 +95,6 @@ func SFPROnly() Scheme {
 		Name: "SFPR", Offload: true, DMASide: true,
 		Ratio:          func(compress.Kind) float64 { return 4 },
 		CompressPasses: zero, DecompressPasses: zero,
-	}
-}
-
-// Ratios maps activation kinds to compression ratios for the JPEG
-// schemes; inject measured ratios from the functional simulation here.
-type Ratios map[compress.Kind]float64
-
-func (r Ratios) fn() func(compress.Kind) float64 {
-	return func(k compress.Kind) float64 {
-		if v, ok := r[k]; ok {
-			return v
-		}
-		return 1
 	}
 }
 
@@ -142,52 +153,149 @@ func effRate(cfg Config, s Scheme, k compress.Kind) float64 {
 	return rate
 }
 
-// Simulate runs the two-stream schedule of Fig. 1a: kernels execute on
-// the compute stream while activation offloads queue on the memcpy
-// stream; an iteration ends when both streams drain. The backward pass
-// mirrors it with prefetches that must land before each layer's backward
-// kernel.
-func Simulate(w Workload, s Scheme, cfg Config) Result {
-	hbm := cfg.HBMBandwidthGBs * 1e9 * 0.8
+// MemResult extends Result with the forward pass's residency accounting.
+type MemResult struct {
+	Result
+	StallSeconds float64 // compute time lost waiting for memory
+	PeakResident float64 // bytes resident at the worst moment
+	FitsInMemory bool    // residency never exceeded capacity
+}
 
-	// Forward.
-	var tCompute, offEnd float64
-	for _, l := range w.Layers {
-		tCompute += cfg.ComputeSeconds(l.FLOPs, l.MemBytes, l.Class)
-		if l.ActBytes > 0 {
-			tCompute += s.CompressPasses(l.Kind) * l.ActBytes / hbm
-			if s.Offload {
-				start := tCompute
-				if offEnd > start {
-					start = offEnd
-				}
-				offEnd = start + l.ActBytes/effRate(cfg, s, l.Kind)
+// schedule is the one walk of the two-stream schedule of Fig. 1a; every
+// other entry point of the package is a view of it. Forward: kernels run
+// on the compute stream while activation offloads queue on the memcpy
+// stream, and the pass ends when both streams drain. An offloaded
+// activation stays resident until its offload completes (vDNN's
+// memory-release discipline), so a capacity below what is in flight
+// stalls compute behind the offload queue; a scheme that compresses into
+// GPU memory instead (GIST) pays its kernels on the compute stream and
+// keeps ActBytes/Ratio resident for the whole pass — the "still limited
+// by the amount of GPU memory" property of §I. Backward mirrors it:
+// activations are prefetched in reverse order on the memcpy stream, and
+// each layer's backward kernel (≈2× forward work) waits for its own
+// fetch. It frees as it consumes, so capacity binds forward only.
+//
+// emit, when non-nil, receives every interval on either stream in issue
+// order; times count from the start of the event's own pass.
+func schedule(w Workload, s Scheme, cfg Config, capacity float64, emit func(Event)) MemResult {
+	if emit == nil {
+		emit = func(Event) {}
+	}
+	hbm := cfg.HBMBandwidthGBs * 1e9 * 0.8
+	res := MemResult{FitsInMemory: true}
+
+	type pending struct {
+		done  float64 // offload completion time
+		bytes float64 // resident bytes freed at completion
+	}
+	var queue []pending
+	var resident float64
+	free := func(now float64) {
+		i := 0
+		for _, p := range queue {
+			if p.done <= now {
+				resident -= p.bytes
+				continue
 			}
+			queue[i] = p
+			i++
+		}
+		queue = queue[:i]
+	}
+	hold := func(bytes float64) {
+		resident += bytes
+		if resident > res.PeakResident {
+			res.PeakResident = resident
+		}
+		if resident > capacity {
+			res.FitsInMemory = false
 		}
 	}
-	fwd := tCompute
-	if offEnd > fwd {
-		fwd = offEnd
+
+	var tCompute, offEnd float64
+	for _, l := range w.Layers {
+		dur := cfg.ComputeSeconds(l.FLOPs, l.MemBytes, l.Class)
+		emit(Event{StreamCompute, l.Name, tCompute, tCompute + dur, false})
+		tCompute += dur
+		if l.ActBytes <= 0 {
+			continue
+		}
+		if passes := s.CompressPasses(l.Kind); passes > 0 {
+			dur := passes * l.ActBytes / hbm
+			emit(Event{StreamCompute, l.Name + ".compress", tCompute, tCompute + dur, false})
+			tCompute += dur
+		}
+		if !s.Offload {
+			hold(l.ActBytes / s.Ratio(l.Kind))
+			continue
+		}
+		// Stall until the offloads in flight have made room; with
+		// nothing left to free the model cannot run at this capacity.
+		free(tCompute)
+		for resident+l.ActBytes > capacity && len(queue) > 0 {
+			next := queue[0].done
+			for _, p := range queue {
+				if p.done < next {
+					next = p.done
+				}
+			}
+			if next > tCompute {
+				res.StallSeconds += next - tCompute
+				tCompute = next
+			}
+			free(tCompute)
+		}
+		hold(l.ActBytes)
+		start := tCompute
+		if offEnd > start {
+			start = offEnd
+		}
+		offEnd = start + l.ActBytes/effRate(cfg, s, l.Kind)
+		emit(Event{StreamMemcpy, l.Name + ".offload", start, offEnd, false})
+		queue = append(queue, pending{done: offEnd, bytes: l.ActBytes})
+	}
+	res.Forward = tCompute
+	if offEnd > res.Forward {
+		res.Forward = offEnd
 	}
 
-	// Backward: activations are prefetched in reverse order on the
-	// memcpy stream; each layer's backward kernel (≈2× forward work)
-	// waits for its own fetch.
 	var tBack, fetchEnd float64
 	for i := len(w.Layers) - 1; i >= 0; i-- {
 		l := w.Layers[i]
 		if l.ActBytes > 0 && s.Offload {
+			start := fetchEnd
 			fetchEnd += l.ActBytes / effRate(cfg, s, l.Kind)
+			emit(Event{StreamMemcpy, l.Name + ".prefetch", start, fetchEnd, true})
 			if fetchEnd > tBack {
 				tBack = fetchEnd
 			}
 		}
-		tBack += 2 * cfg.ComputeSeconds(l.FLOPs, l.MemBytes, l.Class)
-		if l.ActBytes > 0 {
-			tBack += s.DecompressPasses(l.Kind) * l.ActBytes / hbm
+		dur := 2 * cfg.ComputeSeconds(l.FLOPs, l.MemBytes, l.Class)
+		emit(Event{StreamCompute, l.Name + ".grad", tBack, tBack + dur, true})
+		tBack += dur
+		if l.ActBytes <= 0 {
+			continue
+		}
+		if passes := s.DecompressPasses(l.Kind); passes > 0 {
+			dur := passes * l.ActBytes / hbm
+			emit(Event{StreamCompute, l.Name + ".decompress", tBack, tBack + dur, true})
+			tBack += dur
 		}
 	}
-	return Result{Forward: fwd, Backward: tBack}
+	res.Backward = tBack
+	return res
+}
+
+// Simulate returns the forward and backward times of w under s with
+// unlimited GPU memory.
+func Simulate(w Workload, s Scheme, cfg Config) Result {
+	return schedule(w, s, cfg, math.Inf(1), nil).Result
+}
+
+// SimulateWithCapacity runs the same schedule under a GPU memory
+// capacity in bytes.
+func SimulateWithCapacity(w Workload, s Scheme, cfg Config, capacity float64) MemResult {
+	return schedule(w, s, cfg, capacity, nil)
 }
 
 // Relative returns the speedup of scheme s over vDNN on workload w.

@@ -2,13 +2,13 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
-// Schedule tracing: the same two-stream model as Simulate, but recording
-// every kernel and offload interval so the Fig. 1a schedule pictures can
-// be rendered (compute stream c, memcpy stream m, with the arrows from
-// each kernel to its activation offload).
+// Schedule tracing: the intervals schedule emits, kept so the Fig. 1a
+// schedule pictures can be rendered (compute stream c, memcpy stream m,
+// with the arrows from each kernel to its activation offload).
 
 // StreamID distinguishes the two GPU streams of Fig. 1a.
 type StreamID int
@@ -20,12 +20,14 @@ const (
 	StreamMemcpy
 )
 
-// Event is one interval on a stream.
+// Event is one interval on a stream, in seconds from the start of its
+// pass.
 type Event struct {
-	Stream StreamID
-	Name   string
-	Start  float64
-	End    float64
+	Stream   StreamID
+	Name     string
+	Start    float64
+	End      float64
+	Backward bool // backward pass (prefetches and gradient kernels)
 }
 
 // Trace is the recorded forward-pass schedule.
@@ -37,34 +39,12 @@ type Trace struct {
 
 // TraceForward records the forward-pass schedule of w under s.
 func TraceForward(w Workload, s Scheme, cfg Config) Trace {
-	hbm := cfg.HBMBandwidthGBs * 1e9 * 0.8
 	tr := Trace{Scheme: s.Name}
-	var tCompute, offEnd float64
-	for _, l := range w.Layers {
-		dur := cfg.ComputeSeconds(l.FLOPs, l.MemBytes, l.Class)
-		tr.Events = append(tr.Events, Event{StreamCompute, l.Name, tCompute, tCompute + dur})
-		tCompute += dur
-		if l.ActBytes <= 0 {
-			continue
+	tr.Makespan = schedule(w, s, cfg, math.Inf(1), func(e Event) {
+		if !e.Backward {
+			tr.Events = append(tr.Events, e)
 		}
-		if passes := s.CompressPasses(l.Kind); passes > 0 {
-			cdur := passes * l.ActBytes / hbm
-			tr.Events = append(tr.Events, Event{StreamCompute, l.Name + ".compress", tCompute, tCompute + cdur})
-			tCompute += cdur
-		}
-		if s.Offload {
-			start := tCompute
-			if offEnd > start {
-				start = offEnd
-			}
-			offEnd = start + l.ActBytes/effRate(cfg, s, l.Kind)
-			tr.Events = append(tr.Events, Event{StreamMemcpy, l.Name + ".offload", start, offEnd})
-		}
-	}
-	tr.Makespan = tCompute
-	if offEnd > tr.Makespan {
-		tr.Makespan = offEnd
-	}
+	}).Forward
 	return tr
 }
 

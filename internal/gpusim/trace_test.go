@@ -1,38 +1,68 @@
 package gpusim
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
 func TestTraceMatchesSimulate(t *testing.T) {
 	cfg := TitanV(4)
-	for _, s := range []Scheme{VDNN(), CDMAPlus(), GIST(), JPEGAct(JPEGActDefaultRatios())} {
-		w := findWorkload(t, "ResNet50")
-		tr := TraceForward(w, s, cfg)
-		base := Simulate(w, s, cfg)
-		if d := tr.Makespan - base.Forward; d < -1e-12 || d > 1e-12 {
-			t.Fatalf("%s: trace makespan %v vs simulate %v", s.Name, tr.Makespan, base.Forward)
+	for _, w := range Workloads() {
+		for _, s := range allSchemes() {
+			var last [2]float64 // end of the latest event of each pass
+			res := schedule(w, s, cfg, math.Inf(1), func(e Event) {
+				p := 0
+				if e.Backward {
+					p = 1
+				}
+				last[p] = math.Max(last[p], e.End)
+			})
+			if base := Simulate(w, s, cfg); res.Result != base || last != [2]float64{base.Forward, base.Backward} {
+				t.Fatalf("%s/%s: events end at %v, schedule %+v, simulate %+v", w.Name, s.Name, last, res.Result, base)
+			}
+			if tr := TraceForward(w, s, cfg); tr.Makespan != res.Forward {
+				t.Fatalf("%s/%s: trace makespan %v vs %v", w.Name, s.Name, tr.Makespan, res.Forward)
+			}
 		}
 	}
 }
 
 func TestTraceEventsWellFormed(t *testing.T) {
 	cfg := TitanV(4)
-	w := findWorkload(t, "VGG")
-	tr := TraceForward(w, JPEGAct(JPEGActDefaultRatios()), cfg)
-	if len(tr.Events) == 0 {
-		t.Fatal("no events")
-	}
-	var lastByStream [2]float64
-	for _, e := range tr.Events {
-		if e.End <= e.Start {
-			t.Fatalf("empty event %+v", e)
+	for _, w := range Workloads() {
+		for _, s := range allSchemes() {
+			var events []Event
+			schedule(w, s, cfg, math.Inf(1), func(e Event) { events = append(events, e) })
+			var n [2]int
+			var lastByStream [2][2]float64 // [pass][stream]
+			for i, e := range events {
+				p := 0
+				if e.Backward {
+					p = 1
+				} else if n[1] > 0 {
+					t.Fatalf("%s/%s: forward event %+v after backward began", w.Name, s.Name, e)
+				}
+				n[p]++
+				if e.End <= e.Start {
+					t.Fatalf("%s/%s: empty event %+v", w.Name, s.Name, e)
+				}
+				if e.Start < lastByStream[p][e.Stream]-1e-15 {
+					t.Fatalf("%s/%s: stream %d events overlap at %v", w.Name, s.Name, e.Stream, e.Start)
+				}
+				lastByStream[p][e.Stream] = e.End
+				// A backward kernel starts no earlier than its prefetch lands.
+				if e.Backward && e.Stream == StreamMemcpy && events[i+1].Start < e.End {
+					t.Fatalf("%s/%s: %s runs before %s lands", w.Name, s.Name, events[i+1].Name, e.Name)
+				}
+			}
+			if n[0] == 0 || n[1] == 0 {
+				t.Fatalf("%s/%s: %d forward and %d backward events", w.Name, s.Name, n[0], n[1])
+			}
+			if got := len(TraceForward(w, s, cfg).Events); got != n[0] {
+				t.Fatalf("%s/%s: TraceForward has %d events, the forward pass %d", w.Name, s.Name, got, n[0])
+			}
 		}
-		if e.Start < lastByStream[e.Stream]-1e-15 {
-			t.Fatalf("stream %d events overlap at %v", e.Stream, e.Start)
-		}
-		lastByStream[e.Stream] = e.End
 	}
 }
 

@@ -36,18 +36,17 @@ func (n Network) TotalBytes(batch int) int64 {
 	return t
 }
 
-// Ratios maps activation kinds to compression ratios.
-type Ratios map[compress.Kind]float64
-
-// CompressedBytes applies per-kind ratios to the inventory.
-func (n Network) CompressedBytes(batch int, r Ratios) int64 {
+// CompressedBytes applies a method's per-kind compression ratio (a
+// gpusim scheme's Ratio) to the inventory; a ratio ≤ 0 stores the
+// activation uncompressed.
+func (n Network) CompressedBytes(batch int, ratio func(compress.Kind) float64) int64 {
 	var t int64
 	for _, a := range n.Acts {
-		ratio := r[a.Kind]
-		if ratio <= 0 {
-			ratio = 1
+		r := ratio(a.Kind)
+		if r <= 0 {
+			r = 1
 		}
-		t += int64(float64(a.Bytes(batch)) / ratio)
+		t += int64(float64(a.Bytes(batch)) / r)
 	}
 	return t
 }
@@ -213,42 +212,6 @@ func All() []Network {
 		VGG16CIFAR(), ResNet50ImageNet(), ResNet101ImageNet(),
 		WRN28x10CIFAR(), ResNet18ImageNet(), VDSRDiv2k(),
 	}
-}
-
-// MethodRatios returns representative per-kind ratios for the Table I
-// methods (the measured full-scale averages the paper reports).
-func MethodRatios(method string) Ratios {
-	switch method {
-	case "cDMA+":
-		return Ratios{
-			compress.KindConv:        1.0,
-			compress.KindReLUToConv:  2.1,
-			compress.KindReLUToOther: 2.1,
-			compress.KindPoolDropout: 3.9,
-		}
-	case "GIST":
-		return Ratios{
-			compress.KindConv:        4.0,
-			compress.KindReLUToConv:  2.2,
-			compress.KindReLUToOther: 32,
-			compress.KindPoolDropout: 2.2,
-		}
-	case "SFPR":
-		return Ratios{
-			compress.KindConv:        4,
-			compress.KindReLUToConv:  4,
-			compress.KindReLUToOther: 4,
-			compress.KindPoolDropout: 4,
-		}
-	case "JPEG-ACT":
-		return Ratios{
-			compress.KindConv:        8.5,
-			compress.KindReLUToConv:  6.4,
-			compress.KindReLUToOther: 32,
-			compress.KindPoolDropout: 6.4,
-		}
-	}
-	return Ratios{}
 }
 
 func blockName(prefix string, a, b int) string {

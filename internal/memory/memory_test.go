@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jpegact/internal/compress"
+	"jpegact/internal/gpusim"
 )
 
 const gb = float64(1 << 30)
@@ -45,16 +46,17 @@ func TestCompressionShrinksFootprint(t *testing.T) {
 	n := ResNet50ImageNet()
 	b := 32
 	base := n.TotalBytes(b)
-	for _, method := range []string{"cDMA+", "GIST", "SFPR", "JPEG-ACT"} {
-		comp := n.CompressedBytes(b, MethodRatios(method))
+	jpegAct := gpusim.JPEGAct(gpusim.JPEGActDefaultRatios())
+	for _, s := range []gpusim.Scheme{gpusim.CDMAPlus(), gpusim.GIST(), gpusim.SFPROnly(), jpegAct} {
+		comp := n.CompressedBytes(b, s.Ratio)
 		if comp >= base {
-			t.Fatalf("%s did not shrink footprint", method)
+			t.Fatalf("%s did not shrink footprint", s.Name)
 		}
 	}
 	// Ordering: JPEG-ACT < SFPR < cDMA+ on the dense-dominated ResNet.
-	act := n.CompressedBytes(b, MethodRatios("JPEG-ACT"))
-	sfpr := n.CompressedBytes(b, MethodRatios("SFPR"))
-	cdma := n.CompressedBytes(b, MethodRatios("cDMA+"))
+	act := n.CompressedBytes(b, jpegAct.Ratio)
+	sfpr := n.CompressedBytes(b, gpusim.SFPROnly().Ratio)
+	cdma := n.CompressedBytes(b, gpusim.CDMAPlus().Ratio)
 	if !(act < sfpr && sfpr < cdma) {
 		t.Fatalf("footprint ordering broken: %d %d %d", act, sfpr, cdma)
 	}
@@ -62,7 +64,7 @@ func TestCompressionShrinksFootprint(t *testing.T) {
 
 func TestUnknownRatioDefaultsToOne(t *testing.T) {
 	n := Network{Name: "x", Acts: []Act{{Channels: 1, Spatial: 8, Kind: compress.KindConv}}}
-	if n.CompressedBytes(1, Ratios{}) != n.TotalBytes(1) {
+	if n.CompressedBytes(1, func(compress.Kind) float64 { return 0 }) != n.TotalBytes(1) {
 		t.Fatal("missing ratio must mean uncompressed")
 	}
 }
@@ -97,7 +99,7 @@ func TestDenseShareDrivesCDMAWeakness(t *testing.T) {
 	if frac := float64(dense) / float64(total); frac < 0.4 {
 		t.Fatalf("dense share %.2f, expected ≥ 0.4", frac)
 	}
-	overall := float64(n.TotalBytes(16)) / float64(n.CompressedBytes(16, MethodRatios("cDMA+")))
+	overall := float64(n.TotalBytes(16)) / float64(n.CompressedBytes(16, gpusim.CDMAPlus().Ratio))
 	if overall > 2.0 {
 		t.Fatalf("cDMA+ overall ratio %.2f should be low on ResNet", overall)
 	}

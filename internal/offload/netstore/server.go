@@ -56,12 +56,6 @@ type Config struct {
 	// shard loses no frames as long as one replica survives. Clamped to
 	// Shards.
 	Replicas int
-	// InFlightBytes bounds the response bytes queued to any one
-	// connection's writer (<= 0 uses DefaultInFlightBytes). The head
-	// response is always admitted so one oversized frame cannot
-	// deadlock a connection — the same progress rule as the offload
-	// engine's encode budget.
-	InFlightBytes int
 	// respDelay, when positive, injects a fixed service latency into
 	// every response: the due time is stamped when the request is
 	// *executed*, and the connection's writer holds each response until
@@ -78,9 +72,11 @@ type Config struct {
 // DefaultShards is the shard count when Config leaves it zero.
 const DefaultShards = 4
 
-// DefaultInFlightBytes is the per-connection response budget when
-// Config leaves it zero.
-const DefaultInFlightBytes = 4 << 20
+// inFlightBytes bounds the response bytes queued to any one
+// connection's writer. The head response is always admitted so one
+// oversized frame cannot deadlock a connection — the same progress rule
+// as the offload engine's encode budget.
+const inFlightBytes = 4 << 20
 
 // shard is one independent backend: a mutex-guarded key→frame-bytes map.
 type shard struct {
@@ -117,9 +113,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Replicas > cfg.Shards {
 		cfg.Replicas = cfg.Shards
-	}
-	if cfg.InFlightBytes <= 0 {
-		cfg.InFlightBytes = DefaultInFlightBytes
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -406,7 +399,7 @@ type response struct {
 
 // handleConn runs one connection: the calling goroutine reads and
 // executes requests, a second goroutine writes responses. The queue
-// between them is bounded by the InFlightBytes budget — when the writer
+// between them is bounded by the inFlightBytes budget — when the writer
 // falls behind (slow client, big frames), the reader blocks before
 // decoding the next request, which stops the TCP window and pushes the
 // backpressure all the way to the producer.
@@ -526,7 +519,7 @@ func (s *Server) KillShard(i int) int {
 func (s *Server) enqueue(out chan response, qmu *sync.Mutex, qcond *sync.Cond, queued *int, resp response) {
 	n := len(resp.body)
 	qmu.Lock()
-	for *queued > 0 && *queued+n > s.cfg.InFlightBytes {
+	for *queued > 0 && *queued+n > inFlightBytes {
 		qcond.Wait()
 	}
 	*queued += n

@@ -7,8 +7,6 @@
 //   - DPR, Dynamic Precision Reduction (GIST): a straight cast to a
 //     reduced-precision minifloat (8- or 16-bit), which under-utilizes the
 //     representable range on small-magnitude channels.
-//   - BFP, Block Floating Point: per-channel power-of-two shared exponents
-//     with fixed-point mantissas.
 package sfpr
 
 import (
@@ -211,39 +209,6 @@ func DPRInt8Codes(x *tensor.Tensor, m Minifloat) []int8 {
 			// The exact bit pattern is irrelevant for size accounting; any
 			// non-zero sentinel preserves the CSR/ZVC footprint.
 			out[i] = 1
-		}
-	}
-	return out
-}
-
-// BFP applies block floating point with the given mantissa bits: each
-// channel shares a power-of-two exponent covering its max magnitude and
-// stores signed fixed-point mantissas.
-func BFP(x *tensor.Tensor, manBits uint) *tensor.Tensor {
-	sh := x.Shape
-	out := tensor.NewLike(x)
-	maxes := x.ChannelMaxAbs()
-	hw := sh.H * sh.W
-	half := float64(int32(1) << (manBits - 1))
-	for c := 0; c < sh.C; c++ {
-		if maxes[c] == 0 {
-			continue
-		}
-		exp := math.Ceil(math.Log2(float64(maxes[c])))
-		scale := math.Pow(2, exp)
-		for n := 0; n < sh.N; n++ {
-			base := (n*sh.C + c) * hw
-			for i := 0; i < hw; i++ {
-				f := float64(x.Data[base+i]) / scale * half
-				q := math.Round(f)
-				if q > half-1 {
-					q = half - 1
-				}
-				if q < -half {
-					q = -half
-				}
-				out.Data[base+i] = float32(q / half * scale)
-			}
 		}
 	}
 	return out

@@ -262,33 +262,6 @@ func TestDPRTensorAndCodes(t *testing.T) {
 	}
 }
 
-func TestBFPRoundtrip(t *testing.T) {
-	r := tensor.NewRNG(9)
-	x := randAct(r, 1, 3, 8, 8, 2)
-	y := BFP(x, 8)
-	maxes := x.ChannelMaxAbs()
-	hw := 64
-	for c := 0; c < 3; c++ {
-		step := float64(maxes[c]) / 128 * 2 // exponent ceil can double scale
-		for i := 0; i < hw; i++ {
-			d := math.Abs(float64(y.Data[c*hw+i] - x.Data[c*hw+i]))
-			if d > step {
-				t.Fatalf("BFP error %v > step %v", d, step)
-			}
-		}
-	}
-}
-
-func TestBFPZeroChannel(t *testing.T) {
-	x := tensor.New(1, 1, 2, 2)
-	y := BFP(x, 8)
-	for _, v := range y.Data {
-		if v != 0 {
-			t.Fatal("zero channel must stay zero")
-		}
-	}
-}
-
 func BenchmarkSFPRCompress(b *testing.B) {
 	r := tensor.NewRNG(10)
 	x := randAct(r, 8, 16, 32, 32, 1)

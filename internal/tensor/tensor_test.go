@@ -155,68 +155,36 @@ func TestErrorsAndStats(t *testing.T) {
 	}
 }
 
+// The three Pad tests hold the geometry of Fig. 12; that gathering a
+// block zero-fills the fringe and scattering it back drops it is held
+// where the walk lives (compress's TestGatherScatterRoundtrip).
+
 func TestPadForBlocksAligned(t *testing.T) {
-	x := New(1, 2, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = float32(i)
-	}
-	padded, info := PadForBlocks(x, 8)
-	if info.PadRows != 0 || info.PadCols != 0 {
+	info := BlockPadInfo(Shape{1, 2, 8, 8}, 8)
+	if info.PadRows != 0 || info.PadCols != 0 || info.PaddedElems() != 128 {
 		t.Fatalf("aligned tensor should need no padding, got %+v", info)
-	}
-	y := UnpadFromBlocks(padded, info)
-	for i := range x.Data {
-		if x.Data[i] != y.Data[i] {
-			t.Fatalf("roundtrip mismatch at %d", i)
-		}
 	}
 }
 
 func TestPadForBlocksUnaligned(t *testing.T) {
 	// 5x1x6x6 example from Fig. 12a: rows=30 -> pad 2, cols=6 -> pad 2.
-	x := New(5, 1, 6, 6)
-	r := NewRNG(1)
-	x.FillNormal(r, 0, 1)
-	padded, info := PadForBlocks(x, 8)
+	info := BlockPadInfo(Shape{5, 1, 6, 6}, 8)
 	if info.BlockRows != 32 || info.BlockCols != 8 {
 		t.Fatalf("got %dx%d, want 32x8", info.BlockRows, info.BlockCols)
 	}
-	if len(padded) != 256 {
-		t.Fatalf("padded len = %d", len(padded))
-	}
-	// Padding elements must be zero.
-	for r := 0; r < info.BlockRows; r++ {
-		for c := 6; c < 8; c++ {
-			if padded[r*8+c] != 0 {
-				t.Fatalf("pad col not zero at (%d,%d)", r, c)
-			}
-		}
-	}
-	y := UnpadFromBlocks(padded, info)
-	for i := range x.Data {
-		if x.Data[i] != y.Data[i] {
-			t.Fatalf("roundtrip mismatch at %d", i)
-		}
+	if info.PadRows != 2 || info.PadCols != 2 || info.PaddedElems() != 256 {
+		t.Fatalf("padding %+v", info)
 	}
 }
 
 func TestPadRoundtripProperty(t *testing.T) {
-	r := NewRNG(7)
 	f := func(n, c, h, w uint8) bool {
 		sh := Shape{int(n%4) + 1, int(c%4) + 1, int(h%12) + 1, int(w%12) + 1}
-		x := New(sh.N, sh.C, sh.H, sh.W)
-		x.FillNormal(r, 0, 2)
-		padded, info := PadForBlocks(x, 8)
-		if info.BlockRows%8 != 0 || info.BlockCols%8 != 0 {
-			return false
-		}
-		y := UnpadFromBlocks(padded, info)
-		for i := range x.Data {
-			if x.Data[i] != y.Data[i] {
-				return false
-			}
-		}
-		return true
+		info := BlockPadInfo(sh, 8)
+		return info.Orig == sh &&
+			info.BlockRows%8 == 0 && info.BlockCols%8 == 0 &&
+			info.PadRows >= 0 && info.PadRows < 8 && info.PadCols >= 0 && info.PadCols < 8 &&
+			info.BlockRows-info.PadRows == sh.N*sh.C*sh.H && info.BlockCols-info.PadCols == sh.W
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

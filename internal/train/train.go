@@ -165,6 +165,9 @@ func Classifier(m *models.Model, ds *data.Classification, cfg Config) Report {
 
 // SuperResolution trains the VDSR model on synthetic pairs, scoring PSNR.
 func SuperResolution(m *models.Model, ds *data.SuperRes, cfg Config) Report {
+	if cfg.LR == 0 {
+		cfg.LR = 0.01 // VDSR's step; the classifiers default to 0.05
+	}
 	cfg = cfg.withDefaults()
 	valIn, valTgt := ds.Pair(cfg.BatchSize * 2)
 	validate := func() (float64, *tensor.Tensor) {

@@ -38,6 +38,14 @@ package jpegact
 // _test.go file of a different directory does (shared test support), or
 // the field is func- or interface-typed and some test installs it — a
 // seam is behaviour, a knob is a value.
+//
+// The flag pass closes the clause types cannot: every flag.*("name", …) of
+// a cmd/*/main.go must be passed as -name by something that runs or that a
+// reader is told to run — a string literal of a _test.go file that is the
+// command's own or names the command, or a command line that starts with
+// the command's name in README, DESIGN, EXPERIMENTS, the verify skill, the
+// Makefile or the workflow. A flag table and the flag's own usage string
+// start with no command name, so neither is a caller.
 
 import (
 	"fmt"
@@ -48,8 +56,11 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -690,6 +701,111 @@ func (g *reachGraph) unconfigured() (findings []string, shared, seams int) {
 	return g.report(unset), shared, seams
 }
 
+// flagDocs are the files whose command lines count as callers of a flag.
+var flagDocs = []string{
+	"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md",
+	"Makefile", ".github/workflows/ci.yml",
+}
+
+// passesFlag reports whether words include -name, --name or -name=value.
+func passesFlag(words []string, name string) bool {
+	for _, w := range words {
+		if w = strings.TrimPrefix(w, "-"); w == name || strings.HasPrefix(w, name+"=") {
+			return true
+		}
+	}
+	return false
+}
+
+// unpassed returns "file:line command -name" for every flag a cmd/*/main.go
+// declares that no test and no documented command line passes.
+func (g *reachGraph) unpassed() ([]string, error) {
+	var docs []string
+	for _, name := range flagDocs {
+		b, err := os.ReadFile(filepath.Join(g.root, name))
+		if err != nil {
+			return nil, err
+		}
+		// A trailing backslash continues the command line. In Markdown
+		// only a fenced block holds command lines; prose that mentions
+		// a flag beside the command's name runs nothing.
+		fenced := !strings.HasSuffix(name, ".md")
+		for _, l := range strings.Split(strings.ReplaceAll(string(b), "\\\n", " "), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(l), "```") {
+				fenced = !fenced
+			} else if fenced {
+				docs = append(docs, l)
+			}
+		}
+	}
+	// The words of every test file's string literals, split once.
+	type testWords struct {
+		dir   *reachDir
+		words []string
+	}
+	var tests []testWords
+	for _, d := range g.dirs {
+		for _, f := range d.testFiles() {
+			tw := testWords{dir: d}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						tw.words = append(tw.words, strings.Fields(v)...)
+					}
+				}
+				return true
+			})
+			tests = append(tests, tw)
+		}
+	}
+	var unset []reachFinding
+	for _, d := range g.dirs {
+		cmd, ok := strings.CutPrefix(d.rel, "cmd/")
+		if !ok {
+			continue
+		}
+		// What cmd is passed: the words that follow its name on a command
+		// line, up to the end of the code span or shell command it stands
+		// in, and the literals of its own tests and of tests that name it.
+		var passed []string
+		invoked := regexp.MustCompile("(?:^|[\\s`/])" + regexp.QuoteMeta(cmd) + "\\s([^`|;&]*)")
+		for _, l := range docs {
+			for _, m := range invoked.FindAllStringSubmatch(l, -1) {
+				passed = append(passed, strings.Fields(m[1])...)
+			}
+		}
+		for _, tw := range tests {
+			if tw.dir == d || strings.Contains(strings.Join(tw.words, " "), cmd) {
+				passed = append(passed, tw.words...)
+			}
+		}
+		for _, f := range d.prod {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+					return true
+				}
+				lit, ok := call.Args[0].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				if name, _ := strconv.Unquote(lit.Value); !passesFlag(passed, name) {
+					unset = append(unset, reachFinding{g.fset.Position(lit.Pos()), cmd + " -" + name})
+				}
+				return true
+			})
+		}
+	}
+	return g.report(unset), nil
+}
+
 // The tree is loaded, and its reachability computed, once for all passes.
 var reachTree struct {
 	once sync.Once
@@ -735,5 +851,16 @@ func TestNothingIsConfigurableThatNothingConfigures(t *testing.T) {
 	if len(findings) > 0 {
 		t.Errorf("%d exported fields are read by non-test code and set by nothing but their own package's tests:\n%s",
 			len(findings), strings.Join(findings, "\n"))
+	}
+}
+
+func TestNoFlagThatNothingPasses(t *testing.T) {
+	findings, err := loadedReachGraph(t).unpassed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) > 0 {
+		t.Errorf("%d flags are passed by no test and by no command line of %s:\n%s",
+			len(findings), strings.Join(flagDocs, ", "), strings.Join(findings, "\n"))
 	}
 }
