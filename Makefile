@@ -23,8 +23,8 @@ race:
 # FMADDS/FMSUBS may appear in gemm.go's arm64 code. GOAMD64=v3 runs
 # internal/nn's bit-identity tests on the newer instruction selection
 # (go1.24 fuses nothing there; the step is for the release that does).
-# loc-check holds the root module's non-test line count at or below the
-# number next to the `loc` target. The last line is the whole tree under
+# loc-check holds the root module's non-test line count at the number next
+# to the `loc` target: not above it, and not more than 25 below it. The last line is the whole tree under
 # the race detector: the offload scheduler and transport, the netstore
 # server, the training loop driving them, the worker pool, and the
 # process tests in cmd/ and examples/, which build their binaries with the
@@ -77,13 +77,17 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 # The ratchet: `make ci` (and so the workflow) fails when `make -s
-# loc` exceeds LOC_MAX, so "less code" is enforced the way gofmt is. A PR
-# that lands below it lowers it to where it landed; one that must raise it
-# says why in CHANGES.md.
-LOC_MAX = 11815
+# loc` exceeds LOC_MAX, so "less code" is enforced the way gofmt is — and
+# when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
+# the ratchet lowers it to where it landed; one that must raise it says
+# why in CHANGES.md.
+LOC_MAX = 11552
+LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:
-	@n=$$($(MAKE) -s loc); [ $$n -le $(LOC_MAX) ] || (echo "loc: $$n non-test lines in the root module, the ratchet is $(LOC_MAX)" && exit 1)
+	@n=$$($(MAKE) -s loc); \
+	[ $$n -le $(LOC_MAX) ] || { echo "loc: $$n non-test lines in the root module, the ratchet is $(LOC_MAX)"; exit 1; }; \
+	[ $$(($(LOC_MAX) - n)) -le $(LOC_SLACK) ] || { echo "loc: $$n non-test lines, more than $(LOC_SLACK) below the ratchet: set LOC_MAX = $$n in the Makefile"; exit 1; }
 
 .PHONY: fmt
 fmt:

@@ -11,12 +11,12 @@
 // With -offload the activations really cross a host-memory channel as
 // framed CRC-checked buffers; -flip/-trunc/-drop inject channel faults
 // and -policy selects the recovery (fail|retry|recompute). -async runs
-// the pipelined engine (offload–compute overlap with -prefetch restore
-// lookahead and an optional -inflight byte budget); the trajectory is
-// bit-identical to the synchronous path:
+// the pipelined engine (offload–compute overlap, restores prefetched
+// during backward); the trajectory is bit-identical to the synchronous
+// path:
 //
 //	acttrain -model ResNet18 -offload -flip 1e-5 -policy recompute
-//	acttrain -model ResNet18 -offload -async -prefetch 4 -inflight 262144
+//	acttrain -model ResNet18 -offload -async
 //
 // With -store the offload traffic targets a shared networked activation
 // store (cmd/actstore) instead of the in-process channel; -store-key
@@ -90,10 +90,6 @@ func main() {
 	drop := flag.Float64("drop", 0, "channel drop rate per transfer")
 	async := flag.Bool("async", false,
 		"with -offload: pipeline compression and channel transfers against compute")
-	prefetch := flag.Int("prefetch", 4,
-		"with -async: backward restore lookahead (0 = on-demand)")
-	inflight := flag.Int("inflight", 0,
-		"with -async: in-flight encoded byte budget (0 = unlimited)")
 	freq := flag.Bool("freq", false,
 		"with -offload: restore qualifying activations as DCT coefficient planes (skip the inverse transform)")
 	store := flag.String("store", "",
@@ -143,8 +139,7 @@ func main() {
 
 	if *useOffload {
 		runOffloaded(*model, sc, cfg, *seed, *policy, *flip, *trunc, *drop,
-			*async, *prefetch, *inflight, *freq, *store, *storeKey,
-			*storeTimeout, *noDegrade)
+			*async, *freq, *store, *storeKey, *storeTimeout, *noDegrade)
 		return
 	}
 	if *store != "" {
@@ -227,7 +222,7 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 
 // runOffloaded trains over the real host-memory channel, optionally
 // fault-injected, and reports the store's recovery counters.
-func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, async bool, prefetch, inflight int, freq bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
+func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, async, freq bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
 	if model == "VDSR" {
 		fmt.Fprintln(os.Stderr, "acttrain: -offload supports the classification models only")
 		os.Exit(2)
@@ -246,24 +241,13 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 	}
 	oc := jpegact.OffloadTrainOptions{
 		DQT: jpegact.OptL(), Policy: pol, MaxRecompute: 16, Verbose: true,
-		FreqDomain: freq, StoreAddr: store, StoreKeyBase: storeKey << 32,
+		Async: async, FreqDomain: freq, StoreAddr: store, StoreKeyBase: storeKey << 32,
 		StoreTimeout: storeTimeout,
 		Breaker:      jpegact.StoreBreakerConfig{Disabled: noDegrade},
 	}
 	if store != "" && (flip > 0 || trunc > 0 || drop > 0) {
 		fmt.Fprintln(os.Stderr, "acttrain: -flip/-trunc/-drop inject on the in-process channel; they have no effect with -store")
 		os.Exit(2)
-	}
-	if async {
-		oc.Async = true
-		oc.InFlightBytes = inflight
-		// The options treat 0 as "default lookahead"; the flag's 0 means
-		// strictly on-demand.
-		if prefetch <= 0 {
-			oc.Prefetch = -1
-		} else {
-			oc.Prefetch = prefetch
-		}
 	}
 	var inj *jpegact.FaultInjector
 	if flip > 0 || trunc > 0 || drop > 0 {

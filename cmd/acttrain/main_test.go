@@ -19,12 +19,15 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"jpegact/internal/models"
 )
 
 // small returns the flags of a run of a fraction of a second — 3 epochs
@@ -331,5 +334,31 @@ func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
 	}
 	if out, err := train(acttrain, small(append(dead, "-no-degrade")...)...); err == nil {
 		t.Errorf("-no-degrade trained through a dead store:\n%s", out)
+	}
+}
+
+// TestEveryListedModelTrains: the -model usage string and the one
+// model-by-name lookup (models.ByName) agree — every name the usage lists
+// trains a step and prints a digest, and the lookup accepts no name the
+// usage leaves out.
+func TestEveryListedModelTrains(t *testing.T) {
+	acttrain, _ := binaries(t)
+	help, _ := exec.Command(acttrain, "-h").CombinedOutput() // -h exits 0 or 2 by Go version
+	m := regexp.MustCompile(`(?m)^\s+-model string\n\s+(\S+)`).FindSubmatch(help)
+	if m == nil {
+		t.Fatalf("no -model usage in:\n%s", help)
+	}
+	listed := strings.Split(string(m[1]), "|")
+	for _, name := range listed {
+		out := mustTrain(t, acttrain, "-model", name, "-width", "6", "-epochs", "1", "-batches", "1", "-batch", "2")
+		digest(t, out)
+		if !strings.Contains(out, "model="+name+" ") {
+			t.Errorf("-model %s trained another network:\n%s", name, out)
+		}
+	}
+	for _, name := range models.Names {
+		if !slices.Contains(listed, name) {
+			t.Errorf("models.ByName accepts %q, the -model usage (%s) does not list it", name, m[1])
+		}
 	}
 }

@@ -65,23 +65,8 @@ func methodSet(o Options) []compress.Method {
 func runOne(o Options, name string, meth compress.Method) train.Report {
 	// Rebuild the model fresh so every method starts from identical
 	// weights (same seed).
-	sc := models.Scale{Width: 8, Blocks: 1}
-	var m *models.Model
-	rng := tensor.NewRNG(o.seed())
-	switch name {
-	case "VGG":
-		m = models.VGG(sc, 4, rng)
-	case "ResNet18":
-		m = models.ResNet18(sc, 4, rng)
-	case "ResNet50":
-		m = models.ResNet50(sc, 4, rng)
-	case "ResNet101":
-		m = models.ResNet101(sc, 4, rng)
-	case "WRN":
-		m = models.WRN(sc, 4, rng)
-	case "VDSR":
-		m = models.VDSR(sc, rng)
-	default:
+	m, ok := models.ByName(name, models.Scale{Width: 8, Blocks: 1}, 4, tensor.NewRNG(o.seed()))
+	if !ok {
 		panic("unknown model " + name)
 	}
 	cls := classDS(o)

@@ -1,7 +1,6 @@
 // Package models builds scaled-down versions of the six networks the
 // paper evaluates (Table I) — VGG-16, ResNet18/50/101, Wide ResNet and
-// VDSR — plus a MobileNet-style depthwise-separable classifier from the
-// CNR-block family the paper cites. The topologies keep the structural features that drive the
+// VDSR. The topologies keep the structural features that drive the
 // compression results — CNR (conv/norm/ReLU) blocks everywhere, residual
 // sums in the ResNets, bottleneck 1×1 convolutions in ResNet50/101,
 // dropout in VGG and WRN (which enables GIST's CSR and BRC), and the
@@ -237,53 +236,37 @@ func VDSR(sc Scale, rng *tensor.RNG) *Model {
 	return &Model{Name: "VDSR", Net: net, Task: SuperRes, InC: 1, H: sc.H, W: sc.W}
 }
 
-// All returns every classification model at the given scale, in Table I
-// order, plus VDSR.
+// Names lists the bundled networks in Table I order: the five
+// classifiers, then VDSR.
+var Names = []string{"VGG", "ResNet50", "ResNet101", "WRN", "ResNet18", "VDSR"}
+
+// ByName builds the named network (one of Names) from rng; classes is
+// ignored by VDSR. ok is false for a name it does not know.
+func ByName(name string, sc Scale, classes int, rng *tensor.RNG) (m *Model, ok bool) {
+	switch name {
+	case "VGG":
+		return VGG(sc, classes, rng), true
+	case "ResNet18":
+		return ResNet18(sc, classes, rng), true
+	case "ResNet50":
+		return ResNet50(sc, classes, rng), true
+	case "ResNet101":
+		return ResNet101(sc, classes, rng), true
+	case "WRN":
+		return WRN(sc, classes, rng), true
+	case "VDSR":
+		return VDSR(sc, rng), true
+	}
+	return nil, false
+}
+
+// All returns every bundled model at the given scale in Names order,
+// built one after another from one generator.
 func All(sc Scale, classes int, seed uint64) []*Model {
 	rng := tensor.NewRNG(seed)
-	return []*Model{
-		VGG(sc, classes, rng),
-		ResNet50(sc, classes, rng),
-		ResNet101(sc, classes, rng),
-		WRN(sc, classes, rng),
-		ResNet18(sc, classes, rng),
-		VDSR(sc, rng),
+	out := make([]*Model, len(Names))
+	for i, name := range Names {
+		out[i], _ = ByName(name, sc, classes, rng)
 	}
-}
-
-// separableBlock is a MobileNet-style depthwise-separable unit: a
-// depthwise 3×3 CNR followed by a pointwise 1×1 CNR.
-func separableBlock(name string, inC, outC, stride int, rng *tensor.RNG) nn.Layer {
-	return nn.NewSequential(name,
-		nn.NewDepthwiseConv2D(name+".dw", inC, 3, nn.ConvOpts{Stride: stride, Pad: 1}, rng),
-		nn.NewBatchNorm(name+".dwbn", inC),
-		nn.NewReLU(name+".dwrelu"),
-		nn.NewConv2D(name+".pw", inC, outC, 1, nn.ConvOpts{}, rng),
-		nn.NewBatchNorm(name+".pwbn", outC),
-		nn.NewReLU(name+".pwrelu"),
-	)
-}
-
-// MobileNet builds a mini depthwise-separable classifier — the paper's
-// "flexible enough for other … activations" claim exercised on the
-// MobileNet family it cites.
-func MobileNet(sc Scale, classes int, rng *tensor.RNG) *Model {
-	sc = sc.orDefault()
-	w := sc.Width
-	net := nn.NewSequential("MobileNet")
-	cnr(net, "MobileNet.stem", 3, w, 3, nn.ConvOpts{Pad: 1}, rng)
-	inC := w
-	for si := 0; si < 2; si++ {
-		outC := w << si
-		for b := 0; b < sc.Blocks; b++ {
-			stride := 1
-			if si > 0 && b == 0 {
-				stride = 2
-			}
-			net.Add(separableBlock(fmt.Sprintf("MobileNet.s%db%d", si, b), inC, outC, stride, rng))
-			inC = outC
-		}
-	}
-	net.Add(nn.NewGlobalAvgPool("MobileNet.gap"), nn.NewLinear("MobileNet.fc", inC, classes, rng))
-	return &Model{Name: "MobileNet", Net: net, Task: Classify, InC: 3, H: sc.H, W: sc.W, Classes: classes}
+	return out
 }

@@ -132,26 +132,6 @@ func TestVDSRGlobalSkip(t *testing.T) {
 	}
 }
 
-func TestMobileNetForwardBackward(t *testing.T) {
-	m := MobileNet(Scale{Width: 8, Blocks: 1}, 4, tensor.NewRNG(30))
-	out := forward(t, m, true)
-	if out.T.Shape != (tensor.Shape{N: 2, C: 4, H: 1, W: 1}) {
-		t.Fatalf("MobileNet output %v", out.T.Shape)
-	}
-	g := tensor.NewLike(out.T)
-	g.FillNormal(tensor.NewRNG(31), 0, 0.1)
-	dx := m.Net.Backward(g)
-	if nn.NaNGuard(dx) {
-		t.Fatal("MobileNet backward NaN")
-	}
-	// Depthwise-separable blocks have far fewer params than a same-width
-	// ResNet basic-block model.
-	r18 := ResNet18(Scale{Width: 8, Blocks: 1}, 4, tensor.NewRNG(32))
-	if m.ParamCount() >= r18.ParamCount() {
-		t.Fatalf("MobileNet %d params should be below ResNet18 %d", m.ParamCount(), r18.ParamCount())
-	}
-}
-
 // ParamCount returns the number of learnable scalars in the model.
 func (m *Model) ParamCount() int {
 	total := 0

@@ -5,15 +5,7 @@ import (
 	"testing"
 
 	"jpegact/internal/nn"
-	"jpegact/internal/tensor"
 )
-
-// allWithMobileNet is every bundled model, including the MobileNet
-// variant that All omits.
-func allWithMobileNet(sc Scale, classes int, seed uint64) []*Model {
-	out := All(sc, classes, seed)
-	return append(out, MobileNet(sc, classes, tensor.NewRNG(seed)))
-}
 
 // TestNetStateRoundTrip: for every bundled model, CaptureNetState /
 // RestoreNetState must rewind ALL forward side effects — BatchNorm
@@ -22,7 +14,7 @@ func allWithMobileNet(sc Scale, classes int, seed uint64) []*Model {
 // recompute recovery path and the data-parallel microbatch replay both
 // rest on.
 func TestNetStateRoundTrip(t *testing.T) {
-	for _, m := range allWithMobileNet(Scale{}, 4, 3) {
+	for _, m := range All(Scale{}, 4, 3) {
 		st0 := nn.CaptureNetState(m.Net)
 		if len(st0) == 0 {
 			t.Fatalf("%s: no Stateful layers captured", m.Name)
@@ -84,7 +76,7 @@ func TestNetStateRoundTrip(t *testing.T) {
 // updating them, and eval dropout draws nothing from the RNG. The
 // data-parallel trainer's validation pass depends on this.
 func TestNetStateEvalForwardIsStateless(t *testing.T) {
-	for _, m := range allWithMobileNet(Scale{}, 4, 4) {
+	for _, m := range All(Scale{}, 4, 4) {
 		st0 := nn.CaptureNetState(m.Net)
 		forward(t, m, false)
 		if st1 := nn.CaptureNetState(m.Net); !reflect.DeepEqual(st1, st0) {
@@ -98,7 +90,7 @@ func TestNetStateEvalForwardIsStateless(t *testing.T) {
 // decorrelation the data-parallel trainer uses), while salting a
 // dropout-free model's snapshot is a no-op on the forward output.
 func TestNetStateSaltedRestoreDiverges(t *testing.T) {
-	for _, m := range allWithMobileNet(Scale{}, 4, 5) {
+	for _, m := range All(Scale{}, 4, 5) {
 		st0 := nn.CaptureNetState(m.Net)
 		out1 := forward(t, m, true)
 

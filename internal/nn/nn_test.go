@@ -588,61 +588,6 @@ func TestTrainingReducesLossOnToyProblem(t *testing.T) {
 	}
 }
 
-func TestDepthwiseGradInput(t *testing.T) {
-	rng := tensor.NewRNG(80)
-	dw := NewDepthwiseConv2D("dw", 3, 3, ConvOpts{Pad: 1}, rng)
-	x := randT(81, 1, 3, 5, 5)
-	r := randT(82, 1, 3, 5, 5)
-	got := analyticGradInput(dw, x, r)
-	want := numGradInput(dw, x, r)
-	if d := maxRelDiff(got, want); d > 2e-2 {
-		t.Fatalf("depthwise input grad rel diff %v", d)
-	}
-}
-
-func TestDepthwiseGradWeights(t *testing.T) {
-	rng := tensor.NewRNG(83)
-	dw := NewDepthwiseConv2D("dw", 2, 3, ConvOpts{Pad: 1}, rng)
-	x := randT(84, 1, 2, 4, 4)
-	r := randT(85, 1, 2, 4, 4)
-	analyticGradInput(dw, x, r)
-	analytic := dw.Weight.Grad.Clone()
-	eps := float32(1e-3)
-	for i := range dw.Weight.W.Data {
-		orig := dw.Weight.W.Data[i]
-		dw.Weight.W.Data[i] = orig + eps
-		fp := objective(dw, x, r)
-		dw.Weight.W.Data[i] = orig - eps
-		fm := objective(dw, x, r)
-		dw.Weight.W.Data[i] = orig
-		num := (fp - fm) / float64(2*eps)
-		if math.Abs(num-float64(analytic.Data[i])) > 2e-2*math.Max(1, math.Abs(num)) {
-			t.Fatalf("depthwise weight grad %d: analytic %v num %v", i, analytic.Data[i], num)
-		}
-	}
-}
-
-func TestDepthwiseEqualsGroupedDirectConv(t *testing.T) {
-	// A depthwise conv must match a full conv whose cross-channel weights
-	// are zero.
-	rng := tensor.NewRNG(86)
-	dw := NewDepthwiseConv2D("dw", 2, 3, ConvOpts{Pad: 1}, rng)
-	full := NewConv2D("full", 2, 2, 3, ConvOpts{Pad: 1}, rng)
-	full.Weight.W.Zero()
-	for c := 0; c < 2; c++ {
-		for k := 0; k < 9; k++ {
-			// full weight layout: (out=c, in=c, ky, kx)
-			full.Weight.W.Data[(c*2+c)*9+k] = dw.Weight.W.Data[c*9+k]
-		}
-	}
-	x := randT(87, 2, 2, 6, 6)
-	a := dw.Forward(&ActRef{Kind: compress.KindConv, T: x}, false)
-	b := full.Forward(&ActRef{Kind: compress.KindConv, T: x}, false)
-	if d := maxRelDiff(a.T, b.T); d > 1e-4 {
-		t.Fatalf("depthwise vs zero-padded full conv: %v", d)
-	}
-}
-
 func TestConvIsLinearInInput(t *testing.T) {
 	// Property: conv(a + b) = conv(a) + conv(b) for bias-free convs.
 	rng := tensor.NewRNG(88)

@@ -32,9 +32,12 @@ type BreakerConfig struct {
 	// the caller as errors instead of degrading to the local fallback.
 	Disabled bool
 	// FailureThreshold is how many consecutive whole-op failures open
-	// the breaker (<= 0 uses 3). Until it opens, every op still tries
-	// the wire first — paying its retry budget — and only falls back
-	// after that op's failure.
+	// the breaker (<= 0 uses 1: a forward pass has no recovery for a
+	// commit that failed, so the first whole-op wire failure must
+	// already degrade that frame to the local fallback — or a store
+	// dying mid-step ends the run). Until it opens, every op still
+	// tries the wire first — paying its retry budget — and only falls
+	// back after that op's failure.
 	FailureThreshold int
 	// ProbeAfter is how many operations are served degraded before a
 	// half-open probe re-tries the wire (<= 0 uses 32). Op-count

@@ -38,29 +38,32 @@ func (w *flakyWire) wirePuts() int {
 	return w.puts
 }
 
-func (w *flakyWire) Put(key uint64, data []byte, _ transport.Retry) (int, error) {
+func (w *flakyWire) PutAsync(key uint64, data []byte, _ transport.Retry) *transport.Pending {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.puts++
 	if w.dead {
-		return 0, transport.ErrStoreUnavailable
+		return transport.Resolved(0, nil, transport.ErrStoreUnavailable)
 	}
 	w.bufs[key] = append([]byte(nil), data...)
-	return len(data), nil
+	return transport.Resolved(len(data), nil, nil)
 }
 
-func (w *flakyWire) Get(key uint64, _ transport.Retry, _ bool) (*frame.Frame, error) {
+func (w *flakyWire) GetAsync(key uint64, _ transport.Retry, _ bool) *transport.Pending {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
-		return nil, transport.ErrStoreUnavailable
+		return transport.Resolved(0, nil, transport.ErrStoreUnavailable)
 	}
 	b, ok := w.bufs[key]
 	if !ok {
-		return nil, transport.ErrNotFound
+		return transport.Resolved(0, nil, transport.ErrNotFound)
 	}
-	return frame.DecodeFrame(b)
+	f, err := frame.DecodeFrame(b)
+	return transport.Resolved(0, f, err)
 }
+
+func (w *flakyWire) Depth() int { return 1 }
 
 func (w *flakyWire) Delete(key uint64) error {
 	w.mu.Lock()

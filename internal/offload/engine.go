@@ -2,7 +2,6 @@ package offload
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"jpegact/internal/frame"
@@ -240,13 +239,13 @@ func (e *Engine) encodeAndCommit(seq int, ref *nn.ActRef, x *tensor.Tensor) {
 // time (the committing flag); the transport calls happen outside the
 // engine lock so workers keep encoding while the wire sleeps.
 func (e *Engine) drainCommits() {
-	fifo := transport.NewFIFO(e.store.pipelined(), func(t *commitTicket) error {
+	fifo := transport.NewFIFO(e.store.transportOf(), func(t *commitTicket) error {
 		_, cerr := e.store.commitWait(t)
 		e.mu.Lock()
 		if cerr != nil && e.firstErr == nil {
 			e.firstErr = cerr
 		}
-		e.inflight -= t.size
+		e.inflight -= len(t.data)
 		e.finished++
 		e.cond.Broadcast()
 		e.mu.Unlock()
@@ -306,8 +305,8 @@ func (e *Engine) EndForward(refs []*nn.ActRef) (orig, comp int, err error) {
 
 // PrepareBackward readies the restore side. Sync mode restores
 // everything eagerly (the degenerate case); async mode with Prefetch > 0
-// snapshots the resident entries and starts the prefetcher in
-// reverse-offload order; Prefetch <= 0 leaves restores on demand.
+// snapshots the resident entries newest first and starts the prefetcher
+// on that plan; Prefetch <= 0 leaves restores on demand.
 func (e *Engine) PrepareBackward() error {
 	if !e.cfg.Async {
 		return e.store.RestoreAll()
@@ -315,19 +314,12 @@ func (e *Engine) PrepareBackward() error {
 	if e.cfg.Prefetch <= 0 {
 		return nil
 	}
-	s := e.store
-	s.mu.Lock()
-	tasks := make([]*fetchTask, 0, len(s.entries))
-	for ref, ent := range s.entries {
-		tasks = append(tasks, &fetchTask{ref: ref, ent: ent, done: make(chan struct{})})
-	}
-	s.mu.Unlock()
-	// Reverse-offload order: the last activation saved is the first the
-	// backward pass needs.
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].ent.seq > tasks[j].ent.seq })
-	byRef := make(map[*nn.ActRef]*fetchTask, len(tasks))
-	for _, t := range tasks {
-		byRef[t.ref] = t
+	rs := e.store.residents()
+	tasks := make([]*fetchTask, len(rs))
+	byRef := make(map[*nn.ActRef]*fetchTask, len(rs))
+	for i, r := range rs {
+		tasks[i] = &fetchTask{ref: r.ref, ent: r.ent, done: make(chan struct{})}
+		byRef[r.ref] = tasks[i]
 	}
 	e.mu.Lock()
 	pf := &prefetchState{tasks: tasks, byRef: byRef, active: true}
@@ -352,10 +344,10 @@ func (e *Engine) PrepareBackward() error {
 func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 	type issuedRead struct {
 		ft *fetchTask
-		tk *readTicket
+		tk ticket
 	}
 	s := e.store
-	fifo := transport.NewFIFO(s.pipelined(), func(in issuedRead) error {
+	fifo := transport.NewFIFO(s.transportOf(), func(in issuedRead) error {
 		f, err := s.readWait(in.tk)
 		e.mu.Lock()
 		in.ft.staged, in.ft.err = f, err
@@ -408,10 +400,7 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 
 		// Skip entries no longer resident (consumed inline, or replaced
 		// by a recompute rebuild); they hold no lookahead slot.
-		s.mu.Lock()
-		cur, still := s.entries[ft.ref]
-		s.mu.Unlock()
-		if !still || cur != ft.ent {
+		if !s.current(ft.ref, ft.ent) {
 			e.mu.Lock()
 			if pf.demand == ft {
 				pf.demand = nil
@@ -446,9 +435,7 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 		return e.store.Restore(ref)
 	}
 	s := e.store
-	s.mu.Lock()
-	ent, ok := s.entries[ref]
-	s.mu.Unlock()
+	ent, ok := s.lookup(ref)
 
 	e.mu.Lock()
 	repaired := e.repaired
@@ -487,9 +474,7 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	// Re-check residency: the prefetcher may have skipped a stale task,
 	// or a recompute (triggered by an earlier restore) rebuilt the step
 	// while we waited.
-	s.mu.Lock()
-	cur, still := s.entries[ref]
-	s.mu.Unlock()
+	cur, still := s.lookup(ref)
 	if !still || cur != ft.ent {
 		e.release(pf, ft)
 		e.mu.Lock()
@@ -574,10 +559,7 @@ func (e *Engine) consumeLeftover(ft *fetchTask) {
 		return
 	}
 	s := e.store
-	s.mu.Lock()
-	cur, still := s.entries[ft.ref]
-	s.mu.Unlock()
-	if !still || cur != ft.ent {
+	if !s.current(ft.ref, ft.ent) {
 		return
 	}
 	if t, pl, err := s.decodeFrame(ft.ref, ft.staged); err == nil {

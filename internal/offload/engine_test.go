@@ -3,6 +3,7 @@ package offload
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"jpegact/internal/faults"
@@ -102,13 +103,9 @@ func TestEngineInFlightBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxFrame := 0
-	s.mu.Lock()
-	for _, e := range s.entries {
-		if e.size > maxFrame {
-			maxFrame = e.size
-		}
+	for _, r := range s.residents() {
+		maxFrame = max(maxFrame, r.ent.size)
 	}
-	s.mu.Unlock()
 	if got := eng.Stats().MaxInFlight; got > budget+maxFrame {
 		t.Fatalf("in-flight high-water %d exceeds budget %d + one frame %d", got, budget, maxFrame)
 	}
@@ -120,13 +117,17 @@ func TestEngineInFlightBudget(t *testing.T) {
 	}
 }
 
-// TestEnginePrefetchBitExact restores through the prefetcher and checks
-// every tensor is bit-identical to a synchronous restore of the same
-// offload.
+// TestEnginePrefetchBitExact holds every restore configuration of the
+// async engine — a lookahead window, strictly on demand (Prefetch 0),
+// and encode workers held to a byte budget — at 1, 2 and 4 workers, to
+// the synchronous path: the same frames cross the channel in the same
+// order and every restored tensor is bit-identical.
 func TestEnginePrefetchBitExact(t *testing.T) {
 	const n = 6
 	want := make([]*tensor.Tensor, n)
+	recSync := &sendRecorder{}
 	sSync := NewStore(quant.OptL())
+	sSync.Channel = recSync
 	for i, ref := range engineRefs(n) {
 		if err := sSync.Offload(ref); err != nil {
 			t.Fatal(err)
@@ -137,40 +138,66 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 		want[i] = ref.T
 	}
 
-	s := NewStore(quant.OptL())
-	atWorkers(t, 2)
-	eng := NewEngine(s, EngineConfig{Async: true, Prefetch: 2})
-	defer eng.Close()
-	eng.BeginStep()
-	refs := engineRefs(n)
-	for _, ref := range refs {
-		eng.Offload(ref)
-	}
-	if _, _, err := eng.EndForward(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.PrepareBackward(); err != nil {
-		t.Fatal(err)
-	}
-	for i := n - 1; i >= 0; i-- {
-		if err := eng.Restore(refs[i]); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cfg  EngineConfig
+	}{
+		{"prefetch", EngineConfig{Async: true, Prefetch: 2}},
+		{"ondemand", EngineConfig{Async: true}},
+		{"budget", EngineConfig{Async: true, Prefetch: 4, InFlightBytes: 8 << 10}},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s-w%d", c.name, workers), func(t *testing.T) {
+				rec := &sendRecorder{}
+				s := NewStore(quant.OptL())
+				s.Channel = rec
+				atWorkers(t, workers)
+				eng := NewEngine(s, c.cfg)
+				defer eng.Close()
+				eng.BeginStep()
+				refs := engineRefs(n)
+				for _, ref := range refs {
+					eng.Offload(ref)
+				}
+				if _, _, err := eng.EndForward(nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.PrepareBackward(); err != nil {
+					t.Fatal(err)
+				}
+				for i := n - 1; i >= 0; i-- {
+					if err := eng.Restore(refs[i]); err != nil {
+						t.Fatal(err)
+					}
+					for j := range refs[i].T.Data {
+						if refs[i].T.Data[j] != want[i].Data[j] {
+							t.Fatalf("ref %d elem %d: restore differs from sync", i, j)
+						}
+					}
+				}
+				if err := eng.EndStep(); err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.sent) != n {
+					t.Fatalf("%d sends, want %d", len(rec.sent), n)
+				}
+				for i := range rec.sent {
+					if !bytes.Equal(rec.sent[i], recSync.sent[i]) {
+						t.Fatalf("send %d differs from sync", i)
+					}
+				}
+				st := eng.Stats()
+				if served := st.PrefetchHits + st.PrefetchWaits; c.cfg.Prefetch > 0 && served != n {
+					t.Fatalf("prefetch served %d+%d restores, want %d", st.PrefetchHits, st.PrefetchWaits, n)
+				}
+				if c.cfg.Prefetch == 0 && st.DemandFetches != n {
+					t.Fatalf("%d demand fetches, want %d", st.DemandFetches, n)
+				}
+				if s.Stored() != 0 {
+					t.Fatalf("%d entries left", s.Stored())
+				}
+			})
 		}
-		for j := range refs[i].T.Data {
-			if refs[i].T.Data[j] != want[i].Data[j] {
-				t.Fatalf("ref %d elem %d: prefetched restore differs from sync", i, j)
-			}
-		}
-	}
-	if err := eng.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.PrefetchHits+st.PrefetchWaits != n {
-		t.Fatalf("prefetch served %d+%d restores, want %d", st.PrefetchHits, st.PrefetchWaits, n)
-	}
-	if s.Stored() != 0 {
-		t.Fatalf("%d entries left", s.Stored())
 	}
 }
 

@@ -30,6 +30,7 @@ package offload
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -50,17 +51,6 @@ var ErrNotStored = errors.New("offload: activation not stored")
 // policy; the host entry is retained so the caller can still retry or
 // recompute out of band.
 var ErrCorrupted = errors.New("offload: corrupted beyond recovery")
-
-// Channel is the in-process transport backend's GPU↔host byte path; see
-// transport.Channel. internal/faults.Injector implements it; nil means
-// a clean passthrough.
-type Channel = transport.Channel
-
-// Transport is the pluggable byte-path backend interface; see
-// transport.Transport. The default is the in-process channel backend;
-// a netstore client (transport.NetClient) swaps in a shared networked
-// activation store without touching the store or scheduler.
-type Transport = transport.Transport
 
 // RecoveryPolicy selects what Restore does when a frame fails its CRC.
 type RecoveryPolicy int
@@ -143,13 +133,14 @@ type Store struct {
 	DQT quant.DQT
 	S   float64
 	// Channel is the GPU↔host byte path of the default in-process
-	// backend (nil = clean passthrough). Ignored when Transport is set.
-	Channel Channel
+	// backend (nil = clean passthrough; internal/faults.Injector
+	// implements it). Ignored when Transport is set.
+	Channel transport.Channel
 	// Transport overrides the byte-path backend — e.g. a
 	// transport.NetClient talking to a shared netstore server. Build it
 	// with this store's Counters() so its fault and byte counters land
 	// in Stats(), and set it before the first operation.
-	Transport Transport
+	Transport transport.Transport
 	// KeyBase is OR'd into every transport key (the offload sequence
 	// number occupies the low bits). Give each client process of a
 	// shared networked store a disjoint base — e.g. id<<32 — so their
@@ -200,7 +191,7 @@ func (s *Store) pipeline() codec.Pipeline {
 // transportOf returns the byte-path backend: the configured Transport,
 // or the default in-process backend built lazily over Channel (so tests
 // that assign Channel after NewStore see it).
-func (s *Store) transportOf() Transport {
+func (s *Store) transportOf() transport.Transport {
 	if s.Transport != nil {
 		return s.Transport
 	}
@@ -213,16 +204,10 @@ func (s *Store) transportOf() Transport {
 	return t
 }
 
-// pipelined is the backend's handle-returning face: what the issue
-// halves submit to, and what sizes the scheduler's FIFOs.
-func (s *Store) pipelined() transport.Pipelined {
-	return transport.AsPipelined(s.transportOf())
-}
-
 // fallbackT returns the degraded-mode backend: a clean in-process store
 // that receives the same encoded frames a healthy wire PUT would carry.
 // Built lazily — a run that never trips the breaker never allocates it.
-func (s *Store) fallbackT() Transport {
+func (s *Store) fallbackT() transport.Transport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fallback == nil {
@@ -239,7 +224,7 @@ func (s *Store) breakerOf() *breaker {
 	if s.brk == nil {
 		cfg := s.Breaker
 		if cfg.FailureThreshold <= 0 {
-			cfg.FailureThreshold = 3
+			cfg.FailureThreshold = 1
 		}
 		if cfg.ProbeAfter <= 0 {
 			cfg.ProbeAfter = 32
@@ -277,8 +262,8 @@ func (s *Store) retry() transport.Retry {
 	}
 }
 
-// key maps an entry onto its transport key.
-func (s *Store) key(e *entry) uint64 { return s.KeyBase | uint64(e.seq) }
+// key maps an offload sequence number onto its transport key.
+func (s *Store) key(seq int) uint64 { return s.KeyBase | uint64(seq) }
 
 // Stats returns a point-in-time snapshot of the counters.
 func (s *Store) Stats() Stats { return s.counters.Snapshot() }
@@ -305,6 +290,14 @@ func (s *Store) Offload(ref *nn.ActRef) error {
 	return err
 }
 
+// ticket is one routed transfer in flight: the backend's completion
+// handle, and whether that backend is the breaker's degraded fallback
+// (the configured transport otherwise).
+type ticket struct {
+	h        *transport.Pending
+	degraded bool
+}
+
 // commitTicket is one issued-but-unfinished commit: the sequence number
 // already claimed, the routed PUT in flight, and the ref bookkeeping
 // commitWait still has to perform. The scheduler keeps a bounded FIFO
@@ -312,9 +305,9 @@ func (s *Store) Offload(ref *nn.ActRef) error {
 type commitTicket struct {
 	ref  *nn.ActRef
 	seq  int
-	size int
+	data []byte
 	mask []bool
-	pt   *putTicket
+	put  ticket
 }
 
 // commitIssue claims the next offload sequence number and launches the
@@ -327,8 +320,8 @@ func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool) *commitTic
 	s.nextSeq++
 	s.mu.Unlock()
 	return &commitTicket{
-		ref: ref, seq: seq, size: len(data), mask: mask,
-		pt: s.putIssue(s.KeyBase|uint64(seq), data),
+		ref: ref, seq: seq, data: data, mask: mask,
+		put: s.putIssue(s.key(seq), data),
 	}
 }
 
@@ -337,7 +330,7 @@ func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool) *commitTic
 func (s *Store) commitWait(t *commitTicket) (*entry, error) {
 	// What the Put reports is what actually landed on the backend
 	// (send-side faults on the in-process channel are persistent).
-	stored, degraded, err := s.putWait(t.pt)
+	stored, degraded, err := s.putWait(s.key(t.seq), t.data, t.put)
 	if err != nil {
 		return nil, fmt.Errorf("offload: offload %q (%s): %w", t.ref.Name, t.ref.Kind, err)
 	}
@@ -364,36 +357,19 @@ func (s *Store) commitEncoded(ref *nn.ActRef, data []byte, mask []bool) (*entry,
 	return s.commitWait(s.commitIssue(ref, data, mask))
 }
 
-// putTicket is one routed, in-flight PUT: either an async wire handle
-// plus the routing decision putWait needs to finish the breaker
-// accounting, or — when the breaker was already open at issue time — the
-// resolved fallback result.
-type putTicket struct {
-	key  uint64
-	data []byte
-	h    *transport.Pending
-	wire bool // issued over the breaker-guarded wire transport
-	// Resolved fallback result (h == nil).
-	stored int
-	err    error
-}
-
 // putIssue routes one encoded frame and launches the transfer without
-// waiting: to the wire (async, so issues pipeline up to the client's
-// window), or — when the circuit breaker is already open — straight to
-// the degraded local fallback. The breaker's routing decision is made
-// at issue time; a breaker that trips between issue and wait affects
-// the next issue, not this one (putWait still degrades this op's bytes
-// if its own wire attempt exhausts unavailable).
-func (s *Store) putIssue(key uint64, data []byte) *putTicket {
-	t := &putTicket{key: key, data: data, wire: s.breakerActive()}
-	if t.wire && s.breakerOf().skipWire() {
+// waiting: to the configured transport (so issues pipeline up to a wire
+// client's window), or — when the circuit breaker is already open —
+// straight to the degraded local fallback. The breaker's routing
+// decision is made at issue time; a breaker that trips between issue
+// and wait affects the next issue, not this one (putWait still degrades
+// this op's bytes if its own wire attempt exhausts unavailable).
+func (s *Store) putIssue(key uint64, data []byte) ticket {
+	if s.breakerActive() && s.breakerOf().skipWire() {
 		s.counters.Degraded.Add(1)
-		t.stored, t.err = s.fallbackT().Put(key, data, transport.Retry{})
-		return t
+		return ticket{s.fallbackT().PutAsync(key, data, transport.Retry{}), true}
 	}
-	t.h = s.pipelined().PutAsync(key, data, s.retry())
-	return t
+	return ticket{s.transportOf().PutAsync(key, data, s.retry()), false}
 }
 
 // putWait completes a routed PUT: it reports what actually landed and
@@ -402,13 +378,10 @@ func (s *Store) putIssue(key uint64, data []byte) *putTicket {
 // the breaker trips the identical bytes land on the local fallback
 // instead, so training trajectories stay bit-identical across healthy,
 // degraded, and recovered stretches.
-func (s *Store) putWait(t *putTicket) (stored int, degraded bool, err error) {
-	if t.h == nil {
-		return t.stored, true, t.err
-	}
+func (s *Store) putWait(key uint64, data []byte, t ticket) (stored int, degraded bool, err error) {
 	n, err := t.h.PutResult()
-	if !t.wire {
-		return n, false, err
+	if t.degraded || !s.breakerActive() {
+		return n, t.degraded, err
 	}
 	b := s.breakerOf()
 	if err == nil {
@@ -427,8 +400,8 @@ func (s *Store) putWait(t *putTicket) (stored int, degraded bool, err error) {
 		return 0, false, err
 	}
 	s.counters.Degraded.Add(1)
-	n, ferr := s.fallbackT().Put(t.key, t.data, transport.Retry{})
-	return n, true, ferr
+	n, err = s.fallbackT().PutAsync(key, data, transport.Retry{}).PutResult()
+	return n, true, err
 }
 
 // lookup returns the entry for ref, if resident.
@@ -439,44 +412,53 @@ func (s *Store) lookup(ref *nn.ActRef) (*entry, bool) {
 	return e, ok
 }
 
-// readTicket is one issued, in-flight GET: an async wire handle plus
-// the breaker flag readWait needs, or — for a degraded entry whose only
-// copy lives in the fallback — the resolved frame.
-type readTicket struct {
-	h    *transport.Pending
-	wire bool
-	f    *frame.Frame
-	err  error
+// current reports whether e is still ref's resident entry — false once
+// it was restored, or a recompute hook rebuilt the store and replaced it.
+func (s *Store) current(ref *nn.ActRef, e *entry) bool {
+	cur, ok := s.lookup(ref)
+	return ok && cur == e
+}
+
+// resident is one row of a residents snapshot.
+type resident struct {
+	ref *nn.ActRef
+	ent *entry
+}
+
+// residents snapshots the resident entries newest first — reverse-offload
+// order: the last activation saved is the first the backward pass needs.
+func (s *Store) residents() []resident {
+	s.mu.Lock()
+	rs := make([]resident, 0, len(s.entries))
+	for ref, e := range s.entries {
+		rs = append(rs, resident{ref, e})
+	}
+	s.mu.Unlock()
+	sort.Slice(rs, func(i, j int) bool { return rs[i].ent.seq > rs[j].ent.seq })
+	return rs
 }
 
 // readIssue launches the entry's read without waiting for the frame, so
-// a prefetcher can keep a window of staging GETs on the wire at once.
-// Responses complete in issue order (the wire protocol is FIFO), so the
-// caller must readWait tickets in the order it issued them.
-func (s *Store) readIssue(e *entry, ref *nn.ActRef) *readTicket {
+// a prefetcher can keep a window of staging GETs on the wire at once. A
+// degraded entry's frame was never sent to the wire — its only copy
+// lives in the breaker's fallback, which answers instead. Responses
+// complete in issue order (the wire protocol is FIFO), so the caller
+// must readWait tickets in the order it issued them.
+func (s *Store) readIssue(e *entry, ref *nn.ActRef) ticket {
 	coef := ref != nil && s.CoefPlan != nil && s.CoefPlan(ref)
-	t := &readTicket{}
 	if e.degraded {
-		// The frame was never sent to the wire; its only copy lives in
-		// the breaker's fallback.
 		s.counters.Degraded.Add(1)
-		t.f, t.err = s.fallbackT().Get(s.key(e), transport.Retry{}, coef)
-		return t
+		return ticket{s.fallbackT().GetAsync(s.key(e.seq), transport.Retry{}, coef), true}
 	}
-	t.wire = s.breakerActive()
-	t.h = s.pipelined().GetAsync(s.key(e), s.retry(), coef)
-	return t
+	return ticket{s.transportOf().GetAsync(s.key(e.seq), s.retry(), coef), false}
 }
 
 // readWait completes an issued read, returning the verified frame
 // without decoding it and applying the breaker bookkeeping. It does not
 // mutate the store, so a failure leaves the entry untouched.
-func (s *Store) readWait(t *readTicket) (*frame.Frame, error) {
-	if t.h == nil {
-		return t.f, t.err
-	}
+func (s *Store) readWait(t ticket) (*frame.Frame, error) {
 	f, err := t.h.GetResult()
-	if t.wire {
+	if !t.degraded && s.breakerActive() {
 		if err == nil {
 			s.breakerOf().onSuccess()
 		} else if errors.Is(err, transport.ErrStoreUnavailable) {
@@ -501,10 +483,10 @@ func (s *Store) read(e *entry, ref *nn.ActRef) (*frame.Frame, error) {
 // deleteEntry releases the backend copy wherever it lives.
 func (s *Store) deleteEntry(e *entry) {
 	if e.degraded {
-		s.fallbackT().Delete(s.key(e))
+		s.fallbackT().Delete(s.key(e.seq))
 		return
 	}
-	s.transportOf().Delete(s.key(e))
+	s.transportOf().Delete(s.key(e.seq))
 }
 
 // decodeFrame turns a verified frame into the ref's restored form:

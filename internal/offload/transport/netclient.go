@@ -75,22 +75,22 @@ func dialConn(dial Dialer, timeout time.Duration) (net.Conn, error) {
 	}
 }
 
-// NetClient is the wire-protocol Transport backend. Since PR 10 it is a
-// *pipelined* client: operations are submitted to an internal queue, a
-// pump goroutine streams up to Window requests onto one connection, and
-// a reader goroutine matches responses to requests strictly FIFO (the
+// NetClient is the wire-protocol Transport backend, a *pipelined*
+// client: operations are submitted to an internal queue, a pump
+// goroutine streams up to Window requests onto one connection, and a
+// reader goroutine matches responses to requests strictly FIFO (the
 // wire protocol carries no request IDs; order is the contract). The
 // synchronous Put/Get/Delete/ServerStats are the degenerate
-// window-of-1 case — submit one op, wait for its handle — so their
-// observable behaviour is unchanged from the stop-and-wait client.
+// window-of-1 case — submit one op, wait for its handle.
 //
-// Failure handling is connection-granular: any dial, write, read or
-// frame-validation failure closes the connection and *poisons* every
-// op in flight on it — each is charged one failed attempt through its
-// own Retry schedule and the survivors are resent in original
-// submission order, ahead of anything not yet sent. Requests are
-// idempotent (PUT overwrites, GET is a read, DELETE tolerates
-// NotFound), so a resend after a mid-frame drop is always safe.
+// Failure handling is connection-granular: any dial, write or read
+// failure closes the connection and *poisons* every op in flight on it
+// — each is charged one failed attempt through its own Retry schedule
+// and the survivors are resent in original submission order, ahead of
+// anything not yet sent. A payload the CRC refuses (on either side of
+// the wire) is charged to its own op by the same rule, the connection
+// kept. Requests are idempotent (PUT overwrites, GET is a read, DELETE
+// tolerates NotFound), so a resend after a mid-frame drop is always safe.
 //
 // Deadlines bound every attempt (Retry.OpTimeout, via conn deadlines,
 // with the client-level OpTimeout as the fallback) and the schedule as
@@ -163,8 +163,7 @@ func unavailable(op string, key uint64, attempts int, err error) error {
 	return fmt.Errorf("transport: %s %d: %w after %d attempts: %v", op, key, ErrStoreUnavailable, attempts, err)
 }
 
-// Put implements Transport: the synchronous window-of-1 form of
-// PutAsync. The frame bytes are shipped under the key, with
+// Put is the synchronous window-of-1 form of PutAsync. The frame bytes are shipped under the key, with
 // reconnect+resend on connection failures and a resend when the server
 // reports the payload arrived CRC-corrupt. What the server acknowledged
 // is what it stored, so stored == len(data) on success. An exhausted
@@ -174,8 +173,7 @@ func (c *NetClient) Put(key uint64, data []byte, r Retry) (int, error) {
 	return c.PutAsync(key, data, r).PutResult()
 }
 
-// Get implements Transport: the synchronous window-of-1 form of
-// GetAsync. The stored frame is fetched and validated client-side (the
+// Get is the synchronous window-of-1 form of GetAsync. The stored frame is fetched and validated client-side (the
 // CRC ran on this side of the wire, so a frame that decodes here is
 // trustworthy no matter what the link did). Connection failures and CRC
 // mismatches both retry on the schedule; a NotFound is terminal. An
@@ -210,8 +208,7 @@ func (c *NetClient) ServerStats() (Snapshot, error) {
 // Close implements Transport: the pipeline is quiesced — any
 // outstanding ops fail with a typed ErrStoreUnavailable, the goroutines
 // park and the connection drops. The client remains usable; a later
-// operation reopens the pipeline (matching the old stop-and-wait
-// client, which would simply redial).
+// operation reopens the pipeline and redials.
 func (c *NetClient) Close() error {
 	c.pmu.Lock()
 	c.closed = true

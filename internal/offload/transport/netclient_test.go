@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,5 +144,97 @@ func TestDialWatchdogBoundsHangingDialer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("hanging dial took %v", elapsed)
+	}
+}
+
+// TestOneChargeRule: a Retry schedule ends the same way whatever loses
+// its tries — the connection dying under the request (the poison pass)
+// or the peer refusing the payload's CRC (the single-op path): as many
+// tries on the wire, the same Retried/Corrupted counts, the same backoff
+// sequence through the injected Sleep. Only the verdict differs: a
+// schedule lost to the connection is ErrStoreUnavailable, one lost to
+// the payload keeps the frame error.
+func TestOneChargeRule(t *testing.T) {
+	good := testFrame(t)
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] ^= 0xff
+
+	type outcome struct {
+		tries              int64
+		retried, corrupted uint64
+		sleeps             string
+	}
+	// run plays one op against a peer that loses every try, and returns
+	// how the schedule ended.
+	run := func(t *testing.T, put, connLoss bool, r Retry, stallAt int) (outcome, error) {
+		var tries atomic.Int64
+		dial := wireServer(t, func(conn net.Conn, _ int) {
+			defer conn.Close()
+			for {
+				if _, err := ReadRequest(conn); err != nil {
+					return
+				}
+				tries.Add(1)
+				switch {
+				case connLoss:
+					return // hang up on the request
+				case put:
+					WriteResponse(conn, StatusCorrupt, nil)
+				default:
+					WriteResponse(conn, StatusOK, bad)
+				}
+			}
+		})
+		var mu sync.Mutex
+		var sleeps []time.Duration
+		r.Sleep = func(d time.Duration) {
+			mu.Lock()
+			sleeps = append(sleeps, d)
+			n := len(sleeps)
+			mu.Unlock()
+			if n == stallAt {
+				time.Sleep(r.Total) // the wall budget runs out during this backoff
+			}
+		}
+		counters := &Counters{}
+		c := NewNetClient(dial, counters)
+		defer c.Close()
+		var err error
+		if put {
+			_, err = c.Put(1, good, r)
+		} else {
+			_, err = c.Get(1, r, false)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return outcome{tries.Load(), counters.Retried.Load(), counters.Corrupted.Load(), fmt.Sprint(sleeps)}, err
+	}
+
+	for _, c := range []struct {
+		name    string
+		r       Retry
+		stallAt int // which backoff sleep outlasts Total (0 = none)
+		want    outcome
+	}{
+		{"attempts", Retry{Attempts: 3, Backoff: time.Millisecond}, 0,
+			outcome{4, 3, 4, "[1ms 2ms 4ms]"}},
+		{"total expires mid-schedule", Retry{Attempts: 5, Backoff: time.Millisecond, Total: 400 * time.Millisecond}, 2,
+			outcome{3, 2, 3, "[1ms 2ms]"}},
+	} {
+		for _, put := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/put=%v", c.name, put), func(t *testing.T) {
+				conn, connErr := run(t, put, true, c.r, c.stallAt)
+				payload, payloadErr := run(t, put, false, c.r, c.stallAt)
+				if conn != c.want || payload != c.want {
+					t.Fatalf("schedule ended\n lost to the connection: %+v\n lost to the payload:    %+v\n want                    %+v", conn, payload, c.want)
+				}
+				if !errors.Is(connErr, ErrStoreUnavailable) {
+					t.Errorf("lost to the connection: want ErrStoreUnavailable, got %v", connErr)
+				}
+				if payloadErr == nil || errors.Is(payloadErr, ErrStoreUnavailable) || !errors.Is(payloadErr, frame.ErrChecksum) {
+					t.Errorf("lost to the payload: want the frame's checksum error, got %v", payloadErr)
+				}
+			})
+		}
 	}
 }

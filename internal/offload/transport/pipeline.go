@@ -1,6 +1,7 @@
 package transport
 
-// Pipelined wire transport: the windowed async face of NetClient.
+// The windowed wire client: how NetClient keeps several requests in
+// flight on one connection.
 //
 // The wire protocol (wire.go) carries no request IDs — responses come
 // back in request order — so a client may keep several requests in
@@ -8,14 +9,14 @@ package transport
 // goroutine, (b) matches responses to requests strictly FIFO, and
 // (c) on any connection-level failure treats *every* in-flight request
 // as lost, because a torn response desynchronizes the stream. The
-// netstore server has served per-connection reader/writer goroutines
-// since PR 5; this file adds the client half.
+// netstore server runs a reader and a writer goroutine per connection;
+// this file is the client half.
 //
 // The window is this package's alone: NetClient.Window is the only such
 // number in the tree, a zero-value client is pipelined at DefaultWindow,
 // and the schedulers above (the offload engine's commit drain and
 // prefetcher, the gradient exchange) size their issue/await FIFOs from
-// what the transport reports through Pipelined.Depth — see FIFO.
+// what the transport reports through Transport.Depth — see FIFO.
 //
 // Machinery: submitted ops queue on the client; a pump goroutine
 // streams requests onto the wire while at most Depth() ops are in
@@ -23,10 +24,11 @@ package transport
 // order, completing the in-flight FIFO head each time. Any dial, write,
 // read or wire failure *poisons* the connection: it is closed, every
 // in-flight op is charged one failed attempt through its own Retry
-// schedule, and the survivors are resent in original submission order
-// ahead of everything still queued — so the server observes the same
-// logical op sequence a stop-and-wait client would, just denser. The
-// sync Put/Get/Delete/ServerStats are the degenerate window-of-1 case:
+// schedule (charge, the one rule a payload refusal is charged by too),
+// and the survivors are resent in original submission order ahead of
+// everything still queued — so the server observes the same logical op
+// sequence a stop-and-wait client would, just denser. The sync
+// Put/Get/Delete/ServerStats are the degenerate window-of-1 case:
 // submit one op, wait for its handle.
 
 import (
@@ -37,55 +39,6 @@ import (
 
 	"jpegact/internal/frame"
 )
-
-// Pipelined is the capability interface of transports that accept
-// asynchronous operations with completion handles. NetClient implements
-// it with a true wire window; Local implements it inline (the op runs
-// synchronously at submit time and the handle comes back already
-// resolved), so schedulers written against handles keep the in-process
-// backend's deterministic op ordering for free.
-type Pipelined interface {
-	Transport
-	// PutAsync submits one PUT and returns its completion handle. The
-	// call blocks only for window backpressure, never for the wire.
-	PutAsync(key uint64, data []byte, r Retry) *Pending
-	// GetAsync submits one GET (or coefficient GET) likewise.
-	GetAsync(key uint64, r Retry, coef bool) *Pending
-	// Depth reports how many submitted operations the transport keeps
-	// unresolved at once (>= 1): the wire window of a NetClient, 1 for a
-	// backend whose handles come back already resolved.
-	Depth() int
-}
-
-// AsPipelined adapts any Transport to the Pipelined interface. Backends
-// that implement it natively are returned as-is; anything else gets a
-// shim that executes each op synchronously at submit time — the handle
-// is already resolved when it comes back, which preserves the backend's
-// op ordering exactly.
-func AsPipelined(t Transport) Pipelined {
-	if p, ok := t.(Pipelined); ok {
-		return p
-	}
-	return syncPipelined{t}
-}
-
-type syncPipelined struct{ Transport }
-
-func (s syncPipelined) PutAsync(key uint64, data []byte, r Retry) *Pending {
-	n, err := s.Put(key, data, r)
-	return resolvedPending(OpPut, key, func(p *Pending) { p.stored = n; p.err = err })
-}
-
-func (s syncPipelined) GetAsync(key uint64, r Retry, coef bool) *Pending {
-	op := uint8(OpGet)
-	if coef {
-		op = OpGetCoef
-	}
-	f, err := s.Get(key, r, coef)
-	return resolvedPending(op, key, func(p *Pending) { p.f = f; p.err = err })
-}
-
-func (syncPipelined) Depth() int { return 1 }
 
 // FIFO is the issue/await discipline every windowed scheduler shares: a
 // queue of issued-but-unsettled operation tickets, as deep as the
@@ -105,7 +58,7 @@ type FIFO[T any] struct {
 }
 
 // NewFIFO builds an empty FIFO sized to t's depth.
-func NewFIFO[T any](t Pipelined, settle func(T) error) *FIFO[T] {
+func NewFIFO[T any](t Transport, settle func(T) error) *FIFO[T] {
 	return &FIFO[T]{depth: t.Depth(), settle: settle}
 }
 
@@ -146,10 +99,10 @@ func (f *FIFO[T]) Reserve() error { return f.settleWhile(f.Full) }
 // Drain settles every queued ticket.
 func (f *FIFO[T]) Drain() error { return f.settleWhile(func() bool { return len(f.q) > 0 }) }
 
-// Pending is the completion handle of one asynchronous transport op. It
-// is created by PutAsync/GetAsync (and internally by the sync wrappers)
-// and completed exactly once by the client machinery; callers wait on
-// Done or one of the typed result accessors.
+// Pending is the completion handle of one transport op. It is created
+// by PutAsync/GetAsync (and internally by the sync wrappers) and
+// completed exactly once — by the wire client's machinery, or at birth
+// by Resolved; callers wait on one of the typed result accessors.
 type Pending struct {
 	op   uint8
 	key  uint64
@@ -178,9 +131,11 @@ func newPending(op uint8, key uint64, body []byte, r Retry) *Pending {
 	}
 }
 
-func resolvedPending(op uint8, key uint64, fill func(*Pending)) *Pending {
-	p := &Pending{op: op, key: key, done: make(chan struct{})}
-	fill(p)
+// Resolved returns the handle of an op that completed at submit time —
+// what a backend with no latency to hide answers with: stored is a PUT's
+// landed byte count, f a GET's verified frame.
+func Resolved(stored int, f *frame.Frame, err error) *Pending {
+	p := &Pending{stored: stored, f: f, err: err, done: make(chan struct{})}
 	close(p.done)
 	return p
 }
@@ -198,14 +153,14 @@ func (p *Pending) Err() error {
 }
 
 // PutResult waits for completion of a PUT and returns the stored byte
-// count, mirroring Transport.Put.
+// count.
 func (p *Pending) PutResult() (int, error) {
 	<-p.done
 	return p.stored, p.err
 }
 
 // GetResult waits for completion of a GET and returns the verified
-// frame, mirroring Transport.Get.
+// frame.
 func (p *Pending) GetResult() (*frame.Frame, error) {
 	<-p.done
 	return p.f, p.err
@@ -231,7 +186,7 @@ func opName(op uint8) string {
 // unless it asks for stop-and-wait (Window = 1) by name.
 const DefaultWindow = 8
 
-// Depth implements Pipelined: the effective in-flight bound (>= 1).
+// Depth implements Transport: the effective in-flight bound (>= 1).
 func (c *NetClient) Depth() int {
 	if c.Window > 0 {
 		return c.Window
@@ -239,7 +194,7 @@ func (c *NetClient) Depth() int {
 	return DefaultWindow
 }
 
-// PutAsync implements Pipelined: the op joins the pipeline and its
+// PutAsync implements Transport: the op joins the pipeline and its
 // handle resolves when the server acknowledges the frame (with
 // reconnect+resend on connection failures and a resend when the server
 // reports the payload CRC-corrupt, exactly the sync Put schedule).
@@ -248,7 +203,7 @@ func (c *NetClient) PutAsync(key uint64, data []byte, r Retry) *Pending {
 	return c.submit(newPending(OpPut, key, data, r))
 }
 
-// GetAsync implements Pipelined: the handle resolves with the
+// GetAsync implements Transport: the handle resolves with the
 // CRC-verified frame, with the sync Get's retry and NotFound semantics.
 // Blocks while the window is full.
 func (c *NetClient) GetAsync(key uint64, r Retry, coef bool) *Pending {
@@ -332,11 +287,11 @@ func (c *NetClient) pump() {
 			if err != nil {
 				// The dial served the head op; charge the failure to it
 				// alone — nothing else was on this connection yet. Pop it
-				// first: chargeFailureLocked requeues survivors itself.
+				// first: failLocked requeues survivors itself.
 				if len(c.queue) > 0 && c.queue[0] == head {
 					c.queue = c.queue[1:]
 				}
-				c.chargeFailureLocked(head, fmt.Errorf("transport: dial activation store: %w", err), true)
+				c.failLocked([]*Pending{head}, fmt.Errorf("transport: dial activation store: %w", err), true)
 				c.pmu.Unlock()
 				continue
 			}
@@ -444,7 +399,7 @@ func (c *NetClient) finishResponseLocked(p *Pending, status uint8, body []byte) 
 			// The server CRC-checked the frame and refused it: the bytes
 			// were damaged in flight. The local copy is intact, so a
 			// resend recovers.
-			c.chargeFailureLocked(p, fmt.Errorf("transport: put %d: server rejected frame: %w", p.key, frame.ErrChecksum), false)
+			c.failLocked([]*Pending{p}, fmt.Errorf("transport: put %d: server rejected frame: %w", p.key, frame.ErrChecksum), false)
 		default:
 			p.complete(fmt.Errorf("transport: put %d: server status %d", p.key, status))
 		}
@@ -455,7 +410,7 @@ func (c *NetClient) finishResponseLocked(p *Pending, status uint8, body []byte) 
 			if err != nil {
 				// Damaged in flight; the server's copy is CRC-intact, so a
 				// re-read recovers.
-				c.chargeFailureLocked(p, err, false)
+				c.failLocked([]*Pending{p}, err, false)
 				return
 			}
 			c.counters.BytesVerified.Add(int64(len(body)))
@@ -495,21 +450,20 @@ func (c *NetClient) observe(p *Pending) {
 	}
 }
 
-// chargeFailureLocked charges one failed attempt to p's retry schedule:
-// an exhausted schedule completes the handle (with the typed
-// ErrStoreUnavailable verdict when the failure was connection-level),
-// otherwise the op is requeued at the front of the queue with its
-// backoff owed. Called with pmu held.
-func (c *NetClient) chargeFailureLocked(p *Pending, cause error, connFail bool) {
+// charge is the one rule a failed attempt is charged by, whatever lost
+// it — a dial, a poisoned connection (connFail) or a payload the CRC
+// refused: an exhausted schedule (attempts or Total wall budget)
+// completes the handle, with the typed ErrStoreUnavailable verdict when
+// the failure was connection-level; otherwise the attempt is counted, its
+// backoff owed, and the op survives for the caller to requeue.
+func (c *NetClient) charge(p *Pending, cause error, connFail bool) (survives bool) {
 	c.counters.Corrupted.Add(1)
 	if p.attempt >= p.retry.Attempts || budgetSpent(p.start, p.retry) {
 		if connFail {
-			p.complete(unavailable(opName(p.op), p.key, p.attempt+1, cause))
-		} else {
-			p.complete(cause)
+			cause = unavailable(opName(p.op), p.key, p.attempt+1, cause)
 		}
-		c.pcond.Broadcast()
-		return
+		p.complete(cause)
+		return false
 	}
 	p.attempt++
 	c.counters.Retried.Add(1)
@@ -517,16 +471,29 @@ func (c *NetClient) chargeFailureLocked(p *Pending, cause error, connFail bool) 
 		p.wait = p.backoff
 		p.backoff *= 2
 	}
-	c.queue = append([]*Pending{p}, c.queue...)
+	return true
+}
+
+// failLocked charges one failed attempt to each of ps and prepends the
+// survivors to the queue *in their original submission order*, ahead of
+// everything not yet sent, so the resend stream replays the exact op
+// sequence the server would have seen. Called with pmu held.
+func (c *NetClient) failLocked(ps []*Pending, cause error, connFail bool) {
+	var keep []*Pending
+	for _, p := range ps {
+		if c.charge(p, cause, connFail) {
+			keep = append(keep, p)
+		}
+	}
+	if len(keep) > 0 {
+		c.queue = append(keep, c.queue...)
+	}
 	c.pcond.Broadcast()
 }
 
 // poisonLocked retires the current connection epoch after a
 // connection-level failure: the conn is closed, the reader epoch is
-// invalidated, and every in-flight op is charged one failed attempt —
-// survivors are prepended to the queue *in their original submission
-// order*, ahead of everything not yet sent, so the resend stream
-// replays the exact op sequence the server would have seen. Called with
+// invalidated, and every in-flight op fails one attempt. Called with
 // pmu held; no-op if the epoch was already retired.
 func (c *NetClient) poisonLocked(epoch uint64, cause error) {
 	if c.epoch != epoch || c.conn == nil {
@@ -538,29 +505,5 @@ func (c *NetClient) poisonLocked(epoch uint64, cause error) {
 	c.epoch++
 	victims := c.inflight
 	c.inflight = nil
-	// Walk in submission order, partitioning into survivors (requeued)
-	// and exhausted schedules (completed with the typed verdict). The
-	// survivors keep their relative order and precede the whole queue.
-	var keep []*Pending
-	for _, p := range victims {
-		c.counters.Corrupted.Add(1)
-		if p.attempt >= p.retry.Attempts || budgetSpent(p.start, p.retry) {
-			p.complete(unavailable(opName(p.op), p.key, p.attempt+1, cause))
-			continue
-		}
-		p.attempt++
-		c.counters.Retried.Add(1)
-		if p.backoff > 0 {
-			p.wait = p.backoff
-			p.backoff *= 2
-		}
-		keep = append(keep, p)
-	}
-	if len(keep) > 0 {
-		c.queue = append(keep, c.queue...)
-	}
-	c.pcond.Broadcast()
+	c.failLocked(victims, cause, true)
 }
-
-var _ Pipelined = (*NetClient)(nil)
-var _ Pipelined = (*Local)(nil)

@@ -235,9 +235,9 @@ func TestFIFODiscipline(t *testing.T) {
 	serial := NewNetClient(nil, nil)
 	serial.Window = 1
 	for _, c := range []struct {
-		tr   Pipelined
+		tr   Transport
 		want int
-	}{{piped, DefaultWindow}, {serial, 1}, {NewLocal(nil, nil), 1}, {AsPipelined(struct{ Transport }{}), 1}} {
+	}{{piped, DefaultWindow}, {serial, 1}, {NewLocal(nil, nil), 1}} {
 		if got := c.tr.Depth(); got != c.want {
 			t.Fatalf("%T depth %d, want %d", c.tr, got, c.want)
 		}

@@ -4,18 +4,20 @@
 // It knows nothing about tensors or compression — it moves validated
 // frames, nothing more.
 //
-// Since PR 7 the layer is pluggable: Transport is the interface the
-// offload store and scheduler are written against, with three
-// implementations —
+// Transport is the one interface the offload store, its scheduler and
+// the gradient exchange are written against: every operation is
+// submitted and answers through a completion handle (Pending), and a
+// synchronous operation is a wait on that handle. Two backends
+// implement it —
 //
 //   - Local, the in-process host-memory backend over a Channel (the
 //     default, and the substrate the internal/faults injector plugs
-//     into);
-//   - NetClient (netclient.go), a wire client speaking the length-
-//     prefixed request/response protocol of wire.go over any net.Conn,
-//     with reconnect+resend riding the same Retry schedule;
-//   - the sharded server in internal/offload/netstore, which serves the
-//     same protocol to many concurrent client processes.
+//     into), whose handles come back already resolved;
+//   - NetClient (netclient.go, pipeline.go), a windowed wire client
+//     speaking the length-prefixed request/response protocol of wire.go
+//     over any net.Conn, with reconnect+resend riding the Retry
+//     schedule. The sharded server in internal/offload/netstore serves
+//     that protocol to many concurrent client processes.
 //
 // The layer split (codec / transport / scheduler) mirrors the paper's
 // Fig. 7 datapath: the CDU compresses (codec), the DMA engine moves
@@ -116,17 +118,24 @@ func (r Retry) sleep(d time.Duration) {
 // offload sequence number, optionally OR'd with a per-client KeyBase so
 // processes sharing a networked backend stay disjoint).
 //
-// Put ships one encoded frame to the backend and reports how many bytes
-// landed (a faulty send may persist fewer). Get brings the frame back,
-// CRC-validated, applying the Retry schedule to transient failures; the
+// PutAsync ships one encoded frame to the backend; its handle's
+// PutResult reports how many bytes landed (a faulty send may persist
+// fewer). GetAsync brings the frame back; GetResult returns it
+// CRC-validated, the Retry schedule applied to transient failures. The
 // coef flag marks a read the consumer will serve as a quantized DCT
 // coefficient plane (same bytes — a networked backend counts it
 // separately, since serving the compressed plane without the inverse
 // transform is the cheap path the frequency-domain consumers ride).
-// Delete releases the backend's copy after a successful restore.
+// A submit blocks only for window backpressure, never for the result;
+// handles resolve in submission order. Depth is how many submitted
+// operations the backend keeps unresolved at once (>= 1): the wire
+// window of a NetClient, 1 for a backend whose handles come back
+// already resolved — it sizes the schedulers' FIFOs. Delete releases
+// the backend's copy after a successful restore, synchronously.
 type Transport interface {
-	Put(key uint64, data []byte, r Retry) (stored int, err error)
-	Get(key uint64, r Retry, coef bool) (*frame.Frame, error)
+	PutAsync(key uint64, data []byte, r Retry) *Pending
+	GetAsync(key uint64, r Retry, coef bool) *Pending
+	Depth() int
 	Delete(key uint64) error
 	Close() error
 }
@@ -260,9 +269,10 @@ func NewLocal(ch Channel, c *Counters) *Local {
 	return &Local{ch: ch, counters: c, bufs: map[uint64][]byte{}}
 }
 
-// Put implements Transport. The Retry schedule is ignored: send-side
-// faults are persistent by the fault model's fiat (the corrupted bytes
-// are what landed in host memory), so there is nothing to retry against.
+// Put stores data under key and reports how many bytes landed. The
+// Retry schedule is ignored: send-side faults are persistent by the
+// fault model's fiat (the corrupted bytes are what landed in host
+// memory), so there is nothing to retry against.
 func (l *Local) Put(key uint64, data []byte, _ Retry) (int, error) {
 	buf := l.ch.Send(data)
 	l.mu.Lock()
@@ -271,11 +281,11 @@ func (l *Local) Put(key uint64, data []byte, _ Retry) (int, error) {
 	return len(buf), nil
 }
 
-// Get implements Transport: the host copy is pulled back through the
-// channel's Recv side and CRC-validated, applying the retry schedule. A
-// nil transfer is reported as ErrDropped (and counted separately from
-// corruption); any other validation failure carries the typed frame
-// error. The returned frame aliases the received bytes.
+// Get pulls the host copy back through the channel's Recv side and
+// CRC-validates it, applying the retry schedule. A nil transfer is
+// reported as ErrDropped (and counted separately from corruption); any
+// other validation failure carries the typed frame error. The returned
+// frame aliases the received bytes.
 func (l *Local) Get(key uint64, r Retry, _ bool) (*frame.Frame, error) {
 	l.mu.Lock()
 	b, ok := l.bufs[key]
@@ -310,27 +320,23 @@ func (l *Local) Get(key uint64, r Retry, _ bool) (*frame.Frame, error) {
 	}
 }
 
-// PutAsync implements Pipelined. The in-process byte path has no
+// PutAsync implements Transport. The in-process byte path has no
 // latency to hide, so the op executes synchronously at submit time and
 // the handle comes back resolved — schedulers written against handles
 // keep this backend's deterministic op ordering (and its fault
 // injection points) exactly.
 func (l *Local) PutAsync(key uint64, data []byte, r Retry) *Pending {
 	n, err := l.Put(key, data, r)
-	return resolvedPending(OpPut, key, func(p *Pending) { p.stored = n; p.err = err })
+	return Resolved(n, nil, err)
 }
 
-// GetAsync implements Pipelined, inline like PutAsync.
+// GetAsync implements Transport, inline like PutAsync.
 func (l *Local) GetAsync(key uint64, r Retry, coef bool) *Pending {
-	op := uint8(OpGet)
-	if coef {
-		op = OpGetCoef
-	}
 	f, err := l.Get(key, r, coef)
-	return resolvedPending(op, key, func(p *Pending) { p.f = f; p.err = err })
+	return Resolved(0, f, err)
 }
 
-// Depth implements Pipelined: handles resolve at submit, so nothing is
+// Depth implements Transport: handles resolve at submit, so nothing is
 // ever in flight behind the one being issued.
 func (l *Local) Depth() int { return 1 }
 

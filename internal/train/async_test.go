@@ -48,17 +48,18 @@ func workerSet() []int {
 // TestAsyncSyncEquivalence is the acceptance matrix: the same short
 // training run must be bit-identical — losses, validation scores, final
 // weights, and the multiset of compressed frames crossing the channel —
-// across sync, async+prefetch and async on-demand modes at every worker
-// count. The async emission order may differ from the sync sweep (the
-// hooks stream refs as they become safe), so frames are compared as a
-// sorted multiset.
+// across sync and async modes at every worker count (the engine's
+// on-demand and byte-budget configurations are held to the same tensors
+// and frames in internal/offload, TestEnginePrefetchBitExact). The
+// async emission order may differ from the sync sweep (the hooks stream
+// refs as they become safe), so frames are compared as a sorted
+// multiset.
 func TestAsyncSyncEquivalence(t *testing.T) {
 	run := func(oc OffloadOptions, workers int) (Report, *models.Model, []string) {
 		m, ds := faultModel(600)
 		cfg := faultCfg(t)
 		atWorkers(t, workers)
 		ch := &captureChannel{}
-		oc.DQT = quant.OptL()
 		oc.Channel = ch
 		rep, _, err := ClassifierOffloaded(m, ds, cfg, oc)
 		if err != nil {
@@ -67,7 +68,7 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 		return rep, m, ch.sorted()
 	}
 
-	refRep, refModel, refFrames := run(OffloadOptions{}, 2)
+	refRep, refModel, refFrames := run(OffloadOptions{DQT: quant.OptL()}, 2)
 
 	type variant struct {
 		name    string
@@ -76,12 +77,10 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 	}
 	var variants []variant
 	for _, w := range workerSet() {
-		variants = append(variants,
-			variant{fmt.Sprintf("async-prefetch-w%d", w), OffloadOptions{Async: true}, w},
-			variant{fmt.Sprintf("async-ondemand-w%d", w), OffloadOptions{Async: true, Prefetch: -1}, w},
-			variant{fmt.Sprintf("async-budget-w%d", w), OffloadOptions{Async: true, InFlightBytes: 8 << 10}, w},
-		)
+		variants = append(variants, variant{fmt.Sprintf("async-prefetch-w%d", w), OffloadOptions{Async: true, DQT: quant.OptL()}, w})
 	}
+	// The zero options are the reference's: an unset DQT is OptL, not a
+	// table of ones.
 	variants = append(variants, variant{"sync-w1", OffloadOptions{}, 1})
 
 	for _, v := range variants {

@@ -128,7 +128,7 @@ const gradChunkElems = 1 << 16
 // per-chunk scratch buffers: the exchange runs once per chunk per
 // microbatch per step, so fresh allocations here were measurable churn.
 type gradExchange struct {
-	tr       transport.Pipelined
+	tr       transport.Transport
 	pipe     codec.Pipeline
 	tag      uint64
 	retry    transport.Retry
@@ -608,7 +608,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 			})
 		}
 		return &gradExchange{
-			tr: transport.AsPipelined(tr), pipe: pipe,
+			tr: tr, pipe: pipe,
 			tag: tag, retry: retry, chunk: chunkElems, counters: counters,
 		}
 	}

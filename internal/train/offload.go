@@ -34,11 +34,12 @@ import (
 // ClassifierOffloaded ignores Config.Method and Config.MeasureError: the
 // store runs its own JPEG-ACT codec (DQT below), not a compress.Method.
 type OffloadOptions struct {
-	// DQT is the quantization table for the store's JPEG-ACT pipeline.
+	// DQT is the quantization table for the store's JPEG-ACT pipeline
+	// (the zero table = quant.OptL()).
 	DQT quant.DQT
 	// Channel is the GPU↔host byte path (nil = clean). Pass a
 	// faults.Injector to exercise the recovery machinery.
-	Channel offload.Channel
+	Channel transport.Channel
 	// Policy selects the corruption response (fail / retry / recompute).
 	Policy offload.RecoveryPolicy
 	// MaxRetries bounds the channel re-reads, which follow one another
@@ -49,18 +50,9 @@ type OffloadOptions struct {
 	MaxRecompute int
 	// Async enables the pipelined engine: activations stream to the
 	// host as the forward pass produces them and restores are
-	// prefetched during backward. The trajectory is bit-identical to
-	// sync mode.
+	// prefetched during backward (see engineConfig). The trajectory is
+	// bit-identical to sync mode.
 	Async bool
-	// Prefetch is the backward restore lookahead in async mode:
-	// 0 = default (4), negative = strictly on-demand. The staged
-	// objects are verified compressed frames, so a window a little
-	// deeper than a residual block's burst of refs costs almost
-	// nothing and keeps the channel busy through the bursts.
-	Prefetch int
-	// InFlightBytes bounds the encoded-but-uncommitted bytes held by
-	// the async encode workers (0 = unlimited).
-	InFlightBytes int
 	// StoreAddr, when non-empty, sends the offload traffic to a shared
 	// networked activation store (cmd/actstore) at this address —
 	// "unix:/path/store.sock" or "tcp:host:port" — instead of the
@@ -86,11 +78,7 @@ type OffloadOptions struct {
 	StoreTimeout time.Duration
 	// Breaker tunes the store's circuit breaker (zero value = enabled;
 	// set Disabled to surface wire failures instead of degrading). Only
-	// meaningful in networked mode. The trainer's FailureThreshold
-	// default is 1, not the store's 3: the forward pass has no recovery
-	// for a commit that failed, so the first whole-op wire failure must
-	// already degrade that frame to the local fallback — or a store
-	// dying mid-step ends the run.
+	// meaningful in networked mode.
 	Breaker offload.BreakerConfig
 	// StoreClient, when set, receives the built wire client before the
 	// first operation — the seam chaos tests use to install op-count
@@ -112,20 +100,13 @@ type OffloadOptions struct {
 	Verbose bool
 }
 
-// engineConfig maps the options onto the scheduler layer.
+// engineConfig maps the options onto the scheduler layer. The restore
+// lookahead is 4: the staged objects are verified compressed frames, so
+// a window a little deeper than a residual block's burst of refs costs
+// almost nothing and keeps the channel busy through the bursts. The
+// encode workers' in-flight bytes are left unbounded.
 func (oc OffloadOptions) engineConfig() offload.EngineConfig {
-	prefetch := oc.Prefetch
-	switch {
-	case prefetch == 0:
-		prefetch = 4
-	case prefetch < 0:
-		prefetch = 0
-	}
-	return offload.EngineConfig{
-		Async:         oc.Async,
-		Prefetch:      prefetch,
-		InFlightBytes: oc.InFlightBytes,
-	}
+	return offload.EngineConfig{Async: oc.Async, Prefetch: 4}
 }
 
 // storeOpTimeout is the per-attempt bound inside a wire operation's
@@ -162,6 +143,10 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 	if oc.MaxRecompute == 0 {
 		oc.MaxRecompute = 4
 	}
+	if oc.DQT == (quant.DQT{}) {
+		// A zero table would quantize every coefficient by 2⁰.
+		oc.DQT = quant.OptL()
+	}
 	rep := Report{ModelName: m.Name, MethodName: "JPEG-ACT/offload(" + oc.Policy.String() + ")"}
 	if oc.Async {
 		rep.MethodName = "JPEG-ACT/offload-async(" + oc.Policy.String() + ")"
@@ -188,9 +173,6 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreClient)
 		store.KeyBase = oc.StoreKeyBase
 		store.Breaker = oc.Breaker
-		if store.Breaker.FailureThreshold <= 0 {
-			store.Breaker.FailureThreshold = 1
-		}
 		rep.MethodName += "+netstore"
 	}
 	defer store.Close()

@@ -132,30 +132,15 @@ type TrainReport = train.Report
 type ModelScale = models.Scale
 
 // TrainClassifier trains a mini network by name ("VGG", "ResNet18",
-// "ResNet50", "ResNet101", "WRN", "MobileNet") on the synthetic
-// classification set.
+// "ResNet50", "ResNet101", "WRN") on the synthetic classification set.
 func TrainClassifier(model string, sc ModelScale, cfg TrainConfig, seed uint64) TrainReport {
 	m, ds := buildClassifier(model, sc, seed)
 	return train.Classifier(m, ds, cfg)
 }
 
 func buildClassifier(model string, sc ModelScale, seed uint64) (*models.Model, *data.Classification) {
-	rng := tensor.NewRNG(seed)
-	var m *models.Model
-	switch model {
-	case "VGG":
-		m = models.VGG(sc, 4, rng)
-	case "ResNet18":
-		m = models.ResNet18(sc, 4, rng)
-	case "ResNet50":
-		m = models.ResNet50(sc, 4, rng)
-	case "ResNet101":
-		m = models.ResNet101(sc, 4, rng)
-	case "WRN":
-		m = models.WRN(sc, 4, rng)
-	case "MobileNet":
-		m = models.MobileNet(sc, 4, rng)
-	default:
+	m, ok := models.ByName(model, sc, 4, tensor.NewRNG(seed))
+	if !ok || m.Task != models.Classify {
 		panic("jpegact: unknown model " + model)
 	}
 	ds := data.NewClassification(data.ClassificationConfig{

@@ -122,14 +122,6 @@ func TestFacadeExtraMethods(t *testing.T) {
 	}
 }
 
-func TestFacadeMobileNet(t *testing.T) {
-	rep := TrainClassifier("MobileNet", ModelScale{Width: 6, Blocks: 1},
-		TrainConfig{Method: SFPR(), Epochs: 1, BatchesPerEpoch: 2, BatchSize: 4}, 8)
-	if rep.ModelName != "MobileNet" || rep.Diverged {
-		t.Fatalf("MobileNet training: %+v", rep)
-	}
-}
-
 func TestFacadeContainer(t *testing.T) {
 	r := tensor.NewRNG(21)
 	x := data.ActivationTensor(r, 1, 4, 16, 16, 0.5, 1.0)
