@@ -19,8 +19,9 @@ race:
 # architecture, internal/nn/gemm_amd64.s (native `go vet` checks its
 # frames against the Go declarations); the arm64 cross-build keeps every
 # other platform on the portable GEMM kernel compiling, and the line after
-# it keeps that kernel unfused where the compiler does fuse x*y+z: no
-# FMADDS/FMSUBS may appear in gemm.go's arm64 code. GOAMD64=v3 runs
+# it keeps internal/nn unfused where the compiler does fuse x*y+z: no
+# fused multiply-add, single or double, may appear in the arm64 code of
+# any of the package's files. GOAMD64=v3 runs
 # internal/nn's bit-identity tests on the newer instruction selection
 # (go1.24 fuses nothing there; the step is for the release that does).
 # loc-check holds the root module's non-test line count at the number next
@@ -36,7 +37,7 @@ ci:
 	go vet ./...
 	go build ./...
 	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
-	! (GOARCH=arm64 go build -gcflags=-S ./internal/nn/ 2>&1 | grep 'nn/gemm\.go' | grep -E 'FN?M(ADD|SUB)S')
+	! (GOARCH=arm64 go build -gcflags=-S ./internal/nn/ 2>&1 | grep 'internal/nn/' | grep -E 'FN?M(ADD|SUB)[SD]')
 	go test ./...
 	GOAMD64=v3 go test ./internal/nn/
 	cd bench && go vet . && go test .
@@ -50,7 +51,7 @@ ci:
 # and each codec kind end to end through codec.Pipeline and the frame.
 .PHONY: bench
 bench:
-	go test -run '^$$' -bench 'BenchmarkGemm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkRoundtripZVC|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode' -benchmem ./...
+	go test -run '^$$' -bench 'BenchmarkGemm|BenchmarkConv|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkRoundtripZVC|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode' -benchmem ./...
 
 # Fuzz sweep: every decoder fuzz target for 10s each. Go runs one fuzz
 # target per invocation, so loop over the discovered names in each fuzzed
@@ -81,7 +82,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11552
+LOC_MAX = 11597
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -9,6 +9,7 @@ import (
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/frame"
+	"jpegact/internal/nn"
 	"jpegact/internal/offload/codec"
 	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
@@ -150,40 +151,7 @@ func TestDecodeCoefficientsAllocs(t *testing.T) {
 // decode 658 KB for a 524 KB tensor.)
 func TestCodecEncodeDecodeAllocs(t *testing.T) {
 	const slackBytes, maxObjects = 16 << 10, 24
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				// Under the race detector sync.Pool drops a quarter of
-				// what is Put, on purpose; there is no steady state.
-				t.Skip("pooled scratch is not steady under -race")
-			}
-		}
-	}
-	prev := parallel.SetWorkers(2)
-	defer parallel.SetWorkers(prev)
-	// A collection in the middle of a measurement would empty the pools
-	// and charge their refill to one unlucky run.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
-	// The median of single runs: a sync.Pool is per-P, so a run that
-	// starts on a P whose slot is still empty pays one refill, and the
-	// steady state is what the budget is about.
-	measure := func(f func()) (bytes, objects float64) {
-		const runs = 15
-		f() // warm the pools
-		var bs, os []float64
-		for i := 0; i < runs; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			f()
-			runtime.ReadMemStats(&after)
-			bs = append(bs, float64(after.TotalAlloc-before.TotalAlloc))
-			os = append(os, float64(after.Mallocs-before.Mallocs))
-		}
-		slices.Sort(bs)
-		slices.Sort(os)
-		return bs[runs/2], os[runs/2]
-	}
+	defer pooledSteadyState(t)()
 
 	r := tensor.NewRNG(5)
 	p := codec.New(quant.OptL())
@@ -196,7 +164,7 @@ func TestCodecEncodeDecodeAllocs(t *testing.T) {
 		}
 		var enc codec.Encoded
 		var err error
-		bytes, objects := measure(func() {
+		bytes, objects := medianAllocs(func() {
 			if enc, err = p.Encode(kind, x); err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +180,7 @@ func TestCodecEncodeDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out *tensor.Tensor
-		bytes, objects = measure(func() {
+		bytes, objects = medianAllocs(func() {
 			if out, err = p.Decode(f); err != nil {
 				t.Fatal(err)
 			}
@@ -226,5 +194,82 @@ func TestCodecEncodeDecodeAllocs(t *testing.T) {
 				kind, bytes, objects, fresh+slackBytes, fresh, slackBytes, maxObjects)
 		}
 		t.Logf("%v (%s): encode result %d B, decode result %d B", kind, f.Codec, len(enc.Frame.Payload)+len(enc.Mask), fresh)
+	}
+}
+
+// pooledSteadyState prepares a test that budgets pooled scratch at two
+// workers and returns what undoes it.
+func pooledSteadyState(t *testing.T) (restore func()) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				// Under the race detector sync.Pool drops a quarter of
+				// what is Put, on purpose; there is no steady state.
+				t.Skip("pooled scratch is not steady under -race")
+			}
+		}
+	}
+	prev := parallel.SetWorkers(2)
+	// A collection in the middle of a measurement would empty the pools
+	// and charge their refill to one unlucky run.
+	gc := debug.SetGCPercent(-1)
+	return func() {
+		debug.SetGCPercent(gc)
+		parallel.SetWorkers(prev)
+	}
+}
+
+// medianAllocs is the median of single runs: a sync.Pool is per-P, so a
+// run that starts on a P whose slot is still empty pays one refill, and
+// the steady state is what a budget is about.
+func medianAllocs(f func()) (bytes, objects float64) {
+	const runs = 15
+	f() // warm the pools
+	var bs, os []float64
+	for i := 0; i < runs; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		bs = append(bs, float64(after.TotalAlloc-before.TotalAlloc))
+		os = append(os, float64(after.Mallocs-before.Mallocs))
+	}
+	slices.Sort(bs)
+	slices.Sort(os)
+	return bs[runs/2], os[runs/2]
+}
+
+// TestConvStepAllocs pins what one conv layer allocates per step to its
+// results and one fork-join per pass: the same count at any batch size.
+// (A walk of the batch that forks per element grows by 2-4 closures per
+// element: 152 objects at N = 8, 582 at N = 32.) The count is the floor
+// of many single steps: the runtime's own allocations (a goroutine
+// structure, a pool refill) only ever add to what the code makes.
+func TestConvStepAllocs(t *testing.T) {
+	defer pooledSteadyState(t)()
+	const maxObjects = 24
+	var floors []uint64
+	for _, n := range []int{8, 32} {
+		conv := nn.NewConv2D("c", 16, 16, 3, nn.ConvOpts{Pad: 1}, tensor.NewRNG(1))
+		in := &nn.ActRef{Kind: compress.KindConv, T: tensor.New(n, 16, 16, 16)}
+		in.T.FillNormal(tensor.NewRNG(2), 0, 1)
+		grad := tensor.New(n, 16, 16, 16)
+		grad.FillNormal(tensor.NewRNG(3), 0, 1)
+		floor := ^uint64(0)
+		for range 20 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			conv.Forward(in, true)
+			conv.Backward(grad)
+			runtime.ReadMemStats(&after)
+			floor = min(floor, after.Mallocs-before.Mallocs)
+		}
+		if floor > maxObjects {
+			t.Errorf("conv forward+backward at N=%d allocates %d objects, budget %d", n, floor, maxObjects)
+		}
+		floors = append(floors, floor)
+	}
+	if floors[0] != floors[1] {
+		t.Errorf("conv forward+backward allocates %d objects at N=8 and %d at N=32: it must not grow with the batch", floors[0], floors[1])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"jpegact/internal/compress"
+	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
 
@@ -45,14 +46,16 @@ func (r *ReLU) Forward(in *ActRef, train bool) *ActRef {
 	// 0xFFFFFFFF (drop), negatives and -0 have the sign bit (drop), NaNs
 	// sit above 0x7F800000 after the decrement (drop, as NaN > 0 is
 	// false), positives through +Inf land below it (keep).
-	for i, v := range x.Data {
-		bits := math.Float32bits(v)
-		z := uint32(0)
-		if bits-1 < 0x7F800000 {
-			z = bits
+	parallel.For(len(dst), elemGrain, func(lo, hi int) {
+		for i, v := range x.Data[lo:hi] {
+			bits := math.Float32bits(v)
+			z := uint32(0)
+			if bits-1 < 0x7F800000 {
+				z = bits
+			}
+			dst[lo+i] = math.Float32frombits(z)
 		}
-		dst[i] = math.Float32frombits(z)
-	}
+	})
 	// Provisional kind: a consuming conv upgrades this to KindReLUToConv.
 	ref := &ActRef{Name: r.LayerName + ".out", Kind: compress.KindReLUToOther, T: out}
 	if train {
@@ -63,21 +66,23 @@ func (r *ReLU) Forward(in *ActRef, train bool) *ActRef {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := grad.Clone()
-	if r.out.Mask != nil {
-		for i, m := range r.out.Mask {
-			if !m {
-				dx.Data[i] = 0
+	dx := tensor.NewLike(grad)
+	parallel.For(len(dx.Data), elemGrain, func(lo, hi int) {
+		if mask := r.out.Mask; mask != nil {
+			for i := lo; i < hi; i++ {
+				if mask[i] {
+					dx.Data[i] = grad.Data[i]
+				}
+			}
+			return
+		}
+		saved := r.out.T.Data
+		for i := lo; i < hi; i++ {
+			if !(saved[i] <= 0) { // not > 0: a saved NaN keeps passing its gradient
+				dx.Data[i] = grad.Data[i]
 			}
 		}
-		return dx
-	}
-	saved := r.out.T
-	for i := range dx.Data {
-		if saved.Data[i] <= 0 {
-			dx.Data[i] = 0
-		}
-	}
+	})
 	return dx
 }
 
@@ -131,14 +136,11 @@ func (d *Dropout) Forward(in *ActRef, train bool) *ActRef {
 
 // Backward implements Layer.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := grad.Clone()
+	dx := tensor.NewLike(grad)
 	keep := float32(1 - d.Rate)
-	saved := d.out.T
-	for i := range dx.Data {
-		if saved.Data[i] == 0 {
-			dx.Data[i] = 0
-		} else {
-			dx.Data[i] /= keep
+	for i, v := range d.out.T.Data {
+		if v != 0 {
+			dx.Data[i] = grad.Data[i] / keep
 		}
 	}
 	return dx

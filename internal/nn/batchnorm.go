@@ -100,15 +100,15 @@ func (b *BatchNorm) Forward(in *ActRef, train bool) *ActRef {
 					base := (n*sh.C + c) * hw
 					for i := 0; i < hw; i++ {
 						d := float64(x.Data[base+i]) - mean
-						sq += d * d
+						sq += float64(d * d)
 					}
 				}
 				variance := sq / m
 				invStd = 1 / math.Sqrt(variance+b.Eps)
 				b.mean[c] = float32(mean)
 				b.invStd[c] = float32(invStd)
-				b.RunningMean[c] = float32((1-b.Momentum)*float64(b.RunningMean[c]) + b.Momentum*mean)
-				b.RunningVar[c] = float32((1-b.Momentum)*float64(b.RunningVar[c]) + b.Momentum*variance)
+				b.RunningMean[c] = float32(float64((1-b.Momentum)*float64(b.RunningMean[c])) + float64(b.Momentum*mean))
+				b.RunningVar[c] = float32(float64((1-b.Momentum)*float64(b.RunningVar[c])) + float64(b.Momentum*variance))
 			} else {
 				mean = float64(b.RunningMean[c])
 				invStd = 1 / math.Sqrt(float64(b.RunningVar[c])+b.Eps)
@@ -118,7 +118,7 @@ func (b *BatchNorm) Forward(in *ActRef, train bool) *ActRef {
 			for n := 0; n < sh.N; n++ {
 				base := (n*sh.C + c) * hw
 				for i := 0; i < hw; i++ {
-					out.Data[base+i] = float32((float64(x.Data[base+i])-mean)*invStd*g + bt)
+					out.Data[base+i] = float32(float64((float64(x.Data[base+i])-mean)*invStd*g) + bt)
 				}
 			}
 		}
@@ -172,7 +172,7 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 					dy := float64(grad.Data[base+i])
 					xh := (float64(x.Data[base+i]) - mean) * invStd
 					sumDy += dy
-					sumDyXhat += dy * xh
+					sumDyXhat += float64(dy * xh)
 				}
 			}
 			b.Beta.Grad.Data[c] += float32(sumDy)
@@ -234,7 +234,7 @@ func (b *BatchNorm) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
 				dotDyX += pl.DecodeDot(grad.Data, n, c, codes[n*hw:(n+1)*hw])
 			}
 			// Σ dy·x̂ = invStd · (Σ dy·x − mean·Σ dy)
-			sumDyXhat := invStd * (dotDyX - mean*sumDy)
+			sumDyXhat := invStd * (dotDyX - float64(mean*sumDy))
 			b.Beta.Grad.Data[c] += float32(sumDy)
 			b.Gamma.Grad.Data[c] += float32(sumDyXhat)
 

@@ -16,6 +16,11 @@ import (
 // recomputes the im2col lowering from the (possibly lossy) recovered
 // input during backward, so compression error propagates into ∇w exactly
 // as Eqn. 9 describes.
+//
+// A pass is one fork-join over the batch (forBatch): a shard takes its
+// element from lowering to result on scratch of its own, so nothing but
+// the read-only weights is shared and no element's float32 op sequence
+// depends on which shard ran it.
 type Conv2D struct {
 	LayerName   string
 	InC, OutC   int
@@ -26,8 +31,6 @@ type Conv2D struct {
 	in          *ActRef
 	inShape     tensor.Shape // shape of the saved input (survives offload nil-ing T)
 	outShape    tensor.Shape
-	colBuf      []float32
-	dcolBuf     []float32
 	freqGF      []float32 // transposed grad coefficients (HW × OutC)
 	freqWG      []float32 // ∇Wᵀ accumulator (InC × OutC)
 }
@@ -79,9 +82,9 @@ func (c *Conv2D) SavedRefs() []*ActRef {
 	return []*ActRef{c.in}
 }
 
-func (c *Conv2D) outDims(in tensor.Shape) (int, int) {
-	ho := (in.H+2*c.Pad-c.Kernel)/c.Stride + 1
-	wo := (in.W+2*c.Pad-c.Kernel)/c.Stride + 1
+func (c *Conv2D) outDims(h, w int) (int, int) {
+	ho := (h+2*c.Pad-c.Kernel)/c.Stride + 1
+	wo := (w+2*c.Pad-c.Kernel)/c.Stride + 1
 	return ho, wo
 }
 
@@ -99,36 +102,46 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 		c.in = in
 		c.inShape = x.Shape
 	}
-	ho, wo := c.outDims(x.Shape)
+	ho, wo := c.outDims(x.Shape.H, x.Shape.W)
 	c.outShape = tensor.Shape{N: x.Shape.N, C: c.OutC, H: ho, W: wo}
 	out := tensor.New(x.Shape.N, c.OutC, ho, wo)
 
 	k2 := c.InC * c.Kernel * c.Kernel
 	spatial := ho * wo
-	if cap(c.colBuf) < k2*spatial {
-		c.colBuf = make([]float32, k2*spatial)
-	}
-	cols := c.colBuf[:k2*spatial]
-	w := newGemmLHS(c.OutC, k2, c.Weight.W.Data, false)
-	for n := 0; n < x.Shape.N; n++ {
-		c.im2col(x, n, cols)
-		// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial)
-		dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-		w.mul(spatial, cols, dst, gemmAccumulate)
-	}
-	w.release()
-	if c.Bias != nil {
-		for n := 0; n < out.Shape.N; n++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				b := c.Bias.W.Data[oc]
-				base := (n*c.OutC + oc) * spatial
-				for i := 0; i < spatial; i++ {
-					out.Data[base+i] += b
+	inElems := c.InC * x.Shape.H * x.Shape.W
+	forBatch(x.Shape.N, func(lo, hi int, split bool) {
+		pk := packPool.get(gemmPanels(spatial) * k2 * gemmNR)
+		for n := lo; n < hi; n++ {
+			// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial),
+			// cols lowered straight into the panels the tiles read.
+			c.im2col(x.Data[n*inElems:(n+1)*inElems], x.Shape.H, x.Shape.W, gemmNR, *pk)
+			dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
+			gemmTiles(c.OutC, k2, spatial, c.Weight.W.Data, *pk, dst, gemmOverwrite, split)
+			if c.Bias != nil {
+				for oc, b := range c.Bias.W.Data {
+					row := dst[oc*spatial : (oc+1)*spatial]
+					for i := range row {
+						row[i] += b
+					}
 				}
 			}
 		}
-	}
+		packPool.put(pk)
+	})
 	return &ActRef{Name: c.LayerName + ".out", Kind: compress.KindConv, T: out}
+}
+
+// forBatch runs fn over the n elements of a batch. With at least one
+// element per worker the elements are the shards, handed out one at a
+// time, and fn runs its GEMMs on the calling shard (split false); a
+// smaller batch runs as one serial range whose GEMMs split their row
+// tiles over the pool instead.
+func forBatch(n int, fn func(lo, hi int, split bool)) {
+	if n < parallel.Workers() {
+		fn(0, n, true)
+		return
+	}
+	parallel.For(n, 1, func(lo, hi int) { fn(lo, hi, false) })
 }
 
 // WantsCoefficients implements CoefficientConsumer. Only the 1×1,
@@ -148,6 +161,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.in == nil {
 		panic("nn: conv backward before forward")
 	}
+	if grad.Shape != c.outShape {
+		panic(fmt.Sprintf("nn: %s backward expects gradient %v, got %v", c.LayerName, c.outShape, grad.Shape))
+	}
 	if c.in.Coef != nil {
 		if c.in.T == nil && c.in.Coef.Aligned() &&
 			c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 {
@@ -159,45 +175,77 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic("nn: conv backward needs saved input values (BRC mask is not enough)")
 	}
-	ho, wo := c.outShape.H, c.outShape.W
-	spatial := ho * wo
+	spatial := c.outShape.H * c.outShape.W
 	k2 := c.InC * c.Kernel * c.Kernel
+	inElems := c.InC * x.Shape.H * x.Shape.W
 
 	dx := tensor.NewLike(x)
-	if cap(c.colBuf) < k2*spatial {
-		c.colBuf = make([]float32, k2*spatial)
-	}
-	cols := c.colBuf[:k2*spatial]
-	if cap(c.dcolBuf) < k2*spatial {
-		c.dcolBuf = make([]float32, k2*spatial)
-	}
-	dcols := c.dcolBuf[:k2*spatial]
 	wT := newGemmLHS(k2, c.OutC, c.Weight.W.Data, true)
-	for n := 0; n < x.Shape.N; n++ {
-		gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-		// ∇W += ∇y[n] · colsᵀ  (OutC×spatial · spatial×k2)
-		c.im2col(x, n, cols)
-		GemmTB(c.OutC, spatial, k2, gout, cols, c.Weight.Grad.Data)
-		// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), written over the
-		// last element's: zero-seeded accumulators are what clearing
-		// dcols and accumulating into it would compute.
-		wT.mul(spatial, gout, dcols, gemmOverwrite)
-		c.col2im(dcols, dx, n)
-	}
+	// Element n's ∇Wᵀ (k2 × OutC) is partials[n].
+	partials := gradPool.get(x.Shape.N * k2 * c.OutC)
+	forBatch(x.Shape.N, func(lo, hi int, split bool) {
+		cols := packPool.get(k2 * spatial)
+		pk := packPool.get(max(gemmPanels(c.OutC)*spatial, gemmPanels(spatial)*c.OutC) * gemmNR)
+		for n := lo; n < hi; n++ {
+			gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
+			// ∇Wᵀ[n] = cols · ∇y[n]ᵀ  (k2×spatial · spatial×OutC): the
+			// transpose is paid on ∇y, K² times smaller than cols.
+			c.im2col(x.Data[n*inElems:(n+1)*inElems], x.Shape.H, x.Shape.W, spatial, *cols)
+			packBT(spatial, c.OutC, gout, *pk)
+			gemmTiles(k2, spatial, c.OutC, *cols, *pk, (*partials)[n*k2*c.OutC:], gemmOverwrite, split)
+			// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), over cols.
+			packB(c.OutC, spatial, gout, *pk)
+			gemmTiles(k2, c.OutC, spatial, wT.a, *pk, *cols, gemmOverwrite, split)
+			c.col2im(*cols, dx.Data[n*inElems:(n+1)*inElems], x.Shape.H, x.Shape.W)
+		}
+		packPool.put(cols)
+		packPool.put(pk)
+	})
 	wT.release()
-	if c.Bias != nil {
-		for n := 0; n < grad.Shape.N; n++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				base := (n*c.OutC + oc) * spatial
-				var sum float32
-				for i := 0; i < spatial; i++ {
-					sum += grad.Data[base+i]
+	// One add per batch element in ascending n, whichever shard computed
+	// it: the op sequence of accumulating ∇y[n]·colsᵀ element by element.
+	addTransposed(c.OutC, k2, *partials, c.Weight.Grad.Data)
+	gradPool.put(partials)
+	c.biasGrad(grad)
+	return dx
+}
+
+// addTransposed adds into dst (rows × cols) the transpose of every matrix
+// in srcs (each cols × rows, back to back), in that order. The rows of
+// dst are sharded over the pool sixteen at a time, one cache line of every
+// src row, and walked in 32-column tiles so the lines stay in L1 until
+// they are used up.
+func addTransposed(rows, cols int, srcs, dst []float32) {
+	const rowGrain, tile = 16, 32
+	parallel.For(rows, rowGrain, func(lo, hi int) {
+		for j0 := 0; j0 < cols; j0 += tile {
+			j1 := min(j0+tile, cols)
+			for src := srcs; len(src) > 0; src = src[rows*cols:] {
+				for i := lo; i < hi; i++ {
+					row := dst[i*cols : (i+1)*cols]
+					for j := j0; j < j1; j++ {
+						row[j] += src[j*rows+i]
+					}
 				}
-				c.Bias.Grad.Data[oc] += sum
 			}
 		}
+	})
+}
+
+// biasGrad accumulates ∇b: per batch element and channel, the plane summed
+// from zero, then one add.
+func (c *Conv2D) biasGrad(grad *tensor.Tensor) {
+	if c.Bias == nil {
+		return
 	}
-	return dx
+	spatial := grad.Shape.H * grad.Shape.W
+	for i := range grad.Shape.N * c.OutC {
+		var sum float32
+		for _, g := range grad.Data[i*spatial : (i+1)*spatial] {
+			sum += g
+		}
+		c.Bias.Grad.Data[i%c.OutC] += sum
+	}
 }
 
 // backwardFreq is the coefficient-domain backward for the 1×1/stride-1/
@@ -238,23 +286,8 @@ func (c *Conv2D) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
 		wT.mul(spatial, gout, dx.Data[n*c.InC*spatial:(n+1)*c.InC*spatial], gemmAccumulate)
 	}
 	wT.release()
-	for oc := 0; oc < c.OutC; oc++ {
-		for ic := 0; ic < c.InC; ic++ {
-			c.Weight.Grad.Data[oc*c.InC+ic] += wgT[ic*c.OutC+oc]
-		}
-	}
-	if c.Bias != nil {
-		for n := 0; n < grad.Shape.N; n++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				base := (n*c.OutC + oc) * spatial
-				var sum float32
-				for i := 0; i < spatial; i++ {
-					sum += grad.Data[base+i]
-				}
-				c.Bias.Grad.Data[oc] += sum
-			}
-		}
-	}
+	addTransposed(c.OutC, c.InC, wgT, c.Weight.Grad.Data)
+	c.biasGrad(grad)
 	return dx
 }
 
@@ -282,96 +315,117 @@ func colRange(out, extent, stride, k, pad int) (int, int) {
 	return lo, hi
 }
 
-// im2col lowers batch element n of x into cols (k2 × ho*wo). Input
-// channels are distributed over the worker pool: channel ic fills the
-// contiguous cols slab [ic·K²·spatial, (ic+1)·K²·spatial), so workers
-// never share an output index. The pad test is hoisted out of the inner
-// loop: per output row only the in-bounds ox range is gathered (a copy
-// for stride 1), the fringe is zero-filled.
-func (c *Conv2D) im2col(x *tensor.Tensor, n int, cols []float32) {
-	ho, wo := c.outDims(x.Shape)
-	h, w := x.Shape.H, x.Shape.W
-	perC := c.Kernel * c.Kernel * ho * wo
-	parallel.For(c.InC, parallel.Grain(perC, 1<<14), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			idx := ic * perC
-			chBase := (n*x.Shape.C + ic) * h * w
-			for ky := 0; ky < c.Kernel; ky++ {
-				for kx := 0; kx < c.Kernel; kx++ {
-					oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
-					for oy := 0; oy < ho; oy++ {
-						iy := oy*c.Stride + ky - c.Pad
-						dst := cols[idx : idx+wo]
-						idx += wo
-						if iy < 0 || iy >= h {
-							for i := range dst {
-								dst[i] = 0
-							}
-							continue
-						}
-						for i := 0; i < oxLo; i++ {
-							dst[i] = 0
-						}
-						src := x.Data[chBase+iy*w:]
-						if c.Stride == 1 {
-							off := kx - c.Pad
-							copy(dst[oxLo:oxHi], src[oxLo+off:])
-						} else {
-							ix := oxLo*c.Stride + kx - c.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								dst[ox] = src[ix]
-								ix += c.Stride
-							}
-						}
-						for i := oxHi; i < wo; i++ {
-							dst[i] = 0
-						}
-					}
-				}
-			}
-		}
-	})
+// panelLine walks one k-row of a matrix stored as panels of nr columns,
+// k-major within a panel: run hands out the next columns that are
+// contiguous in memory, at most to the panel's edge.
+type panelLine struct {
+	dst      []float32
+	off      int // of the next column
+	room     int // columns left in the current panel
+	nr, jump int // panel width; from a panel's edge to this row in the next
 }
 
-// col2im scatters dcols back into batch element n of dx (accumulating).
-// Parallel over input channels: channel ic only accumulates into its own
-// dx plane, and reads its own dcols slab, so ranges stay disjoint and
-// the per-element accumulation order matches the serial loop. Pad
-// handling is hoisted like im2col's; out-of-range columns are skipped.
-func (c *Conv2D) col2im(dcols []float32, dx *tensor.Tensor, n int) {
-	ho, wo := c.outDims(dx.Shape)
-	h, w := dx.Shape.H, dx.Shape.W
-	perC := c.Kernel * c.Kernel * ho * wo
-	parallel.For(c.InC, parallel.Grain(perC, 1<<14), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			idx := ic * perC
-			chBase := (n*dx.Shape.C + ic) * h * w
-			for ky := 0; ky < c.Kernel; ky++ {
-				for kx := 0; kx < c.Kernel; kx++ {
-					oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
-					for oy := 0; oy < ho; oy++ {
-						iy := oy*c.Stride + ky - c.Pad
-						row := dcols[idx : idx+wo]
-						idx += wo
-						if iy < 0 || iy >= h {
-							continue
-						}
-						dst := dx.Data[chBase+iy*w:]
+func (p *panelLine) run(cnt int) []float32 {
+	n := min(cnt, p.room)
+	d := p.dst[p.off : p.off+n]
+	p.off += n
+	if p.room -= n; p.room == 0 {
+		p.off += p.jump
+		p.room = p.nr
+	}
+	return d
+}
+
+func (p *panelLine) zero(cnt int) {
+	for cnt > 0 {
+		d := p.run(cnt)
+		clear(d)
+		cnt -= len(d)
+	}
+}
+
+// im2col lowers one batch element x (InC × h × w) into its k2 × spatial
+// matrix of receptive fields, stored as panels of nr columns: column s of
+// row kk lands at (s/nr)·k2·nr + kk·nr + s%nr, the last panel zero-padded.
+// nr = gemmNR is the packed right operand gemmTiles reads, so forward
+// never materialises the row-major matrix; nr = spatial is that matrix
+// (one panel), backward's left operand. The pad test is hoisted out of the
+// inner loop: per output row only the in-bounds ox range is gathered (a
+// copy for stride 1), the fringe is zero-filled.
+func (c *Conv2D) im2col(x []float32, h, w, nr int, dst []float32) {
+	ho, wo := c.outDims(h, w)
+	k2 := c.InC * c.Kernel * c.Kernel
+	kk := 0
+	for ic := range c.InC {
+		plane := x[ic*h*w : (ic+1)*h*w]
+		for ky := range c.Kernel {
+			for kx := range c.Kernel {
+				oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
+				line := panelLine{dst: dst, off: kk * nr, room: nr, nr: nr, jump: (k2 - 1) * nr}
+				kk++
+				for oy := range ho {
+					iy := oy*c.Stride + ky - c.Pad
+					if iy < 0 || iy >= h {
+						line.zero(wo)
+						continue
+					}
+					line.zero(oxLo)
+					ix := iy*w + oxLo*c.Stride + kx - c.Pad
+					for cnt := oxHi - oxLo; cnt > 0; {
+						d := line.run(cnt)
 						if c.Stride == 1 {
-							off := kx - c.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								dst[ox+off] += row[ox]
-							}
+							copy(d, plane[ix:])
 						} else {
-							ix := oxLo*c.Stride + kx - c.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								dst[ix] += row[ox]
-								ix += c.Stride
+							for i := range d {
+								d[i] = plane[ix+i*c.Stride]
 							}
+						}
+						ix += len(d) * c.Stride
+						cnt -= len(d)
+					}
+					line.zero(wo - oxHi)
+				}
+				if line.room < nr {
+					line.zero(line.room)
+				}
+			}
+		}
+	}
+}
+
+// col2im scatters dcols (k2 × spatial, row-major) back into one batch
+// element of dx (InC × h × w), accumulating. Pad handling is hoisted like
+// im2col's; out-of-range columns are skipped.
+func (c *Conv2D) col2im(dcols, dx []float32, h, w int) {
+	ho, wo := c.outDims(h, w)
+	idx := 0
+	for ic := range c.InC {
+		plane := dx[ic*h*w : (ic+1)*h*w]
+		for ky := range c.Kernel {
+			for kx := range c.Kernel {
+				oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
+				for oy := range ho {
+					iy := oy*c.Stride + ky - c.Pad
+					row := dcols[idx : idx+wo]
+					idx += wo
+					if iy < 0 || iy >= h {
+						continue
+					}
+					dst := plane[iy*w:]
+					if c.Stride == 1 {
+						off := kx - c.Pad
+						for ox := oxLo; ox < oxHi; ox++ {
+							dst[ox+off] += row[ox]
+						}
+					} else {
+						ix := oxLo*c.Stride + kx - c.Pad
+						for ox := oxLo; ox < oxHi; ox++ {
+							dst[ix] += row[ox]
+							ix += c.Stride
 						}
 					}
 				}
 			}
 		}
-	})
+	}
 }

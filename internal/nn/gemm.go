@@ -61,36 +61,42 @@ const (
 // sets it once at init if the CPU qualifies; nothing else selects it.
 var gemmTileAsm func(k int, a *float32, lda int, panel *float32, c *float32, ldc int, mode int)
 
-// packPool recycles packed-operand buffers across calls (workers share
-// the read-only packed panels). New buffers are allocated at the
-// high-water mark of requested sizes: GEMM calls of different shapes
-// interleave, and a popped buffer that is too small for the current call
-// would otherwise be discarded and re-allocated forever. At the
+// bufPool recycles float32 scratch across calls. New buffers are
+// allocated at the high-water mark of requested sizes: calls of different
+// shapes interleave, and a popped buffer that is too small for the current
+// call would otherwise be discarded and re-allocated forever. At the
 // high-water capacity every pooled buffer serves every request, so steady
 // state allocates nothing.
-var (
-	packPool sync.Pool
-	packMax  atomic.Int64
-)
+type bufPool struct {
+	pool sync.Pool
+	max  atomic.Int64
+}
 
-func getPack(n int) *[]float32 {
-	if p, ok := packPool.Get().(*[]float32); ok && cap(*p) >= n {
+func (bp *bufPool) get(n int) *[]float32 {
+	if p, ok := bp.pool.Get().(*[]float32); ok && cap(*p) >= n {
 		*p = (*p)[:n]
 		return p
 	}
-	hw := int(packMax.Load())
+	hw := int(bp.max.Load())
 	for hw < n {
-		if packMax.CompareAndSwap(int64(hw), int64(n)) {
+		if bp.max.CompareAndSwap(int64(hw), int64(n)) {
 			hw = n
 			break
 		}
-		hw = int(packMax.Load())
+		hw = int(bp.max.Load())
 	}
 	buf := make([]float32, n, hw)
 	return &buf
 }
 
-func putPack(p *[]float32) { packPool.Put(p) }
+func (bp *bufPool) put(p *[]float32) { bp.pool.Put(p) }
+
+// packPool holds what one GEMM operand needs — packed panels, a transposed
+// left operand, one batch element's im2col matrix — and every worker
+// draws several at once. gradPool holds a conv layer's per-element ∇W
+// partials, batch-size times a weight tensor and one per backward call:
+// it has its own high-water mark so the operand buffers do not grow to it.
+var packPool, gradPool bufPool
 
 func gemmPanels(n int) int { return (n + gemmNR - 1) / gemmNR }
 
@@ -240,25 +246,35 @@ func gemmRowGrain(k, n int) int {
 	return (g + gemmMR - 1) / gemmMR * gemmMR
 }
 
-// gemmTiles is the driver: C (m×n) against row-major A (m×k) and packed
-// panels pk, rows sharded over the worker pool, each panel kept hot
-// across the chunk's row tiles. A full tile goes to the SIMD kernel,
-// any other to the portable one.
-func gemmTiles(m, k, n int, a, pk, c []float32, mode gemmMode) {
-	parallel.For(m, gemmRowGrain(k, n), func(lo, hi int) {
-		for p := 0; p < gemmPanels(n); p++ {
-			j0 := p * gemmNR
-			nr := min(gemmNR, n-j0)
-			panel := pk[p*k*gemmNR : (p+1)*k*gemmNR]
-			for i := lo; i < hi; i += gemmMR {
-				mr := min(gemmMR, hi-i)
-				if gemmTileAsm != nil && mr == gemmMR && nr == gemmNR && k > 0 {
-					gemmTileAsm(k, &a[i*k], k, &panel[0], &c[i*n+j0], n, int(mode))
-				} else {
-					gemmTileGo(k, a[i*k:], k, panel, c[i*n+j0:], n, mr, nr, mode)
-				}
+// gemmTileRows computes rows [lo, hi) of C (m×n) against row-major A
+// (m×k) and packed panels pk, each panel kept hot across the row tiles. A
+// full tile goes to the SIMD kernel, any other to the portable one.
+func gemmTileRows(lo, hi, k, n int, a, pk, c []float32, mode gemmMode) {
+	for p := 0; p < gemmPanels(n); p++ {
+		j0 := p * gemmNR
+		nr := min(gemmNR, n-j0)
+		panel := pk[p*k*gemmNR : (p+1)*k*gemmNR]
+		for i := lo; i < hi; i += gemmMR {
+			mr := min(gemmMR, hi-i)
+			if gemmTileAsm != nil && mr == gemmMR && nr == gemmNR && k > 0 {
+				gemmTileAsm(k, &a[i*k], k, &panel[0], &c[i*n+j0], n, int(mode))
+			} else {
+				gemmTileGo(k, a[i*k:], k, panel, c[i*n+j0:], n, mr, nr, mode)
 			}
 		}
+	}
+}
+
+// gemmTiles is the driver: all m rows of C. With split the rows are
+// sharded over the worker pool; without, the caller is itself one shard
+// of a wider loop (a conv layer's batch) and the rows run on it.
+func gemmTiles(m, k, n int, a, pk, c []float32, mode gemmMode, split bool) {
+	if !split {
+		gemmTileRows(0, m, k, n, a, pk, c, mode)
+		return
+	}
+	parallel.For(m, gemmRowGrain(k, n), func(lo, hi int) {
+		gemmTileRows(lo, hi, k, n, a, pk, c, mode)
 	})
 }
 
@@ -276,7 +292,7 @@ type gemmLHS struct {
 func newGemmLHS(m, k int, a []float32, transposed bool) gemmLHS {
 	l := gemmLHS{m: m, k: k, a: a[:m*k]}
 	if transposed {
-		l.at = getPack(m * k)
+		l.at = packPool.get(m * k)
 		packAT(k, m, a, *l.at)
 		l.a = *l.at
 	}
@@ -285,15 +301,15 @@ func newGemmLHS(m, k int, a []float32, transposed bool) gemmLHS {
 
 // mul computes C (m×n) from A·B for row-major B (k×n) in the given mode.
 func (l *gemmLHS) mul(n int, b, c []float32, mode gemmMode) {
-	packed := getPack(gemmPanels(n) * l.k * gemmNR)
+	packed := packPool.get(gemmPanels(n) * l.k * gemmNR)
 	packB(l.k, n, b, *packed)
-	gemmTiles(l.m, l.k, n, l.a, *packed, c, mode)
-	putPack(packed)
+	gemmTiles(l.m, l.k, n, l.a, *packed, c, mode, true)
+	packPool.put(packed)
 }
 
 func (l *gemmLHS) release() {
 	if l.at != nil {
-		putPack(l.at)
+		packPool.put(l.at)
 	}
 }
 
@@ -326,8 +342,8 @@ func GemmTB(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("nn: gemmTB size mismatch")
 	}
-	packed := getPack(gemmPanels(n) * k * gemmNR)
+	packed := packPool.get(gemmPanels(n) * k * gemmNR)
 	packBT(k, n, b, *packed)
-	gemmTiles(m, k, n, a, *packed, c, gemmDotAdd)
-	putPack(packed)
+	gemmTiles(m, k, n, a, *packed, c, gemmDotAdd, true)
+	packPool.put(packed)
 }

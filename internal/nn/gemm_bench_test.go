@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"jpegact/internal/compress"
 	"jpegact/internal/tensor"
 )
 
@@ -75,3 +76,38 @@ func BenchmarkGemmTB(b *testing.B) {
 func BenchmarkGemmSaxpyRef(b *testing.B)   { benchGemm(b, 16, 144, 1024, gemmSaxpy) }
 func BenchmarkGemmTASaxpyRef(b *testing.B) { benchGemm(b, 144, 16, 1024, gemmTASaxpy) }
 func BenchmarkGemmTBSaxpyRef(b *testing.B) { benchGemm(b, 16, 1024, 144, gemmTBSaxpy) }
+
+// BenchmarkConv is the layer those products sit in — lowering, packing,
+// the fork-join and col2im included — at the four stage shapes of the
+// bench model (3×3, pad 1, C channels at H×H, batch 8), so a conv pass
+// reads as a share of its own leaf rate in BenchmarkGemm. Backward counts
+// its two products.
+func BenchmarkConv(b *testing.B) {
+	const batch = 8
+	for _, s := range []struct{ c, hw int }{{16, 32}, {32, 16}, {64, 8}, {128, 4}} {
+		conv := NewConv2D("c", s.c, s.c, 3, ConvOpts{Pad: 1}, tensor.NewRNG(1))
+		in := &ActRef{Kind: compress.KindConv, T: tensor.New(batch, s.c, s.hw, s.hw)}
+		benchFill(in.T.Data, 2)
+		grad := tensor.New(batch, s.c, s.hw, s.hw)
+		benchFill(grad.Data, 3)
+		conv.Forward(in, true) // backward may be selected alone
+		flop := 2 * float64(batch) * float64(s.c) * float64(9*s.c) * float64(s.hw*s.hw)
+		passes := []struct {
+			name string
+			flop float64
+			run  func()
+		}{
+			{"forward", flop, func() { conv.Forward(in, true) }},
+			{"backward", 2 * flop, func() { conv.Backward(grad) }},
+		}
+		for _, p := range passes {
+			b.Run(fmt.Sprintf("%s_%dx%dx%d", p.name, s.c, s.hw, s.hw), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p.run()
+				}
+				b.ReportMetric(p.flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

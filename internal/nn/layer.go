@@ -6,6 +6,11 @@
 // must be *saved* for the backward pass is exposed through an ActRef so
 // the training loop can replace it with its lossy compressed-recovered
 // version, exactly like the paper's functional simulation.
+//
+// A product that feeds an add or subtract is written float64(a*b) or
+// float32(a*b) throughout the package: an explicit conversion rounds, so a
+// toolchain that fuses x*y+z (arm64) computes the bits amd64 does. `make
+// ci` greps the arm64 compile of the package for fused multiply-adds.
 package nn
 
 import (
@@ -13,6 +18,7 @@ import (
 
 	"jpegact/internal/compress"
 	"jpegact/internal/freqdomain"
+	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
 
@@ -177,18 +183,28 @@ func (r *Residual) Forward(in *ActRef, train bool) *ActRef {
 	if bodyOut.T.Shape != short.T.Shape {
 		panic(fmt.Sprintf("nn: residual shape mismatch %v vs %v", bodyOut.T.Shape, short.T.Shape))
 	}
-	sum := bodyOut.T.Clone()
-	sum.Add(short.T)
-	return &ActRef{Name: r.LayerName + ".sum", Kind: compress.KindConv, T: sum}
+	return &ActRef{Name: r.LayerName + ".sum", Kind: compress.KindConv, T: sumOf(bodyOut.T, short.T)}
+}
+
+// sumOf returns a + b in a new tensor of a's shape.
+func sumOf(a, b *tensor.Tensor) *tensor.Tensor {
+	out := tensor.NewLike(a)
+	parallel.For(len(out.Data), elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out.Data[i] = a.Data[i] + b.Data[i]
+		}
+	})
+	return out
 }
 
 // Backward implements Layer: the gradient flows unchanged into both the
-// body and the shortcut, and the input gradients add.
+// body and the shortcut (no Backward writes its argument, so they share
+// it), and the input gradients add.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.hooks != nil {
 		announceNeeds(r.hooks, r.Body)
 	}
-	gBody := r.Body.Backward(grad.Clone())
+	gBody := r.Body.Backward(grad)
 	if r.hooks != nil {
 		emitGrads(r.hooks, r.Body)
 	}
@@ -197,14 +213,12 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		if r.hooks != nil {
 			announceNeeds(r.hooks, r.Shortcut)
 		}
-		gShort = r.Shortcut.Backward(grad.Clone())
+		gShort = r.Shortcut.Backward(grad)
 		if r.hooks != nil {
 			emitGrads(r.hooks, r.Shortcut)
 		}
 	}
-	out := gBody.Clone()
-	out.Add(gShort)
-	return out
+	return sumOf(gBody, gShort)
 }
 
 func (r *Residual) setHooks(h *Hooks) {

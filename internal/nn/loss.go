@@ -79,7 +79,7 @@ func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	n := float64(pred.Elems())
 	for i := range pred.Data {
 		d := float64(pred.Data[i] - target.Data[i])
-		loss += d * d
+		loss += float64(d * d)
 		grad.Data[i] = float32(2 * d / n)
 	}
 	return loss / n, grad
@@ -111,8 +111,8 @@ func (s *SGD) Step(params []*Param) {
 		mom := float32(s.Momentum)
 		wd := float32(s.WeightDecay)
 		for i := range p.W.Data {
-			g := p.Grad.Data[i] + wd*p.W.Data[i]
-			v.Data[i] = mom*v.Data[i] - lr*g
+			g := p.Grad.Data[i] + float32(wd*p.W.Data[i])
+			v.Data[i] = float32(mom*v.Data[i]) - float32(lr*g)
 			p.W.Data[i] += v.Data[i]
 		}
 		p.ZeroGrad()

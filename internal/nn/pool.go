@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"jpegact/internal/compress"
@@ -222,7 +223,10 @@ func (l *Linear) Forward(in *ActRef, train bool) *ActRef {
 // Backward implements Layer.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := l.in.T
-	n := grad.Shape.N
+	n := l.inShape.N
+	if want := (tensor.Shape{N: n, C: l.OutF, H: 1, W: 1}); grad.Shape != want {
+		panic(fmt.Sprintf("nn: %s backward expects gradient %v, got %v", l.LayerName, want, grad.Shape))
+	}
 	// ∇W += ∇yᵀ · x  (OutF×n · n×InF)
 	GemmTA(l.OutF, n, l.InF, grad.Data, x.Data, l.Weight.Grad.Data)
 	for i := 0; i < n; i++ {
