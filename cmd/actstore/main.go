@@ -5,13 +5,14 @@
 // -replicas for the gradient exchange).
 //
 //	actstore -addr unix:/tmp/actstore.sock -shards 8
-//	actstore -addr tcp:0.0.0.0:7077 -metrics 127.0.0.1:9090 -replicas 2
+//	actstore -addr tcp:0.0.0.0:7077 -metrics 127.0.0.1:9090
 //
 // With -metrics set, the unified counter snapshot (the same one the
 // wire STATS op returns) is served Prometheus-text-style on /metrics.
-// With -replicas R > 1 every PUT lands on R distinct shards and reads
-// fail over (with read-repair) when the primary loses a frame — the
-// survival margin the chaos harness kills shards against.
+// Every frame is stored once, in this process's memory, so the store
+// dies whole: a client gets back the frames it lost through its
+// recovery policy (recompute, then the circuit breaker's local
+// fallback).
 package main
 
 import (
@@ -30,13 +31,12 @@ import (
 func main() {
 	addr := flag.String("addr", "unix:/tmp/actstore.sock", "listen address (unix:/path or tcp:host:port)")
 	shards := flag.Int("shards", netstore.DefaultShards, "in-memory store shards (lock-contention granularity)")
-	replicas := flag.Int("replicas", 1, "copies stored per PUT across distinct shards (reads fail over)")
 	metrics := flag.String("metrics", "", "HTTP listen address for /metrics (empty = disabled)")
 	grace := flag.Duration("grace", 5*time.Second, "shutdown drain budget for in-flight responses")
 	verbose := flag.Bool("v", false, "log protocol errors and failed reads per connection")
 	flag.Parse()
 
-	cfg := netstore.Config{Shards: *shards, Replicas: *replicas}
+	cfg := netstore.Config{Shards: *shards}
 	if *verbose {
 		cfg.Logf = log.Printf
 	}
@@ -47,7 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "actstore:", err)
 		os.Exit(1)
 	}
-	log.Printf("actstore: serving on %s (shards=%d replicas=%d)", *addr, *shards, *replicas)
+	log.Printf("actstore: serving on %s (shards=%d)", *addr, *shards)
 
 	if *metrics != "" {
 		mux := http.NewServeMux()

@@ -46,7 +46,7 @@ func TestSignalDrain(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "store.sock")
 	addr := "unix:" + sock
 
-	cmd := exec.Command(bin, "-addr", addr, "-shards", "4", "-replicas", "2", "-grace", "5s", "-v")
+	cmd := exec.Command(bin, "-addr", addr, "-shards", "4", "-grace", "5s", "-v")
 	var logs bytes.Buffer
 	cmd.Stdout = &logs
 	cmd.Stderr = &logs

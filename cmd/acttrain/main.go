@@ -240,10 +240,9 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 		os.Exit(2)
 	}
 	oc := jpegact.OffloadTrainOptions{
-		DQT: jpegact.OptL(), Policy: pol, MaxRecompute: 16, Verbose: true,
+		DQT: jpegact.OptL(), Policy: pol, Verbose: true,
 		Async: async, FreqDomain: freq, StoreAddr: store, StoreKeyBase: storeKey << 32,
-		StoreTimeout: storeTimeout,
-		Breaker:      jpegact.StoreBreakerConfig{Disabled: noDegrade},
+		StoreTimeout: storeTimeout, NoDegrade: noDegrade,
 	}
 	if store != "" && (flip > 0 || trunc > 0 || drop > 0) {
 		fmt.Fprintln(os.Stderr, "acttrain: -flip/-trunc/-drop inject on the in-process channel; they have no effect with -store")

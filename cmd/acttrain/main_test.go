@@ -232,9 +232,9 @@ func TestDataParallelReplicasMatch(t *testing.T) {
 	}
 }
 
-// TestStoreKilledAndRestarted: a replicated actstore is kill -9ed the
-// moment the trainer reports its first epoch and restarted on the stale
-// socket one epoch later. The trainer is held (SIGSTOP) while the test
+// TestStoreKilledAndRestarted: an actstore is kill -9ed the moment the
+// trainer reports its first epoch and restarted on the stale socket one
+// epoch later. The trainer is held (SIGSTOP) while the test
 // acts, so the outage covers the same stretch of the run on any machine:
 // epoch 0 healthy, the next epoch against a dead store (recompute
 // replays, then the breaker degrades to the local fallback), the rest
@@ -243,7 +243,7 @@ func TestDataParallelReplicasMatch(t *testing.T) {
 func TestStoreKilledAndRestarted(t *testing.T) {
 	acttrain, actstore := binaries(t)
 	sock := filepath.Join(t.TempDir(), "store.sock")
-	storeArgs := []string{"-shards", "4", "-replicas", "2"}
+	storeArgs := []string{"-shards", "4"}
 	store := startStore(t, actstore, sock, storeArgs...)
 
 	args := small("-offload", "-async", "-epochs", "5")

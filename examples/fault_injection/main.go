@@ -54,7 +54,6 @@ func main() {
 	rep, stats, err = jpegact.TrainClassifierOffloaded("ResNet18", sc, cfg,
 		jpegact.OffloadTrainOptions{
 			DQT: jpegact.OptL(), Channel: inj, Policy: jpegact.RecoverRecompute,
-			MaxRecompute: 16,
 		}, 42)
 	check(err)
 	is := inj.Stats()
@@ -75,7 +74,7 @@ func main() {
 	rep, stats, err = jpegact.TrainClassifierOffloaded("ResNet18", sc, cfg,
 		jpegact.OffloadTrainOptions{
 			DQT: jpegact.OptL(), Channel: inj, Policy: jpegact.RecoverRecompute,
-			MaxRecompute: 16, Async: true,
+			Async: true,
 		}, 42)
 	check(err)
 	fmt.Printf("async + recompute:  final loss %.6f (%d recomputes, %d drops counted)\n",

@@ -5,7 +5,7 @@
 // internal/faults (which corrupts the in-process DMA channel): faults
 // injects payload damage below the CRC, netfaults injects *transport*
 // damage below the reconnect/retry machinery — the failure class the
-// deadline, replication and circuit-breaker layers exist to absorb.
+// deadline and circuit-breaker layers exist to absorb.
 //
 // Determinism: every wrapped connection gets its own splitmix64 stream
 // derived from the injector seed and the connection's dial index, and
@@ -13,8 +13,8 @@
 // applies to — a pure function of (seed, conn index, call index), with
 // no global RNG and no wall clock. Runs are reproducible given the
 // same I/O sequences; and because every injected fault is absorbed by
-// content-transparent machinery (reconnect+resend, replication,
-// degraded fallback, recompute), the chaos soak test can demand
+// content-transparent machinery (reconnect+resend, degraded fallback,
+// recompute), the chaos soak test can demand
 // bit-identical training weights rather than "it didn't crash" no
 // matter how kernel scheduling chunks the byte stream.
 //

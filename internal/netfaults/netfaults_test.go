@@ -154,7 +154,7 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 // must complete every op via reconnect+resend, and the frames must come
 // back intact (CRC re-verified client-side).
 func TestChaosRiddenClientStillCompletes(t *testing.T) {
-	srv := netstore.New(netstore.Config{Shards: 4, Replicas: 2})
+	srv := netstore.New(netstore.Config{Shards: 4})
 	ln, err := srv.Listen("tcp:127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,9 @@ func (w *flakyWire) Delete(key uint64) error {
 
 func (w *flakyWire) Close() error { return nil }
 
-func breakerStore(wire *flakyWire, cfg BreakerConfig) *Store {
+func breakerStore(wire *flakyWire) *Store {
 	s := NewStore(quant.OptL())
 	s.Transport = wire
-	s.Breaker = cfg
 	return s
 }
 
@@ -96,35 +95,22 @@ func healthyReconstruction(t *testing.T, seed uint64) *tensor.Tensor {
 	return ref.T
 }
 
-// TestBreakerTripsAndDegrades: with the wire dead, the first
-// FailureThreshold-1 offloads fail outright (the recovery policy's
-// domain); the one that crosses the threshold — and everything after —
-// degrades to the local fallback and succeeds. Restores of degraded
-// frames reconstruct the exact tensor a healthy run would, and never
-// touch the wire.
+// TestBreakerTripsAndDegrades: with the wire dead, the first offload
+// opens the breaker and itself degrades to the local fallback, and so
+// does everything after. Restores of degraded frames reconstruct the
+// exact tensor a healthy run would, and never touch the wire.
 func TestBreakerTripsAndDegrades(t *testing.T) {
 	wire := newFlakyWire()
-	s := breakerStore(wire, BreakerConfig{FailureThreshold: 3, ProbeAfter: 100})
+	s := breakerStore(wire)
 	wire.setDead(true)
 
-	for i := 0; i < 2; i++ {
-		err := s.Offload(denseRef(uint64(10 + i)))
-		if !errors.Is(err, transport.ErrStoreUnavailable) {
-			t.Fatalf("pre-threshold offload %d: want ErrStoreUnavailable, got %v", i, err)
-		}
-	}
-	if s.Tripped() {
-		t.Fatal("breaker open before the threshold")
-	}
-
-	// Third failure crosses the threshold: this op itself degrades.
 	ref := denseRef(42)
 	want := healthyReconstruction(t, 42)
 	if err := s.Offload(ref); err != nil {
-		t.Fatalf("threshold-crossing offload should degrade, not fail: %v", err)
+		t.Fatalf("first failed offload should degrade, not fail: %v", err)
 	}
 	if !s.Tripped() {
-		t.Fatal("breaker not open after threshold failures")
+		t.Fatal("breaker not open after a whole-op failure")
 	}
 	if got := s.Stats().Degraded; got != 1 {
 		t.Fatalf("Degraded = %d, want 1", got)
@@ -155,32 +141,28 @@ func TestBreakerTripsAndDegrades(t *testing.T) {
 	}
 }
 
-// TestBreakerProbesAndRecovers: after ProbeAfter degraded ops the
+// TestBreakerProbesAndRecovers: after probeAfter degraded ops the
 // breaker half-opens and re-tries the wire; once the store is back the
 // probe succeeds, the breaker closes, and traffic returns to the wire.
 // Frames stored degraded remain readable (they are pinned to the
 // fallback).
 func TestBreakerProbesAndRecovers(t *testing.T) {
 	wire := newFlakyWire()
-	s := breakerStore(wire, BreakerConfig{FailureThreshold: 1, ProbeAfter: 2})
+	s := breakerStore(wire)
 	wire.setDead(true)
 
-	// First failure trips immediately (threshold 1) and degrades.
-	r1 := denseRef(1)
-	if err := s.Offload(r1); err != nil {
+	// The first failure trips and degrades; probeAfter more ops serve
+	// probation (still degraded, wire untouched).
+	refs := []*nn.ActRef{denseRef(0)}
+	if err := s.Offload(refs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Tripped() {
-		t.Fatal("threshold 1 should trip on the first failure")
-	}
-	// Two more ops serve probation (still degraded, wire untouched).
-	r2, r3 := denseRef(2), denseRef(3)
 	before := wire.wirePuts()
-	if err := s.Offload(r2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Offload(r3); err != nil {
-		t.Fatal(err)
+	for i := 1; i <= probeAfter; i++ {
+		refs = append(refs, denseRef(uint64(i)))
+		if err := s.Offload(refs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if wire.wirePuts() != before {
 		t.Fatal("probation ops touched the wire")
@@ -188,8 +170,8 @@ func TestBreakerProbesAndRecovers(t *testing.T) {
 
 	// Server comes back; the next op is the half-open probe and wins.
 	wire.setDead(false)
-	r4 := denseRef(4)
-	if err := s.Offload(r4); err != nil {
+	probe := denseRef(probeAfter + 1)
+	if err := s.Offload(probe); err != nil {
 		t.Fatal(err)
 	}
 	if s.Tripped() {
@@ -199,9 +181,9 @@ func TestBreakerProbesAndRecovers(t *testing.T) {
 		t.Fatalf("probe did not reach the wire: %d puts", wire.wirePuts())
 	}
 
-	// Every frame restores from wherever it lives: r1..r3 from the
-	// fallback, r4 from the wire.
-	for _, ref := range []*nn.ActRef{r1, r2, r3, r4} {
+	// Every frame restores from wherever it lives: the degraded ones from
+	// the fallback, the probe's from the wire.
+	for _, ref := range append(refs, probe) {
 		if err := s.Restore(ref); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
@@ -212,8 +194,8 @@ func TestBreakerProbesAndRecovers(t *testing.T) {
 	if s.Stored() != 0 {
 		t.Fatalf("%d entries left", s.Stored())
 	}
-	if got := s.Stats().Degraded; got < 3 {
-		t.Fatalf("Degraded = %d, want >= 3", got)
+	if got := s.Stats().Degraded; got < probeAfter+1 {
+		t.Fatalf("Degraded = %d, want >= %d", got, probeAfter+1)
 	}
 }
 
@@ -221,17 +203,16 @@ func TestBreakerProbesAndRecovers(t *testing.T) {
 // still-dead store re-opens the breaker and degrades the probing op.
 func TestBreakerFailedProbeRestartsProbation(t *testing.T) {
 	wire := newFlakyWire()
-	s := breakerStore(wire, BreakerConfig{FailureThreshold: 1, ProbeAfter: 1})
+	s := breakerStore(wire)
 	wire.setDead(true)
 
-	if err := s.Offload(denseRef(1)); err != nil { // trips, degrades
-		t.Fatal(err)
-	}
-	if err := s.Offload(denseRef(2)); err != nil { // probation op
-		t.Fatal(err)
+	for i := 0; i <= probeAfter; i++ { // trips, then probation
+		if err := s.Offload(denseRef(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := wire.wirePuts()
-	if err := s.Offload(denseRef(3)); err != nil { // probe: fails, degrades
+	if err := s.Offload(denseRef(probeAfter + 1)); err != nil { // probe: fails, degrades
 		t.Fatalf("failed probe must degrade, not error: %v", err)
 	}
 	if wire.wirePuts() != before+1 {
@@ -240,16 +221,24 @@ func TestBreakerFailedProbeRestartsProbation(t *testing.T) {
 	if !s.Tripped() {
 		t.Fatal("breaker closed after a failed probe")
 	}
-	if got := s.Stats().Degraded; got != 3 {
-		t.Fatalf("Degraded = %d, want 3", got)
+	if got := s.Stats().Degraded; got != probeAfter+2 {
+		t.Fatalf("Degraded = %d, want %d", got, probeAfter+2)
+	}
+	// Probation restarted: the next op degrades without a wire attempt.
+	if err := s.Offload(denseRef(probeAfter + 2)); err != nil {
+		t.Fatal(err)
+	}
+	if wire.wirePuts() != before+1 {
+		t.Fatal("probation after a failed probe touched the wire")
 	}
 }
 
-// TestBreakerDisabled: with the breaker off, wire failures surface on
-// every op and nothing degrades.
+// TestBreakerDisabled: with NoDegrade, wire failures surface on every
+// op and nothing degrades.
 func TestBreakerDisabled(t *testing.T) {
 	wire := newFlakyWire()
-	s := breakerStore(wire, BreakerConfig{Disabled: true})
+	s := breakerStore(wire)
+	s.NoDegrade = true
 	wire.setDead(true)
 	for i := 0; i < 5; i++ {
 		if err := s.Offload(denseRef(uint64(i))); !errors.Is(err, transport.ErrStoreUnavailable) {
@@ -265,11 +254,11 @@ func TestBreakerDisabled(t *testing.T) {
 }
 
 // TestBreakerGetFailureAdvancesBreaker: a GET that finds the store dead
-// surfaces its error (only recompute can rebuild those bytes) but
-// counts toward the threshold, so the re-offloads that follow degrade.
+// surfaces its error (only recompute can rebuild those bytes) but opens
+// the breaker, so the re-offloads that follow degrade.
 func TestBreakerGetFailureAdvancesBreaker(t *testing.T) {
 	wire := newFlakyWire()
-	s := breakerStore(wire, BreakerConfig{FailureThreshold: 1, ProbeAfter: 100})
+	s := breakerStore(wire)
 	ref := denseRef(7)
 	if err := s.Offload(ref); err != nil {
 		t.Fatal(err)
@@ -297,5 +286,7 @@ func TestBreakerGetFailureAdvancesBreaker(t *testing.T) {
 // Tripped reports whether the circuit breaker is currently open (new
 // offloads are being served degraded from the local fallback).
 func (s *Store) Tripped() bool {
-	return s.breakerActive() && s.breakerOf().tripped()
+	s.brk.mu.Lock()
+	defer s.brk.mu.Unlock()
+	return s.breakerActive() && s.brk.open
 }

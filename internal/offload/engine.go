@@ -438,7 +438,6 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	ent, ok := s.lookup(ref)
 
 	e.mu.Lock()
-	repaired := e.repaired
 	pf := e.pf
 	var ft *fetchTask
 	if pf != nil {
@@ -446,11 +445,7 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	}
 	if !ok {
 		e.mu.Unlock()
-		// Already restored (shared ref), or replaced by a rebuild.
-		if ref.T != nil || ref.Mask != nil || ref.Coef != nil || repaired {
-			return nil
-		}
-		return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
+		return e.notResident(ref)
 	}
 	if ft == nil || ft.ent != ent {
 		// No prefetch plan covers this entry (on-demand mode, or an
@@ -477,14 +472,8 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	cur, still := s.lookup(ref)
 	if !still || cur != ft.ent {
 		e.release(pf, ft)
-		e.mu.Lock()
-		repaired = e.repaired
-		e.mu.Unlock()
 		if !still {
-			if ref.T != nil || ref.Mask != nil || ref.Coef != nil || repaired {
-				return nil
-			}
-			return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
+			return e.notResident(ref)
 		}
 		return e.store.Restore(ref)
 	}
@@ -500,6 +489,19 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	s.finishRestore(ref, ft.ent, t, pl)
 	e.release(pf, ft)
 	return nil
+}
+
+// notResident resolves a restore of a ref the store no longer holds: nil
+// when it was already restored (a shared ref) or replaced by a recompute
+// rebuild, ErrNotStored otherwise.
+func (e *Engine) notResident(ref *nn.ActRef) error {
+	e.mu.Lock()
+	repaired := e.repaired
+	e.mu.Unlock()
+	if ref.T != nil || ref.Mask != nil || ref.Coef != nil || repaired {
+		return nil
+	}
+	return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
 }
 
 // escalate handles a corruption the prefetcher discovered

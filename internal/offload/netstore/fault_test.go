@@ -8,80 +8,16 @@ import (
 	"testing"
 	"time"
 
-	"jpegact/internal/frame"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/splitmix"
 )
 
-// killPrimaries wipes shards until some key in [0, n) has lost its
-// primary copy, and returns such a key. With Replicas > 1 the replica
-// chain still holds the frame.
-func killPrimary(t *testing.T, srv *Server, n int) uint64 {
-	t.Helper()
-	k := uint64(len(srv.shards))
-	for key := uint64(0); key < uint64(n); key++ {
-		shardIdx := int(splitmix.Mix(key) % k)
-		srv.KillShard(shardIdx)
-		sh := srv.shards[shardIdx]
-		sh.mu.Lock()
-		_, still := sh.entries[key]
-		sh.mu.Unlock()
-		if !still {
-			return key
-		}
-	}
-	t.Fatal("no key lost its primary")
-	return 0
-}
-
-// TestReplicatedPutSurvivesKilledShard: with 2 replicas across 4
-// shards, wiping the primary shard of a key must not lose the frame —
-// the GET fails over to the replica, counts a ReplicaRead, and
-// read-repair restores the killed shard's copy.
-func TestReplicatedPutSurvivesKilledShard(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 4, Replicas: 2})
-	c := transport.NewNetClient(dial, nil)
-	defer c.Close()
-
-	const n = 16
-	buf := testFrame(t, 5)
-	for i := 0; i < n; i++ {
-		if _, err := c.Put(uint64(i), buf, transport.Retry{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every frame is resident twice.
-	if got := srv.Entries(); got != 2*n {
-		t.Fatalf("%d resident entries, want %d (2 replicas x %d keys)", got, 2*n, n)
-	}
-
-	key := killPrimary(t, srv, n)
-	f, err := c.Get(key, transport.Retry{}, false)
-	if err != nil {
-		t.Fatalf("get after killed primary: %v", err)
-	}
-	if f.Codec != frame.CodecZVC || f.Payload[0] != 5 {
-		t.Fatalf("failover returned wrong frame: %+v", f)
-	}
-	if got := srv.Snapshot().ReplicaReads; got == 0 {
-		t.Fatal("failover read was not counted in ReplicaReads")
-	}
-
-	// Read-repair re-installed the primary copy: a second GET for the
-	// same key is served by the primary again.
-	before := srv.Snapshot().ReplicaReads
-	if _, err := c.Get(key, transport.Retry{}, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Snapshot().ReplicaReads; got != before {
-		t.Fatalf("read-repair did not restore the primary: ReplicaReads went %d -> %d", before, got)
-	}
-}
-
-// TestSingleReplicaLosesKilledShard pins the contrast: without
-// replication, killing a shard loses its frames for real.
-func TestSingleReplicaLosesKilledShard(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 4, Replicas: 1})
+// TestKilledShardLosesItsFrames: a shard holds the one copy of each of
+// its keys, so killing it loses those frames for real — the GET reports
+// the typed ErrNotFound the client's recovery policy handles — while
+// keys on the other shards survive.
+func TestKilledShardLosesItsFrames(t *testing.T) {
+	srv, dial := startServer(t, Config{Shards: 4})
 	c := transport.NewNetClient(dial, nil)
 	defer c.Close()
 	buf := testFrame(t, 2)
@@ -91,50 +27,16 @@ func TestSingleReplicaLosesKilledShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	key := killPrimary(t, srv, n)
+	if got := srv.Entries(); got != n {
+		t.Fatalf("%d resident entries, want one per key (%d)", got, n)
+	}
+	const key = 3
+	srv.KillShard(int(splitmix.Mix(key) % uint64(len(srv.shards))))
 	if _, err := c.Get(key, transport.Retry{}, false); !errors.Is(err, transport.ErrNotFound) {
-		t.Fatalf("want ErrNotFound after unreplicated shard kill, got %v", err)
+		t.Fatalf("want ErrNotFound after shard kill, got %v", err)
 	}
-}
-
-// TestReplicatedDeleteRemovesAllCopies: delete must clear the whole
-// replica set, or a later GET would resurrect stale bytes.
-func TestReplicatedDeleteRemovesAllCopies(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 4, Replicas: 3})
-	c := transport.NewNetClient(dial, nil)
-	defer c.Close()
-	buf := testFrame(t, 4)
-	if _, err := c.Put(9, buf, transport.Retry{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Entries(); got != 3 {
-		t.Fatalf("%d copies resident, want 3", got)
-	}
-	if err := c.Delete(9); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Entries(); got != 0 {
-		t.Fatalf("%d copies survived delete", got)
-	}
-	if got := srv.HostBytes(); got != 0 {
-		t.Fatalf("%d resident bytes after delete", got)
-	}
-	if _, err := c.Get(9, transport.Retry{}, false); !errors.Is(err, transport.ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
-	}
-}
-
-// TestReplicasClampedToShards: asking for more copies than shards must
-// degrade to shard-count copies, not duplicate within a shard or panic.
-func TestReplicasClampedToShards(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 2, Replicas: 8})
-	c := transport.NewNetClient(dial, nil)
-	defer c.Close()
-	if _, err := c.Put(1, testFrame(t, 1), transport.Retry{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Entries(); got != 2 {
-		t.Fatalf("%d copies, want 2 (clamped to shard count)", got)
+	if got := srv.Entries(); got == 0 || got >= n {
+		t.Fatalf("%d entries after one kill, want some but not all of %d", got, n)
 	}
 }
 

@@ -49,13 +49,6 @@ type Config struct {
 	// are hashed across (<= 0 uses DefaultShards). More shards means
 	// less lock contention between concurrent clients.
 	Shards int
-	// Replicas is how many distinct shards every PUT lands on (<= 1
-	// stores a single copy). Reads try the primary shard first and fail
-	// over to the replicas — counted in ReplicaReads, with read-repair
-	// re-installing the frame into any shard that lost it — so a killed
-	// shard loses no frames as long as one replica survives. Clamped to
-	// Shards.
-	Replicas int
 	// respDelay, when positive, injects a fixed service latency into
 	// every response: the due time is stamped when the request is
 	// *executed*, and the connection's writer holds each response until
@@ -108,12 +101,6 @@ func New(cfg Config) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
-	if cfg.Replicas > cfg.Shards {
-		cfg.Replicas = cfg.Shards
-	}
 	s := &Server{
 		cfg:       cfg,
 		shards:    make([]*shard, cfg.Shards),
@@ -126,22 +113,15 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// replicaSet returns the cfg.Replicas distinct shards responsible for
-// key, primary first. Replicas are the next shards in ring order, so
-// any two keys sharing a primary also share their whole set — losing
-// one shard leaves every key at least Replicas-1 surviving copies.
-// Keys are small sequence numbers with a per-client base in the high
-// bits, so the shared splitmix mixer spreads them: without it,
-// consecutive keys from one client would land on neighbouring shards
-// in lockstep.
-func (s *Server) replicaSet(key uint64) []*shard {
-	k := uint64(len(s.shards))
-	primary := splitmix.Mix(key) % k
-	set := make([]*shard, s.cfg.Replicas)
-	for i := range set {
-		set[i] = s.shards[(primary+uint64(i))%k]
-	}
-	return set
+// shardOf returns the one shard that holds key. Keys are small
+// sequence numbers with a per-client base in the high bits, so the
+// shared splitmix mixer spreads them: without it, consecutive keys from
+// one client would land on neighbouring shards in lockstep. Every shard
+// lives and dies with this process, so one copy is all there is: a
+// frame KillShard wipes is gone, and the client's GET reports
+// transport.ErrNotFound for its recovery policy to handle.
+func (s *Server) shardOf(key uint64) *shard {
+	return s.shards[splitmix.Mix(key)%uint64(len(s.shards))]
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -297,18 +277,14 @@ func (s *Server) handleRequest(req transport.Request) (status uint8, body []byte
 			s.counters.Corrupted.Add(1)
 			return transport.StatusCorrupt, nil
 		}
-		// One wire request, R shard writes: replication costs memcopies
-		// only, never extra round trips. Offload counters record the
-		// logical PUT once; resident-byte accounting is per shard.
-		for _, sh := range s.replicaSet(req.Key) {
-			sh.mu.Lock()
-			if old, ok := sh.entries[req.Key]; ok {
-				sh.bytes -= int64(len(old))
-			}
-			sh.entries[req.Key] = req.Body
-			sh.bytes += int64(len(req.Body))
-			sh.mu.Unlock()
+		sh := s.shardOf(req.Key)
+		sh.mu.Lock()
+		if old, ok := sh.entries[req.Key]; ok {
+			sh.bytes -= int64(len(old))
 		}
+		sh.entries[req.Key] = req.Body
+		sh.bytes += int64(len(req.Body))
+		sh.mu.Unlock()
 		s.counters.Offloaded.Add(1)
 		s.counters.BytesOffloaded.Add(int64(len(req.Body)))
 		if transport.IsGradKey(req.Key) {
@@ -318,34 +294,12 @@ func (s *Server) handleRequest(req transport.Request) (status uint8, body []byte
 		return transport.StatusOK, nil
 
 	case transport.OpGet, transport.OpGetCoef:
-		set := s.replicaSet(req.Key)
-		var b []byte
-		hit := -1
-		for i, sh := range set {
-			sh.mu.Lock()
-			v, ok := sh.entries[req.Key]
-			sh.mu.Unlock()
-			if ok {
-				b, hit = v, i
-				break
-			}
-		}
-		if hit < 0 {
+		sh := s.shardOf(req.Key)
+		sh.mu.Lock()
+		b, ok := sh.entries[req.Key]
+		sh.mu.Unlock()
+		if !ok {
 			return transport.StatusNotFound, nil
-		}
-		if hit > 0 {
-			// The primary lost this frame (killed shard): serve it from
-			// the surviving replica and read-repair every shard in the
-			// set that lacks it, so a second failure still finds copies.
-			s.counters.ReplicaReads.Add(1)
-			for _, sh := range set {
-				sh.mu.Lock()
-				if _, ok := sh.entries[req.Key]; !ok {
-					sh.entries[req.Key] = b
-					sh.bytes += int64(len(b))
-				}
-				sh.mu.Unlock()
-			}
 		}
 		s.counters.Restored.Add(1)
 		if req.Op == transport.OpGetCoef {
@@ -364,16 +318,14 @@ func (s *Server) handleRequest(req transport.Request) (status uint8, body []byte
 		return transport.StatusOK, b
 
 	case transport.OpDelete:
-		found := false
-		for _, sh := range s.replicaSet(req.Key) {
-			sh.mu.Lock()
-			if b, ok := sh.entries[req.Key]; ok {
-				delete(sh.entries, req.Key)
-				sh.bytes -= int64(len(b))
-				found = true
-			}
-			sh.mu.Unlock()
+		sh := s.shardOf(req.Key)
+		sh.mu.Lock()
+		b, found := sh.entries[req.Key]
+		if found {
+			delete(sh.entries, req.Key)
+			sh.bytes -= int64(len(b))
 		}
+		sh.mu.Unlock()
 		if !found {
 			return transport.StatusNotFound, nil
 		}
@@ -497,10 +449,9 @@ func isTimeout(err error) bool {
 }
 
 // KillShard wipes every entry in shard i and returns how many frames it
-// dropped — a fault-injection hook for the chaos harness, standing in
-// for a storage node dying. With Replicas > 1 the surviving shards keep
-// a copy of every frame, so subsequent GETs fail over (and read-repair
-// repopulates the killed shard).
+// dropped — the chaos harness's lever for losing data while the process
+// lives. The frames are gone: their GETs answer StatusNotFound, and the
+// client's recovery policy (recompute, in training) rebuilds them.
 func (s *Server) KillShard(i int) int {
 	if i < 0 || i >= len(s.shards) {
 		return 0
@@ -568,6 +519,5 @@ func (s *Server) MetricsHandler() http.Handler {
 		fmt.Fprintf(w, "# HELP jpegact_actstore_resident_bytes Resident framed bytes\n# TYPE jpegact_actstore_resident_bytes gauge\njpegact_actstore_resident_bytes %d\n", s.HostBytes())
 		fmt.Fprintf(w, "# HELP jpegact_actstore_bad_requests_total Requests refused as malformed\n# TYPE jpegact_actstore_bad_requests_total counter\njpegact_actstore_bad_requests_total %d\n", s.badReqs.Load())
 		fmt.Fprintf(w, "# HELP jpegact_actstore_shards Configured shard count\n# TYPE jpegact_actstore_shards gauge\njpegact_actstore_shards %d\n", len(s.shards))
-		fmt.Fprintf(w, "# HELP jpegact_actstore_replicas Copies stored per PUT\n# TYPE jpegact_actstore_replicas gauge\njpegact_actstore_replicas %d\n", s.cfg.Replicas)
 	})
 }

@@ -155,12 +155,12 @@ type Store struct {
 	// Refs outside the plan (and non-JPEG frames within it) take the full
 	// spatial decode, unchanged.
 	CoefPlan func(ref *nn.ActRef) bool
-	// Breaker tunes the circuit breaker guarding a wire Transport (see
-	// BreakerConfig; the zero value is enabled with defaults). When the
-	// breaker opens, offloads degrade to an in-process fallback holding
-	// the identical encoded bytes, so training continues bit-identically
+	// NoDegrade turns the circuit breaker guarding a wire Transport off:
+	// whole-op wire failures surface as errors. With the breaker on (the
+	// default), offloads degrade to an in-process fallback holding the
+	// identical encoded bytes, so training continues bit-identically
 	// through a dead store.
-	Breaker BreakerConfig
+	NoDegrade bool
 
 	mu        sync.Mutex
 	entries   map[*nn.ActRef]*entry
@@ -168,7 +168,7 @@ type Store struct {
 	hostBytes int
 	local     *transport.Local
 	fallback  *transport.Local
-	brk       *breaker
+	brk       breaker
 
 	counters transport.Counters
 }
@@ -216,28 +216,10 @@ func (s *Store) fallbackT() transport.Transport {
 	return s.fallback
 }
 
-// breakerOf returns the breaker state machine with config defaults
-// applied.
-func (s *Store) breakerOf() *breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.brk == nil {
-		cfg := s.Breaker
-		if cfg.FailureThreshold <= 0 {
-			cfg.FailureThreshold = 1
-		}
-		if cfg.ProbeAfter <= 0 {
-			cfg.ProbeAfter = 32
-		}
-		s.brk = &breaker{cfg: cfg}
-	}
-	return s.brk
-}
-
 // breakerActive reports whether wire ops should consult the breaker: it
 // only guards an explicit wire Transport, and only when not disabled.
 func (s *Store) breakerActive() bool {
-	return s.Transport != nil && !s.Breaker.Disabled
+	return s.Transport != nil && !s.NoDegrade
 }
 
 // effRetries maps the recovery policy onto the transport retry budget.
@@ -365,7 +347,7 @@ func (s *Store) commitEncoded(ref *nn.ActRef, data []byte, mask []bool) (*entry,
 // and wait affects the next issue, not this one (putWait still degrades
 // this op's bytes if its own wire attempt exhausts unavailable).
 func (s *Store) putIssue(key uint64, data []byte) ticket {
-	if s.breakerActive() && s.breakerOf().skipWire() {
+	if s.breakerActive() && s.brk.skipWire() {
 		s.counters.Degraded.Add(1)
 		return ticket{s.fallbackT().PutAsync(key, data, transport.Retry{}), true}
 	}
@@ -374,18 +356,17 @@ func (s *Store) putIssue(key uint64, data []byte) ticket {
 
 // putWait completes a routed PUT: it reports what actually landed and
 // where, applying the breaker bookkeeping — a wire op whose whole retry
-// schedule failed at the connection level counts a failure, and once
-// the breaker trips the identical bytes land on the local fallback
-// instead, so training trajectories stay bit-identical across healthy,
-// degraded, and recovered stretches.
+// schedule failed at the connection level opens the breaker and its
+// identical bytes land on the local fallback instead, so training
+// trajectories stay bit-identical across healthy, degraded, and
+// recovered stretches.
 func (s *Store) putWait(key uint64, data []byte, t ticket) (stored int, degraded bool, err error) {
 	n, err := t.h.PutResult()
 	if t.degraded || !s.breakerActive() {
 		return n, t.degraded, err
 	}
-	b := s.breakerOf()
 	if err == nil {
-		b.onSuccess()
+		s.brk.onSuccess()
 		return n, false, nil
 	}
 	if !errors.Is(err, transport.ErrStoreUnavailable) {
@@ -393,12 +374,7 @@ func (s *Store) putWait(key uint64, data []byte, t ticket) (stored int, degraded
 		// the wire is answering, so this is not a breaker event.
 		return 0, false, err
 	}
-	b.onFailure()
-	if !b.tripped() {
-		// Below the threshold the failure still surfaces; the
-		// recovery policy (retry/recompute) owns it.
-		return 0, false, err
-	}
+	s.brk.onFailure()
 	s.counters.Degraded.Add(1)
 	n, err = s.fallbackT().PutAsync(key, data, transport.Retry{}).PutResult()
 	return n, true, err
@@ -460,13 +436,13 @@ func (s *Store) readWait(t ticket) (*frame.Frame, error) {
 	f, err := t.h.GetResult()
 	if !t.degraded && s.breakerActive() {
 		if err == nil {
-			s.breakerOf().onSuccess()
+			s.brk.onSuccess()
 		} else if errors.Is(err, transport.ErrStoreUnavailable) {
 			// The failure still surfaces — the bytes are gone with the
 			// store, so only the recompute policy can recover this ref —
-			// but it advances the breaker so the re-offloads that follow
+			// but it opens the breaker so the re-offloads that follow
 			// degrade instead of beating on a dead wire.
-			s.breakerOf().onFailure()
+			s.brk.onFailure()
 		}
 	}
 	return f, err
@@ -530,25 +506,22 @@ func (s *Store) finishRestore(ref *nn.ActRef, e *entry, t *tensor.Tensor, pl *fr
 		ref.Coef = pl
 		s.counters.CoefRestores.Add(1)
 	}
-	s.mu.Lock()
-	delete(s.entries, ref)
-	s.hostBytes -= e.size
-	s.mu.Unlock()
-	s.deleteEntry(e)
+	s.dropIfCurrent(ref, e)
 	s.counters.Restored.Add(1)
 }
 
-// dropIfCurrent removes ref's entry if it is still e (a recompute hook
-// may have rebuilt the store wholesale, replacing it).
+// dropIfCurrent removes ref's entry if it is still e — a recompute hook
+// may have rebuilt the store wholesale, replacing it — and then deletes
+// the backend copy.
 func (s *Store) dropIfCurrent(ref *nn.ActRef, e *entry) {
 	s.mu.Lock()
-	cur, still := s.entries[ref]
-	if still && cur == e {
+	current := s.entries[ref] == e
+	if current {
 		delete(s.entries, ref)
 		s.hostBytes -= e.size
 	}
 	s.mu.Unlock()
-	if still && cur == e {
+	if current {
 		s.deleteEntry(e)
 	}
 }

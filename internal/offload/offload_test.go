@@ -2,6 +2,7 @@ package offload
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"jpegact/internal/frame"
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
+	"jpegact/internal/offload/netstore"
+	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
@@ -265,6 +268,66 @@ func TestRestoreRecomputeHook(t *testing.T) {
 	}
 	if ref.T == nil || s.Stored() != 0 || s.HostBytes() != 0 {
 		t.Fatal("store not drained after recompute")
+	}
+}
+
+// TestLostFrameFollowsThePolicy: a frame the networked store lost (a
+// killed shard holds its only copy) comes back as the typed
+// transport.ErrNotFound and takes the path a corrupted frame takes —
+// PolicyFail surfaces it with the entry retained, PolicyRecompute
+// rebuilds the activation once — and never engages the breaker.
+func TestLostFrameFollowsThePolicy(t *testing.T) {
+	srv := netstore.New(netstore.Config{Shards: 1})
+	addr := "unix:" + filepath.Join(t.TempDir(), "store.sock")
+	ln, err := srv.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	dial, err := transport.DialAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lose := func(r Recovery) (*Store, *nn.ActRef, error) {
+		s := NewStore(quant.OptL())
+		s.Transport = transport.NewNetClient(dial, s.Counters())
+		s.Recovery = r
+		t.Cleanup(func() { s.Close() })
+		ref := denseRef(11)
+		if err := s.Offload(ref); err != nil {
+			t.Fatal(err)
+		}
+		srv.KillShard(0)
+		return s, ref, s.Restore(ref)
+	}
+
+	s, ref, err := lose(Recovery{Policy: PolicyFail})
+	if !errors.Is(err, transport.ErrNotFound) {
+		t.Fatalf("PolicyFail: want ErrNotFound, got %v", err)
+	}
+	if s.Stored() != 1 || ref.T != nil || s.Tripped() {
+		t.Fatalf("PolicyFail: %d entries, tensor %v, tripped %v — want the entry retained and the breaker closed",
+			s.Stored(), ref.T != nil, s.Tripped())
+	}
+
+	recomputed := 0
+	s, ref, err = lose(Recovery{
+		Policy: PolicyRecompute,
+		Recompute: func(ref *nn.ActRef) error {
+			recomputed++
+			ref.T = tensor.New(2, 4, 16, 16) // stand-in for a replayed forward
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("PolicyRecompute: %v", err)
+	}
+	if recomputed != 1 || s.Stats().Recomputed != 1 {
+		t.Fatalf("PolicyRecompute: hook ran %d times, Recomputed = %d, want 1 and 1", recomputed, s.Stats().Recomputed)
+	}
+	if ref.T == nil || s.Stored() != 0 || s.Tripped() {
+		t.Fatal("PolicyRecompute: store not drained, or the breaker opened")
 	}
 }
 

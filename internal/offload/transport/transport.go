@@ -158,7 +158,6 @@ type Counters struct {
 	Reconnects     atomic.Uint64 // connections re-dialed by a networked backend
 	Degraded       atomic.Uint64 // operations served by the degraded local fallback (breaker open)
 	Hedged         atomic.Uint64 // reserved, always zero: hedged GETs are gone; bench/ and the stats JSON still read the field
-	ReplicaReads   atomic.Uint64 // GETs served by a non-primary replica shard
 	GradPuts       atomic.Uint64 // gradient frames put (keys in the grad namespace)
 	GradGets       atomic.Uint64 // gradient frames fetched back
 	BytesOffloaded atomic.Int64  // frame bytes written to the backend
@@ -179,7 +178,6 @@ type Snapshot struct {
 	Reconnects     uint64 `json:"reconnects"`
 	Degraded       uint64 `json:"degraded"`
 	Hedged         uint64 `json:"hedged"`
-	ReplicaReads   uint64 `json:"replica_reads"`
 	GradPuts       uint64 `json:"grad_puts"`
 	GradGets       uint64 `json:"grad_gets"`
 	BytesOffloaded int64  `json:"bytes_offloaded"`
@@ -200,7 +198,6 @@ func (c *Counters) Snapshot() Snapshot {
 		Reconnects:     c.Reconnects.Load(),
 		Degraded:       c.Degraded.Load(),
 		Hedged:         c.Hedged.Load(),
-		ReplicaReads:   c.ReplicaReads.Load(),
 		GradPuts:       c.GradPuts.Load(),
 		GradGets:       c.GradGets.Load(),
 		BytesOffloaded: c.BytesOffloaded.Load(),
@@ -228,7 +225,6 @@ func (s Snapshot) WriteMetrics(w io.Writer, namespace string) error {
 		{"reconnects_total", "Connections re-dialed", int64(s.Reconnects)},
 		{"degraded_total", "Operations served by the degraded local fallback", int64(s.Degraded)},
 		{"hedged_total", "Reserved, always zero (hedged GETs were removed)", int64(s.Hedged)},
-		{"replica_reads_total", "GETs served by a non-primary replica shard", int64(s.ReplicaReads)},
 		{"grad_puts_total", "Gradient frames put to the store", int64(s.GradPuts)},
 		{"grad_gets_total", "Gradient frames fetched from the store", int64(s.GradGets)},
 		{"bytes_offloaded_total", "Frame bytes written to the store", s.BytesOffloaded},

@@ -170,7 +170,7 @@ func TestAsyncDropRecovery(t *testing.T) {
 	m, ds := faultModel(500)
 	inj := faults.New(faults.Config{Seed: 81, DropRate: 0.03})
 	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
-		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute, MaxRecompute: 16, Async: true,
+		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute, Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)

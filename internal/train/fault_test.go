@@ -194,7 +194,7 @@ func TestOffloadedTrainingDropRecovery(t *testing.T) {
 	m, ds := faultModel(500)
 	inj := faults.New(faults.Config{Seed: 81, DropRate: 0.03})
 	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
-		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute, MaxRecompute: 16,
+		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,9 +45,6 @@ type OffloadOptions struct {
 	// MaxRetries bounds the channel re-reads, which follow one another
 	// without a delay.
 	MaxRetries int
-	// MaxRecompute caps whole-step forward replays per batch under
-	// PolicyRecompute (default 4); beyond it the step fails.
-	MaxRecompute int
 	// Async enables the pipelined engine: activations stream to the
 	// host as the forward pass produces them and restores are
 	// prefetched during backward (see engineConfig). The trajectory is
@@ -76,10 +73,10 @@ type OffloadOptions struct {
 	// quarter of the budget (at least 50ms) so one stalled connection
 	// cannot eat it all. 0 = unbounded (the pre-deadline behaviour).
 	StoreTimeout time.Duration
-	// Breaker tunes the store's circuit breaker (zero value = enabled;
-	// set Disabled to surface wire failures instead of degrading). Only
+	// NoDegrade turns the store's circuit breaker off: wire failures
+	// surface instead of degrading to the local fallback. Only
 	// meaningful in networked mode.
-	Breaker offload.BreakerConfig
+	NoDegrade bool
 	// StoreClient, when set, receives the built wire client before the
 	// first operation — the seam chaos tests use to install op-count
 	// triggers (kill a shard on the Nth PUT) via the Latency hook.
@@ -140,9 +137,6 @@ func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout
 // up to that point).
 func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, oc OffloadOptions) (Report, offload.Stats, error) {
 	cfg = cfg.withDefaults()
-	if oc.MaxRecompute == 0 {
-		oc.MaxRecompute = 4
-	}
 	if oc.DQT == (quant.DQT{}) {
 		// A zero table would quantize every coefficient by 2⁰.
 		oc.DQT = quant.OptL()
@@ -172,14 +166,14 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		}
 		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreClient)
 		store.KeyBase = oc.StoreKeyBase
-		store.Breaker = oc.Breaker
+		store.NoDegrade = oc.NoDegrade
 		rep.MethodName += "+netstore"
 	}
 	defer store.Close()
 	eng := offload.NewEngine(store, oc.engineConfig())
 	defer eng.Close()
 
-	p := &pass{net: m.Net, eng: eng, maxRecompute: oc.MaxRecompute, freq: oc.FreqDomain}
+	p := &pass{net: m.Net, eng: eng, freq: oc.FreqDomain}
 	l := loop{
 		cfg:  cfg,
 		step: localStep(p, opt, classifierBatch(ds, cfg)),

@@ -109,7 +109,7 @@ func TestPolicyMatrix(t *testing.T) {
 						s.Close()
 					})
 					stores = append(stores, s)
-					p.eng, p.maxRecompute = eng, 4
+					p.eng = eng
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", act, err)

@@ -52,11 +52,12 @@ type pass struct {
 	method  compress.Method // round-trip policy
 	measure bool            // with method: record the recovered-activation error
 	eng     *offload.Engine // offload policy
-	// maxRecompute caps whole-step forward replays under PolicyRecompute;
-	// freq restores plan-covered activations as coefficient planes.
-	maxRecompute int
-	freq         bool
+	freq    bool            // with eng: restore plan-covered activations as coefficient planes
 }
+
+// maxRecompute caps whole-step forward replays per batch under
+// PolicyRecompute; beyond it the step fails.
+const maxRecompute = 16
 
 // restoreAbort carries a restore failure out of the backward pass; the
 // hook has no error return, so the step unwinds via panic/recover.
@@ -126,8 +127,8 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 	if store.Recovery.Policy == offload.PolicyRecompute {
 		recomputes := 0
 		store.Recovery.Recompute = func(*nn.ActRef) error {
-			if recomputes >= p.maxRecompute {
-				return fmt.Errorf("recompute budget (%d) exhausted", p.maxRecompute)
+			if recomputes >= maxRecompute {
+				return fmt.Errorf("recompute budget (%d) exhausted", maxRecompute)
 			}
 			recomputes++
 			// Rewind side effects and replay the forward pass from the

@@ -182,14 +182,6 @@ const (
 // match with errors.Is.
 var ErrFrameChecksum = frame.ErrChecksum
 
-// StoreBreakerConfig tunes the circuit breaker guarding a networked
-// activation store (see OffloadTrainOptions.Breaker): consecutive
-// whole-op wire failures trip it and offloads degrade to an in-process
-// fallback holding the identical encoded bytes, so training continues
-// bit-identically through a dead store. The zero value is an enabled
-// breaker with default thresholds.
-type StoreBreakerConfig = offload.BreakerConfig
-
 // StoreDialer opens one connection to a networked activation store; it
 // is the fault-injection seam of the network transport.
 type StoreDialer = transport.Dialer
