@@ -18,6 +18,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -109,9 +110,15 @@ func startStore(t *testing.T, bin, sock string, args ...string) *exec.Cmd {
 
 // train runs acttrain to completion and returns its standard output.
 func train(bin string, args ...string) (string, error) {
+	return trainWith(nil, bin, args...)
+}
+
+// trainWith is train with env added to the child's environment.
+func trainWith(env []string, bin string, args ...string) (string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Env = append(os.Environ(), env...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -166,6 +173,57 @@ func counter(t *testing.T, out, name string) int {
 	}
 	n, _ := strconv.Atoi(m[len(m)-1][1]) // the last mention is the run total
 	return n
+}
+
+// TestDigestTable: every command line of testdata/digests.txt prints the
+// weights digest recorded next to it, at JPEGACT_WORKERS 1 and 3, and the
+// first line (batch 8) at 16 as well, where a conv layer has fewer batch
+// elements than workers and splits its GEMM rows instead. The digests
+// hold on amd64: where the compiler fuses multiply-adds the float32 DCT's
+// low bits move, and a compressed run's weights with them.
+// UPDATE_GOLDEN=1 rewrites them from the JPEGACT_WORKERS=1 runs.
+func TestDigestTable(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests were recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	acttrain, _ := binaries(t)
+	path := filepath.Join("testdata", "digests.txt")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table strings.Builder
+	workers := []string{"1", "3", "16"}
+	for _, l := range strings.SplitAfter(string(raw), "\n") {
+		want, line, ok := strings.Cut(strings.TrimSuffix(l, "\n"), "  acttrain ")
+		if strings.HasPrefix(l, "#") || !ok {
+			table.WriteString(l)
+			continue
+		}
+		var got string
+		for _, w := range workers {
+			out, err := trainWith([]string{"JPEGACT_WORKERS=" + w}, acttrain, strings.Fields(line)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := strings.TrimPrefix(digest(t, out), "weights sha256=")
+			if got == "" {
+				got = d
+			} else if d != got {
+				t.Errorf("acttrain %s: JPEGACT_WORKERS=%s prints %s, =1 prints %s", line, w, d, got)
+			}
+		}
+		if got != want && os.Getenv("UPDATE_GOLDEN") == "" {
+			t.Errorf("acttrain %s: weights sha256=%s, %s has %s", line, got, path, want)
+		}
+		fmt.Fprintf(&table, "%s  acttrain %s\n", got, line)
+		workers = workers[:2]
+	}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(table.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestNetworkedClientsMatchLocal: four trainers sharing one actstore

@@ -3,16 +3,24 @@ package examples
 // Every example is a root of the reachability guard for the facade names
 // it mentions, so every example is run: built once — with the race
 // detector when this test binary has it — and required to exit 0 having
-// printed something.
+// printed something. An example that prints no wall-clock measurement
+// prints the same bytes on every run, and those are pinned in
+// testdata/<name>.golden (UPDATE_GOLDEN=1 rewrites them). The pins hold on
+// amd64: where the compiler fuses multiply-adds the float32 DCT's low bits
+// move.
 
 import (
 	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"testing"
 )
+
+// timed are the examples whose output includes measured times.
+var timed = map[string]bool{"host_offload": true}
 
 func TestExamplesRun(t *testing.T) {
 	bin := t.TempDir()
@@ -34,7 +42,7 @@ func TestExamplesRun(t *testing.T) {
 	}
 	ran := 0
 	for _, d := range dirs {
-		if !d.IsDir() {
+		if !d.IsDir() || d.Name() == "testdata" {
 			continue
 		}
 		ran++
@@ -48,9 +56,30 @@ func TestExamplesRun(t *testing.T) {
 			if stdout.Len() == 0 {
 				t.Fatal("printed nothing")
 			}
+			if !timed[d.Name()] && runtime.GOARCH == "amd64" {
+				checkGolden(t, filepath.Join("testdata", d.Name()+".golden"), stdout.Bytes())
+			}
 		})
 	}
 	if ran == 0 {
 		t.Fatal("no example directories next to this file")
+	}
+}
+
+// checkGolden compares got with the file at path, or rewrites the file
+// under UPDATE_GOLDEN=1.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (UPDATE_GOLDEN=1 writes it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
