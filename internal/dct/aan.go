@@ -2,21 +2,19 @@ package dct
 
 // AAN (Arai–Agui–Nakajima) scaled 8-point DCT, the algorithm behind
 // libjpeg's fast float DCT (jfdctflt/jidctflt). One 1D pass costs 5
-// multiplies and 29 adds versus 11 multiplies for the LLM structure in
-// dct.go, because the AAN factorization leaves a diagonal scale matrix
-// unapplied: the raw forward output is
+// multiplies and 29 adds versus 11 multiplies for the LLM structure of
+// the hardware unit (fixed.go), because the AAN factorization leaves a
+// diagonal scale matrix unapplied: the raw forward output is
 //
 //	A[k] = S[k] · 2√2 · aan[k]          (1D)
 //	A2D[i] = S2D[i] · 8 · aan[r] · aan[c]  (2D, i = 8r+c)
 //
-// where S is the JPEG-normalized DCT of dct.go and aan[k] are the AAN
-// scale factors below. A JPEG codec never pays for the missing scales:
-// they fold into the quantizer tables (quant.FoldedForward /
-// quant.FoldedInverse), exactly as libjpeg folds them into fdtbl/dtbl.
-// The compression pipeline therefore runs the scaled float32 kernels
-// here and quantizes with pre-folded tables, replacing an 11-multiply
-// float64 transform plus a divide per coefficient with a 5-multiply
-// float32 transform plus a single multiply per coefficient.
+// where S is the JPEG-normalized DCT (the package comment) and aan[k] are
+// the AAN scale factors below. A JPEG codec never pays for the missing
+// scales: they fold into the quantizer tables (quant.FoldedForward /
+// quant.FoldedInverse), exactly as libjpeg folds them into fdtbl/dtbl,
+// so quantizing costs one multiply per coefficient. Forward8x8 and
+// Inverse8x8 pay that multiply for the scales alone.
 //
 // Float64 variants of the 1D kernels are the algorithmic reference in
 // aan_test.go (pinned there to the O(n²) DCT within float64 rounding).
@@ -53,6 +51,20 @@ func init() {
 		}
 	}
 }
+
+// aanDescale2D32 is AANDescale2D as float32: Forward8x8 normalizes raw
+// AANForward8x8 outputs with it, one multiply per coefficient.
+var aanDescale2D32 = func() (d [64]float32) {
+	// aanFactors has a static initializer, so dependency-ordered variable
+	// initialization makes it usable here (AANDescale2D itself is only
+	// filled by an init() that may run later).
+	for r := 0; r < 8; r++ {
+		for c := 0; c < 8; c++ {
+			d[r*8+c] = float32(1 / (8 * aanFactors[r] * aanFactors[c]))
+		}
+	}
+	return
+}()
 
 // AAN rotation constants (float64 and float32 copies of the same values,
 // the jfdctflt/jidctflt constant set).

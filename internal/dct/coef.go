@@ -32,8 +32,8 @@ var UnitScale2D = func() (u [64]float64) {
 // i = 8u+v of a block x (row-major j = 8r+c) is Σ_j x[j]·NormBasis2D[i][j],
 // and synthesis is the transpose of the same matrix. float32 so the
 // selective (nonzero-coefficient-only) dot kernels run without a
-// float64 bounce. Built self-contained (not from dct.go's cosTable,
-// which an init() fills later in package init order).
+// float64 bounce. Built from the definition, so it is independent of the
+// fast kernels; the package's tests pin it to the O(n²) reference.
 var NormBasis2D = func() (b [64][64]float32) {
 	var ct [8][8]float64 // c(k)/2 · cos((2n+1)kπ/16)
 	for k := 0; k < 8; k++ {
@@ -52,21 +52,6 @@ var NormBasis2D = func() (b [64][64]float32) {
 					b[u*8+v][r*8+c] = float32(ct[u][r] * ct[v][c])
 				}
 			}
-		}
-	}
-	return
-}()
-
-// AANDescale2D32 is AANDescale2D as float32, for kernels that normalize
-// raw AANForward8x8 outputs coefficient-by-coefficient without folding
-// the descale into a quantizer table.
-var AANDescale2D32 = func() (d [64]float32) {
-	// aanFactors has a static initializer, so dependency-ordered variable
-	// initialization makes it usable here (AANDescale2D itself is only
-	// filled by an init() that may run later).
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			d[r*8+c] = float32(1 / (8 * aanFactors[r] * aanFactors[c]))
 		}
 	}
 	return

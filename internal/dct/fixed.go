@@ -8,6 +8,9 @@ package dct
 
 const constBits = 13
 
+// invSqrt8 = 1/(2√2): rescales one LLM pass to the JPEG normalization.
+const invSqrt8 = 0.35355339059327373
+
 func fix(x float64) int32 { return int32(x*(1<<constBits) + 0.5) }
 
 var (
@@ -35,8 +38,8 @@ func descale(x int32, n uint) int32 {
 func mul(a, b int32) int32 { return int32((int64(a) * int64(b)) >> constBits) }
 
 // FixedForward1D computes the forward LLM DCT on int32 samples with Q13
-// arithmetic, producing outputs in the JPEG normalization (matching
-// LLM1D to within integer rounding).
+// arithmetic, producing outputs in the JPEG normalization (matching the
+// O(n²) reference to within integer rounding).
 func FixedForward1D(in, out *[8]int32) {
 	tmp0 := in[0] + in[7]
 	tmp7 := in[0] - in[7]
@@ -84,7 +87,7 @@ func FixedForward1D(in, out *[8]int32) {
 }
 
 // FixedInverse1D computes the inverse LLM DCT on int32 samples with Q13
-// arithmetic (matching LLMInverse1D to within integer rounding).
+// arithmetic (matching the O(n²) reference to within integer rounding).
 func FixedInverse1D(in, out *[8]int32) {
 	z2 := in[2]
 	z3 := in[6]

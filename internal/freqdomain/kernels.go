@@ -153,9 +153,9 @@ func GradCoefColumns(g *tensor.Tensor, n int, dst []float32) {
 					off := base + (br*8+r)*sh.W + bc*8
 					*(*[8]float32)(tile[r*8 : r*8+8]) = *(*[8]float32)(g.Data[off : off+8])
 				}
-				dct.AANForward8x8(&tile)
+				dct.Forward8x8(&tile)
 				for i := 0; i < 64; i++ {
-					dst[(kBase+i)*sh.C+oc] = tile[i] * dct.AANDescale2D32[i]
+					dst[(kBase+i)*sh.C+oc] = tile[i]
 				}
 			}
 		}

@@ -16,6 +16,20 @@ import (
 // boundaries, which the tests avoid by checking code distance ≤ 1 on
 // random data and exactness on grid-aligned data.
 
+// normForward is the JPEG-normalized DCT of b by its definition
+// (dct.NormBasis2D), independent of the AAN kernels the folded tables
+// serve.
+func normForward(b *dct.Block) (out [64]float32) {
+	for i := range out {
+		var s float64
+		for j, v := range b {
+			s += float64(v) * float64(dct.NormBasis2D[i][j])
+		}
+		out[i] = float32(s)
+	}
+	return
+}
+
 func foldedTestDQTs() []DQT {
 	return []DQT{
 		JPEGQuality(50),
@@ -35,11 +49,10 @@ func TestFoldedQuantizeMatchesDivOnScaledCoefficients(t *testing.T) {
 			for i := range spatial {
 				spatial[i] = float32((r.Float64()*2 - 1) * 127)
 			}
-			// Normalized path: LLM forward (JPEG normalization) + DIV.
-			norm := spatial
-			dct.Forward8x8(&norm)
+			// Normalized path: the transform's definition + DIV.
+			norm := normForward(&spatial)
 			var want [64]int8
-			DivQuantize((*[64]float32)(&norm), &d, &want)
+			DivQuantize(&norm, &d, &want)
 			// Scaled path: raw AAN forward + folded table.
 			scaled := spatial
 			dct.AANForward8x8(&scaled)
@@ -63,10 +76,9 @@ func TestFoldedQuantizeMatchesShiftOnScaledCoefficients(t *testing.T) {
 			for i := range spatial {
 				spatial[i] = float32((r.Float64()*2 - 1) * 127)
 			}
-			norm := spatial
-			dct.Forward8x8(&norm)
+			norm := normForward(&spatial)
 			var want [64]int8
-			ShiftQuantizeFloat((*[64]float32)(&norm), &d, &want)
+			ShiftQuantizeFloat(&norm, &d, &want)
 			scaled := spatial
 			dct.AANForward8x8(&scaled)
 			var got [64]int8

@@ -1,8 +1,9 @@
 // Package jpegact is a Go reproduction of "JPEG-ACT: Accelerating Deep
 // Learning via Transform-based Lossy Compression" (Evans, Liu, Aamodt —
 // ISCA 2020): lossy activation-offload compression for CNN training built
-// from SFPR fixed-point reduction, an 8×8 LLM DCT, shift quantization
-// with CNN-optimized quantization tables, and zero-value coding.
+// from SFPR fixed-point reduction, an 8×8 DCT (the float32 AAN transform
+// in software; the modelled hardware's Q13 LLM), shift quantization with
+// CNN-optimized quantization tables, and zero-value coding.
 //
 // This root package is the public API. It re-exports the building blocks
 // and offers one-call entry points:
