@@ -82,7 +82,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11386
+LOC_MAX = 11367
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -74,9 +74,7 @@ func main() {
 	// OnSave streams activations out during the forward pass, OnNeed
 	// consumes prefetched restores during backward.
 	asyncStore := offload.NewStore(quant.OptL())
-	eng := offload.NewEngine(asyncStore, offload.EngineConfig{
-		Async: true, Prefetch: 4, InFlightBytes: 1 << 20,
-	})
+	eng := offload.NewEngine(asyncStore, offload.EngineConfig{Async: true, Prefetch: 4})
 	defer eng.Close()
 
 	eng.BeginStep()

@@ -22,10 +22,6 @@ type EngineConfig struct {
 	// many verified frames may sit staged ahead of demand. <= 0
 	// restores strictly on demand.
 	Prefetch int
-	// InFlightBytes bounds the encoded-but-not-yet-committed bytes held
-	// by workers (0 = unlimited). The commit head is always admitted so
-	// the pipeline cannot deadlock on a single oversized frame.
-	InFlightBytes int
 }
 
 // EngineStats counts scheduler-level events (channel/recovery counters
@@ -72,12 +68,11 @@ type prefetchState struct {
 
 // Engine is the scheduler layer of the offload stack: it accepts
 // non-blocking offload requests as the forward pass produces
-// activations, encodes them on a worker pool under an in-flight byte
-// budget, and commits the encoded frames to the transport in strict
-// submission order — so the channel (and any fault injector attached to
-// it) sees exactly the sequence a synchronous run would. During the
-// backward pass it prefetches restores in reverse-offload order,
-// double-buffered ahead of demand.
+// activations, encodes them on a worker pool, and commits the encoded
+// frames to the transport in strict submission order — so the channel
+// (and any fault injector attached to it) sees exactly the sequence a
+// synchronous run would. During the backward pass it prefetches restores
+// in reverse-offload order, double-buffered ahead of demand.
 //
 // A zero Prefetch falls back to on-demand restores; Async=false makes
 // every call the degenerate synchronous Store operation. One engine
@@ -203,14 +198,8 @@ func (e *Engine) encodeAndCommit(seq int, ref *nn.ActRef, x *tensor.Tensor) {
 		res.data = frame.EncodeFrame(enc.Frame)
 		res.mask = enc.Mask
 	}
-	n := len(res.data)
 	e.mu.Lock()
-	// In-flight budget: the commit head is always admitted (progress
-	// guarantee); everyone else waits for space.
-	for e.cfg.InFlightBytes > 0 && seq != e.nextCommit && e.inflight+n > e.cfg.InFlightBytes {
-		e.cond.Wait()
-	}
-	e.inflight += n
+	e.inflight += len(res.data)
 	if e.inflight > e.maxInflight {
 		e.maxInflight = e.inflight
 	}
@@ -271,7 +260,6 @@ func (e *Engine) drainCommits() {
 			e.mu.Unlock()
 			fifo.Push(e.store.commitIssue(res.ref, res.data, res.mask))
 			e.mu.Lock()
-			e.cond.Broadcast()
 		case fifo.Len() > 0:
 			e.mu.Unlock()
 			fifo.Settle()

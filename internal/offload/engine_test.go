@@ -84,44 +84,11 @@ func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestEngineInFlightBudget bounds the encoded bytes parked between the
-// workers and the channel. The commit head is exempt (progress
-// guarantee), so the high-water mark may reach one frame above the
-// budget but no further.
-func TestEngineInFlightBudget(t *testing.T) {
-	s := NewStore(quant.OptL())
-	const budget = 4 << 10
-	atWorkers(t, 4)
-	eng := NewEngine(s, EngineConfig{Async: true, InFlightBytes: budget})
-	defer eng.Close()
-	eng.BeginStep()
-	refs := engineRefs(10)
-	for _, ref := range refs {
-		eng.Offload(ref)
-	}
-	if _, _, err := eng.EndForward(nil); err != nil {
-		t.Fatal(err)
-	}
-	maxFrame := 0
-	for _, r := range s.residents() {
-		maxFrame = max(maxFrame, r.ent.size)
-	}
-	if got := eng.Stats().MaxInFlight; got > budget+maxFrame {
-		t.Fatalf("in-flight high-water %d exceeds budget %d + one frame %d", got, budget, maxFrame)
-	}
-	if s.Stored() != len(refs) {
-		t.Fatalf("%d entries stored, want %d", s.Stored(), len(refs))
-	}
-	if err := eng.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEnginePrefetchBitExact holds every restore configuration of the
-// async engine — a lookahead window, strictly on demand (Prefetch 0),
-// and encode workers held to a byte budget — at 1, 2 and 4 workers, to
-// the synchronous path: the same frames cross the channel in the same
-// order and every restored tensor is bit-identical.
+// TestEnginePrefetchBitExact holds both restore configurations of the
+// async engine — a lookahead window and strictly on demand (Prefetch
+// 0) — at 1, 2 and 4 workers, to the synchronous path: the same frames
+// cross the channel in the same order and every restored tensor is
+// bit-identical.
 func TestEnginePrefetchBitExact(t *testing.T) {
 	const n = 6
 	want := make([]*tensor.Tensor, n)
@@ -144,7 +111,6 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 	}{
 		{"prefetch", EngineConfig{Async: true, Prefetch: 2}},
 		{"ondemand", EngineConfig{Async: true}},
-		{"budget", EngineConfig{Async: true, Prefetch: 4, InFlightBytes: 8 << 10}},
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s-w%d", c.name, workers), func(t *testing.T) {

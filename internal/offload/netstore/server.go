@@ -11,9 +11,9 @@
 // Responsibilities per connection are split across two goroutines: a
 // reader that decodes requests and executes the (cheap, sharded) store
 // operation, and a writer that streams responses back, decoupled by a
-// bounded queue whose byte budget reuses the offload engine's
-// InFlightBytes notion — when a slow client stops draining responses,
-// the reader stops reading and TCP backpressure does the rest.
+// queue bounded in bytes (inFlightBytes) — when a slow client stops
+// draining responses, the reader stops reading and TCP backpressure does
+// the rest.
 //
 // Integrity: PUT bodies are CRC-validated before they are stored (a
 // frame damaged in flight is refused with StatusCorrupt and the client
@@ -67,8 +67,7 @@ const DefaultShards = 4
 
 // inFlightBytes bounds the response bytes queued to any one
 // connection's writer. The head response is always admitted so one
-// oversized frame cannot deadlock a connection — the same progress rule
-// as the offload engine's encode budget.
+// oversized frame cannot deadlock a connection.
 const inFlightBytes = 4 << 20
 
 // shard is one independent backend: a mutex-guarded key→frame-bytes map.

@@ -589,26 +589,15 @@ func (s *Store) OffloadAll(refs []*nn.ActRef) (orig, comp int, err error) {
 // memory and error attribution are identical across runs regardless of
 // Go map iteration.
 func (s *Store) RestoreAll() error {
-	// Always restore the highest-sequence resident entry next. Re-scanning
+	// Always restore the newest resident entry next. Snapshotting again
 	// after every restore keeps the sweep correct even when a recompute
 	// hook rebuilds the store with fresh refs mid-sweep.
-	for {
-		s.mu.Lock()
-		var next *nn.ActRef
-		bestSeq := -1
-		for ref, e := range s.entries {
-			if e.seq > bestSeq {
-				bestSeq, next = e.seq, ref
-			}
-		}
-		s.mu.Unlock()
-		if next == nil {
-			return nil
-		}
-		if err := s.Restore(next); err != nil {
+	for rs := s.residents(); len(rs) > 0; rs = s.residents() {
+		if err := s.Restore(rs[0].ref); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // Reset drops every entry, releasing the backend copies (counters and

@@ -49,11 +49,10 @@ func workerSet() []int {
 // training run must be bit-identical — losses, validation scores, final
 // weights, and the multiset of compressed frames crossing the channel —
 // across sync and async modes at every worker count (the engine's
-// on-demand and byte-budget configurations are held to the same tensors
-// and frames in internal/offload, TestEnginePrefetchBitExact). The
-// async emission order may differ from the sync sweep (the hooks stream
-// refs as they become safe), so frames are compared as a sorted
-// multiset.
+// on-demand configuration is held to the same tensors and frames in
+// internal/offload, TestEnginePrefetchBitExact). The async emission
+// order may differ from the sync sweep (the hooks stream refs as they
+// become safe), so frames are compared as a sorted multiset.
 func TestAsyncSyncEquivalence(t *testing.T) {
 	run := func(oc OffloadOptions, workers int) (Report, *models.Model, []string) {
 		m, ds := faultModel(600)

@@ -717,26 +717,96 @@ func passesFlag(words []string, name string) bool {
 	return false
 }
 
-// unpassed returns "file:line command -name" for every flag a cmd/*/main.go
-// declares that no test and no documented command line passes.
-func (g *reachGraph) unpassed() ([]string, error) {
-	var docs []string
+// docLine is a command line of one of the flagDocs: a line of the Makefile
+// or the workflow, a line of a fenced block of a Markdown file, or (not
+// fenced) an inline code span of one.
+type docLine struct {
+	pos    string // file:line where it starts
+	text   string
+	fenced bool
+}
+
+// codeSpan is a Markdown inline code span; it may wrap a line but not
+// cross a blank one.
+var codeSpan = regexp.MustCompile("`((?:[^`\n]|\n[^`\n])+)`")
+
+// docLines returns the command lines of the flagDocs. A trailing
+// backslash continues a line.
+func (g *reachGraph) docLines() ([]docLine, error) {
+	var lines []docLine
 	for _, name := range flagDocs {
 		b, err := os.ReadFile(filepath.Join(g.root, name))
 		if err != nil {
 			return nil, err
 		}
-		// A trailing backslash continues the command line. In Markdown
-		// only a fenced block holds command lines; prose that mentions
-		// a flag beside the command's name runs nothing.
-		fenced := !strings.HasSuffix(name, ".md")
-		for _, l := range strings.Split(strings.ReplaceAll(string(b), "\\\n", " "), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(l), "```") {
+		md := strings.HasSuffix(name, ".md")
+		fenced, start, cont := !md, 0, ""
+		var prose []string // the file with its fenced blocks blanked
+		for i, l := range strings.Split(string(b), "\n") {
+			if md && strings.HasPrefix(strings.TrimSpace(l), "```") {
 				fenced = !fenced
+				l = ""
 			} else if fenced {
-				docs = append(docs, l)
+				if cont == "" {
+					start = i + 1
+				}
+				if c, ok := strings.CutSuffix(l, "\\"); ok {
+					cont += c + " "
+				} else {
+					lines = append(lines, docLine{fmt.Sprintf("%s:%d", name, start), cont + l, true})
+					cont = ""
+				}
+				l = ""
 			}
+			prose = append(prose, l)
 		}
+		text := strings.Join(prose, "\n")
+		for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+			at := fmt.Sprintf("%s:%d", name, 1+strings.Count(text[:m[0]], "\n"))
+			lines = append(lines, docLine{at, strings.ReplaceAll(text[m[2]:m[3]], "\n", " "), false})
+		}
+	}
+	return lines, nil
+}
+
+// invocation matches cmd's name where a command line runs it (at its
+// start, after a space, a backquote or a path) and captures the words
+// that follow, up to the end of the shell command or a comment.
+func invocation(cmd string) *regexp.Regexp {
+	return regexp.MustCompile("(?:^|[\\s`/])" + regexp.QuoteMeta(cmd) + "\\s([^`|;&#]*)")
+}
+
+// cmdFlags calls visit with the name and position of every
+// flag.*("name", …) in the non-test files of command directory d.
+func cmdFlags(d *reachDir, visit func(name string, pos token.Pos)) {
+	for _, f := range d.prod {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				visit(name, lit.Pos())
+			}
+			return true
+		})
+	}
+}
+
+// unpassed returns "file:line command -name" for every flag a cmd/*/main.go
+// declares that no test and no documented command line passes.
+func (g *reachGraph) unpassed() ([]string, error) {
+	lines, err := g.docLines()
+	if err != nil {
+		return nil, err
 	}
 	// The words of every test file's string literals, split once.
 	type testWords struct {
@@ -765,12 +835,16 @@ func (g *reachGraph) unpassed() ([]string, error) {
 			continue
 		}
 		// What cmd is passed: the words that follow its name on a command
-		// line, up to the end of the code span or shell command it stands
-		// in, and the literals of its own tests and of tests that name it.
+		// line of a fenced block (prose that mentions a flag beside the
+		// command's name runs nothing), and the literals of its own tests
+		// and of tests that name it.
 		var passed []string
-		invoked := regexp.MustCompile("(?:^|[\\s`/])" + regexp.QuoteMeta(cmd) + "\\s([^`|;&]*)")
-		for _, l := range docs {
-			for _, m := range invoked.FindAllStringSubmatch(l, -1) {
+		invoked := invocation(cmd)
+		for _, l := range lines {
+			if !l.fenced {
+				continue
+			}
+			for _, m := range invoked.FindAllStringSubmatch(l.text, -1) {
 				passed = append(passed, strings.Fields(m[1])...)
 			}
 		}
@@ -779,31 +853,45 @@ func (g *reachGraph) unpassed() ([]string, error) {
 				passed = append(passed, tw.words...)
 			}
 		}
-		for _, f := range d.prod {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-					return true
-				}
-				lit, ok := call.Args[0].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				if name, _ := strconv.Unquote(lit.Value); !passesFlag(passed, name) {
-					unset = append(unset, reachFinding{g.fset.Position(lit.Pos()), cmd + " -" + name})
-				}
-				return true
-			})
-		}
+		cmdFlags(d, func(name string, pos token.Pos) {
+			if !passesFlag(passed, name) {
+				unset = append(unset, reachFinding{g.fset.Position(pos), cmd + " -" + name})
+			}
+		})
 	}
 	return g.report(unset), nil
+}
+
+// undefined returns "file:line command -name" for every -name a documented
+// command line — fenced or an inline code span — passes to a command that
+// declares no such flag.
+func (g *reachGraph) undefined() ([]string, error) {
+	lines, err := g.docLines()
+	if err != nil {
+		return nil, err
+	}
+	flagWord := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	var findings []string
+	for _, d := range g.dirs {
+		cmd, ok := strings.CutPrefix(d.rel, "cmd/")
+		if !ok {
+			continue
+		}
+		defined := map[string]bool{"h": true, "help": true}
+		cmdFlags(d, func(name string, _ token.Pos) { defined[name] = true })
+		invoked := invocation(cmd)
+		for _, l := range lines {
+			for _, m := range invoked.FindAllStringSubmatch(l.text, -1) {
+				for _, w := range strings.Fields(m[1]) {
+					if f := flagWord.FindStringSubmatch(w); f != nil && !defined[f[1]] {
+						findings = append(findings, fmt.Sprintf("%s %s -%s", l.pos, cmd, f[1]))
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(findings)
+	return findings, nil
 }
 
 // The tree is loaded, and its reachability computed, once for all passes.
@@ -861,6 +949,17 @@ func TestNoFlagThatNothingPasses(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Errorf("%d flags are passed by no test and by no command line of %s:\n%s",
+			len(findings), strings.Join(flagDocs, ", "), strings.Join(findings, "\n"))
+	}
+}
+
+func TestNoDocumentedFlagThatNoCommandDefines(t *testing.T) {
+	findings, err := loadedReachGraph(t).undefined()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) > 0 {
+		t.Errorf("%d command lines of %s pass a flag the command does not define:\n%s",
 			len(findings), strings.Join(flagDocs, ", "), strings.Join(findings, "\n"))
 	}
 }
