@@ -93,11 +93,36 @@ func TestAANAndLLMWithinFloatTolOfNaive(t *testing.T) {
 	}
 }
 
-// TestAAN2DMatchesLLM2D holds the package's two transforms to each other
-// in both directions on int8 blocks: the raw AAN kernels with the float64
-// scale tables against the hardware unit's Q13 LLM.
+// TestAAN2DMatchesLLM2D holds the raw AAN kernels with the float64 scale
+// tables, in both directions, to the O(n²) reference on Gaussian blocks
+// and to the hardware unit's Q13 LLM on int8 blocks.
 func TestAAN2DMatchesLLM2D(t *testing.T) {
-	a, b := int8Block(tensor.NewRNG(23))
+	r := tensor.NewRNG(23)
+	var want, got Block
+	for i := range want {
+		v := float32(r.Norm() * 40)
+		want[i] = v
+		got[i] = v
+	}
+	NaiveForward8x8(&want)
+	AANForward8x8(&got)
+	for i := range want {
+		g := float64(got[i]) * AANDescale2D[i]
+		if !relErr(g, float64(want[i]), 1e-4) {
+			t.Fatalf("2D mismatch at %d: naive %v aan %v", i, want[i], g)
+		}
+		// Both inverses receive the reference coefficients.
+		got[i] = float32(float64(want[i]) * AANPrescale2D[i])
+	}
+	NaiveInverse8x8(&want)
+	AANInverse8x8(&got)
+	for i := range want {
+		if !relErr(float64(got[i]), float64(want[i]), 1e-4) {
+			t.Fatalf("2D inverse mismatch at %d: naive %v aan %v", i, want[i], got[i])
+		}
+	}
+
+	a, b := int8Block(r)
 	AANForward8x8(&a)
 	FixedForward8x8(&b)
 	for i := range a {
