@@ -273,3 +273,33 @@ func TestConvStepAllocs(t *testing.T) {
 		t.Errorf("conv forward+backward allocates %d objects at N=8 and %d at N=32: it must not grow with the batch", floors[0], floors[1])
 	}
 }
+
+// TestTrainRoundAllocs pins what a train_plain round of bash bench/run.sh
+// allocates: ResNet18 at width 16 on 32×32 images, eight steps of batch 8,
+// validation and model build included. The step arena serves every
+// step's outputs and gradients from the buffers the first step drew, so a
+// round allocates the model, the data, the arena's one fill and a small
+// constant per step: 13.2 MB and 4,500 objects at two workers with the
+// collector off. Without the arena a round allocated 229 MB, 28.7 MB a
+// step, and 4,290 objects; validation's chunks add about 130 objects per
+// extra chunk forward, and the release rules add none.
+func TestTrainRoundAllocs(t *testing.T) {
+	defer pooledSteadyState(t)()
+	const steps, maxBytesPerStep, maxObjects = 8, 7 << 18, 4700 // 1.75 MiB
+	bytes, objects := ^uint64(0), ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		TrainClassifier("ResNet18", ModelScale{Width: 16, Blocks: 1, H: 32, W: 32}, TrainConfig{
+			Method: Baseline(), Epochs: 1, BatchesPerEpoch: steps, BatchSize: 8,
+		}, 42)
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	if bytes/steps > maxBytesPerStep || objects > maxObjects {
+		t.Errorf("a train_plain round allocates %d B (%d B a step) and %d objects; budget %d B a step and %d objects",
+			bytes, bytes/steps, objects, maxBytesPerStep, maxObjects)
+	}
+	t.Logf("a train_plain round: %d B (%d B a step), %d objects", bytes, bytes/steps, objects)
+}

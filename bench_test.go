@@ -7,6 +7,7 @@ package jpegact
 // and regenerated with `actbench -all`.
 
 import (
+	"runtime"
 	"testing"
 
 	"jpegact/internal/compress"
@@ -120,13 +121,23 @@ func BenchmarkCompressSFPR(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStep measures one full compressed training step of the
-// mini ResNet50 — the end-to-end functional-simulation unit of work.
+// BenchmarkTrainStep measures a train_plain round of bash bench/run.sh:
+// the mini ResNet18 at width 16 on 32×32 images, eight steps of batch 8
+// and the validation pass, model build included. The step arena lives
+// for one trainer call, so only a round shows its reuse across steps.
+// B/op and gcs/op are per round; ns/step divides the round by its steps.
 func BenchmarkTrainStep(b *testing.B) {
+	const steps = 8
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		TrainClassifier("ResNet50", ModelScale{Width: 8, Blocks: 1}, TrainConfig{
-			Method: JPEGACT(), Epochs: 1, BatchesPerEpoch: 1, BatchSize: 8,
+		TrainClassifier("ResNet18", ModelScale{Width: 16, Blocks: 1, H: 32, W: 32}, TrainConfig{
+			Method: Baseline(), Epochs: 1, BatchesPerEpoch: steps, BatchSize: 8, LR: 0.05, Momentum: 0.9,
 		}, 42)
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }

@@ -48,7 +48,8 @@ func (k Kind) String() string {
 // Result describes one compressed activation.
 type Result struct {
 	// Recovered is the lossy reconstruction to be used in the backward
-	// pass. It is nil when only a mask is stored (BRC).
+	// pass: x itself where the method is lossless for it, nil when only a
+	// mask is stored (BRC).
 	Recovered *tensor.Tensor
 	// Mask is the BRC sign mask when Recovered is nil.
 	Mask []bool
@@ -78,13 +79,15 @@ type Method interface {
 // ---------------------------------------------------------------------------
 
 // Baseline stores activations uncompressed (the vDNN offload setting).
+// Like CDMAPlus, it recovers x itself: a lossless round trip has nothing
+// to copy.
 type Baseline struct{}
 
 func (Baseline) Name() string   { return "baseline" }
 func (Baseline) Lossless() bool { return true }
 
 func (Baseline) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
-	return Result{Recovered: x.Clone(), CompressedBytes: x.Bytes(), OriginalBytes: x.Bytes()}
+	return Result{Recovered: x, CompressedBytes: x.Bytes(), OriginalBytes: x.Bytes()}
 }
 
 // ---------------------------------------------------------------------------
@@ -100,7 +103,7 @@ func (CDMAPlus) Lossless() bool { return true }
 func (CDMAPlus) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
 	orig := x.Bytes()
 	if kind == KindConv {
-		return Result{Recovered: x.Clone(), CompressedBytes: orig, OriginalBytes: orig}
+		return Result{Recovered: x, CompressedBytes: orig, OriginalBytes: orig}
 	}
 	// ZVC over float32: one mask byte per eight values + 4B per non-zero.
 	groups := (x.Elems() + 7) / 8
@@ -110,7 +113,7 @@ func (CDMAPlus) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
 			nz++
 		}
 	}
-	return Result{Recovered: x.Clone(), CompressedBytes: groups + 4*nz, OriginalBytes: orig}
+	return Result{Recovered: x, CompressedBytes: groups + 4*nz, OriginalBytes: orig}
 }
 
 // ---------------------------------------------------------------------------

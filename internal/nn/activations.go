@@ -38,7 +38,7 @@ func (r *ReLU) SavedRefs() []*ActRef {
 // Forward implements Layer.
 func (r *ReLU) Forward(in *ActRef, train bool) *ActRef {
 	x := in.T
-	out := tensor.NewLike(x)
+	out := x.Derive(x.Shape)
 	dst := out.Data
 	// Branchless integer select: activations are ~half negative, so the
 	// naive `if v > 0` mispredicts constantly. `bits-1 < 0x7F800000`
@@ -59,28 +59,33 @@ func (r *ReLU) Forward(in *ActRef, train bool) *ActRef {
 	// Provisional kind: a consuming conv upgrades this to KindReLUToConv.
 	ref := &ActRef{Name: r.LayerName + ".out", Kind: compress.KindReLUToOther, T: out}
 	if train {
-		r.out = ref
+		r.out = ref.save()
 	}
 	return ref
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Every element of dx is written: a step
+// arena's buffer holds the last step's values.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.NewLike(grad)
+	dx := grad.Derive(grad.Shape)
 	parallel.For(len(dx.Data), elemGrain, func(lo, hi int) {
 		if mask := r.out.Mask; mask != nil {
 			for i := lo; i < hi; i++ {
+				var g float32
 				if mask[i] {
-					dx.Data[i] = grad.Data[i]
+					g = grad.Data[i]
 				}
+				dx.Data[i] = g
 			}
 			return
 		}
 		saved := r.out.T.Data
 		for i := lo; i < hi; i++ {
+			var g float32
 			if !(saved[i] <= 0) { // not > 0: a saved NaN keeps passing its gradient
-				dx.Data[i] = grad.Data[i]
+				g = grad.Data[i]
 			}
+			dx.Data[i] = g
 		}
 	})
 	return dx
@@ -122,26 +127,30 @@ func (d *Dropout) Forward(in *ActRef, train bool) *ActRef {
 		return in
 	}
 	x := in.T
-	out := tensor.NewLike(x)
+	out := x.Derive(x.Shape)
 	keep := float32(1 - d.Rate)
 	for i, v := range x.Data {
+		var y float32
 		if d.rng.Float64() >= d.Rate {
-			out.Data[i] = v / keep
+			y = v / keep
 		}
+		out.Data[i] = y
 	}
 	ref := &ActRef{Name: d.LayerName + ".out", Kind: compress.KindPoolDropout, T: out}
-	d.out = ref
+	d.out = ref.save()
 	return ref
 }
 
-// Backward implements Layer.
+// Backward implements Layer, writing every element of dx.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.NewLike(grad)
+	dx := grad.Derive(grad.Shape)
 	keep := float32(1 - d.Rate)
 	for i, v := range d.out.T.Data {
+		var g float32
 		if v != 0 {
-			dx.Data[i] = grad.Data[i] / keep
+			g = grad.Data[i] / keep
 		}
+		dx.Data[i] = g
 	}
 	return dx
 }

@@ -77,7 +77,7 @@ func (b *BatchNorm) Forward(in *ActRef, train bool) *ActRef {
 	sh := x.Shape
 	hw := sh.H * sh.W
 	m := float64(sh.N * hw)
-	out := tensor.NewLike(x)
+	out := x.Derive(sh)
 
 	// Channels are independent — stats, running-stat updates and the
 	// normalized writes all stay within channel c — so the channel loop
@@ -124,7 +124,7 @@ func (b *BatchNorm) Forward(in *ActRef, train bool) *ActRef {
 		}
 	})
 	if train {
-		b.in = in
+		b.in = in.save()
 		b.inShape = sh
 	}
 	return &ActRef{Name: b.LayerName + ".out", Kind: compress.KindConv, T: out}
@@ -155,7 +155,7 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	sh := x.Shape
 	hw := sh.H * sh.W
 	m := float64(sh.N * hw)
-	dx := tensor.NewLike(x)
+	dx := grad.Derive(sh)
 
 	// Same channel sharding as Forward: ∂β/∂γ accumulate into their own
 	// channel slot and dx writes stay within channel c.
@@ -208,7 +208,7 @@ func (b *BatchNorm) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
 	sh := pl.Shape()
 	hw := sh.H * sh.W
 	m := float64(sh.N * hw)
-	dx := tensor.New(sh.N, sh.C, sh.H, sh.W)
+	dx := grad.Derive(sh)
 
 	// Same channel sharding as the spatial backward: every accumulation
 	// and every dx write stays within channel c, and within a channel the

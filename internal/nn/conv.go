@@ -99,12 +99,12 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 		in.Kind = compress.KindReLUToConv
 	}
 	if train {
-		c.in = in
+		c.in = in.save()
 		c.inShape = x.Shape
 	}
 	ho, wo := c.outDims(x.Shape.H, x.Shape.W)
 	c.outShape = tensor.Shape{N: x.Shape.N, C: c.OutC, H: ho, W: wo}
-	out := tensor.New(x.Shape.N, c.OutC, ho, wo)
+	out := x.Derive(c.outShape)
 
 	k2 := c.InC * c.Kernel * c.Kernel
 	spatial := ho * wo
@@ -179,7 +179,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	k2 := c.InC * c.Kernel * c.Kernel
 	inElems := c.InC * x.Shape.H * x.Shape.W
 
-	dx := tensor.NewLike(x)
+	dx := grad.Derive(x.Shape)
 	wT := newGemmLHS(k2, c.OutC, c.Weight.W.Data, true)
 	// Element n's ∇Wᵀ (k2 × OutC) is partials[n].
 	partials := gradPool.get(x.Shape.N * k2 * c.OutC)
@@ -196,7 +196,11 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), over cols.
 			packB(c.OutC, spatial, gout, *pk)
 			gemmTiles(k2, c.OutC, spatial, wT.a, *pk, *cols, gemmOverwrite, split)
-			c.col2im(*cols, dx.Data[n*inElems:(n+1)*inElems], x.Shape.H, x.Shape.W)
+			dxn := dx.Data[n*inElems : (n+1)*inElems]
+			if dx.Recycled() {
+				clear(dxn) // col2im adds into zeros and skips what no tap reads
+			}
+			c.col2im(*cols, dxn, x.Shape.H, x.Shape.W)
 		}
 		packPool.put(cols)
 		packPool.put(pk)
@@ -263,7 +267,7 @@ func (c *Conv2D) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
 	pl := c.in.Coef
 	sh := pl.Shape()
 	spatial := sh.H * sh.W
-	dx := tensor.New(sh.N, c.InC, sh.H, sh.W)
+	dx := grad.Derive(tensor.Shape{N: sh.N, C: c.InC, H: sh.H, W: sh.W})
 
 	if cap(c.freqGF) < spatial*c.OutC {
 		c.freqGF = make([]float32, spatial*c.OutC)
@@ -283,7 +287,7 @@ func (c *Conv2D) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
 		freqdomain.GradCoefColumns(grad, n, gf)
 		pl.CoefGemm(n, c.OutC, gf, wgT)
 		// ∇x[n] = Wᵀ·∇y[n]
-		wT.mul(spatial, gout, dx.Data[n*c.InC*spatial:(n+1)*c.InC*spatial], gemmAccumulate)
+		wT.mul(spatial, gout, dx.Data[n*c.InC*spatial:(n+1)*c.InC*spatial], gemmOverwrite)
 	}
 	wT.release()
 	addTransposed(c.OutC, c.InC, wgT, c.Weight.Grad.Data)

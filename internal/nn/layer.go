@@ -46,6 +46,35 @@ type ActRef struct {
 	// for footprint accounting; zero until compressed.
 	CompressedBytes int
 	OriginalBytes   int
+	// saved is set by a layer that keeps the ref for Backward, its
+	// producer or its consumer: a container hands an unsaved intermediate's
+	// buffer back to the step arena once its consumer has run.
+	saved bool
+}
+
+// save marks ref as read in Backward and returns it.
+func (ref *ActRef) save() *ActRef {
+	ref.saved = true
+	return ref
+}
+
+// releaseAfter hands an intermediate's buffer back once its consumer has
+// produced out: unless a layer saved it for Backward, it is the
+// container's own input, or the consumer returned it. A saved ref's T is
+// not even read: the offload engine may be committing it concurrently.
+func releaseAfter(cur, out, in *ActRef) {
+	if !cur.saved && cur != in && cur.T != out.T {
+		cur.T.Release()
+	}
+}
+
+// releaseGrad hands an intermediate gradient back once the child that
+// consumed it has returned next: never the container's own gradient,
+// which the caller owns (Residual's body and shortcut share it).
+func releaseGrad(g, next, grad *tensor.Tensor) {
+	if g != grad && g != next {
+		g.Release()
+	}
 }
 
 // Param is one learnable parameter with its accumulated gradient.
@@ -97,7 +126,8 @@ func (s *Sequential) Name() string { return s.LayerName }
 // mode) each child's saved refs are emitted as soon as the child has
 // run, excluding the two still-live tensors: the chain's own input
 // (an enclosing block may read it again) and the child's output, which
-// is the next layer's input.
+// is the next layer's input. An intermediate nothing saved goes back to
+// the step arena as soon as the child consuming it has run.
 func (s *Sequential) Forward(in *ActRef, train bool) *ActRef {
 	cur := in
 	for _, l := range s.Layers {
@@ -105,24 +135,30 @@ func (s *Sequential) Forward(in *ActRef, train bool) *ActRef {
 		if train && s.hooks != nil {
 			emitSaved(s.hooks, l, out, in)
 		}
+		releaseAfter(cur, out, in)
 		cur = out
 	}
 	return cur
 }
 
 // Backward runs all layers in reverse, announcing each leaf child's
-// saved refs just before that child reads them.
+// saved refs just before that child reads them. Each intermediate
+// gradient goes back to the step arena once the child consuming it has
+// returned.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	g := grad
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		if s.hooks != nil {
 			announceNeeds(s.hooks, s.Layers[i])
 		}
-		grad = s.Layers[i].Backward(grad)
+		next := s.Layers[i].Backward(g)
 		if s.hooks != nil {
 			emitGrads(s.hooks, s.Layers[i])
 		}
+		releaseGrad(g, next, grad)
+		g = next
 	}
-	return grad
+	return g
 }
 
 func (s *Sequential) setHooks(h *Hooks) {
@@ -183,12 +219,15 @@ func (r *Residual) Forward(in *ActRef, train bool) *ActRef {
 	if bodyOut.T.Shape != short.T.Shape {
 		panic(fmt.Sprintf("nn: residual shape mismatch %v vs %v", bodyOut.T.Shape, short.T.Shape))
 	}
-	return &ActRef{Name: r.LayerName + ".sum", Kind: compress.KindConv, T: sumOf(bodyOut.T, short.T)}
+	sum := &ActRef{Name: r.LayerName + ".sum", Kind: compress.KindConv, T: sumOf(bodyOut.T, short.T)}
+	releaseAfter(bodyOut, sum, in)
+	releaseAfter(short, sum, in)
+	return sum
 }
 
 // sumOf returns a + b in a new tensor of a's shape.
 func sumOf(a, b *tensor.Tensor) *tensor.Tensor {
-	out := tensor.NewLike(a)
+	out := a.Derive(a.Shape)
 	parallel.For(len(out.Data), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Data[i] = a.Data[i] + b.Data[i]
@@ -198,8 +237,8 @@ func sumOf(a, b *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer: the gradient flows unchanged into both the
-// body and the shortcut (no Backward writes its argument, so they share
-// it), and the input gradients add.
+// body and the shortcut (no Backward writes or releases its argument, so
+// they share it), and the input gradients add.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.hooks != nil {
 		announceNeeds(r.hooks, r.Body)
@@ -218,7 +257,10 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			emitGrads(r.hooks, r.Shortcut)
 		}
 	}
-	return sumOf(gBody, gShort)
+	dx := sumOf(gBody, gShort)
+	releaseGrad(gBody, dx, grad)
+	releaseGrad(gShort, dx, grad)
+	return dx
 }
 
 func (r *Residual) setHooks(h *Hooks) {

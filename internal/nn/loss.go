@@ -15,7 +15,7 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	if len(labels) != n {
 		panic("nn: label count mismatch")
 	}
-	grad := tensor.NewLike(logits)
+	grad := logits.Derive(logits.Shape)
 	var loss float64
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*classes : (i+1)*classes]
@@ -74,7 +74,7 @@ func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	if pred.Elems() != target.Elems() {
 		panic("nn: MSE size mismatch")
 	}
-	grad := tensor.NewLike(pred)
+	grad := pred.Derive(pred.Shape)
 	var loss float64
 	n := float64(pred.Elems())
 	for i := range pred.Data {

@@ -39,7 +39,7 @@ func (p *MaxPool2) Forward(in *ActRef, train bool) *ActRef {
 	x := in.T
 	sh := x.Shape
 	ho, wo := sh.H/2, sh.W/2
-	out := tensor.New(sh.N, sh.C, ho, wo)
+	out := x.Derive(tensor.Shape{N: sh.N, C: sh.C, H: ho, W: wo})
 	for n := 0; n < sh.N; n++ {
 		for c := 0; c < sh.C; c++ {
 			inBase := (n*sh.C + c) * sh.H * sh.W
@@ -70,7 +70,7 @@ func (p *MaxPool2) Forward(in *ActRef, train bool) *ActRef {
 		if in.Kind == compress.KindReLUToOther || in.Kind == compress.KindConv {
 			in.Kind = compress.KindPoolDropout
 		}
-		p.in = in
+		p.in = in.save()
 	}
 	return &ActRef{Name: p.LayerName + ".out", Kind: compress.KindPoolDropout, T: out}
 }
@@ -80,7 +80,10 @@ func (p *MaxPool2) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := p.in.T
 	sh := x.Shape
 	ho, wo := sh.H/2, sh.W/2
-	dx := tensor.NewLike(x)
+	dx := grad.Derive(sh)
+	if dx.Recycled() {
+		clear(dx.Data) // the argmax scatter adds into zeros
+	}
 	for n := 0; n < sh.N; n++ {
 		for c := 0; c < sh.C; c++ {
 			inBase := (n*sh.C + c) * sh.H * sh.W
@@ -128,7 +131,7 @@ func (p *GlobalAvgPool) Forward(in *ActRef, _ bool) *ActRef {
 	x := in.T
 	sh := x.Shape
 	p.inShape = sh
-	out := tensor.New(sh.N, sh.C, 1, 1)
+	out := x.Derive(tensor.Shape{N: sh.N, C: sh.C, H: 1, W: 1})
 	hw := sh.H * sh.W
 	inv := 1 / float32(hw)
 	for nc := 0; nc < sh.N*sh.C; nc++ {
@@ -144,7 +147,7 @@ func (p *GlobalAvgPool) Forward(in *ActRef, _ bool) *ActRef {
 // Backward implements Layer.
 func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	sh := p.inShape
-	dx := tensor.New(sh.N, sh.C, sh.H, sh.W)
+	dx := grad.Derive(sh)
 	hw := sh.H * sh.W
 	inv := 1 / float32(hw)
 	for nc := 0; nc < sh.N*sh.C; nc++ {
@@ -206,10 +209,13 @@ func (l *Linear) Forward(in *ActRef, train bool) *ActRef {
 		if in.Kind == compress.KindReLUToOther {
 			in.Kind = compress.KindReLUToConv // values needed, like conv
 		}
-		l.in = in
+		l.in = in.save()
 		l.inShape = x.Shape
 	}
-	out := tensor.New(n, l.OutF, 1, 1)
+	out := x.Derive(tensor.Shape{N: n, C: l.OutF, H: 1, W: 1})
+	if out.Recycled() {
+		clear(out.Data) // GemmTB adds each dot product into C
+	}
 	// out (n × OutF) = x (n × InF) · Wᵀ (InF × OutF)
 	GemmTB(n, l.InF, l.OutF, x.Data, l.Weight.W.Data, out.Data)
 	for i := 0; i < n; i++ {
@@ -234,9 +240,11 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			l.Bias.Grad.Data[o] += grad.Data[i*l.OutF+o]
 		}
 	}
-	// ∇x = ∇y · W  (n×OutF · OutF×InF)
-	dx := tensor.New(l.inShape.N, l.inShape.C, l.inShape.H, l.inShape.W)
-	Gemm(n, l.OutF, l.InF, grad.Data, l.Weight.W.Data, dx.Data)
+	// ∇x = ∇y · W  (n×OutF · OutF×InF), overwriting dx
+	dx := grad.Derive(l.inShape)
+	gy := newGemmLHS(n, l.OutF, grad.Data, false)
+	gy.mul(l.InF, l.Weight.W.Data, dx.Data, gemmOverwrite)
+	gy.release()
 	return dx
 }
 

@@ -308,7 +308,10 @@ func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool) *commitTic
 }
 
 // commitWait blocks for the ticket's PUT result, records the entry, and
-// releases the ref's tensor (attaching the BRC mask when present).
+// releases the ref's tensor (attaching the BRC mask when present). Encode
+// has finished with the tensor and containers never release a saved ref,
+// so nothing reads it any more: its buffer goes back to the step arena it
+// came from, if any — from the engine's drain goroutine in async mode.
 func (s *Store) commitWait(t *commitTicket) (*entry, error) {
 	// What the Put reports is what actually landed on the backend
 	// (send-side faults on the in-process channel are persistent).
@@ -324,6 +327,7 @@ func (s *Store) commitWait(t *commitTicket) (*entry, error) {
 	if t.mask != nil {
 		t.ref.Mask = t.mask
 	}
+	t.ref.T.Release()
 	t.ref.T = nil
 	s.counters.Offloaded.Add(1)
 	s.counters.BytesOffloaded.Add(int64(stored))

@@ -35,6 +35,10 @@ func (s Shape) String() string {
 type Tensor struct {
 	Shape Shape
 	Data  []float32
+	// arena is where Derive draws tensors computed from this one (nil: the
+	// heap); pooled marks Data as one of its buffers, which Release returns.
+	arena  *Arena
+	pooled bool
 }
 
 // New allocates a zero-filled tensor of the given shape.

@@ -68,8 +68,8 @@ import (
 // DPOptions configures the data-parallel trainer.
 // ClassifierDataParallel ignores Config.Method and Config.MeasureError:
 // its activation policy is none — saved activations reach backward
-// untouched (not even Baseline's clone), so the compression ratio it
-// reports is 0.
+// untouched, without even Baseline's byte accounting, so the compression
+// ratio it reports is 0.
 type DPOptions struct {
 	// Replicas is K, the worker count (default 1). Each worker is a
 	// goroutine holding its own full model replica and optimizer.
@@ -628,7 +628,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 		}
 		r.flat = make([]float32, gradSize)
 		r.plan = nn.NewBucketPlan(r.model.Net, chunkElems)
-		r.pass = &pass{net: r.model.Net}
+		r.pass = &pass{net: r.model.Net, arena: tensor.NewArena()} // one arena per replica
 		if activations != nil {
 			activations(k, r.pass)
 		}
@@ -654,7 +654,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	if dp.StoreDial != nil {
 		rep.MethodName += "+netstore"
 	}
-	l := loop{cfg: cfg, step: a.step, validate: classifierValidation(lead.Net, ds, cfg)}
+	l := loop{cfg: cfg, step: a.step, validate: classifierValidation(lead.Net, a.reps[0].pass.arena, ds, cfg)}
 	if dp.Verbose {
 		l.verbose = func(e EpochStats) {
 			s := counters.Snapshot()

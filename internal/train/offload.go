@@ -28,6 +28,7 @@ import (
 	"jpegact/internal/offload"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
+	"jpegact/internal/tensor"
 )
 
 // OffloadOptions configures the offloaded (host-memory) training path.
@@ -173,7 +174,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 	eng := offload.NewEngine(store, oc.engineConfig())
 	defer eng.Close()
 
-	p := &pass{net: m.Net, eng: eng, freq: oc.FreqDomain}
+	p := &pass{net: m.Net, eng: eng, freq: oc.FreqDomain, arena: tensor.NewArena()}
 	l := loop{
 		cfg:  cfg,
 		step: localStep(p, opt, classifierBatch(ds, cfg)),
@@ -181,7 +182,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		// entry), so the epoch hook is the safe, reproducible point for a
 		// harness to kill or restart the server.
 		epochEnd: oc.EpochEnd,
-		validate: classifierValidation(m.Net, ds, cfg),
+		validate: classifierValidation(m.Net, p.arena, ds, cfg),
 	}
 	if oc.Verbose {
 		l.verbose = func(e EpochStats) {

@@ -46,13 +46,17 @@ type stepResult struct {
 
 // pass is the step body over one network. At most one of method and eng
 // is set; neither is activation policy none (the saved activations reach
-// backward untouched, without even Baseline's clone).
+// backward untouched).
 type pass struct {
 	net     nn.Layer
 	method  compress.Method // round-trip policy
 	measure bool            // with method: record the recovered-activation error
 	eng     *offload.Engine // offload policy
 	freq    bool            // with eng: restore plan-covered activations as coefficient planes
+	// arena serves the step's outputs and gradients, and validation's; it
+	// lives as long as the trainer call, so every step reuses the last
+	// one's buffers (nil: the heap).
+	arena *tensor.Arena
 }
 
 // maxRecompute caps whole-step forward replays per batch under
@@ -66,8 +70,12 @@ type restoreAbort struct{ err error }
 // run differentiates one batch. Backward runs under one merged hook set:
 // OnNeed belongs to the activation policy (async offload restores on
 // demand), OnGrad to the gradient policy (the caller's, nil for local).
+// Every tensor the step drew from the arena goes back to it when the step
+// is over, the offload engine's last commit and restore included.
 func (p *pass) run(x *tensor.Tensor, lossOf lossFunc, epoch int, onGrad func(*nn.Param)) (stepResult, error) {
 	var res stepResult
+	defer p.arena.Reset()
+	x = p.arena.Wrap(x) // the batch itself is not the arena's: a recompute replays from it
 	hooks := &nn.Hooks{OnGrad: onGrad}
 	defer nn.SetHooks(p.net, nil)
 	finish := func(err error) error { return err }
@@ -194,11 +202,12 @@ func (p *pass) endForward(hooks *nn.Hooks) (orig, comp int, err error) {
 // optimizer. A non-finite loss leaves the weights alone; the loop flags
 // the divergence.
 func localStep(p *pass, opt *nn.SGD, batch func() (*tensor.Tensor, lossFunc)) func(epoch, b int) (stepResult, error) {
+	params := p.net.Params()
 	return func(epoch, _ int) (stepResult, error) {
 		x, lossOf := batch()
 		res, err := p.run(x, lossOf, epoch, nil)
 		if err == nil && !nonFinite(res.loss) {
-			opt.Step(p.net.Params())
+			opt.Step(params)
 		}
 		return res, err
 	}
@@ -217,12 +226,33 @@ func classifierBatch(ds *data.Classification, cfg Config) func() (*tensor.Tensor
 // classifierValidation draws the held-out batch (now — before any
 // training batch, so the data stream order is fixed) and returns the
 // accuracy probe the loop runs after every epoch.
-func classifierValidation(net nn.Layer, ds *data.Classification, cfg Config) func() (float64, *tensor.Tensor) {
+func classifierValidation(net nn.Layer, a *tensor.Arena, ds *data.Classification, cfg Config) func() (float64, *tensor.Tensor) {
 	valX, valY := ds.Batch(cfg.BatchSize * 8)
 	return func() (float64, *tensor.Tensor) {
-		out := net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valX}, false)
-		return nn.Accuracy(out.T, valY), out.T
+		out := evaluate(net, a, valX, cfg.BatchSize)
+		return nn.Accuracy(out, valY), out
 	}
+}
+
+// evaluate runs the eval-mode forward over x in chunks of batch samples
+// through the arena — a training step's shapes, so the step's buffers
+// serve it — and gathers the outputs into one heap tensor. Every eval
+// layer is per sample, so the outputs are the one-pass forward's.
+func evaluate(net nn.Layer, a *tensor.Arena, x *tensor.Tensor, batch int) *tensor.Tensor {
+	sh := x.Shape
+	per := sh.C * sh.H * sh.W
+	var out *tensor.Tensor
+	for lo := 0; lo < sh.N; lo += batch {
+		n := min(batch, sh.N-lo)
+		chunk := tensor.FromSlice(x.Data[lo*per:(lo+n)*per], n, sh.C, sh.H, sh.W)
+		y := net.Forward(&nn.ActRef{Kind: compress.KindConv, T: a.Wrap(chunk)}, false).T
+		if out == nil {
+			out = tensor.New(sh.N, y.Shape.C, y.Shape.H, y.Shape.W)
+		}
+		copy(out.Data[lo*len(y.Data)/n:], y.Data)
+		y.Release()
+	}
+	return out
 }
 
 // loop is the epoch driver every trainer shares.

@@ -160,7 +160,8 @@ func compressRefs(refs []*nn.ActRef, m compress.Method, epoch int, measure bool)
 // cfg.Method, gradient policy local.
 func Classifier(m *models.Model, ds *data.Classification, cfg Config) Report {
 	cfg = cfg.withDefaults()
-	return roundTrip(m, cfg, classifierValidation(m.Net, ds, cfg), classifierBatch(ds, cfg))
+	a := tensor.NewArena()
+	return roundTrip(m, cfg, a, classifierValidation(m.Net, a, ds, cfg), classifierBatch(ds, cfg))
 }
 
 // SuperResolution trains the VDSR model on synthetic pairs, scoring PSNR.
@@ -169,12 +170,13 @@ func SuperResolution(m *models.Model, ds *data.SuperRes, cfg Config) Report {
 		cfg.LR = 0.01 // VDSR's step; the classifiers default to 0.05
 	}
 	cfg = cfg.withDefaults()
+	a := tensor.NewArena()
 	valIn, valTgt := ds.Pair(cfg.BatchSize * 2)
 	validate := func() (float64, *tensor.Tensor) {
-		out := m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: valIn}, false)
-		return data.PSNR(out.T, valTgt), out.T
+		out := evaluate(m.Net, a, valIn, cfg.BatchSize)
+		return data.PSNR(out, valTgt), out
 	}
-	return roundTrip(m, cfg, validate, func() (*tensor.Tensor, lossFunc) {
+	return roundTrip(m, cfg, a, validate, func() (*tensor.Tensor, lossFunc) {
 		in, tgt := ds.Pair(cfg.BatchSize)
 		return in, func(out *tensor.Tensor) (float64, *tensor.Tensor) { return nn.MSELoss(out, tgt) }
 	})
@@ -182,11 +184,12 @@ func SuperResolution(m *models.Model, ds *data.SuperRes, cfg Config) Report {
 
 // roundTrip runs the paper's functional simulation: every saved
 // activation is replaced by its compressed-recovered form between
-// forward and backward. cfg already carries its defaults.
-func roundTrip(m *models.Model, cfg Config, validate func() (float64, *tensor.Tensor), batch func() (*tensor.Tensor, lossFunc)) Report {
+// forward and backward. cfg already carries its defaults; a is the
+// arena validate runs through.
+func roundTrip(m *models.Model, cfg Config, a *tensor.Arena, validate func() (float64, *tensor.Tensor), batch func() (*tensor.Tensor, lossFunc)) Report {
 	rep := Report{ModelName: m.Name, MethodName: cfg.Method.Name()}
 	opt := cfg.newOptimizer()
-	p := &pass{net: m.Net, method: cfg.Method, measure: cfg.MeasureError}
+	p := &pass{net: m.Net, method: cfg.Method, measure: cfg.MeasureError, arena: a}
 	l := loop{cfg: cfg, step: localStep(p, opt, batch), validate: validate}
 	_ = l.run(&rep) // only the offload and all-reduce policies have an error path
 	rep.WeightsDigest = weightsDigest(m.Net)
