@@ -9,6 +9,7 @@ package data
 import (
 	"math"
 
+	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
 
@@ -18,12 +19,27 @@ import (
 // mean stronger spatial correlation.
 func Texture(r *tensor.RNG, h, w, passes int) []float32 {
 	plane := make([]float32, h*w)
+	texture(r, plane, h, w, passes)
+	return plane
+}
+
+// texture is Texture into a caller's plane.
+func texture(r *tensor.RNG, plane []float32, h, w, passes int) {
 	for i := range plane {
 		plane[i] = float32(r.Norm())
 	}
 	Smooth(plane, h, w, passes)
 	normalize(plane)
-	return plane
+}
+
+// skipNorms advances r past n calls of r.Norm, making the same draws
+// (u1, redrawn while zero, then u2) without the arithmetic.
+func skipNorms(r *tensor.RNG, n int) {
+	for ; n > 0; n-- {
+		for r.Float64() == 0 {
+		}
+		r.Float64()
+	}
 }
 
 // Smooth applies `passes` rounds of the separable [1 2 1]/4 binomial blur
@@ -133,19 +149,36 @@ func NewClassification(cfg ClassificationConfig) *Classification {
 }
 
 // Batch generates a batch of n samples, returning the images and labels.
-// Labels cycle through the classes so every batch is balanced.
+// Labels cycle through the classes so every batch is balanced. The random
+// stream is walked serially — each sample's shift, then its channels'
+// noise, skipped over with the RNG's position at each plane's start
+// recorded — and each (sample, channel) plane replays its own noise from
+// that position on a parallel.For index, so the batch and the RNG state
+// after it are the same at any worker count.
 func (d *Classification) Batch(n int) (*tensor.Tensor, []int) {
 	x := tensor.New(n, d.Channels, d.H, d.W)
 	labels := make([]int, n)
 	plane := d.H * d.W
+	shifts := make([][2]int, n)
+	starts := make([]uint64, n*d.Channels)
 	for i := 0; i < n; i++ {
-		cl := i % d.Classes
-		labels[i] = cl
-		dy, dx := d.rng.Intn(d.H), d.rng.Intn(d.W)
+		labels[i] = i % d.Classes
+		shifts[i] = [2]int{d.rng.Intn(d.H), d.rng.Intn(d.W)}
 		for ch := 0; ch < d.Channels; ch++ {
-			tpl := d.templates[cl][ch*plane : (ch+1)*plane]
-			noise := Texture(d.rng, d.H, d.W, d.smooth)
-			dst := x.Data[(i*d.Channels+ch)*plane : (i*d.Channels+ch+1)*plane]
+			starts[i*d.Channels+ch] = d.rng.State()
+			skipNorms(d.rng, plane)
+		}
+	}
+	parallel.For(n*d.Channels, 1, func(lo, hi int) {
+		noise := make([]float32, plane)
+		var r tensor.RNG
+		for k := lo; k < hi; k++ {
+			i, ch := k/d.Channels, k%d.Channels
+			r.SetState(starts[k])
+			texture(&r, noise, d.H, d.W, d.smooth)
+			tpl := d.templates[labels[i]][ch*plane : (ch+1)*plane]
+			dst := x.Data[k*plane : (k+1)*plane]
+			dy, dx := shifts[i][0], shifts[i][1]
 			for y := 0; y < d.H; y++ {
 				sy := (y + dy) % d.H
 				for xx := 0; xx < d.W; xx++ {
@@ -154,7 +187,7 @@ func (d *Classification) Batch(n int) (*tensor.Tensor, []int) {
 				}
 			}
 		}
-	}
+	})
 	return x, labels
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
 
@@ -162,6 +163,61 @@ func TestDeterminism(t *testing.T) {
 	for i := range x1.Data {
 		if x1.Data[i] != x2.Data[i] {
 			t.Fatal("same seed must generate identical data")
+		}
+	}
+}
+
+// serialBatch is Batch as a single loop, drawing every normal through
+// r.Norm next to the arithmetic on it: the reference the parallel Batch
+// must reproduce bit for bit.
+func serialBatch(d *Classification, n int) *tensor.Tensor {
+	x := tensor.New(n, d.Channels, d.H, d.W)
+	plane := d.H * d.W
+	for i := 0; i < n; i++ {
+		cl := i % d.Classes
+		dy, dx := d.rng.Intn(d.H), d.rng.Intn(d.W)
+		for ch := 0; ch < d.Channels; ch++ {
+			tpl := d.templates[cl][ch*plane : (ch+1)*plane]
+			noise := make([]float32, plane)
+			for j := range noise {
+				noise[j] = float32(d.rng.Norm())
+			}
+			Smooth(noise, d.H, d.W, d.smooth)
+			normalize(noise)
+			dst := x.Data[(i*d.Channels+ch)*plane : (i*d.Channels+ch+1)*plane]
+			for y := 0; y < d.H; y++ {
+				sy := (y + dy) % d.H
+				for xx := 0; xx < d.W; xx++ {
+					sx := (xx + dx) % d.W
+					dst[y*d.W+xx] = tpl[sy*d.W+sx] + float32(d.noise)*noise[y*d.W+xx]
+				}
+			}
+		}
+	}
+	return x
+}
+
+// TestBatchMatchesSerialGenerator: the parallel Batch produces the serial
+// generator's images bit for bit, and leaves the RNG where it does, over
+// five batches at 1 and 3 workers.
+func TestBatchMatchesSerialGenerator(t *testing.T) {
+	cfg := ClassificationConfig{Classes: 4, Channels: 3, H: 16, W: 24, Noise: 0.4, Seed: 31}
+	prev := parallel.SetWorkers(1)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
+	for _, workers := range []int{1, 3} {
+		parallel.SetWorkers(workers)
+		got, want := NewClassification(cfg), NewClassification(cfg)
+		for b := 0; b < 5; b++ {
+			x, _ := got.Batch(5)
+			ref := serialBatch(want, 5)
+			for i := range ref.Data {
+				if math.Float32bits(x.Data[i]) != math.Float32bits(ref.Data[i]) {
+					t.Fatalf("workers %d batch %d: element %d is %v, the serial generator's %v", workers, b, i, x.Data[i], ref.Data[i])
+				}
+			}
+		}
+		if got.rng.State() != want.rng.State() {
+			t.Fatalf("workers %d: RNG state %x after five batches, the serial generator's %x", workers, got.rng.State(), want.rng.State())
 		}
 	}
 }

@@ -8,10 +8,13 @@ package nn
 // will read its tensor, so the scheduler may compress it and release the
 // float data immediately — this is what lets offload traffic overlap the
 // rest of the forward pass instead of bursting at its end. A container
-// never emits its own input (an enclosing block — a residual shortcut,
-// the sum — may still read it) and never emits the current frontier (the
-// next layer's input); whatever those rules hold back is swept by the
-// trainer after the forward pass completes.
+// never emits the current frontier (the next layer's input), and never
+// its own input (an enclosing block — a residual shortcut, the sum — may
+// still read it) unless it is the root SetHooks was called on: nothing
+// encloses the root, so it emits its input once its first child has
+// returned, which makes the batch input the step's first offload.
+// Whatever those rules hold back is swept by the trainer after the
+// forward pass completes.
 //
 // OnNeed fires during the backward pass just before a layer reads one of
 // its saved refs, giving the scheduler the precise demand order for
@@ -32,25 +35,28 @@ type Hooks struct {
 }
 
 // hookHost is implemented by containers that propagate hooks and emit
-// save/need events for their children.
+// save/need events for their children; root marks the container
+// SetHooks was called on.
 type hookHost interface {
-	setHooks(*Hooks)
+	setHooks(h *Hooks, root bool)
 	hooked() bool
 }
 
 // SetHooks installs h on every hook-aware container reachable from l
-// (pass nil to detach). Leaf layers are unaffected; their events are
-// emitted by the enclosing container.
-func SetHooks(l Layer, h *Hooks) {
+// (pass nil to detach), with l as the root. Leaf layers are unaffected;
+// their events are emitted by the enclosing container.
+func SetHooks(l Layer, h *Hooks) { setHooks(l, h, true) }
+
+func setHooks(l Layer, h *Hooks, root bool) {
 	if hh, ok := l.(hookHost); ok {
-		hh.setHooks(h)
+		hh.setHooks(h, root)
 	}
 }
 
 // emitSaved fires OnSave for each of l's saved refs except the excluded
-// live ones (the container's input and the current frontier). Refs an
-// inner container already emitted are deduplicated downstream by the
-// scheduler.
+// live ones (the current frontier, and the container's input unless it
+// is the root). Refs an inner container already emitted are deduplicated
+// downstream by the scheduler.
 func emitSaved(h *Hooks, l Layer, exclude ...*ActRef) {
 	if h == nil || h.OnSave == nil {
 		return

@@ -112,6 +112,7 @@ type Sequential struct {
 	LayerName string
 	Layers    []Layer
 	hooks     *Hooks
+	root      bool // SetHooks was called on this chain: nothing encloses it
 }
 
 // NewSequential builds a sequential container.
@@ -124,16 +125,21 @@ func (s *Sequential) Name() string { return s.LayerName }
 
 // Forward runs all layers in order. With save hooks installed (training
 // mode) each child's saved refs are emitted as soon as the child has
-// run, excluding the two still-live tensors: the chain's own input
-// (an enclosing block may read it again) and the child's output, which
-// is the next layer's input. An intermediate nothing saved goes back to
-// the step arena as soon as the child consuming it has run.
+// run, excluding the still-live tensors: the child's output, which is
+// the next layer's input, and the chain's own input, which an enclosing
+// block may read again — unless the chain is the root, so its input goes
+// out right after the first child. An intermediate nothing saved goes
+// back to the step arena as soon as the child consuming it has run.
 func (s *Sequential) Forward(in *ActRef, train bool) *ActRef {
+	live := in
+	if s.root {
+		live = nil
+	}
 	cur := in
 	for _, l := range s.Layers {
 		out := l.Forward(cur, train)
 		if train && s.hooks != nil {
-			emitSaved(s.hooks, l, out, in)
+			emitSaved(s.hooks, l, out, live)
 		}
 		releaseAfter(cur, out, in)
 		cur = out
@@ -161,10 +167,10 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return g
 }
 
-func (s *Sequential) setHooks(h *Hooks) {
-	s.hooks = h
+func (s *Sequential) setHooks(h *Hooks, root bool) {
+	s.hooks, s.root = h, root
 	for _, l := range s.Layers {
-		SetHooks(l, h)
+		setHooks(l, h, false)
 	}
 }
 
@@ -263,11 +269,11 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (r *Residual) setHooks(h *Hooks) {
+func (r *Residual) setHooks(h *Hooks, _ bool) {
 	r.hooks = h
-	SetHooks(r.Body, h)
+	setHooks(r.Body, h, false)
 	if r.Shortcut != nil {
-		SetHooks(r.Shortcut, h)
+		setHooks(r.Shortcut, h, false)
 	}
 }
 

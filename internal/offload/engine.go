@@ -2,9 +2,11 @@ package offload
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"jpegact/internal/frame"
+	"jpegact/internal/freqdomain"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
@@ -15,12 +17,14 @@ import (
 // with compute.
 type EngineConfig struct {
 	// Async enables the pipelined engine. When false every Engine call
-	// degenerates to the synchronous Store operation — the two paths
-	// produce bit-identical channel traffic by construction.
+	// degenerates to the synchronous Store operation: Offload encodes and
+	// commits its frame before it returns. Both paths put the same bytes
+	// in every frame.
 	Async bool
 	// Prefetch is the restore lookahead during the backward pass: how
-	// many verified frames may sit staged ahead of demand. <= 0
-	// restores strictly on demand.
+	// many verified frames may sit staged ahead of demand. It also sizes
+	// the held tail (see Engine). <= 0 restores strictly on demand and
+	// holds nothing.
 	Prefetch int
 }
 
@@ -39,19 +43,23 @@ type encResult struct {
 	ref  *nn.ActRef
 	data []byte
 	mask []bool
+	hold bool
 	err  error
 }
 
-// fetchTask is one prefetched restore: the prefetcher stages the
-// verified frame (or the terminal read error) and closes done. Decoding
-// happens in the consumer, so the channel never idles behind codec work.
+// fetchTask is one prefetched restore: the prefetcher reads the verified
+// frame and hands it to the encode pool, which decodes it, stages the
+// result (or the read or decode error) and closes done. The channel never
+// idles behind codec work, and the backward pass only consumes.
 type fetchTask struct {
 	ref     *nn.ActRef
 	ent     *entry
-	done    chan struct{}
-	staged  *frame.Frame
+	done    chan struct{} // closed once t and pl (both nil for a BRC frame) or err are staged
+	read    bool          // the read has completed; a skipped task is never read
+	t       *tensor.Tensor
+	pl      *freqdomain.Plane
 	err     error
-	counted bool // holds a lookahead slot until consumed
+	counted bool // holds a lookahead slot until consumed (a held frame never does)
 }
 
 // prefetchState is one backward pass's restore plan: every resident
@@ -69,14 +77,30 @@ type prefetchState struct {
 // Engine is the scheduler layer of the offload stack: it accepts
 // non-blocking offload requests as the forward pass produces
 // activations, encodes them on a worker pool, and commits the encoded
-// frames to the transport in strict submission order — so the channel
-// (and any fault injector attached to it) sees exactly the sequence a
-// synchronous run would. During the backward pass it prefetches restores
-// in reverse-offload order, double-buffered ahead of demand.
+// frames to the transport in strict submission order. That order is the
+// order Offload is called in: the save hooks' emission order, then the
+// EndForward sweep in SavedRefs order. A synchronous engine commits each
+// frame inside Offload, so the channel (and any fault injector attached
+// to it) sees the async sequence only when the sync engine is driven by
+// the same hooks, as the trainer does; what matches regardless is each
+// frame's bytes. During the backward pass it prefetches restores in
+// reverse-offload order, double-buffered ahead of demand.
 //
-// A zero Prefetch falls back to on-demand restores; Async=false makes
-// every call the degenerate synchronous Store operation. One engine
-// serves one training loop; it is not safe for concurrent steps.
+// The held tail: the frames forward submits last are the ones backward
+// reads first, so their round trip cannot hide behind compute. From an
+// engine's second step on, every submission whose index is at least the
+// previous step's submission count minus Prefetch stays on the device:
+// it is encoded and its tensor released at commit like any other frame,
+// but its framed bytes stay in its store entry, and its restore takes
+// them through the same CRC check and decode as a wire frame with no
+// transport op. The rule reads only submission indices, never timing,
+// and is the same in sync mode; Store.OffloadAll (the recompute
+// rebuild) holds nothing.
+//
+// A zero Prefetch falls back to on-demand restores and holds nothing;
+// Async=false makes every call the degenerate synchronous Store
+// operation. One engine serves one training loop; it is not safe for
+// concurrent steps.
 type Engine struct {
 	store *Store
 	cfg   EngineConfig
@@ -87,9 +111,11 @@ type Engine struct {
 
 	// Offload pipeline (reset each step).
 	seen       map[*nn.ActRef]bool
-	submitted  int
-	nextCommit int // next sequence to *issue* (wire order)
-	finished   int // sequences fully committed (acknowledged)
+	submitted  int  // submissions this step, in both modes
+	holdFrom   int  // submissions with this index or above stay on the device
+	stepped    bool // a step has begun, so submitted is the last step's count
+	nextCommit int  // next sequence to *issue* (wire order)
+	finished   int  // sequences fully committed (acknowledged)
 	committing bool
 	results    map[int]encResult
 	inflight   int
@@ -139,6 +165,11 @@ func (e *Engine) BeginStep() {
 		e.pool = parallel.NewPool(0) // parallel.Workers() encoders
 	}
 	e.mu.Lock()
+	e.holdFrom = math.MaxInt
+	if e.stepped && e.cfg.Prefetch > 0 {
+		e.holdFrom = e.submitted - e.cfg.Prefetch
+	}
+	e.stepped = true
 	e.seen = map[*nn.ActRef]bool{}
 	e.submitted, e.nextCommit, e.finished = 0, 0, 0
 	e.results = map[int]encResult{}
@@ -152,9 +183,10 @@ func (e *Engine) BeginStep() {
 
 // Offload submits one activation for offload. In async mode it returns
 // immediately — encoding happens on the pool, and the frame is committed
-// to the channel in submission order once its predecessors have landed.
-// Duplicate refs and refs without a live tensor are skipped, matching
-// Store.OffloadAll. Errors surface at EndForward.
+// in submission order once its predecessors have landed. A submission in
+// the held tail stays on the device. Duplicate refs and refs without a
+// live tensor are skipped, matching Store.OffloadAll. Errors surface at
+// EndForward.
 func (e *Engine) Offload(ref *nn.ActRef) {
 	if ref == nil {
 		return
@@ -169,9 +201,12 @@ func (e *Engine) Offload(ref *nn.ActRef) {
 	}
 	e.seen[ref] = true
 	e.origBytes += ref.T.Bytes()
+	seq := e.submitted
+	e.submitted++
+	hold := seq >= e.holdFrom
 	if !e.cfg.Async {
 		e.mu.Unlock()
-		if err := e.store.Offload(ref); err != nil {
+		if err := e.store.offload(ref, hold); err != nil {
 			e.mu.Lock()
 			if e.firstErr == nil {
 				e.firstErr = err
@@ -181,16 +216,14 @@ func (e *Engine) Offload(ref *nn.ActRef) {
 		return
 	}
 	x := ref.T
-	seq := e.submitted
-	e.submitted++
 	e.mu.Unlock()
-	e.pool.Submit(func() { e.encodeAndCommit(seq, ref, x) })
+	e.pool.Submit(func() { e.encodeAndCommit(seq, ref, x, hold) })
 }
 
 // encodeAndCommit runs on a pool worker: pure codec work first, then the
 // result enters the reorder buffer and is committed once it is the head.
-func (e *Engine) encodeAndCommit(seq int, ref *nn.ActRef, x *tensor.Tensor) {
-	res := encResult{ref: ref}
+func (e *Engine) encodeAndCommit(seq int, ref *nn.ActRef, x *tensor.Tensor, hold bool) {
+	res := encResult{ref: ref, hold: hold}
 	enc, err := e.store.pipeline().Encode(ref.Kind, x)
 	if err != nil {
 		res.err = fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, err)
@@ -229,7 +262,7 @@ func (e *Engine) encodeAndCommit(seq int, ref *nn.ActRef, x *tensor.Tensor) {
 // engine lock so workers keep encoding while the wire sleeps.
 func (e *Engine) drainCommits() {
 	fifo := transport.NewFIFO(e.store.transportOf(), func(t *commitTicket) error {
-		_, cerr := e.store.commitWait(t)
+		cerr := e.store.commitWait(t)
 		e.mu.Lock()
 		if cerr != nil && e.firstErr == nil {
 			e.firstErr = cerr
@@ -258,7 +291,7 @@ func (e *Engine) drainCommits() {
 				continue
 			}
 			e.mu.Unlock()
-			fifo.Push(e.store.commitIssue(res.ref, res.data, res.mask))
+			fifo.Push(e.store.commitIssue(res.ref, res.data, res.mask, res.hold))
 			e.mu.Lock()
 		case fifo.Len() > 0:
 			e.mu.Unlock()
@@ -327,8 +360,8 @@ func (e *Engine) PrepareBackward() error {
 // sequence — and therefore any injected fault pattern — deterministic.
 // A consumer blocked on a task past the lookahead sets demand, which
 // lets the loop run ahead of the budget without changing the order.
-// Only the wire read and CRC check run here; decode is left to the
-// consumer so the next read can start immediately.
+// Only the wire read and CRC check run here; decode goes to the encode
+// pool, idle during backward, so the next read can start immediately.
 func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 	type issuedRead struct {
 		ft *fetchTask
@@ -336,18 +369,30 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 	}
 	s := e.store
 	fifo := transport.NewFIFO(s.transportOf(), func(in issuedRead) error {
+		ft := in.ft
 		f, err := s.readWait(in.tk)
 		e.mu.Lock()
-		in.ft.staged, in.ft.err = f, err
-		in.ft.counted = true
-		pf.ready++
-		if pf.demand == in.ft {
+		ft.read = true
+		if !in.tk.held {
+			// A held frame was on the device all along: staging it
+			// takes no lookahead slot from the frames the channel brings.
+			ft.counted = true
+			pf.ready++
+		}
+		if pf.demand == ft {
 			pf.demand = nil
 		}
-		close(in.ft.done)
 		e.cond.Broadcast()
 		e.mu.Unlock()
-		return nil // staged on the task for its consumer
+		if err != nil {
+			e.stage(ft, nil, nil, err)
+			return nil // staged on the task for its consumer
+		}
+		e.pool.Submit(func() {
+			t, pl, derr := s.decodeFrame(ft.ref, f)
+			e.stage(ft, t, pl, derr)
+		})
+		return nil
 	})
 	defer func() {
 		// Responses for issued reads are already on the wire; consume
@@ -402,6 +447,15 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 	}
 }
 
+// stage records a finished fetch on its task and wakes its consumer.
+func (e *Engine) stage(ft *fetchTask, t *tensor.Tensor, pl *freqdomain.Plane, err error) {
+	e.mu.Lock()
+	ft.t, ft.pl, ft.err = t, pl, err
+	close(ft.done)
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
 // release returns ft's lookahead slot to the prefetcher.
 func (e *Engine) release(pf *prefetchState, ft *fetchTask) {
 	e.mu.Lock()
@@ -448,34 +502,29 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 		e.hits++
 	default:
 		e.waits++
-		pf.demand = ft
-		e.cond.Broadcast()
+		if !ft.read {
+			pf.demand = ft
+			e.cond.Broadcast()
+		}
 	}
 	e.mu.Unlock()
 	<-ft.done
+	e.release(pf, ft)
 
 	// Re-check residency: the prefetcher may have skipped a stale task,
 	// or a recompute (triggered by an earlier restore) rebuilt the step
 	// while we waited.
 	cur, still := s.lookup(ref)
 	if !still || cur != ft.ent {
-		e.release(pf, ft)
 		if !still {
 			return e.notResident(ref)
 		}
 		return e.store.Restore(ref)
 	}
 	if ft.err != nil {
-		e.release(pf, ft)
 		return e.escalate(ref, ft.ent, ft.err)
 	}
-	t, pl, derr := s.decodeFrame(ref, ft.staged)
-	if derr != nil {
-		e.release(pf, ft)
-		return e.escalate(ref, ft.ent, derr)
-	}
-	s.finishRestore(ref, ft.ent, t, pl)
-	e.release(pf, ft)
+	s.finishRestore(ref, ft.ent, ft.t, ft.pl)
 	return nil
 }
 
@@ -539,28 +588,23 @@ func (e *Engine) flushPrefetch() *prefetchState {
 }
 
 // consumeLeftover finishes one flushed task the backward pass never
-// asked for: still-resident, cleanly-read entries are decoded and
-// restored (exactly what RestoreAll would have done, minus the second
-// channel read); stale or failed tasks are left for the synchronous
-// sweep so the recovery policy applies.
+// asked for: still-resident, cleanly decoded entries are restored
+// (exactly what RestoreAll would have done, minus the second channel
+// read); stale or failed tasks are left for the synchronous sweep so the
+// recovery policy applies.
 func (e *Engine) consumeLeftover(ft *fetchTask) {
 	<-ft.done
-	if ft.err != nil || ft.staged == nil {
+	if ft.err != nil || !ft.read || !e.store.current(ft.ref, ft.ent) {
 		return
 	}
-	s := e.store
-	if !s.current(ft.ref, ft.ent) {
-		return
-	}
-	if t, pl, err := s.decodeFrame(ft.ref, ft.staged); err == nil {
-		s.finishRestore(ft.ref, ft.ent, t, pl)
-	}
+	e.store.finishRestore(ft.ref, ft.ent, ft.t, ft.pl)
 }
 
-// stopPrefetch cancels the prefetch plan and waits for the loop to exit,
-// so no channel read races whatever the caller does next. Staged frames
-// whose entries are still resident are discarded unconsumed — their
-// entries remain in the store for a later synchronous restore. Only
+// stopPrefetch cancels the prefetch plan and waits for the loop to exit
+// and for the decodes of the reads it issued, so neither a channel read
+// nor a decode races whatever the caller does next. Staged tensors whose
+// entries are still resident are discarded unconsumed — their entries
+// remain in the store for a later synchronous restore. Only
 // Abort uses this (a failed step must not keep touching the channel);
 // the healthy paths flush instead, for reproducible transfer counts.
 func (e *Engine) stopPrefetch() {
@@ -577,6 +621,9 @@ func (e *Engine) stopPrefetch() {
 		e.cond.Wait()
 	}
 	e.mu.Unlock()
+	for _, ft := range pf.tasks[:pf.next] {
+		<-ft.done
+	}
 }
 
 // EndStep finishes the restore side: the prefetch plan is flushed and

@@ -39,12 +39,12 @@ func timeGets(t *testing.T, dial transport.Dialer, window, n int) time.Duration 
 	return time.Since(start)
 }
 
-// TestPipelinedGetsOverlapInjectedLatency: with 2ms of injected per-op
+// TestWindowedGetsOverlapInjectedLatency: with 2ms of injected per-op
 // latency and 64 GETs, a window-8 client must finish in well under the
 // stop-and-wait wall clock. The 0.6× bound is loose — the ideal ratio
 // at window 8 is ~1/8 — so scheduler noise cannot flake it, but a
 // client that secretly serializes cannot pass it.
-func TestPipelinedGetsOverlapInjectedLatency(t *testing.T) {
+func TestWindowedGetsOverlapInjectedLatency(t *testing.T) {
 	const n = 64
 	_, dial := startServer(t, Config{respDelay: 2 * time.Millisecond})
 	c := transport.NewNetClient(dial, nil)

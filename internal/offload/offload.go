@@ -116,12 +116,15 @@ type Stats = transport.Snapshot
 // fixes the deterministic reverse-restore order (and doubles as the
 // transport key) plus the framed byte footprint the backend holds.
 // degraded marks frames the circuit breaker routed to the local
-// fallback instead of the wire; restore and delete follow the flag so a
-// frame is always read back from wherever its bytes actually live.
+// fallback instead of the wire; held is the framed bytes of a frame
+// that stayed on the device and never crossed the transport. Restore
+// and delete follow the entry so a frame is always read back from
+// wherever its bytes actually live.
 type entry struct {
 	seq      int
 	size     int
 	degraded bool
+	held     []byte
 }
 
 // Store is a host-memory activation store using the JPEG-ACT pipeline
@@ -254,7 +257,10 @@ func (s *Store) Stats() Stats { return s.counters.Snapshot() }
 // transport backend and releases the tensor (ref.T becomes nil, or a
 // BRC mask replaces it). Refs are deduplicated by pointer; offloading
 // the same ref twice is an error.
-func (s *Store) Offload(ref *nn.ActRef) error {
+func (s *Store) Offload(ref *nn.ActRef) error { return s.offload(ref, false) }
+
+// offload is Offload, keeping the frame on the device when hold is set.
+func (s *Store) offload(ref *nn.ActRef, hold bool) error {
 	s.mu.Lock()
 	_, dup := s.entries[ref]
 	s.mu.Unlock()
@@ -268,61 +274,71 @@ func (s *Store) Offload(ref *nn.ActRef) error {
 	if err != nil {
 		return fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, err)
 	}
-	_, err = s.commitEncoded(ref, frame.EncodeFrame(enc.Frame), enc.Mask)
-	return err
+	return s.commitWait(s.commitIssue(ref, frame.EncodeFrame(enc.Frame), enc.Mask, hold))
 }
 
 // ticket is one routed transfer in flight: the backend's completion
-// handle, and whether that backend is the breaker's degraded fallback
-// (the configured transport otherwise).
+// handle, and where it went — the breaker's degraded fallback, no
+// backend at all for a held frame's read, or the configured transport.
 type ticket struct {
 	h        *transport.Pending
 	degraded bool
+	held     bool
 }
 
 // commitTicket is one issued-but-unfinished commit: the sequence number
-// already claimed, the routed PUT in flight, and the ref bookkeeping
-// commitWait still has to perform. The scheduler keeps a bounded FIFO
-// of these so encode-commit traffic pipelines over the wire.
+// already claimed, the routed PUT in flight (none for a held frame), and
+// the ref bookkeeping commitWait still has to perform. The scheduler
+// keeps a bounded FIFO of these so encode-commit traffic pipelines over
+// the wire.
 type commitTicket struct {
 	ref  *nn.ActRef
 	seq  int
 	data []byte
 	mask []bool
+	hold bool
 	put  ticket
 }
 
 // commitIssue claims the next offload sequence number and launches the
-// routed PUT without waiting for the response. Callers must issue
-// tickets in strict submission order (the sequence and the wire order
-// must agree) and complete each one with commitWait, in the same order.
-func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool) *commitTicket {
+// routed PUT without waiting for the response; a held frame claims its
+// sequence and issues nothing. Callers must issue tickets in strict
+// submission order (the sequence and the wire order must agree) and
+// complete each one with commitWait, in the same order.
+func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool, hold bool) *commitTicket {
 	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++
 	s.mu.Unlock()
-	return &commitTicket{
-		ref: ref, seq: seq, data: data, mask: mask,
-		put: s.putIssue(s.key(seq), data),
+	t := &commitTicket{ref: ref, seq: seq, data: data, mask: mask, hold: hold}
+	if !hold {
+		t.put = s.putIssue(s.key(seq), data)
 	}
+	return t
 }
 
-// commitWait blocks for the ticket's PUT result, records the entry, and
-// releases the ref's tensor (attaching the BRC mask when present). Encode
-// has finished with the tensor and containers never release a saved ref,
-// so nothing reads it any more: its buffer goes back to the step arena it
-// came from, if any — from the engine's drain goroutine in async mode.
-func (s *Store) commitWait(t *commitTicket) (*entry, error) {
-	// What the Put reports is what actually landed on the backend
-	// (send-side faults on the in-process channel are persistent).
-	stored, degraded, err := s.putWait(s.key(t.seq), t.data, t.put)
-	if err != nil {
-		return nil, fmt.Errorf("offload: offload %q (%s): %w", t.ref.Name, t.ref.Kind, err)
+// commitWait blocks for the ticket's PUT result (a held frame has none:
+// its bytes go into the entry), records the entry, and releases the ref's
+// tensor (attaching the BRC mask when present). Encode has finished with
+// the tensor and containers never release a saved ref, so nothing reads
+// it any more: its buffer goes back to the step arena it came from, if
+// any — from the engine's drain goroutine in async mode.
+func (s *Store) commitWait(t *commitTicket) error {
+	e := &entry{seq: t.seq, size: len(t.data)}
+	if t.hold {
+		e.held = t.data
+	} else {
+		// What the Put reports is what actually landed on the backend
+		// (send-side faults on the in-process channel are persistent).
+		var err error
+		e.size, e.degraded, err = s.putWait(s.key(t.seq), t.data, t.put)
+		if err != nil {
+			return fmt.Errorf("offload: offload %q (%s): %w", t.ref.Name, t.ref.Kind, err)
+		}
 	}
 	s.mu.Lock()
-	e := &entry{seq: t.seq, size: stored, degraded: degraded}
 	s.entries[t.ref] = e
-	s.hostBytes += stored
+	s.hostBytes += e.size
 	s.mu.Unlock()
 	if t.mask != nil {
 		t.ref.Mask = t.mask
@@ -330,17 +346,8 @@ func (s *Store) commitWait(t *commitTicket) (*entry, error) {
 	t.ref.T.Release()
 	t.ref.T = nil
 	s.counters.Offloaded.Add(1)
-	s.counters.BytesOffloaded.Add(int64(stored))
-	return e, nil
-}
-
-// commitEncoded pushes one encoded frame to the transport backend,
-// records the entry, and releases the ref's tensor (attaching the BRC
-// mask when present). The scheduler calls commitIssue/commitWait in
-// strict submission order so the backend sees the same Put sequence as
-// this synchronous path.
-func (s *Store) commitEncoded(ref *nn.ActRef, data []byte, mask []bool) (*entry, error) {
-	return s.commitWait(s.commitIssue(ref, data, mask))
+	s.counters.BytesOffloaded.Add(int64(e.size))
+	return nil
 }
 
 // putIssue routes one encoded frame and launches the transfer without
@@ -353,9 +360,9 @@ func (s *Store) commitEncoded(ref *nn.ActRef, data []byte, mask []bool) (*entry,
 func (s *Store) putIssue(key uint64, data []byte) ticket {
 	if s.breakerActive() && s.brk.skipWire() {
 		s.counters.Degraded.Add(1)
-		return ticket{s.fallbackT().PutAsync(key, data, transport.Retry{}), true}
+		return ticket{h: s.fallbackT().PutAsync(key, data, transport.Retry{}), degraded: true}
 	}
-	return ticket{s.transportOf().PutAsync(key, data, s.retry()), false}
+	return ticket{h: s.transportOf().PutAsync(key, data, s.retry())}
 }
 
 // putWait completes a routed PUT: it reports what actually landed and
@@ -420,17 +427,26 @@ func (s *Store) residents() []resident {
 
 // readIssue launches the entry's read without waiting for the frame, so
 // a prefetcher can keep a window of staging GETs on the wire at once. A
-// degraded entry's frame was never sent to the wire — its only copy
-// lives in the breaker's fallback, which answers instead. Responses
-// complete in issue order (the wire protocol is FIFO), so the caller
-// must readWait tickets in the order it issued them.
+// held entry's frame never left the device: it takes the same CRC check
+// a wire frame does, with no transport op. A degraded entry's frame was
+// never sent to the wire — its only copy lives in the breaker's
+// fallback, which answers instead. Responses complete in issue order
+// (the wire protocol is FIFO), so the caller must readWait tickets in
+// the order it issued them.
 func (s *Store) readIssue(e *entry, ref *nn.ActRef) ticket {
+	if e.held != nil {
+		f, err := frame.DecodeFrame(e.held)
+		if err == nil {
+			s.counters.BytesVerified.Add(int64(len(e.held)))
+		}
+		return ticket{h: transport.Resolved(0, f, err), held: true}
+	}
 	coef := ref != nil && s.CoefPlan != nil && s.CoefPlan(ref)
 	if e.degraded {
 		s.counters.Degraded.Add(1)
-		return ticket{s.fallbackT().GetAsync(s.key(e.seq), transport.Retry{}, coef), true}
+		return ticket{h: s.fallbackT().GetAsync(s.key(e.seq), transport.Retry{}, coef), degraded: true}
 	}
-	return ticket{s.transportOf().GetAsync(s.key(e.seq), s.retry(), coef), false}
+	return ticket{h: s.transportOf().GetAsync(s.key(e.seq), s.retry(), coef)}
 }
 
 // readWait completes an issued read, returning the verified frame
@@ -438,7 +454,7 @@ func (s *Store) readIssue(e *entry, ref *nn.ActRef) ticket {
 // mutate the store, so a failure leaves the entry untouched.
 func (s *Store) readWait(t ticket) (*frame.Frame, error) {
 	f, err := t.h.GetResult()
-	if !t.degraded && s.breakerActive() {
+	if !t.degraded && !t.held && s.breakerActive() {
 		if err == nil {
 			s.brk.onSuccess()
 		} else if errors.Is(err, transport.ErrStoreUnavailable) {
@@ -460,13 +476,16 @@ func (s *Store) read(e *entry, ref *nn.ActRef) (*frame.Frame, error) {
 	return s.readWait(s.readIssue(e, ref))
 }
 
-// deleteEntry releases the backend copy wherever it lives.
+// deleteEntry releases the backend copy wherever it lives; a held
+// frame has none.
 func (s *Store) deleteEntry(e *entry) {
-	if e.degraded {
+	switch {
+	case e.held != nil:
+	case e.degraded:
 		s.fallbackT().Delete(s.key(e.seq))
-		return
+	default:
+		s.transportOf().Delete(s.key(e.seq))
 	}
-	s.transportOf().Delete(s.key(e.seq))
 }
 
 // decodeFrame turns a verified frame into the ref's restored form:

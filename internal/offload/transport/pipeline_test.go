@@ -31,12 +31,12 @@ func keyFrame(key uint64) []byte {
 	return frame.EncodeFrame(f)
 }
 
-// TestPipelinedMidWindowResetResendsInOrder: 8 GETs in flight on a
+// TestMidWindowResetResendsInOrder: 8 GETs in flight on a
 // window-8 client; the server kills the connection after answering 3 of
 // them. The poisoned tail must be resent on the next connection in its
 // original issue order, every op must still land on the right frame,
 // and the failure must show in the Reconnects/Retried counters.
-func TestPipelinedMidWindowResetResendsInOrder(t *testing.T) {
+func TestMidWindowResetResendsInOrder(t *testing.T) {
 	var mu sync.Mutex
 	seq := map[int][]uint64{} // per-connection GET key sequence
 	dial := wireServer(t, func(conn net.Conn, nth int) {
@@ -103,10 +103,10 @@ func TestPipelinedMidWindowResetResendsInOrder(t *testing.T) {
 	}
 }
 
-// TestPipelinedWindowBackpressure: a submission past a full window must
+// TestSubmitPastFullWindowBlocks: a submission past a full window must
 // block until a response frees a slot — the client never floods a slow
 // server with an unbounded queue.
-func TestPipelinedWindowBackpressure(t *testing.T) {
+func TestSubmitPastFullWindowBlocks(t *testing.T) {
 	release := make(chan struct{})
 	dial := wireServer(t, func(conn net.Conn, nth int) {
 		defer conn.Close()
@@ -147,11 +147,11 @@ func TestPipelinedWindowBackpressure(t *testing.T) {
 	}
 }
 
-// TestPipelinedClientUnderChaos: a window-8 client against a correct
+// TestWindowedClientConvergesUnderChaos: a window-8 client against a correct
 // in-memory store reached through the deterministic fault injector.
 // Every op must converge to the right bytes through resets and latency
 // spikes, and the injected resets must be visible in the counters.
-func TestPipelinedClientUnderChaos(t *testing.T) {
+func TestWindowedClientConvergesUnderChaos(t *testing.T) {
 	var smu sync.Mutex
 	store := map[uint64][]byte{}
 	raw := wireServer(t, func(conn net.Conn, nth int) {

@@ -151,8 +151,9 @@ func (c *tapConn) Read(b []byte) (int, error) {
 
 // twoSteps drives two offloaded training steps' worth of traffic through
 // an async engine over s — more activations per step than the default
-// wire window holds, restored in reverse through a 4-deep prefetcher —
-// and returns every restored tensor.
+// wire window holds, restored in reverse through a 4-deep prefetcher,
+// with the second step's last 4 held on the device — and returns every
+// restored tensor.
 func twoSteps(t *testing.T, s *Store) []*tensor.Tensor {
 	t.Helper()
 	const perStep = 12
@@ -268,7 +269,8 @@ func TestEngineWindowedOverWire(t *testing.T) {
 
 	_, serialOps, serialDel := wire("window 1", dial, 1)
 	_, pipedOps, pipedDel := wire("default window", dial, 0)
-	if len(serialOps) != 2*2*12 || len(serialDel) != 2*12 {
+	// Step 1 sends all 12 frames; step 2 holds its last 4 off the wire.
+	if len(serialOps) != 2*(12+8) || len(serialDel) != 12+8 {
 		t.Fatalf("stop-and-wait run: %d puts+gets, %d deletes", len(serialOps), len(serialDel))
 	}
 	if fmt.Sprint(serialOps) != fmt.Sprint(pipedOps) {

@@ -14,10 +14,12 @@ package train
 // With Async set, the offload engine overlaps the traffic with compute:
 // save hooks stream each activation to the encode pool the moment the
 // forward pass is done with it, frames are committed to the channel in
-// submission order (so fault patterns match the sync path), and the
-// backward pass consumes restores staged by a reverse-order prefetcher.
-// Sync mode is the degenerate case of the same engine; both paths
-// produce bit-identical training trajectories.
+// submission order, and the backward pass consumes restores staged by a
+// reverse-order prefetcher. Sync mode is the degenerate case of the same
+// engine, driven by the same hooks, so both submit the same sequence
+// (and fault patterns match). From the second step on, the last frames
+// forward submits — the first ones backward reads — stay on the device.
+// Both paths produce bit-identical training trajectories.
 
 import (
 	"fmt"
@@ -101,8 +103,9 @@ type OffloadOptions struct {
 // engineConfig maps the options onto the scheduler layer. The restore
 // lookahead is 4: the staged objects are verified compressed frames, so
 // a window a little deeper than a residual block's burst of refs costs
-// almost nothing and keeps the channel busy through the bursts. The
-// encode workers' in-flight bytes are left unbounded.
+// almost nothing and keeps the channel busy through the bursts. The same
+// 4 frames at the tail of each step stay on the device. The encode
+// workers' in-flight bytes are left unbounded.
 func (oc OffloadOptions) engineConfig() offload.EngineConfig {
 	return offload.EngineConfig{Async: oc.Async, Prefetch: 4}
 }

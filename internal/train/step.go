@@ -117,9 +117,11 @@ func backward(net nn.Layer, grad *tensor.Tensor) (err error) {
 	return nil
 }
 
-// beginOffload opens the engine's step before the forward pass: in async
-// mode save hooks stream each activation to the encode pool the moment
-// forward is done with it. Under PolicyRecompute it arms the whole-step
+// beginOffload opens the engine's step before the forward pass: save
+// hooks hand each activation to the engine the moment forward is done
+// with it — to the encode pool in async mode, through the synchronous
+// commit otherwise — so both modes submit the same sequence and hold the
+// same tail. Under PolicyRecompute it arms the whole-step
 // rebuild, which keeps the gradient policy's onGrad attached. The
 // returned func ends the step — drains the restore side, or aborts it
 // on err — and tears the step's store state down.
@@ -129,9 +131,7 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 	// before the pass, so a corruption-triggered replay is bit-exact.
 	pre := nn.CaptureNetState(p.net)
 	p.eng.BeginStep()
-	if p.eng.Async() {
-		nn.SetHooks(p.net, &nn.Hooks{OnSave: p.eng.Offload})
-	}
+	nn.SetHooks(p.net, &nn.Hooks{OnSave: p.eng.Offload})
 	if store.Recovery.Policy == offload.PolicyRecompute {
 		recomputes := 0
 		store.Recovery.Recompute = func(*nn.ActRef) error {
@@ -172,8 +172,8 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 }
 
 // endForward closes the offload side of the step and readies the restore
-// side: sweep whatever the streaming hooks had to hold back (the batch
-// input, frontier-adjacent refs), barrier until every frame has been
+// side: sweep whatever the streaming hooks had to hold back (the
+// frontier-adjacent refs), barrier until every frame has been
 // committed to the channel, then restore everything (sync, the
 // degenerate case) or start the reverse-order prefetcher and put the
 // on-demand restore into hooks (async).
