@@ -93,13 +93,11 @@ func TestGradExchangeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeCoefficientsAllocs guards the coefficient-restore hot path:
-// DecodeCoefficients runs once per qualifying saved activation per
-// backward step, so per-block allocations there would undo the win of
-// skipping the inverse transform. With the plane and its block storage
-// drawn from pools, a steady-state decode+release cycle costs only the
-// plane bookkeeping (~a dozen objects); the budget fails loudly if
-// per-block temporaries ever start escaping.
+// TestDecodeCoefficientsAllocs guards the block half of a JPEG-ACT
+// decode, which DecodeCoefficients runs on its own: with the block
+// storage drawn from the compress pool, a steady-state decode+release
+// cycle costs only its bookkeeping; the budget fails loudly if per-block
+// temporaries ever start escaping.
 func TestDecodeCoefficientsAllocs(t *testing.T) {
 	r := tensor.NewRNG(2)
 	x := data.ActivationTensor(r, 2, 4, 16, 16, 0.5, 1.0)

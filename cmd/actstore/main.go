@@ -83,6 +83,6 @@ func main() {
 		os.Exit(1)
 	}
 	snap := srv.Snapshot()
-	log.Printf("actstore: done: offloaded=%d restored=%d coef=%d corrupted=%d entries=%d",
-		snap.Offloaded, snap.Restored, snap.CoefRestores, snap.Corrupted, srv.Entries())
+	log.Printf("actstore: done: offloaded=%d restored=%d corrupted=%d entries=%d",
+		snap.Offloaded, snap.Restored, snap.Corrupted, srv.Entries())
 }

@@ -90,8 +90,6 @@ func main() {
 	drop := flag.Float64("drop", 0, "channel drop rate per transfer")
 	async := flag.Bool("async", false,
 		"with -offload: pipeline compression and channel transfers against compute")
-	freq := flag.Bool("freq", false,
-		"with -offload: restore qualifying activations as DCT coefficient planes (skip the inverse transform)")
 	store := flag.String("store", "",
 		"with -offload: networked activation-store address (unix:/path or tcp:host:port; see cmd/actstore)")
 	storeKey := flag.Uint64("store-key", 0,
@@ -117,13 +115,31 @@ func main() {
 	}
 	sc := jpegact.ModelScale{Width: *width, Blocks: 1}
 
-	// -method picks the functional round-trip's codec. The offload store
-	// always runs JPEG-ACT/OptL and the data-parallel trainer leaves
-	// activations alone, so an explicit -method there would print one
-	// thing and train another.
+	// A flag set outside the mode it configures would train another mode
+	// and print a valid-looking digest, so it is refused. -method picks the
+	// functional round-trip's codec: the offload store always runs
+	// JPEG-ACT/OptL and the data-parallel trainer leaves activations
+	// alone, so an explicit -method there would print one thing and train
+	// another.
+	type mode struct {
+		name string
+		on   bool
+	}
+	offload := mode{"-offload", *useOffload}
+	needs := map[string]mode{
+		"async": offload, "policy": offload, "flip": offload, "trunc": offload, "drop": offload,
+		"store":        {"-offload or -replicas", *useOffload || *replicas > 0},
+		"store-key":    {"-store", *store != ""},
+		"no-degrade":   {"-store", *store != ""},
+		"microbatches": {"-replicas", *replicas > 0},
+	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "method" && (*useOffload || *replicas > 0) {
 			fmt.Fprintln(os.Stderr, "acttrain: -method applies to plain training only; -offload always stores JPEG-ACT/OptL and -replicas does not compress activations")
+			os.Exit(2)
+		}
+		if m, ok := needs[f.Name]; ok && !m.on {
+			fmt.Fprintf(os.Stderr, "acttrain: -%s requires %s\n", f.Name, m.name)
 			os.Exit(2)
 		}
 	})
@@ -139,12 +155,8 @@ func main() {
 
 	if *useOffload {
 		runOffloaded(*model, sc, cfg, *seed, *policy, *flip, *trunc, *drop,
-			*async, *freq, *store, *storeKey, *storeTimeout, *noDegrade)
+			*async, *store, *storeKey, *storeTimeout, *noDegrade)
 		return
-	}
-	if *store != "" {
-		fmt.Fprintln(os.Stderr, "acttrain: -store requires -offload")
-		os.Exit(2)
 	}
 
 	var rep jpegact.TrainReport
@@ -222,7 +234,7 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 
 // runOffloaded trains over the real host-memory channel, optionally
 // fault-injected, and reports the store's recovery counters.
-func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, async, freq bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
+func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, async bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
 	if model == "VDSR" {
 		fmt.Fprintln(os.Stderr, "acttrain: -offload supports the classification models only")
 		os.Exit(2)
@@ -241,7 +253,7 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 	}
 	oc := jpegact.OffloadTrainOptions{
 		DQT: jpegact.OptL(), Policy: pol, Verbose: true,
-		Async: async, FreqDomain: freq, StoreAddr: store, StoreKeyBase: storeKey << 32,
+		Async: async, StoreAddr: store, StoreKeyBase: storeKey << 32,
 		StoreTimeout: storeTimeout, NoDegrade: noDegrade,
 	}
 	if store != "" && (flip > 0 || trunc > 0 || drop > 0) {
@@ -267,10 +279,6 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 		stats.Recomputed, stats.Dropped, stats.Reconnects, stats.BytesVerified)
 	if stats.Degraded > 0 {
 		fmt.Printf("failure-domain: degraded=%d\n", stats.Degraded)
-	}
-	if freq && stats.Restored > 0 {
-		fmt.Printf("freq: coef_restores=%d/%d (%.1f%%)\n", stats.CoefRestores, stats.Restored,
-			100*float64(stats.CoefRestores)/float64(stats.Restored))
 	}
 	if inj != nil {
 		s := inj.Stats()

@@ -362,7 +362,7 @@ func TestStoreKilledAndRestarted(t *testing.T) {
 // TestOffloadFlagsSelectTheirVariant: each flag that picks a variant of
 // the offloaded step picks the one the library tests hold it to — a
 // faulted channel under recompute and a dead store under the breaker end
-// on the clean run's weights, -freq and -seed on other ones, and
+// on the clean run's weights, -seed on another one, and
 // -no-degrade turns the dead store into a failed run.
 func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
 	acttrain, _ := binaries(t)
@@ -377,10 +377,6 @@ func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
 		t.Errorf("no truncation was injected and recovered:\n%s", faulted)
 	}
 
-	freq := mustTrain(t, acttrain, small("-offload", "-async", "-freq")...)
-	if digest(t, freq) == want || counter(t, freq, "coef_restores") == 0 {
-		t.Errorf("-freq restored no coefficient planes or trained the spatial trajectory:\n%s", freq)
-	}
 	if digest(t, mustTrain(t, acttrain, small("-offload", "-async", "-seed", "7")...)) == want {
 		t.Error("-seed 7 trained the weights of -seed 42")
 	}
@@ -393,6 +389,40 @@ func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
 	if out, err := train(acttrain, small(append(dead, "-no-degrade")...)...); err == nil {
 		t.Errorf("-no-degrade trained through a dead store:\n%s", out)
 	}
+}
+
+// TestFlagOutsideItsModeIsRefused: a flag set without the mode it
+// configures exits 2 with the mode it needs instead of training another
+// mode.
+func TestFlagOutsideItsModeIsRefused(t *testing.T) {
+	acttrain, _ := binaries(t)
+	for _, args := range [][]string{
+		{"-async"},
+		{"-policy", "retry"},
+		{"-flip", "1e-5"},
+		{"-trunc", "0.02"},
+		{"-drop", "0.02"},
+		{"-store", "unix:none.sock"},
+		{"-offload", "-store-key", "1"},
+		{"-offload", "-no-degrade"},
+		{"-microbatches", "2"},
+	} {
+		out, err := exec.Command(acttrain, small(args...)...).CombinedOutput()
+		if code := exitCode(err); code != 2 || !strings.Contains(string(out), "requires") {
+			t.Errorf("acttrain %s: exit %d, want 2 and the mode it requires:\n%s", strings.Join(args, " "), code, out)
+		}
+	}
+}
+
+// exitCode is the status a finished command exited with (0 on success).
+func exitCode(err error) int {
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		return -1
+	}
+	return 0
 }
 
 // TestEveryListedModelTrains: the -model usage string and the one

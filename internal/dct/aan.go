@@ -102,7 +102,7 @@ func aanForward8(in0, in1, in2, in3, in4, in5, in6, in7 float32) (o0, o1, o2, o3
 	o0 = tmp10 + tmp11
 	o4 = tmp10 - tmp11
 
-	z1 := (tmp12 + tmp13) * float32(aan0_707106781)
+	z1 := float32((tmp12 + tmp13) * float32(aan0_707106781))
 	o2 = tmp13 + z1
 	o6 = tmp13 - z1
 
@@ -110,10 +110,10 @@ func aanForward8(in0, in1, in2, in3, in4, in5, in6, in7 float32) (o0, o1, o2, o3
 	tmp11 = tmp5 + tmp6
 	tmp12 = tmp6 + tmp7
 
-	z5 := (tmp10 - tmp12) * float32(aan0_382683433)
-	z2 := float32(aan0_541196100)*tmp10 + z5
-	z4 := float32(aan1_306562965)*tmp12 + z5
-	z3 := tmp11 * float32(aan0_707106781)
+	z5 := float32((tmp10 - tmp12) * float32(aan0_382683433))
+	z2 := float32(float32(aan0_541196100)*tmp10) + z5
+	z4 := float32(float32(aan1_306562965)*tmp12) + z5
+	z3 := float32(tmp11 * float32(aan0_707106781))
 
 	z11 := tmp7 + z3
 	z13 := tmp7 - z3
@@ -134,7 +134,7 @@ func aanInverse8(in0, in1, in2, in3, in4, in5, in6, in7 float32) (o0, o1, o2, o3
 	tmp10 := tmp0 + tmp2
 	tmp11 := tmp0 - tmp2
 	tmp13 := tmp1 + tmp3
-	tmp12 := (tmp1-tmp3)*float32(aan1_414213562) - tmp13
+	tmp12 := float32((tmp1-tmp3)*float32(aan1_414213562)) - tmp13
 
 	tmp0 = tmp10 + tmp13
 	tmp3 = tmp10 - tmp13
@@ -152,11 +152,11 @@ func aanInverse8(in0, in1, in2, in3, in4, in5, in6, in7 float32) (o0, o1, o2, o3
 	z12 := tmp4 - tmp7
 
 	tmp7 = z11 + z13
-	tmp11 = (z11 - z13) * float32(aan1_414213562)
+	tmp11 = float32((z11 - z13) * float32(aan1_414213562))
 
-	z5 := (z10 + z12) * float32(aan1_847759065)
-	tmp10 = float32(aan1_082392200)*z12 - z5
-	tmp12 = -float32(aan2_613125930)*z10 + z5
+	z5 := float32((z10 + z12) * float32(aan1_847759065))
+	tmp10 = float32(float32(aan1_082392200)*z12) - z5
+	tmp12 = float32(-float32(aan2_613125930)*z10) + z5
 
 	tmp6 = tmp12 - tmp7
 	tmp5 = tmp11 - tmp6

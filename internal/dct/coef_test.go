@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestNormBasisOrthonormal pins the property the frequency-domain path
-// rests on: the JPEG-normalized basis rows are orthonormal.
+// TestNormBasisOrthonormal pins the JPEG normalization: the basis rows
+// are orthonormal.
 func TestNormBasisOrthonormal(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		for k := i; k < 64; k++ {

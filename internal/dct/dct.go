@@ -7,8 +7,8 @@
 //     transform. The codec runs AANForward8x8 / AANInverse8x8 and folds
 //     the AAN scale factors into its quantizer tables; Forward8x8 /
 //     Inverse8x8 apply the factors themselves and serve everything that
-//     wants plain JPEG-normalized coefficients (the entropy analyses, the
-//     synthetic-activation generator, the frequency-domain gradient).
+//     wants plain JPEG-normalized coefficients (the entropy analyses and
+//     the synthetic-activation generator).
 //   - the Loeffler–Ligtenberg–Moschytz fast DCT in Q13 fixed point
 //     (fixed.go), the algorithm of the JPEG-ACT hardware (eight 8-point
 //     units per CDU, 88 multipliers total), modelling its integer

@@ -11,7 +11,7 @@ const constBits = 13
 // invSqrt8 = 1/(2√2): rescales one LLM pass to the JPEG normalization.
 const invSqrt8 = 0.35355339059327373
 
-func fix(x float64) int32 { return int32(x*(1<<constBits) + 0.5) }
+func fix(x float64) int32 { return int32(float64(x*(1<<constBits)) + 0.5) }
 
 var (
 	ifix0_298631336 = fix(0.298631336)

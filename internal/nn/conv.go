@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"jpegact/internal/compress"
-	"jpegact/internal/dct"
-	"jpegact/internal/freqdomain"
 	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
@@ -29,10 +27,7 @@ type Conv2D struct {
 	Weight      *Param // (OutC, InC, K, K)
 	Bias        *Param // (1, OutC, 1, 1); nil when disabled
 	in          *ActRef
-	inShape     tensor.Shape // shape of the saved input (survives offload nil-ing T)
 	outShape    tensor.Shape
-	freqGF      []float32 // transposed grad coefficients (HW × OutC)
-	freqWG      []float32 // ∇Wᵀ accumulator (InC × OutC)
 }
 
 // ConvOpts configures optional conv features.
@@ -100,7 +95,6 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 	}
 	if train {
 		c.in = in.save()
-		c.inShape = x.Shape
 	}
 	ho, wo := c.outDims(x.Shape.H, x.Shape.W)
 	c.outShape = tensor.Shape{N: x.Shape.N, C: c.OutC, H: ho, W: wo}
@@ -144,18 +138,6 @@ func forBatch(n int, fn func(lo, hi int, split bool)) {
 	parallel.For(n, 1, func(lo, hi int) { fn(lo, hi, false) })
 }
 
-// WantsCoefficients implements CoefficientConsumer. Only the 1×1,
-// stride-1, unpadded configuration qualifies: there im2col is the
-// identity, so ∇W is a plain GEMM against the saved input and moves to
-// the coefficient domain by DCT linearity (Parseval per plane). The kind
-// must be one the codec routes through the DCT path, and both spatial
-// dims must be 8-aligned.
-func (c *Conv2D) WantsCoefficients(ref *ActRef) bool {
-	return ref == c.in && ref.Kind == compress.KindConv &&
-		c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 &&
-		c.inShape.H%dct.BlockSize == 0 && c.inShape.W%dct.BlockSize == 0
-}
-
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.in == nil {
@@ -163,13 +145,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	if grad.Shape != c.outShape {
 		panic(fmt.Sprintf("nn: %s backward expects gradient %v, got %v", c.LayerName, c.outShape, grad.Shape))
-	}
-	if c.in.Coef != nil {
-		if c.in.T == nil && c.in.Coef.Aligned() &&
-			c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 {
-			return c.backwardFreq(grad)
-		}
-		spatialFromPlane(c.in)
 	}
 	x := c.in.T
 	if x == nil {
@@ -250,49 +225,6 @@ func (c *Conv2D) biasGrad(grad *tensor.Tensor) {
 		}
 		c.Bias.Grad.Data[i%c.OutC] += sum
 	}
-}
-
-// backwardFreq is the coefficient-domain backward for the 1×1/stride-1/
-// unpadded configuration. ∇W moves to the frequency domain by Parseval:
-// per batch element, the saved input's sparse quantized blocks multiply
-// the gradient's transposed forward-DCT columns through CoefGemm, which
-// walks only the stored nonzero coefficients — every post-quantization
-// zero is skipped at the source rather than re-scanned per GEMM panel.
-// ∇x never needed the saved input at all — it is Wᵀ·∇y through the
-// GEMM micro-kernels exactly as in the spatial path (col2im is
-// the identity here), so the input gradient is bit-identical to a
-// spatial-restore run; only ∇W carries the frequency path's documented
-// half-code-unit tolerance.
-func (c *Conv2D) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
-	pl := c.in.Coef
-	sh := pl.Shape()
-	spatial := sh.H * sh.W
-	dx := grad.Derive(tensor.Shape{N: sh.N, C: c.InC, H: sh.H, W: sh.W})
-
-	if cap(c.freqGF) < spatial*c.OutC {
-		c.freqGF = make([]float32, spatial*c.OutC)
-	}
-	gf := c.freqGF[:spatial*c.OutC]
-	if cap(c.freqWG) < c.InC*c.OutC {
-		c.freqWG = make([]float32, c.InC*c.OutC)
-	}
-	wgT := c.freqWG[:c.InC*c.OutC]
-	for i := range wgT {
-		wgT[i] = 0
-	}
-	wT := newGemmLHS(c.InC, c.OutC, c.Weight.W.Data, true)
-	for n := 0; n < sh.N; n++ {
-		gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-		// ∇Wᵀ += X̃f (InC×HW, sparse) · Gf (HW×OutC)
-		freqdomain.GradCoefColumns(grad, n, gf)
-		pl.CoefGemm(n, c.OutC, gf, wgT)
-		// ∇x[n] = Wᵀ·∇y[n]
-		wT.mul(spatial, gout, dx.Data[n*c.InC*spatial:(n+1)*c.InC*spatial], gemmOverwrite)
-	}
-	wT.release()
-	addTransposed(c.OutC, c.InC, wgT, c.Weight.Grad.Data)
-	c.biasGrad(grad)
-	return dx
 }
 
 // colRange returns the half-open output range [lo, hi) whose input

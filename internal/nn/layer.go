@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"jpegact/internal/compress"
-	"jpegact/internal/freqdomain"
 	"jpegact/internal/parallel"
 	"jpegact/internal/tensor"
 )
@@ -36,12 +35,6 @@ type ActRef struct {
 	// Mask is the BRC sign mask; when non-nil, backward passes use the
 	// mask and T may be nil.
 	Mask []bool
-	// Coef is the decoded quantized-coefficient plane when the restore
-	// was served by the frequency-domain path; T stays nil and capable
-	// consumers (see CoefficientConsumer) read the plane directly. Other
-	// consumers never see one: the trainer only plans coefficient
-	// restores for refs whose every reader opted in.
-	Coef *freqdomain.Plane
 	// CompressedBytes/OriginalBytes are filled by the compression hook
 	// for footprint accounting; zero until compressed.
 	CompressedBytes int

@@ -3,22 +3,34 @@ package codec
 import (
 	"errors"
 
+	"jpegact/internal/compress"
 	"jpegact/internal/frame"
-	"jpegact/internal/freqdomain"
+	"jpegact/internal/tensor"
 )
 
 // ErrNoCoefficients reports that a frame has no quantized-coefficient
-// representation — only JPEG-ACT frames carry DCT blocks. Callers fall
-// back to the full Decode path.
+// representation — only JPEG-ACT frames carry DCT blocks.
 var ErrNoCoefficients = errors.New("codec: frame has no coefficient representation")
+
+// CoefBlocks is a JPEG-ACT frame decoded only as far as its quantized 8×8
+// DCT coefficient blocks, in (NCH)×W block row-major order. The block
+// slice is borrowed from the compress scratch pool; Release returns it.
+type CoefBlocks struct {
+	blocks [][64]int8
+	info   tensor.PadInfo
+}
+
+// Release returns the pooled block slice. Safe to call twice.
+func (c *CoefBlocks) Release() {
+	compress.ReleaseBlocks(c.blocks)
+	c.blocks = nil
+}
 
 // DecodeCoefficients decodes a JPEG-ACT frame only as far as its
 // quantized coefficient blocks, skipping the inverse DCT and the spatial
-// tensor entirely. The blocks land in a pooled slice borrowed from the
-// compress scratch pool; the returned plane owns it and Release hands it
-// back. Frames of any other codec return ErrNoCoefficients. Like Decode,
-// this is a pure deterministic function of (DQT, S, frame).
-func (p Pipeline) DecodeCoefficients(f *frame.Frame) (*freqdomain.Plane, error) {
+// tensor: the first half of Decode, timed on its own. Frames of any other
+// codec return ErrNoCoefficients.
+func (p Pipeline) DecodeCoefficients(f *frame.Frame) (*CoefBlocks, error) {
 	if f.Codec != frame.CodecJPEG {
 		return nil, ErrNoCoefficients
 	}
@@ -26,5 +38,5 @@ func (p Pipeline) DecodeCoefficients(f *frame.Frame) (*freqdomain.Plane, error) 
 	if err != nil {
 		return nil, err
 	}
-	return freqdomain.NewPlane(blocks, f.Scales, info, p.DQT, true, p.S), nil
+	return &CoefBlocks{blocks: blocks, info: info}, nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestDecodeCoefficientsRoundtrip pins the coefficient path against the
-// full decode: reconstructing from the decoded plane must be
+// full decode: reconstructing from the decoded blocks must be
 // bit-identical to Decode of the same frame.
 func TestDecodeCoefficientsRoundtrip(t *testing.T) {
 	r := tensor.NewRNG(6)
@@ -34,15 +34,17 @@ func TestDecodeCoefficientsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := p.DecodeCoefficients(f)
+	cb, err := p.DecodeCoefficients(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pl.Release()
-	if !pl.Aligned() {
-		t.Fatal("16×16 plane must be aligned")
+	defer cb.Release()
+	if cb.info.Orig != x.Shape {
+		t.Fatalf("blocks of shape %v, want %v", cb.info.Orig, x.Shape)
 	}
-	got := pl.Reconstruct()
+	cp := compress.JPEGAct(p.DQT)
+	cp.S = p.S
+	got := cp.ReconstructBlocks(cb.blocks, f.Scales, cb.info)
 	for i := range want.Data {
 		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 			t.Fatalf("elem %d: coefficient path %v, full decode %v", i, got.Data[i], want.Data[i])
@@ -52,7 +54,7 @@ func TestDecodeCoefficientsRoundtrip(t *testing.T) {
 
 // TestDecodeCoefficientsNonJPEG pins the fallback contract: frames
 // without a DCT representation report ErrNoCoefficients, not a panic or
-// a bogus plane.
+// bogus blocks.
 func TestDecodeCoefficientsNonJPEG(t *testing.T) {
 	r := tensor.NewRNG(7)
 	x := tensor.New(1, 2, 4, 4)

@@ -14,7 +14,7 @@ import (
 // frame decoder into the coefficient path. Malformed input must never
 // panic and must never leak a pooled block slice: every error exit in
 // DecodeCoefficients releases the borrowed blocks, and the success exit
-// hands ownership to the plane, which we release here.
+// hands ownership to the result, which we release here.
 func FuzzDecodeCoefficients(f *testing.F) {
 	r := tensor.NewRNG(9)
 	x := data.ActivationTensor(r, 1, 2, 16, 16, 0.5, 1.0)
@@ -35,14 +35,14 @@ func FuzzDecodeCoefficients(f *testing.F) {
 		if err != nil {
 			return
 		}
-		pl, err := p.DecodeCoefficients(fr)
+		cb, err := p.DecodeCoefficients(fr)
 		if err != nil {
 			return
 		}
-		if pl.Shape() != fr.Shape {
-			t.Fatalf("plane shape %v, frame shape %v", pl.Shape(), fr.Shape)
+		if cb.info.Orig != fr.Shape {
+			t.Fatalf("blocks of shape %v, frame shape %v", cb.info.Orig, fr.Shape)
 		}
-		pl.Release()
+		cb.Release()
 	})
 }
 

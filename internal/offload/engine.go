@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"jpegact/internal/frame"
-	"jpegact/internal/freqdomain"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
@@ -54,10 +53,9 @@ type encResult struct {
 type fetchTask struct {
 	ref     *nn.ActRef
 	ent     *entry
-	done    chan struct{} // closed once t and pl (both nil for a BRC frame) or err are staged
+	done    chan struct{} // closed once t (nil for a BRC frame) or err is staged
 	read    bool          // the read has completed; a skipped task is never read
 	t       *tensor.Tensor
-	pl      *freqdomain.Plane
 	err     error
 	counted bool // holds a lookahead slot until consumed (a held frame never does)
 }
@@ -385,12 +383,12 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 		e.cond.Broadcast()
 		e.mu.Unlock()
 		if err != nil {
-			e.stage(ft, nil, nil, err)
+			e.stage(ft, nil, err)
 			return nil // staged on the task for its consumer
 		}
 		e.pool.Submit(func() {
-			t, pl, derr := s.decodeFrame(ft.ref, f)
-			e.stage(ft, t, pl, derr)
+			t, derr := s.pipeline().Decode(f)
+			e.stage(ft, t, derr)
 		})
 		return nil
 	})
@@ -443,14 +441,14 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 			e.mu.Unlock()
 			continue
 		}
-		fifo.Push(issuedRead{ft: ft, tk: s.readIssue(ft.ent, ft.ref)})
+		fifo.Push(issuedRead{ft: ft, tk: s.readIssue(ft.ent)})
 	}
 }
 
 // stage records a finished fetch on its task and wakes its consumer.
-func (e *Engine) stage(ft *fetchTask, t *tensor.Tensor, pl *freqdomain.Plane, err error) {
+func (e *Engine) stage(ft *fetchTask, t *tensor.Tensor, err error) {
 	e.mu.Lock()
-	ft.t, ft.pl, ft.err = t, pl, err
+	ft.t, ft.err = t, err
 	close(ft.done)
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -524,7 +522,7 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	if ft.err != nil {
 		return e.escalate(ref, ft.ent, ft.err)
 	}
-	s.finishRestore(ref, ft.ent, ft.t, ft.pl)
+	s.finishRestore(ref, ft.ent, ft.t)
 	return nil
 }
 
@@ -535,7 +533,7 @@ func (e *Engine) notResident(ref *nn.ActRef) error {
 	e.mu.Lock()
 	repaired := e.repaired
 	e.mu.Unlock()
-	if ref.T != nil || ref.Mask != nil || ref.Coef != nil || repaired {
+	if ref.T != nil || ref.Mask != nil || repaired {
 		return nil
 	}
 	return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
@@ -597,7 +595,7 @@ func (e *Engine) consumeLeftover(ft *fetchTask) {
 	if ft.err != nil || !ft.read || !e.store.current(ft.ref, ft.ent) {
 		return
 	}
-	e.store.finishRestore(ft.ref, ft.ent, ft.t, ft.pl)
+	e.store.finishRestore(ft.ref, ft.ent, ft.t)
 }
 
 // stopPrefetch cancels the prefetch plan and waits for the loop to exit

@@ -2,11 +2,10 @@
 // store: a TCP/unix-socket service that N training or inference client
 // processes share concurrently. It speaks the length-prefixed wire
 // protocol of internal/offload/transport (frame bytes plus a small op
-// header), shards entries across K in-memory backends by key hash, and
-// serves PR 6's quantized-coefficient frames to compressed-domain
-// consumers without ever inverse-transforming — the store is the
-// serving boundary the ROADMAP's "one compressed-activation cache,
-// heavy concurrent traffic" north star asks for.
+// header) and shards entries across K in-memory backends by key hash. It
+// never decodes a frame: the store is the serving boundary the ROADMAP's
+// "one compressed-activation cache, heavy concurrent traffic" north star
+// asks for.
 //
 // Responsibilities per connection are split across two goroutines: a
 // reader that decodes requests and executes the (cheap, sharded) store
@@ -301,14 +300,6 @@ func (s *Server) handleRequest(req transport.Request) (status uint8, body []byte
 			return transport.StatusNotFound, nil
 		}
 		s.counters.Restored.Add(1)
-		if req.Op == transport.OpGetCoef {
-			// Compressed-domain serving: same bytes, but the consumer
-			// will decode them straight to a quantized DCT coefficient
-			// plane — the store never pays an inverse transform on any
-			// path, and this counter tracks how much traffic rides the
-			// cheap lane.
-			s.counters.CoefRestores.Add(1)
-		}
 		s.counters.BytesVerified.Add(int64(len(b)))
 		if transport.IsGradKey(req.Key) {
 			s.counters.GradGets.Add(1)

@@ -60,7 +60,7 @@ func TestServerRoundTrips(t *testing.T) {
 	if f.Codec != frame.CodecZVC || len(f.Payload) != 4 || f.Payload[0] != 7 {
 		t.Fatalf("frame %+v", f)
 	}
-	// Same bytes via the coefficient-serving op, counted separately.
+	// OpGetCoef is served as a plain GET.
 	if _, err := c.Get(42, transport.Retry{}, true); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestServerRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Offloaded != 1 || st.Restored != 2 || st.CoefRestores != 1 {
+	if st.Offloaded != 1 || st.Restored != 2 {
 		t.Fatalf("server stats %+v", st)
 	}
 	if got := srv.Entries(); got != 0 {

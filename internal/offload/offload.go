@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"jpegact/internal/frame"
-	"jpegact/internal/freqdomain"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/transport"
@@ -151,13 +150,6 @@ type Store struct {
 	KeyBase uint64
 	// Recovery selects the corruption policy (zero value = PolicyFail).
 	Recovery Recovery
-	// CoefPlan, when non-nil, marks the refs whose restore may be served
-	// as a quantized-coefficient plane (ref.Coef) instead of a decoded
-	// tensor. The trainer computes it from nn.CoefficientPlan — only refs
-	// whose every consumer opted in qualify — and clears it each step.
-	// Refs outside the plan (and non-JPEG frames within it) take the full
-	// spatial decode, unchanged.
-	CoefPlan func(ref *nn.ActRef) bool
 	// NoDegrade turns the circuit breaker guarding a wire Transport off:
 	// whole-op wire failures surface as errors. With the breaker on (the
 	// default), offloads degrade to an in-process fallback holding the
@@ -433,7 +425,7 @@ func (s *Store) residents() []resident {
 // fallback, which answers instead. Responses complete in issue order
 // (the wire protocol is FIFO), so the caller must readWait tickets in
 // the order it issued them.
-func (s *Store) readIssue(e *entry, ref *nn.ActRef) ticket {
+func (s *Store) readIssue(e *entry) ticket {
 	if e.held != nil {
 		f, err := frame.DecodeFrame(e.held)
 		if err == nil {
@@ -441,12 +433,11 @@ func (s *Store) readIssue(e *entry, ref *nn.ActRef) ticket {
 		}
 		return ticket{h: transport.Resolved(0, f, err), held: true}
 	}
-	coef := ref != nil && s.CoefPlan != nil && s.CoefPlan(ref)
 	if e.degraded {
 		s.counters.Degraded.Add(1)
-		return ticket{h: s.fallbackT().GetAsync(s.key(e.seq), transport.Retry{}, coef), degraded: true}
+		return ticket{h: s.fallbackT().GetAsync(s.key(e.seq), transport.Retry{}, false), degraded: true}
 	}
-	return ticket{h: s.transportOf().GetAsync(s.key(e.seq), s.retry(), coef)}
+	return ticket{h: s.transportOf().GetAsync(s.key(e.seq), s.retry(), false)}
 }
 
 // readWait completes an issued read, returning the verified frame
@@ -468,14 +459,6 @@ func (s *Store) readWait(t ticket) (*frame.Frame, error) {
 	return f, err
 }
 
-// read pulls the entry's bytes back through the transport layer (with
-// the policy's retry schedule): the synchronous compose of readIssue
-// and readWait. The coefficient-plan flag rides along so a networked
-// backend can count compressed-domain serving separately.
-func (s *Store) read(e *entry, ref *nn.ActRef) (*frame.Frame, error) {
-	return s.readWait(s.readIssue(e, ref))
-}
-
 // deleteEntry releases the backend copy wherever it lives; a held
 // frame has none.
 func (s *Store) deleteEntry(e *entry) {
@@ -488,46 +471,22 @@ func (s *Store) deleteEntry(e *entry) {
 	}
 }
 
-// decodeFrame turns a verified frame into the ref's restored form:
-// a coefficient plane when the ref is in the coefficient plan and the
-// frame carries DCT blocks, the fully decoded tensor otherwise. A frame
-// the plan covers but that the codec routed elsewhere (ZVC, BRC) falls
-// back to the full decode — capability never overrides the Table II
-// policy. Decode errors surface for the recovery policy either way.
-func (s *Store) decodeFrame(ref *nn.ActRef, f *frame.Frame) (*tensor.Tensor, *freqdomain.Plane, error) {
-	if s.CoefPlan != nil && s.CoefPlan(ref) {
-		pl, err := s.pipeline().DecodeCoefficients(f)
-		if err == nil {
-			return nil, pl, nil
-		}
-		if !errors.Is(err, codec.ErrNoCoefficients) {
-			return nil, nil, err
-		}
-	}
-	t, err := s.pipeline().Decode(f)
-	return t, nil, err
-}
-
-// fetch reads and decodes the entry into a staged tensor or plane.
-func (s *Store) fetch(e *entry, ref *nn.ActRef) (*tensor.Tensor, *freqdomain.Plane, error) {
-	f, err := s.read(e, ref)
+// fetch reads and decodes the entry (the policy's retry schedule on the
+// read).
+func (s *Store) fetch(e *entry) (*tensor.Tensor, error) {
+	f, err := s.readWait(s.readIssue(e))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s.decodeFrame(ref, f)
+	return s.pipeline().Decode(f)
 }
 
-// finishRestore attaches the staged tensor or coefficient plane (both
-// nil for BRC refs, whose mask is already attached) and frees the
-// backend copy (best-effort — a failed delete only leaks backend
-// memory, never correctness).
-func (s *Store) finishRestore(ref *nn.ActRef, e *entry, t *tensor.Tensor, pl *freqdomain.Plane) {
+// finishRestore attaches the staged tensor (nil for BRC refs, whose
+// mask is already attached) and frees the backend copy (best-effort — a
+// failed delete only leaks backend memory, never correctness).
+func (s *Store) finishRestore(ref *nn.ActRef, e *entry, t *tensor.Tensor) {
 	if t != nil {
 		ref.T = t
-	}
-	if pl != nil {
-		ref.Coef = pl
-		s.counters.CoefRestores.Add(1)
 	}
 	s.dropIfCurrent(ref, e)
 	s.counters.Restored.Add(1)
@@ -582,11 +541,11 @@ func (s *Store) Restore(ref *nn.ActRef) error {
 	if !ok {
 		return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
 	}
-	t, pl, err := s.fetch(e, ref)
+	t, err := s.fetch(e)
 	if err != nil {
 		return s.recover(ref, e, err)
 	}
-	s.finishRestore(ref, e, t, pl)
+	s.finishRestore(ref, e, t)
 	return nil
 }
 

@@ -107,7 +107,6 @@ type Pending struct {
 	op   uint8
 	key  uint64
 	body []byte // request payload (PUT); retained for resends
-	coef bool
 
 	retry   Retry
 	start   time.Time     // schedule wall budget anchor
@@ -211,9 +210,7 @@ func (c *NetClient) GetAsync(key uint64, r Retry, coef bool) *Pending {
 	if coef {
 		op = OpGetCoef
 	}
-	p := newPending(op, key, nil, r)
-	p.coef = coef
-	return c.submit(p)
+	return c.submit(newPending(op, key, nil, r))
 }
 
 // submit enqueues p behind every earlier op, applying window

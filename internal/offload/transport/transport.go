@@ -122,10 +122,8 @@ func (r Retry) sleep(d time.Duration) {
 // PutResult reports how many bytes landed (a faulty send may persist
 // fewer). GetAsync brings the frame back; GetResult returns it
 // CRC-validated, the Retry schedule applied to transient failures. The
-// coef flag marks a read the consumer will serve as a quantized DCT
-// coefficient plane (same bytes — a networked backend counts it
-// separately, since serving the compressed plane without the inverse
-// transform is the cheap path the frequency-domain consumers ride).
+// coef flag sends a NetClient's read as OpGetCoef, which the server
+// answers exactly like OpGet; nothing in the module sets it.
 // A submit blocks only for window backpressure, never for the result;
 // handles resolve in submission order. Depth is how many submitted
 // operations the backend keeps unresolved at once (>= 1): the wire
@@ -150,7 +148,6 @@ type Transport interface {
 type Counters struct {
 	Offloaded      atomic.Uint64 // activations put to the backend
 	Restored       atomic.Uint64 // activations brought back successfully
-	CoefRestores   atomic.Uint64 // restores served as coefficient planes
 	Recomputed     atomic.Uint64 // corruptions resolved by the Recompute hook
 	Corrupted      atomic.Uint64 // transfers that failed validation (incl. drops and broken connections)
 	Retried        atomic.Uint64 // re-reads / reconnect+resend cycles attempted
@@ -170,7 +167,6 @@ type Counters struct {
 type Snapshot struct {
 	Offloaded      uint64 `json:"offloaded"`
 	Restored       uint64 `json:"restored"`
-	CoefRestores   uint64 `json:"coef_restores"`
 	Recomputed     uint64 `json:"recomputed"`
 	Corrupted      uint64 `json:"corrupted"`
 	Retried        uint64 `json:"retried"`
@@ -190,7 +186,6 @@ func (c *Counters) Snapshot() Snapshot {
 	return Snapshot{
 		Offloaded:      c.Offloaded.Load(),
 		Restored:       c.Restored.Load(),
-		CoefRestores:   c.CoefRestores.Load(),
 		Recomputed:     c.Recomputed.Load(),
 		Corrupted:      c.Corrupted.Load(),
 		Retried:        c.Retried.Load(),
@@ -217,7 +212,6 @@ func (s Snapshot) WriteMetrics(w io.Writer, namespace string) error {
 	}{
 		{"offloaded_total", "Activations put to the store", int64(s.Offloaded)},
 		{"restored_total", "Activations restored from the store", int64(s.Restored)},
-		{"coef_restores_total", "Restores served as DCT coefficient planes", int64(s.CoefRestores)},
 		{"recomputed_total", "Corruptions resolved by forward-pass recompute", int64(s.Recomputed)},
 		{"corrupted_total", "Transfers that failed validation", int64(s.Corrupted)},
 		{"retried_total", "Transfer retries attempted", int64(s.Retried)},

@@ -38,9 +38,7 @@ const (
 	OpPut uint8 = 1
 	// OpGet returns the stored bytes for the key.
 	OpGet uint8 = 2
-	// OpGetCoef is OpGet for a consumer that will decode the frame as a
-	// quantized DCT coefficient plane (same bytes, counted separately —
-	// the compressed-domain serving path).
+	// OpGetCoef is served exactly as OpGet.
 	OpGetCoef uint8 = 3
 	// OpDelete releases the stored bytes for the key.
 	OpDelete uint8 = 4

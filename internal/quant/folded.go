@@ -55,7 +55,7 @@ func (d *DQT) FoldedInverse(shift bool, prescale *[64]float64) [64]float32 {
 // ops per coefficient, nothing branches and nothing converts to float64.
 func FoldedQuantize(coef *[64]float32, table *[64]float32, out *[64]int8) {
 	for i, c := range coef {
-		out[i] = RoundSat32(c * table[i])
+		out[i] = RoundSat32(float32(c * table[i]))
 	}
 }
 

@@ -27,7 +27,7 @@ func optProfile(name string, dc, lo, hi float64) DQT {
 				continue
 			}
 			f := float64(r+c) / 14 // 0..1 across frequency
-			d.Entries[i] = lo + (hi-lo)*f
+			d.Entries[i] = lo + float64((hi-lo)*f)
 		}
 	}
 	return d

@@ -24,7 +24,7 @@ type DQT struct {
 
 // jpegLuminanceBase is the Annex-K luminance quantization table from the
 // JPEG standard, the base for quality scaling.
-var jpegLuminanceBase = [64]float64{
+var jpegLuminanceBase = [64]int{
 	16, 11, 10, 16, 24, 40, 51, 61,
 	12, 12, 14, 19, 26, 58, 60, 55,
 	14, 13, 16, 24, 40, 57, 69, 56,
@@ -36,31 +36,18 @@ var jpegLuminanceBase = [64]float64{
 }
 
 // JPEGQuality returns the standard JPEG luminance DQT scaled to the given
-// quality in [1, 100] using the IJG scaling rule (quality 50 = base table).
+// quality in [1, 100] using the IJG scaling rule (quality 50 = base table),
+// in libjpeg's integer arithmetic (jpeg_quality_scaling, then
+// jpeg_add_quant_table clamped to 1..255 for baseline).
 func JPEGQuality(quality int) DQT {
-	if quality < 1 {
-		quality = 1
-	}
-	if quality > 100 {
-		quality = 100
-	}
-	var scale float64
+	quality = min(max(quality, 1), 100)
+	scale := 200 - 2*quality
 	if quality < 50 {
-		scale = 5000 / float64(quality)
-	} else {
-		scale = 200 - 2*float64(quality)
+		scale = 5000 / quality
 	}
-	var d DQT
-	d.Name = fmt.Sprintf("jpeg%d", quality)
+	d := DQT{Name: fmt.Sprintf("jpeg%d", quality)}
 	for i, base := range jpegLuminanceBase {
-		v := math.Floor((base*scale + 50) / 100)
-		if v < 1 {
-			v = 1
-		}
-		if v > 255 {
-			v = 255
-		}
-		d.Entries[i] = v
+		d.Entries[i] = float64(min(max((base*scale+50)/100, 1), 255))
 	}
 	return d
 }

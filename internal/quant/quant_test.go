@@ -46,6 +46,42 @@ func TestJPEGQualityClamps(t *testing.T) {
 	}
 }
 
+// TestJPEGQualityMatchesIJG holds every quality to libjpeg's integer
+// rule: scale = 5000/q below 50 and 200-2q from 50 on, each entry
+// (base·scale+50)/100 clamped to 1..255, all in truncating integer
+// division.
+func TestJPEGQualityMatchesIJG(t *testing.T) {
+	base := [64]int{
+		16, 11, 10, 16, 24, 40, 51, 61,
+		12, 12, 14, 19, 26, 58, 60, 55,
+		14, 13, 16, 24, 40, 57, 69, 56,
+		14, 17, 22, 29, 51, 87, 80, 62,
+		18, 22, 37, 56, 68, 109, 103, 77,
+		24, 35, 55, 64, 81, 104, 113, 92,
+		49, 64, 78, 87, 103, 121, 120, 101,
+		72, 92, 95, 98, 112, 100, 103, 99,
+	}
+	for q := 1; q <= 100; q++ {
+		scale := 200 - q*2
+		if q < 50 {
+			scale = 5000 / q
+		}
+		d := JPEGQuality(q)
+		for i, b := range base {
+			want := (b*scale + 50) / 100
+			if want <= 0 {
+				want = 1
+			}
+			if want > 255 {
+				want = 255
+			}
+			if d.Entries[i] != float64(want) {
+				t.Fatalf("quality %d entry %d = %v, libjpeg gives %d", q, i, d.Entries[i], want)
+			}
+		}
+	}
+}
+
 func TestUniformPinsDC(t *testing.T) {
 	d := Uniform("u", 8, 32)
 	if d.Entries[0] != 8 {

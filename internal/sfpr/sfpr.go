@@ -105,7 +105,7 @@ func quantizePlane(src []float32, sc float32, dst []int8) {
 	sc128 := float64(sc) * 128
 	dst = dst[:len(src)]
 	for i, v := range src {
-		dst[i] = quant.RoundSat64(float64(v) * sc128)
+		dst[i] = quant.RoundSat64(float64(float64(v) * sc128))
 	}
 }
 

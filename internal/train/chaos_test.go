@@ -83,11 +83,6 @@ func (cs *chaosStore) killShard(i int) {
 // fallback — so no amount of injected failure may change a single
 // weight bit. The run must also actually exercise the machinery:
 // recomputes, degraded ops, reconnects and injected resets all nonzero.
-//
-// Both runs restore spatially: a step the recompute rebuilt restores
-// every activation spatially by design (its refs are absent from the
-// coefficient plan), so a frequency-domain run that loses a frame cannot
-// match the fault-free frequency-domain run bit for bit.
 func TestChaosSoakBitExact(t *testing.T) {
 	atWorkers(t, 2)
 	cfg := Config{Epochs: 3, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05}

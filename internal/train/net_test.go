@@ -90,8 +90,8 @@ func sameWeights(t *testing.T, a, b *models.Model, label string) {
 
 // TestNetstoreTrainingBitExact is the acceptance test of the networked
 // transport: training over a unix-socket activation store — async with
-// prefetch, frequency-domain restores on — must produce bit-identical
-// final weights and epoch losses to the in-process transport, including
+// prefetch — must produce bit-identical final weights and epoch losses to
+// the in-process transport, including
 // when every connection keeps dying mid-frame and the client has to
 // reconnect and resend its way through. Fault recovery may change how
 // many transfers happen, never their content.
@@ -100,7 +100,6 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 		m, ds := faultModel(700)
 		oc.DQT = quant.OptL()
 		oc.Async = true
-		oc.FreqDomain = true
 		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), oc)
 		if err != nil {
 			t.Fatal(err)
@@ -112,8 +111,8 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 	}
 
 	refRep, refStats, refModel := run(OffloadOptions{})
-	if refStats.CoefRestores == 0 {
-		t.Fatal("reference run never took the frequency-domain path")
+	if refStats.Restored == 0 {
+		t.Fatal("reference run restored nothing")
 	}
 
 	// Clean network transport: only the byte path differs.
@@ -123,12 +122,12 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 	})
 	sameEpochs(t, refRep, netRep, "netstore clean")
 	sameWeights(t, refModel, netModel, "netstore clean")
-	if netStats.CoefRestores != refStats.CoefRestores {
-		t.Fatalf("coef restores %d over the network vs %d in-process",
-			netStats.CoefRestores, refStats.CoefRestores)
+	if netStats.Restored != refStats.Restored {
+		t.Fatalf("%d restores over the network vs %d in-process",
+			netStats.Restored, refStats.Restored)
 	}
-	if got := srv.Snapshot(); got.CoefRestores == 0 {
-		t.Fatalf("server never served the coefficient lane: %+v", got)
+	if got := srv.Snapshot(); got.Restored == 0 {
+		t.Fatalf("server never served a restore: %+v", got)
 	}
 	if srv.Entries() != 0 {
 		t.Fatalf("%d entries leaked on the server after training", srv.Entries())

@@ -88,14 +88,6 @@ type OffloadOptions struct {
 	// validation) — the deterministic point where a chaos harness kills
 	// or restarts the server between steps, when the store is empty.
 	EpochEnd func(epoch int)
-	// FreqDomain enables the frequency-domain restore path: saved
-	// activations whose every consumer can read quantized DCT
-	// coefficients directly (nn.CoefficientPlan) are restored as
-	// coefficient planes, skipping the inverse transform. Layers outside
-	// the plan restore spatially, unchanged; gradients differ from the
-	// spatial path only within the documented tolerance (DESIGN.md
-	// "Frequency-domain restore").
-	FreqDomain bool
 	// Verbose prints per-epoch fault counters from the training loop.
 	Verbose bool
 }
@@ -177,7 +169,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 	eng := offload.NewEngine(store, oc.engineConfig())
 	defer eng.Close()
 
-	p := &pass{net: m.Net, eng: eng, freq: oc.FreqDomain, arena: tensor.NewArena()}
+	p := &pass{net: m.Net, eng: eng, arena: tensor.NewArena()}
 	l := loop{
 		cfg:  cfg,
 		step: localStep(p, opt, classifierBatch(ds, cfg)),

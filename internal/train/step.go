@@ -52,7 +52,6 @@ type pass struct {
 	method  compress.Method // round-trip policy
 	measure bool            // with method: record the recovered-activation error
 	eng     *offload.Engine // offload policy
-	freq    bool            // with eng: restore plan-covered activations as coefficient planes
 	// arena serves the step's outputs and gradients, and validation's; it
 	// lives as long as the trainer call, so every step reuses the last
 	// one's buffers (nil: the heap).
@@ -163,10 +162,6 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 			err = p.eng.EndStep()
 		}
 		store.Recovery.Recompute = nil
-		if p.freq {
-			store.CoefPlan = nil
-			nn.ReleaseCoefficients(p.net.SavedRefs())
-		}
 		return err
 	}
 }
@@ -178,13 +173,6 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 // degenerate case) or start the reverse-order prefetcher and put the
 // on-demand restore into hooks (async).
 func (p *pass) endForward(hooks *nn.Hooks) (orig, comp int, err error) {
-	if p.freq {
-		// The coefficient plan is computed once per step from the refs
-		// this forward produced; refs a recompute rebuild creates later
-		// are absent from it and safely restore spatially.
-		plan := nn.CoefficientPlan(p.net)
-		p.eng.Store().CoefPlan = func(ref *nn.ActRef) bool { return plan[ref] }
-	}
 	if orig, comp, err = p.eng.EndForward(p.net.SavedRefs()); err != nil {
 		return orig, comp, err
 	}
