@@ -21,8 +21,8 @@ race:
 # other platform on the portable GEMM kernel compiling, and the line after
 # it keeps the training and codec path unfused where the compiler does fuse
 # x*y+z: no fused multiply-add, single or double, may appear in the arm64
-# code compiled from a file of internal/nn, dct, quant, sfpr or compress,
-# wherever it is inlined. GOAMD64=v3 runs
+# code compiled from a file of internal/nn, dct, quant, sfpr, compress,
+# tensor or data, wherever it is inlined. GOAMD64=v3 runs
 # internal/nn's bit-identity tests on the newer instruction selection
 # (go1.24 fuses nothing there; the step is for the release that does).
 # loc-check holds the root module's non-test line count at the number next
@@ -38,7 +38,7 @@ ci:
 	go vet ./...
 	go build ./...
 	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
-	! (GOARCH=arm64 go build -gcflags=-S ./... 2>&1 | grep -E 'internal/(nn|dct|quant|sfpr|compress)/' | grep -E 'FN?M(ADD|SUB)[SD]')
+	! (GOARCH=arm64 go build -gcflags=-S ./... 2>&1 | grep -E 'internal/(nn|dct|quant|sfpr|compress|tensor|data)/' | grep -E 'FN?M(ADD|SUB)[SD]')
 	go test ./...
 	GOAMD64=v3 go test ./internal/nn/
 	cd bench && go vet . && go test .
@@ -46,13 +46,15 @@ ci:
 
 # Micro-benchmarks of the parallel hot paths, for measuring while you
 # work. Committed numbers come from one harness only: `bash bench/run.sh`
-# (see bench/README.md). Every codec kernel is named at the density it
+# (see bench/README.md). The nn layers run at the bench model's four stage
+# shapes: conv against its GEMM leaf rate, ReLU and batch norm in GB/s of
+# their activation. Every codec kernel is named at the density it
 # meets: the ZVC coders flat at ≈ 45% non-zero (ReLU codes) and by block
 # at ≈ 78% (DCT coefficients), BRC on coin-flip signs, the AAN transforms,
 # and each codec kind end to end through codec.Pipeline and the frame.
 .PHONY: bench
 bench:
-	go test -run '^$$' -bench 'BenchmarkGemm|BenchmarkConv|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkRoundtripZVC|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode' -benchmem ./...
+	go test -run '^$$' -bench 'BenchmarkGemm|BenchmarkConv|BenchmarkReLU|BenchmarkBatchNorm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkRoundtripZVC|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode' -benchmem ./...
 
 # Fuzz sweep: every decoder fuzz target for 10s each. Go runs one fuzz
 # target per invocation, so loop over the discovered names in each fuzzed
@@ -83,7 +85,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11179
+LOC_MAX = 11224
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -59,7 +59,7 @@ func Smooth(plane []float32, h, w, passes int) {
 				if rr >= w {
 					rr = w - 1
 				}
-				out[x] = 0.25*row[l] + 0.5*row[x] + 0.25*row[rr]
+				out[x] = float32(0.25*row[l]) + float32(0.5*row[x]) + float32(0.25*row[rr])
 			}
 		}
 		// Vertical.
@@ -72,7 +72,7 @@ func Smooth(plane []float32, h, w, passes int) {
 				d = h - 1
 			}
 			for x := 0; x < w; x++ {
-				plane[y*w+x] = 0.25*tmp[u*w+x] + 0.5*tmp[y*w+x] + 0.25*tmp[d*w+x]
+				plane[y*w+x] = float32(0.25*tmp[u*w+x]) + float32(0.5*tmp[y*w+x]) + float32(0.25*tmp[d*w+x])
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func normalize(plane []float32) {
 	mean := sum / float64(len(plane))
 	for _, v := range plane {
 		d := float64(v) - mean
-		sq += d * d
+		sq += float64(d * d)
 	}
 	std := math.Sqrt(sq / float64(len(plane)))
 	if std == 0 {
@@ -183,7 +183,7 @@ func (d *Classification) Batch(n int) (*tensor.Tensor, []int) {
 				sy := (y + dy) % d.H
 				for xx := 0; xx < d.W; xx++ {
 					sx := (xx + dx) % d.W
-					dst[y*d.W+xx] = tpl[sy*d.W+sx] + float32(d.noise)*noise[y*d.W+xx]
+					dst[y*d.W+xx] = tpl[sy*d.W+sx] + float32(float32(d.noise)*noise[y*d.W+xx])
 				}
 			}
 		}

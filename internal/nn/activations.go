@@ -47,13 +47,14 @@ func (r *ReLU) Forward(in *ActRef, train bool) *ActRef {
 	// sit above 0x7F800000 after the decrement (drop, as NaN > 0 is
 	// false), positives through +Inf land below it (keep).
 	parallel.For(len(dst), elemGrain, func(lo, hi int) {
-		for i, v := range x.Data[lo:hi] {
+		d := dst[lo:hi]
+		for i, v := range x.Data[lo:hi][:len(d)] {
 			bits := math.Float32bits(v)
 			z := uint32(0)
 			if bits-1 < 0x7F800000 {
 				z = bits
 			}
-			dst[lo+i] = math.Float32frombits(z)
+			d[i] = math.Float32frombits(z)
 		}
 	})
 	// Provisional kind: a consuming conv upgrades this to KindReLUToConv.
@@ -65,30 +66,41 @@ func (r *ReLU) Forward(in *ActRef, train bool) *ActRef {
 }
 
 // Backward implements Layer. Every element of dx is written: a step
-// arena's buffer holds the last step's values.
+// arena's buffer holds the last step's values. The gradient passes
+// through an AND with an all-ones or all-zero mask, not a branch on data
+// that is about half negative; a dropped element is +0 either way.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := grad.Derive(grad.Shape)
 	parallel.For(len(dx.Data), elemGrain, func(lo, hi int) {
+		g := grad.Data[lo:hi]
+		d := dx.Data[lo:hi][:len(g)]
 		if mask := r.out.Mask; mask != nil {
-			for i := lo; i < hi; i++ {
-				var g float32
-				if mask[i] {
-					g = grad.Data[i]
+			m := mask[lo:hi][:len(g)]
+			for i, v := range g {
+				var keep uint32
+				if m[i] {
+					keep = ^uint32(0)
 				}
-				dx.Data[i] = g
+				d[i] = math.Float32frombits(math.Float32bits(v) & keep)
 			}
 			return
 		}
-		saved := r.out.T.Data
-		for i := lo; i < hi; i++ {
-			var g float32
-			if !(saved[i] <= 0) { // not > 0: a saved NaN keeps passing its gradient
-				g = grad.Data[i]
-			}
-			dx.Data[i] = g
+		saved := r.out.T.Data[lo:hi][:len(g)]
+		for i, v := range g {
+			d[i] = math.Float32frombits(math.Float32bits(v) & passMask(saved[i]))
 		}
 	})
 	return dx
+}
+
+// passMask is all ones exactly when !(v <= 0) — v positive, +Inf
+// included, or any NaN, which keeps passing its gradient — and zero for
+// ±0 and every other negative. With x the bits as an int32, x > 0 is the
+// sign of -x &^ x (MinInt32, −0, negates to itself), and |v| is a NaN
+// exactly when 0x7F800000 − |x| borrows into the sign.
+func passMask(v float32) uint32 {
+	x := int32(math.Float32bits(v))
+	return uint32((-x&^x | (0x7F800000 - x&0x7FFFFFFF)) >> 31)
 }
 
 // Dropout zeroes a fraction of activations during training, rescaling the

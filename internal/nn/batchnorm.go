@@ -87,17 +87,15 @@ func (b *BatchNorm) Forward(in *ActRef, train bool) *ActRef {
 			if train {
 				var sum float64
 				for n := 0; n < sh.N; n++ {
-					base := (n*sh.C + c) * hw
-					for i := 0; i < hw; i++ {
-						sum += float64(x.Data[base+i])
+					for _, v := range x.Data[(n*sh.C+c)*hw:][:hw] {
+						sum += float64(v)
 					}
 				}
 				mean = sum / m
 				var sq float64
 				for n := 0; n < sh.N; n++ {
-					base := (n*sh.C + c) * hw
-					for i := 0; i < hw; i++ {
-						d := float64(x.Data[base+i]) - mean
+					for _, v := range x.Data[(n*sh.C+c)*hw:][:hw] {
+						d := float64(v) - mean
 						sq += float64(d * d)
 					}
 				}
@@ -115,8 +113,9 @@ func (b *BatchNorm) Forward(in *ActRef, train bool) *ActRef {
 			bt := float64(b.Beta.W.Data[c])
 			for n := 0; n < sh.N; n++ {
 				base := (n*sh.C + c) * hw
-				for i := 0; i < hw; i++ {
-					out.Data[base+i] = float32(float64((float64(x.Data[base+i])-mean)*invStd*g) + bt)
+				dst := out.Data[base:][:hw]
+				for i, v := range x.Data[base:][:len(dst)] {
+					dst[i] = float32(float64((float64(v)-mean)*invStd*g) + bt)
 				}
 			}
 		}
@@ -147,9 +146,10 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			var sumDy, sumDyXhat float64
 			for n := 0; n < sh.N; n++ {
 				base := (n*sh.C + c) * hw
-				for i := 0; i < hw; i++ {
-					dy := float64(grad.Data[base+i])
-					xh := (float64(x.Data[base+i]) - mean) * invStd
+				gp := grad.Data[base:][:hw]
+				for i, v := range x.Data[base:][:len(gp)] {
+					dy := float64(gp[i])
+					xh := (float64(v) - mean) * invStd
 					sumDy += dy
 					sumDyXhat += float64(dy * xh)
 				}
@@ -157,12 +157,16 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			b.Beta.Grad.Data[c] += float32(sumDy)
 			b.Gamma.Grad.Data[c] += float32(sumDyXhat)
 
+			// g·invStd and sumDy/m are the values the expression's left
+			// operands take at every element, computed once.
+			scale, meanDy := g*invStd, sumDy/m
 			for n := 0; n < sh.N; n++ {
 				base := (n*sh.C + c) * hw
-				for i := 0; i < hw; i++ {
-					dy := float64(grad.Data[base+i])
-					xh := (float64(x.Data[base+i]) - mean) * invStd
-					dx.Data[base+i] = float32(g * invStd * (dy - sumDy/m - xh*sumDyXhat/m))
+				gp, dst := grad.Data[base:][:hw], dx.Data[base:][:hw]
+				for i, v := range x.Data[base:][:len(gp)] {
+					dy := float64(gp[i])
+					xh := (float64(v) - mean) * invStd
+					dst[i] = float32(scale * (dy - meanDy - xh*sumDyXhat/m))
 				}
 			}
 		}

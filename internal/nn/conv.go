@@ -102,13 +102,16 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 
 	k2 := c.InC * c.Kernel * c.Kernel
 	spatial := ho * wo
-	inElems := c.InC * x.Shape.H * x.Shape.W
+	h, w := x.Shape.H, x.Shape.W
+	inElems := c.InC * h * w
 	forBatch(x.Shape.N, func(lo, hi int, split bool) {
 		pk := packPool.get(gemmPanels(spatial) * k2 * gemmNR)
+		xp := c.padBuf(h, w)
 		for n := lo; n < hi; n++ {
 			// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial),
 			// cols lowered straight into the panels the tiles read.
-			c.im2col(x.Data[n*inElems:(n+1)*inElems], x.Shape.H, x.Shape.W, gemmNR, *pk)
+			src := c.padded(x.Data[n*inElems:(n+1)*inElems], h, w, xp)
+			c.im2colPanels(src, h+2*c.Pad, w+2*c.Pad, ho, wo, *pk)
 			dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
 			gemmTiles(c.OutC, k2, spatial, c.Weight.W.Data, *pk, dst, gemmOverwrite, split)
 			if c.Bias != nil {
@@ -121,6 +124,7 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 			}
 		}
 		packPool.put(pk)
+		padPool.put(xp)
 	})
 	return &ActRef{Name: c.LayerName + ".out", Kind: compress.KindConv, T: out}
 }
@@ -150,9 +154,11 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic("nn: conv backward needs saved input values (BRC mask is not enough)")
 	}
-	spatial := c.outShape.H * c.outShape.W
+	ho, wo := c.outShape.H, c.outShape.W
+	spatial := ho * wo
 	k2 := c.InC * c.Kernel * c.Kernel
-	inElems := c.InC * x.Shape.H * x.Shape.W
+	h, w := x.Shape.H, x.Shape.W
+	inElems := c.InC * h * w
 
 	dx := grad.Derive(x.Shape)
 	wT := newGemmLHS(k2, c.OutC, c.Weight.W.Data, true)
@@ -161,11 +167,13 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	forBatch(x.Shape.N, func(lo, hi int, split bool) {
 		cols := packPool.get(k2 * spatial)
 		pk := packPool.get(max(gemmPanels(c.OutC)*spatial, gemmPanels(spatial)*c.OutC) * gemmNR)
+		xp := c.padBuf(h, w)
 		for n := lo; n < hi; n++ {
 			gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
 			// ∇Wᵀ[n] = cols · ∇y[n]ᵀ  (k2×spatial · spatial×OutC): the
 			// transpose is paid on ∇y, K² times smaller than cols.
-			c.im2col(x.Data[n*inElems:(n+1)*inElems], x.Shape.H, x.Shape.W, spatial, *cols)
+			src := c.padded(x.Data[n*inElems:(n+1)*inElems], h, w, xp)
+			c.im2colRows(src, h+2*c.Pad, w+2*c.Pad, ho, wo, *cols)
 			packBT(spatial, c.OutC, gout, *pk)
 			gemmTiles(k2, spatial, c.OutC, *cols, *pk, (*partials)[n*k2*c.OutC:], gemmOverwrite, split)
 			// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), over cols.
@@ -175,10 +183,11 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			if dx.Recycled() {
 				clear(dxn) // col2im adds into zeros and skips what no tap reads
 			}
-			c.col2im(*cols, dxn, x.Shape.H, x.Shape.W)
+			c.col2im(*cols, dxn, h, w)
 		}
 		packPool.put(cols)
 		packPool.put(pk)
+		padPool.put(xp)
 	})
 	wT.release()
 	// One add per batch element in ascending n, whichever shard computed
@@ -251,78 +260,105 @@ func colRange(out, extent, stride, k, pad int) (int, int) {
 	return lo, hi
 }
 
-// panelLine walks one k-row of a matrix stored as panels of nr columns,
-// k-major within a panel: run hands out the next columns that are
-// contiguous in memory, at most to the panel's edge.
-type panelLine struct {
-	dst      []float32
-	off      int // of the next column
-	room     int // columns left in the current panel
-	nr, jump int // panel width; from a panel's edge to this row in the next
-}
-
-func (p *panelLine) run(cnt int) []float32 {
-	n := min(cnt, p.room)
-	d := p.dst[p.off : p.off+n]
-	p.off += n
-	if p.room -= n; p.room == 0 {
-		p.off += p.jump
-		p.room = p.nr
+// padBuf draws the scratch padded frames one batch element in; nil when the
+// layer has no padding and reads x in place.
+func (c *Conv2D) padBuf(h, w int) *[]float32 {
+	if c.Pad == 0 {
+		return nil
 	}
-	return d
+	return padPool.get(c.InC * (h + 2*c.Pad) * (w + 2*c.Pad))
 }
 
-func (p *panelLine) zero(cnt int) {
-	for cnt > 0 {
-		d := p.run(cnt)
-		clear(d)
-		cnt -= len(d)
+// padded returns batch element xn (InC × h × w) as the InC × (h+2P) ×
+// (w+2P) planes the lowering reads: xn itself without padding, else its
+// copy into buf framed by zeros, so no tap needs a bounds test.
+func (c *Conv2D) padded(xn []float32, h, w int, buf *[]float32) []float32 {
+	if buf == nil {
+		return xn
 	}
-}
-
-// im2col lowers one batch element x (InC × h × w) into its k2 × spatial
-// matrix of receptive fields, stored as panels of nr columns: column s of
-// row kk lands at (s/nr)·k2·nr + kk·nr + s%nr, the last panel zero-padded.
-// nr = gemmNR is the packed right operand gemmTiles reads, so forward
-// never materialises the row-major matrix; nr = spatial is that matrix
-// (one panel), backward's left operand. The pad test is hoisted out of the
-// inner loop: per output row only the in-bounds ox range is gathered (a
-// copy for stride 1), the fringe is zero-filled.
-func (c *Conv2D) im2col(x []float32, h, w, nr int, dst []float32) {
-	ho, wo := c.outDims(h, w)
-	k2 := c.InC * c.Kernel * c.Kernel
-	kk := 0
+	p, dst := c.Pad, *buf
+	wp := w + 2*p
+	end := 0 // the first element no row has written
 	for ic := range c.InC {
-		plane := x[ic*h*w : (ic+1)*h*w]
+		for y := range h {
+			at := (ic*(h+2*p)+y+p)*wp + p
+			clear(dst[end:at])
+			end = at + copy(dst[at:at+w], xn[(ic*h+y)*w:])
+		}
+	}
+	clear(dst[end:])
+	return dst
+}
+
+// im2colPanels lowers one padded batch element src (InC planes of hp × wp)
+// into its k2 × spatial matrix of receptive fields, stored as the packed
+// right operand gemmTiles reads: column s of row kk lands at
+// (s/16)·k2·16 + kk·16 + s%16, the last panel zero-padded. Panels are
+// written in order, each from its columns' top-left taps: a panel inside
+// one output row is one 16-float move per row kk at stride 1 and one
+// strided gather at stride 2; any other is gathered tap by tap.
+func (c *Conv2D) im2colPanels(src []float32, hp, wp, ho, wo int, dst []float32) {
+	k2, spatial, s := c.InC*c.Kernel*c.Kernel, ho*wo, c.Stride
+	var offs [gemmNR]int
+	for p := range gemmPanels(spatial) {
+		cnt := min(gemmNR, spatial-p*gemmNR)
+		oy, ox := p*gemmNR/wo, p*gemmNR%wo
+		line := cnt == gemmNR && ox+gemmNR <= wo
+		for j := range cnt {
+			offs[j] = oy*s*wp + ox*s
+			if ox++; ox == wo {
+				ox, oy = 0, oy+1
+			}
+		}
+		panel := dst[p*k2*gemmNR : (p+1)*k2*gemmNR]
+		kk := 0
+		for ic := range c.InC {
+			for ky := range c.Kernel {
+				for kx := range c.Kernel {
+					tap := (ic*hp+ky)*wp + kx
+					d := (*[gemmNR]float32)(panel[kk*gemmNR:])
+					kk++
+					switch {
+					case line && s == 1:
+						*d = *(*[gemmNR]float32)(src[tap+offs[0]:])
+					case line && s == 2:
+						row := (*[2*gemmNR - 1]float32)(src[tap+offs[0]:])
+						for j := range d {
+							d[j] = row[2*j]
+						}
+					default:
+						for j, off := range offs[:cnt] {
+							d[j] = src[tap+off]
+						}
+						clear(d[cnt:])
+					}
+				}
+			}
+		}
+	}
+}
+
+// im2colRows lowers one padded batch element into the row-major k2 ×
+// spatial matrix, backward's left operand: each (kk, oy) line is one copy,
+// or a strided gather, from a padded row.
+func (c *Conv2D) im2colRows(src []float32, hp, wp, ho, wo int, dst []float32) {
+	s := c.Stride
+	i := 0
+	for ic := range c.InC {
 		for ky := range c.Kernel {
 			for kx := range c.Kernel {
-				oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
-				line := panelLine{dst: dst, off: kk * nr, room: nr, nr: nr, jump: (k2 - 1) * nr}
-				kk++
 				for oy := range ho {
-					iy := oy*c.Stride + ky - c.Pad
-					if iy < 0 || iy >= h {
-						line.zero(wo)
+					row := src[(ic*hp+oy*s+ky)*wp+kx:]
+					d := dst[i : i+wo]
+					i += wo
+					if s == 1 {
+						copy(d, row)
 						continue
 					}
-					line.zero(oxLo)
-					ix := iy*w + oxLo*c.Stride + kx - c.Pad
-					for cnt := oxHi - oxLo; cnt > 0; {
-						d := line.run(cnt)
-						if c.Stride == 1 {
-							copy(d, plane[ix:])
-						} else {
-							for i := range d {
-								d[i] = plane[ix+i*c.Stride]
-							}
-						}
-						ix += len(d) * c.Stride
-						cnt -= len(d)
+					row = row[:(wo-1)*s+1]
+					for j := range d {
+						d[j] = row[j*s]
 					}
-					line.zero(wo - oxHi)
-				}
-				if line.room < nr {
-					line.zero(line.room)
 				}
 			}
 		}
@@ -330,8 +366,9 @@ func (c *Conv2D) im2col(x []float32, h, w, nr int, dst []float32) {
 }
 
 // col2im scatters dcols (k2 × spatial, row-major) back into one batch
-// element of dx (InC × h × w), accumulating. Pad handling is hoisted like
-// im2col's; out-of-range columns are skipped.
+// element of dx (InC × h × w), accumulating in ascending row order. The
+// pad test is hoisted per row: pad rows and columns are skipped, and a
+// stride-1 row is one add per element over two slices of equal length.
 func (c *Conv2D) col2im(dcols, dx []float32, h, w int) {
 	ho, wo := c.outDims(h, w)
 	idx := 0
@@ -349,9 +386,10 @@ func (c *Conv2D) col2im(dcols, dx []float32, h, w int) {
 					}
 					dst := plane[iy*w:]
 					if c.Stride == 1 {
-						off := kx - c.Pad
-						for ox := oxLo; ox < oxHi; ox++ {
-							dst[ox+off] += row[ox]
+						src := row[oxLo:oxHi]
+						d := dst[oxLo+kx-c.Pad:][:len(src)]
+						for i, v := range src {
+							d[i] += v
 						}
 					} else {
 						ix := oxLo*c.Stride + kx - c.Pad

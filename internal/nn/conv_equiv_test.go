@@ -137,10 +137,34 @@ func (cc convCase) layer(op convOperands) [4][]float32 {
 	return [4][]float32{out.T.Data, dx.Data, c.Weight.Grad.Data, db}
 }
 
+// checkConvCase compares Conv2D with the reference on one case, at 1, 2,
+// 3 and 8 workers, on the platform's GEMM kernel and the portable one.
+func checkConvCase(t *testing.T, cc convCase) {
+	t.Helper()
+	op, ok := cc.operands()
+	if !ok {
+		return
+	}
+	want := cc.reference(op)
+	check := func(gemm string, workers int) {
+		got := cc.layer(op)
+		at := fmt.Sprintf("%v workers=%d %s kernel: ", cc, workers, gemm)
+		for i, name := range []string{"out", "dx", "dW", "db"} {
+			bitsEqual(t, at+name, got[i], want[i])
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		runAtWorkers(workers, func() {
+			check("platform", workers)
+			WithPortableGemm(func() { check("portable", workers) })
+		})
+	}
+}
+
 // TestConvBitIdenticalToReference walks kernels × strides × pads over
 // planes that are not multiples of the panel width and channel counts
 // that are not multiples of the tile, at batch sizes on both sides of
-// every worker count, on the platform's GEMM kernel and the portable one.
+// every worker count.
 func TestConvBitIdenticalToReference(t *testing.T) {
 	for _, kernel := range []int{1, 3, 5, 7} {
 		for _, stride := range []int{1, 2} {
@@ -148,25 +172,27 @@ func TestConvBitIdenticalToReference(t *testing.T) {
 				for _, hw := range [][2]int{{5, 7}, {4, 4}, {9, 9}} {
 					for _, ch := range [][2]int{{3, 5}, {5, 18}} {
 						for _, n := range []int{1, 2, 8} {
-							cc := convCase{kernel, stride, pad, hw[0], hw[1], ch[0], ch[1], n, (kernel+n)%2 == 0}
-							op, ok := cc.operands()
-							if !ok {
-								continue
-							}
-							want := cc.reference(op)
-							check := func(gemm string, workers int) {
-								got := cc.layer(op)
-								at := fmt.Sprintf("%v workers=%d %s kernel: ", cc, workers, gemm)
-								for i, name := range []string{"out", "dx", "dW", "db"} {
-									bitsEqual(t, at+name, got[i], want[i])
-								}
-							}
-							for _, workers := range []int{1, 2, 3, 8} {
-								runAtWorkers(workers, func() {
-									check("platform", workers)
-									WithPortableGemm(func() { check("portable", workers) })
-								})
-							}
+							checkConvCase(t, convCase{kernel, stride, pad, hw[0], hw[1], ch[0], ch[1], n, (kernel+n)%2 == 0})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvPanelAlignedBitIdentical covers the planes the bench model runs:
+// 16×16 and 32×32, where most output rows are whole 16-column panels
+// (the stride-1 line move and the stride-2 gather; 3×3, stride 2, pad 1
+// takes 32×32 to 16×16) and the rest fall back to the tap-by-tap walk.
+func TestConvPanelAlignedBitIdentical(t *testing.T) {
+	for _, kernel := range []int{1, 3} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1} {
+				for _, hw := range []int{16, 32} {
+					for _, ch := range [][2]int{{3, 5}, {5, 18}} {
+						for _, n := range []int{1, 8} {
+							checkConvCase(t, convCase{kernel, stride, pad, hw, hw, ch[0], ch[1], n, (kernel+n)%2 == 0})
 						}
 					}
 				}

@@ -89,14 +89,22 @@ func (bp *bufPool) get(n int) *[]float32 {
 	return &buf
 }
 
-func (bp *bufPool) put(p *[]float32) { bp.pool.Put(p) }
+// put returns p to the pool; a nil p (a buffer never drawn) is ignored.
+func (bp *bufPool) put(p *[]float32) {
+	if p != nil {
+		bp.pool.Put(p)
+	}
+}
 
 // packPool holds what one GEMM operand needs — packed panels, a transposed
 // left operand, one batch element's im2col matrix — and every worker
 // draws several at once. gradPool holds a conv layer's per-element ∇W
 // partials, batch-size times a weight tensor and one per backward call:
 // it has its own high-water mark so the operand buffers do not grow to it.
-var packPool, gradPool bufPool
+// padPool holds one batch element's zero-framed conv input, one per shard:
+// its own mark too, since packPool's would size every padded plane like
+// the largest cols matrix.
+var packPool, gradPool, padPool bufPool
 
 func gemmPanels(n int) int { return (n + gemmNR - 1) / gemmNR }
 

@@ -77,6 +77,9 @@ func BenchmarkGemmSaxpyRef(b *testing.B)   { benchGemm(b, 16, 144, 1024, gemmSax
 func BenchmarkGemmTASaxpyRef(b *testing.B) { benchGemm(b, 144, 16, 1024, gemmTASaxpy) }
 func BenchmarkGemmTBSaxpyRef(b *testing.B) { benchGemm(b, 16, 1024, 144, gemmTBSaxpy) }
 
+// benchStages are the bench model's four stage shapes: C channels at H×H.
+var benchStages = []struct{ c, hw int }{{16, 32}, {32, 16}, {64, 8}, {128, 4}}
+
 // BenchmarkConv is the layer those products sit in — lowering, packing,
 // the fork-join and col2im included — at the four stage shapes of the
 // bench model (3×3, pad 1, C channels at H×H, batch 8), so a conv pass
@@ -84,7 +87,7 @@ func BenchmarkGemmTBSaxpyRef(b *testing.B) { benchGemm(b, 16, 1024, 144, gemmTBS
 // its two products.
 func BenchmarkConv(b *testing.B) {
 	const batch = 8
-	for _, s := range []struct{ c, hw int }{{16, 32}, {32, 16}, {64, 8}, {128, 4}} {
+	for _, s := range benchStages {
 		conv := NewConv2D("c", s.c, s.c, 3, ConvOpts{Pad: 1}, tensor.NewRNG(1))
 		in := &ActRef{Kind: compress.KindConv, T: tensor.New(batch, s.c, s.hw, s.hw)}
 		benchFill(in.T.Data, 2)
@@ -110,4 +113,43 @@ func BenchmarkConv(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchLayer times one elementwise layer's forward and backward at the
+// four stage shapes, batch 8, in GB/s of the activation tensor. Results
+// come from a step arena and go back to it, as in training, so no pass
+// pays for fresh pages.
+func benchLayer(b *testing.B, mk func(c int) Layer) {
+	const batch = 8
+	for _, s := range benchStages {
+		l, arena := mk(s.c), tensor.NewArena()
+		x := tensor.New(batch, s.c, s.hw, s.hw)
+		for i, v := range benchFill(x.Data, 2) {
+			x.Data[i] = v - 3 // zero-mean, so ReLU drops about half
+		}
+		in := &ActRef{Kind: compress.KindConv, T: arena.Wrap(x)}
+		grad := arena.Wrap(tensor.New(batch, s.c, s.hw, s.hw))
+		benchFill(grad.Data, 3)
+		bytes := 4 * float64(len(x.Data))
+		run := func(pass string, f func()) {
+			b.Run(fmt.Sprintf("%s_%dx%dx%d", pass, s.c, s.hw, s.hw), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					f()
+				}
+				b.ReportMetric(bytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+		run("forward", func() { l.Forward(in, true).T.Release() })
+		l.Forward(in, true) // what backward reads; kept out of the arena
+		run("backward", func() { l.Backward(grad).Release() })
+	}
+}
+
+func BenchmarkReLU(b *testing.B) {
+	benchLayer(b, func(int) Layer { return NewReLU("r") })
+}
+
+func BenchmarkBatchNorm(b *testing.B) {
+	benchLayer(b, func(c int) Layer { return NewBatchNorm("bn", c) })
 }

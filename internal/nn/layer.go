@@ -228,8 +228,10 @@ func (r *Residual) Forward(in *ActRef, train bool) *ActRef {
 func sumOf(a, b *tensor.Tensor) *tensor.Tensor {
 	out := a.Derive(a.Shape)
 	parallel.For(len(out.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] + b.Data[i]
+		dst := out.Data[lo:hi]
+		x, y := a.Data[lo:hi][:len(dst)], b.Data[lo:hi][:len(dst)]
+		for i := range dst {
+			dst[i] = x[i] + y[i]
 		}
 	})
 	return out

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -231,6 +232,43 @@ func TestReLUBackwardWithBRCMask(t *testing.T) {
 		if dx.Data[i] != want[i] {
 			t.Fatalf("BRC backward %v", dx.Data)
 		}
+	}
+}
+
+// TestReLUBackwardEveryClass pairs every class of saved value with
+// gradients that include −0, NaN and ±Inf, tiled past one parallel chunk,
+// and compares dx on Float32bits with the scalar select: the gradient
+// where !(v <= 0), +0 elsewhere. The BRC path gets the mask of the same
+// predicate and must agree.
+func TestReLUBackwardEveryClass(t *testing.T) {
+	nan := math.Float32frombits(0x7FC00001)
+	saved := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		1, -1, math.MaxFloat32, -math.MaxFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		nan, math.Float32frombits(0xFFC00001),
+	}
+	grads := []float32{1.5, float32(math.Copysign(0, -1)), nan, float32(math.Inf(1)), float32(math.Inf(-1)), -2}
+	const reps = 60 // 60·72 elements: several elemGrain chunks
+	n := reps * len(saved) * len(grads)
+	v, g := tensor.New(1, 1, 1, n), tensor.New(1, 1, 1, n)
+	mask, want := make([]bool, n), make([]float32, n)
+	for i := range n {
+		v.Data[i], g.Data[i] = saved[i/len(grads)%len(saved)], grads[i%len(grads)]
+		mask[i] = !(v.Data[i] <= 0)
+		if mask[i] {
+			want[i] = g.Data[i]
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		runAtWorkers(workers, func() {
+			relu := NewReLU("r")
+			relu.out = &ActRef{Kind: compress.KindReLUToOther, T: v}
+			bitsEqual(t, fmt.Sprintf("saved values, workers=%d", workers), relu.Backward(g).Data, want)
+			relu.out = &ActRef{Kind: compress.KindReLUToOther, Mask: mask}
+			bitsEqual(t, fmt.Sprintf("BRC mask, workers=%d", workers), relu.Backward(g).Data, want)
+		})
 	}
 }
 

@@ -67,14 +67,14 @@ func (r *RNG) Norm() float64 {
 // FillNormal fills t with N(mean, std²) samples.
 func (t *Tensor) FillNormal(r *RNG, mean, std float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(mean + std*r.Norm())
+		t.Data[i] = float32(mean + float64(std*r.Norm()))
 	}
 }
 
 // FillUniform fills t with uniform samples in [lo, hi).
 func (t *Tensor) FillUniform(r *RNG, lo, hi float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(lo + (hi-lo)*r.Float64())
+		t.Data[i] = float32(lo + float64((hi-lo)*r.Float64()))
 	}
 }
 

@@ -207,7 +207,7 @@ func L2Error(a, b *Tensor) float64 {
 	var sum float64
 	for i := range a.Data {
 		d := float64(a.Data[i] - b.Data[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum) / float64(len(a.Data))
 }
@@ -220,7 +220,7 @@ func MSE(a, b *Tensor) float64 {
 	var sum float64
 	for i := range a.Data {
 		d := float64(a.Data[i] - b.Data[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(a.Data))
 }
