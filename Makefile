@@ -19,10 +19,9 @@ race:
 # architecture, internal/nn/gemm_amd64.s (native `go vet` checks its
 # frames against the Go declarations); the arm64 cross-build keeps every
 # other platform on the portable GEMM kernel compiling, and the line after
-# it keeps the training and codec path unfused where the compiler does fuse
-# x*y+z: no fused multiply-add, single or double, may appear in the arm64
-# code compiled from a file of internal/nn, dct, quant, sfpr, compress,
-# tensor or data, wherever it is inlined. GOAMD64=v3 runs
+# it keeps the module unfused where the compiler does fuse x*y+z: no fused
+# multiply-add, single or double, may appear in the arm64 code compiled
+# from any file of the root module, wherever it is inlined. GOAMD64=v3 runs
 # internal/nn's bit-identity tests on the newer instruction selection
 # (go1.24 fuses nothing there; the step is for the release that does).
 # loc-check holds the root module's non-test line count at the number next
@@ -38,7 +37,7 @@ ci:
 	go vet ./...
 	go build ./...
 	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
-	! (GOARCH=arm64 go build -gcflags=-S ./... 2>&1 | grep -E 'internal/(nn|dct|quant|sfpr|compress|tensor|data)/' | grep -E 'FN?M(ADD|SUB)[SD]')
+	! (GOARCH=arm64 go build -gcflags=-S ./... 2>&1 | grep -E 'FN?M(ADD|SUB)[SD]')
 	go test ./...
 	GOAMD64=v3 go test ./internal/nn/
 	cd bench && go vet . && go test .
@@ -59,8 +58,8 @@ bench:
 # Fuzz sweep: every decoder fuzz target for 10s each. Go runs one fuzz
 # target per invocation, so loop over the discovered names in each fuzzed
 # package. The decoders facing untrusted bytes — the offload container
-# (FuzzDecodeFrame), the JPEG-ACT block decode under every restore
-# (FuzzDecodeCoefficients), the activation-store request path
+# (FuzzDecodeFrame), the JPEG-ACT coefficient decode that only bench/
+# still calls (FuzzDecodeCoefficients), the activation-store request path
 # (FuzzNetstoreRequest) and the client's response parser
 # (FuzzWireResponse) — must survive arbitrary input without a panic.
 FUZZTIME ?= 10s
@@ -85,7 +84,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11224
+LOC_MAX = 11172
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -10,19 +10,17 @@
 //
 // With -offload the activations really cross a host-memory channel as
 // framed CRC-checked buffers; -flip/-trunc/-drop inject channel faults
-// and -policy selects the recovery (fail|retry|recompute). -async runs
-// the pipelined engine (offload–compute overlap, restores prefetched
-// during backward); the trajectory is bit-identical to the synchronous
-// path:
+// and -policy selects the recovery (fail|retry|recompute). The offload
+// engine overlaps compression and channel transfers with compute and
+// prefetches restores during backward:
 //
 //	acttrain -model ResNet18 -offload -flip 1e-5 -policy recompute
-//	acttrain -model ResNet18 -offload -async
 //
 // With -store the offload traffic targets a shared networked activation
 // store (cmd/actstore) instead of the in-process channel; -store-key
 // namespaces this trainer's keys when several share one server:
 //
-//	acttrain -model ResNet18 -offload -async -store unix:/tmp/actstore.sock -store-key 1
+//	acttrain -model ResNet18 -offload -store unix:/tmp/actstore.sock -store-key 1
 //
 // With -replicas K the step runs data-parallel: K workers train on
 // disjoint microbatch shards and exchange compressed gradients through
@@ -88,8 +86,6 @@ func main() {
 	flip := flag.Float64("flip", 0, "channel bit-flip rate per byte")
 	trunc := flag.Float64("trunc", 0, "channel truncation rate per transfer")
 	drop := flag.Float64("drop", 0, "channel drop rate per transfer")
-	async := flag.Bool("async", false,
-		"with -offload: pipeline compression and channel transfers against compute")
 	store := flag.String("store", "",
 		"with -offload: networked activation-store address (unix:/path or tcp:host:port; see cmd/actstore)")
 	storeKey := flag.Uint64("store-key", 0,
@@ -127,7 +123,7 @@ func main() {
 	}
 	offload := mode{"-offload", *useOffload}
 	needs := map[string]mode{
-		"async": offload, "policy": offload, "flip": offload, "trunc": offload, "drop": offload,
+		"policy": offload, "flip": offload, "trunc": offload, "drop": offload,
 		"store":        {"-offload or -replicas", *useOffload || *replicas > 0},
 		"store-key":    {"-store", *store != ""},
 		"no-degrade":   {"-store", *store != ""},
@@ -155,7 +151,7 @@ func main() {
 
 	if *useOffload {
 		runOffloaded(*model, sc, cfg, *seed, *policy, *flip, *trunc, *drop,
-			*async, *store, *storeKey, *storeTimeout, *noDegrade)
+			*store, *storeKey, *storeTimeout, *noDegrade)
 		return
 	}
 
@@ -234,7 +230,7 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 
 // runOffloaded trains over the real host-memory channel, optionally
 // fault-injected, and reports the store's recovery counters.
-func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, async bool, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
+func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
 	if model == "VDSR" {
 		fmt.Fprintln(os.Stderr, "acttrain: -offload supports the classification models only")
 		os.Exit(2)
@@ -253,7 +249,7 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 	}
 	oc := jpegact.OffloadTrainOptions{
 		DQT: jpegact.OptL(), Policy: pol, Verbose: true,
-		Async: async, StoreAddr: store, StoreKeyBase: storeKey << 32,
+		StoreAddr: store, StoreKeyBase: storeKey << 32,
 		StoreTimeout: storeTimeout, NoDegrade: noDegrade,
 	}
 	if store != "" && (flip > 0 || trunc > 0 || drop > 0) {

@@ -234,7 +234,7 @@ func TestNetworkedClientsMatchLocal(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "store.sock")
 	startStore(t, actstore, sock)
 
-	args := small("-offload", "-async")
+	args := small("-offload")
 	local := mustTrain(t, acttrain, args...)
 	want, table := digest(t, local), epochTable(local)
 	if len(table) != 3 {
@@ -249,7 +249,7 @@ func TestNetworkedClientsMatchLocal(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outs[i], errs[i] = train(acttrain, small("-offload", "-async",
+			outs[i], errs[i] = train(acttrain, small("-offload",
 				"-store", "unix:"+sock, "-store-key", strconv.Itoa(i+1))...)
 		}()
 	}
@@ -304,7 +304,7 @@ func TestStoreKilledAndRestarted(t *testing.T) {
 	storeArgs := []string{"-shards", "4"}
 	store := startStore(t, actstore, sock, storeArgs...)
 
-	args := small("-offload", "-async", "-epochs", "5")
+	args := small("-offload", "-epochs", "5")
 	want := digest(t, mustTrain(t, acttrain, args...))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -366,9 +366,9 @@ func TestStoreKilledAndRestarted(t *testing.T) {
 // -no-degrade turns the dead store into a failed run.
 func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
 	acttrain, _ := binaries(t)
-	want := digest(t, mustTrain(t, acttrain, small("-offload", "-async")...))
+	want := digest(t, mustTrain(t, acttrain, small("-offload")...))
 
-	faulted := mustTrain(t, acttrain, small("-offload", "-async", "-policy", "recompute",
+	faulted := mustTrain(t, acttrain, small("-offload", "-policy", "recompute",
 		"-flip", "1e-5", "-trunc", "0.02", "-drop", "0.02")...)
 	if got := digest(t, faulted); got != want {
 		t.Errorf("faulted channel: %s, clean run %s", got, want)
@@ -377,11 +377,11 @@ func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
 		t.Errorf("no truncation was injected and recovered:\n%s", faulted)
 	}
 
-	if digest(t, mustTrain(t, acttrain, small("-offload", "-async", "-seed", "7")...)) == want {
+	if digest(t, mustTrain(t, acttrain, small("-offload", "-seed", "7")...)) == want {
 		t.Error("-seed 7 trained the weights of -seed 42")
 	}
 
-	dead := []string{"-offload", "-async", "-store", "unix:" + filepath.Join(t.TempDir(), "none.sock"), "-store-timeout", "200ms"}
+	dead := []string{"-offload", "-store", "unix:" + filepath.Join(t.TempDir(), "none.sock"), "-store-timeout", "200ms"}
 	degraded := mustTrain(t, acttrain, small(dead...)...)
 	if got := digest(t, degraded); got != want || counter(t, degraded, "degraded") == 0 {
 		t.Errorf("dead store: %s (clean run %s), want degraded > 0:\n%s", got, want, degraded)
@@ -397,7 +397,6 @@ func TestOffloadFlagsSelectTheirVariant(t *testing.T) {
 func TestFlagOutsideItsModeIsRefused(t *testing.T) {
 	acttrain, _ := binaries(t)
 	for _, args := range [][]string{
-		{"-async"},
 		{"-policy", "retry"},
 		{"-flip", "1e-5"},
 		{"-trunc", "0.02"},
@@ -411,6 +410,11 @@ func TestFlagOutsideItsModeIsRefused(t *testing.T) {
 		if code := exitCode(err); code != 2 || !strings.Contains(string(out), "requires") {
 			t.Errorf("acttrain %s: exit %d, want 2 and the mode it requires:\n%s", strings.Join(args, " "), code, out)
 		}
+	}
+	// The engine has one mode; the flag that picked the other is gone.
+	out, err := exec.Command(acttrain, small("-offload", "-async")...).CombinedOutput()
+	if code := exitCode(err); code != 2 || !strings.Contains(string(out), "not defined: -async") {
+		t.Errorf("acttrain -offload -async: exit %d, want 2 as an undefined flag:\n%s", code, out)
 	}
 }
 

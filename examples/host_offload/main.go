@@ -5,7 +5,7 @@
 // live float footprint between forward and backward is just the
 // compressed bytes, exactly the paper's system-level saving.
 //
-// It then runs the same step through the async engine: save hooks
+// It then runs the same step through the offload engine: save hooks
 // stream each activation to the encode workers the moment the forward
 // pass no longer needs it, frames are committed to the channel in
 // submission order, and a reverse-order prefetcher stages restores
@@ -73,8 +73,8 @@ func main() {
 	// The engine overlaps compression and channel traffic with compute:
 	// OnSave streams activations out during the forward pass, OnNeed
 	// consumes prefetched restores during backward.
-	asyncStore := offload.NewStore(quant.OptL())
-	eng := offload.NewEngine(asyncStore, offload.EngineConfig{Async: true, Prefetch: 4})
+	engStore := offload.NewStore(quant.OptL())
+	eng := offload.NewEngine(engStore, offload.EngineConfig{Prefetch: 4})
 	defer eng.Close()
 
 	eng.BeginStep()
@@ -99,7 +99,7 @@ func main() {
 		panic(err)
 	}
 	es := eng.Stats()
-	fmt.Printf("async engine: %.2f MB -> %.2f MB streamed during forward, loss %.3f\n",
+	fmt.Printf("pipelined engine: %.2f MB -> %.2f MB streamed during forward, loss %.3f\n",
 		float64(aorig)/1e6, float64(acomp)/1e6, loss)
 	fmt.Printf("prefetcher served %d restores staged ahead, %d after a wait (in-flight peak %d B)\n",
 		es.PrefetchHits, es.PrefetchWaits, es.MaxInFlight)

@@ -59,7 +59,7 @@ func fillActivationLike(x *jpegact.Tensor) {
 		}
 		x.Data[i] = float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
 		if i > 0 {
-			x.Data[i] = 0.6*x.Data[i-1] + 0.8*x.Data[i]
+			x.Data[i] = float32(0.6*x.Data[i-1]) + float32(0.8*x.Data[i])
 		}
 	}
 }
@@ -68,7 +68,7 @@ func l2(a, b *jpegact.Tensor) float64 {
 	var sum float64
 	for i := range a.Data {
 		d := float64(a.Data[i] - b.Data[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum) / float64(len(a.Data))
 }

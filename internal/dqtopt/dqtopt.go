@@ -79,7 +79,7 @@ func Evaluate(d quant.DQT, samples []*tensor.Tensor, alpha, s float64) Point {
 	return Point{
 		Entropy: h,
 		L2:      l2,
-		O:       (1-alpha)*Lambda1*h + alpha*Lambda2*l2,
+		O:       float64((1-alpha)*Lambda1*h) + float64(alpha*Lambda2*l2),
 	}
 }
 

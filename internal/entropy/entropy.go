@@ -41,7 +41,7 @@ func ShannonInts(vals []int) float64 {
 	var h float64
 	for _, n := range hist {
 		p := float64(n) / total
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p))
 	}
 	return h
 }
@@ -54,7 +54,7 @@ func fromCounts(hist []int, total int) float64 {
 			continue
 		}
 		p := float64(n) / t
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p))
 	}
 	return h
 }

@@ -86,7 +86,7 @@ func SimulateDataParallel(w Workload, s Scheme, cfg Config, dp DPConfig) DPResul
 	// Overlapped wire time hides under backward compute, but never below
 	// the compute itself: the critical path is max(compute, hidden wire)
 	// plus whatever stayed exposed.
-	exposed := (1 - overlap) * exchange
+	exposed := float64((1 - overlap) * exchange)
 	hidden := exchange - exposed
 	critical := perGPU
 	if hidden > critical {

@@ -29,8 +29,8 @@ func cnrBlock(name string, n, inC, outC, h, w, k int, lowDensity bool) []LayerOp
 	spatial := float64(h * w)
 	batch := float64(n)
 	convFLOPs := 2 * batch * float64(outC) * spatial * float64(inC*k*k)
-	actIn := 4 * batch * float64(inC) * spatial   // conv input (saved)
-	actOut := 4 * batch * float64(outC) * spatial // conv output = norm input (saved)
+	actIn := float64(4 * batch * float64(inC) * spatial)   // conv input (saved)
+	actOut := float64(4 * batch * float64(outC) * spatial) // conv output = norm input (saved)
 
 	class := KernelWinograd
 	if k == 1 {
@@ -48,7 +48,7 @@ func cnrBlock(name string, n, inC, outC, h, w, k int, lowDensity bool) []LayerOp
 
 // withDropout appends a dropout op after a block (VGG, WRN).
 func withDropout(ops []LayerOp, n, c, h, w int) []LayerOp {
-	bytes := 4 * float64(n*c*h*w)
+	bytes := float64(4 * float64(n*c*h*w))
 	return append(ops, LayerOp{
 		Name: "dropout", Class: KernelElementwise, MemBytes: 2 * bytes,
 		ActBytes: bytes, Kind: compress.KindPoolDropout,

@@ -152,8 +152,8 @@ const numCDU = 4
 func design(name string, perCDU []Component, ratio, offloadGBs float64) Design {
 	var area, power float64
 	for _, c := range perCDU {
-		area += c.AreaUM2 * numCDU
-		power += c.PowerMW * numCDU
+		area += float64(c.AreaUM2 * numCDU)
+		power += float64(c.PowerMW * numCDU)
 	}
 	buf := AlignmentBuffer()
 	area += buf.AreaUM2 * numCDU

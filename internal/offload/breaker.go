@@ -32,7 +32,7 @@ const probeAfter = 32
 // first whole-op wire failure: a forward pass has no recovery for a
 // commit that failed, so that frame must already degrade to the local
 // fallback — or a store dying mid-step ends the run. It is shared by
-// the synchronous store paths and the async engine's encode pool, so
+// the synchronous store paths and the engine's encode pool, so
 // every transition holds the mutex.
 type breaker struct {
 	mu     sync.Mutex

@@ -12,13 +12,10 @@ import (
 	"jpegact/internal/tensor"
 )
 
-// EngineConfig selects how the scheduler layer overlaps offload traffic
-// with compute.
+// EngineConfig sizes the scheduler layer's restore lookahead.
 type EngineConfig struct {
-	// Async enables the pipelined engine. When false every Engine call
-	// degenerates to the synchronous Store operation: Offload encodes and
-	// commits its frame before it returns. Both paths put the same bytes
-	// in every frame.
+	// Async selects nothing: the engine always runs the pipelined path.
+	// It is kept only so bench/ compiles against it.
 	Async bool
 	// Prefetch is the restore lookahead during the backward pass: how
 	// many verified frames may sit staged ahead of demand. It also sizes
@@ -77,12 +74,9 @@ type prefetchState struct {
 // activations, encodes them on a worker pool, and commits the encoded
 // frames to the transport in strict submission order. That order is the
 // order Offload is called in: the save hooks' emission order, then the
-// EndForward sweep in SavedRefs order. A synchronous engine commits each
-// frame inside Offload, so the channel (and any fault injector attached
-// to it) sees the async sequence only when the sync engine is driven by
-// the same hooks, as the trainer does; what matches regardless is each
-// frame's bytes. During the backward pass it prefetches restores in
-// reverse-offload order, double-buffered ahead of demand.
+// EndForward sweep in SavedRefs order. During the backward pass it
+// prefetches restores in reverse-offload order, double-buffered ahead of
+// demand.
 //
 // The held tail: the frames forward submits last are the ones backward
 // reads first, so their round trip cannot hide behind compute. From an
@@ -91,14 +85,11 @@ type prefetchState struct {
 // it is encoded and its tensor released at commit like any other frame,
 // but its framed bytes stay in its store entry, and its restore takes
 // them through the same CRC check and decode as a wire frame with no
-// transport op. The rule reads only submission indices, never timing,
-// and is the same in sync mode; Store.OffloadAll (the recompute
-// rebuild) holds nothing.
+// transport op. The rule reads only submission indices, never timing;
+// Store.OffloadAll (the recompute rebuild) holds nothing.
 //
-// A zero Prefetch falls back to on-demand restores and holds nothing;
-// Async=false makes every call the degenerate synchronous Store
-// operation. One engine serves one training loop; it is not safe for
-// concurrent steps.
+// A zero Prefetch restores strictly on demand and holds nothing. One
+// engine serves one training loop; it is not safe for concurrent steps.
 type Engine struct {
 	store *Store
 	cfg   EngineConfig
@@ -109,7 +100,7 @@ type Engine struct {
 
 	// Offload pipeline (reset each step).
 	seen       map[*nn.ActRef]bool
-	submitted  int  // submissions this step, in both modes
+	submitted  int  // submissions this step
 	holdFrom   int  // submissions with this index or above stay on the device
 	stepped    bool // a step has begun, so submitted is the last step's count
 	nextCommit int  // next sequence to *issue* (wire order)
@@ -130,10 +121,10 @@ type Engine struct {
 	demandFetches uint64
 }
 
-// NewEngine wraps a store in a scheduler. The encode pool is started
-// lazily on the first async step; Close releases it.
+// NewEngine wraps a store in a scheduler and starts its encode pool of
+// parallel.Workers() encoders; Close releases it.
 func NewEngine(s *Store, cfg EngineConfig) *Engine {
-	e := &Engine{store: s, cfg: cfg}
+	e := &Engine{store: s, cfg: cfg, pool: parallel.NewPool(0)}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
@@ -141,8 +132,9 @@ func NewEngine(s *Store, cfg EngineConfig) *Engine {
 // Store returns the underlying store.
 func (e *Engine) Store() *Store { return e.store }
 
-// Async reports whether the engine runs the pipelined path.
-func (e *Engine) Async() bool { return e.cfg.Async }
+// Async returns true: the engine has one, pipelined, mode. It is kept
+// only so bench/ compiles against it.
+func (e *Engine) Async() bool { return true }
 
 // Stats returns a snapshot of the scheduler counters.
 func (e *Engine) Stats() EngineStats {
@@ -159,9 +151,6 @@ func (e *Engine) Stats() EngineStats {
 // BeginStep resets the per-step pipeline state. The previous step must
 // have been finished with EndStep or Abort.
 func (e *Engine) BeginStep() {
-	if e.cfg.Async && e.pool == nil {
-		e.pool = parallel.NewPool(0) // parallel.Workers() encoders
-	}
 	e.mu.Lock()
 	e.holdFrom = math.MaxInt
 	if e.stepped && e.cfg.Prefetch > 0 {
@@ -179,9 +168,9 @@ func (e *Engine) BeginStep() {
 	e.mu.Unlock()
 }
 
-// Offload submits one activation for offload. In async mode it returns
-// immediately — encoding happens on the pool, and the frame is committed
-// in submission order once its predecessors have landed. A submission in
+// Offload submits one activation for offload and returns immediately:
+// encoding happens on the pool, and the frame is committed in
+// submission order once its predecessors have landed. A submission in
 // the held tail stays on the device. Duplicate refs and refs without a
 // live tensor are skipped, matching Store.OffloadAll. Errors surface at
 // EndForward.
@@ -202,17 +191,6 @@ func (e *Engine) Offload(ref *nn.ActRef) {
 	seq := e.submitted
 	e.submitted++
 	hold := seq >= e.holdFrom
-	if !e.cfg.Async {
-		e.mu.Unlock()
-		if err := e.store.offload(ref, hold); err != nil {
-			e.mu.Lock()
-			if e.firstErr == nil {
-				e.firstErr = err
-			}
-			e.mu.Unlock()
-		}
-		return
-	}
 	x := ref.T
 	e.mu.Unlock()
 	e.pool.Submit(func() { e.encodeAndCommit(seq, ref, x, hold) })
@@ -304,16 +282,15 @@ func (e *Engine) drainCommits() {
 	}
 }
 
-// EndForward offloads any refs the streaming hooks missed (or, in sync
-// mode, all of them), then barriers until every submitted frame has been
-// committed to the channel. It returns the original and compressed byte
-// totals for the step.
+// EndForward offloads any refs the streaming hooks missed, then barriers
+// until every submitted frame has been committed to the channel. It
+// returns the original and compressed byte totals for the step.
 func (e *Engine) EndForward(refs []*nn.ActRef) (orig, comp int, err error) {
 	for _, ref := range refs {
 		e.Offload(ref)
 	}
 	e.mu.Lock()
-	for e.cfg.Async && e.finished < e.submitted {
+	for e.finished < e.submitted {
 		e.cond.Wait()
 	}
 	orig = e.origBytes
@@ -322,14 +299,10 @@ func (e *Engine) EndForward(refs []*nn.ActRef) (orig, comp int, err error) {
 	return orig, e.store.HostBytes(), err
 }
 
-// PrepareBackward readies the restore side. Sync mode restores
-// everything eagerly (the degenerate case); async mode with Prefetch > 0
+// PrepareBackward readies the restore side. With Prefetch > 0 it
 // snapshots the resident entries newest first and starts the prefetcher
 // on that plan; Prefetch <= 0 leaves restores on demand.
 func (e *Engine) PrepareBackward() error {
-	if !e.cfg.Async {
-		return e.store.RestoreAll()
-	}
 	if e.cfg.Prefetch <= 0 {
 		return nil
 	}
@@ -471,9 +444,6 @@ func (e *Engine) release(pf *prefetchState, ft *fetchTask) {
 // stale by a recompute rebuild resolves to nil once the step is marked
 // repaired.
 func (e *Engine) Restore(ref *nn.ActRef) error {
-	if !e.cfg.Async {
-		return e.store.Restore(ref)
-	}
 	s := e.store
 	ent, ok := s.lookup(ref)
 
@@ -489,11 +459,16 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	}
 	if ft == nil || ft.ent != ent {
 		// No prefetch plan covers this entry (on-demand mode, or an
-		// entry re-offloaded after the snapshot): synchronous restore
-		// with the full recovery policy.
+		// entry re-offloaded after the snapshot): read it now, and on
+		// failure escalate as for a prefetched frame.
 		e.demandFetches++
 		e.mu.Unlock()
-		return e.store.Restore(ref)
+		t, err := s.fetch(ent)
+		if err != nil {
+			return e.escalate(ref, ent, err)
+		}
+		s.finishRestore(ref, ent, t)
+		return nil
 	}
 	select {
 	case <-ft.done:
@@ -539,13 +514,13 @@ func (e *Engine) notResident(ref *nn.ActRef) error {
 	return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
 }
 
-// escalate handles a corruption the prefetcher discovered
-// asynchronously: the prefetch plan is flushed first — the prefetcher
-// completes every remaining read, not just the one in flight — so the
-// channel has seen a run-independent sequence of transfers before the
-// recovery policy's own traffic starts (a stop at the in-flight read
-// would cut at a scheduling-dependent point and make the fault
-// counters irreproducible). The flushed results are discarded. Under
+// escalate handles a failed restore, whether the prefetcher or an
+// on-demand read discovered it: any prefetch plan is flushed first — the
+// prefetcher completes every remaining read, not just the one in flight
+// — so the channel has seen a run-independent sequence of transfers
+// before the recovery policy's own traffic starts (a stop at the
+// in-flight read would cut at a scheduling-dependent point and make the
+// fault counters irreproducible). The flushed results are discarded. Under
 // PolicyRecompute the hook then rebuilds the step, the engine marks it
 // repaired, and the remaining activations are restored synchronously —
 // the refs in flight before the rebuild are stale and resolve to nil.
@@ -630,9 +605,6 @@ func (e *Engine) stopPrefetch() {
 // recovery policy) are drained synchronously. In the common case the
 // backward pass consumed the whole plan and both phases are no-ops.
 func (e *Engine) EndStep() error {
-	if !e.cfg.Async {
-		return nil
-	}
 	if pf := e.flushPrefetch(); pf != nil {
 		for _, ft := range pf.tasks {
 			e.consumeLeftover(ft)
@@ -645,9 +617,6 @@ func (e *Engine) EndStep() error {
 // the path for a failed step, where the remaining entries may be
 // corrupt and must stay resident for the caller to inspect.
 func (e *Engine) Abort() {
-	if !e.cfg.Async {
-		return
-	}
 	e.mu.Lock()
 	for e.finished < e.submitted {
 		e.cond.Wait()
@@ -657,9 +626,4 @@ func (e *Engine) Abort() {
 }
 
 // Close releases the encode pool. The engine must be between steps.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-}
+func (e *Engine) Close() { e.pool.Close() }

@@ -24,8 +24,8 @@ func (r *sendRecorder) Send(b []byte) []byte {
 }
 func (r *sendRecorder) Recv(b []byte) []byte { return b }
 
-// atWorkers sets the worker count for the rest of the test: an async
-// engine sizes its encode pool from it when the first step begins.
+// atWorkers sets the worker count for the rest of the test: an engine
+// sizes its encode pool from it when it is built.
 func atWorkers(t *testing.T, n int) {
 	prev := parallel.SetWorkers(n)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
@@ -41,24 +41,22 @@ func engineRefs(n int) []*nn.ActRef {
 
 // TestEngineAsyncCommitsInSubmissionOrder is the determinism keystone:
 // whatever the worker pool does, the channel must see frames in exactly
-// the sequence a synchronous run sends them — byte-identical, same
-// order — so injected fault patterns are reproducible across modes.
+// the sequence Store.OffloadAll sends them — byte-identical, same order
+// — so injected fault patterns are reproducible.
 func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 	const n = 8
-	recSync := &sendRecorder{}
-	sSync := NewStore(quant.OptL())
-	sSync.Channel = recSync
-	for _, ref := range engineRefs(n) {
-		if err := sSync.Offload(ref); err != nil {
-			t.Fatal(err)
-		}
+	recAll := &sendRecorder{}
+	sAll := NewStore(quant.OptL())
+	sAll.Channel = recAll
+	if _, _, err := sAll.OffloadAll(engineRefs(n)); err != nil {
+		t.Fatal(err)
 	}
 
-	recAsync := &sendRecorder{}
-	sAsync := NewStore(quant.OptL())
-	sAsync.Channel = recAsync
+	rec := &sendRecorder{}
+	s := NewStore(quant.OptL())
+	s.Channel = rec
 	atWorkers(t, 4)
-	eng := NewEngine(sAsync, EngineConfig{Async: true})
+	eng := NewEngine(s, EngineConfig{})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(n)
@@ -68,15 +66,15 @@ func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 	if _, _, err := eng.EndForward(nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(recAsync.sent) != n {
-		t.Fatalf("%d sends, want %d", len(recAsync.sent), n)
+	if len(rec.sent) != n {
+		t.Fatalf("%d sends, want %d", len(rec.sent), n)
 	}
 	for i := range refs {
-		if seq, ok := sAsync.Seq(refs[i]); !ok || seq != i {
+		if seq, ok := s.Seq(refs[i]); !ok || seq != i {
 			t.Fatalf("ref %d has seq %d (ok=%v); commits out of submission order", i, seq, ok)
 		}
-		if !bytes.Equal(recSync.sent[i], recAsync.sent[i]) {
-			t.Fatalf("send %d differs between sync and async", i)
+		if !bytes.Equal(recAll.sent[i], rec.sent[i]) {
+			t.Fatalf("send %d differs from Store.OffloadAll's", i)
 		}
 	}
 	if err := eng.EndStep(); err != nil {
@@ -85,21 +83,21 @@ func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 }
 
 // TestEnginePrefetchBitExact holds both restore configurations of the
-// async engine — a lookahead window and strictly on demand (Prefetch
-// 0) — at 1, 2 and 4 workers, to the synchronous path: the same frames
-// cross the channel in the same order and every restored tensor is
-// bit-identical.
+// engine — a lookahead window and strictly on demand (Prefetch 0) — at
+// 1, 2 and 4 workers, to the store's own Offload and Restore: the same
+// frames cross the channel in the same order and every restored tensor
+// is bit-identical.
 func TestEnginePrefetchBitExact(t *testing.T) {
 	const n = 6
 	want := make([]*tensor.Tensor, n)
-	recSync := &sendRecorder{}
-	sSync := NewStore(quant.OptL())
-	sSync.Channel = recSync
+	recRef := &sendRecorder{}
+	sRef := NewStore(quant.OptL())
+	sRef.Channel = recRef
 	for i, ref := range engineRefs(n) {
-		if err := sSync.Offload(ref); err != nil {
+		if err := sRef.Offload(ref); err != nil {
 			t.Fatal(err)
 		}
-		if err := sSync.Restore(ref); err != nil {
+		if err := sRef.Restore(ref); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = ref.T
@@ -109,8 +107,8 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 		name string
 		cfg  EngineConfig
 	}{
-		{"prefetch", EngineConfig{Async: true, Prefetch: 2}},
-		{"ondemand", EngineConfig{Async: true}},
+		{"prefetch", EngineConfig{Prefetch: 2}},
+		{"ondemand", EngineConfig{}},
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s-w%d", c.name, workers), func(t *testing.T) {
@@ -137,7 +135,7 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 					}
 					for j := range refs[i].T.Data {
 						if refs[i].T.Data[j] != want[i].Data[j] {
-							t.Fatalf("ref %d elem %d: restore differs from sync", i, j)
+							t.Fatalf("ref %d elem %d: restore differs from Store.Restore's", i, j)
 						}
 					}
 				}
@@ -148,8 +146,8 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 					t.Fatalf("%d sends, want %d", len(rec.sent), n)
 				}
 				for i := range rec.sent {
-					if !bytes.Equal(rec.sent[i], recSync.sent[i]) {
-						t.Fatalf("send %d differs from sync", i)
+					if !bytes.Equal(rec.sent[i], recRef.sent[i]) {
+						t.Fatalf("send %d differs from Store.Offload's", i)
 					}
 				}
 				st := eng.Stats()
@@ -171,7 +169,7 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 // the synchronous path one by one.
 func TestEngineOnDemandRestores(t *testing.T) {
 	s := NewStore(quant.OptL())
-	eng := NewEngine(s, EngineConfig{Async: true})
+	eng := NewEngine(s, EngineConfig{})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(3)
@@ -217,7 +215,7 @@ func TestEngineAsyncRecompute(t *testing.T) {
 		},
 	}
 	atWorkers(t, 2)
-	eng := NewEngine(s, EngineConfig{Async: true, Prefetch: 2})
+	eng := NewEngine(s, EngineConfig{Prefetch: 2})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(5)
@@ -277,7 +275,7 @@ func (c *dropOnce) Recv(b []byte) []byte {
 func TestEngineDroppedTransferTyped(t *testing.T) {
 	s := NewStore(quant.OptL())
 	s.Channel = &dropOnce{}
-	eng := NewEngine(s, EngineConfig{Async: true, Prefetch: 1})
+	eng := NewEngine(s, EngineConfig{Prefetch: 1})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(2)

@@ -20,11 +20,11 @@
 //     compression and transfers with forward/backward compute.
 //
 // Store is the bookkeeping core the layers meet at: it maps activation
-// refs to keyed transport entries and drives the synchronous
-// (degenerate) path. On corruption a configurable RecoveryPolicy decides
-// whether to fail with a typed error, re-read the transport, or
-// recompute the activation from scratch (gradient-checkpointing style,
-// wired in by internal/train).
+// refs to keyed transport entries and offers the synchronous operations
+// the recompute rebuild and on-demand restores use. On corruption a
+// configurable RecoveryPolicy decides whether to fail with a typed
+// error, re-read the transport, or recompute the activation from scratch
+// (gradient-checkpointing style, wired in by internal/train).
 package offload
 
 import (
@@ -128,9 +128,9 @@ type entry struct {
 
 // Store is a host-memory activation store using the JPEG-ACT pipeline
 // with a fixed DQT. It composes the codec and transport layers and owns
-// the ref→entry bookkeeping; the async scheduler (Engine) drives it
-// through the same internal operations the synchronous Offload/Restore
-// use, so both paths land on identical bytes.
+// the ref→entry bookkeeping; the scheduler (Engine) drives it through
+// the same internal operations the synchronous Offload/Restore use, so
+// both land on identical bytes.
 type Store struct {
 	DQT quant.DQT
 	S   float64
@@ -249,10 +249,7 @@ func (s *Store) Stats() Stats { return s.counters.Snapshot() }
 // transport backend and releases the tensor (ref.T becomes nil, or a
 // BRC mask replaces it). Refs are deduplicated by pointer; offloading
 // the same ref twice is an error.
-func (s *Store) Offload(ref *nn.ActRef) error { return s.offload(ref, false) }
-
-// offload is Offload, keeping the frame on the device when hold is set.
-func (s *Store) offload(ref *nn.ActRef, hold bool) error {
+func (s *Store) Offload(ref *nn.ActRef) error {
 	s.mu.Lock()
 	_, dup := s.entries[ref]
 	s.mu.Unlock()
@@ -266,7 +263,7 @@ func (s *Store) offload(ref *nn.ActRef, hold bool) error {
 	if err != nil {
 		return fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, err)
 	}
-	return s.commitWait(s.commitIssue(ref, frame.EncodeFrame(enc.Frame), enc.Mask, hold))
+	return s.commitWait(s.commitIssue(ref, frame.EncodeFrame(enc.Frame), enc.Mask, false))
 }
 
 // ticket is one routed transfer in flight: the backend's completion
@@ -314,7 +311,7 @@ func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool, hold bool)
 // tensor (attaching the BRC mask when present). Encode has finished with
 // the tensor and containers never release a saved ref, so nothing reads
 // it any more: its buffer goes back to the step arena it came from, if
-// any — from the engine's drain goroutine in async mode.
+// any — from the engine's drain goroutine.
 func (s *Store) commitWait(t *commitTicket) error {
 	e := &entry{seq: t.seq, size: len(t.data)}
 	if t.hold {

@@ -150,14 +150,14 @@ func (c *tapConn) Read(b []byte) (int, error) {
 }
 
 // twoSteps drives two offloaded training steps' worth of traffic through
-// an async engine over s — more activations per step than the default
+// an engine over s — more activations per step than the default
 // wire window holds, restored in reverse through a 4-deep prefetcher,
 // with the second step's last 4 held on the device — and returns every
 // restored tensor.
 func twoSteps(t *testing.T, s *Store) []*tensor.Tensor {
 	t.Helper()
 	const perStep = 12
-	eng := NewEngine(s, EngineConfig{Async: true, Prefetch: 4})
+	eng := NewEngine(s, EngineConfig{Prefetch: 4})
 	defer eng.Close()
 	var restored []*tensor.Tensor
 	for step := 0; step < 2; step++ {

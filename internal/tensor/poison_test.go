@@ -17,7 +17,7 @@ import (
 // every buffer filled with NaN before it is handed out. A kernel that
 // reads an element it did not write, or a tensor read after its buffer
 // went back and out again, then moves the weights or makes them NaN. Two
-// steps of every model, an async offloaded run whose corrupted frames are
+// steps of every model, an offloaded run whose corrupted frames are
 // recomputed, and a two-replica data-parallel run must each land on the
 // weights of the same run unpoisoned, at one worker and at three.
 func TestPoisonedArenaTrainsBitIdentical(t *testing.T) {
@@ -46,12 +46,12 @@ func TestPoisonedArenaTrainsBitIdentical(t *testing.T) {
 			return train.Classifier(m, classes(m), cfg).WeightsDigest
 		}})
 	}
-	runs = append(runs, run{"ResNet18 offload async recompute", func(t *testing.T) string {
+	runs = append(runs, run{"ResNet18 offload recompute", func(t *testing.T) string {
 		m := build("ResNet18")
 		inj := faults.New(faults.Config{Seed: 77, BitFlipPerByte: 1e-5})
 		inj.ForceNextRecv(1)
 		rep, stats, err := train.ClassifierOffloaded(m, classes(m), cfg, train.OffloadOptions{
-			DQT: quant.OptL(), Async: true, Policy: offload.PolicyRecompute, Channel: inj,
+			DQT: quant.OptL(), Policy: offload.PolicyRecompute, Channel: inj,
 		})
 		if err != nil || stats.Recomputed == 0 {
 			t.Fatalf("recomputed %d, error %v: the recovery path did not run", stats.Recomputed, err)

@@ -23,13 +23,13 @@ func benchStep(seed uint64) (*models.Model, *tensor.Tensor, lossFunc) {
 
 // TestCommitHandsBuffersBack: an offloaded activation's buffer goes back
 // to the step arena when its frame commits, whether the frame crosses the
-// channel or is held on the device. In sync mode, right after EndForward,
-// the arena holds what a plain step holds after its forward pass and
-// loss, minus exactly the offloaded buffers: on the engine's first step,
-// which sends every frame, and on its second, which holds the last 4. The
-// async engine commits while the forward pass is still running, so when
-// its buffers go back depends on timing: its high-water is logged beside
-// the plain and sync ones, not gated.
+// channel or is held on the device. EndForward is a barrier on every
+// commit, so right after it the arena holds what a plain step holds after
+// its forward pass and loss, minus exactly the offloaded buffers: on the
+// engine's first step, which sends every frame, and on its second, which
+// holds the last 4. Inside a trained step the save hooks commit while the
+// forward pass is still running, so when the buffers go back depends on
+// timing: that high-water is logged beside the plain one, not gated.
 func TestCommitHandsBuffersBack(t *testing.T) {
 	atWorkers(t, 2)
 	const seed = 2100
@@ -46,7 +46,8 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 	defer store.Close()
 	ch := &captureChannel{}
 	store.Channel = ch
-	eng := offload.NewEngine(store, OffloadOptions{}.engineConfig())
+	eng := offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
+	defer eng.Close()
 	for step, wantSent := range []int{13, 9} {
 		a := tensor.NewArena()
 		eng.BeginStep()
@@ -75,16 +76,19 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 		if err := eng.PrepareBackward(); err != nil {
 			t.Fatal(err)
 		}
+		if err := eng.EndStep(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Two steps each: the second holds its tail.
-	highWater := func(oc *OffloadOptions) int {
+	highWater := func(offloaded bool) int {
 		m, x, lossOf := benchStep(seed)
 		p := &pass{net: m.Net, arena: tensor.NewArena()}
-		if oc != nil {
+		if offloaded {
 			s := offload.NewStore(quant.OptL())
 			defer s.Close()
-			p.eng = offload.NewEngine(s, oc.engineConfig())
+			p.eng = offload.NewEngine(s, offload.EngineConfig{Prefetch: lookahead})
 			defer p.eng.Close()
 		}
 		for range 2 {
@@ -94,6 +98,5 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 		}
 		return p.arena.HighWater()
 	}
-	t.Logf("step arena high-water over two steps: plain %d B, offload sync %d B, offload async %d B",
-		highWater(nil), highWater(&OffloadOptions{}), highWater(&OffloadOptions{Async: true}))
+	t.Logf("step arena high-water over two steps: plain %d B, offload %d B", highWater(false), highWater(true))
 }

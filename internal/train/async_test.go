@@ -55,6 +55,38 @@ func (c *captureChannel) transfers() int {
 	return len(c.sent) + c.recvs
 }
 
+// offloadedAt is ClassifierOffloaded with the engine's restore lookahead
+// set to prefetch: 0 restores strictly on demand and holds nothing,
+// lookahead is the product's schedule. The store gets oc's channel,
+// policy and retries.
+func offloadedAt(m *models.Model, ds *data.Classification, cfg Config, oc OffloadOptions, prefetch int) (Report, offload.Stats, error) {
+	cfg = cfg.withDefaults()
+	rep := Report{ModelName: m.Name}
+	opt := cfg.newOptimizer()
+	store := offload.NewStore(quant.OptL())
+	store.Channel = oc.Channel
+	store.Recovery = offload.Recovery{Policy: oc.Policy, MaxRetries: oc.MaxRetries}
+	defer store.Close()
+	eng := offload.NewEngine(store, offload.EngineConfig{Prefetch: prefetch})
+	defer eng.Close()
+	p := &pass{net: m.Net, eng: eng, arena: tensor.NewArena()}
+	l := loop{cfg: cfg, step: localStep(p, opt, classifierBatch(ds, cfg)), validate: classifierValidation(m.Net, p.arena, ds, cfg)}
+	err := l.run(&rep)
+	rep.WeightsDigest = weightsDigest(m.Net)
+	return rep, store.Stats(), err
+}
+
+// withoutHeldTails drops from an on-demand run's channel sequence (perStep
+// frames a step) the frames a lookahead engine keeps on the device: the
+// last lookahead of every step after the first.
+func withoutHeldTails(frames []string, perStep int) []string {
+	out := append([]string(nil), frames[:perStep]...)
+	for lo := perStep; lo < len(frames); lo += perStep {
+		out = append(out, frames[lo:lo+perStep-lookahead]...)
+	}
+	return out
+}
+
 func workerSet() []int {
 	set := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 {
@@ -66,59 +98,51 @@ func workerSet() []int {
 // TestAsyncSyncEquivalence is the acceptance matrix: the same short
 // training run must be bit-identical — losses, validation scores, final
 // weights, and the sequence of compressed frames crossing the channel —
-// across sync and async modes at every worker count (the engine's
-// on-demand configuration is held to the same tensors and frames in
-// internal/offload, TestEnginePrefetchBitExact). The trainer drives both
-// engines with the same save hooks, so they submit, send and hold the
-// same frames in the same order.
+// at restore lookahead 0 and 4 at every worker count, against the
+// trainer's own run (the engine's on-demand configuration is held to the
+// same tensors and frames in internal/offload, TestEnginePrefetchBitExact).
+// Both lookaheads submit the same frames in the same order; the channel
+// sequences differ only by the held tail, which lookahead 0 sends too.
 func TestAsyncSyncEquivalence(t *testing.T) {
-	run := func(oc OffloadOptions, workers int) (Report, *models.Model, []string) {
+	cfg := faultCfg(t)
+	refModel, ds := faultModel(600)
+	ch := &captureChannel{}
+	refRep, _, err := ClassifierOffloaded(refModel, ds, cfg, OffloadOptions{Channel: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refFrames := ch.frames()
+	train := func(prefetch, workers int) (Report, *models.Model, []string) {
 		m, ds := faultModel(600)
-		cfg := faultCfg(t)
 		atWorkers(t, workers)
 		ch := &captureChannel{}
-		oc.Channel = ch
-		rep, _, err := ClassifierOffloaded(m, ds, cfg, oc)
+		rep, _, err := offloadedAt(m, ds, cfg, OffloadOptions{Channel: ch}, prefetch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep, m, ch.frames()
 	}
 
-	refRep, refModel, refFrames := run(OffloadOptions{DQT: quant.OptL()}, 2)
-
-	type variant struct {
-		name    string
-		oc      OffloadOptions
-		workers int
-	}
-	var variants []variant
+	steps := cfg.Epochs * cfg.BatchesPerEpoch
+	perStep := (len(refFrames) + (steps-1)*lookahead) / steps
 	for _, w := range workerSet() {
-		variants = append(variants, variant{fmt.Sprintf("async-prefetch-w%d", w), OffloadOptions{Async: true, DQT: quant.OptL()}, w})
-	}
-	// The zero options are the reference's: an unset DQT is OptL, not a
-	// table of ones.
-	variants = append(variants, variant{"sync-w1", OffloadOptions{}, 1})
-
-	for _, v := range variants {
-		rep, m, frames := run(v.oc, v.workers)
-		sameEpochs(t, refRep, rep, v.name)
-		if len(frames) != len(refFrames) {
-			t.Fatalf("%s: %d frames vs %d", v.name, len(frames), len(refFrames))
-		}
-		for i := range frames {
-			if frames[i] != refFrames[i] {
-				t.Fatalf("%s: compressed frame sequence differs at %d", v.name, i)
+		for _, prefetch := range []int{0, lookahead} {
+			name := fmt.Sprintf("prefetch%d-w%d", prefetch, w)
+			rep, m, frames := train(prefetch, w)
+			sameEpochs(t, refRep, rep, name)
+			sameWeights(t, refModel, m, name)
+			if prefetch == 0 {
+				if len(frames) != steps*perStep {
+					t.Fatalf("%s: %d frames, want %d steps of %d", name, len(frames), steps, perStep)
+				}
+				frames = withoutHeldTails(frames, perStep)
 			}
-		}
-		pa, pb := refModel.Net.Params(), m.Net.Params()
-		if len(pa) != len(pb) {
-			t.Fatalf("%s: param count %d vs %d", v.name, len(pa), len(pb))
-		}
-		for i := range pa {
-			for j := range pa[i].W.Data {
-				if pa[i].W.Data[j] != pb[i].W.Data[j] {
-					t.Fatalf("%s: weight %q[%d] diverged", v.name, pa[i].Name, j)
+			if len(frames) != len(refFrames) {
+				t.Fatalf("%s: %d frames vs %d", name, len(frames), len(refFrames))
+			}
+			for i := range frames {
+				if frames[i] != refFrames[i] {
+					t.Fatalf("%s: compressed frame sequence differs at %d", name, i)
 				}
 			}
 		}
@@ -126,44 +150,52 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 }
 
 // TestAsyncRecomputeBitExact extends the recompute acceptance test to
-// the pipelined path: corruption discovered asynchronously (by the
-// prefetcher, mid-backward) must still recover into exactly the
-// trajectory of a fault-free synchronous run, and two faulty async runs
-// must agree with each other counter-for-counter.
+// both restore schedules: corruption discovered by the prefetcher
+// mid-backward (lookahead 4) or by an on-demand restore (lookahead 0)
+// must still recover into exactly the trajectory of a fault-free run, and
+// the faulty runs of one lookahead must agree counter-for-counter at
+// every worker count.
 func TestAsyncRecomputeBitExact(t *testing.T) {
-	run := func(faulty bool, async bool) (Report, offload.Stats) {
+	run := func(faulty bool, prefetch, workers int) (Report, offload.Stats) {
 		m, ds := faultModel(200)
-		oc := OffloadOptions{DQT: quant.OptL(), Policy: offload.PolicyRecompute, Async: async}
+		cfg := faultCfg(t)
+		atWorkers(t, workers)
+		oc := OffloadOptions{Policy: offload.PolicyRecompute}
 		if faulty {
 			inj := faults.New(faults.Config{Seed: 77, BitFlipPerByte: 1e-5})
 			inj.ForceNextRecv(1)
 			oc.Channel = inj
 		}
-		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), oc)
+		rep, stats, err := offloadedAt(m, ds, cfg, oc, prefetch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep, stats
 	}
 
-	cleanSync, _ := run(false, false)
-	faultyA, statsA := run(true, true)
-	faultyB, statsB := run(true, true)
-
-	if statsA.Recomputed == 0 {
-		t.Fatal("no recompute happened; the async fault path was not exercised")
+	clean, _ := run(false, 0, 1)
+	for _, prefetch := range []int{0, lookahead} {
+		var first offload.Stats
+		for i, w := range workerSet() {
+			name := fmt.Sprintf("prefetch%d-w%d", prefetch, w)
+			faulty, stats := run(true, prefetch, w)
+			if stats.Recomputed == 0 {
+				t.Fatalf("%s: no recompute happened; the fault path was not exercised", name)
+			}
+			if stats.Corrupted == 0 {
+				t.Fatalf("%s: no corruption detected", name)
+			}
+			if i == 0 {
+				first = stats
+			} else if stats != first {
+				t.Fatalf("%s: fault counters not deterministic: %+v vs %+v", name, stats, first)
+			}
+			sameEpochs(t, faulty, clean, name+" faulty vs fault-free")
+		}
 	}
-	if statsA.Corrupted == 0 {
-		t.Fatal("no corruption detected")
-	}
-	if statsA != statsB {
-		t.Fatalf("async fault runs not deterministic: %+v vs %+v", statsA, statsB)
-	}
-	sameEpochs(t, faultyA, faultyB, "faulty async re-run")
-	sameEpochs(t, faultyA, cleanSync, "faulty async vs fault-free sync")
 }
 
-// TestAsyncFailPolicy: an async restore failure under PolicyFail aborts
+// TestAsyncFailPolicy: a prefetched restore failure under PolicyFail aborts
 // the step cleanly with the typed error, not a panic escaping the
 // backward pass.
 func TestAsyncFailPolicy(t *testing.T) {
@@ -171,7 +203,7 @@ func TestAsyncFailPolicy(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 78})
 	inj.ForceNextRecv(1)
 	_, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
-		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyFail, Async: true,
+		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyFail,
 	})
 	if err == nil {
 		t.Fatal("forced corruption under PolicyFail must error")
@@ -187,7 +219,7 @@ func TestAsyncDropRecovery(t *testing.T) {
 	m, ds := faultModel(500)
 	inj := faults.New(faults.Config{Seed: 81, DropRate: 0.03})
 	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
-		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute, Async: true,
+		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyRecompute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,16 +234,17 @@ func TestAsyncDropRecovery(t *testing.T) {
 
 // TestHeldTailSkipsChannel: on the bench-scale ResNet18 (13 saved refs a
 // step), an engine's first step sends and fetches every frame — 26
-// transfers — and from its second step on the 4 frames forward submits
-// last stay on the device — 18. The batch input is submitted first, so it
-// is the first frame on the channel and never held. Sync and async send
-// the same frame sequence, so they hold the same 4 refs; every step
-// restores all it offloaded; and the weights after the steps are the
-// functional round trip's through the same codec.
+// transfers — and from its second step on, at lookahead 4, the 4 frames
+// forward submits last stay on the device — 18; at lookahead 0 every step
+// is the first. The batch input is submitted first, so it is the first
+// frame on the channel and never held. Both lookaheads submit the same
+// frame sequence, so the held frames are lookahead 0's last 4 of each
+// step; every step restores all it offloaded; and the weights after the
+// steps are the functional round trip's through the same codec.
 func TestHeldTailSkipsChannel(t *testing.T) {
 	atWorkers(t, 2)
 	const seed, steps = 2200, 3
-	run := func(act string) (digest string, sent []string) {
+	run := func(act string, prefetch int) (digest string, sent []string) {
 		m := models.ResNet18(models.Scale{Width: 16, Blocks: 1, H: 32, W: 32}, 4, tensor.NewRNG(seed))
 		ds := data.NewClassification(data.ClassificationConfig{Classes: 4, Channels: 3, H: 32, W: 32, Noise: 0.4, Seed: seed})
 		cfg := Config{BatchSize: 8, LR: 0.05, Momentum: 0.9}.withDefaults()
@@ -224,7 +257,7 @@ func TestHeldTailSkipsChannel(t *testing.T) {
 			store = offload.NewStore(quant.OptL())
 			store.Channel = ch
 			defer store.Close()
-			p.eng = offload.NewEngine(store, OffloadOptions{Async: act == "async"}.engineConfig())
+			p.eng = offload.NewEngine(store, offload.EngineConfig{Prefetch: prefetch})
 			defer p.eng.Close()
 		}
 		var x *tensor.Tensor
@@ -243,7 +276,7 @@ func TestHeldTailSkipsChannel(t *testing.T) {
 				continue
 			}
 			want := 18
-			if s == 0 {
+			if s == 0 || prefetch == 0 {
 				want = 26
 			}
 			if got := ch.transfers() - before; got != want {
@@ -262,18 +295,18 @@ func TestHeldTailSkipsChannel(t *testing.T) {
 		}
 		return weightsDigest(m.Net), ch.frames()
 	}
-	ref, _ := run("round-trip")
-	syncDigest, syncSent := run("sync")
-	asyncDigest, asyncSent := run("async")
-	if syncDigest != ref || asyncDigest != ref {
-		t.Fatalf("weights: sync %s, async %s, the round trip's %s", syncDigest, asyncDigest, ref)
+	ref, _ := run("round-trip", 0)
+	onDemand, allSent := run("prefetch0", 0)
+	held, heldSent := run("prefetch4", lookahead)
+	if onDemand != ref || held != ref {
+		t.Fatalf("weights: lookahead 0 %s, lookahead 4 %s, the round trip's %s", onDemand, held, ref)
 	}
-	if want := 13 + 2*9; len(syncSent) != want || len(asyncSent) != want {
-		t.Fatalf("sent %d frames sync, %d async, want %d", len(syncSent), len(asyncSent), want)
+	if len(allSent) != 3*13 || len(heldSent) != 13+2*9 {
+		t.Fatalf("sent %d frames at lookahead 0, %d at lookahead 4, want %d and %d", len(allSent), len(heldSent), 3*13, 13+2*9)
 	}
-	for i := range syncSent {
-		if syncSent[i] != asyncSent[i] {
-			t.Fatalf("frame %d on the channel differs between sync and async: they hold different refs", i)
+	for i, f := range withoutHeldTails(allSent, 13) {
+		if f != heldSent[i] {
+			t.Fatalf("frame %d on the channel differs between the lookaheads: they hold different refs", i)
 		}
 	}
 }

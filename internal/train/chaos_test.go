@@ -89,7 +89,6 @@ func TestChaosSoakBitExact(t *testing.T) {
 	run := func(oc OffloadOptions) (Report, offload.Stats, *models.Model) {
 		m, ds := faultModel(901)
 		oc.DQT = quant.OptL()
-		oc.Async = true
 		oc.Policy = offload.PolicyRecompute
 		oc.MaxRetries = 3
 		rep, stats, err := ClassifierOffloaded(m, ds, cfg, oc)

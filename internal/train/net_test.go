@@ -89,7 +89,7 @@ func sameWeights(t *testing.T, a, b *models.Model, label string) {
 }
 
 // TestNetstoreTrainingBitExact is the acceptance test of the networked
-// transport: training over a unix-socket activation store — async with
+// transport: training over a unix-socket activation store — with
 // prefetch — must produce bit-identical final weights and epoch losses to
 // the in-process transport, including
 // when every connection keeps dying mid-frame and the client has to
@@ -99,7 +99,6 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 	run := func(oc OffloadOptions) (Report, offload.Stats, *models.Model) {
 		m, ds := faultModel(700)
 		oc.DQT = quant.OptL()
-		oc.Async = true
 		rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), oc)
 		if err != nil {
 			t.Fatal(err)

@@ -11,15 +11,13 @@ package train
 // would, after rewinding BatchNorm/Dropout side effects so the replay
 // is bit-identical.
 //
-// With Async set, the offload engine overlaps the traffic with compute:
-// save hooks stream each activation to the encode pool the moment the
-// forward pass is done with it, frames are committed to the channel in
-// submission order, and the backward pass consumes restores staged by a
-// reverse-order prefetcher. Sync mode is the degenerate case of the same
-// engine, driven by the same hooks, so both submit the same sequence
-// (and fault patterns match). From the second step on, the last frames
-// forward submits — the first ones backward reads — stay on the device.
-// Both paths produce bit-identical training trajectories.
+// The offload engine overlaps the traffic with compute: save hooks stream
+// each activation to the encode pool the moment the forward pass is done
+// with it, frames are committed to the channel in submission order, and
+// the backward pass consumes restores staged by a reverse-order
+// prefetcher. From the second step on, the last frames forward submits —
+// the first ones backward reads — stay on the device. The trajectory is
+// the functional round trip's through the same codec, bit for bit.
 
 import (
 	"fmt"
@@ -48,10 +46,8 @@ type OffloadOptions struct {
 	// MaxRetries bounds the channel re-reads, which follow one another
 	// without a delay.
 	MaxRetries int
-	// Async enables the pipelined engine: activations stream to the
-	// host as the forward pass produces them and restores are
-	// prefetched during backward (see engineConfig). The trajectory is
-	// bit-identical to sync mode.
+	// Async selects nothing: the engine always runs the pipelined path.
+	// It is kept only so bench/ compiles against it.
 	Async bool
 	// StoreAddr, when non-empty, sends the offload traffic to a shared
 	// networked activation store (cmd/actstore) at this address —
@@ -92,15 +88,12 @@ type OffloadOptions struct {
 	Verbose bool
 }
 
-// engineConfig maps the options onto the scheduler layer. The restore
-// lookahead is 4: the staged objects are verified compressed frames, so
-// a window a little deeper than a residual block's burst of refs costs
-// almost nothing and keeps the channel busy through the bursts. The same
-// 4 frames at the tail of each step stay on the device. The encode
-// workers' in-flight bytes are left unbounded.
-func (oc OffloadOptions) engineConfig() offload.EngineConfig {
-	return offload.EngineConfig{Async: oc.Async, Prefetch: 4}
-}
+// lookahead is the engine's restore lookahead: the staged objects are
+// verified compressed frames, so a window a little deeper than a residual
+// block's burst of refs costs almost nothing and keeps the channel busy
+// through the bursts. The same 4 frames at the tail of each step stay on
+// the device. The encode workers' in-flight bytes are left unbounded.
+const lookahead = 4
 
 // storeOpTimeout is the per-attempt bound inside a wire operation's
 // total budget: a quarter of it, at least 50ms, so one stalled
@@ -138,9 +131,6 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		oc.DQT = quant.OptL()
 	}
 	rep := Report{ModelName: m.Name, MethodName: "JPEG-ACT/offload(" + oc.Policy.String() + ")"}
-	if oc.Async {
-		rep.MethodName = "JPEG-ACT/offload-async(" + oc.Policy.String() + ")"
-	}
 	opt := cfg.newOptimizer()
 
 	store := offload.NewStore(oc.DQT)
@@ -166,7 +156,7 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		rep.MethodName += "+netstore"
 	}
 	defer store.Close()
-	eng := offload.NewEngine(store, oc.engineConfig())
+	eng := offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
 	defer eng.Close()
 
 	p := &pass{net: m.Net, eng: eng, arena: tensor.NewArena()}

@@ -18,7 +18,7 @@ import (
 // takes an activation policy and a gradient policy, and the two compose.
 // Within every gradient row — local, all-reduce K=2 overlapped, K=2 with
 // the serial exchange, K=4 over a networked store — real offload through
-// an engine (sync and async, clean channel) must land on the weights and
+// an engine (restore lookahead 0 and 4, clean channel) must land on the weights and
 // epoch statistics of the functional round-trip through the same codec,
 // bit for bit: offload ≡ round-trip, and DP × offload falls out of the
 // composition. Every offload cell must also have moved real traffic and
@@ -28,7 +28,7 @@ func TestPolicyMatrix(t *testing.T) {
 	atWorkers(t, 2)
 	cfg := Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Seed: 78}
 	roundTrip := func() compress.Method { return compress.NewJPEGAct(quant.Fixed(quant.OptL())) }
-	activations := []string{"round-trip", "offload-sync", "offload-async"}
+	activations := []string{"round-trip", "offload-prefetch0", "offload"}
 	drained := func(label string, s offload.Stats) {
 		t.Helper()
 		if s.Offloaded == 0 || s.Offloaded != s.Restored {
@@ -50,7 +50,11 @@ func TestPolicyMatrix(t *testing.T) {
 			} else {
 				var stats offload.Stats
 				var err error
-				rep, stats, err = ClassifierOffloaded(m, ds, cfg, OffloadOptions{DQT: quant.OptL(), Async: act == "offload-async"})
+				if act == "offload" {
+					rep, stats, err = ClassifierOffloaded(m, ds, cfg, OffloadOptions{})
+				} else {
+					rep, stats, err = offloadedAt(m, ds, cfg, OffloadOptions{}, 0)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,7 +107,11 @@ func TestPolicyMatrix(t *testing.T) {
 						s.Transport = transport.NewNetClient(dial, s.Counters())
 						s.KeyBase = uint64(k+1) << 32
 					}
-					eng := offload.NewEngine(s, offload.EngineConfig{Async: act == "offload-async", Prefetch: 4})
+					prefetch := lookahead
+					if act == "offload-prefetch0" {
+						prefetch = 0
+					}
+					eng := offload.NewEngine(s, offload.EngineConfig{Prefetch: prefetch})
 					t.Cleanup(func() {
 						eng.Close()
 						s.Close()
@@ -209,12 +217,21 @@ func TestLoopDivergenceAndErrorExits(t *testing.T) {
 	}
 	m, ds := faultModel(1900)
 	check("Classifier", Classifier(m, ds, cfg), nil)
-	for _, async := range []bool{false, true} {
+	for _, prefetch := range []int{0, lookahead} {
 		m, ds = faultModel(1900)
-		rep, stats, err := ClassifierOffloaded(m, ds, cfg, OffloadOptions{DQT: quant.OptL(), Async: async})
-		check(fmt.Sprintf("ClassifierOffloaded(async=%v)", async), rep, err)
+		name := "ClassifierOffloaded"
+		var rep Report
+		var stats offload.Stats
+		var err error
+		if prefetch == lookahead {
+			rep, stats, err = ClassifierOffloaded(m, ds, cfg, OffloadOptions{})
+		} else {
+			name = fmt.Sprintf("offloaded at lookahead %d", prefetch)
+			rep, stats, err = offloadedAt(m, ds, cfg, OffloadOptions{}, prefetch)
+		}
+		check(name, rep, err)
 		if stats.Offloaded == 0 || stats.Offloaded != stats.Restored {
-			t.Fatalf("async=%v: diverged run left the store unbalanced: %+v", async, stats)
+			t.Fatalf("%s: diverged run left the store unbalanced: %+v", name, stats)
 		}
 	}
 	newModel, _, dds := dpFixture(1900)

@@ -67,8 +67,8 @@ const maxRecompute = 16
 type restoreAbort struct{ err error }
 
 // run differentiates one batch. Backward runs under one merged hook set:
-// OnNeed belongs to the activation policy (async offload restores on
-// demand), OnGrad to the gradient policy (the caller's, nil for local).
+// OnNeed belongs to the activation policy (offload restores on demand),
+// OnGrad to the gradient policy (the caller's, nil for local).
 // Every tensor the step drew from the arena goes back to it when the step
 // is over, the offload engine's last commit and restore included.
 func (p *pass) run(x *tensor.Tensor, lossOf lossFunc, epoch int, onGrad func(*nn.Param)) (stepResult, error) {
@@ -117,10 +117,8 @@ func backward(net nn.Layer, grad *tensor.Tensor) (err error) {
 }
 
 // beginOffload opens the engine's step before the forward pass: save
-// hooks hand each activation to the engine the moment forward is done
-// with it — to the encode pool in async mode, through the synchronous
-// commit otherwise — so both modes submit the same sequence and hold the
-// same tail. Under PolicyRecompute it arms the whole-step
+// hooks hand each activation to the engine's encode pool the moment
+// forward is done with it. Under PolicyRecompute it arms the whole-step
 // rebuild, which keeps the gradient policy's onGrad attached. The
 // returned func ends the step — drains the restore side, or aborts it
 // on err — and tears the step's store state down.
@@ -169,18 +167,15 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 // endForward closes the offload side of the step and readies the restore
 // side: sweep whatever the streaming hooks had to hold back (the
 // frontier-adjacent refs), barrier until every frame has been
-// committed to the channel, then restore everything (sync, the
-// degenerate case) or start the reverse-order prefetcher and put the
-// on-demand restore into hooks (async).
+// committed to the channel, then start the reverse-order prefetcher and
+// put the on-demand restore into hooks.
 func (p *pass) endForward(hooks *nn.Hooks) (orig, comp int, err error) {
 	if orig, comp, err = p.eng.EndForward(p.net.SavedRefs()); err != nil {
 		return orig, comp, err
 	}
-	if p.eng.Async() {
-		hooks.OnNeed = func(ref *nn.ActRef) {
-			if rerr := p.eng.Restore(ref); rerr != nil {
-				panic(restoreAbort{rerr})
-			}
+	hooks.OnNeed = func(ref *nn.ActRef) {
+		if rerr := p.eng.Restore(ref); rerr != nil {
+			panic(restoreAbort{rerr})
 		}
 	}
 	return orig, comp, p.eng.PrepareBackward()
