@@ -58,8 +58,11 @@ bench:
 # Fuzz sweep: every decoder fuzz target for 10s each. Go runs one fuzz
 # target per invocation, so loop over the discovered names in each fuzzed
 # package. The decoders facing untrusted bytes — the offload container
-# (FuzzDecodeFrame), the JPEG-ACT coefficient decode that only bench/
-# still calls (FuzzDecodeCoefficients), the activation-store request path
+# (FuzzDecodeFrame), the activation decode every restore runs, whose
+# Decode and DecodeInto must also agree (FuzzDecodeActivation, seeded
+# from its committed corpus under testdata/fuzz/), the JPEG-ACT
+# coefficient decode that only bench/ still calls
+# (FuzzDecodeCoefficients), the activation-store request path
 # (FuzzNetstoreRequest) and the client's response parser
 # (FuzzWireResponse) — must survive arbitrary input without a panic.
 FUZZTIME ?= 10s
@@ -84,7 +87,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11172
+LOC_MAX = 11299
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -140,9 +140,10 @@ func TestDecodeCoefficientsAllocs(t *testing.T) {
 // calls — codec.Pipeline.Encode and Decode — in both directions and for
 // all three codecs, on the benchmark's (8,16,32,32) tensor at two
 // workers. What must be fresh per call is the payload on the way out
-// and the tensor on the way back; everything else (the SFPR code plane,
-// quantized blocks, decoded blocks and codes) comes from pools, and the
-// flat ZVC coder sizes its stream exactly instead of growing it. The
+// and the tensor on the way back; the encode scratch (the SFPR+ZVC code
+// plane, the JPEG-ACT block array) comes from pools, decode writes
+// straight from the frame bytes into the tensor, and the ZVC coders size
+// their stream exactly instead of growing it. The
 // byte budget is that fresh result plus 16 KiB, the object budget 24, so
 // pooled scratch cannot quietly become a per-call make again. (Before
 // the pools reached these paths: encode 787 KB for a 160 KB ZVC payload,
@@ -300,4 +301,39 @@ func TestTrainRoundAllocs(t *testing.T) {
 			bytes, bytes/steps, objects, maxBytesPerStep, maxObjects)
 	}
 	t.Logf("a train_plain round: %d B (%d B a step), %d objects", bytes, bytes/steps, objects)
+}
+
+// TestOffloadRoundAllocs pins what a clean offloaded round allocates: the
+// train_plain round of TestTrainRoundAllocs through the offload engine
+// over a clean in-process channel, as train_offload_dma runs it without
+// the simulated DMA sleeps. Each restore decodes into a buffer drawn from
+// the step arena its commit released the tensor to, and the codec writes
+// it straight from the frame bytes, so what a round adds over the plain
+// one is mostly the frames themselves and the engine's bookkeeping:
+// 29.2 MB (3.65 MB a step) and 9,760 objects at two workers with the
+// collector off. When every restore decoded into a fresh heap tensor,
+// through a pooled code plane or block array, a round allocated 59.8 MB
+// (7.48 MB a step) and 10,260 objects.
+func TestOffloadRoundAllocs(t *testing.T) {
+	defer pooledSteadyState(t)()
+	const steps, maxBytesPerStep, maxObjects = 8, 1 << 22, 10500 // 4 MiB
+	bytes, objects := ^uint64(0), ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := TrainClassifierOffloaded("ResNet18", ModelScale{Width: 16, Blocks: 1, H: 32, W: 32}, TrainConfig{
+			Epochs: 1, BatchesPerEpoch: steps, BatchSize: 8,
+		}, OffloadTrainOptions{DQT: OptL()}, 42)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	if bytes/steps > maxBytesPerStep || objects > maxObjects {
+		t.Errorf("an offloaded round allocates %d B (%d B a step) and %d objects; budget %d B a step and %d objects",
+			bytes, bytes/steps, objects, maxBytesPerStep, maxObjects)
+	}
+	t.Logf("an offloaded round: %d B (%d B a step), %d objects", bytes, bytes/steps, objects)
 }

@@ -22,17 +22,17 @@ import (
 //
 // Both layouts the codec produces — a flat []int8 of SFPR codes and
 // [][64]int8 quantized blocks, whose concatenation codes to the same
-// stream — are cut into shards of zvcShard values. Shard sizes are
+// stream — are cut into shards of ZVCShard values. Shard sizes are
 // prefix-summed into stream offsets and shards code in parallel, each
 // inside its own window of the stream (the paper's multi-CDU round-robin
 // in software), so the bytes are identical at any worker count.
 
 // zvcShardBlocks is the number of 8×8 blocks per parallel shard (one
 // group is a dozen word operations, so 512 groups keep the goroutine
-// handoff well under 1%), zvcShard the same in values.
+// handoff well under 1%), ZVCShard the same in values.
 const (
 	zvcShardBlocks = 64
-	zvcShard       = zvcShardBlocks * 64
+	ZVCShard       = zvcShardBlocks * 64
 )
 
 // The kernels treat a group as one little-endian 64-bit word, value j in
@@ -184,11 +184,11 @@ func encodeGroupExact(dst []byte, p int, g []int8) int {
 	return p
 }
 
-// decodeZVCInto decodes len(dst) values — whole groups plus at most one
-// short tail — from data starting at p, overwriting every element of
-// dst. It returns the new position, or ok = false if the stream ends
-// early or is not canonical.
-func decodeZVCInto(dst []int8, data []byte, p int) (int, bool) {
+// DecodeZVCRun decodes len(dst) values — whole groups plus at most one
+// short tail, which only the stream's last run may have — from data
+// starting at p, overwriting every element of dst. It returns the new
+// position, or ok = false if the stream ends early or is not canonical.
+func DecodeZVCRun(dst []int8, data []byte, p int) (int, bool) {
 	var bad uint64
 	i := 0
 	for ; i+8 <= len(dst); i += 8 {
@@ -287,8 +287,8 @@ func encodeZVCShards(shards int, size func(s int) int, encode func(s int, win []
 // EncodeZVC compresses vals (any length; the tail group may be short).
 func EncodeZVC(vals []int8) []byte {
 	n := len(vals)
-	shard := func(s int) []int8 { return vals[s*zvcShard : min((s+1)*zvcShard, n)] }
-	return encodeZVCShards((n+zvcShard-1)/zvcShard,
+	shard := func(s int) []int8 { return vals[s*ZVCShard : min((s+1)*ZVCShard, n)] }
+	return encodeZVCShards((n+ZVCShard-1)/ZVCShard,
 		func(s int) int { return zvcSize(shard(s)) },
 		func(s int, win []byte) { encodeZVCInto(win, 0, shard(s)) })
 }
@@ -297,39 +297,51 @@ func EncodeZVC(vals []int8) []byte {
 // stream byte-identical to EncodeZVC over the flattened values without
 // materializing the flat copy.
 func EncodeZVCBlocks(blocks [][64]int8) []byte {
+	return EncodeZVCBlocksFill(blocks, func(lo, hi int) {})
+}
+
+// EncodeZVCBlocksFill is EncodeZVCBlocks over blocks that fill produces:
+// fill(lo, hi) writes blocks[lo:hi], one shard, inside the pass that
+// sizes it, so each block is still in cache when it is counted and is
+// read once more, to be coded. Shards fill in parallel.
+func EncodeZVCBlocksFill(blocks [][64]int8, fill func(lo, hi int)) []byte {
 	nb := len(blocks)
-	shard := func(s int) [][64]int8 { return blocks[s*zvcShardBlocks : min((s+1)*zvcShardBlocks, nb)] }
+	shard := func(s int) (lo, hi int) { return s * zvcShardBlocks, min((s+1)*zvcShardBlocks, nb) }
 	return encodeZVCShards((nb+zvcShardBlocks-1)/zvcShardBlocks,
-		func(s int) int { return zvcSizeBlocks(shard(s)) },
+		func(s int) int {
+			lo, hi := shard(s)
+			fill(lo, hi)
+			n := 0
+			for i := lo; i < hi; i++ {
+				n += 8 + countNonzero(blocks[i][:])
+			}
+			return n
+		},
 		func(s int, win []byte) {
+			lo, hi := shard(s)
 			p := 0
-			for _, b := range shard(s) {
-				p = encodeZVCInto(win, p, b[:])
+			for i := lo; i < hi; i++ {
+				p = encodeZVCInto(win, p, blocks[i][:])
 			}
 		})
 }
 
-func zvcSizeBlocks(blocks [][64]int8) int {
-	n := 0
-	for i := range blocks {
-		n += 8 + countNonzero(blocks[i][:])
-	}
-	return n
-}
-
-// decodeZVCShards is the decode driver both layouts share. It walks the
-// masks of a stream holding n values to find the offset of every shard's
-// first mask — serial, since each mask's position depends on the
+// DecodeZVCShards is the decode driver every layout shares, for a stream
+// holding n values. It walks the masks to find the offset of every
+// shard's first mask — serial, since each mask's position depends on the
 // popcounts before it, but one byte per group — rejects the stream unless
 // the groups end exactly at its end, and then lets shards decode in
-// parallel; decode reports whether shard s, starting at offset p, was
-// canonical.
-func decodeZVCShards(data []byte, n int, decode func(s, p int) bool) error {
-	offs := make([]int, (n+zvcShard-1)/zvcShard)
+// parallel: decode(s, p) decodes shard s, values [s·ZVCShard,
+// min((s+1)·ZVCShard, n)), from offset p with DecodeZVCRun, in runs of
+// whole groups, and reports whether the shard was canonical. A caller
+// decoding into a stack buffer per run and writing its own result is
+// how the codec restores straight into a tensor.
+func DecodeZVCShards(data []byte, n int, decode func(s, p int) bool) error {
+	offs := make([]int, (n+ZVCShard-1)/ZVCShard)
 	p := 0
 	for s := range offs {
 		offs[s] = p
-		groups := (min((s+1)*zvcShard, n) - s*zvcShard + 7) / 8
+		groups := (min((s+1)*ZVCShard, n) - s*ZVCShard + 7) / 8
 		for g := 0; g < groups; g++ {
 			if p >= len(data) {
 				return ErrCorrupt
@@ -354,26 +366,15 @@ func decodeZVCShards(data []byte, n int, decode func(s, p int) bool) error {
 	return nil
 }
 
-// DecodeZVCInto decodes a stream produced by EncodeZVC into dst, whose
-// length is the original value count. Every element of dst is
-// overwritten.
-func DecodeZVCInto(dst []int8, data []byte) error {
-	n := len(dst)
-	return decodeZVCShards(data, n, func(s, p int) bool {
-		_, ok := decodeZVCInto(dst[s*zvcShard:min((s+1)*zvcShard, n)], data, p)
-		return ok
-	})
-}
-
 // DecodeZVCBlocksInto decodes a stream produced by EncodeZVCBlocks (or
 // EncodeZVC over flattened blocks) into dst, whose length fixes the
 // expected block count. Every block is overwritten.
 func DecodeZVCBlocksInto(dst [][64]int8, data []byte) error {
 	nb := len(dst)
-	return decodeZVCShards(data, nb*64, func(s, p int) bool {
+	return DecodeZVCShards(data, nb*64, func(s, p int) bool {
 		ok := true
 		for i := s * zvcShardBlocks; i < min((s+1)*zvcShardBlocks, nb) && ok; i++ {
-			p, ok = decodeZVCInto(dst[i][:], data, p)
+			p, ok = DecodeZVCRun(dst[i][:], data, p)
 		}
 		return ok
 	})
@@ -398,8 +399,8 @@ func DecodeZVCBlocks(data []byte, nb int) ([][64]int8, error) {
 func ZVCSize(vals []int8) int {
 	n := len(vals)
 	var total atomic.Int64
-	parallel.For((n+zvcShard-1)/zvcShard, 4, func(lo, hi int) {
-		total.Add(int64(zvcSize(vals[lo*zvcShard : min(hi*zvcShard, n)])))
+	parallel.For((n+ZVCShard-1)/ZVCShard, 4, func(lo, hi int) {
+		total.Add(int64(zvcSize(vals[lo*ZVCShard : min(hi*ZVCShard, n)])))
 	})
 	return int(total.Load())
 }

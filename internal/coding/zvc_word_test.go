@@ -35,9 +35,20 @@ func refEncodeZVC(vals []int8) []byte {
 	return out
 }
 
+// DecodeZVCInto decodes a stream produced by EncodeZVC into dst, whose
+// length is the original value count, one whole shard per run: the flat
+// layout through the product's decode driver.
+func DecodeZVCInto(dst []int8, data []byte) error {
+	n := len(dst)
+	return DecodeZVCShards(data, n, func(s, p int) bool {
+		_, ok := DecodeZVCRun(dst[s*ZVCShard:min((s+1)*ZVCShard, n)], data, p)
+		return ok
+	})
+}
+
 // DecodeZVC is DecodeZVCInto into a fresh slice of the n original values,
-// the form these tests find convenient; the product decodes into pooled
-// buffers.
+// the form these tests find convenient; the product decodes straight into
+// its destination tensor.
 func DecodeZVC(data []byte, n int) ([]int8, error) {
 	if len(data) < (n+7)/8 {
 		return nil, ErrCorrupt // before allocating n values for it
@@ -158,7 +169,7 @@ func withWorkers(t *testing.T, f func(w int)) {
 // every density, at lengths that are not multiples of 8 or of the shard
 // size, and at every worker count.
 func TestZVCMatchesReference(t *testing.T) {
-	lengths := []int{0, 1, 7, 8, 9, 13, 64, zvcShard - 1, zvcShard, zvcShard + 1, zvcShard + 8, 3*zvcShard + 5, 5*zvcShard - 3}
+	lengths := []int{0, 1, 7, 8, 9, 13, 64, ZVCShard - 1, ZVCShard, ZVCShard + 1, ZVCShard + 8, 3*ZVCShard + 5, 5*ZVCShard - 3}
 	for di, nz := range []float64{0, 0.02, 0.45, 0.78, 0.98, 1} {
 		for li, n := range lengths {
 			vals := densityVals(uint64(100+10*di+li), n, nz)
@@ -213,9 +224,9 @@ func TestZVCBlocksMatchReference(t *testing.T) {
 func TestZVCShardBoundary(t *testing.T) {
 	const shards = 6
 	for _, lastZero := range []bool{true, false} {
-		vals := densityVals(7, shards*zvcShard, 0.45)
+		vals := densityVals(7, shards*ZVCShard, 0.45)
 		for s := 1; s <= shards; s++ {
-			g := vals[s*zvcShard-8 : s*zvcShard]
+			g := vals[s*ZVCShard-8 : s*ZVCShard]
 			for j := range g {
 				g[j] = int8(j + 1)
 			}
@@ -224,7 +235,7 @@ func TestZVCShardBoundary(t *testing.T) {
 				g[7] = 0
 			}
 			if s < shards {
-				vals[s*zvcShard] = 0 // next shard's first mask has bit 0 clear
+				vals[s*ZVCShard] = 0 // next shard's first mask has bit 0 clear
 			}
 		}
 		want := refEncodeZVC(vals)

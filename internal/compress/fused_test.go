@@ -1,17 +1,21 @@
 package compress
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"jpegact/internal/coding"
 	"jpegact/internal/dct"
+	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
 )
 
-// The fused per-block path (gather from the int8 code plane → AAN →
+// The fused per-block path (gather with the SFPR cast → AAN →
 // folded quantize, and its inverse) must be bit-identical to the unfused
 // padded-plane reference: both run the same float32 op sequence per
 // block, so equality is exact, not approximate. These tests pin the
@@ -151,30 +155,30 @@ func FuzzFusedBlockPath(f *testing.F) {
 }
 
 // TestGatherScatterRoundtrip holds the block layout itself: gathering
-// every 8×8 tile of a code plane zero-fills exactly the pad fringe, and
-// scattering the tiles back at unit scale drops it and returns the
-// codes, on aligned and unaligned shapes alike.
+// every 8×8 tile of a plane of codes at unit scale zero-fills exactly the
+// pad fringe, and scattering the tiles back at unit scale drops it and
+// returns the codes, on aligned and unaligned shapes alike.
 func TestGatherScatterRoundtrip(t *testing.T) {
 	r := tensor.NewRNG(11)
 	for _, sh := range fusedTestShapes() {
 		info := tensor.BlockPadInfo(sh, 8)
 		rows := sh.N * sh.C * sh.H
-		codes := make([]int8, rows*sh.W)
-		for i := range codes {
-			codes[i] = int8(r.Intn(255) - 127)
-			if codes[i] == 0 {
-				codes[i] = 1 // a zero inside the plane is not fringe
+		x := tensor.New(sh.N, sh.C, sh.H, sh.W)
+		for i := range x.Data {
+			x.Data[i] = float32(r.Intn(255) - 127)
+			if x.Data[i] == 0 {
+				x.Data[i] = 1 // a zero inside the plane is not fringe
 			}
 		}
-		unit := make([]float32, sh.N*sh.C)
+		unit, unit128 := make([]float32, sh.N*sh.C), make([]float64, sh.N*sh.C)
 		for i := range unit {
-			unit[i] = 1
+			unit[i], unit128[i] = 1, 1
 		}
-		out := make([]float32, len(codes))
+		out := make([]float32, len(x.Data))
 		var blk dct.Block
 		for by := 0; by < info.BlockRows/8; by++ {
 			for bx := 0; bx < info.BlockCols/8; bx++ {
-				GatherBlock(codes, rows, sh.W, by, bx, &blk)
+				GatherBlock(x, unit128, by, bx, &blk)
 				for i, v := range blk {
 					if inside := by*8+i/8 < rows && bx*8+i%8 < sh.W; inside == (v == 0) {
 						t.Fatalf("%v block (%d,%d) lane %d: %v, inside plane %v", sh, by, bx, i, v, inside)
@@ -183,10 +187,51 @@ func TestGatherScatterRoundtrip(t *testing.T) {
 				ScatterBlock(&blk, by, bx, sh, unit, out)
 			}
 		}
-		for i, v := range codes {
-			if out[i] != float32(v) {
-				t.Fatalf("%v: element %d came back %v, want %d", sh, i, out[i], v)
+		for i, v := range x.Data {
+			if out[i] != v {
+				t.Fatalf("%v: element %d came back %v, want %v", sh, i, out[i], v)
 			}
 		}
+	}
+}
+
+// TestFusedDriversMatchBlocksView holds the fused drivers to the blocks
+// view the unfused references pin above: Encode's stream is the ZVC
+// coding of QuantizeBlocks' blocks byte for byte, and DecodeInto, into a
+// NaN-filled destination, writes exactly ReconstructBlocks' tensor —
+// over every backend, the pad-fringe shapes, a stream several ZVC shards
+// long whose blocks cross plane boundaries (H = 5), and at one and three
+// workers.
+func TestFusedDriversMatchBlocksView(t *testing.T) {
+	shapes := append(fusedTestShapes(), tensor.Shape{N: 4, C: 9, H: 5, W: 40})
+	for _, workers := range []int{1, 3} {
+		prev := parallel.SetWorkers(workers)
+		for _, p := range fusedTestPipelines() {
+			for si, sh := range shapes {
+				p := p
+				x := fusedTestTensor(sh, uint64(300+si))
+				blocks, scales, info := p.QuantizeBlocks(x)
+				want := coding.EncodeZVCBlocks(blocks)
+				rec := p.ReconstructBlocks(blocks, scales, info)
+				ReleaseBlocks(blocks)
+
+				got, gotScales := p.Encode(x)
+				if !bytes.Equal(got, want) || !slices.Equal(gotScales, scales) {
+					t.Fatalf("%s %v at %d workers: Encode differs from the blocks view", p.DQT.Name, sh, workers)
+				}
+				dst := tensor.New(sh.N, sh.C, sh.H, sh.W)
+				dst.Fill(float32(math.NaN()))
+				if err := p.DecodeInto(got, gotScales, dst); err != nil {
+					t.Fatalf("%s %v: %v", p.DQT.Name, sh, err)
+				}
+				for i, v := range rec.Data {
+					if math.Float32bits(v) != math.Float32bits(dst.Data[i]) {
+						t.Fatalf("%s %v at %d workers: element %d: DecodeInto %v, ReconstructBlocks %v",
+							p.DQT.Name, sh, workers, i, dst.Data[i], v)
+					}
+				}
+			}
+		}
+		parallel.SetWorkers(prev)
 	}
 }

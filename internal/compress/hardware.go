@@ -44,13 +44,15 @@ func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Resul
 
 	// SFPR with per-channel scales, then the padded block layout the
 	// alignment buffer sees (§III-C).
-	c := sfpr.Compress(x, sfpr.DefaultS)
+	scales := make([]float32, x.Shape.C)
+	sfpr.ComputeScales(x, sfpr.DefaultS, scales)
+	sc128 := PlaneScales128(scales, x.Shape)
 	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
-	rows, bw := x.Shape.N*x.Shape.C*x.Shape.H, info.BlockCols/8
+	bw := info.BlockCols / 8
 	blocks := make([][64]int8, info.PaddedElems()/64)
 	var blk dct.Block
 	for bi := range blocks {
-		GatherBlock(c.Values, rows, x.Shape.W, bi/bw, bi%bw, &blk)
+		GatherBlock(x, sc128, bi/bw, bi%bw, &blk)
 		for i, v := range blk {
 			blocks[bi][i] = int8(v)
 		}
@@ -63,7 +65,7 @@ func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Resul
 
 	// Drop the pad fringe and undo SFPR.
 	out := tensor.New(x.Shape.N, x.Shape.C, x.Shape.H, x.Shape.W)
-	invScales := planeInvScales(c.Scales, x.Shape)
+	invScales := planeInvScales(scales, x.Shape)
 	for bi := range recBlocks {
 		for i, v := range recBlocks[bi] {
 			blk[i] = float32(v)
@@ -73,7 +75,7 @@ func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Resul
 
 	return Result{
 		Recovered:       out,
-		CompressedBytes: stream.Bytes + 4*len(c.Scales),
+		CompressedBytes: stream.Bytes + 4*len(scales),
 		OriginalBytes:   orig,
 	}
 }

@@ -28,22 +28,71 @@ func JPEGAct(d quant.DQT) Pipeline {
 	return Pipeline{DQT: d, UseShift: true, UseZVC: true, S: sfpr.DefaultS}
 }
 
-// blockGrain is the number of 8×8 blocks one parallel chunk carries
-// through the DCT+quantization stage — each block is a few hundred
-// float ops, so 16 blocks amortize the goroutine handoff.
+// blockGrain is the number of 8×8 blocks one parallel chunk of the
+// blocks view carries — each block is a few hundred float ops, so 16
+// blocks amortize the goroutine handoff.
 const blockGrain = 16
+
+// shardBlocks is the number of 8×8 blocks in one shard of the ZVC
+// stream: the fused drivers quantize and code, or decode and
+// reconstruct, one shard per parallel task.
+const shardBlocks = coding.ZVCShard / 64
+
+// Encode runs x through the JPEG-ACT pipeline — SFPR → 8×8 DCT → SH →
+// ZVC — and returns the coded stream and the per-channel SFPR scales.
+// It is the fused encode driver: each shard's blocks are gathered
+// straight from x with the SFPR cast applied per element, transformed,
+// quantized and sized in one parallel pass, then coded into their
+// window of the exactly-sized stream in a second (coding.
+// EncodeZVCBlocksFill). No int8 code plane is materialized; the block
+// array between the two passes is pooled. Every block is produced by
+// exactly one worker in the serial per-block op order, so the bytes are
+// identical at any worker count.
+func (p *Pipeline) Encode(x *tensor.Tensor) (payload []byte, scales []float32) {
+	scales = p.scales(x)
+	blkP := getBlocks(tensor.BlockPadInfo(x.Shape, dct.BlockSize).PaddedElems() / 64)
+	payload = coding.EncodeZVCBlocksFill(*blkP, p.quantizer(x, scales, *blkP))
+	putBlocks(blkP)
+	return payload, scales
+}
+
+// DecodeInto inverts Encode into dst, whose shape is x's: the fused
+// decode driver. Each shard of the stream decodes in parallel one block
+// at a time into a stack buffer, which is dequantized, inverse-
+// transformed and scattered into dst with the SFPR scale undone
+// (fusedReconstructBlock) — no block array, no code plane, and every
+// element of dst written exactly once, so dst may hold anything.
+func (p *Pipeline) DecodeInto(payload []byte, scales []float32, dst *tensor.Tensor) error {
+	sh := dst.Shape
+	info := tensor.BlockPadInfo(sh, dct.BlockSize)
+	bw, nb := info.BlockCols/8, info.PaddedElems()/64
+	table := p.foldedInverse()
+	invScales := planeInvScales(scales, sh)
+	return coding.DecodeZVCShards(payload, nb*64, func(s, pos int) bool {
+		var q [64]int8
+		ok := true
+		for bi := s * shardBlocks; bi < min((s+1)*shardBlocks, nb) && ok; bi++ {
+			if pos, ok = coding.DecodeZVCRun(q[:], payload, pos); ok {
+				fusedReconstructBlock(&q, &table, bi/bw, bi%bw, sh, invScales, dst.Data)
+			}
+		}
+		return ok
+	})
+}
 
 // QuantizeBlocks runs the pipeline through quantization, returning the
 // quantized 8×8 blocks, the SFPR scales, and the pad info needed to
-// reconstruct. Exposed for the DQT optimizer and entropy analyses. The
-// returned block slice comes from the internal scratch pool; callers
-// that are done with it can hand it back with ReleaseBlocks to spare
-// the next call the allocation (holding on to it is also fine — the
-// pool simply refills).
+// reconstruct: the blocks view of Encode, on the same per-block kernel,
+// for the DQT optimizer. The returned block slice comes from the
+// internal scratch pool; callers that are done with it can hand it back
+// with ReleaseBlocks to spare the next call the allocation (holding on
+// to it is also fine — the pool simply refills).
 func (p *Pipeline) QuantizeBlocks(x *tensor.Tensor) ([][64]int8, []float32, tensor.PadInfo) {
 	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
-	blkP := getBlocks(info.PaddedElems() / 64)
-	return p.quantizeBlocks(x, *blkP)
+	scales := p.scales(x)
+	blocks := *getBlocks(info.PaddedElems() / 64)
+	parallel.For(len(blocks), blockGrain, p.quantizer(x, scales, blocks))
+	return blocks, scales, info
 }
 
 // BorrowBlocks hands out an n-block slice from the scratch pool — the
@@ -64,9 +113,9 @@ func ReleaseBlocks(blocks [][64]int8) {
 	putBlocks(&blocks)
 }
 
-// BorrowCodes hands out an n-value int8 slice from the scratch pool the
-// SFPR code plane of quantizeBlocks comes from, for the offload codec's
-// SFPR+ZVC path. Return it with ReleaseCodes. Contents are dirty.
+// BorrowCodes hands out an n-value int8 slice from the scratch pool, for
+// the offload codec's SFPR+ZVC encode. Return it with ReleaseCodes.
+// Contents are dirty.
 func BorrowCodes(n int) []int8 {
 	return *getI8(n)
 }
@@ -76,51 +125,29 @@ func ReleaseCodes(codes []int8) {
 	putI8(&codes)
 }
 
-// quantizeBlocks is QuantizeBlocks with an optional caller-provided
-// block slice (the pooled Roundtrip path); blocks is reused when its
-// capacity suffices. Blocks shard over the worker pool in contiguous
-// index ranges — the software mirror of the paper's multi-CDU
-// round-robin — and every block is produced by exactly one worker with
-// the serial per-block op order, so the output is bit-identical at any
-// worker count.
-//
-// Each block runs the fused CDU-style kernel: gather the 8×8 tile
-// straight from the int8 SFPR codes (zero-filling the pad fringe),
-// scaled float32 AAN forward DCT, quantize with the descale factors
-// folded into the table. No padded plane is materialized and no
-// separate quantization pass runs.
-func (p *Pipeline) quantizeBlocks(x *tensor.Tensor, blocks [][64]int8) ([][64]int8, []float32, tensor.PadInfo) {
-	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
+// scales returns x's per-channel SFPR scales (Eqn. 4).
+func (p *Pipeline) scales(x *tensor.Tensor) []float32 {
 	scales := make([]float32, x.Shape.C)
-	valsP := getI8(x.Elems())
-	vals := *valsP
-	sfpr.CompressInto(x, p.s(), scales, vals)
-
-	bw := info.BlockCols / 8
-	nb := (info.BlockRows / 8) * bw
-	if cap(blocks) >= nb {
-		blocks = blocks[:nb]
-	} else {
-		blocks = make([][64]int8, nb)
-	}
-	table := p.foldedForward()
-	rows := x.Shape.N * x.Shape.C * x.Shape.H
-	w := x.Shape.W
-	parallel.For(nb, blockGrain, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			fusedQuantizeBlock(vals, rows, w, bi/bw, bi%bw, &table, &blocks[bi])
-		}
-	})
-	putI8(valsP)
-	return blocks, scales, info
+	sfpr.ComputeScales(x, p.s(), scales)
+	return scales
 }
 
-// ReconstructBlocks inverts QuantizeBlocks: dequantize, inverse DCT,
-// clip back to the int8 SFPR code range, undo padding and SFPR scaling.
-// Blocks shard over the worker pool exactly as in quantizeBlocks, and
-// each block runs fused: folded dequantize → scaled AAN inverse DCT →
-// clamp → scatter into the output tensor (pad fringe dropped), so the
-// padded plane and the separate unpad+descale pass are gone.
+// quantizer returns the per-shard body both encode paths run: it writes
+// blocks[lo:hi] of x with the fused CDU-style kernel (fusedQuantizeBlock).
+func (p *Pipeline) quantizer(x *tensor.Tensor, scales []float32, blocks [][64]int8) func(lo, hi int) {
+	bw := tensor.BlockPadInfo(x.Shape, dct.BlockSize).BlockCols / 8
+	table := p.foldedForward()
+	sc128 := PlaneScales128(scales, x.Shape)
+	return func(lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			fusedQuantizeBlock(x, sc128, bi/bw, bi%bw, &table, &blocks[bi])
+		}
+	}
+}
+
+// ReconstructBlocks inverts QuantizeBlocks: the blocks view of
+// DecodeInto. Blocks shard over the worker pool, each one
+// fusedReconstructBlock into a fresh tensor.
 func (p *Pipeline) ReconstructBlocks(blocks [][64]int8, scales []float32, info tensor.PadInfo) *tensor.Tensor {
 	sh := info.Orig
 	out := tensor.New(sh.N, sh.C, sh.H, sh.W)
@@ -136,9 +163,20 @@ func (p *Pipeline) ReconstructBlocks(blocks [][64]int8, scales []float32, info t
 	return out
 }
 
+// PlaneScales128 returns float64(scale)·128 of each (n, c) plane: the
+// factor the SFPR cast multiplies an element by (see GatherBlock), hoisted
+// out of the block loop because blocks cross channel boundaries whenever
+// H is not a multiple of 8.
+func PlaneScales128(scales []float32, sh tensor.Shape) []float64 {
+	sc := make([]float64, sh.N*sh.C)
+	for nc := range sc {
+		sc[nc] = float64(scales[nc%sh.C]) * 128
+	}
+	return sc
+}
+
 // planeInvScales returns the inverse SFPR scale of each (n, c) plane, 0
-// for an all-zero channel — hoisted out of the block loop because blocks
-// cross channel boundaries whenever H is not a multiple of 8.
+// for an all-zero channel, hoisted like PlaneScales128.
 func planeInvScales(scales []float32, sh tensor.Shape) []float32 {
 	inv := make([]float32, sh.N*sh.C)
 	for nc := range inv {
@@ -156,41 +194,26 @@ func clampCode(v float32) float32 { return float32(quant.RoundSat32(v)) }
 // Roundtrip compresses x through the full pipeline and returns the
 // recovered activation plus the compressed byte count (coded stream +
 // per-channel scales). The coded stream is actually encoded and decoded,
-// so the losslessness of the coding stage is exercised on every call.
-// The quantized and decoded block slices come from the scratch pools,
-// and the ZVC path encodes straight from the block slice — no flat
-// intermediate copy.
+// so the losslessness of the coding stage is exercised on every call:
+// JPEG-ACT through the fused drivers the offload codec runs, JPEG-BASE
+// through the blocks view and the RLE+Huffman coder.
 func (p *Pipeline) Roundtrip(x *tensor.Tensor) (*tensor.Tensor, int) {
-	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
-	blkP := getBlocks(info.PaddedElems() / 64)
-	blocks, scales, info := p.quantizeBlocks(x, *blkP)
-	var bytes int
-	var decoded [][64]int8
-	var decP *[][64]int8
 	if p.UseZVC {
-		enc := coding.EncodeZVCBlocks(blocks)
-		bytes = len(enc)
-		decP = getBlocks(len(blocks))
-		decoded = *decP
-		if err := coding.DecodeZVCBlocksInto(decoded, enc); err != nil {
+		enc, scales := p.Encode(x)
+		out := tensor.New(x.Shape.N, x.Shape.C, x.Shape.H, x.Shape.W)
+		if err := p.DecodeInto(enc, scales, out); err != nil {
 			panic("compress: ZVC roundtrip failed: " + err.Error())
 		}
-	} else {
-		enc := coding.EncodeJPEGBlocks(blocks)
-		bytes = len(enc)
-		var err error
-		decoded, err = coding.DecodeJPEGBlocks(enc)
-		if err != nil {
-			panic("compress: JPEG entropy roundtrip failed: " + err.Error())
-		}
+		return out, len(enc) + 4*len(scales)
 	}
-	bytes += 4 * len(scales)
-	out := p.ReconstructBlocks(decoded, scales, info)
-	putBlocks(blkP)
-	if decP != nil {
-		putBlocks(decP)
+	blocks, scales, info := p.QuantizeBlocks(x)
+	enc := coding.EncodeJPEGBlocks(blocks)
+	ReleaseBlocks(blocks)
+	decoded, err := coding.DecodeJPEGBlocks(enc)
+	if err != nil {
+		panic("compress: JPEG entropy roundtrip failed: " + err.Error())
 	}
-	return out, bytes
+	return p.ReconstructBlocks(decoded, scales, info), len(enc) + 4*len(scales)
 }
 
 func (p *Pipeline) s() float64 {

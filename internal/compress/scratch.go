@@ -2,13 +2,13 @@ package compress
 
 import "sync"
 
-// sync.Pool-backed scratch buffers for the block round trip and for the
-// offload codec. The hot path (one call per saved activation per
-// training step, in each direction) would otherwise allocate an int8
-// SFPR code plane and a quantized or decoded block slice on every call;
-// pooling them keeps the parallel path from trading the compute
-// bottleneck for a GC bottleneck. Buffers are returned dirty — every
-// consumer overwrites all of what it borrowed.
+// sync.Pool-backed scratch buffers for the encode side of the codec and
+// the blocks view. The hot path (one encode per saved activation per
+// training step) would otherwise allocate an int8 SFPR code plane or a
+// quantized block slice on every call; pooling them keeps the parallel
+// path from trading the compute bottleneck for a GC bottleneck. A restore
+// needs none: its decode writes straight into the tensor. Buffers are
+// returned dirty — every consumer overwrites all of what it borrowed.
 
 var (
 	i8Pool  = sync.Pool{New: func() interface{} { s := make([]int8, 0); return &s }}

@@ -84,14 +84,14 @@ func Analyze(x *tensor.Tensor, s float64) Analysis {
 
 	// Block the int8 codes as the padded 2D plane the CDU sees.
 	info := tensor.BlockPadInfo(c.Shape, dct.BlockSize)
-	rows := c.Shape.N * c.Shape.C * c.Shape.H
+	sc128 := compress.PlaneScales128(c.Scales, c.Shape)
 
 	freqVals := make([]int, 0, info.PaddedElems())
 	perFreq := make([][]int, 64)
 	var blk dct.Block
 	for by := 0; by < info.BlockRows/8; by++ {
 		for bx := 0; bx < info.BlockCols/8; bx++ {
-			compress.GatherBlock(c.Values, rows, c.Shape.W, by, bx, &blk)
+			compress.GatherBlock(x, sc128, by, bx, &blk)
 			dct.Forward8x8(&blk)
 			for i := 0; i < 64; i++ {
 				q := int(math.Round(float64(blk[i])))

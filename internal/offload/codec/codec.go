@@ -67,22 +67,67 @@ func (p Pipeline) Encode(kind compress.Kind, x *tensor.Tensor) (Encoded, error) 
 	}
 }
 
-// Decode reconstructs the tensor a validated frame describes: nil for a
-// BRC frame, whose mask was attached to the ref at offload time and
-// never left the GPU (the host frame exists only for accounting).
+// Decode reconstructs the tensor a validated frame describes into a
+// fresh heap tensor (DecodeInto): nil for a BRC frame, whose mask was
+// attached to the ref at offload time and never left the GPU (the host
+// frame exists only for accounting). The header is checked before the
+// tensor is sized from it.
 func (p Pipeline) Decode(f *frame.Frame) (*tensor.Tensor, error) {
+	if err := check(f); err != nil || f.Codec == frame.CodecBRC {
+		return nil, err
+	}
+	out := tensor.New(f.Shape.N, f.Shape.C, f.Shape.H, f.Shape.W)
+	if err := p.DecodeInto(f, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecodeInto reconstructs the tensor a validated frame describes into
+// dst, which must have the frame's shape and may hold anything: each
+// codec writes every element exactly once, straight from the frame bytes
+// — JPEG-ACT one 8×8 block at a time, SFPR one run of codes at a time,
+// shards in parallel — with no intermediate plane. A BRC frame writes
+// nothing (dst may be nil). On error dst holds a partial decode.
+func (p Pipeline) DecodeInto(f *frame.Frame, dst *tensor.Tensor) error {
+	if err := check(f); err != nil || f.Codec == frame.CodecBRC {
+		return err
+	}
+	if dst.Shape != f.Shape {
+		return fmt.Errorf("codec: %v destination for a %v frame", dst.Shape, f.Shape)
+	}
+	switch f.Codec {
+	case frame.CodecJPEG:
+		pl := p.jpeg()
+		return pl.DecodeInto(f.Payload, f.Scales, dst)
+	case frame.CodecZVC:
+		return decodeZVCInto(f, dst)
+	default:
+		return p.DecodeGradientInto(f, dst.Data)
+	}
+}
+
+// check holds a frame's header to what its codec can decode, before
+// anything is sized from it.
+func check(f *frame.Frame) error {
 	switch f.Codec {
 	case frame.CodecBRC:
-		return nil, nil
+		return nil
 	case frame.CodecJPEG:
-		return p.decodeJPEG(f)
+		return checkZVCFrame(f, tensor.BlockPadInfo(f.Shape, dct.BlockSize).PaddedElems())
 	case frame.CodecZVC:
-		return decodeZVC(f)
+		return checkZVCFrame(f, f.Shape.Elems())
 	case frame.CodecGradRaw:
-		return p.decodeGradRaw(f)
-	default:
-		return nil, fmt.Errorf("%w: codec %s", frame.ErrHeader, f.Codec)
+		return checkGradFrame(f)
 	}
+	return fmt.Errorf("%w: codec %s", frame.ErrHeader, f.Codec)
+}
+
+// jpeg returns the JPEG-ACT pipeline with the codec set's table and scale.
+func (p Pipeline) jpeg() compress.Pipeline {
+	pl := compress.JPEGAct(p.DQT)
+	pl.S = p.S
+	return pl
 }
 
 func encodeBRC(kind compress.Kind, x *tensor.Tensor) Encoded {
@@ -93,13 +138,9 @@ func encodeBRC(kind compress.Kind, x *tensor.Tensor) Encoded {
 }
 
 func (p Pipeline) encodeJPEG(kind compress.Kind, x *tensor.Tensor) Encoded {
-	pl := compress.JPEGAct(p.DQT)
-	pl.S = p.S
-	blocks, scales, _ := pl.QuantizeBlocks(x)
 	f := &frame.Frame{Codec: frame.CodecJPEG, Kind: uint8(kind), Shape: x.Shape}
-	f.Payload = coding.EncodeZVCBlocks(blocks)
-	compress.ReleaseBlocks(blocks)
-	f.Scales = scales
+	pl := p.jpeg()
+	f.Payload, f.Scales = pl.Encode(x)
 	return Encoded{Frame: f}
 }
 
@@ -135,17 +176,6 @@ func decodeBlocks(f *frame.Frame) ([][64]int8, tensor.PadInfo, error) {
 	return blocks, info, nil
 }
 
-func (p Pipeline) decodeJPEG(f *frame.Frame) (*tensor.Tensor, error) {
-	blocks, info, err := decodeBlocks(f)
-	if err != nil {
-		return nil, err
-	}
-	defer compress.ReleaseBlocks(blocks)
-	pl := compress.JPEGAct(p.DQT)
-	pl.S = p.S
-	return pl.ReconstructBlocks(blocks, f.Scales, info), nil
-}
-
 func (p Pipeline) encodeZVC(kind compress.Kind, x *tensor.Tensor) Encoded {
 	f := &frame.Frame{Codec: frame.CodecZVC, Kind: uint8(kind), Shape: x.Shape}
 	f.Scales = make([]float32, x.Shape.C)
@@ -156,17 +186,19 @@ func (p Pipeline) encodeZVC(kind compress.Kind, x *tensor.Tensor) Encoded {
 	return Encoded{Frame: f}
 }
 
-func decodeZVC(f *frame.Frame) (*tensor.Tensor, error) {
+// decodeZVCInto decodes an SFPR+ZVC frame: each shard of the stream
+// decodes into a stack buffer, which sfpr.DequantizeRun recovers straight
+// into dst.
+func decodeZVCInto(f *frame.Frame, dst *tensor.Tensor) error {
 	n := f.Shape.Elems()
-	if err := checkZVCFrame(f, n); err != nil {
-		return nil, err
-	}
-	codes := compress.BorrowCodes(n)
-	defer compress.ReleaseCodes(codes)
-	if err := coding.DecodeZVCInto(codes, f.Payload); err != nil {
-		return nil, err
-	}
-	out := tensor.New(f.Shape.N, f.Shape.C, f.Shape.H, f.Shape.W)
-	sfpr.DequantizeInto(codes, f.Scales, out)
-	return out, nil
+	return coding.DecodeZVCShards(f.Payload, n, func(s, p int) bool {
+		var buf [coding.ZVCShard]int8
+		lo := s * coding.ZVCShard
+		codes := buf[:min(coding.ZVCShard, n-lo)]
+		if _, ok := coding.DecodeZVCRun(codes, f.Payload, p); !ok {
+			return false
+		}
+		sfpr.DequantizeRun(codes, lo, f.Shape, f.Scales, dst.Data)
+		return true
+	})
 }

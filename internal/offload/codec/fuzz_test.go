@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math"
 	"testing"
 
 	"jpegact/internal/compress"
@@ -89,6 +90,59 @@ func FuzzDecodeGradient(f *testing.F) {
 		}
 		if out.Shape != fr.Shape {
 			t.Fatalf("tensor shape %v, frame shape %v", out.Shape, fr.Shape)
+		}
+	})
+}
+
+// FuzzDecodeActivation drives arbitrary container bytes through the frame
+// decoder and then both activation decodes: Decode into a fresh tensor,
+// and DecodeInto a destination of the frame's shape full of stale values,
+// as a restore's recycled arena buffer is. Neither may panic; they must
+// accept and reject the same frames, and agree bit for bit on what they
+// accept. The committed corpus (testdata/fuzz/FuzzDecodeActivation) holds
+// valid frames of every codec — JPEG-ACT blocks that span planes, an
+// SFPR+ZVC stream two shards long — and near misses of them.
+func FuzzDecodeActivation(f *testing.F) {
+	p := New(quant.OptL())
+	f.Add([]byte{})
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add(frame.EncodeFrame(hugeShapeFrame(f, frame.CodecJPEG)))
+	f.Add(frame.EncodeFrame(hugeShapeFrame(f, frame.CodecZVC)))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fr, err := frame.DecodeFrame(raw)
+		if err != nil {
+			return
+		}
+		want, werr := p.Decode(fr)
+		if werr == nil && want == nil {
+			// A BRC frame has no values, and its header's shape is bounded
+			// only by the container: nothing to decode, nothing to size.
+			if err := p.DecodeInto(fr, nil); err != nil {
+				t.Fatalf("Decode accepted a %v %s frame, DecodeInto refused it: %v", fr.Shape, fr.Codec, err)
+			}
+			return
+		}
+		if werr != nil && fr.Shape.Elems() > 8*len(raw) {
+			// Refused before sizing anything from the header: so must
+			// DecodeInto be, but not through a destination this large.
+			if p.DecodeInto(fr, tensor.New(1, 1, 1, 1)) == nil {
+				t.Fatalf("Decode refused a %v %s frame (%v), DecodeInto accepted it", fr.Shape, fr.Codec, werr)
+			}
+			return
+		}
+		dst := tensor.New(fr.Shape.N, fr.Shape.C, fr.Shape.H, fr.Shape.W)
+		dst.Fill(-3.5)
+		gerr := p.DecodeInto(fr, dst)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("%v %s frame: Decode error %v, DecodeInto error %v", fr.Shape, fr.Codec, werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		for i, v := range want.Data {
+			if math.Float32bits(v) != math.Float32bits(dst.Data[i]) {
+				t.Fatalf("%v %s frame: element %d: Decode %v, DecodeInto %v", fr.Shape, fr.Codec, i, v, dst.Data[i])
+			}
 		}
 	})
 }

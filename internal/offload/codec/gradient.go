@@ -43,10 +43,9 @@ func (p Pipeline) DecodeGradientInto(f *frame.Frame, dst []float32) error {
 		return fmt.Errorf("codec: %d-element buffer for a %d-value gradient frame", len(dst), n)
 	case f.Codec != frame.CodecGradRaw:
 		return fmt.Errorf("codec: %s is not a gradient codec", f.Codec)
-	case len(f.Payload) != 4*n:
-		return fmt.Errorf("%w: %d payload bytes for %d gradient values", frame.ErrHeader, len(f.Payload), n)
-	case len(f.Scales) != 0:
-		return fmt.Errorf("%w: %d scales on a raw gradient frame", frame.ErrHeader, len(f.Scales))
+	}
+	if err := checkGradFrame(f); err != nil {
+		return err
 	}
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(f.Payload[4*i:]))
@@ -54,10 +53,15 @@ func (p Pipeline) DecodeGradientInto(f *frame.Frame, dst []float32) error {
 	return nil
 }
 
-func (p Pipeline) decodeGradRaw(f *frame.Frame) (*tensor.Tensor, error) {
-	out := tensor.New(f.Shape.N, f.Shape.C, f.Shape.H, f.Shape.W)
-	if err := p.DecodeGradientInto(f, out.Data); err != nil {
-		return nil, err
+// checkGradFrame holds a raw gradient frame to four payload bytes per
+// value and no scales.
+func checkGradFrame(f *frame.Frame) error {
+	n := f.Shape.Elems()
+	switch {
+	case len(f.Payload) != 4*n:
+		return fmt.Errorf("%w: %d payload bytes for %d gradient values", frame.ErrHeader, len(f.Payload), n)
+	case len(f.Scales) != 0:
+		return fmt.Errorf("%w: %d scales on a raw gradient frame", frame.ErrHeader, len(f.Scales))
 	}
-	return out, nil
+	return nil
 }

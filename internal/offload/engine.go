@@ -360,7 +360,7 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 			return nil // staged on the task for its consumer
 		}
 		e.pool.Submit(func() {
-			t, derr := s.pipeline().Decode(f)
+			t, derr := s.decode(ft.ent, f)
 			e.stage(ft, t, derr)
 		})
 		return nil
@@ -416,6 +416,15 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 		}
 		fifo.Push(issuedRead{ft: ft, tk: s.readIssue(ft.ent)})
 	}
+}
+
+// take hands the staged tensor to its one consumer, or back to its arena
+// when the caller discards it; a second take returns nil. Only the step's
+// goroutine takes, after done.
+func (ft *fetchTask) take() *tensor.Tensor {
+	t := ft.t
+	ft.t = nil
+	return t
 }
 
 // stage records a finished fetch on its task and wakes its consumer.
@@ -489,6 +498,7 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	// while we waited.
 	cur, still := s.lookup(ref)
 	if !still || cur != ft.ent {
+		ft.take().Release()
 		if !still {
 			return e.notResident(ref)
 		}
@@ -497,7 +507,7 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	if ft.err != nil {
 		return e.escalate(ref, ft.ent, ft.err)
 	}
-	s.finishRestore(ref, ft.ent, ft.t)
+	s.finishRestore(ref, ft.ent, ft.take())
 	return nil
 }
 
@@ -520,12 +530,18 @@ func (e *Engine) notResident(ref *nn.ActRef) error {
 // — so the channel has seen a run-independent sequence of transfers
 // before the recovery policy's own traffic starts (a stop at the
 // in-flight read would cut at a scheduling-dependent point and make the
-// fault counters irreproducible). The flushed results are discarded. Under
-// PolicyRecompute the hook then rebuilds the step, the engine marks it
-// repaired, and the remaining activations are restored synchronously —
+// fault counters irreproducible). The flushed results are discarded once
+// decoded, their buffers handed back, so no decode outlives the step.
+// Under PolicyRecompute the hook then rebuilds the step, the engine marks
+// it repaired, and the remaining activations are restored synchronously —
 // the refs in flight before the rebuild are stale and resolve to nil.
 func (e *Engine) escalate(ref *nn.ActRef, ent *entry, err error) error {
-	e.flushPrefetch()
+	if pf := e.flushPrefetch(); pf != nil {
+		for _, ft := range pf.tasks {
+			<-ft.done
+			ft.take().Release()
+		}
+	}
 	// The store's policy decides; it returns nil only when the recompute
 	// hook has rebuilt the step.
 	if err := e.store.recover(ref, ent, err); err != nil {
@@ -564,20 +580,21 @@ func (e *Engine) flushPrefetch() *prefetchState {
 // asked for: still-resident, cleanly decoded entries are restored
 // (exactly what RestoreAll would have done, minus the second channel
 // read); stale or failed tasks are left for the synchronous sweep so the
-// recovery policy applies.
+// recovery policy applies, and a stale task's tensor goes back.
 func (e *Engine) consumeLeftover(ft *fetchTask) {
 	<-ft.done
 	if ft.err != nil || !ft.read || !e.store.current(ft.ref, ft.ent) {
+		ft.take().Release()
 		return
 	}
-	e.store.finishRestore(ft.ref, ft.ent, ft.t)
+	e.store.finishRestore(ft.ref, ft.ent, ft.take())
 }
 
 // stopPrefetch cancels the prefetch plan and waits for the loop to exit
 // and for the decodes of the reads it issued, so neither a channel read
-// nor a decode races whatever the caller does next. Staged tensors whose
-// entries are still resident are discarded unconsumed — their entries
-// remain in the store for a later synchronous restore. Only
+// nor a decode races whatever the caller does next. Staged tensors are
+// discarded unconsumed, their buffers handed back — the entries remain in
+// the store for a later synchronous restore. Only
 // Abort uses this (a failed step must not keep touching the channel);
 // the healthy paths flush instead, for reproducible transfer counts.
 func (e *Engine) stopPrefetch() {
@@ -596,6 +613,7 @@ func (e *Engine) stopPrefetch() {
 	e.mu.Unlock()
 	for _, ft := range pf.tasks[:pf.next] {
 		<-ft.done
+		ft.take().Release()
 	}
 }
 

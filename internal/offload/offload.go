@@ -118,12 +118,17 @@ type Stats = transport.Snapshot
 // fallback instead of the wire; held is the framed bytes of a frame
 // that stayed on the device and never crossed the transport. Restore
 // and delete follow the entry so a frame is always read back from
-// wherever its bytes actually live.
+// wherever its bytes actually live. shape is the activation's, and arena
+// the step arena its commit released the tensor's buffer to (nil when
+// the buffer was not an arena's): the restore decodes into a buffer
+// drawn from it.
 type entry struct {
 	seq      int
 	size     int
 	degraded bool
 	held     []byte
+	shape    tensor.Shape
+	arena    *tensor.Arena
 }
 
 // Store is a host-memory activation store using the JPEG-ACT pipeline
@@ -307,13 +312,14 @@ func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool, hold bool)
 }
 
 // commitWait blocks for the ticket's PUT result (a held frame has none:
-// its bytes go into the entry), records the entry, and releases the ref's
-// tensor (attaching the BRC mask when present). Encode has finished with
-// the tensor and containers never release a saved ref, so nothing reads
-// it any more: its buffer goes back to the step arena it came from, if
-// any — from the engine's drain goroutine.
+// its bytes go into the entry), releases the ref's tensor (attaching the
+// BRC mask when present), and records the entry. Encode has finished
+// with the tensor and containers never release a saved ref, so nothing
+// reads it any more: its buffer goes back to the step arena it came
+// from, if any — from the engine's drain goroutine — and the entry
+// remembers that arena for the restore.
 func (s *Store) commitWait(t *commitTicket) error {
-	e := &entry{seq: t.seq, size: len(t.data)}
+	e := &entry{seq: t.seq, size: len(t.data), shape: t.ref.T.Shape}
 	if t.hold {
 		e.held = t.data
 	} else {
@@ -325,15 +331,15 @@ func (s *Store) commitWait(t *commitTicket) error {
 			return fmt.Errorf("offload: offload %q (%s): %w", t.ref.Name, t.ref.Kind, err)
 		}
 	}
+	if t.mask != nil {
+		t.ref.Mask = t.mask
+	}
+	e.arena = t.ref.T.Release()
+	t.ref.T = nil
 	s.mu.Lock()
 	s.entries[t.ref] = e
 	s.hostBytes += e.size
 	s.mu.Unlock()
-	if t.mask != nil {
-		t.ref.Mask = t.mask
-	}
-	t.ref.T.Release()
-	t.ref.T = nil
 	s.counters.Offloaded.Add(1)
 	s.counters.BytesOffloaded.Add(int64(e.size))
 	return nil
@@ -475,7 +481,28 @@ func (s *Store) fetch(e *entry) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.pipeline().Decode(f)
+	return s.decode(e, f)
+}
+
+// decode reconstructs the entry's verified frame into a buffer drawn from
+// the arena its commit released the tensor to — the heap when it released
+// none (the batch input) — so a restore takes back exactly what its
+// commit gave, and the activation never exists twice. A BRC frame
+// restores nothing: the ref keeps only its mask. A failed decode hands
+// its buffer back.
+func (s *Store) decode(e *entry, f *frame.Frame) (*tensor.Tensor, error) {
+	if f.Shape != e.shape {
+		return nil, fmt.Errorf("%w: a %v frame for a %v activation", frame.ErrHeader, f.Shape, e.shape)
+	}
+	if f.Codec == frame.CodecBRC {
+		return nil, nil
+	}
+	t := e.arena.Get(f.Shape)
+	if err := s.pipeline().DecodeInto(f, t); err != nil {
+		t.Release()
+		return nil, err
+	}
+	return t, nil
 }
 
 // finishRestore attaches the staged tensor (nil for BRC refs, whose

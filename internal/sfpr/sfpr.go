@@ -105,8 +105,16 @@ func quantizePlane(src []float32, sc float32, dst []int8) {
 	sc128 := float64(sc) * 128
 	dst = dst[:len(src)]
 	for i, v := range src {
-		dst[i] = quant.RoundSat64(float64(float64(v) * sc128))
+		dst[i] = Code(v, sc128)
 	}
+}
+
+// Code is the cast of Eqn. 5 for one element v of a channel whose scale
+// times 128 is sc128 (float64(sc)·128, see quantizePlane). The JPEG-ACT
+// encoder applies it as it gathers each 8×8 tile, so no code plane is
+// materialized on that path.
+func Code(v float32, sc128 float64) int8 {
+	return quant.RoundSat64(float64(float64(v) * sc128))
 }
 
 // Decompress reconstructs the activation from c.
@@ -117,22 +125,36 @@ func Decompress(c *Compressed) *tensor.Tensor {
 }
 
 // DequantizeInto writes the float recovery of vals into x using the
-// inverse scales (backward-pass path of the SFPR unit).
+// inverse scales (backward-pass path of the SFPR unit). The (n, c) planes
+// shard over the worker pool, each one run of DequantizeRun.
 func DequantizeInto(vals []int8, scales []float32, x *tensor.Tensor) {
 	sh := x.Shape
 	hw := sh.H * sh.W
 	parallel.For(sh.N*sh.C, parallel.Grain(hw, quantGrain), func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			var inv float32
-			if sc := scales[nc%sh.C]; sc != 0 {
-				inv = 1 / (sc * 128)
-			}
-			base := nc * hw
-			for i := 0; i < hw; i++ {
-				x.Data[base+i] = float32(vals[base+i]) * inv
-			}
-		}
+		DequantizeRun(vals[lo*hw:hi*hw], lo*hw, sh, scales, x.Data)
 	})
+}
+
+// DequantizeRun writes the float recovery of one run of codes: vals are
+// the codes at flat offsets [lo, lo+len(vals)) of a tensor of shape sh,
+// dst is that tensor's data, and the run may cross planes. The offload
+// codec decodes a frame's payload one stack-sized run at a time and
+// recovers each run straight into the restored tensor through it.
+func DequantizeRun(vals []int8, lo int, sh tensor.Shape, scales []float32, dst []float32) {
+	hw := sh.H * sh.W
+	for len(vals) > 0 {
+		nc := lo / hw
+		k := min(len(vals), (nc+1)*hw-lo)
+		var inv float32
+		if sc := scales[nc%sh.C]; sc != 0 {
+			inv = 1 / (sc * 128)
+		}
+		d := dst[lo : lo+k]
+		for i, v := range vals[:len(d)] {
+			d[i] = float32(v) * inv
+		}
+		vals, lo = vals[k:], lo+k
+	}
 }
 
 // Roundtrip compresses and immediately decompresses x, the functional

@@ -16,9 +16,11 @@ import (
 //
 // Buffers are matched by exact length: a network's steps ask for the same
 // shapes in the same order, so after the first step the free list serves
-// every request. Release may be called from any goroutine (the offload
-// engine commits frames on its own); handing out and Reset belong to the
-// goroutine running the step.
+// every request. Handing out (Derive, Get) and Release may come from any
+// goroutine, under the arena's mutex: the offload engine commits frames
+// on its own goroutine, and decodes each restore on its encode pool into
+// a buffer drawn from the arena the commit released the tensor to. Reset
+// belongs to the goroutine running the step, between steps.
 type Arena struct {
 	mu    sync.Mutex
 	free  map[int][][]float32 // by length, most recently returned last
@@ -82,8 +84,12 @@ func (a *Arena) HighWater() int {
 // Derive returns a tensor of shape s for a result computed from t: from
 // t's arena with unspecified contents, or zero-filled from the heap when t
 // has none.
-func (t *Tensor) Derive(s Shape) *Tensor {
-	a := t.arena
+func (t *Tensor) Derive(s Shape) *Tensor { return t.arena.Get(s) }
+
+// Get hands out a tensor of shape s whose contents are unspecified, so
+// its writer must write every element; a nil arena returns a zero-filled
+// heap tensor.
+func (a *Arena) Get(s Shape) *Tensor {
 	if a == nil || !s.Valid() {
 		return New(s.N, s.C, s.H, s.W) // which panics on an invalid shape
 	}
@@ -114,19 +120,22 @@ func (t *Tensor) Derive(s Shape) *Tensor {
 // stale values where a kernel that accumulates expects zeros.
 func (t *Tensor) Recycled() bool { return t.pooled }
 
-// Release hands t's buffer back to the arena it came from and leaves t
-// empty (Data nil). It does nothing to a tensor its arena did not hand
-// out, or handed out before its last Reset.
-func (t *Tensor) Release() {
+// Release hands t's buffer back to the arena it came from, leaves t
+// empty (Data nil) and returns that arena. It does nothing to a tensor
+// its arena did not hand out, or handed out before its last Reset, and
+// returns nil.
+func (t *Tensor) Release() *Arena {
 	if t == nil || t.arena == nil {
-		return
+		return nil
 	}
 	a := t.arena
 	a.mu.Lock()
-	if t.pooled {
-		a.free[len(t.Data)] = append(a.free[len(t.Data)], t.Data)
-		a.inUse -= len(t.Data)
-		t.Data, t.pooled = nil, false
+	defer a.mu.Unlock()
+	if !t.pooled {
+		return nil
 	}
-	a.mu.Unlock()
+	a.free[len(t.Data)] = append(a.free[len(t.Data)], t.Data)
+	a.inUse -= len(t.Data)
+	t.Data, t.pooled = nil, false
+	return a
 }

@@ -5,9 +5,11 @@ import (
 
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
+	"jpegact/internal/frame"
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload"
+	"jpegact/internal/offload/codec"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
@@ -23,23 +25,30 @@ func benchStep(seed uint64) (*models.Model, *tensor.Tensor, lossFunc) {
 
 // TestCommitHandsBuffersBack: an offloaded activation's buffer goes back
 // to the step arena when its frame commits, whether the frame crosses the
-// channel or is held on the device. EndForward is a barrier on every
-// commit, so right after it the arena holds what a plain step holds after
-// its forward pass and loss, minus exactly the offloaded buffers: on the
-// engine's first step, which sends every frame, and on its second, which
-// holds the last 4. Inside a trained step the save hooks commit while the
-// forward pass is still running, so when the buffers go back depends on
-// timing: that high-water is logged beside the plain one, not gated.
+// channel or is held on the device, and its restore takes a buffer of the
+// same size back out. EndForward is a barrier on every commit, so right
+// after it the arena holds what a plain step holds after its forward pass
+// and loss, minus exactly the offloaded buffers; right after EndStep it
+// holds what the plain step holds after backward, minus exactly the BRC
+// refs' buffers, which keep only their mask. Both hold on the engine's
+// first step, which sends every frame, and on its second, which holds the
+// last 4. Inside a trained step the save hooks commit while the forward
+// pass is still running, so when the buffers go back depends on timing:
+// that high-water is logged beside the plain one, not gated.
 func TestCommitHandsBuffersBack(t *testing.T) {
 	atWorkers(t, 2)
 	const seed = 2100
-	forward := func(m *models.Model, a *tensor.Arena, x *tensor.Tensor, lossOf lossFunc) {
-		lossOf(m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: a.Wrap(x)}, true).T)
+	forward := func(m *models.Model, a *tensor.Arena, x *tensor.Tensor, lossOf lossFunc) *tensor.Tensor {
+		_, grad := lossOf(m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: a.Wrap(x)}, true).T)
+		return grad
 	}
 
 	m, x, lossOf := benchStep(seed)
 	plain := tensor.NewArena()
-	forward(m, plain, x, lossOf)
+	grad := forward(m, plain, x, lossOf)
+	plainForward := plain.InUse()
+	m.Net.Backward(grad)
+	plainBackward := plain.InUse()
 
 	m, x, lossOf = benchStep(seed)
 	store := offload.NewStore(quant.OptL())
@@ -51,15 +60,18 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 	for step, wantSent := range []int{13, 9} {
 		a := tensor.NewArena()
 		eng.BeginStep()
-		forward(m, a, x, lossOf)
-		if a.InUse() != plain.InUse() {
-			t.Fatalf("step %d after forward: %d B in use, the plain step %d B", step, a.InUse(), plain.InUse())
+		grad := forward(m, a, x, lossOf)
+		if a.InUse() != plainForward {
+			t.Fatalf("step %d after forward: %d B in use, the plain step %d B", step, a.InUse(), plainForward)
 		}
-		offloaded := 0
+		offloaded, brc := 0, 0
 		seen := map[*nn.ActRef]bool{}
 		for _, ref := range m.Net.SavedRefs() {
 			if !seen[ref] && ref.T.Recycled() {
 				offloaded += ref.T.Bytes()
+				if codec.Select(ref.Kind, ref.T.Shape) == frame.CodecBRC {
+					brc += ref.T.Bytes()
+				}
 			}
 			seen[ref] = true
 		}
@@ -70,14 +82,24 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 		if got := len(ch.frames()) - sent; got != wantSent {
 			t.Fatalf("step %d: %d of 13 frames sent, want %d", step, got, wantSent)
 		}
-		if got, want := a.InUse(), plain.InUse()-offloaded; offloaded == 0 || got != want {
-			t.Fatalf("step %d after EndForward: %d B in use, want the plain step's %d B minus %d B offloaded", step, got, plain.InUse(), offloaded)
+		if got, want := a.InUse(), plainForward-offloaded; offloaded == 0 || got != want {
+			t.Fatalf("step %d after EndForward: %d B in use, want the plain step's %d B minus %d B offloaded", step, got, plainForward, offloaded)
 		}
 		if err := eng.PrepareBackward(); err != nil {
 			t.Fatal(err)
 		}
+		nn.SetHooks(m.Net, &nn.Hooks{OnNeed: func(ref *nn.ActRef) {
+			if err := eng.Restore(ref); err != nil {
+				t.Fatal(err)
+			}
+		}})
+		m.Net.Backward(grad)
+		nn.SetHooks(m.Net, nil)
 		if err := eng.EndStep(); err != nil {
 			t.Fatal(err)
+		}
+		if got, want := a.InUse(), plainBackward-brc; brc == 0 || got != want {
+			t.Fatalf("step %d after EndStep: %d B in use, want the plain step's %d B after backward minus %d B of BRC refs", step, got, plainBackward, brc)
 		}
 	}
 
