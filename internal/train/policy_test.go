@@ -23,12 +23,29 @@ import (
 // bit for bit: offload ≡ round-trip, and DP × offload falls out of the
 // composition. Every offload cell must also have moved real traffic and
 // drained it.
+//
+// roundTripDigests pins each row's round-trip weights digest, recorded
+// while the round trip still ran in place through compress.Method rather
+// than through an engine: whatever carries the round trip must land on it.
+var roundTripDigests = map[string]string{
+	"local":                 "e8a34f024087f9bf017ba7c4b45068acbe57191c9d148ef5838931bd91b2f1b8",
+	"allreduce-K2":          "1c2d238c27deced68bb37df2317771d8c7ba171a016c985eab653b29d6046d5f",
+	"allreduce-K2-serial":   "1c2d238c27deced68bb37df2317771d8c7ba171a016c985eab653b29d6046d5f",
+	"allreduce-K4-netstore": "dff2aef0d4291035ff5419fd9d2dfbb7de229cf03ae8be89d059fa86b38951b4",
+}
+
 func TestPolicyMatrix(t *testing.T) {
 	const seed = 1800
 	atWorkers(t, 2)
 	cfg := Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Seed: 78}
 	roundTrip := func() compress.Method { return compress.NewJPEGAct(quant.Fixed(quant.OptL())) }
 	activations := []string{"round-trip", "offload-prefetch0", "offload"}
+	pinned := func(t *testing.T, row string, rep Report) {
+		t.Helper()
+		if want := roundTripDigests[row]; rep.WeightsDigest != want {
+			t.Fatalf("%s round-trip: weights digest %s, pinned %s", row, rep.WeightsDigest, want)
+		}
+	}
 	drained := func(label string, s offload.Stats) {
 		t.Helper()
 		if s.Offloaded == 0 || s.Offloaded != s.Restored {
@@ -46,6 +63,7 @@ func TestPolicyMatrix(t *testing.T) {
 				c := cfg
 				c.Method = roundTrip()
 				rep = Classifier(m, ds, c)
+				pinned(t, "local", rep)
 				ref, refModel = rep, m
 			} else {
 				var stats offload.Stats
@@ -129,6 +147,7 @@ func TestPolicyMatrix(t *testing.T) {
 					t.Fatalf("%s: no gradient exchange: %+v", act, snap)
 				}
 				if act == "round-trip" {
+					pinned(t, row.name, rep)
 					ref, refModel = rep, lead()
 					if rep.FinalRatio <= 1 {
 						t.Fatalf("round-trip ratio %v: the replicas' passes did not compress", rep.FinalRatio)
