@@ -25,7 +25,8 @@ race:
 # internal/nn's bit-identity tests on the newer instruction selection
 # (go1.24 fuses nothing there; the step is for the release that does).
 # loc-check holds the root module's non-test line count at the number next
-# to the `loc` target: not above it, and not more than 25 below it. The last line is the whole tree under
+# to the `loc` target: not above it, and not more than 25 below it.
+# bench-check holds the `bench` target to the benchmarks that exist. The last line is the whole tree under
 # the race detector: the offload scheduler and transport, the netstore
 # server, the training loop driving them, the worker pool, and the
 # process tests in cmd/ and examples/, which build their binaries with the
@@ -39,6 +40,7 @@ ci:
 	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
 	! (GOARCH=arm64 go build -gcflags=-S ./... 2>&1 | grep -E 'FN?M(ADD|SUB)[SD]')
 	go test ./...
+	$(MAKE) -s bench-check
 	GOAMD64=v3 go test ./internal/nn/
 	cd bench && go vet . && go test .
 	go test -race ./...
@@ -51,20 +53,35 @@ ci:
 # meets: the ZVC coders flat at ≈ 45% non-zero (ReLU codes) and by block
 # at ≈ 78% (DCT coefficients), BRC on coin-flip signs, the AAN transforms,
 # and each codec kind end to end through codec.Pipeline and the frame.
+BENCH_RE = BenchmarkGemm|BenchmarkConv|BenchmarkReLU|BenchmarkBatchNorm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode
 .PHONY: bench
 bench:
-	go test -run '^$$' -bench 'BenchmarkGemm|BenchmarkConv|BenchmarkReLU|BenchmarkBatchNorm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkRoundtripZVC|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode' -benchmem ./...
+	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem ./...
+
+# The bench target's guard: each alternative of BENCH_RE must match a
+# benchmark of the root module (`go test -list`), so a benchmark renamed
+# or deleted takes its name out of the regex in the same change.
+.PHONY: bench-check
+bench-check:
+	@names=$$(go test -list '^Benchmark' ./... | grep '^Benchmark'); \
+	for re in $$(echo '$(BENCH_RE)' | tr '|' ' '); do \
+		echo "$$names" | grep -qE "$$re" || { echo "bench: $$re matches no benchmark"; exit 1; }; \
+	done
 
 # Fuzz sweep: every decoder fuzz target for 10s each. Go runs one fuzz
 # target per invocation, so loop over the discovered names in each fuzzed
 # package. The decoders facing untrusted bytes — the offload container
 # (FuzzDecodeFrame), the activation decode every restore runs, whose
-# Decode and DecodeInto must also agree (FuzzDecodeActivation, seeded
-# from its committed corpus under testdata/fuzz/), the JPEG-ACT
-# coefficient decode that only bench/ still calls
-# (FuzzDecodeCoefficients), the activation-store request path
+# Decode and DecodeInto must also agree (FuzzDecodeActivation: the
+# JPEG-ACT blocks, SFPR+ZVC, raw float32, float32 ZVC, FP8 DPR, DPR+CSR,
+# raw SFPR, JPEG-BASE DIV+RLE and CDU stream frames, seeded with a valid
+# frame of each), the JPEG-ACT coefficient decode that only bench/ still
+# calls (FuzzDecodeCoefficients), the activation-store request path
 # (FuzzNetstoreRequest) and the client's response parser
 # (FuzzWireResponse) — must survive arbitrary input without a panic.
+# Each of FuzzDecodeFrame, FuzzDecodeActivation, FuzzWireResponse and
+# FuzzNetstoreRequest starts from a committed corpus under its package's
+# testdata/fuzz/.
 FUZZTIME ?= 10s
 FUZZPKGS = ./internal/coding/ ./internal/offload/codec/ ./internal/offload/netstore/ ./internal/offload/transport/
 .PHONY: fuzz
@@ -87,7 +104,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11299
+LOC_MAX = 11552
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

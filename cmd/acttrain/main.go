@@ -113,10 +113,10 @@ func main() {
 
 	// A flag set outside the mode it configures would train another mode
 	// and print a valid-looking digest, so it is refused. -method picks the
-	// functional round-trip's codec: the offload store always runs
-	// JPEG-ACT/OptL and the data-parallel trainer leaves activations
-	// alone, so an explicit -method there would print one thing and train
-	// another.
+	// codecs plain training frames activations with: the offload store
+	// always runs JPEG-ACT/OptL and the data-parallel trainer leaves
+	// activations alone, so an explicit -method there would print one thing
+	// and train another.
 	type mode struct {
 		name string
 		on   bool

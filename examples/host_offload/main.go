@@ -81,7 +81,7 @@ func main() {
 	nn.SetHooks(m.Net, &nn.Hooks{OnSave: eng.Offload})
 	out = m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
 	loss, grad = nn.SoftmaxCrossEntropy(out.T, labels)
-	aorig, acomp, err := eng.EndForward(m.Net.SavedRefs())
+	sizes, _, err := eng.EndForward(m.Net.SavedRefs())
 	if err != nil {
 		panic(err)
 	}
@@ -100,7 +100,7 @@ func main() {
 	}
 	es := eng.Stats()
 	fmt.Printf("pipelined engine: %.2f MB -> %.2f MB streamed during forward, loss %.3f\n",
-		float64(aorig)/1e6, float64(acomp)/1e6, loss)
+		float64(sizes.Orig)/1e6, float64(sizes.Comp)/1e6, loss)
 	fmt.Printf("prefetcher served %d restores staged ahead, %d after a wait (in-flight peak %d B)\n",
 		es.PrefetchHits, es.PrefetchWaits, es.MaxInFlight)
 

@@ -24,7 +24,7 @@ func main() {
 		if res.Recovered != nil {
 			errStr = fmt.Sprintf("%.3e", l2(x, res.Recovered))
 		}
-		fmt.Printf("%-18s %-8.2f %-12s %v\n", m.Name(), res.Ratio(), errStr, m.Lossless())
+		fmt.Printf("%-18s %-8.2f %-12s %v\n", m.Name(), res.Ratio(), errStr, jpegact.Lossless(m))
 	}
 
 	// The same method applies different coders per activation kind

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"errors"
 	"math/bits"
 
 	"jpegact/internal/dct"
@@ -44,6 +45,43 @@ type Stream struct {
 	// Bytes is the true compressed size before packet padding.
 	Bytes  int
 	Cycles int // compression-side cycles
+}
+
+// ErrStream reports a CDU payload whose blocks do not exactly fill it.
+var ErrStream = errors.New("accel: corrupt CDU stream")
+
+// Payload returns the stream's bytes in the order the DMA carries them,
+// without the last packet's padding: Bytes long.
+func (s *Stream) Payload() []byte {
+	out := make([]byte, 0, len(s.Packets)*PacketBytes)
+	for _, p := range s.Packets {
+		out = append(out, p...)
+	}
+	return out[:s.Bytes]
+}
+
+// StreamOf rebuilds the packet stream of nb blocks from its Payload. It
+// first walks the payload block by block through the mask bytes the
+// splitter peeks, so a payload whose blocks do not exactly fill it is
+// rejected before the splitter sees it.
+func StreamOf(payload []byte, nb int) (*Stream, error) {
+	p := 0
+	for b := 0; b < nb; b++ {
+		if p+8 > len(payload) {
+			return nil, ErrStream
+		}
+		p += blockSizeFromMask(payload[p : p+8])
+	}
+	if p != len(payload) {
+		return nil, ErrStream
+	}
+	s := &Stream{Blocks: nb, Bytes: len(payload)}
+	for off := 0; off < len(payload); off += PacketBytes {
+		pkt := make([]byte, PacketBytes)
+		copy(pkt, payload[off:])
+		s.Packets = append(s.Packets, pkt)
+	}
+	return s, nil
 }
 
 // encodeBlockZVC packs one quantized block in the hardware ZVC format:

@@ -289,10 +289,10 @@ func TestCSRRoundtrip(t *testing.T) {
 		for _, sp := range []float64{0, 0.6, 1} {
 			vals := randVals(r, width*5, sp)
 			enc := EncodeCSR(vals, width)
-			if len(enc) != CSRSize(vals, width) {
-				t.Fatalf("CSRSize mismatch")
+			if want := 1 + 2*len(vals)/width + 2*countNonzero(vals); len(enc) != want {
+				t.Fatalf("width=%d sp=%v: %d bytes, want %d", width, sp, len(enc), want)
 			}
-			dec, err := DecodeCSR(enc, len(vals))
+			dec, err := decodeCSR(enc, len(vals))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +308,7 @@ func TestCSRDenseExpands(t *testing.T) {
 	// pathology on low-sparsity nets (§VI-B).
 	r := tensor.NewRNG(6)
 	vals := randVals(r, 1024, 0)
-	if got := CSRSize(vals, 32); got < 2*len(vals) {
+	if got := len(EncodeCSR(vals, 32)); got < 2*len(vals) {
 		t.Fatalf("dense CSR size %d, want >= %d", got, 2*len(vals))
 	}
 }
@@ -421,7 +421,7 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		_, _ = DecodeJPEGBlocks(buf)
 		_, _ = DecodeZVC(buf, n*2)
 		_, _ = DecodeRLE(buf, n)
-		_, _ = DecodeCSR(buf, n*4)
+		_, _ = decodeCSR(buf, n*4)
 		_, _ = DecodeBRC(buf, n*8)
 	}
 }

@@ -391,16 +391,3 @@ func DecodeZVCBlocks(data []byte, nb int) ([][64]int8, error) {
 	}
 	return out, nil
 }
-
-// ZVCSize returns the encoded size in bytes without materializing the
-// stream, for fast compression-ratio accounting. The non-zero scan
-// shards over the worker pool (integer partial sums, so the total is
-// exact regardless of the split).
-func ZVCSize(vals []int8) int {
-	n := len(vals)
-	var total atomic.Int64
-	parallel.For((n+ZVCShard-1)/ZVCShard, 4, func(lo, hi int) {
-		total.Add(int64(zvcSize(vals[lo*ZVCShard : min(hi*ZVCShard, n)])))
-	})
-	return int(total.Load())
-}

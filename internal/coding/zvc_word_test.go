@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"jpegact/internal/parallel"
@@ -408,4 +409,17 @@ func BenchmarkDecodeZVC(b *testing.B) {
 func ExampleEncodeZVC() {
 	fmt.Printf("% x\n", EncodeZVC([]int8{1, 0, 2, 0, 0, 0, 0, 3, 4}))
 	// Output: 85 01 02 03 01 04
+}
+
+// ZVCSize returns the encoded size in bytes without materializing the
+// stream: the oracle the encoders' exact sizing is checked against. The non-zero scan
+// shards over the worker pool (integer partial sums, so the total is
+// exact regardless of the split).
+func ZVCSize(vals []int8) int {
+	n := len(vals)
+	var total atomic.Int64
+	parallel.For((n+ZVCShard-1)/ZVCShard, 4, func(lo, hi int) {
+		total.Add(int64(zvcSize(vals[lo*ZVCShard : min(hi*ZVCShard, n)])))
+	})
+	return int(total.Load())
 }

@@ -34,12 +34,15 @@ func TestRoundtripDeterministicAcrossWorkers(t *testing.T) {
 	r := tensor.NewRNG(7)
 	for _, shape := range [][4]int{{2, 8, 16, 16}, {1, 3, 9, 11}, {4, 16, 32, 32}} {
 		x := sparseTensor(r, shape[0], shape[1], shape[2], shape[3])
-		for _, p := range []Pipeline{JPEGAct(quant.OptH()), {DQT: quant.JPEGQuality(80)}} {
+		for _, c := range []struct {
+			p   Pipeline
+			rle bool
+		}{{JPEGAct(quant.OptH()), false}, {Pipeline{DQT: quant.JPEGQuality(80)}, true}} {
 			var refRec *tensor.Tensor
 			var refBytes int
 			for _, w := range workerCounts() {
 				old := parallel.SetWorkers(w)
-				rec, n := p.Roundtrip(x)
+				rec, n := c.p.roundTrip(x, c.rle)
 				parallel.SetWorkers(old)
 				if refRec == nil {
 					refRec, refBytes = rec, n

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"sync/atomic"
+
 	"jpegact/internal/accel"
 	"jpegact/internal/dct"
 	"jpegact/internal/quant"
@@ -9,17 +11,19 @@ import (
 )
 
 // HardwareJPEGACT is JPEG-ACT backed by the cycle-counted CDU datapath of
-// internal/accel instead of the float functional pipeline: SFPR codes are
-// blocked through the alignment-buffer layout, pushed through the
-// fixed-point DCT → SH → ZVC stages, marshalled into 128 B DMA packets by
-// the collector, and decompressed back through the splitter. Use it to
+// internal/accel instead of the float pipeline: SFPR codes are blocked
+// through the alignment-buffer layout, pushed through the fixed-point
+// DCT → SH → ZVC stages, marshalled into 128 B DMA packets by the
+// collector, and decompressed back through the splitter. Use it to
 // verify that training under the *hardware* datapath behaves like
-// training under the functional simulation, and to account cycles.
+// training under the float pipeline, and to account cycles.
 type HardwareJPEGACT struct {
+	sealed
 	Schedule quant.Schedule
 	NumCDU   int
-	// TotalCycles accumulates compression-side CDU cycles across calls.
-	TotalCycles int64
+	// TotalCycles accumulates compression-side CDU cycles across
+	// encodes, which may run concurrently.
+	TotalCycles atomic.Int64
 }
 
 // NewHardwareJPEGACT builds the hardware-backed method with n CDUs.
@@ -30,22 +34,14 @@ func NewHardwareJPEGACT(s quant.Schedule, n int) *HardwareJPEGACT {
 // Name implements Method.
 func (h *HardwareJPEGACT) Name() string { return "JPEG-ACT-HW/" + h.Schedule.Name }
 
-// Lossless implements Method.
-func (*HardwareJPEGACT) Lossless() bool { return false }
-
-// Compress implements Method with the Table II policy; the conv/sum path
-// runs on the accel datapath.
-func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Result {
-	if kind != KindConv || !JPEGApplicable(x.Shape) {
-		// Non-JPEG kinds follow the same policy as the functional method.
-		return NewJPEGAct(h.Schedule).Compress(x, kind, epoch)
-	}
-	orig := x.Bytes()
-
-	// SFPR with per-channel scales, then the padded block layout the
-	// alignment buffer sees (§III-C).
-	scales := make([]float32, x.Shape.C)
-	sfpr.ComputeScales(x, sfpr.DefaultS, scales)
+// EncodeCDU runs x through the CDU datapath under table d and SFPR scale
+// s: SFPR with per-channel scales, the padded block layout the alignment
+// buffer sees (§III-C), then the DCT → SH → ZVC stages and the
+// collector. It returns the DMA payload (accel.Stream.Payload) and the
+// scales, and adds the compression-side cycles to TotalCycles.
+func (h *HardwareJPEGACT) EncodeCDU(x *tensor.Tensor, d quant.DQT, s float64) (payload []byte, scales []float32) {
+	scales = make([]float32, x.Shape.C)
+	sfpr.ComputeScales(x, s, scales)
 	sc128 := PlaneScales128(scales, x.Shape)
 	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
 	bw := info.BlockCols / 8
@@ -57,25 +53,29 @@ func (h *HardwareJPEGACT) Compress(x *tensor.Tensor, kind Kind, epoch int) Resul
 			blocks[bi][i] = int8(v)
 		}
 	}
+	stream := accel.New(h.NumCDU, d).CompressCodes(blocks)
+	h.TotalCycles.Add(int64(stream.Cycles))
+	return stream.Payload(), scales
+}
 
-	a := accel.New(h.NumCDU, *h.Schedule.For(epoch))
-	stream := a.CompressCodes(blocks)
-	h.TotalCycles += int64(stream.Cycles)
-	recBlocks, _ := a.DecompressCodes(stream)
-
-	// Drop the pad fringe and undo SFPR.
-	out := tensor.New(x.Shape.N, x.Shape.C, x.Shape.H, x.Shape.W)
-	invScales := planeInvScales(scales, x.Shape)
+// DecodeCDUInto inverts EncodeCDU into dst, whose shape is x's: the
+// splitter, the inverse SH and DCT stages, then the pad fringe dropped
+// and SFPR undone. Every element of dst is written.
+func DecodeCDUInto(payload []byte, scales []float32, d quant.DQT, dst *tensor.Tensor) error {
+	info := tensor.BlockPadInfo(dst.Shape, dct.BlockSize)
+	stream, err := accel.StreamOf(payload, info.PaddedElems()/64)
+	if err != nil {
+		return err
+	}
+	recBlocks, _ := accel.New(1, d).DecompressCodes(stream)
+	bw := info.BlockCols / 8
+	invScales := planeInvScales(scales, dst.Shape)
+	var blk dct.Block
 	for bi := range recBlocks {
 		for i, v := range recBlocks[bi] {
 			blk[i] = float32(v)
 		}
-		ScatterBlock(&blk, bi/bw, bi%bw, x.Shape, invScales, out.Data)
+		ScatterBlock(&blk, bi/bw, bi%bw, dst.Shape, invScales, dst.Data)
 	}
-
-	return Result{
-		Recovered:       out,
-		CompressedBytes: stream.Bytes + 4*len(scales),
-		OriginalBytes:   orig,
-	}
+	return nil
 }

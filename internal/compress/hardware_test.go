@@ -1,8 +1,9 @@
-package compress
+package compress_test
 
 import (
 	"testing"
 
+	. "jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -16,8 +17,8 @@ func TestHardwareJPEGACTMatchesFunctional(t *testing.T) {
 	hwm := NewHardwareJPEGACT(quant.Fixed(quant.OptH()), 4)
 	sw := NewJPEGAct(quant.Fixed(quant.OptH()))
 
-	hres := hwm.Compress(x, KindConv, 0)
-	sres := sw.Compress(x, KindConv, 0)
+	hres := compressAt(hwm, x, KindConv, 0)
+	sres := compressAt(sw, x, KindConv, 0)
 
 	if hres.Recovered.Shape != x.Shape {
 		t.Fatal("shape lost")
@@ -31,20 +32,20 @@ func TestHardwareJPEGACTMatchesFunctional(t *testing.T) {
 	if ratioDelta < 0.85 || ratioDelta > 1.25 {
 		t.Fatalf("hardware ratio %v vs software %v", hres.Ratio(), sres.Ratio())
 	}
-	if hwm.TotalCycles <= 0 {
+	if hwm.TotalCycles.Load() <= 0 {
 		t.Fatal("no cycles accounted")
 	}
 }
 
 func TestHardwareJPEGACTPolicyFallback(t *testing.T) {
 	hwm := NewHardwareJPEGACT(quant.OptL5H(), 4)
-	x := reluAct(33, 2, 4, 16, 16)
-	res := hwm.Compress(x, KindReLUToOther, 0)
+	x := ReLUAct(33, 2, 4, 16, 16)
+	res := compressAt(hwm, x, KindReLUToOther, 0)
 	if res.Mask == nil {
 		t.Fatal("BRC policy must apply")
 	}
-	small := correlatedAct(34, 1, 1, 4, 4)
-	res2 := hwm.Compress(small, KindConv, 0)
+	small := CorrelatedAct(34, 1, 1, 4, 4)
+	res2 := compressAt(hwm, small, KindConv, 0)
 	if res2.Recovered == nil || res2.Ratio() > 4.1 {
 		t.Fatalf("small activation fallback broken: %v", res2.Ratio())
 	}
@@ -64,7 +65,7 @@ func TestHardwareJPEGACTUnpaddedShapes(t *testing.T) {
 		x := tensor.New(sh.N, sh.C, sh.H, sh.W)
 		x.FillNormal(r, 0, 1)
 		hwm := NewHardwareJPEGACT(quant.Fixed(quant.OptL()), 2)
-		res := hwm.Compress(x, KindConv, 0)
+		res := compressAt(hwm, x, KindConv, 0)
 		if res.Recovered.Shape != sh {
 			t.Fatalf("shape %v -> %v", sh, res.Recovered.Shape)
 		}

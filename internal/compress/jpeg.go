@@ -1,8 +1,10 @@
-// Package compress composes the building blocks (sfpr, dct, quant,
-// coding) into the activation-compression methods evaluated by the paper:
-// the uncompressed baseline, cDMA+ (ZVC), GIST (DPR+BRC+CSR), SFPR-only,
-// JPEG-BASE (SFPR+DCT+DIV+RLE) and JPEG-ACT (SFPR+DCT+SH+ZVC), together
-// with the per-activation-type policy of Table II.
+// Package compress names the activation-compression methods evaluated by
+// the paper — the uncompressed baseline, cDMA+ (ZVC), GIST (DPR+BRC+CSR),
+// SFPR-only, JPEG-BASE (SFPR+DCT+DIV+RLE) and JPEG-ACT (SFPR+DCT+SH+ZVC)
+// — states the per-activation-type policy of Table II (Select), and
+// composes the building blocks (sfpr, dct, quant, coding) into the JPEG
+// pipelines and the CDU datapath the frame codecs of
+// internal/offload/codec run.
 package compress
 
 import (
@@ -15,17 +17,18 @@ import (
 )
 
 // Pipeline is one configuration of the JPEG activation pipeline:
-// SFPR → 8×8 DCT → {DIV | SH} quantization → {RLE | ZVC} coding.
+// SFPR → 8×8 DCT → {DIV | SH} quantization → {ZVC (Encode) | RLE
+// (EncodeRLE)} coding.
 type Pipeline struct {
 	DQT      quant.DQT
 	UseShift bool    // SH instead of DIV (JPEG-ACT)
-	UseZVC   bool    // ZVC instead of RLE (JPEG-ACT)
 	S        float64 // SFPR global scale
 }
 
-// JPEGAct returns the JPEG-ACT pipeline with the given DQT.
+// JPEGAct returns the JPEG-ACT pipeline (SH, then Encode's ZVC) with the
+// given DQT.
 func JPEGAct(d quant.DQT) Pipeline {
-	return Pipeline{DQT: d, UseShift: true, UseZVC: true, S: sfpr.DefaultS}
+	return Pipeline{DQT: d, UseShift: true, S: sfpr.DefaultS}
 }
 
 // blockGrain is the number of 8×8 blocks one parallel chunk of the
@@ -146,21 +149,53 @@ func (p *Pipeline) quantizer(x *tensor.Tensor, scales []float32, blocks [][64]in
 }
 
 // ReconstructBlocks inverts QuantizeBlocks: the blocks view of
-// DecodeInto. Blocks shard over the worker pool, each one
-// fusedReconstructBlock into a fresh tensor.
+// DecodeInto, into a fresh tensor.
 func (p *Pipeline) ReconstructBlocks(blocks [][64]int8, scales []float32, info tensor.PadInfo) *tensor.Tensor {
 	sh := info.Orig
 	out := tensor.New(sh.N, sh.C, sh.H, sh.W)
+	p.reconstructInto(blocks, scales, info, out.Data)
+	return out
+}
+
+// reconstructInto writes every element of the tensor blocks describe
+// into dst: blocks shard over the worker pool, each one
+// fusedReconstructBlock.
+func (p *Pipeline) reconstructInto(blocks [][64]int8, scales []float32, info tensor.PadInfo, dst []float32) {
+	sh := info.Orig
 	table := p.foldedInverse()
 	invScales := planeInvScales(scales, sh)
-
 	bw := info.BlockCols / 8
 	parallel.For(len(blocks), blockGrain, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
-			fusedReconstructBlock(&blocks[bi], &table, bi/bw, bi%bw, sh, invScales, out.Data)
+			fusedReconstructBlock(&blocks[bi], &table, bi/bw, bi%bw, sh, invScales, dst)
 		}
 	})
-	return out
+}
+
+// EncodeRLE is Encode with the JPEG entropy coder (RLE + Huffman,
+// JPEG-BASE's back end) in place of ZVC: the blocks view, then
+// coding.EncodeJPEGBlocks.
+func (p *Pipeline) EncodeRLE(x *tensor.Tensor) (payload []byte, scales []float32) {
+	blocks, scales, _ := p.QuantizeBlocks(x)
+	payload = coding.EncodeJPEGBlocks(blocks)
+	ReleaseBlocks(blocks)
+	return payload, scales
+}
+
+// DecodeRLEInto inverts EncodeRLE into dst, whose shape is x's; every
+// element of dst is written. A stream that does not hold exactly the
+// shape's blocks is corrupt.
+func (p *Pipeline) DecodeRLEInto(payload []byte, scales []float32, dst *tensor.Tensor) error {
+	blocks, err := coding.DecodeJPEGBlocks(payload)
+	if err != nil {
+		return err
+	}
+	info := tensor.BlockPadInfo(dst.Shape, dct.BlockSize)
+	if len(blocks) != info.PaddedElems()/64 {
+		return coding.ErrCorrupt
+	}
+	p.reconstructInto(blocks, scales, info, dst.Data)
+	return nil
 }
 
 // PlaneScales128 returns float64(scale)·128 of each (n, c) plane: the
@@ -190,31 +225,6 @@ func planeInvScales(scales []float32, sh tensor.Shape) []float32 {
 // clampCode rounds a reconstructed spatial value to the int8 SFPR code
 // grid.
 func clampCode(v float32) float32 { return float32(quant.RoundSat32(v)) }
-
-// Roundtrip compresses x through the full pipeline and returns the
-// recovered activation plus the compressed byte count (coded stream +
-// per-channel scales). The coded stream is actually encoded and decoded,
-// so the losslessness of the coding stage is exercised on every call:
-// JPEG-ACT through the fused drivers the offload codec runs, JPEG-BASE
-// through the blocks view and the RLE+Huffman coder.
-func (p *Pipeline) Roundtrip(x *tensor.Tensor) (*tensor.Tensor, int) {
-	if p.UseZVC {
-		enc, scales := p.Encode(x)
-		out := tensor.New(x.Shape.N, x.Shape.C, x.Shape.H, x.Shape.W)
-		if err := p.DecodeInto(enc, scales, out); err != nil {
-			panic("compress: ZVC roundtrip failed: " + err.Error())
-		}
-		return out, len(enc) + 4*len(scales)
-	}
-	blocks, scales, info := p.QuantizeBlocks(x)
-	enc := coding.EncodeJPEGBlocks(blocks)
-	ReleaseBlocks(blocks)
-	decoded, err := coding.DecodeJPEGBlocks(enc)
-	if err != nil {
-		panic("compress: JPEG entropy roundtrip failed: " + err.Error())
-	}
-	return p.ReconstructBlocks(decoded, scales, info), len(enc) + 4*len(scales)
-}
 
 func (p *Pipeline) s() float64 {
 	if p.S == 0 {

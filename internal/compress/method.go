@@ -1,10 +1,9 @@
 package compress
 
 import (
-	"jpegact/internal/coding"
 	"jpegact/internal/dct"
+	"jpegact/internal/frame"
 	"jpegact/internal/quant"
-	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
 )
 
@@ -47,13 +46,13 @@ func (k Kind) String() string {
 
 // Result describes one compressed activation.
 type Result struct {
-	// Recovered is the lossy reconstruction to be used in the backward
-	// pass: x itself where the method is lossless for it, nil when only a
-	// mask is stored (BRC).
+	// Recovered is the reconstruction the backward pass reads, decoded
+	// from the activation's frame; nil when only a mask is kept (BRC).
 	Recovered *tensor.Tensor
 	// Mask is the BRC sign mask when Recovered is nil.
 	Mask []bool
-	// CompressedBytes is the offloaded footprint.
+	// CompressedBytes is the frame's payload plus its scales: the
+	// offloaded footprint the paper's ratios count (no container header).
 	CompressedBytes int
 	// OriginalBytes is the float32 footprint.
 	OriginalBytes int
@@ -67,107 +66,52 @@ func (r Result) Ratio() float64 {
 	return float64(r.OriginalBytes) / float64(r.CompressedBytes)
 }
 
-// Method is one activation-compression scheme. Epoch is passed so
-// piece-wise DQT schedules (optL5H) can switch tables during training.
+// Method is one activation-compression scheme of Table I. What it does
+// to each activation is Select's row for it; internal/offload/codec
+// encodes and decodes the frames, and its Pipeline.Compress is the round
+// trip through them. The set is closed: every Method embeds sealed, so
+// Select knows them all.
 type Method interface {
 	Name() string
-	Compress(x *tensor.Tensor, kind Kind, epoch int) Result
-	// Lossless reports whether reconstruction is bit-exact.
-	Lossless() bool
+	tableI()
 }
 
-// ---------------------------------------------------------------------------
+// sealed marks the methods Select has a row for.
+type sealed struct{}
+
+func (sealed) tableI() {}
 
 // Baseline stores activations uncompressed (the vDNN offload setting).
-// Like CDMAPlus, it recovers x itself: a lossless round trip has nothing
-// to copy.
-type Baseline struct{}
+type Baseline struct{ sealed }
 
-func (Baseline) Name() string   { return "baseline" }
-func (Baseline) Lossless() bool { return true }
-
-func (Baseline) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
-	return Result{Recovered: x, CompressedBytes: x.Bytes(), OriginalBytes: x.Bytes()}
-}
-
-// ---------------------------------------------------------------------------
+func (Baseline) Name() string { return "baseline" }
 
 // CDMAPlus is the re-implemented cDMA of Rhu et al. as a DMA-side method:
 // lossless ZVC over 32-bit values for sparse activations, no compression
 // for dense conv/sum outputs.
-type CDMAPlus struct{}
+type CDMAPlus struct{ sealed }
 
-func (CDMAPlus) Name() string   { return "cDMA+" }
-func (CDMAPlus) Lossless() bool { return true }
-
-func (CDMAPlus) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
-	orig := x.Bytes()
-	if kind == KindConv {
-		return Result{Recovered: x, CompressedBytes: orig, OriginalBytes: orig}
-	}
-	// ZVC over float32: one mask byte per eight values + 4B per non-zero.
-	groups := (x.Elems() + 7) / 8
-	nz := 0
-	for _, v := range x.Data {
-		if v != 0 {
-			nz++
-		}
-	}
-	return Result{Recovered: x, CompressedBytes: groups + 4*nz, OriginalBytes: orig}
-}
-
-// ---------------------------------------------------------------------------
+func (CDMAPlus) Name() string { return "cDMA+" }
 
 // GIST implements the functional behaviour of Jain et al.'s GIST: 8-bit
 // DPR for dense activations, BRC for ReLU-to-other, and DPR+CSR sparse
 // storage for the remaining sparse kinds.
-type GIST struct{}
+type GIST struct{ sealed }
 
-func (GIST) Name() string   { return "GIST" }
-func (GIST) Lossless() bool { return false }
-
-func (GIST) Compress(x *tensor.Tensor, kind Kind, _ int) Result {
-	orig := x.Bytes()
-	f := sfpr.FP8
-	switch kind {
-	case KindReLUToOther:
-		_, mask := coding.EncodeBRC(x.Data)
-		return Result{Mask: mask, CompressedBytes: (x.Elems() + 7) / 8, OriginalBytes: orig}
-	case KindReLUToConv, KindPoolDropout:
-		rec := sfpr.DPR(x, f)
-		codes := sfpr.DPRInt8Codes(x, f)
-		width := 256
-		for len(codes)%width != 0 {
-			width /= 2
-		}
-		return Result{Recovered: rec, CompressedBytes: coding.CSRSize(codes, width), OriginalBytes: orig}
-	default:
-		rec := sfpr.DPR(x, f)
-		return Result{Recovered: rec, CompressedBytes: x.Elems(), OriginalBytes: orig}
-	}
-}
-
-// ---------------------------------------------------------------------------
+func (GIST) Name() string { return "GIST" }
 
 // SFPROnly applies Scaled Fix-point Precision Reduction to every
 // activation kind — the "SFPR" column of Table I (a fixed 4× ratio plus
 // scale storage).
-type SFPROnly struct{}
+type SFPROnly struct{ sealed }
 
-func (SFPROnly) Name() string   { return "SFPR" }
-func (SFPROnly) Lossless() bool { return false }
-
-func (SFPROnly) Compress(x *tensor.Tensor, _ Kind, _ int) Result {
-	rec, bytes := sfpr.Roundtrip(x, sfpr.DefaultS)
-	return Result{Recovered: rec, CompressedBytes: bytes, OriginalBytes: x.Bytes()}
-}
-
-// ---------------------------------------------------------------------------
+func (SFPROnly) Name() string { return "SFPR" }
 
 // JPEG is the transform-coding method: JPEG-BASE or JPEG-ACT depending on
-// the pipeline configuration, with the Table II policy for non-conv kinds
-// and a piece-wise DQT schedule.
+// the back end, with the Table II policy for non-conv kinds and a
+// piece-wise DQT schedule.
 type JPEG struct {
+	sealed
 	MethodName string
 	Schedule   quant.Schedule
 	Act        bool // true = JPEG-ACT back end (SH+ZVC), false = JPEG-BASE (DIV+RLE)
@@ -183,53 +127,14 @@ func NewJPEGAct(s quant.Schedule) *JPEG {
 	return &JPEG{MethodName: "JPEG-ACT/" + s.Name, Schedule: s, Act: true}
 }
 
-func (j *JPEG) Name() string   { return j.MethodName }
-func (j *JPEG) Lossless() bool { return false }
+func (j *JPEG) Name() string { return j.MethodName }
 
 // JPEGApplicable reports whether the 8×8 transform applies: the reshaped
 // activation must be at least one block in both dimensions (NCH,W ≥ 8,8).
-// It is the one statement of Table II's size condition: the methods here
-// and the offload store's codec.Select both ask it.
+// It is Table II's size condition, which Select asks.
 func JPEGApplicable(sh tensor.Shape) bool {
 	return sh.N*sh.C*sh.H >= dct.BlockSize && sh.W >= dct.BlockSize
 }
-
-func (j *JPEG) pipeline(epoch int) Pipeline {
-	return Pipeline{DQT: *j.Schedule.For(epoch), UseShift: j.Act, UseZVC: j.Act, S: sfpr.DefaultS}
-}
-
-func (j *JPEG) Compress(x *tensor.Tensor, kind Kind, epoch int) Result {
-	orig := x.Bytes()
-	switch kind {
-	case KindReLUToOther:
-		_, mask := coding.EncodeBRC(x.Data)
-		return Result{Mask: mask, CompressedBytes: (x.Elems() + 7) / 8, OriginalBytes: orig}
-	case KindReLUToConv, KindPoolDropout:
-		return j.noTransform(x)
-	default:
-		if !JPEGApplicable(x.Shape) {
-			return j.noTransform(x)
-		}
-		p := j.pipeline(epoch)
-		rec, bytes := p.Roundtrip(x)
-		return Result{Recovered: rec, CompressedBytes: bytes, OriginalBytes: orig}
-	}
-}
-
-// noTransform is the no-transform row of Table II — the sparse kinds, and a
-// conv/sum activation too small to tile into 8×8 blocks: SFPR, plus ZVC
-// under JPEG-ACT. It accounts exactly the bytes the offload store frames
-// for the same tensor (codec.Select's CodecZVC: payload + scales).
-func (j *JPEG) noTransform(x *tensor.Tensor) Result {
-	c := sfpr.Compress(x, sfpr.DefaultS)
-	bytes := len(c.Values) + 4*len(c.Scales)
-	if j.Act {
-		bytes = coding.ZVCSize(c.Values) + 4*len(c.Scales)
-	}
-	return Result{Recovered: sfpr.Decompress(c), CompressedBytes: bytes, OriginalBytes: x.Bytes()}
-}
-
-// ---------------------------------------------------------------------------
 
 // Standard returns the methods of Table I in paper order: baseline,
 // cDMA+, GIST, SFPR, JPEG-BASE (jpeg80, jpeg60), JPEG-ACT (optL, optH,
@@ -248,57 +153,98 @@ func Standard() []Method {
 	}
 }
 
-// PolicyFor returns the Table II policy description for a method name and
-// activation kind; it documents which coder the method applies where.
-// The JPEG methods' KindConv entry is for an activation at least one 8×8
-// block in both reshaped dimensions (N·C·H ≥ 8, W ≥ 8); a smaller one
-// cannot be tiled and takes the method's default-row coder instead
-// (SFPR+ZVC under JPEG-ACT, SFPR under JPEG-BASE).
-func PolicyFor(m Method, k Kind) string {
-	switch m.(type) {
+// Select is Table II: the frame codec method m applies to an activation
+// of kind k and shape sh. It is the one
+// statement of the policy — the codec layer encodes by it, PolicyFor
+// prints it and Lossless reads it. The JPEG methods transform a conv/sum
+// activation only when it tiles into 8×8 blocks (JPEGApplicable); any
+// other kind but ReLU-to-other, and a smaller conv/sum, takes their
+// default row: SFPR+ZVC under JPEG-ACT, SFPR under JPEG-BASE.
+func Select(m Method, k Kind, sh tensor.Shape) frame.Codec {
+	switch m := m.(type) {
 	case Baseline:
-		return "none"
+		return frame.CodecGradRaw
 	case CDMAPlus:
 		if k == KindConv {
-			return "none"
+			return frame.CodecGradRaw
 		}
-		return "ZVC"
+		return frame.CodecZVC32
 	case GIST:
 		switch k {
-		case KindConv:
-			return "DPR"
 		case KindReLUToOther:
-			return "BRC"
-		default:
-			return "DPR+CSR"
+			return frame.CodecBRC
+		case KindReLUToConv, KindPoolDropout:
+			return frame.CodecDPRCSR
 		}
+		return frame.CodecDPR
 	case SFPROnly:
-		return "SFPR"
+		return frame.CodecSFPR
 	case *JPEG:
-		j := m.(*JPEG)
-		switch k {
-		case KindConv:
-			if j.Act {
-				return "SFPR+DCT+SH+ZVC"
-			}
-			return "SFPR+DCT+DIV+RLE"
-		case KindReLUToOther:
-			return "BRC"
-		default:
-			if j.Act {
-				return "SFPR+ZVC"
-			}
-			return "SFPR"
-		}
+		return jpegRow(k, sh, m.Act, false)
 	case *HardwareJPEGACT:
-		switch k {
-		case KindConv:
-			return "CDU(SFPR+DCT+SH+ZVC)"
-		case KindReLUToOther:
-			return "BRC"
-		default:
-			return "SFPR+ZVC"
-		}
+		return jpegRow(k, sh, true, true)
+	}
+	return 0
+}
+
+// jpegRow is Select for the JPEG methods: act picks the JPEG-ACT back
+// end, cdu its cycle-counted datapath.
+func jpegRow(k Kind, sh tensor.Shape, act, cdu bool) frame.Codec {
+	switch {
+	case k == KindReLUToOther:
+		return frame.CodecBRC
+	case k == KindConv && JPEGApplicable(sh) && cdu:
+		return frame.CodecCDU
+	case k == KindConv && JPEGApplicable(sh) && act:
+		return frame.CodecJPEG
+	case k == KindConv && JPEGApplicable(sh):
+		return frame.CodecRLE
+	case act:
+		return frame.CodecZVC
+	}
+	return frame.CodecSFPR
+}
+
+// policyNames are Table II's names for the frame codecs.
+var policyNames = map[frame.Codec]string{
+	frame.CodecGradRaw: "none",
+	frame.CodecZVC32:   "ZVC",
+	frame.CodecDPR:     "DPR",
+	frame.CodecDPRCSR:  "DPR+CSR",
+	frame.CodecBRC:     "BRC",
+	frame.CodecSFPR:    "SFPR",
+	frame.CodecZVC:     "SFPR+ZVC",
+	frame.CodecJPEG:    "SFPR+DCT+SH+ZVC",
+	frame.CodecRLE:     "SFPR+DCT+DIV+RLE",
+	frame.CodecCDU:     "CDU(SFPR+DCT+SH+ZVC)",
+}
+
+// tileable is an activation shape the 8×8 transform applies to, and
+// untileable one it does not.
+var (
+	tileable   = tensor.Shape{N: 1, C: 1, H: 8, W: 8}
+	untileable = tensor.Shape{N: 1, C: 1, H: 1, W: 1}
+)
+
+// PolicyFor names the coder Select gives method m for activation kind k,
+// at a size the 8×8 transform applies to (see Select for smaller ones).
+func PolicyFor(m Method, k Kind) string {
+	if name, ok := policyNames[Select(m, k, tileable)]; ok {
+		return name
 	}
 	return "unknown"
+}
+
+// Lossless reports whether m reconstructs every activation bit for bit:
+// whether every codec it selects is raw float32 or float32 ZVC, the only
+// lossless coders of Table I.
+func Lossless(m Method) bool {
+	for k := KindConv; k <= KindPoolDropout; k++ {
+		for _, sh := range []tensor.Shape{tileable, untileable} {
+			if c := Select(m, k, sh); c != frame.CodecGradRaw && c != frame.CodecZVC32 {
+				return false
+			}
+		}
+	}
+	return true
 }

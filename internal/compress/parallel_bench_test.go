@@ -37,13 +37,3 @@ func BenchmarkReconstructBlocks(b *testing.B) {
 		p.ReconstructBlocks(blocks, scales, info)
 	}
 }
-
-func BenchmarkRoundtripZVC(b *testing.B) {
-	x := benchActivation()
-	p := JPEGAct(quant.OptH())
-	b.SetBytes(int64(x.Bytes()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Roundtrip(x)
-	}
-}

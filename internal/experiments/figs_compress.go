@@ -224,10 +224,14 @@ func runTable3(o Options) *Result {
 		for _, d := range tables {
 			var orig, comp int
 			for _, x := range acts {
-				p := compress.Pipeline{DQT: d, UseShift: be.shift, UseZVC: be.zvc}
-				_, bytes := p.Roundtrip(x)
+				p := compress.Pipeline{DQT: d, UseShift: be.shift}
+				encode := p.EncodeRLE
+				if be.zvc {
+					encode = p.Encode
+				}
+				payload, scales := encode(x)
 				orig += x.Bytes()
-				comp += bytes
+				comp += len(payload) + 4*len(scales)
 			}
 			row = append(row, f("%.2f", float64(orig)/float64(comp)))
 		}

@@ -4,6 +4,7 @@ import (
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/models"
+	"jpegact/internal/offload/codec"
 	"jpegact/internal/quant"
 	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
@@ -36,14 +37,9 @@ func runFig10(o Options) *Result {
 	for _, s := range svals {
 		var eSFPR, eBase, eAct float64
 		for _, x := range acts {
-			rec, _ := sfpr.Roundtrip(x, s)
-			eSFPR += tensor.L2Error(x, rec)
-			pb := compress.Pipeline{DQT: quant.JPEGQuality(80), S: s}
-			rb, _ := pb.Roundtrip(x)
-			eBase += tensor.L2Error(x, rb)
-			pa := compress.Pipeline{DQT: quant.OptH(), UseShift: true, UseZVC: true, S: s}
-			ra, _ := pa.Roundtrip(x)
-			eAct += tensor.L2Error(x, ra)
+			eSFPR += recoveredError(compress.SFPROnly{}, s, x)
+			eBase += recoveredError(compress.NewJPEGBase(quant.JPEGQuality(80)), s, x)
+			eAct += recoveredError(compress.NewJPEGAct(quant.Fixed(quant.OptH())), s, x)
 		}
 		n := float64(len(acts))
 		res.Rows = append(res.Rows, []string{
@@ -51,6 +47,14 @@ func runFig10(o Options) *Result {
 		})
 	}
 	return res
+}
+
+// recoveredError is the L2 error of the conv/sum activation x through
+// method m's frame codec at SFPR scale s.
+func recoveredError(m compress.Method, s float64, x *tensor.Tensor) float64 {
+	p := codec.For(m, 0)
+	p.S = s
+	return tensor.L2Error(x, p.Compress(compress.KindConv, x).Recovered)
 }
 
 func runFig16(o Options) *Result {

@@ -9,7 +9,7 @@
 //
 //	off  0  magic   "JAFR"
 //	off  4  version u8  (currently 1)
-//	off  5  codec   u8  (CodecBRC | CodecJPEG | CodecZVC | CodecGradRaw)
+//	off  5  codec   u8  (CodecBRC … CodecCDU, one per Table I back end)
 //	off  6  kind    u8  (compress.Kind of the activation)
 //	off  7  flags   u8  (reserved, must be 0)
 //	off  8  shape   4×u32 (N, C, H, W)
@@ -60,10 +60,31 @@ const (
 	CodecJPEG Codec = 2
 	// CodecZVC: payload is ZVC-coded SFPR int8 values (sparse path).
 	CodecZVC Codec = 3
-	// CodecGradRaw: payload is raw little-endian float32 gradient
-	// values — lossless, so the data-parallel exchange's all-reduce is
-	// bit-exact by construction.
+	// CodecGradRaw: payload is raw little-endian float32 values — the
+	// uncompressed baseline and cDMA+'s dense rows, and the data-parallel
+	// exchange's gradients, whose all-reduce is then bit-exact by
+	// construction.
 	CodecGradRaw Codec = 4
+	// Codec id 5 was a quantized gradient codec once; it stays unknown.
+
+	// CodecZVC32: payload is ZVC over float32 values (cDMA+): per group
+	// of eight values one mask byte, then the little-endian bits of each
+	// value that is not +0.
+	CodecZVC32 Codec = 6
+	// CodecDPR: payload is one FP8 (e4m3) code per value (GIST's 8-bit
+	// DPR).
+	CodecDPR Codec = 7
+	// CodecDPRCSR: payload is the FP8 codes in CSR form (GIST's sparse
+	// storage).
+	CodecDPRCSR Codec = 8
+	// CodecSFPR: payload is the SFPR int8 codes, uncoded.
+	CodecSFPR Codec = 9
+	// CodecRLE: payload is DIV-quantized 8×8 DCT blocks under the JPEG
+	// entropy coder (JPEG-BASE's DIV+RLE dense path).
+	CodecRLE Codec = 10
+	// CodecCDU: payload is the CDU's DMA stream of SH-quantized blocks
+	// (the cycle-counted JPEG-ACT datapath), packet padding dropped.
+	CodecCDU Codec = 11
 )
 
 // String implements fmt.Stringer.
@@ -77,6 +98,18 @@ func (c Codec) String() string {
 		return "zvc"
 	case CodecGradRaw:
 		return "grad-raw"
+	case CodecZVC32:
+		return "zvc32"
+	case CodecDPR:
+		return "dpr"
+	case CodecDPRCSR:
+		return "dpr-csr"
+	case CodecSFPR:
+		return "sfpr"
+	case CodecRLE:
+		return "rle"
+	case CodecCDU:
+		return "cdu"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
@@ -163,7 +196,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: version %d", ErrVersion, b[4])
 	}
 	codec := Codec(b[5])
-	if codec < CodecBRC || codec > CodecGradRaw {
+	if codec < CodecBRC || codec > CodecCDU || codec == 5 { // 5: retired, see CodecGradRaw
 		return nil, fmt.Errorf("%w: %s", ErrHeader, codec)
 	}
 	if b[7] != 0 {

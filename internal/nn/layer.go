@@ -29,16 +29,13 @@ import (
 type ActRef struct {
 	Name string
 	Kind compress.Kind
-	// T is the saved tensor. The compression hook may replace it with the
-	// lossy recovered version (or nil it when only Mask is kept).
+	// T is the saved tensor. An offload releases it and its restore puts
+	// the lossy recovered version back (or leaves it nil when only Mask is
+	// kept).
 	T *tensor.Tensor
 	// Mask is the BRC sign mask; when non-nil, backward passes use the
 	// mask and T may be nil.
 	Mask []bool
-	// CompressedBytes/OriginalBytes are filled by the compression hook
-	// for footprint accounting; zero until compressed.
-	CompressedBytes int
-	OriginalBytes   int
 	// saved is set by a layer that keeps the ref for Backward, its
 	// producer or its consumer: a container hands an unsaved intermediate's
 	// buffer back to the step arena once its consumer has run.

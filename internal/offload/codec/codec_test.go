@@ -35,11 +35,10 @@ func TestSelectPolicy(t *testing.T) {
 	}
 }
 
-// TestSelectNamesThePolicyCoder holds the frame-level policy to the one
-// compress.PolicyFor documents for the functional JPEG-ACT method, over
-// the golden shapes and every kind: the documented coder is the kind's
-// row of Table II, except that a conv activation compress.JPEGApplicable
-// refuses takes the default row (PolicyFor's own caveat).
+// TestSelectNamesThePolicyCoder holds bench/'s Select to the JPEG-ACT
+// row of Table II, and PolicyFor's JPEG-ACT names to the codecs that row
+// selects, over the golden shapes and every kind: a conv activation
+// compress.JPEGApplicable refuses takes the default row.
 func TestSelectNamesThePolicyCoder(t *testing.T) {
 	coder := map[frame.Codec]string{
 		frame.CodecBRC:  "BRC",
@@ -48,6 +47,9 @@ func TestSelectNamesThePolicyCoder(t *testing.T) {
 	}
 	m := compress.NewJPEGAct(quant.Fixed(quant.OptL()))
 	for _, c := range goldenCases() {
+		if got, want := Select(c.kind, c.shape), compress.Select(m, c.kind, c.shape); got != want {
+			t.Errorf("%v: Select %s, the JPEG-ACT method's row %s", c, got, want)
+		}
 		row := c.kind
 		if row == compress.KindConv && !compress.JPEGApplicable(c.shape) {
 			row = compress.KindPoolDropout
@@ -58,14 +60,13 @@ func TestSelectNamesThePolicyCoder(t *testing.T) {
 	}
 }
 
-// TestRoundtripMatchesFunctionalMethod pins the two Table II
-// implementations to each other: for every activation kind, over shapes
-// that tile, shapes that need a pad fringe and shapes too small to tile
-// at all, the codec layer must reconstruct exactly what the functional
-// JPEG-ACT method produces (same pipeline, same DQT) — the property the
-// recompute recovery path's bit-exactness rests on — and the method must
-// account exactly the bytes the store frames, since the round-trip
-// policy exists to simulate what the store does.
+// TestRoundtripMatchesFunctionalMethod pins the store's pipeline to the
+// trainers' one: for every activation kind, over shapes that tile, shapes
+// that need a pad fringe and shapes too small to tile at all, New(d) —
+// what the offload store runs — must frame exactly the bytes the JPEG-ACT
+// method's pipeline For(method, epoch) frames, and the method's round
+// trip must reconstruct the decoded frame and account its payload plus
+// scales.
 func TestRoundtripMatchesFunctionalMethod(t *testing.T) {
 	shapes := []tensor.Shape{
 		{N: 2, C: 4, H: 16, W: 16}, // whole blocks
@@ -78,7 +79,7 @@ func TestRoundtripMatchesFunctionalMethod(t *testing.T) {
 	}
 	kinds := []compress.Kind{compress.KindConv, compress.KindReLUToConv, compress.KindPoolDropout, compress.KindReLUToOther}
 	for _, d := range []quant.DQT{quant.OptL(), quant.OptH()} {
-		m := compress.NewJPEGAct(quant.Fixed(d))
+		m := For(compress.NewJPEGAct(quant.Fixed(d)), 0)
 		p := New(d)
 		for si, sh := range shapes {
 			for _, kind := range kinds {
@@ -89,14 +90,21 @@ func TestRoundtripMatchesFunctionalMethod(t *testing.T) {
 						x.Data[i] = v // the ReLU and pooling kinds are half zeros
 					}
 				}
-				want := m.Compress(x.Clone(), kind, 0)
-
+				want := m.Compress(kind, x.Clone())
+				menc, err := m.Encode(kind, x)
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", d.Name, kind, sh, err)
+				}
 				enc, err := p.Encode(kind, x)
 				if err != nil {
 					t.Fatalf("%s %v %v: %v", d.Name, kind, sh, err)
 				}
+				raw := frame.EncodeFrame(enc.Frame)
+				if !slices.Equal(raw, frame.EncodeFrame(menc.Frame)) {
+					t.Fatalf("%s %v %v: the store and the method frame different bytes", d.Name, kind, sh)
+				}
 				// Through a real frame encode/decode, as the transport would see it.
-				f, err := frame.DecodeFrame(frame.EncodeFrame(enc.Frame))
+				f, err := frame.DecodeFrame(raw)
 				if err != nil {
 					t.Fatalf("%s %v %v: %v", d.Name, kind, sh, err)
 				}
@@ -187,7 +195,7 @@ func TestBRCMask(t *testing.T) {
 
 func TestDecodeUnknownCodec(t *testing.T) {
 	p := New(quant.OptL())
-	_, err := p.Decode(&frame.Frame{Codec: frame.Codec(9)})
+	_, err := p.Decode(&frame.Frame{Codec: frame.CodecCDU + 1})
 	if err == nil {
 		t.Fatal("unknown codec must error")
 	}

@@ -100,14 +100,26 @@ func FuzzDecodeGradient(f *testing.F) {
 // as a restore's recycled arena buffer is. Neither may panic; they must
 // accept and reject the same frames, and agree bit for bit on what they
 // accept. The committed corpus (testdata/fuzz/FuzzDecodeActivation) holds
-// valid frames of every codec — JPEG-ACT blocks that span planes, an
-// SFPR+ZVC stream two shards long — and near misses of them.
+// valid frames — JPEG-ACT blocks that span planes, an SFPR+ZVC stream two
+// shards long — and near misses of them, and the seeds add one valid
+// frame of every codec a Table I method selects, at a shape with a pad
+// fringe. A frame's table is not in it, so every frame decodes under the
+// OptL table here: the JPEG-BASE and CDU frames decode to other values
+// than their encoder meant, through the same checks.
 func FuzzDecodeActivation(f *testing.F) {
 	p := New(quant.OptL())
 	f.Add([]byte{})
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 	f.Add(frame.EncodeFrame(hugeShapeFrame(f, frame.CodecJPEG)))
 	f.Add(frame.EncodeFrame(hugeShapeFrame(f, frame.CodecZVC)))
+	for _, r := range codecRows() {
+		x := goldenTensor(goldenCase{"optL", r.kind, tensor.Shape{N: 1, C: 3, H: 9, W: 10}}, 3)
+		enc, err := For(r.method, 0).Encode(r.kind, x)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.EncodeFrame(enc.Frame))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := frame.DecodeFrame(raw)
 		if err != nil {

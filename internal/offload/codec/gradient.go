@@ -3,9 +3,10 @@ package codec
 // The gradient codec for the data-parallel exchange: weight gradients
 // are signed, near-Gaussian and carry no spatial structure, so the 8×8
 // DCT path is useless to them. They ship as raw float32 values
-// (CodecGradRaw), lossless, which is what lets the all-reduce stay
-// bit-exact by construction. Select never chooses it — gradients are
-// not activations — and the caller names it through EncodeGradient.
+// (CodecGradRaw, the codec the uncompressed baseline stores activations
+// with), lossless, which is what lets the all-reduce stay bit-exact by
+// construction. The caller names it through EncodeGradient, bypassing
+// the activation policy.
 
 import (
 	"encoding/binary"
@@ -24,11 +25,7 @@ func (p Pipeline) EncodeGradient(c frame.Codec, x *tensor.Tensor) (Encoded, erro
 	if c != frame.CodecGradRaw {
 		return Encoded{}, fmt.Errorf("codec: %s is not a gradient codec", c)
 	}
-	f := &frame.Frame{Codec: frame.CodecGradRaw, Kind: uint8(compress.KindGradient), Shape: x.Shape}
-	f.Payload = make([]byte, 4*len(x.Data))
-	for i, v := range x.Data {
-		binary.LittleEndian.PutUint32(f.Payload[4*i:], math.Float32bits(v))
-	}
+	f := &frame.Frame{Codec: frame.CodecGradRaw, Kind: uint8(compress.KindGradient), Shape: x.Shape, Payload: encodeRaw(x.Data)}
 	return Encoded{Frame: f}, nil
 }
 
@@ -44,24 +41,25 @@ func (p Pipeline) DecodeGradientInto(f *frame.Frame, dst []float32) error {
 	case f.Codec != frame.CodecGradRaw:
 		return fmt.Errorf("codec: %s is not a gradient codec", f.Codec)
 	}
-	if err := checkGradFrame(f); err != nil {
+	if err := check(f); err != nil {
 		return err
 	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(f.Payload[4*i:]))
-	}
+	decodeRaw(f.Payload, dst)
 	return nil
 }
 
-// checkGradFrame holds a raw gradient frame to four payload bytes per
-// value and no scales.
-func checkGradFrame(f *frame.Frame) error {
-	n := f.Shape.Elems()
-	switch {
-	case len(f.Payload) != 4*n:
-		return fmt.Errorf("%w: %d payload bytes for %d gradient values", frame.ErrHeader, len(f.Payload), n)
-	case len(f.Scales) != 0:
-		return fmt.Errorf("%w: %d scales on a raw gradient frame", frame.ErrHeader, len(f.Scales))
+// encodeRaw is the raw codec's payload: each value's little-endian bits.
+func encodeRaw(vals []float32) []byte {
+	b := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
 	}
-	return nil
+	return b
+}
+
+// decodeRaw inverts encodeRaw into dst, of the payload's value count.
+func decodeRaw(payload []byte, dst []float32) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"jpegact/internal/compress"
 	"jpegact/internal/frame"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload/transport"
@@ -32,6 +33,11 @@ type EngineStats struct {
 	MaxInFlight   int    // high-water mark of encoded bytes awaiting commit
 	DemandFetches uint64 // on-demand fetches issued past the lookahead window
 }
+
+// Bytes counts saved-activation bytes: Orig at float32, Comp as their
+// frames carry them — payload plus scales, without the container header,
+// which is the footprint the paper's ratios count.
+type Bytes struct{ Orig, Comp int }
 
 // encResult is one encoded activation waiting in the reorder buffer for
 // its turn on the channel.
@@ -108,7 +114,7 @@ type Engine struct {
 	committing bool
 	results    map[int]encResult
 	inflight   int
-	origBytes  int
+	sizes      map[compress.Kind]Bytes // this step's, per kind
 	firstErr   error
 
 	// Restore pipeline (reset each step).
@@ -162,7 +168,7 @@ func (e *Engine) BeginStep() {
 	e.results = map[int]encResult{}
 	e.inflight = 0
 	e.firstErr = nil
-	e.origBytes = 0
+	e.sizes = map[compress.Kind]Bytes{}
 	e.repaired = false
 	e.pf = nil
 	e.mu.Unlock()
@@ -187,7 +193,7 @@ func (e *Engine) Offload(ref *nn.ActRef) {
 		return
 	}
 	e.seen[ref] = true
-	e.origBytes += ref.T.Bytes()
+	e.count(ref.Kind, Bytes{Orig: ref.T.Bytes()})
 	seq := e.submitted
 	e.submitted++
 	hold := seq >= e.holdFrom
@@ -200,14 +206,17 @@ func (e *Engine) Offload(ref *nn.ActRef) {
 // result enters the reorder buffer and is committed once it is the head.
 func (e *Engine) encodeAndCommit(seq int, ref *nn.ActRef, x *tensor.Tensor, hold bool) {
 	res := encResult{ref: ref, hold: hold}
-	enc, err := e.store.pipeline().Encode(ref.Kind, x)
+	var comp int
+	enc, err := e.store.Codec.Encode(ref.Kind, x)
 	if err != nil {
 		res.err = fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, err)
 	} else {
 		res.data = frame.EncodeFrame(enc.Frame)
 		res.mask = enc.Mask
+		comp = len(enc.Frame.Payload) + 4*len(enc.Frame.Scales)
 	}
 	e.mu.Lock()
+	e.count(ref.Kind, Bytes{Comp: comp})
 	e.inflight += len(res.data)
 	if e.inflight > e.maxInflight {
 		e.maxInflight = e.inflight
@@ -282,21 +291,29 @@ func (e *Engine) drainCommits() {
 	}
 }
 
+// count adds b to kind's step sizes; e.mu is held.
+func (e *Engine) count(kind compress.Kind, b Bytes) {
+	s := e.sizes[kind]
+	e.sizes[kind] = Bytes{Orig: s.Orig + b.Orig, Comp: s.Comp + b.Comp}
+}
+
 // EndForward offloads any refs the streaming hooks missed, then barriers
 // until every submitted frame has been committed to the channel. It
-// returns the original and compressed byte totals for the step.
-func (e *Engine) EndForward(refs []*nn.ActRef) (orig, comp int, err error) {
+// returns the step's saved-activation bytes, in total and per kind.
+func (e *Engine) EndForward(refs []*nn.ActRef) (total Bytes, byKind map[compress.Kind]Bytes, err error) {
 	for _, ref := range refs {
 		e.Offload(ref)
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for e.finished < e.submitted {
 		e.cond.Wait()
 	}
-	orig = e.origBytes
-	err = e.firstErr
-	e.mu.Unlock()
-	return orig, e.store.HostBytes(), err
+	for _, b := range e.sizes {
+		total.Orig += b.Orig
+		total.Comp += b.Comp
+	}
+	return total, e.sizes, e.firstErr
 }
 
 // PrepareBackward readies the restore side. With Prefetch > 0 it

@@ -2,10 +2,10 @@
 // system: after the forward pass, saved activations are *actually*
 // serialized into compressed byte buffers (the CPU DRAM of Fig. 7) and
 // the float tensors are released; before a layer's backward pass its
-// activation is restored by decompressing the stored bytes. Unlike the
-// functional simulation in internal/train — which swaps in the recovered
-// tensor immediately — this path realizes the memory saving for real:
-// between offload and restore, only the compressed bytes are live.
+// activation is restored by decompressing the stored bytes. It is also
+// how internal/train runs the paper's functional simulation of every
+// Table I method: the same engine over a clean in-process channel, so
+// between offload and restore only the compressed bytes are live.
 //
 // The stack is split into three explicit layers, mirroring the paper's
 // Fig. 7 datapath:
@@ -39,7 +39,6 @@ import (
 	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
-	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
 )
 
@@ -131,14 +130,16 @@ type entry struct {
 	arena    *tensor.Arena
 }
 
-// Store is a host-memory activation store using the JPEG-ACT pipeline
-// with a fixed DQT. It composes the codec and transport layers and owns
-// the ref→entry bookkeeping; the scheduler (Engine) drives it through
-// the same internal operations the synchronous Offload/Restore use, so
-// both land on identical bytes.
+// Store is a host-memory activation store. It composes the codec and
+// transport layers and owns the ref→entry bookkeeping; the scheduler
+// (Engine) drives it through the same internal operations the
+// synchronous Offload/Restore use, so both land on identical bytes.
 type Store struct {
-	DQT quant.DQT
-	S   float64
+	// Codec is the frame codec set every offload encodes with and every
+	// restore decodes with (NewStore: JPEG-ACT). Change it only between
+	// steps, with nothing resident — a trainer switches a DQT schedule's
+	// table this way at an epoch boundary.
+	Codec codec.Pipeline
 	// Channel is the GPU↔host byte path of the default in-process
 	// backend (nil = clean passthrough; internal/faults.Injector
 	// implements it). Ignored when Transport is set.
@@ -173,20 +174,15 @@ type Store struct {
 	counters transport.Counters
 }
 
-// NewStore builds a store with the given quantization table and a clean
-// in-process transport.
+// NewStore builds a store with the JPEG-ACT codec at the given
+// quantization table and a clean in-process transport.
 func NewStore(d quant.DQT) *Store {
-	return &Store{DQT: d, S: sfpr.DefaultS, entries: map[*nn.ActRef]*entry{}}
+	return &Store{Codec: codec.New(d), entries: map[*nn.ActRef]*entry{}}
 }
 
 // Counters exposes the store's live counter block so an externally
 // built transport backend (a NetClient) can share it.
 func (s *Store) Counters() *transport.Counters { return &s.counters }
-
-// pipeline returns the codec layer configured with the store's table.
-func (s *Store) pipeline() codec.Pipeline {
-	return codec.Pipeline{DQT: s.DQT, S: s.S}
-}
 
 // transportOf returns the byte-path backend: the configured Transport,
 // or the default in-process backend built lazily over Channel (so tests
@@ -264,7 +260,7 @@ func (s *Store) Offload(ref *nn.ActRef) error {
 	if ref.T == nil {
 		return fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
 	}
-	enc, err := s.pipeline().Encode(ref.Kind, ref.T)
+	enc, err := s.Codec.Encode(ref.Kind, ref.T)
 	if err != nil {
 		return fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, err)
 	}
@@ -498,7 +494,7 @@ func (s *Store) decode(e *entry, f *frame.Frame) (*tensor.Tensor, error) {
 		return nil, nil
 	}
 	t := e.arena.Get(f.Shape)
-	if err := s.pipeline().DecodeInto(f, t); err != nil {
+	if err := s.Codec.DecodeInto(f, t); err != nil {
 		t.Release()
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"jpegact/internal/frame"
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
+	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/netstore"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
@@ -67,7 +68,7 @@ func TestOffloadRestoreMatchesFunctionalMethod(t *testing.T) {
 	ref := denseRef(2)
 	orig := ref.T.Clone()
 	m := compress.NewJPEGAct(quant.Fixed(quant.OptL()))
-	want := m.Compress(orig, compress.KindConv, 0).Recovered
+	want := codec.For(m, 0).Compress(compress.KindConv, orig).Recovered
 
 	s := NewStore(quant.OptL())
 	if err := s.Offload(ref); err != nil {

@@ -34,10 +34,6 @@ type Compressed struct {
 	Scales []float32 // sc per channel (Eqn. 4); 0 for all-zero channels
 }
 
-// Bytes returns the storage footprint: one byte per value plus one float32
-// scale per channel.
-func (c *Compressed) Bytes() int { return len(c.Values) + 4*len(c.Scales) }
-
 // Compress applies SFPR with global scale S to x.
 func Compress(x *tensor.Tensor, s float64) *Compressed {
 	out := &Compressed{Shape: x.Shape, Values: make([]int8, x.Elems()), Scales: make([]float32, x.Shape.C)}
@@ -117,13 +113,6 @@ func Code(v float32, sc128 float64) int8 {
 	return quant.RoundSat64(float64(float64(v) * sc128))
 }
 
-// Decompress reconstructs the activation from c.
-func Decompress(c *Compressed) *tensor.Tensor {
-	out := tensor.New(c.Shape.N, c.Shape.C, c.Shape.H, c.Shape.W)
-	DequantizeInto(c.Values, c.Scales, out)
-	return out
-}
-
 // DequantizeInto writes the float recovery of vals into x using the
 // inverse scales (backward-pass path of the SFPR unit). The (n, c) planes
 // shard over the worker pool, each one run of DequantizeRun.
@@ -155,13 +144,6 @@ func DequantizeRun(vals []int8, lo int, sh tensor.Shape, scales []float32, dst [
 		}
 		vals, lo = vals[k:], lo+k
 	}
-}
-
-// Roundtrip compresses and immediately decompresses x, the functional
-// simulation of storing the activation through the SFPR path.
-func Roundtrip(x *tensor.Tensor, s float64) (*tensor.Tensor, int) {
-	c := Compress(x, s)
-	return Decompress(c), c.Bytes()
 }
 
 // Minifloat describes a reduced-precision float format (DPR). The format
@@ -210,28 +192,47 @@ func (m Minifloat) Quantize(v float32) float32 {
 	return float32(sign * r)
 }
 
-// DPR casts every element of x through the minifloat format and back,
-// the functional simulation of GIST's precision reduction.
-func DPR(x *tensor.Tensor, m Minifloat) *tensor.Tensor {
-	out := tensor.NewLike(x)
-	for i, v := range x.Data {
-		out.Data[i] = m.Quantize(v)
+// FP8Code returns the byte GIST's 8-bit DPR stores for v: the e4m3 code
+// of FP8.Quantize(v) — sign bit, 4 exponent bits (bias 7, 0 for the
+// subnormals), 3 mantissa bits. Exponent 15 is never a value (Quantize
+// saturates at 240), so it codes NaN. FP8Value inverts it: for every v
+// but NaN, FP8Value(FP8Code(v)) is FP8.Quantize(v) bit for bit, −0
+// included.
+func FP8Code(v float32) byte {
+	q := FP8.Quantize(v)
+	b := math.Float32bits(q)
+	sign := byte(b>>24) & 0x80
+	switch e := int(b>>23&0xff) - 127; {
+	case q != q:
+		return sign | 0x78
+	case q == 0:
+		return sign
+	case e < -6: // a multiple of the subnormal quantum 2⁻⁹
+		return sign | byte(math.Abs(float64(q))*512)
+	default:
+		return sign | byte(e+7)<<3 | byte(b>>20&7)
 	}
-	return out
 }
 
-// DPRInt8Codes returns the 8-bit codes GIST stores for x under 8-bit DPR
-// (used for sparsity/size accounting by CSR). A code is zero iff the
-// quantized value is zero.
-func DPRInt8Codes(x *tensor.Tensor, m Minifloat) []int8 {
-	out := make([]int8, x.Elems())
-	for i, v := range x.Data {
-		q := m.Quantize(v)
-		if q != 0 {
-			// The exact bit pattern is irrelevant for size accounting; any
-			// non-zero sentinel preserves the CSR/ZVC footprint.
-			out[i] = 1
+// fp8Values is the value of every FP8 code.
+var fp8Values = func() (t [256]float32) {
+	for c := range t {
+		m := float64(c & 7)
+		v := m / 512
+		switch e := c >> 3 & 15; e {
+		case 15:
+			v = math.NaN()
+		case 0:
+		default:
+			v = (8 + m) * math.Ldexp(1, e-10)
 		}
+		if c&0x80 != 0 {
+			v = -v
+		}
+		t[c] = float32(v)
 	}
-	return out
-}
+	return t
+}()
+
+// FP8Value decodes an FP8Code.
+func FP8Value(c byte) float32 { return fp8Values[c] }

@@ -18,10 +18,28 @@ func randAct(r *tensor.RNG, n, c, h, w int, std float64) *tensor.Tensor {
 	return x
 }
 
+// Bytes returns the storage footprint: one byte per value plus one float32
+// scale per channel.
+func (c *Compressed) Bytes() int { return len(c.Values) + 4*len(c.Scales) }
+
+// Decompress reconstructs the activation from c.
+func Decompress(c *Compressed) *tensor.Tensor {
+	out := tensor.New(c.Shape.N, c.Shape.C, c.Shape.H, c.Shape.W)
+	DequantizeInto(c.Values, c.Scales, out)
+	return out
+}
+
+// roundtrip compresses x and decompresses it again, returning the
+// recovered tensor and the stored bytes.
+func roundtrip(x *tensor.Tensor, s float64) (*tensor.Tensor, int) {
+	c := Compress(x, s)
+	return Decompress(c), c.Bytes()
+}
+
 func TestSFPRRoundtripError(t *testing.T) {
 	r := tensor.NewRNG(1)
 	x := randAct(r, 2, 4, 8, 8, 1.0)
-	rec, bytes := Roundtrip(x, DefaultS)
+	rec, bytes := roundtrip(x, DefaultS)
 	if bytes != x.Elems()+4*4 {
 		t.Fatalf("bytes = %d", bytes)
 	}
@@ -126,7 +144,7 @@ func TestSFPRRoundtripProperty(t *testing.T) {
 	f := func(stdSeed uint8) bool {
 		std := math.Pow(10, float64(stdSeed%7)-3) // 1e-3 .. 1e3
 		x := randAct(r, 1, 2, 8, 8, std)
-		rec, _ := Roundtrip(x, DefaultS)
+		rec, _ := roundtrip(x, DefaultS)
 		// Error per element bounded by channel max / 64 (S=1.125 step ≈
 		// max/113, plus clipping of the top 11% magnitudes).
 		maxes := x.ChannelMaxAbs()
@@ -239,26 +257,35 @@ func TestDPRUnderUtilizesSmallRange(t *testing.T) {
 	}
 }
 
+// TestDPRTensorAndCodes: the byte GIST stores decodes to DPR's value bit
+// for bit — −0, the subnormals, rounding into the next binade and
+// saturation included — +0 alone has the zero code, and NaN (which
+// Quantize passes through with its payload) comes back as a NaN.
 func TestDPRTensorAndCodes(t *testing.T) {
 	r := tensor.NewRNG(8)
 	x := randAct(r, 1, 2, 4, 4, 1)
-	x.Data[0] = 0
-	y := DPR(x, FP8)
-	if y.Data[0] != 0 {
-		t.Fatal("zero must stay zero")
-	}
-	codes := DPRInt8Codes(x, FP8)
-	if codes[0] != 0 {
-		t.Fatal("zero code expected")
-	}
-	nz := 0
-	for _, v := range codes {
-		if v != 0 {
-			nz++
+	vals := append(x.Data,
+		0, float32(math.Copysign(0, -1)), // ±0
+		1e-40, -1e-40, 2e-3, -2e-3, 1.0/1024, 15.0/1024, // float32 and e4m3 subnormals
+		1.0/64, 0.0625*1.03, 1.9999, // the smallest normal, rounding up a binade
+		240, 250, -1e30, float32(math.Inf(1)), float32(math.Inf(-1)), // saturation
+	)
+	for _, v := range vals {
+		c := FP8Code(v)
+		if got, want := FP8Value(c), FP8.Quantize(v); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%v: code %#02x decodes to %v (bits %08x), DPR gives %v (bits %08x)", v, c, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+		if (c == 0) != (math.Float32bits(FP8.Quantize(v)) == 0) {
+			t.Fatalf("%v: code %#02x; only +0 has the zero code", v, c)
 		}
 	}
-	if nz < 20 {
-		t.Fatalf("expected mostly non-zero codes, got %d", nz)
+	if nan := FP8Value(FP8Code(float32(math.NaN()))); nan == nan {
+		t.Fatalf("NaN decodes to %v", nan)
+	}
+	for c := 0; c < 256; c++ {
+		if v := FP8Value(byte(c)); v == v && FP8Code(v) != byte(c) {
+			t.Fatalf("code %#02x decodes to %v, which codes to %#02x", c, v, FP8Code(v))
+		}
 	}
 }
 

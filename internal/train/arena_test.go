@@ -114,7 +114,7 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 			defer p.eng.Close()
 		}
 		for range 2 {
-			if _, err := p.run(x, lossOf, 0, nil); err != nil {
+			if _, err := p.run(x, lossOf, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -14,7 +14,6 @@ import (
 	"jpegact/internal/offload"
 	"jpegact/internal/offload/codec"
 	"jpegact/internal/quant"
-	"jpegact/internal/sfpr"
 	"jpegact/internal/tensor"
 )
 
@@ -240,26 +239,24 @@ func TestAsyncDropRecovery(t *testing.T) {
 // frame on the channel and never held. Both lookaheads submit the same
 // frame sequence, so the held frames are lookahead 0's last 4 of each
 // step; every step restores all it offloaded; and the weights after the
-// steps are the functional round trip's through the same codec.
+// steps are the ones the in-place round trip through the same codec
+// reached (heldTailRoundTrip, recorded before that round trip ran through
+// the engine).
 func TestHeldTailSkipsChannel(t *testing.T) {
+	const heldTailRoundTrip = "86f061fd94821fed07a6a220fe308bce9fe508c01359b938a40cbf05adf5437d"
 	atWorkers(t, 2)
 	const seed, steps = 2200, 3
-	run := func(act string, prefetch int) (digest string, sent []string) {
+	run := func(prefetch int) (digest string, sent []string) {
 		m := models.ResNet18(models.Scale{Width: 16, Blocks: 1, H: 32, W: 32}, 4, tensor.NewRNG(seed))
 		ds := data.NewClassification(data.ClassificationConfig{Classes: 4, Channels: 3, H: 32, W: 32, Noise: 0.4, Seed: seed})
 		cfg := Config{BatchSize: 8, LR: 0.05, Momentum: 0.9}.withDefaults()
 		p := &pass{net: m.Net, arena: tensor.NewArena()}
 		ch := &captureChannel{}
-		var store *offload.Store
-		if act == "round-trip" {
-			p.method = compress.NewJPEGAct(quant.Fixed(quant.OptL()))
-		} else {
-			store = offload.NewStore(quant.OptL())
-			store.Channel = ch
-			defer store.Close()
-			p.eng = offload.NewEngine(store, offload.EngineConfig{Prefetch: prefetch})
-			defer p.eng.Close()
-		}
+		store := offload.NewStore(quant.OptL())
+		store.Channel = ch
+		defer store.Close()
+		p.eng = offload.NewEngine(store, offload.EngineConfig{Prefetch: prefetch})
+		defer p.eng.Close()
 		var x *tensor.Tensor
 		batch := func() (*tensor.Tensor, lossFunc) {
 			var labels []int
@@ -270,36 +267,32 @@ func TestHeldTailSkipsChannel(t *testing.T) {
 		for s := 0; s < steps; s++ {
 			before, first := ch.transfers(), len(ch.frames())
 			if _, err := step(0, s); err != nil {
-				t.Fatalf("%s step %d: %v", act, s, err)
-			}
-			if store == nil {
-				continue
+				t.Fatalf("lookahead %d step %d: %v", prefetch, s, err)
 			}
 			want := 18
 			if s == 0 || prefetch == 0 {
 				want = 26
 			}
 			if got := ch.transfers() - before; got != want {
-				t.Errorf("%s step %d: %d transfers, want %d", act, s, got, want)
+				t.Errorf("lookahead %d step %d: %d transfers, want %d", prefetch, s, got, want)
 			}
 			if st := store.Stats(); st.Offloaded != st.Restored || store.Stored() != 0 {
-				t.Errorf("%s step %d: offloaded %d, restored %d, %d left", act, s, st.Offloaded, st.Restored, store.Stored())
+				t.Errorf("lookahead %d step %d: offloaded %d, restored %d, %d left", prefetch, s, st.Offloaded, st.Restored, store.Stored())
 			}
-			enc, err := codec.Pipeline{DQT: quant.OptL(), S: sfpr.DefaultS}.Encode(compress.KindConv, x)
+			enc, err := codec.New(quant.OptL()).Encode(compress.KindConv, x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ch.frames()[first] != string(frame.EncodeFrame(enc.Frame)) {
-				t.Errorf("%s step %d: the first frame on the channel is not the batch input", act, s)
+				t.Errorf("lookahead %d step %d: the first frame on the channel is not the batch input", prefetch, s)
 			}
 		}
 		return weightsDigest(m.Net), ch.frames()
 	}
-	ref, _ := run("round-trip", 0)
-	onDemand, allSent := run("prefetch0", 0)
-	held, heldSent := run("prefetch4", lookahead)
-	if onDemand != ref || held != ref {
-		t.Fatalf("weights: lookahead 0 %s, lookahead 4 %s, the round trip's %s", onDemand, held, ref)
+	onDemand, allSent := run(0)
+	held, heldSent := run(lookahead)
+	if onDemand != heldTailRoundTrip || held != heldTailRoundTrip {
+		t.Fatalf("weights: lookahead 0 %s, lookahead 4 %s, the round trip's %s", onDemand, held, heldTailRoundTrip)
 	}
 	if len(allSent) != 3*13 || len(heldSent) != 13+2*9 {
 		t.Fatalf("sent %d frames at lookahead 0, %d at lookahead 4, want %d and %d", len(allSent), len(heldSent), 3*13, 13+2*9)

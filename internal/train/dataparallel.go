@@ -371,7 +371,7 @@ type dpReplica struct {
 // ships whatever the hook did not see (topologies outside the container
 // walk) — which, without overlap, is everything: the serial exchange is
 // this code with the hook left out. Every bucket ships exactly once.
-func (r *dpReplica) microbatch(step uint64, epoch, m int, x *tensor.Tensor, labels []int, overlap bool, board *gradBoard, putWG *sync.WaitGroup) (stepResult, error) {
+func (r *dpReplica) microbatch(step uint64, m int, x *tensor.Tensor, labels []int, overlap bool, board *gradBoard, putWG *sync.WaitGroup) (stepResult, error) {
 	slot := uint64(m + 1)
 	tickets := make(chan putTicket, r.plan.Buckets()) // one send per bucket: never blocks
 	gx := r.gx
@@ -414,7 +414,7 @@ func (r *dpReplica) microbatch(step uint64, epoch, m int, x *tensor.Tensor, labe
 	if overlap {
 		onGrad = ship
 	}
-	res, err := r.pass.run(x, crossEntropy(labels), epoch, onGrad)
+	res, err := r.pass.run(x, crossEntropy(labels), onGrad)
 	if err == nil {
 		for _, p := range r.plan.Unproduced() {
 			ship(p)
@@ -482,7 +482,7 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 				for _, p := range r.model.Net.Params() {
 					p.ZeroGrad()
 				}
-				if a.results[m], errs[k] = r.microbatch(step, epoch, m, a.microX[m], a.microY[m], overlap, a.board, &putWG); errs[k] != nil {
+				if a.results[m], errs[k] = r.microbatch(step, m, a.microX[m], a.microY[m], overlap, a.board, &putWG); errs[k] != nil {
 					return
 				}
 				if m == 0 {
@@ -537,9 +537,7 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 
 	var sum stepResult
 	for _, res := range a.results {
-		sum.loss += res.loss
-		sum.orig += res.orig
-		sum.comp += res.comp
+		sum.add(res)
 	}
 	sum.loss /= float64(M)
 	return sum, nil

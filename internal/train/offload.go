@@ -1,9 +1,11 @@
 package train
 
-// Fault-tolerant offloaded training: instead of the functional
-// compress-and-swap simulation of Classifier, every saved activation
-// really crosses the (possibly faulty) GPU↔host channel as a framed
-// byte buffer between forward and backward. Corrupted frames are
+// Offloaded training: every saved activation really crosses the GPU↔host
+// channel as a framed byte buffer between forward and backward — a clean
+// in-process one for Classifier and SuperResolution, which is the
+// paper's functional simulation, and a possibly faulty or networked one
+// for ClassifierOffloaded. The trainers differ only in options and in
+// the method whose codecs frame the activations. Corrupted frames are
 // detected by CRC and recovered per the configured policy; under
 // PolicyRecompute the whole step's activations are re-materialized by
 // replaying the forward pass from the batch input — the nearest
@@ -16,16 +18,19 @@ package train
 // with it, frames are committed to the channel in submission order, and
 // the backward pass consumes restores staged by a reverse-order
 // prefetcher. From the second step on, the last frames forward submits —
-// the first ones backward reads — stay on the device. The trajectory is
-// the functional round trip's through the same codec, bit for bit.
+// the first ones backward reads — stay on the device. The trajectory
+// depends on the method's codecs alone, never on the channel, the
+// lookahead or the transport, bit for bit.
 
 import (
 	"fmt"
 	"time"
 
+	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/models"
 	"jpegact/internal/offload"
+	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -33,7 +38,7 @@ import (
 
 // OffloadOptions configures the offloaded (host-memory) training path.
 // ClassifierOffloaded ignores Config.Method and Config.MeasureError: the
-// store runs its own JPEG-ACT codec (DQT below), not a compress.Method.
+// store runs JPEG-ACT at the DQT below.
 type OffloadOptions struct {
 	// DQT is the quantization table for the store's JPEG-ACT pipeline
 	// (the zero table = quant.OptL()).
@@ -126,14 +131,77 @@ func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout
 // up to that point).
 func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, oc OffloadOptions) (Report, offload.Stats, error) {
 	cfg = cfg.withDefaults()
+	cfg.MeasureError = false
 	if oc.DQT == (quant.DQT{}) {
 		// A zero table would quantize every coefficient by 2⁰.
 		oc.DQT = quant.OptL()
 	}
-	rep := Report{ModelName: m.Name, MethodName: "JPEG-ACT/offload(" + oc.Policy.String() + ")"}
-	opt := cfg.newOptimizer()
+	method := compress.NewJPEGAct(quant.Fixed(oc.DQT))
+	method.MethodName = "JPEG-ACT/offload(" + oc.Policy.String() + ")"
+	a := tensor.NewArena()
+	return trainLocal(m, cfg, method, oc, a, classifierValidation(m.Net, a, ds, cfg), classifierBatch(ds, cfg))
+}
 
-	store := offload.NewStore(oc.DQT)
+// trainLocal is every single-worker trainer (gradient policy local). The
+// baseline runs activation policy none; any other method offloads through
+// an engine at lookahead over oc's store, its codec following the
+// method's DQT schedule: it is set at each epoch boundary, between steps,
+// when the store is empty. a serves the steps and validate.
+func trainLocal(m *models.Model, cfg Config, method compress.Method, oc OffloadOptions, a *tensor.Arena, validate func() (float64, *tensor.Tensor), batch func() (*tensor.Tensor, lossFunc)) (Report, offload.Stats, error) {
+	rep := Report{ModelName: m.Name, MethodName: method.Name()}
+	p := &pass{net: m.Net, arena: a}
+	l := loop{
+		cfg:  cfg,
+		step: localStep(p, cfg.newOptimizer(), batch),
+		// Between steps the store is drained (every restore deletes its
+		// entry), so the epoch hook is the safe, reproducible point for a
+		// harness to kill or restart the server.
+		epochEnd: oc.EpochEnd,
+		validate: validate,
+	}
+	var store *offload.Store
+	if _, none := method.(compress.Baseline); !none {
+		var err error
+		if store, err = newStore(oc); err != nil {
+			return rep, offload.Stats{}, err
+		}
+		defer store.Close()
+		if store.Transport != nil {
+			rep.MethodName += "+netstore"
+		}
+		p.eng = offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
+		defer p.eng.Close()
+		if cfg.MeasureError {
+			p.probe = errProbe{}
+		}
+		step := l.step
+		l.step = func(epoch, b int) (stepResult, error) {
+			if b == 0 {
+				store.Codec = codec.For(method, epoch)
+			}
+			return step(epoch, b)
+		}
+	}
+	if oc.Verbose && store != nil {
+		l.verbose = func(e EpochStats) {
+			s := store.Stats()
+			fmt.Printf("epoch %d: offloaded=%d restored=%d corrupted=%d retried=%d recomputed=%d dropped=%d verified=%dB\n",
+				e.Epoch, s.Offloaded, s.Restored, s.Corrupted, s.Retried, s.Recomputed, s.Dropped, s.BytesVerified)
+		}
+	}
+	err := l.run(&rep)
+	rep.WeightsDigest = weightsDigest(m.Net)
+	var stats offload.Stats
+	if store != nil {
+		stats = store.Stats()
+	}
+	return rep, stats, err
+}
+
+// newStore builds the activation store oc describes: the in-process
+// channel (nil = clean) or a networked store, and the recovery policy.
+func newStore(oc OffloadOptions) (*offload.Store, error) {
+	store := offload.NewStore(quant.OptL())
 	store.Channel = oc.Channel
 	store.Recovery = offload.Recovery{
 		Policy:     oc.Policy,
@@ -146,37 +214,13 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 		if dial == nil {
 			d, err := transport.DialAddr(oc.StoreAddr)
 			if err != nil {
-				return rep, offload.Stats{}, err
+				return nil, err
 			}
 			dial = d
 		}
 		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreClient)
 		store.KeyBase = oc.StoreKeyBase
 		store.NoDegrade = oc.NoDegrade
-		rep.MethodName += "+netstore"
 	}
-	defer store.Close()
-	eng := offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
-	defer eng.Close()
-
-	p := &pass{net: m.Net, eng: eng, arena: tensor.NewArena()}
-	l := loop{
-		cfg:  cfg,
-		step: localStep(p, opt, classifierBatch(ds, cfg)),
-		// Between steps the store is drained (every restore deletes its
-		// entry), so the epoch hook is the safe, reproducible point for a
-		// harness to kill or restart the server.
-		epochEnd: oc.EpochEnd,
-		validate: classifierValidation(m.Net, p.arena, ds, cfg),
-	}
-	if oc.Verbose {
-		l.verbose = func(e EpochStats) {
-			s := store.Stats()
-			fmt.Printf("epoch %d: offloaded=%d restored=%d corrupted=%d retried=%d recomputed=%d dropped=%d verified=%dB\n",
-				e.Epoch, s.Offloaded, s.Restored, s.Corrupted, s.Retried, s.Recomputed, s.Dropped, s.BytesVerified)
-		}
-	}
-	err := l.run(&rep)
-	rep.WeightsDigest = weightsDigest(m.Net)
-	return rep, store.Stats(), err
+	return store, nil
 }

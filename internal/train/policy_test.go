@@ -9,6 +9,7 @@ import (
 	"jpegact/internal/compress"
 	"jpegact/internal/models"
 	"jpegact/internal/offload"
+	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -17,16 +18,16 @@ import (
 // TestPolicyMatrix is the unification's acceptance test: the step body
 // takes an activation policy and a gradient policy, and the two compose.
 // Within every gradient row — local, all-reduce K=2 overlapped, K=2 with
-// the serial exchange, K=4 over a networked store — real offload through
-// an engine (restore lookahead 0 and 4, clean channel) must land on the weights and
-// epoch statistics of the functional round-trip through the same codec,
-// bit for bit: offload ≡ round-trip, and DP × offload falls out of the
-// composition. Every offload cell must also have moved real traffic and
-// drained it.
+// the serial exchange, K=4 over a networked store — the round trip of a
+// method (the JPEG-ACT/OptL method's codecs, as Classifier runs them) and
+// the offload store's own JPEG-ACT engine (restore lookahead 0 and 4,
+// clean channel) must land on the same weights and epoch statistics, bit
+// for bit, and DP × offload falls out of the composition. Every offload
+// cell must also have moved real traffic and drained it.
 //
 // roundTripDigests pins each row's round-trip weights digest, recorded
 // while the round trip still ran in place through compress.Method rather
-// than through an engine: whatever carries the round trip must land on it.
+// than through an engine: the engine must land on it.
 var roundTripDigests = map[string]string{
 	"local":                 "e8a34f024087f9bf017ba7c4b45068acbe57191c9d148ef5838931bd91b2f1b8",
 	"allreduce-K2":          "1c2d238c27deced68bb37df2317771d8c7ba171a016c985eab653b29d6046d5f",
@@ -116,11 +117,10 @@ func TestPolicyMatrix(t *testing.T) {
 				var stores []*offload.Store
 				newModel, lead, ds := dpFixture(seed)
 				rep, snap, err := dataParallel(newModel, ds, cfg, dp, func(k int, p *pass) {
-					if act == "round-trip" {
-						p.method = roundTrip()
-						return
-					}
 					s := offload.NewStore(quant.OptL())
+					if act == "round-trip" {
+						s.Codec = codec.For(roundTrip(), 0)
+					}
 					if row.net {
 						s.Transport = transport.NewNetClient(dial, s.Counters())
 						s.KeyBase = uint64(k+1) << 32

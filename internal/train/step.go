@@ -5,9 +5,9 @@ package train
 //
 //   - pass.run is the step body: forward → loss → activation policy →
 //     backward. The activation policy is what happens to the saved
-//     activations between the two passes — nothing, a functional
-//     round-trip through a compress.Method (the paper's simulation), or
-//     a real offload through an offload.Engine.
+//     activations between the two passes — nothing (the baseline), or an
+//     offload through an offload.Engine, which is also how every lossy
+//     Table I method runs the paper's functional simulation.
 //   - loop.run is the epoch driver around it: LR decay → batches →
 //     divergence check → epoch hook → stats → validation → NaN guard.
 //
@@ -37,21 +37,29 @@ func crossEntropy(labels []int) lossFunc {
 
 // stepResult is what one step reports to the epoch statistics.
 type stepResult struct {
-	loss       float64
-	orig, comp int     // saved-activation bytes before and after the policy
-	errSum     float64 // recovered-activation L2 error (round-trip, if measured)
-	errN       int
-	foot       map[compress.Kind]*FootprintEntry
+	loss   float64
+	sizes  offload.Bytes                   // saved-activation bytes before and after the policy
+	foot   map[compress.Kind]offload.Bytes // the same, per kind
+	errSum float64                         // recovered-activation L2 error (if measured)
+	errN   int
 }
 
-// pass is the step body over one network. At most one of method and eng
-// is set; neither is activation policy none (the saved activations reach
-// backward untouched).
+// add accumulates r's loss, bytes and errors into s.
+func (s *stepResult) add(r stepResult) {
+	s.loss += r.loss
+	s.sizes.Orig += r.sizes.Orig
+	s.sizes.Comp += r.sizes.Comp
+	s.errSum += r.errSum
+	s.errN += r.errN
+}
+
+// pass is the step body over one network. Without an engine it is
+// activation policy none: the saved activations reach backward untouched.
 type pass struct {
-	net     nn.Layer
-	method  compress.Method // round-trip policy
-	measure bool            // with method: record the recovered-activation error
-	eng     *offload.Engine // offload policy
+	net nn.Layer
+	eng *offload.Engine // offload policy
+	// probe, with eng, measures the recovered-activation error.
+	probe errProbe
 	// arena serves the step's outputs and gradients, and validation's; it
 	// lives as long as the trainer call, so every step reuses the last
 	// one's buffers (nil: the heap).
@@ -71,8 +79,7 @@ type restoreAbort struct{ err error }
 // OnGrad to the gradient policy (the caller's, nil for local).
 // Every tensor the step drew from the arena goes back to it when the step
 // is over, the offload engine's last commit and restore included.
-func (p *pass) run(x *tensor.Tensor, lossOf lossFunc, epoch int, onGrad func(*nn.Param)) (stepResult, error) {
-	var res stepResult
+func (p *pass) run(x *tensor.Tensor, lossOf lossFunc, onGrad func(*nn.Param)) (stepResult, error) {
 	defer p.arena.Reset()
 	x = p.arena.Wrap(x) // the batch itself is not the arena's: a recompute replays from it
 	hooks := &nn.Hooks{OnGrad: onGrad}
@@ -84,20 +91,66 @@ func (p *pass) run(x *tensor.Tensor, lossOf lossFunc, epoch int, onGrad func(*nn
 
 	out := p.net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
 	loss, grad := lossOf(out.T)
-
-	switch {
-	case p.eng != nil:
-		var err error
-		if res.orig, res.comp, err = p.endForward(hooks); err != nil {
-			return res, finish(err)
-		}
-	case p.method != nil:
-		res = compressRefs(p.net.SavedRefs(), p.method, epoch, p.measure)
+	res := stepResult{loss: loss}
+	if p.eng == nil {
+		res.sizes, res.foot = plainSizes(p.net.SavedRefs())
+	} else if err := p.endForward(hooks, &res); err != nil {
+		return res, finish(err)
 	}
-	res.loss = loss
 
 	nn.SetHooks(p.net, hooks)
-	return res, finish(backward(p.net, grad))
+	err := finish(backward(p.net, grad))
+	if err == nil && p.probe != nil {
+		res.errSum, res.errN = p.probe.sum(p.net.SavedRefs())
+	}
+	return res, err
+}
+
+// plainSizes is policy none's accounting: every saved activation once,
+// at its float32 size before and after.
+func plainSizes(refs []*nn.ActRef) (offload.Bytes, map[compress.Kind]offload.Bytes) {
+	var total offload.Bytes
+	foot := map[compress.Kind]offload.Bytes{}
+	seen := map[*nn.ActRef]bool{}
+	for _, ref := range refs {
+		if seen[ref] || ref.T == nil {
+			continue
+		}
+		seen[ref] = true
+		n := ref.T.Bytes()
+		total.Orig += n
+		f := foot[ref.Kind]
+		foot[ref.Kind] = offload.Bytes{Orig: f.Orig + n, Comp: f.Comp + n}
+	}
+	total.Comp = total.Orig
+	return total, foot
+}
+
+// errProbe measures the recovered-activation error of an offloaded step
+// (Config.MeasureError): each activation is cloned as it is saved, before
+// the engine takes it, and compared with what the step restored it to.
+// Only the step's goroutine touches it.
+type errProbe map[*nn.ActRef]*tensor.Tensor
+
+// save clones ref's activation the first time it is saved. A ref seen
+// before may already be the engine's, so its tensor is not read again.
+func (e errProbe) save(ref *nn.ActRef) {
+	if _, ok := e[ref]; !ok && ref != nil && ref.T != nil {
+		e[ref] = ref.T.Clone()
+	}
+}
+
+// sum sums the error of every restored activation, each once, in
+// SavedRefs order (a BRC ref keeps only its mask).
+func (e errProbe) sum(refs []*nn.ActRef) (sum float64, n int) {
+	for _, ref := range refs {
+		if before, ok := e[ref]; ok && ref.T != nil {
+			sum += tensor.L2Error(before, ref.T)
+			n++
+			delete(e, ref)
+		}
+	}
+	return sum, n
 }
 
 // backward runs the backward pass, converting a restoreAbort panic from
@@ -128,7 +181,15 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 	// before the pass, so a corruption-triggered replay is bit-exact.
 	pre := nn.CaptureNetState(p.net)
 	p.eng.BeginStep()
-	nn.SetHooks(p.net, &nn.Hooks{OnSave: p.eng.Offload})
+	save := p.eng.Offload
+	if p.probe != nil {
+		clear(p.probe)
+		save = func(ref *nn.ActRef) {
+			p.probe.save(ref)
+			p.eng.Offload(ref)
+		}
+	}
+	nn.SetHooks(p.net, &nn.Hooks{OnSave: save})
 	if store.Recovery.Policy == offload.PolicyRecompute {
 		recomputes := 0
 		store.Recovery.Recompute = func(*nn.ActRef) error {
@@ -168,17 +229,24 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 // side: sweep whatever the streaming hooks had to hold back (the
 // frontier-adjacent refs), barrier until every frame has been
 // committed to the channel, then start the reverse-order prefetcher and
-// put the on-demand restore into hooks.
-func (p *pass) endForward(hooks *nn.Hooks) (orig, comp int, err error) {
-	if orig, comp, err = p.eng.EndForward(p.net.SavedRefs()); err != nil {
-		return orig, comp, err
+// put the on-demand restore into hooks. The frames' sizes go into res.
+func (p *pass) endForward(hooks *nn.Hooks, res *stepResult) error {
+	refs := p.net.SavedRefs()
+	if p.probe != nil {
+		for _, ref := range refs {
+			p.probe.save(ref)
+		}
+	}
+	var err error
+	if res.sizes, res.foot, err = p.eng.EndForward(refs); err != nil {
+		return err
 	}
 	hooks.OnNeed = func(ref *nn.ActRef) {
 		if rerr := p.eng.Restore(ref); rerr != nil {
 			panic(restoreAbort{rerr})
 		}
 	}
-	return orig, comp, p.eng.PrepareBackward()
+	return p.eng.PrepareBackward()
 }
 
 // localStep is gradient policy local: one pass, then this worker's own
@@ -188,7 +256,7 @@ func localStep(p *pass, opt *nn.SGD, batch func() (*tensor.Tensor, lossFunc)) fu
 	params := p.net.Params()
 	return func(epoch, _ int) (stepResult, error) {
 		x, lossOf := batch()
-		res, err := p.run(x, lossOf, epoch, nil)
+		res, err := p.run(x, lossOf, nil)
 		if err == nil && !nonFinite(res.loss) {
 			opt.Step(params)
 		}
@@ -256,7 +324,7 @@ type loop struct {
 // the epochs completed so far; a non-finite step loss sets Diverged
 // without recording the epoch, a NaN validation output records it first.
 func (l *loop) run(rep *Report) error {
-	var foot map[compress.Kind]*FootprintEntry
+	var foot map[compress.Kind]offload.Bytes
 	for epoch := 0; epoch < l.cfg.Epochs; epoch++ {
 		var sum stepResult
 		for b := 0; b < l.cfg.BatchesPerEpoch; b++ {
@@ -268,19 +336,15 @@ func (l *loop) run(rep *Report) error {
 				rep.Diverged = true
 				return nil
 			}
-			sum.loss += res.loss
-			sum.orig += res.orig
-			sum.comp += res.comp
-			sum.errSum += res.errSum
-			sum.errN += res.errN
+			sum.add(res)
 			foot = res.foot
 		}
 		if l.epochEnd != nil {
 			l.epochEnd(epoch)
 		}
 		stats := EpochStats{Epoch: epoch, Loss: sum.loss / float64(l.cfg.BatchesPerEpoch)}
-		if sum.comp > 0 {
-			stats.CompressionRatio = float64(sum.orig) / float64(sum.comp)
+		if sum.sizes.Comp > 0 {
+			stats.CompressionRatio = float64(sum.sizes.Orig) / float64(sum.sizes.Comp)
 		}
 		if sum.errN > 0 {
 			stats.ActL2Error = sum.errSum / float64(sum.errN)

@@ -1,9 +1,13 @@
 // Package train runs CNN training with activation compression injected
-// exactly as the paper's functional simulation does: after each forward
-// pass, every saved activation is replaced by its compressed-recovered
-// version (or by a BRC mask) before the backward pass reads it, so the
-// approximate weight gradient of Eqn. 8 — and any resulting accuracy
-// change or divergence — emerges naturally.
+// as the paper's functional simulation does: between the forward and the
+// backward pass every saved activation becomes its compressed-recovered
+// version (or a BRC mask), so the approximate weight gradient of Eqn. 8 —
+// and any resulting accuracy change or divergence — emerges naturally.
+// The round trip is a real one: every lossy Table I method runs through
+// the offload engine (internal/offload) over a clean in-process channel,
+// its frames encoded by the method's frame codecs, which is also what
+// ClassifierOffloaded runs over a faulty or networked channel. The
+// baseline leaves the activations alone.
 package train
 
 import (
@@ -16,6 +20,7 @@ import (
 	"jpegact/internal/data"
 	"jpegact/internal/models"
 	"jpegact/internal/nn"
+	"jpegact/internal/offload"
 	"jpegact/internal/tensor"
 )
 
@@ -114,57 +119,19 @@ func weightsDigest(net nn.Layer) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// compressRefs applies the method to every unique saved activation and
-// reports the byte totals, the recovered-activation error (if measured)
-// and the per-kind footprint.
-func compressRefs(refs []*nn.ActRef, m compress.Method, epoch int, measure bool) stepResult {
-	seen := map[*nn.ActRef]bool{}
-	res := stepResult{foot: map[compress.Kind]*FootprintEntry{}}
-	for _, ref := range refs {
-		if seen[ref] || ref.T == nil {
-			continue
-		}
-		seen[ref] = true
-		var before *tensor.Tensor
-		if measure {
-			before = ref.T.Clone()
-		}
-		r := m.Compress(ref.T, ref.Kind, epoch)
-		ref.OriginalBytes = r.OriginalBytes
-		ref.CompressedBytes = r.CompressedBytes
-		res.orig += r.OriginalBytes
-		res.comp += r.CompressedBytes
-		fe := res.foot[ref.Kind]
-		if fe == nil {
-			fe = &FootprintEntry{Kind: ref.Kind}
-			res.foot[ref.Kind] = fe
-		}
-		fe.OriginalBytes += r.OriginalBytes
-		fe.CompressedBytes += r.CompressedBytes
-		if r.Mask != nil {
-			ref.Mask = r.Mask
-			ref.T = nil
-		} else {
-			if measure && r.Recovered != nil {
-				res.errSum += tensor.L2Error(before, r.Recovered)
-				res.errN++
-			}
-			ref.T = r.Recovered
-		}
-	}
-	return res
-}
-
 // Classifier trains a classification model on the synthetic dataset and
-// returns the per-epoch statistics: activation policy round-trip through
-// cfg.Method, gradient policy local.
+// returns the per-epoch statistics: activation policy offload through
+// cfg.Method's codecs over a clean channel (none for the baseline),
+// gradient policy local.
 func Classifier(m *models.Model, ds *data.Classification, cfg Config) Report {
 	cfg = cfg.withDefaults()
 	a := tensor.NewArena()
-	return roundTrip(m, cfg, a, classifierValidation(m.Net, a, ds, cfg), classifierBatch(ds, cfg))
+	rep, _, _ := trainLocal(m, cfg, cfg.Method, OffloadOptions{}, a, classifierValidation(m.Net, a, ds, cfg), classifierBatch(ds, cfg))
+	return rep
 }
 
-// SuperResolution trains the VDSR model on synthetic pairs, scoring PSNR.
+// SuperResolution trains the VDSR model on synthetic pairs, scoring PSNR,
+// under the same activation and gradient policies as Classifier.
 func SuperResolution(m *models.Model, ds *data.SuperRes, cfg Config) Report {
 	if cfg.LR == 0 {
 		cfg.LR = 0.01 // VDSR's step; the classifiers default to 0.05
@@ -176,31 +143,18 @@ func SuperResolution(m *models.Model, ds *data.SuperRes, cfg Config) Report {
 		out := evaluate(m.Net, a, valIn, cfg.BatchSize)
 		return data.PSNR(out, valTgt), out
 	}
-	return roundTrip(m, cfg, a, validate, func() (*tensor.Tensor, lossFunc) {
+	rep, _, _ := trainLocal(m, cfg, cfg.Method, OffloadOptions{}, a, validate, func() (*tensor.Tensor, lossFunc) {
 		in, tgt := ds.Pair(cfg.BatchSize)
 		return in, func(out *tensor.Tensor) (float64, *tensor.Tensor) { return nn.MSELoss(out, tgt) }
 	})
-}
-
-// roundTrip runs the paper's functional simulation: every saved
-// activation is replaced by its compressed-recovered form between
-// forward and backward. cfg already carries its defaults; a is the
-// arena validate runs through.
-func roundTrip(m *models.Model, cfg Config, a *tensor.Arena, validate func() (float64, *tensor.Tensor), batch func() (*tensor.Tensor, lossFunc)) Report {
-	rep := Report{ModelName: m.Name, MethodName: cfg.Method.Name()}
-	opt := cfg.newOptimizer()
-	p := &pass{net: m.Net, method: cfg.Method, measure: cfg.MeasureError, arena: a}
-	l := loop{cfg: cfg, step: localStep(p, opt, batch), validate: validate}
-	_ = l.run(&rep) // only the offload and all-reduce policies have an error path
-	rep.WeightsDigest = weightsDigest(m.Net)
 	return rep
 }
 
-func sortedFootprint(m map[compress.Kind]*FootprintEntry) []FootprintEntry {
+func sortedFootprint(m map[compress.Kind]offload.Bytes) []FootprintEntry {
 	var out []FootprintEntry
 	for _, k := range []compress.Kind{compress.KindConv, compress.KindReLUToConv, compress.KindReLUToOther, compress.KindPoolDropout} {
-		if fe, ok := m[k]; ok {
-			out = append(out, *fe)
+		if b, ok := m[k]; ok {
+			out = append(out, FootprintEntry{Kind: k, OriginalBytes: b.Orig, CompressedBytes: b.Comp})
 		}
 	}
 	return out

@@ -169,7 +169,7 @@ func TestHardwareMethodTrainsLikeFunctional(t *testing.T) {
 	if hw.BestScore < sw.BestScore-0.2 {
 		t.Fatalf("hardware score %v too far below functional %v", hw.BestScore, sw.BestScore)
 	}
-	if hwm.TotalCycles <= 0 {
+	if hwm.TotalCycles.Load() <= 0 {
 		t.Fatal("no CDU cycles accounted during training")
 	}
 }

@@ -117,11 +117,14 @@ func JPEGQualityDQT(q int) DQT { return quant.JPEGQuality(q) }
 func Methods() []Method { return compress.Standard() }
 
 // CompressActivation compresses x as an activation of the given kind at
-// the given training epoch, returning the lossy recovered tensor (or BRC
-// mask) and the byte accounting.
+// the given training epoch through the method's frame codec, returning
+// the lossy recovered tensor (or BRC mask) and the byte accounting.
 func CompressActivation(m Method, x *Tensor, kind Kind, epoch int) Result {
-	return m.Compress(x, kind, epoch)
+	return codec.For(m, epoch).Compress(kind, x)
 }
+
+// Lossless reports whether m reconstructs every activation bit for bit.
+func Lossless(m Method) bool { return compress.Lossless(m) }
 
 // TrainConfig configures a training run (see internal/train.Config).
 type TrainConfig = train.Config

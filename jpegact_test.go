@@ -116,7 +116,7 @@ func TestFacadeSchedules(t *testing.T) {
 func TestFacadeExtraMethods(t *testing.T) {
 	r := tensor.NewRNG(20)
 	x := data.ActivationTensor(r, 2, 4, 16, 16, 0.5, 1.0)
-	hres := HardwareJPEGACT(FixedDQT(OptH()), 4).Compress(x, KindConv, 10)
+	hres := CompressActivation(HardwareJPEGACT(FixedDQT(OptH()), 4), x, KindConv, 10)
 	if hres.Recovered == nil || hres.Ratio() < 3 {
 		t.Fatalf("hardware method broken: %v", hres.Ratio())
 	}
