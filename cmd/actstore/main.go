@@ -10,9 +10,9 @@
 // With -metrics set, the unified counter snapshot (the same one the
 // wire STATS op returns) is served Prometheus-text-style on /metrics.
 // Every frame is stored once, in this process's memory, so the store
-// dies whole: a client gets back the frames it lost through its
-// recovery policy (recompute, then the circuit breaker's local
-// fallback).
+// dies whole: a client recovers the frames it lost through its recovery
+// policy (recompute replays the step, then the circuit breaker's local
+// fallback takes its offloads).
 package main
 
 import (

@@ -124,10 +124,11 @@ func main() {
 	offload := mode{"-offload", *useOffload}
 	needs := map[string]mode{
 		"policy": offload, "flip": offload, "trunc": offload, "drop": offload,
-		"store":        {"-offload or -replicas", *useOffload || *replicas > 0},
-		"store-key":    {"-store", *store != ""},
-		"no-degrade":   {"-store", *store != ""},
-		"microbatches": {"-replicas", *replicas > 0},
+		"store":         {"-offload or -replicas", *useOffload || *replicas > 0},
+		"store-key":     {"-store", *store != ""},
+		"store-timeout": {"-store", *store != ""},
+		"no-degrade":    {"-store", *store != ""},
+		"microbatches":  {"-replicas", *replicas > 0},
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "method" && (*useOffload || *replicas > 0) {

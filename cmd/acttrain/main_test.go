@@ -404,6 +404,7 @@ func TestFlagOutsideItsModeIsRefused(t *testing.T) {
 		{"-store", "unix:none.sock"},
 		{"-offload", "-store-key", "1"},
 		{"-offload", "-no-degrade"},
+		{"-offload", "-store-timeout", "1s"},
 		{"-microbatches", "2"},
 	} {
 		out, err := exec.Command(acttrain, small(args...)...).CombinedOutput()

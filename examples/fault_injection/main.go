@@ -3,8 +3,9 @@
 // bits and drops transfers between the GPU and host memory, the framed
 // container's CRC32C detects every corruption, and the store either
 // fails with a typed error naming the ref, absorbs transient faults by
-// re-reading the channel, or replays the forward pass and re-offloads —
-// with a final trajectory bit-identical to a fault-free run.
+// re-reading the channel, or fails the step for the trainer to replay
+// from its batch — with a final trajectory bit-identical to a
+// fault-free run.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 		finalLoss(rep), stats.Corrupted, stats.Retried)
 
 	// PolicyRecompute: random bit flips and dropped buffers trigger
-	// forward replays — the engine's prefetcher discovers them
+	// step replays — the engine's prefetcher discovers them
 	// mid-backward — and the trajectory still matches the clean run
 	// exactly.
 	inj = jpegact.NewFaultInjector(jpegact.FaultConfig{

@@ -37,13 +37,19 @@ func main() {
 	loss, grad := nn.SoftmaxCrossEntropy(out.T, labels)
 	fmt.Printf("forward done, loss %.3f\n", loss)
 
+	// An engine with no restore lookahead offloads after the forward pass
+	// and restores strictly on demand: EndForward offloads every saved
+	// activation and waits until each frame has landed.
 	store := offload.NewStore(quant.OptL())
-	orig, comp, err := store.OffloadAll(m.Net.SavedRefs())
+	onDemand := offload.NewEngine(store, offload.EngineConfig{})
+	defer onDemand.Close()
+	onDemand.BeginStep()
+	sizes, _, err := onDemand.EndForward(m.Net.SavedRefs())
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("offloaded %d activations: %.2f MB float -> %.2f MB compressed host bytes (%.1fx)\n",
-		store.Stored(), float64(orig)/1e6, float64(comp)/1e6, float64(orig)/float64(comp))
+		store.Stored(), float64(sizes.Orig)/1e6, float64(sizes.Comp)/1e6, float64(sizes.Orig)/float64(sizes.Comp))
 	fmt.Println("between forward and backward, only the compressed bytes are live")
 
 	// Restore in reverse order — the backward prefetch of Fig. 1a.
@@ -56,12 +62,12 @@ func main() {
 			continue
 		}
 		seen[ref] = true
-		if err := store.Restore(ref); err != nil {
+		if err := onDemand.Restore(ref); err != nil {
 			panic(err)
 		}
 		restored++
 	}
-	if err := store.RestoreAll(); err != nil { // drain BRC bookkeeping
+	if err := onDemand.EndStep(); err != nil { // drain BRC bookkeeping
 		panic(err)
 	}
 	fmt.Printf("restored %d activations for the backward pass\n", restored)
@@ -81,7 +87,7 @@ func main() {
 	nn.SetHooks(m.Net, &nn.Hooks{OnSave: eng.Offload})
 	out = m.Net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
 	loss, grad = nn.SoftmaxCrossEntropy(out.T, labels)
-	sizes, _, err := eng.EndForward(m.Net.SavedRefs())
+	sizes, _, err = eng.EndForward(m.Net.SavedRefs())
 	if err != nil {
 		panic(err)
 	}

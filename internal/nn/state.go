@@ -1,13 +1,13 @@
 package nn
 
-// Forward-replay support for the recompute-on-corruption recovery path:
-// when a corrupted offload frame cannot be re-read, the trainer re-runs
-// the forward pass from the batch input (the nearest activation that is
-// guaranteed intact) to re-materialize the lost activations. For the
-// replay to be bit-identical to the original forward — the property the
-// whole recovery story rests on — every forward side effect beyond the
-// saved ActRefs must be rewound first. Exactly two layer kinds have such
-// state: BatchNorm (running mean/var updates) and Dropout (RNG draws).
+// Step-replay support for the recompute-on-corruption recovery path:
+// when a corrupted offload frame cannot be re-read, the trainer aborts
+// the step and runs it again from the batch input (the nearest
+// activation that is guaranteed intact). For the replay's forward pass
+// to be bit-identical to the original — the property the whole recovery
+// story rests on — every forward side effect beyond the saved ActRefs
+// must be rewound first. Exactly two layer kinds have such state:
+// BatchNorm (running mean/var updates) and Dropout (RNG draws).
 
 // Container is implemented by layers that hold child layers; Walk uses
 // it to reach every layer in a network.

@@ -254,8 +254,8 @@ func TestBreakerDisabled(t *testing.T) {
 }
 
 // TestBreakerGetFailureAdvancesBreaker: a GET that finds the store dead
-// surfaces its error (only recompute can rebuild those bytes) but opens
-// the breaker, so the re-offloads that follow degrade.
+// surfaces its error (only a recompute replay can bring those bytes
+// back) but opens the breaker, so the offloads that follow degrade.
 func TestBreakerGetFailureAdvancesBreaker(t *testing.T) {
 	wire := newFlakyWire()
 	s := breakerStore(wire)

@@ -57,16 +57,19 @@ type fetchTask struct {
 	ref     *nn.ActRef
 	ent     *entry
 	done    chan struct{} // closed once t (nil for a BRC frame) or err is staged
-	read    bool          // the read has completed; a skipped task is never read
+	read    bool          // the read has completed
 	t       *tensor.Tensor
 	err     error
 	counted bool // holds a lookahead slot until consumed (a held frame never does)
 }
 
 // prefetchState is one backward pass's restore plan: every resident
-// entry at PrepareBackward time, in reverse-offload order.
+// entry at PrepareBackward time, in reverse-offload order. Nothing is
+// offloaded until the step ends, so the plan covers every restore the
+// step makes.
 type prefetchState struct {
-	tasks  []*fetchTask
+	tasks []*fetchTask
+	// byRef holds the tasks no restore has consumed yet.
 	byRef  map[*nn.ActRef]*fetchTask
 	next   int        // index the prefetcher will fetch next
 	ready  int        // staged-but-unconsumed tasks (lookahead budget)
@@ -91,8 +94,7 @@ type prefetchState struct {
 // it is encoded and its tensor released at commit like any other frame,
 // but its framed bytes stay in its store entry, and its restore takes
 // them through the same CRC check and decode as a wire frame with no
-// transport op. The rule reads only submission indices, never timing;
-// Store.OffloadAll (the recompute rebuild) holds nothing.
+// transport op. The rule reads only submission indices, never timing.
 //
 // A zero Prefetch restores strictly on demand and holds nothing. One
 // engine serves one training loop; it is not safe for concurrent steps.
@@ -118,9 +120,8 @@ type Engine struct {
 	firstErr   error
 
 	// Restore pipeline (reset each step).
-	pf       *prefetchState
-	pfGen    int
-	repaired bool // a recompute rebuilt the step; stale refs tolerated
+	pf    *prefetchState
+	pfGen int
 
 	maxInflight   int
 	hits, waits   uint64
@@ -169,7 +170,6 @@ func (e *Engine) BeginStep() {
 	e.inflight = 0
 	e.firstErr = nil
 	e.sizes = map[compress.Kind]Bytes{}
-	e.repaired = false
 	e.pf = nil
 	e.mu.Unlock()
 }
@@ -178,8 +178,7 @@ func (e *Engine) BeginStep() {
 // encoding happens on the pool, and the frame is committed in
 // submission order once its predecessors have landed. A submission in
 // the held tail stays on the device. Duplicate refs and refs without a
-// live tensor are skipped, matching Store.OffloadAll. Errors surface at
-// EndForward.
+// live tensor are skipped. Errors surface at EndForward.
 func (e *Engine) Offload(ref *nn.ActRef) {
 	if ref == nil {
 		return
@@ -418,19 +417,6 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 		ft := pf.tasks[pf.next]
 		pf.next++
 		e.mu.Unlock()
-
-		// Skip entries no longer resident (consumed inline, or replaced
-		// by a recompute rebuild); they hold no lookahead slot.
-		if !s.current(ft.ref, ft.ent) {
-			e.mu.Lock()
-			if pf.demand == ft {
-				pf.demand = nil
-			}
-			close(ft.done)
-			e.cond.Broadcast()
-			e.mu.Unlock()
-			continue
-		}
 		fifo.Push(issuedRead{ft: ft, tk: s.readIssue(ft.ent)})
 	}
 }
@@ -466,36 +452,35 @@ func (e *Engine) release(pf *prefetchState, ft *fetchTask) {
 
 // Restore brings one activation back. With the prefetcher running it
 // consumes the staged tensor (waiting for it if the fetch is still in
-// flight); otherwise it falls back to the synchronous path. A ref made
-// stale by a recompute rebuild resolves to nil once the step is marked
-// repaired.
+// flight); otherwise it reads the entry on demand. A failed restore
+// escalates.
 func (e *Engine) Restore(ref *nn.ActRef) error {
 	s := e.store
 	ent, ok := s.lookup(ref)
-
+	if !ok {
+		if ref.T != nil || ref.Mask != nil {
+			return nil // already restored: a shared ref
+		}
+		return restoreErr(ref, ErrNotStored)
+	}
 	e.mu.Lock()
 	pf := e.pf
 	var ft *fetchTask
 	if pf != nil {
 		ft = pf.byRef[ref]
 	}
-	if !ok {
-		e.mu.Unlock()
-		return e.notResident(ref)
-	}
-	if ft == nil || ft.ent != ent {
-		// No prefetch plan covers this entry (on-demand mode, or an
-		// entry re-offloaded after the snapshot): read it now, and on
-		// failure escalate as for a prefetched frame.
+	if ft == nil {
+		// On-demand mode: no prefetch plan.
 		e.demandFetches++
 		e.mu.Unlock()
 		t, err := s.fetch(ent)
 		if err != nil {
-			return e.escalate(ref, ent, err)
+			return e.escalate(ref, err)
 		}
 		s.finishRestore(ref, ent, t)
 		return nil
 	}
+	delete(pf.byRef, ref)
 	select {
 	case <-ft.done:
 		e.hits++
@@ -509,65 +494,31 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	e.mu.Unlock()
 	<-ft.done
 	e.release(pf, ft)
-
-	// Re-check residency: the prefetcher may have skipped a stale task,
-	// or a recompute (triggered by an earlier restore) rebuilt the step
-	// while we waited.
-	cur, still := s.lookup(ref)
-	if !still || cur != ft.ent {
-		ft.take().Release()
-		if !still {
-			return e.notResident(ref)
-		}
-		return e.store.Restore(ref)
-	}
 	if ft.err != nil {
-		return e.escalate(ref, ft.ent, ft.err)
+		return e.escalate(ref, ft.err)
 	}
-	s.finishRestore(ref, ft.ent, ft.take())
+	s.finishRestore(ref, ent, ft.take())
 	return nil
 }
 
-// notResident resolves a restore of a ref the store no longer holds: nil
-// when it was already restored (a shared ref) or replaced by a recompute
-// rebuild, ErrNotStored otherwise.
-func (e *Engine) notResident(ref *nn.ActRef) error {
-	e.mu.Lock()
-	repaired := e.repaired
-	e.mu.Unlock()
-	if ref.T != nil || ref.Mask != nil || repaired {
-		return nil
-	}
-	return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
-}
-
-// escalate handles a failed restore, whether the prefetcher or an
-// on-demand read discovered it: any prefetch plan is flushed first — the
-// prefetcher completes every remaining read, not just the one in flight
-// — so the channel has seen a run-independent sequence of transfers
-// before the recovery policy's own traffic starts (a stop at the
-// in-flight read would cut at a scheduling-dependent point and make the
-// fault counters irreproducible). The flushed results are discarded once
-// decoded, their buffers handed back, so no decode outlives the step.
-// Under PolicyRecompute the hook then rebuilds the step, the engine marks
-// it repaired, and the remaining activations are restored synchronously —
-// the refs in flight before the rebuild are stale and resolve to nil.
-func (e *Engine) escalate(ref *nn.ActRef, ent *entry, err error) error {
+// escalate fails a restore, whether the prefetcher or an on-demand read
+// discovered it: any prefetch plan is flushed first — the prefetcher
+// completes every remaining read, not just the one in flight — so the
+// channel has seen a run-independent sequence of transfers by the time
+// the step aborts (a stop at the in-flight read would cut at a
+// scheduling-dependent point and make the fault counters
+// irreproducible). The flushed results are discarded once decoded, their
+// buffers handed back, so no decode outlives the step. The typed error
+// is returned with every unrestored entry still resident; the caller
+// aborts the step.
+func (e *Engine) escalate(ref *nn.ActRef, err error) error {
 	if pf := e.flushPrefetch(); pf != nil {
 		for _, ft := range pf.tasks {
 			<-ft.done
 			ft.take().Release()
 		}
 	}
-	// The store's policy decides; it returns nil only when the recompute
-	// hook has rebuilt the step.
-	if err := e.store.recover(ref, ent, err); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.repaired = true
-	e.mu.Unlock()
-	return e.store.RestoreAll()
+	return restoreErr(ref, err)
 }
 
 // flushPrefetch drives the prefetch plan to completion: the loop reads
@@ -593,27 +544,13 @@ func (e *Engine) flushPrefetch() *prefetchState {
 	return pf
 }
 
-// consumeLeftover finishes one flushed task the backward pass never
-// asked for: still-resident, cleanly decoded entries are restored
-// (exactly what RestoreAll would have done, minus the second channel
-// read); stale or failed tasks are left for the synchronous sweep so the
-// recovery policy applies, and a stale task's tensor goes back.
-func (e *Engine) consumeLeftover(ft *fetchTask) {
-	<-ft.done
-	if ft.err != nil || !ft.read || !e.store.current(ft.ref, ft.ent) {
-		ft.take().Release()
-		return
-	}
-	e.store.finishRestore(ft.ref, ft.ent, ft.take())
-}
-
 // stopPrefetch cancels the prefetch plan and waits for the loop to exit
 // and for the decodes of the reads it issued, so neither a channel read
 // nor a decode races whatever the caller does next. Staged tensors are
 // discarded unconsumed, their buffers handed back — the entries remain in
-// the store for a later synchronous restore. Only
-// Abort uses this (a failed step must not keep touching the channel);
-// the healthy paths flush instead, for reproducible transfer counts.
+// the store, for the caller to inspect or Reset. Only Abort uses this (a
+// failed step must not keep touching the channel); the healthy paths
+// flush instead, for reproducible transfer counts.
 func (e *Engine) stopPrefetch() {
 	e.mu.Lock()
 	pf := e.pf
@@ -635,14 +572,19 @@ func (e *Engine) stopPrefetch() {
 }
 
 // EndStep finishes the restore side: the prefetch plan is flushed and
-// its unconsumed reads restored in plan order, then any entries still
-// resident (post-rebuild strays, or tasks the flush left for the
-// recovery policy) are drained synchronously. In the common case the
-// backward pass consumed the whole plan and both phases are no-ops.
+// the tasks no restore consumed are restored in plan order (exactly what
+// RestoreAll would do, minus the second channel read), then any entries
+// still resident — every one in on-demand mode, or a failed task's — go
+// through Store.RestoreAll, whose first failure is returned. In the
+// common case the backward pass consumed the whole plan and both phases
+// are no-ops.
 func (e *Engine) EndStep() error {
 	if pf := e.flushPrefetch(); pf != nil {
 		for _, ft := range pf.tasks {
-			e.consumeLeftover(ft)
+			<-ft.done
+			if pf.byRef[ft.ref] == ft && ft.err == nil {
+				e.store.finishRestore(ft.ref, ft.ent, ft.take())
+			}
 		}
 	}
 	return e.store.RestoreAll()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jpegact/internal/faults"
+	"jpegact/internal/frame"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
@@ -199,21 +200,15 @@ func TestEngineOnDemandRestores(t *testing.T) {
 }
 
 // TestEngineAsyncRecompute corrupts one frame so the prefetcher stages
-// an error; the consuming Restore must stop the prefetcher, run the
-// recompute hook, and finish the step synchronously.
+// an error under PolicyRecompute; the consuming Restore must flush the
+// prefetch plan — every entry read exactly once, whatever the timing —
+// and return the typed error with every unrestored entry still resident,
+// for the trainer's replay to Reset.
 func TestEngineAsyncRecompute(t *testing.T) {
-	inj := faults.New(faults.Config{Seed: 21})
+	ch := &countRecv{inj: faults.New(faults.Config{Seed: 21})}
 	s := NewStore(quant.OptL())
-	s.Channel = inj
-	recomputed := 0
-	s.Recovery = Recovery{
-		Policy: PolicyRecompute,
-		Recompute: func(ref *nn.ActRef) error {
-			recomputed++
-			ref.T = tensor.New(2, 4, 16, 16)
-			return nil
-		},
-	}
+	s.Channel = ch
+	s.Recovery = Recovery{Policy: PolicyRecompute}
 	atWorkers(t, 2)
 	eng := NewEngine(s, EngineConfig{Prefetch: 2})
 	defer eng.Close()
@@ -227,33 +222,40 @@ func TestEngineAsyncRecompute(t *testing.T) {
 	}
 	// The first Recv the prefetcher issues (the highest-seq entry) is
 	// corrupted.
-	inj.ForceNextRecv(1)
+	ch.inj.ForceNextRecv(1)
 	if err := eng.PrepareBackward(); err != nil {
 		t.Fatal(err)
 	}
-	for i := len(refs) - 1; i >= 0; i-- {
-		if err := eng.Restore(refs[i]); err != nil {
-			t.Fatalf("restore %d: %v", i, err)
-		}
+	err := eng.Restore(refs[len(refs)-1])
+	if !errors.Is(err, frame.ErrChecksum) {
+		t.Fatalf("want the typed checksum error, got %v", err)
 	}
-	if err := eng.EndStep(); err != nil {
-		t.Fatal(err)
+	eng.Abort()
+	if ch.recvs != len(refs) {
+		t.Fatalf("%d reads, want the whole plan (%d) read once", ch.recvs, len(refs))
 	}
-	if recomputed != 1 {
-		t.Fatalf("recompute ran %d times", recomputed)
-	}
-	st := s.Stats()
-	if st.Recomputed != 1 || st.Corrupted == 0 {
+	if st := s.Stats(); st.Recomputed != 0 || st.Corrupted != 1 || st.Restored != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	for i, ref := range refs {
-		if ref.T == nil {
-			t.Fatalf("ref %d has no tensor after recovery", i)
-		}
+	if s.Stored() != len(refs) {
+		t.Fatalf("%d entries left, want all %d retained", s.Stored(), len(refs))
 	}
-	if s.Stored() != 0 {
-		t.Fatalf("%d entries left", s.Stored())
+	s.Reset()
+	if s.Stored() != 0 || s.HostBytes() != 0 {
+		t.Fatalf("Reset left %d entries, %d bytes", s.Stored(), s.HostBytes())
 	}
+}
+
+// countRecv counts the reads an injector's channel carries.
+type countRecv struct {
+	inj   *faults.Injector
+	recvs int
+}
+
+func (c *countRecv) Send(b []byte) []byte { return c.inj.Send(b) }
+func (c *countRecv) Recv(b []byte) []byte {
+	c.recvs++
+	return c.inj.Recv(b)
 }
 
 // dropOnce loses the first transfer entirely (nil Recv), then passes

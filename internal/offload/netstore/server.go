@@ -441,7 +441,8 @@ func isTimeout(err error) bool {
 // KillShard wipes every entry in shard i and returns how many frames it
 // dropped — the chaos harness's lever for losing data while the process
 // lives. The frames are gone: their GETs answer StatusNotFound, and the
-// client's recovery policy (recompute, in training) rebuilds them.
+// client's recovery policy (recompute, in training) replays the step
+// that lost them.
 func (s *Server) KillShard(i int) int {
 	if i < 0 || i >= len(s.shards) {
 		return 0

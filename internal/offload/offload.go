@@ -20,11 +20,13 @@
 //     compression and transfers with forward/backward compute.
 //
 // Store is the bookkeeping core the layers meet at: it maps activation
-// refs to keyed transport entries and offers the synchronous operations
-// the recompute rebuild and on-demand restores use. On corruption a
-// configurable RecoveryPolicy decides whether to fail with a typed
-// error, re-read the transport, or recompute the activation from scratch
-// (gradient-checkpointing style, wired in by internal/train).
+// refs to keyed transport entries, and restores synchronously whatever a
+// step's backward pass left resident. On corruption a configurable
+// RecoveryPolicy decides how many times the transport is re-read before
+// a restore fails with a typed error, the entry retained; under
+// PolicyRecompute the trainer (internal/train) then replays the whole
+// step from its batch input, gradient-checkpointing style. Nothing here
+// calls back into it.
 package offload
 
 import (
@@ -45,11 +47,6 @@ import (
 // ErrNotStored is returned when restoring a ref that was never offloaded.
 var ErrNotStored = errors.New("offload: activation not stored")
 
-// ErrCorrupted wraps a frame decode failure that survived the recovery
-// policy; the host entry is retained so the caller can still retry or
-// recompute out of band.
-var ErrCorrupted = errors.New("offload: corrupted beyond recovery")
-
 // RecoveryPolicy selects what Restore does when a frame fails its CRC.
 type RecoveryPolicy int
 
@@ -59,10 +56,9 @@ const (
 	// PolicyRetry re-reads through the transport up to MaxRetries times
 	// before failing.
 	PolicyRetry
-	// PolicyRecompute first exhausts the retries, then invokes the
-	// Recovery.Recompute hook to re-materialize the activation from the
-	// nearest intact upstream state (internal/train wires this to a
-	// forward-pass replay).
+	// PolicyRecompute re-reads like PolicyRetry (MaxRetries, no default)
+	// and then fails like PolicyFail; internal/train answers the failed
+	// restore by replaying the step from its batch input.
 	PolicyRecompute
 )
 
@@ -85,7 +81,9 @@ type Recovery struct {
 	Policy RecoveryPolicy
 	// MaxRetries bounds the transport re-reads under PolicyRetry and
 	// PolicyRecompute (0 under PolicyRetry defaults to 3). On the
-	// networked backend a retry is a reconnect+resend cycle.
+	// networked backend a retry is a reconnect+resend cycle. A restore
+	// that fails past it returns its typed error with the entry retained,
+	// under every policy.
 	MaxRetries int
 	// OpTimeout bounds each wire attempt via connection deadlines
 	// (0 = none; the in-process backend ignores it).
@@ -95,12 +93,6 @@ type Recovery struct {
 	// ErrStoreUnavailable — the verdict the circuit breaker counts —
 	// instead of spinning on a dead store (0 = unbounded).
 	Deadline time.Duration
-	// Recompute re-materializes the corrupted ref's activation under
-	// PolicyRecompute. The hook may rebuild the whole step — replay the
-	// forward pass, Reset the store and re-offload fresh refs — in which
-	// case the caller must refresh its ref list after Restore returns
-	// (see train.ClassifierOffloaded).
-	Recompute func(ref *nn.ActRef) error
 }
 
 // Stats is the unified point-in-time counter snapshot every layer of
@@ -132,8 +124,8 @@ type entry struct {
 
 // Store is a host-memory activation store. It composes the codec and
 // transport layers and owns the ref→entry bookkeeping; the scheduler
-// (Engine) drives it through the same internal operations the
-// synchronous Offload/Restore use, so both land on identical bytes.
+// (Engine) commits every offload through it, and its synchronous
+// Restore and RestoreAll take back what a step's backward pass left.
 type Store struct {
 	// Codec is the frame codec set every offload encodes with and every
 	// restore decodes with (NewStore: JPEG-ACT). Change it only between
@@ -163,13 +155,12 @@ type Store struct {
 	// through a dead store.
 	NoDegrade bool
 
-	mu        sync.Mutex
-	entries   map[*nn.ActRef]*entry
-	nextSeq   int
-	hostBytes int
-	local     *transport.Local
-	fallback  *transport.Local
-	brk       breaker
+	mu       sync.Mutex
+	entries  map[*nn.ActRef]*entry
+	nextSeq  int
+	local    *transport.Local
+	fallback *transport.Local
+	brk      breaker
 
 	counters transport.Counters
 }
@@ -246,27 +237,6 @@ func (s *Store) key(seq int) uint64 { return s.KeyBase | uint64(seq) }
 // Stats returns a point-in-time snapshot of the counters.
 func (s *Store) Stats() Stats { return s.counters.Snapshot() }
 
-// Offload compresses the ref's activation into a framed buffer on the
-// transport backend and releases the tensor (ref.T becomes nil, or a
-// BRC mask replaces it). Refs are deduplicated by pointer; offloading
-// the same ref twice is an error.
-func (s *Store) Offload(ref *nn.ActRef) error {
-	s.mu.Lock()
-	_, dup := s.entries[ref]
-	s.mu.Unlock()
-	if dup {
-		return fmt.Errorf("offload: offload %q (%s): already stored", ref.Name, ref.Kind)
-	}
-	if ref.T == nil {
-		return fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
-	}
-	enc, err := s.Codec.Encode(ref.Kind, ref.T)
-	if err != nil {
-		return fmt.Errorf("offload: offload %q (%s): %w", ref.Name, ref.Kind, err)
-	}
-	return s.commitWait(s.commitIssue(ref, frame.EncodeFrame(enc.Frame), enc.Mask, false))
-}
-
 // ticket is one routed transfer in flight: the backend's completion
 // handle, and where it went — the breaker's degraded fallback, no
 // backend at all for a held frame's read, or the configured transport.
@@ -334,7 +304,6 @@ func (s *Store) commitWait(t *commitTicket) error {
 	t.ref.T = nil
 	s.mu.Lock()
 	s.entries[t.ref] = e
-	s.hostBytes += e.size
 	s.mu.Unlock()
 	s.counters.Offloaded.Add(1)
 	s.counters.BytesOffloaded.Add(int64(e.size))
@@ -390,13 +359,6 @@ func (s *Store) lookup(ref *nn.ActRef) (*entry, bool) {
 	return e, ok
 }
 
-// current reports whether e is still ref's resident entry — false once
-// it was restored, or a recompute hook rebuilt the store and replaced it.
-func (s *Store) current(ref *nn.ActRef, e *entry) bool {
-	cur, ok := s.lookup(ref)
-	return ok && cur == e
-}
-
 // resident is one row of a residents snapshot.
 type resident struct {
 	ref *nn.ActRef
@@ -449,9 +411,9 @@ func (s *Store) readWait(t ticket) (*frame.Frame, error) {
 			s.brk.onSuccess()
 		} else if errors.Is(err, transport.ErrStoreUnavailable) {
 			// The failure still surfaces — the bytes are gone with the
-			// store, so only the recompute policy can recover this ref —
-			// but it opens the breaker so the re-offloads that follow
-			// degrade instead of beating on a dead wire.
+			// store, so only the recompute policy's replay can recover
+			// this ref — but it opens the breaker so the replay's
+			// offloads degrade instead of beating on a dead wire.
 			s.brk.onFailure()
 		}
 	}
@@ -508,82 +470,37 @@ func (s *Store) finishRestore(ref *nn.ActRef, e *entry, t *tensor.Tensor) {
 	if t != nil {
 		ref.T = t
 	}
-	s.dropIfCurrent(ref, e)
+	s.mu.Lock()
+	delete(s.entries, ref)
+	s.mu.Unlock()
+	s.deleteEntry(e)
 	s.counters.Restored.Add(1)
 }
 
-// dropIfCurrent removes ref's entry if it is still e — a recompute hook
-// may have rebuilt the store wholesale, replacing it — and then deletes
-// the backend copy.
-func (s *Store) dropIfCurrent(ref *nn.ActRef, e *entry) {
-	s.mu.Lock()
-	current := s.entries[ref] == e
-	if current {
-		delete(s.entries, ref)
-		s.hostBytes -= e.size
-	}
-	s.mu.Unlock()
-	if current {
-		s.deleteEntry(e)
-	}
-}
-
-// recover applies the post-retry recovery policy to a failed restore:
-// under PolicyRecompute the hook re-materializes the activation (and
-// may rebuild the store); otherwise the typed error is surfaced with
-// the entry retained.
-func (s *Store) recover(ref *nn.ActRef, e *entry, err error) error {
-	if s.Recovery.Policy == PolicyRecompute && s.Recovery.Recompute != nil {
-		if rerr := s.Recovery.Recompute(ref); rerr != nil {
-			return fmt.Errorf("offload: restore %q (%s): %w: recompute failed: %v (original: %v)",
-				ref.Name, ref.Kind, ErrCorrupted, rerr, err)
-		}
-		s.counters.Recomputed.Add(1)
-		// The hook may have rebuilt the store wholesale; drop this
-		// ref's stale entry if it survived.
-		s.dropIfCurrent(ref, e)
-		return nil
-	}
-	// Entry retained: the only copy of the activation must not be
-	// destroyed by a failed decode.
+// restoreErr is the typed error of a failed restore of ref. The entry is
+// retained: the only copy of the activation must not be destroyed by a
+// failed read or decode.
+func restoreErr(ref *nn.ActRef, err error) error {
 	return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, err)
 }
 
 // Restore decompresses the stored activation back into ref.T (no-op for
 // BRC refs, whose mask is already attached) and frees the backend copy —
 // but only after the frame's CRC is verified and the payload decodes, so
-// a failed restore always leaves the compressed copy intact. On
-// corruption the configured RecoveryPolicy is consulted: PolicyFail
-// returns a typed error, PolicyRetry re-reads the transport, and
-// PolicyRecompute invokes the Recovery.Recompute hook.
+// a failed restore always leaves the compressed copy intact. The
+// policy's retry schedule runs on the read; past it the typed error is
+// returned.
 func (s *Store) Restore(ref *nn.ActRef) error {
 	e, ok := s.lookup(ref)
 	if !ok {
-		return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, ErrNotStored)
+		return restoreErr(ref, ErrNotStored)
 	}
 	t, err := s.fetch(e)
 	if err != nil {
-		return s.recover(ref, e, err)
+		return restoreErr(ref, err)
 	}
 	s.finishRestore(ref, e, t)
 	return nil
-}
-
-// OffloadAll offloads every unique saved ref of a network (forward-pass
-// end), returning the original and compressed byte totals.
-func (s *Store) OffloadAll(refs []*nn.ActRef) (orig, comp int, err error) {
-	seen := map[*nn.ActRef]bool{}
-	for _, ref := range refs {
-		if seen[ref] || ref.T == nil {
-			continue
-		}
-		seen[ref] = true
-		orig += ref.T.Bytes()
-		if err := s.Offload(ref); err != nil {
-			return orig, s.HostBytes(), err
-		}
-	}
-	return orig, s.HostBytes(), nil
 }
 
 // RestoreAll restores every stored ref in deterministic reverse-offload
@@ -591,11 +508,8 @@ func (s *Store) OffloadAll(refs []*nn.ActRef) (orig, comp int, err error) {
 // memory and error attribution are identical across runs regardless of
 // Go map iteration.
 func (s *Store) RestoreAll() error {
-	// Always restore the newest resident entry next. Snapshotting again
-	// after every restore keeps the sweep correct even when a recompute
-	// hook rebuilds the store with fresh refs mid-sweep.
-	for rs := s.residents(); len(rs) > 0; rs = s.residents() {
-		if err := s.Restore(rs[0].ref); err != nil {
+	for _, r := range s.residents() {
+		if err := s.Restore(r.ref); err != nil {
 			return err
 		}
 	}
@@ -603,24 +517,26 @@ func (s *Store) RestoreAll() error {
 }
 
 // Reset drops every entry, releasing the backend copies (counters and
-// the offload sequence are preserved). Used by the recompute path to
-// discard a stale step before re-offloading freshly materialized
-// activations.
+// the offload sequence are preserved). The recompute policy's replay
+// uses it to discard an aborted step's entries before the step runs
+// again.
 func (s *Store) Reset() {
 	s.mu.Lock()
 	old := s.entries
 	s.entries = map[*nn.ActRef]*entry{}
-	s.hostBytes = 0
 	s.mu.Unlock()
 	for _, e := range old {
 		s.deleteEntry(e)
 	}
 }
 
-// Close releases the transport backend (the in-process backend's
-// buffers, or a network client's connection) and the breaker's degraded
-// fallback, when one was ever built.
+// Close drops the entries still resident — a failed step's, which would
+// otherwise outlive the store on a shared server — then releases the
+// transport backend (the in-process backend's buffers, or a network
+// client's connection) and the breaker's degraded fallback, when one was
+// ever built.
 func (s *Store) Close() error {
+	s.Reset()
 	err := s.transportOf().Close()
 	s.mu.Lock()
 	f := s.fallback
@@ -636,11 +552,4 @@ func (s *Store) Stored() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// HostBytes returns the total framed footprint currently resident.
-func (s *Store) HostBytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hostBytes
 }

@@ -148,7 +148,7 @@ type Transport interface {
 type Counters struct {
 	Offloaded      atomic.Uint64 // activations put to the backend
 	Restored       atomic.Uint64 // activations brought back successfully
-	Recomputed     atomic.Uint64 // corruptions resolved by the Recompute hook
+	Recomputed     atomic.Uint64 // steps replayed by the recompute policy (the trainer counts them)
 	Corrupted      atomic.Uint64 // transfers that failed validation (incl. drops and broken connections)
 	Retried        atomic.Uint64 // re-reads / reconnect+resend cycles attempted
 	Dropped        atomic.Uint64 // reads that yielded no bytes (nil transfer)
@@ -212,7 +212,7 @@ func (s Snapshot) WriteMetrics(w io.Writer, namespace string) error {
 	}{
 		{"offloaded_total", "Activations put to the store", int64(s.Offloaded)},
 		{"restored_total", "Activations restored from the store", int64(s.Restored)},
-		{"recomputed_total", "Corruptions resolved by forward-pass recompute", int64(s.Recomputed)},
+		{"recomputed_total", "Steps replayed by the recompute policy", int64(s.Recomputed)},
 		{"corrupted_total", "Transfers that failed validation", int64(s.Corrupted)},
 		{"retried_total", "Transfer retries attempted", int64(s.Retried)},
 		{"dropped_total", "Transfers that yielded no bytes", int64(s.Dropped)},

@@ -3,6 +3,7 @@ package train
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"jpegact/internal/data"
@@ -10,6 +11,7 @@ import (
 	"jpegact/internal/frame"
 	"jpegact/internal/models"
 	"jpegact/internal/offload"
+	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -208,4 +210,69 @@ func TestOffloadedTrainingDropRecovery(t *testing.T) {
 	if stats.Dropped == 0 || stats.Dropped > stats.Corrupted {
 		t.Fatalf("drops not counted distinctly: %+v", stats)
 	}
+}
+
+// TestRecomputeBudget: over a channel that corrupts every restore, a
+// step under PolicyRecompute is replayed exactly maxRecompute times and
+// then fails with the budget error, the typed restore error inside it;
+// the failed step's entries stay resident, and closing the store leaves
+// no frame on its backend.
+func TestRecomputeBudget(t *testing.T) {
+	m, ds := faultModel(600)
+	cfg := faultCfg(t).withDefaults()
+	inj := faults.New(faults.Config{Seed: 83})
+	inj.ForceNextRecv(1 << 20) // past every transfer the run can make
+	store := offload.NewStore(quant.OptL())
+	backend := &liveKeys{Local: transport.NewLocal(inj, store.Counters()), keys: map[uint64]bool{}}
+	store.Transport = backend
+	store.Recovery = offload.Recovery{Policy: offload.PolicyRecompute}
+	eng := offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
+	defer eng.Close()
+	p := &pass{net: m.Net, eng: eng, arena: tensor.NewArena()}
+	l := loop{cfg: cfg, step: localStep(p, cfg.newOptimizer(), classifierBatch(ds, cfg)), validate: classifierValidation(m.Net, p.arena, ds, cfg)}
+	var rep Report
+	err := l.run(&rep)
+	if err == nil || !strings.Contains(err.Error(), "recompute budget (16) exhausted") || !errors.Is(err, frame.ErrChecksum) {
+		t.Fatalf("want the budget error around a checksum error, got %v", err)
+	}
+	if st := store.Stats(); st.Recomputed != maxRecompute {
+		t.Fatalf("recomputed %d, want %d replays", st.Recomputed, maxRecompute)
+	}
+	if len(rep.Epochs) != 0 || store.Stored() == 0 {
+		t.Fatalf("%d epochs, %d entries resident: want none and the failed step's", len(rep.Epochs), store.Stored())
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := backend.live(); n != 0 || store.Stored() != 0 {
+		t.Fatalf("after Close: %d frames on the backend, %d entries", n, store.Stored())
+	}
+}
+
+// liveKeys is an in-process backend that remembers which keys it holds
+// across Close, so what is left after Close is what the store left.
+type liveKeys struct {
+	*transport.Local
+	mu   sync.Mutex
+	keys map[uint64]bool
+}
+
+func (l *liveKeys) PutAsync(key uint64, data []byte, r transport.Retry) *transport.Pending {
+	l.mu.Lock()
+	l.keys[key] = true
+	l.mu.Unlock()
+	return l.Local.PutAsync(key, data, r)
+}
+
+func (l *liveKeys) Delete(key uint64) error {
+	l.mu.Lock()
+	delete(l.keys, key)
+	l.mu.Unlock()
+	return l.Local.Delete(key)
+}
+
+func (l *liveKeys) live() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.keys)
 }

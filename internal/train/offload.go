@@ -7,11 +7,11 @@ package train
 // for ClassifierOffloaded. The trainers differ only in options and in
 // the method whose codecs frame the activations. Corrupted frames are
 // detected by CRC and recovered per the configured policy; under
-// PolicyRecompute the whole step's activations are re-materialized by
-// replaying the forward pass from the batch input — the nearest
-// activation guaranteed intact — exactly as gradient checkpointing
-// would, after rewinding BatchNorm/Dropout side effects so the replay
-// is bit-identical.
+// PolicyRecompute a step whose restore failed is aborted and replayed
+// from the batch input — the nearest activation guaranteed intact —
+// exactly as gradient checkpointing would, after rewinding
+// BatchNorm/Dropout side effects and zeroing the gradients so the replay
+// is bit-identical (localStep).
 //
 // The offload engine overlaps the traffic with compute: save hooks stream
 // each activation to the encode pool the moment the forward pass is done

@@ -13,9 +13,12 @@ package train
 //
 // The gradient policy is the loop's step function: localStep hands the
 // pass's gradients to this worker's optimizer, allReduce.step (see
-// dataparallel.go) exchanges them between replicas first.
+// dataparallel.go) exchanges them between replicas first. localStep also
+// owns the recompute policy: a step whose restore failed runs again from
+// its batch.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -66,9 +69,17 @@ type pass struct {
 	arena *tensor.Arena
 }
 
-// maxRecompute caps whole-step forward replays per batch under
-// PolicyRecompute; beyond it the step fails.
+// maxRecompute caps whole-step replays per batch under PolicyRecompute;
+// beyond it the step fails.
 const maxRecompute = 16
+
+// errRestore marks a failed restore — in backward's OnNeed or in the
+// engine's EndStep — the one step failure the recompute policy replays.
+// Its message is empty, so a marked error reads as the restore's own.
+var errRestore = errors.New("")
+
+// restoreFailed marks err with errRestore.
+func restoreFailed(err error) error { return fmt.Errorf("%w%w", err, errRestore) }
 
 // restoreAbort carries a restore failure out of the backward pass; the
 // hook has no error return, so the step unwinds via panic/recover.
@@ -81,12 +92,11 @@ type restoreAbort struct{ err error }
 // is over, the offload engine's last commit and restore included.
 func (p *pass) run(x *tensor.Tensor, lossOf lossFunc, onGrad func(*nn.Param)) (stepResult, error) {
 	defer p.arena.Reset()
-	x = p.arena.Wrap(x) // the batch itself is not the arena's: a recompute replays from it
+	x = p.arena.Wrap(x) // the batch itself is not the arena's: a replay runs from it
 	hooks := &nn.Hooks{OnGrad: onGrad}
 	defer nn.SetHooks(p.net, nil)
-	finish := func(err error) error { return err }
 	if p.eng != nil {
-		finish = p.beginOffload(x, onGrad)
+		p.beginOffload()
 	}
 
 	out := p.net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
@@ -95,11 +105,15 @@ func (p *pass) run(x *tensor.Tensor, lossOf lossFunc, onGrad func(*nn.Param)) (s
 	if p.eng == nil {
 		res.sizes, res.foot = plainSizes(p.net.SavedRefs())
 	} else if err := p.endForward(hooks, &res); err != nil {
-		return res, finish(err)
+		p.eng.Abort()
+		return res, err
 	}
 
 	nn.SetHooks(p.net, hooks)
-	err := finish(backward(p.net, grad))
+	err := backward(p.net, grad)
+	if p.eng != nil {
+		err = p.endStep(err)
+	}
 	if err == nil && p.probe != nil {
 		res.errSum, res.errN = p.probe.sum(p.net.SavedRefs())
 	}
@@ -154,7 +168,7 @@ func (e errProbe) sum(refs []*nn.ActRef) (sum float64, n int) {
 }
 
 // backward runs the backward pass, converting a restoreAbort panic from
-// the OnNeed hook back into an error.
+// the OnNeed hook back into a marked error.
 func backward(net nn.Layer, grad *tensor.Tensor) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -162,7 +176,7 @@ func backward(net nn.Layer, grad *tensor.Tensor) (err error) {
 			if !ok {
 				panic(r)
 			}
-			err = ra.err
+			err = restoreFailed(ra.err)
 		}
 	}()
 	net.Backward(grad)
@@ -171,15 +185,8 @@ func backward(net nn.Layer, grad *tensor.Tensor) (err error) {
 
 // beginOffload opens the engine's step before the forward pass: save
 // hooks hand each activation to the engine's encode pool the moment
-// forward is done with it. Under PolicyRecompute it arms the whole-step
-// rebuild, which keeps the gradient policy's onGrad attached. The
-// returned func ends the step — drains the restore side, or aborts it
-// on err — and tears the step's store state down.
-func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error) error {
-	store := p.eng.Store()
-	// Snapshot forward side effects (BN running stats, dropout RNG)
-	// before the pass, so a corruption-triggered replay is bit-exact.
-	pre := nn.CaptureNetState(p.net)
+// forward is done with it.
+func (p *pass) beginOffload() {
 	p.eng.BeginStep()
 	save := p.eng.Offload
 	if p.probe != nil {
@@ -190,39 +197,6 @@ func (p *pass) beginOffload(x *tensor.Tensor, onGrad func(*nn.Param)) func(error
 		}
 	}
 	nn.SetHooks(p.net, &nn.Hooks{OnSave: save})
-	if store.Recovery.Policy == offload.PolicyRecompute {
-		recomputes := 0
-		store.Recovery.Recompute = func(*nn.ActRef) error {
-			if recomputes >= maxRecompute {
-				return fmt.Errorf("recompute budget (%d) exhausted", maxRecompute)
-			}
-			recomputes++
-			// Rewind side effects and replay the forward pass from the
-			// batch input; the replay re-applies them identically, so
-			// the network state after the replay matches post-forward.
-			// The activation hooks stay detached: the rebuilt step
-			// offloads and restores synchronously (the engine has
-			// already stopped its prefetcher before escalating here).
-			nn.SetHooks(p.net, &nn.Hooks{OnGrad: onGrad})
-			nn.RestoreNetState(p.net, pre)
-			p.net.Forward(&nn.ActRef{Kind: compress.KindConv, T: x}, true)
-			// Discard the stale step and re-offload the fresh refs —
-			// through the same channel, so a new fault can strike (and
-			// recover) again.
-			store.Reset()
-			_, _, err := store.OffloadAll(p.net.SavedRefs())
-			return err
-		}
-	}
-	return func(err error) error {
-		if err != nil {
-			p.eng.Abort()
-		} else {
-			err = p.eng.EndStep()
-		}
-		store.Recovery.Recompute = nil
-		return err
-	}
 }
 
 // endForward closes the offload side of the step and readies the restore
@@ -249,14 +223,53 @@ func (p *pass) endForward(hooks *nn.Hooks, res *stepResult) error {
 	return p.eng.PrepareBackward()
 }
 
+// endStep closes the engine's step after backward: it aborts the step
+// when backward failed, and otherwise drains the restore side, whose
+// failure is marked errRestore too.
+func (p *pass) endStep(err error) error {
+	if err != nil {
+		p.eng.Abort()
+		return err
+	}
+	if err := p.eng.EndStep(); err != nil {
+		return restoreFailed(err)
+	}
+	return nil
+}
+
 // localStep is gradient policy local: one pass, then this worker's own
 // optimizer. A non-finite loss leaves the weights alone; the loop flags
 // the divergence.
+//
+// Under PolicyRecompute a step whose restore failed is replayed from its
+// batch, up to maxRecompute times: the aborted step's store entries are
+// dropped, the network's forward side effects (BatchNorm running stats,
+// the dropout RNG) rewound to before the step and the gradients zeroed,
+// then the same batch runs through the ordinary offloaded step, so the
+// replay lands on exactly the fault-free step's bits.
 func localStep(p *pass, opt *nn.SGD, batch func() (*tensor.Tensor, lossFunc)) func(epoch, b int) (stepResult, error) {
 	params := p.net.Params()
 	return func(epoch, _ int) (stepResult, error) {
 		x, lossOf := batch()
+		replay := p.eng != nil && p.eng.Store().Recovery.Policy == offload.PolicyRecompute
+		var pre nn.NetState
+		if replay {
+			pre = nn.CaptureNetState(p.net)
+		}
 		res, err := p.run(x, lossOf, nil)
+		for n := 0; replay && errors.Is(err, errRestore); n++ {
+			if n == maxRecompute {
+				return res, fmt.Errorf("recompute budget (%d) exhausted: %w", maxRecompute, err)
+			}
+			store := p.eng.Store()
+			store.Reset()
+			nn.RestoreNetState(p.net, pre)
+			for _, q := range params {
+				q.ZeroGrad()
+			}
+			store.Counters().Recomputed.Add(1)
+			res, err = p.run(x, lossOf, nil)
+		}
 		if err == nil && !nonFinite(res.loss) {
 			opt.Step(params)
 		}

@@ -173,8 +173,8 @@ type OffloadStats = offload.Stats
 type RecoveryPolicy = offload.RecoveryPolicy
 
 // Recovery policies: fail with a typed error naming the corrupted ref,
-// re-read the channel with backoff, or replay the forward pass from the
-// intact batch input (gradient-checkpointing style).
+// re-read the channel, or replay the whole step from the intact batch
+// input (gradient-checkpointing style).
 const (
 	RecoverFail      = offload.PolicyFail
 	RecoverRetry     = offload.PolicyRetry
