@@ -89,11 +89,11 @@ func main() {
 	store := flag.String("store", "",
 		"with -offload: networked activation-store address (unix:/path or tcp:host:port; see cmd/actstore)")
 	storeKey := flag.Uint64("store-key", 0,
-		"with -store: client id namespacing this trainer's keys on the shared store (keys become id<<32 | seq)")
+		"with -offload -store: client id namespacing this trainer's keys on the shared store (keys become id<<32 | seq)")
 	storeTimeout := flag.Duration("store-timeout", 5*time.Second,
 		"with -store: total wall budget per wire op across reconnect+resend; a dead store fails typed and trips the circuit breaker into degraded local mode (0 = unbounded)")
 	noDegrade := flag.Bool("no-degrade", false,
-		"with -store: disable the circuit breaker; wire failures fail the run instead of degrading to local offload")
+		"with -offload -store: disable the circuit breaker; wire failures fail the run instead of degrading to local offload")
 	replicas := flag.Int("replicas", 0,
 		"data-parallel replica workers exchanging gradients through the activation-store transport (0 = regular single-worker training)")
 	microbatches := flag.Int("microbatches", 4,
@@ -122,12 +122,15 @@ func main() {
 		on   bool
 	}
 	offload := mode{"-offload", *useOffload}
+	// The data-parallel trainer's store client takes no key base and has
+	// no breaker.
+	offloadStore := mode{"-offload and -store", *useOffload && *store != ""}
 	needs := map[string]mode{
 		"policy": offload, "flip": offload, "trunc": offload, "drop": offload,
 		"store":         {"-offload or -replicas", *useOffload || *replicas > 0},
-		"store-key":     {"-store", *store != ""},
+		"store-key":     offloadStore,
 		"store-timeout": {"-store", *store != ""},
-		"no-degrade":    {"-store", *store != ""},
+		"no-degrade":    offloadStore,
 		"microbatches":  {"-replicas", *replicas > 0},
 	}
 	flag.Visit(func(f *flag.Flag) {

@@ -406,6 +406,8 @@ func TestFlagOutsideItsModeIsRefused(t *testing.T) {
 		{"-offload", "-no-degrade"},
 		{"-offload", "-store-timeout", "1s"},
 		{"-microbatches", "2"},
+		{"-replicas", "2", "-microbatches", "2", "-store", "unix:none.sock", "-store-key", "1"},
+		{"-replicas", "2", "-microbatches", "2", "-store", "unix:none.sock", "-no-degrade"},
 	} {
 		out, err := exec.Command(acttrain, small(args...)...).CombinedOutput()
 		if code := exitCode(err); code != 2 || !strings.Contains(string(out), "requires") {

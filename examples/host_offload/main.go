@@ -1,16 +1,17 @@
 // host_offload demonstrates the real offload path: after the forward
 // pass every saved activation is serialized into compressed host-memory
-// buffers and its float tensor is freed; activations are restored one at
-// a time, in reverse order, as the backward pass needs them — so the
-// live float footprint between forward and backward is just the
-// compressed bytes, exactly the paper's system-level saving.
+// buffers and its float tensor is freed; a reverse-order prefetcher reads
+// them back, and activations are restored one at a time, in reverse
+// order, as the backward pass needs them — so the live float footprint
+// between forward and backward is just the compressed bytes, exactly the
+// paper's system-level saving.
 //
-// It then runs the same step through the offload engine: save hooks
-// stream each activation to the encode workers the moment the forward
-// pass no longer needs it, frames are committed to the channel in
-// submission order, and a reverse-order prefetcher stages restores
-// ahead of the backward pass — the offload–compute overlap of Fig. 1a,
-// with bit-identical results.
+// It then runs the same step through the same engine with the network's
+// hooks: save hooks stream each activation to the encode workers the
+// moment the forward pass no longer needs it, frames are committed to the
+// channel in submission order, and the backward pass consumes the
+// restores the prefetcher staged ahead of it — the offload–compute
+// overlap of Fig. 1a, with bit-identical results.
 package main
 
 import (
@@ -37,14 +38,14 @@ func main() {
 	loss, grad := nn.SoftmaxCrossEntropy(out.T, labels)
 	fmt.Printf("forward done, loss %.3f\n", loss)
 
-	// An engine with no restore lookahead offloads after the forward pass
-	// and restores strictly on demand: EndForward offloads every saved
-	// activation and waits until each frame has landed.
+	// Without hooks the engine offloads after the forward pass: EndForward
+	// offloads every saved activation and waits until each frame has
+	// landed.
 	store := offload.NewStore(quant.OptL())
-	onDemand := offload.NewEngine(store, offload.EngineConfig{})
-	defer onDemand.Close()
-	onDemand.BeginStep()
-	sizes, _, err := onDemand.EndForward(m.Net.SavedRefs())
+	after := offload.NewEngine(store, offload.EngineConfig{})
+	defer after.Close()
+	after.BeginStep()
+	sizes, _, err := after.EndForward(m.Net.SavedRefs())
 	if err != nil {
 		panic(err)
 	}
@@ -53,6 +54,9 @@ func main() {
 	fmt.Println("between forward and backward, only the compressed bytes are live")
 
 	// Restore in reverse order — the backward prefetch of Fig. 1a.
+	if err := after.PrepareBackward(); err != nil {
+		panic(err)
+	}
 	refs := m.Net.SavedRefs()
 	seen := map[*nn.ActRef]bool{}
 	restored := 0
@@ -62,12 +66,12 @@ func main() {
 			continue
 		}
 		seen[ref] = true
-		if err := onDemand.Restore(ref); err != nil {
+		if err := after.Restore(ref); err != nil {
 			panic(err)
 		}
 		restored++
 	}
-	if err := onDemand.EndStep(); err != nil { // drain BRC bookkeeping
+	if err := after.EndStep(); err != nil { // finish the BRC refs' entries
 		panic(err)
 	}
 	fmt.Printf("restored %d activations for the backward pass\n", restored)
@@ -80,7 +84,7 @@ func main() {
 	// OnSave streams activations out during the forward pass, OnNeed
 	// consumes prefetched restores during backward.
 	engStore := offload.NewStore(quant.OptL())
-	eng := offload.NewEngine(engStore, offload.EngineConfig{Prefetch: 4})
+	eng := offload.NewEngine(engStore, offload.EngineConfig{})
 	defer eng.Close()
 
 	eng.BeginStep()

@@ -89,7 +89,7 @@ func healthyReconstruction(t *testing.T, seed uint64) *tensor.Tensor {
 	if err := s.Offload(ref); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(ref); err != nil {
+	if err := restoreStep(s, ref); err != nil {
 		t.Fatal(err)
 	}
 	return ref.T
@@ -127,14 +127,11 @@ func TestBreakerTripsAndDegrades(t *testing.T) {
 	}
 
 	// Degraded restore: bit-identical to the healthy-path reconstruction.
-	if err := s.Restore(ref); err != nil {
-		t.Fatalf("restore of degraded frame: %v", err)
+	if err := restoreStep(s, ref, ref2); err != nil {
+		t.Fatalf("restore of degraded frames: %v", err)
 	}
 	if tensor.MSE(want, ref.T) != 0 {
 		t.Fatal("degraded path reconstruction differs from healthy path")
-	}
-	if err := s.Restore(ref2); err != nil {
-		t.Fatal(err)
 	}
 	if s.Stored() != 0 || s.HostBytes() != 0 {
 		t.Fatalf("store not drained: %d entries, %d bytes", s.Stored(), s.HostBytes())
@@ -183,10 +180,11 @@ func TestBreakerProbesAndRecovers(t *testing.T) {
 
 	// Every frame restores from wherever it lives: the degraded ones from
 	// the fallback, the probe's from the wire.
-	for _, ref := range append(refs, probe) {
-		if err := s.Restore(ref); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
+	refs = append(refs, probe)
+	if err := restoreStep(s, refs...); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	for _, ref := range refs {
 		if ref.T == nil {
 			t.Fatal("restore left no tensor")
 		}
@@ -264,7 +262,7 @@ func TestBreakerGetFailureAdvancesBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire.setDead(true)
-	if err := s.Restore(ref); !errors.Is(err, transport.ErrStoreUnavailable) {
+	if err := restoreStep(s, ref); !errors.Is(err, transport.ErrStoreUnavailable) {
 		t.Fatalf("want ErrStoreUnavailable from restore, got %v", err)
 	}
 	if !s.Tripped() {

@@ -13,15 +13,21 @@ import (
 	"jpegact/internal/tensor"
 )
 
-// EngineConfig sizes the scheduler layer's restore lookahead.
+// lookahead is the restore lookahead during the backward pass: how many
+// verified frames may sit staged ahead of demand, and the length of the
+// held tail (see Engine). The staged objects are verified compressed
+// frames, so a window a little deeper than a residual block's burst of
+// refs costs almost nothing and keeps the channel busy through the
+// bursts. The encode workers' in-flight bytes are left unbounded.
+const lookahead = 4
+
+// EngineConfig selects nothing: the engine has one schedule.
 type EngineConfig struct {
 	// Async selects nothing: the engine always runs the pipelined path.
 	// It is kept only so bench/ compiles against it.
 	Async bool
-	// Prefetch is the restore lookahead during the backward pass: how
-	// many verified frames may sit staged ahead of demand. It also sizes
-	// the held tail (see Engine). <= 0 restores strictly on demand and
-	// holds nothing.
+	// Prefetch selects nothing: the restore lookahead is fixed at 4. It
+	// is kept only so bench/ compiles against it.
 	Prefetch int
 }
 
@@ -31,7 +37,7 @@ type EngineStats struct {
 	PrefetchHits  uint64 // restores whose tensor was already staged
 	PrefetchWaits uint64 // restores that had to wait on the prefetcher
 	MaxInFlight   int    // high-water mark of encoded bytes awaiting commit
-	DemandFetches uint64 // on-demand fetches issued past the lookahead window
+	DemandFetches uint64 // restores blocked on a frame not yet read, which let the prefetcher past its window
 }
 
 // Bytes counts saved-activation bytes: Orig at float32, Comp as their
@@ -66,7 +72,8 @@ type fetchTask struct {
 // prefetchState is one backward pass's restore plan: every resident
 // entry at PrepareBackward time, in reverse-offload order. Nothing is
 // offloaded until the step ends, so the plan covers every restore the
-// step makes.
+// step makes, and each entry is read exactly once. A plan ends only by
+// a flush.
 type prefetchState struct {
 	tasks []*fetchTask
 	// byRef holds the tasks no restore has consumed yet.
@@ -90,17 +97,16 @@ type prefetchState struct {
 // The held tail: the frames forward submits last are the ones backward
 // reads first, so their round trip cannot hide behind compute. From an
 // engine's second step on, every submission whose index is at least the
-// previous step's submission count minus Prefetch stays on the device:
+// previous step's submission count minus lookahead stays on the device:
 // it is encoded and its tensor released at commit like any other frame,
 // but its framed bytes stay in its store entry, and its restore takes
 // them through the same CRC check and decode as a wire frame with no
 // transport op. The rule reads only submission indices, never timing.
 //
-// A zero Prefetch restores strictly on demand and holds nothing. One
-// engine serves one training loop; it is not safe for concurrent steps.
+// One engine serves one training loop; it is not safe for concurrent
+// steps.
 type Engine struct {
 	store *Store
-	cfg   EngineConfig
 	pool  *parallel.Pool
 
 	mu   sync.Mutex
@@ -120,8 +126,7 @@ type Engine struct {
 	firstErr   error
 
 	// Restore pipeline (reset each step).
-	pf    *prefetchState
-	pfGen int
+	pf *prefetchState
 
 	maxInflight   int
 	hits, waits   uint64
@@ -129,9 +134,10 @@ type Engine struct {
 }
 
 // NewEngine wraps a store in a scheduler and starts its encode pool of
-// parallel.Workers() encoders; Close releases it.
-func NewEngine(s *Store, cfg EngineConfig) *Engine {
-	e := &Engine{store: s, cfg: cfg, pool: parallel.NewPool(0)}
+// parallel.Workers() encoders; Close releases it. The config selects
+// nothing.
+func NewEngine(s *Store, _ EngineConfig) *Engine {
+	e := &Engine{store: s, pool: parallel.NewPool(0)}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
@@ -160,8 +166,8 @@ func (e *Engine) Stats() EngineStats {
 func (e *Engine) BeginStep() {
 	e.mu.Lock()
 	e.holdFrom = math.MaxInt
-	if e.stepped && e.cfg.Prefetch > 0 {
-		e.holdFrom = e.submitted - e.cfg.Prefetch
+	if e.stepped {
+		e.holdFrom = e.submitted - lookahead
 	}
 	e.stepped = true
 	e.seen = map[*nn.ActRef]bool{}
@@ -315,13 +321,10 @@ func (e *Engine) EndForward(refs []*nn.ActRef) (total Bytes, byKind map[compress
 	return total, e.sizes, e.firstErr
 }
 
-// PrepareBackward readies the restore side. With Prefetch > 0 it
-// snapshots the resident entries newest first and starts the prefetcher
-// on that plan; Prefetch <= 0 leaves restores on demand.
+// PrepareBackward readies the restore side: it snapshots the resident
+// entries newest first and starts the prefetcher on that plan. It always
+// returns nil.
 func (e *Engine) PrepareBackward() error {
-	if e.cfg.Prefetch <= 0 {
-		return nil
-	}
 	rs := e.store.residents()
 	tasks := make([]*fetchTask, len(rs))
 	byRef := make(map[*nn.ActRef]*fetchTask, len(rs))
@@ -332,14 +335,13 @@ func (e *Engine) PrepareBackward() error {
 	e.mu.Lock()
 	pf := &prefetchState{tasks: tasks, byRef: byRef, active: true}
 	e.pf = pf
-	gen := e.pfGen
 	e.mu.Unlock()
-	go e.prefetchLoop(pf, gen)
+	go e.prefetchLoop(pf)
 	return nil
 }
 
 // prefetchLoop is the single fetch goroutine: it walks the snapshot in
-// order, staging up to Prefetch verified frames ahead of consumption
+// order, staging up to lookahead verified frames ahead of consumption
 // and keeping as many staging GETs issued on the wire as the transport's
 // window allows (responses complete in issue order — the transport is
 // FIFO — so batching issues overlaps round trips without reordering
@@ -349,7 +351,7 @@ func (e *Engine) PrepareBackward() error {
 // lets the loop run ahead of the budget without changing the order.
 // Only the wire read and CRC check run here; decode goes to the encode
 // pool, idle during backward, so the next read can start immediately.
-func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
+func (e *Engine) prefetchLoop(pf *prefetchState) {
 	type issuedRead struct {
 		ft *fetchTask
 		tk ticket
@@ -382,10 +384,6 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 		return nil
 	})
 	defer func() {
-		// Responses for issued reads are already on the wire; consume
-		// them even on cancellation so every started task's done closes
-		// and the transport stream stays position-deterministic.
-		fifo.Drain()
 		e.mu.Lock()
 		pf.active = false
 		e.cond.Broadcast()
@@ -395,14 +393,10 @@ func (e *Engine) prefetchLoop(pf *prefetchState, gen int) {
 		e.mu.Lock()
 		issuable := func() bool {
 			return pf.next < len(pf.tasks) && !fifo.Full() &&
-				(pf.flush || pf.demand != nil || pf.ready+fifo.Len() < e.cfg.Prefetch)
+				(pf.flush || pf.demand != nil || pf.ready+fifo.Len() < lookahead)
 		}
-		for gen == e.pfGen && !issuable() && fifo.Len() == 0 && pf.next < len(pf.tasks) {
+		for !issuable() && fifo.Len() == 0 && pf.next < len(pf.tasks) {
 			e.cond.Wait()
-		}
-		if gen != e.pfGen {
-			e.mu.Unlock()
-			return
 		}
 		if !issuable() {
 			e.mu.Unlock()
@@ -450,19 +444,11 @@ func (e *Engine) release(pf *prefetchState, ft *fetchTask) {
 	e.mu.Unlock()
 }
 
-// Restore brings one activation back. With the prefetcher running it
-// consumes the staged tensor (waiting for it if the fetch is still in
-// flight); otherwise it reads the entry on demand. A failed restore
-// escalates.
+// Restore brings one activation back: it consumes the plan's staged
+// tensor, waiting for it if the read or decode is still in flight. A ref
+// the plan does not hold is a shared ref already restored, or one the
+// step never offloaded (ErrNotStored). A failed restore escalates.
 func (e *Engine) Restore(ref *nn.ActRef) error {
-	s := e.store
-	ent, ok := s.lookup(ref)
-	if !ok {
-		if ref.T != nil || ref.Mask != nil {
-			return nil // already restored: a shared ref
-		}
-		return restoreErr(ref, ErrNotStored)
-	}
 	e.mu.Lock()
 	pf := e.pf
 	var ft *fetchTask
@@ -470,15 +456,11 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 		ft = pf.byRef[ref]
 	}
 	if ft == nil {
-		// On-demand mode: no prefetch plan.
-		e.demandFetches++
 		e.mu.Unlock()
-		t, err := s.fetch(ent)
-		if err != nil {
-			return e.escalate(ref, err)
+		if ref.T != nil || ref.Mask != nil {
+			return nil // already restored: a shared ref
 		}
-		s.finishRestore(ref, ent, t)
-		return nil
+		return e.escalate(ref, ErrNotStored)
 	}
 	delete(pf.byRef, ref)
 	select {
@@ -487,6 +469,7 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	default:
 		e.waits++
 		if !ft.read {
+			e.demandFetches++
 			pf.demand = ft
 			e.cond.Broadcast()
 		}
@@ -497,28 +480,28 @@ func (e *Engine) Restore(ref *nn.ActRef) error {
 	if ft.err != nil {
 		return e.escalate(ref, ft.err)
 	}
-	s.finishRestore(ref, ent, ft.take())
+	e.store.finishRestore(ref, ft.ent, ft.take())
 	return nil
 }
 
-// escalate fails a restore, whether the prefetcher or an on-demand read
-// discovered it: any prefetch plan is flushed first — the prefetcher
-// completes every remaining read, not just the one in flight — so the
-// channel has seen a run-independent sequence of transfers by the time
-// the step aborts (a stop at the in-flight read would cut at a
-// scheduling-dependent point and make the fault counters
-// irreproducible). The flushed results are discarded once decoded, their
-// buffers handed back, so no decode outlives the step. The typed error
-// is returned with every unrestored entry still resident; the caller
-// aborts the step.
+// escalate fails a restore: the plan is discarded and the typed error
+// returned with every unrestored entry still resident; the caller aborts
+// the step.
 func (e *Engine) escalate(ref *nn.ActRef, err error) error {
+	e.discard()
+	return restoreErr(ref, err)
+}
+
+// discard flushes the plan, if one is running, and hands every staged
+// tensor back to its arena unconsumed, so no read or decode outlives the
+// step.
+func (e *Engine) discard() {
 	if pf := e.flushPrefetch(); pf != nil {
 		for _, ft := range pf.tasks {
 			<-ft.done
 			ft.take().Release()
 		}
 	}
-	return restoreErr(ref, err)
 }
 
 // flushPrefetch drives the prefetch plan to completion: the loop reads
@@ -526,7 +509,9 @@ func (e *Engine) escalate(ref *nn.ActRef, err error) error {
 // window, and the drained plan is returned (nil if none was running).
 // Because the whole plan is read exactly once, the channel's transfer
 // sequence — and any seeded fault pattern riding on it — is identical
-// across runs no matter where the prefetcher happened to be.
+// across runs no matter where the prefetcher happened to be (a stop at
+// the in-flight read would cut at a scheduling-dependent point and make
+// the fault counters irreproducible).
 func (e *Engine) flushPrefetch() *prefetchState {
 	e.mu.Lock()
 	pf := e.pf
@@ -544,62 +529,43 @@ func (e *Engine) flushPrefetch() *prefetchState {
 	return pf
 }
 
-// stopPrefetch cancels the prefetch plan and waits for the loop to exit
-// and for the decodes of the reads it issued, so neither a channel read
-// nor a decode races whatever the caller does next. Staged tensors are
-// discarded unconsumed, their buffers handed back — the entries remain in
-// the store, for the caller to inspect or Reset. Only Abort uses this (a
-// failed step must not keep touching the channel); the healthy paths
-// flush instead, for reproducible transfer counts.
-func (e *Engine) stopPrefetch() {
-	e.mu.Lock()
-	pf := e.pf
-	if pf == nil {
-		e.mu.Unlock()
-		return
-	}
-	e.pf = nil
-	e.pfGen++
-	e.cond.Broadcast()
-	for pf.active {
-		e.cond.Wait()
-	}
-	e.mu.Unlock()
-	for _, ft := range pf.tasks[:pf.next] {
-		<-ft.done
-		ft.take().Release()
-	}
-}
-
-// EndStep finishes the restore side: the prefetch plan is flushed and
-// the tasks no restore consumed are restored in plan order (exactly what
-// RestoreAll would do, minus the second channel read), then any entries
-// still resident — every one in on-demand mode, or a failed task's — go
-// through Store.RestoreAll, whose first failure is returned. In the
-// common case the backward pass consumed the whole plan and both phases
-// are no-ops.
+// EndStep finishes the restore side: the plan is flushed and each task no
+// restore consumed is finished from its one read, in plan order. A failed
+// task's entry stays resident, and the first failure's typed error is
+// returned. In the common case the backward pass consumed the whole plan
+// and this only waits for the prefetcher to exit.
 func (e *Engine) EndStep() error {
-	if pf := e.flushPrefetch(); pf != nil {
-		for _, ft := range pf.tasks {
-			<-ft.done
-			if pf.byRef[ft.ref] == ft && ft.err == nil {
-				e.store.finishRestore(ft.ref, ft.ent, ft.take())
+	pf := e.flushPrefetch()
+	if pf == nil {
+		return nil
+	}
+	var err error
+	for _, ft := range pf.tasks {
+		<-ft.done
+		switch {
+		case pf.byRef[ft.ref] != ft: // consumed by a Restore
+		case ft.err != nil:
+			if err == nil {
+				err = restoreErr(ft.ref, ft.err)
 			}
+		default:
+			e.store.finishRestore(ft.ref, ft.ent, ft.take())
 		}
 	}
-	return e.store.RestoreAll()
+	return err
 }
 
 // Abort tears down the step's pipelines without draining the store —
 // the path for a failed step, where the remaining entries may be
-// corrupt and must stay resident for the caller to inspect.
+// corrupt and must stay resident for the caller to inspect or Reset. A
+// plan still running is discarded as a failed restore's is.
 func (e *Engine) Abort() {
 	e.mu.Lock()
 	for e.finished < e.submitted {
 		e.cond.Wait()
 	}
 	e.mu.Unlock()
-	e.stopPrefetch()
+	e.discard()
 }
 
 // Close releases the encode pool. The engine must be between steps.

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"jpegact/internal/faults"
 	"jpegact/internal/frame"
@@ -59,14 +62,8 @@ func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 	atWorkers(t, 4)
 	eng := NewEngine(s, EngineConfig{})
 	defer eng.Close()
-	eng.BeginStep()
 	refs := engineRefs(n)
-	for _, ref := range refs {
-		eng.Offload(ref)
-	}
-	if _, _, err := eng.EndForward(nil); err != nil {
-		t.Fatal(err)
-	}
+	offloadStep(t, eng, refs)
 	if len(rec.sent) != n {
 		t.Fatalf("%d sends, want %d", len(rec.sent), n)
 	}
@@ -78,16 +75,15 @@ func TestEngineAsyncCommitsInSubmissionOrder(t *testing.T) {
 			t.Fatalf("send %d differs from Store.OffloadAll's", i)
 		}
 	}
-	if err := eng.EndStep(); err != nil {
-		t.Fatal(err)
+	if err := eng.EndStep(); err != nil || s.Stored() != 0 {
+		t.Fatalf("EndStep: %v, %d entries left", err, s.Stored())
 	}
 }
 
-// TestEnginePrefetchBitExact holds both restore configurations of the
-// engine — a lookahead window and strictly on demand (Prefetch 0) — at
-// 1, 2 and 4 workers, to the store's own Offload and Restore: the same
-// frames cross the channel in the same order and every restored tensor
-// is bit-identical.
+// TestEnginePrefetchBitExact holds the engine at 1, 2 and 4 workers to
+// the store's own Offload and the codec's round trip: the same frames
+// cross the channel in the same order, every restored tensor is
+// bit-identical, and every restore is served by the plan.
 func TestEnginePrefetchBitExact(t *testing.T) {
 	const n = 6
 	want := make([]*tensor.Tensor, n)
@@ -95,107 +91,195 @@ func TestEnginePrefetchBitExact(t *testing.T) {
 	sRef := NewStore(quant.OptL())
 	sRef.Channel = recRef
 	for i, ref := range engineRefs(n) {
+		want[i] = sRef.Codec.Compress(ref.Kind, ref.T).Recovered
 		if err := sRef.Offload(ref); err != nil {
 			t.Fatal(err)
 		}
-		if err := sRef.Restore(ref); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ref.T
 	}
 
-	for _, c := range []struct {
-		name string
-		cfg  EngineConfig
-	}{
-		{"prefetch", EngineConfig{Prefetch: 2}},
-		{"ondemand", EngineConfig{}},
-	} {
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s-w%d", c.name, workers), func(t *testing.T) {
-				rec := &sendRecorder{}
-				s := NewStore(quant.OptL())
-				s.Channel = rec
-				atWorkers(t, workers)
-				eng := NewEngine(s, c.cfg)
-				defer eng.Close()
-				eng.BeginStep()
-				refs := engineRefs(n)
-				for _, ref := range refs {
-					eng.Offload(ref)
-				}
-				if _, _, err := eng.EndForward(nil); err != nil {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("prefetch-w%d", workers), func(t *testing.T) {
+			rec := &sendRecorder{}
+			s := NewStore(quant.OptL())
+			s.Channel = rec
+			atWorkers(t, workers)
+			eng := NewEngine(s, EngineConfig{})
+			defer eng.Close()
+			refs := engineRefs(n)
+			offloadStep(t, eng, refs)
+			for i := n - 1; i >= 0; i-- {
+				if err := eng.Restore(refs[i]); err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.PrepareBackward(); err != nil {
-					t.Fatal(err)
-				}
-				for i := n - 1; i >= 0; i-- {
-					if err := eng.Restore(refs[i]); err != nil {
-						t.Fatal(err)
-					}
-					for j := range refs[i].T.Data {
-						if refs[i].T.Data[j] != want[i].Data[j] {
-							t.Fatalf("ref %d elem %d: restore differs from Store.Restore's", i, j)
-						}
+				for j := range refs[i].T.Data {
+					if refs[i].T.Data[j] != want[i].Data[j] {
+						t.Fatalf("ref %d elem %d: restore differs from the codec's round trip", i, j)
 					}
 				}
-				if err := eng.EndStep(); err != nil {
-					t.Fatal(err)
+			}
+			if err := eng.EndStep(); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.sent) != n {
+				t.Fatalf("%d sends, want %d", len(rec.sent), n)
+			}
+			for i := range rec.sent {
+				if !bytes.Equal(rec.sent[i], recRef.sent[i]) {
+					t.Fatalf("send %d differs from Store.Offload's", i)
 				}
-				if len(rec.sent) != n {
-					t.Fatalf("%d sends, want %d", len(rec.sent), n)
-				}
-				for i := range rec.sent {
-					if !bytes.Equal(rec.sent[i], recRef.sent[i]) {
-						t.Fatalf("send %d differs from Store.Offload's", i)
-					}
-				}
-				st := eng.Stats()
-				if served := st.PrefetchHits + st.PrefetchWaits; c.cfg.Prefetch > 0 && served != n {
-					t.Fatalf("prefetch served %d+%d restores, want %d", st.PrefetchHits, st.PrefetchWaits, n)
-				}
-				if c.cfg.Prefetch == 0 && st.DemandFetches != n {
-					t.Fatalf("%d demand fetches, want %d", st.DemandFetches, n)
-				}
-				if s.Stored() != 0 {
-					t.Fatalf("%d entries left", s.Stored())
-				}
-			})
-		}
+			}
+			if st := eng.Stats(); st.PrefetchHits+st.PrefetchWaits != n {
+				t.Fatalf("the plan served %d+%d restores, want %d", st.PrefetchHits, st.PrefetchWaits, n)
+			}
+			if s.Stored() != 0 {
+				t.Fatalf("%d entries left", s.Stored())
+			}
+		})
 	}
 }
 
-// TestEngineOnDemandRestores covers Prefetch<=0: restores fall back to
-// the synchronous path one by one.
-func TestEngineOnDemandRestores(t *testing.T) {
-	s := NewStore(quant.OptL())
-	eng := NewEngine(s, EngineConfig{})
-	defer eng.Close()
+// offloadStep runs the forward side of one engine step over refs and
+// starts the plan: BeginStep, an Offload of each, EndForward,
+// PrepareBackward.
+func offloadStep(t *testing.T, eng *Engine, refs []*nn.ActRef) {
+	t.Helper()
 	eng.BeginStep()
-	refs := engineRefs(3)
 	for _, ref := range refs {
 		eng.Offload(ref)
 	}
 	if _, _, err := eng.EndForward(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.PrepareBackward(); err != nil {
-		t.Fatal(err)
+	eng.PrepareBackward()
+}
+
+// TestDemandFetchesCountRestoresAheadOfThePrefetcher: a consumer that
+// asks for a frame past the lookahead window — here the plan's last, as
+// the first restore — blocks on a frame the prefetcher has not read, and
+// that is the one demand fetch. The prefetcher reads up to it in plan
+// order, so every later restore finds its frame read.
+func TestDemandFetchesCountRestoresAheadOfThePrefetcher(t *testing.T) {
+	const n = 2*lookahead + 1
+	s := NewStore(quant.OptL())
+	eng := NewEngine(s, EngineConfig{})
+	defer eng.Close()
+	refs := engineRefs(n)
+	offloadStep(t, eng, refs)
+	order := []*nn.ActRef{refs[0]}
+	for i := n - 1; i > 0; i-- {
+		order = append(order, refs[i])
 	}
-	for i := len(refs) - 1; i >= 0; i-- {
-		if err := eng.Restore(refs[i]); err != nil {
+	for _, ref := range order {
+		if err := eng.Restore(ref); err != nil {
 			t.Fatal(err)
 		}
-		if refs[i].T == nil {
-			t.Fatalf("ref %d not restored", i)
-		}
-	}
-	if st := eng.Stats(); st.DemandFetches != 3 || st.PrefetchHits != 0 {
-		t.Fatalf("stats %+v", st)
 	}
 	if err := eng.EndStep(); err != nil {
 		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.DemandFetches != 1 || st.PrefetchHits+st.PrefetchWaits != n {
+		t.Fatalf("stats %+v: want 1 demand fetch and %d restores served by the plan", st, n)
+	}
+}
+
+// truncateNth cuts the nth Recv (from 1; 0 = none) to a prefix, passes
+// every other transfer through and counts the Recvs.
+type truncateNth struct{ n, recvs int }
+
+func (c *truncateNth) Send(b []byte) []byte { return b }
+func (c *truncateNth) Recv(b []byte) []byte {
+	if c.recvs++; c.recvs == c.n {
+		return b[:len(b)/2]
+	}
+	return b
+}
+
+// TestEndStepFinishesThePlan: a step whose backward never restores one
+// resident ref has EndStep finish it from the plan — one channel read,
+// its frame verified once. When that read failed, EndStep returns its
+// typed error with the entry retained, and reads nothing again.
+func TestEndStepFinishesThePlan(t *testing.T) {
+	const n, skip = 5, 2
+	run := func(ch *truncateNth, policy RecoveryPolicy) (*Store, []*nn.ActRef, error) {
+		s := NewStore(quant.OptL())
+		s.Channel = ch
+		s.Recovery = Recovery{Policy: policy}
+		eng := NewEngine(s, EngineConfig{})
+		defer eng.Close()
+		refs := engineRefs(n)
+		refs[skip].Name = "unread"
+		offloadStep(t, eng, refs)
+		for i := n - 1; i >= 0; i-- {
+			if i == skip {
+				continue
+			}
+			if err := eng.Restore(refs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, refs, eng.EndStep()
+	}
+
+	ch := &truncateNth{}
+	s, refs, err := run(ch, PolicyFail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if refs[skip].T == nil || s.Stored() != 0 || st.Restored != n || ch.recvs != n {
+		t.Fatalf("tensor %v, %d entries left, %d restored, %d reads: want the ref restored by %d reads",
+			refs[skip].T != nil, s.Stored(), st.Restored, ch.recvs, n)
+	}
+	if st.BytesVerified != st.BytesOffloaded {
+		t.Fatalf("verified %d of %d offloaded bytes: each frame once", st.BytesVerified, st.BytesOffloaded)
+	}
+
+	// The plan reads newest first, so the unread ref's is read n-skip'th.
+	ch = &truncateNth{n: n - skip}
+	s, refs, err = run(ch, PolicyFail)
+	if !errors.Is(err, frame.ErrTruncated) && !errors.Is(err, frame.ErrChecksum) {
+		t.Fatalf("want the typed truncation or checksum error, got %v", err)
+	}
+	if !strings.Contains(err.Error(), `restore "unread"`) {
+		t.Fatalf("error does not name the unread ref: %v", err)
+	}
+	if refs[skip].T != nil || s.Stored() != 1 || ch.recvs != n {
+		t.Fatalf("tensor %v, %d entries left, %d reads: want the entry retained and no read past the plan's %d",
+			refs[skip].T != nil, s.Stored(), ch.recvs, n)
+	}
+}
+
+// TestRestoreOfAStrangerFlushesThePlan: a restore of a ref the step never
+// offloaded fails ErrNotStored like any other restore failure — after
+// every resident entry has been read once — and the Abort that follows
+// leaves no goroutine behind.
+func TestRestoreOfAStrangerFlushesThePlan(t *testing.T) {
+	const n = 2 * lookahead
+	ch := &truncateNth{}
+	s := NewStore(quant.OptL())
+	s.Channel = ch
+	eng := NewEngine(s, EngineConfig{})
+	defer eng.Close()
+	before := runtime.NumGoroutine()
+	offloadStep(t, eng, engineRefs(n))
+	err := eng.Restore(&nn.ActRef{Name: "stranger"})
+	if !errors.Is(err, ErrNotStored) || !strings.Contains(err.Error(), `restore "stranger"`) {
+		t.Fatalf("want ErrNotStored naming the ref, got %v", err)
+	}
+	if ch.recvs != n {
+		t.Fatalf("%d reads before the error, want the whole plan (%d) read once", ch.recvs, n)
+	}
+	eng.Abort()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Abort, %d before the step", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if s.Stored() != n {
+		t.Fatalf("%d entries left, want all %d retained", s.Stored(), n)
 	}
 }
 
@@ -210,7 +294,7 @@ func TestEngineAsyncRecompute(t *testing.T) {
 	s.Channel = ch
 	s.Recovery = Recovery{Policy: PolicyRecompute}
 	atWorkers(t, 2)
-	eng := NewEngine(s, EngineConfig{Prefetch: 2})
+	eng := NewEngine(s, EngineConfig{})
 	defer eng.Close()
 	eng.BeginStep()
 	refs := engineRefs(5)
@@ -223,9 +307,7 @@ func TestEngineAsyncRecompute(t *testing.T) {
 	// The first Recv the prefetcher issues (the highest-seq entry) is
 	// corrupted.
 	ch.inj.ForceNextRecv(1)
-	if err := eng.PrepareBackward(); err != nil {
-		t.Fatal(err)
-	}
+	eng.PrepareBackward()
 	err := eng.Restore(refs[len(refs)-1])
 	if !errors.Is(err, frame.ErrChecksum) {
 		t.Fatalf("want the typed checksum error, got %v", err)
@@ -277,19 +359,10 @@ func (c *dropOnce) Recv(b []byte) []byte {
 func TestEngineDroppedTransferTyped(t *testing.T) {
 	s := NewStore(quant.OptL())
 	s.Channel = &dropOnce{}
-	eng := NewEngine(s, EngineConfig{Prefetch: 1})
+	eng := NewEngine(s, EngineConfig{})
 	defer eng.Close()
-	eng.BeginStep()
 	refs := engineRefs(2)
-	for _, ref := range refs {
-		eng.Offload(ref)
-	}
-	if _, _, err := eng.EndForward(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.PrepareBackward(); err != nil {
-		t.Fatal(err)
-	}
+	offloadStep(t, eng, refs)
 	err := eng.Restore(refs[1])
 	if !errors.Is(err, transport.ErrDropped) {
 		t.Fatalf("want ErrDropped, got %v", err)
@@ -298,18 +371,8 @@ func TestEngineDroppedTransferTyped(t *testing.T) {
 	if st := s.Stats(); st.Dropped != 1 {
 		t.Fatalf("dropped count %d, stats %+v", st.Dropped, st)
 	}
-	// The host copy survived; a later sync restore succeeds.
-	if err := s.RestoreAll(); err != nil {
-		t.Fatal(err)
+	// The host copy survived; a later step's plan restores it.
+	if err := restoreStep(s); err != nil || s.Stored() != 0 {
+		t.Fatalf("later step: %v, %d entries left", err, s.Stored())
 	}
-}
-
-// Seq returns the offload sequence number of ref, and whether it is
-// currently stored.
-func (s *Store) Seq(ref *nn.ActRef) (int, bool) {
-	e, ok := s.lookup(ref)
-	if !ok {
-		return 0, false
-	}
-	return e.seq, true
 }

@@ -20,13 +20,12 @@
 //     compression and transfers with forward/backward compute.
 //
 // Store is the bookkeeping core the layers meet at: it maps activation
-// refs to keyed transport entries, and restores synchronously whatever a
-// step's backward pass left resident. On corruption a configurable
-// RecoveryPolicy decides how many times the transport is re-read before
-// a restore fails with a typed error, the entry retained; under
-// PolicyRecompute the trainer (internal/train) then replays the whole
-// step from its batch input, gradient-checkpointing style. Nothing here
-// calls back into it.
+// refs to keyed transport entries; the engine's restore plan reads each
+// entry back once. On corruption a configurable RecoveryPolicy decides
+// how many times the transport is re-read before a restore fails with a
+// typed error, the entry retained; under PolicyRecompute the trainer
+// (internal/train) then replays the whole step from its batch input,
+// gradient-checkpointing style. Nothing here calls back into it.
 package offload
 
 import (
@@ -47,7 +46,7 @@ import (
 // ErrNotStored is returned when restoring a ref that was never offloaded.
 var ErrNotStored = errors.New("offload: activation not stored")
 
-// RecoveryPolicy selects what Restore does when a frame fails its CRC.
+// RecoveryPolicy selects what a restore does when a frame fails its CRC.
 type RecoveryPolicy int
 
 const (
@@ -124,8 +123,7 @@ type entry struct {
 
 // Store is a host-memory activation store. It composes the codec and
 // transport layers and owns the ref→entry bookkeeping; the scheduler
-// (Engine) commits every offload through it, and its synchronous
-// Restore and RestoreAll take back what a step's backward pass left.
+// (Engine) commits every offload and reads every restore through it.
 type Store struct {
 	// Codec is the frame codec set every offload encodes with and every
 	// restore decodes with (NewStore: JPEG-ACT). Change it only between
@@ -351,14 +349,6 @@ func (s *Store) putWait(key uint64, data []byte, t ticket) (stored int, degraded
 	return n, true, err
 }
 
-// lookup returns the entry for ref, if resident.
-func (s *Store) lookup(ref *nn.ActRef) (*entry, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[ref]
-	s.mu.Unlock()
-	return e, ok
-}
-
 // resident is one row of a residents snapshot.
 type resident struct {
 	ref *nn.ActRef
@@ -432,16 +422,6 @@ func (s *Store) deleteEntry(e *entry) {
 	}
 }
 
-// fetch reads and decodes the entry (the policy's retry schedule on the
-// read).
-func (s *Store) fetch(e *entry) (*tensor.Tensor, error) {
-	f, err := s.readWait(s.readIssue(e))
-	if err != nil {
-		return nil, err
-	}
-	return s.decode(e, f)
-}
-
 // decode reconstructs the entry's verified frame into a buffer drawn from
 // the arena its commit released the tensor to — the heap when it released
 // none (the batch input) — so a restore takes back exactly what its
@@ -482,38 +462,6 @@ func (s *Store) finishRestore(ref *nn.ActRef, e *entry, t *tensor.Tensor) {
 // failed read or decode.
 func restoreErr(ref *nn.ActRef, err error) error {
 	return fmt.Errorf("offload: restore %q (%s): %w", ref.Name, ref.Kind, err)
-}
-
-// Restore decompresses the stored activation back into ref.T (no-op for
-// BRC refs, whose mask is already attached) and frees the backend copy —
-// but only after the frame's CRC is verified and the payload decodes, so
-// a failed restore always leaves the compressed copy intact. The
-// policy's retry schedule runs on the read; past it the typed error is
-// returned.
-func (s *Store) Restore(ref *nn.ActRef) error {
-	e, ok := s.lookup(ref)
-	if !ok {
-		return restoreErr(ref, ErrNotStored)
-	}
-	t, err := s.fetch(e)
-	if err != nil {
-		return restoreErr(ref, err)
-	}
-	s.finishRestore(ref, e, t)
-	return nil
-}
-
-// RestoreAll restores every stored ref in deterministic reverse-offload
-// order — the order the backward prefetcher would request them — so peak
-// memory and error attribution are identical across runs regardless of
-// Go map iteration.
-func (s *Store) RestoreAll() error {
-	for _, r := range s.residents() {
-		if err := s.Restore(r.ref); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Reset drops every entry, releasing the backend copies (counters and

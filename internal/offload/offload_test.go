@@ -40,7 +40,7 @@ func TestOffloadRestoreDense(t *testing.T) {
 	if s.HostBytes() <= 0 || s.HostBytes() >= origBytes {
 		t.Fatalf("host bytes %d vs original %d", s.HostBytes(), origBytes)
 	}
-	if err := s.Restore(ref); err != nil {
+	if err := restoreStep(s, ref); err != nil {
 		t.Fatal(err)
 	}
 	if ref.T == nil || ref.T.Shape != orig.Shape {
@@ -74,7 +74,7 @@ func TestOffloadRestoreMatchesFunctionalMethod(t *testing.T) {
 	if err := s.Offload(ref); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(ref); err != nil {
+	if err := restoreStep(s, ref); err != nil {
 		t.Fatal(err)
 	}
 	if tensor.MSE(want, ref.T) != 0 {
@@ -107,7 +107,7 @@ func TestOffloadBRC(t *testing.T) {
 			t.Fatalf("mask bit %d wrong", i)
 		}
 	}
-	if err := s.Restore(ref); err != nil {
+	if err := restoreStep(s, ref); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +123,7 @@ func TestOffloadSparseAndSmall(t *testing.T) {
 	if err := s.Offload(ref); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(ref); err != nil {
+	if err := restoreStep(s, ref); err != nil {
 		t.Fatal(err)
 	}
 	if e := tensor.L2Error(orig, ref.T); e > 0.05 {
@@ -134,7 +134,7 @@ func TestOffloadSparseAndSmall(t *testing.T) {
 func TestOffloadErrors(t *testing.T) {
 	s := NewStore(quant.OptL())
 	ref := denseRef(5)
-	if err := s.Restore(ref); !errors.Is(err, ErrNotStored) {
+	if err := restoreStep(s, &nn.ActRef{Name: "never"}); !errors.Is(err, ErrNotStored) {
 		t.Fatalf("restore before offload: %v", err)
 	}
 	if err := s.Offload(ref); err != nil {
@@ -173,7 +173,7 @@ func TestRestoreRetainsEntryOnError(t *testing.T) {
 	}
 	hostBytes := s.HostBytes()
 
-	err := s.Restore(ref)
+	err := restoreStep(s, ref)
 	if !errors.Is(err, frame.ErrTruncated) && !errors.Is(err, frame.ErrChecksum) {
 		t.Fatalf("want truncation/checksum error, got %v", err)
 	}
@@ -191,7 +191,7 @@ func TestRestoreRetainsEntryOnError(t *testing.T) {
 	}
 
 	// The channel fault was transient; a second restore succeeds.
-	if err := s.Restore(ref); err != nil {
+	if err := restoreStep(s, ref); err != nil {
 		t.Fatal(err)
 	}
 	if ref.T == nil || s.Stored() != 0 {
@@ -210,7 +210,7 @@ func TestRestoreRetryPolicy(t *testing.T) {
 	}
 	// One forced transient fault: the first re-read succeeds.
 	inj.ForceNextRecv(1)
-	if err := s.Restore(ref); err != nil {
+	if err := restoreStep(s, ref); err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
 	}
 	if st := s.Stats(); st.Corrupted != 1 || st.Retried != 1 || st.Restored != 1 {
@@ -228,7 +228,7 @@ func TestRestoreRetryExhaustsOnPersistentFault(t *testing.T) {
 	if err := s.Offload(ref); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Restore(ref)
+	err := restoreStep(s, ref)
 	if !errors.Is(err, frame.ErrChecksum) {
 		t.Fatalf("want checksum error, got %v", err)
 	}
@@ -269,7 +269,7 @@ func TestLostFrameFollowsThePolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.KillShard(0)
-		return s, ref, s.Restore(ref)
+		return s, ref, restoreStep(s, ref)
 	}
 
 	s, ref, err := lose(Recovery{Policy: PolicyFail})
@@ -307,7 +307,12 @@ func (r *recorder) Recv(b []byte) []byte {
 	return b
 }
 
-func TestRestoreAllReverseOffloadOrder(t *testing.T) {
+// TestPlanReadsInReverseOffloadOrder: the restore plan reads the entries
+// newest first — the order the backward pass needs them — whatever order
+// Go's map iteration gives, so peak memory and error attribution are
+// identical across runs. A step that restores none of them finishes all
+// from the plan in EndStep.
+func TestPlanReadsInReverseOffloadOrder(t *testing.T) {
 	rec := &recorder{}
 	s := NewStore(quant.OptL())
 	s.Channel = rec
@@ -328,10 +333,10 @@ func TestRestoreAllReverseOffloadOrder(t *testing.T) {
 	if len(sent) != n {
 		t.Fatalf("%d sends, want %d", len(sent), n)
 	}
-	if err := s.RestoreAll(); err != nil {
+	if err := restoreStep(s); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.order) != n {
+	if len(rec.order) != n || s.Stored() != 0 {
 		t.Fatalf("%d transfers, want %d", len(rec.order), n)
 	}
 	for i := 0; i < n; i++ {
@@ -369,23 +374,22 @@ func TestEndToEndTrainingStepWithRealOffload(t *testing.T) {
 			t.Fatalf("ref %q still resident", ref.Name)
 		}
 	}
-	// Restore in reverse order, as the backward prefetcher would.
+	// Restore in reverse order, as the backward pass would; EndStep
+	// finishes the BRC entries, whose refs kept their masks.
 	refs := m.Net.SavedRefs()
+	var order []*nn.ActRef
 	seen := map[*nn.ActRef]bool{}
 	for i := len(refs) - 1; i >= 0; i-- {
-		if seen[refs[i]] || refs[i].Mask != nil {
-			continue
+		if !seen[refs[i]] && refs[i].Mask == nil {
+			order = append(order, refs[i])
 		}
 		seen[refs[i]] = true
-		if err := s.Restore(refs[i]); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := restoreStep(s, order...); err != nil {
+		t.Fatal(err)
 	}
 	if s.Stored() != 0 {
-		// BRC entries may remain; drain them.
-		if err := s.RestoreAll(); err != nil {
-			t.Fatal(err)
-		}
+		t.Fatalf("%d entries left", s.Stored())
 	}
 	dx := m.Net.Backward(grad)
 	if nn.NaNGuard(dx) {

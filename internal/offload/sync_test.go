@@ -9,7 +9,7 @@ import (
 
 // The synchronous offload the store tests drive: one ref at a time
 // through the same commit the engine's drain runs, so both land on
-// identical bytes.
+// identical bytes. Their restores run through the engine (restoreStep).
 
 // Offload compresses the ref's activation into a framed buffer on the
 // transport backend and releases the tensor (ref.T becomes nil, or a
@@ -58,4 +58,34 @@ func (s *Store) HostBytes() int {
 		n += e.size
 	}
 	return n
+}
+
+// restoreStep runs one backward pass of a fresh engine over s's resident
+// entries: PrepareBackward, a Restore of each of refs in the order
+// given, then EndStep, which finishes the rest of the plan. A failed
+// Restore aborts the step with its error.
+func restoreStep(s *Store, refs ...*nn.ActRef) error {
+	eng := NewEngine(s, EngineConfig{})
+	defer eng.Close()
+	eng.BeginStep()
+	eng.PrepareBackward()
+	for _, ref := range refs {
+		if err := eng.Restore(ref); err != nil {
+			eng.Abort()
+			return err
+		}
+	}
+	return eng.EndStep()
+}
+
+// Seq returns the offload sequence number of ref, and whether it is
+// currently stored.
+func (s *Store) Seq(ref *nn.ActRef) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[ref]
+	if !ok {
+		return 0, false
+	}
+	return e.seq, true
 }

@@ -157,7 +157,7 @@ func (c *tapConn) Read(b []byte) (int, error) {
 func twoSteps(t *testing.T, s *Store) []*tensor.Tensor {
 	t.Helper()
 	const perStep = 12
-	eng := NewEngine(s, EngineConfig{Prefetch: 4})
+	eng := NewEngine(s, EngineConfig{})
 	defer eng.Close()
 	var restored []*tensor.Tensor
 	for step := 0; step < 2; step++ {

@@ -55,7 +55,7 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 	defer store.Close()
 	ch := &captureChannel{}
 	store.Channel = ch
-	eng := offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
+	eng := offload.NewEngine(store, offload.EngineConfig{})
 	defer eng.Close()
 	for step, wantSent := range []int{13, 9} {
 		a := tensor.NewArena()
@@ -110,7 +110,7 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 		if offloaded {
 			s := offload.NewStore(quant.OptL())
 			defer s.Close()
-			p.eng = offload.NewEngine(s, offload.EngineConfig{Prefetch: lookahead})
+			p.eng = offload.NewEngine(s, offload.EngineConfig{})
 			defer p.eng.Close()
 		}
 		for range 2 {

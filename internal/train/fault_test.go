@@ -6,10 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/faults"
 	"jpegact/internal/frame"
 	"jpegact/internal/models"
+	"jpegact/internal/nn"
 	"jpegact/internal/offload"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
@@ -226,7 +228,7 @@ func TestRecomputeBudget(t *testing.T) {
 	backend := &liveKeys{Local: transport.NewLocal(inj, store.Counters()), keys: map[uint64]bool{}}
 	store.Transport = backend
 	store.Recovery = offload.Recovery{Policy: offload.PolicyRecompute}
-	eng := offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
+	eng := offload.NewEngine(store, offload.EngineConfig{})
 	defer eng.Close()
 	p := &pass{net: m.Net, eng: eng, arena: tensor.NewArena()}
 	l := loop{cfg: cfg, step: localStep(p, cfg.newOptimizer(), classifierBatch(ds, cfg)), validate: classifierValidation(m.Net, p.arena, ds, cfg)}
@@ -246,6 +248,52 @@ func TestRecomputeBudget(t *testing.T) {
 	}
 	if n := backend.live(); n != 0 || store.Stored() != 0 {
 		t.Fatalf("after Close: %d frames on the backend, %d entries", n, store.Stored())
+	}
+}
+
+// unread saves a copy of its input and never reads it back: backward asks
+// for no restore of it, so the engine's EndStep finishes its entry from
+// the restore plan.
+type unread struct{ ref *nn.ActRef }
+
+func (u *unread) Name() string { return "unread" }
+func (u *unread) Forward(in *nn.ActRef, _ bool) *nn.ActRef {
+	u.ref = &nn.ActRef{Name: "unread", Kind: compress.KindConv, T: in.T.Clone()}
+	return in
+}
+func (u *unread) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad }
+func (u *unread) Params() []*nn.Param                         { return nil }
+func (u *unread) SavedRefs() []*nn.ActRef                     { return []*nn.ActRef{u.ref} }
+
+// TestEndStepFailureReplaysTheStep: when the plan's read of a ref no
+// restore asked for fails, EndStep's typed error is marked errRestore, so
+// PolicyRecompute replays the step, and the replay restores the ref.
+func TestEndStepFailureReplaysTheStep(t *testing.T) {
+	inj := faults.New(faults.Config{Seed: 84})
+	inj.ForceNextRecv(1)
+	store := offload.NewStore(quant.OptL())
+	store.Channel = inj
+	store.Recovery = offload.Recovery{Policy: offload.PolicyRecompute}
+	defer store.Close()
+	eng := offload.NewEngine(store, offload.EngineConfig{})
+	defer eng.Close()
+	u := &unread{}
+	p := &pass{net: u, eng: eng, arena: tensor.NewArena()}
+	x := data.ActivationTensor(tensor.NewRNG(84), 2, 4, 16, 16, 0.5, 1.0)
+	batch := func() (*tensor.Tensor, lossFunc) {
+		return x, func(out *tensor.Tensor) (float64, *tensor.Tensor) {
+			return 1, tensor.New(out.Shape.N, out.Shape.C, out.Shape.H, out.Shape.W)
+		}
+	}
+	if _, err := localStep(p, nn.NewSGD(0.1, 0, 0), batch)(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	st := store.Stats()
+	if st.Corrupted != 1 || st.Recomputed != 1 || st.Offloaded != 2 || st.Restored != 1 || store.Stored() != 0 {
+		t.Fatalf("stats %+v, %d entries left: want the step replayed once and its replay restored", st, store.Stored())
+	}
+	if u.ref.T == nil {
+		t.Fatal("the replay did not restore the unread ref")
 	}
 }
 

@@ -19,8 +19,8 @@ package train
 // the backward pass consumes restores staged by a reverse-order
 // prefetcher. From the second step on, the last frames forward submits —
 // the first ones backward reads — stay on the device. The trajectory
-// depends on the method's codecs alone, never on the channel, the
-// lookahead or the transport, bit for bit.
+// depends on the method's codecs alone, never on the channel or the
+// transport, bit for bit.
 
 import (
 	"fmt"
@@ -93,13 +93,6 @@ type OffloadOptions struct {
 	Verbose bool
 }
 
-// lookahead is the engine's restore lookahead: the staged objects are
-// verified compressed frames, so a window a little deeper than a residual
-// block's burst of refs costs almost nothing and keeps the channel busy
-// through the bursts. The same 4 frames at the tail of each step stay on
-// the device. The encode workers' in-flight bytes are left unbounded.
-const lookahead = 4
-
 // storeOpTimeout is the per-attempt bound inside a wire operation's
 // total budget: a quarter of it, at least 50ms, so one stalled
 // connection cannot eat it all (0 = unbounded, as the budget).
@@ -144,9 +137,9 @@ func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, o
 
 // trainLocal is every single-worker trainer (gradient policy local). The
 // baseline runs activation policy none; any other method offloads through
-// an engine at lookahead over oc's store, its codec following the
-// method's DQT schedule: it is set at each epoch boundary, between steps,
-// when the store is empty. a serves the steps and validate.
+// an engine over oc's store, its codec following the method's DQT
+// schedule: it is set at each epoch boundary, between steps, when the
+// store is empty. a serves the steps and validate.
 func trainLocal(m *models.Model, cfg Config, method compress.Method, oc OffloadOptions, a *tensor.Arena, validate func() (float64, *tensor.Tensor), batch func() (*tensor.Tensor, lossFunc)) (Report, offload.Stats, error) {
 	rep := Report{ModelName: m.Name, MethodName: method.Name()}
 	p := &pass{net: m.Net, arena: a}
@@ -169,7 +162,7 @@ func trainLocal(m *models.Model, cfg Config, method compress.Method, oc OffloadO
 		if store.Transport != nil {
 			rep.MethodName += "+netstore"
 		}
-		p.eng = offload.NewEngine(store, offload.EngineConfig{Prefetch: lookahead})
+		p.eng = offload.NewEngine(store, offload.EngineConfig{})
 		defer p.eng.Close()
 		if cfg.MeasureError {
 			p.probe = errProbe{}

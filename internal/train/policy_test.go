@@ -20,8 +20,8 @@ import (
 // Within every gradient row — local, all-reduce K=2 overlapped, K=2 with
 // the serial exchange, K=4 over a networked store — the round trip of a
 // method (the JPEG-ACT/OptL method's codecs, as Classifier runs them) and
-// the offload store's own JPEG-ACT engine (restore lookahead 0 and 4,
-// clean channel) must land on the same weights and epoch statistics, bit
+// the offload store's own JPEG-ACT engine (clean channel) must land on
+// the same weights and epoch statistics, bit
 // for bit, and DP × offload falls out of the composition. Every offload
 // cell must also have moved real traffic and drained it.
 //
@@ -40,7 +40,7 @@ func TestPolicyMatrix(t *testing.T) {
 	atWorkers(t, 2)
 	cfg := Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05, Seed: 78}
 	roundTrip := func() compress.Method { return compress.NewJPEGAct(quant.Fixed(quant.OptL())) }
-	activations := []string{"round-trip", "offload-prefetch0", "offload"}
+	activations := []string{"round-trip", "offload"}
 	pinned := func(t *testing.T, row string, rep Report) {
 		t.Helper()
 		if want := roundTripDigests[row]; rep.WeightsDigest != want {
@@ -69,11 +69,7 @@ func TestPolicyMatrix(t *testing.T) {
 			} else {
 				var stats offload.Stats
 				var err error
-				if act == "offload" {
-					rep, stats, err = ClassifierOffloaded(m, ds, cfg, OffloadOptions{})
-				} else {
-					rep, stats, err = offloadedAt(m, ds, cfg, OffloadOptions{}, 0)
-				}
+				rep, stats, err = ClassifierOffloaded(m, ds, cfg, OffloadOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,11 +121,7 @@ func TestPolicyMatrix(t *testing.T) {
 						s.Transport = transport.NewNetClient(dial, s.Counters())
 						s.KeyBase = uint64(k+1) << 32
 					}
-					prefetch := lookahead
-					if act == "offload-prefetch0" {
-						prefetch = 0
-					}
-					eng := offload.NewEngine(s, offload.EngineConfig{Prefetch: prefetch})
+					eng := offload.NewEngine(s, offload.EngineConfig{})
 					t.Cleanup(func() {
 						eng.Close()
 						s.Close()
@@ -236,24 +228,13 @@ func TestLoopDivergenceAndErrorExits(t *testing.T) {
 	}
 	m, ds := faultModel(1900)
 	check("Classifier", Classifier(m, ds, cfg), nil)
-	for _, prefetch := range []int{0, lookahead} {
-		m, ds = faultModel(1900)
-		name := "ClassifierOffloaded"
-		var rep Report
-		var stats offload.Stats
-		var err error
-		if prefetch == lookahead {
-			rep, stats, err = ClassifierOffloaded(m, ds, cfg, OffloadOptions{})
-		} else {
-			name = fmt.Sprintf("offloaded at lookahead %d", prefetch)
-			rep, stats, err = offloadedAt(m, ds, cfg, OffloadOptions{}, prefetch)
-		}
-		check(name, rep, err)
-		if stats.Offloaded == 0 || stats.Offloaded != stats.Restored {
-			t.Fatalf("%s: diverged run left the store unbalanced: %+v", name, stats)
-		}
+	m, ds = faultModel(1900)
+	rep, stats, err := ClassifierOffloaded(m, ds, cfg, OffloadOptions{})
+	check("ClassifierOffloaded", rep, err)
+	if stats.Offloaded == 0 || stats.Offloaded != stats.Restored {
+		t.Fatalf("ClassifierOffloaded: diverged run left the store unbalanced: %+v", stats)
 	}
 	newModel, _, dds := dpFixture(1900)
-	rep, _, err := ClassifierDataParallel(newModel, dds, cfg, DPOptions{Replicas: 2, Microbatches: 2})
+	rep, _, err = ClassifierDataParallel(newModel, dds, cfg, DPOptions{Replicas: 2, Microbatches: 2})
 	check("ClassifierDataParallel", rep, err)
 }

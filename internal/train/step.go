@@ -86,7 +86,7 @@ func restoreFailed(err error) error { return fmt.Errorf("%w%w", err, errRestore)
 type restoreAbort struct{ err error }
 
 // run differentiates one batch. Backward runs under one merged hook set:
-// OnNeed belongs to the activation policy (offload restores on demand),
+// OnNeed belongs to the activation policy (offload consumes the restore),
 // OnGrad to the gradient policy (the caller's, nil for local).
 // Every tensor the step drew from the arena goes back to it when the step
 // is over, the offload engine's last commit and restore included.
@@ -203,7 +203,7 @@ func (p *pass) beginOffload() {
 // side: sweep whatever the streaming hooks had to hold back (the
 // frontier-adjacent refs), barrier until every frame has been
 // committed to the channel, then start the reverse-order prefetcher and
-// put the on-demand restore into hooks. The frames' sizes go into res.
+// put the restore into hooks. The frames' sizes go into res.
 func (p *pass) endForward(hooks *nn.Hooks, res *stepResult) error {
 	refs := p.net.SavedRefs()
 	if p.probe != nil {

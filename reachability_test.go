@@ -46,6 +46,10 @@ package jpegact
 // the command's name in README, DESIGN, EXPERIMENTS, the verify skill, the
 // Makefile or the workflow. A flag table and the flag's own usage string
 // start with no command name, so neither is a caller.
+//
+// The test-name pass holds the documents to the suite: every Test*/Fuzz*
+// name that README, DESIGN, EXPERIMENTS, ROADMAP, bench/README.md or the
+// verify skill mentions must be declared by a _test.go file of the tree.
 
 import (
 	"fmt"
@@ -894,6 +898,43 @@ func (g *reachGraph) undefined() ([]string, error) {
 	return findings, nil
 }
 
+// testDocs are the files whose Test*/Fuzz* names must each name a test.
+var testDocs = []string{
+	"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", "bench/README.md",
+	".claude/skills/verify/SKILL.md",
+}
+
+// unnamed returns "file:line Name" for every Test*/Fuzz* name a line of
+// the testDocs mentions and no _test.go file of the tree declares.
+func (g *reachGraph) unnamed() ([]string, error) {
+	declared := map[string]bool{}
+	for _, d := range g.dirs {
+		for _, f := range d.testFiles() {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					declared[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
+	var findings []string
+	for _, name := range testDocs {
+		b, err := os.ReadFile(filepath.Join(g.root, name))
+		if err != nil {
+			return nil, err
+		}
+		for i, l := range strings.Split(string(b), "\n") {
+			for _, n := range testName.FindAllString(l, -1) {
+				if !declared[n] {
+					findings = append(findings, fmt.Sprintf("%s:%d %s", name, i+1, n))
+				}
+			}
+		}
+	}
+	return findings, nil
+}
+
 // The tree is loaded, and its reachability computed, once for all passes.
 var reachTree struct {
 	once sync.Once
@@ -961,5 +1002,16 @@ func TestNoDocumentedFlagThatNoCommandDefines(t *testing.T) {
 	if len(findings) > 0 {
 		t.Errorf("%d command lines of %s pass a flag the command does not define:\n%s",
 			len(findings), strings.Join(flagDocs, ", "), strings.Join(findings, "\n"))
+	}
+}
+
+func TestNoDocumentedTestThatNoFileDeclares(t *testing.T) {
+	findings, err := loadedReachGraph(t).unnamed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) > 0 {
+		t.Errorf("%d test names in %s are declared by no _test.go file:\n%s",
+			len(findings), strings.Join(testDocs, ", "), strings.Join(findings, "\n"))
 	}
 }
