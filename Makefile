@@ -55,7 +55,9 @@ ci:
 # meets: the ZVC coders flat at ≈ 45% non-zero (ReLU codes) and by block
 # at ≈ 78% (DCT coefficients), BRC on coin-flip signs, the AAN transforms,
 # and each codec kind end to end through codec.Pipeline and the frame.
-BENCH_RE = BenchmarkGemm|BenchmarkConv|BenchmarkReLU|BenchmarkBatchNorm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode
+# The store path runs alone too: one window-8 client's offload life cycle
+# of real frames against a netstore server on a unix socket.
+BENCH_RE = BenchmarkGemm|BenchmarkConv|BenchmarkReLU|BenchmarkBatchNorm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode|BenchmarkStoreRoundTrip
 .PHONY: bench
 bench:
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem ./...
@@ -118,7 +120,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11409
+LOC_MAX = 11475
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -1,9 +1,14 @@
 package jpegact
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"jpegact/internal/compress"
@@ -11,6 +16,7 @@ import (
 	"jpegact/internal/frame"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload/codec"
+	"jpegact/internal/offload/transport"
 	"jpegact/internal/parallel"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -337,3 +343,124 @@ func TestOffloadRoundAllocs(t *testing.T) {
 	}
 	t.Logf("an offloaded round: %d B (%d B a step), %d objects", bytes, bytes/steps, objects)
 }
+
+// TestStoreCycleAllocs pins what the activation-store server allocates
+// for one PUT→GET→DELETE cycle of a 64 KiB frame in its steady state:
+// small objects (the entry, the frame check, the reply header), never the
+// frame. The PUT reads into a buffer the DELETE before it handed back to
+// the server's free list; before the free list every PUT allocated and
+// zeroed its body, about 64 KiB a cycle. One connection's reader and
+// writer serve a stop-and-wait client on an in-memory net.Conn (no
+// socket): a cycle's requests are readable only once the last cycle's
+// replies are written, so the reader never runs ahead of the writer. A
+// cycle's cost is the difference between two runs' totals over their
+// difference in cycles, so the connection's own set-up cancels out; each
+// total is the floor of three runs, as other goroutines only ever add.
+func TestStoreCycleAllocs(t *testing.T) {
+	const maxBytesPerCycle = 4 << 10
+	grad := tensor.New(1, 1, 1, 1<<14) // 64 KiB of float32
+	grad.FillNormal(tensor.NewRNG(4), 0, 0.01)
+	enc, err := codec.Pipeline{}.EncodeGradient(frame.CodecGradRaw, grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := frame.EncodeFrame(enc.Frame)
+	var cycle bytes.Buffer
+	transport.WriteRequest(&cycle, transport.OpPut, 1, fr)
+	transport.WriteRequest(&cycle, transport.OpGet, 1, nil)
+	transport.WriteRequest(&cycle, transport.OpDelete, 1, nil)
+	const replyHeader = 8
+	replies := 3*replyHeader + len(fr)
+
+	srv := NewActivationStore(ActivationStoreConfig{})
+	serve := func(cycles int) int64 {
+		least := int64(-1)
+		for range 3 {
+			conn := &memConn{cycle: cycle.Bytes(), cycles: cycles, replies: replies,
+				turn: make(chan struct{}, 1), closed: make(chan struct{})}
+			conn.turn <- struct{}{}
+			ln := &oneConnListener{conn: conn, closed: make(chan struct{})}
+			served := make(chan struct{})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			go func() {
+				srv.Serve(ln)
+				close(served)
+			}()
+			<-conn.closed
+			ln.Close()
+			<-served
+			runtime.ReadMemStats(&after)
+			if conn.cycles != 0 || conn.wrote != 0 {
+				t.Fatalf("%d cycles unread, %d reply bytes short of a cycle", conn.cycles, conn.wrote)
+			}
+			if n := int64(after.TotalAlloc - before.TotalAlloc); least < 0 || n < least {
+				least = n
+			}
+		}
+		return least
+	}
+	serve(32) // fill the free list
+	perCycle := (serve(96) - serve(32)) / 64
+	if perCycle >= maxBytesPerCycle {
+		t.Errorf("a PUT→GET→DELETE cycle of a %d B frame allocates %d B; budget %d B", len(enc.Frame.Payload), perCycle, maxBytesPerCycle)
+	}
+	t.Logf("a PUT→GET→DELETE cycle of a %d B frame: %d B", len(enc.Frame.Payload), perCycle)
+}
+
+// memConn is a stop-and-wait client on an in-memory net.Conn: it offers
+// cycle's bytes cycles times, each once the previous cycle's replies
+// (replies bytes) are written, and the server's Close closes closed.
+type memConn struct {
+	net.Conn
+	cycle   []byte
+	unread  []byte
+	cycles  int
+	replies int
+	wrote   int           // reply bytes of the cycle in progress
+	turn    chan struct{} // a token: the next cycle may be read
+	once    sync.Once
+	closed  chan struct{}
+}
+
+func (c *memConn) Read(b []byte) (int, error) {
+	if len(c.unread) == 0 {
+		if c.cycles == 0 {
+			return 0, io.EOF
+		}
+		<-c.turn
+		c.unread, c.cycles = c.cycle, c.cycles-1
+	}
+	n := copy(b, c.unread)
+	c.unread = c.unread[n:]
+	return n, nil
+}
+
+func (c *memConn) Write(b []byte) (int, error) {
+	if c.wrote += len(b); c.wrote >= c.replies {
+		c.wrote -= c.replies
+		c.turn <- struct{}{}
+	}
+	return len(b), nil
+}
+
+func (c *memConn) Close() error { c.once.Do(func() { close(c.closed) }); return nil }
+
+// oneConnListener accepts conn once, then blocks until closed.
+type oneConnListener struct {
+	conn     net.Conn
+	accepted bool
+	once     sync.Once
+	closed   chan struct{}
+}
+
+func (l *oneConnListener) Accept() (net.Conn, error) {
+	if !l.accepted {
+		l.accepted = true
+		return l.conn, nil
+	}
+	<-l.closed
+	return nil, errors.New("listener closed")
+}
+func (l *oneConnListener) Close() error   { l.once.Do(func() { close(l.closed) }); return nil }
+func (l *oneConnListener) Addr() net.Addr { return nil }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"jpegact/internal/frame"
@@ -16,7 +17,9 @@ import (
 // client can reach. The decoder must never panic, never allocate past
 // the wire cap, and every decoded request must produce a well-formed
 // response; PUT bodies that fail frame validation must never become
-// store state.
+// store state. Bodies are drawn from the server's free list, and a GET
+// body taken earlier (its reference still held, as a queued reply holds
+// it) must stay the bytes its PUT stored through any later DELETE or PUT.
 func FuzzNetstoreRequest(f *testing.F) {
 	fr := &frame.Frame{
 		Codec:   frame.CodecZVC,
@@ -43,9 +46,15 @@ func FuzzNetstoreRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		srv := New(Config{Shards: 2})
+		stored := map[uint64][]byte{} // a copy of each key's accepted PUT
+		type taken struct {
+			resp response
+			want []byte
+		}
+		var held []taken
 		r := bytes.NewReader(raw)
 		for {
-			req, err := transport.ReadRequest(r)
+			req, err := transport.ReadRequest(r, srv.free.get)
 			if err != nil {
 				// io.EOF is a clean end-of-stream; anything else must be
 				// the typed wire error, which poisons the stream.
@@ -54,21 +63,41 @@ func FuzzNetstoreRequest(f *testing.F) {
 				}
 				break
 			}
-			status, body := srv.handleRequest(req)
-			if status == transport.StatusOK && (req.Op == transport.OpGet || req.Op == transport.OpGetCoef) {
-				if _, err := frame.DecodeFrame(body); err != nil {
-					t.Fatalf("server served an invalid frame: %v", err)
+			put := slices.Clone(req.Body) // the server may recycle req.Body
+			resp := srv.handleRequest(req)
+			if resp.status == transport.StatusOK {
+				switch req.Op {
+				case transport.OpPut:
+					stored[req.Key] = put
+				case transport.OpDelete:
+					delete(stored, req.Key)
+				case transport.OpGet, transport.OpGetCoef:
+					if _, err := frame.DecodeFrame(resp.body); err != nil {
+						t.Fatalf("server served an invalid frame: %v", err)
+					}
+					held = append(held, taken{resp, stored[req.Key]})
 				}
 			}
+			for i, h := range held {
+				if !bytes.Equal(h.resp.body, h.want) {
+					t.Fatalf("GET body %d changed under its held reference", i)
+				}
+			}
+		}
+		for _, h := range held {
+			srv.release(h.resp.held)
 		}
 		// Whatever got stored must decode: corrupt PUTs are refused at the
 		// door, so resident state is valid frames only.
 		for _, sh := range srv.shards {
-			for _, b := range sh.entries {
-				if _, err := frame.DecodeFrame(b); err != nil {
+			for _, e := range sh.entries {
+				if _, err := frame.DecodeFrame(e.b); err != nil {
 					t.Fatalf("corrupt bytes became store state: %v", err)
 				}
 			}
+		}
+		if srv.free.bytes > freeListBytes || len(srv.free.bufs) > maxFree {
+			t.Fatalf("free list holds %d buffers, %d bytes; bounds %d and %d", len(srv.free.bufs), srv.free.bytes, maxFree, freeListBytes)
 		}
 	})
 }

@@ -18,6 +18,17 @@
 // frame damaged in flight is refused with StatusCorrupt and the client
 // resends), and GET responses are re-validated client-side, so a bad
 // link can delay traffic but never corrupt the store or a consumer.
+//
+// Buffers: the server owns every PUT body. The reader draws it from the
+// server's one free list, and a stored frame keeps it as an entry whose
+// reference count is one for the shard map plus one per queued GET
+// response carrying it: the writer holds its response's reference until
+// the write returns, so a DELETE, overwrite or KillShard behind a slow
+// writer cannot hand the bytes to the next PUT while they are still
+// queued to go out. The last holder returns the buffer to the free list,
+// which keeps at most freeListBytes and drops the oldest past that. A
+// GET reply at least as large as the writer's bufio buffer goes out as
+// one vectored write of header and body.
 package netstore
 
 import (
@@ -29,6 +40,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -69,17 +81,83 @@ const DefaultShards = 4
 // oversized frame cannot deadlock a connection.
 const inFlightBytes = 4 << 20
 
-// shard is one independent backend: a mutex-guarded key→frame-bytes map.
+// freeListBytes bounds the capacity of the PUT body buffers the free
+// list keeps. An offload life cycle frees about one step's frames at a
+// time (0.9 MB a client on the bench model), so this covers two clients
+// with room for frame sizes that drift from step to step. maxFree caps
+// the count as well, so a flood of tiny frames cannot make each PUT's
+// best-fit scan long.
+const (
+	freeListBytes = 4 << 20
+	maxFree       = 256
+)
+
+// shard is one independent backend: a mutex-guarded key→frame map.
 type shard struct {
 	mu      sync.Mutex
-	entries map[uint64][]byte
+	entries map[uint64]*entry
 	bytes   int64
+}
+
+// entry is one stored frame. refs counts its holders: the shard map while
+// the key maps to it, plus one per queued GET response whose body is b.
+// Whoever drops the last one hands b to the free list (Server.release).
+type entry struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// freeList is the server's pool of PUT body buffers, oldest first,
+// bounded to freeListBytes of capacity and maxFree buffers.
+type freeList struct {
+	mu    sync.Mutex
+	bufs  [][]byte
+	bytes int
+}
+
+// get returns a length-n buffer for a PUT body: the smallest free one
+// that wastes at most a quarter of n, else a new one. Its stale contents
+// do not matter: ReadRequest overwrites all n bytes.
+func (l *freeList) get(n int) []byte {
+	l.mu.Lock()
+	best := -1
+	for i, b := range l.bufs {
+		if c := cap(b); c >= n && c-n <= n/4 && (best < 0 || c < cap(l.bufs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		l.mu.Unlock()
+		return make([]byte, n)
+	}
+	b := l.bufs[best]
+	l.bufs = slices.Delete(l.bufs, best, best+1)
+	l.bytes -= cap(b)
+	l.mu.Unlock()
+	return b[:n]
+}
+
+// put takes back a buffer nothing references any more, dropping the
+// oldest ones to the collector past either bound.
+func (l *freeList) put(b []byte) {
+	if cap(b) == 0 || cap(b) > freeListBytes {
+		return
+	}
+	l.mu.Lock()
+	l.bufs = append(l.bufs, b)
+	l.bytes += cap(b)
+	for l.bytes > freeListBytes || len(l.bufs) > maxFree {
+		l.bytes -= cap(l.bufs[0])
+		l.bufs = slices.Delete(l.bufs, 0, 1)
+	}
+	l.mu.Unlock()
 }
 
 // Server is the sharded activation-store service.
 type Server struct {
 	cfg      Config
 	shards   []*shard
+	free     freeList
 	counters transport.Counters
 
 	conns   atomic.Int64  // currently open connections
@@ -106,7 +184,7 @@ func New(cfg Config) *Server {
 		open:      map[net.Conn]struct{}{},
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{entries: map[uint64][]byte{}}
+		s.shards[i] = &shard{entries: map[uint64]*entry{}}
 	}
 	return s
 }
@@ -264,8 +342,10 @@ func (s *Server) Close() error {
 
 // handleRequest executes one decoded request against the sharded store
 // and returns the response. It performs no I/O — the fuzz target drives
-// it directly with arbitrary decoded requests.
-func (s *Server) handleRequest(req transport.Request) (status uint8, body []byte) {
+// it directly with arbitrary decoded requests. It takes ownership of a
+// PUT body; a GET hit's response holds a reference to its entry, which
+// the caller drops with release once the body is written.
+func (s *Server) handleRequest(req transport.Request) response {
 	switch req.Op {
 	case transport.OpPut:
 		// Validate before storing: the frame is self-describing and
@@ -273,69 +353,89 @@ func (s *Server) handleRequest(req transport.Request) (status uint8, body []byte
 		// resends. Only verified bytes ever become store state.
 		if _, err := frame.DecodeFrame(req.Body); err != nil {
 			s.counters.Corrupted.Add(1)
-			return transport.StatusCorrupt, nil
+			s.free.put(req.Body)
+			return response{status: transport.StatusCorrupt}
 		}
+		e := &entry{b: req.Body}
+		e.refs.Store(1)
 		sh := s.shardOf(req.Key)
 		sh.mu.Lock()
-		if old, ok := sh.entries[req.Key]; ok {
-			sh.bytes -= int64(len(old))
+		old := sh.entries[req.Key]
+		if old != nil {
+			sh.bytes -= int64(len(old.b))
 		}
-		sh.entries[req.Key] = req.Body
+		sh.entries[req.Key] = e
 		sh.bytes += int64(len(req.Body))
 		sh.mu.Unlock()
+		s.release(old)
 		s.counters.Offloaded.Add(1)
 		s.counters.BytesOffloaded.Add(int64(len(req.Body)))
 		if transport.IsGradKey(req.Key) {
 			s.counters.GradPuts.Add(1)
 			s.counters.BytesGrad.Add(int64(len(req.Body)))
 		}
-		return transport.StatusOK, nil
+		return response{status: transport.StatusOK}
 
 	case transport.OpGet, transport.OpGetCoef:
 		sh := s.shardOf(req.Key)
 		sh.mu.Lock()
-		b, ok := sh.entries[req.Key]
+		e := sh.entries[req.Key]
+		if e != nil {
+			// Taken under the shard lock, while the map's reference
+			// still keeps the count above zero.
+			e.refs.Add(1)
+		}
 		sh.mu.Unlock()
-		if !ok {
-			return transport.StatusNotFound, nil
+		if e == nil {
+			return response{status: transport.StatusNotFound}
 		}
 		s.counters.Restored.Add(1)
-		s.counters.BytesVerified.Add(int64(len(b)))
+		s.counters.BytesVerified.Add(int64(len(e.b)))
 		if transport.IsGradKey(req.Key) {
 			s.counters.GradGets.Add(1)
-			s.counters.BytesGrad.Add(int64(len(b)))
+			s.counters.BytesGrad.Add(int64(len(e.b)))
 		}
-		return transport.StatusOK, b
+		return response{status: transport.StatusOK, body: e.b, held: e}
 
 	case transport.OpDelete:
 		sh := s.shardOf(req.Key)
 		sh.mu.Lock()
-		b, found := sh.entries[req.Key]
-		if found {
+		e := sh.entries[req.Key]
+		if e != nil {
 			delete(sh.entries, req.Key)
-			sh.bytes -= int64(len(b))
+			sh.bytes -= int64(len(e.b))
 		}
 		sh.mu.Unlock()
-		if !found {
-			return transport.StatusNotFound, nil
+		if e == nil {
+			return response{status: transport.StatusNotFound}
 		}
-		return transport.StatusOK, nil
+		s.release(e)
+		return response{status: transport.StatusOK}
 
 	case transport.OpStats:
 		js, err := json.Marshal(s.Snapshot())
 		if err != nil {
-			return transport.StatusBadRequest, nil
+			return response{status: transport.StatusBadRequest}
 		}
-		return transport.StatusOK, js
+		return response{status: transport.StatusOK, body: js}
 	}
 	s.badReqs.Add(1)
-	return transport.StatusBadRequest, nil
+	return response{status: transport.StatusBadRequest}
+}
+
+// release drops one reference to e (nil is none); the last one returns
+// its buffer to the free list.
+func (s *Server) release(e *entry) {
+	if e != nil && e.refs.Add(-1) == 0 {
+		s.free.put(e.b)
+	}
 }
 
 // response is one writer-queue element.
 type response struct {
 	status uint8
 	body   []byte
+	held   *entry    // the entry body belongs to, released after the write
 	due    time.Time // earliest write time (respDelay injection)
 }
 
@@ -367,10 +467,18 @@ func (s *Server) handleConn(conn net.Conn) {
 					time.Sleep(d)
 				}
 			}
-			err := transport.WriteResponse(bw, resp.status, resp.body)
-			if err == nil && len(out) == 0 {
+			var err error
+			if len(resp.body) >= bw.Size() {
+				// Past the buffer's size, bufio would copy a slice of the
+				// body and write the rest in a second syscall: send header
+				// and body as one vectored write instead.
+				if err = bw.Flush(); err == nil {
+					err = transport.WriteResponse(conn, resp.status, resp.body)
+				}
+			} else if err = transport.WriteResponse(bw, resp.status, resp.body); err == nil && len(out) == 0 {
 				err = bw.Flush()
 			}
+			s.release(resp.held)
 			qmu.Lock()
 			queued -= len(resp.body)
 			qcond.Broadcast()
@@ -380,11 +488,11 @@ func (s *Server) handleConn(conn net.Conn) {
 				// never blocks on a dead writer, then bail.
 				conn.Close()
 				for resp := range out {
+					s.release(resp.held)
 					qmu.Lock()
 					queued -= len(resp.body)
 					qcond.Broadcast()
 					qmu.Unlock()
-					_ = resp
 				}
 				return
 			}
@@ -394,7 +502,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	br := newBufReader(conn)
 	for {
-		req, err := transport.ReadRequest(br)
+		req, err := transport.ReadRequest(br, s.free.get)
 		if err != nil {
 			if s.drainingNow() && isTimeout(err) {
 				// Shutdown woke us between requests: stop reading cleanly
@@ -414,8 +522,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			break
 		}
-		status, body := s.handleRequest(req)
-		resp := response{status: status, body: body}
+		resp := s.handleRequest(req)
 		if s.cfg.respDelay > 0 {
 			resp.due = time.Now().Add(s.cfg.respDelay)
 		}
@@ -442,18 +549,21 @@ func isTimeout(err error) bool {
 // dropped — the chaos harness's lever for losing data while the process
 // lives. The frames are gone: their GETs answer StatusNotFound, and the
 // client's recovery policy (recompute, in training) replays the step
-// that lost them.
+// that lost them. A reply already queued still goes out whole.
 func (s *Server) KillShard(i int) int {
 	if i < 0 || i >= len(s.shards) {
 		return 0
 	}
 	sh := s.shards[i]
 	sh.mu.Lock()
-	n := len(sh.entries)
-	sh.entries = map[uint64][]byte{}
+	old := sh.entries
+	sh.entries = map[uint64]*entry{}
 	sh.bytes = 0
 	sh.mu.Unlock()
-	return n
+	for _, e := range old {
+		s.release(e)
+	}
+	return len(old)
 }
 
 // enqueue admits one response to the writer queue under the byte

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -8,15 +9,20 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"jpegact/internal/compress"
+	"jpegact/internal/data"
 	"jpegact/internal/frame"
+	"jpegact/internal/offload/codec"
 	"jpegact/internal/offload/transport"
+	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
 )
 
 // startServer brings up a server on a unix socket in a test temp dir and
 // returns it with a dialer for clients.
-func startServer(t *testing.T, cfg Config) (*Server, transport.Dialer) {
+func startServer(t testing.TB, cfg Config) (*Server, transport.Dialer) {
 	t.Helper()
 	srv := New(cfg)
 	addr := "unix:" + filepath.Join(t.TempDir(), "store.sock")
@@ -33,7 +39,7 @@ func startServer(t *testing.T, cfg Config) (*Server, transport.Dialer) {
 	return srv, dial
 }
 
-func testFrame(t *testing.T, fill byte) []byte {
+func testFrame(t testing.TB, fill byte) []byte {
 	t.Helper()
 	f := &frame.Frame{
 		Codec:   frame.CodecZVC,
@@ -227,6 +233,73 @@ func TestCorruptPayloadRefusedAndResent(t *testing.T) {
 	}
 }
 
+// TestQueuedGetSurvivesDeleteAndReuse: a GET reply waiting in the writer
+// queue holds its entry's buffer. The DELETE behind it and a PUT of other
+// bytes of the same length run while it waits — the PUT would read into
+// the freed buffer if the DELETE had recycled it — and the reply must
+// still carry the first PUT's bytes.
+func TestQueuedGetSurvivesDeleteAndReuse(t *testing.T) {
+	_, dial := startServer(t, Config{respDelay: 50 * time.Millisecond})
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	first, second := testFrame(t, 1), testFrame(t, 2)
+	// One write: the reader executes all five requests long before the
+	// first reply is due.
+	var reqs bytes.Buffer
+	transport.WriteRequest(&reqs, transport.OpPut, 9, first)
+	transport.WriteRequest(&reqs, transport.OpGet, 9, nil)
+	transport.WriteRequest(&reqs, transport.OpDelete, 9, nil)
+	transport.WriteRequest(&reqs, transport.OpPut, 9, second)
+	transport.WriteRequest(&reqs, transport.OpGet, 9, nil)
+	if _, err := conn.Write(reqs.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][]byte{nil, first, nil, nil, second} {
+		status, body, err := transport.ReadResponse(conn)
+		if err != nil || status != transport.StatusOK {
+			t.Fatalf("reply %d: status %d, %v", i, status, err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("reply %d: got %x, want %x", i, body, want)
+		}
+	}
+}
+
+// TestFreeListBounds: a PUT of n bytes reuses the smallest free buffer
+// of capacity n to n+n/4, never a smaller or a much larger one, and the
+// list drops its oldest buffers past freeListBytes or maxFree.
+func TestFreeListBounds(t *testing.T) {
+	var l freeList
+	small, fit, big := make([]byte, 900), make([]byte, 1200), make([]byte, 1100)
+	for _, b := range [][]byte{small, fit, big} {
+		l.put(b)
+	}
+	if got := l.get(1000); &got[0] != &big[0] || len(got) != 1000 {
+		t.Fatalf("get(1000) did not return the 1100-byte buffer")
+	}
+	if got := l.get(4000); &got[0] == &fit[0] || &got[0] == &small[0] {
+		t.Fatalf("get(4000) reused a buffer it cannot hold")
+	}
+	if got := l.get(600); &got[0] == &fit[0] || &got[0] == &small[0] {
+		t.Fatalf("get(600) reused a buffer that wastes more than a quarter")
+	}
+	for range 2 * maxFree {
+		l.put(make([]byte, 100))
+	}
+	if len(l.bufs) != maxFree || &l.bufs[0][0] == &small[0] {
+		t.Fatalf("%d buffers after %d puts, bound %d; oldest kept: %v", len(l.bufs), 2*maxFree+2, maxFree, &l.bufs[0][0] == &small[0])
+	}
+	for range 5 {
+		l.put(make([]byte, 1<<20))
+	}
+	if l.bytes > freeListBytes || len(l.bufs) != freeListBytes>>20 {
+		t.Fatalf("%d bytes in %d buffers after five 1 MiB puts, bound %d", l.bytes, len(l.bufs), freeListBytes)
+	}
+}
+
 func TestTruncatedOpHeaderPoisonsConnection(t *testing.T) {
 	_, dial := startServer(t, Config{})
 	conn, err := dial()
@@ -334,4 +407,62 @@ func (s *Server) ShardEntries() []int {
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// BenchmarkStoreRoundTrip plays store_mixed's offload life cycle with one
+// client at the default window (8) against a server on a unix socket:
+// PutAsync every frame, GetAsync them in reverse and compare, Delete
+// them all. The frames are JPEG-ACT activation frames, conv and ReLU, at
+// the bench model's first three stage shapes (batch 8); B/s counts the
+// frame bytes put and got.
+func BenchmarkStoreRoundTrip(b *testing.B) {
+	p := codec.New(quant.OptL())
+	r := tensor.NewRNG(1)
+	var frames [][]byte
+	var want []*frame.Frame
+	total := 0
+	for _, sh := range [][3]int{{16, 32, 32}, {32, 16, 16}, {64, 8, 8}} {
+		for _, kind := range []compress.Kind{compress.KindConv, compress.KindReLUToConv} {
+			enc, err := p.Encode(kind, data.ActivationTensor(r, 8, sh[0], sh[1], sh[2], 0.5, 1.0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames = append(frames, frame.EncodeFrame(enc.Frame))
+			want = append(want, enc.Frame)
+			total += len(frames[len(frames)-1])
+		}
+	}
+	_, dial := startServer(b, Config{})
+	c := transport.NewNetClient(dial, nil)
+	defer c.Close()
+	retry := transport.Retry{Attempts: 2}
+	puts := make([]*transport.Pending, len(frames))
+	gets := make([]*transport.Pending, len(frames))
+	b.SetBytes(int64(2 * total))
+	b.ResetTimer()
+	for range b.N {
+		for i, f := range frames {
+			puts[i] = c.PutAsync(uint64(i), f, retry)
+		}
+		for i := len(frames) - 1; i >= 0; i-- {
+			gets[i] = c.GetAsync(uint64(i), retry, false)
+		}
+		for i := range frames {
+			if _, err := puts[i].PutResult(); err != nil {
+				b.Fatal(err)
+			}
+			f, err := gets[i].GetResult()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !bytes.Equal(f.Payload, want[i].Payload) {
+				b.Fatalf("frame %d: GET returned other bytes than were PUT", i)
+			}
+		}
+		for i := range frames {
+			if err := c.Delete(uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -65,7 +65,7 @@ func TestStalledServerBoundedByOpDeadline(t *testing.T) {
 	defer close(block)
 	dial := wireServer(t, func(conn net.Conn, _ int) {
 		defer conn.Close()
-		ReadRequest(conn) // swallow the request, never respond
+		ReadRequest(conn, nil) // swallow the request, never respond
 		<-block
 	})
 	c := NewNetClient(dial, nil)
@@ -88,7 +88,7 @@ func TestClientLevelOpTimeoutCoversHousekeeping(t *testing.T) {
 	defer close(block)
 	dial := wireServer(t, func(conn net.Conn, _ int) {
 		defer conn.Close()
-		ReadRequest(conn)
+		ReadRequest(conn, nil)
 		<-block
 	})
 	c := NewNetClient(dial, nil)
@@ -113,7 +113,7 @@ func TestCorruptResponseStaysTypedAfterBudget(t *testing.T) {
 	dial := wireServer(t, func(conn net.Conn, _ int) {
 		defer conn.Close()
 		for {
-			if _, err := ReadRequest(conn); err != nil {
+			if _, err := ReadRequest(conn, nil); err != nil {
 				return
 			}
 			WriteResponse(conn, StatusOK, bad)
@@ -171,7 +171,7 @@ func TestOneChargeRule(t *testing.T) {
 		dial := wireServer(t, func(conn net.Conn, _ int) {
 			defer conn.Close()
 			for {
-				if _, err := ReadRequest(conn); err != nil {
+				if _, err := ReadRequest(conn, nil); err != nil {
 					return
 				}
 				tries.Add(1)

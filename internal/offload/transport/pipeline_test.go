@@ -43,7 +43,7 @@ func TestMidWindowResetResendsInOrder(t *testing.T) {
 		defer conn.Close()
 		answered := 0
 		for {
-			req, err := ReadRequest(conn)
+			req, err := ReadRequest(conn, nil)
 			if err != nil {
 				return
 			}
@@ -111,7 +111,7 @@ func TestSubmitPastFullWindowBlocks(t *testing.T) {
 	dial := wireServer(t, func(conn net.Conn, nth int) {
 		defer conn.Close()
 		for {
-			req, err := ReadRequest(conn)
+			req, err := ReadRequest(conn, nil)
 			if err != nil {
 				return
 			}
@@ -157,7 +157,7 @@ func TestWindowedClientConvergesUnderChaos(t *testing.T) {
 	raw := wireServer(t, func(conn net.Conn, nth int) {
 		defer conn.Close()
 		for {
-			req, err := ReadRequest(conn)
+			req, err := ReadRequest(conn, nil)
 			if err != nil {
 				return
 			}

@@ -24,12 +24,17 @@
 // stream, so both ends drop the connection and the client's
 // reconnect+resend retry takes over. ReadRequest/ReadResponse are
 // panic-free on arbitrary input and never allocate more than MaxBody.
+//
+// A message goes out as header and body in one vectored write (writev)
+// when w is a socket; through a bufio.Writer or any other writer it is
+// the same bytes in two Write calls.
 package transport
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Request/response op codes.
@@ -102,23 +107,29 @@ func WriteRequest(w io.Writer, op uint8, key uint64, body []byte) error {
 	h[3] = op
 	binary.LittleEndian.PutUint64(h[4:], key)
 	binary.LittleEndian.PutUint32(h[12:], uint32(len(body)))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeMessage(w, h[:], body)
 }
 
-// ReadRequest decodes one request from r. A clean end-of-stream between
+// writeMessage writes header then body; net.Buffers turns the pair into
+// one writev on a socket and into two Writes anywhere else.
+func writeMessage(w io.Writer, h, body []byte) error {
+	if len(body) == 0 {
+		_, err := w.Write(h)
+		return err
+	}
+	bufs := net.Buffers{h, body}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// ReadRequest decodes one request from r. The body is read into
+// body(n), a length-n buffer the caller then owns (a server recycles
+// them); a nil body allocates it. A clean end-of-stream between
 // requests returns io.EOF; a header cut mid-way, bad magic, unknown
 // version or an over-cap length return a typed ErrWire; an interrupted
 // body surfaces the underlying read error. Panic-free on arbitrary
 // bytes, allocation bounded by MaxBody.
-func ReadRequest(r io.Reader) (Request, error) {
+func ReadRequest(r io.Reader, body func(n int) []byte) (Request, error) {
 	var h [reqHeaderSize]byte
 	if _, err := io.ReadFull(r, h[:1]); err != nil {
 		return Request{}, err // io.EOF between requests is a clean close
@@ -142,7 +153,11 @@ func ReadRequest(r io.Reader) (Request, error) {
 	}
 	req := Request{Op: op, Key: binary.LittleEndian.Uint64(h[4:])}
 	if n > 0 {
-		req.Body = make([]byte, n)
+		if body == nil {
+			req.Body = make([]byte, n)
+		} else {
+			req.Body = body(int(n))
+		}
 		if _, err := io.ReadFull(r, req.Body); err != nil {
 			return Request{}, fmt.Errorf("%w: truncated %d-byte body: %v", ErrWire, n, err)
 		}
@@ -157,15 +172,7 @@ func WriteResponse(w io.Writer, status uint8, body []byte) error {
 	h[2] = WireVersion
 	h[3] = status
 	binary.LittleEndian.PutUint32(h[4:], uint32(len(body)))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeMessage(w, h[:], body)
 }
 
 // ReadResponse decodes one response from r, with the same error

@@ -13,7 +13,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	if err := WriteRequest(&buf, OpPut, 0xdeadbeefcafe, body); err != nil {
 		t.Fatal(err)
 	}
-	req, err := ReadRequest(&buf)
+	req, err := ReadRequest(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		t.Fatalf("request %+v", req)
 	}
 	// A clean end-of-stream between requests is io.EOF, not a wire error.
-	if _, err := ReadRequest(&buf); err != io.EOF {
+	if _, err := ReadRequest(&buf, nil); err != io.EOF {
 		t.Fatalf("want io.EOF between requests, got %v", err)
 	}
 }
@@ -48,7 +48,7 @@ func TestWireTruncatedOpHeaderIsTyped(t *testing.T) {
 	// Every cut inside the header (after the first byte) is a typed
 	// ErrWire, never a panic or a silent io error.
 	for cut := 1; cut < reqHeaderSize; cut++ {
-		_, err := ReadRequest(bytes.NewReader(full.Bytes()[:cut]))
+		_, err := ReadRequest(bytes.NewReader(full.Bytes()[:cut]), nil)
 		if !errors.Is(err, ErrWire) {
 			t.Fatalf("cut at %d: want ErrWire, got %v", cut, err)
 		}
@@ -72,7 +72,7 @@ func TestWireBadMagicVersionOpAreTyped(t *testing.T) {
 		"op-high": mk(func(h []byte) { h[3] = 200 }),
 	}
 	for name, b := range cases {
-		if _, err := ReadRequest(bytes.NewReader(b)); !errors.Is(err, ErrWire) {
+		if _, err := ReadRequest(bytes.NewReader(b), nil); !errors.Is(err, ErrWire) {
 			t.Fatalf("%s: want ErrWire, got %v", name, err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestWireOversizedLengthRefusedBeforeAllocation(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[12], b[13], b[14], b[15] = 0xff, 0xff, 0xff, 0xff
-	if _, err := ReadRequest(bytes.NewReader(b)); !errors.Is(err, ErrWire) {
+	if _, err := ReadRequest(bytes.NewReader(b), nil); !errors.Is(err, ErrWire) {
 		t.Fatalf("want ErrWire, got %v", err)
 	}
 
@@ -108,7 +108,7 @@ func TestWireTruncatedBodySurfacesTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()[:reqHeaderSize+40] // connection died mid-frame
-	if _, err := ReadRequest(bytes.NewReader(b)); !errors.Is(err, ErrWire) {
+	if _, err := ReadRequest(bytes.NewReader(b), nil); !errors.Is(err, ErrWire) {
 		t.Fatalf("want ErrWire, got %v", err)
 	}
 }

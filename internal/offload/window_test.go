@@ -42,7 +42,7 @@ func (l *opLog) parse(r io.Reader) {
 		l.mu.Unlock()
 	}()
 	for {
-		req, err := transport.ReadRequest(r)
+		req, err := transport.ReadRequest(r, nil)
 		if err != nil {
 			return
 		}
