@@ -11,8 +11,8 @@
 // wire STATS op returns) is served Prometheus-text-style on /metrics.
 // Every frame is stored once, in this process's memory, so the store
 // dies whole: a client recovers the frames it lost through its recovery
-// policy (recompute replays the step, then the circuit breaker's local
-// fallback takes its offloads).
+// policy (recompute replays the step, then the circuit breaker keeps
+// its offloads in the client's own memory).
 package main
 
 import (

@@ -13,8 +13,8 @@
 // applies to — a pure function of (seed, conn index, call index), with
 // no global RNG and no wall clock. Runs are reproducible given the
 // same I/O sequences; and because every injected fault is absorbed by
-// content-transparent machinery (reconnect+resend, degraded fallback,
-// recompute), the chaos soak test can demand
+// content-transparent machinery (reconnect+resend, degraded frames kept
+// in the client, recompute), the chaos soak test can demand
 // bit-identical training weights rather than "it didn't crash" no
 // matter how kernel scheduling chunks the byte stream.
 //

@@ -2,21 +2,19 @@
 // networked activation store. Whole-operation wire failures (the
 // transport's typed ErrStoreUnavailable — the verdict of an exhausted
 // retry schedule, never a single dropped connection) open the breaker
-// at once, and offloads degrade to an in-process fallback backend
-// holding the *identical encoded frame bytes* a healthy wire PUT would
-// have carried. Because
-// the lossy codec ran before the routing decision, a degraded step and
-// a healthy step reconstruct bit-identical activations — the chaos
-// soak test pins exactly this.
+// at once, and offloads degrade: the store entry keeps the *identical
+// encoded frame bytes* a healthy wire PUT would have carried, exactly
+// as it keeps the engine's held tail. Because the lossy codec ran
+// before the decision, a degraded step and a healthy step reconstruct
+// bit-identical activations — the chaos soak test pins exactly this.
 //
 // While open, the wire is skipped entirely for probeAfter operations
 // (probation is counted in ops, not wall time, so runs are reproducible
 // under any timing), then one half-open probe re-tries the real
 // transport: success closes the breaker and traffic returns to the
-// wire; failure restarts probation. Frames stored degraded stay pinned
-// to the fallback for their whole lifetime — restore and delete route
-// by the entry's degraded flag — so a mid-step recovery never asks the
-// wire for bytes it was never sent.
+// wire; failure restarts probation. A degraded frame stays in its entry
+// for its whole lifetime — restore and delete follow the entry's bytes —
+// so a mid-step recovery never asks the wire for bytes it was never sent.
 package offload
 
 import (
@@ -30,8 +28,8 @@ const probeAfter = 32
 
 // breaker is the closed/open/half-open state machine. It opens on the
 // first whole-op wire failure: a forward pass has no recovery for a
-// commit that failed, so that frame must already degrade to the local
-// fallback — or a store dying mid-step ends the run. It is shared by
+// commit that failed, so that frame must already degrade into its entry
+// — or a store dying mid-step ends the run. It is shared by
 // the synchronous store paths and the engine's encode pool, so
 // every transition holds the mutex.
 type breaker struct {
@@ -41,7 +39,7 @@ type breaker struct {
 }
 
 // skipWire reports whether the next operation should bypass the wire
-// entirely. While open it admits ops to the fallback until probation is
+// entirely. While open it keeps ops off the wire until probation is
 // served, then answers false once per probation round — the half-open
 // probe that gives the wire a chance to win traffic back.
 func (b *breaker) skipWire() bool {

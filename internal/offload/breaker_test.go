@@ -288,3 +288,102 @@ func (s *Store) Tripped() bool {
 	defer s.brk.mu.Unlock()
 	return s.breakerActive() && s.brk.open
 }
+
+// countingWire is a flakyWire that also counts the GETs and DELETEs it
+// is asked for, dead or alive.
+type countingWire struct {
+	*flakyWire
+	gets, deletes int
+}
+
+func (w *countingWire) GetAsync(key uint64, r transport.Retry, coef bool) *transport.Pending {
+	w.mu.Lock()
+	w.gets++
+	w.mu.Unlock()
+	return w.flakyWire.GetAsync(key, r, coef)
+}
+
+func (w *countingWire) Delete(key uint64) error {
+	w.mu.Lock()
+	w.deletes++
+	w.mu.Unlock()
+	return w.flakyWire.Delete(key)
+}
+
+// TestDegradedFrameNeverReachesABackend: a frame the breaker keeps off
+// a dead wire is read back and dropped from its entry — restore, Reset
+// and Close ask the wire for nothing — and each degraded offload and
+// restore counts once.
+func TestDegradedFrameNeverReachesABackend(t *testing.T) {
+	wire := &countingWire{flakyWire: newFlakyWire()}
+	s := NewStore(quant.OptL())
+	s.Transport = wire
+	wire.setDead(true)
+
+	degraded := func(want uint64) {
+		t.Helper()
+		if got := s.Stats().Degraded; got != want {
+			t.Fatalf("Degraded = %d, want %d", got, want)
+		}
+	}
+	a, b := denseRef(42), denseRef(43)
+	for _, ref := range []*nn.ActRef{a, b} {
+		if err := s.Offload(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	degraded(2) // the failed PUT, then the skipped issue
+	if err := restoreStep(s, a, b); err != nil {
+		t.Fatal(err)
+	}
+	degraded(4) // one per degraded restore
+	for _, seed := range []uint64{44, 45} {
+		if err := s.Offload(denseRef(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	degraded(6)
+	s.Reset()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wire.wirePuts(); got != 1 {
+		t.Fatalf("wire PUTs = %d, want 1 (the one that tripped the breaker)", got)
+	}
+	wire.mu.Lock()
+	gets, deletes := wire.gets, wire.deletes
+	wire.mu.Unlock()
+	if gets != 0 || deletes != 0 {
+		t.Fatalf("wire saw %d GETs and %d DELETEs of degraded frames, want none", gets, deletes)
+	}
+}
+
+// TestDegradedBytesMatchHealthy: a degraded entry accounts the frame it
+// keeps, not the failed PUT's count — the resident footprint and the
+// offloaded bytes equal a healthy in-process store's for the same refs.
+func TestDegradedBytesMatchHealthy(t *testing.T) {
+	wire := newFlakyWire()
+	degraded := breakerStore(wire)
+	wire.setDead(true)
+	healthy := NewStore(quant.OptL())
+	for _, s := range []*Store{degraded, healthy} {
+		for _, seed := range []uint64{42, 43} {
+			if err := s.Offload(denseRef(seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !degraded.Tripped() {
+		t.Fatal("breaker not open")
+	}
+	want := healthy.HostBytes()
+	if want == 0 {
+		t.Fatal("healthy store holds no bytes")
+	}
+	if got := degraded.HostBytes(); got != want {
+		t.Fatalf("degraded HostBytes = %d, healthy %d", got, want)
+	}
+	if got, want := degraded.Stats().BytesOffloaded, healthy.Stats().BytesOffloaded; got != want {
+		t.Fatalf("degraded BytesOffloaded = %d, healthy %d", got, want)
+	}
+}

@@ -66,7 +66,7 @@ type fetchTask struct {
 	read    bool          // the read has completed
 	t       *tensor.Tensor
 	err     error
-	counted bool // holds a lookahead slot until consumed (a held frame never does)
+	counted bool // holds a lookahead slot until consumed (a frame held in its entry never does)
 }
 
 // prefetchState is one backward pass's restore plan: every resident
@@ -354,16 +354,16 @@ func (e *Engine) PrepareBackward() error {
 func (e *Engine) prefetchLoop(pf *prefetchState) {
 	type issuedRead struct {
 		ft *fetchTask
-		tk ticket
+		h  *transport.Pending
 	}
 	s := e.store
 	fifo := transport.NewFIFO(s.transportOf(), func(in issuedRead) error {
 		ft := in.ft
-		f, err := s.readWait(in.tk)
+		f, err := s.readWait(ft.ent, in.h)
 		e.mu.Lock()
 		ft.read = true
-		if !in.tk.held {
-			// A held frame was on the device all along: staging it
+		if ft.ent.held == nil {
+			// A frame held in its entry never left the device: staging it
 			// takes no lookahead slot from the frames the channel brings.
 			ft.counted = true
 			pf.ready++
@@ -411,7 +411,7 @@ func (e *Engine) prefetchLoop(pf *prefetchState) {
 		ft := pf.tasks[pf.next]
 		pf.next++
 		e.mu.Unlock()
-		fifo.Push(issuedRead{ft: ft, tk: s.readIssue(ft.ent)})
+		fifo.Push(issuedRead{ft: ft, h: s.readIssue(ft.ent)})
 	}
 }
 

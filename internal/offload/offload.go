@@ -20,12 +20,15 @@
 //     compression and transfers with forward/backward compute.
 //
 // Store is the bookkeeping core the layers meet at: it maps activation
-// refs to keyed transport entries; the engine's restore plan reads each
-// entry back once. On corruption a configurable RecoveryPolicy decides
-// how many times the transport is re-read before a restore fails with a
-// typed error, the entry retained; under PolicyRecompute the trainer
-// (internal/train) then replays the whole step from its batch input,
-// gradient-checkpointing style. Nothing here calls back into it.
+// refs to entries whose frame lives on the transport under a key, or in
+// the entry itself when it never crossed the transport (the engine's
+// held tail, or a frame the circuit breaker kept off a dead wire); the
+// engine's restore plan reads each entry back once. On corruption a
+// configurable RecoveryPolicy decides how many times the transport is
+// re-read before a restore fails with a typed error, the entry
+// retained; under PolicyRecompute the trainer (internal/train) then
+// replays the whole step from its batch input, gradient-checkpointing
+// style. Nothing here calls back into it.
 package offload
 
 import (
@@ -84,11 +87,9 @@ type Recovery struct {
 	// that fails past it returns its typed error with the entry retained,
 	// under every policy.
 	MaxRetries int
-	// OpTimeout bounds each wire attempt via connection deadlines
-	// (0 = none; the in-process backend ignores it).
-	OpTimeout time.Duration
 	// Deadline bounds the wall time of one operation's whole retry
-	// schedule; on expiry the wire reports the typed
+	// schedule, and each wire attempt within it by
+	// transport.AttemptTimeout; on expiry the wire reports the typed
 	// ErrStoreUnavailable — the verdict the circuit breaker counts —
 	// instead of spinning on a dead store (0 = unbounded).
 	Deadline time.Duration
@@ -103,15 +104,14 @@ type Stats = transport.Snapshot
 
 // entry is one offloaded activation: the offload sequence number that
 // fixes the deterministic reverse-restore order (and doubles as the
-// transport key) plus the framed byte footprint the backend holds.
-// degraded marks frames the circuit breaker routed to the local
-// fallback instead of the wire; held is the framed bytes of a frame
-// that stayed on the device and never crossed the transport. Restore
-// and delete follow the entry so a frame is always read back from
-// wherever its bytes actually live. shape is the activation's, and arena
-// the step arena its commit released the tensor's buffer to (nil when
-// the buffer was not an arena's): the restore decodes into a buffer
-// drawn from it.
+// transport key) plus its framed byte footprint. A frame lives on the
+// transport or in held, the framed bytes of a frame that never crossed
+// it: one the engine kept on the device, or one the circuit breaker
+// kept off a dead wire (degraded, which counts its restore). Restore
+// and delete follow held, so a frame is always read back from wherever
+// its bytes actually live. shape is the activation's, and arena the step
+// arena its commit released the tensor's buffer to (nil when the buffer
+// was not an arena's): the restore decodes into a buffer drawn from it.
 type entry struct {
 	seq      int
 	size     int
@@ -148,17 +148,16 @@ type Store struct {
 	Recovery Recovery
 	// NoDegrade turns the circuit breaker guarding a wire Transport off:
 	// whole-op wire failures surface as errors. With the breaker on (the
-	// default), offloads degrade to an in-process fallback holding the
-	// identical encoded bytes, so training continues bit-identically
+	// default), an offload the wire cannot take degrades: its entry keeps
+	// the identical encoded bytes, so training continues bit-identically
 	// through a dead store.
 	NoDegrade bool
 
-	mu       sync.Mutex
-	entries  map[*nn.ActRef]*entry
-	nextSeq  int
-	local    *transport.Local
-	fallback *transport.Local
-	brk      breaker
+	mu      sync.Mutex
+	entries map[*nn.ActRef]*entry
+	nextSeq int
+	local   *transport.Local
+	brk     breaker
 
 	counters transport.Counters
 }
@@ -189,18 +188,6 @@ func (s *Store) transportOf() transport.Transport {
 	return t
 }
 
-// fallbackT returns the degraded-mode backend: a clean in-process store
-// that receives the same encoded frames a healthy wire PUT would carry.
-// Built lazily — a run that never trips the breaker never allocates it.
-func (s *Store) fallbackT() transport.Transport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fallback == nil {
-		s.fallback = transport.NewLocal(nil, &s.counters)
-	}
-	return s.fallback
-}
-
 // breakerActive reports whether wire ops should consult the breaker: it
 // only guards an explicit wire Transport, and only when not disabled.
 func (s *Store) breakerActive() bool {
@@ -224,7 +211,7 @@ func (s *Store) effRetries() int {
 func (s *Store) retry() transport.Retry {
 	return transport.Retry{
 		Attempts:  s.effRetries(),
-		OpTimeout: s.Recovery.OpTimeout,
+		OpTimeout: transport.AttemptTimeout(s.Recovery.Deadline),
 		Total:     s.Recovery.Deadline,
 	}
 }
@@ -235,65 +222,80 @@ func (s *Store) key(seq int) uint64 { return s.KeyBase | uint64(seq) }
 // Stats returns a point-in-time snapshot of the counters.
 func (s *Store) Stats() Stats { return s.counters.Snapshot() }
 
-// ticket is one routed transfer in flight: the backend's completion
-// handle, and where it went — the breaker's degraded fallback, no
-// backend at all for a held frame's read, or the configured transport.
-type ticket struct {
-	h        *transport.Pending
-	degraded bool
-	held     bool
-}
-
 // commitTicket is one issued-but-unfinished commit: the sequence number
-// already claimed, the routed PUT in flight (none for a held frame), and
-// the ref bookkeeping commitWait still has to perform. The scheduler
-// keeps a bounded FIFO of these so encode-commit traffic pipelines over
-// the wire.
+// already claimed, the PUT in flight (nil for a frame whose bytes stay in
+// its entry), and the ref bookkeeping commitWait still has to perform.
+// The scheduler keeps a bounded FIFO of these so encode-commit traffic
+// pipelines over the wire.
 type commitTicket struct {
-	ref  *nn.ActRef
-	seq  int
-	data []byte
-	mask []bool
-	hold bool
-	put  ticket
+	ref      *nn.ActRef
+	seq      int
+	data     []byte
+	mask     []bool
+	degraded bool
+	put      *transport.Pending
 }
 
-// commitIssue claims the next offload sequence number and launches the
-// routed PUT without waiting for the response; a held frame claims its
-// sequence and issues nothing. Callers must issue tickets in strict
-// submission order (the sequence and the wire order must agree) and
-// complete each one with commitWait, in the same order.
+// commitIssue claims the next offload sequence number and decides where
+// the frame lives: a held frame, or one the open circuit breaker keeps
+// off the wire, issues nothing; anything else is one PUT, launched
+// without waiting for the response. The breaker decides at issue time;
+// one that trips between issue and wait affects the next issue, not
+// this one. Callers must issue tickets in strict submission order (the
+// sequence and the wire order must agree) and complete each one with
+// commitWait, in the same order.
 func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool, hold bool) *commitTicket {
 	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++
 	s.mu.Unlock()
-	t := &commitTicket{ref: ref, seq: seq, data: data, mask: mask, hold: hold}
-	if !hold {
-		t.put = s.putIssue(s.key(seq), data)
+	t := &commitTicket{ref: ref, seq: seq, data: data, mask: mask}
+	switch {
+	case hold:
+	case s.breakerActive() && s.brk.skipWire():
+		s.counters.Degraded.Add(1)
+		t.degraded = true
+	default:
+		t.put = s.transportOf().PutAsync(s.key(seq), data, s.retry())
 	}
 	return t
 }
 
-// commitWait blocks for the ticket's PUT result (a held frame has none:
-// its bytes go into the entry), releases the ref's tensor (attaching the
-// BRC mask when present), and records the entry. Encode has finished
-// with the tensor and containers never release a saved ref, so nothing
-// reads it any more: its buffer goes back to the step arena it came
-// from, if any — from the engine's drain goroutine — and the entry
-// remembers that arena for the restore.
+// commitWait blocks for the ticket's PUT result, applying the breaker
+// bookkeeping — a PUT whose whole retry schedule failed at the
+// connection level opens the breaker and degrades, its entry keeping
+// the identical bytes, so trajectories stay bit-identical across
+// healthy, degraded and recovered stretches. It then releases the ref's
+// tensor (attaching the BRC mask when present) and records the entry.
+// Encode has finished with the tensor and containers never release a
+// saved ref, so nothing reads it any more: its buffer goes back to the
+// step arena it came from, if any — from the engine's drain goroutine —
+// and the entry remembers that arena for the restore.
 func (s *Store) commitWait(t *commitTicket) error {
-	e := &entry{seq: t.seq, size: len(t.data), shape: t.ref.T.Shape}
-	if t.hold {
-		e.held = t.data
-	} else {
+	e := &entry{seq: t.seq, size: len(t.data), degraded: t.degraded, shape: t.ref.T.Shape}
+	if t.put != nil {
 		// What the Put reports is what actually landed on the backend
 		// (send-side faults on the in-process channel are persistent).
 		var err error
-		e.size, e.degraded, err = s.putWait(s.key(t.seq), t.data, t.put)
+		e.size, err = t.put.PutResult()
+		if s.breakerActive() {
+			// Any other failure (corruption past the retry budget)
+			// means the wire is answering: not a breaker event.
+			switch {
+			case err == nil:
+				s.brk.onSuccess()
+			case errors.Is(err, transport.ErrStoreUnavailable):
+				s.brk.onFailure()
+				s.counters.Degraded.Add(1)
+				e.size, e.degraded, err = len(t.data), true, nil
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("offload: offload %q (%s): %w", t.ref.Name, t.ref.Kind, err)
 		}
+	}
+	if t.put == nil || e.degraded {
+		e.held = t.data
 	}
 	if t.mask != nil {
 		t.ref.Mask = t.mask
@@ -306,47 +308,6 @@ func (s *Store) commitWait(t *commitTicket) error {
 	s.counters.Offloaded.Add(1)
 	s.counters.BytesOffloaded.Add(int64(e.size))
 	return nil
-}
-
-// putIssue routes one encoded frame and launches the transfer without
-// waiting: to the configured transport (so issues pipeline up to a wire
-// client's window), or — when the circuit breaker is already open —
-// straight to the degraded local fallback. The breaker's routing
-// decision is made at issue time; a breaker that trips between issue
-// and wait affects the next issue, not this one (putWait still degrades
-// this op's bytes if its own wire attempt exhausts unavailable).
-func (s *Store) putIssue(key uint64, data []byte) ticket {
-	if s.breakerActive() && s.brk.skipWire() {
-		s.counters.Degraded.Add(1)
-		return ticket{h: s.fallbackT().PutAsync(key, data, transport.Retry{}), degraded: true}
-	}
-	return ticket{h: s.transportOf().PutAsync(key, data, s.retry())}
-}
-
-// putWait completes a routed PUT: it reports what actually landed and
-// where, applying the breaker bookkeeping — a wire op whose whole retry
-// schedule failed at the connection level opens the breaker and its
-// identical bytes land on the local fallback instead, so training
-// trajectories stay bit-identical across healthy, degraded, and
-// recovered stretches.
-func (s *Store) putWait(key uint64, data []byte, t ticket) (stored int, degraded bool, err error) {
-	n, err := t.h.PutResult()
-	if t.degraded || !s.breakerActive() {
-		return n, t.degraded, err
-	}
-	if err == nil {
-		s.brk.onSuccess()
-		return n, false, nil
-	}
-	if !errors.Is(err, transport.ErrStoreUnavailable) {
-		// Payload-level failure (corruption past the retry budget):
-		// the wire is answering, so this is not a breaker event.
-		return 0, false, err
-	}
-	s.brk.onFailure()
-	s.counters.Degraded.Add(1)
-	n, err = s.fallbackT().PutAsync(key, data, transport.Retry{}).PutResult()
-	return n, true, err
 }
 
 // resident is one row of a residents snapshot.
@@ -370,33 +331,31 @@ func (s *Store) residents() []resident {
 
 // readIssue launches the entry's read without waiting for the frame, so
 // a prefetcher can keep a window of staging GETs on the wire at once. A
-// held entry's frame never left the device: it takes the same CRC check
-// a wire frame does, with no transport op. A degraded entry's frame was
-// never sent to the wire — its only copy lives in the breaker's
-// fallback, which answers instead. Responses complete in issue order
-// (the wire protocol is FIFO), so the caller must readWait tickets in
-// the order it issued them.
-func (s *Store) readIssue(e *entry) ticket {
-	if e.held != nil {
-		f, err := frame.DecodeFrame(e.held)
-		if err == nil {
-			s.counters.BytesVerified.Add(int64(len(e.held)))
-		}
-		return ticket{h: transport.Resolved(0, f, err), held: true}
+// frame held in its entry never crossed the transport: it takes the same
+// CRC check a wire frame does, with no transport op (a degraded one
+// counts). Responses complete in issue order (the wire protocol is
+// FIFO), so the caller must readWait reads in the order it issued them.
+func (s *Store) readIssue(e *entry) *transport.Pending {
+	if e.held == nil {
+		return s.transportOf().GetAsync(s.key(e.seq), s.retry(), false)
 	}
 	if e.degraded {
 		s.counters.Degraded.Add(1)
-		return ticket{h: s.fallbackT().GetAsync(s.key(e.seq), transport.Retry{}, false), degraded: true}
 	}
-	return ticket{h: s.transportOf().GetAsync(s.key(e.seq), s.retry(), false)}
+	f, err := frame.DecodeFrame(e.held)
+	if err == nil {
+		s.counters.BytesVerified.Add(int64(len(e.held)))
+	}
+	return transport.Resolved(0, f, err)
 }
 
-// readWait completes an issued read, returning the verified frame
-// without decoding it and applying the breaker bookkeeping. It does not
-// mutate the store, so a failure leaves the entry untouched.
-func (s *Store) readWait(t ticket) (*frame.Frame, error) {
-	f, err := t.h.GetResult()
-	if !t.degraded && !t.held && s.breakerActive() {
+// readWait completes the entry's issued read, returning the verified
+// frame without decoding it and applying the breaker bookkeeping to a
+// wire read. It does not mutate the store, so a failure leaves the entry
+// untouched.
+func (s *Store) readWait(e *entry, h *transport.Pending) (*frame.Frame, error) {
+	f, err := h.GetResult()
+	if e.held == nil && s.breakerActive() {
 		if err == nil {
 			s.brk.onSuccess()
 		} else if errors.Is(err, transport.ErrStoreUnavailable) {
@@ -410,14 +369,10 @@ func (s *Store) readWait(t ticket) (*frame.Frame, error) {
 	return f, err
 }
 
-// deleteEntry releases the backend copy wherever it lives; a held
-// frame has none.
+// deleteEntry releases the transport's copy; a frame held in its entry
+// has none.
 func (s *Store) deleteEntry(e *entry) {
-	switch {
-	case e.held != nil:
-	case e.degraded:
-		s.fallbackT().Delete(s.key(e.seq))
-	default:
+	if e.held == nil {
 		s.transportOf().Delete(s.key(e.seq))
 	}
 }
@@ -481,18 +436,10 @@ func (s *Store) Reset() {
 // Close drops the entries still resident — a failed step's, which would
 // otherwise outlive the store on a shared server — then releases the
 // transport backend (the in-process backend's buffers, or a network
-// client's connection) and the breaker's degraded fallback, when one was
-// ever built.
+// client's connection).
 func (s *Store) Close() error {
 	s.Reset()
-	err := s.transportOf().Close()
-	s.mu.Lock()
-	f := s.fallback
-	s.mu.Unlock()
-	if f != nil {
-		f.Close()
-	}
-	return err
+	return s.transportOf().Close()
 }
 
 // Stored returns the number of resident entries.

@@ -113,6 +113,16 @@ func (r Retry) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
+// AttemptTimeout is the per-attempt bound (Retry.OpTimeout) inside a
+// wire operation's total budget: a quarter of it, at least 50ms, so one
+// stalled connection cannot eat it all (0 = unbounded, as the budget).
+func AttemptTimeout(total time.Duration) time.Duration {
+	if total <= 0 {
+		return 0
+	}
+	return max(total/4, 50*time.Millisecond)
+}
+
 // Transport is the pluggable byte-path interface the offload store is
 // written against. Keys are opaque 64-bit names the store assigns (its
 // offload sequence number, optionally OR'd with a per-client KeyBase so
@@ -153,7 +163,7 @@ type Counters struct {
 	Retried        atomic.Uint64 // re-reads / reconnect+resend cycles attempted
 	Dropped        atomic.Uint64 // reads that yielded no bytes (nil transfer)
 	Reconnects     atomic.Uint64 // connections re-dialed by a networked backend
-	Degraded       atomic.Uint64 // operations served by the degraded local fallback (breaker open)
+	Degraded       atomic.Uint64 // offloads and restores the open breaker kept off the wire (frame held in its entry)
 	Hedged         atomic.Uint64 // reserved, always zero: hedged GETs are gone; bench/ and the stats JSON still read the field
 	GradPuts       atomic.Uint64 // gradient frames put (keys in the grad namespace)
 	GradGets       atomic.Uint64 // gradient frames fetched back

@@ -582,7 +582,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 
 	retry := transport.Retry{
 		Attempts: 8, Backoff: time.Millisecond,
-		Total: dp.StoreTimeout, OpTimeout: storeOpTimeout(dp.StoreTimeout),
+		Total: dp.StoreTimeout, OpTimeout: transport.AttemptTimeout(dp.StoreTimeout),
 	}
 	var shared transport.Transport
 	if dp.StoreDial == nil {

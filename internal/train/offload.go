@@ -78,8 +78,8 @@ type OffloadOptions struct {
 	// cannot eat it all. 0 = unbounded (the pre-deadline behaviour).
 	StoreTimeout time.Duration
 	// NoDegrade turns the store's circuit breaker off: wire failures
-	// surface instead of degrading to the local fallback. Only
-	// meaningful in networked mode.
+	// surface instead of degrading (the store entry keeping the frame's
+	// bytes). Only meaningful in networked mode.
 	NoDegrade bool
 	// StoreClient, when set, receives the built wire client before the
 	// first operation — the seam chaos tests use to install op-count
@@ -93,23 +93,13 @@ type OffloadOptions struct {
 	Verbose bool
 }
 
-// storeOpTimeout is the per-attempt bound inside a wire operation's
-// total budget: a quarter of it, at least 50ms, so one stalled
-// connection cannot eat it all (0 = unbounded, as the budget).
-func storeOpTimeout(total time.Duration) time.Duration {
-	if total <= 0 {
-		return 0
-	}
-	return max(total/4, 50*time.Millisecond)
-}
-
 // newStoreClient builds the wire client both trainers use, pipelined at
 // the transport's default window. It shares the caller's counter block,
 // so network faults and verified bytes land in the stats the caller
 // reads; hook (optional) sees the client before its first operation.
 func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout time.Duration, hook func(*transport.NetClient)) *transport.NetClient {
 	c := transport.NewNetClient(dial, counters)
-	c.OpTimeout = storeOpTimeout(timeout)
+	c.OpTimeout = transport.AttemptTimeout(timeout)
 	if hook != nil {
 		hook(c)
 	}
@@ -200,7 +190,6 @@ func newStore(oc OffloadOptions) (*offload.Store, error) {
 		Policy:     oc.Policy,
 		MaxRetries: oc.MaxRetries,
 		Deadline:   max(oc.StoreTimeout, 0),
-		OpTimeout:  storeOpTimeout(oc.StoreTimeout),
 	}
 	if oc.StoreAddr != "" || oc.StoreDial != nil {
 		dial := oc.StoreDial
