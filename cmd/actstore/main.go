@@ -8,7 +8,8 @@
 //	actstore -addr tcp:0.0.0.0:7077 -metrics 127.0.0.1:9090
 //
 // With -metrics set, the unified counter snapshot (the same one the
-// wire STATS op returns) is served Prometheus-text-style on /metrics.
+// store clients' Stats() report) is served Prometheus-text-style on
+// /metrics.
 // Every frame is stored once, in this process's memory, so the store
 // dies whole: a client recovers the frames it lost through its recovery
 // policy (recompute replays the step, then the circuit breaker keeps

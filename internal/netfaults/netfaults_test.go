@@ -169,6 +169,7 @@ func TestChaosRiddenClientStillCompletes(t *testing.T) {
 	inj := New(Config{Seed: 11, PReset: 0.05, PLatency: 0.1, Latency: time.Millisecond})
 	var counters transport.Counters
 	c := transport.NewNetClient(transport.Dialer(inj.WrapDialer(dial)), &counters)
+	c.OpTimeout = 2 * time.Second
 	defer c.Close()
 
 	f := &frame.Frame{
@@ -178,7 +179,7 @@ func TestChaosRiddenClientStillCompletes(t *testing.T) {
 		Payload: []byte{9, 8, 7, 6},
 	}
 	buf := frame.EncodeFrame(f)
-	r := transport.Retry{Attempts: 64, OpTimeout: 2 * time.Second, Total: 30 * time.Second}
+	r := transport.Retry{Attempts: 64, Total: 30 * time.Second}
 	const ops = 64
 	for i := 0; i < ops; i++ {
 		if _, err := c.Put(uint64(i), buf, r); err != nil {

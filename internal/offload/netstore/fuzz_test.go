@@ -29,15 +29,15 @@ func FuzzNetstoreRequest(f *testing.F) {
 	}
 	valid := frame.EncodeFrame(fr)
 
-	var put, get, del, stats bytes.Buffer
+	var put, get, del, op5 bytes.Buffer
 	transport.WriteRequest(&put, transport.OpPut, 7, valid)
 	transport.WriteRequest(&get, transport.OpGetCoef, 7, nil)
 	transport.WriteRequest(&del, transport.OpDelete, 7, nil)
-	transport.WriteRequest(&stats, transport.OpStats, 0, nil)
+	transport.WriteRequest(&op5, 5, 0, nil) // no such op: refused as malformed
 	f.Add(put.Bytes())
 	f.Add(append(put.Bytes(), get.Bytes()...))
 	f.Add(del.Bytes())
-	f.Add(stats.Bytes())
+	f.Add(op5.Bytes())
 	f.Add(put.Bytes()[:len(put.Bytes())/2]) // cut mid-frame
 	f.Add(put.Bytes()[:9])                  // truncated op header
 	f.Add([]byte{'J', 'Q', 99, 1})          // bad version

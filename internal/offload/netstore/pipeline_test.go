@@ -20,8 +20,9 @@ func timeGets(t *testing.T, dial transport.Dialer, window, n int) time.Duration 
 	t.Helper()
 	c := transport.NewNetClient(dial, nil)
 	c.Window = window
+	c.OpTimeout = 10 * time.Second
 	defer c.Close()
-	r := transport.Retry{Attempts: 2, OpTimeout: 10 * time.Second}
+	r := transport.Retry{Attempts: 2}
 	start := time.Now()
 	pending := make([]*transport.Pending, 0, n)
 	for k := 1; k <= n; k++ {
@@ -48,7 +49,8 @@ func TestWindowedGetsOverlapInjectedLatency(t *testing.T) {
 	const n = 64
 	_, dial := startServer(t, Config{respDelay: 2 * time.Millisecond})
 	c := transport.NewNetClient(dial, nil)
-	r := transport.Retry{Attempts: 2, OpTimeout: 10 * time.Second}
+	c.OpTimeout = 10 * time.Second
+	r := transport.Retry{Attempts: 2}
 	for k := 1; k <= n; k++ {
 		if _, err := c.Put(uint64(k), testFrame(t, byte(k)), r); err != nil {
 			t.Fatalf("put %d: %v", k, err)

@@ -33,7 +33,6 @@ package netstore
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -411,13 +410,6 @@ func (s *Server) handleRequest(req transport.Request) response {
 		}
 		s.release(e)
 		return response{status: transport.StatusOK}
-
-	case transport.OpStats:
-		js, err := json.Marshal(s.Snapshot())
-		if err != nil {
-			return response{status: transport.StatusBadRequest}
-		}
-		return response{status: transport.StatusOK, body: js}
 	}
 	s.badReqs.Add(1)
 	return response{status: transport.StatusBadRequest}
@@ -580,7 +572,7 @@ func (s *Server) enqueue(out chan response, qmu *sync.Mutex, qcond *sync.Cond, q
 }
 
 // Snapshot returns the unified counter snapshot — the same struct the
-// offload store's Stats() and the wire STATS op report.
+// offload store's Stats() reports and /metrics renders.
 func (s *Server) Snapshot() transport.Snapshot {
 	return s.counters.Snapshot()
 }

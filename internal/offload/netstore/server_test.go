@@ -80,11 +80,7 @@ func TestServerRoundTrips(t *testing.T) {
 	if err := c.Delete(42); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Offloaded != 1 || st.Restored != 2 {
+	if st := srv.Snapshot(); st.Offloaded != 1 || st.Restored != 2 {
 		t.Fatalf("server stats %+v", st)
 	}
 	if got := srv.Entries(); got != 0 {

@@ -88,8 +88,8 @@ type Recovery struct {
 	// under every policy.
 	MaxRetries int
 	// Deadline bounds the wall time of one operation's whole retry
-	// schedule, and each wire attempt within it by
-	// transport.AttemptTimeout; on expiry the wire reports the typed
+	// schedule (the trainers' wire client bounds each attempt within it
+	// by transport.AttemptTimeout); on expiry the wire reports the typed
 	// ErrStoreUnavailable — the verdict the circuit breaker counts —
 	// instead of spinning on a dead store (0 = unbounded).
 	Deadline time.Duration
@@ -99,7 +99,7 @@ type Recovery struct {
 // the stack shares: the store's offload/restore/recovery counters and
 // the transport's corruption/retry counters are fields of one
 // transport.Counters block, and the netstore server reports the same
-// Snapshot shape over its STATS op and /metrics endpoint.
+// Snapshot shape on its /metrics endpoint.
 type Stats = transport.Snapshot
 
 // entry is one offloaded activation: the offload sequence number that
@@ -209,11 +209,7 @@ func (s *Store) effRetries() int {
 
 // retry builds the transport retry schedule from the recovery config.
 func (s *Store) retry() transport.Retry {
-	return transport.Retry{
-		Attempts:  s.effRetries(),
-		OpTimeout: transport.AttemptTimeout(s.Recovery.Deadline),
-		Total:     s.Recovery.Deadline,
-	}
+	return transport.Retry{Attempts: s.effRetries(), Total: s.Recovery.Deadline}
 }
 
 // key maps an offload sequence number onto its transport key.

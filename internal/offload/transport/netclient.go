@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -80,8 +79,8 @@ func dialConn(dial Dialer, timeout time.Duration) (net.Conn, error) {
 // goroutine streams up to Window requests onto one connection, and a
 // reader goroutine matches responses to requests strictly FIFO (the
 // wire protocol carries no request IDs; order is the contract). The
-// synchronous Put/Get/Delete/ServerStats are the degenerate
-// window-of-1 case — submit one op, wait for its handle.
+// synchronous Put/Get/Delete are the degenerate window-of-1 case —
+// submit one op, wait for its handle.
 //
 // Failure handling is connection-granular: any dial, write or read
 // failure closes the connection and *poisons* every op in flight on it
@@ -92,10 +91,10 @@ func dialConn(dial Dialer, timeout time.Duration) (net.Conn, error) {
 // kept. Requests are idempotent (PUT overwrites, GET is a read, DELETE
 // tolerates NotFound), so a resend after a mid-frame drop is always safe.
 //
-// Deadlines bound every attempt (Retry.OpTimeout, via conn deadlines,
-// with the client-level OpTimeout as the fallback) and the schedule as
-// a whole (Retry.Total): once the budget is spent the operation returns
-// a typed ErrStoreUnavailable instead of spinning on a dead server.
+// Deadlines bound every attempt (the client's OpTimeout, via conn
+// deadlines) and each operation's schedule as a whole (Retry.Total):
+// once the budget is spent the operation returns a typed
+// ErrStoreUnavailable instead of spinning on a dead server.
 type NetClient struct {
 	// Latency, when set, observes every successful exchange (op code
 	// and wall-clock duration from the request hitting the wire to its
@@ -103,10 +102,11 @@ type NetClient struct {
 	// collector on. Set before first use. It is invoked from the
 	// client's reader goroutine only, one call at a time.
 	Latency func(op uint8, d time.Duration)
-	// OpTimeout is the client-level per-attempt deadline applied when
-	// the operation's Retry schedule carries none — it also bounds
-	// housekeeping ops (Delete, ServerStats) that take no schedule.
-	// 0 = no deadline. Set before first use.
+	// OpTimeout bounds one attempt of every operation (the dial, or the
+	// write plus the wait for its response) via connection deadlines,
+	// so a stalled server or link surfaces as a retryable timeout
+	// instead of hanging the caller forever. 0 = no deadline. Set
+	// before first use.
 	OpTimeout time.Duration
 	// Window bounds how many operations may be queued-or-in-flight on
 	// the wire at once: 0 is DefaultWindow, 1 is stop-and-wait.
@@ -140,15 +140,6 @@ func NewNetClient(dial Dialer, c *Counters) *NetClient {
 	n := &NetClient{dial: dial, counters: c}
 	n.pcond = sync.NewCond(&n.pmu)
 	return n
-}
-
-// effTimeout resolves an op's deadline: the schedule's, else the
-// client-level default.
-func (c *NetClient) effTimeout(d time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return c.OpTimeout
 }
 
 // budgetSpent reports whether the schedule's total wall budget is gone.
@@ -185,24 +176,10 @@ func (c *NetClient) Get(key uint64, r Retry, coef bool) (*frame.Frame, error) {
 
 // Delete implements Transport. Deletes are housekeeping after a
 // successful restore, so they ride a small fixed reconnect schedule
-// (under the client-level OpTimeout) and tolerate NotFound (another
+// (under the client's OpTimeout) and tolerate NotFound (another
 // retry may already have landed it).
 func (c *NetClient) Delete(key uint64) error {
 	return c.submit(newPending(OpDelete, key, nil, Retry{Attempts: 2})).Err()
-}
-
-// ServerStats fetches the server's unified counter snapshot (the same
-// Snapshot shape every layer of the stack reports).
-func (c *NetClient) ServerStats() (Snapshot, error) {
-	p := c.submit(newPending(OpStats, 0, nil, Retry{Attempts: 2}))
-	if err := p.Err(); err != nil {
-		return Snapshot{}, err
-	}
-	var s Snapshot
-	if err := json.Unmarshal(p.resp, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("transport: stats: %w", err)
-	}
-	return s, nil
 }
 
 // Close implements Transport: the pipeline is quiesced — any

@@ -69,7 +69,8 @@ func TestStalledServerBoundedByOpDeadline(t *testing.T) {
 		<-block
 	})
 	c := NewNetClient(dial, nil)
-	r := Retry{Attempts: 1, OpTimeout: 50 * time.Millisecond, Total: 300 * time.Millisecond}
+	c.OpTimeout = 50 * time.Millisecond
+	r := Retry{Attempts: 1, Total: 300 * time.Millisecond}
 	start := time.Now()
 	_, err := c.Get(3, r, false)
 	if !errors.Is(err, ErrStoreUnavailable) {
@@ -137,7 +138,8 @@ func TestDialWatchdogBoundsHangingDialer(t *testing.T) {
 	defer close(hang)
 	dial := func() (net.Conn, error) { <-hang; return nil, fmt.Errorf("late") }
 	c := NewNetClient(dial, nil)
-	r := Retry{OpTimeout: 50 * time.Millisecond, Total: 200 * time.Millisecond}
+	c.OpTimeout = 50 * time.Millisecond
+	r := Retry{Total: 200 * time.Millisecond}
 	start := time.Now()
 	if _, err := c.Get(1, r, false); !errors.Is(err, ErrStoreUnavailable) {
 		t.Fatalf("want ErrStoreUnavailable, got %v", err)

@@ -28,7 +28,7 @@ package transport
 // and the survivors are resent in original submission order ahead of
 // everything still queued — so the server observes the same logical op
 // sequence a stop-and-wait client would, just denser. The sync
-// Put/Get/Delete/ServerStats are the degenerate window-of-1 case:
+// Put/Get/Delete are the degenerate window-of-1 case:
 // submit one op, wait for its handle.
 
 import (
@@ -118,7 +118,6 @@ type Pending struct {
 	done   chan struct{}
 	stored int          // PUT result
 	f      *frame.Frame // GET result
-	resp   []byte       // STATS body
 	err    error
 }
 
@@ -174,8 +173,6 @@ func opName(op uint8) string {
 		return "get"
 	case OpDelete:
 		return "delete"
-	case OpStats:
-		return "stats"
 	}
 	return fmt.Sprintf("op%d", op)
 }
@@ -268,9 +265,8 @@ func (c *NetClient) pump() {
 		}
 		if c.conn == nil {
 			redial := c.needRedial
-			timeout := c.effTimeout(head.retry.OpTimeout)
 			c.pmu.Unlock()
-			conn, err := dialConn(c.dial, timeout)
+			conn, err := dialConn(c.dial, c.OpTimeout)
 			c.pmu.Lock()
 			if c.closed {
 				if conn != nil {
@@ -311,7 +307,7 @@ func (c *NetClient) pump() {
 		c.pcond.Broadcast()
 		c.pmu.Unlock()
 
-		if t := c.effTimeout(head.retry.OpTimeout); t > 0 {
+		if t := c.OpTimeout; t > 0 {
 			conn.SetWriteDeadline(time.Now().Add(t))
 		} else {
 			conn.SetWriteDeadline(time.Time{})
@@ -345,7 +341,7 @@ func (c *NetClient) readLoop(epoch uint64, conn net.Conn, br *bufio.Reader) {
 		head := c.inflight[0]
 		c.pmu.Unlock()
 
-		if t := c.effTimeout(head.retry.OpTimeout); t > 0 {
+		if t := c.OpTimeout; t > 0 {
 			conn.SetReadDeadline(time.Now().Add(t))
 		} else {
 			conn.SetReadDeadline(time.Time{})
@@ -426,14 +422,6 @@ func (c *NetClient) finishResponseLocked(p *Pending, status uint8, body []byte) 
 			return
 		}
 		p.complete(fmt.Errorf("transport: delete %d: server status %d", p.key, status))
-	case OpStats:
-		if status != StatusOK {
-			p.complete(fmt.Errorf("transport: stats: server status %d", status))
-			return
-		}
-		p.resp = body
-		c.observe(p)
-		p.complete(nil)
 	default:
 		p.complete(fmt.Errorf("transport: %s %d: unknown op", opName(p.op), p.key))
 	}

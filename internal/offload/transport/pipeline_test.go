@@ -66,8 +66,9 @@ func TestMidWindowResetResendsInOrder(t *testing.T) {
 	var counters Counters
 	c := NewNetClient(dial, &counters)
 	c.Window = 8
+	c.OpTimeout = 5 * time.Second
 	defer c.Close()
-	r := Retry{Attempts: 3, OpTimeout: 5 * time.Second}
+	r := Retry{Attempts: 3}
 	var pending []*Pending
 	for k := uint64(1); k <= 8; k++ {
 		pending = append(pending, c.GetAsync(k, r, false))
@@ -123,8 +124,9 @@ func TestSubmitPastFullWindowBlocks(t *testing.T) {
 	})
 	c := NewNetClient(dial, nil)
 	c.Window = 2
+	c.OpTimeout = 5 * time.Second
 	defer c.Close()
-	r := Retry{Attempts: 1, OpTimeout: 5 * time.Second}
+	r := Retry{Attempts: 1}
 	p1 := c.GetAsync(1, r, false)
 	p2 := c.GetAsync(2, r, false)
 	third := make(chan *Pending)
@@ -194,8 +196,9 @@ func TestWindowedClientConvergesUnderChaos(t *testing.T) {
 	var counters Counters
 	c := NewNetClient(Dialer(inj.WrapDialer(raw)), &counters)
 	c.Window = 8
+	c.OpTimeout = 2 * time.Second
 	defer c.Close()
-	r := Retry{Attempts: 32, OpTimeout: 2 * time.Second, Total: 60 * time.Second}
+	r := Retry{Attempts: 32, Total: 60 * time.Second}
 	const n = 64
 	for k := uint64(1); k <= n; k++ {
 		if _, err := c.Put(k, keyFrame(k), r); err != nil {

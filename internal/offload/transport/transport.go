@@ -90,12 +90,6 @@ type Retry struct {
 	// Sleep is invoked for backoff delays; nil means time.Sleep. Tests
 	// inject a recording clock here so recovery paths never real-sleep.
 	Sleep func(time.Duration)
-	// OpTimeout bounds one attempt of a networked operation (the write
-	// plus the wait for its response) via connection deadlines, so a
-	// stalled server or link surfaces as a retryable timeout instead of
-	// hanging the training step forever. 0 = no per-attempt deadline.
-	// The in-process backend ignores it (a map read cannot stall).
-	OpTimeout time.Duration
 	// Total bounds the wall-clock of the whole schedule — first attempt,
 	// every reconnect+resend cycle and every backoff sleep included.
 	// When the budget is exhausted the operation fails with a typed
@@ -113,9 +107,10 @@ func (r Retry) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// AttemptTimeout is the per-attempt bound (Retry.OpTimeout) inside a
-// wire operation's total budget: a quarter of it, at least 50ms, so one
-// stalled connection cannot eat it all (0 = unbounded, as the budget).
+// AttemptTimeout is the per-attempt bound (NetClient.OpTimeout) inside
+// a wire operation's total budget (Retry.Total): a quarter of it, at
+// least 50ms, so one stalled connection cannot eat it all (0 =
+// unbounded, as the budget).
 func AttemptTimeout(total time.Duration) time.Duration {
 	if total <= 0 {
 		return 0
@@ -153,8 +148,7 @@ type Transport interface {
 // transport's corruption/retry counters, and the netstore server's
 // serving counters are all fields of this one struct, so there is
 // exactly one snapshot shape (Snapshot) everywhere — the store's
-// Stats(), the wire STATS op and the server's /metrics endpoint all
-// render it. All fields are atomic; read a coherent copy with Snapshot.
+// Stats() and the server's /metrics endpoint both render it. All fields are atomic; read a coherent copy with Snapshot.
 type Counters struct {
 	Offloaded      atomic.Uint64 // activations put to the backend
 	Restored       atomic.Uint64 // activations brought back successfully

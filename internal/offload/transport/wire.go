@@ -7,7 +7,7 @@
 //	request  (16 bytes LE + body):
 //	  off 0  magic   "JQ"
 //	  off 2  version u8  (currently 1)
-//	  off 3  op      u8  (OpPut | OpGet | OpGetCoef | OpDelete | OpStats)
+//	  off 3  op      u8  (OpPut | OpGet | OpGetCoef | OpDelete)
 //	  off 4  key     u64
 //	  off 12 length  u32 (body bytes; frame bytes for OpPut, else 0)
 //
@@ -15,7 +15,7 @@
 //	  off 0  magic   "JS"
 //	  off 2  version u8
 //	  off 3  status  u8  (StatusOK | StatusNotFound | ...)
-//	  off 4  length  u32 (frame bytes for a GET hit, JSON for STATS)
+//	  off 4  length  u32 (frame bytes for a GET hit, else 0)
 //
 // Integrity of the payload itself rides on the frame CRC (the server
 // validates PUT bodies before storing; the client validates GET bodies
@@ -47,8 +47,6 @@ const (
 	OpGetCoef uint8 = 3
 	// OpDelete releases the stored bytes for the key.
 	OpDelete uint8 = 4
-	// OpStats returns the server's unified Snapshot as JSON.
-	OpStats uint8 = 5
 )
 
 // Response status codes.
@@ -144,7 +142,7 @@ func ReadRequest(r io.Reader, body func(n int) []byte) (Request, error) {
 		return Request{}, fmt.Errorf("%w: unsupported version %d", ErrWire, h[2])
 	}
 	op := h[3]
-	if op < OpPut || op > OpStats {
+	if op < OpPut || op > OpDelete {
 		return Request{}, fmt.Errorf("%w: unknown op %d", ErrWire, op)
 	}
 	n := binary.LittleEndian.Uint32(h[12:])

@@ -66,10 +66,11 @@ func TestWireBadMagicVersionOpAreTyped(t *testing.T) {
 		return b
 	}
 	cases := map[string][]byte{
-		"magic":   mk(func(h []byte) { h[0] = 'X' }),
-		"version": mk(func(h []byte) { h[2] = 99 }),
-		"op-zero": mk(func(h []byte) { h[3] = 0 }),
-		"op-high": mk(func(h []byte) { h[3] = 200 }),
+		"magic":    mk(func(h []byte) { h[0] = 'X' }),
+		"version":  mk(func(h []byte) { h[2] = 99 }),
+		"op-zero":  mk(func(h []byte) { h[3] = 0 }),
+		"op-high":  mk(func(h []byte) { h[3] = 200 }),
+		"op-stats": mk(func(h []byte) { h[3] = 5 }),
 	}
 	for name, b := range cases {
 		if _, err := ReadRequest(bytes.NewReader(b), nil); !errors.Is(err, ErrWire) {

@@ -15,10 +15,11 @@ package train
 // the head of the network is still differentiating. The reducer runs
 // concurrently with the workers from the start of the step: it issues
 // pipelined GETs in one fixed global order (chunk descending to follow
-// the production order, microbatch ascending within a chunk), gated on
-// an in-process readiness board that publishes each PUT's server
-// acknowledgment, and drains completions through a FIFO reorder buffer
-// in exactly the issue order. Overlap therefore changes wall time only:
+// the production order, microbatch ascending within a chunk), each
+// after the worker's PUT it reads has resolved — workers publish their
+// PUT handles on an in-process board and the reducer waits on them
+// itself — and drains completions through a FIFO reorder buffer in
+// exactly the issue order. Overlap therefore changes wall time only:
 // every gradient element is still accumulated microbatch 0..M-1 for
 // any K and any bucket size — and DPOptions.SerialExchange, which only
 // withholds the hook and starts the reducer late, lands on the same
@@ -123,87 +124,64 @@ func (dp DPOptions) withDefaults() DPOptions {
 const gradChunkElems = 1 << 16
 
 // gradExchange moves one goroutine's gradient vectors through a
-// transport as framed chunks. Not safe for concurrent use — each
-// worker and the reducer owns one. Encode and decode go through pooled
-// per-chunk scratch buffers: the exchange runs once per chunk per
-// microbatch per step, so fresh allocations here were measurable churn.
+// transport as framed chunks, one per bucket of plan. Not safe for
+// concurrent use — each worker and the reducer owns one. Decode goes
+// through a pooled per-chunk scratch buffer: the exchange runs once per
+// chunk per microbatch per step, so fresh allocations here were
+// measurable churn.
 type gradExchange struct {
 	tr       transport.Transport
 	pipe     codec.Pipeline
 	tag      uint64
 	retry    transport.Retry
-	chunk    int // bucket capacity in elements
+	plan     *nn.BucketPlan
 	counters *transport.Counters
 
-	encBuf []float32 // pooled encode staging (chunk elems)
-	decBuf []float32 // pooled decode staging (chunk elems)
+	decBuf []float32 // pooled decode staging (one bucket)
 }
 
-func (g *gradExchange) chunkCount(n int) int { return (n + g.chunk - 1) / g.chunk }
-
-// chunkSpan returns chunk c's half-open element range in an n-element
-// vector.
-func (g *gradExchange) chunkSpan(c, n int) (lo, hi int) {
-	lo = c * g.chunk
-	hi = lo + g.chunk
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// encodeChunk frames flat's chunk c through the pooled staging tensor.
-// The returned bytes are freshly allocated (the wire retains them for
-// resends); the staging buffer is reusable as soon as this returns.
-func (g *gradExchange) encodeChunk(flat []float32, c int) ([]byte, error) {
-	lo, hi := g.chunkSpan(c, len(flat))
-	n := hi - lo
-	if cap(g.encBuf) < n {
-		g.encBuf = make([]float32, n)
-	}
-	x := &tensor.Tensor{Shape: tensor.Shape{N: 1, C: 1, H: 1, W: n}, Data: g.encBuf[:n]}
-	copy(x.Data, flat[lo:hi])
+// putChunk frames flat's bucket c and ships it under (step, slot),
+// returning the PUT's handle. The raw gradient codec copies the values
+// into fresh bytes (the wire retains them for resends), so flat is
+// reusable as soon as this returns.
+func (g *gradExchange) putChunk(step, slot uint64, flat []float32, c int) *transport.Pending {
+	lo, hi := g.plan.BucketRange(c)
+	x := &tensor.Tensor{Shape: tensor.Shape{N: 1, C: 1, H: 1, W: hi - lo}, Data: flat[lo:hi]}
 	enc, err := g.pipe.EncodeGradient(frame.CodecGradRaw, x)
 	if err != nil {
-		return nil, err
+		return transport.Resolved(0, nil, err)
 	}
-	return frame.EncodeFrame(enc.Frame), nil
+	return g.tr.PutAsync(transport.GradKey(g.tag, step, slot, uint64(c)), frame.EncodeFrame(enc.Frame), g.retry)
 }
 
-// putTicket tracks one async chunk PUT until its acknowledgment.
-type putTicket struct {
-	c    int
-	size int
-	h    *transport.Pending
-}
-
-// awaitPut settles one PUT ticket, counting the landed chunk.
-func (g *gradExchange) awaitPut(step, slot uint64, t putTicket) error {
-	if _, err := t.h.PutResult(); err != nil {
-		return fmt.Errorf("grad put step=%d slot=%d chunk=%d: %w", step, slot, t.c, err)
+// awaitPut waits for bucket c's PUT under (step, slot), counting the
+// landed chunk.
+func (g *gradExchange) awaitPut(step, slot uint64, c int, h *transport.Pending) error {
+	n, err := h.PutResult()
+	if err != nil {
+		return fmt.Errorf("grad put step=%d slot=%d chunk=%d: %w", step, slot, c, err)
 	}
 	g.counters.GradPuts.Add(1)
-	g.counters.BytesGrad.Add(int64(t.size))
+	g.counters.BytesGrad.Add(int64(n))
 	return nil
 }
 
-// put ships flat as chunked frames under (step, slot), keeping as many
-// chunk PUTs in flight as the transport's window allows.
+// put ships flat as chunked frames under (step, slot): every bucket's
+// PUT is issued (the transport's window is the backpressure), then each
+// is awaited in order, so no handle outlives the call. The first
+// failure is the verdict.
 func (g *gradExchange) put(step, slot uint64, flat []float32) error {
-	fifo := transport.NewFIFO(g.tr, func(t putTicket) error { return g.awaitPut(step, slot, t) })
-	for c := 0; c*g.chunk < len(flat); c++ {
-		b, err := g.encodeChunk(flat, c)
-		if err != nil {
-			fifo.Drain() // so no handle outlives the call; err is the verdict
-			return err
-		}
-		if err := fifo.Reserve(); err != nil {
-			return err
-		}
-		h := g.tr.PutAsync(transport.GradKey(g.tag, step, slot, uint64(c)), b, g.retry)
-		fifo.Push(putTicket{c, len(b), h})
+	hs := make([]*transport.Pending, g.plan.Buckets())
+	for c := range hs {
+		hs[c] = g.putChunk(step, slot, flat, c)
 	}
-	return fifo.Drain()
+	var first error
+	for c, h := range hs {
+		if err := g.awaitPut(step, slot, c, h); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // decodeChunkInto settles one GET handle and decodes the chunk into
@@ -235,10 +213,10 @@ type getTicket struct {
 // straight into dst's chunk spans.
 func (g *gradExchange) get(step, slot uint64, dst []float32) error {
 	fifo := transport.NewFIFO(g.tr, func(t getTicket) error {
-		lo, hi := g.chunkSpan(t.c, len(dst))
+		lo, hi := g.plan.BucketRange(t.c)
 		return g.decodeChunkInto(step, slot, t.c, t.h, dst[lo:hi])
 	})
-	for c := 0; c*g.chunk < len(dst); c++ {
+	for c := 0; c < g.plan.Buckets(); c++ {
 		if err := fifo.Reserve(); err != nil {
 			return err
 		}
@@ -249,42 +227,34 @@ func (g *gradExchange) get(step, slot uint64, dst []float32) error {
 }
 
 // del releases (step, slot)'s chunks, best-effort.
-func (g *gradExchange) del(step, slot uint64, n int) {
-	for c := 0; c < g.chunkCount(n); c++ {
+func (g *gradExchange) del(step, slot uint64) {
+	for c := 0; c < g.plan.Buckets(); c++ {
 		g.tr.Delete(transport.GradKey(g.tag, step, slot, uint64(c)))
 	}
 }
 
-// gradBoard publishes worker PUT acknowledgments to the streaming
-// reducer: a GET for (microbatch, chunk) issued before the server
-// acknowledged the worker's PUT would race a terminal NotFound, so the
-// reducer gates each issue on the board. fail wakes every waiter with
-// the first error so neither side can deadlock on a dead peer.
+// gradBoard hands the workers' PUT handles to the streaming reducer: a
+// GET for (microbatch, chunk) issued before the server acknowledged the
+// worker's PUT would race a terminal NotFound, so the reducer takes the
+// handle from the board and waits for its result before the GET. fail
+// wakes the reducer with a worker's error so it cannot deadlock on a
+// bucket that will never be shipped.
 type gradBoard struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ready map[[2]int]bool
-	err   error
+	mu   sync.Mutex
+	cond *sync.Cond
+	puts map[[2]int]*transport.Pending
+	err  error
 }
 
 func newGradBoard() *gradBoard {
-	b := &gradBoard{ready: map[[2]int]bool{}}
+	b := &gradBoard{puts: map[[2]int]*transport.Pending{}}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-func (b *gradBoard) reset() {
+func (b *gradBoard) publish(m, c int, h *transport.Pending) {
 	b.mu.Lock()
-	for k := range b.ready {
-		delete(b.ready, k)
-	}
-	b.err = nil
-	b.mu.Unlock()
-}
-
-func (b *gradBoard) publish(m, c int) {
-	b.mu.Lock()
-	b.ready[[2]int{m, c}] = true
+	b.puts[[2]int{m, c}] = h
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
@@ -298,13 +268,31 @@ func (b *gradBoard) fail(err error) {
 	b.mu.Unlock()
 }
 
-func (b *gradBoard) wait(m, c int) error {
+// wait returns (microbatch m, chunk c)'s PUT handle once its worker has
+// published it, or the board's error if a worker failed first.
+func (b *gradBoard) wait(m, c int) (*transport.Pending, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for !b.ready[[2]int{m, c}] && b.err == nil {
+	for b.puts[[2]int{m, c}] == nil && b.err == nil {
 		b.cond.Wait()
 	}
-	return b.err
+	if h := b.puts[[2]int{m, c}]; h != nil {
+		return h, nil
+	}
+	return nil, b.err
+}
+
+// settle waits for every handle on the board and empties it for the
+// next step. Called once the workers and the reducer have returned, so
+// a failed step still leaves every PUT resolved and its counters final.
+func (b *gradBoard) settle() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for k, h := range b.puts {
+		h.Err()
+		delete(b.puts, k)
+	}
+	b.err = nil
 }
 
 // reduceStreaming zeroes reduced and accumulates all M microbatch
@@ -312,19 +300,19 @@ func (b *gradBoard) wait(m, c int) error {
 // produce them. GETs are issued in one fixed global order — chunk
 // descending (tail buckets are published first, since backward runs in
 // reverse network order), microbatch ascending within a chunk — each
-// gated on the board, and completions drain through the FIFO reorder
-// buffer in exactly the issue order. Per gradient element the float32
-// adds therefore happen microbatch 0..M-1 regardless of K, bucket size,
-// wire timing or when the reducer was started.
+// after the PUT handle the board hands over has resolved, and
+// completions drain through the FIFO reorder buffer in exactly the
+// issue order. Per gradient element the float32 adds therefore happen
+// microbatch 0..M-1 regardless of K, bucket size, wire timing or when
+// the reducer was started, and the first failure in that order is the
+// verdict.
 func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, reduced []float32) error {
-	for i := range reduced {
-		reduced[i] = 0
-	}
-	if cap(g.decBuf) < g.chunk {
-		g.decBuf = make([]float32, g.chunk)
+	clear(reduced)
+	if _, n := g.plan.BucketRange(0); cap(g.decBuf) < n {
+		g.decBuf = make([]float32, n)
 	}
 	fifo := transport.NewFIFO(g.tr, func(t getTicket) error {
-		lo, hi := g.chunkSpan(t.c, len(reduced))
+		lo, hi := g.plan.BucketRange(t.c)
 		buf := g.decBuf[:hi-lo]
 		if err := g.decodeChunkInto(step, uint64(t.m+1), t.c, t.h, buf); err != nil {
 			return err
@@ -335,16 +323,20 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 		}
 		return nil
 	})
-	for c := g.chunkCount(len(reduced)) - 1; c >= 0; c-- {
+	for c := g.plan.Buckets() - 1; c >= 0; c-- {
 		for m := 0; m < M; m++ {
-			if err := board.wait(m, c); err != nil {
+			h, err := board.wait(m, c)
+			if err == nil {
+				err = g.awaitPut(step, uint64(m+1), c, h)
+			}
+			if err != nil {
 				fifo.Drain() // so no handle outlives the call; err is the verdict
 				return err
 			}
 			if err := fifo.Reserve(); err != nil {
 				return err
 			}
-			h := g.tr.GetAsync(transport.GradKey(g.tag, step, uint64(m+1), uint64(c)), g.retry, false)
+			h = g.tr.GetAsync(transport.GradKey(g.tag, step, uint64(m+1), uint64(c)), g.retry, false)
 			fifo.Push(getTicket{m, c, h})
 		}
 	}
@@ -352,80 +344,50 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 }
 
 // dpReplica is one worker's private world: model, optimizer, step body,
-// exchange, bucket plan.
+// exchange (whose bucket plan the worker's backward drives).
 type dpReplica struct {
 	model *models.Model
 	opt   *nn.SGD
 	pass  *pass
 	gx    *gradExchange
-	plan  *nn.BucketPlan
 	flat  []float32 // scratch: this replica's flattened gradient
 }
 
 // microbatch differentiates microbatch m through the replica's pass and
-// ships its gradient as one async PUT per bucket; a waiter goroutine
-// settles the acknowledgments in issue order and publishes them to the
-// board. With overlap, the pass's OnGrad hook copies each finalized
-// parameter into the flat vector and ships every bucket that just
-// completed, while backward is still running. The post-backward sweep
-// ships whatever the hook did not see (topologies outside the container
-// walk) — which, without overlap, is everything: the serial exchange is
-// this code with the hook left out. Every bucket ships exactly once.
-func (r *dpReplica) microbatch(step uint64, m int, x *tensor.Tensor, labels []int, overlap bool, board *gradBoard, putWG *sync.WaitGroup) (stepResult, error) {
-	slot := uint64(m + 1)
-	tickets := make(chan putTicket, r.plan.Buckets()) // one send per bucket: never blocks
-	gx := r.gx
-	putWG.Add(1)
-	go func() {
-		defer putWG.Done()
-		for t := range tickets {
-			if err := gx.awaitPut(step, slot, t); err != nil {
-				board.fail(err)
-				for rest := range tickets {
-					rest.h.Err()
-				}
-				return
-			}
-			board.publish(m, t.c)
-		}
-	}()
-	var shipErr error
+// ships its gradient as one async PUT per bucket, publishing each PUT's
+// handle to the board as it is issued. With overlap, the pass's OnGrad
+// hook copies each finalized parameter into the flat vector and ships
+// every bucket that just completed, while backward is still running.
+// The post-backward sweep ships whatever the hook did not see
+// (topologies outside the container walk) — which, without overlap, is
+// everything: the serial exchange is this code with the hook left out.
+// Every bucket ships exactly once.
+func (r *dpReplica) microbatch(step uint64, m int, x *tensor.Tensor, labels []int, overlap bool, board *gradBoard) (stepResult, error) {
+	plan := r.gx.plan
 	ship := func(p *nn.Param) {
-		off, ok := r.plan.Offset(p)
+		off, ok := plan.Offset(p)
 		if !ok {
 			return
 		}
 		copy(r.flat[off:off+p.Grad.Elems()], p.Grad.Data)
-		for _, c := range r.plan.Produce(p) {
-			if shipErr != nil {
-				return
-			}
-			b, err := gx.encodeChunk(r.flat, c)
-			if err != nil {
-				shipErr = err
-				return
-			}
-			h := gx.tr.PutAsync(transport.GradKey(gx.tag, step, slot, uint64(c)), b, gx.retry)
-			tickets <- putTicket{c, len(b), h}
+		for _, c := range plan.Produce(p) {
+			board.publish(m, c, r.gx.putChunk(step, uint64(m+1), r.flat, c))
 		}
 	}
-	r.plan.Reset()
+	plan.Reset()
 	var onGrad func(*nn.Param)
 	if overlap {
 		onGrad = ship
 	}
 	res, err := r.pass.run(x, crossEntropy(labels), onGrad)
-	if err == nil {
-		for _, p := range r.plan.Unproduced() {
-			ship(p)
-		}
-		err = shipErr
-	}
-	close(tickets)
 	if err != nil {
 		board.fail(err)
+		return res, err
 	}
-	return res, err
+	for _, p := range plan.Unproduced() {
+		ship(p)
+	}
+	return res, nil
 }
 
 // allReduce is gradient policy all-reduce: the state one data-parallel
@@ -466,11 +428,10 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 	errs := make([]error, K)
 	redErr := make(chan error, 1)
 	reduce := func() { redErr <- a.reducer.reduceStreaming(a.board, step, M, a.reduced) }
-	a.board.reset()
 	if overlap {
 		go reduce()
 	}
-	var wg, putWG sync.WaitGroup
+	var wg sync.WaitGroup
 	for k := 0; k < K; k++ {
 		wg.Add(1)
 		go func(k int) {
@@ -482,7 +443,7 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 				for _, p := range r.model.Net.Params() {
 					p.ZeroGrad()
 				}
-				if a.results[m], errs[k] = r.microbatch(step, m, a.microX[m], a.microY[m], overlap, a.board, &putWG); errs[k] != nil {
+				if a.results[m], errs[k] = r.microbatch(step, m, a.microX[m], a.microY[m], overlap, a.board); errs[k] != nil {
 					return
 				}
 				if m == 0 {
@@ -492,13 +453,13 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 		}(k)
 	}
 	wg.Wait()
-	putWG.Wait()
 	if !overlap {
 		reduce()
 	}
 	// A failed worker has failed the board, so the reducer observes it
 	// and exits rather than waiting for buckets that will never come.
 	rerr := <-redErr
+	a.board.settle()
 	for _, err := range append(errs, rerr) {
 		if err != nil {
 			return stepResult{}, err
@@ -508,7 +469,7 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 		return stepResult{}, err
 	}
 	for m := 0; m < M; m++ {
-		a.reducer.del(step, uint64(m+1), len(a.reduced))
+		a.reducer.del(step, uint64(m+1))
 	}
 
 	// Phase 3: every replica adopts the lead state, imports the reduced
@@ -533,7 +494,7 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 			return stepResult{}, err
 		}
 	}
-	a.reducer.del(step, 0, len(a.reduced))
+	a.reducer.del(step, 0)
 
 	var sum stepResult
 	for _, res := range a.results {
@@ -580,20 +541,18 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	}
 	chunkElems := max(dp.BucketBytes/4, 1)
 
-	retry := transport.Retry{
-		Attempts: 8, Backoff: time.Millisecond,
-		Total: dp.StoreTimeout, OpTimeout: transport.AttemptTimeout(dp.StoreTimeout),
-	}
+	retry := transport.Retry{Attempts: 8, Backoff: time.Millisecond, Total: dp.StoreTimeout}
 	var shared transport.Transport
 	if dp.StoreDial == nil {
 		// One in-process backend shared by every worker (it is
-		// mutex-guarded); closing it once at the end suffices.
+		// mutex-guarded; closing it again is harmless).
 		shared = transport.NewLocal(nil, counters)
-		defer shared.Close()
 	}
 	tag := transport.GradTag(cfg.Seed)
 	pipe := codec.New(quant.OptL()) // DQT unused by the gradient codec
-	newExchange := func() *gradExchange {
+	// newExchange builds one goroutine's exchange over plan; its client
+	// closes when training returns.
+	newExchange := func(plan *nn.BucketPlan) *gradExchange {
 		tr := shared
 		if tr == nil {
 			tr = newStoreClient(dp.StoreDial, counters, dp.StoreTimeout, func(c *transport.NetClient) {
@@ -605,37 +564,30 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 				}
 			})
 		}
-		return &gradExchange{
-			tr: tr, pipe: pipe,
-			tag: tag, retry: retry, chunk: chunkElems, counters: counters,
-		}
+		return &gradExchange{tr: tr, pipe: pipe, tag: tag, retry: retry, plan: plan, counters: counters}
 	}
 
 	a := &allReduce{cfg: cfg, dp: dp, ds: ds, reps: make([]*dpReplica, K), board: newGradBoard()}
 	var gradSize int
 	for k := range a.reps {
-		r := &dpReplica{model: newModel(), opt: cfg.newOptimizer(), gx: newExchange()}
-		if shared == nil {
-			defer r.gx.tr.Close()
-		}
+		model := newModel()
+		r := &dpReplica{model: model, opt: cfg.newOptimizer(), gx: newExchange(nn.NewBucketPlan(model.Net, chunkElems))}
+		defer r.gx.tr.Close()
 		a.reps[k] = r
 		if k == 0 {
-			gradSize = nn.GradSize(r.model.Net)
-		} else if nn.GradSize(r.model.Net) != gradSize {
+			gradSize = nn.GradSize(model.Net)
+		} else if nn.GradSize(model.Net) != gradSize {
 			return fail("replica %d gradient size differs — newModel is not deterministic", k)
 		}
 		r.flat = make([]float32, gradSize)
-		r.plan = nn.NewBucketPlan(r.model.Net, chunkElems)
-		r.pass = &pass{net: r.model.Net, arena: tensor.NewArena()} // one arena per replica
+		r.pass = &pass{net: model.Net, arena: tensor.NewArena()} // one arena per replica
 		if activations != nil {
 			activations(k, r.pass)
 		}
 	}
-	a.reducer = newExchange()
-	if shared == nil {
-		defer a.reducer.tr.Close()
-	}
-	if chunks := a.reducer.chunkCount(gradSize); chunks > transport.GradMaxChunks {
+	a.reducer = newExchange(nn.NewBucketPlan(a.reps[0].model.Net, chunkElems))
+	defer a.reducer.tr.Close()
+	if chunks := a.reducer.plan.Buckets(); chunks > transport.GradMaxChunks {
 		return fail("a %d-element gradient in %d-byte buckets is %d chunks; the gradient key holds %d — raise BucketBytes",
 			gradSize, 4*chunkElems, chunks, transport.GradMaxChunks)
 	}

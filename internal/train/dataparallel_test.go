@@ -1,6 +1,9 @@
 package train
 
 import (
+	"errors"
+	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -194,5 +197,41 @@ func TestDataParallelRejectsTooManyReplicas(t *testing.T) {
 	one.Epochs, one.BatchesPerEpoch = 1, 1
 	if _, _, err := ClassifierDataParallel(wide, ds, one, DPOptions{BucketBytes: atLimit, Microbatches: 1}); err != nil {
 		t.Fatalf("%d-byte buckets over %d elements rejected: %v", atLimit, gradElems, err)
+	}
+}
+
+// TestDataParallelDeadStoreFailsTyped: against a store that refuses
+// every connection, the step fails with the typed verdict of the first
+// PUT in the reducer's fixed order (chunk descending, microbatch
+// ascending; the fixture's gradient is one bucket), within its budget,
+// and returns only once every PUT it issued has resolved: no handle and
+// no goroutine outlives the run.
+func TestDataParallelDeadStoreFailsTyped(t *testing.T) {
+	newModel, _, ds := dpFixture(1800)
+	cfg := dpCfg(t)
+	before := runtime.NumGoroutine()
+	refuse := func() (net.Conn, error) { return nil, errors.New("connection refused") }
+	start := time.Now()
+	_, snap, err := ClassifierDataParallel(newModel, ds, cfg, DPOptions{
+		Replicas: 2, Microbatches: 2, StoreDial: refuse, StoreTimeout: 200 * time.Millisecond,
+	})
+	if !errors.Is(err, transport.ErrStoreUnavailable) || !strings.Contains(err.Error(), "grad put step=0 slot=1 chunk=0") {
+		t.Fatalf("want microbatch 0's PUT to fail typed, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("a dead store took %v to fail the step", elapsed)
+	}
+	// A terminal failure counts as corrupted but not retried: one per
+	// PUT means both microbatches' PUTs reached their verdict.
+	if got := snap.Corrupted - snap.Retried; got != 2 {
+		t.Fatalf("%d PUTs reached a verdict, want 2: %+v", got, snap)
+	}
+	if snap.GradPuts != 0 {
+		t.Fatalf("%d gradient puts landed on a dead store", snap.GradPuts)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed run, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
