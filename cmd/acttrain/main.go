@@ -91,9 +91,9 @@ func main() {
 	storeKey := flag.Uint64("store-key", 0,
 		"with -offload -store: client id namespacing this trainer's keys on the shared store (keys become id<<32 | seq)")
 	storeTimeout := flag.Duration("store-timeout", 5*time.Second,
-		"with -store: total wall budget per wire op across reconnect+resend; a dead store fails typed and trips the circuit breaker into degraded local mode (0 = unbounded)")
+		"with -store: total wall budget per wire op across reconnect+resend; a dead store fails typed and trips the circuit breaker, which keeps frames off the wire in their store entries (0 = unbounded)")
 	noDegrade := flag.Bool("no-degrade", false,
-		"with -offload -store: disable the circuit breaker; wire failures fail the run instead of degrading to local offload")
+		"with -offload -store: disable the circuit breaker; wire failures fail the run instead of keeping frames off the wire")
 	replicas := flag.Int("replicas", 0,
 		"data-parallel replica workers exchanging gradients through the activation-store transport (0 = regular single-worker training)")
 	microbatches := flag.Int("microbatches", 4,

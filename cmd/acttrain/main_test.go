@@ -295,7 +295,7 @@ func TestDataParallelReplicasMatch(t *testing.T) {
 // epoch later. The trainer is held (SIGSTOP) while the test
 // acts, so the outage covers the same stretch of the run on any machine:
 // epoch 0 healthy, the next epoch against a dead store (recompute
-// replays, then the breaker degrades to the local fallback), the rest
+// replays, then the breaker keeps frames off the wire), the rest
 // against the new process (a probe closes the breaker and the client
 // reconnects). The digest must still be the in-process run's.
 func TestStoreKilledAndRestarted(t *testing.T) {

@@ -69,10 +69,3 @@ func denseActs(hs []Harvested) []*tensor.Tensor {
 func refOf(x *tensor.Tensor) *nn.ActRef {
 	return &nn.ActRef{Name: "input", Kind: compress.KindConv, T: x}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -96,8 +96,8 @@ func healthyReconstruction(t *testing.T, seed uint64) *tensor.Tensor {
 }
 
 // TestBreakerTripsAndDegrades: with the wire dead, the first offload
-// opens the breaker and itself degrades to the local fallback, and so
-// does everything after. Restores of degraded frames reconstruct the
+// opens the breaker and itself degrades, its frame kept off the wire in
+// its store entry, and so does everything after. Restores of degraded frames reconstruct the
 // exact tensor a healthy run would, and never touch the wire.
 func TestBreakerTripsAndDegrades(t *testing.T) {
 	wire := newFlakyWire()
@@ -141,8 +141,8 @@ func TestBreakerTripsAndDegrades(t *testing.T) {
 // TestBreakerProbesAndRecovers: after probeAfter degraded ops the
 // breaker half-opens and re-tries the wire; once the store is back the
 // probe succeeds, the breaker closes, and traffic returns to the wire.
-// Frames stored degraded remain readable (they are pinned to the
-// fallback).
+// Frames stored degraded remain readable (their bytes stay in their
+// store entries).
 func TestBreakerProbesAndRecovers(t *testing.T) {
 	wire := newFlakyWire()
 	s := breakerStore(wire)
@@ -179,7 +179,7 @@ func TestBreakerProbesAndRecovers(t *testing.T) {
 	}
 
 	// Every frame restores from wherever it lives: the degraded ones from
-	// the fallback, the probe's from the wire.
+	// their store entries, the probe's from the wire.
 	refs = append(refs, probe)
 	if err := restoreStep(s, refs...); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -282,7 +282,7 @@ func TestBreakerGetFailureAdvancesBreaker(t *testing.T) {
 }
 
 // Tripped reports whether the circuit breaker is currently open (new
-// offloads are being served degraded from the local fallback).
+// offloads are kept off the wire, degraded).
 func (s *Store) Tripped() bool {
 	s.brk.mu.Lock()
 	defer s.brk.mu.Unlock()

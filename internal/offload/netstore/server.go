@@ -7,28 +7,27 @@
 // "one compressed-activation cache, heavy concurrent traffic" north star
 // asks for.
 //
-// Responsibilities per connection are split across two goroutines: a
-// reader that decodes requests and executes the (cheap, sharded) store
-// operation, and a writer that streams responses back, decoupled by a
-// queue bounded in bytes (inFlightBytes) — when a slow client stops
-// draining responses, the reader stops reading and TCP backpressure does
-// the rest.
+// Each connection runs on one goroutine: it reads a request, executes
+// the (cheap, sharded) store operation and writes the response, header
+// and body in one vectored write, before it reads the next. A client
+// that stops draining responses stalls that write, so the server stops
+// reading it and TCP backpressure does the rest; other connections are
+// not held up.
 //
 // Integrity: PUT bodies are CRC-validated before they are stored (a
 // frame damaged in flight is refused with StatusCorrupt and the client
 // resends), and GET responses are re-validated client-side, so a bad
 // link can delay traffic but never corrupt the store or a consumer.
 //
-// Buffers: the server owns every PUT body. The reader draws it from the
-// server's one free list, and a stored frame keeps it as an entry whose
-// reference count is one for the shard map plus one per queued GET
-// response carrying it: the writer holds its response's reference until
-// the write returns, so a DELETE, overwrite or KillShard behind a slow
-// writer cannot hand the bytes to the next PUT while they are still
-// queued to go out. The last holder returns the buffer to the free list,
-// which keeps at most freeListBytes and drops the oldest past that. A
-// GET reply at least as large as the writer's bufio buffer goes out as
-// one vectored write of header and body.
+// Buffers: the server owns every PUT body. The connection draws it
+// from the server's one free list, and a stored frame keeps it as an
+// entry whose reference count is one for the shard map plus one per GET
+// reply carrying it: the connection holds its reply's reference until
+// the write returns, so a DELETE, overwrite or KillShard from another
+// connection behind a slow write cannot hand the bytes to the next PUT
+// while they are still going out. The last holder returns the buffer to
+// the free list, which keeps at most freeListBytes and drops the oldest
+// past that.
 package netstore
 
 import (
@@ -50,35 +49,18 @@ import (
 	"jpegact/internal/splitmix"
 )
 
-func newBufReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, 64<<10) }
-func newBufWriter(c net.Conn) *bufio.Writer { return bufio.NewWriterSize(c, 64<<10) }
-
 // Config sizes the server.
 type Config struct {
 	// Shards is the number of independent in-memory store backends keys
 	// are hashed across (<= 0 uses DefaultShards). More shards means
 	// less lock contention between concurrent clients.
 	Shards int
-	// respDelay, when positive, injects a fixed service latency into
-	// every response: the due time is stamped when the request is
-	// *executed*, and the connection's writer holds each response until
-	// its due time passes. Pipelined requests therefore overlap their
-	// delays (k requests in flight cost ~one delay), while a
-	// stop-and-wait client pays the delay once per op — the round-trip
-	// structure this package's pipelining test measures without a real
-	// network. No program sets it.
-	respDelay time.Duration
 	// Logf, when set, receives connection-lifecycle and error lines.
 	Logf func(format string, args ...any)
 }
 
 // DefaultShards is the shard count when Config leaves it zero.
 const DefaultShards = 4
-
-// inFlightBytes bounds the response bytes queued to any one
-// connection's writer. The head response is always admitted so one
-// oversized frame cannot deadlock a connection.
-const inFlightBytes = 4 << 20
 
 // freeListBytes bounds the capacity of the PUT body buffers the free
 // list keeps. An offload life cycle frees about one step's frames at a
@@ -99,7 +81,7 @@ type shard struct {
 }
 
 // entry is one stored frame. refs counts its holders: the shard map while
-// the key maps to it, plus one per queued GET response whose body is b.
+// the key maps to it, plus one per GET reply being written whose body is b.
 // Whoever drops the last one hands b to the free list (Server.release).
 type entry struct {
 	b    []byte
@@ -298,8 +280,8 @@ func (s *Server) Shutdown(grace time.Duration) error {
 		ln.Close()
 	}
 	for conn := range s.open {
-		// Wake the reader without touching writes: queued responses
-		// still stream out, only the next ReadRequest fails fast.
+		// Wake the reader without touching writes: a response being
+		// written still goes out, only the next ReadRequest fails fast.
 		conn.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
@@ -423,105 +405,48 @@ func (s *Server) release(e *entry) {
 	}
 }
 
-// response is one writer-queue element.
+// response is what handleRequest answers.
 type response struct {
 	status uint8
 	body   []byte
-	held   *entry    // the entry body belongs to, released after the write
-	due    time.Time // earliest write time (respDelay injection)
+	held   *entry // the entry body belongs to, released after the write
 }
 
-// handleConn runs one connection: the calling goroutine reads and
-// executes requests, a second goroutine writes responses. The queue
-// between them is bounded by the inFlightBytes budget — when the writer
-// falls behind (slow client, big frames), the reader blocks before
-// decoding the next request, which stops the TCP window and pushes the
-// backpressure all the way to the producer.
+// handleConn runs one connection: read a request, execute it, write its
+// response, then read the next. While a write is stalled (slow client,
+// big frames) nothing more is read from the connection, which stops the
+// TCP window and pushes the backpressure all the way to the producer.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
-	out := make(chan response, 128)
-	var qmu sync.Mutex
-	qcond := sync.NewCond(&qmu)
-	queued := 0
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		bw := newBufWriter(conn)
-		for resp := range out {
-			if !resp.due.IsZero() {
-				if d := time.Until(resp.due); d > 0 {
-					// Flush what's already written before holding the
-					// next response, so earlier replies are not pinned
-					// behind this one's delay.
-					bw.Flush()
-					time.Sleep(d)
-				}
-			}
-			var err error
-			if len(resp.body) >= bw.Size() {
-				// Past the buffer's size, bufio would copy a slice of the
-				// body and write the rest in a second syscall: send header
-				// and body as one vectored write instead.
-				if err = bw.Flush(); err == nil {
-					err = transport.WriteResponse(conn, resp.status, resp.body)
-				}
-			} else if err = transport.WriteResponse(bw, resp.status, resp.body); err == nil && len(out) == 0 {
-				err = bw.Flush()
-			}
-			s.release(resp.held)
-			qmu.Lock()
-			queued -= len(resp.body)
-			qcond.Broadcast()
-			qmu.Unlock()
-			if err != nil {
-				// The connection is gone; drain the queue so the reader
-				// never blocks on a dead writer, then bail.
-				conn.Close()
-				for resp := range out {
-					s.release(resp.held)
-					qmu.Lock()
-					queued -= len(resp.body)
-					qcond.Broadcast()
-					qmu.Unlock()
-				}
-				return
-			}
-		}
-		bw.Flush()
-	}()
-
-	br := newBufReader(conn)
+	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		req, err := transport.ReadRequest(br, s.free.get)
 		if err != nil {
 			if s.drainingNow() && isTimeout(err) {
-				// Shutdown woke us between requests: stop reading cleanly
-				// so close(out) lets the writer flush what's queued.
-				break
+				// Shutdown woke us between requests: every request read
+				// so far has been answered.
+				return
 			}
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				if errors.Is(err, transport.ErrWire) {
 					// The stream is poisoned — answer once, then drop the
 					// connection; the client's reconnect+resend recovers.
 					s.badReqs.Add(1)
-					s.enqueue(out, &qmu, qcond, &queued, response{status: transport.StatusBadRequest})
+					transport.WriteResponse(conn, transport.StatusBadRequest, nil)
 					s.logf("netstore: %s: %v (closing)", conn.RemoteAddr(), err)
 				} else {
 					s.logf("netstore: %s: read: %v", conn.RemoteAddr(), err)
 				}
 			}
-			break
+			return
 		}
 		resp := s.handleRequest(req)
-		if s.cfg.respDelay > 0 {
-			resp.due = time.Now().Add(s.cfg.respDelay)
+		err = transport.WriteResponse(conn, resp.status, resp.body)
+		s.release(resp.held)
+		if err != nil {
+			return
 		}
-		s.enqueue(out, &qmu, qcond, &queued, resp)
 	}
-	close(out)
-	wg.Wait()
 }
 
 func (s *Server) drainingNow() bool {
@@ -541,7 +466,7 @@ func isTimeout(err error) bool {
 // dropped — the chaos harness's lever for losing data while the process
 // lives. The frames are gone: their GETs answer StatusNotFound, and the
 // client's recovery policy (recompute, in training) replays the step
-// that lost them. A reply already queued still goes out whole.
+// that lost them. A reply already being written still goes out whole.
 func (s *Server) KillShard(i int) int {
 	if i < 0 || i >= len(s.shards) {
 		return 0
@@ -556,19 +481,6 @@ func (s *Server) KillShard(i int) int {
 		s.release(e)
 	}
 	return len(old)
-}
-
-// enqueue admits one response to the writer queue under the byte
-// budget. The head response is always admitted (progress guarantee).
-func (s *Server) enqueue(out chan response, qmu *sync.Mutex, qcond *sync.Cond, queued *int, resp response) {
-	n := len(resp.body)
-	qmu.Lock()
-	for *queued > 0 && *queued+n > inFlightBytes {
-		qcond.Wait()
-	}
-	*queued += n
-	qmu.Unlock()
-	out <- resp
 }
 
 // Snapshot returns the unified counter snapshot — the same struct the

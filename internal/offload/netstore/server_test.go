@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
@@ -229,38 +230,115 @@ func TestCorruptPayloadRefusedAndResent(t *testing.T) {
 	}
 }
 
-// TestQueuedGetSurvivesDeleteAndReuse: a GET reply waiting in the writer
-// queue holds its entry's buffer. The DELETE behind it and a PUT of other
-// bytes of the same length run while it waits — the PUT would read into
-// the freed buffer if the DELETE had recycled it — and the reply must
-// still carry the first PUT's bytes.
+// megFrame is a valid frame carrying 1 MiB of fill: far more than a
+// socket buffers, so a reply carrying it stalls in the server's write
+// until the client reads it.
+func megFrame(t testing.TB, fill byte) []byte {
+	t.Helper()
+	return frame.EncodeFrame(&frame.Frame{
+		Codec:   frame.CodecZVC,
+		Shape:   tensor.Shape{N: 1, C: 1, H: 512, W: 512},
+		Scales:  []float32{1},
+		Payload: bytes.Repeat([]byte{fill}, 1<<20),
+	})
+}
+
+// roundTrip writes one request on conn and reads its reply.
+func roundTrip(t *testing.T, conn net.Conn, op uint8, key uint64, body []byte) {
+	t.Helper()
+	if err := transport.WriteRequest(conn, op, key, body); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, err := transport.ReadResponse(conn); err != nil || status != transport.StatusOK {
+		t.Fatalf("op %d key %d: status %d, %v", op, key, status, err)
+	}
+}
+
+// TestQueuedGetSurvivesDeleteAndReuse: a GET reply the server is still
+// writing holds its entry's buffer. Connection a reads only the reply's
+// header, so the write of its 1 MiB body stalls; connection b then
+// DELETEs the key and PUTs other bytes of the same length — the PUT would
+// read into the freed buffer if the DELETE had recycled it — and a's
+// body must still carry the first PUT's bytes.
 func TestQueuedGetSurvivesDeleteAndReuse(t *testing.T) {
-	_, dial := startServer(t, Config{respDelay: 50 * time.Millisecond})
-	conn, err := dial()
+	_, dial := startServer(t, Config{})
+	var conns [2]net.Conn
+	for i := range conns {
+		c, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	a, b := conns[0], conns[1]
+	first, second := megFrame(t, 1), megFrame(t, 2)
+	roundTrip(t, a, transport.OpPut, 9, first)
+	if err := transport.WriteRequest(a, transport.OpGet, 9, nil); err != nil {
+		t.Fatal(err)
+	}
+	var h [8]byte // the response header
+	if _, err := io.ReadFull(a, h[:]); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, b, transport.OpDelete, 9, nil)
+	roundTrip(t, b, transport.OpPut, 9, second)
+	status, body, err := transport.ReadResponse(io.MultiReader(bytes.NewReader(h[:]), a))
+	if err != nil || status != transport.StatusOK {
+		t.Fatalf("get reply: status %d, %v", status, err)
+	}
+	if !bytes.Equal(body, first) {
+		t.Fatal("the GET reply carried bytes a later PUT wrote into its freed buffer")
+	}
+}
+
+// TestStalledReaderStallsOnlyItsConnection: a connection that pipelines
+// GETs of a 1 MiB frame and never reads the replies stalls the server's
+// writes to it, and only those: a client beside it still completes every
+// op, and Close still cuts the stalled connection.
+func TestStalledReaderStallsOnlyItsConnection(t *testing.T) {
+	srv, dial := startServer(t, Config{})
+	c := transport.NewNetClient(dial, nil)
+	c.OpTimeout = 5 * time.Second
+	defer c.Close()
+	r := transport.Retry{Attempts: 2}
+	if _, err := c.Put(1, megFrame(t, 1), r); err != nil {
+		t.Fatal(err)
+	}
+	stalled, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	first, second := testFrame(t, 1), testFrame(t, 2)
-	// One write: the reader executes all five requests long before the
-	// first reply is due.
+	defer stalled.Close()
 	var reqs bytes.Buffer
-	transport.WriteRequest(&reqs, transport.OpPut, 9, first)
-	transport.WriteRequest(&reqs, transport.OpGet, 9, nil)
-	transport.WriteRequest(&reqs, transport.OpDelete, 9, nil)
-	transport.WriteRequest(&reqs, transport.OpPut, 9, second)
-	transport.WriteRequest(&reqs, transport.OpGet, 9, nil)
-	if _, err := conn.Write(reqs.Bytes()); err != nil {
+	for range 16 {
+		transport.WriteRequest(&reqs, transport.OpGet, 1, nil)
+	}
+	if _, err := stalled.Write(reqs.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range [][]byte{nil, first, nil, nil, second} {
-		status, body, err := transport.ReadResponse(conn)
-		if err != nil || status != transport.StatusOK {
-			t.Fatalf("reply %d: status %d, %v", i, status, err)
+	for k := uint64(2); k <= 9; k++ {
+		buf := testFrame(t, byte(k))
+		if _, err := c.Put(k, buf, r); err != nil {
+			t.Fatalf("put %d beside a stalled connection: %v", k, err)
 		}
-		if !bytes.Equal(body, want) {
-			t.Fatalf("reply %d: got %x, want %x", i, body, want)
+		f, err := c.Get(k, r, false)
+		if err != nil || f.Payload[0] != byte(k) {
+			t.Fatalf("get %d beside a stalled connection: %v", k, err)
 		}
+		if err := c.Delete(k); err != nil {
+			t.Fatalf("delete %d beside a stalled connection: %v", k, err)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return with a connection's write stalled")
 	}
 }
 

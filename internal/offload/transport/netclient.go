@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -122,8 +121,6 @@ type NetClient struct {
 	queue      []*Pending // submitted, not yet on the wire
 	inflight   []*Pending // written, awaiting responses (FIFO)
 	conn       net.Conn
-	br         *bufio.Reader
-	bw         *bufio.Writer
 	epoch      uint64 // retired on every poison/redial; keys the reader
 	needRedial bool   // next dial is a reconnect (counted)
 	pumping    bool
@@ -191,7 +188,7 @@ func (c *NetClient) Close() error {
 	c.closed = true
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn, c.br, c.bw = nil, nil, nil
+		c.conn = nil
 	}
 	c.epoch++
 	outstanding := append(c.inflight, c.queue...)

@@ -9,7 +9,7 @@ package transport
 // goroutine, (b) matches responses to requests strictly FIFO, and
 // (c) on any connection-level failure treats *every* in-flight request
 // as lost, because a torn response desynchronizes the stream. The
-// netstore server runs a reader and a writer goroutine per connection;
+// netstore server answers each connection on one goroutine, in order;
 // this file is the client half.
 //
 // The window is this package's alone: NetClient.Window is the only such
@@ -19,9 +19,10 @@ package transport
 // what the transport reports through Transport.Depth — see FIFO.
 //
 // Machinery: submitted ops queue on the client; a pump goroutine
-// streams requests onto the wire while at most Depth() ops are in
-// flight, and a per-connection reader goroutine drains responses in
-// order, completing the in-flight FIFO head each time. Any dial, write,
+// writes requests onto the wire, each as one vectored write of header
+// and body, while at most Depth() ops are in flight, and a
+// per-connection reader goroutine drains responses in order, completing
+// the in-flight FIFO head each time. Any dial, write,
 // read or wire failure *poisons* the connection: it is closed, every
 // in-flight op is charged one failed attempt through its own Retry
 // schedule (charge, the one rule a payload refusal is charged by too),
@@ -293,16 +294,14 @@ func (c *NetClient) pump() {
 				c.needRedial = false
 			}
 			c.conn = conn
-			c.br = bufio.NewReader(conn)
-			c.bw = bufio.NewWriter(conn)
 			c.epoch++
-			go c.readLoop(c.epoch, conn, c.br)
+			go c.readLoop(c.epoch, conn, bufio.NewReader(conn))
 		}
 		// Move head into the in-flight FIFO before writing, so a torn
 		// write is resent by the same poison path as a torn read.
 		c.queue = c.queue[1:]
 		c.inflight = append(c.inflight, head)
-		conn, bw, epoch := c.conn, c.bw, c.epoch
+		conn, epoch := c.conn, c.epoch
 		head.sentAt = time.Now()
 		c.pcond.Broadcast()
 		c.pmu.Unlock()
@@ -312,11 +311,7 @@ func (c *NetClient) pump() {
 		} else {
 			conn.SetWriteDeadline(time.Time{})
 		}
-		err := WriteRequest(bw, head.op, head.key, head.body)
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
+		if err := WriteRequest(conn, head.op, head.key, head.body); err != nil {
 			c.pmu.Lock()
 			c.poisonLocked(epoch, fmt.Errorf("transport: write %s %d: %w", opName(head.op), head.key, err))
 			c.pmu.Unlock()
@@ -485,7 +480,7 @@ func (c *NetClient) poisonLocked(epoch uint64, cause error) {
 		return
 	}
 	c.conn.Close()
-	c.conn, c.br, c.bw = nil, nil, nil
+	c.conn = nil
 	c.needRedial = true
 	c.epoch++
 	victims := c.inflight

@@ -221,7 +221,7 @@ func (s Snapshot) WriteMetrics(w io.Writer, namespace string) error {
 		{"retried_total", "Transfer retries attempted", int64(s.Retried)},
 		{"dropped_total", "Transfers that yielded no bytes", int64(s.Dropped)},
 		{"reconnects_total", "Connections re-dialed", int64(s.Reconnects)},
-		{"degraded_total", "Operations served by the degraded local fallback", int64(s.Degraded)},
+		{"degraded_total", "Operations the open circuit breaker kept off the wire", int64(s.Degraded)},
 		{"hedged_total", "Reserved, always zero (hedged GETs were removed)", int64(s.Hedged)},
 		{"grad_puts_total", "Gradient frames put to the store", int64(s.GradPuts)},
 		{"grad_gets_total", "Gradient frames fetched from the store", int64(s.GradGets)},

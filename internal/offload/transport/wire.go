@@ -25,9 +25,10 @@
 // reconnect+resend retry takes over. ReadRequest/ReadResponse are
 // panic-free on arbitrary input and never allocate more than MaxBody.
 //
-// A message goes out as header and body in one vectored write (writev)
-// when w is a socket; through a bufio.Writer or any other writer it is
-// the same bytes in two Write calls.
+// Both ends write a message straight to the connection: header and body
+// go out in one vectored write (writev) when w is a socket, and as the
+// same bytes in two Write calls through any other writer, such as a
+// wrapped conn that injects faults.
 package transport
 
 import (

@@ -149,6 +149,13 @@ func (c *tapConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// Close ends the log's parse of the connection: the server closes it
+// without a further read once a write to it fails.
+func (c *tapConn) Close() error {
+	c.tee.Close()
+	return c.Conn.Close()
+}
+
 // twoSteps drives two offloaded training steps' worth of traffic through
 // an engine over s — more activations per step than the default
 // wire window holds, restored in reverse through a 4-deep prefetcher,

@@ -79,8 +79,8 @@ func (cs *chaosStore) killShard(i int) {
 // restarted, must converge to final weights bit-identical to a
 // fault-free in-process run. Every recovery mechanism is
 // content-transparent — reconnect+resend, a replay of the step whose
-// frames a killed shard took with it, breaker degradation to the local
-// fallback — so no amount of injected failure may change a single
+// frames a killed shard took with it, the breaker keeping frames off a
+// dead wire — so no amount of injected failure may change a single
 // weight bit. The run must also actually exercise the machinery: both
 // kills replayed a step, and degraded ops, reconnects and injected
 // resets are all nonzero.
@@ -151,7 +151,7 @@ func TestChaosSoakBitExact(t *testing.T) {
 			switch epoch {
 			case 0:
 				// The server dies outright: epoch 1 trains entirely
-				// degraded through the breaker's local fallback.
+				// degraded, the breaker keeping every frame off the wire.
 				cs.stop()
 			case 1:
 				// It comes back: once probation is served, the
