@@ -30,16 +30,18 @@
 //
 //	acttrain -model ResNet18 -replicas 4 -microbatches 4
 //
-// Every mode ends its output with the SHA-256 of the trained weights:
-// runs whose trajectories are bit-identical (local or networked store,
-// any replica count, a store killed and restarted mid-run) print the
-// same line.
+// Every mode prints one report: the epoch table, the footprint by
+// activation kind, the transport's counters (-offload, -replicas) and the
+// best score. It ends with the SHA-256 of the trained weights: runs whose
+// trajectories are bit-identical (local or networked store, any replica
+// count, a store killed and restarted mid-run) print the same line.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"time"
 
@@ -107,7 +109,7 @@ func main() {
 	}
 	cfg := jpegact.TrainConfig{
 		Method: m, Epochs: *epochs, BatchesPerEpoch: *batches,
-		BatchSize: *batch, MeasureError: true,
+		BatchSize: *batch, MeasureError: true, Seed: *seed,
 	}
 	sc := jpegact.ModelScale{Width: *width, Blocks: 1}
 
@@ -143,37 +145,49 @@ func main() {
 			os.Exit(2)
 		}
 	})
-	if *replicas > 0 {
-		if *useOffload {
-			fmt.Fprintln(os.Stderr, "acttrain: -replicas runs its own transport; drop -offload")
-			os.Exit(2)
-		}
-		runDataParallel(*model, sc, cfg, *seed, *replicas, *microbatches,
-			*store, *storeTimeout)
-		return
+	if *replicas > 0 && *useOffload {
+		fmt.Fprintln(os.Stderr, "acttrain: -replicas runs its own transport; drop -offload")
+		os.Exit(2)
 	}
-
-	if *useOffload {
-		runOffloaded(*model, sc, cfg, *seed, *policy, *flip, *trunc, *drop,
-			*store, *storeKey, *storeTimeout, *noDegrade)
-		return
+	if *model == "VDSR" && (*replicas > 0 || *useOffload) {
+		fmt.Fprintln(os.Stderr, "acttrain: -offload and -replicas support the classification models only")
+		os.Exit(2)
 	}
 
 	var rep jpegact.TrainReport
-	if *model == "VDSR" {
+	var snap jpegact.TransportSnapshot
+	var err error
+	switch {
+	case *replicas > 0:
+		rep, snap, err = runDataParallel(*model, sc, cfg, *replicas, *microbatches, *store, *storeTimeout)
+	case *useOffload:
+		rep, snap, err = runOffloaded(*model, sc, cfg, *policy, *flip, *trunc, *drop,
+			*store, *storeKey, *storeTimeout, *noDegrade)
+	case *model == "VDSR":
 		rep = jpegact.TrainSuperRes(sc, cfg, *seed)
-	} else {
+	default:
 		rep = jpegact.TrainClassifier(*model, sc, cfg, *seed)
 	}
+	report(rep, snap, err)
+}
 
+// streamEpoch is the -offload and -replicas epoch hook: one line per
+// epoch while the run goes on.
+func streamEpoch(e jpegact.EpochStats) {
+	fmt.Printf("epoch %d: loss=%.4f score=%.4f\n", e.Epoch, e.Loss, e.Score)
+}
+
+// report prints what every mode prints: the epoch table, the footprint,
+// the counters of the mode's transport (when it has one), the best score
+// and, last, the weights digest. A failed run exits 1 after the counters,
+// a diverged one after the digest.
+func report(rep jpegact.TrainReport, snap jpegact.TransportSnapshot, err error) {
 	fmt.Printf("model=%s method=%s\n", rep.ModelName, rep.MethodName)
 	fmt.Printf("%-6s %-9s %-9s %-8s %-10s\n", "epoch", "loss", "score", "ratio", "act-L2-err")
 	for _, e := range rep.Epochs {
 		fmt.Printf("%-6d %-9.4f %-9.4f %-8.2f %-10.3e\n",
 			e.Epoch, e.Loss, e.Score, e.CompressionRatio, e.ActL2Error)
 	}
-	fmt.Printf("best score %.4f, final ratio %.2fx, diverged=%v\n",
-		rep.BestScore, rep.FinalRatio, rep.Diverged)
 	if len(rep.Footprint) > 0 {
 		fmt.Println("footprint by activation kind:")
 		for _, fe := range rep.Footprint {
@@ -182,12 +196,20 @@ func main() {
 				float64(fe.OriginalBytes)/float64(fe.CompressedBytes))
 		}
 	}
-	finish(rep)
-}
-
-// finish prints the weights digest — the last line of every mode — and
-// exits non-zero on a diverged run.
-func finish(rep jpegact.TrainReport) {
+	if snap != (jpegact.TransportSnapshot{}) {
+		fmt.Print("counters:")
+		v := reflect.ValueOf(snap)
+		for i := 0; i < v.NumField(); i++ {
+			fmt.Printf(" %s=%d", v.Type().Field(i).Tag.Get("json"), v.Field(i).Interface())
+		}
+		fmt.Println()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "acttrain: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("best score %.4f, final ratio %.2fx, diverged=%v\n",
+		rep.BestScore, rep.FinalRatio, rep.Diverged)
 	fmt.Printf("weights sha256=%s\n", rep.WeightsDigest)
 	if rep.Diverged {
 		os.Exit(1)
@@ -195,16 +217,12 @@ func finish(rep jpegact.TrainReport) {
 }
 
 // runDataParallel trains with K replica workers exchanging gradients
-// through the activation-store transport (in-process by default; a
-// shared networked store with -store) and reports the exchange counters.
-func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, replicas, microbatches int, store string, storeTimeout time.Duration) {
-	if model == "VDSR" {
-		fmt.Fprintln(os.Stderr, "acttrain: -replicas supports the classification models only")
-		os.Exit(2)
-	}
+// through the activation-store transport: in-process by default, a
+// shared networked store with -store.
+func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, replicas, microbatches int, store string, storeTimeout time.Duration) (jpegact.TrainReport, jpegact.TransportSnapshot, error) {
 	dp := jpegact.DataParallelOptions{
 		Replicas: replicas, Microbatches: microbatches,
-		StoreTimeout: storeTimeout, Verbose: true,
+		StoreTimeout: storeTimeout, EpochEnd: streamEpoch,
 	}
 	if store != "" {
 		dial, err := jpegact.DialActivationStore(store)
@@ -214,47 +232,26 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 		}
 		dp.StoreDial = dial
 	}
-	cfg.Seed = seed
-
-	rep, snap, err := jpegact.TrainClassifierDataParallel(model, sc, cfg, dp, seed)
-	fmt.Printf("model=%s method=%s\n", rep.ModelName, rep.MethodName)
-	fmt.Printf("%-6s %-9s %-9s\n", "epoch", "loss", "score")
-	for _, e := range rep.Epochs {
-		fmt.Printf("%-6d %-9.4f %-9.4f\n", e.Epoch, e.Loss, e.Score)
-	}
-	fmt.Printf("exchange: grad_puts=%d grad_gets=%d grad_bytes=%d reconnects=%d\n",
-		snap.GradPuts, snap.GradGets, snap.BytesGrad, snap.Reconnects)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acttrain: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("best score %.4f, diverged=%v\n", rep.BestScore, rep.Diverged)
-	finish(rep)
+	return jpegact.TrainClassifierDataParallel(model, sc, cfg, dp, cfg.Seed)
 }
 
 // runOffloaded trains over the real host-memory channel, optionally
-// fault-injected, and reports the store's recovery counters.
-func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, seed uint64, policy string, flip, trunc, drop float64, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) {
-	if model == "VDSR" {
-		fmt.Fprintln(os.Stderr, "acttrain: -offload supports the classification models only")
-		os.Exit(2)
+// fault-injected, and prints the injector's counters.
+func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, policy string, flip, trunc, drop float64, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) (jpegact.TrainReport, jpegact.TransportSnapshot, error) {
+	oc := jpegact.OffloadTrainOptions{
+		DQT:       jpegact.OptL(),
+		StoreAddr: store, StoreKeyBase: storeKey << 32,
+		StoreTimeout: storeTimeout, NoDegrade: noDegrade, EpochEnd: streamEpoch,
 	}
-	var pol jpegact.RecoveryPolicy
-	switch strings.ToLower(policy) {
-	case "fail":
-		pol = jpegact.RecoverFail
-	case "retry":
-		pol = jpegact.RecoverRetry
-	case "recompute":
-		pol = jpegact.RecoverRecompute
-	default:
+	known := false
+	for _, p := range []jpegact.RecoveryPolicy{jpegact.RecoverFail, jpegact.RecoverRetry, jpegact.RecoverRecompute} {
+		if strings.EqualFold(policy, p.String()) {
+			oc.Policy, known = p, true
+		}
+	}
+	if !known {
 		fmt.Fprintf(os.Stderr, "acttrain: unknown policy %q\n", policy)
 		os.Exit(2)
-	}
-	oc := jpegact.OffloadTrainOptions{
-		DQT: jpegact.OptL(), Policy: pol, Verbose: true,
-		StoreAddr: store, StoreKeyBase: storeKey << 32,
-		StoreTimeout: storeTimeout, NoDegrade: noDegrade,
 	}
 	if store != "" && (flip > 0 || trunc > 0 || drop > 0) {
 		fmt.Fprintln(os.Stderr, "acttrain: -flip/-trunc/-drop inject on the in-process channel; they have no effect with -store")
@@ -268,28 +265,11 @@ func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, 
 		oc.Channel = inj
 	}
 
-	rep, stats, err := jpegact.TrainClassifierOffloaded(model, sc, cfg, oc, seed)
-	fmt.Printf("model=%s method=%s\n", rep.ModelName, rep.MethodName)
-	fmt.Printf("%-6s %-9s %-9s %-8s\n", "epoch", "loss", "score", "ratio")
-	for _, e := range rep.Epochs {
-		fmt.Printf("%-6d %-9.4f %-9.4f %-8.2f\n", e.Epoch, e.Loss, e.Score, e.CompressionRatio)
-	}
-	fmt.Printf("channel: offloaded=%d restored=%d corrupted=%d retried=%d recomputed=%d dropped=%d reconnects=%d verified=%dB\n",
-		stats.Offloaded, stats.Restored, stats.Corrupted, stats.Retried,
-		stats.Recomputed, stats.Dropped, stats.Reconnects, stats.BytesVerified)
-	if stats.Degraded > 0 {
-		fmt.Printf("failure-domain: degraded=%d\n", stats.Degraded)
-	}
+	rep, snap, err := jpegact.TrainClassifierOffloaded(model, sc, cfg, oc, cfg.Seed)
 	if inj != nil {
 		s := inj.Stats()
 		fmt.Printf("injector: transfers=%d flips=%d truncations=%d drops=%d forced=%d\n",
 			s.Transfers, s.Flips, s.Truncations, s.Drops, s.Forced)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acttrain: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("best score %.4f, final ratio %.2fx, diverged=%v\n",
-		rep.BestScore, rep.FinalRatio, rep.Diverged)
-	finish(rep)
+	return rep, snap, err
 }

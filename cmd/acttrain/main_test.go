@@ -270,6 +270,22 @@ func TestNetworkedClientsMatchLocal(t *testing.T) {
 	}
 }
 
+// TestOffloadIsMethodOptL: -offload trains what -method optl trains —
+// JPEG-ACT at the OptL table — and prints the same five-column epoch
+// table (ratio and act-L2-err included) and the same weights digest.
+func TestOffloadIsMethodOptL(t *testing.T) {
+	acttrain, _ := binaries(t)
+	offload := mustTrain(t, acttrain, small("-offload")...)
+	optl := mustTrain(t, acttrain, small("-method", "optl")...)
+	got, want := epochTable(offload), epochTable(optl)
+	if len(want) != 3 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("-offload epoch table:\n%s\n-method optl:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if digest(t, offload) != digest(t, optl) {
+		t.Errorf("-offload and -method optl trained different weights:\n%s\n%s", offload, optl)
+	}
+}
+
 // TestDataParallelReplicasMatch: K ∈ {1, 2, 4} replicas exchanging
 // gradients through one actstore print the digest of the in-process K=1
 // run, and the exchange really happened.

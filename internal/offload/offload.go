@@ -106,10 +106,11 @@ type Stats = transport.Snapshot
 // fixes the deterministic reverse-restore order (and doubles as the
 // transport key) plus its framed byte footprint. A frame lives on the
 // transport or in held, the framed bytes of a frame that never crossed
-// it: one the engine kept on the device, or one the circuit breaker
-// kept off a dead wire (degraded, which counts its restore). Restore
-// and delete follow held, so a frame is always read back from wherever
-// its bytes actually live. shape is the activation's, and arena the step
+// it: one the engine kept on the device (the held tail, or a BRC frame,
+// whose mask the ref keeps), or one the circuit breaker kept off a dead
+// wire (degraded, which counts its restore). Restore and delete follow
+// held, so a frame is always read back from wherever its bytes actually
+// live. shape is the activation's, and arena the step
 // arena its commit released the tensor's buffer to (nil when the buffer
 // was not an arena's): the restore decodes into a buffer drawn from it.
 type entry struct {
@@ -233,13 +234,14 @@ type commitTicket struct {
 }
 
 // commitIssue claims the next offload sequence number and decides where
-// the frame lives: a held frame, or one the open circuit breaker keeps
-// off the wire, issues nothing; anything else is one PUT, launched
-// without waiting for the response. The breaker decides at issue time;
-// one that trips between issue and wait affects the next issue, not
-// this one. Callers must issue tickets in strict submission order (the
-// sequence and the wire order must agree) and complete each one with
-// commitWait, in the same order.
+// the frame lives: a held frame, a BRC frame (its mask stays on the
+// device; the frame is only its accounting), or one the open circuit
+// breaker keeps off the wire, issues nothing; anything else is one PUT,
+// launched without waiting for the response. The breaker decides at
+// issue time; one that trips between issue and wait affects the next
+// issue, not this one. Callers must issue tickets in strict submission
+// order (the sequence and the wire order must agree) and complete each
+// one with commitWait, in the same order.
 func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool, hold bool) *commitTicket {
 	s.mu.Lock()
 	seq := s.nextSeq
@@ -247,7 +249,7 @@ func (s *Store) commitIssue(ref *nn.ActRef, data []byte, mask []bool, hold bool)
 	s.mu.Unlock()
 	t := &commitTicket{ref: ref, seq: seq, data: data, mask: mask}
 	switch {
-	case hold:
+	case hold || mask != nil:
 	case s.breakerActive() && s.brk.skipWire():
 		s.counters.Degraded.Add(1)
 		t.degraded = true

@@ -31,10 +31,11 @@ func benchStep(seed uint64) (*models.Model, *tensor.Tensor, lossFunc) {
 // and loss, minus exactly the offloaded buffers; right after EndStep it
 // holds what the plain step holds after backward, minus exactly the BRC
 // refs' buffers, which keep only their mask. Both hold on the engine's
-// first step, which sends every frame, and on its second, which holds the
-// last 4. Inside a trained step the save hooks commit while the forward
-// pass is still running, so when the buffers go back depends on timing:
-// that high-water is logged beside the plain one, not gated.
+// first step, which sends every frame but the BRC one, and on its second,
+// which holds the last 4 (the BRC frame among them). Inside a trained
+// step the save hooks commit while the forward pass is still running, so
+// when the buffers go back depends on timing: that high-water is logged
+// beside the plain one, not gated.
 func TestCommitHandsBuffersBack(t *testing.T) {
 	atWorkers(t, 2)
 	const seed = 2100
@@ -57,7 +58,7 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 	store.Channel = ch
 	eng := offload.NewEngine(store, offload.EngineConfig{})
 	defer eng.Close()
-	for step, wantSent := range []int{13, 9} {
+	for step, wantSent := range []int{12, 9} {
 		a := tensor.NewArena()
 		eng.BeginStep()
 		grad := forward(m, a, x, lossOf)

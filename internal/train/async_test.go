@@ -59,13 +59,12 @@ func (c *captureChannel) transfers() int {
 const heldTail = 4
 
 // withoutHeldTails drops from a channel sequence in which every step
-// sends all its perStep frames the frames an engine's second and later
-// steps keep on the device: the last heldTail of every step after the
-// first.
-func withoutHeldTails(frames []string, perStep int) []string {
+// sends perStep frames the frames an engine's second and later steps keep
+// on the device: the last held of every step after the first.
+func withoutHeldTails(frames []string, perStep, held int) []string {
 	out := append([]string(nil), frames[:perStep]...)
 	for lo := perStep; lo < len(frames); lo += perStep {
-		out = append(out, frames[lo:lo+perStep-heldTail]...)
+		out = append(out, frames[lo:lo+perStep-held]...)
 	}
 	return out
 }
@@ -192,13 +191,15 @@ func TestAsyncDropRecovery(t *testing.T) {
 }
 
 // TestHeldTailSkipsChannel: on the bench-scale ResNet18 (13 saved refs a
-// step), an engine's first step sends and fetches every frame — 26
+// step, one of them a BRC frame, which never crosses the channel), an
+// engine's first step sends and fetches the other 12 frames — 24
 // transfers — and from its second step on the 4 frames forward submits
-// last stay on the device — 18; an engine built afresh for every step
-// has every step be its first. The batch input is submitted first, so it
-// is the first frame on the channel and never held. Both runs submit the
-// same frame sequence, so the held frames are the fresh engines' last 4
-// of each step; every step restores all it offloaded; and the weights
+// last, the BRC frame among them, stay on the device — 18; an engine
+// built afresh for every step has every step be its first. The batch
+// input is submitted first, so it is the first frame on the channel and
+// never held. Both runs submit the same frame sequence, so the frames
+// held on the device are the fresh engines' last 3 sent of each step;
+// every step restores all it offloaded; and the weights
 // after the steps are the ones the in-place round trip through the same
 // codec reached (heldTailRoundTrip, recorded before that round trip ran
 // through the engine).
@@ -235,7 +236,7 @@ func TestHeldTailSkipsChannel(t *testing.T) {
 			}
 			want := 18
 			if s == 0 || fresh {
-				want = 26
+				want = 24
 			}
 			if got := ch.transfers() - before; got != want {
 				t.Errorf("fresh %v step %d: %d transfers, want %d", fresh, s, got, want)
@@ -258,10 +259,10 @@ func TestHeldTailSkipsChannel(t *testing.T) {
 	if fresh != heldTailRoundTrip || held != heldTailRoundTrip {
 		t.Fatalf("weights: fresh engines %s, one engine %s, the round trip's %s", fresh, held, heldTailRoundTrip)
 	}
-	if len(allSent) != 3*13 || len(heldSent) != 13+2*9 {
-		t.Fatalf("sent %d frames through fresh engines, %d through one, want %d and %d", len(allSent), len(heldSent), 3*13, 13+2*9)
+	if len(allSent) != 3*12 || len(heldSent) != 12+2*9 {
+		t.Fatalf("sent %d frames through fresh engines, %d through one, want %d and %d", len(allSent), len(heldSent), 3*12, 12+2*9)
 	}
-	for i, f := range withoutHeldTails(allSent, 13) {
+	for i, f := range withoutHeldTails(allSent, 12, heldTail-1) {
 		if f != heldSent[i] {
 			t.Fatalf("frame %d on the channel differs between the runs: they hold different refs", i)
 		}

@@ -122,19 +122,20 @@ func TestChaosSoakBitExact(t *testing.T) {
 	// Nth PUT, wipe a shard while its entries are still resident, so a
 	// restore that follows finds its frame gone and the step is replayed.
 	// Keys are the store's sequence numbers, so the shard map is known. A
-	// step claims 13 sequence numbers. The engine's first step sends all
-	// 13 (puts 1-13, seqs 0-12); from its second step on — the replay
-	// included — the last 4 stay on the device, so 9 go on the wire. At
-	// put 8 (seqs 0-7 acknowledged, forward of epoch 0's first step)
-	// shard 0 holds at least six of them. That step's replay is puts
-	// 14-22 (seqs 13-21, 22-25 held), so the second step's forward is
-	// puts 23-31 (seqs 26-34): at put 27 (seqs 26-30) shard 2 holds three
-	// of them, and the second step is replayed too (puts 32-40).
+	// step claims 13 sequence numbers, the last a BRC frame, which never
+	// goes on the wire. The engine's first step sends the other 12 (puts
+	// 1-12, seqs 0-11); from its second step on — the replay included —
+	// the last 4 stay on the device, so 9 go on the wire. At put 8 (seqs
+	// 0-7 acknowledged, forward of epoch 0's first step) shard 0 holds six
+	// of them. That step's replay is puts 13-21 (seqs 13-21, 22-25 held),
+	// so the second step's forward is puts 22-30 (seqs 26-34): at put 27
+	// (seqs 26-31) shard 2 holds three of them, and the second step is
+	// replayed too (puts 31-39).
 	var wirePuts atomic.Uint64
 	chaosRep, stats, chaosModel := run(OffloadOptions{
 		StoreDial:    transport.Dialer(inj.WrapDialer(dial)),
 		StoreTimeout: time.Second,
-		StoreClient: func(c *transport.NetClient) {
+		ClientHook: func(c *transport.NetClient) {
 			c.Latency = func(op uint8, _ time.Duration) {
 				if op != transport.OpPut {
 					return
@@ -147,8 +148,8 @@ func TestChaosSoakBitExact(t *testing.T) {
 				}
 			}
 		},
-		EpochEnd: func(epoch int) {
-			switch epoch {
+		EpochEnd: func(e EpochStats) {
+			switch e.Epoch {
 			case 0:
 				// The server dies outright: epoch 1 trains entirely
 				// degraded, the breaker keeping every frame off the wire.

@@ -69,8 +69,8 @@ import (
 // DPOptions configures the data-parallel trainer.
 // ClassifierDataParallel ignores Config.Method and Config.MeasureError:
 // its activation policy is none — saved activations reach backward
-// untouched, without even Baseline's byte accounting, so the compression
-// ratio it reports is 0.
+// untouched and are counted at their float32 size, so the compression
+// ratio it reports is 1.
 type DPOptions struct {
 	// Replicas is K, the worker count (default 1). Each worker is a
 	// goroutine holding its own full model replica and optimizer.
@@ -101,8 +101,8 @@ type DPOptions struct {
 	// ClientHook observes every wire client built (chaos harnesses
 	// install op-count kill triggers here).
 	ClientHook func(*transport.NetClient)
-	// Verbose prints per-epoch exchange counters.
-	Verbose bool
+	// EpochEnd, when set, sees each epoch as the report records it.
+	EpochEnd func(EpochStats)
 }
 
 func (dp DPOptions) withDefaults() DPOptions {
@@ -604,15 +604,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	if dp.StoreDial != nil {
 		rep.MethodName += "+netstore"
 	}
-	l := loop{cfg: cfg, step: a.step, validate: classifierValidation(lead.Net, a.reps[0].pass.arena, ds, cfg)}
-	if dp.Verbose {
-		l.verbose = func(e EpochStats) {
-			s := counters.Snapshot()
-			fmt.Printf("epoch %d: loss=%.4f acc=%.3f grad_puts=%d grad_gets=%d grad_bytes=%d retried=%d reconnects=%d\n",
-				e.Epoch, e.Loss, e.Score, s.GradPuts, s.GradGets, s.BytesGrad, s.Retried, s.Reconnects)
-		}
-	}
-	err := l.run(&rep)
-	rep.WeightsDigest = weightsDigest(lead.Net)
-	return rep, counters.Snapshot(), err
+	l := loop{cfg: cfg, step: a.step, epochEnd: dp.EpochEnd,
+		validate: classifierValidation(lead.Net, a.reps[0].pass.arena, ds, cfg)}
+	return l.finish(rep, lead.Net, counters)
 }

@@ -155,7 +155,7 @@ func TestOffloadedTrainingFailPolicy(t *testing.T) {
 	inj = faults.New(faults.Config{Seed: 78})
 	rep, stats, err := ClassifierOffloaded(m, ds, faultCfg(t), OffloadOptions{
 		DQT: quant.OptL(), Channel: inj, Policy: offload.PolicyFail,
-		EpochEnd: func(int) { inj.ForceNextRecv(1) },
+		EpochEnd: func(EpochStats) { inj.ForceNextRecv(1) },
 	})
 	if !errors.Is(err, frame.ErrChecksum) {
 		t.Fatalf("want frame.ErrChecksum in epoch 1, got %v", err)

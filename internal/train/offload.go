@@ -23,7 +23,6 @@ package train
 // transport, bit for bit.
 
 import (
-	"fmt"
 	"time"
 
 	"jpegact/internal/compress"
@@ -37,8 +36,8 @@ import (
 )
 
 // OffloadOptions configures the offloaded (host-memory) training path.
-// ClassifierOffloaded ignores Config.Method and Config.MeasureError: the
-// store runs JPEG-ACT at the DQT below.
+// ClassifierOffloaded ignores Config.Method: the store runs JPEG-ACT at
+// the DQT below.
 type OffloadOptions struct {
 	// DQT is the quantization table for the store's JPEG-ACT pipeline
 	// (the zero table = quant.OptL()).
@@ -81,16 +80,15 @@ type OffloadOptions struct {
 	// surface instead of degrading (the store entry keeping the frame's
 	// bytes). Only meaningful in networked mode.
 	NoDegrade bool
-	// StoreClient, when set, receives the built wire client before the
+	// ClientHook, when set, receives the built wire client before the
 	// first operation — the seam chaos tests use to install op-count
 	// triggers (kill a shard on the Nth PUT) via the Latency hook.
-	StoreClient func(*transport.NetClient)
-	// EpochEnd, when set, runs after each epoch's batches (before
-	// validation) — the deterministic point where a chaos harness kills
-	// or restarts the server between steps, when the store is empty.
-	EpochEnd func(epoch int)
-	// Verbose prints per-epoch fault counters from the training loop.
-	Verbose bool
+	ClientHook func(*transport.NetClient)
+	// EpochEnd, when set, sees each epoch as the report records it. It
+	// runs between steps, when the store is empty (validation offloads
+	// nothing): the deterministic point where a chaos harness kills or
+	// restarts the server.
+	EpochEnd func(EpochStats)
 }
 
 // newStoreClient builds the wire client both trainers use, pipelined at
@@ -114,7 +112,6 @@ func newStoreClient(dial transport.Dialer, counters *transport.Counters, timeout
 // up to that point).
 func ClassifierOffloaded(m *models.Model, ds *data.Classification, cfg Config, oc OffloadOptions) (Report, offload.Stats, error) {
 	cfg = cfg.withDefaults()
-	cfg.MeasureError = false
 	if oc.DQT == (quant.DQT{}) {
 		// A zero table would quantize every coefficient by 2⁰.
 		oc.DQT = quant.OptL()
@@ -142,12 +139,13 @@ func trainLocal(m *models.Model, cfg Config, method compress.Method, oc OffloadO
 		epochEnd: oc.EpochEnd,
 		validate: validate,
 	}
-	var store *offload.Store
+	counters := new(transport.Counters) // the baseline moves no bytes
 	if _, none := method.(compress.Baseline); !none {
-		var err error
-		if store, err = newStore(oc); err != nil {
+		store, err := newStore(oc)
+		if err != nil {
 			return rep, offload.Stats{}, err
 		}
+		counters = store.Counters()
 		defer store.Close()
 		if store.Transport != nil {
 			rep.MethodName += "+netstore"
@@ -165,20 +163,7 @@ func trainLocal(m *models.Model, cfg Config, method compress.Method, oc OffloadO
 			return step(epoch, b)
 		}
 	}
-	if oc.Verbose && store != nil {
-		l.verbose = func(e EpochStats) {
-			s := store.Stats()
-			fmt.Printf("epoch %d: offloaded=%d restored=%d corrupted=%d retried=%d recomputed=%d dropped=%d verified=%dB\n",
-				e.Epoch, s.Offloaded, s.Restored, s.Corrupted, s.Retried, s.Recomputed, s.Dropped, s.BytesVerified)
-		}
-	}
-	err := l.run(&rep)
-	rep.WeightsDigest = weightsDigest(m.Net)
-	var stats offload.Stats
-	if store != nil {
-		stats = store.Stats()
-	}
-	return rep, stats, err
+	return l.finish(rep, m.Net, counters)
 }
 
 // newStore builds the activation store oc describes: the in-process
@@ -200,7 +185,7 @@ func newStore(oc OffloadOptions) (*offload.Store, error) {
 			}
 			dial = d
 		}
-		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.StoreClient)
+		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.ClientHook)
 		store.KeyBase = oc.StoreKeyBase
 		store.NoDegrade = oc.NoDegrade
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"jpegact/internal/compress"
@@ -197,7 +198,7 @@ func TestLoopDivergenceAndErrorExits(t *testing.T) {
 					}
 					return stepResult{loss: 1}, nil
 				},
-				epochEnd: func(epoch int) { hooked = append(hooked, epoch) },
+				epochEnd: func(e EpochStats) { hooked = append(hooked, e.Epoch) },
 				validate: func() (float64, *tensor.Tensor) { return 0.5, tc.valOut },
 			}
 			var rep Report
@@ -237,4 +238,28 @@ func TestLoopDivergenceAndErrorExits(t *testing.T) {
 	newModel, _, dds := dpFixture(1900)
 	rep, _, err = ClassifierDataParallel(newModel, dds, cfg, DPOptions{Replicas: 2, Microbatches: 2})
 	check("ClassifierDataParallel", rep, err)
+}
+
+// TestTrainerEpochHooks: each trainer's EpochEnd sees exactly the epochs
+// its report records, in order, as the loop records them.
+func TestTrainerEpochHooks(t *testing.T) {
+	cfg := Config{Epochs: 2, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05}
+	check := func(name string, rep Report, err error, hooked []EpochStats) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rep.Epochs) != cfg.Epochs || !slices.Equal(hooked, rep.Epochs) {
+			t.Fatalf("%s: the hook saw %+v, the report records %+v", name, hooked, rep.Epochs)
+		}
+	}
+	var hooked []EpochStats
+	hook := func(e EpochStats) { hooked = append(hooked, e) }
+	m, ds := faultModel(1950)
+	rep, _, err := ClassifierOffloaded(m, ds, cfg, OffloadOptions{EpochEnd: hook})
+	check("ClassifierOffloaded", rep, err, hooked)
+	hooked = nil
+	newModel, _, dds := dpFixture(1950)
+	rep, _, err = ClassifierDataParallel(newModel, dds, cfg, DPOptions{Replicas: 2, Microbatches: 2, EpochEnd: hook})
+	check("ClassifierDataParallel", rep, err, hooked)
 }

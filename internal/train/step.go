@@ -8,8 +8,9 @@ package train
 //     activations between the two passes — nothing (the baseline), or an
 //     offload through an offload.Engine, which is also how every lossy
 //     Table I method runs the paper's functional simulation.
-//   - loop.run is the epoch driver around it: LR decay → batches →
-//     divergence check → epoch hook → stats → validation → NaN guard.
+//   - loop.run is the epoch driver around it: batches → divergence
+//     check → stats → validation → epoch hook → NaN guard. loop.finish
+//     is every trainer's tail: the run, the weights digest, the counters.
 //
 // The gradient policy is the loop's step function: localStep hands the
 // pass's gradients to this worker's optimizer, allReduce.step (see
@@ -26,6 +27,7 @@ import (
 	"jpegact/internal/data"
 	"jpegact/internal/nn"
 	"jpegact/internal/offload"
+	"jpegact/internal/offload/transport"
 	"jpegact/internal/tensor"
 )
 
@@ -324,13 +326,20 @@ type loop struct {
 	cfg Config
 	// step runs one training step, optimizer update included.
 	step func(epoch, b int) (stepResult, error)
-	// epochEnd, when set, runs after an epoch's batches, before validation.
-	epochEnd func(epoch int)
 	// validate scores the held-out batch, returning the raw output for
 	// the NaN guard.
 	validate func() (score float64, out *tensor.Tensor)
-	// verbose, when set, reports each completed epoch.
-	verbose func(EpochStats)
+	// epochEnd, when set, sees every epoch the report records, as soon
+	// as it is recorded.
+	epochEnd func(EpochStats)
+}
+
+// finish is every trainer's tail: it runs the loop into rep, then stamps
+// net's weights digest and snapshots the trainer's counters.
+func (l *loop) finish(rep Report, net nn.Layer, counters *transport.Counters) (Report, transport.Snapshot, error) {
+	err := l.run(&rep)
+	rep.WeightsDigest = weightsDigest(net)
+	return rep, counters.Snapshot(), err
 }
 
 // run trains cfg.Epochs epochs into rep. A step error ends the run with
@@ -352,9 +361,6 @@ func (l *loop) run(rep *Report) error {
 			sum.add(res)
 			foot = res.foot
 		}
-		if l.epochEnd != nil {
-			l.epochEnd(epoch)
-		}
 		stats := EpochStats{Epoch: epoch, Loss: sum.loss / float64(l.cfg.BatchesPerEpoch)}
 		if sum.sizes.Comp > 0 {
 			stats.CompressionRatio = float64(sum.sizes.Orig) / float64(sum.sizes.Comp)
@@ -365,6 +371,9 @@ func (l *loop) run(rep *Report) error {
 		var out *tensor.Tensor
 		stats.Score, out = l.validate()
 		rep.Epochs = append(rep.Epochs, stats)
+		if l.epochEnd != nil {
+			l.epochEnd(stats)
+		}
 		if nn.NaNGuard(out) {
 			rep.Diverged = true
 			return nil
@@ -373,9 +382,6 @@ func (l *loop) run(rep *Report) error {
 			rep.BestScore = stats.Score
 		}
 		rep.FinalRatio = stats.CompressionRatio
-		if l.verbose != nil {
-			l.verbose(stats)
-		}
 	}
 	rep.Footprint = sortedFootprint(foot)
 	return nil

@@ -17,7 +17,14 @@
 //   - TrainClassifierOffloaded, the real host-memory offload path with a
 //     framed CRC-checked channel, fault injection (NewFaultInjector) and
 //     fail/retry/recompute corruption recovery;
+//   - TrainClassifierDataParallel, K replica workers exchanging gradients
+//     through the same transport;
 //   - OptimizeDQT, the §IV quantization-table optimizer.
+//
+// The trainers print nothing. Each returns a TrainReport with one
+// EpochStats per epoch, the offloaded and data-parallel ones also the
+// transport's counters, and an EpochEnd option sees each epoch as it is
+// recorded.
 //
 // The heavy lifting lives in internal/ packages; see DESIGN.md for the
 // full system inventory.
@@ -132,6 +139,11 @@ type TrainConfig = train.Config
 // TrainReport summarizes a training run under compression.
 type TrainReport = train.Report
 
+// EpochStats is one epoch of a TrainReport, and what the trainers' epoch
+// hooks (OffloadTrainOptions.EpochEnd, DataParallelOptions.EpochEnd) see
+// as each epoch is recorded.
+type EpochStats = train.EpochStats
+
 // ModelScale sizes the bundled mini networks.
 type ModelScale = models.Scale
 
@@ -228,7 +240,9 @@ type FaultInjector = faults.Injector
 func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faults.New(cfg) }
 
 // OffloadTrainOptions configures TrainClassifierOffloaded: the DQT, the
-// (possibly fault-injected) channel, and the recovery policy.
+// (possibly fault-injected) channel or the networked store, the recovery
+// policy, the wire client's ClientHook and the EpochEnd hook. The run
+// ignores TrainConfig.Method.
 type OffloadTrainOptions = train.OffloadOptions
 
 // TrainClassifierOffloaded trains a mini network by name with real
@@ -242,8 +256,10 @@ func TrainClassifierOffloaded(model string, sc ModelScale, cfg TrainConfig, oc O
 }
 
 // DataParallelOptions configures TrainClassifierDataParallel: replica
-// count, microbatches per step, and (optionally) the networked store
-// carrying the exchange.
+// count, microbatches per step, (optionally) the networked store carrying
+// the exchange, and the same ClientHook and EpochEnd hooks as
+// OffloadTrainOptions. The run ignores TrainConfig.Method and
+// MeasureError.
 type DataParallelOptions = train.DPOptions
 
 // TransportSnapshot is a point-in-time copy of the transport counters,
