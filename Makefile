@@ -49,7 +49,9 @@ ci:
 
 # Micro-benchmarks of the parallel hot paths, for measuring while you
 # work. Committed numbers come from one harness only: `bash bench/run.sh`
-# (see bench/README.md). The nn layers run at the bench model's four stage
+# (see bench/README.md). The fork-join itself comes first: one 32-chunk
+# parallel.For of ≈ 1 µs chunks, back to back and after a 1 ms idle gap,
+# in µs per call, so the wake cost is seen under every layer. The nn layers run at the bench model's four stage
 # shapes: conv against its GEMM leaf rate, ReLU and batch norm in GB/s of
 # their activation. Every codec kernel is named at the density it
 # meets: the ZVC coders flat at ≈ 45% non-zero (ReLU codes) and by block
@@ -57,7 +59,7 @@ ci:
 # and each codec kind end to end through codec.Pipeline and the frame.
 # The store path runs alone too: one window-8 client's offload life cycle
 # of real frames against a netstore server on a unix socket.
-BENCH_RE = BenchmarkGemm|BenchmarkConv|BenchmarkReLU|BenchmarkBatchNorm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode|BenchmarkStoreRoundTrip
+BENCH_RE = BenchmarkFor$$|BenchmarkGemm|BenchmarkConv|BenchmarkReLU|BenchmarkBatchNorm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkCompressJPEGACT|BenchmarkTrainStep|BenchmarkEncodeZVC$$|BenchmarkDecodeZVC$$|BenchmarkEncodeBRC|BenchmarkAAN|BenchmarkCodecEncode|BenchmarkCodecDecode|BenchmarkStoreRoundTrip
 .PHONY: bench
 bench:
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem ./...
@@ -120,7 +122,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11221
+LOC_MAX = 11326
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -168,7 +168,7 @@ func main() {
 	default:
 		rep = jpegact.TrainClassifier(*model, sc, cfg, *seed)
 	}
-	report(rep, snap, err)
+	report(rep, snap, err, *replicas == 0)
 }
 
 // streamEpoch is the -offload and -replicas epoch hook: one line per
@@ -180,13 +180,23 @@ func streamEpoch(e jpegact.EpochStats) {
 // report prints what every mode prints: the epoch table, the footprint,
 // the counters of the mode's transport (when it has one), the best score
 // and, last, the weights digest. A failed run exits 1 after the counters,
-// a diverged one after the digest.
-func report(rep jpegact.TrainReport, snap jpegact.TransportSnapshot, err error) {
+// a diverged one after the digest. The data-parallel trainer leaves
+// activations alone and measures neither ratio nor error, so without
+// measured the table and the summary leave both out.
+func report(rep jpegact.TrainReport, snap jpegact.TransportSnapshot, err error, measured bool) {
 	fmt.Printf("model=%s method=%s\n", rep.ModelName, rep.MethodName)
-	fmt.Printf("%-6s %-9s %-9s %-8s %-10s\n", "epoch", "loss", "score", "ratio", "act-L2-err")
+	if measured {
+		fmt.Printf("%-6s %-9s %-9s %-8s %-10s\n", "epoch", "loss", "score", "ratio", "act-L2-err")
+	} else {
+		fmt.Printf("%-6s %-9s %s\n", "epoch", "loss", "score")
+	}
 	for _, e := range rep.Epochs {
-		fmt.Printf("%-6d %-9.4f %-9.4f %-8.2f %-10.3e\n",
-			e.Epoch, e.Loss, e.Score, e.CompressionRatio, e.ActL2Error)
+		if measured {
+			fmt.Printf("%-6d %-9.4f %-9.4f %-8.2f %-10.3e\n",
+				e.Epoch, e.Loss, e.Score, e.CompressionRatio, e.ActL2Error)
+		} else {
+			fmt.Printf("%-6d %-9.4f %.4f\n", e.Epoch, e.Loss, e.Score)
+		}
 	}
 	if len(rep.Footprint) > 0 {
 		fmt.Println("footprint by activation kind:")
@@ -208,8 +218,12 @@ func report(rep jpegact.TrainReport, snap jpegact.TransportSnapshot, err error) 
 		fmt.Fprintf(os.Stderr, "acttrain: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("best score %.4f, final ratio %.2fx, diverged=%v\n",
-		rep.BestScore, rep.FinalRatio, rep.Diverged)
+	if measured {
+		fmt.Printf("best score %.4f, final ratio %.2fx, diverged=%v\n",
+			rep.BestScore, rep.FinalRatio, rep.Diverged)
+	} else {
+		fmt.Printf("best score %.4f, diverged=%v\n", rep.BestScore, rep.Diverged)
+	}
 	fmt.Printf("weights sha256=%s\n", rep.WeightsDigest)
 	if rep.Diverged {
 		os.Exit(1)

@@ -294,7 +294,18 @@ func TestDataParallelReplicasMatch(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "store.sock")
 	startStore(t, actstore, sock)
 
-	want := digest(t, mustTrain(t, acttrain, small("-replicas", "1")...))
+	local := mustTrain(t, acttrain, small("-replicas", "1")...)
+	want := digest(t, local)
+	// The trainer measures neither ratio nor error: the table has no
+	// column for either.
+	if !strings.Contains(local, "\nepoch  loss      score\n") || strings.Contains(local, "ratio") {
+		t.Errorf("-replicas report prints a ratio or error column:\n%s", local)
+	}
+	for _, row := range epochTable(local) {
+		if len(strings.Fields(row)) != 3 {
+			t.Errorf("-replicas epoch row %q: want epoch, loss and score", row)
+		}
+	}
 	for _, k := range []string{"1", "2", "4"} {
 		out := mustTrain(t, acttrain, small("-replicas", k, "-store", "unix:"+sock)...)
 		if got := digest(t, out); got != want {

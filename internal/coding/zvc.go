@@ -3,6 +3,7 @@ package coding
 import (
 	"encoding/binary"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"jpegact/internal/parallel"
@@ -22,10 +23,10 @@ import (
 //
 // Both layouts the codec produces — a flat []int8 of SFPR codes and
 // [][64]int8 quantized blocks, whose concatenation codes to the same
-// stream — are cut into shards of ZVCShard values. Shard sizes are
-// prefix-summed into stream offsets and shards code in parallel, each
-// inside its own window of the stream (the paper's multi-CDU round-robin
-// in software), so the bytes are identical at any worker count.
+// stream — are cut into shards of ZVCShard values. Shards code in
+// parallel, each inside its own worst-case window (the paper's multi-CDU
+// round-robin in software), and the coded windows are concatenated in
+// shard order, so the bytes are identical at any worker count.
 
 // zvcShardBlocks is the number of 8×8 blocks per parallel shard (one
 // group is a dozen word operations, so 512 groups keep the goroutine
@@ -51,11 +52,11 @@ const (
 //
 // Window rule: the mixed encode path stores all eight lanes, so it may
 // touch up to eight bytes past the mask even when the group codes to
-// fewer; the mixed decode path likewise reads eight. A shard's window
-// abuts its neighbour's, so a group takes a word path only when the
-// whole nine bytes lie inside the window (the stream) and the exact
-// byte-at-a-time path otherwise — the last mixed group of each shard and
-// the short tail.
+// fewer; the mixed decode path likewise reads eight. So a group takes a
+// word path only when the whole nine bytes lie inside the window and the
+// exact byte-at-a-time path otherwise. An encode window is its shard's
+// worst case, so there that is only the short tail; a decode window is
+// the stream, so there it is also the groups of its last eight bytes.
 
 const (
 	lanesLo7 = 0x7F7F7F7F7F7F7F7F
@@ -99,26 +100,6 @@ func packMask(t uint64) byte {
 // spreadMask is the inverse of packMask.
 func spreadMask(m byte) uint64 {
 	return nonzeroLanes(uint64(m) * lanesOne & 0x8040201008040201)
-}
-
-func countNonzero(vals []int8) int {
-	nz := 0
-	i := 0
-	for ; i+8 <= len(vals); i += 8 {
-		nz += bits.OnesCount64(nonzeroLanes(load8(vals[i : i+8 : i+8])))
-	}
-	for _, v := range vals[i:] {
-		if v != 0 {
-			nz++
-		}
-	}
-	return nz
-}
-
-// zvcSize is the coded size of one run of whole groups plus at most one
-// short tail group.
-func zvcSize(vals []int8) int {
-	return (len(vals)+7)/8 + countNonzero(vals)
 }
 
 // encodeZVCInto codes vals — whole groups, plus a short tail group if
@@ -260,37 +241,48 @@ func decodeGroupExact(g []int8, data []byte, p int) (int, bool) {
 	return p, true
 }
 
-// encodeZVCShards is the encode driver both layouts share: size every
-// shard, prefix-sum the sizes into stream offsets, then let every shard
-// code into its own window of one exactly-sized stream. The windows are
-// three-index slices, so a kernel that broke the window rule would panic
-// instead of clobbering its neighbour.
-func encodeZVCShards(shards int, size func(s int) int, encode func(s int, win []byte)) []byte {
-	offs := make([]int, shards+1)
-	parallel.For(shards, 1, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			offs[s+1] = size(s)
-		}
-	})
-	for s := 1; s <= shards; s++ {
-		offs[s] += offs[s-1]
+// shardWindow is a shard's worst-case coded size: nine bytes per group.
+const shardWindow = 9 * ZVCShard / 8
+
+// windows holds the encoders' scratch: shardWindow bytes per shard.
+var windows = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeZVCShards is the encode driver both layouts share: every shard
+// codes once, in parallel, into its own shardWindow of a pooled scratch
+// and reports its length; the lengths are prefix-summed and the windows
+// copied into one exactly-sized stream. The windows are three-index
+// slices, so a kernel that broke the window rule would panic instead of
+// clobbering its neighbour.
+func encodeZVCShards(shards int, encode func(s int, win []byte) int) []byte {
+	bufP := windows.Get().(*[]byte)
+	if cap(*bufP) < shards*shardWindow {
+		*bufP = make([]byte, shards*shardWindow)
 	}
-	out := make([]byte, offs[shards])
+	buf := *bufP
+	lens := make([]int, shards)
 	parallel.For(shards, 1, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			encode(s, out[offs[s]:offs[s+1]:offs[s+1]])
+			lens[s] = encode(s, buf[s*shardWindow:(s+1)*shardWindow:(s+1)*shardWindow])
 		}
 	})
+	n := 0
+	for _, l := range lens {
+		n += l
+	}
+	out := make([]byte, 0, n)
+	for s, l := range lens {
+		out = append(out, buf[s*shardWindow:s*shardWindow+l]...)
+	}
+	windows.Put(bufP)
 	return out
 }
 
 // EncodeZVC compresses vals (any length; the tail group may be short).
 func EncodeZVC(vals []int8) []byte {
 	n := len(vals)
-	shard := func(s int) []int8 { return vals[s*ZVCShard : min((s+1)*ZVCShard, n)] }
-	return encodeZVCShards((n+ZVCShard-1)/ZVCShard,
-		func(s int) int { return zvcSize(shard(s)) },
-		func(s int, win []byte) { encodeZVCInto(win, 0, shard(s)) })
+	return encodeZVCShards((n+ZVCShard-1)/ZVCShard, func(s int, win []byte) int {
+		return encodeZVCInto(win, 0, vals[s*ZVCShard:min((s+1)*ZVCShard, n)])
+	})
 }
 
 // EncodeZVCBlocks encodes the concatenation of the blocks, producing a
@@ -302,28 +294,19 @@ func EncodeZVCBlocks(blocks [][64]int8) []byte {
 
 // EncodeZVCBlocksFill is EncodeZVCBlocks over blocks that fill produces:
 // fill(lo, hi) writes blocks[lo:hi], one shard, inside the pass that
-// sizes it, so each block is still in cache when it is counted and is
-// read once more, to be coded. Shards fill in parallel.
+// codes it, so each block is still in cache when it is coded. Shards
+// fill in parallel.
 func EncodeZVCBlocksFill(blocks [][64]int8, fill func(lo, hi int)) []byte {
 	nb := len(blocks)
-	shard := func(s int) (lo, hi int) { return s * zvcShardBlocks, min((s+1)*zvcShardBlocks, nb) }
-	return encodeZVCShards((nb+zvcShardBlocks-1)/zvcShardBlocks,
-		func(s int) int {
-			lo, hi := shard(s)
-			fill(lo, hi)
-			n := 0
-			for i := lo; i < hi; i++ {
-				n += 8 + countNonzero(blocks[i][:])
-			}
-			return n
-		},
-		func(s int, win []byte) {
-			lo, hi := shard(s)
-			p := 0
-			for i := lo; i < hi; i++ {
-				p = encodeZVCInto(win, p, blocks[i][:])
-			}
-		})
+	return encodeZVCShards((nb+zvcShardBlocks-1)/zvcShardBlocks, func(s int, win []byte) int {
+		lo, hi := s*zvcShardBlocks, min((s+1)*zvcShardBlocks, nb)
+		fill(lo, hi)
+		p := 0
+		for i := lo; i < hi; i++ {
+			p = encodeZVCInto(win, p, blocks[i][:])
+		}
+		return p
+	})
 }
 
 // DecodeZVCShards is the decode driver every layout shares, for a stream

@@ -411,6 +411,26 @@ func ExampleEncodeZVC() {
 	// Output: 85 01 02 03 01 04
 }
 
+func countNonzero(vals []int8) int {
+	nz := 0
+	i := 0
+	for ; i+8 <= len(vals); i += 8 {
+		nz += bits.OnesCount64(nonzeroLanes(load8(vals[i : i+8 : i+8])))
+	}
+	for _, v := range vals[i:] {
+		if v != 0 {
+			nz++
+		}
+	}
+	return nz
+}
+
+// zvcSize is the coded size of one run of whole groups plus at most one
+// short tail group.
+func zvcSize(vals []int8) int {
+	return (len(vals)+7)/8 + countNonzero(vals)
+}
+
 // ZVCSize returns the encoded size in bytes without materializing the
 // stream: the oracle the encoders' exact sizing is checked against. The non-zero scan
 // shards over the worker pool (integer partial sums, so the total is

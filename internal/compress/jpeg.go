@@ -45,10 +45,10 @@ const shardBlocks = coding.ZVCShard / 64
 // ZVC — and returns the coded stream and the per-channel SFPR scales.
 // It is the fused encode driver: each shard's blocks are gathered
 // straight from x with the SFPR cast applied per element, transformed,
-// quantized and sized in one parallel pass, then coded into their
-// window of the exactly-sized stream in a second (coding.
+// quantized and coded into the shard's window in one parallel pass, and
+// the windows are concatenated into the stream (coding.
 // EncodeZVCBlocksFill). No int8 code plane is materialized; the block
-// array between the two passes is pooled. Every block is produced by
+// array a shard fills and codes is pooled. Every block is produced by
 // exactly one worker in the serial per-block op order, so the bytes are
 // identical at any worker count.
 func (p *Pipeline) Encode(x *tensor.Tensor) (payload []byte, scales []float32) {

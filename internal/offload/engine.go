@@ -133,9 +133,9 @@ type Engine struct {
 	demandFetches uint64
 }
 
-// NewEngine wraps a store in a scheduler and starts its encode pool of
-// parallel.Workers() encoders; Close releases it. The config selects
-// nothing.
+// NewEngine wraps a store in a scheduler and opens its encode pool, at
+// most parallel.Workers() encodes at once on the parallel package's
+// helpers; Close waits for it. The config selects nothing.
 func NewEngine(s *Store, _ EngineConfig) *Engine {
 	e := &Engine{store: s, pool: parallel.NewPool(0)}
 	e.cond = sync.NewCond(&e.mu)

@@ -162,7 +162,7 @@ type Counters struct {
 	GradPuts       atomic.Uint64 // gradient frames put (keys in the grad namespace)
 	GradGets       atomic.Uint64 // gradient frames fetched back
 	BytesOffloaded atomic.Int64  // frame bytes written to the backend
-	BytesVerified  atomic.Int64  // frame bytes CRC-verified back from it
+	BytesVerified  atomic.Int64  // activation frame bytes CRC-verified back from it (a client counts gradient GETs only in BytesGrad)
 	BytesGrad      atomic.Int64  // frame bytes moved under gradient keys (both directions)
 }
 
@@ -299,7 +299,9 @@ func (l *Local) Get(key uint64, r Retry, _ bool) (*frame.Frame, error) {
 			f, err = frame.DecodeFrame(got)
 		}
 		if err == nil {
-			l.counters.BytesVerified.Add(int64(len(got)))
+			if !IsGradKey(key) {
+				l.counters.BytesVerified.Add(int64(len(got)))
+			}
 			return f, nil
 		}
 		l.counters.Corrupted.Add(1)

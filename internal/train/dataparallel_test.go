@@ -86,6 +86,11 @@ func TestDataParallelBitExact(t *testing.T) {
 		if snap.GradPuts != refSnap.GradPuts {
 			t.Fatalf("K=%d grad puts %d, want %d (K must not change the exchange volume of puts)", K, snap.GradPuts, refSnap.GradPuts)
 		}
+		// A gradient GET counts only under BytesGrad: BytesVerified is the
+		// activation frames' figure, and a data-parallel run offloads none.
+		if K == 2 && (snap.BytesVerified != 0 || snap.BytesGrad != 522544) {
+			t.Fatalf("K=2: bytes verified %d, grad %d; want 0 and 522544", snap.BytesVerified, snap.BytesGrad)
+		}
 	}
 
 	// Networked store, with activation offload traffic from a second
@@ -114,6 +119,9 @@ func TestDataParallelBitExact(t *testing.T) {
 	sameWeights(t, refModel, netModel, "netstore")
 	if netSnap.GradPuts != refSnap.GradPuts {
 		t.Fatalf("netstore grad puts %d, want %d", netSnap.GradPuts, refSnap.GradPuts)
+	}
+	if netSnap.BytesVerified != 0 || netSnap.BytesGrad != 522544 {
+		t.Fatalf("netstore: bytes verified %d, grad %d; want 0 and 522544", netSnap.BytesVerified, netSnap.BytesGrad)
 	}
 	ss := srv.Snapshot()
 	if ss.GradPuts == 0 || ss.GradGets == 0 || ss.BytesGrad == 0 {
