@@ -309,6 +309,25 @@ func TestTrainRoundAllocs(t *testing.T) {
 	t.Logf("a train_plain round: %d B (%d B a step), %d objects", bytes, bytes/steps, objects)
 }
 
+// TestTrainArenaHighWater pins the step arena's high-water a train_plain
+// run reports: the most bytes of layer outputs, saved activations and
+// gradients the bench-scale ResNet18 holds at once, at one worker and at
+// two. Only the step's goroutine draws from the arena on the plain path,
+// so the figure is exact.
+func TestTrainArenaHighWater(t *testing.T) {
+	const want = 5_243_136
+	for _, workers := range []int{1, 2} {
+		prev := parallel.SetWorkers(workers)
+		rep := TrainClassifier("ResNet18", ModelScale{Width: 16, Blocks: 1, H: 32, W: 32}, TrainConfig{
+			Method: Baseline(), Epochs: 1, BatchesPerEpoch: 2, BatchSize: 8,
+		}, 42)
+		parallel.SetWorkers(prev)
+		if rep.ArenaHighWater != want {
+			t.Errorf("at %d workers the step arena's high-water is %d B, want %d B", workers, rep.ArenaHighWater, want)
+		}
+	}
+}
+
 // TestOffloadRoundAllocs pins what a clean offloaded round allocates: the
 // train_plain round of TestTrainRoundAllocs through the offload engine
 // over a clean in-process channel, as train_offload_dma runs it without

@@ -31,10 +31,11 @@
 //	acttrain -model ResNet18 -replicas 4 -microbatches 4
 //
 // Every mode prints one report: the epoch table, the footprint by
-// activation kind, the transport's counters (-offload, -replicas) and the
-// best score. It ends with the SHA-256 of the trained weights: runs whose
-// trajectories are bit-identical (local or networked store, any replica
-// count, a store killed and restarted mid-run) print the same line.
+// activation kind, the step arena's high-water, the transport's counters
+// (-offload, -replicas) and the best score. It ends with the SHA-256 of
+// the trained weights: runs whose trajectories are bit-identical (local
+// or networked store, any replica count, a store killed and restarted
+// mid-run) print the same line.
 package main
 
 import (
@@ -178,11 +179,12 @@ func streamEpoch(e jpegact.EpochStats) {
 }
 
 // report prints what every mode prints: the epoch table, the footprint,
-// the counters of the mode's transport (when it has one), the best score
-// and, last, the weights digest. A failed run exits 1 after the counters,
-// a diverged one after the digest. The data-parallel trainer leaves
-// activations alone and measures neither ratio nor error, so without
-// measured the table and the summary leave both out.
+// the step arena's high-water, the counters of the mode's transport (when
+// it has one), the best score and, last, the weights digest. A failed run
+// exits 1 after the counters, a diverged one after the digest. The
+// data-parallel trainer leaves activations alone and measures neither
+// ratio nor error, so without measured the table and the summary leave
+// both out.
 func report(rep jpegact.TrainReport, snap jpegact.TransportSnapshot, err error, measured bool) {
 	fmt.Printf("model=%s method=%s\n", rep.ModelName, rep.MethodName)
 	if measured {
@@ -206,6 +208,7 @@ func report(rep jpegact.TrainReport, snap jpegact.TransportSnapshot, err error, 
 				float64(fe.OriginalBytes)/float64(fe.CompressedBytes))
 		}
 	}
+	fmt.Printf("step arena high-water: %d B\n", rep.ArenaHighWater)
 	if snap != (jpegact.TransportSnapshot{}) {
 		fmt.Print("counters:")
 		v := reflect.ValueOf(snap)

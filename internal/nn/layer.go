@@ -31,30 +31,51 @@ type ActRef struct {
 	Kind compress.Kind
 	// T is the saved tensor. An offload releases it and its restore puts
 	// the lossy recovered version back (or leaves it nil when only Mask is
-	// kept).
+	// kept). Once the last layer reading it in Backward has returned, its
+	// buffer is the step arena's again.
 	T *tensor.Tensor
 	// Mask is the BRC sign mask; when non-nil, backward passes use the
 	// mask and T may be nil.
 	Mask []bool
-	// saved is set by a layer that keeps the ref for Backward, its
-	// producer or its consumer: a container hands an unsaved intermediate's
-	// buffer back to the step arena once its consumer has run.
-	saved bool
+	// readers counts the layers that keep the ref for Backward, its
+	// producer or its consumer. In forward, a container hands an unsaved
+	// intermediate's buffer back to the step arena once its consumer has
+	// run; in backward, the last reader's return hands a saved one back.
+	readers int
 }
 
-// save marks ref as read in Backward and returns it.
+// save claims ref for one more Backward read and returns it.
 func (ref *ActRef) save() *ActRef {
-	ref.saved = true
+	ref.readers++
 	return ref
 }
 
 // releaseAfter hands an intermediate's buffer back once its consumer has
-// produced out: unless a layer saved it for Backward, it is the
-// container's own input, or the consumer returned it. A saved ref's T is
-// not even read: the offload engine may be committing it concurrently.
+// produced out: unless a layer saved it for Backward (its last reader
+// hands it back, releaseReads), it is the container's own input, or the
+// consumer returned it. A saved ref's T is not even read: the offload
+// engine may be committing it concurrently.
 func releaseAfter(cur, out, in *ActRef) {
-	if !cur.saved && cur != in && cur.T != out.T {
+	if cur.readers == 0 && cur != in && cur.T != out.T {
 		cur.T.Release()
+	}
+}
+
+// releaseReads drops a leaf child's claim on each ref it saved, once its
+// Backward has returned; the last claim hands the ref's buffer back to
+// the step arena — a saved activation, or the offload engine's restore
+// of it. Backward runs in reverse forward order, so the last reader is
+// the ref's earliest saver. A container drops its own children's claims.
+// Release ignores what the arena does not own: a BRC ref's nil tensor,
+// the wrapped batch, a heap tensor.
+func releaseReads(l Layer) {
+	if _, ok := l.(hookHost); ok {
+		return
+	}
+	for _, ref := range l.SavedRefs() {
+		if ref.readers--; ref.readers == 0 {
+			ref.T.Release()
+		}
 	}
 }
 
@@ -93,7 +114,9 @@ type Layer interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	// SavedRefs lists the activation refs this layer will read in
-	// Backward. The trainer dedups shared refs before compressing.
+	// Backward, one entry per save: the enclosing container drops one
+	// claim per entry once Backward has returned. The trainer dedups
+	// shared refs before compressing.
 	SavedRefs() []*ActRef
 }
 
@@ -140,7 +163,7 @@ func (s *Sequential) Forward(in *ActRef, train bool) *ActRef {
 // Backward runs all layers in reverse, announcing each leaf child's
 // saved refs just before that child reads them. Each intermediate
 // gradient goes back to the step arena once the child consuming it has
-// returned.
+// returned, and each saved activation once its last reader has.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := grad
 	for i := len(s.Layers) - 1; i >= 0; i-- {
@@ -151,6 +174,7 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		if s.hooks != nil {
 			emitGrads(s.hooks, s.Layers[i])
 		}
+		releaseReads(s.Layers[i])
 		releaseGrad(g, next, grad)
 		g = next
 	}
@@ -245,6 +269,7 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.hooks != nil {
 		emitGrads(r.hooks, r.Body)
 	}
+	releaseReads(r.Body)
 	gShort := grad
 	if r.Shortcut != nil {
 		if r.hooks != nil {
@@ -254,6 +279,7 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		if r.hooks != nil {
 			emitGrads(r.hooks, r.Shortcut)
 		}
+		releaseReads(r.Shortcut)
 	}
 	dx := sumOf(gBody, gShort)
 	releaseGrad(gBody, dx, grad)

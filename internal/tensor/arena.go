@@ -10,9 +10,11 @@ import (
 // training step computes — layer outputs, input gradients, the loss
 // gradient. A tensor Derive draws from an arena holds whatever its buffer
 // last held, so the kernel writing it must write every element; Release
-// hands the buffer back, and Reset hands back everything still out, so
-// step t+1 reuses step t's memory instead of asking the runtime for
-// fresh zeroed pages.
+// hands the buffer back as soon as nothing reads it (an intermediate
+// after its consumer, a saved activation or its restore after its last
+// backward reader), and Reset hands back everything still out, so step
+// t+1 reuses step t's memory instead of asking the runtime for fresh
+// zeroed pages. The high-water is what the step needed at once.
 //
 // Buffers are matched by exact length: a network's steps ask for the same
 // shapes in the same order, so after the first step the free list serves

@@ -17,10 +17,10 @@ import (
 // every buffer filled with NaN before it is handed out. A kernel that
 // reads an element it did not write, or a tensor read after its buffer
 // went back and out again, then moves the weights or makes them NaN. Two
-// steps of every model, an offloaded run whose corrupted frames are
-// recomputed, a clean offloaded run and a two-replica data-parallel run
-// must each land on the weights of the same run unpoisoned, at one worker
-// and at three.
+// steps of every model, a clean offloaded run of every classifier, an
+// offloaded run whose corrupted frames are recomputed and a two-replica
+// data-parallel run must each land on the weights of the same run
+// unpoisoned, at one worker and at three.
 func TestPoisonedArenaTrainsBitIdentical(t *testing.T) {
 	const seed = 11
 	cfg := train.Config{Epochs: 1, BatchesPerEpoch: 2, BatchSize: 4, Seed: seed}
@@ -59,17 +59,23 @@ func TestPoisonedArenaTrainsBitIdentical(t *testing.T) {
 		}
 		return rep.WeightsDigest
 	}})
-	// A clean offloaded run (prefetched restores, and from the second step
-	// on the held tail): each restore decodes into a poisoned buffer drawn
-	// from the arena its commit released the tensor to.
-	runs = append(runs, run{"ResNet18 offload", func(t *testing.T) string {
-		m := build("ResNet18")
-		rep, _, err := train.ClassifierOffloaded(m, classes(m), cfg, train.OffloadOptions{DQT: quant.OptL()})
-		if err != nil {
-			t.Fatal(err)
+	// A clean offloaded run of every classifier (prefetched restores, and
+	// from the second step on the held tail): each restore decodes into a
+	// poisoned buffer drawn from the arena its commit released the tensor
+	// to, and its last backward reader hands that buffer back mid-backward.
+	for _, name := range models.Names {
+		if build(name).Task == models.SuperRes {
+			continue // SuperResolution offloads only under a lossy Method
 		}
-		return rep.WeightsDigest
-	}})
+		runs = append(runs, run{name + " offload", func(t *testing.T) string {
+			m := build(name)
+			rep, _, err := train.ClassifierOffloaded(m, classes(m), cfg, train.OffloadOptions{DQT: quant.OptL()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.WeightsDigest
+		}})
+	}
 	runs = append(runs, run{"WRN data-parallel K=2", func(t *testing.T) string {
 		newModel := func() *models.Model { return build("WRN") }
 		rep, _, err := train.ClassifierDataParallel(newModel, classes(newModel()), cfg, train.DPOptions{Replicas: 2, Microbatches: 2})

@@ -26,16 +26,20 @@ func benchStep(seed uint64) (*models.Model, *tensor.Tensor, lossFunc) {
 // TestCommitHandsBuffersBack: an offloaded activation's buffer goes back
 // to the step arena when its frame commits, whether the frame crosses the
 // channel or is held on the device, and its restore takes a buffer of the
-// same size back out. EndForward is a barrier on every commit, so right
-// after it the arena holds what a plain step holds after its forward pass
-// and loss, minus exactly the offloaded buffers; right after EndStep it
-// holds what the plain step holds after backward, minus exactly the BRC
-// refs' buffers, which keep only their mask. Both hold on the engine's
+// same size back out, which the restored ref's last backward reader hands
+// back as a plain step's last reader hands back the saved activation.
+// EndForward is a barrier on every commit, so right after it the arena
+// holds what a plain step holds after its forward pass and loss, minus
+// exactly the offloaded buffers; right after EndStep it holds exactly
+// what the plain step holds after backward. Both hold on the engine's
 // first step, which sends every frame but the BRC one, and on its second,
-// which holds the last 4 (the BRC frame among them). Inside a trained
-// step the save hooks commit while the forward pass is still running, so
-// when the buffers go back depends on timing: that high-water is logged
-// beside the plain one, not gated.
+// which holds the last 4 (the BRC frame among them).
+//
+// Over two trained steps the plain high-water is pinned. The offloaded
+// one may not exceed it: commits hand buffers back early, never late.
+// It peaks in forward, because encodes lag the forward pass; a step
+// whose frames all commit after forward, as in the loop below, peaks at
+// the plain forward pass's high-water.
 func TestCommitHandsBuffersBack(t *testing.T) {
 	atWorkers(t, 2)
 	const seed = 2100
@@ -47,7 +51,7 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 	m, x, lossOf := benchStep(seed)
 	plain := tensor.NewArena()
 	grad := forward(m, plain, x, lossOf)
-	plainForward := plain.InUse()
+	plainForward, plainForwardHigh := plain.InUse(), plain.HighWater()
 	m.Net.Backward(grad)
 	plainBackward := plain.InUse()
 
@@ -99,8 +103,11 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 		if err := eng.EndStep(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := a.InUse(), plainBackward-brc; brc == 0 || got != want {
-			t.Fatalf("step %d after EndStep: %d B in use, want the plain step's %d B after backward minus %d B of BRC refs", step, got, plainBackward, brc)
+		if got := a.InUse(); brc == 0 || got != plainBackward {
+			t.Fatalf("step %d after EndStep: %d B in use, want the plain step's %d B after backward", step, got, plainBackward)
+		}
+		if got := a.HighWater(); got != plainForwardHigh {
+			t.Fatalf("step %d: high-water %d B, want the plain forward pass's %d B", step, got, plainForwardHigh)
 		}
 	}
 
@@ -121,5 +128,12 @@ func TestCommitHandsBuffersBack(t *testing.T) {
 		}
 		return p.arena.HighWater()
 	}
-	t.Logf("step arena high-water over two steps: plain %d B, offload %d B", highWater(false), highWater(true))
+	plainHigh, offloadHigh := highWater(false), highWater(true)
+	t.Logf("step arena high-water over two steps: plain %d B, offload %d B", plainHigh, offloadHigh)
+	if plainHigh != 5_243_136 {
+		t.Errorf("plain high-water over two steps %d B, want 5243136 B", plainHigh)
+	}
+	if offloadHigh > plainHigh {
+		t.Errorf("offloaded high-water over two steps %d B above the plain step's %d B", offloadHigh, plainHigh)
+	}
 }

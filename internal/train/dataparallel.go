@@ -569,6 +569,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 
 	a := &allReduce{cfg: cfg, dp: dp, ds: ds, reps: make([]*dpReplica, K), board: newGradBoard()}
 	var gradSize int
+	arenas := make([]*tensor.Arena, K) // one per replica
 	for k := range a.reps {
 		model := newModel()
 		r := &dpReplica{model: model, opt: cfg.newOptimizer(), gx: newExchange(nn.NewBucketPlan(model.Net, chunkElems))}
@@ -580,7 +581,8 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 			return fail("replica %d gradient size differs — newModel is not deterministic", k)
 		}
 		r.flat = make([]float32, gradSize)
-		r.pass = &pass{net: model.Net, arena: tensor.NewArena()} // one arena per replica
+		arenas[k] = tensor.NewArena()
+		r.pass = &pass{net: model.Net, arena: arenas[k]}
 		if activations != nil {
 			activations(k, r.pass)
 		}
@@ -606,5 +608,5 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	}
 	l := loop{cfg: cfg, step: a.step, epochEnd: dp.EpochEnd,
 		validate: classifierValidation(lead.Net, a.reps[0].pass.arena, ds, cfg)}
-	return l.finish(rep, lead.Net, counters)
+	return l.finish(rep, lead.Net, counters, arenas...)
 }

@@ -163,7 +163,7 @@ func trainLocal(m *models.Model, cfg Config, method compress.Method, oc OffloadO
 			return step(epoch, b)
 		}
 	}
-	return l.finish(rep, m.Net, counters)
+	return l.finish(rep, m.Net, counters, a)
 }
 
 // newStore builds the activation store oc describes: the in-process

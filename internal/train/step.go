@@ -144,24 +144,44 @@ func plainSizes(refs []*nn.ActRef) (offload.Bytes, map[compress.Kind]offload.Byt
 
 // errProbe measures the recovered-activation error of an offloaded step
 // (Config.MeasureError): each activation is cloned as it is saved, before
-// the engine takes it, and compared with what the step restored it to.
-// Only the step's goroutine touches it.
-type errProbe map[*nn.ActRef]*tensor.Tensor
+// the engine takes it, and compared with what the step restored it to the
+// moment it is restored, since its last reader hands the restore back to
+// the step arena before backward ends. Only the step's goroutine touches
+// it.
+type errProbe map[*nn.ActRef]*refErr
+
+// refErr is one saved activation's clone until it is restored, then the
+// error of the restore.
+type refErr struct {
+	before *tensor.Tensor
+	l2     float64
+}
 
 // save clones ref's activation the first time it is saved. A ref seen
 // before may already be the engine's, so its tensor is not read again.
 func (e errProbe) save(ref *nn.ActRef) {
 	if _, ok := e[ref]; !ok && ref != nil && ref.T != nil {
-		e[ref] = ref.T.Clone()
+		e[ref] = &refErr{before: ref.T.Clone()}
+	}
+}
+
+// restored takes ref's error once its restore is attached, the first
+// time only; a BRC ref keeps only its mask and has none.
+func (e errProbe) restored(ref *nn.ActRef) {
+	if r, ok := e[ref]; ok && r.before != nil && ref.T != nil {
+		r.l2 = tensor.L2Error(r.before, ref.T)
+		r.before = nil
 	}
 }
 
 // sum sums the error of every restored activation, each once, in
-// SavedRefs order (a BRC ref keeps only its mask).
+// SavedRefs order. A ref no backward read was restored by EndStep, so
+// its error is taken here.
 func (e errProbe) sum(refs []*nn.ActRef) (sum float64, n int) {
 	for _, ref := range refs {
-		if before, ok := e[ref]; ok && ref.T != nil {
-			sum += tensor.L2Error(before, ref.T)
+		e.restored(ref)
+		if r, ok := e[ref]; ok && r.before == nil {
+			sum += r.l2
 			n++
 			delete(e, ref)
 		}
@@ -220,6 +240,9 @@ func (p *pass) endForward(hooks *nn.Hooks, res *stepResult) error {
 	hooks.OnNeed = func(ref *nn.ActRef) {
 		if rerr := p.eng.Restore(ref); rerr != nil {
 			panic(restoreAbort{rerr})
+		}
+		if p.probe != nil {
+			p.probe.restored(ref)
 		}
 	}
 	return p.eng.PrepareBackward()
@@ -335,10 +358,14 @@ type loop struct {
 }
 
 // finish is every trainer's tail: it runs the loop into rep, then stamps
-// net's weights digest and snapshots the trainer's counters.
-func (l *loop) finish(rep Report, net nn.Layer, counters *transport.Counters) (Report, transport.Snapshot, error) {
+// net's weights digest and the step arenas' high-water and snapshots the
+// trainer's counters.
+func (l *loop) finish(rep Report, net nn.Layer, counters *transport.Counters, arenas ...*tensor.Arena) (Report, transport.Snapshot, error) {
 	err := l.run(&rep)
 	rep.WeightsDigest = weightsDigest(net)
+	for _, a := range arenas {
+		rep.ArenaHighWater = max(rep.ArenaHighWater, a.HighWater())
+	}
 	return rep, counters.Snapshot(), err
 }
 

@@ -97,6 +97,10 @@ type Report struct {
 	// Footprint is the per-kind byte breakdown from the final epoch
 	// (the Fig. 19 data).
 	Footprint []FootprintEntry
+	// ArenaHighWater is the most bytes a step arena held at once over the
+	// run, validation included (the largest replica's under data
+	// parallelism): the measured activation and gradient working set.
+	ArenaHighWater int
 	// WeightsDigest is the hex SHA-256 of the trained weights: every
 	// parameter's float32 bits, little-endian, in Params() order (replica
 	// 0's under data parallelism). Runs whose trajectories are
