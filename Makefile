@@ -122,7 +122,7 @@ loc:
 # when LOC_MAX is more than LOC_SLACK above it, so a PR that lands below
 # the ratchet lowers it to where it landed; one that must raise it says
 # why in CHANGES.md.
-LOC_MAX = 11360
+LOC_MAX = 11332
 LOC_SLACK = 25
 .PHONY: loc-check
 loc-check:

@@ -1,19 +1,19 @@
-// Command actstore runs the sharded networked activation store: one
+// Command actstore runs the networked activation store: one
 // process that N training or inference clients share as their offload
 // target over the wire protocol of internal/offload/transport. Point
 // trainers at it with acttrain -store (-offload for activations,
 // -replicas for the gradient exchange).
 //
-//	actstore -addr unix:/tmp/actstore.sock -shards 8
+//	actstore -addr unix:/tmp/actstore.sock
 //	actstore -addr tcp:0.0.0.0:7077 -metrics 127.0.0.1:9090
 //
 // With -metrics set, the unified counter snapshot (the same one the
 // store clients' Stats() report) is served Prometheus-text-style on
 // /metrics.
-// Every frame is stored once, in this process's memory, so the store
-// dies whole: a client recovers the frames it lost through its recovery
-// policy (recompute replays the step, then the circuit breaker keeps
-// its offloads in the client's own memory).
+// Every frame is stored once, in one map in this process's memory, so
+// the store dies whole: a client recovers the frames it lost through its
+// recovery policy (recompute replays the step, then the circuit breaker
+// keeps its offloads in the client's own memory).
 package main
 
 import (
@@ -31,13 +31,12 @@ import (
 
 func main() {
 	addr := flag.String("addr", "unix:/tmp/actstore.sock", "listen address (unix:/path or tcp:host:port)")
-	shards := flag.Int("shards", netstore.DefaultShards, "in-memory store shards (lock-contention granularity)")
 	metrics := flag.String("metrics", "", "HTTP listen address for /metrics (empty = disabled)")
 	grace := flag.Duration("grace", 5*time.Second, "shutdown drain budget for in-flight responses")
 	verbose := flag.Bool("v", false, "log protocol errors and failed reads per connection")
 	flag.Parse()
 
-	cfg := netstore.Config{Shards: *shards}
+	var cfg netstore.Config
 	if *verbose {
 		cfg.Logf = log.Printf
 	}
@@ -48,7 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "actstore:", err)
 		os.Exit(1)
 	}
-	log.Printf("actstore: serving on %s (shards=%d)", *addr, *shards)
+	log.Printf("actstore: serving on %s", *addr)
 
 	if *metrics != "" {
 		mux := http.NewServeMux()

@@ -7,6 +7,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net"
 	"os/exec"
 	"path/filepath"
@@ -46,7 +48,7 @@ func TestSignalDrain(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "store.sock")
 	addr := "unix:" + sock
 
-	cmd := exec.Command(bin, "-addr", addr, "-shards", "4", "-grace", "5s", "-v")
+	cmd := exec.Command(bin, "-addr", addr, "-grace", "5s", "-v")
 	var logs bytes.Buffer
 	cmd.Stdout = &logs
 	cmd.Stderr = &logs
@@ -156,5 +158,20 @@ func TestSignalDrain(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "done:") {
 		t.Fatalf("no final counter line — Serve did not return cleanly:\n%s", logs.String())
+	}
+}
+
+// TestShardsFlagIsGone: the store is one map, so -shards is an undefined
+// flag that exits 2 before anything listens. A binary that took the
+// flag would serve until the timeout kills it.
+func TestShardsFlagIsGone(t *testing.T) {
+	bin := buildActstore(t)
+	sock := filepath.Join(t.TempDir(), "store.sock")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", "unix:"+sock, "-shards", "4").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -shards") {
+		t.Fatalf("actstore -shards 4: %v, want exit 2 as an undefined flag:\n%s", err, out)
 	}
 }

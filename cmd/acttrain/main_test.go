@@ -328,8 +328,7 @@ func TestDataParallelReplicasMatch(t *testing.T) {
 func TestStoreKilledAndRestarted(t *testing.T) {
 	acttrain, actstore := binaries(t)
 	sock := filepath.Join(t.TempDir(), "store.sock")
-	storeArgs := []string{"-shards", "4"}
-	store := startStore(t, actstore, sock, storeArgs...)
+	store := startStore(t, actstore, sock)
 
 	args := small("-offload", "-epochs", "5")
 	want := digest(t, mustTrain(t, acttrain, args...))
@@ -371,7 +370,7 @@ func TestStoreKilledAndRestarted(t *testing.T) {
 			hold(syscall.SIGCONT)
 		case 2:
 			hold(syscall.SIGSTOP)
-			startStore(t, actstore, sock, storeArgs...)
+			startStore(t, actstore, sock)
 			hold(syscall.SIGCONT)
 		}
 	}

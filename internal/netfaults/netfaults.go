@@ -108,7 +108,7 @@ func (i *Injector) Stats() Snapshot {
 // Wrap returns conn with the injector's fault schedule applied. Each
 // call consumes the next connection index, so wrap order — dial order —
 // fixes which stream a connection gets. Streams are splitmix64 (the
-// shared internal/splitmix mixer, same one the netstore shards use).
+// shared internal/splitmix mixer).
 func (i *Injector) Wrap(conn net.Conn) net.Conn {
 	n := i.stats.Conns.Add(1) - 1
 	return &faultConn{

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"path/filepath"
@@ -8,35 +9,53 @@ import (
 	"testing"
 	"time"
 
+	"jpegact/internal/frame"
 	"jpegact/internal/offload/transport"
-	"jpegact/internal/splitmix"
 )
 
-// TestKilledShardLosesItsFrames: a shard holds the one copy of each of
-// its keys, so killing it loses those frames for real — the GET reports
-// the typed ErrNotFound the client's recovery policy handles — while
-// keys on the other shards survive.
-func TestKilledShardLosesItsFrames(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 4})
+// TestLostKeysAnswerNotFound: the store holds the one copy of each key,
+// so Lose drops the keys it names for real — their GETs report the typed
+// ErrNotFound the client's recovery policy handles — while every other
+// key keeps its exact bytes and its share of the resident count.
+func TestLostKeysAnswerNotFound(t *testing.T) {
+	srv, dial := startServer(t, Config{})
 	c := transport.NewNetClient(dial, nil)
 	defer c.Close()
-	buf := testFrame(t, 2)
 	const n = 16
-	for i := 0; i < n; i++ {
-		if _, err := c.Put(uint64(i), buf, transport.Retry{}); err != nil {
+	bufs := make([][]byte, n)
+	for i := range bufs {
+		bufs[i] = testFrame(t, byte(i))
+		if _, err := c.Put(uint64(i), bufs[i], transport.Retry{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := srv.Entries(); got != n {
 		t.Fatalf("%d resident entries, want one per key (%d)", got, n)
 	}
-	const key = 3
-	srv.KillShard(int(splitmix.Mix(key) % uint64(len(srv.shards))))
-	if _, err := c.Get(key, transport.Retry{}, false); !errors.Is(err, transport.ErrNotFound) {
-		t.Fatalf("want ErrNotFound after shard kill, got %v", err)
+	lost := func(key uint64) bool { return key%3 == 0 }
+	if got := srv.Lose(lost); got != (n+2)/3 {
+		t.Fatalf("Lose dropped %d frames, want %d", got, (n+2)/3)
 	}
-	if got := srv.Entries(); got == 0 || got >= n {
-		t.Fatalf("%d entries after one kill, want some but not all of %d", got, n)
+	var survivors int64
+	for i, want := range bufs {
+		key := uint64(i)
+		f, err := c.Get(key, transport.Retry{}, false)
+		if lost(key) {
+			if !errors.Is(err, transport.ErrNotFound) {
+				t.Fatalf("key %d: want ErrNotFound after Lose, got %v", key, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("key %d survived Lose but: %v", key, err)
+		}
+		if !bytes.Equal(frame.EncodeFrame(f), want) {
+			t.Fatalf("key %d came back changed", key)
+		}
+		survivors += int64(len(want))
+	}
+	if got := srv.HostBytes(); got != survivors {
+		t.Fatalf("HostBytes %d after Lose, want the survivors' %d", got, survivors)
 	}
 }
 
@@ -45,7 +64,7 @@ func TestKilledShardLosesItsFrames(t *testing.T) {
 // let every already-submitted request complete with a real response or
 // a clean wire error — never a hang and never a torn response.
 func TestShutdownDrainsInFlightResponses(t *testing.T) {
-	srv := New(Config{Shards: 2})
+	srv := New(Config{})
 	addr := "unix:" + filepath.Join(t.TempDir(), "store.sock")
 	ln, err := srv.Listen(addr)
 	if err != nil {

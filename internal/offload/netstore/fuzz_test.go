@@ -45,7 +45,7 @@ func FuzzNetstoreRequest(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		srv := New(Config{Shards: 2})
+		srv := New(Config{})
 		stored := map[uint64][]byte{} // a copy of each key's accepted PUT
 		type taken struct {
 			resp response
@@ -89,11 +89,9 @@ func FuzzNetstoreRequest(f *testing.F) {
 		}
 		// Whatever got stored must decode: corrupt PUTs are refused at the
 		// door, so resident state is valid frames only.
-		for _, sh := range srv.shards {
-			for _, e := range sh.entries {
-				if _, err := frame.DecodeFrame(e.b); err != nil {
-					t.Fatalf("corrupt bytes became store state: %v", err)
-				}
+		for _, e := range srv.entries {
+			if _, err := frame.DecodeFrame(e.b); err != nil {
+				t.Fatalf("corrupt bytes became store state: %v", err)
 			}
 		}
 		if srv.free.bytes > freeListBytes || len(srv.free.bufs) > maxFree {

@@ -2,13 +2,13 @@
 // store: a TCP/unix-socket service that N training or inference client
 // processes share concurrently. It speaks the length-prefixed wire
 // protocol of internal/offload/transport (frame bytes plus a small op
-// header) and shards entries across K in-memory backends by key hash. It
+// header) and keeps every entry in one mutex-guarded in-memory map. It
 // never decodes a frame: the store is the serving boundary the ROADMAP's
 // "one compressed-activation cache, heavy concurrent traffic" north star
 // asks for.
 //
 // Each connection runs on one goroutine: it reads a request, executes
-// the (cheap, sharded) store operation and writes the response, header
+// the (cheap) map operation and writes the response, header
 // and body in one vectored write, before it reads the next. A client
 // that stops draining responses stalls that write, so the server stops
 // reading it and TCP backpressure does the rest; other connections are
@@ -21,9 +21,9 @@
 //
 // Buffers: the server owns every PUT body. The connection draws it
 // from the server's one free list, and a stored frame keeps it as an
-// entry whose reference count is one for the shard map plus one per GET
+// entry whose reference count is one for the map plus one per GET
 // reply carrying it: the connection holds its reply's reference until
-// the write returns, so a DELETE, overwrite or KillShard from another
+// the write returns, so a DELETE, overwrite or Lose from another
 // connection behind a slow write cannot hand the bytes to the next PUT
 // while they are still going out. The last holder returns the buffer to
 // the free list, which keeps at most freeListBytes and drops the oldest
@@ -46,21 +46,13 @@ import (
 
 	"jpegact/internal/frame"
 	"jpegact/internal/offload/transport"
-	"jpegact/internal/splitmix"
 )
 
-// Config sizes the server.
+// Config sets up the server.
 type Config struct {
-	// Shards is the number of independent in-memory store backends keys
-	// are hashed across (<= 0 uses DefaultShards). More shards means
-	// less lock contention between concurrent clients.
-	Shards int
 	// Logf, when set, receives connection-lifecycle and error lines.
 	Logf func(format string, args ...any)
 }
-
-// DefaultShards is the shard count when Config leaves it zero.
-const DefaultShards = 4
 
 // freeListBytes bounds the capacity of the PUT body buffers the free
 // list keeps. An offload life cycle frees about one step's frames at a
@@ -73,14 +65,7 @@ const (
 	maxFree       = 256
 )
 
-// shard is one independent backend: a mutex-guarded key→frame map.
-type shard struct {
-	mu      sync.Mutex
-	entries map[uint64]*entry
-	bytes   int64
-}
-
-// entry is one stored frame. refs counts its holders: the shard map while
+// entry is one stored frame. refs counts its holders: the map while
 // the key maps to it, plus one per GET reply being written whose body is b.
 // Whoever drops the last one hands b to the free list (Server.release).
 type entry struct {
@@ -134,12 +119,20 @@ func (l *freeList) put(b []byte) {
 	l.mu.Unlock()
 }
 
-// Server is the sharded activation-store service.
+// Server is the activation-store service.
 type Server struct {
 	cfg      Config
-	shards   []*shard
 	free     freeList
 	counters transport.Counters
+
+	// storeMu guards entries, the key→frame map, and bytes, the framed
+	// bytes resident in it. Every entry lives and dies with this process,
+	// so one copy is all there is: a frame Lose wipes is gone, and the
+	// client's GET reports transport.ErrNotFound for its recovery policy
+	// to handle.
+	storeMu sync.Mutex
+	entries map[uint64]*entry
+	bytes   int64
 
 	conns   atomic.Int64  // currently open connections
 	accepts atomic.Uint64 // connections accepted over the lifetime
@@ -155,30 +148,12 @@ type Server struct {
 
 // New builds a server.
 func New(cfg Config) *Server {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	s := &Server{
+	return &Server{
 		cfg:       cfg,
-		shards:    make([]*shard, cfg.Shards),
+		entries:   map[uint64]*entry{},
 		listeners: map[net.Listener]struct{}{},
 		open:      map[net.Conn]struct{}{},
 	}
-	for i := range s.shards {
-		s.shards[i] = &shard{entries: map[uint64]*entry{}}
-	}
-	return s
-}
-
-// shardOf returns the one shard that holds key. Keys are small
-// sequence numbers with a per-client base in the high bits, so the
-// shared splitmix mixer spreads them: without it, consecutive keys from
-// one client would land on neighbouring shards in lockstep. Every shard
-// lives and dies with this process, so one copy is all there is: a
-// frame KillShard wipes is gone, and the client's GET reports
-// transport.ErrNotFound for its recovery policy to handle.
-func (s *Server) shardOf(key uint64) *shard {
-	return s.shards[splitmix.Mix(key)%uint64(len(s.shards))]
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -321,7 +296,7 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handleRequest executes one decoded request against the sharded store
+// handleRequest executes one decoded request against the store
 // and returns the response. It performs no I/O — the fuzz target drives
 // it directly with arbitrary decoded requests. It takes ownership of a
 // PUT body; a GET hit's response holds a reference to its entry, which
@@ -339,15 +314,14 @@ func (s *Server) handleRequest(req transport.Request) response {
 		}
 		e := &entry{b: req.Body}
 		e.refs.Store(1)
-		sh := s.shardOf(req.Key)
-		sh.mu.Lock()
-		old := sh.entries[req.Key]
+		s.storeMu.Lock()
+		old := s.entries[req.Key]
 		if old != nil {
-			sh.bytes -= int64(len(old.b))
+			s.bytes -= int64(len(old.b))
 		}
-		sh.entries[req.Key] = e
-		sh.bytes += int64(len(req.Body))
-		sh.mu.Unlock()
+		s.entries[req.Key] = e
+		s.bytes += int64(len(req.Body))
+		s.storeMu.Unlock()
 		s.release(old)
 		s.counters.Offloaded.Add(1)
 		s.counters.BytesOffloaded.Add(int64(len(req.Body)))
@@ -358,15 +332,14 @@ func (s *Server) handleRequest(req transport.Request) response {
 		return response{status: transport.StatusOK}
 
 	case transport.OpGet, transport.OpGetCoef:
-		sh := s.shardOf(req.Key)
-		sh.mu.Lock()
-		e := sh.entries[req.Key]
+		s.storeMu.Lock()
+		e := s.entries[req.Key]
 		if e != nil {
-			// Taken under the shard lock, while the map's reference
+			// Taken under the store lock, while the map's reference
 			// still keeps the count above zero.
 			e.refs.Add(1)
 		}
-		sh.mu.Unlock()
+		s.storeMu.Unlock()
 		if e == nil {
 			return response{status: transport.StatusNotFound}
 		}
@@ -379,14 +352,13 @@ func (s *Server) handleRequest(req transport.Request) response {
 		return response{status: transport.StatusOK, body: e.b, held: e}
 
 	case transport.OpDelete:
-		sh := s.shardOf(req.Key)
-		sh.mu.Lock()
-		e := sh.entries[req.Key]
+		s.storeMu.Lock()
+		e := s.entries[req.Key]
 		if e != nil {
-			delete(sh.entries, req.Key)
-			sh.bytes -= int64(len(e.b))
+			delete(s.entries, req.Key)
+			s.bytes -= int64(len(e.b))
 		}
-		sh.mu.Unlock()
+		s.storeMu.Unlock()
 		if e == nil {
 			return response{status: transport.StatusNotFound}
 		}
@@ -462,25 +434,27 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// KillShard wipes every entry in shard i and returns how many frames it
-// dropped — the chaos harness's lever for losing data while the process
-// lives. The frames are gone: their GETs answer StatusNotFound, and the
-// client's recovery policy (recompute, in training) replays the step
-// that lost them. A reply already being written still goes out whole.
-func (s *Server) KillShard(i int) int {
-	if i < 0 || i >= len(s.shards) {
-		return 0
+// Lose wipes every entry whose key lost reports and returns how many
+// frames it dropped — the chaos harness's lever for losing data while
+// the process lives. The frames are gone: their GETs answer
+// StatusNotFound, and the client's recovery policy (recompute, in
+// training) replays the step that lost them. A reply already being
+// written still goes out whole.
+func (s *Server) Lose(lost func(key uint64) bool) int {
+	var gone []*entry
+	s.storeMu.Lock()
+	for k, e := range s.entries {
+		if lost(k) {
+			delete(s.entries, k)
+			s.bytes -= int64(len(e.b))
+			gone = append(gone, e)
+		}
 	}
-	sh := s.shards[i]
-	sh.mu.Lock()
-	old := sh.entries
-	sh.entries = map[uint64]*entry{}
-	sh.bytes = 0
-	sh.mu.Unlock()
-	for _, e := range old {
+	s.storeMu.Unlock()
+	for _, e := range gone {
 		s.release(e)
 	}
-	return len(old)
+	return len(gone)
 }
 
 // Snapshot returns the unified counter snapshot — the same struct the
@@ -489,26 +463,18 @@ func (s *Server) Snapshot() transport.Snapshot {
 	return s.counters.Snapshot()
 }
 
-// Entries returns the number of resident entries across all shards.
+// Entries returns the number of resident entries.
 func (s *Server) Entries() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	return len(s.entries)
 }
 
-// HostBytes returns the total framed footprint resident across shards.
+// HostBytes returns the framed footprint resident in the store.
 func (s *Server) HostBytes() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	return s.bytes
 }
 
 // MetricsHandler serves the unified snapshot in Prometheus text
@@ -523,6 +489,5 @@ func (s *Server) MetricsHandler() http.Handler {
 		fmt.Fprintf(w, "# HELP jpegact_actstore_entries Resident activation entries\n# TYPE jpegact_actstore_entries gauge\njpegact_actstore_entries %d\n", s.Entries())
 		fmt.Fprintf(w, "# HELP jpegact_actstore_resident_bytes Resident framed bytes\n# TYPE jpegact_actstore_resident_bytes gauge\njpegact_actstore_resident_bytes %d\n", s.HostBytes())
 		fmt.Fprintf(w, "# HELP jpegact_actstore_bad_requests_total Requests refused as malformed\n# TYPE jpegact_actstore_bad_requests_total counter\njpegact_actstore_bad_requests_total %d\n", s.badReqs.Load())
-		fmt.Fprintf(w, "# HELP jpegact_actstore_shards Configured shard count\n# TYPE jpegact_actstore_shards gauge\njpegact_actstore_shards %d\n", len(s.shards))
 	})
 }

@@ -89,8 +89,10 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 }
 
-func TestServerShardsBalance(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 4})
+// TestServerCountsEntriesAndBytes: Entries and HostBytes track every
+// resident frame under the key shape the offload store produces.
+func TestServerCountsEntriesAndBytes(t *testing.T) {
+	srv, dial := startServer(t, Config{})
 	c := transport.NewNetClient(dial, nil)
 	defer c.Close()
 	buf := testFrame(t, 1)
@@ -105,11 +107,6 @@ func TestServerShardsBalance(t *testing.T) {
 	}
 	if srv.Entries() != n {
 		t.Fatalf("%d entries, want %d", srv.Entries(), n)
-	}
-	for i, cnt := range srv.ShardEntries() {
-		if cnt == 0 {
-			t.Fatalf("shard %d empty: %v — key mixing is not spreading sequential keys", i, srv.ShardEntries())
-		}
 	}
 	if srv.HostBytes() != int64(n*len(buf)) {
 		t.Fatalf("resident bytes %d, want %d", srv.HostBytes(), n*len(buf))
@@ -401,7 +398,7 @@ func TestTruncatedOpHeaderPoisonsConnection(t *testing.T) {
 }
 
 func TestConcurrentClientsDisjointKeySpaces(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 8})
+	srv, dial := startServer(t, Config{})
 	const clients, perClient = 4, 16
 	errc := make(chan error, clients)
 	for id := 0; id < clients; id++ {
@@ -449,7 +446,7 @@ func TestConcurrentClientsDisjointKeySpaces(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv, dial := startServer(t, Config{Shards: 2})
+	srv, dial := startServer(t, Config{})
 	c := transport.NewNetClient(dial, nil)
 	defer c.Close()
 	buf := testFrame(t, 1)
@@ -463,24 +460,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"jpegact_actstore_offloaded_total 1",
 		fmt.Sprintf("jpegact_actstore_resident_bytes %d", len(buf)),
 		"jpegact_actstore_entries 1",
-		"jpegact_actstore_shards 2",
 		"# TYPE jpegact_actstore_offloaded_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
 		}
 	}
-}
-
-// ShardEntries returns per-shard entry counts (for balance checks).
-func (s *Server) ShardEntries() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		out[i] = len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // BenchmarkStoreRoundTrip plays store_mixed's offload life cycle with one

@@ -240,14 +240,14 @@ func TestRestoreRetryExhaustsOnPersistentFault(t *testing.T) {
 	}
 }
 
-// TestLostFrameFollowsThePolicy: a frame the networked store lost (a
-// killed shard holds its only copy) comes back as the typed
+// TestLostFrameFollowsThePolicy: a frame the networked store lost (it
+// holds the only copy, and Lose dropped it) comes back as the typed
 // transport.ErrNotFound and takes the path a corrupted frame takes — the
 // restore fails typed with the entry retained, under PolicyFail at once
 // and under PolicyRecompute once its re-reads are spent (the trainer
 // replays the step from there) — and never engages the breaker.
 func TestLostFrameFollowsThePolicy(t *testing.T) {
-	srv := netstore.New(netstore.Config{Shards: 1})
+	srv := netstore.New(netstore.Config{})
 	addr := "unix:" + filepath.Join(t.TempDir(), "store.sock")
 	ln, err := srv.Listen(addr)
 	if err != nil {
@@ -268,7 +268,7 @@ func TestLostFrameFollowsThePolicy(t *testing.T) {
 		if err := s.Offload(ref); err != nil {
 			t.Fatal(err)
 		}
-		srv.KillShard(0)
+		srv.Lose(func(uint64) bool { return true })
 		return s, ref, restoreStep(s, ref)
 	}
 

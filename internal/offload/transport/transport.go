@@ -16,7 +16,7 @@
 //   - NetClient (netclient.go, pipeline.go), a windowed wire client
 //     speaking the length-prefixed request/response protocol of wire.go
 //     over any net.Conn, with reconnect+resend riding the Retry
-//     schedule. The sharded server in internal/offload/netstore serves
+//     schedule. The server in internal/offload/netstore serves
 //     that protocol to many concurrent client processes.
 //
 // The layer split (codec / transport / scheduler) mirrors the paper's

@@ -227,7 +227,7 @@ func TestEngineWindowedOverWire(t *testing.T) {
 	want := twoSteps(t, NewStore(quant.OptL()))
 
 	log := &opLog{}
-	srv := netstore.New(netstore.Config{Shards: 2})
+	srv := netstore.New(netstore.Config{})
 	addr := "unix:" + filepath.Join(t.TempDir(), "store.sock")
 	ln, err := srv.Listen(addr)
 	if err != nil {

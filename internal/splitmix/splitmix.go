@@ -1,11 +1,9 @@
 // Package splitmix is the repo's one shared integer mixer: the
-// splitmix64 finalizer of Steele, Lea & Flood's SplittableRandom,
-// re-implemented identically (before this package existed) by the
-// netstore shard router and the netfaults per-connection streams. It
-// turns structured 64-bit inputs — small sequence numbers with a
-// client base in the high bits, connection indices, run seeds — into
-// well-distributed hashes, which is exactly what key sharding, fault
-// stream seeding and gradient-key namespacing all need: nearby inputs
+// splitmix64 finalizer of Steele, Lea & Flood's SplittableRandom. It
+// turns structured 64-bit inputs — connection indices, run seeds, small
+// sequence numbers with a client base in the high bits — into
+// well-distributed hashes, which is exactly what fault stream seeding,
+// gradient-key namespacing and dropout salting all need: nearby inputs
 // must land far apart.
 //
 // The mixer is a bijection on uint64, so namespaces derived through it

@@ -5,8 +5,8 @@ import "testing"
 // TestMixReferenceVectors pins the mixer to fixed vectors (the first
 // outputs of the splitmix64 generator for seed 1234567: Mix(seed +
 // i*Gamma) for i = 1..3) so the shared implementation can never drift
-// from what the netstore shard map and the netfaults chaos schedules
-// were recorded against.
+// from what the netfaults chaos schedules and the chaos soak's lost
+// keys were recorded against.
 func TestMixReferenceVectors(t *testing.T) {
 	seed := uint64(1234567)
 	want := []uint64{
@@ -34,8 +34,8 @@ func TestStreamMatchesManualAdvance(t *testing.T) {
 }
 
 // TestMixAvalanche: flipping any single input bit must flip a healthy
-// fraction of output bits — the property the shard router relies on so
-// consecutive store keys spread instead of marching across shards.
+// fraction of output bits — the property its callers rely on so
+// consecutive keys and seeds spread instead of landing side by side.
 func TestMixAvalanche(t *testing.T) {
 	base := Mix(0xdeadbeef)
 	for bit := 0; bit < 64; bit++ {

@@ -13,6 +13,7 @@ import (
 	"jpegact/internal/offload/netstore"
 	"jpegact/internal/offload/transport"
 	"jpegact/internal/quant"
+	"jpegact/internal/splitmix"
 )
 
 // chaosStore is a killable, restartable activation store pinned to one
@@ -64,26 +65,28 @@ func (cs *chaosStore) stop() {
 	cs.srv = nil
 }
 
-func (cs *chaosStore) killShard(i int) {
+// loseQuarter drops, from the live incarnation, every resident key in
+// quarter i of the key space: the keys with splitmix.Mix(key)%4 == i.
+func (cs *chaosStore) loseQuarter(i uint64) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.srv != nil {
-		cs.srv.KillShard(i)
+		cs.srv.Lose(func(key uint64) bool { return splitmix.Mix(key)%4 == i })
 	}
 }
 
 // TestChaosSoakBitExact is the failure-domain acceptance test: training
 // over a networked store under seeded connection chaos (resets
-// mid-frame, latency spikes, stalls), with a storage shard killed
-// mid-step twice and the whole server killed for a full epoch and then
-// restarted, must converge to final weights bit-identical to a
+// mid-frame, latency spikes, stalls), with a quarter of the stored keys
+// lost mid-step twice and the whole server killed for a full epoch and
+// then restarted, must converge to final weights bit-identical to a
 // fault-free in-process run. Every recovery mechanism is
 // content-transparent — reconnect+resend, a replay of the step whose
-// frames a killed shard took with it, the breaker keeping frames off a
-// dead wire — so no amount of injected failure may change a single
-// weight bit. The run must also actually exercise the machinery: both
-// kills replayed a step, and degraded ops, reconnects and injected
-// resets are all nonzero.
+// frames the store lost, the breaker keeping frames off a dead wire —
+// so no amount of injected failure may change a single weight bit. The
+// run must also actually exercise the machinery: both losses replayed a
+// step, and degraded ops, reconnects and injected resets are all
+// nonzero.
 func TestChaosSoakBitExact(t *testing.T) {
 	atWorkers(t, 2)
 	cfg := Config{Epochs: 3, BatchesPerEpoch: 2, BatchSize: 4, LR: 0.05}
@@ -106,7 +109,7 @@ func TestChaosSoakBitExact(t *testing.T) {
 	refRep, _, refModel := run(OffloadOptions{})
 
 	// Chaos-ridden networked run.
-	cs := newChaosStore(t, netstore.Config{Shards: 4})
+	cs := newChaosStore(t, netstore.Config{})
 	dial, err := transport.DialAddr(cs.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -118,19 +121,20 @@ func TestChaosSoakBitExact(t *testing.T) {
 		PStall: 0.05, Stall: 50 * time.Millisecond,
 	})
 
-	// Deterministic mid-step shard kills: when the wire has carried the
-	// Nth PUT, wipe a shard while its entries are still resident, so a
-	// restore that follows finds its frame gone and the step is replayed.
-	// Keys are the store's sequence numbers, so the shard map is known. A
-	// step claims 13 sequence numbers, the last a BRC frame, which never
-	// goes on the wire. The engine's first step sends the other 12 (puts
-	// 1-12, seqs 0-11); from its second step on — the replay included —
-	// the last 4 stay on the device, so 9 go on the wire. At put 8 (seqs
-	// 0-7 acknowledged, forward of epoch 0's first step) shard 0 holds six
-	// of them. That step's replay is puts 13-21 (seqs 13-21, 22-25 held),
-	// so the second step's forward is puts 22-30 (seqs 26-34): at put 27
-	// (seqs 26-31) shard 2 holds three of them, and the second step is
-	// replayed too (puts 31-39).
+	// Deterministic mid-step losses: when the wire has carried the Nth
+	// PUT, drop one quarter of the key space (loseQuarter) while its
+	// entries are still resident, so a restore that follows finds its
+	// frame gone and the step is replayed. Keys are the store's sequence
+	// numbers, so which ones go is known. A step claims 13 sequence
+	// numbers, the last a BRC frame, which never goes on the wire. The
+	// engine's first step sends the other 12 (puts 1-12, seqs 0-11); from
+	// its second step on — the replay included — the last 4 stay on the
+	// device, so 9 go on the wire. At put 8 (seqs 0-7 acknowledged,
+	// forward of epoch 0's first step) six of them are in quarter 0. That
+	// step's replay is puts 13-21 (seqs 13-21, 22-25 held), so the second
+	// step's forward is puts 22-30 (seqs 26-34): at put 27 (seqs 26-31)
+	// three of them are in quarter 2, and the second step is replayed too
+	// (puts 31-39).
 	var wirePuts atomic.Uint64
 	chaosRep, stats, chaosModel := run(OffloadOptions{
 		StoreDial:    transport.Dialer(inj.WrapDialer(dial)),
@@ -142,9 +146,9 @@ func TestChaosSoakBitExact(t *testing.T) {
 				}
 				switch wirePuts.Add(1) {
 				case 8:
-					cs.killShard(0)
+					cs.loseQuarter(0)
 				case 27:
-					cs.killShard(2)
+					cs.loseQuarter(2)
 				}
 			}
 		},
@@ -172,7 +176,7 @@ func TestChaosSoakBitExact(t *testing.T) {
 
 	// The run must have actually lived through the failure modes.
 	if stats.Recomputed < 2 {
-		t.Fatalf("%d recomputes — a shard kill went unnoticed", stats.Recomputed)
+		t.Fatalf("%d recomputes — a key loss went unnoticed", stats.Recomputed)
 	}
 	if stats.Degraded == 0 {
 		t.Fatal("no degraded ops — the breaker never engaged")

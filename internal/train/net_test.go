@@ -18,7 +18,7 @@ import (
 // duration of the test and returns its dialer and the server handle.
 func startStore(t *testing.T) (*netstore.Server, transport.Dialer) {
 	t.Helper()
-	srv := netstore.New(netstore.Config{Shards: 4})
+	srv := netstore.New(netstore.Config{})
 	addr := "unix:" + filepath.Join(t.TempDir(), "store.sock")
 	ln, err := srv.Listen(addr)
 	if err != nil {

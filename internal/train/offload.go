@@ -82,7 +82,7 @@ type OffloadOptions struct {
 	NoDegrade bool
 	// ClientHook, when set, receives the built wire client before the
 	// first operation — the seam chaos tests use to install op-count
-	// triggers (kill a shard on the Nth PUT) via the Latency hook.
+	// triggers (lose keys on the Nth PUT) via the Latency hook.
 	ClientHook func(*transport.NetClient)
 	// EpochEnd, when set, sees each epoch as the report records it. It
 	// runs between steps, when the store is empty (validation offloads

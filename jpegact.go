@@ -215,7 +215,7 @@ func NewStoreClient(dial StoreDialer, c *transport.Counters) *transport.NetClien
 	return transport.NewNetClient(dial, c)
 }
 
-// ActivationStoreServer is the sharded networked activation store
+// ActivationStoreServer is the networked activation store
 // (internal/offload/netstore); run it standalone with cmd/actstore.
 type ActivationStoreServer = netstore.Server
 
