@@ -105,15 +105,15 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 	h, w := x.Shape.H, x.Shape.W
 	inElems := c.InC * h * w
 	forBatch(x.Shape.N, func(lo, hi int, split bool) {
-		pk := packPool.get(gemmPanels(spatial) * k2 * gemmNR)
+		pk := scratch.get(gemmPanels(spatial) * k2 * gemmNR)
 		xp := c.padBuf(h, w)
 		for n := lo; n < hi; n++ {
 			// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial),
 			// cols lowered straight into the panels the tiles read.
 			src := c.padded(x.Data[n*inElems:(n+1)*inElems], h, w, xp)
-			c.im2colPanels(src, h+2*c.Pad, w+2*c.Pad, ho, wo, *pk)
+			c.im2colPanels(src, h+2*c.Pad, w+2*c.Pad, ho, wo, pk)
 			dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-			gemmTiles(c.OutC, k2, spatial, c.Weight.W.Data, *pk, dst, gemmOverwrite, split)
+			gemmTiles(c.OutC, k2, spatial, c.Weight.W.Data, pk, dst, gemmOverwrite, split)
 			if c.Bias != nil {
 				for oc, b := range c.Bias.W.Data {
 					row := dst[oc*spatial : (oc+1)*spatial]
@@ -123,8 +123,8 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 				}
 			}
 		}
-		packPool.put(pk)
-		padPool.put(xp)
+		scratch.put(pk)
+		scratch.put(xp)
 	})
 	return &ActRef{Name: c.LayerName + ".out", Kind: compress.KindConv, T: out}
 }
@@ -161,39 +161,40 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	inElems := c.InC * h * w
 
 	dx := grad.Derive(x.Shape)
-	wT := newGemmLHS(k2, c.OutC, c.Weight.W.Data, true)
+	wT := scratch.get(k2 * c.OutC)
+	packAT(c.OutC, k2, c.Weight.W.Data, wT)
 	// Element n's ∇Wᵀ (k2 × OutC) is partials[n].
-	partials := gradPool.get(x.Shape.N * k2 * c.OutC)
+	partials := scratch.get(x.Shape.N * k2 * c.OutC)
 	forBatch(x.Shape.N, func(lo, hi int, split bool) {
-		cols := packPool.get(k2 * spatial)
-		pk := packPool.get(max(gemmPanels(c.OutC)*spatial, gemmPanels(spatial)*c.OutC) * gemmNR)
+		cols := scratch.get(k2 * spatial)
+		pk := scratch.get(max(gemmPanels(c.OutC)*spatial, gemmPanels(spatial)*c.OutC) * gemmNR)
 		xp := c.padBuf(h, w)
 		for n := lo; n < hi; n++ {
 			gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
 			// ∇Wᵀ[n] = cols · ∇y[n]ᵀ  (k2×spatial · spatial×OutC): the
 			// transpose is paid on ∇y, K² times smaller than cols.
 			src := c.padded(x.Data[n*inElems:(n+1)*inElems], h, w, xp)
-			c.im2colRows(src, h+2*c.Pad, w+2*c.Pad, ho, wo, *cols)
-			packBT(spatial, c.OutC, gout, *pk)
-			gemmTiles(k2, spatial, c.OutC, *cols, *pk, (*partials)[n*k2*c.OutC:], gemmOverwrite, split)
+			c.im2colRows(src, h+2*c.Pad, w+2*c.Pad, ho, wo, cols)
+			packBT(spatial, c.OutC, gout, pk)
+			gemmTiles(k2, spatial, c.OutC, cols, pk, partials[n*k2*c.OutC:], gemmOverwrite, split)
 			// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), over cols.
-			packB(c.OutC, spatial, gout, *pk)
-			gemmTiles(k2, c.OutC, spatial, wT.a, *pk, *cols, gemmOverwrite, split)
+			packB(c.OutC, spatial, gout, pk)
+			gemmTiles(k2, c.OutC, spatial, wT, pk, cols, gemmOverwrite, split)
 			dxn := dx.Data[n*inElems : (n+1)*inElems]
 			if dx.Recycled() {
 				clear(dxn) // col2im adds into zeros and skips what no tap reads
 			}
-			c.col2im(*cols, dxn, h, w)
+			c.col2im(cols, dxn, h, w)
 		}
-		packPool.put(cols)
-		packPool.put(pk)
-		padPool.put(xp)
+		scratch.put(cols)
+		scratch.put(pk)
+		scratch.put(xp)
 	})
-	wT.release()
+	scratch.put(wT)
 	// One add per batch element in ascending n, whichever shard computed
 	// it: the op sequence of accumulating ∇y[n]·colsᵀ element by element.
-	addTransposed(c.OutC, k2, *partials, c.Weight.Grad.Data)
-	gradPool.put(partials)
+	addTransposed(c.OutC, k2, partials, c.Weight.Grad.Data)
+	scratch.put(partials)
 	c.biasGrad(grad)
 	return dx
 }
@@ -262,21 +263,21 @@ func colRange(out, extent, stride, k, pad int) (int, int) {
 
 // padBuf draws the scratch padded frames one batch element in; nil when the
 // layer has no padding and reads x in place.
-func (c *Conv2D) padBuf(h, w int) *[]float32 {
+func (c *Conv2D) padBuf(h, w int) []float32 {
 	if c.Pad == 0 {
 		return nil
 	}
-	return padPool.get(c.InC * (h + 2*c.Pad) * (w + 2*c.Pad))
+	return scratch.get(c.InC * (h + 2*c.Pad) * (w + 2*c.Pad))
 }
 
 // padded returns batch element xn (InC × h × w) as the InC × (h+2P) ×
 // (w+2P) planes the lowering reads: xn itself without padding, else its
-// copy into buf framed by zeros, so no tap needs a bounds test.
-func (c *Conv2D) padded(xn []float32, h, w int, buf *[]float32) []float32 {
-	if buf == nil {
+// copy into dst framed by zeros, so no tap needs a bounds test.
+func (c *Conv2D) padded(xn []float32, h, w int, dst []float32) []float32 {
+	if dst == nil {
 		return xn
 	}
-	p, dst := c.Pad, *buf
+	p := c.Pad
 	wp := w + 2*p
 	end := 0 // the first element no row has written
 	for ic := range c.InC {

@@ -10,3 +10,17 @@ func WithPortableGemm(f func()) bool {
 	f()
 	return old != nil
 }
+
+// PoisonScratch makes the scratch list fill every buffer with NaN before
+// it hands the buffer out, until the returned func runs. That func also
+// empties the list, so no NaN a poisoned run left behind reaches a later
+// unpoisoned one.
+func PoisonScratch() (restore func()) {
+	poison.Store(true)
+	return func() {
+		poison.Store(false)
+		scratch.mu.Lock()
+		scratch.bufs, scratch.bytes = nil, 0
+		scratch.mu.Unlock()
+	}
+}

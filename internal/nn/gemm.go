@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,50 +63,74 @@ const (
 // sets it once at init if the CPU qualifies; nothing else selects it.
 var gemmTileAsm func(k int, a *float32, lda int, panel *float32, c *float32, ldc int, mode int)
 
-// bufPool recycles float32 scratch across calls. New buffers are
-// allocated at the high-water mark of requested sizes: calls of different
-// shapes interleave, and a popped buffer that is too small for the current
-// call would otherwise be discarded and re-allocated forever. At the
-// high-water capacity every pooled buffer serves every request, so steady
-// state allocates nothing.
-type bufPool struct {
-	pool sync.Pool
-	max  atomic.Int64
+// scratch is the package's one free list of float32 scratch: a GEMM's
+// packed panels and transposed left operand, and a conv layer's lowered
+// planes, padded inputs and per-element ∇W partials, all requests of
+// every size and every worker. A request takes the smallest free buffer
+// that holds it, so a 2,304-float Wᵀ does not hold a 147,456-float im2col
+// matrix; what nothing fits is allocated at exactly its length. A layer
+// sequence that repeats each step is served from the buffers its first
+// steps allocated.
+var scratch scratchList
+
+// scratchBytes bounds the capacity the list keeps. It is eight times what
+// a step of the bench-scale ResNet18 leaves there at two workers (≈ 2 MB),
+// so a repeating step never evicts.
+const scratchBytes = 16 << 20
+
+// poison, when set, fills every buffer with NaN before get hands it out,
+// so a kernel that reads scratch it did not write poisons its result.
+// Only tests set it (export_test.go).
+var poison atomic.Bool
+
+// scratchList holds the free buffers oldest first, at most scratchBytes
+// of capacity; put drops the oldest past the bound.
+type scratchList struct {
+	mu    sync.Mutex
+	bufs  [][]float32
+	bytes int
 }
 
-func (bp *bufPool) get(n int) *[]float32 {
-	if p, ok := bp.pool.Get().(*[]float32); ok && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	hw := int(bp.max.Load())
-	for hw < n {
-		if bp.max.CompareAndSwap(int64(hw), int64(n)) {
-			hw = n
-			break
+// get returns a length-n buffer holding whatever its last user left.
+func (l *scratchList) get(n int) (b []float32) {
+	l.mu.Lock()
+	best := -1
+	for i, f := range l.bufs {
+		if cap(f) >= n && (best < 0 || cap(f) < cap(l.bufs[best])) {
+			best = i
 		}
-		hw = int(bp.max.Load())
 	}
-	buf := make([]float32, n, hw)
-	return &buf
+	if best < 0 {
+		b = make([]float32, n)
+	} else {
+		b = l.bufs[best][:n]
+		l.bufs = slices.Delete(l.bufs, best, best+1)
+		l.bytes -= 4 * cap(b)
+	}
+	l.mu.Unlock()
+	if poison.Load() {
+		for i := range b {
+			b[i] = float32(math.NaN())
+		}
+	}
+	return b
 }
 
-// put returns p to the pool; a nil p (a buffer never drawn) is ignored.
-func (bp *bufPool) put(p *[]float32) {
-	if p != nil {
-		bp.pool.Put(p)
+// put hands b back. A nil b (a buffer never drawn) and one larger than
+// the whole bound are not kept.
+func (l *scratchList) put(b []float32) {
+	if cap(b) == 0 || 4*cap(b) > scratchBytes {
+		return
 	}
+	l.mu.Lock()
+	l.bufs = append(l.bufs, b)
+	l.bytes += 4 * cap(b)
+	for l.bytes > scratchBytes {
+		l.bytes -= 4 * cap(l.bufs[0])
+		l.bufs = slices.Delete(l.bufs, 0, 1)
+	}
+	l.mu.Unlock()
 }
-
-// packPool holds what one GEMM operand needs — packed panels, a transposed
-// left operand, one batch element's im2col matrix — and every worker
-// draws several at once. gradPool holds a conv layer's per-element ∇W
-// partials, batch-size times a weight tensor and one per backward call:
-// it has its own high-water mark so the operand buffers do not grow to it.
-// padPool holds one batch element's zero-framed conv input, one per shard:
-// its own mark too, since packPool's would size every padded plane like
-// the largest cols matrix.
-var packPool, gradPool, padPool bufPool
 
 func gemmPanels(n int) int { return (n + gemmNR - 1) / gemmNR }
 
@@ -286,39 +312,14 @@ func gemmTiles(m, k, n int, a, pk, c []float32, mode gemmMode, split bool) {
 	})
 }
 
-// gemmLHS is a left operand prepared once and multiplied many times — a
-// conv layer applies one weight matrix to every batch element: the
-// row-major M×K values, transposed into a pooled buffer if they were
-// stored K×M.
-type gemmLHS struct {
-	m, k int
-	a    []float32
-	at   *[]float32 // pooled transpose backing a; nil when a is the caller's
-}
-
-// newGemmLHS prepares A stored row-major M×K, or K×M if transposed.
-func newGemmLHS(m, k int, a []float32, transposed bool) gemmLHS {
-	l := gemmLHS{m: m, k: k, a: a[:m*k]}
-	if transposed {
-		l.at = packPool.get(m * k)
-		packAT(k, m, a, *l.at)
-		l.a = *l.at
-	}
-	return l
-}
-
-// mul computes C (m×n) from A·B for row-major B (k×n) in the given mode.
-func (l *gemmLHS) mul(n int, b, c []float32, mode gemmMode) {
-	packed := packPool.get(gemmPanels(n) * l.k * gemmNR)
-	packB(l.k, n, b, *packed)
-	gemmTiles(l.m, l.k, n, l.a, *packed, c, mode, true)
-	packPool.put(packed)
-}
-
-func (l *gemmLHS) release() {
-	if l.at != nil {
-		packPool.put(l.at)
-	}
+// gemmPacked computes C (m×n) from A·B in the given mode, A row-major
+// m×k, with B packed by pack (packB for row-major k×n, packBT for n×k)
+// into scratch.
+func gemmPacked(m, k, n int, a, b, c []float32, mode gemmMode, pack func(k, n int, b, packed []float32)) {
+	packed := scratch.get(gemmPanels(n) * k * gemmNR)
+	pack(k, n, b, packed)
+	gemmTiles(m, k, n, a, packed, c, mode, true)
+	scratch.put(packed)
 }
 
 // Gemm computes C += A·B for row-major matrices: A is M×K, B is K×N,
@@ -327,9 +328,7 @@ func Gemm(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemm size mismatch")
 	}
-	l := newGemmLHS(m, k, a, false)
-	l.mul(n, b, c, gemmAccumulate)
-	l.release()
+	gemmPacked(m, k, n, a, b, c, gemmAccumulate, packB)
 }
 
 // GemmTA computes C += Aᵀ·B where A is K×M (so Aᵀ is M×K), B is K×N,
@@ -338,9 +337,10 @@ func GemmTA(m, k, n int, a, b, c []float32) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemmTA size mismatch")
 	}
-	l := newGemmLHS(m, k, a, true)
-	l.mul(n, b, c, gemmAccumulate)
-	l.release()
+	at := scratch.get(m * k)
+	packAT(k, m, a, at)
+	gemmPacked(m, k, n, at, b, c, gemmAccumulate, packB)
+	scratch.put(at)
 }
 
 // GemmTB computes C += A·Bᵀ where A is M×K, B is N×K (so Bᵀ is K×N),
@@ -350,8 +350,5 @@ func GemmTB(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("nn: gemmTB size mismatch")
 	}
-	packed := packPool.get(gemmPanels(n) * k * gemmNR)
-	packBT(k, n, b, *packed)
-	gemmTiles(m, k, n, a, *packed, c, gemmDotAdd, true)
-	packPool.put(packed)
+	gemmPacked(m, k, n, a, b, c, gemmDotAdd, packBT)
 }

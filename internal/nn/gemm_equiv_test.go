@@ -149,9 +149,7 @@ var entries = []entry{
 	{name: "GemmTB", transB: true, run: GemmTB, ref: gemmTBSaxpy},
 	{name: "overwrite", overwrites: true,
 		run: func(m, k, n int, a, b, c []float32) {
-			l := newGemmLHS(m, k, a, false)
-			l.mul(n, b, c, gemmOverwrite)
-			l.release()
+			gemmPacked(m, k, n, a, b, c, gemmOverwrite, packB)
 		},
 		ref: func(m, k, n int, a, b, c []float32) {
 			clear(c)

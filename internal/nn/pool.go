@@ -242,9 +242,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// ∇x = ∇y · W  (n×OutF · OutF×InF), overwriting dx
 	dx := grad.Derive(l.inShape)
-	gy := newGemmLHS(n, l.OutF, grad.Data, false)
-	gy.mul(l.InF, l.Weight.W.Data, dx.Data, gemmOverwrite)
-	gy.release()
+	gemmPacked(n, l.OutF, l.InF, grad.Data, l.Weight.W.Data, dx.Data, gemmOverwrite, packB)
 	return dx
 }
 
