@@ -17,10 +17,10 @@
 //	acttrain -model ResNet18 -offload -flip 1e-5 -policy recompute
 //
 // With -store the offload traffic targets a shared networked activation
-// store (cmd/actstore) instead of the in-process channel; -store-key
-// namespaces this trainer's keys when several share one server:
+// store (cmd/actstore) instead of the in-process channel; each trainer
+// draws its own key namespace, so several can share one server:
 //
-//	acttrain -model ResNet18 -offload -store unix:/tmp/actstore.sock -store-key 1
+//	acttrain -model ResNet18 -offload -store unix:/tmp/actstore.sock
 //
 // With -replicas K the step runs data-parallel: K workers train on
 // disjoint microbatch shards and exchange compressed gradients through
@@ -91,8 +91,6 @@ func main() {
 	drop := flag.Float64("drop", 0, "channel drop rate per transfer")
 	store := flag.String("store", "",
 		"with -offload: networked activation-store address (unix:/path or tcp:host:port; see cmd/actstore)")
-	storeKey := flag.Uint64("store-key", 0,
-		"with -offload -store: client id namespacing this trainer's keys on the shared store (keys become id<<32 | seq)")
 	storeTimeout := flag.Duration("store-timeout", 5*time.Second,
 		"with -store: total wall budget per wire op across reconnect+resend; a dead store fails typed and trips the circuit breaker, which keeps frames off the wire in their store entries (0 = unbounded)")
 	noDegrade := flag.Bool("no-degrade", false,
@@ -125,15 +123,12 @@ func main() {
 		on   bool
 	}
 	offload := mode{"-offload", *useOffload}
-	// The data-parallel trainer's store client takes no key base and has
-	// no breaker.
-	offloadStore := mode{"-offload and -store", *useOffload && *store != ""}
+	// The data-parallel trainer's store client has no breaker.
 	needs := map[string]mode{
 		"policy": offload, "flip": offload, "trunc": offload, "drop": offload,
 		"store":         {"-offload or -replicas", *useOffload || *replicas > 0},
-		"store-key":     offloadStore,
 		"store-timeout": {"-store", *store != ""},
-		"no-degrade":    offloadStore,
+		"no-degrade":    {"-offload and -store", *useOffload && *store != ""},
 		"microbatches":  {"-replicas", *replicas > 0},
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -163,7 +158,7 @@ func main() {
 		rep, snap, err = runDataParallel(*model, sc, cfg, *replicas, *microbatches, *store, *storeTimeout)
 	case *useOffload:
 		rep, snap, err = runOffloaded(*model, sc, cfg, *policy, *flip, *trunc, *drop,
-			*store, *storeKey, *storeTimeout, *noDegrade)
+			*store, *storeTimeout, *noDegrade)
 	case *model == "VDSR":
 		rep = jpegact.TrainSuperRes(sc, cfg, *seed)
 	default:
@@ -254,10 +249,9 @@ func runDataParallel(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfi
 
 // runOffloaded trains over the real host-memory channel, optionally
 // fault-injected, and prints the injector's counters.
-func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, policy string, flip, trunc, drop float64, store string, storeKey uint64, storeTimeout time.Duration, noDegrade bool) (jpegact.TrainReport, jpegact.TransportSnapshot, error) {
+func runOffloaded(model string, sc jpegact.ModelScale, cfg jpegact.TrainConfig, policy string, flip, trunc, drop float64, store string, storeTimeout time.Duration, noDegrade bool) (jpegact.TrainReport, jpegact.TransportSnapshot, error) {
 	oc := jpegact.OffloadTrainOptions{
-		DQT:       jpegact.OptL(),
-		StoreAddr: store, StoreKeyBase: storeKey << 32,
+		DQT: jpegact.OptL(), StoreAddr: store,
 		StoreTimeout: storeTimeout, NoDegrade: noDegrade, EpochEnd: streamEpoch,
 	}
 	known := false

@@ -226,9 +226,9 @@ func TestDigestTable(t *testing.T) {
 	}
 }
 
-// TestNetworkedClientsMatchLocal: four trainers sharing one actstore
-// under disjoint key bases each print the epoch table and the weights
-// digest of the in-process run.
+// TestNetworkedClientsMatchLocal: four trainers sharing one actstore at
+// once, each with the key namespace its store draws, each print the
+// epoch table and the weights digest of the in-process run.
 func TestNetworkedClientsMatchLocal(t *testing.T) {
 	acttrain, actstore := binaries(t)
 	sock := filepath.Join(t.TempDir(), "store.sock")
@@ -249,8 +249,7 @@ func TestNetworkedClientsMatchLocal(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outs[i], errs[i] = train(acttrain, small("-offload",
-				"-store", "unix:"+sock, "-store-key", strconv.Itoa(i+1))...)
+			outs[i], errs[i] = train(acttrain, small("-offload", "-store", "unix:"+sock)...)
 		}()
 	}
 	wg.Wait()
@@ -428,11 +427,9 @@ func TestFlagOutsideItsModeIsRefused(t *testing.T) {
 		{"-trunc", "0.02"},
 		{"-drop", "0.02"},
 		{"-store", "unix:none.sock"},
-		{"-offload", "-store-key", "1"},
 		{"-offload", "-no-degrade"},
 		{"-offload", "-store-timeout", "1s"},
 		{"-microbatches", "2"},
-		{"-replicas", "2", "-microbatches", "2", "-store", "unix:none.sock", "-store-key", "1"},
 		{"-replicas", "2", "-microbatches", "2", "-store", "unix:none.sock", "-no-degrade"},
 	} {
 		out, err := exec.Command(acttrain, small(args...)...).CombinedOutput()

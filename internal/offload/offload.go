@@ -34,6 +34,7 @@ package offload
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
@@ -140,11 +141,6 @@ type Store struct {
 	// with this store's Counters() so its fault and byte counters land
 	// in Stats(), and set it before the first operation.
 	Transport transport.Transport
-	// KeyBase is OR'd into every transport key (the offload sequence
-	// number occupies the low bits). Give each client process of a
-	// shared networked store a disjoint base — e.g. id<<32 — so their
-	// key spaces cannot collide.
-	KeyBase uint64
 	// Recovery selects the corruption policy (zero value = PolicyFail).
 	Recovery Recovery
 	// NoDegrade turns the circuit breaker guarding a wire Transport off:
@@ -157,6 +153,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[*nn.ActRef]*entry
 	nextSeq int
+	base    uint64
 	local   *transport.Local
 	brk     breaker
 
@@ -164,9 +161,13 @@ type Store struct {
 }
 
 // NewStore builds a store with the JPEG-ACT codec at the given
-// quantization table and a clean in-process transport.
+// quantization table and a clean in-process transport. It draws the
+// store's key namespace, bits 32–62 of every transport key, once: two
+// stores sharing one server collide with probability 2⁻³¹, whoever
+// builds them. Bit 63 stays clear for the gradient exchange
+// (transport.IsGradKey).
 func NewStore(d quant.DQT) *Store {
-	return &Store{Codec: codec.New(d), entries: map[*nn.ActRef]*entry{}}
+	return &Store{Codec: codec.New(d), entries: map[*nn.ActRef]*entry{}, base: rand.Uint64N(1<<31) << 32}
 }
 
 // Counters exposes the store's live counter block so an externally
@@ -214,7 +215,7 @@ func (s *Store) retry() transport.Retry {
 }
 
 // key maps an offload sequence number onto its transport key.
-func (s *Store) key(seq int) uint64 { return s.KeyBase | uint64(seq) }
+func (s *Store) key(seq int) uint64 { return s.base | uint64(seq) }
 
 // Stats returns a point-in-time snapshot of the counters.
 func (s *Store) Stats() Stats { return s.counters.Snapshot() }

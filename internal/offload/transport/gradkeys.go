@@ -1,19 +1,19 @@
 package transport
 
-// Gradient key namespace for the data-parallel exchange. The store's
-// activation keys are its offload sequence numbers (optionally OR'd
-// with a per-client KeyBase), which never set bit 63 in practice — so
-// the gradient exchange claims the top bit as a namespace flag and one
-// actstore process can serve activations and gradients concurrently
-// with zero wire-protocol changes: a gradient key is just another
+// Gradient key namespace for the data-parallel exchange. An activation
+// store's keys are its offload sequence numbers OR'd with the base the
+// store drew in bits 32..62, so they never set bit 63. The gradient
+// exchange claims the top bit as a namespace flag, and one actstore
+// process can serve activations and gradients concurrently with zero
+// wire-protocol changes: a gradient key is just another
 // opaque uint64 to the protocol, and only the counters care.
 //
 // Layout (most to least significant):
 //
 //	bit  63     grad-namespace flag (1 = gradient key)
-//	bits 62..48 run tag (15 bits, splitmix-derived from the training
-//	            seed, so two runs sharing a store collide with
-//	            probability 2^-15 instead of certainty)
+//	bits 62..48 run tag (15 bits, drawn once per run by GradTag, so
+//	            two runs sharing a store collide with probability
+//	            2^-15 whatever their seeds and options)
 //	bits 47..24 step number (24 bits — 16M steps)
 //	bits 23..12 slot (12 bits: 0 = the reduced gradient, m+1 = the
 //	            contribution of microbatch m)
@@ -23,7 +23,7 @@ package transport
 // and the counters below; the store itself never parses it beyond
 // IsGradKey.
 
-import "jpegact/internal/splitmix"
+import "math/rand/v2"
 
 const (
 	gradFlagBit  = uint64(1) << 63
@@ -44,11 +44,10 @@ const (
 	GradMaxChunks = 1 << gradChunkBits
 )
 
-// GradTag derives the 15-bit run tag from a training seed. Seed 0 is
-// legal: the tag is drawn one Gamma step into the stream, past the
-// mixer's zero fixed point.
-func GradTag(seed uint64) uint64 {
-	return splitmix.Mix(seed+splitmix.Gamma) >> (64 - gradTagBits)
+// GradTag draws a 15-bit run tag from the runtime-seeded generator. A
+// tag is an address, never content: nothing a run computes reads it.
+func GradTag() uint64 {
+	return rand.Uint64N(1 << gradTagBits)
 }
 
 // GradKey builds the store key for one gradient chunk. slot 0 names the

@@ -120,8 +120,8 @@ func AttemptTimeout(total time.Duration) time.Duration {
 
 // Transport is the pluggable byte-path interface the offload store is
 // written against. Keys are opaque 64-bit names the store assigns (its
-// offload sequence number, optionally OR'd with a per-client KeyBase so
-// processes sharing a networked backend stay disjoint).
+// offload sequence number OR'd with the base the store drew, so stores
+// sharing a networked backend stay disjoint).
 //
 // PutAsync ships one encoded frame to the backend; its handle's
 // PutResult reports how many bytes landed (a faulty send may persist

@@ -19,10 +19,13 @@ import (
 	"jpegact/internal/tensor"
 )
 
-// wireOp is one request as the server read it.
+// wireOp is one request as the server read it: its op and its key's
+// low 32 bits, the store's offload sequence number. The bits above are
+// the base each store draws for itself, so two stores' logs match only
+// without them.
 type wireOp struct {
 	op  uint8
-	key uint64
+	seq uint32
 }
 
 // opLog collects the requests of every connection a tapListener accepts,
@@ -47,7 +50,7 @@ func (l *opLog) parse(r io.Reader) {
 			return
 		}
 		l.mu.Lock()
-		l.ops = append(l.ops, wireOp{req.Op, req.Key})
+		l.ops = append(l.ops, wireOp{req.Op, uint32(req.Key)})
 		l.mu.Unlock()
 	}
 }
@@ -251,7 +254,6 @@ func TestEngineWindowedOverWire(t *testing.T) {
 		c := transport.NewNetClient(log.dialer(dial), s.Counters())
 		c.Window = window
 		s.Transport = c
-		s.KeyBase = 7 << 32
 		s.Recovery = Recovery{Policy: PolicyRetry, MaxRetries: 16}
 		if d := c.Depth(); (window == 1) != (d == 1) {
 			t.Fatalf("%s: client depth %d at Window %d", label, d, window)

@@ -66,12 +66,14 @@ func (cs *chaosStore) stop() {
 }
 
 // loseQuarter drops, from the live incarnation, every resident key in
-// quarter i of the key space: the keys with splitmix.Mix(key)%4 == i.
+// quarter i of the sequence space: the keys whose offload sequence
+// number, the low 32 bits below the store's drawn base, has
+// splitmix.Mix(seq)%4 == i.
 func (cs *chaosStore) loseQuarter(i uint64) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.srv != nil {
-		cs.srv.Lose(func(key uint64) bool { return splitmix.Mix(key)%4 == i })
+		cs.srv.Lose(func(key uint64) bool { return splitmix.Mix(key&(1<<32-1))%4 == i })
 	}
 }
 
@@ -122,19 +124,19 @@ func TestChaosSoakBitExact(t *testing.T) {
 	})
 
 	// Deterministic mid-step losses: when the wire has carried the Nth
-	// PUT, drop one quarter of the key space (loseQuarter) while its
+	// PUT, drop one quarter of the sequence space (loseQuarter) while its
 	// entries are still resident, so a restore that follows finds its
-	// frame gone and the step is replayed. Keys are the store's sequence
-	// numbers, so which ones go is known. A step claims 13 sequence
-	// numbers, the last a BRC frame, which never goes on the wire. The
-	// engine's first step sends the other 12 (puts 1-12, seqs 0-11); from
-	// its second step on — the replay included — the last 4 stay on the
-	// device, so 9 go on the wire. At put 8 (seqs 0-7 acknowledged,
-	// forward of epoch 0's first step) six of them are in quarter 0. That
-	// step's replay is puts 13-21 (seqs 13-21, 22-25 held), so the second
-	// step's forward is puts 22-30 (seqs 26-34): at put 27 (seqs 26-31)
-	// three of them are in quarter 2, and the second step is replayed too
-	// (puts 31-39).
+	// frame gone and the step is replayed. The quarter is picked by
+	// sequence number, so which frames go is known. A step claims 13
+	// sequence numbers, the last a BRC frame, which never goes on the
+	// wire. The engine's first step sends the other 12 (puts 1-12, seqs
+	// 0-11); from its second step on — the replay included — the last 4
+	// stay on the device, so 9 go on the wire. At put 8 (seqs 0-7
+	// acknowledged, forward of epoch 0's first step) six of them are in
+	// quarter 0. That step's replay is puts 13-21 (seqs 13-21, 22-25
+	// held), so the second step's forward is puts 22-30 (seqs 26-34): at
+	// put 27 (seqs 26-31) three of them are in quarter 2, and the second
+	// step is replayed too (puts 31-39).
 	var wirePuts atomic.Uint64
 	chaosRep, stats, chaosModel := run(OffloadOptions{
 		StoreDial:    transport.Dialer(inj.WrapDialer(dial)),

@@ -548,7 +548,7 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 		// mutex-guarded; closing it again is harmless).
 		shared = transport.NewLocal(nil, counters)
 	}
-	tag := transport.GradTag(cfg.Seed)
+	tag := transport.GradTag()
 	pipe := codec.New(quant.OptL()) // DQT unused by the gradient codec
 	// newExchange builds one goroutine's exchange over plan; its client
 	// closes when training returns.

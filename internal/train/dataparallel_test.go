@@ -105,7 +105,7 @@ func TestDataParallelBitExact(t *testing.T) {
 		defer wg.Done()
 		m, ds := faultModel(700)
 		_, _, actErr = ClassifierOffloaded(m, ds, actCfg, OffloadOptions{
-			DQT: quant.OptL(), StoreDial: dial, StoreKeyBase: 1 << 32,
+			DQT: quant.OptL(), StoreDial: dial,
 		})
 	}()
 	netRep, netSnap, netModel := dpRun(t, 1500, DPOptions{
@@ -160,6 +160,98 @@ func TestDataParallelBitExact(t *testing.T) {
 	}
 	if chaosSnap.Reconnects == 0 {
 		t.Fatal("no reconnects — resets never bit the gradient path")
+	}
+}
+
+// TestDataParallelRunsShareAStore: two data-parallel runs of one seed,
+// at 2 and 4 microbatches, exchange gradients through one store at the
+// same time. Their step, slot and chunk numbers coincide, so only the
+// tag each run draws keeps their keys apart: each must train the weights
+// it trains alone, and leave the store empty.
+func TestDataParallelRunsShareAStore(t *testing.T) {
+	cfg := dpCfg(t)
+	cfg.Epochs, cfg.BatchesPerEpoch = 8, 1
+	run := func(M int, dp DPOptions) (string, error) {
+		newModel, _, ds := dpFixture(1500)
+		dp.Replicas, dp.Microbatches = 2, M
+		rep, _, err := ClassifierDataParallel(newModel, ds, cfg, dp)
+		return rep.WeightsDigest, err
+	}
+	micro := []int{2, 4}
+	solo := make([]string, len(micro))
+	for i, M := range micro {
+		var err error
+		if solo[i], err = run(M, DPOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if solo[0] == solo[1] {
+		t.Fatal("2 and 4 microbatches train the same weights: a swapped gradient would go unseen")
+	}
+
+	// An epoch is one step, and each run waits at its epoch ends for the
+	// other's: the two exchange the same step's gradients at once.
+	srv, dial := startStore(t)
+	step := newLockstep(len(micro))
+	got := make([]string, len(micro))
+	errs := make([]error, len(micro))
+	var wg sync.WaitGroup
+	for i, M := range micro {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer step.leave()
+			got[i], errs[i] = run(M, DPOptions{StoreDial: dial, EpochEnd: func(EpochStats) { step.wait() }})
+		}()
+	}
+	wg.Wait()
+	for i, M := range micro {
+		if errs[i] != nil {
+			t.Fatalf("M=%d beside another run: %v", M, errs[i])
+		}
+		if got[i] != solo[i] {
+			t.Errorf("M=%d beside another run: weights %s, alone %s", M, got[i], solo[i])
+		}
+	}
+	if n := srv.Entries(); n != 0 {
+		t.Fatalf("%d entries left on the server", n)
+	}
+}
+
+// lockstep is a reusable barrier: wait returns once every party still
+// in has called it, and a party that leaves stops being waited for.
+type lockstep struct {
+	mu      sync.Mutex
+	parties int
+	arrived int
+	release chan struct{}
+}
+
+func newLockstep(parties int) *lockstep {
+	return &lockstep{parties: parties, release: make(chan struct{})}
+}
+
+func (l *lockstep) wait() {
+	l.mu.Lock()
+	l.arrived++
+	ch := l.release
+	l.open()
+	l.mu.Unlock()
+	<-ch
+}
+
+func (l *lockstep) leave() {
+	l.mu.Lock()
+	l.parties--
+	l.open()
+	l.mu.Unlock()
+}
+
+// open releases the waiting parties once all that are in have arrived.
+func (l *lockstep) open() {
+	if l.arrived > 0 && l.arrived >= l.parties {
+		close(l.release)
+		l.arrived, l.release = 0, make(chan struct{})
 	}
 }
 

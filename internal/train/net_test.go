@@ -116,9 +116,7 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 
 	// Clean network transport: only the byte path differs.
 	srv, dial := startStore(t)
-	netRep, netStats, netModel := run(OffloadOptions{
-		StoreDial: dial, StoreKeyBase: 1 << 32,
-	})
+	netRep, netStats, netModel := run(OffloadOptions{StoreDial: dial})
 	sameEpochs(t, refRep, netRep, "netstore clean")
 	sameWeights(t, refModel, netModel, "netstore clean")
 	if netStats.Restored != refStats.Restored {
@@ -137,10 +135,9 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 	// reconnect+resend on the retry schedule.
 	_, dial2 := startStore(t)
 	dropRep, dropStats, dropModel := run(OffloadOptions{
-		StoreDial:    droppingDialer(dial2, 64<<10),
-		StoreKeyBase: 2 << 32,
-		Policy:       offload.PolicyRetry,
-		MaxRetries:   6,
+		StoreDial:  droppingDialer(dial2, 64<<10),
+		Policy:     offload.PolicyRetry,
+		MaxRetries: 6,
 	})
 	if dropStats.Reconnects == 0 || dropStats.Retried == 0 {
 		t.Fatalf("drop injection never fired: %+v", dropStats)

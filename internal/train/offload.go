@@ -66,9 +66,6 @@ type OffloadOptions struct {
 	// drop connections mid-frame and the reconnect+resend schedule must
 	// absorb it.
 	StoreDial transport.Dialer
-	// StoreKeyBase namespaces this trainer's keys on a shared store
-	// (e.g. clientID<<32); processes with disjoint bases cannot collide.
-	StoreKeyBase uint64
 	// StoreTimeout bounds the total wall time one wire operation may
 	// spend across its whole reconnect+resend schedule; on expiry the
 	// op fails with the typed offload.ErrStoreUnavailable, which feeds
@@ -186,7 +183,6 @@ func newStore(oc OffloadOptions) (*offload.Store, error) {
 			dial = d
 		}
 		store.Transport = newStoreClient(dial, store.Counters(), oc.StoreTimeout, oc.ClientHook)
-		store.KeyBase = oc.StoreKeyBase
 		store.NoDegrade = oc.NoDegrade
 	}
 	return store, nil

@@ -113,14 +113,13 @@ func TestPolicyMatrix(t *testing.T) {
 			for _, act := range activations {
 				var stores []*offload.Store
 				newModel, lead, ds := dpFixture(seed)
-				rep, snap, err := dataParallel(newModel, ds, cfg, dp, func(k int, p *pass) {
+				rep, snap, err := dataParallel(newModel, ds, cfg, dp, func(_ int, p *pass) {
 					s := offload.NewStore(quant.OptL())
 					if act == "round-trip" {
 						s.Codec = codec.For(roundTrip(), 0)
 					}
 					if row.net {
 						s.Transport = transport.NewNetClient(dial, s.Counters())
-						s.KeyBase = uint64(k+1) << 32
 					}
 					eng := offload.NewEngine(s, offload.EngineConfig{})
 					t.Cleanup(func() {
