@@ -15,8 +15,8 @@ package transport
 //	            two runs sharing a store collide with probability
 //	            2^-15 whatever their seeds and options)
 //	bits 47..24 step number (24 bits — 16M steps)
-//	bits 23..12 slot (12 bits: 0 = the reduced gradient, m+1 = the
-//	            contribution of microbatch m)
+//	bits 23..12 slot (12 bits: slot m = the contribution of
+//	            microbatch m)
 //	bits 11..0  chunk index within the flattened gradient (12 bits)
 //
 // The layout is a private convention between the data-parallel trainer
@@ -50,10 +50,11 @@ func GradTag() uint64 {
 	return rand.Uint64N(1 << gradTagBits)
 }
 
-// GradKey builds the store key for one gradient chunk. slot 0 names the
-// reduced gradient; slot m+1 names microbatch m's contribution. Inputs
-// beyond their field widths are masked, not rejected — the trainer
-// checks its step/slot/chunk counts against GradMax* before it starts.
+// GradKey builds the store key for one gradient chunk: slot m names
+// microbatch m's contribution (the reduced gradient never crosses the
+// store). Inputs beyond their field widths are masked, not rejected —
+// the trainer checks its step/slot/chunk counts against GradMax* before
+// it starts.
 func GradKey(tag, step, slot, chunk uint64) uint64 {
 	return gradFlagBit |
 		(tag&(1<<gradTagBits-1))<<(gradStepBits+gradSlotBits+gradChunkBits) |

@@ -39,8 +39,8 @@ package train
 //   - Per-microbatch gradients cross the transport as framed chunks
 //     under the gradient key namespace (transport.GradKey), one chunk
 //     per bucket, so the wire format is the PR-9 one unchanged.
-//   - The reduced gradient is published once (slot 0) and every
-//     replica imports the same bytes, scales by 1/M exactly once, and
+//   - The reduced gradient never leaves the reducer's memory: every
+//     replica imports the same slice, scales by 1/M exactly once, and
 //     steps its own optimizer. Identical weights + identical gradients
 //     + identical optimizer state stay identical forever.
 //   - The step's canonical post-forward state is microbatch 0's (the
@@ -166,24 +166,6 @@ func (g *gradExchange) awaitPut(step, slot uint64, c int, h *transport.Pending) 
 	return nil
 }
 
-// put ships flat as chunked frames under (step, slot): every bucket's
-// PUT is issued (the transport's window is the backpressure), then each
-// is awaited in order, so no handle outlives the call. The first
-// failure is the verdict.
-func (g *gradExchange) put(step, slot uint64, flat []float32) error {
-	hs := make([]*transport.Pending, g.plan.Buckets())
-	for c := range hs {
-		hs[c] = g.putChunk(step, slot, flat, c)
-	}
-	var first error
-	for c, h := range hs {
-		if err := g.awaitPut(step, slot, c, h); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // decodeChunkInto settles one GET handle and decodes the chunk into
 // dst, reporting the encoded byte count.
 func (g *gradExchange) decodeChunkInto(step, slot uint64, c int, h *transport.Pending, dst []float32) error {
@@ -206,31 +188,6 @@ func (g *gradExchange) decodeChunkInto(step, slot uint64, c int, h *transport.Pe
 type getTicket struct {
 	m, c int
 	h    *transport.Pending
-}
-
-// get fetches the vector stored under (step, slot) back into dst,
-// keeping the transport's window of chunk GETs in flight and decoding
-// straight into dst's chunk spans.
-func (g *gradExchange) get(step, slot uint64, dst []float32) error {
-	fifo := transport.NewFIFO(g.tr, func(t getTicket) error {
-		lo, hi := g.plan.BucketRange(t.c)
-		return g.decodeChunkInto(step, slot, t.c, t.h, dst[lo:hi])
-	})
-	for c := 0; c < g.plan.Buckets(); c++ {
-		if err := fifo.Reserve(); err != nil {
-			return err
-		}
-		h := g.tr.GetAsync(transport.GradKey(g.tag, step, slot, uint64(c)), g.retry, false)
-		fifo.Push(getTicket{0, c, h})
-	}
-	return fifo.Drain()
-}
-
-// del releases (step, slot)'s chunks, best-effort.
-func (g *gradExchange) del(step, slot uint64) {
-	for c := 0; c < g.plan.Buckets(); c++ {
-		g.tr.Delete(transport.GradKey(g.tag, step, slot, uint64(c)))
-	}
 }
 
 // gradBoard hands the workers' PUT handles to the streaming reducer: a
@@ -282,16 +239,22 @@ func (b *gradBoard) wait(m, c int) (*transport.Pending, error) {
 	return nil, b.err
 }
 
-// settle waits for every handle on the board and empties it for the
-// next step. Called once the workers and the reducer have returned, so
-// a failed step still leaves every PUT resolved and its counters final.
-func (b *gradBoard) settle() {
+// settle waits for every handle on the board, deletes through g each
+// chunk of step whose PUT landed, and empties the board for the next
+// step. Called once the workers and the reducer have returned, success
+// or not, so a failed step still leaves every PUT resolved, its counters
+// final and none of its chunks on a shared store.
+func (b *gradBoard) settle(g *gradExchange, step uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for k, h := range b.puts {
-		h.Err()
-		delete(b.puts, k)
+		if h.Err() == nil {
+			// Best-effort: the step's verdict is already decided, and a
+			// chunk the delete misses costs store memory, not a result.
+			_ = g.tr.Delete(transport.GradKey(g.tag, step, uint64(k[0]), uint64(k[1])))
+		}
 	}
+	clear(b.puts)
 	b.err = nil
 }
 
@@ -314,7 +277,7 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 	fifo := transport.NewFIFO(g.tr, func(t getTicket) error {
 		lo, hi := g.plan.BucketRange(t.c)
 		buf := g.decBuf[:hi-lo]
-		if err := g.decodeChunkInto(step, uint64(t.m+1), t.c, t.h, buf); err != nil {
+		if err := g.decodeChunkInto(step, uint64(t.m), t.c, t.h, buf); err != nil {
 			return err
 		}
 		acc := reduced[lo:hi]
@@ -327,7 +290,7 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 		for m := 0; m < M; m++ {
 			h, err := board.wait(m, c)
 			if err == nil {
-				err = g.awaitPut(step, uint64(m+1), c, h)
+				err = g.awaitPut(step, uint64(m), c, h)
 			}
 			if err != nil {
 				fifo.Drain() // so no handle outlives the call; err is the verdict
@@ -336,7 +299,7 @@ func (g *gradExchange) reduceStreaming(board *gradBoard, step uint64, M int, red
 			if err := fifo.Reserve(); err != nil {
 				return err
 			}
-			h = g.tr.GetAsync(transport.GradKey(g.tag, step, uint64(m+1), uint64(c)), g.retry, false)
+			h = g.tr.GetAsync(transport.GradKey(g.tag, step, uint64(m), uint64(c)), g.retry, false)
 			fifo.Push(getTicket{m, c, h})
 		}
 	}
@@ -371,7 +334,7 @@ func (r *dpReplica) microbatch(step uint64, m int, x *tensor.Tensor, labels []in
 		}
 		copy(r.flat[off:off+p.Grad.Elems()], p.Grad.Data)
 		for _, c := range plan.Produce(p) {
-			board.publish(m, c, r.gx.putChunk(step, uint64(m+1), r.flat, c))
+			board.publish(m, c, r.gx.putChunk(step, uint64(m), r.flat, c))
 		}
 	}
 	plan.Reset()
@@ -407,8 +370,8 @@ type allReduce struct {
 }
 
 // step runs one data-parallel training step: M microbatches over the K
-// replicas, the fixed-order reduction, and every replica's import and
-// optimizer update.
+// replicas, the fixed-order reduction, and every replica's import of the
+// reduced gradient and optimizer update.
 func (a *allReduce) step(epoch, b int) (stepResult, error) {
 	K, M := a.dp.Replicas, a.dp.Microbatches
 	step := uint64(epoch*a.cfg.BatchesPerEpoch + b)
@@ -459,21 +422,16 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 	// A failed worker has failed the board, so the reducer observes it
 	// and exits rather than waiting for buckets that will never come.
 	rerr := <-redErr
-	a.board.settle()
+	a.board.settle(a.reducer, step)
 	for _, err := range append(errs, rerr) {
 		if err != nil {
 			return stepResult{}, err
 		}
 	}
-	if err := a.reducer.put(step, 0, a.reduced); err != nil {
-		return stepResult{}, err
-	}
-	for m := 0; m < M; m++ {
-		a.reducer.del(step, uint64(m+1))
-	}
 
 	// Phase 3: every replica adopts the lead state, imports the reduced
-	// gradient (scaled 1/M exactly once) and steps.
+	// gradient (scaled 1/M exactly once) straight from the reducer's
+	// slice, which they only read, and steps.
 	scale := 1 / float32(M)
 	for k := 0; k < K; k++ {
 		wg.Add(1)
@@ -481,20 +439,11 @@ func (a *allReduce) step(epoch, b int) (stepResult, error) {
 			defer wg.Done()
 			r := a.reps[k]
 			nn.RestoreNetState(r.model.Net, lead)
-			if errs[k] = r.gx.get(step, 0, r.flat); errs[k] != nil {
-				return
-			}
-			nn.ImportGrads(r.model.Net, r.flat, scale)
+			nn.ImportGrads(r.model.Net, a.reduced, scale)
 			r.opt.Step(r.model.Net.Params())
 		}(k)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return stepResult{}, err
-		}
-	}
-	a.reducer.del(step, 0)
 
 	var sum stepResult
 	for _, res := range a.results {
@@ -534,8 +483,8 @@ func dataParallel(newModel func() *models.Model, ds *data.Classification, cfg Co
 	switch steps := cfg.Epochs * cfg.BatchesPerEpoch; {
 	case K > M:
 		return fail("%d replicas exceed %d microbatches", K, M)
-	case M+1 > transport.GradMaxSlots:
-		return fail("%d microbatches exceed the gradient key's %d slots", M, transport.GradMaxSlots-1)
+	case M > transport.GradMaxSlots:
+		return fail("%d microbatches exceed the gradient key's %d slots", M, transport.GradMaxSlots)
 	case steps > transport.GradMaxSteps:
 		return fail("%d steps (Epochs × BatchesPerEpoch) exceed the gradient key's %d", steps, transport.GradMaxSteps)
 	}

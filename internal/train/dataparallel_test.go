@@ -2,10 +2,12 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,30 +69,31 @@ func dpRun(t *testing.T, seed uint64, dp DPOptions) (Report, transport.Snapshot,
 func TestDataParallelBitExact(t *testing.T) {
 	const M = 4
 
-	// In-process transport: K=1 is the reference trajectory.
-	ref, refSnap, refModel := dpRun(t, 1500, DPOptions{Replicas: 1, Microbatches: M})
-	if refSnap.GradPuts == 0 || refSnap.GradGets == 0 || refSnap.BytesGrad == 0 {
-		t.Fatalf("gradient exchange counters empty on K=1: %+v", refSnap)
-	}
-	// Per step: M microbatch puts + 1 reduced put; M reducer gets + K
-	// replica gets.
+	// Per step the fixture's one bucket moves M microbatch PUTs and the
+	// reducer's M GETs, whatever K: the reduced gradient stays in the
+	// reducer's memory. Each frame is 11876 B, counted once as it lands
+	// and once as it is read back. A gradient GET counts only under
+	// BytesGrad: BytesVerified is the activation frames' figure, and a
+	// data-parallel run offloads none.
 	steps := uint64(dpCfg(t).Epochs * dpCfg(t).BatchesPerEpoch)
-	if want := steps * (M + 1); refSnap.GradPuts != want {
-		t.Fatalf("grad puts %d, want %d", refSnap.GradPuts, want)
+	traffic := func(label string, s transport.Snapshot) {
+		t.Helper()
+		if want := steps * M; s.GradPuts != want || s.GradGets != want {
+			t.Fatalf("%s: grad puts %d, gets %d; want %d each", label, s.GradPuts, s.GradGets, want)
+		}
+		if s.BytesVerified != 0 || s.BytesGrad != 380032 {
+			t.Fatalf("%s: bytes verified %d, grad %d; want 0 and 380032", label, s.BytesVerified, s.BytesGrad)
+		}
 	}
 
+	// In-process transport: K=1 is the reference trajectory.
+	ref, refSnap, refModel := dpRun(t, 1500, DPOptions{Replicas: 1, Microbatches: M})
+	traffic("local K=1", refSnap)
 	for _, K := range []int{2, 4} {
 		rep, snap, m := dpRun(t, 1500, DPOptions{Replicas: K, Microbatches: M})
 		sameEpochs(t, ref, rep, "local K")
 		sameWeights(t, refModel, m, "local K")
-		if snap.GradPuts != refSnap.GradPuts {
-			t.Fatalf("K=%d grad puts %d, want %d (K must not change the exchange volume of puts)", K, snap.GradPuts, refSnap.GradPuts)
-		}
-		// A gradient GET counts only under BytesGrad: BytesVerified is the
-		// activation frames' figure, and a data-parallel run offloads none.
-		if K == 2 && (snap.BytesVerified != 0 || snap.BytesGrad != 522544) {
-			t.Fatalf("K=2: bytes verified %d, grad %d; want 0 and 522544", snap.BytesVerified, snap.BytesGrad)
-		}
+		traffic(fmt.Sprintf("local K=%d", K), snap)
 	}
 
 	// Networked store, with activation offload traffic from a second
@@ -117,12 +120,7 @@ func TestDataParallelBitExact(t *testing.T) {
 	}
 	sameEpochs(t, ref, netRep, "netstore")
 	sameWeights(t, refModel, netModel, "netstore")
-	if netSnap.GradPuts != refSnap.GradPuts {
-		t.Fatalf("netstore grad puts %d, want %d", netSnap.GradPuts, refSnap.GradPuts)
-	}
-	if netSnap.BytesVerified != 0 || netSnap.BytesGrad != 522544 {
-		t.Fatalf("netstore: bytes verified %d, grad %d; want 0 and 522544", netSnap.BytesVerified, netSnap.BytesGrad)
-	}
+	traffic("netstore", netSnap)
 	ss := srv.Snapshot()
 	if ss.GradPuts == 0 || ss.GradGets == 0 || ss.BytesGrad == 0 {
 		t.Fatalf("server-side gradient counters empty: %+v", ss)
@@ -280,7 +278,7 @@ func TestDataParallelRejectsTooManyReplicas(t *testing.T) {
 		limit string // the error must name the exhausted field
 	}{
 		{"chunks", dpCfg(t), DPOptions{BucketBytes: 4}, "holds 4096"},
-		{"slots", dpCfg(t), DPOptions{Microbatches: transport.GradMaxSlots}, "4095 slots"},
+		{"slots", dpCfg(t), DPOptions{Microbatches: transport.GradMaxSlots + 1}, "4096 slots"},
 		{"steps", longRun, DPOptions{}, "16777216"},
 	} {
 		_, snap, err := ClassifierDataParallel(wide, ds, tc.cfg, tc.dp)
@@ -315,7 +313,7 @@ func TestDataParallelDeadStoreFailsTyped(t *testing.T) {
 	_, snap, err := ClassifierDataParallel(newModel, ds, cfg, DPOptions{
 		Replicas: 2, Microbatches: 2, StoreDial: refuse, StoreTimeout: 200 * time.Millisecond,
 	})
-	if !errors.Is(err, transport.ErrStoreUnavailable) || !strings.Contains(err.Error(), "grad put step=0 slot=1 chunk=0") {
+	if !errors.Is(err, transport.ErrStoreUnavailable) || !strings.Contains(err.Error(), "grad put step=0 slot=0 chunk=0") {
 		t.Fatalf("want microbatch 0's PUT to fail typed, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -333,5 +331,36 @@ func TestDataParallelDeadStoreFailsTyped(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the failed run, %d before", runtime.NumGoroutine(), before)
 		}
+	}
+}
+
+// TestDataParallelFailedStepLeavesNoChunks: a step that fails after its
+// microbatch chunks have landed deletes them on the way out, so a shared
+// store keeps nothing of the failed run. Microbatch 1's chunk (the
+// fixture's gradient is one bucket) is lost when the M-th PUT is
+// acknowledged: the Latency hook fires before that PUT's handle
+// resolves, and the reducer GETs microbatch 1 only after every PUT up to
+// it has resolved, so the GET always finds the chunk gone.
+func TestDataParallelFailedStepLeavesNoChunks(t *testing.T) {
+	const M = 2
+	newModel, _, ds := dpFixture(1900)
+	srv, dial := startStore(t)
+	slotMask := transport.GradKey(0, 0, transport.GradMaxSlots-1, 0)
+	var puts atomic.Int64
+	_, _, err := ClassifierDataParallel(newModel, ds, dpCfg(t), DPOptions{
+		Replicas: 2, Microbatches: M, SerialExchange: true, StoreDial: dial,
+		ClientHook: func(c *transport.NetClient) {
+			c.Latency = func(op uint8, _ time.Duration) {
+				if op == transport.OpPut && puts.Add(1) == M {
+					srv.Lose(func(key uint64) bool { return key&slotMask == transport.GradKey(0, 0, 1, 0) })
+				}
+			}
+		},
+	})
+	if !errors.Is(err, transport.ErrNotFound) || !strings.Contains(err.Error(), "grad get step=0 slot=1 chunk=0") {
+		t.Fatalf("want microbatch 1's GET to find its chunk gone, got %v", err)
+	}
+	if n := srv.Entries(); n != 0 {
+		t.Fatalf("%d entries left on the server by the failed step", n)
 	}
 }

@@ -2,10 +2,12 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"jpegact/internal/models"
 	"jpegact/internal/offload"
@@ -144,4 +146,56 @@ func TestNetstoreTrainingBitExact(t *testing.T) {
 	}
 	sameEpochs(t, refRep, dropRep, "netstore with connection drops")
 	sameWeights(t, refModel, dropModel, "netstore with connection drops")
+}
+
+// TestTrainersConfigureTheirWireClients: both trainers hand ClientHook
+// wire clients whose per-attempt bound is AttemptTimeout of the run's
+// StoreTimeout, and a data-parallel client is stop-and-wait (window 1)
+// exactly when SerialExchange is set: the serial exchange is the
+// baseline the overlapped one is measured against.
+func TestTrainersConfigureTheirWireClients(t *testing.T) {
+	const timeout = 3 * time.Second
+	_, dial := startStore(t)
+	var clients []*transport.NetClient
+	hook := func(c *transport.NetClient) { clients = append(clients, c) }
+	attemptBound := func(label string) {
+		t.Helper()
+		if len(clients) == 0 {
+			t.Fatalf("%s: ClientHook saw no client", label)
+		}
+		for i, c := range clients {
+			if c.OpTimeout != transport.AttemptTimeout(timeout) {
+				t.Fatalf("%s: client %d OpTimeout %v, want %v", label, i, c.OpTimeout, transport.AttemptTimeout(timeout))
+			}
+		}
+	}
+
+	m, ds := faultModel(710)
+	cfg := faultCfg(t)
+	cfg.Epochs, cfg.BatchesPerEpoch = 1, 1
+	if _, _, err := ClassifierOffloaded(m, ds, cfg, OffloadOptions{StoreDial: dial, StoreTimeout: timeout, ClientHook: hook}); err != nil {
+		t.Fatal(err)
+	}
+	attemptBound("offloaded")
+
+	for _, serial := range []bool{false, true} {
+		clients = nil
+		newModel, _, ds := dpFixture(1910)
+		if _, _, err := ClassifierDataParallel(newModel, ds, cfg, DPOptions{
+			Replicas: 2, Microbatches: 2, SerialExchange: serial,
+			StoreDial: dial, StoreTimeout: timeout, ClientHook: hook,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("data-parallel, SerialExchange=%v", serial)
+		attemptBound(label)
+		if len(clients) != 3 {
+			t.Fatalf("%s: %d clients, want 2 workers' and the reducer's", label, len(clients))
+		}
+		for i, c := range clients {
+			if (c.Window == 1) != serial {
+				t.Fatalf("%s: client %d window %d", label, i, c.Window)
+			}
+		}
+	}
 }
