@@ -18,7 +18,9 @@ import (
 // A pass is one fork-join over the batch (forBatch): a shard takes its
 // element from lowering to result on scratch of its own, so nothing but
 // the read-only weights is shared and no element's float32 op sequence
-// depends on which shard ran it.
+// depends on which shard ran it. An element is lowered, multiplied and
+// scattered one block of convBlock output positions at a time, so its
+// scratch is sized by the block, not by the image.
 type Conv2D struct {
 	LayerName   string
 	InC, OutC   int
@@ -83,6 +85,18 @@ func (c *Conv2D) outDims(h, w int) (int, int) {
 	return ho, wo
 }
 
+// convBlock is how many output positions a conv pass lowers, multiplies
+// and scatters at a time: eight gemmNR-column panels. Every buffer a pass
+// draws is sized by the block, or by the plane where that is smaller,
+// never by H×W.
+const convBlock = 8 * gemmNR
+
+// blocks returns how many blocks cover spatial output positions, and how
+// wide the widest is.
+func blocks(spatial int) (n, width int) {
+	return (spatial + convBlock - 1) / convBlock, min(spatial, convBlock)
+}
+
 // Forward implements Layer.
 func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 	x := in.T
@@ -104,42 +118,62 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 	spatial := ho * wo
 	h, w := x.Shape.H, x.Shape.W
 	inElems := c.InC * h * w
-	forBatch(x.Shape.N, func(lo, hi int, split bool) {
-		pk := scratch.get(gemmPanels(spatial) * k2 * gemmNR)
-		xp := c.padBuf(h, w)
-		for n := lo; n < hi; n++ {
-			// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial),
-			// cols lowered straight into the panels the tiles read.
-			src := c.padded(x.Data[n*inElems:(n+1)*inElems], h, w, xp)
-			c.im2colPanels(src, h+2*c.Pad, w+2*c.Pad, ho, wo, pk)
-			dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-			gemmTiles(c.OutC, k2, spatial, c.Weight.W.Data, pk, dst, gemmOverwrite, split)
+	nb, bw := blocks(spatial)
+	// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial), a block
+	// of columns at a time, each lowered straight into the panels the tiles
+	// read.
+	forBatch(x.Shape.N, convPass{nb, parallel.Grain(c.OutC*k2*convBlock, gemmMinWork), func(n, lo, hi int) {
+		xn := x.Data[n*inElems : (n+1)*inElems]
+		dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
+		pk := scratch.get(gemmPanels(bw) * k2 * gemmNR)
+		for b := lo; b < hi; b++ {
+			b0 := b * convBlock
+			cnt := min(convBlock, spatial-b0)
+			c.im2colPanels(xn, h, w, b0, cnt, pk)
+			gemmTileRows(0, c.OutC, k2, cnt, spatial, c.Weight.W.Data, pk, dst[b0:], gemmOverwrite)
 			if c.Bias != nil {
-				for oc, b := range c.Bias.W.Data {
-					row := dst[oc*spatial : (oc+1)*spatial]
+				for oc, bias := range c.Bias.W.Data {
+					row := dst[oc*spatial+b0:][:cnt]
 					for i := range row {
-						row[i] += b
+						row[i] += bias
 					}
 				}
 			}
 		}
 		scratch.put(pk)
-		scratch.put(xp)
-	})
+	}})
 	return &ActRef{Name: c.LayerName + ".out", Kind: compress.KindConv, T: out}
 }
 
-// forBatch runs fn over the n elements of a batch. With at least one
-// element per worker the elements are the shards, handed out one at a
-// time, and fn runs its GEMMs on the calling shard (split false); a
-// smaller batch runs as one serial range whose GEMMs split their row
-// tiles over the pool instead.
-func forBatch(n int, fn func(lo, hi int, split bool)) {
-	if n < parallel.Workers() {
-		fn(0, n, true)
+// convPass is one pass of a conv layer over a batch element: run(n, lo,
+// hi) does items [lo, hi) of element n, and no two items write the same
+// result, so the items may run on different shards.
+type convPass struct {
+	items, grain int
+	run          func(n, lo, hi int)
+}
+
+// forBatch runs every pass over each of the n elements of a batch. With at
+// least one element per worker the elements are the shards, handed out one
+// at a time, and each runs its passes whole on the calling shard; a
+// smaller batch runs its elements in order, each pass's items sharded over
+// the pool grain at a time.
+func forBatch(n int, passes ...convPass) {
+	if n >= parallel.Workers() {
+		parallel.For(n, 1, func(lo, hi int) {
+			for e := lo; e < hi; e++ {
+				for _, p := range passes {
+					p.run(e, 0, p.items)
+				}
+			}
+		})
 		return
 	}
-	parallel.For(n, 1, func(lo, hi int) { fn(lo, hi, false) })
+	for e := range n {
+		for _, p := range passes {
+			parallel.For(p.items, p.grain, func(lo, hi int) { p.run(e, lo, hi) })
+		}
+	}
 }
 
 // Backward implements Layer.
@@ -154,42 +188,64 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic("nn: conv backward needs saved input values (BRC mask is not enough)")
 	}
-	ho, wo := c.outShape.H, c.outShape.W
-	spatial := ho * wo
-	k2 := c.InC * c.Kernel * c.Kernel
+	spatial := c.outShape.H * c.outShape.W
+	taps := c.Kernel * c.Kernel
+	k2 := c.InC * taps
 	h, w := x.Shape.H, x.Shape.W
 	inElems := c.InC * h * w
+	outElems := c.OutC * spatial
+	nb, bw := blocks(spatial)
 
 	dx := grad.Derive(x.Shape)
 	wT := scratch.get(k2 * c.OutC)
 	packAT(c.OutC, k2, c.Weight.W.Data, wT)
 	// Element n's ∇Wᵀ (k2 × OutC) is partials[n].
 	partials := scratch.get(x.Shape.N * k2 * c.OutC)
-	forBatch(x.Shape.N, func(lo, hi int, split bool) {
-		cols := scratch.get(k2 * spatial)
-		pk := scratch.get(max(gemmPanels(c.OutC)*spatial, gemmPanels(spatial)*c.OutC) * gemmNR)
-		xp := c.padBuf(h, w)
-		for n := lo; n < hi; n++ {
-			gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-			// ∇Wᵀ[n] = cols · ∇y[n]ᵀ  (k2×spatial · spatial×OutC): the
-			// transpose is paid on ∇y, K² times smaller than cols.
-			src := c.padded(x.Data[n*inElems:(n+1)*inElems], h, w, xp)
-			c.im2colRows(src, h+2*c.Pad, w+2*c.Pad, ho, wo, cols)
-			packBT(spatial, c.OutC, gout, pk)
-			gemmTiles(k2, spatial, c.OutC, cols, pk, partials[n*k2*c.OutC:], gemmOverwrite, split)
-			// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), over cols.
-			packB(c.OutC, spatial, gout, pk)
-			gemmTiles(k2, c.OutC, spatial, wT, pk, cols, gemmOverwrite, split)
-			dxn := dx.Data[n*inElems : (n+1)*inElems]
+	forBatch(x.Shape.N,
+		// Rows [lo, hi) of ∇Wᵀ[n] = cols · ∇y[n]ᵀ (k2×spatial ·
+		// spatial×OutC; the transpose is paid on ∇y, K² times smaller than
+		// cols), over ascending blocks: the first overwrites, the rest
+		// accumulate, so each element's chain over spatial is the unblocked one.
+		convPass{k2, gemmRowGrain(spatial, c.OutC), func(n, lo, hi int) {
+			xn := x.Data[n*inElems : (n+1)*inElems]
+			gout := grad.Data[n*outElems : (n+1)*outElems]
+			cols := scratch.get((hi - lo) * bw)
+			pk := scratch.get(gemmPanels(c.OutC) * bw * gemmNR)
+			mode := gemmOverwrite
+			for b0 := 0; b0 < spatial; b0 += convBlock {
+				cnt := min(convBlock, spatial-b0)
+				c.im2colRows(xn, h, w, lo, hi, b0, cnt, cols)
+				packBT(cnt, c.OutC, spatial, gout[b0:], pk)
+				gemmTileRows(0, hi-lo, cnt, c.OutC, c.OutC, cols, pk, partials[(n*k2+lo)*c.OutC:], mode)
+				mode = gemmAccumulate
+			}
+			scratch.put(cols)
+			scratch.put(pk)
+		}},
+		// ∇cols = Wᵀ · ∇y[n] (k2×OutC · OutC×spatial) for the rows of input
+		// channels [lo, hi), scattered into their planes over descending
+		// blocks: a larger output position always reaches an input through
+		// a smaller (ky, kx) tap, so every ∇x element adds in the order one
+		// col2im of the whole matrix would.
+		convPass{c.InC, parallel.Grain(taps*c.OutC*spatial, gemmMinWork), func(n, lo, hi int) {
+			gout := grad.Data[n*outElems : (n+1)*outElems]
+			dxn := dx.Data[n*inElems+lo*h*w : n*inElems+hi*h*w]
 			if dx.Recycled() {
 				clear(dxn) // col2im adds into zeros and skips what no tap reads
 			}
-			c.col2im(cols, dxn, h, w)
-		}
-		scratch.put(cols)
-		scratch.put(pk)
-		scratch.put(xp)
-	})
+			rows := (hi - lo) * taps
+			dcols := scratch.get(rows * bw)
+			pk := scratch.get(gemmPanels(bw) * c.OutC * gemmNR)
+			for b := nb - 1; b >= 0; b-- {
+				b0 := b * convBlock
+				cnt := min(convBlock, spatial-b0)
+				packB(c.OutC, cnt, spatial, gout[b0:], pk)
+				gemmTileRows(0, rows, c.OutC, cnt, cnt, wT[lo*taps*c.OutC:], pk, dcols, gemmOverwrite)
+				c.col2im(dcols, dxn, h, w, b0, cnt)
+			}
+			scratch.put(dcols)
+			scratch.put(pk)
+		}})
 	scratch.put(wT)
 	// One add per batch element in ascending n, whichever shard computed
 	// it: the op sequence of accumulating ∇y[n]·colsᵀ element by element.
@@ -237,101 +293,59 @@ func (c *Conv2D) biasGrad(grad *tensor.Tensor) {
 	}
 }
 
-// colRange returns the half-open output range [lo, hi) whose input
-// coordinate ox·stride + k - pad falls inside [0, extent), clamped to
-// [0, out). Everything outside the range is pad.
-func colRange(out, extent, stride, k, pad int) (int, int) {
-	lo := 0
-	if k < pad {
-		lo = (pad - k + stride - 1) / stride
+// inside returns the j in [0, n) whose input column ix + j·s lies inside
+// [0, w): the stretch of a tap's n output columns that reads the input
+// rather than the padding. It divides only at the input's edges.
+func inside(ix, s, w, n int) (int, int) {
+	if ix >= 0 && ix+(n-1)*s < w {
+		return 0, n
 	}
-	top := extent - 1 - k + pad
-	if top < 0 {
-		// Go's / truncates toward zero, so top/stride would round a
-		// negative numerator up to 0 — return an explicitly empty range.
-		return 0, 0
+	lo, hi := -ix, w-ix
+	if s != 1 {
+		lo, hi = (lo+s-1)/s, (hi+s-1)/s
 	}
-	hi := top/stride + 1
-	if hi > out {
-		hi = out
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	lo = min(max(lo, 0), n)
+	return lo, max(min(hi, n), lo)
 }
 
-// padBuf draws the scratch padded frames one batch element in; nil when the
-// layer has no padding and reads x in place.
-func (c *Conv2D) padBuf(h, w int) []float32 {
-	if c.Pad == 0 {
-		return nil
-	}
-	return scratch.get(c.InC * (h + 2*c.Pad) * (w + 2*c.Pad))
-}
-
-// padded returns batch element xn (InC × h × w) as the InC × (h+2P) ×
-// (w+2P) planes the lowering reads: xn itself without padding, else its
-// copy into dst framed by zeros, so no tap needs a bounds test.
-func (c *Conv2D) padded(xn []float32, h, w int, dst []float32) []float32 {
-	if dst == nil {
-		return xn
-	}
-	p := c.Pad
-	wp := w + 2*p
-	end := 0 // the first element no row has written
-	for ic := range c.InC {
-		for y := range h {
-			at := (ic*(h+2*p)+y+p)*wp + p
-			clear(dst[end:at])
-			end = at + copy(dst[at:at+w], xn[(ic*h+y)*w:])
+// im2colPanels lowers output positions [b0, b0+cnt) of one batch element
+// xn (InC planes of h × w) into their k2 × cnt matrix of receptive
+// fields, stored as the packed right operand gemmTileRows reads: column j
+// of row kk lands at (j/16)·k2·16 + kk·16 + j%16, the last panel
+// zero-padded, and a tap in the padding reads zero. Panels are written in
+// order. A panel inside one output row at stride 1 or 2 is lowered a tap
+// line at a time (lineTaps); any other is gathered tap by tap from its
+// columns' top-left taps.
+func (c *Conv2D) im2colPanels(xn []float32, h, w, b0, cnt int, dst []float32) {
+	_, wo := c.outDims(h, w)
+	k2, s := c.InC*c.Kernel*c.Kernel, c.Stride
+	var iy0, ix0 [gemmNR]int
+	for p := range gemmPanels(cnt) {
+		m := min(gemmNR, cnt-p*gemmNR)
+		oy, ox := (b0+p*gemmNR)/wo, (b0+p*gemmNR)%wo
+		panel := dst[p*k2*gemmNR : (p+1)*k2*gemmNR]
+		if m == gemmNR && ox+gemmNR <= wo && s <= 2 {
+			c.lineTaps(xn, h, w, oy*s-c.Pad, ox*s-c.Pad, panel)
+			continue
 		}
-	}
-	clear(dst[end:])
-	return dst
-}
-
-// im2colPanels lowers one padded batch element src (InC planes of hp × wp)
-// into its k2 × spatial matrix of receptive fields, stored as the packed
-// right operand gemmTiles reads: column s of row kk lands at
-// (s/16)·k2·16 + kk·16 + s%16, the last panel zero-padded. Panels are
-// written in order, each from its columns' top-left taps: a panel inside
-// one output row is one 16-float move per row kk at stride 1 and one
-// strided gather at stride 2; any other is gathered tap by tap.
-func (c *Conv2D) im2colPanels(src []float32, hp, wp, ho, wo int, dst []float32) {
-	k2, spatial, s := c.InC*c.Kernel*c.Kernel, ho*wo, c.Stride
-	var offs [gemmNR]int
-	for p := range gemmPanels(spatial) {
-		cnt := min(gemmNR, spatial-p*gemmNR)
-		oy, ox := p*gemmNR/wo, p*gemmNR%wo
-		line := cnt == gemmNR && ox+gemmNR <= wo
-		for j := range cnt {
-			offs[j] = oy*s*wp + ox*s
-			if ox++; ox == wo {
-				ox, oy = 0, oy+1
+		for j, y, x := 0, oy, ox; j < m; j++ {
+			iy0[j], ix0[j] = y*s-c.Pad, x*s-c.Pad
+			if x++; x == wo {
+				x, y = 0, y+1
 			}
 		}
-		panel := dst[p*k2*gemmNR : (p+1)*k2*gemmNR]
 		kk := 0
 		for ic := range c.InC {
+			plane := xn[ic*h*w : (ic+1)*h*w]
 			for ky := range c.Kernel {
 				for kx := range c.Kernel {
-					tap := (ic*hp+ky)*wp + kx
 					d := (*[gemmNR]float32)(panel[kk*gemmNR:])
 					kk++
-					switch {
-					case line && s == 1:
-						*d = *(*[gemmNR]float32)(src[tap+offs[0]:])
-					case line && s == 2:
-						row := (*[2*gemmNR - 1]float32)(src[tap+offs[0]:])
-						for j := range d {
-							d[j] = row[2*j]
+					*d = [gemmNR]float32{}
+					for j := range m {
+						if y, x := iy0[j]+ky, ix0[j]+kx; uint(y) < uint(h) && uint(x) < uint(w) {
+							d[j] = plane[y*w+x]
 						}
-					default:
-						for j, off := range offs[:cnt] {
-							d[j] = src[tap+off]
-						}
-						clear(d[cnt:])
 					}
 				}
 			}
@@ -339,26 +353,48 @@ func (c *Conv2D) im2colPanels(src []float32, hp, wp, ho, wo int, dst []float32) 
 	}
 }
 
-// im2colRows lowers one padded batch element into the row-major k2 ×
-// spatial matrix, backward's left operand: each (kk, oy) line is one copy,
-// or a strided gather, from a padded row.
-func (c *Conv2D) im2colRows(src []float32, hp, wp, ho, wo int, dst []float32) {
-	s := c.Stride
-	i := 0
+// lineTaps lowers one panel of gemmNR output positions inside one output
+// row, at stride 1 or 2, whose first tap reads input (iy, ix), a tap line
+// at a time: zeros where the line's input row is padding, else one
+// 16-float move at stride 1 or one strided gather at stride 2, clipped
+// where the line crosses the padding.
+func (c *Conv2D) lineTaps(xn []float32, h, w, iy, ix int, panel []float32) {
+	s, kk := c.Stride, 0
 	for ic := range c.InC {
+		plane := xn[ic*h*w : (ic+1)*h*w]
 		for ky := range c.Kernel {
+			taps := panel[kk*gemmNR : (kk+c.Kernel)*gemmNR]
+			kk += c.Kernel
+			y := iy + ky
+			if y < 0 || y >= h {
+				clear(taps)
+				continue
+			}
+			row := plane[y*w : (y+1)*w]
 			for kx := range c.Kernel {
-				for oy := range ho {
-					row := src[(ic*hp+oy*s+ky)*wp+kx:]
-					d := dst[i : i+wo]
-					i += wo
-					if s == 1 {
-						copy(d, row)
+				d := (*[gemmNR]float32)(taps[kx*gemmNR:])
+				x := ix + kx
+				switch {
+				case x >= 0 && x+(gemmNR-1)*s < w && s == 1:
+					*d = *(*[gemmNR]float32)(row[x:])
+				case x >= 0 && x+(gemmNR-1)*s < w:
+					src := (*[2*gemmNR - 1]float32)(row[x:])
+					for j := range d {
+						d[j] = src[2*j]
+					}
+				default:
+					*d = [gemmNR]float32{}
+					lo, hi := inside(x, s, w, gemmNR)
+					if lo == hi {
 						continue
 					}
-					row = row[:(wo-1)*s+1]
-					for j := range d {
-						d[j] = row[j*s]
+					src := row[x+lo*s:]
+					if s == 1 {
+						copy(d[lo:hi], src)
+						continue
+					}
+					for j := range d[lo:hi] {
+						d[lo+j] = src[2*j]
 					}
 				}
 			}
@@ -366,38 +402,83 @@ func (c *Conv2D) im2colRows(src []float32, hp, wp, ho, wo int, dst []float32) {
 	}
 }
 
-// col2im scatters dcols (k2 × spatial, row-major) back into one batch
-// element of dx (InC × h × w), accumulating in ascending row order. The
-// pad test is hoisted per row: pad rows and columns are skipped, and a
-// stride-1 row is one add per element over two slices of equal length.
-func (c *Conv2D) col2im(dcols, dx []float32, h, w int) {
-	ho, wo := c.outDims(h, w)
+// im2colRows lowers rows [lo, hi) of one batch element's k2 × spatial
+// matrix of receptive fields, columns [b0, b0+cnt), into dst ((hi−lo) ×
+// cnt, row-major), backward's left operand: the stretch of a row that one
+// output row covers is one copy, or a strided gather, from an input row,
+// and its taps in the padding are zero.
+func (c *Conv2D) im2colRows(xn []float32, h, w, lo, hi, b0, cnt int, dst []float32) {
+	_, wo := c.outDims(h, w)
+	k, s := c.Kernel, c.Stride
+	oy0, ox0 := b0/wo, b0%wo
+	ic, ky, kx := lo/(k*k), lo/k%k, lo%k
+	for i := range hi - lo {
+		plane := xn[ic*h*w : (ic+1)*h*w]
+		row := dst[i*cnt : (i+1)*cnt]
+		for at, oy, ox := 0, oy0, ox0; at < cnt; oy, ox = oy+1, 0 {
+			n := min(wo-ox, cnt-at)
+			d := row[at : at+n]
+			at += n
+			iy, ix := oy*s+ky-c.Pad, ox*s+kx-c.Pad
+			l, r := inside(ix, s, w, n)
+			if iy < 0 || iy >= h || l == r {
+				clear(d)
+				continue
+			}
+			clear(d[:l])
+			clear(d[r:])
+			src := plane[iy*w+ix+l*s:]
+			if s == 1 {
+				copy(d[l:r], src)
+				continue
+			}
+			for j := range d[l:r] {
+				d[l+j] = src[j*s]
+			}
+		}
+		if kx++; kx == k {
+			if kx, ky = 0, ky+1; ky == k {
+				ky, ic = 0, ic+1
+			}
+		}
+	}
+}
+
+// col2im adds a block of ∇cols — rows of the input planes dx holds, each
+// the block's cnt output positions from b0 on — into those planes (h × w
+// each), in ascending row order. The pad test is hoisted per stretch of
+// output row: taps in the padding are skipped, and a stride-1 stretch is
+// one add per element over two slices of equal length.
+func (c *Conv2D) col2im(dcols, dx []float32, h, w, b0, cnt int) {
+	_, wo := c.outDims(h, w)
+	s := c.Stride
+	oy0, ox0 := b0/wo, b0%wo
 	idx := 0
-	for ic := range c.InC {
+	for ic := range len(dx) / (h * w) {
 		plane := dx[ic*h*w : (ic+1)*h*w]
 		for ky := range c.Kernel {
 			for kx := range c.Kernel {
-				oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
-				for oy := range ho {
-					iy := oy*c.Stride + ky - c.Pad
-					row := dcols[idx : idx+wo]
-					idx += wo
-					if iy < 0 || iy >= h {
+				row := dcols[idx : idx+cnt]
+				idx += cnt
+				for at, oy, ox := 0, oy0, ox0; at < cnt; oy, ox = oy+1, 0 {
+					n := min(wo-ox, cnt-at)
+					iy, ix := oy*s+ky-c.Pad, ox*s+kx-c.Pad
+					lo, hi := inside(ix, s, w, n)
+					src := row[at+lo : at+hi]
+					at += n
+					if iy < 0 || iy >= h || lo == hi {
 						continue
 					}
-					dst := plane[iy*w:]
-					if c.Stride == 1 {
-						src := row[oxLo:oxHi]
-						d := dst[oxLo+kx-c.Pad:][:len(src)]
+					dst := plane[iy*w+ix+lo*s:]
+					if s == 1 {
+						d := dst[:len(src)]
 						for i, v := range src {
 							d[i] += v
 						}
-					} else {
-						ix := oxLo*c.Stride + kx - c.Pad
-						for ox := oxLo; ox < oxHi; ox++ {
-							dst[ix] += row[ox]
-							ix += c.Stride
-						}
+						continue
+					}
+					for i, v := range src {
+						dst[i*s] += v
 					}
 				}
 			}

@@ -164,7 +164,11 @@ func checkConvCase(t *testing.T, cc convCase) {
 // TestConvBitIdenticalToReference walks kernels × strides × pads over
 // planes that are not multiples of the panel width and channel counts
 // that are not multiples of the tile, at batch sizes on both sides of
-// every worker count.
+// every worker count. The second table's planes span several blocks of
+// convBlock output positions, their last one ragged, with output rows
+// that do not divide the block, so block edges fall inside rows; its last
+// case pads a 4×4 plane by 20, so whole 16-column tap lines lie in the
+// padding beyond the input's right edge.
 func TestConvBitIdenticalToReference(t *testing.T) {
 	for _, kernel := range []int{1, 3, 5, 7} {
 		for _, stride := range []int{1, 2} {
@@ -179,6 +183,58 @@ func TestConvBitIdenticalToReference(t *testing.T) {
 			}
 		}
 	}
+	for _, kernel := range []int{1, 3} {
+		for _, stride := range []int{1, 2} {
+			for _, hw := range [][2]int{{33, 35}, {40, 24}} {
+				for _, n := range []int{1, 8} {
+					checkConvCase(t, convCase{kernel, stride, kernel / 2, hw[0], hw[1], 3, 5, n, (kernel+n)%2 == 0})
+				}
+			}
+		}
+	}
+	checkConvCase(t, convCase{1, 1, 20, 4, 4, 2, 3, 2, true})
+}
+
+// TestConvScratchDoesNotGrowWithThePlane runs a conv stack forward and
+// backward at 32×32 and at 64×64 (batch 8, two workers, so the batch
+// elements are the shards) from an empty scratch list: every buffer a pass
+// draws is sized by the block, so the larger plane leaves the list holding
+// the same bytes. Each size runs five steps: two shards drawing at once can
+// make a large draw miss once (see TestScratchConcurrentStepsAllocateNothing),
+// and the repeats let that happen at 32×32 before the sizes are compared.
+func TestConvScratchDoesNotGrowWithThePlane(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	stack := []*Conv2D{
+		NewConv2D("stem", 3, 16, 3, ConvOpts{Pad: 1}, rng),
+		NewConv2D("body", 16, 16, 3, ConvOpts{Pad: 1}, rng),
+		NewConv2D("down", 16, 32, 3, ConvOpts{Stride: 2, Pad: 1}, rng),
+		NewConv2D("proj", 32, 32, 1, ConvOpts{}, rng),
+	}
+	step := func(hw int) int {
+		act := randT(uint64(hw), 8, 3, hw, hw)
+		for _, c := range stack {
+			act = c.Forward(&ActRef{Kind: compress.KindConv, T: act}, true).T
+		}
+		grad := randT(uint64(hw)+1, act.Shape.N, act.Shape.C, act.Shape.H, act.Shape.W)
+		for i := len(stack) - 1; i >= 0; i-- {
+			grad = stack[i].Backward(grad)
+		}
+		return ScratchBytes()
+	}
+	runAtWorkers(2, func() {
+		EmptyScratch()
+		defer EmptyScratch()
+		var small, large int
+		for range 5 {
+			small = step(32)
+		}
+		for range 5 {
+			large = step(64)
+		}
+		if large != small {
+			t.Errorf("the scratch list holds %d B after the stack at 32×32 and %d B after it at 64×64; want the same", small, large)
+		}
+	})
 }
 
 // TestConvPanelAlignedBitIdentical covers the planes the bench model runs:

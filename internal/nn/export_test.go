@@ -19,8 +19,21 @@ func PoisonScratch() (restore func()) {
 	poison.Store(true)
 	return func() {
 		poison.Store(false)
-		scratch.mu.Lock()
-		scratch.bufs, scratch.bytes = nil, 0
-		scratch.mu.Unlock()
+		EmptyScratch()
 	}
+}
+
+// EmptyScratch drops every buffer the scratch list holds.
+func EmptyScratch() {
+	scratch.mu.Lock()
+	scratch.bufs, scratch.bytes = nil, 0
+	scratch.mu.Unlock()
+}
+
+// ScratchBytes reports the capacity, in bytes, of the buffers the scratch
+// list holds.
+func ScratchBytes() int {
+	scratch.mu.Lock()
+	defer scratch.mu.Unlock()
+	return scratch.bytes
 }

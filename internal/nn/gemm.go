@@ -65,17 +65,18 @@ var gemmTileAsm func(k int, a *float32, lda int, panel *float32, c *float32, ldc
 
 // scratch is the package's one free list of float32 scratch: a GEMM's
 // packed panels and transposed left operand, and a conv layer's lowered
-// planes, padded inputs and per-element ∇W partials, all requests of
+// blocks, packed ∇y blocks and per-element ∇W partials, all requests of
 // every size and every worker. A request takes the smallest free buffer
-// that holds it, so a 2,304-float Wᵀ does not hold a 147,456-float im2col
-// matrix; what nothing fits is allocated at exactly its length. A layer
-// sequence that repeats each step is served from the buffers its first
-// steps allocated.
+// that holds it, so a 2,048-float ∇y block does not hold an 18,432-float
+// block of lowered panels; what nothing fits is allocated at exactly its
+// length. A layer sequence that repeats each step is served from the
+// buffers its first steps allocated.
 var scratch scratchList
 
-// scratchBytes bounds the capacity the list keeps. It is eight times what
-// a step of the bench-scale ResNet18 leaves there at two workers (≈ 2 MB),
-// so a repeating step never evicts.
+// scratchBytes bounds the capacity the list keeps. It is twenty times what
+// a step of the bench-scale ResNet18 leaves there at two workers (≈ 0.8
+// MB, most of it ∇W partials, which grow with the batch), so a repeating
+// step never evicts.
 const scratchBytes = 16 << 20
 
 // poison, when set, fills every buffer with NaN before get hands it out,
@@ -134,30 +135,31 @@ func (l *scratchList) put(b []float32) {
 
 func gemmPanels(n int) int { return (n + gemmNR - 1) / gemmNR }
 
-// packB lays B (row-major K×N) out as gemmPanels(n) panels of K rows ×
-// gemmNR columns, k-major within a panel, the last one zero-padded.
+// packB lays B (K×N, row stride ldb) out as gemmPanels(n) panels of K
+// rows × gemmNR columns, k-major within a panel, the last one zero-padded.
 // Packing is a serial O(k·n) copy: 1/m of the O(m·k·n) total work.
-func packB(k, n int, b, packed []float32) {
+func packB(k, n, ldb int, b, packed []float32) {
 	for p := 0; p < gemmPanels(n); p++ {
 		j0 := p * gemmNR
 		dst := packed[p*k*gemmNR : (p+1)*k*gemmNR]
 		if w := n - j0; w < gemmNR {
 			clear(dst)
 			for kk := 0; kk < k; kk++ {
-				copy(dst[kk*gemmNR:kk*gemmNR+w], b[kk*n+j0:])
+				copy(dst[kk*gemmNR:kk*gemmNR+w], b[kk*ldb+j0:])
 			}
 			continue
 		}
 		for kk := 0; kk < k; kk++ {
-			*(*[gemmNR]float32)(dst[kk*gemmNR:]) = *(*[gemmNR]float32)(b[kk*n+j0:])
+			*(*[gemmNR]float32)(dst[kk*gemmNR:]) = *(*[gemmNR]float32)(b[kk*ldb+j0:])
 		}
 	}
 }
 
-// packBT packs Bᵀ for B stored N×K: panel p holds B rows [16p, 16p+16)
-// transposed. Four rows go down together so every 64-byte panel line is
-// written in four 16-byte pieces rather than sixteen scalar ones.
-func packBT(k, n int, b, packed []float32) {
+// packBT packs Bᵀ for B stored N×K (row stride ldb): panel p holds B rows
+// [16p, 16p+16) transposed. Four rows go down together so every 64-byte
+// panel line is written in four 16-byte pieces rather than sixteen scalar
+// ones.
+func packBT(k, n, ldb int, b, packed []float32) {
 	for p := 0; p < gemmPanels(n); p++ {
 		j0 := p * gemmNR
 		dst := packed[p*k*gemmNR : (p+1)*k*gemmNR]
@@ -167,17 +169,17 @@ func packBT(k, n int, b, packed []float32) {
 		}
 		jj := 0
 		for ; jj+4 <= w; jj += 4 {
-			r0 := b[(j0+jj)*k:][:k]
-			r1 := b[(j0+jj+1)*k:][:k]
-			r2 := b[(j0+jj+2)*k:][:k]
-			r3 := b[(j0+jj+3)*k:][:k]
+			r0 := b[(j0+jj)*ldb:][:k]
+			r1 := b[(j0+jj+1)*ldb:][:k]
+			r2 := b[(j0+jj+2)*ldb:][:k]
+			r3 := b[(j0+jj+3)*ldb:][:k]
 			for kk := 0; kk < k; kk++ {
 				d := (*[4]float32)(dst[kk*gemmNR+jj:])
 				d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
 			}
 		}
 		for ; jj < w; jj++ {
-			for kk, v := range b[(j0+jj)*k:][:k] {
+			for kk, v := range b[(j0+jj)*ldb:][:k] {
 				dst[kk*gemmNR+jj] = v
 			}
 		}
@@ -280,10 +282,11 @@ func gemmRowGrain(k, n int) int {
 	return (g + gemmMR - 1) / gemmMR * gemmMR
 }
 
-// gemmTileRows computes rows [lo, hi) of C (m×n) against row-major A
-// (m×k) and packed panels pk, each panel kept hot across the row tiles. A
-// full tile goes to the SIMD kernel, any other to the portable one.
-func gemmTileRows(lo, hi, k, n int, a, pk, c []float32, mode gemmMode) {
+// gemmTileRows computes rows [lo, hi) of C (m×n, row stride ldc) against
+// row-major A (m×k) and packed panels pk, each panel kept hot across the
+// row tiles. A full tile goes to the SIMD kernel, any other to the
+// portable one.
+func gemmTileRows(lo, hi, k, n, ldc int, a, pk, c []float32, mode gemmMode) {
 	for p := 0; p < gemmPanels(n); p++ {
 		j0 := p * gemmNR
 		nr := min(gemmNR, n-j0)
@@ -291,34 +294,27 @@ func gemmTileRows(lo, hi, k, n int, a, pk, c []float32, mode gemmMode) {
 		for i := lo; i < hi; i += gemmMR {
 			mr := min(gemmMR, hi-i)
 			if gemmTileAsm != nil && mr == gemmMR && nr == gemmNR && k > 0 {
-				gemmTileAsm(k, &a[i*k], k, &panel[0], &c[i*n+j0], n, int(mode))
+				gemmTileAsm(k, &a[i*k], k, &panel[0], &c[i*ldc+j0], ldc, int(mode))
 			} else {
-				gemmTileGo(k, a[i*k:], k, panel, c[i*n+j0:], n, mr, nr, mode)
+				gemmTileGo(k, a[i*k:], k, panel, c[i*ldc+j0:], ldc, mr, nr, mode)
 			}
 		}
 	}
 }
 
-// gemmTiles is the driver: all m rows of C. With split the rows are
-// sharded over the worker pool; without, the caller is itself one shard
-// of a wider loop (a conv layer's batch) and the rows run on it.
-func gemmTiles(m, k, n int, a, pk, c []float32, mode gemmMode, split bool) {
-	if !split {
-		gemmTileRows(0, m, k, n, a, pk, c, mode)
-		return
+// gemmPacked computes C (m×n) from A·B in the given mode, A row-major
+// m×k, B row-major k×n, or stored n×k when bT, packed into scratch. The
+// rows of C are sharded over the worker pool.
+func gemmPacked(m, k, n int, a, b, c []float32, mode gemmMode, bT bool) {
+	packed := scratch.get(gemmPanels(n) * k * gemmNR)
+	if bT {
+		packBT(k, n, k, b, packed)
+	} else {
+		packB(k, n, n, b, packed)
 	}
 	parallel.For(m, gemmRowGrain(k, n), func(lo, hi int) {
-		gemmTileRows(lo, hi, k, n, a, pk, c, mode)
+		gemmTileRows(lo, hi, k, n, n, a, packed, c, mode)
 	})
-}
-
-// gemmPacked computes C (m×n) from A·B in the given mode, A row-major
-// m×k, with B packed by pack (packB for row-major k×n, packBT for n×k)
-// into scratch.
-func gemmPacked(m, k, n int, a, b, c []float32, mode gemmMode, pack func(k, n int, b, packed []float32)) {
-	packed := scratch.get(gemmPanels(n) * k * gemmNR)
-	pack(k, n, b, packed)
-	gemmTiles(m, k, n, a, packed, c, mode, true)
 	scratch.put(packed)
 }
 
@@ -328,7 +324,7 @@ func Gemm(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemm size mismatch")
 	}
-	gemmPacked(m, k, n, a, b, c, gemmAccumulate, packB)
+	gemmPacked(m, k, n, a, b, c, gemmAccumulate, false)
 }
 
 // GemmTA computes C += Aᵀ·B where A is K×M (so Aᵀ is M×K), B is K×N,
@@ -339,7 +335,7 @@ func GemmTA(m, k, n int, a, b, c []float32) {
 	}
 	at := scratch.get(m * k)
 	packAT(k, m, a, at)
-	gemmPacked(m, k, n, at, b, c, gemmAccumulate, packB)
+	gemmPacked(m, k, n, at, b, c, gemmAccumulate, false)
 	scratch.put(at)
 }
 
@@ -350,5 +346,5 @@ func GemmTB(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("nn: gemmTB size mismatch")
 	}
-	gemmPacked(m, k, n, a, b, c, gemmDotAdd, packBT)
+	gemmPacked(m, k, n, a, b, c, gemmDotAdd, true)
 }

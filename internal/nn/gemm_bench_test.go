@@ -84,7 +84,8 @@ var benchStages = []struct{ c, hw int }{{16, 32}, {32, 16}, {64, 8}, {128, 4}}
 // the fork-join and col2im included — at the four stage shapes of the
 // bench model (3×3, pad 1, C channels at H×H, batch 8), so a conv pass
 // reads as a share of its own leaf rate in BenchmarkGemm. Backward counts
-// its two products.
+// its two products; scratch-B is what the scratch list holds after the
+// pass's runs, started empty.
 func BenchmarkConv(b *testing.B) {
 	const batch = 8
 	for _, s := range benchStages {
@@ -106,10 +107,12 @@ func BenchmarkConv(b *testing.B) {
 		for _, p := range passes {
 			b.Run(fmt.Sprintf("%s_%dx%dx%d", p.name, s.c, s.hw, s.hw), func(b *testing.B) {
 				b.ReportAllocs()
+				EmptyScratch()
 				for i := 0; i < b.N; i++ {
 					p.run()
 				}
 				b.ReportMetric(p.flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				b.ReportMetric(float64(ScratchBytes()), "scratch-B")
 			})
 		}
 	}

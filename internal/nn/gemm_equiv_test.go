@@ -149,7 +149,7 @@ var entries = []entry{
 	{name: "GemmTB", transB: true, run: GemmTB, ref: gemmTBSaxpy},
 	{name: "overwrite", overwrites: true,
 		run: func(m, k, n int, a, b, c []float32) {
-			gemmPacked(m, k, n, a, b, c, gemmOverwrite, packB)
+			gemmPacked(m, k, n, a, b, c, gemmOverwrite, false)
 		},
 		ref: func(m, k, n int, a, b, c []float32) {
 			clear(c)
@@ -287,7 +287,7 @@ func TestGemmTileKernels(t *testing.T) {
 			}
 			for _, nr := range []int{1, 3, 4, 5, 15, 16} {
 				panel, _ := fenced(k*gemmNR, nan)
-				packB(k, nr, bLog[:k*nr], panel)
+				packB(k, nr, nr, bLog[:k*nr], panel)
 				// bLog read as k×nr is a different matrix per nr; any will do.
 				for _, mr := range []int{1, 2, 3, 4} {
 					for _, mode := range []gemmMode{gemmAccumulate, gemmDotAdd, gemmOverwrite} {

@@ -242,7 +242,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// ∇x = ∇y · W  (n×OutF · OutF×InF), overwriting dx
 	dx := grad.Derive(l.inShape)
-	gemmPacked(n, l.OutF, l.InF, grad.Data, l.Weight.W.Data, dx.Data, gemmOverwrite, packB)
+	gemmPacked(n, l.OutF, l.InF, grad.Data, l.Weight.W.Data, dx.Data, gemmOverwrite, false)
 	return dx
 }
 

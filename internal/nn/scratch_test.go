@@ -60,17 +60,18 @@ func TestScratchCapDropsOldestFirst(t *testing.T) {
 	}
 }
 
-// convStep is the request sequence one step of a stage-0 conv layer of
-// the bench model makes at one worker (16→16 channels, 3×3, pad 1, 32×32
-// planes, batch 8): a positive entry draws that many floats, a negative
-// one puts back what the draw at index −entry−1 returned.
+// convStep is the request sequence one batch element of a stage-0 conv
+// layer of the bench model makes at one worker (16→16 channels, 3×3, pad
+// 1, 32×32 planes, batch 8, blocks of 128 output positions): a positive
+// entry draws that many floats, a negative one puts back what the draw at
+// index −entry−1 returned.
 var convStep = []int{
-	// Forward: the im2col panels and the padded planes.
-	147456, 18496, -1, -2,
-	// Backward: Wᵀ, the ∇W partials, then the shard's cols, ∇y panels
-	// and padded planes; Wᵀ is released after the shards, the partials
-	// after they are summed.
-	2304, 18432, 147456, 16384, 18496, -7, -8, -9, -5, -6,
+	// Forward: one block's lowered panels.
+	18432, -1,
+	// Backward: Wᵀ and the ∇W partials, then the ∇W pass's cols block and
+	// ∇y panels, and the ∇x pass's ∇cols block and ∇y panels; Wᵀ is
+	// released after the passes, the partials after they are summed.
+	2304, 18432, 18432, 2048, -5, -6, 18432, 2048, -9, -10, -3, -4,
 }
 
 // replay runs seq once against l; drawn is its scratch, len(seq) long.
@@ -91,7 +92,7 @@ func replay(l *scratchList, seq []int, drawn [][]float32) {
 // interleave. Which buffer a draw gets depends on the interleaving: a
 // small draw takes a large buffer while its own size is out, and a large
 // one may then miss. Each miss adds a buffer, and once the list holds as
-// many as the two replays can hold at once (five each), no draw
+// many as the two replays can hold at once (four each), no draw
 // allocates: not one byte as large as the smallest request.
 func TestScratchConcurrentStepsAllocateNothing(t *testing.T) {
 	var l scratchList
@@ -116,7 +117,7 @@ func TestScratchConcurrentStepsAllocateNothing(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	const held, measured, smallest = 10, 2000, 4 * 2304
+	const held, measured, smallest = 8, 2000, 4 * 2048
 	warm := 0
 	for ; len(l.bufs) < held && warm < 100_000; warm += 100 {
 		steps(100)
