@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"jpegact/internal/coding"
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/frame"
@@ -26,7 +27,7 @@ import (
 // compression path. The seed implementation allocated 4123 objects per
 // CompressActivation call (per-block DCT temporaries escaping through an
 // indirect transform call, a flat ZVC copy, a codes tensor, fresh padded
-// planes); pooled scratch buffers and devirtualized DCT kernels brought
+// planes); per-block stack buffers and devirtualized DCT kernels brought
 // that down to ~23. The bound leaves slack for benign churn but fails
 // loudly if per-block allocations ever creep back in.
 func TestCompressActivationAllocs(t *testing.T) {
@@ -39,7 +40,7 @@ func TestCompressActivationAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
-	// Warm the sync.Pools so the steady state is measured.
+	// Warm the ZVC windows' sync.Pool so the steady state is measured.
 	CompressActivation(m, x, KindConv, 10)
 
 	allocs := testing.AllocsPerRun(10, func() {
@@ -100,10 +101,9 @@ func TestGradExchangeAllocs(t *testing.T) {
 }
 
 // TestDecodeCoefficientsAllocs guards the block half of a JPEG-ACT
-// decode, which DecodeCoefficients runs on its own: with the block
-// storage drawn from the compress pool, a steady-state decode+release
-// cycle costs only its bookkeeping; the budget fails loudly if per-block
-// temporaries ever start escaping.
+// decode, which DecodeCoefficients runs on its own: a decode costs its
+// one block array and its bookkeeping; the budget fails loudly if
+// per-block temporaries ever start escaping.
 func TestDecodeCoefficientsAllocs(t *testing.T) {
 	r := tensor.NewRNG(2)
 	x := data.ActivationTensor(r, 2, 4, 16, 16, 0.5, 1.0)
@@ -121,24 +121,14 @@ func TestDecodeCoefficientsAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
-	// Warm the plane/block pools so the steady state is measured.
-	if pl, err := p.DecodeCoefficients(f); err != nil {
-		t.Fatal(err)
-	} else {
-		pl.Release()
-	}
-
 	allocs := testing.AllocsPerRun(10, func() {
-		pl, err := p.DecodeCoefficients(f)
-		if err != nil {
+		if _, err := p.DecodeCoefficients(f); err != nil {
 			t.Fatal(err)
 		}
-		pl.Release()
 	})
 	const maxAllocs = 16
 	if allocs > maxAllocs {
-		t.Fatalf("DecodeCoefficients+Release allocates %.0f objects/op, budget %d",
-			allocs, maxAllocs)
+		t.Fatalf("DecodeCoefficients allocates %.0f objects/op, budget %d", allocs, maxAllocs)
 	}
 }
 
@@ -146,17 +136,20 @@ func TestDecodeCoefficientsAllocs(t *testing.T) {
 // calls — codec.Pipeline.Encode and Decode — in both directions and for
 // all three codecs, on the benchmark's (8,16,32,32) tensor at two
 // workers. What must be fresh per call is the payload on the way out
-// and the tensor on the way back; the encode scratch (the SFPR+ZVC code
-// plane, the JPEG-ACT block array) comes from pools, decode writes
-// straight from the frame bytes into the tensor, and the ZVC coders size
-// their stream exactly instead of growing it. The
+// and the tensor on the way back: encode codes one block or one run at
+// a time through a stack buffer into the ZVC coder's pooled windows,
+// decode writes straight from the frame bytes into the tensor, and the
+// ZVC coders size their stream exactly instead of growing it. The
 // byte budget is that fresh result plus 16 KiB, the object budget 24, so
-// pooled scratch cannot quietly become a per-call make again. (Before
-// the pools reached these paths: encode 787 KB for a 160 KB ZVC payload,
-// decode 658 KB for a 524 KB tensor.)
+// per-call scratch cannot quietly come back. (Before the encode scratch
+// was pooled: encode 787 KB for a 160 KB ZVC payload, decode 658 KB for
+// a 524 KB tensor.) The cold case empties the pools first, as a
+// collection does mid-training: a JPEG-ACT or SFPR+ZVC encode may then
+// draw its ZVC windows afresh as well, and nothing else (a pooled block
+// array that the collection had dropped cost 128 KiB more).
 func TestCodecEncodeDecodeAllocs(t *testing.T) {
 	const slackBytes, maxObjects = 16 << 10, 24
-	defer pooledSteadyState(t)()
+	defer steadyState()()
 
 	r := tensor.NewRNG(5)
 	p := codec.New(quant.OptL())
@@ -169,15 +162,41 @@ func TestCodecEncodeDecodeAllocs(t *testing.T) {
 		}
 		var enc codec.Encoded
 		var err error
-		bytes, objects := medianAllocs(func() {
+		encode := func() {
 			if enc, err = p.Encode(kind, x); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		bytes, objects := medianAllocs(encode)
 		fresh := len(enc.Frame.Payload) + len(enc.Mask)
-		if bytes > float64(fresh+slackBytes) || objects > maxObjects {
+		if raceBuild() {
+			// The windows' sync.Pool drops a quarter of its Puts under the
+			// race detector, and a Put to one P's private slot is lost to
+			// a Get on another: the median warm encode drew fresh windows
+			// in 4 of 40 runs. The cold budget below holds there too.
+			t.Logf("%v encode: %.0f B per op; its warm budget is not held under -race", kind, bytes)
+		} else if bytes > float64(fresh+slackBytes) || objects > maxObjects {
 			t.Errorf("%v encode: %.0f B and %.0f objects per op; budget %d B (payload and mask %d + %d) and %d objects",
 				kind, bytes, objects, fresh+slackBytes, fresh, slackBytes, maxObjects)
+		}
+		if kind != compress.KindReLUToOther { // BRC codes through no window
+			// x has no pad fringe, so JPEG-ACT codes as many values as ZVC.
+			windows := (x.Elems() + coding.ZVCShard - 1) / coding.ZVCShard * (9 * coding.ZVCShard / 8)
+			cold := ^uint64(0)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.GC() // the second empties the pools' victim caches
+				runtime.ReadMemStats(&before)
+				encode()
+				runtime.ReadMemStats(&after)
+				cold = min(cold, after.TotalAlloc-before.TotalAlloc)
+			}
+			if budget := fresh + windows + slackBytes; cold > uint64(budget) {
+				t.Errorf("%v encode on emptied pools: %d B; budget %d B (payload %d + windows %d + %d)",
+					kind, cold, budget, fresh, windows, slackBytes)
+			}
+			t.Logf("%v encode on emptied pools: %d B", kind, cold)
 		}
 
 		f, err := frame.DecodeFrame(frame.EncodeFrame(enc.Frame))
@@ -202,34 +221,27 @@ func TestCodecEncodeDecodeAllocs(t *testing.T) {
 	}
 }
 
-// pooledSteadyState prepares a test that budgets scratch drawn from a
-// sync.Pool (the codec's code planes and block arrays, the ZVC windows)
-// at two workers, and returns what undoes it.
-func pooledSteadyState(t *testing.T) (restore func()) {
-	// Under the race detector sync.Pool drops a quarter of what is Put,
-	// on purpose; there is no steady state.
-	skipUnderRace(t, "sync.Pool scratch is not steady under -race")
-	return steadyState()
-}
-
-// skipUnderRace skips t, saying why, in a race-detector build.
-func skipUnderRace(t *testing.T, why string) {
+// raceBuild reports whether the test binary has the race detector.
+func raceBuild() bool {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			if s.Key == "-race" && s.Value == "true" {
-				t.Skip(why)
+				return true
 			}
 		}
 	}
+	return false
 }
 
 // steadyState prepares a test that budgets recycled scratch at two
-// workers and returns what undoes it. nn's scratch list and the step
-// arena keep what is put back under the race detector too.
+// workers and returns what undoes it. nn's scratch list, the step arena
+// and the netstore free list keep what is put back under the race
+// detector too; the ZVC windows' sync.Pool does not (see
+// TestCodecEncodeDecodeAllocs), which a per-round budget absorbs.
 func steadyState() (restore func()) {
 	prev := parallel.SetWorkers(2)
 	// A collection in the middle of a measurement would empty the
-	// sync.Pools and charge their refill to one unlucky run.
+	// sync.Pool and charge its refill to one unlucky run.
 	gc := debug.SetGCPercent(-1)
 	return func() {
 		debug.SetGCPercent(gc)
@@ -237,12 +249,12 @@ func steadyState() (restore func()) {
 	}
 }
 
-// medianAllocs is the median of single runs: the codec's sync.Pools are
-// per-P, so a run that starts on a P whose slot is still empty pays one
-// refill, and the steady state is what a budget is about.
+// medianAllocs is the median of single runs: the ZVC windows' sync.Pool
+// is per-P, so a run that starts on a P whose slot is still empty pays
+// one refill, and the steady state is what a budget is about.
 func medianAllocs(f func()) (bytes, objects float64) {
 	const runs = 15
-	f() // warm the pools
+	f() // warm the pool
 	var bs, os []float64
 	for i := 0; i < runs; i++ {
 		var before, after runtime.MemStats
@@ -269,7 +281,9 @@ func TestConvStepAllocs(t *testing.T) {
 	// package's race tests on the CPUs, they differed by one object,
 	// either way round, in 3 of 18 runs; the scratch list adds no object
 	// once warm, so the extra one is the runtime's.
-	skipUnderRace(t, "the step floors are timing-bound under -race")
+	if raceBuild() {
+		t.Skip("the step floors are timing-bound under -race")
+	}
 	defer steadyState()()
 	const maxObjects = 24
 	var floors []uint64
@@ -359,7 +373,7 @@ func TestTrainArenaHighWater(t *testing.T) {
 // through a pooled code plane or block array, a round allocated 59.8 MB
 // (7.48 MB a step) and 10,260 objects.
 func TestOffloadRoundAllocs(t *testing.T) {
-	defer pooledSteadyState(t)()
+	defer steadyState()()
 	const steps, maxBytesPerStep, maxObjects = 8, 1 << 22, 10500 // 4 MiB
 	bytes, objects := ^uint64(0), ^uint64(0)
 	for range 3 {

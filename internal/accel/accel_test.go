@@ -95,9 +95,9 @@ func maxAbsBlocks(blocks [][64]float32) float32 {
 	return m
 }
 
-// sfprCodes is the SFPR stage upstream of the code-block path: every block
+// sfprBlocks is the SFPR stage upstream of the code-block path: every block
 // cast with one channel scale, saturating like the SPE (§III-B).
-func sfprCodes(blocks [][64]float32, sc float32) [][64]int8 {
+func sfprBlocks(blocks [][64]float32, sc float32) [][64]int8 {
 	out := make([][64]int8, len(blocks))
 	for b := range blocks {
 		for i, v := range blocks[b] {
@@ -112,7 +112,7 @@ func TestCompressDecompressRoundtrip(t *testing.T) {
 	sc := float32(1.125) / maxAbsBlocks(blocks)
 	for _, ncdu := range []int{1, 4, 8} {
 		a := New(ncdu, quant.OptL())
-		s := a.CompressCodes(sfprCodes(blocks, sc))
+		s := a.CompressCodes(sfprBlocks(blocks, sc))
 		if s.Blocks != 37 {
 			t.Fatalf("blocks %d", s.Blocks)
 		}
@@ -141,7 +141,7 @@ func TestStreamFraming(t *testing.T) {
 	blocks := randBlocks(3, 10)
 	sc := float32(1.0) / maxAbsBlocks(blocks)
 	a := New(4, quant.OptH())
-	s := a.CompressCodes(sfprCodes(blocks, sc))
+	s := a.CompressCodes(sfprBlocks(blocks, sc))
 	for i, p := range s.Packets {
 		if len(p) != PacketBytes {
 			t.Fatalf("packet %d size %d", i, len(p))
@@ -158,7 +158,7 @@ func TestStreamFraming(t *testing.T) {
 
 func TestCyclesModel(t *testing.T) {
 	blocks := randBlocks(4, 64)
-	codes := sfprCodes(blocks, float32(1.0)/maxAbsBlocks(blocks))
+	codes := sfprBlocks(blocks, float32(1.0)/maxAbsBlocks(blocks))
 	t1 := New(1, quant.OptH()).CompressCodes(codes).Cycles
 	t4 := New(4, quant.OptH()).CompressCodes(codes).Cycles
 	t8 := New(8, quant.OptH()).CompressCodes(codes).Cycles
@@ -181,8 +181,8 @@ func TestCyclesModel(t *testing.T) {
 func TestHigherQuantizationCompressesMore(t *testing.T) {
 	blocks := randBlocks(5, 32)
 	sc := float32(1.125) / maxAbsBlocks(blocks)
-	l := New(4, quant.OptL()).CompressCodes(sfprCodes(blocks, sc))
-	h := New(4, quant.OptH()).CompressCodes(sfprCodes(blocks, sc))
+	l := New(4, quant.OptL()).CompressCodes(sfprBlocks(blocks, sc))
+	h := New(4, quant.OptH()).CompressCodes(sfprBlocks(blocks, sc))
 	if h.Bytes >= l.Bytes {
 		t.Fatalf("optH %dB should beat optL %dB", h.Bytes, l.Bytes)
 	}
@@ -192,7 +192,7 @@ func TestAccelMatchesSoftwarePipeline(t *testing.T) {
 	// The hardware fixed-point path must agree with the float functional
 	// pipeline within the Q13 rounding budget: compare quantized blocks.
 	blocks := randBlocks(6, 16)
-	codes := sfprCodes(blocks, float32(1.125)/maxAbsBlocks(blocks))
+	codes := sfprBlocks(blocks, float32(1.125)/maxAbsBlocks(blocks))
 	a := New(4, quant.OptL())
 	mismatch := 0
 	total := 0
@@ -238,7 +238,7 @@ func TestDecompressPanicsOnTruncatedStream(t *testing.T) {
 	blocks := randBlocks(7, 8)
 	sc := float32(1.0) / maxAbsBlocks(blocks)
 	a := New(2, quant.OptH())
-	s := a.CompressCodes(sfprCodes(blocks, sc))
+	s := a.CompressCodes(sfprBlocks(blocks, sc))
 	s.Packets = s.Packets[:0]
 	defer func() {
 		if recover() == nil {

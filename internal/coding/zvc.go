@@ -21,12 +21,14 @@ import (
 // follows the last group. The decoders reject anything else, so a stream
 // that decodes re-encodes to the same bytes.
 //
-// Both layouts the codec produces — a flat []int8 of SFPR codes and
-// [][64]int8 quantized blocks, whose concatenation codes to the same
-// stream — are cut into shards of ZVCShard values. Shards code in
-// parallel, each inside its own worst-case window (the paper's multi-CDU
-// round-robin in software), and the coded windows are concatenated in
-// shard order, so the bytes are identical at any worker count.
+// Both layouts the codec codes — flat runs of SFPR codes and 8×8
+// quantized blocks, whose concatenation codes to the same stream — are
+// cut into shards of ZVCShard values, and a shard codes (decodes) one
+// run or block at a time through a stack buffer (EncodeZVCRun,
+// DecodeZVCRun). Shards code in parallel, each inside its own
+// worst-case window (the paper's multi-CDU round-robin in software), and
+// the coded windows are concatenated in shard order, so the bytes are
+// identical at any worker count.
 
 // zvcShardBlocks is the number of 8×8 blocks per parallel shard (one
 // group is a dozen word operations, so 512 groups keep the goroutine
@@ -102,11 +104,13 @@ func spreadMask(m byte) uint64 {
 	return nonzeroLanes(uint64(m) * lanesOne & 0x8040201008040201)
 }
 
-// encodeZVCInto codes vals — whole groups, plus a short tail group if
-// len(vals) is not a multiple of 8 — into dst starting at p and returns
-// the new position. len(dst) is the end of the caller's window: no byte
-// at or past it is written.
-func encodeZVCInto(dst []byte, p int, vals []int8) int {
+// EncodeZVCRun codes vals — whole groups, plus a short tail group if
+// len(vals) is not a multiple of 8, which only a shard's last run may
+// have — into dst starting at p and returns the new position. len(dst)
+// is the end of the caller's window: no byte at or past it is written.
+// It is DecodeZVCRun's inverse: an encoder that casts or quantizes one
+// stack-sized run at a time codes each run through it.
+func EncodeZVCRun(dst []byte, p int, vals []int8) int {
 	i := 0
 	for ; i+8 <= len(vals); i += 8 {
 		w := load8(vals[i : i+8 : i+8])
@@ -247,13 +251,15 @@ const shardWindow = 9 * ZVCShard / 8
 // windows holds the encoders' scratch: shardWindow bytes per shard.
 var windows = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeZVCShards is the encode driver both layouts share: every shard
-// codes once, in parallel, into its own shardWindow of a pooled scratch
-// and reports its length; the lengths are prefix-summed and the windows
-// copied into one exactly-sized stream. The windows are three-index
-// slices, so a kernel that broke the window rule would panic instead of
-// clobbering its neighbour.
-func encodeZVCShards(shards int, encode func(s int, win []byte) int) []byte {
+// EncodeZVCShards is the encode driver every layout shares, the twin of
+// DecodeZVCShards: every shard — ZVCShard values, the last one possibly
+// fewer — codes once, in parallel, into its own shardWindow of a pooled
+// scratch, and encode(s, win) reports how many bytes of win shard s
+// wrote (with EncodeZVCRun, in runs of whole groups). The lengths are
+// prefix-summed and the windows copied into one exactly-sized stream.
+// The windows are three-index slices, so a kernel that broke the window
+// rule would panic instead of clobbering its neighbour.
+func EncodeZVCShards(shards int, encode func(s int, win []byte) int) []byte {
 	bufP := windows.Get().(*[]byte)
 	if cap(*bufP) < shards*shardWindow {
 		*bufP = make([]byte, shards*shardWindow)
@@ -277,33 +283,14 @@ func encodeZVCShards(shards int, encode func(s int, win []byte) int) []byte {
 	return out
 }
 
-// EncodeZVC compresses vals (any length; the tail group may be short).
-func EncodeZVC(vals []int8) []byte {
-	n := len(vals)
-	return encodeZVCShards((n+ZVCShard-1)/ZVCShard, func(s int, win []byte) int {
-		return encodeZVCInto(win, 0, vals[s*ZVCShard:min((s+1)*ZVCShard, n)])
-	})
-}
-
-// EncodeZVCBlocks encodes the concatenation of the blocks, producing a
-// stream byte-identical to EncodeZVC over the flattened values without
-// materializing the flat copy.
+// EncodeZVCBlocks encodes the concatenation of the blocks: the same
+// stream as the flattened values would code to, without the flat copy.
 func EncodeZVCBlocks(blocks [][64]int8) []byte {
-	return EncodeZVCBlocksFill(blocks, func(lo, hi int) {})
-}
-
-// EncodeZVCBlocksFill is EncodeZVCBlocks over blocks that fill produces:
-// fill(lo, hi) writes blocks[lo:hi], one shard, inside the pass that
-// codes it, so each block is still in cache when it is coded. Shards
-// fill in parallel.
-func EncodeZVCBlocksFill(blocks [][64]int8, fill func(lo, hi int)) []byte {
 	nb := len(blocks)
-	return encodeZVCShards((nb+zvcShardBlocks-1)/zvcShardBlocks, func(s int, win []byte) int {
-		lo, hi := s*zvcShardBlocks, min((s+1)*zvcShardBlocks, nb)
-		fill(lo, hi)
+	return EncodeZVCShards((nb+zvcShardBlocks-1)/zvcShardBlocks, func(s int, win []byte) int {
 		p := 0
-		for i := lo; i < hi; i++ {
-			p = encodeZVCInto(win, p, blocks[i][:])
+		for i := s * zvcShardBlocks; i < min((s+1)*zvcShardBlocks, nb); i++ {
+			p = EncodeZVCRun(win, p, blocks[i][:])
 		}
 		return p
 	})
@@ -349,8 +336,7 @@ func DecodeZVCShards(data []byte, n int, decode func(s, p int) bool) error {
 	return nil
 }
 
-// DecodeZVCBlocksInto decodes a stream produced by EncodeZVCBlocks (or
-// EncodeZVC over flattened blocks) into dst, whose length fixes the
+// DecodeZVCBlocksInto decodes a stream produced by EncodeZVCBlocks into dst, whose length fixes the
 // expected block count. Every block is overwritten.
 func DecodeZVCBlocksInto(dst [][64]int8, data []byte) error {
 	nb := len(dst)

@@ -24,8 +24,8 @@ func makeTestBlocks(n int) [][64]int8 {
 }
 
 // The block encoder must produce the exact stream of the flat encoder —
-// that is what makes pooled block encoding a drop-in replacement — and
-// it must do so at every worker count.
+// that is what lets a JPEG-ACT frame code block by block — and it must
+// do so at every worker count.
 func TestEncodeZVCBlocksMatchesFlat(t *testing.T) {
 	for _, nb := range []int{0, 1, 7, 64, 65, 1000} {
 		blocks := makeTestBlocks(nb)

@@ -36,6 +36,16 @@ func refEncodeZVC(vals []int8) []byte {
 	return out
 }
 
+// EncodeZVC compresses vals (any length; the tail group may be short),
+// one whole shard per run: the flat layout through the product's encode
+// driver, which codes SFPR codes a stack-sized run at a time instead.
+func EncodeZVC(vals []int8) []byte {
+	n := len(vals)
+	return EncodeZVCShards((n+ZVCShard-1)/ZVCShard, func(s int, win []byte) int {
+		return EncodeZVCRun(win, 0, vals[s*ZVCShard:min((s+1)*ZVCShard, n)])
+	})
+}
+
 // DecodeZVCInto decodes a stream produced by EncodeZVC into dst, whose
 // length is the original value count, one whole shard per run: the flat
 // layout through the product's decode driver.
@@ -275,7 +285,7 @@ func TestEncodeZVCIntoStaysInWindow(t *testing.T) {
 			want := refEncodeZVC(vals)
 			buf := bytes.Repeat([]byte{0xA5}, len(want)+32)
 			win := buf[16 : 16+len(want) : 16+len(want)]
-			if p := encodeZVCInto(win, 0, vals); p != len(want) {
+			if p := EncodeZVCRun(win, 0, vals); p != len(want) {
 				t.Fatalf("nz=%v n=%d: wrote %d bytes, want %d", nz, n, p, len(want))
 			}
 			if !bytes.Equal(win, want) {

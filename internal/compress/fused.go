@@ -32,9 +32,9 @@ func (p *Pipeline) foldedInverse() [64]float32 {
 
 // GatherBlock loads the 8×8 tile (by, bx) of the logical padded
 // (NCH)×W plane of x into blk with the SFPR cast applied per element:
-// each lane is the int8 code sfpr.CompressInto would have written there,
-// as a float32, and lanes in the pad fringe are zero, which is exactly
-// what the padded code plane held — but neither plane is materialized.
+// each lane is the int8 code sfpr.QuantizeInto would have written there,
+// as a float32, and lanes in the pad fringe are zero, as in a padded
+// code plane — but no plane of codes is ever materialized.
 // sc128[nc] is plane nc's float64(scale)·128 (PlaneScales128); like
 // ScatterBlock it steps the plane index when a row walks off the bottom
 // of a plane. With ScatterBlock it is the tree's one walk of the §III-C

@@ -94,7 +94,6 @@ func TestFusedQuantizeBitIdenticalToUnfused(t *testing.T) {
 						p.DQT.Name, p.UseShift, sh, b, fq[b], uq[b])
 				}
 			}
-			ReleaseBlocks(fq)
 		}
 	}
 }
@@ -116,7 +115,6 @@ func TestFusedReconstructBitIdenticalToUnfused(t *testing.T) {
 						p.DQT.Name, p.UseShift, sh, i, frec.Data[i], urec.Data[i])
 				}
 			}
-			ReleaseBlocks(fq)
 		}
 	}
 }
@@ -150,7 +148,6 @@ func FuzzFusedBlockPath(f *testing.F) {
 				t.Fatalf("shape %v shift=%v: sample %d differs", sh, shift, i)
 			}
 		}
-		ReleaseBlocks(fq)
 	})
 }
 
@@ -213,7 +210,6 @@ func TestFusedDriversMatchBlocksView(t *testing.T) {
 				blocks, scales, info := p.QuantizeBlocks(x)
 				want := coding.EncodeZVCBlocks(blocks)
 				rec := p.ReconstructBlocks(blocks, scales, info)
-				ReleaseBlocks(blocks)
 
 				got, gotScales := p.Encode(x)
 				if !bytes.Equal(got, want) || !slices.Equal(gotScales, scales) {

@@ -43,19 +43,28 @@ const shardBlocks = coding.ZVCShard / 64
 
 // Encode runs x through the JPEG-ACT pipeline — SFPR → 8×8 DCT → SH →
 // ZVC — and returns the coded stream and the per-channel SFPR scales.
-// It is the fused encode driver: each shard's blocks are gathered
-// straight from x with the SFPR cast applied per element, transformed,
-// quantized and coded into the shard's window in one parallel pass, and
-// the windows are concatenated into the stream (coding.
-// EncodeZVCBlocksFill). No int8 code plane is materialized; the block
-// array a shard fills and codes is pooled. Every block is produced by
-// exactly one worker in the serial per-block op order, so the bytes are
-// identical at any worker count.
+// It is the fused encode driver, DecodeInto run forwards: each shard of
+// the stream codes in parallel one block at a time, gathered straight
+// from x with the SFPR cast applied per element, transformed and
+// quantized into a stack buffer (fusedQuantizeBlock) and coded into the
+// shard's window (coding.EncodeZVCRun) — no block array, no code plane.
+// Every block is produced by exactly one worker in the serial per-block
+// op order, so the bytes are identical at any worker count.
 func (p *Pipeline) Encode(x *tensor.Tensor) (payload []byte, scales []float32) {
 	scales = p.scales(x)
-	blkP := getBlocks(tensor.BlockPadInfo(x.Shape, dct.BlockSize).PaddedElems() / 64)
-	payload = coding.EncodeZVCBlocksFill(*blkP, p.quantizer(x, scales, *blkP))
-	putBlocks(blkP)
+	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
+	bw, nb := info.BlockCols/8, info.PaddedElems()/64
+	table := p.foldedForward()
+	sc128 := PlaneScales128(scales, x.Shape)
+	payload = coding.EncodeZVCShards((nb+shardBlocks-1)/shardBlocks, func(s int, win []byte) int {
+		var q [64]int8
+		n := 0
+		for bi := s * shardBlocks; bi < min((s+1)*shardBlocks, nb); bi++ {
+			fusedQuantizeBlock(x, sc128, bi/bw, bi%bw, &table, &q)
+			n = coding.EncodeZVCRun(win, n, q[:])
+		}
+		return n
+	})
 	return payload, scales
 }
 
@@ -86,66 +95,31 @@ func (p *Pipeline) DecodeInto(payload []byte, scales []float32, dst *tensor.Tens
 // QuantizeBlocks runs the pipeline through quantization, returning the
 // quantized 8×8 blocks, the SFPR scales, and the pad info needed to
 // reconstruct: the blocks view of Encode, on the same per-block kernel,
-// for the DQT optimizer. The returned block slice comes from the
-// internal scratch pool; callers that are done with it can hand it back
-// with ReleaseBlocks to spare the next call the allocation (holding on
-// to it is also fine — the pool simply refills).
+// for the DQT optimizer. The block slice is the caller's.
 func (p *Pipeline) QuantizeBlocks(x *tensor.Tensor) ([][64]int8, []float32, tensor.PadInfo) {
 	info := tensor.BlockPadInfo(x.Shape, dct.BlockSize)
 	scales := p.scales(x)
-	blocks := *getBlocks(info.PaddedElems() / 64)
-	parallel.For(len(blocks), blockGrain, p.quantizer(x, scales, blocks))
+	blocks := make([][64]int8, info.PaddedElems()/64)
+	bw := info.BlockCols / 8
+	table := p.foldedForward()
+	sc128 := PlaneScales128(scales, x.Shape)
+	parallel.For(len(blocks), blockGrain, func(lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			fusedQuantizeBlock(x, sc128, bi/bw, bi%bw, &table, &blocks[bi])
+		}
+	})
 	return blocks, scales, info
 }
 
-// BorrowBlocks hands out an n-block slice from the scratch pool — the
-// same pool QuantizeBlocks draws from — for callers that decode
-// quantized blocks from a byte stream instead of producing them (the
-// offload codec's coefficient path). Return it with ReleaseBlocks.
-// Contents are dirty.
-func BorrowBlocks(n int) [][64]int8 {
-	return *getBlocks(n)
-}
-
-// ReleaseBlocks returns a block slice obtained from QuantizeBlocks to
-// the scratch pool. The caller must not touch blocks afterwards.
-func ReleaseBlocks(blocks [][64]int8) {
-	if blocks == nil {
-		return
-	}
-	putBlocks(&blocks)
-}
-
-// BorrowCodes hands out an n-value int8 slice from the scratch pool, for
-// the offload codec's SFPR+ZVC encode. Return it with ReleaseCodes.
-// Contents are dirty.
-func BorrowCodes(n int) []int8 {
-	return *getI8(n)
-}
-
-// ReleaseCodes returns a slice obtained from BorrowCodes to the pool.
-func ReleaseCodes(codes []int8) {
-	putI8(&codes)
-}
+// ReleaseBlocks does nothing: QuantizeBlocks's blocks are the caller's,
+// and the collector takes them back. It is kept for bench/.
+func ReleaseBlocks([][64]int8) {}
 
 // scales returns x's per-channel SFPR scales (Eqn. 4).
 func (p *Pipeline) scales(x *tensor.Tensor) []float32 {
 	scales := make([]float32, x.Shape.C)
 	sfpr.ComputeScales(x, p.s(), scales)
 	return scales
-}
-
-// quantizer returns the per-shard body both encode paths run: it writes
-// blocks[lo:hi] of x with the fused CDU-style kernel (fusedQuantizeBlock).
-func (p *Pipeline) quantizer(x *tensor.Tensor, scales []float32, blocks [][64]int8) func(lo, hi int) {
-	bw := tensor.BlockPadInfo(x.Shape, dct.BlockSize).BlockCols / 8
-	table := p.foldedForward()
-	sc128 := PlaneScales128(scales, x.Shape)
-	return func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			fusedQuantizeBlock(x, sc128, bi/bw, bi%bw, &table, &blocks[bi])
-		}
-	}
 }
 
 // ReconstructBlocks inverts QuantizeBlocks: the blocks view of
@@ -177,9 +151,7 @@ func (p *Pipeline) reconstructInto(blocks [][64]int8, scales []float32, info ten
 // coding.EncodeJPEGBlocks.
 func (p *Pipeline) EncodeRLE(x *tensor.Tensor) (payload []byte, scales []float32) {
 	blocks, scales, _ := p.QuantizeBlocks(x)
-	payload = coding.EncodeJPEGBlocks(blocks)
-	ReleaseBlocks(blocks)
-	return payload, scales
+	return coding.EncodeJPEGBlocks(blocks), scales
 }
 
 // DecodeRLEInto inverts EncodeRLE into dst, whose shape is x's; every

@@ -9,11 +9,11 @@ import (
 
 // The unfused reference codec: the padded-plane block path the fused
 // kernels replaced, kept only as the oracle fused_test.go compares
-// against. It shares as little as it can with production — scales and
-// codes come from sfpr's two-pass ComputeScales + QuantizeInto (production
-// runs the fused per-channel CompressInto), blocks are copied off a
-// materialized padded (NCH)×W float plane (production gathers from the
-// int8 codes), and every rounding is the branchy round-half-away-and-clip
+// against. It shares as little as it can with production — the codes
+// come from sfpr.QuantizeInto's whole code plane (production casts each
+// element as it gathers its tile), blocks are copied off a materialized
+// padded (NCH)×W float plane (production gathers from the activation
+// itself), and every rounding is the branchy round-half-away-and-clip
 // the shared branch-free helper replaced. What it does share is the AAN
 // transform, which dct's own tests pin to the copy-through original.
 

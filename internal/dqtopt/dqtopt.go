@@ -71,7 +71,6 @@ func Evaluate(d quant.DQT, samples []*tensor.Tensor, alpha, s float64) Point {
 			allQ = append(allQ, blocks[i][:]...)
 		}
 		rec := p.ReconstructBlocks(blocks, scales, info)
-		compress.ReleaseBlocks(blocks)
 		l2Sum += tensor.L2Error(x, rec)
 	}
 	h := entropy.Shannon(allQ)

@@ -125,7 +125,7 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 	forBatch(x.Shape.N, convPass{nb, parallel.Grain(c.OutC*k2*convBlock, gemmMinWork), func(n, lo, hi int) {
 		xn := x.Data[n*inElems : (n+1)*inElems]
 		dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-		pk := scratch.get(gemmPanels(bw) * k2 * gemmNR)
+		pk := getScratch(gemmPanels(bw) * k2 * gemmNR)
 		for b := lo; b < hi; b++ {
 			b0 := b * convBlock
 			cnt := min(convBlock, spatial-b0)
@@ -140,7 +140,7 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 				}
 			}
 		}
-		scratch.put(pk)
+		scratch.Put(pk)
 	}})
 	return &ActRef{Name: c.LayerName + ".out", Kind: compress.KindConv, T: out}
 }
@@ -197,10 +197,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	nb, bw := blocks(spatial)
 
 	dx := grad.Derive(x.Shape)
-	wT := scratch.get(k2 * c.OutC)
+	wT := getScratch(k2 * c.OutC)
 	packAT(c.OutC, k2, c.Weight.W.Data, wT)
 	// Element n's ∇Wᵀ (k2 × OutC) is partials[n].
-	partials := scratch.get(x.Shape.N * k2 * c.OutC)
+	partials := getScratch(x.Shape.N * k2 * c.OutC)
 	forBatch(x.Shape.N,
 		// Rows [lo, hi) of ∇Wᵀ[n] = cols · ∇y[n]ᵀ (k2×spatial ·
 		// spatial×OutC; the transpose is paid on ∇y, K² times smaller than
@@ -209,8 +209,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		convPass{k2, gemmRowGrain(spatial, c.OutC), func(n, lo, hi int) {
 			xn := x.Data[n*inElems : (n+1)*inElems]
 			gout := grad.Data[n*outElems : (n+1)*outElems]
-			cols := scratch.get((hi - lo) * bw)
-			pk := scratch.get(gemmPanels(c.OutC) * bw * gemmNR)
+			cols := getScratch((hi - lo) * bw)
+			pk := getScratch(gemmPanels(c.OutC) * bw * gemmNR)
 			mode := gemmOverwrite
 			for b0 := 0; b0 < spatial; b0 += convBlock {
 				cnt := min(convBlock, spatial-b0)
@@ -219,8 +219,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				gemmTileRows(0, hi-lo, cnt, c.OutC, c.OutC, cols, pk, partials[(n*k2+lo)*c.OutC:], mode)
 				mode = gemmAccumulate
 			}
-			scratch.put(cols)
-			scratch.put(pk)
+			scratch.Put(cols)
+			scratch.Put(pk)
 		}},
 		// ∇cols = Wᵀ · ∇y[n] (k2×OutC · OutC×spatial) for the rows of input
 		// channels [lo, hi), scattered into their planes over descending
@@ -234,8 +234,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				clear(dxn) // col2im adds into zeros and skips what no tap reads
 			}
 			rows := (hi - lo) * taps
-			dcols := scratch.get(rows * bw)
-			pk := scratch.get(gemmPanels(bw) * c.OutC * gemmNR)
+			dcols := getScratch(rows * bw)
+			pk := getScratch(gemmPanels(bw) * c.OutC * gemmNR)
 			for b := nb - 1; b >= 0; b-- {
 				b0 := b * convBlock
 				cnt := min(convBlock, spatial-b0)
@@ -243,14 +243,14 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				gemmTileRows(0, rows, c.OutC, cnt, cnt, wT[lo*taps*c.OutC:], pk, dcols, gemmOverwrite)
 				c.col2im(dcols, dxn, h, w, b0, cnt)
 			}
-			scratch.put(dcols)
-			scratch.put(pk)
+			scratch.Put(dcols)
+			scratch.Put(pk)
 		}})
-	scratch.put(wT)
+	scratch.Put(wT)
 	// One add per batch element in ascending n, whichever shard computed
 	// it: the op sequence of accumulating ∇y[n]·colsᵀ element by element.
 	addTransposed(c.OutC, k2, partials, c.Weight.Grad.Data)
-	scratch.put(partials)
+	scratch.Put(partials)
 	c.biasGrad(grad)
 	return dx
 }

@@ -24,16 +24,8 @@ func PoisonScratch() (restore func()) {
 }
 
 // EmptyScratch drops every buffer the scratch list holds.
-func EmptyScratch() {
-	scratch.mu.Lock()
-	scratch.bufs, scratch.bytes = nil, 0
-	scratch.mu.Unlock()
-}
+func EmptyScratch() { scratch.Reset() }
 
 // ScratchBytes reports the capacity, in bytes, of the buffers the scratch
 // list holds.
-func ScratchBytes() int {
-	scratch.mu.Lock()
-	defer scratch.mu.Unlock()
-	return scratch.bytes
-}
+func ScratchBytes() int { return scratch.Bytes() }

@@ -2,10 +2,9 @@ package nn
 
 import (
 	"math"
-	"slices"
-	"sync"
 	"sync/atomic"
 
+	"jpegact/internal/freelist"
 	"jpegact/internal/parallel"
 )
 
@@ -70,8 +69,8 @@ var gemmTileAsm func(k int, a *float32, lda int, panel *float32, c *float32, ldc
 // that holds it, so a 2,048-float ∇y block does not hold an 18,432-float
 // block of lowered panels; what nothing fits is allocated at exactly its
 // length. A layer sequence that repeats each step is served from the
-// buffers its first steps allocated.
-var scratch scratchList
+// buffers its first steps allocated. Buffers go back dirty (getScratch).
+var scratch = freelist.New[float32](scratchBytes, 0, nil)
 
 // scratchBytes bounds the capacity the list keeps. It is twenty times what
 // a step of the bench-scale ResNet18 leaves there at two workers (≈ 0.8
@@ -79,58 +78,21 @@ var scratch scratchList
 // step never evicts.
 const scratchBytes = 16 << 20
 
-// poison, when set, fills every buffer with NaN before get hands it out,
-// so a kernel that reads scratch it did not write poisons its result.
-// Only tests set it (export_test.go).
+// poison, when set, fills every buffer with NaN before getScratch hands
+// it out, so a kernel that reads scratch it did not write poisons its
+// result. Only tests set it (export_test.go).
 var poison atomic.Bool
 
-// scratchList holds the free buffers oldest first, at most scratchBytes
-// of capacity; put drops the oldest past the bound.
-type scratchList struct {
-	mu    sync.Mutex
-	bufs  [][]float32
-	bytes int
-}
-
-// get returns a length-n buffer holding whatever its last user left.
-func (l *scratchList) get(n int) (b []float32) {
-	l.mu.Lock()
-	best := -1
-	for i, f := range l.bufs {
-		if cap(f) >= n && (best < 0 || cap(f) < cap(l.bufs[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		b = make([]float32, n)
-	} else {
-		b = l.bufs[best][:n]
-		l.bufs = slices.Delete(l.bufs, best, best+1)
-		l.bytes -= 4 * cap(b)
-	}
-	l.mu.Unlock()
+// getScratch returns a length-n buffer from scratch holding whatever its
+// last user left; scratch.Put hands it back.
+func getScratch(n int) []float32 {
+	b := scratch.Get(n)
 	if poison.Load() {
 		for i := range b {
 			b[i] = float32(math.NaN())
 		}
 	}
 	return b
-}
-
-// put hands b back. A nil b (a buffer never drawn) and one larger than
-// the whole bound are not kept.
-func (l *scratchList) put(b []float32) {
-	if cap(b) == 0 || 4*cap(b) > scratchBytes {
-		return
-	}
-	l.mu.Lock()
-	l.bufs = append(l.bufs, b)
-	l.bytes += 4 * cap(b)
-	for l.bytes > scratchBytes {
-		l.bytes -= 4 * cap(l.bufs[0])
-		l.bufs = slices.Delete(l.bufs, 0, 1)
-	}
-	l.mu.Unlock()
 }
 
 func gemmPanels(n int) int { return (n + gemmNR - 1) / gemmNR }
@@ -306,7 +268,7 @@ func gemmTileRows(lo, hi, k, n, ldc int, a, pk, c []float32, mode gemmMode) {
 // m×k, B row-major k×n, or stored n×k when bT, packed into scratch. The
 // rows of C are sharded over the worker pool.
 func gemmPacked(m, k, n int, a, b, c []float32, mode gemmMode, bT bool) {
-	packed := scratch.get(gemmPanels(n) * k * gemmNR)
+	packed := getScratch(gemmPanels(n) * k * gemmNR)
 	if bT {
 		packBT(k, n, k, b, packed)
 	} else {
@@ -315,7 +277,7 @@ func gemmPacked(m, k, n int, a, b, c []float32, mode gemmMode, bT bool) {
 	parallel.For(m, gemmRowGrain(k, n), func(lo, hi int) {
 		gemmTileRows(lo, hi, k, n, n, a, packed, c, mode)
 	})
-	scratch.put(packed)
+	scratch.Put(packed)
 }
 
 // Gemm computes C += A·B for row-major matrices: A is M×K, B is K×N,
@@ -333,10 +295,10 @@ func GemmTA(m, k, n int, a, b, c []float32) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemmTA size mismatch")
 	}
-	at := scratch.get(m * k)
+	at := getScratch(m * k)
 	packAT(k, m, a, at)
 	gemmPacked(m, k, n, at, b, c, gemmAccumulate, false)
-	scratch.put(at)
+	scratch.Put(at)
 }
 
 // GemmTB computes C += A·Bᵀ where A is M×K, B is N×K (so Bᵀ is K×N),

@@ -94,15 +94,19 @@ func (p Pipeline) Encode(kind compress.Kind, x *tensor.Tensor) (Encoded, error) 
 	case frame.CodecCDU:
 		f.Payload, f.Scales = p.m.(*compress.HardwareJPEGACT).EncodeCDU(x, p.DQT, p.S)
 	case frame.CodecZVC:
-		f.Payload, f.Scales = p.sfprCodes(x, coding.EncodeZVC)
+		f.Scales = p.scales(x)
+		f.Payload = encodeZVC(x, f.Scales)
 	case frame.CodecSFPR:
-		f.Payload, f.Scales = p.sfprCodes(x, func(codes []int8) []byte {
-			b := make([]byte, len(codes))
-			for i, v := range codes {
-				b[i] = byte(v)
+		f.Scales = p.scales(x)
+		f.Payload = make([]byte, x.Elems())
+		for lo := 0; lo < len(f.Payload); lo += coding.ZVCShard {
+			var buf [coding.ZVCShard]int8
+			run := buf[:min(coding.ZVCShard, len(f.Payload)-lo)]
+			sfpr.QuantizeRun(x.Data, lo, x.Shape, f.Scales, run)
+			for i, v := range run {
+				f.Payload[lo+i] = byte(v)
 			}
-			return b
-		})
+		}
 	case frame.CodecGradRaw:
 		f.Payload = encodeRaw(x.Data)
 	case frame.CodecZVC32:
@@ -201,8 +205,7 @@ func (p Pipeline) DecodeInto(f *frame.Frame, dst *tensor.Tensor) error {
 			dst.Data[i] = sfpr.FP8Value(c)
 		}
 	case frame.CodecDPRCSR:
-		codes := compress.BorrowCodes(len(dst.Data))
-		defer compress.ReleaseCodes(codes)
+		codes := make([]int8, len(dst.Data))
 		if err := coding.DecodeCSRInto(codes, f.Payload); err != nil {
 			return err
 		}
@@ -299,30 +302,25 @@ func (p Pipeline) jpeg(shift bool) compress.Pipeline {
 	return compress.Pipeline{DQT: p.DQT, UseShift: shift, S: p.S}
 }
 
-// sfprCodes casts x to its SFPR codes and scales, and codes the codes.
-func (p Pipeline) sfprCodes(x *tensor.Tensor, code func([]int8) []byte) ([]byte, []float32) {
+// scales returns x's per-channel SFPR scales under the pipeline's S.
+func (p Pipeline) scales(x *tensor.Tensor) []float32 {
 	scales := make([]float32, x.Shape.C)
-	codes := compress.BorrowCodes(x.Elems())
-	sfpr.CompressInto(x, p.S, scales, codes)
-	payload := code(codes)
-	compress.ReleaseCodes(codes)
-	return payload, scales
+	sfpr.ComputeScales(x, p.S, scales)
+	return scales
 }
 
-// decodeBlocks decodes a JPEG-ACT frame as far as its quantized
-// coefficient blocks, in a slice borrowed from the compress scratch pool
-// that the caller owns (compress.ReleaseBlocks) when err is nil.
-func decodeBlocks(f *frame.Frame) ([][64]int8, tensor.PadInfo, error) {
-	info := tensor.BlockPadInfo(f.Shape, dct.BlockSize)
-	if err := checkZVCFrame(f, info.PaddedElems()); err != nil {
-		return nil, info, err
-	}
-	blocks := compress.BorrowBlocks(info.PaddedElems() / 64)
-	if err := coding.DecodeZVCBlocksInto(blocks, f.Payload); err != nil {
-		compress.ReleaseBlocks(blocks)
-		return nil, info, err
-	}
-	return blocks, info, nil
+// encodeZVC codes x's SFPR codes under scales as decodeZVCInto decodes
+// them: each shard of the stream casts its run of x into a stack buffer
+// (sfpr.QuantizeRun) and codes it into the shard's window.
+func encodeZVC(x *tensor.Tensor, scales []float32) []byte {
+	n := x.Elems()
+	return coding.EncodeZVCShards((n+coding.ZVCShard-1)/coding.ZVCShard, func(s int, win []byte) int {
+		var buf [coding.ZVCShard]int8
+		lo := s * coding.ZVCShard
+		codes := buf[:min(coding.ZVCShard, n-lo)]
+		sfpr.QuantizeRun(x.Data, lo, x.Shape, scales, codes)
+		return coding.EncodeZVCRun(win, 0, codes)
+	})
 }
 
 // decodeZVCInto decodes an SFPR+ZVC frame: each shard of the stream

@@ -38,7 +38,6 @@ func TestDecodeCoefficientsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cb.Release()
 	if cb.info.Orig != x.Shape {
 		t.Fatalf("blocks of shape %v, want %v", cb.info.Orig, x.Shape)
 	}

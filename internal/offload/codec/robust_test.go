@@ -37,8 +37,7 @@ func hugeShapeFrame(t testing.TB, c frame.Codec) *frame.Frame {
 // TestShortPayloadRejectedBeforeAllocating: a ZVC stream needs one mask
 // byte per eight values, so a payload too short for the header's shape
 // is decidable before anything is sized from that shape. All three entry
-// points used to allocate (or borrow, and then return to the pool) the
-// full 256 MiB first.
+// points used to allocate the full 256 MiB first.
 func TestShortPayloadRejectedBeforeAllocating(t *testing.T) {
 	p := New(quant.OptL())
 	entries := []struct {

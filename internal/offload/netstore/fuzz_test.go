@@ -54,7 +54,7 @@ func FuzzNetstoreRequest(f *testing.F) {
 		var held []taken
 		r := bytes.NewReader(raw)
 		for {
-			req, err := transport.ReadRequest(r, srv.free.get)
+			req, err := transport.ReadRequest(r, srv.free.Get)
 			if err != nil {
 				// io.EOF is a clean end-of-stream; anything else must be
 				// the typed wire error, which poisons the stream.
@@ -94,8 +94,8 @@ func FuzzNetstoreRequest(f *testing.F) {
 				t.Fatalf("corrupt bytes became store state: %v", err)
 			}
 		}
-		if srv.free.bytes > freeListBytes || len(srv.free.bufs) > maxFree {
-			t.Fatalf("free list holds %d buffers, %d bytes; bounds %d and %d", len(srv.free.bufs), srv.free.bytes, maxFree, freeListBytes)
+		if srv.free.Bytes() > freeListBytes || srv.free.Len() > maxFree {
+			t.Fatalf("free list holds %d buffers, %d bytes; bounds %d and %d", srv.free.Len(), srv.free.Bytes(), maxFree, freeListBytes)
 		}
 	})
 }

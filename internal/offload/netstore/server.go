@@ -38,13 +38,13 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"jpegact/internal/frame"
+	"jpegact/internal/freelist"
 	"jpegact/internal/offload/transport"
 )
 
@@ -73,56 +73,19 @@ type entry struct {
 	refs atomic.Int32
 }
 
-// freeList is the server's pool of PUT body buffers, oldest first,
-// bounded to freeListBytes of capacity and maxFree buffers.
-type freeList struct {
-	mu    sync.Mutex
-	bufs  [][]byte
-	bytes int
-}
-
-// get returns a length-n buffer for a PUT body: the smallest free one
-// that wastes at most a quarter of n, else a new one. Its stale contents
-// do not matter: ReadRequest overwrites all n bytes.
-func (l *freeList) get(n int) []byte {
-	l.mu.Lock()
-	best := -1
-	for i, b := range l.bufs {
-		if c := cap(b); c >= n && c-n <= n/4 && (best < 0 || c < cap(l.bufs[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		l.mu.Unlock()
-		return make([]byte, n)
-	}
-	b := l.bufs[best]
-	l.bufs = slices.Delete(l.bufs, best, best+1)
-	l.bytes -= cap(b)
-	l.mu.Unlock()
-	return b[:n]
-}
-
-// put takes back a buffer nothing references any more, dropping the
-// oldest ones to the collector past either bound.
-func (l *freeList) put(b []byte) {
-	if cap(b) == 0 || cap(b) > freeListBytes {
-		return
-	}
-	l.mu.Lock()
-	l.bufs = append(l.bufs, b)
-	l.bytes += cap(b)
-	for l.bytes > freeListBytes || len(l.bufs) > maxFree {
-		l.bytes -= cap(l.bufs[0])
-		l.bufs = slices.Delete(l.bufs, 0, 1)
-	}
-	l.mu.Unlock()
+// newFreeList returns the server's pool of PUT body buffers, bounded to
+// freeListBytes of capacity and maxFree buffers. A PUT of n bytes takes
+// the smallest free buffer that wastes at most a quarter of n, else a new
+// one; its stale contents do not matter, as ReadRequest overwrites all n
+// bytes.
+func newFreeList() *freelist.List[byte] {
+	return freelist.New[byte](freeListBytes, maxFree, func(c, n int) bool { return c-n <= n/4 })
 }
 
 // Server is the activation-store service.
 type Server struct {
 	cfg      Config
-	free     freeList
+	free     *freelist.List[byte]
 	counters transport.Counters
 
 	// storeMu guards entries, the key→frame map, and bytes, the framed
@@ -150,6 +113,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	return &Server{
 		cfg:       cfg,
+		free:      newFreeList(),
 		entries:   map[uint64]*entry{},
 		listeners: map[net.Listener]struct{}{},
 		open:      map[net.Conn]struct{}{},
@@ -309,7 +273,7 @@ func (s *Server) handleRequest(req transport.Request) response {
 		// resends. Only verified bytes ever become store state.
 		if _, err := frame.DecodeFrame(req.Body); err != nil {
 			s.counters.Corrupted.Add(1)
-			s.free.put(req.Body)
+			s.free.Put(req.Body)
 			return response{status: transport.StatusCorrupt}
 		}
 		e := &entry{b: req.Body}
@@ -373,7 +337,7 @@ func (s *Server) handleRequest(req transport.Request) response {
 // its buffer to the free list.
 func (s *Server) release(e *entry) {
 	if e != nil && e.refs.Add(-1) == 0 {
-		s.free.put(e.b)
+		s.free.Put(e.b)
 	}
 }
 
@@ -392,7 +356,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		req, err := transport.ReadRequest(br, s.free.get)
+		req, err := transport.ReadRequest(br, s.free.Get)
 		if err != nil {
 			if s.drainingNow() && isTimeout(err) {
 				// Shutdown woke us between requests: every request read

@@ -343,31 +343,31 @@ func TestStalledReaderStallsOnlyItsConnection(t *testing.T) {
 // of capacity n to n+n/4, never a smaller or a much larger one, and the
 // list drops its oldest buffers past freeListBytes or maxFree.
 func TestFreeListBounds(t *testing.T) {
-	var l freeList
+	l := newFreeList()
 	small, fit, big := make([]byte, 900), make([]byte, 1200), make([]byte, 1100)
 	for _, b := range [][]byte{small, fit, big} {
-		l.put(b)
+		l.Put(b)
 	}
-	if got := l.get(1000); &got[0] != &big[0] || len(got) != 1000 {
-		t.Fatalf("get(1000) did not return the 1100-byte buffer")
+	if got := l.Get(1000); &got[0] != &big[0] || len(got) != 1000 {
+		t.Fatalf("Get(1000) did not return the 1100-byte buffer")
 	}
-	if got := l.get(4000); &got[0] == &fit[0] || &got[0] == &small[0] {
-		t.Fatalf("get(4000) reused a buffer it cannot hold")
+	if got := l.Get(4000); &got[0] == &fit[0] || &got[0] == &small[0] {
+		t.Fatalf("Get(4000) reused a buffer it cannot hold")
 	}
-	if got := l.get(600); &got[0] == &fit[0] || &got[0] == &small[0] {
-		t.Fatalf("get(600) reused a buffer that wastes more than a quarter")
+	if got := l.Get(600); &got[0] == &fit[0] || &got[0] == &small[0] {
+		t.Fatalf("Get(600) reused a buffer that wastes more than a quarter")
 	}
 	for range 2 * maxFree {
-		l.put(make([]byte, 100))
+		l.Put(make([]byte, 100))
 	}
-	if len(l.bufs) != maxFree || &l.bufs[0][0] == &small[0] {
-		t.Fatalf("%d buffers after %d puts, bound %d; oldest kept: %v", len(l.bufs), 2*maxFree+2, maxFree, &l.bufs[0][0] == &small[0])
+	if l.Len() != maxFree || l.Bytes() != 100*maxFree {
+		t.Fatalf("%d buffers, %d B after %d puts, bound %d: the oldest two must go", l.Len(), l.Bytes(), 2*maxFree+2, maxFree)
 	}
 	for range 5 {
-		l.put(make([]byte, 1<<20))
+		l.Put(make([]byte, 1<<20))
 	}
-	if l.bytes > freeListBytes || len(l.bufs) != freeListBytes>>20 {
-		t.Fatalf("%d bytes in %d buffers after five 1 MiB puts, bound %d", l.bytes, len(l.bufs), freeListBytes)
+	if l.Bytes() > freeListBytes || l.Len() != freeListBytes>>20 {
+		t.Fatalf("%d bytes in %d buffers after five 1 MiB puts, bound %d", l.Bytes(), l.Len(), freeListBytes)
 	}
 }
 

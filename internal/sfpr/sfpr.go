@@ -37,27 +37,9 @@ type Compressed struct {
 // Compress applies SFPR with global scale S to x.
 func Compress(x *tensor.Tensor, s float64) *Compressed {
 	out := &Compressed{Shape: x.Shape, Values: make([]int8, x.Elems()), Scales: make([]float32, x.Shape.C)}
-	CompressInto(x, s, out.Scales, out.Values)
+	ComputeScales(x, s, out.Scales)
+	QuantizeInto(x, out.Scales, out.Values)
 	return out
-}
-
-// CompressInto is Compress into caller-provided storage: scales (len = C)
-// and vals (len = x.Elems()). Each worker takes whole channels and, per
-// channel, finds the max magnitude and then casts that channel's planes
-// while they are still in cache — the tensor comes in from memory once,
-// not once per pass. Same bits as ComputeScales followed by QuantizeInto.
-func CompressInto(x *tensor.Tensor, s float64, scales []float32, vals []int8) {
-	sh := x.Shape
-	hw := sh.H * sh.W
-	parallel.For(sh.C, parallel.Grain(sh.N*hw, quantGrain), func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			scales[c] = scaleFor(x.ChannelMaxAbsOf(c), s)
-			for n := 0; n < sh.N; n++ {
-				base := (n*sh.C + c) * hw
-				quantizePlane(x.Data[base:base+hw], scales[c], vals[base:base+hw])
-			}
-		}
-	})
 }
 
 // scaleFor is Eqn. 4: s over the channel max magnitude, 0 for an
@@ -79,20 +61,32 @@ func ComputeScales(x *tensor.Tensor, s float64, scales []float32) {
 
 // QuantizeInto performs the integer cast of Eqn. 5 given precomputed
 // per-channel scales, writing into vals (len = x.Elems()). The (n, c)
-// planes are independent, so they shard over the worker pool.
+// planes shard over the worker pool, each one run of QuantizeRun.
 func QuantizeInto(x *tensor.Tensor, scales []float32, vals []int8) {
 	sh := x.Shape
 	hw := sh.H * sh.W
 	parallel.For(sh.N*sh.C, parallel.Grain(hw, quantGrain), func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			base := nc * hw
-			quantizePlane(x.Data[base:base+hw], scales[nc%sh.C], vals[base:base+hw])
-		}
+		QuantizeRun(x.Data, lo*hw, sh, scales, vals[lo*hw:hi*hw])
 	})
 }
 
-// quantizePlane casts one plane with its channel's scale; the cast
-// saturates rather than truncating (§III-B).
+// QuantizeRun casts one run of a tensor to its codes, the inverse of
+// DequantizeRun: src is the data of a tensor of shape sh, vals receive
+// the codes of its elements at flat offsets [lo, lo+len(vals)), and the
+// run may cross planes. The offload codec casts a tensor one stack-sized
+// run at a time through it and codes each run as it goes.
+func QuantizeRun(src []float32, lo int, sh tensor.Shape, scales []float32, vals []int8) {
+	hw := sh.H * sh.W
+	for len(vals) > 0 {
+		nc := lo / hw
+		k := min(len(vals), (nc+1)*hw-lo)
+		quantizePlane(src[lo:lo+k], scales[nc%sh.C], vals[:k])
+		vals, lo = vals[k:], lo+k
+	}
+}
+
+// quantizePlane casts one plane, or a run of one, with its channel's
+// scale; the cast saturates rather than truncating (§III-B).
 func quantizePlane(src []float32, sc float32, dst []int8) {
 	// Hoisting sc·128 into float64 is bit-exact: the float32 product v·sc
 	// is exactly representable in float64 (48-bit significand), and ·128

@@ -289,6 +289,62 @@ func TestDPRTensorAndCodes(t *testing.T) {
 	}
 }
 
+// TestRunsMatchWholeTensor: QuantizeRun and DequantizeRun over runs of
+// any length — crossing plane boundaries, the last one a short tail —
+// give exactly the slices of QuantizeInto's codes and DequantizeInto's
+// floats at the runs' offsets, and write nothing past their run. The
+// whole-tensor casts are held to Eqn. 5 element by element first, with
+// each element's channel scale, since they run on the run casts.
+func TestRunsMatchWholeTensor(t *testing.T) {
+	r := tensor.NewRNG(11)
+	for trial := 0; trial < 40; trial++ {
+		sh := tensor.Shape{N: 1 + r.Intn(3), C: 1 + r.Intn(5), H: 1 + r.Intn(9), W: 1 + r.Intn(9)}
+		x := randAct(r, sh.N, sh.C, sh.H, sh.W, 1+10*r.Float64())
+		for i := range x.Data {
+			if i/(sh.H*sh.W)%sh.C == 0 {
+				x.Data[i] = 0 // channel 0 is all zero: scale 0, inverse 0
+			}
+		}
+		scales := make([]float32, sh.C)
+		ComputeScales(x, DefaultS, scales)
+		codes := make([]int8, x.Elems())
+		QuantizeInto(x, scales, codes)
+		want := tensor.NewLike(x)
+		DequantizeInto(codes, scales, want)
+		for i, v := range x.Data {
+			sc := scales[i/(sh.H*sh.W)%sh.C]
+			var inv float32
+			if sc != 0 {
+				inv = 1 / (sc * 128)
+			}
+			if c := Code(v, float64(sc)*128); codes[i] != c || math.Float32bits(want.Data[i]) != math.Float32bits(float32(c)*inv) {
+				t.Fatalf("%v: element %d codes to %d and recovers %v; Eqn. 5 gives %d and %v", sh, i, codes[i], want.Data[i], c, float32(c)*inv)
+			}
+		}
+
+		k := 1 + r.Intn(3*sh.H*sh.W) // a run may span several planes
+		got := tensor.NewLike(x)
+		got.Fill(float32(math.NaN()))
+		for lo := 0; lo < x.Elems(); lo += k {
+			n := min(k, x.Elems()-lo)
+			vals := make([]int8, n)
+			QuantizeRun(x.Data, lo, sh, scales, vals)
+			DequantizeRun(vals, lo, sh, scales, got.Data)
+			for i, v := range vals {
+				if v != codes[lo+i] {
+					t.Fatalf("%v, runs of %d: QuantizeRun code %d is %d, QuantizeInto wrote %d", sh, k, lo+i, v, codes[lo+i])
+				}
+				if math.Float32bits(got.Data[lo+i]) != math.Float32bits(want.Data[lo+i]) {
+					t.Fatalf("%v, runs of %d: DequantizeRun value %d is %v, DequantizeInto wrote %v", sh, k, lo+i, got.Data[lo+i], want.Data[lo+i])
+				}
+			}
+			if end := lo + n; end < x.Elems() && !math.IsNaN(float64(got.Data[end])) {
+				t.Fatalf("%v, runs of %d: DequantizeRun of [%d, %d) wrote value %d", sh, k, lo, end, end)
+			}
+		}
+	}
+}
+
 func BenchmarkSFPRCompress(b *testing.B) {
 	r := tensor.NewRNG(10)
 	x := randAct(r, 8, 16, 32, 32, 1)
